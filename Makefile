@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke ci
+.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke ci
 
 test:            ## full tier-1 suite (tests/ + benchmarks/)
 	$(PYTHON) -m pytest -x -q
@@ -60,4 +60,7 @@ convergence-smoke: ## mechanism-family convergence smoke (the CI convergence job
 		--convergence-jsonl results/convergence_smoke.jsonl \
 		--label convergence_smoke
 
-ci: lint analyze test-ci bench-quick bench-xl-smoke docs-check sweep-smoke sweep-resume-smoke chaos-smoke convergence-smoke  ## reproduce the full CI pipeline locally
+airbench-smoke:  ## the repo benchmark (BENCHMARK.json) at smoke sizes (the CI airbench-smoke job): all six workloads once, traced and untraced, every metric printed by name; exit 1 if an operation fails; writes results/airbench_smoke.json
+	python3 benchmarks/airbench/bench.py --smoke --output results/airbench_smoke.json
+
+ci: lint analyze test-ci bench-quick bench-xl-smoke docs-check sweep-smoke sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke  ## reproduce the full CI pipeline locally

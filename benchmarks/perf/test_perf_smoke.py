@@ -1,12 +1,19 @@
-"""Perf-harness smoke tests: the benchmark tiers run and the vectorized
-paths are not slower than the scalar reference.
+"""Perf-harness smoke tests: every benchmark tier runs and returns a
+well-formed row.
 
-These are CI guards, not the real measurement — they use the ``--quick``
-sizes and assert loose bounds so machine noise cannot flake them.  The
-real numbers live in BENCH_perf_v1.json (see docs/PERFORMANCE.md).
+These are functional CI guards on tiny inputs with one or two repeats, so
+they assert only shape: the keys are there and the timings and ratios are
+finite and positive.  Which path is faster is not decided here — a
+wall-clock ``speedup > 1.0`` on a 10-worker round flips with host load —
+but by ``python3 benchmarks/airbench/bench.py --compare`` (noise-aware,
+see benchmarks/airbench/README.md) and the curated BENCH_perf_v1.json
+numbers (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 from repro.experiments.bench import (
     bench_aggregation_micro,
@@ -18,24 +25,29 @@ from repro.experiments.bench import (
 )
 
 
+def assert_finite_positive(row, keys):
+    for key in keys:
+        assert key in row, f"missing {key!r} in {sorted(row)}"
+        value = row[key]
+        assert math.isfinite(value) and value > 0, f"{key}={value!r}"
+
+
 def test_grouped_round_tier_reports_speedup():
     result = bench_grouped_round(10, rounds_per_group=1, repeats=1)
     assert result["num_workers"] == 10
-    assert result["scalar_s_per_round"] > 0
-    assert result["batched_s_per_round"] > 0
-    # The batched engine must not regress below the scalar path (the real
-    # ≥3x acceptance check at 50 workers runs in the non-quick bench).
-    assert result["speedup"] > 1.0
+    assert result["num_groups"] >= 1
+    assert_finite_positive(
+        result, ["rounds_timed", "scalar_s_per_round", "batched_s_per_round", "speedup"]
+    )
 
 
 def test_grouped_round_cnn_tier_reports_speedup():
     result = bench_grouped_round_cnn(10, rounds_per_group=1, repeats=1)
     assert result["num_workers"] == 10
-    assert result["scalar_s_per_round"] > 0
-    assert result["batched_s_per_round"] > 0
-    # The batched Conv2D/MaxPool2D kernels must not regress below the
-    # scalar path (the ≥2x acceptance check runs in the non-quick bench).
-    assert result["speedup"] > 1.0
+    assert result["num_groups"] >= 1
+    assert_finite_positive(
+        result, ["rounds_timed", "scalar_s_per_round", "batched_s_per_round", "speedup"]
+    )
 
 
 def test_grouped_round_pipeline_tier_runs_and_annotates_cpu_count():
@@ -43,11 +55,11 @@ def test_grouped_round_pipeline_tier_runs_and_annotates_cpu_count():
         10, rounds_per_group=1, repeats=1, num_processes=1
     )
     assert result["num_workers"] == 10
-    assert result["mp_s_per_round"] > 0
-    assert result["pipeline_s_per_round"] > 0
     # Self-describing rows: the pipeline win depends on the host's core
     # count, so every record must carry it (docs/PERFORMANCE.md).
-    assert result["cpu_count"] is not None
+    assert_finite_positive(
+        result, ["mp_s_per_round", "pipeline_s_per_round", "cpu_count"]
+    )
     # The tier refuses runs where speculation never engaged, so a recorded
     # row always reflects actual pipelined execution.
     assert result["pipeline_hits"] > 0
@@ -55,14 +67,23 @@ def test_grouped_round_pipeline_tier_runs_and_annotates_cpu_count():
 
 def test_aggregation_micro_tier_reports_speedup():
     result = bench_aggregation_micro(dim=20_000, group_size=8, repeats=2)
-    assert result["aircomp_vectorized_s"] > 0
-    assert result["aircomp_speedup"] > 1.0
-    assert result["average_speedup"] > 1.0
+    assert result["dim"] == 20_000 and result["group_size"] == 8
+    assert_finite_positive(
+        result,
+        [
+            "aircomp_reference_s",
+            "aircomp_vectorized_s",
+            "aircomp_speedup",
+            "average_reference_s",
+            "average_vectorized_s",
+            "average_speedup",
+        ],
+    )
 
 
 def test_cnn_mini_tier_runs():
     result = bench_cnn_mnist_mini(max_rounds=2)
-    assert result["scalar_s"] > 0 and result["vectorized_s"] > 0
+    assert_finite_positive(result, ["scalar_s", "vectorized_s", "speedup"])
 
 
 def test_bench_suite_appends_json(tmp_path):
@@ -76,7 +97,5 @@ def test_bench_suite_appends_json(tmp_path):
     path = write_bench_results(record, label="smoke", output_dir=tmp_path)
     assert path.name == "BENCH_smoke.json"
     path2 = write_bench_results(record, label="smoke", output_dir=tmp_path)
-    import json
-
     data = json.loads(path2.read_text())
     assert len(data["runs"]) == 2

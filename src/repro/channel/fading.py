@@ -39,6 +39,10 @@ class ChannelModel:
         fading), which the power-control algorithm relies on: it computes
         σ_t from the gains of round ``t`` and the workers then transmit with
         those same gains.
+
+        The result is the caller's to read, not to write: a model may hand
+        out one shared read-only array on every call (:class:`StaticChannel`
+        does), so copy before modifying.
         """
         raise NotImplementedError
 
@@ -128,11 +132,14 @@ class StaticChannel(ChannelModel):
             self._gains = self.mean_gain * np.exp(
                 rng.uniform(-log_spread, log_spread, size=self.num_workers)
             )
+        # Handed out as is by gains(): an O(N) copy per round is the largest
+        # single cost of a round at 1M workers.
+        self._gains.setflags(write=False)
 
     def gains(self, round_index: int) -> np.ndarray:
         if round_index < 0:
             raise ValueError("round_index must be non-negative")
-        return self._gains.copy()
+        return self._gains
 
 
 def build_channel(

@@ -172,18 +172,20 @@ def _evaluate_grouping(
 ) -> GroupingResult:
     """Score one candidate grouping.
 
-    Per-group quantities are computed with fancy-indexed NumPy reductions
-    over int64 member arrays — no per-member Python loops.  The float64
-    operation sequence matches the original ``GroupTiming``-based
-    implementation exactly (same ``max``/``sum`` reductions over the same
-    values), so objectives and greedy decisions are bit-identical.
+    Per-group quantities are segment reductions over one flat int64 member
+    array (``np.maximum.reduceat`` / ``np.add.reduceat``) — no Python loop
+    over groups or members.  The float64 results match the per-group
+    ``max``/``sum`` reductions exactly, so objectives and greedy decisions
+    are bit-identical.
     """
     cfg = problem.config
-    member_arrays = [
-        np.asarray(g, dtype=np.int64) for g in groups if len(g) > 0
-    ]
-    if not member_arrays:
+    kept = [g for g in groups if len(g) > 0]
+    if not kept:
         raise ValueError("grouping has no non-empty groups")
+    # Group j owns flat[starts[j]:starts[j] + lengths[j]].
+    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in kept])
+    starts = np.cumsum(lengths) - lengths
 
     # L_u (Eq. 33) is membership-independent; L_j = max_i l_i + L_u (Eq. 34).
     upload = aircomp_latency(
@@ -191,21 +193,32 @@ def _evaluate_grouping(
         cfg.aircomp.num_subchannels,
         cfg.aircomp.symbol_duration_s,
     )
-    group_times = np.array(
-        [float(problem.local_times[m].max() + upload) for m in member_arrays]
-    )
+    group_times = np.maximum.reduceat(problem.local_times[flat], starts) + upload
 
+    # ``ndarray.sum`` is 0 + pairwise(all members) while ``reduceat`` is
+    # first + pairwise(rest): a leading zero per segment makes the two the
+    # same float (sizes carry a 1e-9 floor, so the order can matter).
+    zero_slots = starts + np.arange(starts.size)
+    is_member = np.ones(flat.size + starts.size, dtype=bool)
+    is_member[zero_slots] = False
+    sizes = np.zeros(is_member.size)
+    sizes[is_member] = problem.data_sizes[flat]
     total_data = float(problem.data_sizes.sum())
-    betas = np.array(
-        [problem.data_sizes[m].sum() / total_data for m in member_arrays]
+    betas = np.add.reduceat(sizes, zero_slots) / total_data
+
+    # Label histograms one class at a time keep the gather O(N), not
+    # O(N·K); counts are integer-valued, exact in any summation order.
+    counts = np.empty((len(kept), problem.num_classes))
+    for k, column in enumerate(problem.class_counts.T):
+        counts[:, k] = np.add.reduceat(column[flat], starts)
+    group_size = counts.sum(axis=1, keepdims=True)
+    dists = np.divide(
+        counts,
+        group_size,
+        out=np.full_like(counts, 1.0 / problem.num_classes),
+        where=group_size > 0,
     )
-    global_dist = problem.global_distribution()
-    lambdas = np.empty(len(member_arrays))
-    for g, m in enumerate(member_arrays):
-        counts = problem.class_counts[m].sum(axis=0)
-        size = counts.sum()
-        dist = counts / size if size > 0 else np.full_like(global_dist, 1.0 / problem.num_classes)
-        lambdas[g] = np.abs(dist - global_dist).sum()
+    lambdas = np.abs(dists - problem.global_distribution()).sum(axis=1)
 
     psi = participation_frequencies(group_times)
     tau = max(0.0, estimated_max_staleness(group_times) - 1.0)
@@ -221,9 +234,7 @@ def _evaluate_grouping(
     # Preserve the caller's group representation: lists stay (copied)
     # lists; int64 arrays pass through without a per-member conversion.
     group_out: List[Sequence[int]] = [
-        g if isinstance(g, np.ndarray) else list(g)
-        for g in groups
-        if len(g) > 0
+        g if isinstance(g, np.ndarray) else list(g) for g in kept
     ]
     return GroupingResult(
         groups=group_out,

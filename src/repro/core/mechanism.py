@@ -49,10 +49,7 @@ class GroupState:
     def __post_init__(self) -> None:
         if len(self.members) == 0:
             raise ValueError("a group must have at least one member")
-        if isinstance(self.members, np.ndarray):
-            if np.unique(self.members).size != self.members.size:
-                raise ValueError("duplicate workers in group")
-        elif len(set(self.members)) != len(self.members):
+        if np.unique(self.members).size != len(self.members):
             raise ValueError("duplicate workers in group")
 
     @property
@@ -65,6 +62,13 @@ class GroupState:
     def reset_ready(self) -> None:
         self.ready_count = 0
         self.ready_workers.clear()
+
+
+class _CheckedGroupState(GroupState):
+    """A :class:`GroupState` whose members the scheduler has already checked."""
+
+    def __post_init__(self) -> None:
+        pass
 
 
 @dataclass
@@ -91,32 +95,34 @@ class GroupAsyncScheduler:
     def __init__(self, groups: Sequence[Sequence[int]]) -> None:
         if len(groups) == 0:
             raise ValueError("at least one group is required")
-        self._groups: List[GroupState] = []
-        for gid, members in enumerate(groups):
-            if not isinstance(members, np.ndarray):
-                members = list(members)
-            self._groups.append(GroupState(group_id=gid, members=members))
-        # Cross-group overlap check + worker->group map without per-worker
-        # Python objects (the construction hotspot at 10k+ workers): the
-        # map is a pair of sorted int64 arrays queried by binary search,
-        # not a dict of Python ints.
-        arrays = [
-            np.asarray(state.members, dtype=np.int64) for state in self._groups
-        ]
+        # Membership checks + worker->group map without per-worker Python
+        # objects (the construction hotspot at 10k+ workers): one sorted
+        # flat id array finds a repeated worker whether it sits in one
+        # group or two, and doubles as the map, queried by binary search.
+        arrays = [np.asarray(members, dtype=np.int64) for members in groups]
+        sizes = [a.size for a in arrays]
+        if 0 in sizes:
+            raise ValueError("a group must have at least one member")
         flat = np.concatenate(arrays)
-        owners = np.repeat(
-            np.arange(len(arrays), dtype=np.int64), [a.size for a in arrays]
-        )
+        owners = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]
-        dupes = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
-        if dupes.size:
-            overlap = np.unique(dupes).tolist()
-            raise ValueError(
-                f"workers assigned to multiple groups: {sorted(overlap)}"
+        sorted_owners = owners[order]
+        repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+        if repeated.size:
+            if np.any(sorted_owners[repeated] == sorted_owners[repeated + 1]):
+                raise ValueError("duplicate workers in group")
+            overlap = np.unique(sorted_ids[repeated]).tolist()
+            raise ValueError(f"workers assigned to multiple groups: {overlap}")
+        self._groups: List[GroupState] = [
+            _CheckedGroupState(
+                group_id=gid,
+                members=members if isinstance(members, np.ndarray) else list(members),
             )
+            for gid, members in enumerate(groups)
+        ]
         self._worker_ids = sorted_ids
-        self._worker_owners = owners[order]
+        self._worker_owners = sorted_owners
         self._round: int = 0
         self._history: List[AggregationEvent] = []
 

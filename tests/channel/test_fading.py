@@ -66,6 +66,19 @@ class TestStaticChannel:
         ch = StaticChannel(num_workers=6, seed=0)
         np.testing.assert_array_equal(ch.gains(0), ch.gains(10))
 
+    @pytest.mark.parametrize("spread", [1.0, 3.0])
+    def test_gains_are_read_only_and_not_copied(self, spread):
+        ch = StaticChannel(num_workers=6, spread=spread, seed=0)
+        first = ch.gains(0)
+        before = first.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 123.0
+        with pytest.raises(ValueError, match="read-only"):
+            first *= 2.0
+        assert np.shares_memory(first, ch.gains(10))
+        np.testing.assert_array_equal(ch.gains(0), ch.gains(10))
+        np.testing.assert_array_equal(ch.gains(10), before)
+
     def test_unit_spread_gives_equal_gains(self):
         ch = StaticChannel(num_workers=6, mean_gain=2.0, spread=1.0, seed=0)
         np.testing.assert_allclose(ch.gains(0), 2.0)

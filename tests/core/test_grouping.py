@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.channel.aircomp import aircomp_latency
 from repro.core import (
     AirFedGAConfig,
     GroupingConfig,
@@ -13,6 +14,13 @@ from repro.core import (
     random_grouping,
     singleton_grouping,
     tier_grouping,
+)
+from repro.core.convergence import grouping_objective
+from repro.core.grouping import _evaluate_grouping
+from repro.core.timing import (
+    average_round_time,
+    estimated_max_staleness,
+    participation_frequencies,
 )
 from repro.data import average_emd, make_mnist_like, partition_label_skew
 from repro.sim import HeterogeneityModel, LatencyTable
@@ -210,3 +218,115 @@ class TestGroupingResult:
         result = greedy_grouping(problem)
         assert np.all(result.lambdas >= 0.0)
         assert np.all(result.lambdas <= 2.0 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# Segment-reduced evaluation vs. the per-group loop it replaced
+# ----------------------------------------------------------------------
+def per_group_loop(problem, groups):
+    """``group_times``, ``betas``, ``lambdas`` the way the per-group loop computed them."""
+    upload = aircomp_latency(
+        problem.model_dimension,
+        problem.config.aircomp.num_subchannels,
+        problem.config.aircomp.symbol_duration_s,
+    )
+    members = [np.asarray(g, dtype=np.int64) for g in groups if len(g) > 0]
+    group_times = np.array(
+        [float(problem.local_times[m].max() + upload) for m in members]
+    )
+    total_data = float(problem.data_sizes.sum())
+    betas = np.array([problem.data_sizes[m].sum() / total_data for m in members])
+    global_dist = problem.global_distribution()
+    lambdas = np.empty(len(members))
+    for g, m in enumerate(members):
+        counts = problem.class_counts[m].sum(axis=0)
+        size = counts.sum()
+        dist = (
+            counts / size
+            if size > 0
+            else np.full_like(global_dist, 1.0 / problem.num_classes)
+        )
+        lambdas[g] = np.abs(dist - global_dist).sum()
+    return group_times, betas, lambdas
+
+
+def synthetic_problem(num_workers, num_classes, seed, empty_workers=()):
+    rng = np.random.default_rng(seed)
+    class_counts = rng.integers(0, 30, size=(num_workers, num_classes))
+    class_counts[list(empty_workers)] = 0
+    # The population floors empty workers' sizes at 1e-9, so the sums are
+    # not all-integer and their order shows in the last bit.
+    sizes = np.maximum(class_counts.sum(axis=1).astype(np.float64), 1e-9)
+    return GroupingProblem(
+        data_sizes=sizes,
+        class_counts=class_counts,
+        local_times=rng.uniform(0.5, 3.0, size=num_workers),
+        model_dimension=50_000,
+        c_max=0.01,
+    )
+
+
+def ragged_split(num_workers, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(num_workers)
+    cuts = np.sort(rng.choice(np.arange(1, num_workers), size=6, replace=False))
+    return np.split(order, cuts)
+
+
+class TestEvaluateGroupingMatchesPerGroupLoop:
+    def check(self, problem, groups):
+        result = _evaluate_grouping(problem, groups, "probe")
+        group_times, betas, lambdas = per_group_loop(problem, groups)
+        assert np.array_equal(result.group_times, group_times)
+        assert np.array_equal(result.betas, betas)
+        assert np.array_equal(result.lambdas, lambdas)
+        objective = grouping_objective(
+            problem.config.convergence,
+            round_time=average_round_time(group_times),
+            tau_max=max(0.0, estimated_max_staleness(group_times) - 1.0),
+            psi=participation_frequencies(group_times),
+            beta=betas,
+            lambdas=lambdas,
+            c_max=problem.c_max,
+        )
+        assert result.objective == float(objective)
+        return result
+
+    @pytest.mark.parametrize("num_classes", [2, 10, 100])
+    def test_list_groups(self, num_classes):
+        problem = synthetic_problem(60, num_classes, seed=num_classes, empty_workers=(3, 17))
+        groups = [chunk.tolist() for chunk in ragged_split(60, seed=1)]
+        result = self.check(problem, groups)
+        assert all(isinstance(g, list) for g in result.groups)
+
+    def test_int64_array_groups_pass_through(self):
+        problem = synthetic_problem(64, 10, seed=5, empty_workers=(0,))
+        groups = np.array_split(np.arange(64, dtype=np.int64), 8)
+        result = self.check(problem, groups)
+        assert all(a is b for a, b in zip(result.groups, groups))
+
+    def test_ragged_mixed_groups_with_singletons_and_empties(self):
+        problem = synthetic_problem(40, 10, seed=9, empty_workers=(5, 6, 7))
+        groups = [[5], np.array([6, 7, 1], dtype=np.int64), [], list(range(8, 40)), (0, 2, 3, 4)]
+        result = self.check(problem, groups)
+        assert result.num_groups == 4
+
+    def test_group_with_empty_label_histogram(self):
+        problem = synthetic_problem(12, 10, seed=2, empty_workers=(4, 5))
+        result = self.check(problem, [[0, 1, 2, 3], [4, 5], [6, 7, 8, 9, 10, 11]])
+        uniform = np.full(10, 0.1)
+        assert result.lambdas[1] == np.abs(uniform - problem.global_distribution()).sum()
+
+    def test_fractional_sizes_keep_the_summation_order(self):
+        problem = synthetic_problem(200, 10, seed=11)
+        problem.data_sizes = np.random.default_rng(11).uniform(0.1, 50.0, size=200)
+        self.check(problem, ragged_split(200, seed=3))
+
+    def test_real_partition(self):
+        problem, _, _ = make_problem(num_workers=20, c_max=0.02)
+        self.check(problem, [chunk.tolist() for chunk in ragged_split(20, seed=4)])
+
+    def test_no_non_empty_group(self):
+        problem = synthetic_problem(4, 3, seed=0)
+        with pytest.raises(ValueError, match="no non-empty groups"):
+            _evaluate_grouping(problem, [[], []], "probe")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import GroupAsyncScheduler, GroupState
@@ -33,8 +34,22 @@ class TestSchedulerConstruction:
         with pytest.raises(ValueError, match="multiple groups"):
             GroupAsyncScheduler([[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_rejects_duplicate_within_one_group(self, as_array):
+        """The scheduler's flat check covers what GroupState checks per group."""
+        groups = [[0, 1], [2, 3, 2]]
+        if as_array:
+            groups = [np.array(g, dtype=np.int64) for g in groups]
+        with pytest.raises(ValueError, match="duplicate workers in group"):
+            GroupAsyncScheduler(groups)
+
+    def test_rejects_empty_group(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            GroupAsyncScheduler([[0, 1], []])
+
     def test_group_lookup(self):
         sched = GroupAsyncScheduler([[0, 1], [2]])
+        assert isinstance(sched.group(0), GroupState)
         assert sched.num_groups == 2
         assert sched.group_of(2) == 1
         assert sched.group(1).members == [2]
