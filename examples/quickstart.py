@@ -63,7 +63,7 @@ def main() -> None:
     trainer = AirFedGATrainer(experiment)
     print("Worker groups found by Algorithm 3:")
     for gid, members in enumerate(trainer.groups):
-        times = [experiment.latency.nominal_time(w) for w in members]
+        times = experiment.latency.nominal[members]
         print(
             f"  group {gid}: {len(members):2d} workers, "
             f"local training times {min(times):.1f}s - {max(times):.1f}s, "

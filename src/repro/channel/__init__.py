@@ -1,6 +1,6 @@
 """Wireless channel substrate: fading gains, AirComp MAC, OMA latency, energy."""
 
-from .fading import ChannelModel, RayleighFading, StaticChannel, build_channel
+from .fading import ChannelModel, RayleighFading, StaticChannel
 from .aircomp import (
     AirCompResult,
     AirCompWorkspace,
@@ -18,7 +18,6 @@ __all__ = [
     "ChannelModel",
     "RayleighFading",
     "StaticChannel",
-    "build_channel",
     "AirCompResult",
     "AirCompWorkspace",
     "aircomp_aggregate",

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..registry import get as _get_component
 from ..registry import register as _register
 
-__all__ = ["ChannelModel", "RayleighFading", "StaticChannel", "build_channel"]
+__all__ = ["ChannelModel", "RayleighFading", "StaticChannel"]
 
 
 class ChannelModel:
@@ -140,18 +139,3 @@ class StaticChannel(ChannelModel):
         if round_index < 0:
             raise ValueError("round_index must be non-negative")
         return self._gains
-
-
-def build_channel(
-    kind: str,
-    num_workers: int,
-    seed: int = 0,
-    **kwargs,
-) -> ChannelModel:
-    """Factory for channel models (``"rayleigh"`` or ``"static"``).
-
-    Unknown kinds raise :class:`~repro.registry.UnknownComponentError`
-    (a ``KeyError``) with close-match suggestions.
-    """
-    cls = _get_component("channel", kind)
-    return cls(num_workers=num_workers, seed=seed, **kwargs)

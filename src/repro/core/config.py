@@ -152,14 +152,6 @@ class ParallelismConfig:
     results are bit-identical to the serial event loop in float64.
 
     ``mode="none"`` (default) keeps the single-process batched engine.
-
-    ``pipeline=True`` (requires ``mode="processes"``) additionally overlaps
-    the event loop's phases: while the parent process performs a group's
-    AirComp aggregation, power control and staleness bookkeeping, the pool
-    already trains the *next* ready group's shards speculatively (see
-    ``docs/ARCHITECTURE.md``, "Pipelined event loop").  Virtual-time event
-    order — and therefore the produced history — is unchanged; only
-    wall-clock phases overlap.
     """
 
     #: ``"none"`` (serial, default) or ``"processes"`` (worker-process pool).
@@ -179,38 +171,12 @@ class ParallelismConfig:
     #: respawned between attempts) before falling back to the in-process
     #: engine for that call.
     max_restarts: int = 1
-    #: Overlap the event loop's phases: speculatively train the next ready
-    #: group on the pool while the parent aggregates the current one.
-    #: Requires ``mode="processes"`` (there is no pool to overlap with
-    #: otherwise) and ``max_inflight >= 2``.
-    pipeline: bool = False
-    #: Maximum number of group dispatches whose shared-memory arena slots
-    #: may coexist.  The pipeline holds the committing group's stack and
-    #: the speculative group's stack simultaneously, so it needs 2; each
-    #: extra slot costs one ``num_workers × q`` result arena.
-    max_inflight: int = 2
 
     def __post_init__(self) -> None:
         if self.mode not in ("none", "processes"):
             raise ValueError(
                 f"parallelism mode must be 'none' or 'processes', got {self.mode!r}"
             )
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.pipeline:
-            if self.mode != "processes":
-                raise ValueError(
-                    "parallelism.pipeline=True requires mode='processes': the "
-                    "pipeline overlaps parent-process aggregation with "
-                    "speculative training on the worker-process pool, so "
-                    f"there is nothing to overlap with mode={self.mode!r}"
-                )
-            if self.max_inflight < 2:
-                raise ValueError(
-                    "parallelism.pipeline=True requires max_inflight >= 2 "
-                    "(the committing group's stack and the speculative "
-                    "group's stack must coexist in separate arena slots)"
-                )
         if self.num_processes is not None and self.num_processes < 1:
             raise ValueError("num_processes must be >= 1 when given")
         if self.start_method not in ("fork", "spawn", "forkserver"):

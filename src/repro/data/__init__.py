@@ -1,19 +1,15 @@
 """Dataset substrate: synthetic datasets, federated partitioning, statistics."""
 
 from .synthetic import (
-    DATASET_REGISTRY,
     Dataset,
     SyntheticImageConfig,
-    load_dataset,
     make_cifar10_like,
     make_imagenet100_like,
     make_mnist_like,
     make_synthetic_images,
 )
 from .partition import (
-    PARTITIONERS,
     Partition,
-    make_partition,
     partition_dirichlet,
     partition_iid,
     partition_label_skew,
@@ -35,14 +31,10 @@ __all__ = [
     "make_mnist_like",
     "make_cifar10_like",
     "make_imagenet100_like",
-    "DATASET_REGISTRY",
-    "load_dataset",
     "Partition",
     "partition_iid",
     "partition_label_skew",
     "partition_dirichlet",
-    "PARTITIONERS",
-    "make_partition",
     "emd",
     "group_class_counts",
     "group_data_sizes",

@@ -13,13 +13,11 @@ statistics (the α_i, d_i^k quantities of Table II) are exposed directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
-from ..registry import get as _get_component
 from ..registry import register as _register
 from .synthetic import Dataset
 
@@ -28,31 +26,7 @@ __all__ = [
     "partition_iid",
     "partition_label_skew",
     "partition_dirichlet",
-    "PARTITIONERS",
-    "make_partition",
 ]
-
-
-class _WorkerIndices(list):
-    """``Partition.indices`` with a deprecated per-worker integer accessor.
-
-    Iteration, ``len``, and slicing behave exactly like a list of int64
-    arrays.  Integer indexing — the per-worker touchpoint the population
-    refactor retires — still works but emits a :class:`DeprecationWarning`
-    pointing at :meth:`Partition.worker_indices` /
-    :meth:`~repro.core.population.Population.shard`.
-    """
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            warnings.warn(
-                "Partition.indices[worker] is deprecated; use "
-                "Partition.worker_indices(worker) or Population.shard(worker) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return super().__getitem__(key)
 
 
 @dataclass
@@ -76,9 +50,7 @@ class Partition:
     _class_counts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.indices = _WorkerIndices(
-            np.asarray(ix, dtype=np.int64) for ix in self.indices
-        )
+        self.indices = [np.asarray(ix, dtype=np.int64) for ix in self.indices]
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -87,7 +59,7 @@ class Partition:
         return len(self.indices)
 
     def worker_indices(self, worker: int) -> np.ndarray:
-        return list.__getitem__(self.indices, worker)
+        return self.indices[worker]
 
     def data_sizes(self) -> np.ndarray:
         """Per-worker data sizes ``d_i`` (Table II)."""
@@ -327,24 +299,3 @@ def partition_dirichlet(
         labels=labels,
         name=f"dirichlet-{alpha}",
     )
-
-
-#: Deprecation shim: the ``"partitioner"`` kind now lives in
-#: :mod:`repro.registry`; this dict mirrors it for legacy callers.
-PARTITIONERS = {
-    "iid": partition_iid,
-    "label-skew": partition_label_skew,
-    "dirichlet": partition_dirichlet,
-}
-
-
-def make_partition(
-    strategy: str, dataset: Dataset, num_workers: int, seed: int = 0, **kwargs
-) -> Partition:
-    """Build a partition by strategy name (``iid``/``label-skew``/``dirichlet``).
-
-    Unknown strategies raise :class:`~repro.registry.UnknownComponentError`
-    (a ``KeyError``) with close-match suggestions.
-    """
-    fn = _get_component("partitioner", strategy)
-    return fn(dataset, num_workers, seed=seed, **kwargs)

@@ -23,7 +23,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..registry import get as _get_component
 from ..registry import register as _register
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "make_mnist_like",
     "make_cifar10_like",
     "make_imagenet100_like",
-    "DATASET_REGISTRY",
-    "load_dataset",
 ]
 
 
@@ -275,21 +272,3 @@ def make_imagenet100_like(
         seed=seed,
     )
     return make_synthetic_images(cfg, "synthetic-imagenet100")
-
-
-#: Deprecation shim: the ``"dataset"`` kind now lives in
-#: :mod:`repro.registry`; this dict mirrors it for legacy callers.
-DATASET_REGISTRY = {
-    "synthetic-mnist": make_mnist_like,
-    "synthetic-cifar10": make_cifar10_like,
-    "synthetic-imagenet100": make_imagenet100_like,
-}
-
-
-def load_dataset(name: str, **kwargs) -> Dataset:
-    """Load a dataset by registry name.
-
-    Unknown names raise :class:`~repro.registry.UnknownComponentError`
-    (a ``KeyError``) with close-match suggestions.
-    """
-    return _get_component("dataset", name)(**kwargs)

@@ -1,6 +1,6 @@
 """Performance benchmark harness for the vectorized training/aggregation engine.
 
-Five tiers.  The first four time the *same* simulation twice — once on the
+Seven tiers.  The first four time the *same* simulation twice — once on the
 seed's sequential reference path (``engine="scalar"``: per-worker Python
 loops, per-member aggregation accumulation, no power-control cache) and
 once on the vectorized path (``engine="auto"``: group-batched matmuls,
@@ -21,24 +21,22 @@ execution on top:
 5. **grouped_round_mp** — the single-process batched engine against the
    :class:`~repro.parallel.ProcessGroupExecutor` (worker-process pool +
    shared-memory arenas, ``config.parallelism``);
-6. **grouped_round_pipeline** — the process pool against itself with the
-   pipelined event loop on top (``parallelism.pipeline``): each round's
-   parent-side aggregation overlaps the next ready group's speculative
-   training, so the measured delta is the aggregation time hidden behind
-   training (see :func:`bench_grouped_round_pipeline`);
+6. **grouped_round_xl** — the partition-less lazy-population round at
+   10k/100k workers (rounds per second, peak RSS, build time; see
+   :func:`bench_grouped_round_xl`);
 7. **mechanism_convergence** — a Table-1-style convergence probe of the
    mechanism families (FedAvg / FedProx / FedDyn / FedAsync / Air-FedGA)
    on one seeded label-skew workload: final loss/accuracy, simulated time
    and wall-clock per mechanism, so successive PRs track *convergence*
    regressions alongside the engine timings.
 
-The ``grouped_round_mp`` / ``grouped_round_pipeline`` rows are annotated
-with ``cpu_count`` so every record is self-describing: multiprocess and
-pipeline speedups are only meaningful on a multi-core host (the
-committed run 3 was recorded on a ``cpu_count: 1`` container and
-therefore measures pure dispatch overhead — see docs/PERFORMANCE.md).
-Both tiers *refuse* to run a configuration that silently resolved to
-serial execution.
+The ``grouped_round_mp`` rows are annotated with ``cpu_count`` so every
+record is self-describing: a multiprocess speedup is only meaningful on a
+multi-core host (the committed run 3 was recorded on a ``cpu_count: 1``
+container and therefore measures pure dispatch overhead; run 7 is the
+2-core record — see docs/PERFORMANCE.md, "Execution modes — what was
+measured").  The tier *refuses* to run a configuration that silently
+resolved to serial execution.
 
 Results are appended to ``BENCH_<label>.json`` so successive PRs build a
 benchmark trajectory.  Run via ``make bench``,
@@ -72,7 +70,6 @@ __all__ = [
     "bench_grouped_round",
     "bench_grouped_round_cnn",
     "bench_grouped_round_mp",
-    "bench_grouped_round_pipeline",
     "bench_grouped_round_xl",
     "bench_cnn_mnist_mini",
     "bench_aggregation_micro",
@@ -299,133 +296,6 @@ def bench_grouped_round_mp(
         "serial_s_per_round": per_round["serial"],
         "mp_s_per_round": per_round["mp"],
         "speedup": per_round["serial"] / per_round["mp"],
-    }
-
-
-def bench_grouped_round_pipeline(
-    num_workers: int,
-    rounds_per_group: int = 3,
-    repeats: int = 3,
-    num_processes: Optional[int] = None,
-    parallelism: str = "processes",
-) -> Dict[str, object]:
-    """Time Air-FedGA grouped rounds: process pool vs pipelined process pool.
-
-    Both variants run ``engine="auto"`` with a
-    :class:`~repro.parallel.ProcessGroupExecutor` pool on a *multi-group*
-    MLP scenario (ξ = 0.3, so several groups interleave on the event
-    queue); the ``pipeline`` variant additionally sets
-    ``parallelism.pipeline=True``, overlapping each round's parent-side
-    AirComp aggregation with the next ready group's speculative training
-    (the wall-clock win is the aggregation time hidden behind training —
-    meaningful on a multi-core host, hence the ``cpu_count`` annotation).
-    Histories stay bit-identical in float64, so the measured delta is pure
-    phase overlap.
-
-    Guards mirror :func:`bench_grouped_round_mp`: requesting
-    ``parallelism="none"`` raises :class:`ValueError`; a configuration
-    that silently resolves to serial execution, falls back in-process, or
-    never gets a speculation accepted raises :class:`RuntimeError` rather
-    than recording a mislabeled row.
-    """
-    if parallelism != "processes":
-        raise ValueError(
-            "bench_grouped_round_pipeline times the pipelined multiprocess "
-            f"executor; parallelism={parallelism!r} would silently measure "
-            "a serial path under the 'pipeline' label — use "
-            "bench_grouped_round for serial engine comparisons"
-        )
-    procs = int(num_processes or os.cpu_count() or 1)
-
-    def make_config(mode: str):
-        par = ParallelismConfig(
-            mode="processes",
-            num_processes=procs,
-            min_group_size=2,
-            pipeline=(mode == "pipeline"),
-        )
-        return lr_mnist_config(
-            num_workers=num_workers,
-            num_train=20 * num_workers,
-            image_size=8,
-            hidden=32,
-            max_rounds=10_000,
-        ).scaled(
-            local_steps=5,
-            batch_size=32,
-            partition_strategy="iid",
-            eval_every=1_000_000,
-            max_eval_samples=32,
-            engine="auto",
-            # ξ = 0.3 (the paper's operating point) so the event queue
-            # holds several groups and the lookahead has a next entry to
-            # speculate on — with ξ = 1 there is one group and nothing to
-            # pipeline.
-            config=AirFedGAConfig(
-                grouping=GroupingConfig(xi=0.3), parallelism=par
-            ),
-        )
-
-    timings = {"mp": float("inf"), "pipeline": float("inf")}
-    num_groups = 0
-    total_rounds = 0
-    hits = 0
-    recomputes = 0
-    for _ in range(repeats):
-        for mode in ("mp", "pipeline"):
-            experiment = build_experiment(make_config(mode))
-            with build_trainer("air_fedga", experiment) as trainer:
-                # Untimed warm-up dispatch (see bench_grouped_round_mp):
-                # spawns the pool workers, builds their engines and maps
-                # the shared-memory arena slots.
-                trainer.local_update_group(
-                    trainer.groups[0], trainer.global_vector, 1
-                )
-                if not (
-                    trainer.parallelism_active
-                    and trainer._executor.dispatches > 0
-                ):
-                    raise RuntimeError(
-                        "grouped_round_pipeline requested multiprocess "
-                        "execution but the trainer resolved to the serial "
-                        f"path ({trainer._executor_error or 'pool unavailable'}); "
-                        "refusing to record a mislabeled trajectory"
-                    )
-                num_groups = len(trainer.groups)
-                total_rounds = max(8, num_groups * rounds_per_group)
-                start = time.perf_counter()
-                history = trainer.run(max_rounds=total_rounds)
-                timings[mode] = min(timings[mode], time.perf_counter() - start)
-                if trainer._executor.fallbacks > 0:
-                    raise RuntimeError(
-                        f"grouped_round_pipeline pool fell back to in-process "
-                        f"execution {trainer._executor.fallbacks} time(s) "
-                        "during the timed run; refusing to record a "
-                        "mislabeled trajectory"
-                    )
-                if mode == "pipeline":
-                    hits = history.pipeline_hits
-                    recomputes = history.pipeline_recomputes
-                    if hits == 0:
-                        raise RuntimeError(
-                            "grouped_round_pipeline run accepted no "
-                            "speculative result (0 pipeline hits): the "
-                            "timing would measure the plain multiprocess "
-                            "path under the 'pipeline' label; refusing to "
-                            "record a mislabeled trajectory"
-                        )
-    per_round = {k: v / total_rounds for k, v in timings.items()}
-    return {
-        "num_workers": num_workers,
-        "num_groups": num_groups,
-        "rounds_timed": total_rounds,
-        "num_processes": procs,
-        "cpu_count": os.cpu_count(),
-        "mp_s_per_round": per_round["mp"],
-        "pipeline_s_per_round": per_round["pipeline"],
-        "speedup": per_round["mp"] / per_round["pipeline"],
-        "pipeline_hits": hits,
-        "pipeline_recomputes": recomputes,
     }
 
 
@@ -726,7 +596,7 @@ def run_bench_suite(
     xl_rounds: Optional[int] = None,
     xl_rss_budget_mb: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Run all eight tiers and return one results record."""
+    """Run all seven tiers and return one results record."""
     if quick:
         worker_counts = tuple(w for w in worker_counts if w <= 50) or (10,)
         xl_worker_counts = tuple(w for w in xl_worker_counts if w <= 10_000) or (
@@ -751,15 +621,6 @@ def run_bench_suite(
         )
         for w in worker_counts
     ]
-    grouped_pipeline = [
-        bench_grouped_round_pipeline(
-            w,
-            rounds_per_group=rounds_per_group,
-            repeats=repeats,
-            num_processes=num_processes,
-        )
-        for w in worker_counts
-    ]
     grouped_xl = [
         bench_grouped_round_xl(
             w, rounds=xl_rounds, rss_budget_mb=xl_rss_budget_mb
@@ -777,7 +638,6 @@ def run_bench_suite(
         "grouped_round": grouped,
         "grouped_round_cnn": grouped_cnn,
         "grouped_round_mp": grouped_mp,
-        "grouped_round_pipeline": grouped_pipeline,
         "grouped_round_xl": grouped_xl,
         "cnn_mnist_mini": cnn,
         "aggregation_micro": micro,
@@ -823,16 +683,6 @@ def format_bench_summary(record: Dict[str, object]) -> str:
             f"{row['serial_s_per_round'] * 1e3:8.1f} ms -> "
             f"{row['mp_s_per_round'] * 1e3:8.1f} ms  "
             f"({row['speedup']:.2f}x)"
-        )
-    for row in record.get("grouped_round_pipeline", []):
-        lines.append(
-            f"  grouped round (MLP, {row['num_processes']}-process pool vs "
-            f"pipelined, on {row['cpu_count']} cores), "
-            f"{row['num_workers']:4d} workers ({row['num_groups']} groups): "
-            f"{row['mp_s_per_round'] * 1e3:8.1f} ms -> "
-            f"{row['pipeline_s_per_round'] * 1e3:8.1f} ms  "
-            f"({row['speedup']:.2f}x, {row['pipeline_hits']} hits / "
-            f"{row['pipeline_recomputes']} recomputes)"
         )
     for row in record.get("grouped_round_xl", []):
         lines.append(

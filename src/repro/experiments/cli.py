@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..fl import MECHANISMS
+from .. import registry
 from .configs import EXPERIMENT_CONFIGS
 from .figures import (
     AIRCOMP_MECHANISMS,
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanisms", nargs="+", default=list(AIRCOMP_MECHANISMS),
         # Any registered mechanism is comparable, including the FedProx /
         # FedDyn / FedAsync families beyond the paper's five figures.
-        choices=sorted(MECHANISMS),
+        choices=registry.names("mechanism"),
     )
     cmp_p.add_argument("--max-time", type=float, default=1500.0)
     cmp_p.add_argument("--workers", type=int, default=None)

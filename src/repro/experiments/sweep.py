@@ -82,7 +82,7 @@ SWEEP_ROW_KEYS = frozenset(
 )
 
 #: Additional keys on successful rows (the documented report-tooling
-#: surface: per-run summary, pipeline and device-fault counters, resolved
+#: surface: per-run summary, device-fault counters, resolved
 #: execution mode).
 SWEEP_SUCCESS_ROW_KEYS = SWEEP_ROW_KEYS | frozenset(
     {
@@ -90,10 +90,7 @@ SWEEP_SUCCESS_ROW_KEYS = SWEEP_ROW_KEYS | frozenset(
         "engine",
         "parallelism_configured",
         "parallelism_mode",
-        "pipeline",
         "summary",
-        "pipeline_hits",
-        "pipeline_recomputes",
         "faults",
     }
 )
@@ -201,7 +198,6 @@ def _execute_point(
             row["mechanism"] = scenario.mechanism.name
             row["engine"] = scenario.training.engine
             row["parallelism_configured"] = scenario.parallelism.mode
-            row["pipeline"] = scenario.parallelism.pipeline
             with scenario.build() as trainer:
                 history = trainer.run(
                     max_rounds=scenario.training.max_rounds,
@@ -212,8 +208,6 @@ def _execute_point(
                     "processes" if trainer.parallelism_active else "none"
                 )
             row["summary"] = history.summary()
-            row["pipeline_hits"] = history.pipeline_hits
-            row["pipeline_recomputes"] = history.pipeline_recomputes
             row["faults"] = history.fault_counters()
             row.pop("error", None)
             row.pop("traceback", None)

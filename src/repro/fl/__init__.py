@@ -2,10 +2,11 @@
 
 Public entry points (documented in ``docs/API.md``):
 
-* :func:`build_trainer` / :data:`MECHANISMS` — construct a mechanism by
-  registry name: ``"fedavg"``, ``"tifl"``, ``"air_fedavg"``,
-  ``"dynamic"``, ``"air_fedga"`` (the paper's figure labels), or the
-  comparison families ``"fedprox"``, ``"feddyn"`` and ``"fedasync"``;
+* :func:`build_trainer` — construct a mechanism by registry name
+  (``repro.registry.names("mechanism")`` lists them): ``"fedavg"``,
+  ``"tifl"``, ``"air_fedavg"``, ``"dynamic"``, ``"air_fedga"`` (the
+  paper's figure labels), or the comparison families ``"fedprox"``,
+  ``"feddyn"`` and ``"fedasync"``;
 * :class:`FLExperiment` — the experiment bundle every trainer consumes
   (dataset, partition, model factory, latency table, channel, config);
   its ``engine`` field selects the local-training execution path
@@ -43,7 +44,7 @@ from .staleness import (
 )
 from .tifl import TiFLTrainer
 from .air_fedga import AirFedGATrainer
-from .registry import MECHANISMS, build_trainer
+from .registry import build_trainer
 
 __all__ = [
     "FLExperiment",
@@ -59,7 +60,6 @@ __all__ = [
     "GroupedAsyncTrainer",
     "TiFLTrainer",
     "AirFedGATrainer",
-    "MECHANISMS",
     "build_trainer",
     "StalenessPolicy",
     "ConstantStaleness",

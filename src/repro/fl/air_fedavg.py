@@ -30,7 +30,7 @@ class AirFedAvgTrainer(BaseTrainer):
         all_workers = list(range(exp.num_workers))
         upload_latency = self.aircomp_upload_latency()
         clock = 0.0
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+        self._begin_run(max_rounds, max_time)
         for t in range(1, max_rounds + 1):
             local_vectors = self.local_update_group(all_workers, self.global_vector, t)
             compute_time = float(exp.latency.sample_times(all_workers, t).max())

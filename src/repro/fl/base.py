@@ -21,6 +21,7 @@ compose these pieces with their own scheduling logic.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -363,10 +364,6 @@ class BaseTrainer:
                 num_processes=par.num_processes,
                 start_method=par.start_method,
                 max_restarts=par.max_restarts,
-                # The pipelined event loop overlaps the committing group's
-                # aggregation with the next group's speculative training,
-                # so it needs their arena slots to coexist.
-                num_slots=par.max_inflight if par.pipeline else 1,
             )
         except (UnsupportedModelError, ValueError, OSError) as exc:
             # UnsupportedModelError: no batched engine / active Dropout.
@@ -915,6 +912,37 @@ class BaseTrainer:
         return tdma_round_time(self.latency_dimension, gains, self.exp.oma)
 
     # ------------------------------------------------------------------
+    def _begin_run(self, max_rounds: int, max_time: Optional[float]) -> None:
+        """Validate the stop conditions and write the round-0 record.
+
+        Every ``run`` loop starts here, so they agree on the boundaries:
+        a bad argument fails before anything is evaluated (a NaN
+        ``max_time`` would otherwise make every comparison false and the
+        run silently go to ``max_rounds``), ``max_rounds=0`` leaves the
+        initial evaluation as the only record, and a trainer runs once —
+        its clock, scheduler and history are not rewound.
+        """
+        if (
+            isinstance(max_rounds, bool)
+            or not isinstance(max_rounds, (int, np.integer))
+            or max_rounds < 0
+        ):
+            raise ValueError(
+                f"max_rounds must be a non-negative integer, got {max_rounds!r}"
+            )
+        if max_time is not None and not (
+            math.isfinite(max_time) and max_time >= 0
+        ):
+            raise ValueError(
+                "max_time must be a finite non-negative number of simulated "
+                f"seconds (or None), got {max_time!r}"
+            )
+        if self.history.records:
+            raise RuntimeError(
+                f"{self.name} trainer has already run; build a new one"
+            )
+        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+
     def run(
         self, max_rounds: int = 100, max_time: Optional[float] = None
     ) -> TrainingHistory:

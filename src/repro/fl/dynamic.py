@@ -86,7 +86,7 @@ class DynamicTrainer(BaseTrainer):
         exp = self.exp
         upload_latency = self.aircomp_upload_latency()
         clock = 0.0
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+        self._begin_run(max_rounds, max_time)
         for t in range(1, max_rounds + 1):
             selected = self.select_workers(t)
             local_vectors = self.local_update_group(selected, self.global_vector, t)

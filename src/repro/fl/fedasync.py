@@ -122,6 +122,9 @@ class FedAsyncTrainer(BaseTrainer):
     def run(
         self, max_rounds: int = 100, max_time: Optional[float] = None
     ) -> TrainingHistory:
+        self._begin_run(max_rounds, max_time)
+        if max_rounds == 0:
+            return self.history  # before the whole population trains once
         policy = self._staleness_policy
         clock = 0.0
         channel_busy_until = 0.0
@@ -131,7 +134,6 @@ class FedAsyncTrainer(BaseTrainer):
         seq = 0
         pending: Dict[int, np.ndarray] = {}
         pulled_version: Dict[int, int] = {}
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
         # Initial dispatch: the entire population trains as one batched
         # cohort from the same initial model.
         seq = self._dispatch_cohort(

@@ -69,7 +69,7 @@ class FedAvgTrainer(BaseTrainer):
     ) -> TrainingHistory:
         exp = self.exp
         clock = 0.0
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+        self._begin_run(max_rounds, max_time)
         for t in range(1, max_rounds + 1):
             # Availability poll (the legacy all-workers fast path when no
             # client-state model is attached).

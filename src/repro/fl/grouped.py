@@ -14,20 +14,14 @@ Execution engines are orthogonal to the schedule: each group's
 local-training phase runs on the scalar per-worker path, the in-process
 batched engine, or — with ``config.parallelism.mode == "processes"`` — a
 worker-process pool (:class:`~repro.parallel.ProcessGroupExecutor`) that
-shards the group across CPU cores through shared-memory buffers.  With
-``config.parallelism.pipeline`` the loop additionally *overlaps* its
-phases in wall-clock terms: while the parent performs the current group's
-aggregation, power control and staleness bookkeeping, the pool already
-trains the next ready group's shards speculatively
-(:meth:`ProcessGroupExecutor.submit_group`), falling back to an in-order
-recompute when a commit invalidates the speculation (counted as
-``TrainingHistory.pipeline_recomputes``).
+shards the group across CPU cores through shared-memory buffers.
 
-The virtual-time event loop itself stays single-threaded and
-deterministic: aggregation, power control and the channel-noise RNG
-always run in the parent process, in event order, so the produced
-:class:`~repro.fl.history.TrainingHistory` is identical across engines —
-bit-identical in float64 between serial, multiprocess and pipelined
+The virtual-time event loop itself is single-threaded and strictly
+ordered, like Algorithm 1: one group at a time goes READY → EXECUTE →
+aggregate, and aggregation, power control and the channel-noise RNG
+always run in the parent process, in event order.  The produced
+:class:`~repro.fl.history.TrainingHistory` is therefore identical across
+engines — bit-identical in float64 between serial and multiprocess
 execution (see ``docs/ARCHITECTURE.md``, "Determinism invariants", for
 exactly which operations must stay in the parent and in event order).
 """
@@ -42,22 +36,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.mechanism import GroupAsyncScheduler
-from ..parallel import GroupFuture
 from .base import BaseTrainer, FLExperiment
 from .history import TrainingHistory
 from .staleness import StalenessPolicy, resolve_staleness_policy
 
 __all__ = ["GroupedAsyncTrainer"]
-
-
-@dataclass
-class _Speculation:
-    """One in-flight speculative group dispatch of the pipelined loop."""
-
-    group_id: int
-    round_index: int     # the round the speculation assumed it would commit
-    base_version: int    # _base_versions[group_id] at submit time
-    future: GroupFuture
 
 
 @dataclass
@@ -100,9 +83,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         Mutually exclusive with a non-zero ``staleness_exponent``.  The
         damping mix happens in the parent process in event order — one of
         the determinism invariants (``docs/ARCHITECTURE.md``, "Determinism
-        invariants") — so it composes with both multiprocess execution and
-        the pipelined mode (``config.parallelism.pipeline``): speculation
-        never changes which staleness ``τ`` a commit observes.
+        invariants") — so it composes with multiprocess execution.
 
     Device faults (``experiment.clientstate`` + ``experiment.fault``) are
     threaded through the event loop: availability is checked at group
@@ -169,12 +150,6 @@ class GroupedAsyncTrainer(BaseTrainer):
             self._group_base = {
                 g: self.global_vector.copy() for g in range(len(self.groups))
             }
-        # Monotonic counter per group, bumped whenever _group_base[g] is
-        # overwritten.  The pipelined loop records it at speculation-submit
-        # time and validates it at commit time: a speculative result is
-        # only usable if the base it trained from is still the base the
-        # group would train from in event order.
-        self._base_versions: List[int] = [0] * len(self.groups)
         # Uplink occupancy: aggregations (AirComp bursts or OMA uploads) from
         # different groups share the same band, so they are serialized at the
         # parameter server.  This is what makes very small groups (ξ → 0)
@@ -360,84 +335,78 @@ class GroupedAsyncTrainer(BaseTrainer):
                 group_id, round_label
             )
 
-    # ------------------------------------------------------------------
-    # Pipelined-execution hooks (config.parallelism.pipeline)
-    # ------------------------------------------------------------------
-    def pipeline_lookahead(
-        self,
-        queue: Sequence[Tuple[float, int]],
-        reentry: Tuple[float, int],
-    ) -> Optional[int]:
-        """Group id of the queue entry certain to be popped next, or ``None``.
 
-        Called while the current group's aggregation is still pending, with
-        ``reentry`` being the ``(next_ready, group_id)`` entry the current
-        group will re-enter the queue with.  The head of the heap is the
-        next pop **unless** the re-entry sorts before it (a fast group
-        lapping the rest), in which case speculating on the head would
-        train it with a wrong round index.
+    def _surviving_roster(
+        self, queue: List[Tuple[float, int]], group_id: int, ready_time: float
+    ) -> Optional[Tuple[List[int], float, np.ndarray]]:
+        """Roster stage under faults: who actually finished the local round.
 
-        The head's *base* can never be invalidated here — only a group's
-        own commit rewrites its base, and the committing group is not in
-        the queue — so with the deterministic latency/upload models this
-        prediction is exact and speculation always hits.  Subclasses with
-        stateful or non-deterministic timing overrides can loosen (or
-        skip) the re-entry comparison; a wrong prediction is then caught
-        by the commit-time validation and recomputed in event order
-        (``TrainingHistory.pipeline_recomputes``), never corrupting the
-        history.
+        Polls the client-state model for mid-round dropouts among the
+        members dispatched for this round.  At or above quorum, returns
+        ``(survivors, weight_scale, completion_fractions)``.  Below
+        quorum the round is aborted without a global update (it never
+        happened for staleness accounting), the failure escalates, the
+        group is re-dispatched unless parked, and ``None`` is returned.
         """
-        if not queue:
+        cs = self._clientstate
+        members = self.groups[group_id]
+        roster = self._rosters[group_id]
+        survive = np.asarray(
+            cs.survival_mask(roster.members, roster.round_label, roster.seq),
+            dtype=bool,
+        )
+        roster_arr = roster.member_array
+        survivors = roster_arr[survive].tolist()
+        self.history.workers_dropped += len(roster.members) - len(survivors)
+        self.worker_state.record_dropped(roster_arr[~survive])
+        if len(survivors) < self._quorum(group_id):
+            self.scheduler.abort_group(group_id)
+            if self._register_quorum_failure(group_id) != "park":
+                self._dispatch_group(
+                    queue,
+                    group_id,
+                    ready_time + self.exp.fault.retry_backoff,
+                    self.scheduler.current_round + 1,
+                )
             return None
-        head = queue[0]
-        if reentry < head:
-            return None
-        return head[1]
+        self._retry_counts[group_id] = 0
+        self._consecutive_failures[group_id] = 0
+        weight_scale = 1.0
+        if self.exp.fault.renormalize_survivors and len(survivors) < len(members):
+            # Survivors carry the full group's data mass:
+            # Σα_members / Σα_survivors.
+            weight_scale = float(
+                self.alphas[members].sum() / self.alphas[survivors].sum()
+            )
+        fractions = cs.completion_fractions(
+            survivors, roster.round_label, roster.seq
+        )
+        return survivors, weight_scale, fractions
 
-    def _submit_speculation(
-        self,
-        queue: List[Tuple[float, int]],
-        reentry: Tuple[float, int],
-        round_index: int,
-        max_rounds: int,
-        max_time: Optional[float],
-    ) -> Optional[_Speculation]:
-        """Speculatively dispatch the predicted next group's local round.
+    def _blend_partial_work(
+        self, local_vectors: np.ndarray, base: np.ndarray, fractions: np.ndarray
+    ) -> np.ndarray:
+        """Blend stage: ``w ← base + f · (w − base)`` for partial local work.
 
-        Returns ``None`` whenever speculation is not worthwhile or not
-        possible: the loop is about to stop, the predicted group is gated
-        in-process by ``min_group_size``, or no arena slot is free.
+        A worker with completion fraction ``f < 1`` only finished that
+        share of its local round.  Works on a copy — the stack may be a
+        view into a reused scratch buffer or the shared-memory arena —
+        and recycles the raw stack, which the copy replaces.
         """
-        executor = self._executor
-        if executor is None or executor.closed or executor.free_slots == 0:
-            return None
-        if round_index >= max_rounds:
-            return None  # the loop stops after this round
-        next_group = self.pipeline_lookahead(queue, reentry)
-        if next_group is None:
-            return None
-        members = self.groups[next_group]
-        if len(members) < self.exp.config.parallelism.min_group_size:
-            return None  # the pop-time path would train in-process
-        if max_time is not None:
-            # queue is a heap, so its minimum is queue[0].
-            next_time = min(queue[0][0], reentry[0])
-            if next_time > max_time:
-                return None  # the loop stops before the next pop commits
-        future = executor.submit_group(
-            members, self._base_of(next_group), round_index + 1
-        )
-        return _Speculation(
-            group_id=next_group,
-            round_index=round_index + 1,
-            base_version=self._base_versions[next_group],
-            future=future,
-        )
+        self.history.partial_updates += int(np.count_nonzero(fractions < 1.0))
+        # analyze: allow-alloc(blend must not mutate the recycled stack)
+        stacked = np.asarray(local_vectors).copy()
+        stacked -= base
+        stacked *= fractions.astype(stacked.dtype)[:, None]
+        stacked += base
+        self._release_stack(local_vectors)
+        return stacked
 
     # ------------------------------------------------------------------
     def run(
         self, max_rounds: int = 100, max_time: Optional[float] = None
     ) -> TrainingHistory:
+        self._begin_run(max_rounds, max_time)
         # Construct the multiprocess executor (if configured) before the
         # event loop starts, so a model that cannot be sharded surfaces its
         # RuntimeWarning here rather than mid-run.  Note the pool itself
@@ -445,218 +414,106 @@ class GroupedAsyncTrainer(BaseTrainer):
         # first round still pays that one-time cost (benchmarks that need
         # it excluded perform an untimed warm-up dispatch, see
         # repro.experiments.bench).  Serial configurations are a no-op.
-        executor = self.parallel_executor()
+        self.parallel_executor()
         cs = self._clientstate
-        # Speculation predicts the next pop from deterministic timing; with
-        # a fault model active, timing is no longer a pure function of
-        # (group, round) — dispatch rosters and retries consume RNG draws —
-        # so the pipelined overlap is disabled (plain multiprocess
-        # execution still applies).
-        pipelining = bool(
-            self.exp.config.parallelism.pipeline and executor is not None and cs is None
-        )
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
         # Priority queue of (ready_time, group_id): the moment every member
         # of the group has finished local training and sent READY.
         queue: List[Tuple[float, int]] = []
         for g in range(len(self.groups)):
             self._dispatch_group(queue, g, 0.0, 1)
 
-        spec: Optional[_Speculation] = None
-        try:
-            while queue:
-                ready_time, group_id = heapq.heappop(queue)
-                if max_time is not None and ready_time > max_time:
-                    break
-                members = self.groups[group_id]
-                # Protocol: every member's READY arrives at the same
-                # simulated instant (one completion event per group), so
-                # the server processes them as a single O(1) group-level
-                # transition instead of |V_j| per-worker messages.  (Under
-                # faults, absent members' READY messages are synthesized by
-                # the server so the Alg.-1 counter still reaches |V_j| —
-                # the roster below decides who actually trained.)
-                self.scheduler.receive_group_ready(group_id)
+        while queue and self.scheduler.current_round < max_rounds:
+            # -- pop ---------------------------------------------------
+            ready_time, group_id = heapq.heappop(queue)
+            if max_time is not None and ready_time > max_time:
+                break
+            members = self.groups[group_id]
+            # Protocol: every member's READY arrives at the same simulated
+            # instant (one completion event per group), so the server
+            # processes them as a single O(1) group-level transition
+            # instead of |V_j| per-worker messages.  (Under faults, absent
+            # members' READY messages are synthesized by the server so the
+            # Alg.-1 counter still reaches |V_j| — the roster stage decides
+            # who actually trained.)
+            self.scheduler.receive_group_ready(group_id)
 
-                participants = members
-                weight_scale = 1.0
-                fractions: Optional[np.ndarray] = None
-                if cs is not None:
-                    roster = self._rosters[group_id]
-                    survive = np.asarray(
-                        cs.survival_mask(
-                            roster.members, roster.round_label, roster.seq
-                        ),
-                        dtype=bool,
-                    )
-                    roster_arr = roster.member_array
-                    survivors = roster_arr[survive].tolist()
-                    self.history.workers_dropped += len(roster.members) - len(
-                        survivors
-                    )
-                    self.worker_state.record_dropped(roster_arr[~survive])
-                    if len(survivors) < self._quorum(group_id):
-                        # Mid-round dropouts pushed the group below quorum:
-                        # abort without a global update (the round never
-                        # happened for staleness accounting) and escalate.
-                        self.scheduler.abort_group(group_id)
-                        if self._register_quorum_failure(group_id) != "park":
-                            self._dispatch_group(
-                                queue,
-                                group_id,
-                                ready_time + self.exp.fault.retry_backoff,
-                                self.scheduler.current_round + 1,
-                            )
-                        continue
-                    self._retry_counts[group_id] = 0
-                    self._consecutive_failures[group_id] = 0
-                    participants = survivors
-                    if self.exp.fault.renormalize_survivors and len(
-                        survivors
-                    ) < len(members):
-                        # Survivors carry the full group's data mass:
-                        # Σα_members / Σα_survivors.
-                        weight_scale = float(
-                            self.alphas[members].sum()
-                            / self.alphas[survivors].sum()
-                        )
-                    fractions = cs.completion_fractions(
-                        survivors, roster.round_label, roster.seq
-                    )
+            # -- roster ------------------------------------------------
+            participants = members
+            weight_scale = 1.0
+            fractions: Optional[np.ndarray] = None
+            if cs is not None:
+                survived = self._surviving_roster(queue, group_id, ready_time)
+                if survived is None:
+                    continue  # aborted below quorum; already re-dispatched
+                participants, weight_scale, fractions = survived
+            event = self.scheduler.complete_aggregation(group_id)
+            t = event.round_index
 
-                event = self.scheduler.complete_aggregation(group_id)
-                t = event.round_index
+            # -- train -------------------------------------------------
+            # Local updates are computed from the global version this
+            # group last received (Eq. 5); the round index seeds the batch
+            # sampling.  The whole group trains as one batched tensor pass
+            # when the model supports it (scalar per-worker fallback
+            # otherwise).
+            base = self._base_of(group_id)
+            local_vectors = self.local_update_group(participants, base, t)
 
-                # Local updates are computed from the global version this
-                # group last received (Eq. 5); the round index seeds the
-                # batch sampling.  A pipelined run may already hold this
-                # exact round's result from the speculative dispatch made
-                # while the previous aggregation was being committed.
-                base = self._base_of(group_id)
-                consumed: Optional[_Speculation] = None
-                if spec is not None:
-                    if (
-                        spec.group_id == group_id
-                        and spec.round_index == t
-                        and spec.base_version == self._base_versions[group_id]
-                    ):
-                        consumed = spec
-                    else:
-                        # An interleaving commit invalidated the speculation
-                        # (wrong group, round or base): discard the result
-                        # and recompute in event order.
-                        spec.future.discard()
-                        self.history.pipeline_recomputes += 1
-                    spec = None
-                pool_stack: Optional[np.ndarray] = None
-                if consumed is not None:
-                    local_vectors = consumed.future.result()
-                    self.history.pipeline_hits += 1
-                else:
-                    # The whole group trains as one batched tensor pass when
-                    # the model supports it (scalar per-worker fallback
-                    # otherwise).
-                    local_vectors = self.local_update_group(participants, base, t)
-                    pool_stack = local_vectors
-
-                if fractions is not None and np.any(fractions < 1.0):
-                    # Partial local work: w ← base + f · (w − base), i.e.
-                    # the worker only completed fraction f of its local
-                    # round.  Copy first — the stack may be a view into a
-                    # reused scratch buffer or the shared-memory arena.
-                    self.history.partial_updates += int(
-                        np.count_nonzero(fractions < 1.0)
-                    )
-                    # analyze: allow-alloc(blend must not mutate the recycled stack)
-                    stacked = np.asarray(local_vectors).copy()
-                    stacked -= base
-                    stacked *= fractions.astype(stacked.dtype)[:, None]
-                    stacked += base
-                    # The copy replaces the raw stack, which can recycle now.
-                    self._release_stack(pool_stack)
-                    pool_stack = None
-                    local_vectors = stacked
-
-                upload = self.upload_time(participants, t)
-                # The group can only start its aggregation once the shared
-                # uplink is free; with many small groups this queueing delay
-                # dominates.
-                upload_start = max(ready_time, self._channel_busy_until)
-                update_time = upload_start + upload
-                self._channel_busy_until = update_time
-                if cs is None:
-                    # Both timing draws below are pure functions of
-                    # (group, round), so evaluating next_ready before the
-                    # aggregation consumes no RNG state out of order.
-                    next_ready = update_time + self.group_compute_time(
-                        group_id, t + 1
-                    )
-
-                    if pipelining and (max_time is None or update_time < max_time):
-                        # Overlap: dispatch the predicted next group's
-                        # training to the pool *before* the parent starts
-                        # this round's aggregation, so both proceed
-                        # concurrently.
-                        spec = self._submit_speculation(
-                            queue, (next_ready, group_id), t, max_rounds, max_time
-                        )
-
-                new_global, info = self.aggregate_group(
-                    group_id, participants, local_vectors, t,
-                    weight_scale=weight_scale,
+            # -- blend -------------------------------------------------
+            if fractions is not None and np.any(fractions < 1.0):
+                local_vectors = self._blend_partial_work(
+                    local_vectors, base, fractions
                 )
-                if self._staleness_policy is not None and event.staleness > 0:
-                    # Staleness-aware damping (extension, off by default):
-                    # shrink the contribution of updates computed from old
-                    # global models by the policy's s(τ).
-                    weight = self._staleness_policy.weight(event.staleness)
-                    if weight < 1.0:
-                        new_global = (
-                            1.0 - weight
-                        ) * self.global_vector + weight * new_global
-                # Swap (not copy) the trainer-owned update buffer into place.
-                self._commit_global(new_global)
-                if consumed is not None:
-                    # The aggregation has read the speculative stack; its
-                    # arena slot may now host the next dispatch.
-                    consumed.future.release()
-                # The aggregation has consumed the group stack: return it
-                # to the population pool (no-op for non-pool arrays).
-                self._release_stack(pool_stack)
-                # The group receives the fresh global model and immediately
-                # starts its next local round.
-                self._commit_base(group_id)
-                self._base_versions[group_id] += 1
-                if participants is members:
-                    commit_ids = self._group_arrays[group_id]
-                else:
-                    commit_ids = np.asarray(participants, dtype=np.int64)
-                self.worker_state.record_commit(commit_ids, event.staleness)
-                if cs is None:
-                    self.worker_state.record_dispatch(self._group_arrays[group_id])
-                    heapq.heappush(queue, (next_ready, group_id))
-                else:
-                    self._dispatch_group(queue, group_id, update_time, t + 1)
 
-                self.record_round(
-                    round_index=t,
-                    time=update_time,
-                    staleness=event.staleness,
-                    group_id=group_id,
-                    num_participants=len(participants),
-                    round_energy=info.get("round_energy_j", 0.0),
-                    sigma=info.get("sigma", float("nan")),
-                    eta=info.get("eta", float("nan")),
-                )
-                if t >= max_rounds:
-                    break
-                if max_time is not None and update_time >= max_time:
-                    break
-        finally:
-            if spec is not None:
-                # Loop ended (or raised) with a speculation in flight: wait
-                # for the pool to go quiet and free the arena slot so the
-                # trainer can run again.
-                spec.future.discard()
-                spec = None
+            # -- upload ------------------------------------------------
+            # The group can only start its aggregation once the shared
+            # uplink is free; with many small groups this queueing delay
+            # dominates.
+            upload_start = max(ready_time, self._channel_busy_until)
+            update_time = upload_start + self.upload_time(participants, t)
+            self._channel_busy_until = update_time
+
+            # -- aggregate ---------------------------------------------
+            new_global, info = self.aggregate_group(
+                group_id, participants, local_vectors, t,
+                weight_scale=weight_scale,
+            )
+            if self._staleness_policy is not None and event.staleness > 0:
+                # Staleness-aware damping (extension, off by default):
+                # shrink the contribution of updates computed from old
+                # global models by the policy's s(τ).
+                weight = self._staleness_policy.weight(event.staleness)
+                if weight < 1.0:
+                    new_global = (
+                        1.0 - weight
+                    ) * self.global_vector + weight * new_global
+
+            # -- commit ------------------------------------------------
+            # Swap (not copy) the trainer-owned update buffer into place.
+            self._commit_global(new_global)
+            # The aggregation has consumed the group stack: return it to
+            # the population pool (no-op for arrays the pool does not own).
+            self._release_stack(local_vectors)
+            # The group receives the fresh global model and immediately
+            # starts its next local round.
+            self._commit_base(group_id)
+            if participants is members:
+                commit_ids = self._group_arrays[group_id]
+            else:
+                commit_ids = np.asarray(participants, dtype=np.int64)
+            self.worker_state.record_commit(commit_ids, event.staleness)
+            self._dispatch_group(queue, group_id, update_time, t + 1)
+
+            # -- record ------------------------------------------------
+            self.record_round(
+                round_index=t,
+                time=update_time,
+                staleness=event.staleness,
+                group_id=group_id,
+                num_participants=len(participants),
+                round_energy=info.get("round_energy_j", 0.0),
+                sigma=info.get("sigma", float("nan")),
+                eta=info.get("eta", float("nan")),
+            )
+            if max_time is not None and update_time >= max_time:
+                break
         return self.history

@@ -42,15 +42,6 @@ class RoundRecord:
 class TrainingHistory:
     """Ordered sequence of :class:`RoundRecord` with derived queries.
 
-    ``pipeline_hits`` / ``pipeline_recomputes`` count the pipelined event
-    loop's speculation outcomes (``config.parallelism.pipeline``): a *hit*
-    is a group round whose local training was already finished by the pool
-    when its aggregation event was popped; a *recompute* is a speculative
-    result invalidated by an interleaving commit and recomputed in event
-    order.  They are execution statistics, not simulated quantities — the
-    ``records`` of a pipelined run are bit-identical to the serial run's
-    (float64), while these counters naturally differ.
-
     The fault counters summarize the device-realism layer
     (``experiment.clientstate`` + ``experiment.fault``), and *are*
     simulated quantities — two runs of the same scenario produce identical
@@ -75,8 +66,6 @@ class TrainingHistory:
 
     mechanism: str
     records: List[RoundRecord] = field(default_factory=list)
-    pipeline_hits: int = 0
-    pipeline_recomputes: int = 0
     workers_unavailable: int = 0
     workers_dropped: int = 0
     partial_updates: int = 0
@@ -208,11 +197,7 @@ class TrainingHistory:
         """Return a copy keeping at most ``max_points`` evenly spaced records."""
         if max_points < 1:
             raise ValueError("max_points must be >= 1")
-        counters = dict(
-            pipeline_hits=self.pipeline_hits,
-            pipeline_recomputes=self.pipeline_recomputes,
-            **self.fault_counters(),
-        )
+        counters = self.fault_counters()
         if len(self.records) <= max_points:
             return TrainingHistory(self.mechanism, list(self.records), **counters)
         idx = np.linspace(0, len(self.records) - 1, max_points).astype(int)
@@ -226,24 +211,23 @@ class TrainingHistory:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable representation of the full history.
 
-        ``pipeline_hits`` / ``pipeline_recomputes`` are included as
-        top-level execution statistics; compare ``records`` (not the whole
-        dict) when asserting serial-vs-pipelined determinism.  The fault
-        counters travel under the ``"faults"`` key (omitted from older
-        files, which deserialize with all counters zero).
+        The fault counters travel under the ``"faults"`` key (omitted from
+        older files, which deserialize with all counters zero).
         """
         return {
             "mechanism": self.mechanism,
             "records": [asdict(r) for r in self.records],
             "summary": self.summary(),
-            "pipeline_hits": self.pipeline_hits,
-            "pipeline_recomputes": self.pipeline_recomputes,
             "faults": self.fault_counters(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TrainingHistory":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Other top-level keys are ignored, so files carrying counters this
+        version no longer writes still load.
+        """
         if "mechanism" not in data or "records" not in data:
             raise ValueError("history dict must contain 'mechanism' and 'records'")
         faults = data.get("faults") or {}
@@ -254,8 +238,6 @@ class TrainingHistory:
             raise ValueError(f"unknown fault counters {unknown}")
         history = cls(
             mechanism=str(data["mechanism"]),
-            pipeline_hits=int(data.get("pipeline_hits", 0)),
-            pipeline_recomputes=int(data.get("pipeline_recomputes", 0)),
             **{name: int(value) for name, value in faults.items()},
         )
         for raw in data["records"]:

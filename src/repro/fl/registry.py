@@ -1,15 +1,13 @@
 """Mechanism registry: build any of the registered mechanisms by name.
 
 Backed by the generic component registry (:mod:`repro.registry`, kind
-``"mechanism"``).  :data:`MECHANISMS` is kept as a thin backward-compat
-view of the registered trainers; new code should prefer
-``repro.registry.get("mechanism", name)`` or a declarative
-:class:`~repro.experiments.scenario.Scenario`.
+``"mechanism"``): ``repro.registry.names("mechanism")`` lists the
+registered trainers and ``repro.registry.get("mechanism", name)`` returns
+one; a declarative :class:`~repro.experiments.scenario.Scenario` builds
+the whole experiment around it.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Dict
 
 from ..registry import check_kwargs, register
 from .. import registry as _registry
@@ -23,7 +21,7 @@ from .feddyn import FedDynTrainer
 from .fedprox import FedProxTrainer
 from .tifl import TiFLTrainer
 
-__all__ = ["MECHANISMS", "build_trainer"]
+__all__ = ["build_trainer"]
 
 register("mechanism", "fedavg")(FedAvgTrainer)
 register("mechanism", "tifl")(TiFLTrainer)
@@ -33,12 +31,6 @@ register("mechanism", "air_fedga")(AirFedGATrainer)
 register("mechanism", "fedprox")(FedProxTrainer)
 register("mechanism", "feddyn")(FedDynTrainer)
 register("mechanism", "fedasync")(FedAsyncTrainer)
-
-#: Mapping from mechanism name to trainer class.  The names match the
-#: labels used in the paper's figures.  Deprecation shim: a snapshot of
-#: the ``"mechanism"`` kind of :mod:`repro.registry` (the source of
-#: truth); mutating this dict does not affect lookups.
-MECHANISMS: Dict[str, Callable[..., BaseTrainer]] = _registry.as_dict("mechanism")
 
 
 def build_trainer(name: str, experiment: FLExperiment, **kwargs) -> BaseTrainer:

@@ -49,8 +49,6 @@ from .models import (
     MnistCNN,
     Model,
     SequentialModel,
-    MODEL_REGISTRY,
-    build_model,
 )
 
 __all__ = [
@@ -90,6 +88,4 @@ __all__ = [
     "MnistCNN",
     "CifarCNN",
     "MiniVGG",
-    "build_model",
-    "MODEL_REGISTRY",
 ]

@@ -40,7 +40,6 @@ from .layers import (
     collect_parameters)
 from .losses import accuracy, softmax_cross_entropy
 from .params import ParameterSet
-from ..registry import get as _get_component
 from ..registry import register as _register
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "MnistCNN",
     "CifarCNN",
     "MiniVGG",
-    "build_model",
-    "MODEL_REGISTRY",
 ]
 
 
@@ -137,6 +134,7 @@ class SequentialModel(Model):
             grad = layer.backward(grad)
 
 
+@_register("model", "lr")
 class LogisticRegressionMLP(SequentialModel):
     """The paper's "LR" model: MLP with two hidden layers (default 512 units).
 
@@ -163,6 +161,7 @@ class LogisticRegressionMLP(SequentialModel):
         self.num_classes = num_classes
 
 
+@_register("model", "mnist_cnn")
 class MnistCNN(SequentialModel):
     """Plain CNN for MNIST-shaped inputs (paper Section VI-A).
 
@@ -206,6 +205,7 @@ class MnistCNN(SequentialModel):
         self.num_classes = num_classes
 
 
+@_register("model", "cifar_cnn")
 class CifarCNN(SequentialModel):
     """Plain CNN for CIFAR-shaped inputs (3-channel colour images)."""
 
@@ -243,6 +243,7 @@ class CifarCNN(SequentialModel):
         self.num_classes = num_classes
 
 
+@_register("model", "mini_vgg")
 class MiniVGG(SequentialModel):
     """A scaled-down VGG-style network standing in for VGG-16.
 
@@ -297,27 +298,3 @@ class MiniVGG(SequentialModel):
         self.image_size = image_size
         self.in_channels = in_channels
         self.num_classes = num_classes
-
-
-# ----------------------------------------------------------------------
-# Registry used by the experiment harness
-# ----------------------------------------------------------------------
-def build_model(name: str, **kwargs) -> Model:
-    """Construct a model by registry name.
-
-    Recognized names: ``"lr"``, ``"mnist_cnn"``, ``"cifar_cnn"``,
-    ``"mini_vgg"``.  Unknown names raise
-    :class:`~repro.registry.UnknownComponentError` (a ``KeyError``) with
-    close-match suggestions.
-    """
-    return _get_component("model", name)(**kwargs)
-
-
-#: Deprecation shim: the ``"model"`` kind now lives in
-#: :mod:`repro.registry`; this dict mirrors it for legacy callers.
-MODEL_REGISTRY = {
-    "lr": _register("model", "lr")(LogisticRegressionMLP),
-    "mnist_cnn": _register("model", "mnist_cnn")(MnistCNN),
-    "cifar_cnn": _register("model", "cifar_cnn")(CifarCNN),
-    "mini_vgg": _register("model", "mini_vgg")(MiniVGG),
-}

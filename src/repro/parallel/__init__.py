@@ -13,15 +13,8 @@ results are bit-identical to the serial event loop in float64.
 Enable it through the config knob::
 
     AirFedGAConfig(parallelism=ParallelismConfig(mode="processes"))
-
-With ``ParallelismConfig(pipeline=True)`` the grouped event loop
-additionally *overlaps* its phases: :meth:`ProcessGroupExecutor.submit_group`
-dispatches the next ready group's shards without blocking (returning a
-:class:`GroupFuture` whose arena slot coexists with the committing
-group's), so the pool trains while the parent process aggregates — see
-``docs/ARCHITECTURE.md``, "Pipelined event loop".
 """
 
-from .executor import GroupFuture, ProcessGroupExecutor, UnsupportedModelError
+from .executor import ProcessGroupExecutor, UnsupportedModelError
 
-__all__ = ["GroupFuture", "ProcessGroupExecutor", "UnsupportedModelError"]
+__all__ = ["ProcessGroupExecutor", "UnsupportedModelError"]

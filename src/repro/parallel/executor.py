@@ -41,16 +41,10 @@ from __future__ import annotations
 
 import os
 import weakref
-from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +56,7 @@ from ..nn.batched import (
 )
 from ..nn.models import Model
 
-__all__ = ["GroupFuture", "ProcessGroupExecutor", "UnsupportedModelError"]
+__all__ = ["ProcessGroupExecutor", "UnsupportedModelError"]
 
 
 class UnsupportedModelError(ValueError):
@@ -79,18 +73,17 @@ class _WorkerState:
         self,
         engine: BatchedWorkerEngine,
         worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
-        base_shms: List[SharedMemory],
-        out_shms: List[SharedMemory],
-        bases: List[np.ndarray],
-        outs: List[np.ndarray],
+        shms: List[SharedMemory],
+        base: np.ndarray,
+        out: np.ndarray,
         hyper: Dict[str, object],
     ) -> None:
         self.engine = engine
         self.worker_data = worker_data
-        self.base_shms = base_shms
-        self.out_shms = out_shms
-        self.bases = bases
-        self.outs = outs
+        # Keeps the mappings behind ``base`` / ``out`` alive.
+        self.shms = shms
+        self.base = base
+        self.out = out
         self.hyper = hyper
 
 
@@ -109,8 +102,8 @@ def _attach(name: str) -> SharedMemory:
 def _init_worker(
     spec: EngineSpec,
     worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
-    base_names: List[str],
-    out_names: List[str],
+    base_name: str,
+    out_name: str,
     out_rows: int,
     dimension: int,
     dtype_str: str,
@@ -118,41 +111,34 @@ def _init_worker(
 ) -> None:
     global _STATE
     dtype = np.dtype(dtype_str)
-    base_shms = [_attach(name) for name in base_names]
-    out_shms = [_attach(name) for name in out_names]
-    bases = [
-        np.frombuffer(shm.buf, dtype=dtype, count=dimension) for shm in base_shms
-    ]
-    outs = [
-        shared_stack_view(shm.buf, out_rows, dimension, dtype) for shm in out_shms
-    ]
+    base_shm = _attach(base_name)
+    out_shm = _attach(out_name)
     _STATE = _WorkerState(
         engine=spec.build(),
         worker_data=worker_data,
-        base_shms=base_shms,
-        out_shms=out_shms,
-        bases=bases,
-        outs=outs,
+        shms=[base_shm, out_shm],
+        base=np.frombuffer(base_shm.buf, dtype=dtype, count=dimension),
+        out=shared_stack_view(out_shm.buf, out_rows, dimension, dtype),
         hyper=hyper,
     )
 
 
 def _run_shard(
-    slot: int, row0: int, ids: List[int], round_index: int, pad_to: Optional[int]
+    row0: int, ids: List[int], round_index: int, pad_to: Optional[int]
 ) -> int:
-    """Train one contiguous shard of a group into its arena-slot rows."""
+    """Train one contiguous shard of a group into its rows of the arena."""
     st = _STATE
     assert st is not None, "pool worker used before initialization"
     st.engine.run_group(
         ids,
         [st.worker_data[w] for w in ids],
-        st.bases[slot],
+        st.base,
         round_index,
         learning_rate=st.hyper["learning_rate"],
         local_steps=st.hyper["local_steps"],
         batch_size=st.hyper["batch_size"],
         seed=st.hyper["seed"],
-        out=st.outs[slot][row0 : row0 + len(ids)],
+        out=st.out[row0 : row0 + len(ids)],
         pad_to=pad_to,
     )
     return row0
@@ -182,145 +168,17 @@ def _cleanup(holder: Dict[str, object]) -> None:
         # Drop the arena views first so the mmap has no exported pointers
         # left (unless a caller still holds a donated stack view).
         views.clear()
-    for key in ("base_shms", "out_shms"):
-        shms = holder.pop(key, None)
-        if shms is None:
-            continue
-        for shm in shms:
-            try:
-                shm.unlink()
-            except Exception:
-                pass
-            try:
-                shm.close()
-            except BufferError:
-                _PARKED_SEGMENTS.append(shm)
-            except Exception:
-                pass
-
-
-class GroupFuture:
-    """Handle to one in-flight :meth:`ProcessGroupExecutor.submit_group`.
-
-    The dispatch owns one arena *slot* (a base-vector segment plus a
-    ``(rows, q)`` result segment) until :meth:`release` is called, so a
-    consumer may aggregate straight out of :meth:`result`'s donated view
-    while a later dispatch trains into a different slot — this is what the
-    pipelined event loop relies on (``config.parallelism.pipeline``).
-
-    Lifecycle: ``result()`` blocks until the shard tasks finish (applying
-    the executor's pool-crash recovery: respawn + resubmit up to
-    ``max_restarts`` times, then an in-process fallback run — results never
-    change, see :class:`ProcessGroupExecutor`); ``release()`` returns the
-    slot to the executor's free list, invalidating the view at the *next*
-    dispatch, not immediately; ``discard()`` abandons a speculative result
-    (waiting for the pool to go quiet so the slot is safe to reuse).
-    """
-
-    def __init__(
-        self,
-        executor: "ProcessGroupExecutor",
-        slot: int,
-        ids: List[int],
-        round_index: int,
-        pad_to: Optional[int],
-        shards: List[Tuple[int, int]],
-        futures: List[Future],
-    ) -> None:
-        self._executor = executor
-        self.slot = slot
-        self.worker_ids = ids
-        self.round_index = round_index
-        self._pad_to = pad_to
-        self._shards = shards
-        self._futures = futures
-        self._result: Optional[np.ndarray] = None
-        self._released = False
-
-    def done(self) -> bool:
-        """Whether every shard task has finished (successfully or not)."""
-        if self._futures is None:
-            return False  # submission failed; result() will resubmit
-        return all(f.done() for f in self._futures)
-
-    def result(self) -> np.ndarray:
-        """Wait for the dispatch and return the ``(G, q)`` arena-slot view.
-
-        The view stays valid until :meth:`release` frees the slot *and* a
-        later dispatch reuses it.  Pool crashes are recovered exactly like
-        the synchronous path: the pool is respawned and the shards
-        resubmitted up to ``max_restarts`` times, then the round runs on
-        the in-process fallback engine — bit-identical either way.
-        """
-        if self._result is not None:
-            return self._result
-        if self._released:
-            raise RuntimeError("GroupFuture.result() called after release()")
-        ex = self._executor
-        done = False
-        # Total submission attempts (the one made at submit time included)
-        # is max_restarts + 1, matching the synchronous contract.  A failed
-        # submit in submit_group already consumed attempt #1.
-        attempts = ex.max_restarts + (0 if self._futures is None else 1)
-        while True:
-            if self._futures is not None:
-                attempts -= 1
-                try:
-                    for f in self._futures:
-                        f.result()
-                    done = True
-                    break
-                except (BrokenExecutor, CancelledError):
-                    # CancelledError: a sibling in-flight dispatch hit the
-                    # broken pool first and its respawn cancelled our
-                    # still-pending shard tasks — same recovery applies.
-                    ex.restarts += 1
-                    ex._respawn_pool()
-                    self._futures = None
-            if attempts <= 0:
-                break
-            self._futures = ex._try_submit_shards(
-                self.slot, self._shards, self.worker_ids, self.round_index,
-                self._pad_to,
-            )
-            if self._futures is None:
-                attempts -= 1
-                ex.restarts += 1
-                ex._respawn_pool()
-        if not done:
-            # The broken pool's processes are gone (the respawn shut the
-            # remains down), so the slot has no concurrent writer left.
-            ex._run_fallback(self.slot, self.worker_ids, self.round_index)
-        self._result = ex._slot_out_view(self.slot)[: len(self.worker_ids)]
-        return self._result
-
-    def release(self) -> None:
-        """Return the arena slot to the executor's free list (idempotent).
-
-        Call only once the result has been consumed (or via
-        :meth:`discard` for an unconsumed speculative result); the donated
-        view is overwritten by the next dispatch that acquires the slot.
-        """
-        if self._released:
-            return
-        self._released = True
-        self._executor._release_slot(self.slot)
-
-    def discard(self) -> None:
-        """Abandon the dispatch: wait for its tasks, swallow errors, release.
-
-        Used by the pipelined event loop when a speculative result turns
-        out invalid.  Waiting (rather than cancelling) is what makes the
-        slot safe to reuse — a pool worker may already be writing into it.
-        """
-        if self._released:
-            return
-        for f in self._futures or ():
-            try:
-                f.result()
-            except Exception:
-                pass
-        self.release()
+    for shm in holder.pop("shms", ()):
+        try:
+            shm.unlink()
+        except Exception:
+            pass
+        try:
+            shm.close()
+        except BufferError:
+            _PARKED_SEGMENTS.append(shm)
+        except Exception:
+            pass
 
 
 class ProcessGroupExecutor:
@@ -345,13 +203,6 @@ class ProcessGroupExecutor:
         broken pool respawns it and retries this many times, then falls
         back to an in-process engine run, so a crashed worker never loses
         a round or changes its result.
-    num_slots:
-        Number of independent shared-memory arena slots (each one base
-        segment plus one ``rows × q`` result segment).  The default 1
-        reproduces the synchronous contract (a result view is valid until
-        the next dispatch); the pipelined event loop uses
-        ``config.parallelism.max_inflight`` slots so the committing
-        group's stack and a speculatively trained group's stack coexist.
     """
 
     def __init__(
@@ -366,7 +217,6 @@ class ProcessGroupExecutor:
         num_processes: Optional[int] = None,
         start_method: str = "fork",
         max_restarts: int = 1,
-        num_slots: int = 1,
     ) -> None:
         # build_spec first: it produces the accurate diagnostic for
         # non-sequential / kernel-less / parameter-less models; the
@@ -399,9 +249,6 @@ class ProcessGroupExecutor:
         self.num_processes = int(num_processes or os.cpu_count() or 1)
         self.start_method = start_method
         self.max_restarts = int(max_restarts)
-        if num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        self.num_slots = int(num_slots)
         #: Dispatch statistics (pool respawns and in-process fallbacks are
         #: how crash recovery is observed from tests and benchmarks).
         self.dispatches = 0
@@ -411,42 +258,31 @@ class ProcessGroupExecutor:
         rows = len(self._worker_data)
         itemsize = self.dtype.itemsize
         self._rows = rows
-        self._holder: Dict[str, object] = {}
-        base_shms = [
-            SharedMemory(create=True, size=max(1, self.dimension * itemsize))
-            for _ in range(self.num_slots)
-        ]
-        out_shms = [
-            SharedMemory(create=True, size=max(1, rows * self.dimension * itemsize))
-            for _ in range(self.num_slots)
-        ]
-        self._holder["base_shms"] = base_shms
-        self._holder["out_shms"] = out_shms
+        # One arena: the group's base vector and its stacked (rows, q)
+        # result.  A result view stays valid until the next dispatch.
+        base_shm = SharedMemory(create=True, size=max(1, self.dimension * itemsize))
+        out_shm = SharedMemory(
+            create=True, size=max(1, rows * self.dimension * itemsize)
+        )
         # The arena views live in the holder (not on self) so _cleanup can
         # drop them before closing the mappings in every teardown path.
-        # Layout: one (base, out) view pair per slot, interleaved.
-        views: List[np.ndarray] = []
-        for b, o in zip(base_shms, out_shms):
-            views.append(np.frombuffer(b.buf, dtype=self.dtype, count=self.dimension))
-            views.append(shared_stack_view(o.buf, rows, self.dimension, self.dtype))
-        self._holder["views"] = views
-        # Free-slot queue, FIFO: a just-released slot goes to the *back*,
-        # so the slot whose donated view a caller may still be reading is
-        # reused last.  With num_slots >= 2 and at most one speculative
-        # dispatch outstanding, this keeps a slot's data intact from its
-        # release through the aggregation that reads it.
-        self._free_slots: Deque[int] = deque(range(self.num_slots))
-        #: Slot of the most recent completed synchronous dispatch (what the
-        #: donated :meth:`stack` view refers to).
-        self._last_slot = 0
+        self._holder: Dict[str, object] = {
+            "shms": [base_shm, out_shm],
+            "views": [
+                np.frombuffer(base_shm.buf, dtype=self.dtype, count=self.dimension),
+                shared_stack_view(out_shm.buf, rows, self.dimension, self.dtype),
+            ],
+        }
         self._finalizer = weakref.finalize(self, _cleanup, self._holder)
         self._spawn_pool()
 
-    def _slot_base_view(self, slot: int) -> np.ndarray:
-        return self._holder["views"][2 * slot]
+    @property
+    def _base_view(self) -> np.ndarray:
+        return self._holder["views"][0]
 
-    def _slot_out_view(self, slot: int) -> np.ndarray:
-        return self._holder["views"][2 * slot + 1]
+    @property
+    def _out_view(self) -> np.ndarray:
+        return self._holder["views"][1]
 
     # ------------------------------------------------------------------
     def _spawn_pool(self) -> None:
@@ -457,8 +293,7 @@ class ProcessGroupExecutor:
             initargs=(
                 self._spec,
                 self._worker_data,
-                [shm.name for shm in self._holder["base_shms"]],
-                [shm.name for shm in self._holder["out_shms"]],
+                *(shm.name for shm in self._holder["shms"]),
                 self._rows,
                 self.dimension,
                 self.dtype.str,
@@ -535,35 +370,14 @@ class ProcessGroupExecutor:
         pad_to = max(active) if active else None
         return [b for b in bounds if b[0] < b[1]], pad_to
 
-    # ------------------------------------------------------------------
-    # Arena-slot bookkeeping
-    # ------------------------------------------------------------------
-    @property
-    def free_slots(self) -> int:
-        """Number of arena slots available for a new dispatch."""
-        return len(self._free_slots)
-
-    def _acquire_slot(self) -> int:
-        if not self._free_slots:
-            raise RuntimeError(
-                "no free arena slot: every in-flight GroupFuture must be "
-                "released before another dispatch (raise "
-                "parallelism.max_inflight to hold more results at once)"
-            )
-        return self._free_slots.popleft()
-
-    def _release_slot(self, slot: int) -> None:
-        self._free_slots.append(slot)
-
     def stack(self, group_size: int) -> np.ndarray:
         """Donated ``(G, q)`` view into the shared result arena.
 
         The trainer uses this as its group stack so worker processes write
         updated models directly into the memory the aggregation reads —
-        the round performs no result copy at all.  Refers to the slot of
-        the most recent synchronous :meth:`run_group` dispatch and is
-        reused by a later dispatch, matching the trainer's own
-        buffer-reuse contract.
+        the round performs no result copy at all.  The next
+        :meth:`run_group` dispatch overwrites it, matching the trainer's
+        own buffer-reuse contract.
         """
         if self.closed:
             raise RuntimeError("executor is closed")
@@ -571,32 +385,34 @@ class ProcessGroupExecutor:
             raise ValueError(
                 f"group of {group_size} exceeds the arena ({self._rows} rows)"
             )
-        return self._slot_out_view(self._last_slot)[:group_size]
+        return self._out_view[:group_size]
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _try_submit_shards(
+    def _run_on_pool(
         self,
-        slot: int,
         shards: List[Tuple[int, int]],
         ids: List[int],
         round_index: int,
         pad_to: Optional[int],
-    ) -> Optional[List[Future]]:
-        """Submit one shard task per range; ``None`` if the pool is broken."""
-        pool = self._pool
+    ) -> bool:
+        """Submit one task per shard and wait; ``False`` if the pool broke
+        (at submit time or while a shard was running)."""
         try:
-            return [
-                pool.submit(
-                    _run_shard, slot, start, ids[start:stop], round_index, pad_to
+            futures = [
+                self._pool.submit(
+                    _run_shard, start, ids[start:stop], round_index, pad_to
                 )
                 for start, stop in shards
             ]
+            for f in futures:
+                f.result()
         except BrokenExecutor:
-            return None
+            return False
+        return True
 
-    def _run_fallback(self, slot: int, ids: List[int], round_index: int) -> None:
+    def _run_fallback(self, ids: List[int], round_index: int) -> None:
         """Last line of defence: run the round in-process.  Same engine,
         same geometry (full group, serial call tree) — the result is
         identical, only the parallelism is lost for this dispatch."""
@@ -604,29 +420,29 @@ class ProcessGroupExecutor:
         self._fallback_engine.run_group(
             ids,
             [self._worker_data[w] for w in ids],
-            self._slot_base_view(slot),
+            self._base_view,
             round_index,
             learning_rate=self._hyper["learning_rate"],
             local_steps=self._hyper["local_steps"],
             batch_size=self._hyper["batch_size"],
             seed=self._hyper["seed"],
-            out=self._slot_out_view(slot)[: len(ids)],
+            out=self._out_view[: len(ids)],
         )
 
-    def submit_group(
+    def run_group(
         self,
         worker_ids: Sequence[int],
         base_vector: np.ndarray,
         round_index: int,
-    ) -> GroupFuture:
-        """Dispatch a group's local round without waiting for the result.
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Train the group's local round on the pool; return the ``(G, q)``
+        stack (the donated arena view unless ``out`` is supplied).
 
-        The base vector is copied into a private arena slot *now*, so the
-        caller may keep mutating its buffers while the pool trains; the
-        returned :class:`GroupFuture` yields the stacked ``(G, q)`` result
-        and holds the slot until released.  At most ``num_slots``
-        dispatches may be in flight; the pipelined event loop holds two
-        (the committing group and the speculative one).
+        Pool crashes are recovered here: a dispatch that finds or leaves
+        the pool broken respawns it and resubmits its shards, up to
+        ``max_restarts + 1`` submissions in total, then runs on the
+        in-process fallback engine — bit-identical either way.
         """
         if self.closed:
             raise RuntimeError("executor is closed")
@@ -637,35 +453,19 @@ class ProcessGroupExecutor:
             raise ValueError(
                 f"group of {len(ids)} exceeds the arena ({self._rows} rows)"
             )
-        slot = self._acquire_slot()
-        np.copyto(self._slot_base_view(slot), base_vector)
+        np.copyto(self._base_view, base_vector)
         shards, pad_to = self._plan_shards(ids)
         self.dispatches += 1
-        futures = self._try_submit_shards(slot, shards, ids, round_index, pad_to)
-        if futures is None:
-            # Broken pool at submit time: respawn now so the resubmission
-            # budget in GroupFuture.result() starts from a live pool.
+        for _ in range(self.max_restarts + 1):
+            if self._run_on_pool(shards, ids, round_index, pad_to):
+                break
+            # The respawn shuts the broken pool's remains down, so the
+            # arena has no concurrent writer left afterwards.
             self.restarts += 1
             self._respawn_pool()
-        return GroupFuture(self, slot, ids, round_index, pad_to, shards, futures)
-
-    def run_group(
-        self,
-        worker_ids: Sequence[int],
-        base_vector: np.ndarray,
-        round_index: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Train the group's local round on the pool; return the ``(G, q)``
-        stack (the donated arena view unless ``out`` is supplied)."""
-        future = self.submit_group(worker_ids, base_vector, round_index)
-        try:
-            result = future.result()
-        finally:
-            # FIFO slot reuse keeps the donated view intact until the next
-            # dispatch even though the slot is already back on the free list.
-            self._last_slot = future.slot
-            future.release()
+        else:
+            self._run_fallback(ids, round_index)
+        result = self._out_view[: len(ids)]
         if out is not None:
             np.copyto(out, result)
             return out

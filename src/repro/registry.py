@@ -1,11 +1,9 @@
 """Generic component registry: every swappable piece of an experiment by name.
 
 The paper's evaluation crosses datasets, Non-IID partitions, channel
-models, edge-heterogeneity settings and mechanisms.  Historically each of
-those families had its own ad-hoc dict (``MECHANISMS``,
-``DATASET_REGISTRY``, ``PARTITIONERS``, …) with slightly different lookup
-code and bare ``KeyError`` messages.  This module unifies them behind one
-small registry keyed by *component kind*:
+models, edge-heterogeneity settings and mechanisms.  This module puts all
+of those families behind one small registry keyed by *component kind*,
+with one lookup path and one error message:
 
 ========================  ==========================================
 kind                      examples

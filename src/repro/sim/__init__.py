@@ -1,7 +1,5 @@
-"""Discrete-event simulation substrate: events, engine, latency and fault models."""
+"""Simulation substrate: latency and device-fault models."""
 
-from .events import Event, EventType, ExecuteMessage, ReadyMessage
-from .engine import SimulationEngine, SimulationError
 from .latency import HeterogeneityModel, LatencyTable
 from .clientstate import (
     AlwaysOnModel,
@@ -14,12 +12,6 @@ from .clientstate import (
 )
 
 __all__ = [
-    "Event",
-    "EventType",
-    "ReadyMessage",
-    "ExecuteMessage",
-    "SimulationEngine",
-    "SimulationError",
     "HeterogeneityModel",
     "LatencyTable",
     "ClientStateModel",

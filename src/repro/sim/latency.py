@@ -14,7 +14,6 @@ longer simulated rounds, as they would on real hardware.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -124,24 +123,6 @@ class LatencyTable:
     def nominal_times(self) -> np.ndarray:
         """The deterministic per-worker times ``l_i`` (used by Alg. 3)."""
         return self._nominal.copy()
-
-    def nominal_time(self, worker_id: int) -> float:
-        """Deprecated per-worker accessor; use :attr:`nominal` instead.
-
-        Per-worker scalar indexing is the pattern the population refactor
-        retires — at 10k+ workers the call overhead dominates.  The shim
-        forwards to the cached array and emits a :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            "LatencyTable.nominal_time(worker_id) is deprecated; read the "
-            "LatencyTable.nominal array (or WorkerStateTable.latencies) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not 0 <= worker_id < self.num_workers:
-            raise ValueError(f"invalid worker id {worker_id}")
-        return float(self._nominal[worker_id])
 
     def spread(self) -> float:
         """Δl = max_i l_i − min_i l_i (the scale used in constraint 36d)."""

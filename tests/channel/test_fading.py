@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel import RayleighFading, StaticChannel, build_channel
+from repro import registry
+from repro.channel import RayleighFading, StaticChannel
 
 
 class TestRayleighFading:
@@ -99,13 +100,13 @@ class TestStaticChannel:
 
 class TestFactory:
     def test_build_rayleigh(self):
-        ch = build_channel("rayleigh", num_workers=5, seed=1)
+        ch = registry.create("channel", "rayleigh", num_workers=5, seed=1)
         assert isinstance(ch, RayleighFading)
 
     def test_build_static(self):
-        ch = build_channel("static", num_workers=5, seed=1)
+        ch = registry.create("channel", "static", num_workers=5, seed=1)
         assert isinstance(ch, StaticChannel)
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
-            build_channel("mmwave", num_workers=5)
+            registry.create("channel", "mmwave", num_workers=5)

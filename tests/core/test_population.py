@@ -344,24 +344,6 @@ def test_scheduler_array_groups_worker_map():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
-# ----------------------------------------------------------------------
-def test_partition_integer_indexing_is_deprecated_but_forwarding():
-    dataset = _dataset()
-    partition = partition_iid(dataset, num_workers=4, seed=0)
-    with pytest.warns(DeprecationWarning, match="Partition.indices"):
-        legacy = partition.indices[0]
-    np.testing.assert_array_equal(legacy, partition.worker_indices(0))
-    # List-like iteration and len stay silent.
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        assert len(partition.indices) == 4
-        assert sum(ix.size for ix in partition.indices) == dataset.num_train
-
-
-# ----------------------------------------------------------------------
 # registered per-worker state fields (persistent mechanism state)
 # ----------------------------------------------------------------------
 def test_register_field_shapes_fill_and_idempotency():

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.data import (
-    PARTITIONERS,
     Partition,
     make_mnist_like,
-    make_partition,
     partition_dirichlet,
     partition_iid,
     partition_label_skew,
@@ -181,12 +180,12 @@ class TestDirichletPartition:
 
 class TestPartitionRegistry:
     def test_registry_names(self):
-        assert set(PARTITIONERS) == {"iid", "label-skew", "dirichlet"}
+        assert set(registry.names("partitioner")) == {"iid", "label-skew", "dirichlet"}
 
     def test_make_partition_dispatch(self, dataset):
-        part = make_partition("iid", dataset, num_workers=4, seed=0)
+        part = registry.create("partitioner", "iid", dataset, num_workers=4, seed=0)
         assert part.num_workers == 4
 
     def test_make_partition_unknown(self, dataset):
         with pytest.raises(KeyError, match="unknown partition strategy"):
-            make_partition("pathological", dataset, num_workers=4)
+            registry.create("partitioner", "pathological", dataset, num_workers=4)

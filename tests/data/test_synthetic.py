@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.data import (
-    DATASET_REGISTRY,
     Dataset,
     SyntheticImageConfig,
-    load_dataset,
     make_cifar10_like,
     make_imagenet100_like,
     make_mnist_like,
@@ -120,16 +119,18 @@ class TestValidationAndRegistry:
             )
 
     def test_registry_contains_three_datasets(self):
-        assert set(DATASET_REGISTRY) == {
+        assert set(registry.names("dataset")) == {
             "synthetic-mnist",
             "synthetic-cifar10",
             "synthetic-imagenet100",
         }
 
     def test_load_dataset(self):
-        ds = load_dataset("synthetic-mnist", num_train=30, num_test=10, image_size=8)
+        ds = registry.create(
+            "dataset", "synthetic-mnist", num_train=30, num_test=10, image_size=8
+        )
         assert ds.name == "synthetic-mnist"
 
     def test_load_unknown_dataset(self):
         with pytest.raises(KeyError, match="unknown dataset"):
-            load_dataset("mnist-real")
+            registry.create("dataset", "mnist-real")

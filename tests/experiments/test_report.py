@@ -152,6 +152,17 @@ class TestLoadRows:
         assert [row["index"] for row in loaded] == [0, 1, 2]
         assert "error" not in loaded[2] and "summary" in loaded[2]
 
+    def test_rows_with_retired_pipeline_keys_load_and_render(self, tmp_path):
+        # JSONL written while the pipelined mode existed stays readable.
+        old_row = dict(
+            make_rows()[0], pipeline=False, pipeline_hits=0, pipeline_recomputes=0
+        )
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(old_row) + "\n")
+        loaded = load_rows(path)
+        assert loaded == [old_row]
+        assert "grid#0" in sweep_report(loaded)
+
     def test_rows_without_an_index_are_kept_at_the_end(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text(json.dumps({"note": "freeform"}) + "\n"

@@ -156,10 +156,7 @@ def success_row(hash_):
         "engine": "auto",
         "parallelism_configured": "none",
         "parallelism_mode": "none",
-        "pipeline": False,
         "summary": {"rounds": 3.0, "final_accuracy": 0.5},
-        "pipeline_hits": 0,
-        "pipeline_recomputes": 0,
         "faults": {"workers_dropped": 0},
     }
 

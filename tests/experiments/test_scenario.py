@@ -147,6 +147,14 @@ class TestValidation:
                 )
             )
 
+    @pytest.mark.parametrize("retired", ["pipeline", "max_inflight"])
+    def test_retired_pipelining_options_are_unknown_fields(self, retired):
+        with pytest.raises(ValueError, match="scenario.parallelism") as excinfo:
+            Scenario.from_dict({"parallelism": {"mode": "processes", retired: 2}})
+        message = str(excinfo.value)
+        assert f"unknown field(s) ['{retired}']" in message
+        assert "accepted: ['max_restarts', 'min_group_size', 'mode'" in message
+
     def test_parallelism_section_is_applied_at_build(self):
         s = tiny_scenario()
         s = dataclasses.replace(s, parallelism=ParallelismConfig(min_group_size=5))

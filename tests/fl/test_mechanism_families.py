@@ -25,8 +25,8 @@ import json
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.fl import (
-    MECHANISMS,
     FedAsyncTrainer,
     FedAvgTrainer,
     FedDynTrainer,
@@ -50,7 +50,7 @@ def _trace(history):
 # ----------------------------------------------------------------------
 class TestRegistryPlumbing:
     def test_families_registered(self):
-        assert {"fedprox", "feddyn", "fedasync"} <= set(MECHANISMS)
+        assert {"fedprox", "feddyn", "fedasync"} <= set(registry.names("mechanism"))
 
     def test_build_trainer_forwards_params(self, small_experiment):
         assert build_trainer("fedprox", small_experiment, mu=0.3).mu == 0.3

@@ -39,6 +39,14 @@ class TestHistorySerialization:
         np.testing.assert_allclose(restored.accuracies(), h.accuracies())
         np.testing.assert_allclose(restored.energies(), h.energies())
 
+    def test_from_dict_ignores_counters_no_longer_written(self):
+        # Histories saved while the pipelined mode existed carry these.
+        data = make_history().to_dict()
+        data.update(pipeline_hits=7, pipeline_recomputes=1)
+        restored = TrainingHistory.from_dict(data)
+        assert len(restored) == 5
+        assert "pipeline_hits" not in restored.to_dict()
+
     def test_from_dict_validates(self):
         with pytest.raises(ValueError):
             TrainingHistory.from_dict({"records": []})

@@ -5,28 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.nn import (
-    MODEL_REGISTRY,
     CifarCNN,
     LogisticRegressionMLP,
     MiniVGG,
     MnistCNN,
     SGD,
-    build_model,
 )
 
 
 class TestRegistry:
     def test_contains_all_paper_models(self):
-        assert set(MODEL_REGISTRY) == {"lr", "mnist_cnn", "cifar_cnn", "mini_vgg"}
+        assert set(registry.names("model")) == {"lr", "mnist_cnn", "cifar_cnn", "mini_vgg"}
 
     def test_build_model_by_name(self):
-        model = build_model("lr", input_dim=16, hidden=8, num_classes=3)
+        model = registry.create("model", "lr", input_dim=16, hidden=8, num_classes=3)
         assert model.dimension > 0
 
     def test_build_model_unknown_name(self):
         with pytest.raises(KeyError, match="unknown model"):
-            build_model("resnet50")
+            registry.create("model", "resnet50")
 
 
 class TestLogisticRegressionMLP:

@@ -23,6 +23,7 @@ from repro.core import AirFedGAConfig, GroupingConfig, ParallelismConfig
 from repro.experiments.bench import bench_grouped_round_mp
 from repro.experiments.configs import cnn_mnist_config, lr_mnist_config
 from repro.experiments.runner import build_experiment
+from repro.fl import AirFedGATrainer
 from repro.fl.registry import build_trainer
 from repro.nn.batched import BatchedWorkerEngine, shared_stack_view
 from repro.nn.layers import Dense, Dropout, ReLU
@@ -176,6 +177,76 @@ class TestCrashRecovery:
             got = ex.run_group(ids, base, round_index=3)
             assert np.array_equal(got, expected)
             assert ex.fallbacks == 1
+
+
+class _MidRunCrashTrainer(AirFedGATrainer):
+    """Kills every pool worker during one round's aggregation, so the next
+    group dispatch finds a broken pool.  Models an OOM-killed worker."""
+
+    CRASH_ROUND = 4
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.crashed = False
+
+    def aggregate_group(self, group_id, member_ids, local_vectors, round_index,
+                        weight_scale=1.0):
+        if (
+            not self.crashed
+            and round_index == self.CRASH_ROUND
+            and self._executor is not None
+        ):
+            self.crashed = True
+            _kill_pool_workers(self._executor)
+        return super().aggregate_group(
+            group_id, member_ids, local_vectors, round_index,
+            weight_scale=weight_scale,
+        )
+
+
+@pytest.mark.chaos
+class TestTrainerCrash:
+    def _experiment(self, par):
+        cfg = lr_mnist_config(
+            num_workers=12, num_train=240, image_size=8, hidden=16,
+            max_rounds=40,
+        ).scaled(
+            local_steps=2, batch_size=16, eval_every=1, max_eval_samples=48,
+            config=AirFedGAConfig(
+                grouping=GroupingConfig(xi=1.0), parallelism=par
+            ),
+        )
+        return build_experiment(cfg)
+
+    @pytest.mark.parametrize("max_restarts", [1, 0], ids=["respawn", "fallback"])
+    def test_sigkill_mid_run_bit_exact(self, max_restarts):
+        with AirFedGATrainer(
+            self._experiment(ParallelismConfig(mode="none")),
+            grouping_strategy="tier", num_groups=3,
+        ) as serial:
+            serial_history = serial.run(max_rounds=10)
+            gv_serial = serial.global_vector.copy()
+
+        with _MidRunCrashTrainer(
+            self._experiment(
+                ParallelismConfig(
+                    mode="processes", num_processes=2, max_restarts=max_restarts
+                )
+            ),
+            grouping_strategy="tier", num_groups=3,
+        ) as chaos:
+            chaos_history = chaos.run(max_rounds=10)
+            gv_chaos = chaos.global_vector.copy()
+            executor = chaos._executor
+            # The kill really happened and recovery really engaged: with a
+            # restart budget the pool is respawned and the shards
+            # resubmitted; without one the round runs in-process.
+            assert chaos.crashed
+            assert executor.restarts >= 1
+            assert (executor.fallbacks >= 1) == (max_restarts == 0)
+
+        assert np.array_equal(gv_serial, gv_chaos)
+        assert serial_history.to_dict() == chaos_history.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,11 @@
-"""The legacy entry points now share UnknownComponentError + kwargs checks."""
+"""Every component family shares UnknownComponentError + kwargs checks."""
 
 import pytest
 
-from repro.channel.fading import build_channel
-from repro.data.partition import make_partition
-from repro.data.synthetic import load_dataset, make_mnist_like
+from repro import registry
 from repro.experiments.configs import lr_mnist_config
 from repro.experiments.runner import build_experiment
 from repro.fl.registry import build_trainer
-from repro.nn.models import build_model
 from repro.registry import UnknownComponentError
 
 
@@ -57,21 +54,20 @@ class TestPartitionErrors:
         assert "did you mean 'dirichlet'" in message
 
     def test_make_partition_unknown_strategy(self):
-        dataset = make_mnist_like(num_train=40, num_test=10, image_size=8)
         with pytest.raises(KeyError, match="unknown partition strategy"):
-            make_partition("sorted", dataset, num_workers=2)
+            registry.get("partitioner", "sorted")
 
 
 class TestOtherFamilies:
     def test_build_channel_unknown_kind(self):
         with pytest.raises(UnknownComponentError, match="unknown channel kind"):
-            build_channel("mmwave", num_workers=4)
+            registry.create("channel", "mmwave", num_workers=4)
 
     def test_load_dataset_unknown_name(self):
         with pytest.raises(UnknownComponentError) as excinfo:
-            load_dataset("synthetic-mnst")
+            registry.create("dataset", "synthetic-mnst")
         assert "did you mean 'synthetic-mnist'" in str(excinfo.value)
 
     def test_build_model_unknown_name(self):
         with pytest.raises(UnknownComponentError, match="unknown model"):
-            build_model("vgg16")
+            registry.create("model", "vgg16")

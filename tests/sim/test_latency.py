@@ -73,13 +73,6 @@ class TestLatencyTable:
         with pytest.raises(ValueError):
             view[0] = 99.0
 
-    def test_nominal_time_deprecated_but_forwarding(self):
-        het = HeterogeneityModel(num_workers=5, seed=0)
-        table = LatencyTable(num_workers=5, base_time=2.0, heterogeneity=het)
-        with pytest.warns(DeprecationWarning, match="nominal_time"):
-            value = table.nominal_time(2)
-        assert value == table.nominal[2]
-
     def test_jitter_is_deterministic_per_worker_and_round(self):
         table = LatencyTable(num_workers=3, base_time=1.0, jitter_std=0.2, seed=7)
         assert table.sample_time(1, 4) == table.sample_time(1, 4)
@@ -129,5 +122,3 @@ class TestLatencyTable:
             table.sample_time(7, 0)
         with pytest.raises(ValueError):
             table.sample_times([0, 7])
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            table.nominal_time(7)

@@ -15,11 +15,3 @@ def leaky_attach(name):
     shm = SharedMemory(name=name)  # LIFE002: no close
     return bytes(shm.buf[:4])
 
-
-def dropped_bare(executor, members):
-    executor.submit_group(members)  # LIFE003: bare expression
-
-
-def dropped_binding(executor, members):
-    future = executor.submit_group(members)  # LIFE003: never used again
-    return len(members)

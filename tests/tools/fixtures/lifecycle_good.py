@@ -22,17 +22,3 @@ def balanced_attach(name):
     finally:
         shm.close()
 
-
-def consumed_future(executor, members):
-    future = executor.submit_group(members)
-    return future.result()
-
-
-def discarded_future(executor, members):
-    future = executor.submit_group(members)
-    future.discard()
-
-
-def allowed_drop(executor, members):
-    # analyze: allow-lifecycle(fire-and-forget is intentional here)
-    executor.submit_group(members)

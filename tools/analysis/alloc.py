@@ -12,12 +12,16 @@ caught by the XL RSS budget long after the fact.
 qualnames (``Class.method``) whose bodies must not allocate.  ``"*"``
 audits every scope in the file.
 
-Rule
-----
+Rules
+-----
 ``ALLOC001``
     Allocating NumPy call (``np.zeros/empty/ones/full/array/copy/
     concatenate/stack/...``, the ``*_like`` variants) or an ``.copy()``
     method call inside a declared hot path.
+``ALLOC002``
+    A declared hot path names no function or class in its file — a
+    renamed or deleted method would otherwise drop out of the audit
+    without a sound.
 
 Escape hatch: ``# analyze: allow-alloc(reason)`` — used for documented
 one-time geometry binds, lazy first-touch promotions and fallback paths.
@@ -96,7 +100,8 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "GroupedAsyncTrainer._base_of",
         "GroupedAsyncTrainer._commit_base",
         "GroupedAsyncTrainer._group_stack",
-        "GroupedAsyncTrainer._submit_speculation",
+        "GroupedAsyncTrainer._surviving_roster",
+        "GroupedAsyncTrainer._blend_partial_work",
         "GroupedAsyncTrainer.group_compute_time",
     },
     # The aggregation path: alpha @ A into trainer-owned buffers.
@@ -122,12 +127,28 @@ _HINT = (
 )
 
 
+def _defined_scopes(tree: ast.AST, prefix: str = "") -> Set[str]:
+    """Dotted qualnames of every function and class defined in ``tree``."""
+    found: Set[str] = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            found.add(qualname)
+            found |= _defined_scopes(node, qualname + ".")
+        elif isinstance(node, (ast.stmt, ast.excepthandler)):
+            # A def under if/try/with keeps its enclosing scope's prefix.
+            found |= _defined_scopes(node, prefix)
+    return found
+
+
 class HotPathAllocationChecker(Checker):
-    """ALLOC001: no fresh-array calls inside the declared hot paths."""
+    """ALLOC001: no fresh-array calls inside the declared hot paths.
+    ALLOC002: every declared hot path exists."""
 
     name = "hot-path-allocation"
     rules = {
         "ALLOC001": "allocating NumPy call inside a declared hot path",
+        "ALLOC002": "declared hot path names no scope in its file",
     }
     allow_tag = "alloc"
 
@@ -140,7 +161,16 @@ class HotPathAllocationChecker(Checker):
             return []
         imports = import_map(module.tree)
         numpy_aliases = {a for a, o in imports.items() if o == "numpy"}
-        findings: List[Finding] = []
+        findings: List[Finding] = [
+            module.finding(
+                "ALLOC002",
+                module.tree,
+                f"declared hot path {scope} names no function or class in "
+                "this file, so nothing is audited under it",
+                "rename the HOT_PATHS entry along with the scope, or drop it",
+            )
+            for scope in sorted(scopes - {"*"} - _defined_scopes(module.tree))
+        ]
         for site in iter_calls(module.tree):
             if not self._in_hot_scope(site.qualname, scopes):
                 continue
