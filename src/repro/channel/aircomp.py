@@ -168,9 +168,9 @@ def _validate_aggregate_args(
         raise ValueError("noise_std must be non-negative")
     sizes = np.asarray(data_sizes, dtype=np.float64)
     gains = np.asarray(channel_gains, dtype=np.float64)
-    if np.any(sizes <= 0):
+    if sizes.min() <= 0:
         raise ValueError("data sizes must be positive")
-    if np.any(gains <= 0):
+    if gains.min() <= 0:
         raise ValueError("channel gains must be positive")
     return sizes, gains
 
@@ -185,6 +185,7 @@ def aircomp_aggregate(
     rng: np.random.Generator,
     total_data_size: float | None = None,
     workspace: AirCompWorkspace | None = None,
+    sq_norms: np.ndarray | None = None,
 ) -> AirCompResult:
     """Simulate one over-the-air aggregation over the noisy fading MAC.
 
@@ -220,6 +221,10 @@ def aircomp_aggregate(
         Optional :class:`AirCompWorkspace` of caller-owned buffers; when
         given, no O(q) arrays are allocated and the result's ``received`` /
         ``estimate`` are views valid until the workspace is reused.
+    sq_norms:
+        Optional float64 ``||w_i||²`` per worker, for a caller that already
+        took the row-wise squared norms of ``models`` (the trainers do, for
+        the model bound); computed here when omitted.
 
     Returns
     -------
@@ -244,7 +249,11 @@ def aircomp_aggregate(
     weights = (sizes * sigma_t).astype(dtype)
     np.dot(weights, stacked, out=received)
     # Eq. (7): E_i = ||p_i w_i||² = p_i² ||w_i||², via one row-wise sumsq.
-    energies = powers**2 * np.einsum("ij,ij->i", stacked, stacked, dtype=np.float64)
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", stacked, stacked, dtype=np.float64)
+    elif sq_norms.shape != sizes.shape:
+        raise ValueError("sq_norms must hold one entry per worker")
+    energies = powers**2 * sq_norms
 
     if noise_std > 0:
         rng.standard_normal(dim, dtype=dtype, out=noise)

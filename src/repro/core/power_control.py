@@ -171,7 +171,9 @@ def solve_power_control(
     for iterations in range(1, config.power_control_max_iters + 1):
         prev_sigma, prev_eta = sigma, eta
         eta = optimal_eta(sigma, model_bound, noise_var, group_size)
-        sigma = feasible_sigma(eta, model_bound, sizes, gains, budgets)
+        # Eq. 47: feasible_sigma(), with the cap this function already took
+        # from the arrays it already validated.
+        sigma = float(min(np.sqrt(eta), sigma_cap))
         c = aggregation_error_term(sigma, eta, model_bound, noise_var, group_size)
         history.append((sigma, eta, c))
         rel_sigma = abs(sigma - prev_sigma) / max(abs(sigma), 1e-300)
@@ -226,6 +228,7 @@ class PowerControlCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.rel_tol = rel_tol
+        self._log_step = np.log1p(rel_tol)
         self.max_entries = max_entries
         self.warm_start = warm_start
         self.hits = 0
@@ -236,7 +239,7 @@ class PowerControlCache:
     # ------------------------------------------------------------------
     def _quantize_bound(self, model_bound: float) -> float:
         """Snap the bound onto a relative grid of spacing ``rel_tol``."""
-        step = np.log1p(self.rel_tol)
+        step = self._log_step
         return float(np.exp(np.round(np.log(model_bound) / step) * step))
 
     def solve(

@@ -24,7 +24,6 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,14 +113,11 @@ class AirFedGATrainer(GroupedAsyncTrainer):
         model_bound = max(float(np.linalg.norm(self.global_vector)), 1e-8)
         # Same per-entry noise calibration as the trainer's aggregation step
         # (the paper's σ₀² spread over the q model symbols).
-        per_entry_noise_var = exp.config.aircomp.noise_variance / float(
-            self.latency_dimension
-        )
         pc = solve_power_control(
             data_sizes=sizes,
             channel_gains=gains,
             model_bound=model_bound,
-            config=replace(exp.config.aircomp, noise_variance=per_entry_noise_var),
+            config=self._pc_config,
         )
         problem = GroupingProblem(
             data_sizes=sizes,

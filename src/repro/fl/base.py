@@ -251,8 +251,12 @@ class BaseTrainer:
         n_test = experiment.dataset.num_test
         take = min(experiment.max_eval_samples, n_test)
         eval_idx = eval_rng.choice(n_test, size=take, replace=False)
-        self._eval_x = experiment.dataset.x_test[eval_idx]
-        self._eval_y = experiment.dataset.y_test[eval_idx]
+        # Cast once, here: float32 mode would otherwise re-cast the float64
+        # test images inside every forward pass of every evaluation.
+        self._eval_x = experiment.dataset.x_test[eval_idx].astype(
+            self.global_vector.dtype, copy=False
+        )
+        self._eval_y = np.asarray(experiment.dataset.y_test[eval_idx])
         # ------------------------------------------------------------------
         # Vectorized hot-path machinery (see docs/PERFORMANCE.md):
         # * a group-batched execution engine when every layer has a batched
@@ -278,6 +282,15 @@ class BaseTrainer:
         self._stack_bufs: Dict[int, np.ndarray] = {}
         self._air_workspace = AirCompWorkspace()
         cfg = experiment.config.aircomp
+        # Calibration (see DESIGN.md): the paper's σ₀² is the total AWGN
+        # power of the aggregation; the q model entries are carried by q
+        # symbols, so the per-entry noise variance is σ₀² / q.  We use the
+        # paper-scale dimension (latency_dimension) so that the noise level,
+        # the upload latency and the energy model all describe the same
+        # full-size upload.  Neither changes during a run.
+        per_entry_noise_var = cfg.noise_variance / float(self.latency_dimension)
+        self._pc_config = replace(cfg, noise_variance=per_entry_noise_var)
+        self._noise_std = float(np.sqrt(per_entry_noise_var))
         self._pc_cache: Optional[PowerControlCache] = (
             PowerControlCache(
                 rel_tol=cfg.power_control_cache_rel_tol,
@@ -684,18 +697,21 @@ class BaseTrainer:
             raise ValueError("member_ids and local_vectors length mismatch")
         if weight_scale <= 0:
             raise ValueError(f"weight_scale must be positive, got {weight_scale}")
-        cfg = self.exp.config.aircomp
         gains_all = self.exp.channel.gains(round_index)
         # Reference (not copy) the freshest full-population draw in the
         # state table so diagnostics read gains without a second draw.
         self.worker_state.record_gains(round_index, gains_all)
-        gains = gains_all[member_ids]
-        sizes = self.data_sizes[member_ids]
+        index = np.asarray(member_ids, dtype=np.intp)
+        gains = gains_all[index]
+        sizes = self.data_sizes[index]
         if weight_scale != 1.0:
             sizes = sizes * weight_scale
 
         # Model-norm bound W_t: use the largest local-model norm this round,
-        # which is exactly what Assumption 4 bounds.
+        # which is exactly what Assumption 4 bounds.  The row-wise squared
+        # norms are also the ||w_i||² of the Eq. 7 energies, so a stacked
+        # group hands them on to the aggregation instead of summing twice.
+        sq_norms = None
         if isinstance(local_vectors, np.ndarray) and local_vectors.ndim == 2:
             sq_norms = np.einsum(
                 "ij,ij->i", local_vectors, local_vectors, dtype=np.float64
@@ -705,21 +721,12 @@ class BaseTrainer:
             model_bound = max(float(np.linalg.norm(v)) for v in local_vectors)
         model_bound = max(model_bound, 1e-8)
 
-        # Calibration (see DESIGN.md): the paper's σ₀² is the total AWGN
-        # power of the aggregation; the q model entries are carried by q
-        # symbols, so the per-entry noise variance is σ₀² / q.  We use the
-        # paper-scale dimension (latency_dimension) so that the noise level,
-        # the upload latency and the energy model all describe the same
-        # full-size upload.
-        per_entry_noise_var = cfg.noise_variance / float(self.latency_dimension)
-
-        pc_config = replace(cfg, noise_variance=per_entry_noise_var)
         if self._pc_cache is not None:
             pc = self._pc_cache.solve(
                 data_sizes=sizes,
                 channel_gains=gains,
                 model_bound=model_bound,
-                config=pc_config,
+                config=self._pc_config,
                 group_key=tuple(member_ids),
             )
         else:
@@ -727,7 +734,7 @@ class BaseTrainer:
                 data_sizes=sizes,
                 channel_gains=gains,
                 model_bound=model_bound,
-                config=pc_config,
+                config=self._pc_config,
             )
 
         if self.exp.engine == "scalar":
@@ -738,7 +745,7 @@ class BaseTrainer:
                 channel_gains=gains,
                 sigma_t=pc.sigma,
                 eta_t=pc.eta,
-                noise_std=float(np.sqrt(per_entry_noise_var)),
+                noise_std=self._noise_std,
                 rng=self._noise_rng,
                 total_data_size=self.total_data,
             )
@@ -749,13 +756,14 @@ class BaseTrainer:
                 channel_gains=gains,
                 sigma_t=pc.sigma,
                 eta_t=pc.eta,
-                noise_std=float(np.sqrt(per_entry_noise_var)),
+                noise_std=self._noise_std,
                 rng=self._noise_rng,
                 total_data_size=self.total_data,
                 workspace=self._air_workspace,
+                sq_norms=sq_norms,
             )
         # Eq. (10): mix the received estimate with the previous global model.
-        beta = float(self.alphas[member_ids].sum())
+        beta = float(self.alphas[index].sum())
         if weight_scale != 1.0:
             beta = min(1.0, beta * weight_scale)
         if out is None:

@@ -36,6 +36,7 @@ from .layers import (
 )
 from .losses import (
     accuracy,
+    cross_entropy,
     cross_entropy_from_probs,
     log_softmax,
     softmax,
@@ -77,6 +78,7 @@ __all__ = [
     "col2im",
     "softmax",
     "log_softmax",
+    "cross_entropy",
     "softmax_cross_entropy",
     "cross_entropy_from_probs",
     "accuracy",

@@ -842,6 +842,33 @@ class _BatchedDropout:
 
 # ----------------------------------------------------------------------
 @dataclass
+class _Roster:
+    """What a ``(worker ids, batch_size, pad_to)`` call fixes for every round.
+
+    A trainer dispatches the same few rosters thousands of times, so the
+    engine derives these once per roster and a steady-state ``run_group``
+    call is left with the per-round RNGs and the step loop.  ``idle`` /
+    ``active`` are the roster positions without / with data; ``ids``,
+    ``counts``, ``batches`` and ``offsets`` run over the active members
+    (worker id, samples, mini-batch size, first row in ``x_cat``); ``x_cat``
+    / ``y_cat`` hold their data back to back plus one all-zero row at
+    ``pad_row``, so each step gathers with a single ``np.take``; ``geo`` is
+    the sampling geometry shared by every roster with these batch sizes.
+    """
+
+    idle: List[int]
+    active: List[int]
+    ids: List[int]
+    counts: List[int]
+    batches: List[int]
+    offsets: List[int]
+    x_cat: np.ndarray
+    y_cat: np.ndarray
+    pad_row: int
+    geo: Dict[str, np.ndarray]
+
+
+@dataclass
 class EngineSpec:
     """A picklable recipe for rebuilding a :class:`BatchedWorkerEngine`.
 
@@ -923,10 +950,10 @@ class BatchedWorkerEngine:
         # Cached sampling geometry (input buffers, padding masks, divisors),
         # keyed by the per-worker batch-size signature of a group.
         self._geometry: Dict[Tuple, Dict[str, np.ndarray]] = {}
-        # Concatenated per-group training data (plus one all-zero pad row),
-        # keyed by the group's worker-id tuple, so each step gathers the
-        # whole group's mini-batches with a single np.take.
-        self._datacat: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, List[int], int]] = {}
+        # Everything else a roster fixes (see _Roster) — its members' data
+        # concatenated, with one all-zero pad row, above all — keyed by the
+        # ``(worker ids, batch_size, pad_to)`` of the call.
+        self._rosters: Dict[Tuple, _Roster] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1052,84 +1079,40 @@ class BatchedWorkerEngine:
                     ),
                 )
             return out
+        key = (tuple(ids), batch_size, pad_to)
+        roster = self._rosters.get(key)
+        if roster is None:
+            roster = self._rosters[key] = self._build_roster(
+                ids, worker_data, batch_size, pad_to
+            )
         # Workers without data keep the base model; train the rest together.
-        has_data = [x.shape[0] > 0 for x, _ in worker_data]
-        active = [k for k, ok in enumerate(has_data) if ok]
-        for k, ok in enumerate(has_data):
-            if not ok:
-                out[k] = base_vector
+        for k in roster.idle:
+            out[k] = base_vector
+        active = roster.active
         if not active:
             return out
         # Restrict a per-worker offset to the active (has-data) rows: workers
         # without data take no SGD steps, so no correction applies to them.
-        if transform is not None and len(active) != len(ids):
+        if transform is not None and roster.idle:
             transform = transform.rows(np.asarray(active))
         t_scale = transform.scale if transform is not None else 1.0
         t_offset = transform.offset if transform is not None else None
-        xs = [worker_data[k][0] for k in active]
-        ys = [worker_data[k][1] for k in active]
         rngs = [
             np.random.default_rng(
-                np.random.SeedSequence([seed, ids[k], round_index, 0x10CA1])
+                np.random.SeedSequence([seed, w, round_index, 0x10CA1])
             )
-            for k in active
+            for w in roster.ids
         ]
-        g = len(active)
-        counts_py = [int(x.shape[0]) for x in xs]
-        batches_py = [min(batch_size, c) for c in counts_py]
-        b_max = max(batches_py)
-        if pad_to is not None:
-            if pad_to < b_max:
-                raise ValueError(
-                    f"pad_to={pad_to} is smaller than the largest member "
-                    f"batch ({b_max})"
-                )
-            b_max = pad_to
-        feat_shape = xs[0].shape[1:]
-
-        # Concatenate the group's data once (cached per worker-id tuple)
-        # with one trailing all-zero pad row, so every SGD step fills the
-        # whole group's mini-batch tensor with a single np.take gather.
-        cat_key = tuple(ids[k] for k in active)
-        cat = self._datacat.get(cat_key)
-        if cat is None:
-            x_cat = np.concatenate(
-                [np.ascontiguousarray(x, dtype=self.dtype) for x in xs]
-                + [np.zeros((1,) + feat_shape, dtype=self.dtype)]
-            )
-            y_cat = np.concatenate(
-                [np.asarray(y, dtype=np.int64) for y in ys]
-                + [np.zeros(1, dtype=np.int64)]
-            )
-            offsets: List[int] = list(np.cumsum([0] + counts_py[:-1]))
-            cat = (x_cat, y_cat, offsets, x_cat.shape[0] - 1)
-            self._datacat[cat_key] = cat
-        x_cat, y_cat, offsets, pad_row = cat
-
-        # Sampling geometry (masks, per-worker divisors, buffers) is fully
-        # determined by the per-worker batch sizes; cache it so the event
-        # loop alternating between groups never rebuilds it.
-        geo_key = (b_max, tuple(batches_py)) + feat_shape
-        geo = self._geometry.get(geo_key)
-        if geo is None:
-            batches = np.array(batches_py)
-            geo = {
-                "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
-                "yb": np.zeros((g, b_max), dtype=np.int64),
-                "gidx": np.full((g, b_max), -1, dtype=np.int64),
-                "ragged": min(batches_py) != b_max,
-                "valid": np.arange(b_max)[None, :] < batches[:, None],
-                "row_index": np.arange(g * b_max),
-                "batch_div": batches[:, None, None].astype(np.float64),
-            }
-            self._geometry[geo_key] = geo
+        counts_py, batches_py, offsets = roster.counts, roster.batches, roster.offsets
+        x_cat, y_cat, geo = roster.x_cat, roster.y_cat, roster.geo
         # Padding rows (workers with fewer samples than b_max) gather the
         # zero pad row and get zero loss gradients, so they contribute
         # exactly nothing to the batched weight-gradient matmuls.
         xb, yb, gidx = geo["xb"], geo["yb"], geo["gidx"]
         ragged, row_index = geo["ragged"], geo["row_index"]
-        gidx.fill(pad_row)
-        xb_flat = xb.reshape((g * b_max,) + feat_shape)
+        g, b_max = gidx.shape
+        gidx.fill(roster.pad_row)
+        xb_flat = xb.reshape((g * b_max,) + xb.shape[2:])
         yb_flat = yb.reshape(g * b_max)
 
         for kernel in self._params:
@@ -1178,9 +1161,72 @@ class BatchedWorkerEngine:
                 for kernel in self._params:
                     kernel.add_offset(t_offset)
 
-        rows = out[active] if len(active) != len(ids) else out
+        rows = out[active] if roster.idle else out
         for kernel in self._params:
             kernel.dump(rows)
         if rows is not out:
             out[active] = rows
         return out
+
+    def _build_roster(
+        self,
+        ids: List[int],
+        worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
+        batch_size: int,
+        pad_to: Optional[int],
+    ) -> _Roster:
+        """Derive the round-independent part of a ``run_group`` call."""
+        active = [k for k, (x, _) in enumerate(worker_data) if x.shape[0] > 0]
+        idle = [k for k, (x, _) in enumerate(worker_data) if x.shape[0] == 0]
+        if not active:  # nobody trains: only ``idle`` is ever read
+            empty = np.empty(0)
+            return _Roster(idle, active, [], [], [], [], empty, empty, 0, {})
+        xs = [worker_data[k][0] for k in active]
+        ys = [worker_data[k][1] for k in active]
+        g = len(active)
+        counts_py = [int(x.shape[0]) for x in xs]
+        batches_py = [min(batch_size, c) for c in counts_py]
+        b_max = max(batches_py)
+        if pad_to is not None:
+            if pad_to < b_max:
+                raise ValueError(
+                    f"pad_to={pad_to} is smaller than the largest member "
+                    f"batch ({b_max})"
+                )
+            b_max = pad_to
+        feat_shape = xs[0].shape[1:]
+
+        # Concatenate the group's data with one trailing all-zero pad row,
+        # so every SGD step fills the whole group's mini-batch tensor with a
+        # single np.take gather.
+        x_cat = np.concatenate(
+            [np.ascontiguousarray(x, dtype=self.dtype) for x in xs]
+            + [np.zeros((1,) + feat_shape, dtype=self.dtype)]
+        )
+        y_cat = np.concatenate(
+            [np.asarray(y, dtype=np.int64) for y in ys]
+            + [np.zeros(1, dtype=np.int64)]
+        )
+        offsets: List[int] = list(np.cumsum([0] + counts_py[:-1]))
+
+        # Sampling geometry (masks, per-worker divisors, buffers) is fully
+        # determined by the per-worker batch sizes; cache it so the event
+        # loop alternating between groups never rebuilds it.
+        geo_key = (b_max, tuple(batches_py)) + feat_shape
+        geo = self._geometry.get(geo_key)
+        if geo is None:
+            batches = np.array(batches_py)
+            geo = {
+                "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
+                "yb": np.zeros((g, b_max), dtype=np.int64),
+                "gidx": np.full((g, b_max), -1, dtype=np.int64),
+                "ragged": min(batches_py) != b_max,
+                "valid": np.arange(b_max)[None, :] < batches[:, None],
+                "row_index": np.arange(g * b_max),
+                "batch_div": batches[:, None, None].astype(np.float64),
+            }
+            self._geometry[geo_key] = geo
+        return _Roster(
+            idle, active, [ids[k] for k in active], counts_py, batches_py, offsets,
+            x_cat, y_cat, x_cat.shape[0] - 1, geo,
+        )

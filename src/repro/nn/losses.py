@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "softmax",
     "log_softmax",
+    "cross_entropy",
     "softmax_cross_entropy",
     "cross_entropy_from_probs",
     "accuracy",
@@ -34,10 +35,11 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and its gradient with respect to the logits.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of raw ``logits`` against integer ``labels``.
+
+    The value :func:`softmax_cross_entropy` returns, without the gradient:
+    evaluation calls this every recorded round and never backpropagates.
 
     Parameters
     ----------
@@ -45,11 +47,6 @@ def softmax_cross_entropy(
         Raw scores of shape ``(batch, num_classes)``.
     labels:
         Integer class labels of shape ``(batch,)``.
-
-    Returns
-    -------
-    loss, grad:
-        Scalar mean loss and gradient array of the same shape as ``logits``.
     """
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
@@ -61,11 +58,25 @@ def softmax_cross_entropy(
     n, k = logits.shape
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError("label values out of range for the given logits")
-    log_probs = log_softmax(logits, axis=1)
-    idx = np.arange(n)
-    loss = -float(log_probs[idx, labels].mean())
+    return -float(log_softmax(logits, axis=1)[np.arange(n), labels].mean())
+
+
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and its gradient with respect to the logits.
+
+    Takes the arguments of :func:`cross_entropy`.
+
+    Returns
+    -------
+    loss, grad:
+        Scalar mean loss and gradient array of the same shape as ``logits``.
+    """
+    loss = cross_entropy(logits, labels)
+    n = logits.shape[0]
     grad = softmax(logits, axis=1)
-    grad[idx, labels] -= 1.0
+    grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad
 
@@ -86,4 +97,6 @@ def accuracy(logits_or_probs: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("prediction/label shape mismatch")
     if labels.size == 0:
         return 0.0
-    return float((preds == labels).mean())
+    # An integer count over an integer size: the correctly rounded quotient,
+    # which is also what the float64 mean of the boolean matches rounds to.
+    return np.count_nonzero(preds == labels) / labels.size

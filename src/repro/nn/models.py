@@ -38,7 +38,7 @@ from .layers import (
     MaxPool2D,
     ReLU,
     collect_parameters)
-from .losses import accuracy, softmax_cross_entropy
+from .losses import accuracy, cross_entropy, softmax_cross_entropy
 from .params import ParameterSet
 from ..registry import register as _register
 
@@ -88,8 +88,7 @@ class Model:
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
             logits = self.forward(xb, training=False)
-            loss, _ = softmax_cross_entropy(logits, yb)
-            total_loss += loss * xb.shape[0]
+            total_loss += cross_entropy(logits, yb) * xb.shape[0]
             correct += accuracy(logits, yb) * xb.shape[0]
         return total_loss / n, correct / n
 

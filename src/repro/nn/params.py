@@ -18,6 +18,7 @@ require it.  Hot training loops re-use the same buffer via
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -131,6 +132,10 @@ class ParameterSet:
     def __init__(self, parameters: Sequence[Parameter] | None = None) -> None:
         self._params: List[Parameter] = []
         self._by_name: Dict[str, Parameter] = {}
+        # Flat-vector layout, one ``(offset, size, shape)`` per parameter,
+        # extended by ``add`` so the per-round conversions never re-derive it.
+        self._layout: List[Tuple[int, int, Tuple[int, ...]]] = []
+        self._total_size = 0
         if parameters:
             for p in parameters:
                 self.add(p)
@@ -143,6 +148,8 @@ class ParameterSet:
             raise ValueError(f"duplicate parameter name: {param.name!r}")
         self._params.append(param)
         self._by_name[param.name] = param
+        self._layout.append((self._total_size, param.size, param.shape))
+        self._total_size += param.size
         return param
 
     def __iter__(self) -> Iterator[Parameter]:
@@ -171,7 +178,7 @@ class ParameterSet:
     @property
     def total_size(self) -> int:
         """Total number of scalar parameters (the model dimension ``q``)."""
-        return sum(p.size for p in self._params)
+        return self._total_size
 
     def to_vector(self, out: np.ndarray | None = None) -> np.ndarray:
         """Flatten all parameter values into a single 1-D ``float64`` vector."""
@@ -187,9 +194,14 @@ class ParameterSet:
 
     def from_vector(self, vector: np.ndarray) -> None:
         """Load parameter values in place from a flat vector."""
-        blocks = unflatten_vector(vector, self.shapes())
-        for p, block in zip(self._params, blocks):
-            np.copyto(p.value, block)
+        vector = np.asarray(vector).reshape(-1)
+        if vector.size != self._total_size:
+            raise ValueError(
+                f"vector has {vector.size} entries but shapes require "
+                f"{self._total_size}"
+            )
+        for p, (offset, size, shape) in zip(self._params, self._layout):
+            np.copyto(p.value, vector[offset : offset + size].reshape(shape))
 
     def zero_grad(self) -> None:
         for p in self._params:
@@ -308,15 +320,15 @@ def unflatten_vector(
     if vector.dtype not in _SUPPORTED_DTYPES:
         vector = vector.astype(np.float64)
     vector = vector.ravel()
-    expected = sum(int(np.prod(s)) if s else 1 for s in shapes)
+    sizes = [math.prod(s) for s in shapes]
+    expected = sum(sizes)
     if vector.size != expected:
         raise ValueError(
             f"vector has {vector.size} entries but shapes require {expected}"
         )
     blocks: List[np.ndarray] = []
     offset = 0
-    for shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
+    for shape, n in zip(shapes, sizes):
         blocks.append(vector[offset : offset + n].reshape(shape))
         offset += n
     return blocks

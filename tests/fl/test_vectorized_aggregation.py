@@ -97,6 +97,34 @@ class TestChannelEquivalence:
         ).estimate
         np.testing.assert_array_equal(first, again)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.05])
+    def test_shared_squared_norms_change_nothing(self, dtype, noise_std):
+        """A caller that already holds ||w_i||² (the trainer does, for the
+        model bound) gets the result it would get without, to the bit."""
+        models = self.models.astype(dtype)
+        kwargs = dict(
+            data_sizes=self.sizes, channel_gains=self.gains,
+            sigma_t=0.8, eta_t=2.0, noise_std=noise_std,
+        )
+        sq_norms = np.einsum("ij,ij->i", models, models, dtype=np.float64)
+        plain = aircomp_aggregate(models, rng=np.random.default_rng(7), **kwargs)
+        shared = aircomp_aggregate(
+            models, rng=np.random.default_rng(7), sq_norms=sq_norms, **kwargs
+        )
+        for name in ("received", "estimate", "transmit_powers", "transmit_energies"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(plain, name))
+        assert shared.noise_norm == plain.noise_norm
+        assert shared.transmit_energies.dtype == np.float64
+
+    def test_squared_norms_must_align(self):
+        with pytest.raises(ValueError, match="sq_norms"):
+            aircomp_aggregate(
+                self.models, self.sizes, self.gains,
+                sigma_t=1.0, eta_t=1.0, noise_std=0.0,
+                rng=np.random.default_rng(0), sq_norms=np.ones(3),
+            )
+
     def test_ragged_models_rejected(self):
         with pytest.raises(ValueError):
             aircomp_aggregate(
@@ -303,6 +331,83 @@ class TestEngineAgreement:
         np.testing.assert_array_equal(a.energies(), b.energies())
 
 
+class TestEngineRosters:
+    """The engine keeps the round-independent part of a call per roster; a
+    roster that shrinks under faults must not read its parent group's."""
+
+    def _data(self, counts):
+        rng = np.random.default_rng(5)
+        return [
+            (rng.standard_normal((c, 64)), rng.integers(0, 10, size=c))
+            for c in counts
+        ]
+
+    def _run(self, engine, model, ids, data, round_index=3, batch_size=8):
+        out = np.empty((len(ids), engine.dimension))
+        engine.run_group(
+            ids, [data[w] for w in ids], model.get_vector(), round_index,
+            learning_rate=0.1, local_steps=2, batch_size=batch_size, seed=9, out=out,
+        )
+        return out
+
+    def test_subset_of_a_cached_group_gets_its_own_entry(self):
+        from repro.nn import BatchedWorkerEngine
+
+        model = LogisticRegressionMLP(input_dim=64, hidden=16, seed=2)
+        data = self._data([20, 5, 0, 12])  # ragged batches, one idle worker
+        engine = BatchedWorkerEngine.try_build(model)
+        fresh = lambda: BatchedWorkerEngine.try_build(model)  # noqa: E731
+        full = self._run(engine, model, [0, 1, 2, 3], data)
+        for roster in ([0, 3], [1, 2], [2], [3, 0]):
+            np.testing.assert_array_equal(
+                self._run(engine, model, roster, data),
+                self._run(fresh(), model, roster, data),
+            )
+        # ... and the full group still finds its own entry, on a later
+        # round and under another batch size alike.
+        np.testing.assert_array_equal(self._run(engine, model, [0, 1, 2, 3], data), full)
+        for kwargs in (dict(round_index=4), dict(batch_size=4)):
+            np.testing.assert_array_equal(
+                self._run(engine, model, [0, 1, 2, 3], data, **kwargs),
+                self._run(fresh(), model, [0, 1, 2, 3], data, **kwargs),
+            )
+        np.testing.assert_array_equal(full[2], model.get_vector())
+
+    def test_faulty_run_replays_on_warm_rosters(
+        self, small_dataset, small_partition, latency_table, static_channel, model_factory
+    ):
+        """Dropout-rejoin rosters (subsets of the groups) through the
+        trainer: the scalar path, which keeps no rosters, agrees."""
+        from repro import registry
+
+        histories = {}
+        for engine in ("auto", "scalar"):
+            exp = FLExperiment(
+                dataset=small_dataset,
+                partition=small_partition,
+                model_factory=model_factory,
+                latency=latency_table,
+                channel=static_channel,
+                config=AirFedGAConfig(
+                    aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
+                ),
+                seed=11,
+                engine=engine,
+                clientstate=registry.create(
+                    "clientstate", "dropout-rejoin",
+                    num_workers=small_partition.num_workers, seed=4,
+                    dropout_prob=0.3, rejoin_after=1,
+                ),
+            )
+            histories[engine] = build_trainer(
+                "air_fedga", exp, grouping_strategy="tier", num_groups=2
+            ).run(max_rounds=25)
+        a, s = histories["auto"], histories["scalar"]
+        assert a.workers_dropped == s.workers_dropped > 0
+        np.testing.assert_array_equal(a.times(), s.times())
+        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-5, atol=1e-6)
+
+
 # ----------------------------------------------------------------------
 # Power-control memoization
 # ----------------------------------------------------------------------
@@ -440,6 +545,9 @@ class TestFloat32Mode:
         )
         trainer = build_trainer("air_fedga", exp)
         assert trainer.global_vector.dtype == np.float32
+        # The evaluation subset is cast once, not inside every forward pass.
+        assert trainer._eval_x.dtype == np.float32
+        assert small_dataset.x_test.dtype == np.float64
         history = trainer.run(max_rounds=8)
         assert np.isfinite(history.losses()).all()
         assert history.final_accuracy >= 0.0

@@ -12,6 +12,8 @@ from repro.nn import (
     MiniVGG,
     MnistCNN,
     SGD,
+    log_softmax,
+    parameter_dtype,
 )
 
 
@@ -153,3 +155,57 @@ class TestModelEvaluate:
         before = model.get_vector()
         model.evaluate(np.ones((10, 4)), np.zeros(10, dtype=int))
         np.testing.assert_array_equal(model.get_vector(), before)
+
+
+def _reference_evaluate(model, x, y, batch_size=256):
+    """``Model.evaluate`` as it stood before the value-only loss: the mean
+    log-probability and the float64 mean of the matches, written out."""
+    n = x.shape[0]
+    total_loss = correct = 0.0
+    for start in range(0, n, batch_size):
+        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+        logits = model.forward(xb, training=False)
+        log_probs = log_softmax(logits, axis=1)
+        loss = -float(log_probs[np.arange(xb.shape[0]), yb].mean())
+        total_loss += loss * xb.shape[0]
+        correct += float((np.argmax(logits, axis=1) == yb).mean()) * xb.shape[0]
+    return total_loss / n, correct / n
+
+
+class TestEvaluateBitIdentity:
+    """Evaluation sits in every golden trajectory, so its value is pinned to
+    the bit against the composition it replaced."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("family", ["lr", "mnist_cnn"])
+    def test_matches_reference_composition(self, family, dtype, n):
+        rng = np.random.default_rng(n)
+        with parameter_dtype(dtype):
+            if family == "lr":
+                model = LogisticRegressionMLP(input_dim=64, hidden=16, seed=1)
+                x = rng.standard_normal((n, 64))
+            else:
+                model = MnistCNN(image_size=8, scale=0.1, seed=1)
+                x = rng.standard_normal((n, 1, 8, 8))
+        y = rng.integers(0, 10, size=n)
+        loss, acc = model.evaluate(x, y)
+        assert (loss, acc) == _reference_evaluate(model, x, y)
+        assert isinstance(loss, float) and isinstance(acc, float)
+
+    def test_matches_training_loss_value(self):
+        """The evaluation loss is the value the training loss reports."""
+        from repro.nn import cross_entropy, softmax_cross_entropy
+
+        rng = np.random.default_rng(0)
+        logits = rng.standard_normal((37, 10))
+        y = rng.integers(0, 10, size=37)
+        assert cross_entropy(logits, y) == softmax_cross_entropy(logits, y)[0]
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_labels_raise(self, bad):
+        model = LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=10)
+        y = np.zeros(300, dtype=int)
+        y[-1] = bad  # in the second batch
+        with pytest.raises(ValueError, match="out of range"):
+            model.evaluate(np.zeros((300, 4)), y)

@@ -102,6 +102,36 @@ class TestParameterSet:
         with pytest.raises(ValueError):
             ps.from_vector(np.zeros(7))
 
+    def test_from_vector_wrong_size_message(self):
+        """Same words as unflatten_vector for the same mistake."""
+        with pytest.raises(ValueError, match="vector has 7 entries but shapes require 8"):
+            self._make().from_vector(np.zeros(7))
+        with pytest.raises(ValueError, match="vector has 7 entries but shapes require 8"):
+            unflatten_vector(np.zeros(7), [(2, 3), (2,)])
+
+    def test_layout_follows_add(self):
+        """The cached flat layout is extended by ``add``, not frozen."""
+        ps = self._make()
+        ps.from_vector(np.arange(8.0))  # layout in use before the add
+        ps.add(Parameter("c", np.zeros((2, 2))))
+        ps.add(Parameter("d", np.zeros(1)))
+        assert ps.total_size == 13
+        vec = np.arange(13.0) + 0.5
+        ps.from_vector(vec)
+        np.testing.assert_array_equal(ps["a"].value, vec[:6].reshape(2, 3))
+        np.testing.assert_array_equal(ps["c"].value, vec[8:12].reshape(2, 2))
+        np.testing.assert_array_equal(ps["d"].value, [12.5])
+        np.testing.assert_array_equal(ps.to_vector(), vec)
+        with pytest.raises(ValueError, match="13"):
+            ps.from_vector(np.zeros(8))
+
+    def test_from_vector_accepts_lists_and_2d(self):
+        ps = self._make()
+        ps.from_vector([float(i) for i in range(8)])
+        np.testing.assert_array_equal(ps.to_vector(), np.arange(8.0))
+        ps.from_vector(np.arange(8, dtype=np.int64).reshape(2, 4) * 2)
+        np.testing.assert_array_equal(ps.to_vector(), np.arange(8.0) * 2)
+
     def test_grad_vector_zeros_when_unset(self):
         ps = self._make()
         np.testing.assert_allclose(ps.grad_vector(), np.zeros(8))

@@ -104,14 +104,21 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "GroupedAsyncTrainer._blend_partial_work",
         "GroupedAsyncTrainer.group_compute_time",
     },
-    # The aggregation path: alpha @ A into trainer-owned buffers.
+    # The aggregation path: alpha @ A into trainer-owned buffers; and the
+    # per-round evaluation, which at eval_every=1 runs as often.
     "src/repro/fl/base.py": {
         "BaseTrainer.exact_group_update",
         "BaseTrainer.aircomp_group_update",
         "BaseTrainer._commit_global",
         "BaseTrainer._group_stack",
         "BaseTrainer._release_stack",
+        "BaseTrainer.evaluate_vector",
+        "BaseTrainer.record_round",
     },
+    "src/repro/nn/params.py": {"ParameterSet.from_vector"},
+    "src/repro/nn/models.py": {"Model.evaluate"},
+    # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
+    "src/repro/core/power_control.py": {"PowerControlCache.solve"},
     # Server-side protocol transitions: O(1) per event.
     "src/repro/core/mechanism.py": {
         "GroupAsyncScheduler.receive_ready",
