@@ -33,7 +33,7 @@ bench-xl-smoke:  ## the CI xl-smoke job: 10k-worker tier in a fresh subprocess w
 		--xl-rss-budget-mb 4096 --xl-jsonl results/bench_xl_smoke.jsonl \
 		--label xl_smoke
 
-docs-check:      ## link-check docs/*.md + README, run doctest on their fenced examples, and check docs/API.md covers every repro.fl/parallel/core/registry/scenario/sweep export (the CI docs job)
+docs-check:      ## link-check docs/*.md + README, run doctest on their fenced examples and on every src/repro docstring that has `>>>` examples, and check docs/API.md covers every repro.fl/parallel/core/registry/scenario/sweep export (the CI docs job)
 	$(PYTHON) tools/check_docs.py
 
 sweep-smoke:     ## 2-point scenario grid on the synthetic dataset (the CI sweep-smoke job); streams per-run summaries to results/sweep_smoke.jsonl

@@ -6,7 +6,7 @@ from typing import Dict, Sequence
 
 from repro.experiments import (
     AIRCOMP_MECHANISMS,
-    ExperimentConfig,
+    Scenario,
     format_series,
     format_table,
     run_comparison,
@@ -17,7 +17,7 @@ __all__ = ["run_and_report_figure", "AIRCOMP_MECHANISMS"]
 
 
 def run_and_report_figure(
-    config: ExperimentConfig,
+    scenario: Scenario,
     title: str,
     accuracy_targets: Sequence[float],
     mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
@@ -28,8 +28,7 @@ def run_and_report_figure(
     qualitative shape (Air-FedGA reaches the targets no later than the
     baselines within the shared time budget).
     """
-    run = run_comparison(config, mechanisms=mechanisms)
-    histories = run.histories
+    histories = run_comparison(scenario, mechanisms=mechanisms)
 
     series = {
         name: {"time": h.times(), "loss": h.losses(), "accuracy": h.accuracies()}

@@ -14,7 +14,7 @@ differ only in how the groups are formed:
 from __future__ import annotations
 
 from repro.data import average_emd
-from repro.experiments import build_experiment, format_table
+from repro.experiments import format_table
 from repro.fl import AirFedGATrainer
 from .workloads import ACCURACY_TARGETS, fig3_config
 
@@ -23,18 +23,20 @@ STRATEGIES = ("greedy", "tier", "random", "singleton")
 
 
 def run_ablation():
-    config = fig3_config(num_workers=30, max_time=1500.0)
+    scenario = fig3_config(num_workers=30, max_time=1500.0)
     results = {}
     greedy_groups = None
     for strategy in STRATEGIES:
-        experiment = build_experiment(config)
+        experiment = scenario.build_experiment()
         kwargs = {}
         if strategy in ("tier", "random") and greedy_groups is not None:
             kwargs["num_groups"] = greedy_groups
         trainer = AirFedGATrainer(experiment, grouping_strategy=strategy, **kwargs)
         if strategy == "greedy":
             greedy_groups = trainer.grouping_result.num_groups
-        history = trainer.run(max_rounds=config.max_rounds, max_time=config.max_time)
+        history = trainer.run(
+            max_rounds=scenario.training.max_rounds, max_time=scenario.training.max_time
+        )
         results[strategy] = {
             "history": history,
             "num_groups": trainer.grouping_result.num_groups,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.channel import RayleighFading, aggregation_error_term
 from repro.core import AirCompConfig, solve_power_control
-from repro.experiments import format_table, run_mechanism
+from repro.experiments import format_table
 from .workloads import fig3_config
 
 
@@ -52,22 +52,15 @@ def error_term_study(num_rounds: int = 20, num_workers: int = 12, seed: int = 0)
 
 def end_to_end_study():
     """Effect of power control on training under a very noisy channel."""
-    config = fig3_config(num_workers=20, max_time=1200.0)
-    noisy = config.scaled(
-        config=type(config.config)(
-            aircomp=AirCompConfig(noise_variance=100.0, energy_budget_j=10.0)
-        )
+    noisy = fig3_config(num_workers=20, max_time=1200.0).with_(
+        **{"algorithm.aircomp": {"noise_variance": 100.0, "energy_budget_j": 10.0}}
     )
-    with_pc = run_mechanism(noisy, "air_fedga")
+    with_pc = noisy.run()
     # Comparing against a heavily reduced budget shows the cost of operating
     # with less transmit power: sigma is capped far below sqrt(eta), so the
     # aggregation error term grows and training degrades.
-    starved = noisy.scaled(
-        config=type(config.config)(
-            aircomp=AirCompConfig(noise_variance=100.0, energy_budget_j=0.5)
-        )
-    )
-    with_tiny_budget = run_mechanism(starved, "air_fedga")
+    starved = noisy.with_(**{"algorithm.aircomp.energy_budget_j": 0.5})
+    with_tiny_budget = starved.run()
     return with_pc, with_tiny_budget
 
 

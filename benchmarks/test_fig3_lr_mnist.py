@@ -13,12 +13,12 @@ from .workloads import ACCURACY_TARGETS, fig3_config
 
 
 def test_fig3_lr_mnist(benchmark):
-    config = fig3_config()
+    scenario = fig3_config()
     targets = ACCURACY_TARGETS["lr_mnist"]
 
     histories = benchmark.pedantic(
         run_and_report_figure,
-        args=(config, "Fig. 3 — LR on synthetic MNIST", targets),
+        args=(scenario, "Fig. 3 — LR on synthetic MNIST", targets),
         rounds=1,
         iterations=1,
     )

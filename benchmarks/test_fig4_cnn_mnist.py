@@ -12,12 +12,12 @@ from .workloads import ACCURACY_TARGETS, fig4_config
 
 
 def test_fig4_cnn_mnist(benchmark):
-    config = fig4_config()
+    scenario = fig4_config()
     targets = ACCURACY_TARGETS["cnn_mnist"]
 
     histories = benchmark.pedantic(
         run_and_report_figure,
-        args=(config, "Fig. 4 — CNN on synthetic MNIST", targets),
+        args=(scenario, "Fig. 4 — CNN on synthetic MNIST", targets),
         rounds=1,
         iterations=1,
     )

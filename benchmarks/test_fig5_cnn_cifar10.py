@@ -12,12 +12,12 @@ from .workloads import ACCURACY_TARGETS, fig5_config
 
 
 def test_fig5_cnn_cifar10(benchmark):
-    config = fig5_config()
+    scenario = fig5_config()
     targets = ACCURACY_TARGETS["cnn_cifar10"]
 
     histories = benchmark.pedantic(
         run_and_report_figure,
-        args=(config, "Fig. 5 — CNN on synthetic CIFAR-10", targets),
+        args=(scenario, "Fig. 5 — CNN on synthetic CIFAR-10", targets),
         rounds=1,
         iterations=1,
     )

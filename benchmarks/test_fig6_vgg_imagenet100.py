@@ -13,12 +13,12 @@ from .workloads import ACCURACY_TARGETS, fig6_config
 
 
 def test_fig6_vgg_imagenet100(benchmark):
-    config = fig6_config()
+    scenario = fig6_config()
     targets = ACCURACY_TARGETS["vgg_imagenet100"]
 
     histories = benchmark.pedantic(
         run_and_report_figure,
-        args=(config, "Fig. 6 — MiniVGG on synthetic ImageNet-100", targets),
+        args=(scenario, "Fig. 6 — MiniVGG on synthetic ImageNet-100", targets),
         rounds=1,
         iterations=1,
     )

@@ -20,9 +20,9 @@ XI_VALUES = (0.0, 0.3, 1.0)
 
 
 def run_sweep():
-    config = fig3_config(num_workers=30, max_time=2000.0)
+    scenario = fig3_config(num_workers=30, max_time=2000.0)
     targets = ACCURACY_TARGETS["lr_mnist"]
-    return xi_sweep(config, xi_values=XI_VALUES, accuracy_targets=targets), targets
+    return xi_sweep(scenario, xi_values=XI_VALUES, accuracy_targets=targets), targets
 
 
 def test_fig8_xi_sweep(benchmark):

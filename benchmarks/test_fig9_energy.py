@@ -15,9 +15,9 @@ from .workloads import ACCURACY_TARGETS, fig4_config
 
 
 def run_energy():
-    config = fig4_config(num_workers=30, max_time=2200.0)
+    scenario = fig4_config(num_workers=30, max_time=2200.0)
     targets = ACCURACY_TARGETS["cnn_mnist"]
-    return energy_vs_accuracy(config, accuracy_targets=targets), targets
+    return energy_vs_accuracy(scenario, accuracy_targets=targets), targets
 
 
 def test_fig9_energy(benchmark):

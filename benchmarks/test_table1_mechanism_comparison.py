@@ -24,8 +24,8 @@ MECHANISMS = ("fedavg", "air_fedavg", "dynamic", "tifl", "air_fedga")
 
 
 def run_probe():
-    config = fig3_config(num_workers=24, max_time=1200.0)
-    return mechanism_comparison(config=config, mechanisms=MECHANISMS, max_rounds=400)
+    scenario = fig3_config(num_workers=24, max_time=1200.0)
+    return mechanism_comparison(scenario, mechanisms=MECHANISMS, max_rounds=400)
 
 
 def test_table1_mechanism_comparison(benchmark):

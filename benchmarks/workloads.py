@@ -9,7 +9,7 @@ paper's (hundreds to thousands of simulated seconds).
 from __future__ import annotations
 
 from repro.experiments import (
-    ExperimentConfig,
+    Scenario,
     cnn_cifar10_config,
     cnn_mnist_config,
     lr_mnist_config,
@@ -35,45 +35,48 @@ ACCURACY_TARGETS = {
 }
 
 
-def fig3_config(num_workers: int = 40, max_time: float = 2500.0) -> ExperimentConfig:
+def fig3_config(num_workers: int = 40, max_time: float = 2500.0) -> Scenario:
     """Fig. 3 workload: "LR" (two-hidden-layer MLP) on MNIST-like data."""
     return lr_mnist_config(
         num_workers=num_workers, num_train=1600, image_size=8, hidden=32,
         max_rounds=4000,
-    ).scaled(
-        learning_rate=0.2, local_steps=5, batch_size=32,
-        eval_every=5, max_eval_samples=200, max_time=max_time,
-    )
+    ).with_(training={
+        "learning_rate": 0.2, "local_steps": 5, "batch_size": 32,
+        "eval_every": 5, "max_eval_samples": 200, "max_time": max_time,
+    })
 
 
-def fig4_config(num_workers: int = 30, max_time: float = 2200.0) -> ExperimentConfig:
+def fig4_config(num_workers: int = 30, max_time: float = 2200.0) -> Scenario:
     """Fig. 4 workload: CNN on MNIST-like data."""
     return cnn_mnist_config(
         num_workers=num_workers, num_train=900, image_size=8, scale=0.1,
         max_rounds=4000,
-    ).scaled(
-        learning_rate=0.15, local_steps=3, batch_size=32,
-        eval_every=5, max_eval_samples=150, max_time=max_time,
-    )
+    ).with_(training={
+        "learning_rate": 0.15, "local_steps": 3, "batch_size": 32,
+        "eval_every": 5, "max_eval_samples": 150, "max_time": max_time,
+    })
 
 
-def fig5_config(num_workers: int = 30, max_time: float = 3000.0) -> ExperimentConfig:
+def fig5_config(num_workers: int = 30, max_time: float = 3000.0) -> Scenario:
     """Fig. 5 workload: CNN on CIFAR-10-like data (noisier, lower plateau)."""
     return cnn_cifar10_config(
         num_workers=num_workers, num_train=900, image_size=8, scale=0.08,
         max_rounds=4000,
-    ).scaled(
-        learning_rate=0.15, local_steps=3, batch_size=32,
-        eval_every=5, max_eval_samples=150, max_time=max_time,
-    )
+    ).with_(training={
+        "learning_rate": 0.15, "local_steps": 3, "batch_size": 32,
+        "eval_every": 5, "max_eval_samples": 150, "max_time": max_time,
+    })
 
 
-def fig6_config(num_workers: int = 20, max_time: float = 8000.0) -> ExperimentConfig:
+def fig6_config(num_workers: int = 20, max_time: float = 8000.0) -> Scenario:
     """Fig. 6 workload: VGG-style network on an ImageNet-100 stand-in (20 classes)."""
     return vgg_imagenet100_config(
         num_workers=num_workers, num_train=1600, image_size=8, num_classes=20,
         max_rounds=4000,
-    ).scaled(
-        learning_rate=0.25, local_steps=5, batch_size=32, base_local_time=12.0,
-        eval_every=4, max_eval_samples=150, max_time=max_time,
+    ).with_(
+        training={
+            "learning_rate": 0.25, "local_steps": 5, "batch_size": 32,
+            "eval_every": 4, "max_eval_samples": 150, "max_time": max_time,
+        },
+        **{"timing.base_local_time": 12.0},
     )

@@ -15,21 +15,24 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import AirFedGAConfig, GroupingConfig
-from repro.experiments import format_table, lr_mnist_config, run_mechanism
+from repro.experiments import format_table, lr_mnist_config
+
+
+def base_scenario():
+    return lr_mnist_config(
+        num_workers=30, num_train=1200, image_size=8, hidden=32, max_rounds=1000
+    ).with_(
+        training={
+            "learning_rate": 0.2, "local_steps": 5, "eval_every": 5, "max_time": 1800.0
+        }
+    )
 
 
 def xi_sweep_demo() -> None:
-    base = lr_mnist_config(
-        num_workers=30, num_train=1200, image_size=8, hidden=32, max_rounds=1000
-    ).scaled(learning_rate=0.2, local_steps=5, eval_every=5, max_time=1800.0)
-
+    base = base_scenario()
     rows = []
     for xi in (0.0, 0.2, 0.4, 0.8):
-        cfg = base.scaled(
-            config=AirFedGAConfig(grouping=GroupingConfig(xi=xi))
-        )
-        history = run_mechanism(cfg, "air_fedga")
+        history = base.with_(**{"algorithm.grouping.xi": xi}).run()
         groups = len({r.group_id for r in history.records if r.group_id >= 0})
         rows.append(
             (
@@ -52,17 +55,9 @@ def xi_sweep_demo() -> None:
 def heterogeneity_demo() -> None:
     rows = []
     for kappa_max in (1.0, 4.0, 10.0):
-        cfg = lr_mnist_config(
-            num_workers=30, num_train=1200, image_size=8, hidden=32, max_rounds=1000
-        ).scaled(
-            learning_rate=0.2,
-            local_steps=5,
-            eval_every=5,
-            max_time=1800.0,
-            kappa_max=kappa_max,
-        )
-        ga = run_mechanism(cfg, "air_fedga")
-        avg = run_mechanism(cfg, "air_fedavg")
+        scenario = base_scenario().with_(**{"timing.kappa_max": kappa_max})
+        ga = scenario.with_(mechanism="air_fedga").run()
+        avg = scenario.with_(mechanism="air_fedavg").run()
         rows.append(
             (
                 kappa_max,

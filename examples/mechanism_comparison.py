@@ -24,23 +24,25 @@ from repro.experiments import (
 
 
 def main() -> None:
-    config = lr_mnist_config(
+    scenario = lr_mnist_config(
         num_workers=40, num_train=1600, image_size=8, hidden=32, max_rounds=2000
-    ).scaled(
-        learning_rate=0.2,
-        local_steps=5,
-        eval_every=5,
-        max_time=2500.0,
+    ).with_(
+        training={
+            "learning_rate": 0.2,
+            "local_steps": 5,
+            "eval_every": 5,
+            "max_time": 2500.0,
+        }
     )
 
     mechanisms = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
-    print(f"Running {len(mechanisms)} mechanisms on {config.name} "
-          f"({config.num_workers} workers, Non-IID label skew)...")
-    run = run_comparison(config, mechanisms=mechanisms)
+    print(f"Running {len(mechanisms)} mechanisms on {scenario.name} "
+          f"({scenario.num_workers} workers, Non-IID label skew)...")
+    histories = run_comparison(scenario, mechanisms=mechanisms)
 
     series = {
         name: {"time": h.times(), "accuracy": h.accuracies()}
-        for name, h in run.histories.items()
+        for name, h in histories.items()
     }
     print()
     print("Accuracy vs simulated time (seconds):")
@@ -48,7 +50,7 @@ def main() -> None:
 
     target = 0.6
     rows = []
-    for name, history in run.histories.items():
+    for name, history in histories.items():
         rows.append(
             (
                 name,
@@ -70,9 +72,9 @@ def main() -> None:
     )
 
     # Paper-style speedup statement.
-    t_ga = run.histories["air_fedga"].time_to_accuracy(target)
-    t_avg = run.histories["air_fedavg"].time_to_accuracy(target)
-    t_dyn = run.histories["dynamic"].time_to_accuracy(target)
+    t_ga = histories["air_fedga"].time_to_accuracy(target)
+    t_avg = histories["air_fedavg"].time_to_accuracy(target)
+    t_dyn = histories["dynamic"].time_to_accuracy(target)
     if t_ga and t_avg:
         print(f"\nAir-FedGA is {100 * (1 - t_ga / t_avg):.1f}% faster than "
               f"Air-FedAvg to {int(target*100)}% accuracy")

@@ -2,13 +2,12 @@
 
 from .configs import (
     EXPERIMENT_CONFIGS,
-    ExperimentConfig,
     cnn_cifar10_config,
     cnn_mnist_config,
     lr_mnist_config,
     vgg_imagenet100_config,
 )
-from .runner import ExperimentRun, build_experiment, run_comparison, run_mechanism
+from .runner import run_comparison
 from .scenario import ComponentSpec, DataSpec, FaultSpec, Scenario, TimingSpec, TrainingSpec
 from .runcache import RunCache, canonical_spec, spec_hash
 from .sweep import SweepManifest, SweepRunner, expand_grid, sweep_axes, sweep_points
@@ -34,15 +33,11 @@ from .bench import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "EXPERIMENT_CONFIGS",
     "lr_mnist_config",
     "cnn_mnist_config",
     "cnn_cifar10_config",
     "vgg_imagenet100_config",
-    "ExperimentRun",
-    "build_experiment",
-    "run_mechanism",
     "run_comparison",
     "Scenario",
     "ComponentSpec",

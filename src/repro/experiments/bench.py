@@ -60,11 +60,10 @@ from ..channel.aircomp import (
     ideal_group_average,
     ideal_group_average_reference,
 )
-from ..core.config import AirFedGAConfig, GroupingConfig, ParallelismConfig
+from ..core.config import AirFedGAConfig, GroupingConfig
 from ..fl.base import FLExperiment
 from ..fl.registry import build_trainer
 from .configs import cnn_mnist_config, lr_mnist_config
-from .runner import build_experiment
 
 __all__ = [
     "bench_grouped_round",
@@ -87,8 +86,8 @@ def _time_grouped_rounds(
 ) -> Dict[str, object]:
     """Shared grouped-round timing loop: best-of-N per engine, interleaved.
 
-    ``make_config(engine)`` returns the :class:`ExperimentConfig` to time on
-    that engine.  Interleaving the engines across repeats means slow drift
+    ``make_config(engine)`` returns the :class:`Scenario` to time on that
+    engine.  Interleaving the engines across repeats means slow drift
     in machine load biases neither side.
     """
     timings: Dict[str, float] = {engine: float("inf") for engine in ENGINES}
@@ -96,8 +95,7 @@ def _time_grouped_rounds(
     total_rounds = 0
     for _ in range(repeats):
         for engine in ENGINES:
-            experiment = build_experiment(make_config(engine))
-            trainer = build_trainer("air_fedga", experiment)
+            trainer = make_config(engine).build()
             num_groups = len(trainer.groups)
             total_rounds = max(8, num_groups * rounds_per_group)
             start = time.perf_counter()
@@ -116,6 +114,34 @@ def _time_grouped_rounds(
     }
 
 
+def _grouped_round_scenario(catalogue_entry, num_workers: int, engine: str, **model):
+    """The grouped-round timing shape of a catalogue entry (fig3/fig4 scale).
+
+    An IID partition so every worker trains the same batch geometry,
+    ξ = 1 so one grouped round aggregates the whole population, and
+    per-round evaluation effectively disabled so the timing isolates local
+    training + aggregation (evaluation costs the same on every engine and
+    would dilute the comparison).
+    """
+    return catalogue_entry(
+        num_workers=num_workers,
+        num_train=20 * num_workers,
+        image_size=8,
+        max_rounds=10_000,
+        **model,
+    ).with_(
+        partition="iid",
+        training={
+            "local_steps": 5,
+            "batch_size": 32,
+            "eval_every": 1_000_000,
+            "max_eval_samples": 32,
+            "engine": engine,
+        },
+        **{"algorithm.grouping.xi": 1.0},
+    )
+
+
 def bench_grouped_round(
     num_workers: int, rounds_per_group: int = 3, repeats: int = 3
 ) -> Dict[str, object]:
@@ -129,24 +155,7 @@ def bench_grouped_round(
     """
 
     def make_config(engine: str):
-        return lr_mnist_config(
-            num_workers=num_workers,
-            num_train=20 * num_workers,
-            image_size=8,
-            hidden=32,
-            max_rounds=10_000,
-        ).scaled(
-            local_steps=5,
-            batch_size=32,
-            partition_strategy="iid",
-            # Effectively disable per-round evaluation so the timing
-            # isolates local training + aggregation (evaluation cost is
-            # identical on both engines and would dilute the comparison).
-            eval_every=1_000_000,
-            max_eval_samples=32,
-            engine=engine,
-            config=AirFedGAConfig(grouping=GroupingConfig(xi=1.0)),
-        )
+        return _grouped_round_scenario(lr_mnist_config, num_workers, engine, hidden=32)
 
     return _time_grouped_rounds(make_config, num_workers, rounds_per_group, repeats)
 
@@ -165,21 +174,7 @@ def bench_grouped_round_cnn(
     """
 
     def make_config(engine: str):
-        return cnn_mnist_config(
-            num_workers=num_workers,
-            num_train=20 * num_workers,
-            image_size=8,
-            scale=0.15,
-            max_rounds=10_000,
-        ).scaled(
-            local_steps=5,
-            batch_size=32,
-            partition_strategy="iid",
-            eval_every=1_000_000,
-            max_eval_samples=32,
-            engine=engine,
-            config=AirFedGAConfig(grouping=GroupingConfig(xi=1.0)),
-        )
+        return _grouped_round_scenario(cnn_mnist_config, num_workers, engine, scale=0.15)
 
     return _time_grouped_rounds(make_config, num_workers, rounds_per_group, repeats)
 
@@ -217,37 +212,20 @@ def bench_grouped_round_mp(
 
     def make_config(mode: str):
         par = (
-            ParallelismConfig(
-                mode="processes", num_processes=procs, min_group_size=2
-            )
+            {"mode": "processes", "num_processes": procs, "min_group_size": 2}
             if mode == "mp"
-            else ParallelismConfig(mode="none")
+            else {"mode": "none"}
         )
-        return lr_mnist_config(
-            num_workers=num_workers,
-            num_train=20 * num_workers,
-            image_size=8,
-            hidden=32,
-            max_rounds=10_000,
-        ).scaled(
-            local_steps=5,
-            batch_size=32,
-            partition_strategy="iid",
-            eval_every=1_000_000,
-            max_eval_samples=32,
-            engine="auto",
-            config=AirFedGAConfig(
-                grouping=GroupingConfig(xi=1.0), parallelism=par
-            ),
-        )
+        return _grouped_round_scenario(
+            lr_mnist_config, num_workers, "auto", hidden=32
+        ).with_(parallelism=par)
 
     timings = {"serial": float("inf"), "mp": float("inf")}
     num_groups = 0
     total_rounds = 0
     for _ in range(repeats):
         for mode in ("serial", "mp"):
-            experiment = build_experiment(make_config(mode))
-            with build_trainer("air_fedga", experiment) as trainer:
+            with make_config(mode).build() as trainer:
                 # Untimed warm-up: bind the engine's stacked buffers and —
                 # on the mp side — force the lazy ProcessPoolExecutor to
                 # actually spawn its workers, build their engines and
@@ -452,15 +430,15 @@ def bench_cnn_mnist_mini(max_rounds: int = 12) -> Dict[str, object]:
     on top of the allocation-free aggregation and power-control cache."""
     timings: Dict[str, float] = {}
     for engine in ENGINES:
-        config = cnn_mnist_config(
+        trainer = cnn_mnist_config(
             num_workers=10, num_train=300, image_size=8, scale=0.1,
             max_rounds=max_rounds,
-        ).scaled(
-            local_steps=2, batch_size=32, eval_every=1_000_000,
-            max_eval_samples=32, engine=engine,
-        )
-        experiment = build_experiment(config)
-        trainer = build_trainer("air_fedga", experiment)
+        ).with_(
+            training={
+                "local_steps": 2, "batch_size": 32, "eval_every": 1_000_000,
+                "max_eval_samples": 32, "engine": engine,
+            },
+        ).build()
         start = time.perf_counter()
         trainer.run(max_rounds=max_rounds)
         timings[engine] = time.perf_counter() - start
@@ -548,21 +526,22 @@ def bench_mechanism_convergence(
     """
     rows: List[Dict[str, object]] = []
     for name, params in families:
-        config = lr_mnist_config(
+        trainer = lr_mnist_config(
             num_workers=num_workers,
             num_train=30 * num_workers,
             image_size=8,
             hidden=16,
             max_rounds=max_rounds,
-        ).scaled(
-            local_steps=2,
-            batch_size=16,
-            eval_every=1,
-            max_eval_samples=64,
-            engine="auto",
-        )
-        experiment = build_experiment(config)
-        trainer = build_trainer(name, experiment, **params)
+        ).with_(
+            mechanism={"name": name, "params": dict(params)},
+            training={
+                "local_steps": 2,
+                "batch_size": 16,
+                "eval_every": 1,
+                "max_eval_samples": 64,
+                "engine": "auto",
+            },
+        ).build()
         start = time.perf_counter()
         history = trainer.run(max_rounds=max_rounds)
         wall = time.perf_counter() - start

@@ -34,6 +34,7 @@ from .figures import (
     xi_sweep,
 )
 from .runner import run_comparison
+from .scenario import Scenario
 from .tables import emd_comparison, mechanism_comparison
 from .reporting import format_table
 
@@ -56,12 +57,14 @@ def _jsonable(obj):
 # ----------------------------------------------------------------------
 # Experiment dispatch table
 # ----------------------------------------------------------------------
+def _budgeted(scenario: Scenario, max_time: float) -> Scenario:
+    """The catalogue scenario with a simulated-time budget in seconds."""
+    return scenario.with_(**{"training.max_time": max_time})
+
+
 def _figure_comparison(config_name: str, mechanisms: Sequence[str]):
     def run(scale: float = 1.0) -> Dict[str, object]:
-        config = EXPERIMENT_CONFIGS[config_name]()
-        if config.max_time is None:
-            config = config.scaled(max_time=1500.0 * scale)
-        run_result = run_comparison(config, mechanisms=mechanisms)
+        scenario = _budgeted(EXPERIMENT_CONFIGS[config_name](), 1500.0 * scale)
         return {
             name: {
                 "time": history.times().tolist(),
@@ -69,7 +72,7 @@ def _figure_comparison(config_name: str, mechanisms: Sequence[str]):
                 "accuracy": history.accuracies().tolist(),
                 "summary": history.summary(),
             }
-            for name, history in run_result.histories.items()
+            for name, history in run_comparison(scenario, mechanisms=mechanisms).items()
         }
 
     return run
@@ -85,18 +88,18 @@ EXPERIMENTS: Dict[str, Callable[..., Dict[str, object]]] = {
     },
     "fig8": lambda scale=1.0: {
         "xi_sweep": xi_sweep(
-            EXPERIMENT_CONFIGS["lr_mnist"]().scaled(max_time=1500.0 * scale),
+            _budgeted(EXPERIMENT_CONFIGS["lr_mnist"](), 1500.0 * scale),
             xi_values=(0.0, 0.3, 1.0),
         )
     },
     "fig9": lambda scale=1.0: {
         "energy": energy_vs_accuracy(
-            EXPERIMENT_CONFIGS["cnn_mnist"]().scaled(max_time=1500.0 * scale)
+            _budgeted(EXPERIMENT_CONFIGS["cnn_mnist"](), 1500.0 * scale)
         )
     },
     "fig10": lambda scale=1.0: {
         "scalability": scalability_sweep(
-            EXPERIMENT_CONFIGS["lr_mnist"]().scaled(max_time=1000.0 * scale),
+            _budgeted(EXPERIMENT_CONFIGS["lr_mnist"](), 1000.0 * scale),
             worker_counts=(10, 20, 40),
             mechanisms=ALL_MECHANISMS,
         )
@@ -241,14 +244,11 @@ def _command_list() -> str:
 
 
 def _command_compare(args: argparse.Namespace) -> str:
-    config = EXPERIMENT_CONFIGS[args.workload]()
-    overrides = {"max_time": args.max_time}
+    scenario = _budgeted(EXPERIMENT_CONFIGS[args.workload](), args.max_time)
     if args.workers is not None:
-        overrides["num_workers"] = args.workers
-    config = config.scaled(**overrides)
-    run = run_comparison(config, mechanisms=args.mechanisms)
+        scenario = scenario.with_(num_workers=args.workers)
     rows = []
-    for name, history in run.histories.items():
+    for name, history in run_comparison(scenario, mechanisms=args.mechanisms).items():
         rows.append(
             (
                 name,
@@ -266,7 +266,7 @@ def _command_compare(args: argparse.Namespace) -> str:
     return format_table(
         ["mechanism", "rounds", "avg round (s)", "final acc", "energy (J)"],
         rows,
-        title=f"Comparison on {args.workload} ({config.num_workers} workers)",
+        title=f"Comparison on {args.workload} ({scenario.num_workers} workers)",
     )
 
 

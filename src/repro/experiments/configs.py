@@ -1,28 +1,25 @@
 """Experiment configurations for every table and figure of the evaluation.
 
-Each figure/table of the paper's Section VI maps to an
-:class:`ExperimentConfig` (or a sweep of them) describing the dataset,
-model, worker population, heterogeneity, channel and training budget.  The
-defaults here are the *benchmark-scale* settings: the same structure as the
-paper (100 workers, label-skew Non-IID, κ ∈ [1, 10], 1 MHz band, σ₀² = 1 W,
-Ê = 10 J) but with synthetic datasets, scaled-down models and a reduced
-round budget so that the whole suite runs on a laptop CPU in minutes.  The
-``paper_scale()`` constructors return the full-size settings for users who
-want to run closer to the original (hours of CPU time).
+Each figure/table of the paper's Section VI maps to a
+:class:`~repro.experiments.scenario.Scenario` (or a sweep of them)
+describing the dataset, model, worker population, heterogeneity, channel
+and training budget.  The defaults here are the *benchmark-scale*
+settings: the same structure as the paper (label-skew Non-IID,
+κ ∈ [1, 10], 1 MHz band, σ₀² = 1 W, Ê = 10 J) but with synthetic datasets,
+scaled-down models and a reduced round budget so that the whole suite runs
+on a laptop CPU in minutes.  Vary a catalogue entry with
+:meth:`Scenario.with_`, e.g.
+``lr_mnist_config().with_(num_workers=100, **{"training.max_time": 1500.0})``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
-from .. import registry
-from ..core.config import AirFedGAConfig, FaultConfig
-from ..data.synthetic import Dataset
-from ..nn.models import Model
+from .scenario import ComponentSpec, DataSpec, Scenario, TimingSpec, TrainingSpec
 
 __all__ = [
-    "ExperimentConfig",
+    "PAPER_DIMENSIONS",
     "lr_mnist_config",
     "cnn_mnist_config",
     "cnn_cifar10_config",
@@ -47,59 +44,24 @@ PAPER_DIMENSIONS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """A complete specification of one federated-training simulation."""
+def _synthetic(
+    dataset: str, num_train: int, image_size: int, flatten: bool, **extra: Any
+) -> DataSpec:
+    """A synthetic dataset; the test set is a fifth of the training size, ≥ 200."""
+    return DataSpec(
+        name=dataset,
+        params={
+            "num_train": num_train,
+            "num_test": max(200, num_train // 5),
+            "image_size": image_size,
+            **extra,
+        },
+        flatten=flatten,
+    )
 
-    name: str
-    dataset_factory: Callable[[], Dataset]
-    model_factory: Callable[[], Model]
-    flatten_inputs: bool
-    num_workers: int = 20
-    labels_per_worker: int = 1
-    partition_strategy: str = "label-skew"
-    dirichlet_alpha: float = 0.5
-    base_local_time: float = 6.0
-    kappa_min: float = 1.0
-    kappa_max: float = 10.0
-    learning_rate: float = 0.1
-    local_steps: int = 2
-    batch_size: int = 32
-    max_rounds: int = 60
-    max_time: Optional[float] = None
-    eval_every: int = 1
-    max_eval_samples: int = 256
-    latency_model_dimension: Optional[int] = None
-    config: AirFedGAConfig = field(default_factory=AirFedGAConfig)
-    seed: int = 0
-    #: Channel model (registry kind ``"channel"``): ``"rayleigh"``
-    #: (default, the paper's block fading) or ``"static"``; extra
-    #: constructor parameters go in ``channel_params``.
-    channel_kind: str = "rayleigh"
-    channel_params: Dict[str, float] = field(default_factory=dict)
-    #: Local-training execution engine (see :class:`repro.fl.FLExperiment`):
-    #: "auto" (vectorized group-batched when supported), "batched", or
-    #: "scalar" (the seed's sequential reference path, benchmark baseline).
-    engine: str = "auto"
-    #: Device-realism model (registry kind ``"clientstate"``; see
-    #: :mod:`repro.sim.clientstate`).  The default ``"always-on"``
-    #: disables fault injection; extra constructor parameters go in
-    #: ``clientstate_params`` (``num_workers`` and the derived seed
-    #: ``seed + 4`` are supplied automatically).
-    clientstate_kind: str = "always-on"
-    clientstate_params: Dict[str, float] = field(default_factory=dict)
-    #: Group-level fault policy (quorum/retry/renormalization); inert
-    #: while ``clientstate_kind`` is ``"always-on"``.
-    fault: FaultConfig = field(default_factory=FaultConfig)
-    #: Worker-data materialization (see :mod:`repro.core.population`):
-    #: ``"eager"`` keeps the legacy per-worker copies (bit-identical
-    #: histories), ``"lazy"`` serves zero-copy shard views out of the
-    #: shared dataset store (O(1) per-worker memory at XL scale).
-    materialization: str = "eager"
 
-    def scaled(self, **overrides) -> "ExperimentConfig":
-        """Return a copy with some fields overridden (for sweeps)."""
-        return replace(self, **overrides)
+def _label_skew(labels_per_worker: int = 1) -> ComponentSpec:
+    return ComponentSpec("label-skew", {"labels_per_worker": labels_per_worker})
 
 
 # ----------------------------------------------------------------------
@@ -112,25 +74,21 @@ def lr_mnist_config(
     hidden: int = 64,
     max_rounds: int = 60,
     seed: int = 0,
-) -> ExperimentConfig:
+) -> Scenario:
     """Fig. 3: "LR" (two-hidden-layer MLP) on MNIST-shaped data."""
-    input_dim = image_size * image_size
-    return ExperimentConfig(
+    return Scenario(
         name="lr_mnist",
-        dataset_factory=lambda: registry.create(
-            "dataset", "synthetic-mnist",
-            num_train=num_train, num_test=max(200, num_train // 5),
-            image_size=image_size, seed=seed,
-        ),
-        model_factory=lambda: registry.create(
-            "model", "lr",
-            input_dim=input_dim, hidden=hidden, num_classes=10, seed=seed,
-        ),
-        flatten_inputs=True,
         num_workers=num_workers,
-        max_rounds=max_rounds,
-        latency_model_dimension=PAPER_DIMENSIONS["lr"],
         seed=seed,
+        data=_synthetic("synthetic-mnist", num_train, image_size, flatten=True),
+        model=ComponentSpec(
+            "lr",
+            {"input_dim": image_size * image_size, "hidden": hidden, "num_classes": 10},
+        ),
+        partition=_label_skew(),
+        training=TrainingSpec(
+            max_rounds=max_rounds, latency_model_dimension=PAPER_DIMENSIONS["lr"]
+        ),
     )
 
 
@@ -141,26 +99,21 @@ def cnn_mnist_config(
     scale: float = 0.15,
     max_rounds: int = 40,
     seed: int = 0,
-) -> ExperimentConfig:
+) -> Scenario:
     """Fig. 4 (and Figs. 8-10 base): CNN on MNIST-shaped data."""
-    return ExperimentConfig(
+    return Scenario(
         name="cnn_mnist",
-        dataset_factory=lambda: registry.create(
-            "dataset", "synthetic-mnist",
-            num_train=num_train, num_test=max(200, num_train // 5),
-            image_size=image_size, seed=seed,
-        ),
-        model_factory=lambda: registry.create(
-            "model", "mnist_cnn",
-            image_size=image_size, scale=scale, num_classes=10, seed=seed,
-        ),
-        flatten_inputs=False,
         num_workers=num_workers,
-        max_rounds=max_rounds,
-        local_steps=2,
-        batch_size=32,
-        latency_model_dimension=PAPER_DIMENSIONS["mnist_cnn"],
         seed=seed,
+        data=_synthetic("synthetic-mnist", num_train, image_size, flatten=False),
+        model=ComponentSpec(
+            "mnist_cnn", {"image_size": image_size, "scale": scale, "num_classes": 10}
+        ),
+        partition=_label_skew(),
+        training=TrainingSpec(
+            max_rounds=max_rounds,
+            latency_model_dimension=PAPER_DIMENSIONS["mnist_cnn"],
+        ),
     )
 
 
@@ -171,26 +124,22 @@ def cnn_cifar10_config(
     scale: float = 0.12,
     max_rounds: int = 40,
     seed: int = 0,
-) -> ExperimentConfig:
+) -> Scenario:
     """Fig. 5: CNN on CIFAR-10-shaped data (harder, lower accuracy plateau)."""
-    return ExperimentConfig(
+    return Scenario(
         name="cnn_cifar10",
-        dataset_factory=lambda: registry.create(
-            "dataset", "synthetic-cifar10",
-            num_train=num_train, num_test=max(200, num_train // 5),
-            image_size=image_size, seed=seed,
-        ),
-        model_factory=lambda: registry.create(
-            "model", "cifar_cnn",
-            image_size=image_size, scale=scale, num_classes=10, seed=seed,
-        ),
-        flatten_inputs=False,
         num_workers=num_workers,
-        max_rounds=max_rounds,
-        base_local_time=12.0,
-        local_steps=2,
-        latency_model_dimension=PAPER_DIMENSIONS["cifar_cnn"],
         seed=seed,
+        data=_synthetic("synthetic-cifar10", num_train, image_size, flatten=False),
+        model=ComponentSpec(
+            "cifar_cnn", {"image_size": image_size, "scale": scale, "num_classes": 10}
+        ),
+        partition=_label_skew(),
+        timing=TimingSpec(base_local_time=12.0),
+        training=TrainingSpec(
+            max_rounds=max_rounds,
+            latency_model_dimension=PAPER_DIMENSIONS["cifar_cnn"],
+        ),
     )
 
 
@@ -201,37 +150,45 @@ def vgg_imagenet100_config(
     num_classes: int = 20,
     max_rounds: int = 30,
     seed: int = 0,
-) -> ExperimentConfig:
+) -> Scenario:
     """Fig. 6: VGG-style network on an ImageNet-100 stand-in.
 
     The benchmark-scale version uses 20 classes (instead of 100) and a
     MiniVGG so that a full comparison finishes in minutes; the qualitative
     comparison (who converges faster per unit simulated time) is preserved.
     """
-    return ExperimentConfig(
+    return Scenario(
         name="vgg_imagenet100",
-        dataset_factory=lambda: registry.create(
-            "dataset", "synthetic-imagenet100",
-            num_train=num_train, num_test=max(200, num_train // 5),
-            image_size=image_size, num_classes=num_classes, seed=seed,
-        ),
-        model_factory=lambda: registry.create(
-            "model", "mini_vgg",
-            image_size=image_size, num_classes=num_classes,
-            base_channels=4, blocks=2, hidden=32, seed=seed,
-        ),
-        flatten_inputs=False,
         num_workers=num_workers,
-        labels_per_worker=max(1, num_classes // num_workers),
-        max_rounds=max_rounds,
-        base_local_time=30.0,
-        local_steps=1,
-        latency_model_dimension=PAPER_DIMENSIONS["mini_vgg"],
         seed=seed,
+        data=_synthetic(
+            "synthetic-imagenet100",
+            num_train,
+            image_size,
+            flatten=False,
+            num_classes=num_classes,
+        ),
+        model=ComponentSpec(
+            "mini_vgg",
+            {
+                "image_size": image_size,
+                "num_classes": num_classes,
+                "base_channels": 4,
+                "blocks": 2,
+                "hidden": 32,
+            },
+        ),
+        partition=_label_skew(max(1, num_classes // num_workers)),
+        timing=TimingSpec(base_local_time=30.0),
+        training=TrainingSpec(
+            max_rounds=max_rounds,
+            local_steps=1,
+            latency_model_dimension=PAPER_DIMENSIONS["mini_vgg"],
+        ),
     )
 
 
-EXPERIMENT_CONFIGS: Dict[str, Callable[..., ExperimentConfig]] = {
+EXPERIMENT_CONFIGS: Dict[str, Callable[..., Scenario]] = {
     "lr_mnist": lr_mnist_config,
     "cnn_mnist": cnn_mnist_config,
     "cnn_cifar10": cnn_cifar10_config,

@@ -12,10 +12,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import AirFedGAConfig, GroupingConfig
 from ..core.grouping import GroupingProblem, greedy_grouping
-from .configs import ExperimentConfig, cnn_mnist_config
-from .runner import build_experiment, run_comparison, run_mechanism
+from .configs import cnn_mnist_config
+from .runner import run_comparison
+from .scenario import Scenario
 
 __all__ = [
     "loss_accuracy_vs_time",
@@ -36,22 +36,21 @@ ALL_MECHANISMS = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
 # Figures 3-6: loss / accuracy vs. time
 # ----------------------------------------------------------------------
 def loss_accuracy_vs_time(
-    config: ExperimentConfig,
+    scenario: Scenario,
     mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
 ) -> Dict[str, Dict[str, np.ndarray]]:
     """Loss and accuracy traces against simulated time for each mechanism.
 
     Returns ``{mechanism: {"time": ..., "loss": ..., "accuracy": ...}}``.
     """
-    run = run_comparison(config, mechanisms=mechanisms)
-    out: Dict[str, Dict[str, np.ndarray]] = {}
-    for name, history in run.histories.items():
-        out[name] = {
+    return {
+        name: {
             "time": history.times(),
             "loss": history.losses(),
             "accuracy": history.accuracies(),
         }
-    return out
+        for name, history in run_comparison(scenario, mechanisms=mechanisms).items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -68,18 +67,17 @@ def grouping_boxplot_data(
     Uses the paper's population: ``num_workers`` workers with κ ~ U[1, 10]
     and one label each, grouped by Algorithm 3 at the given ξ.
     """
-    config = cnn_mnist_config(num_workers=num_workers, seed=seed)
-    config = config.scaled(
-        config=AirFedGAConfig(grouping=GroupingConfig(xi=xi))
+    scenario = cnn_mnist_config(num_workers=num_workers, seed=seed).with_(
+        **{"algorithm.grouping.xi": xi, "timing.base_local_time": base_local_time}
     )
-    experiment = build_experiment(config)
+    experiment = scenario.build_experiment()
     local_times = experiment.latency.nominal_times()
     problem = GroupingProblem(
         data_sizes=experiment.partition.data_sizes(),
         class_counts=experiment.partition.class_counts(),
         local_times=local_times,
-        model_dimension=config.latency_model_dimension or 10_000,
-        config=config.config,
+        model_dimension=scenario.training.latency_model_dimension or 10_000,
+        config=scenario.algorithm,
     )
     result = greedy_grouping(problem)
     data: Dict[int, List[float]] = {}
@@ -98,7 +96,7 @@ def grouping_boxplot_data(
 # Figure 8: training time to target accuracy vs. ξ
 # ----------------------------------------------------------------------
 def xi_sweep(
-    config: ExperimentConfig,
+    scenario: Scenario,
     xi_values: Sequence[float] = (0.0, 0.3, 0.6, 1.0),
     accuracy_targets: Sequence[float] = (0.5, 0.6, 0.7),
 ) -> Dict[float, Dict[float, Optional[float]]]:
@@ -110,16 +108,9 @@ def xi_sweep(
     """
     results: Dict[float, Dict[float, Optional[float]]] = {}
     for xi in xi_values:
-        if xi < 0:
-            raise ValueError("xi must be non-negative")
-        cfg = config.scaled(
-            config=AirFedGAConfig(
-                aircomp=config.config.aircomp,
-                grouping=GroupingConfig(xi=xi),
-                convergence=config.config.convergence,
-            )
-        )
-        history = run_mechanism(cfg, "air_fedga")
+        history = scenario.with_(
+            mechanism="air_fedga", **{"algorithm.grouping.xi": xi}
+        ).run()
         results[xi] = {
             target: history.time_to_accuracy(target) for target in accuracy_targets
         }
@@ -135,14 +126,13 @@ def xi_sweep(
 # Figure 9: aggregation energy vs. target accuracy
 # ----------------------------------------------------------------------
 def energy_vs_accuracy(
-    config: ExperimentConfig,
+    scenario: Scenario,
     accuracy_targets: Sequence[float] = (0.4, 0.5, 0.6),
     mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
 ) -> Dict[str, Dict[float, Optional[float]]]:
     """Cumulative transmit energy when each accuracy target is first reached."""
-    run = run_comparison(config, mechanisms=mechanisms)
     out: Dict[str, Dict[float, Optional[float]]] = {}
-    for name, history in run.histories.items():
+    for name, history in run_comparison(scenario, mechanisms=mechanisms).items():
         out[name] = {t: history.energy_to_accuracy(t) for t in accuracy_targets}
         out[name]["_final_accuracy"] = history.final_accuracy
         out[name]["_total_energy"] = history.total_energy
@@ -153,7 +143,7 @@ def energy_vs_accuracy(
 # Figure 10: scalability with the number of workers
 # ----------------------------------------------------------------------
 def scalability_sweep(
-    base_config: ExperimentConfig,
+    base_scenario: Scenario,
     worker_counts: Sequence[int] = (10, 20, 40),
     mechanisms: Sequence[str] = ALL_MECHANISMS,
     accuracy_target: float = 0.5,
@@ -170,11 +160,10 @@ def scalability_sweep(
     for n in worker_counts:
         if n < 2:
             raise ValueError("worker counts must be >= 2")
-        cfg = base_config.scaled(num_workers=n)
+        scenario = base_scenario.with_(num_workers=n)
         if max_rounds is not None:
-            cfg = cfg.scaled(max_rounds=max_rounds)
-        run = run_comparison(cfg, mechanisms=mechanisms)
-        for name, history in run.histories.items():
+            scenario = scenario.with_(**{"training.max_rounds": max_rounds})
+        for name, history in run_comparison(scenario, mechanisms=mechanisms).items():
             results[name][n] = {
                 "avg_round_time": history.average_round_time(),
                 "total_time": history.total_time,

@@ -1,138 +1,32 @@
-"""Experiment runner: build an FLExperiment from a config and run mechanisms."""
+"""Mechanism comparisons: several mechanisms on one scenario."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-
-from .. import registry
-from ..data.partition import Partition
-from ..data.synthetic import Dataset
-from ..fl.base import FLExperiment
 from ..fl.history import TrainingHistory
-from ..fl.registry import build_trainer
-from ..sim.latency import HeterogeneityModel, LatencyTable
-from .configs import ExperimentConfig
+from .scenario import Scenario
 
-__all__ = ["ExperimentRun", "build_experiment", "run_mechanism", "run_comparison"]
-
-
-@dataclass
-class ExperimentRun:
-    """The result of running one or more mechanisms on one configuration."""
-
-    config: ExperimentConfig
-    histories: Dict[str, TrainingHistory] = field(default_factory=dict)
-
-    def summary_rows(self) -> List[Dict[str, float]]:
-        return [h.summary() for h in self.histories.values()]
-
-    def time_to_accuracy(self, target: float) -> Dict[str, Optional[float]]:
-        return {
-            name: h.time_to_accuracy(target) for name, h in self.histories.items()
-        }
-
-
-#: Per-strategy keyword arguments sourced from :class:`ExperimentConfig`
-#: fields (the registry builders take them by name).
-_PARTITION_EXTRAS = {
-    "label-skew": lambda config: {"labels_per_worker": config.labels_per_worker},
-    "dirichlet": lambda config: {"alpha": config.dirichlet_alpha},
-}
-
-
-def _build_partition(config: ExperimentConfig, dataset: Dataset) -> Partition:
-    """Build the configured partition via the ``"partitioner"`` registry.
-
-    Unknown strategies raise :class:`~repro.registry.UnknownComponentError`
-    (a ``KeyError``) with close-match suggestions.
-    """
-    builder = registry.get("partitioner", config.partition_strategy)
-    extras = _PARTITION_EXTRAS.get(config.partition_strategy, lambda _: {})(config)
-    return builder(
-        dataset, num_workers=config.num_workers, seed=config.seed, **extras
-    )
-
-
-def build_experiment(config: ExperimentConfig) -> FLExperiment:
-    """Materialize an :class:`FLExperiment` from a declarative config."""
-    dataset = config.dataset_factory()
-    if config.flatten_inputs:
-        dataset = dataset.flattened()
-    partition = _build_partition(config, dataset)
-    heterogeneity = HeterogeneityModel(
-        num_workers=config.num_workers,
-        kappa_min=config.kappa_min,
-        kappa_max=config.kappa_max,
-        seed=config.seed + 1,
-    )
-    latency = LatencyTable(
-        num_workers=config.num_workers,
-        base_time=config.base_local_time,
-        heterogeneity=heterogeneity,
-        seed=config.seed + 2,
-    )
-    channel = registry.create(
-        "channel",
-        config.channel_kind,
-        num_workers=config.num_workers,
-        seed=config.seed + 3,
-        **config.channel_params,
-    )
-    # Device-realism layer: the client-state model continues the seed
-    # ladder at seed+4 (matching Scenario.build_experiment).
-    clientstate = registry.create(
-        "clientstate",
-        config.clientstate_kind,
-        num_workers=config.num_workers,
-        seed=config.seed + 4,
-        **config.clientstate_params,
-    )
-    return FLExperiment(
-        dataset=dataset,
-        partition=partition,
-        model_factory=config.model_factory,
-        latency=latency,
-        channel=channel,
-        config=config.config,
-        learning_rate=config.learning_rate,
-        local_steps=config.local_steps,
-        batch_size=config.batch_size,
-        eval_every=config.eval_every,
-        max_eval_samples=config.max_eval_samples,
-        seed=config.seed,
-        latency_model_dimension=config.latency_model_dimension,
-        engine=config.engine,
-        clientstate=clientstate,
-        fault=config.fault,
-        materialization=config.materialization,
-    )
-
-
-def run_mechanism(
-    config: ExperimentConfig, mechanism: str, **trainer_kwargs
-) -> TrainingHistory:
-    """Run a single mechanism on a configuration and return its history."""
-    experiment = build_experiment(config)
-    trainer = build_trainer(mechanism, experiment, **trainer_kwargs)
-    return trainer.run(max_rounds=config.max_rounds, max_time=config.max_time)
+__all__ = ["run_comparison"]
 
 
 def run_comparison(
-    config: ExperimentConfig,
+    scenario: Scenario,
     mechanisms: Sequence[str] = ("air_fedga", "air_fedavg", "dynamic"),
-    trainer_kwargs: Optional[Dict[str, Dict]] = None,
-) -> ExperimentRun:
-    """Run several mechanisms on the *same* configuration (Figs. 3-6 style).
+    trainer_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
+) -> Dict[str, TrainingHistory]:
+    """Run several mechanisms on the *same* scenario (Figs. 3-6 style).
 
     Every mechanism gets a freshly built experiment with identical data,
     partition, heterogeneity and channel (same seeds), so the comparison
-    isolates the mechanism itself.
+    isolates the mechanism itself.  ``trainer_kwargs`` maps a mechanism
+    name to its constructor parameters; the scenario's own ``mechanism``
+    section is ignored.
     """
     trainer_kwargs = trainer_kwargs or {}
-    run = ExperimentRun(config=config)
-    for name in mechanisms:
-        history = run_mechanism(config, name, **trainer_kwargs.get(name, {}))
-        run.histories[name] = history
-    return run
+    return {
+        name: scenario.with_(
+            mechanism={"name": name, "params": dict(trainer_kwargs.get(name, {}))}
+        ).run()
+        for name in mechanisms
+    }

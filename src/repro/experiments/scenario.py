@@ -8,25 +8,30 @@ component is named in the generic registry (:mod:`repro.registry`), so
 ``Scenario.from_dict(json.load(f)).build().run(...)`` fully reproduces a
 run from one JSON blob — no code edits, no hand-wired factories.
 
-Compared to the legacy :class:`~repro.experiments.configs.ExperimentConfig`
-(which carries opaque ``dataset_factory``/``model_factory`` callables and
-is therefore not serializable), a ``Scenario``
+It is the only experiment document: the figure/table catalogue
+(:mod:`repro.experiments.configs`) returns scenarios, and
+:meth:`Scenario.build_experiment` is the only place an
+:class:`~repro.fl.FLExperiment` is wired from one.  A ``Scenario``
 
 * round-trips: ``Scenario.from_dict(s.to_dict()) == s``;
 * validates at construction: unknown component names raise
   :class:`~repro.registry.UnknownComponentError` with did-you-mean
   suggestions, unknown mechanism parameters raise ``TypeError`` listing
-  the accepted names, unknown section fields raise ``ValueError``;
+  the accepted names, unknown section fields and non-finite, non-positive
+  or non-integer numbers raise ``ValueError`` naming the dotted field;
 * builds: :meth:`Scenario.build` returns a ready-to-run trainer and
   :meth:`Scenario.run` executes it under the scenario's budget;
 * composes fluently: ``Scenario.default().with_(mechanism="fedavg",
   **{"timing.base_local_time": 2.0})``.
 
-Seed discipline matches :func:`repro.experiments.build_experiment`
-exactly (heterogeneity ``seed+1``, latency jitter ``seed+2``, channel
-``seed+3``), so a scenario-built run is bit-identical (float64) to the
-same run wired through the legacy ``ExperimentConfig`` path — enforced by
-``tests/experiments/test_scenario.py``.
+Seed discipline (the *seed ladder*, defined once in
+:meth:`Scenario.build_experiment`): dataset, model and partition use
+``seed``, the heterogeneity draw ``seed+1``, latency jitter ``seed+2``,
+the channel ``seed+3`` and the client-state model ``seed+4``.
+``benchmarks/catalogue_pins.json`` holds history digests of the catalogue
+recorded before the hand-wired ``runner.build_experiment`` path was
+deleted; ``benchmarks/test_catalogue.py`` checks the scenarios still
+reproduce them.
 
 Grid sweeps over scenarios (list-valued fields → cross product) are run
 by :mod:`repro.experiments.sweep`.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -91,6 +97,29 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {str(k): _jsonify(v) for k, v in value.items()}
     return value
+
+
+def _require_int(value: Any, field_name: str, minimum: int) -> None:
+    """``value`` must be a true integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(
+            f"{field_name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
+def _require_finite(value: Any, field_name: str, *, positive: bool) -> None:
+    """``value`` must be a finite real number, positive or non-negative."""
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
+    if not ok:
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(
+            f"{field_name} must be a finite {kind} number, got {value!r}"
+        )
 
 
 def _dataclass_from_dict(
@@ -205,10 +234,10 @@ class TimingSpec:
     jitter_std: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_local_time <= 0:
-            raise ValueError("base_local_time must be positive")
-        if self.jitter_std < 0:
-            raise ValueError("jitter_std must be non-negative")
+        _require_finite(self.base_local_time, "timing.base_local_time", positive=True)
+        _require_finite(self.kappa_min, "timing.kappa_min", positive=True)
+        _require_finite(self.kappa_max, "timing.kappa_max", positive=True)
+        _require_finite(self.jitter_std, "timing.jitter_std", positive=False)
 
 
 @dataclass
@@ -226,13 +255,22 @@ class TrainingSpec:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.max_time is not None and self.max_time <= 0:
-            raise ValueError("max_time must be positive when given")
-        # learning_rate/local_steps/batch_size/eval_every/max_eval_samples/
-        # engine are re-validated by FLExperiment at build time; checking
-        # the run budget here catches spec typos before any data is built.
+        # A scenario is the only way into an experiment, so every number is
+        # checked here: a NaN rate or a fractional count would otherwise
+        # surface as a NaN loss or a TypeError deep inside NumPy.
+        # ``max_rounds=0`` is the "round 0 only" run, as in ``_begin_run``.
+        _require_finite(self.learning_rate, "training.learning_rate", positive=True)
+        _require_int(self.local_steps, "training.local_steps", 1)
+        _require_int(self.batch_size, "training.batch_size", 1)
+        _require_int(self.max_rounds, "training.max_rounds", 0)
+        if self.max_time is not None:
+            _require_finite(self.max_time, "training.max_time", positive=True)
+        _require_int(self.eval_every, "training.eval_every", 1)
+        _require_int(self.max_eval_samples, "training.max_eval_samples", 1)
+        if self.latency_model_dimension is not None:
+            _require_int(
+                self.latency_model_dimension, "training.latency_model_dimension", 1
+            )
 
 
 @dataclass
@@ -322,7 +360,7 @@ class Scenario:
     section consumes them; the component builders receive them
     automatically (datasets/models get ``seed``, partitions/channels/
     timing get ``num_workers`` plus the derived seeds ``seed+1``..
-    ``seed+3`` matching :func:`repro.experiments.build_experiment`).
+    ``seed+3``, see :meth:`build_experiment`).
     """
 
     name: str = "scenario"
@@ -343,10 +381,8 @@ class Scenario:
     # Validation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _require_int(self.num_workers, "num_workers", 1)
+        _require_int(self.seed, "seed", 0)
         if isinstance(self.data, Mapping):
             self.data = _dataclass_from_dict(DataSpec, self.data, "scenario.data")
         elif isinstance(self.data, str):
@@ -543,12 +579,10 @@ class Scenario:
     def build_experiment(self) -> FLExperiment:
         """Materialize the :class:`~repro.fl.FLExperiment` this spec describes.
 
-        Seed discipline is identical to the legacy
-        :func:`repro.experiments.build_experiment`: the dataset and model
-        use ``seed``, the heterogeneity draw ``seed+1``, the latency
-        jitter ``seed+2`` and the channel ``seed+3`` — so a scenario and
-        a hand-wired ``ExperimentConfig`` with the same settings produce
-        bit-identical runs (float64).
+        This is the one place the seed ladder lives: the dataset, model
+        and partition use ``seed``, the heterogeneity draw ``seed+1``, the
+        latency jitter ``seed+2``, the channel ``seed+3`` and the
+        client-state model ``seed+4``.
         """
         dataset = registry.create(
             "dataset", self.data.name, **{"seed": self.seed, **self.data.params}

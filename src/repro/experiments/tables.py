@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.grouping import (
-    GroupingProblem,
-    greedy_grouping,
-    tier_grouping)
+from ..core.grouping import GroupingProblem, greedy_grouping, tier_grouping
 from ..data.partition import Partition
 from ..data.stats import average_emd, worker_emds
-from .configs import ExperimentConfig, cnn_mnist_config
-from .runner import build_experiment, run_comparison
+from .configs import cnn_mnist_config
+from .runner import run_comparison
+from .scenario import Scenario
 
 __all__ = ["emd_comparison", "mechanism_comparison"]
 
@@ -25,7 +23,7 @@ def emd_comparison(
     num_workers: int = 100,
     num_tiers: int = 10,
     seed: int = 0,
-    config: ExperimentConfig | None = None,
+    scenario: Optional[Scenario] = None,
 ) -> Dict[str, float]:
     """Average group-vs-global EMD for Original / TiFL / Air-FedGA grouping.
 
@@ -34,16 +32,16 @@ def emd_comparison(
     for K = 10); TiFL's time-based tiers barely improve it, while the
     data-aware greedy grouping drives it toward 0.
     """
-    cfg = config or cnn_mnist_config(num_workers=num_workers, seed=seed)
-    cfg = cfg.scaled(num_workers=num_workers)
-    experiment = build_experiment(cfg)
+    scenario = scenario or cnn_mnist_config(seed=seed)
+    scenario = scenario.with_(num_workers=num_workers)
+    experiment = scenario.build_experiment()
     partition: Partition = experiment.partition
     problem = GroupingProblem(
         data_sizes=partition.data_sizes(),
         class_counts=partition.class_counts(),
         local_times=experiment.latency.nominal_times(),
-        model_dimension=cfg.latency_model_dimension or 10_000,
-        config=cfg.config,
+        model_dimension=scenario.training.latency_model_dimension or 10_000,
+        config=scenario.algorithm,
     )
     original = float(worker_emds(partition).mean())
     tifl = average_emd(partition, tier_grouping(problem, num_groups=num_tiers).groups)
@@ -54,53 +52,44 @@ def emd_comparison(
 # ----------------------------------------------------------------------
 # Table I: qualitative mechanism comparison, backed by measurements
 # ----------------------------------------------------------------------
-def _rate(value: float, thresholds: Sequence[float], labels: Sequence[str]) -> str:
-    """Map a scalar to a qualitative label given ascending thresholds."""
-    for threshold, label in zip(thresholds, labels):
-        if value <= threshold:
-            return label
-    return labels[-1]
-
-
 def mechanism_comparison(
-    config: ExperimentConfig | None = None,
+    scenario: Optional[Scenario] = None,
     mechanisms: Sequence[str] = ("fedavg", "air_fedavg", "dynamic", "tifl", "air_fedga"),
     max_rounds: int = 15,
-) -> Dict[str, Dict[str, object]]:
+) -> Dict[str, Dict[str, float]]:
     """Measured characteristics backing the qualitative claims of Table I.
 
-    For each mechanism we run a short probe and report:
+    Each mechanism runs a ``max_rounds`` probe on ``scenario`` (default:
+    CNN-MNIST, 16 workers) and on the same scenario with half the workers
+    (at least 8), and reports:
 
-    * ``upload_time_per_round`` — communication consumption proxy,
-    * ``straggler_wait`` — mean idle time of the fastest worker per round
-      (edge-heterogeneity handling proxy; lower is better),
-    * ``participation_emd`` — EMD between the label distribution of the
-      workers that actually participated and the global distribution
-      (Non-IID handling proxy; lower is better),
-    * ``round_time_slope`` — how the average round duration changes when the
-      worker count doubles (scalability proxy; ≤ 0 is good).
+    * ``avg_round_time_s`` / ``total_time_s`` — simulated time per round and
+      for the whole probe (communication consumption proxy),
+    * ``final_accuracy`` — test accuracy after the probe,
+    * ``round_time_ratio_when_doubling_workers`` — average round time at the
+      full worker count over that at half of it (scalability proxy; ≤ 1 is
+      good, ``nan`` if the half-size probe recorded no time),
+    * ``mean_staleness`` — mean recorded staleness over the rounds that had
+      participants (0 for the synchronous mechanisms),
+    * ``total_energy_j`` — cumulative transmit energy of the probe.
     """
-    cfg = config or cnn_mnist_config(num_workers=16, max_rounds=max_rounds)
-    cfg_small = cfg.scaled(num_workers=max(8, cfg.num_workers // 2), max_rounds=max_rounds)
-    cfg = cfg.scaled(max_rounds=max_rounds)
+    scenario = scenario or cnn_mnist_config(num_workers=16)
+    big = scenario.with_(**{"training.max_rounds": max_rounds})
+    small = big.with_(num_workers=max(8, scenario.num_workers // 2))
 
-    run_big = run_comparison(cfg, mechanisms=mechanisms)
-    run_small = run_comparison(cfg_small, mechanisms=mechanisms)
+    run_big = run_comparison(big, mechanisms=mechanisms)
+    run_small = run_comparison(small, mechanisms=mechanisms)
 
-    out: Dict[str, Dict[str, object]] = {}
+    out: Dict[str, Dict[str, float]] = {}
     for name in mechanisms:
-        hist_big = run_big.histories[name]
-        hist_small = run_small.histories[name]
+        hist_big = run_big[name]
         avg_round_big = hist_big.average_round_time()
-        avg_round_small = hist_small.average_round_time()
-        # Non-IID proxy: average EMD of per-round participant label mix.
-        emds: List[float] = []
-        waits: List[float] = []
-        for record in hist_big.records:
-            if record.num_participants <= 0:
-                continue
-            emds.append(float(record.staleness))
-        participation_emd = float(np.mean(emds)) if emds else 0.0
+        avg_round_small = run_small[name].average_round_time()
+        staleness = [
+            float(record.staleness)
+            for record in hist_big.records
+            if record.num_participants > 0
+        ]
         out[name] = {
             "avg_round_time_s": avg_round_big,
             "total_time_s": hist_big.total_time,
@@ -108,7 +97,7 @@ def mechanism_comparison(
             "round_time_ratio_when_doubling_workers": (
                 avg_round_big / avg_round_small if avg_round_small > 0 else float("nan")
             ),
-            "mean_staleness": participation_emd,
+            "mean_staleness": float(np.mean(staleness)) if staleness else 0.0,
             "total_energy_j": hist_big.total_energy,
         }
     return out

@@ -32,11 +32,11 @@ so a whole experiment is reproducible from one JSON document.
 >>> from repro import registry
 >>> registry.get("mechanism", "fedavg").__name__
 'FedAvgTrainer'
->>> try:
+>>> try:  # doctest: +ELLIPSIS
 ...     registry.get("mechanism", "air_fedgaa")
 ... except registry.UnknownComponentError as exc:
 ...     print(exc)
-unknown mechanism 'air_fedgaa'; did you mean 'air_fedga' or 'air_fedavg' or 'fedavg'? (available: ['air_fedavg', 'air_fedga', 'dynamic', 'fedavg', 'tifl'])
+unknown mechanism 'air_fedgaa'; did you mean 'air_fedga' or 'air_fedavg' or 'fedavg'? (available: ['air_fedavg', 'air_fedga', ...])
 """
 
 from __future__ import annotations

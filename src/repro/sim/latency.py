@@ -190,8 +190,8 @@ def build_uniform_latency(
     """The paper's heterogeneity model: ``l_i = κ_i · l̂_i``, κ ~ U[min, max].
 
     ``heterogeneity_seed`` seeds the κ draw and ``seed`` the (optional)
-    per-round jitter, matching the seed discipline of
-    :func:`repro.experiments.build_experiment` (``seed+1`` / ``seed+2``).
+    per-round jitter; :meth:`repro.experiments.Scenario.build_experiment`
+    passes ``seed+1`` / ``seed+2``.
     """
     heterogeneity = HeterogeneityModel(
         num_workers=num_workers,

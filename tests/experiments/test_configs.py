@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
+import pytest
 
 from repro.experiments import (
     EXPERIMENT_CONFIGS,
+    Scenario,
     cnn_cifar10_config,
     cnn_mnist_config,
     lr_mnist_config,
@@ -30,42 +34,48 @@ class TestRegistry:
 
 class TestConfigConstruction:
     def test_lr_mnist_builds_flat_model(self):
-        cfg = lr_mnist_config(num_workers=5, num_train=100, image_size=8)
-        assert cfg.flatten_inputs is True
-        model = cfg.model_factory()
-        dataset = cfg.dataset_factory()
-        assert model.dimension > 0
-        assert dataset.num_classes == 10
+        scenario = lr_mnist_config(num_workers=5, num_train=100, image_size=8)
+        assert scenario.data.flatten is True
+        exp = scenario.build_experiment()
+        assert exp.model_factory().dimension > 0
+        assert exp.dataset.num_classes == 10
 
     def test_cnn_mnist_model_consumes_dataset_shape(self):
-        cfg = cnn_mnist_config(num_workers=5, num_train=60, image_size=8)
-        model = cfg.model_factory()
-        ds = cfg.dataset_factory()
-        out = model.forward(ds.x_train[:2], training=False)
+        exp = cnn_mnist_config(num_workers=5, num_train=60, image_size=8).build_experiment()
+        out = exp.model_factory().forward(exp.dataset.x_train[:2], training=False)
         assert out.shape == (2, 10)
 
     def test_cnn_cifar10_uses_three_channels(self):
-        cfg = cnn_cifar10_config(num_workers=5, num_train=60, image_size=8)
-        ds = cfg.dataset_factory()
-        assert ds.sample_shape[0] == 3
+        exp = cnn_cifar10_config(num_workers=5, num_train=60, image_size=8).build_experiment()
+        assert exp.dataset.sample_shape[0] == 3
 
     def test_vgg_config_class_count(self):
-        cfg = vgg_imagenet100_config(num_workers=5, num_train=200, image_size=8,
-                                     num_classes=10)
-        ds = cfg.dataset_factory()
-        model = cfg.model_factory()
-        assert ds.num_classes == 10
-        out = model.forward(ds.x_train[:1], training=False)
+        exp = vgg_imagenet100_config(
+            num_workers=5, num_train=200, image_size=8, num_classes=10
+        ).build_experiment()
+        assert exp.dataset.num_classes == 10
+        out = exp.model_factory().forward(exp.dataset.x_train[:1], training=False)
         assert out.shape == (1, 10)
 
-    def test_scaled_overrides_fields(self):
-        cfg = lr_mnist_config(num_workers=5)
-        new = cfg.scaled(num_workers=9, learning_rate=0.5)
+    def test_with_overrides_fields(self):
+        scenario = lr_mnist_config(num_workers=5)
+        new = scenario.with_(num_workers=9, **{"training.learning_rate": 0.5})
         assert new.num_workers == 9
-        assert new.learning_rate == 0.5
-        # Original is unchanged (dataclasses.replace semantics).
-        assert cfg.num_workers == 5
+        assert new.training.learning_rate == 0.5
+        # The original is unchanged.
+        assert scenario.num_workers == 5
 
     def test_latency_dimension_set_from_paper_values(self):
-        assert lr_mnist_config().latency_model_dimension == PAPER_DIMENSIONS["lr"]
-        assert cnn_mnist_config().latency_model_dimension == PAPER_DIMENSIONS["mnist_cnn"]
+        assert (
+            lr_mnist_config().training.latency_model_dimension == PAPER_DIMENSIONS["lr"]
+        )
+        assert (
+            cnn_mnist_config().training.latency_model_dimension
+            == PAPER_DIMENSIONS["mnist_cnn"]
+        )
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+    def test_catalogue_entries_are_json_documents(self, name):
+        scenario = EXPERIMENT_CONFIGS[name]()
+        assert scenario.name == name
+        assert Scenario.from_dict(json.loads(scenario.to_json())) == scenario

@@ -15,25 +15,31 @@ from repro.experiments import (
 )
 
 
-def tiny_config(**overrides):
-    cfg = lr_mnist_config(
-        num_workers=6, num_train=120, image_size=8, hidden=8, max_rounds=4
-    ).scaled(eval_every=1, max_eval_samples=40, local_steps=1, batch_size=16)
-    if overrides:
-        cfg = cfg.scaled(**overrides)
-    return cfg
+def tiny_scenario(max_rounds=4, num_workers=6, **overrides):
+    scenario = lr_mnist_config(
+        num_workers=num_workers,
+        num_train=20 * num_workers,
+        image_size=8,
+        hidden=8,
+        max_rounds=max_rounds,
+    ).with_(
+        training={
+            "eval_every": 1, "max_eval_samples": 40, "local_steps": 1, "batch_size": 16
+        }
+    )
+    return scenario.with_(**overrides) if overrides else scenario
 
 
 class TestLossAccuracyVsTime:
     def test_returns_series_for_each_mechanism(self):
-        series = loss_accuracy_vs_time(tiny_config(), mechanisms=("air_fedavg", "air_fedga"))
+        series = loss_accuracy_vs_time(tiny_scenario(), mechanisms=("air_fedavg", "air_fedga"))
         assert set(series) == {"air_fedavg", "air_fedga"}
         for data in series.values():
             assert len(data["time"]) == len(data["loss"]) == len(data["accuracy"])
             assert np.all(np.diff(data["time"]) >= 0)
 
     def test_accuracy_within_bounds(self):
-        series = loss_accuracy_vs_time(tiny_config(), mechanisms=("air_fedga",))
+        series = loss_accuracy_vs_time(tiny_scenario(), mechanisms=("air_fedga",))
         acc = series["air_fedga"]["accuracy"]
         assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
 
@@ -57,7 +63,7 @@ class TestGroupingBoxplot:
 class TestXiSweep:
     def test_returns_entry_per_xi(self):
         results = xi_sweep(
-            tiny_config(max_rounds=3),
+            tiny_scenario(max_rounds=3),
             xi_values=(0.0, 0.5),
             accuracy_targets=(0.2,),
         )
@@ -68,21 +74,37 @@ class TestXiSweep:
 
     def test_zero_xi_uses_more_groups_than_large_xi(self):
         results = xi_sweep(
-            tiny_config(max_rounds=3),
+            tiny_scenario(max_rounds=3),
             xi_values=(0.0, 1.0),
             accuracy_targets=(0.2,),
         )
         assert results[0.0]["_num_groups"] >= results[1.0]["_num_groups"]
 
+    def test_sweep_varies_only_xi(self):
+        """The caller's other algorithm settings survive the sweep (it used
+        to rebuild the algorithm config from three of its sections)."""
+        setting = {"algorithm.grouping.sort_descending_by_data": False}
+        scenario = tiny_scenario(max_rounds=6, num_workers=20, **setting)
+        swept = xi_sweep(scenario, xi_values=(0.3,), accuracy_targets=())[0.3]
+        direct = scenario.with_(**{"algorithm.grouping.xi": 0.3}).run()
+        assert swept["_total_time"] == direct.total_time
+        # ...and the setting is one the outcome depends on.
+        default = xi_sweep(
+            tiny_scenario(max_rounds=6, num_workers=20),
+            xi_values=(0.3,),
+            accuracy_targets=(),
+        )[0.3]
+        assert swept["_num_groups"] != default["_num_groups"]
+
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
-            xi_sweep(tiny_config(), xi_values=(-0.1,))
+            xi_sweep(tiny_scenario(), xi_values=(-0.1,))
 
 
 class TestEnergyVsAccuracy:
     def test_structure(self):
         results = energy_vs_accuracy(
-            tiny_config(max_rounds=3),
+            tiny_scenario(max_rounds=3),
             accuracy_targets=(0.15,),
             mechanisms=("air_fedavg", "air_fedga"),
         )
@@ -95,7 +117,7 @@ class TestEnergyVsAccuracy:
 class TestScalabilitySweep:
     def test_structure_and_monotone_oma_round_time(self):
         results = scalability_sweep(
-            tiny_config(max_rounds=2),
+            tiny_scenario(max_rounds=2),
             worker_counts=(4, 8),
             mechanisms=("fedavg", "air_fedga"),
             accuracy_target=0.2,
@@ -108,4 +130,4 @@ class TestScalabilitySweep:
 
     def test_rejects_tiny_worker_counts(self):
         with pytest.raises(ValueError):
-            scalability_sweep(tiny_config(), worker_counts=(1,), mechanisms=("fedavg",))
+            scalability_sweep(tiny_scenario(), worker_counts=(1,), mechanisms=("fedavg",))

@@ -1,38 +1,40 @@
-"""Unit tests for the experiment runner."""
+"""Unit tests for building and comparing catalogue scenarios."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.experiments import build_experiment, lr_mnist_config, run_comparison, run_mechanism
+from repro.experiments import lr_mnist_config, run_comparison
 
 
-def tiny_config(**overrides):
-    cfg = lr_mnist_config(
+def tiny_scenario(**overrides):
+    scenario = lr_mnist_config(
         num_workers=6, num_train=120, image_size=8, hidden=8, max_rounds=3
-    ).scaled(eval_every=1, max_eval_samples=40, local_steps=1, batch_size=16)
-    if overrides:
-        cfg = cfg.scaled(**overrides)
-    return cfg
+    ).with_(
+        training={
+            "eval_every": 1, "max_eval_samples": 40, "local_steps": 1, "batch_size": 16
+        }
+    )
+    return scenario.with_(**overrides) if overrides else scenario
 
 
 class TestBuildExperiment:
     def test_builds_consistent_experiment(self):
-        exp = build_experiment(tiny_config())
+        exp = tiny_scenario().build_experiment()
         assert exp.num_workers == 6
         assert exp.partition.num_workers == 6
         assert exp.latency.num_workers == 6
         assert exp.channel.num_workers == 6
 
     def test_flattening_applied(self):
-        exp = build_experiment(tiny_config())
+        exp = tiny_scenario().build_experiment()
         assert exp.dataset.x_train.ndim == 2
 
     def test_partition_strategies(self):
-        iid = build_experiment(tiny_config(partition_strategy="iid"))
-        skew = build_experiment(tiny_config(partition_strategy="label-skew"))
-        dirichlet = build_experiment(tiny_config(partition_strategy="dirichlet"))
+        iid = tiny_scenario(partition="iid").build_experiment()
+        skew = tiny_scenario(partition="label-skew").build_experiment()
+        dirichlet = tiny_scenario(partition="dirichlet").build_experiment()
         # label-skew workers hold fewer distinct classes than IID workers.
         def mean_classes(exp):
             return (exp.partition.class_counts() > 0).sum(axis=1).mean()
@@ -41,38 +43,36 @@ class TestBuildExperiment:
 
     def test_unknown_partition_strategy(self):
         with pytest.raises(KeyError):
-            build_experiment(tiny_config(partition_strategy="sorted"))
+            tiny_scenario(partition="sorted")
 
     def test_same_seed_same_data(self):
-        a = build_experiment(tiny_config())
-        b = build_experiment(tiny_config())
+        a = tiny_scenario().build_experiment()
+        b = tiny_scenario().build_experiment()
         np.testing.assert_array_equal(a.dataset.x_train, b.dataset.x_train)
         np.testing.assert_array_equal(
             a.latency.nominal_times(), b.latency.nominal_times()
         )
 
 
-class TestRunners:
-    def test_run_mechanism_returns_history(self):
-        history = run_mechanism(tiny_config(), "air_fedavg")
-        assert history.total_rounds == 3
+class TestRunComparison:
+    def test_runs_all_requested_under_the_budget(self):
+        histories = run_comparison(tiny_scenario(), mechanisms=("fedavg", "air_fedga"))
+        assert list(histories) == ["fedavg", "air_fedga"]
+        for name, history in histories.items():
+            assert history.mechanism == name
+            assert history.total_rounds == 3
 
-    def test_run_comparison_runs_all_requested(self):
-        run = run_comparison(tiny_config(), mechanisms=("fedavg", "air_fedga"))
-        assert set(run.histories) == {"fedavg", "air_fedga"}
-        rows = run.summary_rows()
-        assert len(rows) == 2
-
-    def test_run_comparison_time_to_accuracy_keys(self):
-        run = run_comparison(tiny_config(), mechanisms=("air_fedavg",))
-        tta = run.time_to_accuracy(0.99)
-        assert set(tta) == {"air_fedavg"}
+    def test_ignores_the_scenarios_own_mechanism(self):
+        scenario = tiny_scenario(
+            mechanism={"name": "tifl", "params": {"num_tiers": 2}}
+        )
+        histories = run_comparison(scenario, mechanisms=("air_fedavg",))
+        assert histories["air_fedavg"].mechanism == "air_fedavg"
 
     def test_trainer_kwargs_forwarded(self):
-        run = run_comparison(
-            tiny_config(),
+        histories = run_comparison(
+            tiny_scenario(),
             mechanisms=("dynamic",),
             trainer_kwargs={"dynamic": {"select_fraction": 1.0}},
         )
-        last = run.histories["dynamic"].records[-1]
-        assert last.num_participants == 6
+        assert histories["dynamic"].records[-1].num_participants == 6

@@ -2,21 +2,18 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from repro import registry
 from repro.core import AirFedGAConfig, ParallelismConfig
-from repro.core.config import GroupingConfig
-from repro.data.synthetic import make_mnist_like
 from repro.experiments import (
     ComponentSpec,
     DataSpec,
-    ExperimentConfig,
     Scenario,
     TimingSpec,
     TrainingSpec,
-    run_mechanism,
 )
 from repro.fl import AirFedGATrainer, TiFLTrainer
 from repro.registry import UnknownComponentError
@@ -137,7 +134,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="base_local_time"):
             TimingSpec(base_local_time=0.0)
         with pytest.raises(ValueError, match="max_rounds"):
-            TrainingSpec(max_rounds=0)
+            TrainingSpec(max_rounds=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("training.learning_rate", math.nan),
+            ("timing.base_local_time", math.nan),
+            ("training.max_time", math.nan),
+            ("training.max_time", math.inf),
+            ("num_workers", 4.5),
+            ("seed", 1.5),
+            ("num_workers", "8"),
+        ],
+    )
+    def test_non_finite_and_non_integer_numbers_fail_at_construction(
+        self, field, value
+    ):
+        """Each of these used to run to a NaN loss or die deep inside NumPy."""
+        with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
+            tiny_scenario(**{field: value})
+        assert repr(value) in str(excinfo.value)
+
+    def test_zero_rounds_is_the_round_zero_only_run(self):
+        history = tiny_scenario(**{"training.max_rounds": 0}).run()
+        assert [record.round_index for record in history.records] == [0]
 
     def test_parallelism_must_live_in_its_own_section(self):
         with pytest.raises(ValueError, match="scenario.parallelism"):
@@ -221,73 +242,3 @@ class TestBuildAndRun:
         assert exp.dataset.sample_shape == (64,)
         exp_img = tiny_scenario(data={"flatten": False}).build_experiment()
         assert exp_img.dataset.sample_shape == (1, 8, 8)
-
-
-class TestLegacyEquivalence:
-    """A scenario run is bit-identical to the hand-wired ExperimentConfig run."""
-
-    def make_pair(self):
-        scenario = Scenario(
-            name="equivalence",
-            num_workers=6,
-            seed=3,
-            data=DataSpec(
-                name="synthetic-mnist",
-                params={"num_train": 120, "num_test": 60, "image_size": 8},
-                flatten=True,
-            ),
-            model=ComponentSpec(
-                "lr", {"input_dim": 64, "hidden": 8, "num_classes": 10}
-            ),
-            timing=TimingSpec(base_local_time=2.0),
-            training=TrainingSpec(max_rounds=5, max_eval_samples=60),
-            algorithm=AirFedGAConfig(grouping=GroupingConfig(xi=0.3)),
-        )
-        config = ExperimentConfig(
-            name="equivalence",
-            dataset_factory=lambda: make_mnist_like(
-                num_train=120, num_test=60, image_size=8, seed=3
-            ),
-            model_factory=lambda: registry.create(
-                "model", "lr", input_dim=64, hidden=8, num_classes=10, seed=3
-            ),
-            flatten_inputs=True,
-            num_workers=6,
-            base_local_time=2.0,
-            max_rounds=5,
-            max_eval_samples=60,
-            seed=3,
-            config=AirFedGAConfig(grouping=GroupingConfig(xi=0.3)),
-        )
-        return scenario, config
-
-    def test_bit_identical_history_from_json(self, tmp_path):
-        scenario, config = self.make_pair()
-        # The acceptance-criterion path: one JSON file reproduces the run.
-        path = tmp_path / "equivalence.json"
-        scenario.to_json(path)
-        with path.open() as handle:
-            loaded = Scenario.from_dict(json.load(handle))
-
-        scenario_history = loaded.run()
-        legacy_history = run_mechanism(config, "air_fedga")
-
-        assert len(scenario_history.records) == len(legacy_history.records)
-        for ours, theirs in zip(scenario_history.records, legacy_history.records):
-            assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
-
-    def test_experiments_match_structurally(self):
-        scenario, config = self.make_pair()
-        from repro.experiments import build_experiment
-        import numpy as np
-
-        ours = scenario.build_experiment()
-        theirs = build_experiment(config)
-        np.testing.assert_array_equal(ours.dataset.x_train, theirs.dataset.x_train)
-        np.testing.assert_array_equal(
-            ours.partition.data_sizes(), theirs.partition.data_sizes()
-        )
-        np.testing.assert_array_equal(
-            ours.latency.nominal_times(), theirs.latency.nominal_times()
-        )
-        np.testing.assert_array_equal(ours.channel.gains(0), theirs.channel.gains(0))

@@ -26,13 +26,23 @@ class TestEMDComparison:
 
 class TestMechanismComparison:
     def test_probe_reports_all_mechanisms(self):
-        cfg = lr_mnist_config(
+        scenario = lr_mnist_config(
             num_workers=6, num_train=120, image_size=8, hidden=8, max_rounds=3
-        ).scaled(eval_every=1, max_eval_samples=40, local_steps=1)
+        ).with_(training={"eval_every": 1, "max_eval_samples": 40, "local_steps": 1})
         result = mechanism_comparison(
-            config=cfg, mechanisms=("fedavg", "air_fedga"), max_rounds=3
+            scenario, mechanisms=("fedavg", "air_fedga"), max_rounds=3
         )
         assert set(result) == {"fedavg", "air_fedga"}
         for row in result.values():
+            # The documented keys are the returned keys.
+            assert set(row) == {
+                "avg_round_time_s",
+                "total_time_s",
+                "final_accuracy",
+                "round_time_ratio_when_doubling_workers",
+                "mean_staleness",
+                "total_energy_j",
+            }
             assert row["avg_round_time_s"] > 0
             assert 0.0 <= row["final_accuracy"] <= 1.0
+        assert result["fedavg"]["mean_staleness"] == 0.0

@@ -19,10 +19,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import AirFedGAConfig, GroupingConfig, ParallelismConfig
+from repro.core import ParallelismConfig
 from repro.experiments.bench import bench_grouped_round_mp
 from repro.experiments.configs import cnn_mnist_config, lr_mnist_config
-from repro.experiments.runner import build_experiment
 from repro.fl import AirFedGATrainer
 from repro.fl.registry import build_trainer
 from repro.nn.batched import BatchedWorkerEngine, shared_stack_view
@@ -207,16 +206,17 @@ class _MidRunCrashTrainer(AirFedGATrainer):
 @pytest.mark.chaos
 class TestTrainerCrash:
     def _experiment(self, par):
-        cfg = lr_mnist_config(
+        return lr_mnist_config(
             num_workers=12, num_train=240, image_size=8, hidden=16,
             max_rounds=40,
-        ).scaled(
-            local_steps=2, batch_size=16, eval_every=1, max_eval_samples=48,
-            config=AirFedGAConfig(
-                grouping=GroupingConfig(xi=1.0), parallelism=par
-            ),
-        )
-        return build_experiment(cfg)
+        ).with_(
+            training={
+                "local_steps": 2, "batch_size": 16, "eval_every": 1,
+                "max_eval_samples": 48,
+            },
+            parallelism=par,
+            **{"algorithm.grouping.xi": 1.0},
+        ).build_experiment()
 
     @pytest.mark.parametrize("max_restarts", [1, 0], ids=["respawn", "fallback"])
     def test_sigkill_mid_run_bit_exact(self, max_restarts):
@@ -301,14 +301,16 @@ class TestLifecycle:
 # Trainer-level equivalence (the full Air-FedGA event loop)
 # ----------------------------------------------------------------------
 def _run_air_fedga(config_fn, parallelism, **kwargs):
-    cfg = config_fn(num_workers=8, num_train=160, image_size=8, max_rounds=10, **kwargs).scaled(
-        local_steps=2,
-        batch_size=16,
-        eval_every=2,
-        max_eval_samples=48,
-        config=AirFedGAConfig(grouping=GroupingConfig(xi=1.0), parallelism=parallelism),
+    scenario = config_fn(
+        num_workers=8, num_train=160, image_size=8, max_rounds=10, **kwargs
+    ).with_(
+        training={
+            "local_steps": 2, "batch_size": 16, "eval_every": 2, "max_eval_samples": 48
+        },
+        parallelism=parallelism,
+        **{"algorithm.grouping.xi": 1.0},
     )
-    with build_trainer("air_fedga", build_experiment(cfg)) as trainer:
+    with scenario.build() as trainer:
         history = trainer.run(max_rounds=5)
         return (
             trainer.global_vector.copy(),

@@ -4,7 +4,6 @@ import pytest
 
 from repro import registry
 from repro.experiments.configs import lr_mnist_config
-from repro.experiments.runner import build_experiment
 from repro.fl.registry import build_trainer
 from repro.registry import UnknownComponentError
 
@@ -44,11 +43,10 @@ class TestBuildTrainerErrors:
 
 
 class TestPartitionErrors:
-    def test_runner_build_partition_suggests_close_match(self):
-        config = lr_mnist_config(num_workers=4, num_train=60, image_size=8)
-        config = config.scaled(partition_strategy="dirichlet ")
+    def test_scenario_partition_suggests_close_match(self):
+        scenario = lr_mnist_config(num_workers=4, num_train=60, image_size=8)
         with pytest.raises(UnknownComponentError) as excinfo:
-            build_experiment(config)
+            scenario.with_(partition="dirichlet ")
         message = str(excinfo.value)
         assert "unknown partition strategy" in message
         assert "did you mean 'dirichlet'" in message

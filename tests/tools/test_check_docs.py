@@ -99,6 +99,17 @@ class TestRunDoctests:
         assert (failed, attempted) == (1, 1)
 
 
+class TestModuleDoctests:
+    def test_docstring_examples_of_src_modules_run_and_pass(self):
+        results = {
+            name: (failed, attempted)
+            for name, failed, attempted in check_docs.run_module_doctests()
+        }
+        assert {"repro.registry", "repro.fl.staleness"} <= set(results)
+        for name, (failed, attempted) in results.items():
+            assert attempted > 0 and failed == 0, name
+
+
 class TestApiCoverage:
     @pytest.fixture()
     def fake_module(self, monkeypatch):

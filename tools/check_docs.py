@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: link integrity + executable examples + API coverage.
 
-Mirrored by ``make docs-check`` and the CI ``docs`` job.  Three passes:
+Mirrored by ``make docs-check`` and the CI ``docs`` job.  Four passes:
 
 1. **link check** (``README.md`` + ``docs/*.md``) — every relative
    markdown link must point at an existing file (anchors are validated
@@ -12,7 +12,10 @@ Mirrored by ``make docs-check`` and the CI ``docs`` job.  Three passes:
    :mod:`doctest` (``python -m doctest`` semantics), so the fenced
    examples in ``docs/API.md`` and ``docs/TUTORIAL.md`` are executed
    against the live library and cannot drift from the code;
-3. **API coverage** — every symbol exported (``__all__``) from the public
+3. **docstring doctest** — every ``src/repro`` module whose source
+   contains ``>>>`` is imported and run through :func:`doctest.testmod`,
+   so a docstring example cannot go stale unnoticed either;
+4. **API coverage** — every symbol exported (``__all__``) from the public
    packages listed in :data:`API_COVERAGE_MODULES` must be mentioned in
    ``docs/API.md``, so a PR that adds an entry point without documenting
    it fails CI.
@@ -111,6 +114,23 @@ def run_doctests(path: Path) -> Tuple[int, int]:
     return result.failed, result.attempted
 
 
+def run_module_doctests() -> List[Tuple[str, int, int]]:
+    """``doctest.testmod`` every ``src/repro`` module that has ``>>>`` examples.
+
+    Returns ``(module name, failures, attempts)`` per such module.
+    """
+    src = REPO_ROOT / "src"
+    results: List[Tuple[str, int, int]] = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        if ">>>" not in path.read_text(encoding="utf-8"):
+            continue
+        parts = path.relative_to(src).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        result = doctest.testmod(importlib.import_module(name), verbose=False)
+        results.append((name, result.failed, result.attempted))
+    return results
+
+
 def check_api_coverage(api_doc: Path) -> List[str]:
     """Every ``__all__`` export of the public packages must be documented.
 
@@ -154,6 +174,12 @@ def main() -> int:
         status = "ok" if not (errors or failed) else "FAIL"
         print(
             f"{status:4s} {rel}  (links checked, {attempted} doctest "
+            f"example{'s' if attempted != 1 else ''}, {failed} failed)"
+        )
+    for name, failed, attempted in run_module_doctests():
+        failures += failed
+        print(
+            f"{'FAIL' if failed else 'ok':4s} {name}  ({attempted} docstring "
             f"example{'s' if attempted != 1 else ''}, {failed} failed)"
         )
     coverage_errors = check_api_coverage(REPO_ROOT / "docs" / "API.md")
