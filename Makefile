@@ -19,7 +19,7 @@ analyze:         ## repo-specific invariant checkers (RNG discipline, hot-path a
 	$(PYTHON) -m tools.analysis --json results/analysis_findings.json
 	$(PYTHON) -m tools.analysis --mypy
 
-bench:           ## perf suite (scalar reference vs vectorized engine), appends to BENCH_perf_v1.json
+bench:           ## legacy perf harness (serial vs process pool, XL population, mechanism convergence), appends to BENCH_perf_v1.json
 	$(PYTHON) -m repro.experiments bench --label perf_v1
 
 bench-quick:     ## smaller/faster perf smoke run (the CI bench-smoke job); writes BENCH_smoke.json (gitignored) so the committed BENCH_perf_v1.json trajectory stays curated

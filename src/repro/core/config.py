@@ -30,22 +30,11 @@ class AirCompConfig:
     power_control_tolerance: float = 1e-6
     power_control_max_iters: int = 200
     #: Memoize the Algorithm-2 alternating optimization on quantized
-    #: ``(gains, sizes, model_bound)`` keys and warm-start it from the same
-    #: group's previous (σ, η).  Cached σ is re-clamped to the *exact*
-    #: energy-budget cap of the current round, so budgets are never
-    #: violated by the quantization.
+    #: ``(gains, sizes, model_bound)`` keys (see
+    #: :class:`repro.core.power_control.PowerControlCache`).  Cached σ is
+    #: re-clamped to the *exact* energy-budget cap of the current round, so
+    #: budgets are never violated by the quantization.
     power_control_cache: bool = True
-    #: Relative quantization applied to the model bound W_t when forming
-    #: cache keys (a hit may therefore reuse a (σ, η) pair solved for a
-    #: bound up to this relative distance away).
-    power_control_cache_rel_tol: float = 1e-3
-    #: Warm-start cache *misses* from the same group's previous σ*.  Off by
-    #: default: Algorithm 2's alternation is only guaranteed to reach the
-    #: paper's operating point when started from the energy cap, and warm
-    #: starts can converge to a different (lower-power) fixed point,
-    #: materially changing the simulated energy trace.  Enable for speed
-    #: when exact fidelity to the from-cap solution is not required.
-    power_control_warm_start: bool = False
 
     def __post_init__(self) -> None:
         if self.noise_variance < 0:
@@ -62,8 +51,6 @@ class AirCompConfig:
             raise ValueError("power_control_tolerance must be positive")
         if self.power_control_max_iters < 1:
             raise ValueError("power_control_max_iters must be >= 1")
-        if self.power_control_cache_rel_tol <= 0:
-            raise ValueError("power_control_cache_rel_tol must be positive")
 
 
 @dataclass

@@ -20,10 +20,9 @@ devices:
   bit-for-bit (every worker owns fancy-indexed copies, exactly what
   ``dataset.subset`` returned), while ``"lazy"`` hands out shard views
   backed by the shared store.
-* :class:`GroupBatch` / :class:`StackPool` — stacked ``(G, q)`` tensors
-  are materialized only for groups currently training and recycled on
-  commit, so in-flight stacks — not ``num_workers`` — bound the working
-  set.
+* :class:`StackPool` — stacked ``(G, q)`` tensors are materialized only
+  for groups currently training and recycled on commit, so in-flight
+  stacks — not ``num_workers`` — bound the working set.
 
 Bit-identity contract: at legacy scale the eager path performs exactly the
 same float64 operations as the old trainer init (``astype(np.float64)``,
@@ -43,7 +42,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Union,
 )
 
 import numpy as np
@@ -59,7 +57,6 @@ __all__ = [
     "WorkerStateTable",
     "SharedDatasetStore",
     "StackPool",
-    "GroupBatch",
     "Population",
 ]
 
@@ -546,57 +543,13 @@ class StackPool:
         return len(self._free)
 
 
-@dataclass
-class GroupBatch:
-    """Materialized tensors for one group currently training.
-
-    Holds the member-id array, per-member data shards, and (on demand) a
-    pooled ``(G, q)`` stack buffer.  Call :meth:`release` on commit to
-    recycle the stack.
-    """
-
-    members: np.ndarray
-    population: "Population"
-    _stack: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self.members = np.asarray(self.members, dtype=np.int64)
-        if self.members.ndim != 1 or self.members.size == 0:
-            raise ValueError("group must contain at least one worker")
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-    def shards(self) -> List[ShardView]:
-        return [self.population.worker_data(int(w)) for w in self.members]
-
-    def stack(self, dim: int, dtype=np.float64) -> np.ndarray:
-        """A pooled ``(size, dim)`` buffer for this group's local vectors."""
-        if (
-            self._stack is None
-            or self._stack.shape != (self.size, dim)
-            or self._stack.dtype != np.dtype(dtype)
-        ):
-            self.release()
-            self._stack = self.population.stack_pool.acquire(
-                self.size, dim, dtype
-            )
-        return self._stack
-
-    def release(self) -> None:
-        if self._stack is not None:
-            self.population.stack_pool.release(self._stack)
-            self._stack = None
-
-
 class Population:
     """Facade over the worker-state table and the shared dataset store.
 
     This is the surface trainers use instead of reaching into per-worker
     objects: ``population.shard(w)`` for zero-copy data access,
     ``population.worker_data_sequence()`` for the trainer's data list,
-    ``population.group_batch(members)`` for per-group stacked tensors,
+    ``population.stack_pool`` for recycled per-group ``(G, q)`` stacks,
     and ``population.state`` for every per-worker scalar field.
     """
 
@@ -715,12 +668,6 @@ class Population:
         if self.materialization == "eager":
             return [self.worker_data(w) for w in range(self.num_workers)]
         return self.store.shards()
-
-    def group_batch(
-        self, member_ids: Union[Sequence[int], np.ndarray]
-    ) -> GroupBatch:
-        """Materialize tensors for one group currently training."""
-        return GroupBatch(np.asarray(member_ids, dtype=np.int64), self)
 
     def class_counts(self) -> np.ndarray:
         """Per-worker label histograms (partition-cached when available)."""

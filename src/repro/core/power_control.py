@@ -20,7 +20,7 @@ Algorithm 2 alternates two closed-form updates until convergence:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -195,34 +195,25 @@ def solve_power_control(
 
 
 class PowerControlCache:
-    """Memoization + warm-start wrapper around :func:`solve_power_control`.
+    """Memoization wrapper around :func:`solve_power_control`.
 
-    Re-running Algorithm 2 from scratch at every aggregation is wasteful in
-    two common regimes:
-
-    * **static channels / stable bounds** — successive rounds of the same
-      group pose *identical* (or near-identical) P3 instances: the solution
-      is looked up on a quantized ``(gains, sizes, model_bound)`` key;
-    * **slowly drifting bounds** — optionally (``warm_start=True``), a miss
-      starts the alternation from the same group's previous σ* instead of
-      the energy cap.  Off by default: the alternation can converge to a
-      *different* fixed point from a different start, materially changing
-      the simulated σ/energy trace relative to the paper's from-cap
-      Algorithm 2 (observed ~5× lower transmit energy on the quickstart
-      workload) — enable only when that fidelity does not matter.
+    Re-running Algorithm 2 from scratch at every aggregation is wasteful
+    under static channels and stable bounds, where successive rounds of the
+    same group pose *identical* (or near-identical) P3 instances: the
+    solution is looked up on a quantized ``(gains, sizes, model_bound)``
+    key.  A miss always runs the paper's from-cap Algorithm 2 — the
+    alternation can converge to a different fixed point from a different
+    start, so the cache never seeds it with an earlier σ.
 
     The model bound is quantized to ``rel_tol`` relative precision when
-    forming keys; gains and data sizes are hashed exactly.  On a hit the
-    cached σ is clamped to the *exact* energy-budget cap of the current
-    inputs (Eq. 46), so the quantization can never cause a budget violation.
+    forming keys (a hit may therefore reuse a (σ, η) pair solved for a
+    bound up to that relative distance away); gains and data sizes are
+    hashed exactly.  On a hit the cached σ is clamped to the *exact*
+    energy-budget cap of the current inputs (Eq. 46), so the quantization
+    can never cause a budget violation.
     """
 
-    def __init__(
-        self,
-        rel_tol: float = 1e-3,
-        max_entries: int = 4096,
-        warm_start: bool = False,
-    ) -> None:
+    def __init__(self, rel_tol: float = 1e-3, max_entries: int = 4096) -> None:
         if rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if max_entries < 1:
@@ -230,11 +221,9 @@ class PowerControlCache:
         self.rel_tol = rel_tol
         self._log_step = np.log1p(rel_tol)
         self.max_entries = max_entries
-        self.warm_start = warm_start
         self.hits = 0
         self.misses = 0
         self._cache: Dict[Tuple, PowerControlResult] = {}
-        self._warm_sigma: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------
     def _quantize_bound(self, model_bound: float) -> float:
@@ -248,14 +237,8 @@ class PowerControlCache:
         channel_gains: Sequence[float],
         model_bound: float,
         config: AirCompConfig,
-        group_key: Optional[Tuple] = None,
     ) -> PowerControlResult:
-        """Cached/warm-started equivalent of :func:`solve_power_control`.
-
-        ``group_key`` identifies the participating group (e.g. the member
-        tuple) for warm-start bookkeeping; pass ``None`` to disable warm
-        starts for this call.
-        """
+        """Cached equivalent of :func:`solve_power_control`."""
         sizes = np.ascontiguousarray(data_sizes, dtype=np.float64)
         gains = np.ascontiguousarray(channel_gains, dtype=np.float64)
         key = (
@@ -288,23 +271,15 @@ class PowerControlCache:
                 sigma_cap=sigma_cap,
             )
         self.misses += 1
-        warm = (
-            self._warm_sigma.get(group_key)
-            if (self.warm_start and group_key is not None)
-            else None
-        )
         result = solve_power_control(
             data_sizes=sizes,
             channel_gains=gains,
             model_bound=model_bound,
             config=config,
-            initial_sigma=warm,
         )
         if len(self._cache) >= self.max_entries:
             # Simple wholesale reset: the cache is an optimization, not a
             # correctness structure, and resets are rare at this size.
             self._cache.clear()
         self._cache[key] = result
-        if group_key is not None:
-            self._warm_sigma[group_key] = result.sigma
         return result

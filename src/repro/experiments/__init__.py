@@ -24,13 +24,7 @@ from .figures import (
 from .tables import emd_comparison, mechanism_comparison
 from .reporting import format_float, format_mapping, format_series, format_table
 from .cli import EXPERIMENTS, run_experiment
-from .bench import (
-    bench_aggregation_micro,
-    bench_cnn_mnist_mini,
-    bench_grouped_round,
-    run_bench_suite,
-    write_bench_results,
-)
+from .bench import run_bench_suite, write_bench_results
 
 __all__ = [
     "EXPERIMENT_CONFIGS",
@@ -71,9 +65,6 @@ __all__ = [
     "format_float",
     "EXPERIMENTS",
     "run_experiment",
-    "bench_grouped_round",
-    "bench_cnn_mnist_mini",
-    "bench_aggregation_micro",
     "run_bench_suite",
     "write_bench_results",
 ]

@@ -1,34 +1,23 @@
-"""Performance benchmark harness for the vectorized training/aggregation engine.
+"""Legacy performance harness: the three tiers airbench does not hold yet.
 
-Seven tiers.  The first four time the *same* simulation twice — once on the
-seed's sequential reference path (``engine="scalar"``: per-worker Python
-loops, per-member aggregation accumulation, no power-control cache) and
-once on the vectorized path (``engine="auto"``: group-batched matmuls,
-allocation-free ``α @ A`` aggregation, memoized power control); the fifth
-compares the vectorized path against itself with multiprocess group
-execution on top:
+The repo benchmark is ``benchmarks/airbench`` (``BENCHMARK.json``); its
+``fig_mlp`` / ``fig_cnn`` workloads and ``channel.aircomp.aggregate*_us``
+rows superseded this harness's grouped-round, CNN mini-run and
+aggregation-micro tiers.  What remains here until airbench has the
+corresponding workloads:
 
-1. **grouped_round** — one Air-FedGA grouped round on the MLP workload at
-   10/50/200 workers (the Fig. 10 scalability axis);
-2. **grouped_round_cnn** — the same grouped-round scenario on the fig4 CNN
-   workload, exercising the batched Conv2D/MaxPool2D kernels (grouped
-   im2col + one GEMM per layer per step for the whole group);
-3. **cnn_mnist_mini** — a full fig4-style CNN-MNIST mini-run end to end
-   (local training, aggregation, power control and evaluation cadence);
-4. **aggregation_micro** — channel-level microbenchmarks of
-   ``aircomp_aggregate`` and ``ideal_group_average`` against their
-   reference loops at paper-scale model dimensions;
-5. **grouped_round_mp** — the single-process batched engine against the
+1. **grouped_round_mp** — the single-process batched engine against the
    :class:`~repro.parallel.ProcessGroupExecutor` (worker-process pool +
-   shared-memory arenas, ``config.parallelism``);
-6. **grouped_round_xl** — the partition-less lazy-population round at
+   shared-memory arenas, ``config.parallelism``) on Air-FedGA grouped
+   rounds of the MLP workload at 10/50/200 workers;
+2. **grouped_round_xl** — the partition-less lazy-population round at
    10k/100k workers (rounds per second, peak RSS, build time; see
    :func:`bench_grouped_round_xl`);
-7. **mechanism_convergence** — a Table-1-style convergence probe of the
+3. **mechanism_convergence** — a Table-1-style convergence probe of the
    mechanism families (FedAvg / FedProx / FedDyn / FedAsync / Air-FedGA)
    on one seeded label-skew workload: final loss/accuracy, simulated time
    and wall-clock per mechanism, so successive PRs track *convergence*
-   regressions alongside the engine timings.
+   regressions alongside the timings.
 
 The ``grouped_round_mp`` rows are annotated with ``cpu_count`` so every
 record is self-describing: a multiprocess speedup is only meaningful on a
@@ -38,9 +27,9 @@ container and therefore measures pure dispatch overhead; run 7 is the
 measured").  The tier *refuses* to run a configuration that silently
 resolved to serial execution.
 
-Results are appended to ``BENCH_<label>.json`` so successive PRs build a
-benchmark trajectory.  Run via ``make bench``,
-``python -m repro.experiments bench`` or ``benchmarks/perf/run_bench.py``.
+Results are appended to ``BENCH_<label>.json`` (earlier runs in the
+committed ``BENCH_perf_v1.json`` also carry the rows of the retired
+tiers).  Run via ``make bench`` or ``python -m repro.experiments bench``.
 """
 
 from __future__ import annotations
@@ -53,75 +42,29 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..channel.aircomp import (
-    AirCompWorkspace,
-    aircomp_aggregate,
-    aircomp_aggregate_reference,
-    ideal_group_average,
-    ideal_group_average_reference,
-)
 from ..core.config import AirFedGAConfig, GroupingConfig
 from ..fl.base import FLExperiment
 from ..fl.registry import build_trainer
-from .configs import cnn_mnist_config, lr_mnist_config
+from .configs import lr_mnist_config
 
 __all__ = [
-    "bench_grouped_round",
-    "bench_grouped_round_cnn",
     "bench_grouped_round_mp",
     "bench_grouped_round_xl",
-    "bench_cnn_mnist_mini",
-    "bench_aggregation_micro",
     "bench_mechanism_convergence",
     "run_bench_suite",
     "write_bench_results",
     "main",
 ]
 
-ENGINES = ("scalar", "auto")
 
-
-def _time_grouped_rounds(
-    make_config, num_workers: int, rounds_per_group: int, repeats: int
-) -> Dict[str, object]:
-    """Shared grouped-round timing loop: best-of-N per engine, interleaved.
-
-    ``make_config(engine)`` returns the :class:`Scenario` to time on that
-    engine.  Interleaving the engines across repeats means slow drift
-    in machine load biases neither side.
-    """
-    timings: Dict[str, float] = {engine: float("inf") for engine in ENGINES}
-    num_groups = 0
-    total_rounds = 0
-    for _ in range(repeats):
-        for engine in ENGINES:
-            trainer = make_config(engine).build()
-            num_groups = len(trainer.groups)
-            total_rounds = max(8, num_groups * rounds_per_group)
-            start = time.perf_counter()
-            trainer.run(max_rounds=total_rounds)
-            timings[engine] = min(
-                timings[engine], time.perf_counter() - start
-            )
-    per_round = {k: v / total_rounds for k, v in timings.items()}
-    return {
-        "num_workers": num_workers,
-        "num_groups": num_groups,
-        "rounds_timed": total_rounds,
-        "scalar_s_per_round": per_round["scalar"],
-        "batched_s_per_round": per_round["auto"],
-        "speedup": per_round["scalar"] / per_round["auto"],
-    }
-
-
-def _grouped_round_scenario(catalogue_entry, num_workers: int, engine: str, **model):
+def _grouped_round_scenario(catalogue_entry, num_workers: int, **model):
     """The grouped-round timing shape of a catalogue entry (fig3/fig4 scale).
 
     An IID partition so every worker trains the same batch geometry,
     ξ = 1 so one grouped round aggregates the whole population, and
     per-round evaluation effectively disabled so the timing isolates local
-    training + aggregation (evaluation costs the same on every engine and
-    would dilute the comparison).
+    training + aggregation (evaluation costs the same in every execution
+    mode and would dilute the comparison).
     """
     return catalogue_entry(
         num_workers=num_workers,
@@ -136,47 +79,9 @@ def _grouped_round_scenario(catalogue_entry, num_workers: int, engine: str, **mo
             "batch_size": 32,
             "eval_every": 1_000_000,
             "max_eval_samples": 32,
-            "engine": engine,
         },
         **{"algorithm.grouping.xi": 1.0},
     )
-
-
-def bench_grouped_round(
-    num_workers: int, rounds_per_group: int = 3, repeats: int = 3
-) -> Dict[str, object]:
-    """Time Air-FedGA grouped rounds (scalar vs batched) at one worker count.
-
-    Uses the fig3 benchmark scale (8×8 inputs, 32 hidden units, batch 32,
-    5 local steps) with an IID partition so every worker trains the same
-    batch geometry, and ξ = 1 so one grouped round aggregates the whole
-    population — the configuration where the per-round cost is purest
-    local-training + AirComp aggregation.
-    """
-
-    def make_config(engine: str):
-        return _grouped_round_scenario(lr_mnist_config, num_workers, engine, hidden=32)
-
-    return _time_grouped_rounds(make_config, num_workers, rounds_per_group, repeats)
-
-
-def bench_grouped_round_cnn(
-    num_workers: int, rounds_per_group: int = 3, repeats: int = 3
-) -> Dict[str, object]:
-    """Time Air-FedGA grouped rounds on the fig4 CNN workload.
-
-    Same scenario shape as :func:`bench_grouped_round` (IID partition,
-    ξ = 1, evaluation disabled) but with the MNIST CNN — two 5×5 Conv2D
-    layers with 2×2 max pooling and a dense head — so the measured delta is
-    the batched Conv2D/MaxPool2D kernel path (grouped im2col, one GEMM per
-    layer per step for the whole group) against the per-worker scalar
-    convolutions.
-    """
-
-    def make_config(engine: str):
-        return _grouped_round_scenario(cnn_mnist_config, num_workers, engine, scale=0.15)
-
-    return _time_grouped_rounds(make_config, num_workers, rounds_per_group, repeats)
 
 
 def bench_grouped_round_mp(
@@ -188,9 +93,10 @@ def bench_grouped_round_mp(
 ) -> Dict[str, object]:
     """Time Air-FedGA grouped rounds: serial batched engine vs process pool.
 
-    Both variants run ``engine="auto"`` on the MLP grouped-round scenario
-    of :func:`bench_grouped_round`; the ``mp`` variant additionally sets
-    ``config.parallelism`` to a :class:`ProcessGroupExecutor` pool of
+    Both variants run the MLP grouped-round scenario at the fig3
+    benchmark scale (8×8 inputs, 32 hidden units, batch 32, 5 local steps;
+    see :func:`_grouped_round_scenario`); the ``mp`` variant additionally
+    sets ``config.parallelism`` to a :class:`ProcessGroupExecutor` pool of
     ``num_processes`` workers (default: ``os.cpu_count()``).  Serial and
     multiprocess results are bit-identical in float64, so the measured
     delta is pure execution overhead/parallelism.
@@ -205,8 +111,7 @@ def bench_grouped_round_mp(
         raise ValueError(
             "bench_grouped_round_mp times the multiprocess executor; "
             f"parallelism={parallelism!r} would silently measure the serial "
-            "path under the 'mp' label — use bench_grouped_round for serial "
-            "engine comparisons"
+            "path under the 'mp' label"
         )
     procs = int(num_processes or os.cpu_count() or 1)
 
@@ -217,7 +122,7 @@ def bench_grouped_round_mp(
             else {"mode": "none"}
         )
         return _grouped_round_scenario(
-            lr_mnist_config, num_workers, "auto", hidden=32
+            lr_mnist_config, num_workers, hidden=32
         ).with_(parallelism=par)
 
     timings = {"serial": float("inf"), "mp": float("inf")}
@@ -327,7 +232,6 @@ def _build_xl_trainer(num_workers: int, group_size: int, shard_size: int = 64):
         eval_every=1_000_000,
         max_eval_samples=32,
         seed=0,
-        engine="auto",
         population=population,
         materialization="lazy",
     )
@@ -421,79 +325,6 @@ def bench_grouped_round_xl(
     return row
 
 
-def bench_cnn_mnist_mini(max_rounds: int = 12) -> Dict[str, object]:
-    """Time a fig4-style CNN-MNIST mini-run end to end.
-
-    Unlike the grouped-round tiers this keeps the fig4 label-skew
-    partition and round structure; with the batched Conv2D/MaxPool2D
-    kernels the ``auto`` engine now group-batches the CNN local training
-    on top of the allocation-free aggregation and power-control cache."""
-    timings: Dict[str, float] = {}
-    for engine in ENGINES:
-        trainer = cnn_mnist_config(
-            num_workers=10, num_train=300, image_size=8, scale=0.1,
-            max_rounds=max_rounds,
-        ).with_(
-            training={
-                "local_steps": 2, "batch_size": 32, "eval_every": 1_000_000,
-                "max_eval_samples": 32, "engine": engine,
-            },
-        ).build()
-        start = time.perf_counter()
-        trainer.run(max_rounds=max_rounds)
-        timings[engine] = time.perf_counter() - start
-    return {
-        "max_rounds": max_rounds,
-        "scalar_s": timings["scalar"],
-        "vectorized_s": timings["auto"],
-        "speedup": timings["scalar"] / timings["auto"],
-    }
-
-
-def bench_aggregation_micro(
-    dim: int = 200_000, group_size: int = 16, repeats: int = 5
-) -> Dict[str, object]:
-    """Channel-level microbenchmark: vectorized vs reference aggregation."""
-    rng = np.random.default_rng(0)
-    models = rng.standard_normal((group_size, dim))
-    sizes = rng.uniform(10.0, 100.0, group_size)
-    gains = rng.uniform(0.5, 2.0, group_size)
-    kwargs = dict(
-        data_sizes=sizes, channel_gains=gains,
-        sigma_t=1.0, eta_t=1.0, noise_std=0.01,
-    )
-    workspace = AirCompWorkspace()
-
-    def _time(fn) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    noise_rng = np.random.default_rng(1)
-    t_ref_air = _time(
-        lambda: aircomp_aggregate_reference(list(models), rng=noise_rng, **kwargs)
-    )
-    t_vec_air = _time(
-        lambda: aircomp_aggregate(models, rng=noise_rng, workspace=workspace, **kwargs)
-    )
-    avg_out = np.empty(dim)
-    t_ref_avg = _time(lambda: ideal_group_average_reference(list(models), sizes))
-    t_vec_avg = _time(lambda: ideal_group_average(models, sizes, out=avg_out))
-    return {
-        "dim": dim,
-        "group_size": group_size,
-        "aircomp_reference_s": t_ref_air,
-        "aircomp_vectorized_s": t_vec_air,
-        "aircomp_speedup": t_ref_air / t_vec_air,
-        "average_reference_s": t_ref_avg,
-        "average_vectorized_s": t_vec_avg,
-        "average_speedup": t_ref_avg / t_vec_avg,
-    }
-
-
 #: The mechanism families compared by the convergence tier: the paper's
 #: grouped mechanism plus the synchronous-regularized and asynchronous
 #: baselines added for the Table-1-style comparison.
@@ -514,7 +345,7 @@ def bench_mechanism_convergence(
     """Convergence probe of the mechanism families on one seeded workload.
 
     Every family runs the same label-skew LR-MNIST scenario (the fig3
-    shape at smoke scale, fixed seed, ``engine="auto"``) for
+    shape at smoke scale, fixed seed) for
     ``max_rounds`` global rounds — FedAsync counts per-update commits as
     rounds, so all rows spend a comparable number of local-training
     dispatches.  Rows record the convergence endpoints (first/final loss,
@@ -539,7 +370,6 @@ def bench_mechanism_convergence(
                 "batch_size": 16,
                 "eval_every": 1,
                 "max_eval_samples": 64,
-                "engine": "auto",
             },
         ).build()
         start = time.perf_counter()
@@ -575,7 +405,7 @@ def run_bench_suite(
     xl_rounds: Optional[int] = None,
     xl_rss_budget_mb: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Run all seven tiers and return one results record."""
+    """Run the three tiers and return one results record."""
     if quick:
         worker_counts = tuple(w for w in worker_counts if w <= 50) or (10,)
         xl_worker_counts = tuple(w for w in xl_worker_counts if w <= 10_000) or (
@@ -583,14 +413,6 @@ def run_bench_suite(
         )
     rounds_per_group = 1 if quick else 3
     repeats = 1 if quick else 3
-    grouped = [
-        bench_grouped_round(w, rounds_per_group=rounds_per_group, repeats=repeats)
-        for w in worker_counts
-    ]
-    grouped_cnn = [
-        bench_grouped_round_cnn(w, rounds_per_group=rounds_per_group, repeats=repeats)
-        for w in worker_counts
-    ]
     grouped_mp = [
         bench_grouped_round_mp(
             w,
@@ -606,20 +428,12 @@ def run_bench_suite(
         )
         for w in xl_worker_counts
     ]
-    cnn = bench_cnn_mnist_mini(max_rounds=4 if quick else 12)
-    micro = bench_aggregation_micro(
-        dim=50_000 if quick else 200_000, repeats=3 if quick else 5
-    )
     convergence = bench_mechanism_convergence(max_rounds=8 if quick else 20)
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "quick": quick,
-        "grouped_round": grouped,
-        "grouped_round_cnn": grouped_cnn,
         "grouped_round_mp": grouped_mp,
         "grouped_round_xl": grouped_xl,
-        "cnn_mnist_mini": cnn,
-        "aggregation_micro": micro,
         "mechanism_convergence": convergence,
     }
 
@@ -641,19 +455,7 @@ def write_bench_results(
 
 
 def format_bench_summary(record: Dict[str, object]) -> str:
-    lines = ["Perf benchmark summary (scalar reference vs vectorized engine):"]
-    for key, label in (
-        ("grouped_round", "grouped round (MLP)"),
-        ("grouped_round_cnn", "grouped round (CNN)"),
-    ):
-        for row in record.get(key, []):
-            lines.append(
-                f"  {label}, {row['num_workers']:4d} workers "
-                f"({row['num_groups']} groups): "
-                f"{row['scalar_s_per_round'] * 1e3:8.1f} ms -> "
-                f"{row['batched_s_per_round'] * 1e3:8.1f} ms  "
-                f"({row['speedup']:.2f}x)"
-            )
+    lines = ["Perf benchmark summary (process pool, XL population, convergence):"]
     for row in record.get("grouped_round_mp", []):
         lines.append(
             f"  grouped round (MLP, serial vs {row['num_processes']}-process pool "
@@ -673,20 +475,6 @@ def format_bench_summary(record: Dict[str, object]) -> str:
             f"peak RSS {row['peak_rss_mb']:.0f} MB, "
             f"build {row['build_s']:.2f} s"
         )
-    cnn = record.get("cnn_mnist_mini")
-    if cnn:
-        lines.append(
-            f"  CNN-MNIST mini-run ({cnn['max_rounds']} rounds): "
-            f"{cnn['scalar_s']:.2f} s -> {cnn['vectorized_s']:.2f} s "
-            f"({cnn['speedup']:.2f}x)"
-        )
-    micro = record.get("aggregation_micro")
-    if micro:
-        lines.append(
-            f"  aircomp_aggregate micro (q={micro['dim']}, G={micro['group_size']}): "
-            f"{micro['aircomp_speedup']:.2f}x; ideal average: "
-            f"{micro['average_speedup']:.2f}x"
-        )
     for row in record.get("mechanism_convergence", []):
         params = ", ".join(f"{k}={v}" for k, v in row["params"].items())
         lines.append(
@@ -704,8 +492,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="repro.experiments.bench",
-        description="Time the vectorized engine against the scalar reference path.",
+        prog="repro.experiments bench",
+        description=(
+            "Legacy perf harness: process pool vs serial, XL population and "
+            "mechanism convergence (the repo benchmark is benchmarks/airbench)."
+        ),
     )
     parser.add_argument("--label", default="perf_v1", help="suffix of BENCH_<label>.json")
     parser.add_argument("--output-dir", default=".", help="where to write the JSON")
@@ -715,7 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, nargs="+", default=[10, 50, 200],
-        help="worker counts for the grouped-round tier",
+        help="worker counts for the grouped_round_mp tier",
     )
     parser.add_argument(
         "--processes", type=int, default=None,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -161,23 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--workers", type=int, default=None)
     cmp_p.add_argument("--output", "-o", default=None)
 
-    bench_p = sub.add_parser(
+    # Listed for ``--help`` only: ``main`` hands everything after ``bench``
+    # to ``bench.main``, the one place the harness's flags are declared.
+    sub.add_parser(
         "bench",
-        help="time the vectorized engine vs the scalar reference path "
-        "(appends to BENCH_<label>.json)",
+        add_help=False,
+        help="legacy perf harness: process pool vs serial, XL population, "
+        "mechanism convergence (appends to BENCH_<label>.json; flags: "
+        "bench --help)",
     )
-    bench_p.add_argument("--label", default="perf_v1")
-    bench_p.add_argument("--output-dir", default=".")
-    bench_p.add_argument("--quick", action="store_true")
-    bench_p.add_argument("--workers", type=int, nargs="+", default=[10, 50, 200])
-    bench_p.add_argument("--xl-only", action="store_true")
-    bench_p.add_argument("--xl-workers", type=int, nargs="+", default=[10_000, 100_000])
-    bench_p.add_argument("--xl-rounds", type=int, default=None)
-    bench_p.add_argument("--xl-rss-budget-mb", type=float, default=None)
-    bench_p.add_argument("--xl-jsonl", default=None)
-    bench_p.add_argument("--convergence-only", action="store_true")
-    bench_p.add_argument("--convergence-rounds", type=int, default=None)
-    bench_p.add_argument("--convergence-jsonl", default=None)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -336,6 +329,11 @@ def _command_report(args: argparse.Namespace) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point used by ``python -m repro.experiments``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["bench"]:
+        from .bench import main as bench_main
+
+        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "list":
         print(_command_list())
@@ -355,27 +353,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         print(_command_report(args))
         return 0
-    if args.command == "bench":
-        from .bench import main as bench_main
-
-        bench_argv = ["--label", args.label, "--output-dir", args.output_dir]
-        if args.quick:
-            bench_argv.append("--quick")
-        bench_argv += ["--workers"] + [str(w) for w in args.workers]
-        if args.xl_only:
-            bench_argv.append("--xl-only")
-        bench_argv += ["--xl-workers"] + [str(w) for w in args.xl_workers]
-        if args.xl_rounds is not None:
-            bench_argv += ["--xl-rounds", str(args.xl_rounds)]
-        if args.xl_rss_budget_mb is not None:
-            bench_argv += ["--xl-rss-budget-mb", str(args.xl_rss_budget_mb)]
-        if args.xl_jsonl:
-            bench_argv += ["--xl-jsonl", args.xl_jsonl]
-        if args.convergence_only:
-            bench_argv.append("--convergence-only")
-        if args.convergence_rounds is not None:
-            bench_argv += ["--convergence-rounds", str(args.convergence_rounds)]
-        if args.convergence_jsonl:
-            bench_argv += ["--convergence-jsonl", args.convergence_jsonl]
-        return bench_main(bench_argv)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

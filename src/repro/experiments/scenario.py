@@ -252,7 +252,6 @@ class TrainingSpec:
     eval_every: int = 1
     max_eval_samples: int = 256
     latency_model_dimension: Optional[int] = None
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         # A scenario is the only way into an experiment, so every number is
@@ -640,7 +639,6 @@ class Scenario:
             max_eval_samples=self.training.max_eval_samples,
             seed=self.seed,
             latency_model_dimension=self.training.latency_model_dimension,
-            engine=self.training.engine,
             clientstate=clientstate,
             fault=self.faults.to_fault_config(),
             materialization=self.data.materialization,

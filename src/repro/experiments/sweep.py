@@ -87,7 +87,6 @@ SWEEP_ROW_KEYS = frozenset(
 SWEEP_SUCCESS_ROW_KEYS = SWEEP_ROW_KEYS | frozenset(
     {
         "mechanism",
-        "engine",
         "parallelism_configured",
         "parallelism_mode",
         "summary",
@@ -196,7 +195,6 @@ def _execute_point(
             # error row, not abort the sweep.
             scenario = Scenario.from_dict(scenario_dict)
             row["mechanism"] = scenario.mechanism.name
-            row["engine"] = scenario.training.engine
             row["parallelism_configured"] = scenario.parallelism.mode
             with scenario.build() as trainer:
                 history = trainer.run(

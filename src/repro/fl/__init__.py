@@ -9,8 +9,8 @@ Public entry points (documented in ``docs/API.md``):
   ``"feddyn"`` and ``"fedasync"``;
 * :class:`FLExperiment` — the experiment bundle every trainer consumes
   (dataset, partition, model factory, latency table, channel, config);
-  its ``engine`` field selects the local-training execution path
-  (``"auto"``/``"batched"``/``"scalar"``) and
+  local training runs on the vectorized group engine whenever every
+  model layer has a batched kernel (the per-worker loop otherwise), and
   ``config.parallelism`` upgrades group rounds to a worker-process pool
   (:mod:`repro.parallel`);
 * :class:`BaseTrainer` — shared machinery (local updates, AirComp and

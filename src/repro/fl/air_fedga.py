@@ -55,7 +55,6 @@ class AirFedGATrainer(GroupedAsyncTrainer):
         grouping_strategy: str = "greedy",
         num_groups: Optional[int] = None,
         grouping_seed: int = 0,
-        staleness_exponent: float = 0.0,
         staleness: object = None,
     ) -> None:
         """
@@ -75,13 +74,11 @@ class AirFedGATrainer(GroupedAsyncTrainer):
             strategies (ignored by ``greedy``/``singleton``).
         grouping_seed:
             Seed for the ``random`` strategy.
-        staleness_exponent:
-            Optional staleness-aware damping of stale group updates
-            (extension; 0.0 reproduces the paper's Eq. (10) exactly).
         staleness:
-            A staleness policy by registry name, mapping or instance (see
-            :mod:`repro.fl.staleness`); mutually exclusive with a non-zero
-            ``staleness_exponent``.
+            Optional staleness-aware damping of stale group updates: a
+            policy by registry name, mapping or instance (see
+            :mod:`repro.fl.staleness`).  ``None`` (the default) reproduces
+            the paper's Eq. (10) exactly.
         """
         if grouping_strategy not in {
             "greedy",
@@ -94,9 +91,7 @@ class AirFedGATrainer(GroupedAsyncTrainer):
         self.grouping_strategy = grouping_strategy
         self.num_groups_hint = num_groups
         self.grouping_seed = grouping_seed
-        super().__init__(
-            experiment, staleness_exponent=staleness_exponent, staleness=staleness
-        )
+        super().__init__(experiment, staleness=staleness)
 
     # ------------------------------------------------------------------
     def build_groups(self) -> List[List[int]]:

@@ -31,7 +31,6 @@ import numpy as np
 from ..channel.aircomp import (
     AirCompWorkspace,
     aircomp_aggregate,
-    aircomp_aggregate_reference,
     aircomp_latency,
 )
 from ..channel.energy import EnergyTracker
@@ -96,16 +95,6 @@ class FLExperiment:
     max_eval_samples: int = 512
     seed: int = 0
     oma: OMAConfig = field(default_factory=OMAConfig)
-    #: Local-training execution engine: ``"auto"`` uses the vectorized
-    #: group-batched engine whenever every model layer has a batched kernel
-    #: (Dense/ReLU/Flatten/Conv2D/MaxPool2D/Dropout — i.e. every LR, CNN
-    #: and MiniVGG workload of the paper) and falls back to the per-worker
-    #: scalar path otherwise (custom layers without a registered kernel);
-    #: ``"batched"`` requires the batched engine (raises if the model is
-    #: unsupported); ``"scalar"`` forces the seed's sequential per-worker
-    #: path (also switching aggregation to the reference loop
-    #: implementations — used as the benchmark baseline).
-    engine: str = "auto"
     #: Model dimension used for *latency/energy* computations.  The paper's
     #: models have 10^5-10^8 parameters; the NumPy substrate trains scaled
     #: down versions, so experiments can pass the paper-scale dimension here
@@ -173,10 +162,6 @@ class FLExperiment:
             raise ValueError("max_eval_samples must be >= 1")
         if self.latency_model_dimension is not None and self.latency_model_dimension <= 0:
             raise ValueError("latency_model_dimension must be positive when given")
-        if self.engine not in ("auto", "batched", "scalar"):
-            raise ValueError(
-                f"engine must be 'auto', 'batched' or 'scalar', got {self.engine!r}"
-            )
         if (
             self.clientstate is not None
             and self.clientstate.num_workers != num_workers
@@ -260,22 +245,19 @@ class BaseTrainer:
         # ------------------------------------------------------------------
         # Vectorized hot-path machinery (see docs/PERFORMANCE.md):
         # * a group-batched execution engine when every layer has a batched
-        #   kernel (None -> scalar per-worker fallback);
+        #   kernel (Dense/ReLU/Flatten/Conv2D/MaxPool2D/Dropout — every LR,
+        #   CNN and MiniVGG workload of the paper); ``None`` for a model with
+        #   a layer that has no registered kernel, which trains through the
+        #   per-worker ``local_update`` loop instead;
         # * trainer-owned O(q) buffers so steady-state rounds perform no
         #   model-sized allocations;
-        # * a memoized/warm-started power-control solver.
+        # * a memoized power-control solver.
         # ------------------------------------------------------------------
         dim = self.model.dimension
         dtype = self.global_vector.dtype
-        self._engine: Optional[BatchedWorkerEngine] = None
-        if experiment.engine in ("auto", "batched"):
-            self._engine = BatchedWorkerEngine.try_build(self.model)
-            if experiment.engine == "batched" and self._engine is None:
-                raise ValueError(
-                    "engine='batched' requested but the model contains layers "
-                    "without a registered batched kernel (see "
-                    "repro.nn.batched.register_batched_kernel); use engine='auto'"
-                )
+        self._engine: Optional[BatchedWorkerEngine] = BatchedWorkerEngine.try_build(
+            self.model
+        )
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
@@ -292,12 +274,7 @@ class BaseTrainer:
         self._pc_config = replace(cfg, noise_variance=per_entry_noise_var)
         self._noise_std = float(np.sqrt(per_entry_noise_var))
         self._pc_cache: Optional[PowerControlCache] = (
-            PowerControlCache(
-                rel_tol=cfg.power_control_cache_rel_tol,
-                warm_start=cfg.power_control_warm_start,
-            )
-            if cfg.power_control_cache and experiment.engine != "scalar"
-            else None
+            PowerControlCache() if cfg.power_control_cache else None
         )
         # Multiprocess group executor (config.parallelism): created lazily
         # on the first group dispatch so trainers that never train (or run
@@ -357,11 +334,11 @@ class BaseTrainer:
             return None
         if self._engine is None:
             self._executor_error = (
-                "no batched engine (engine='scalar' or unsupported layers)"
+                "no batched engine (a model layer has no registered batched kernel)"
             )
             warnings.warn(
                 "parallelism mode 'processes' requested but the trainer has "
-                f"no batched engine ({self.exp.engine=}); running serial",
+                f"{self._executor_error}; running serial",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -646,15 +623,6 @@ class BaseTrainer:
         alphas = self.alphas[member_ids]
         if weight_scale != 1.0:
             alphas = alphas * weight_scale
-        if self.exp.engine == "scalar":
-            # Seed-equivalent reference path (benchmark baseline).
-            new_global = (1.0 - alphas.sum()) * self.global_vector
-            for a, vec in zip(alphas, local_vectors):
-                new_global = new_global + a * vec
-            if out is not None:
-                np.copyto(out, new_global)
-                return out
-            return new_global
         stacked = local_vectors
         if not (isinstance(stacked, np.ndarray) and stacked.ndim == 2):
             # analyze: allow-alloc(fallback for list input; hot path passes a 2-D stack)
@@ -727,7 +695,6 @@ class BaseTrainer:
                 channel_gains=gains,
                 model_bound=model_bound,
                 config=self._pc_config,
-                group_key=tuple(member_ids),
             )
         else:
             pc = solve_power_control(
@@ -737,31 +704,18 @@ class BaseTrainer:
                 config=self._pc_config,
             )
 
-        if self.exp.engine == "scalar":
-            # Seed-equivalent reference path (benchmark baseline).
-            result = aircomp_aggregate_reference(
-                models=local_vectors,
-                data_sizes=sizes,
-                channel_gains=gains,
-                sigma_t=pc.sigma,
-                eta_t=pc.eta,
-                noise_std=self._noise_std,
-                rng=self._noise_rng,
-                total_data_size=self.total_data,
-            )
-        else:
-            result = aircomp_aggregate(
-                models=local_vectors,
-                data_sizes=sizes,
-                channel_gains=gains,
-                sigma_t=pc.sigma,
-                eta_t=pc.eta,
-                noise_std=self._noise_std,
-                rng=self._noise_rng,
-                total_data_size=self.total_data,
-                workspace=self._air_workspace,
-                sq_norms=sq_norms,
-            )
+        result = aircomp_aggregate(
+            models=local_vectors,
+            data_sizes=sizes,
+            channel_gains=gains,
+            sigma_t=pc.sigma,
+            eta_t=pc.eta,
+            noise_std=self._noise_std,
+            rng=self._noise_rng,
+            total_data_size=self.total_data,
+            workspace=self._air_workspace,
+            sq_norms=sq_norms,
+        )
         # Eq. (10): mix the received estimate with the previous global model.
         beta = float(self.alphas[index].sum())
         if weight_scale != 1.0:

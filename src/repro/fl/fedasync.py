@@ -59,7 +59,6 @@ class FedAsyncTrainer(BaseTrainer):
         experiment: FLExperiment,
         mix_weight: float = 0.6,
         staleness: Union[None, str, Mapping[str, Any], StalenessPolicy] = None,
-        staleness_exponent: float = 0.0,
         buffer_size: int = 1,
     ) -> None:
         if not 0.0 < mix_weight <= 1.0:
@@ -68,10 +67,10 @@ class FedAsyncTrainer(BaseTrainer):
             )
         if buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-        # Accept the same staleness arguments as the grouped trainer; the
+        # Accepts the same staleness argument as the grouped trainer; the
         # FedAsync default is the paper's polynomial schedule s(τ) =
         # 1/(1+τ)^0.5 (pass staleness="constant" to disable damping).
-        policy = resolve_staleness_policy(staleness, staleness_exponent)
+        policy = resolve_staleness_policy(staleness)
         self._staleness_policy: StalenessPolicy = (
             policy if policy is not None else PolynomialStaleness(exponent=0.5)
         )

@@ -10,20 +10,21 @@ implements the common schedule as a virtual-time event loop on top of the
 :class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine;
 the two mechanisms specialize the two hooks.
 
-Execution engines are orthogonal to the schedule: each group's
-local-training phase runs on the scalar per-worker path, the in-process
-batched engine, or — with ``config.parallelism.mode == "processes"`` — a
-worker-process pool (:class:`~repro.parallel.ProcessGroupExecutor`) that
-shards the group across CPU cores through shared-memory buffers.
+How a group's local-training phase executes is orthogonal to the
+schedule: on the in-process batched engine (the per-worker loop for a
+model with a kernel-less layer), or — with
+``config.parallelism.mode == "processes"`` — on a worker-process pool
+(:class:`~repro.parallel.ProcessGroupExecutor`) that shards the group
+across CPU cores through shared-memory buffers.
 
 The virtual-time event loop itself is single-threaded and strictly
 ordered, like Algorithm 1: one group at a time goes READY → EXECUTE →
 aggregate, and aggregation, power control and the channel-noise RNG
 always run in the parent process, in event order.  The produced
-:class:`~repro.fl.history.TrainingHistory` is therefore identical across
-engines — bit-identical in float64 between serial and multiprocess
-execution (see ``docs/ARCHITECTURE.md``, "Determinism invariants", for
-exactly which operations must stay in the parent and in event order).
+:class:`~repro.fl.history.TrainingHistory` is therefore bit-identical in
+float64 between serial and multiprocess execution (see
+``docs/ARCHITECTURE.md``, "Determinism invariants", for exactly which
+operations must stay in the parent and in event order).
 """
 
 from __future__ import annotations
@@ -69,21 +70,19 @@ class GroupedAsyncTrainer(BaseTrainer):
     ----------
     experiment:
         The federated experiment definition.
-    staleness_exponent:
-        Legacy shorthand for the ``polynomial`` staleness policy (an
-        extension beyond the paper, following the asynchronous-FL
-        literature the paper cites, e.g. Xie et al.): a group whose update
-        is based on a global model ``τ`` rounds old contributes with
-        weight ``1 / (1 + τ)**staleness_exponent``.  The default ``0.0``
-        reproduces the paper's Eq. (10) exactly.
     staleness:
-        A staleness policy by registry name (``"constant"``, ``"hinge"``,
-        ``"polynomial"``), as a ``{"name": ..., "params": {...}}`` mapping,
-        or as a :class:`~repro.fl.staleness.StalenessPolicy` instance.
-        Mutually exclusive with a non-zero ``staleness_exponent``.  The
-        damping mix happens in the parent process in event order — one of
-        the determinism invariants (``docs/ARCHITECTURE.md``, "Determinism
-        invariants") — so it composes with multiprocess execution.
+        A staleness policy (an extension beyond the paper, following the
+        asynchronous-FL literature the paper cites, e.g. Xie et al.) by
+        registry name (``"constant"``, ``"hinge"``, ``"polynomial"``), as
+        a ``{"name": ..., "params": {...}}`` mapping, or as a
+        :class:`~repro.fl.staleness.StalenessPolicy` instance: a group
+        whose update is based on a global model ``τ`` rounds old
+        contributes with weight ``s(τ)`` — ``1 / (1 + τ)**exponent`` under
+        ``polynomial``.  The default ``None`` reproduces the paper's
+        Eq. (10) exactly.  The damping mix happens in the parent process
+        in event order — one of the determinism invariants
+        (``docs/ARCHITECTURE.md``, "Determinism invariants") — so it
+        composes with multiprocess execution.
 
     Device faults (``experiment.clientstate`` + ``experiment.fault``) are
     threaded through the event loop: availability is checked at group
@@ -100,16 +99,11 @@ class GroupedAsyncTrainer(BaseTrainer):
     def __init__(
         self,
         experiment: FLExperiment,
-        staleness_exponent: float = 0.0,
         staleness: Union[None, str, Mapping[str, Any], StalenessPolicy] = None,
     ) -> None:
-        # Validates staleness_exponent >= 0 and the exclusivity of the two
-        # staleness arguments; the legacy exponent maps onto the
-        # bit-identical polynomial policy.
         self._staleness_policy: Optional[StalenessPolicy] = resolve_staleness_policy(
-            staleness, staleness_exponent
+            staleness
         )
-        self.staleness_exponent = staleness_exponent
         super().__init__(experiment)
         self.groups: List[List[int]] = self.build_groups()
         if not self.groups:
@@ -137,19 +131,11 @@ class GroupedAsyncTrainer(BaseTrainer):
             )
         self.scheduler = GroupAsyncScheduler(self.groups)
         # The global-model version each group last received, as a vector.
-        # Eager materialization keeps the legacy upfront per-group copies;
-        # lazy materialization shares one snapshot of the initial model
-        # among all groups that have not committed yet and allocates a
-        # private base only on a group's first commit — identical values,
+        # All groups that have not committed yet share one snapshot of the
+        # initial model; a group gets a private base on its first commit —
         # O(groups that trained) instead of O(num_groups) memory.
-        self._initial_base: Optional[np.ndarray] = None
-        if self.population.materialization == "lazy":
-            self._group_base: Dict[int, np.ndarray] = {}
-            self._initial_base = self.global_vector.copy()
-        else:
-            self._group_base = {
-                g: self.global_vector.copy() for g in range(len(self.groups))
-            }
+        self._initial_base: np.ndarray = self.global_vector.copy()
+        self._group_base: Dict[int, np.ndarray] = {}
         # Uplink occupancy: aggregations (AirComp bursts or OMA uploads) from
         # different groups share the same band, so they are serialized at the
         # parameter server.  This is what makes very small groups (ξ → 0)
@@ -214,8 +200,8 @@ class GroupedAsyncTrainer(BaseTrainer):
         """Record that the group now holds the fresh global model."""
         base = self._group_base.get(group_id)
         if base is None:
-            # Lazy mode: first commit of this group — promote it from the
-            # shared initial snapshot to a private base vector.
+            # First commit of this group: promote it from the shared
+            # initial snapshot to a private base vector.
             # analyze: allow-alloc(one-time promotion from the shared initial base)
             self._group_base[group_id] = self.global_vector.copy()
         else:

@@ -8,10 +8,8 @@ a schedule ``s(τ) ∈ (0, 1]``: the commit becomes
     ``w_t = (1 − s(τ)) · w_{t−1} + s(τ) · aggregate(...)``
 
 so fresh updates (``s = 1``) apply fully while stale ones are shrunk.
-Historically the grouped event loop hard-coded the single *polynomial*
-schedule behind a ``staleness_exponent`` float; this module makes the
-schedule a registered, serializable component with the three classic
-shapes:
+The schedule is a registered, serializable component with the three
+classic shapes:
 
 ================  ====================================================
 registry name     ``s(τ)``
@@ -86,9 +84,8 @@ class ConstantStaleness(StalenessPolicy):
 class PolynomialStaleness(StalenessPolicy):
     """``s(τ) = 1 / (1 + τ)^exponent`` — FedAsync's polynomial schedule.
 
-    ``exponent = 0`` yields ``s ≡ 1`` (no damping); the legacy
-    ``staleness_exponent`` trainer argument maps onto this policy, and the
-    weight formula matches the legacy inline expression bit-for-bit.
+    ``exponent = 0`` yields ``s ≡ 1`` (no damping), bit-for-bit the run
+    without a policy.
     """
 
     exponent: float = 0.5
@@ -138,30 +135,15 @@ class HingeStaleness(StalenessPolicy):
 
 def resolve_staleness_policy(
     spec: Union[None, str, Mapping[str, Any], StalenessPolicy],
-    staleness_exponent: float = 0.0,
 ) -> Optional[StalenessPolicy]:
     """Coerce a trainer's staleness argument into a policy (or ``None``).
 
-    Accepts ``None`` (fall back to the legacy ``staleness_exponent``: a
-    positive exponent becomes the equivalent :class:`PolynomialStaleness`,
-    zero means "no damping"), a registry name string, a
+    Accepts ``None`` (no damping), a registry name string, a
     ``{"name": ..., "params": {...}}`` mapping, or an already constructed
-    :class:`StalenessPolicy`.  Passing both a policy spec and a non-zero
-    ``staleness_exponent`` is ambiguous and raises ``ValueError``.
+    :class:`StalenessPolicy`.
     """
-    if staleness_exponent < 0:
-        raise ValueError(
-            f"staleness_exponent must be non-negative, got {staleness_exponent}"
-        )
     if spec is None:
-        if staleness_exponent > 0.0:
-            return PolynomialStaleness(exponent=staleness_exponent)
         return None
-    if staleness_exponent > 0.0:
-        raise ValueError(
-            "pass either staleness_exponent or a staleness policy, not both "
-            f"(got staleness_exponent={staleness_exponent} and staleness={spec!r})"
-        )
     if isinstance(spec, StalenessPolicy):
         return spec
     if isinstance(spec, str):

@@ -31,15 +31,12 @@ class TiFLTrainer(GroupedAsyncTrainer):
         self,
         experiment: FLExperiment,
         num_tiers: int = 5,
-        staleness_exponent: float = 0.0,
         staleness: object = None,
     ) -> None:
         if num_tiers < 1:
             raise ValueError("num_tiers must be >= 1")
         self.num_tiers = num_tiers
-        super().__init__(
-            experiment, staleness_exponent=staleness_exponent, staleness=staleness
-        )
+        super().__init__(experiment, staleness=staleness)
 
     # ------------------------------------------------------------------
     def build_groups(self) -> List[List[int]]:

@@ -13,7 +13,8 @@ from repro.channel import RayleighFading, StaticChannel
 from repro.core import AirCompConfig, AirFedGAConfig
 from repro.data import Dataset, make_mnist_like, partition_label_skew
 from repro.fl import FLExperiment
-from repro.nn import LogisticRegressionMLP
+from repro.nn import LogisticRegressionMLP, SequentialModel
+from repro.nn.layers import Layer
 from repro.sim import HeterogeneityModel, LatencyTable
 
 
@@ -83,6 +84,35 @@ def _model_factory(seed: int = 3):
 @pytest.fixture()
 def model_factory():
     return _model_factory()
+
+
+class _NoKernelIdentity(Layer):
+    """A parameter-free pass-through layer with no registered batched kernel."""
+
+    def forward(self, x, training=True):
+        return x
+
+    def backward(self, grad_out):
+        return grad_out
+
+
+@pytest.fixture()
+def without_batched_kernel():
+    """Wrap a model factory so its models have no batched engine.
+
+    The wrapped factory builds the same layers (same parameters, same
+    initial values, same function) behind a leading identity layer the
+    kernel registry does not know, so ``BatchedWorkerEngine.try_build``
+    returns ``None`` and a trainer takes the per-worker ``local_update``
+    loop — the way a user with a custom layer reaches that path.
+    """
+
+    def wrap(factory):
+        return lambda: SequentialModel(
+            [_NoKernelIdentity("no-kernel"), *factory().layers]
+        )
+
+    return wrap
 
 
 @pytest.fixture()

@@ -183,7 +183,7 @@ def test_store_validates_windows():
 
 
 # ----------------------------------------------------------------------
-# StackPool / GroupBatch
+# StackPool
 # ----------------------------------------------------------------------
 def test_stack_pool_recycles_buffers():
     pool = StackPool()
@@ -205,23 +205,6 @@ def test_stack_pool_release_is_noop_for_foreign_arrays():
     assert pool.release(foreign) is False
     assert pool.release(None) is False
     assert pool.outstanding == 0
-
-
-def test_group_batch_stacks_and_shards():
-    dataset = _dataset()
-    partition = partition_iid(dataset, num_workers=6, seed=0)
-    population = Population.from_dataset(
-        dataset, partition, materialization="lazy"
-    )
-    batch = population.group_batch([1, 4, 5])
-    assert batch.size == 3
-    shards = batch.shards()
-    assert all(np.shares_memory(s.x, population.store.x) for s in shards)
-    stack = batch.stack(dim=7)
-    assert stack.shape == (3, 7)
-    assert population.stack_pool.outstanding == 1
-    batch.release()
-    assert population.stack_pool.outstanding == 0
 
 
 # ----------------------------------------------------------------------

@@ -153,7 +153,6 @@ def success_row(hash_):
         "attempts": 1,
         "cache_hit": False,
         "mechanism": "air_fedga",
-        "engine": "auto",
         "parallelism_configured": "none",
         "parallelism_mode": "none",
         "summary": {"rounds": 3.0, "final_accuracy": 0.5},

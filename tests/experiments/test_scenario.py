@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro import registry
-from repro.core import AirFedGAConfig, ParallelismConfig
+from repro.core import AirCompConfig, AirFedGAConfig, ParallelismConfig
 from repro.experiments import (
     ComponentSpec,
     DataSpec,
@@ -168,13 +168,33 @@ class TestValidation:
                 )
             )
 
-    @pytest.mark.parametrize("retired", ["pipeline", "max_inflight"])
-    def test_retired_pipelining_options_are_unknown_fields(self, retired):
-        with pytest.raises(ValueError, match="scenario.parallelism") as excinfo:
-            Scenario.from_dict({"parallelism": {"mode": "processes", retired: 2}})
+    @pytest.mark.parametrize(
+        "dotted, section_type",
+        [
+            ("parallelism.pipeline", ParallelismConfig),
+            ("parallelism.max_inflight", ParallelismConfig),
+            ("training.engine", TrainingSpec),
+            ("algorithm.aircomp.power_control_warm_start", AirCompConfig),
+            ("algorithm.aircomp.power_control_cache_rel_tol", AirCompConfig),
+        ],
+    )
+    def test_retired_options_are_unknown_fields(self, dotted, section_type):
+        """A document that still names a deleted knob fails at ``from_dict``
+        — not at build time inside a sweep worker — naming the section, the
+        field and what the section accepts."""
+        *sections, retired = dotted.split(".")
+        document = {retired: 2}
+        for section in reversed(sections):
+            document = {section: document}
+        with pytest.raises(ValueError) as excinfo:
+            Scenario.from_dict(document)
         message = str(excinfo.value)
-        assert f"unknown field(s) ['{retired}']" in message
-        assert "accepted: ['max_restarts', 'min_group_size', 'mode'" in message
+        accepted = sorted(f.name for f in dataclasses.fields(section_type))
+        assert retired not in accepted
+        assert message.startswith(
+            f"scenario.{'.'.join(sections)} has unknown field(s) ['{retired}']"
+        )
+        assert message.endswith(f"(accepted: {accepted})")
 
     def test_parallelism_section_is_applied_at_build(self):
         s = tiny_scenario()
@@ -200,7 +220,7 @@ class TestBuilder:
         assert s.timing.base_local_time == 1.5
 
     def test_with_component_shorthand_resets_params(self):
-        s = tiny_scenario(**{"mechanism.params": {"staleness_exponent": 0.5}})
+        s = tiny_scenario(**{"mechanism.params": {"staleness": "polynomial"}})
         switched = s.with_(mechanism="fedavg")
         assert switched.mechanism == ComponentSpec("fedavg")
 

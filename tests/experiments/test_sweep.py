@@ -79,7 +79,6 @@ class TestSweepRunner:
             assert isinstance(row["cpu_count"], int) and row["cpu_count"] >= 1
             assert row["parallelism_mode"] in ("none", "processes")
             assert row["parallelism_configured"] == "none"
-            assert row["engine"] == "auto"
 
     def test_concurrent_execution_of_four_point_grid(self, tmp_path):
         out = tmp_path / "results.jsonl"
@@ -245,6 +244,7 @@ class TestRowSchemaGolden:
         rows = SweepRunner(self._single_point(), mode="serial").run()
         assert set(rows[0]) == SWEEP_SUCCESS_ROW_KEYS
         assert not any(key.startswith("pipeline") for key in rows[0])
+        assert "engine" not in rows[0]
         assert set(rows[0]["summary"]) == self.SUMMARY_KEYS
         assert rows[0]["cache_hit"] is False
         assert isinstance(rows[0]["spec_hash"], str) and len(rows[0]["spec_hash"]) == 64

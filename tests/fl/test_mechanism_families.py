@@ -243,10 +243,18 @@ class TestEngineAgreement:
             ("fedasync", {}),
         ],
     )
-    def test_batched_and_scalar_agree(self, quiet_experiment, name, params):
+    def test_batched_and_scalar_agree(
+        self, quiet_experiment, without_batched_kernel, name, params
+    ):
+        factories = {
+            "batched": quiet_experiment.model_factory,
+            # A kernel-less layer: the trainer takes the scalar per-worker
+            # loop, transforms applied through ``local_update``.
+            "scalar": without_batched_kernel(quiet_experiment.model_factory),
+        }
         trainers = {}
-        for engine in ("batched", "scalar"):
-            exp = dataclasses.replace(quiet_experiment, engine=engine)
+        for engine, factory in factories.items():
+            exp = dataclasses.replace(quiet_experiment, model_factory=factory)
             trainer = build_trainer(name, exp, **params)
             assert (trainer._engine is not None) == (engine == "batched")
             trainer.run(max_rounds=5)

@@ -74,17 +74,26 @@ class TestHistorySerialization:
 class TestStalenessDamping:
     def test_negative_exponent_rejected(self, small_experiment):
         with pytest.raises(ValueError):
-            AirFedGATrainer(small_experiment, staleness_exponent=-1.0)
+            AirFedGATrainer(
+                small_experiment,
+                staleness={"name": "polynomial", "params": {"exponent": -1.0}},
+            )
 
     def test_zero_exponent_matches_default(self, quiet_experiment):
         default = AirFedGATrainer(quiet_experiment).run(max_rounds=5)
-        explicit = AirFedGATrainer(quiet_experiment, staleness_exponent=0.0).run(max_rounds=5)
-        np.testing.assert_allclose(default.accuracies(), explicit.accuracies())
+        explicit = AirFedGATrainer(
+            quiet_experiment,
+            staleness={"name": "polynomial", "params": {"exponent": 0.0}},
+        ).run(max_rounds=5)
+        np.testing.assert_array_equal(default.accuracies(), explicit.accuracies())
+        np.testing.assert_array_equal(default.losses(), explicit.losses())
 
     def test_damping_changes_trajectory_when_stale(self, quiet_experiment):
         plain = AirFedGATrainer(quiet_experiment, grouping_strategy="singleton")
         damped = AirFedGATrainer(
-            quiet_experiment, grouping_strategy="singleton", staleness_exponent=1.0
+            quiet_experiment,
+            grouping_strategy="singleton",
+            staleness={"name": "polynomial", "params": {"exponent": 1.0}},
         )
         h_plain = plain.run(max_rounds=12)
         h_damped = damped.run(max_rounds=12)
@@ -93,7 +102,11 @@ class TestStalenessDamping:
         assert h_plain.max_staleness() > 0
         assert not np.allclose(h_plain.losses(), h_damped.losses())
 
-    def test_tifl_accepts_staleness_exponent(self, small_experiment):
-        trainer = TiFLTrainer(small_experiment, num_tiers=3, staleness_exponent=0.5)
+    def test_tifl_accepts_staleness_policy(self, small_experiment):
+        trainer = TiFLTrainer(
+            small_experiment,
+            num_tiers=3,
+            staleness={"name": "polynomial", "params": {"exponent": 0.5}},
+        )
         history = trainer.run(max_rounds=5)
         assert history.total_rounds == 5

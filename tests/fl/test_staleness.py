@@ -14,6 +14,7 @@ from repro.fl import (
     StalenessPolicy,
     resolve_staleness_policy,
 )
+from repro.fl.registry import build_trainer
 
 
 class TestPolicies:
@@ -30,8 +31,8 @@ class TestPolicies:
 
     def test_polynomial_matches_legacy_formula_bitwise(self):
         # The legacy inline expression of the grouped event loop; the
-        # policy must reproduce it bit-for-bit so the staleness_exponent
-        # shorthand keeps histories unchanged.
+        # policy must reproduce it bit-for-bit so histories recorded
+        # before the policy registry keep their values.
         for exponent in (0.25, 0.5, 1.0, 2.0):
             policy = PolynomialStaleness(exponent=exponent)
             for tau in range(0, 12):
@@ -76,19 +77,22 @@ class TestPolicies:
 
 
 class TestResolve:
-    def test_none_with_zero_exponent_disables_damping(self):
-        assert resolve_staleness_policy(None, 0.0) is None
+    def test_none_disables_damping(self):
+        assert resolve_staleness_policy(None) is None
 
-    def test_legacy_exponent_maps_to_polynomial(self):
-        policy = resolve_staleness_policy(None, 0.5)
+    def test_polynomial_mapping_carries_exponent(self):
+        policy = resolve_staleness_policy(
+            {"name": "polynomial", "params": {"exponent": 0.5}}
+        )
         assert isinstance(policy, PolynomialStaleness)
         assert policy.exponent == 0.5
 
     def test_negative_exponent_rejected(self):
-        # Satellite: staleness_exponent must be validated at construction,
-        # not produce NaN weights rounds later.
+        # Validated at construction, not as NaN weights rounds later.
         with pytest.raises(ValueError, match="non-negative"):
-            resolve_staleness_policy(None, -1.0)
+            resolve_staleness_policy(
+                {"name": "polynomial", "params": {"exponent": -1.0}}
+            )
 
     def test_name_string_resolved_via_registry(self):
         policy = resolve_staleness_policy("constant")
@@ -104,10 +108,6 @@ class TestResolve:
     def test_instance_passes_through(self):
         policy = HingeStaleness()
         assert resolve_staleness_policy(policy) is policy
-
-    def test_both_spec_and_exponent_ambiguous(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_staleness_policy("hinge", 0.5)
 
     def test_mapping_shape_validated(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -133,15 +133,25 @@ class TestTrainerIntegration:
             (r.round_index, r.time, r.loss, r.staleness) for r in history.records
         ]
 
-    def test_exponent_and_polynomial_policy_bit_identical(self, quiet_experiment):
-        gv_legacy, trace_legacy = self._run(
-            quiet_experiment, staleness_exponent=0.5
+    def test_mapping_and_instance_policy_bit_identical(self, quiet_experiment):
+        gv_mapping, trace_mapping = self._run(
+            quiet_experiment,
+            staleness={"name": "polynomial", "params": {"exponent": 0.5}},
         )
         gv_policy, trace_policy = self._run(
             quiet_experiment, staleness=PolynomialStaleness(exponent=0.5)
         )
-        assert np.array_equal(gv_legacy, gv_policy)
-        assert trace_legacy == trace_policy
+        assert np.array_equal(gv_mapping, gv_policy)
+        assert trace_mapping == trace_policy
+
+    def test_polynomial_exponent_zero_matches_no_policy(self, quiet_experiment):
+        gv_off, trace_off = self._run(quiet_experiment)
+        gv_zero, trace_zero = self._run(
+            quiet_experiment,
+            staleness={"name": "polynomial", "params": {"exponent": 0.0}},
+        )
+        assert np.array_equal(gv_off, gv_zero)
+        assert trace_off == trace_zero
 
     def test_constant_one_matches_no_damping(self, quiet_experiment):
         gv_off, trace_off = self._run(quiet_experiment)
@@ -159,10 +169,17 @@ class TestTrainerIntegration:
 
     def test_trainer_rejects_negative_exponent(self, quiet_experiment):
         with pytest.raises(ValueError, match="non-negative"):
-            AirFedGATrainer(quiet_experiment, staleness_exponent=-0.1)
-
-    def test_trainer_rejects_ambiguous_arguments(self, quiet_experiment):
-        with pytest.raises(ValueError, match="not both"):
             AirFedGATrainer(
-                quiet_experiment, staleness_exponent=0.5, staleness="hinge"
+                quiet_experiment,
+                staleness={"name": "polynomial", "params": {"exponent": -0.1}},
             )
+
+    @pytest.mark.parametrize("mechanism", ["air_fedga", "tifl", "fedasync"])
+    def test_trainers_take_no_staleness_exponent(self, quiet_experiment, mechanism):
+        """One spelling of the polynomial schedule: the policy."""
+        with pytest.raises(TypeError, match="staleness_exponent"):
+            registry.get("mechanism", mechanism)(
+                quiet_experiment, staleness_exponent=0.5
+            )
+        with pytest.raises(TypeError, match="accepted parameters"):
+            build_trainer(mechanism, quiet_experiment, staleness_exponent=0.5)

@@ -1,12 +1,15 @@
 """Equivalence and regression tests for the allocation-free hot paths.
 
-Covers: vectorized exact/AirComp aggregation vs. the reference loops, the
-engine="scalar" / engine="auto" trainer agreement, power-control caching
-(hit counting, budget clamping), the float32 simulation mode and seeded
-end-to-end determinism.
+Covers: vectorized exact/AirComp aggregation vs. the reference loops (at
+the channel level and through a whole trainer run), agreement of the
+batched engine with the per-worker fallback a kernel-less model takes,
+power-control caching (hit counting, budget clamping), the float32
+simulation mode and seeded end-to-end determinism.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -177,44 +180,11 @@ class TestTrainerAggregation:
         assert buffered is out
         np.testing.assert_allclose(plain, buffered, rtol=1e-12, atol=1e-12)
 
-    def test_scalar_engine_uses_reference_paths(
-        self, small_dataset, small_partition, latency_table, static_channel
-    ):
-        exp = FLExperiment(
-            dataset=small_dataset,
-            partition=small_partition,
-            model_factory=lambda: LogisticRegressionMLP(
-                input_dim=64, hidden=16, num_classes=10, seed=3
-            ),
-            latency=latency_table,
-            channel=static_channel,
-            seed=11,
-            engine="scalar",
-        )
-        trainer = build_trainer("air_fedga", exp)
-        assert trainer._engine is None
-        assert trainer._pc_cache is None
-        history = trainer.run(max_rounds=5)
-        assert len(history) > 0
-
-    def test_invalid_engine_rejected(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        with pytest.raises(ValueError):
-            FLExperiment(
-                dataset=small_dataset,
-                partition=small_partition,
-                model_factory=model_factory,
-                latency=latency_table,
-                channel=static_channel,
-                engine="vectorised-please",
-            )
-
     def test_batched_engine_accepted_for_cnn(
         self, small_image_dataset, latency_table, static_channel
     ):
-        """Conv2D/MaxPool2D have batched kernels, so engine='batched' no
-        longer rejects CNN models."""
+        """Conv2D/MaxPool2D have batched kernels, so a CNN trains on the
+        batched engine."""
         partition = partition_label_skew(
             small_image_dataset, num_workers=latency_table.num_workers, seed=7
         )
@@ -224,92 +194,94 @@ class TestTrainerAggregation:
             model_factory=lambda: MnistCNN(image_size=8, scale=0.1, seed=3),
             latency=latency_table,
             channel=static_channel,
-            engine="batched",
         )
         trainer = BaseTrainer(exp)
         assert trainer._engine is not None
 
-    def test_batched_engine_rejected_for_unsupported_layer(
-        self, small_image_dataset, latency_table, static_channel
+    def test_unsupported_layer_trains_on_the_per_worker_loop(
+        self, quiet_experiment, without_batched_kernel
     ):
-        from repro.nn import SequentialModel
-        from repro.nn.layers import Dense, Layer
-
-        class _Exotic(Layer):
-            def forward(self, x, training=True):
-                return x
-
-            def backward(self, grad_out):
-                return grad_out
-
-        def factory():
-            flat = int(np.prod(small_image_dataset.x_train.shape[1:]))
-            from repro.nn.layers import Flatten
-
-            return SequentialModel(
-                [
-                    Flatten("flatten"),
-                    _Exotic("exotic"),
-                    Dense("fc", flat, 10, np.random.default_rng(0)),
-                ]
-            )
-
-        partition = partition_label_skew(
-            small_image_dataset, num_workers=latency_table.num_workers, seed=7
+        """A layer without a registered kernel is something the trainer
+        observes, not something a user sets: no engine, same stack shape."""
+        exp = dataclasses.replace(
+            quiet_experiment,
+            model_factory=without_batched_kernel(quiet_experiment.model_factory),
         )
-        exp = FLExperiment(
-            dataset=small_image_dataset,
-            partition=partition,
-            model_factory=factory,
-            latency=latency_table,
-            channel=static_channel,
-            engine="batched",
+        trainer = BaseTrainer(exp)
+        assert trainer._engine is None
+        stack = trainer.local_update_group([0, 3, 5], trainer.global_vector, 1)
+        assert stack.shape == (3, trainer.model.dimension)
+        np.testing.assert_array_equal(
+            stack[1], trainer.local_update(3, trainer.global_vector, 1)
         )
-        with pytest.raises(ValueError):
-            BaseTrainer(exp)
+
+
+def _reference_aggregate(models, *args, workspace=None, sq_norms=None, **kwargs):
+    """``aircomp_aggregate`` by way of the per-member reference loop."""
+    return aircomp_aggregate_reference(list(models), *args, **kwargs)
 
 
 class TestEngineAgreement:
-    def test_auto_and_scalar_trainers_agree(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        """Full seeded runs on both engines produce near-identical metrics.
-
-        The engines may differ at the floating-point reassociation level
-        (loop vs matmul aggregation) and in power-control caching, so the
-        comparison is loose-tolerance, not bitwise.
-        """
-        # The power-control cache trades ~rel_tol sigma optimality for
-        # speed; disable it so the only engine difference left is
-        # floating-point reassociation in the aggregation matmul.
-        config = AirFedGAConfig(
-            aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
+    def _history(self, fixtures, model_factory):
+        small_dataset, small_partition, latency_table, static_channel = fixtures
+        exp = FLExperiment(
+            dataset=small_dataset,
+            partition=small_partition,
+            model_factory=model_factory,
+            latency=latency_table,
+            channel=static_channel,
+            # The power-control cache trades ~rel_tol sigma optimality for
+            # speed; off, so nothing but the path under test differs.
+            config=AirFedGAConfig(
+                aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
+            ),
+            learning_rate=0.2,
+            local_steps=2,
+            batch_size=16,
+            max_eval_samples=60,
+            seed=11,
         )
-        histories = {}
-        for engine in ("scalar", "auto"):
-            exp = FLExperiment(
-                dataset=small_dataset,
-                partition=small_partition,
-                model_factory=model_factory,
-                latency=latency_table,
-                channel=static_channel,
-                config=config,
-                learning_rate=0.2,
-                local_steps=2,
-                batch_size=16,
-                max_eval_samples=60,
-                seed=11,
-                engine=engine,
-            )
-            trainer = build_trainer("air_fedga", exp)
-            if engine == "auto":
-                assert trainer._engine is not None
-            histories[engine] = trainer.run(max_rounds=12)
-        a, s = histories["auto"], histories["scalar"]
+        trainer = build_trainer("air_fedga", exp)
+        return trainer, trainer.run(max_rounds=12)
+
+    def test_batched_and_fallback_trainers_agree(
+        self, small_dataset, small_partition, latency_table, static_channel,
+        model_factory, without_batched_kernel,
+    ):
+        """Full seeded runs on the batched engine and on the per-worker
+        fallback (a model with a kernel-less layer) give the same metrics.
+
+        Both share the production aggregator, so the only difference left
+        is the batched matmul against the per-worker one in local training.
+        Measured on this run: losses bit-equal; rtol=1e-12 leaves room for
+        another BLAS, where the old comparison through the scalar
+        aggregator needed rtol=1e-5.
+        """
+        fixtures = (small_dataset, small_partition, latency_table, static_channel)
+        batched, a = self._history(fixtures, model_factory)
+        fallback, s = self._history(fixtures, without_batched_kernel(model_factory))
+        assert batched._engine is not None and fallback._engine is None
         assert len(a) == len(s)
         np.testing.assert_array_equal(a.times(), s.times())
-        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(a.accuracies(), s.accuracies(), atol=1e-9)
+        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-12)
+        np.testing.assert_array_equal(a.accuracies(), s.accuracies())
+
+    def test_trainer_run_agrees_with_the_reference_aggregator(
+        self, small_dataset, small_partition, latency_table, static_channel,
+        model_factory, monkeypatch,
+    ):
+        """The one trainer-level differential against the oracle: a run
+        whose Eq. 6–10 arithmetic goes through the per-member reference
+        loop differs from the production run by reassociation only."""
+        fixtures = (small_dataset, small_partition, latency_table, static_channel)
+        _, plain = self._history(fixtures, model_factory)
+        monkeypatch.setattr("repro.fl.base.aircomp_aggregate", _reference_aggregate)
+        _, oracle = self._history(fixtures, model_factory)
+        assert len(plain) == len(oracle)
+        np.testing.assert_array_equal(plain.times(), oracle.times())
+        np.testing.assert_allclose(plain.losses(), oracle.losses(), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(plain.accuracies(), oracle.accuracies(), atol=1e-9)
+        np.testing.assert_allclose(plain.energies(), oracle.energies(), rtol=1e-9)
 
     def test_seeded_runs_deterministic_on_auto_engine(
         self, small_dataset, small_partition, latency_table, static_channel, model_factory
@@ -374,38 +346,45 @@ class TestEngineRosters:
         np.testing.assert_array_equal(full[2], model.get_vector())
 
     def test_faulty_run_replays_on_warm_rosters(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
+        self, small_dataset, small_partition, latency_table, static_channel,
+        model_factory, without_batched_kernel,
     ):
         """Dropout-rejoin rosters (subsets of the groups) through the
-        trainer: the scalar path, which keeps no rosters, agrees."""
+        trainer: the per-worker fallback, which keeps no rosters, agrees
+        (same aggregator on both sides: 2e-16 measured, rtol=1e-12 asserted
+        where the scalar-aggregator comparison needed 1e-5)."""
         from repro import registry
 
         histories = {}
-        for engine in ("auto", "scalar"):
+        for path, factory in (
+            ("batched", model_factory),
+            ("fallback", without_batched_kernel(model_factory)),
+        ):
             exp = FLExperiment(
                 dataset=small_dataset,
                 partition=small_partition,
-                model_factory=model_factory,
+                model_factory=factory,
                 latency=latency_table,
                 channel=static_channel,
                 config=AirFedGAConfig(
                     aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
                 ),
                 seed=11,
-                engine=engine,
                 clientstate=registry.create(
                     "clientstate", "dropout-rejoin",
                     num_workers=small_partition.num_workers, seed=4,
                     dropout_prob=0.3, rejoin_after=1,
                 ),
             )
-            histories[engine] = build_trainer(
+            trainer = build_trainer(
                 "air_fedga", exp, grouping_strategy="tier", num_groups=2
-            ).run(max_rounds=25)
-        a, s = histories["auto"], histories["scalar"]
+            )
+            assert (trainer._engine is None) == (path == "fallback")
+            histories[path] = trainer.run(max_rounds=25)
+        a, s = histories["batched"], histories["fallback"]
         assert a.workers_dropped == s.workers_dropped > 0
         np.testing.assert_array_equal(a.times(), s.times())
-        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +446,41 @@ class TestPowerControlCache:
         assert trainer.pc_cache_hits == 0
         assert trainer._pc_cache is None
 
+    def test_cache_keeps_no_state_besides_its_bounded_entries(
+        self, small_dataset, small_partition, latency_table, static_channel, model_factory
+    ):
+        """200 faulty rounds (a new survivor roster is a new key): whatever
+        the cache holds afterwards is in ``_cache``, which the
+        ``max_entries`` reset bounds — no per-group side table."""
+        from repro import registry
+
+        exp = FLExperiment(
+            dataset=small_dataset,
+            partition=small_partition,
+            model_factory=model_factory,
+            latency=latency_table,
+            channel=static_channel,
+            eval_every=50,
+            seed=11,
+            clientstate=registry.create(
+                "clientstate", "dropout-rejoin",
+                num_workers=small_partition.num_workers, seed=4,
+                dropout_prob=0.3, rejoin_after=1,
+            ),
+        )
+        trainer = build_trainer("air_fedga", exp)
+        cache = trainer._pc_cache
+        cache.max_entries = 8
+        history = trainer.run(max_rounds=200)
+        assert history.workers_dropped > 0
+        assert cache.misses > cache.max_entries  # the reset has happened
+        containers = {
+            name for name, value in vars(cache).items()
+            if isinstance(value, (dict, list, set, tuple))
+        }
+        assert containers == {"_cache"}
+        assert len(cache._cache) <= cache.max_entries
+
     def test_hit_clamps_sigma_to_exact_cap(self):
         rel_tol = 1e-2
         cache = PowerControlCache(rel_tol=rel_tol)
@@ -480,10 +494,10 @@ class TestPowerControlCache:
         centre = float(np.exp(np.round(np.log(10.0) / step) * step))
         low = centre * float(np.exp(-step / 4))
         high = centre * float(np.exp(step / 4))
-        first = cache.solve(sizes, gains, low, cfg, group_key=(0,))
+        first = cache.solve(sizes, gains, low, cfg)
         # The larger bound hits the same key but tightens the energy cap;
         # the cached sigma must be clamped to stay feasible.
-        second = cache.solve(sizes, gains, high, cfg, group_key=(0,))
+        second = cache.solve(sizes, gains, high, cfg)
         assert cache.hits == 1
         caps = gains * np.sqrt(cfg.energy_budget_j) / (sizes * high)
         assert second.sigma <= caps.min() + 1e-15
@@ -492,9 +506,9 @@ class TestPowerControlCache:
     def test_cache_preserves_behaviour_on_fading_channel(
         self, small_dataset, small_partition, latency_table, channel_model, model_factory
     ):
-        """With warm start off (default), a Rayleigh channel makes every
-        round a cache miss, and each miss is an ordinary from-cap solve —
-        so the cached run is *identical* to the cache-off run."""
+        """A Rayleigh channel makes every round a cache miss, and each miss
+        is an ordinary from-cap solve — so the cached run is *identical*
+        to the cache-off run."""
         histories = {}
         for cache in (True, False):
             exp = FLExperiment(

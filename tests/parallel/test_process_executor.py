@@ -347,9 +347,11 @@ class TestTrainerEquivalence:
         assert np.array_equal(gv_serial, gv_mp)
         assert hist_serial == hist_mp
 
-    def test_scalar_engine_downgrades_with_warning(self, small_experiment):
+    def test_kernel_less_model_downgrades_with_warning(
+        self, small_experiment, without_batched_kernel
+    ):
         exp = small_experiment
-        exp.engine = "scalar"
+        exp.model_factory = without_batched_kernel(exp.model_factory)
         exp.config.parallelism = ParallelismConfig(mode="processes")
         with build_trainer("air_fedga", exp) as trainer:
             with pytest.warns(RuntimeWarning, match="no batched engine"):

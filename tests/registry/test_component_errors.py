@@ -30,7 +30,8 @@ class TestBuildTrainerErrors:
         # The full accepted parameter list is spelled out.
         assert "grouping_strategy" in message
         assert "num_groups" in message
-        assert "staleness_exponent" in message
+        assert "'staleness'" in message
+        assert "staleness_exponent" not in message
 
     def test_unknown_kwarg_never_reaches_the_trainer(self):
         # TiFL's num_tiers is not an Air-FedGA parameter.
