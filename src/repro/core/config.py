@@ -18,15 +18,15 @@ __all__ = [
 class AirCompConfig:
     """Physical-layer parameters of the over-the-air aggregation.
 
-    Defaults follow Section VI-A2 of the paper: bandwidth 1 MHz, noise
-    variance σ₀² = 1 W and a per-round energy budget Ê_i = 10 J.
+    Defaults follow Section VI-A2 of the paper: noise variance σ₀² = 1 W and
+    a per-round energy budget Ê_i = 10 J (the 1 MHz band is the TDMA
+    baseline's, :class:`repro.channel.oma.OMAConfig`).
     """
 
     noise_variance: float = 1.0
     energy_budget_j: float = 10.0
     num_subchannels: int = 64
     symbol_duration_s: float = 1e-4
-    bandwidth_hz: float = 1e6
     power_control_tolerance: float = 1e-6
     power_control_max_iters: int = 200
     #: Memoize the Algorithm-2 alternating optimization on quantized
@@ -45,8 +45,6 @@ class AirCompConfig:
             raise ValueError("num_subchannels must be positive")
         if self.symbol_duration_s <= 0:
             raise ValueError("symbol_duration_s must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
         if self.power_control_tolerance <= 0:
             raise ValueError("power_control_tolerance must be positive")
         if self.power_control_max_iters < 1:
@@ -63,7 +61,6 @@ class GroupingConfig:
 
     xi: float = 0.3
     sort_descending_by_data: bool = True
-    emd_weight: float = 1.0
     #: Seed for breaking data-size ties in the greedy visit order (see
     #: :func:`repro.core.grouping.greedy_grouping`).
     tie_break_seed: int = 0
@@ -74,8 +71,6 @@ class GroupingConfig:
     def __post_init__(self) -> None:
         if self.xi < 0:
             raise ValueError("xi must be non-negative")
-        if self.emd_weight < 0:
-            raise ValueError("emd_weight must be non-negative")
         if self.tie_break_seed < 0:
             raise ValueError("tie_break_seed must be non-negative")
         if self.refine_passes < 0:
@@ -97,7 +92,6 @@ class ConvergenceConfig:
     strong_convexity_mu: float = 0.5
     learning_rate_gamma: float = 0.9
     gradient_bound_G: float = 1.0
-    model_bound_W: float = 1.0
     initial_gap: float = 1.0
     target_epsilon: float = 0.05
 
@@ -118,8 +112,6 @@ class ConvergenceConfig:
             )
         if self.gradient_bound_G <= 0:
             raise ValueError("gradient_bound_G must be positive")
-        if self.model_bound_W <= 0:
-            raise ValueError("model_bound_W must be positive")
         if self.initial_gap <= 0:
             raise ValueError("initial_gap must be positive")
         if self.target_epsilon <= 0:

@@ -25,7 +25,7 @@ Two alternative strategies are provided for the baselines and ablations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "random_grouping",
     "singleton_grouping",
     "contiguous_grouping",
+    "GROUPING_STRATEGIES",
 ]
 
 
@@ -386,33 +387,33 @@ def _refine_grouping(
 # ----------------------------------------------------------------------
 # Baseline strategies
 # ----------------------------------------------------------------------
+def _split_grouping(
+    problem: GroupingProblem, order: np.ndarray, num_groups: int, strategy: str
+) -> GroupingResult:
+    """``order`` cut into ``num_groups`` near-equal consecutive blocks."""
+    if num_groups < 1:
+        raise ValueError("num_groups must be >= 1")
+    chunks = np.array_split(order, min(num_groups, problem.num_workers))
+    groups = [chunk.astype(int).tolist() for chunk in chunks if chunk.size > 0]
+    return _evaluate_grouping(problem, groups, strategy)
+
+
 def tier_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
     """TiFL-style tiers: sort workers by local-training time, split in quantiles.
 
     This only looks at timing, not at the label distribution, which is why
     its average EMD stays high in Table III.
     """
-    if num_groups < 1:
-        raise ValueError("num_groups must be >= 1")
-    num_groups = min(num_groups, problem.num_workers)
     order = np.argsort(problem.local_times, kind="stable")
-    chunks = np.array_split(order, num_groups)
-    groups = [chunk.astype(int).tolist() for chunk in chunks if chunk.size > 0]
-    return _evaluate_grouping(problem, groups, "tier")
+    return _split_grouping(problem, order, num_groups, "tier")
 
 
 def random_grouping(
     problem: GroupingProblem, num_groups: int, seed: int = 0
 ) -> GroupingResult:
     """Uniformly random assignment into ``num_groups`` groups (ablation)."""
-    if num_groups < 1:
-        raise ValueError("num_groups must be >= 1")
-    num_groups = min(num_groups, problem.num_workers)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(problem.num_workers)
-    chunks = np.array_split(order, num_groups)
-    groups = [chunk.astype(int).tolist() for chunk in chunks if chunk.size > 0]
-    return _evaluate_grouping(problem, groups, "random")
+    order = np.random.default_rng(seed).permutation(problem.num_workers)
+    return _split_grouping(problem, order, num_groups, "random")
 
 
 def singleton_grouping(problem: GroupingProblem) -> GroupingResult:
@@ -442,3 +443,17 @@ def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingRe
     )
     groups: List[Sequence[int]] = [c for c in chunks if c.size > 0]
     return _evaluate_grouping(problem, groups, "contiguous")
+
+
+#: Every strategy by name, behind one signature ``(problem, num_groups,
+#: seed)``; a strategy ignores the arguments it has no use for (``greedy``
+#: and ``singleton`` fix the group count themselves, only ``random`` draws).
+GROUPING_STRATEGIES: Dict[str, Callable[[GroupingProblem, int, int], GroupingResult]] = {
+    "greedy": lambda problem, num_groups, seed: greedy_grouping(problem),
+    "tier": lambda problem, num_groups, seed: tier_grouping(problem, num_groups),
+    "random": random_grouping,
+    "singleton": lambda problem, num_groups, seed: singleton_grouping(problem),
+    "contiguous": lambda problem, num_groups, seed: contiguous_grouping(
+        problem, num_groups
+    ),
+}

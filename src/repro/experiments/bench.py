@@ -138,8 +138,10 @@ def bench_grouped_round_mp(
                 # its first submit, so constructing the executor is not
                 # enough).  The warm-up dispatch writes only into the
                 # group-stack/arena buffers; trainer state is untouched.
-                trainer.local_update_group(
-                    trainer.groups[0], trainer.global_vector, 1
+                trainer._release_stack(
+                    trainer.local_update_group(
+                        trainer.groups[0], trainer.global_vector, 1
+                    )
                 )
                 if mode == "mp" and not (
                     trainer.parallelism_active

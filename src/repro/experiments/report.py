@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .reporting import format_float, format_markdown_table
+from .runcache import read_jsonl_rows
 
 __all__ = ["load_rows", "sweep_report", "write_report"]
 
@@ -37,23 +38,14 @@ def load_rows(path: str | Path) -> List[Dict[str, Any]]:
     occurrence wins, matching the resume reconciliation of
     :class:`~repro.experiments.sweep.SweepRunner`.
     """
-    by_index: Dict[Any, Dict[str, Any]] = {}
+    by_index: Dict[int, Dict[str, Any]] = {}
     extras: List[Dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(row, dict):
-            continue
+    for row in read_jsonl_rows(path):
         if isinstance(row.get("index"), int):
             by_index[row["index"]] = row
         else:
             extras.append(row)
-    rows = [by_index[i] for i in sorted(by_index)]
-    return rows + extras
+    return [by_index[i] for i in sorted(by_index)] + extras
 
 
 def _succeeded(row: Mapping[str, Any]) -> bool:

@@ -21,7 +21,9 @@ orphans old entries instead of serving stale shapes.
 
 All cache and manifest writes go through :func:`atomic_write_json`
 (temp file + ``os.replace`` in the target directory), so a sweep killed
-mid-write can never leave a torn JSON document behind.
+mid-write can never leave a torn JSON document behind.  The appended
+JSONL stream *can* end in a torn line; :func:`read_jsonl_rows` is the one
+reader that skips it, shared by sweep resume and the report loader.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "CACHE_VERSION",
@@ -39,13 +41,14 @@ __all__ = [
     "atomic_write_json",
     "canonical_spec",
     "grid_hash",
+    "read_jsonl_rows",
     "spec_hash",
 ]
 
 #: Salt mixed into every :func:`spec_hash`.  Bump when the meaning of a
 #: cached row changes (summary semantics, seed discipline, …): old cache
 #: entries then simply never hit again.
-CACHE_VERSION = "sweep-cache-v3"
+CACHE_VERSION = "sweep-cache-v4"
 
 #: Row keys that describe a point's position in one particular grid, not
 #: the simulation itself; they are stripped before caching and rebuilt
@@ -72,6 +75,26 @@ def atomic_write_json(path: Path, document: Mapping[str, Any], indent: int = 2) 
             pass
         raise
     return path
+
+
+def read_jsonl_rows(path: str | Path) -> List[Dict[str, Any]]:
+    """Parse a JSONL file into its object rows, skipping undecodable lines.
+
+    A sweep killed mid-write (SIGKILL between ``write`` and ``flush``)
+    can leave a torn final line; tolerating it is what makes the stream
+    safely resumable — and reportable while half-finished.
+    """
+    rows: List[Dict[str, Any]] = []
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(row, dict):
+            rows.append(row)
+    return rows
 
 
 def canonical_spec(spec: Any) -> Dict[str, Any]:

@@ -59,7 +59,13 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .runcache import RunCache, atomic_write_json, grid_hash, spec_hash
+from .runcache import (
+    RunCache,
+    atomic_write_json,
+    grid_hash,
+    read_jsonl_rows,
+    spec_hash,
+)
 from .scenario import Scenario
 
 __all__ = [
@@ -217,26 +223,6 @@ def _execute_point(
             if attempt < retries and retry_backoff > 0:
                 time.sleep(retry_backoff * (attempt + 1))
     return row
-
-
-def _read_jsonl_rows(path: Path) -> List[Dict[str, Any]]:
-    """Parse a JSONL file, skipping undecodable lines.
-
-    A sweep killed mid-write (SIGKILL between ``write`` and ``flush``)
-    can leave a torn final line; tolerating it is what makes the stream
-    safely resumable.
-    """
-    rows: List[Dict[str, Any]] = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(row, dict):
-            rows.append(row)
-    return rows
 
 
 MANIFEST_VERSION = 1
@@ -493,7 +479,7 @@ class SweepRunner:
                 if isinstance(index, int) and 0 <= index < len(self.points):
                     prior_attempts[index] = int(point.get("attempts", 0))
         if self.output is not None and self.output.exists():
-            for row in _read_jsonl_rows(self.output):
+            for row in read_jsonl_rows(self.output):
                 index = row.get("index")
                 if not isinstance(index, int) or not 0 <= index < len(self.points):
                     continue

@@ -17,6 +17,11 @@ Public entry points (documented in ``docs/API.md``):
   OMA aggregation, evaluation, energy accounting).  Trainers are context
   managers: ``with build_trainer(...) as t: t.run(...)`` releases any
   multiprocess resources deterministically;
+* the axes a mechanism is assembled from — the schedules
+  :class:`SynchronousTrainer` (barrier rounds), :class:`GroupedAsyncTrainer`
+  (per-group commits) and :class:`FedAsyncTrainer` (per-update commits),
+  and the uplinks :class:`OMAUplink` / :class:`AirCompUplink` mixed into
+  them;
 * :class:`TrainingHistory` / :class:`RoundRecord` — the per-round
   trajectory every ``run()`` returns (including the device-fault
   counters);
@@ -28,6 +33,8 @@ Public entry points (documented in ``docs/API.md``):
 
 from .base import BaseTrainer, FLExperiment
 from .history import RoundRecord, TrainingHistory
+from .uplink import AirCompUplink, OMAUplink
+from .synchronous import SynchronousTrainer
 from .fedavg import FedAvgTrainer
 from .fedprox import FedProxTrainer
 from .feddyn import FedDynTrainer
@@ -51,6 +58,9 @@ __all__ = [
     "BaseTrainer",
     "RoundRecord",
     "TrainingHistory",
+    "OMAUplink",
+    "AirCompUplink",
+    "SynchronousTrainer",
     "FedAvgTrainer",
     "FedProxTrainer",
     "FedDynTrainer",

@@ -24,27 +24,20 @@ processes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from ..core.grouping import (
-    GroupingProblem,
-    GroupingResult,
-    contiguous_grouping,
-    greedy_grouping,
-    random_grouping,
-    singleton_grouping,
-    tier_grouping,
-)
+from ..core.grouping import GROUPING_STRATEGIES
 from ..core.power_control import solve_power_control
 from .base import FLExperiment
 from .grouped import GroupedAsyncTrainer
+from .uplink import AirCompUplink
 
 __all__ = ["AirFedGATrainer"]
 
 
-class AirFedGATrainer(GroupedAsyncTrainer):
+class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
     """The Air-FedGA mechanism (Algorithm 1 + Algorithms 2 and 3)."""
 
     name = "air_fedga"
@@ -80,13 +73,7 @@ class AirFedGATrainer(GroupedAsyncTrainer):
             :mod:`repro.fl.staleness`).  ``None`` (the default) reproduces
             the paper's Eq. (10) exactly.
         """
-        if grouping_strategy not in {
-            "greedy",
-            "tier",
-            "random",
-            "singleton",
-            "contiguous",
-        }:
+        if grouping_strategy not in GROUPING_STRATEGIES:
             raise ValueError(f"unknown grouping strategy {grouping_strategy!r}")
         self.grouping_strategy = grouping_strategy
         self.num_groups_hint = num_groups
@@ -95,79 +82,22 @@ class AirFedGATrainer(GroupedAsyncTrainer):
 
     # ------------------------------------------------------------------
     def build_groups(self) -> List[List[int]]:
-        exp = self.exp
         # Estimate the power-control error term once, on a representative
         # round, so the grouping objective accounts for the channel noise
-        # floor (the paper determines σ*, η* before solving P4).
-        gains = exp.channel.gains(0)
-        # The population's worker-state table owns the float64 sizes
-        # (value-identical to the legacy partition.data_sizes() +
-        # np.maximum(·, 1e-9) pipeline), so partition-less XL experiments
-        # group through the same code path.
-        sizes = self.worker_state.sizes
-        model_bound = max(float(np.linalg.norm(self.global_vector)), 1e-8)
-        # Same per-entry noise calibration as the trainer's aggregation step
-        # (the paper's σ₀² spread over the q model symbols).
+        # floor (the paper determines σ*, η* before solving P4) — with the
+        # same per-entry noise calibration as the aggregation step (the
+        # paper's σ₀² spread over the q model symbols).
         pc = solve_power_control(
-            data_sizes=sizes,
-            channel_gains=gains,
-            model_bound=model_bound,
+            data_sizes=self.worker_state.sizes,
+            channel_gains=self.exp.channel.gains(0),
+            model_bound=max(float(np.linalg.norm(self.global_vector)), 1e-8),
             config=self._pc_config,
         )
-        problem = GroupingProblem(
-            data_sizes=sizes,
-            class_counts=self.population.class_counts(),
-            local_times=exp.latency.nominal_times(),
-            model_dimension=self.latency_dimension,
-            config=exp.config,
-            c_max=pc.error_term,
+        strategy = GROUPING_STRATEGIES[self.grouping_strategy]
+        return self._adopt_grouping(
+            strategy(
+                self.grouping_problem(c_max=pc.error_term),
+                self.num_groups_hint or max(1, self.exp.num_workers // 10),
+                self.grouping_seed,
+            )
         )
-        if self.grouping_strategy == "greedy":
-            result = greedy_grouping(problem)
-        elif self.grouping_strategy == "tier":
-            result = tier_grouping(
-                problem, num_groups=self.num_groups_hint or max(1, exp.num_workers // 10)
-            )
-        elif self.grouping_strategy == "random":
-            result = random_grouping(
-                problem,
-                num_groups=self.num_groups_hint or max(1, exp.num_workers // 10),
-                seed=self.grouping_seed,
-            )
-        elif self.grouping_strategy == "contiguous":
-            result = contiguous_grouping(
-                problem,
-                num_groups=self.num_groups_hint or max(1, exp.num_workers // 10),
-            )
-        else:  # singleton
-            result = singleton_grouping(problem)
-        self.grouping_result: GroupingResult = result
-        # Array-typed groups (the contiguous strategy) pass through uncopied;
-        # legacy strategies keep returning plain int lists.
-        return [
-            g if isinstance(g, np.ndarray) else list(g) for g in result.groups
-        ]
-
-    # ------------------------------------------------------------------
-    def aggregate_group(
-        self,
-        group_id: int,
-        member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
-        round_index: int,
-        weight_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        # Writing into the trainer-owned update buffer keeps the AirComp
-        # aggregation allocation-free (the event loop swaps it into place).
-        return self.aircomp_group_update(
-            member_ids,
-            local_vectors,
-            round_index,
-            out=self._update_out,
-            weight_scale=weight_scale,
-        )
-
-    def upload_time(self, member_ids: Sequence[int], round_index: int) -> float:
-        # Over-the-air aggregation: the whole group transmits concurrently,
-        # so the upload latency is L_u regardless of the group size (Eq. 33).
-        return self.aircomp_upload_latency()

@@ -15,8 +15,10 @@ mechanism reuses:
   the per-worker transmit energies;
 * ``exact_group_update`` — the error-free OMA counterpart (Eq. 8).
 
-The concrete mechanisms (FedAvg, TiFL, Air-FedAvg, Dynamic, Air-FedGA)
-compose these pieces with their own scheduling logic.
+A concrete mechanism composes these pieces along three axes, each written
+once: a *schedule* (:mod:`~repro.fl.synchronous`, :mod:`~repro.fl.grouped`,
+:mod:`~repro.fl.fedasync`), an *uplink* (:mod:`~repro.fl.uplink`) and, for
+the grouped schedule, a *grouping* (:data:`repro.core.grouping.GROUPING_STRATEGIES`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,11 +132,7 @@ class FLExperiment:
             raise ValueError(
                 "experiment needs a partition or a pre-built population"
             )
-        num_workers = (
-            self.partition.num_workers
-            if self.partition is not None
-            else self.population.num_workers
-        )
+        num_workers = self.num_workers
         if (
             self.population is not None
             and self.population.num_workers != num_workers
@@ -261,7 +259,6 @@ class BaseTrainer:
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
-        self._stack_bufs: Dict[int, np.ndarray] = {}
         self._air_workspace = AirCompWorkspace()
         cfg = experiment.config.aircomp
         # Calibration (see DESIGN.md): the paper's σ₀² is the total AWGN
@@ -281,6 +278,13 @@ class BaseTrainer:
         # serial) spawn no pool.  See repro.parallel.ProcessGroupExecutor.
         self._executor: Optional[ProcessGroupExecutor] = None
         self._executor_error: Optional[str] = None
+        # Fault-injection model (repro.sim.clientstate).  The always-on model
+        # is normalized to None so every schedule's fast path — and therefore
+        # bit-identical histories — applies whenever no fault can occur.
+        cs = experiment.clientstate
+        self._clientstate: Optional[ClientStateModel] = (
+            cs if (cs is not None and not cs.is_always_on) else None
+        )
 
     # ------------------------------------------------------------------
     # Hot-path buffer helpers
@@ -295,22 +299,22 @@ class BaseTrainer:
         return self._pc_cache.misses if self._pc_cache is not None else 0
 
     def _group_stack(self, group_size: int) -> np.ndarray:
-        """Reusable ``(G, q)`` buffer holding a group's stacked local models."""
-        buf = self._stack_bufs.get(group_size)
-        if buf is None:
-            # analyze: allow-alloc(first-touch stack buffer, cached per group size)
-            buf = np.empty(
-                (group_size, self.model.dimension), dtype=self.global_vector.dtype
-            )
-            self._stack_bufs[group_size] = buf
-        return buf
+        """A ``(G, q)`` buffer for a group's stacked local models, from the
+        population's recycling pool.
+
+        The pool bounds live scratch memory by the few in-flight stacks:
+        every schedule hands a stack back with :meth:`_release_stack` once
+        its aggregation has committed.
+        """
+        return self.population.stack_pool.acquire(
+            group_size, self.model.dimension, self.global_vector.dtype
+        )
 
     def _release_stack(self, stack: Optional[np.ndarray]) -> None:
         """Recycle a population-pool group stack after commit.
 
-        No-op for arrays the pool does not own (the per-size cached
-        buffers above, executor arena views, partial-work copies), so
-        event loops may call it unconditionally.
+        No-op for arrays the pool does not own (executor arena views,
+        partial-work copies), so schedules may call it unconditionally.
         """
         self.population.stack_pool.release(stack)
 
@@ -689,20 +693,15 @@ class BaseTrainer:
             model_bound = max(float(np.linalg.norm(v)) for v in local_vectors)
         model_bound = max(model_bound, 1e-8)
 
-        if self._pc_cache is not None:
-            pc = self._pc_cache.solve(
-                data_sizes=sizes,
-                channel_gains=gains,
-                model_bound=model_bound,
-                config=self._pc_config,
-            )
-        else:
-            pc = solve_power_control(
-                data_sizes=sizes,
-                channel_gains=gains,
-                model_bound=model_bound,
-                config=self._pc_config,
-            )
+        solve = (
+            self._pc_cache.solve if self._pc_cache is not None else solve_power_control
+        )
+        pc = solve(
+            data_sizes=sizes,
+            channel_gains=gains,
+            model_bound=model_bound,
+            config=self._pc_config,
+        )
 
         result = aircomp_aggregate(
             models=local_vectors,
@@ -812,44 +811,24 @@ class BaseTrainer:
         )
 
     # ------------------------------------------------------------------
-    # Synchronous-round fault polling (FedAvg-family mechanisms)
+    # Fault polling
     # ------------------------------------------------------------------
-    def sync_round_participants(
-        self, round_index: int
-    ) -> Tuple[List[int], float]:
-        """Available workers and their weight scale for one synchronous round.
+    def _poll_available(
+        self, member_ids: np.ndarray, round_label: int, seq: int
+    ) -> np.ndarray:
+        """The members the fault model finds available for one dispatch.
 
-        Without a client-state model (or with ``always-on``) this is every
-        worker with ``weight_scale == 1.0`` — the exact legacy fast path.
-        With a fault model, workers unavailable at dispatch are counted
-        (history + state-table counters) and, when
-        ``fault.renormalize_survivors`` is set, the participants' weights
-        are scaled by ``Σα_all / Σα_participants`` so the round still moves
-        the full population's data mass.  An all-absent round returns
-        ``([], 1.0)``; callers skip the aggregation.
+        The absent ones are counted on the history and in the state
+        table.  ``seq`` is the dispatch sequence number keying the draw.
         """
-        cs = self.exp.clientstate
-        if cs is None or cs.is_always_on:
-            return list(range(self.exp.num_workers)), 1.0
-        all_ids = np.arange(self.exp.num_workers)
         mask = np.asarray(
-            cs.availability_mask(all_ids, round_index, 0), dtype=bool
+            self._clientstate.availability_mask(member_ids, round_label, seq),
+            dtype=bool,
         )
-        absent = all_ids[~mask]
-        if absent.size:
-            self.history.workers_unavailable += int(absent.size)
-            self.worker_state.record_unavailable(absent)
-        participants = all_ids[mask]
-        self.worker_state.record_dispatch(participants)
-        weight_scale = 1.0
-        if (
-            self.exp.fault.renormalize_survivors
-            and 0 < participants.size < all_ids.size
-        ):
-            weight_scale = float(self.alphas.sum()) / float(
-                self.alphas[participants].sum()
-            )
-        return [int(w) for w in participants], weight_scale
+        absent = member_ids[~mask]
+        self.history.workers_unavailable += int(absent.size)
+        self.worker_state.record_unavailable(absent)
+        return member_ids[mask]
 
     # ------------------------------------------------------------------
     # Timing helpers

@@ -12,17 +12,18 @@ convergence for Dynamic than for Air-FedGA.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import BaseTrainer, FLExperiment
-from .history import TrainingHistory
+from .base import FLExperiment
+from .synchronous import SynchronousTrainer
+from .uplink import AirCompUplink
 
 __all__ = ["DynamicTrainer"]
 
 
-class DynamicTrainer(BaseTrainer):
+class DynamicTrainer(AirCompUplink, SynchronousTrainer):
     """Synchronous AirComp FL with channel/energy-aware worker selection."""
 
     name = "dynamic"
@@ -55,57 +56,38 @@ class DynamicTrainer(BaseTrainer):
         )
 
     # ------------------------------------------------------------------
-    def select_workers(self, round_index: int) -> List[int]:
+    def select_workers(
+        self, round_index: int, candidates: Optional[Sequence[int]] = None
+    ) -> List[int]:
         """Channel/energy-aware selection with a small exploration component.
 
         Score: ``h_i² / d_i`` — a worker with a strong channel and little
         data to weight needs the least transmit energy for the same received
         SNR (see Eq. 6/7), which is the quantity dynamic scheduling trades
-        off against its energy budget.
+        off against its energy budget.  ``candidates`` (ascending worker
+        ids; default: everyone) are the workers the server may schedule;
+        the number of slots is a fraction of the population, capped by how
+        many candidates there are.
         """
         n = self.exp.num_workers
-        k = max(1, int(round(self.select_fraction * n)))
+        pool = np.arange(n) if candidates is None else np.asarray(candidates, dtype=int)
+        k = min(pool.size, max(1, int(round(self.select_fraction * n))))
         gains = self.exp.channel.gains(round_index)
-        score = gains**2 / self.data_sizes
+        score = gains[pool] ** 2 / self.data_sizes[pool]
         n_explore = int(round(self.exploration * k))
         n_greedy = k - n_explore
-        ranked = np.argsort(-score, kind="stable")
+        ranked = pool[np.argsort(-score, kind="stable")]
         selected = list(ranked[:n_greedy])
         if n_explore > 0:
-            remaining = np.setdiff1d(np.arange(n), np.array(selected, dtype=int))
+            remaining = np.setdiff1d(pool, np.array(selected, dtype=int))
             extra = self._select_rng.choice(
                 remaining, size=min(n_explore, remaining.size), replace=False
             )
             selected.extend(int(e) for e in extra)
         return sorted(int(s) for s in selected)
 
-    # ------------------------------------------------------------------
-    def run(
-        self, max_rounds: int = 100, max_time: Optional[float] = None
-    ) -> TrainingHistory:
-        exp = self.exp
-        upload_latency = self.aircomp_upload_latency()
-        clock = 0.0
-        self._begin_run(max_rounds, max_time)
-        for t in range(1, max_rounds + 1):
-            selected = self.select_workers(t)
-            local_vectors = self.local_update_group(selected, self.global_vector, t)
-            compute_time = float(exp.latency.sample_times(selected, t).max())
-            clock += compute_time + upload_latency
-            new_global, info = self.aircomp_group_update(
-                selected, local_vectors, t, out=self._update_out
-            )
-            self._commit_global(new_global)
-            self.record_round(
-                round_index=t,
-                time=clock,
-                staleness=0,
-                group_id=-1,
-                num_participants=len(selected),
-                round_energy=info["round_energy_j"],
-                sigma=info["sigma"],
-                eta=info["eta"],
-            )
-            if max_time is not None and clock >= max_time:
-                break
-        return self.history
+    def select_participants(self, round_index: int) -> Tuple[List[int], float]:
+        """Rank the workers the availability poll found; absent ones are
+        never scheduled."""
+        available, weight_scale = self.sync_round_participants(round_index)
+        return self.select_workers(round_index, available), weight_scale

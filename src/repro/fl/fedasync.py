@@ -24,9 +24,11 @@ commit burst, trading a little update freshness for larger batched
 cohorts (``1`` is pure FedAsync; larger values approximate the
 semi-asynchronous buffered variants, cf. Kou et al. in PAPERS.md).
 
-Uploads are OMA (single-worker TDMA) and serialize on the shared uplink:
-each commit waits for the channel to free up, exactly like the grouped
-event loop's uplink model.  Every commit is one global round in the
+Uploads are OMA (single-worker TDMA, timed by
+:meth:`~repro.fl.uplink.OMAUplink.upload_time`) and serialize on the shared
+uplink: each commit waits for the channel to free up, exactly like the
+grouped event loop's uplink model; the per-update mix below stands in for
+the uplink's group aggregation.  Every commit is one global round in the
 history (``staleness`` records ``τ``); simulated time advances by local
 compute + queued upload latency.
 """
@@ -38,18 +40,19 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .base import BaseTrainer, FLExperiment
+from .base import FLExperiment
 from .history import TrainingHistory
 from .staleness import (
     PolynomialStaleness,
     StalenessPolicy,
     resolve_staleness_policy,
 )
+from .uplink import OMAUplink
 
 __all__ = ["FedAsyncTrainer"]
 
 
-class FedAsyncTrainer(BaseTrainer):
+class FedAsyncTrainer(OMAUplink):
     """Asynchronous per-update FL with staleness-damped mixing."""
 
     name = "fedasync"
@@ -75,28 +78,26 @@ class FedAsyncTrainer(BaseTrainer):
             policy if policy is not None else PolynomialStaleness(exponent=0.5)
         )
         super().__init__(experiment)
-        if experiment.clientstate is not None and not experiment.clientstate.is_always_on:
+        if self._clientstate is not None:
             raise ValueError(
                 "fedasync does not support client-state fault models yet; "
-                "use the grouped mechanisms for fault scenarios"
+                "use a synchronous or grouped mechanism for fault scenarios"
             )
         self.mix_weight = float(mix_weight)
         self.buffer_size = int(buffer_size)
         #: Monotonic dispatch counter — the RNG round key for local
         #: training, so every (worker, dispatch) draws fresh mini-batches.
         self._dispatch_counter = 0
+        #: Completion events ``(finish_time, dispatch, position, worker)``.
+        self._heap: List[Tuple[float, int, int, int]] = []
+        #: Per in-flight worker: its trained model row and the global-model
+        #: version it was trained from.
+        self._pending: Dict[int, Tuple[np.ndarray, int]] = {}
 
     # ------------------------------------------------------------------
     def _dispatch_cohort(
-        self,
-        workers: List[int],
-        start_time: float,
-        version: int,
-        heap: List[Tuple[float, int, int]],
-        seq: int,
-        pending: Dict[int, np.ndarray],
-        pulled_version: Dict[int, int],
-    ) -> int:
+        self, workers: List[int], start_time: float, version: int
+    ) -> None:
         """Train a cohort from the current global model; queue completions.
 
         One batched group call covers the whole cohort (the proximal point
@@ -110,12 +111,13 @@ class FedAsyncTrainer(BaseTrainer):
         )
         times = self.exp.latency.sample_times(workers, dispatch_round)
         for k, w in enumerate(workers):
-            pending[w] = np.array(stack[k], copy=True)
-            pulled_version[w] = version
-            heapq.heappush(heap, (start_time + float(times[k]), seq, w))
-            seq += 1
+            self._pending[w] = (np.array(stack[k], copy=True), version)
+            # (dispatch_round, k) breaks finish-time ties in dispatch order.
+            heapq.heappush(
+                self._heap, (start_time + float(times[k]), dispatch_round, k, w)
+            )
+        self._release_stack(stack)
         self.worker_state.record_dispatch(np.asarray(workers, dtype=np.int64))
-        return seq
 
     # ------------------------------------------------------------------
     def run(
@@ -127,52 +129,36 @@ class FedAsyncTrainer(BaseTrainer):
         policy = self._staleness_policy
         clock = 0.0
         channel_busy_until = 0.0
-        version = 0  # commits so far == current global-model version
-        commits = 0
-        heap: List[Tuple[float, int, int]] = []
-        seq = 0
-        pending: Dict[int, np.ndarray] = {}
-        pulled_version: Dict[int, int] = {}
+        commits = 0  # == the current global-model version
         # Initial dispatch: the entire population trains as one batched
         # cohort from the same initial model.
-        seq = self._dispatch_cohort(
-            list(range(self.exp.num_workers)),
-            0.0,
-            version,
-            heap,
-            seq,
-            pending,
-            pulled_version,
-        )
+        self._dispatch_cohort(list(range(self.exp.num_workers)), 0.0, commits)
         ready: List[Tuple[float, int]] = []
         stop = False
-        while heap and not stop:
-            finish_time, _, worker = heapq.heappop(heap)
+        while self._heap and not stop:
+            finish_time, _, _, worker = heapq.heappop(self._heap)
             ready.append((finish_time, worker))
             # Let buffer_size workers finish before the commit burst (the
             # final stragglers flush even if the buffer never fills).
-            if len(ready) < self.buffer_size and heap:
+            if len(ready) < self.buffer_size and self._heap:
                 continue
             cohort: List[int] = []
             for local_finish, w in ready:
+                vec, pulled_version = self._pending.pop(w)
+                tau = commits - pulled_version
                 commits += 1
-                tau = version - pulled_version.pop(w)
                 weight = self.mix_weight * policy.weight(tau)
                 # Single-worker OMA upload, serialized on the shared uplink.
                 upload_start = max(local_finish, channel_busy_until)
-                channel_busy_until = upload_start + self.oma_upload_latency(
-                    [w], commits
-                )
+                channel_busy_until = upload_start + self.upload_time([w], commits)
                 clock = max(clock, channel_busy_until)
                 # w ← (1 − a)·w + a·w_k  (allocation-free, buffer swap).
-                vec = pending.pop(w)
                 np.multiply(
                     self.global_vector, 1.0 - weight, out=self._agg_scratch
                 )
                 np.multiply(vec, weight, out=self._update_out)
                 self._update_out += self._agg_scratch
                 self._commit_global(self._update_out)
-                version += 1
                 self.worker_state.record_commit(
                     np.array([w], dtype=np.int64), tau
                 )
@@ -193,7 +179,5 @@ class FedAsyncTrainer(BaseTrainer):
             if not stop and cohort:
                 # The burst's workers restart together from the new global
                 # model — one batched engine call for the whole cohort.
-                seq = self._dispatch_cohort(
-                    cohort, clock, version, heap, seq, pending, pulled_version
-                )
+                self._dispatch_cohort(cohort, clock, commits)
         return self.history

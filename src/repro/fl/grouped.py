@@ -4,11 +4,12 @@ Both TiFL (OMA tiers) and Air-FedGA (AirComp groups) follow the same outer
 schedule: groups train independently; whenever *all* members of a group have
 finished local training, that group alone performs a global update and
 immediately starts its next local round from the fresh global model.  The
-only differences are (a) how the groups are formed and (b) how the group's
-models are aggregated (reliable OMA vs. noisy over-the-air).  This module
-implements the common schedule as a virtual-time event loop on top of the
-:class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine;
-the two mechanisms specialize the two hooks.
+only differences are (a) how the groups are formed — the
+:meth:`GroupedAsyncTrainer.build_groups` hook — and (b) the uplink the
+group's models travel over (reliable OMA vs. noisy over-the-air), mixed in
+from :mod:`repro.fl.uplink`.  This module implements the common schedule as
+a virtual-time event loop on top of the
+:class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine.
 
 How a group's local-training phase executes is orthogonal to the
 schedule: on the in-process batched engine (the per-worker loop for a
@@ -32,10 +33,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.grouping import GroupingProblem, GroupingResult
 from ..core.mechanism import GroupAsyncScheduler
 from .base import BaseTrainer, FLExperiment
 from .history import TrainingHistory
@@ -143,13 +145,8 @@ class GroupedAsyncTrainer(BaseTrainer):
         # itself becomes the bottleneck.
         self._channel_busy_until: float = 0.0
         # ------------------------------------------------------------------
-        # Fault-injection state (repro.sim.clientstate + FaultConfig).  The
-        # always-on model is normalized to None so the event loop's fast
-        # path — and therefore bit-identical histories — applies whenever
-        # no faults can actually occur.
+        # Fault-injection state (``self._clientstate`` + FaultConfig).
         # ------------------------------------------------------------------
-        cs = experiment.clientstate
-        self._clientstate = cs if (cs is not None and not cs.is_always_on) else None
         #: Last dispatch roster per group (only populated while faults are on).
         self._rosters: Dict[int, _Roster] = {}
         #: Per-group monotonic dispatch counter: every availability /
@@ -163,32 +160,37 @@ class GroupedAsyncTrainer(BaseTrainer):
         self._consecutive_failures: List[int] = [0] * len(self.groups)
 
     # ------------------------------------------------------------------
-    # Hooks specialized by the concrete mechanisms
+    # Grouping: the hook the concrete mechanisms specialize
     # ------------------------------------------------------------------
     def build_groups(self) -> List[List[int]]:
         """Return the list of worker-id lists forming the groups."""
         raise NotImplementedError
 
-    def aggregate_group(
-        self,
-        group_id: int,
-        member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
-        round_index: int,
-        weight_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        """Produce the new global model from the group's local models.
+    def grouping_problem(self, c_max: float = 0.0) -> GroupingProblem:
+        """The grouping decision's inputs, read off this trainer's population.
 
-        ``weight_scale`` multiplies the participants' aggregation weights;
-        the fault layer passes ``Σα_members / Σα_survivors`` when a
-        degraded round aggregates only the mid-round survivors (see
-        ``FaultConfig.renormalize_survivors``).
+        The worker-state table owns the float64 data sizes, so
+        partition-less XL experiments group through the same code path;
+        ``c_max`` is the power-control error term of the objective (0 for a
+        reliable uplink).
         """
-        raise NotImplementedError
+        return GroupingProblem(
+            data_sizes=self.worker_state.sizes,
+            class_counts=self.population.class_counts(),
+            local_times=self.exp.latency.nominal_times(),
+            model_dimension=self.latency_dimension,
+            config=self.exp.config,
+            c_max=c_max,
+        )
 
-    def upload_time(self, member_ids: Sequence[int], round_index: int) -> float:
-        """Simulated duration of the group's model-upload phase."""
-        raise NotImplementedError
+    def _adopt_grouping(self, result: GroupingResult) -> List[List[int]]:
+        """Keep ``result`` for diagnostics; return its groups for the loop.
+
+        Array-typed groups (the contiguous strategy) pass through uncopied;
+        the other strategies' groups become plain int lists.
+        """
+        self.grouping_result = result
+        return [g if isinstance(g, np.ndarray) else list(g) for g in result.groups]
 
     # ------------------------------------------------------------------
     def _base_of(self, group_id: int) -> np.ndarray:
@@ -206,18 +208,6 @@ class GroupedAsyncTrainer(BaseTrainer):
             self._group_base[group_id] = self.global_vector.copy()
         else:
             np.copyto(base, self.global_vector)
-
-    def _group_stack(self, group_size: int) -> np.ndarray:
-        """Group stacks come from the population's recycling pool.
-
-        Unlike the base class's per-size cache (one live buffer per group
-        size, never freed), the pool bounds live scratch memory by the few
-        in-flight stacks: the event loop releases each stack right after
-        its aggregation commits (:meth:`BaseTrainer._release_stack`).
-        """
-        return self.population.stack_pool.acquire(
-            group_size, self.model.dimension, self.global_vector.dtype
-        )
 
     # ------------------------------------------------------------------
     def group_compute_time(self, group_id: int, round_index: int) -> float:
@@ -284,27 +274,20 @@ class GroupedAsyncTrainer(BaseTrainer):
                 (start_time + self.group_compute_time(group_id, round_label), group_id),
             )
             return True
-        members = self.groups[group_id]
         member_arr = self._group_arrays[group_id]
         fault = self.exp.fault
         attempt_start = start_time
         while True:
             seq = self._next_seq(group_id)
-            mask = np.asarray(
-                self._clientstate.availability_mask(members, round_label, seq),
-                dtype=bool,
-            )
-            active_arr = member_arr[mask]
+            active_arr = self._poll_available(member_arr, round_label, seq)
             active = active_arr.tolist()
-            self.history.workers_unavailable += len(members) - len(active)
-            self.worker_state.record_unavailable(member_arr[~mask])
             if len(active) >= self._quorum(group_id):
                 self._retry_counts[group_id] = 0
                 self._consecutive_failures[group_id] = 0
                 self._rosters[group_id] = _Roster(
                     active, round_label, seq, active_arr
                 )
-                self.worker_state.record_dispatch(member_arr[mask])
+                self.worker_state.record_dispatch(active_arr)
                 ready = attempt_start + float(
                     self.exp.latency.sample_times(active, round_label).max()
                 )
@@ -459,9 +442,8 @@ class GroupedAsyncTrainer(BaseTrainer):
             self._channel_busy_until = update_time
 
             # -- aggregate ---------------------------------------------
-            new_global, info = self.aggregate_group(
-                group_id, participants, local_vectors, t,
-                weight_scale=weight_scale,
+            new_global, info = self.aggregate(
+                participants, local_vectors, t, weight_scale
             )
             if self._staleness_policy is not None and event.staleness > 0:
                 # Staleness-aware damping (extension, off by default):
@@ -497,8 +479,8 @@ class GroupedAsyncTrainer(BaseTrainer):
                 group_id=group_id,
                 num_participants=len(participants),
                 round_energy=info.get("round_energy_j", 0.0),
-                sigma=info.get("sigma", float("nan")),
-                eta=info.get("eta", float("nan")),
+                sigma=info.get("sigma", math.nan),
+                eta=info.get("eta", math.nan),
             )
             if max_time is not None and update_time >= max_time:
                 break

@@ -11,18 +11,17 @@ under label-skew the tier-level label distributions stay far from IID
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
-import numpy as np
-
-from ..core.grouping import GroupingProblem, tier_grouping
+from ..core.grouping import tier_grouping
 from .base import FLExperiment
 from .grouped import GroupedAsyncTrainer
+from .uplink import OMAUplink
 
 __all__ = ["TiFLTrainer"]
 
 
-class TiFLTrainer(GroupedAsyncTrainer):
+class TiFLTrainer(OMAUplink, GroupedAsyncTrainer):
     """Tier-based asynchronous FL with reliable OMA aggregation."""
 
     name = "tifl"
@@ -40,35 +39,6 @@ class TiFLTrainer(GroupedAsyncTrainer):
 
     # ------------------------------------------------------------------
     def build_groups(self) -> List[List[int]]:
-        exp = self.exp
-        problem = GroupingProblem(
-            data_sizes=self.worker_state.raw_sizes,
-            class_counts=self.population.class_counts(),
-            local_times=exp.latency.nominal_times(),
-            model_dimension=self.latency_dimension,
-            config=exp.config,
+        return self._adopt_grouping(
+            tier_grouping(self.grouping_problem(), num_groups=self.num_tiers)
         )
-        result = tier_grouping(problem, num_groups=self.num_tiers)
-        self.grouping_result = result
-        return [list(g) for g in result.groups]
-
-    # ------------------------------------------------------------------
-    def aggregate_group(
-        self,
-        group_id: int,
-        member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
-        round_index: int,
-        weight_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        # OMA uploads are assumed reliable: the server receives each model
-        # exactly and applies Eq. (8).  Writing into the trainer-owned
-        # update buffer keeps the aggregation allocation-free.
-        new_global = self.exact_group_update(
-            member_ids, local_vectors, out=self._update_out, weight_scale=weight_scale
-        )
-        return new_global, {}
-
-    def upload_time(self, member_ids: Sequence[int], round_index: int) -> float:
-        # Tier members upload sequentially over the shared band (TDMA).
-        return self.oma_upload_latency(member_ids, round_index)

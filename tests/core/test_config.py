@@ -18,7 +18,6 @@ class TestAirCompConfig:
         cfg = AirCompConfig()
         assert cfg.noise_variance == 1.0
         assert cfg.energy_budget_j == 10.0
-        assert cfg.bandwidth_hz == 1e6
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -27,7 +26,6 @@ class TestAirCompConfig:
             {"energy_budget_j": 0.0},
             {"num_subchannels": 0},
             {"symbol_duration_s": 0.0},
-            {"bandwidth_hz": 0.0},
             {"power_control_tolerance": 0.0},
             {"power_control_max_iters": 0},
         ],
@@ -46,7 +44,7 @@ class TestGroupingConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"xi": -0.1}, {"emd_weight": -1.0}, {"tie_break_seed": -1}],
+        [{"xi": -0.1}, {"tie_break_seed": -1}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,7 +75,6 @@ class TestConvergenceConfig:
             {"smoothness_L": 0.0},
             {"strong_convexity_mu": -0.1},
             {"gradient_bound_G": 0.0},
-            {"model_bound_W": 0.0},
             {"initial_gap": 0.0},
             {"target_epsilon": 0.0},
         ],

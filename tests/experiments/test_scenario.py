@@ -7,7 +7,13 @@ import math
 import pytest
 
 from repro import registry
-from repro.core import AirCompConfig, AirFedGAConfig, ParallelismConfig
+from repro.core import (
+    AirCompConfig,
+    AirFedGAConfig,
+    ConvergenceConfig,
+    GroupingConfig,
+    ParallelismConfig,
+)
 from repro.experiments import (
     ComponentSpec,
     DataSpec,
@@ -176,6 +182,9 @@ class TestValidation:
             ("training.engine", TrainingSpec),
             ("algorithm.aircomp.power_control_warm_start", AirCompConfig),
             ("algorithm.aircomp.power_control_cache_rel_tol", AirCompConfig),
+            ("algorithm.aircomp.bandwidth_hz", AirCompConfig),
+            ("algorithm.grouping.emd_weight", GroupingConfig),
+            ("algorithm.convergence.model_bound_W", ConvergenceConfig),
         ],
     )
     def test_retired_options_are_unknown_fields(self, dotted, section_type):

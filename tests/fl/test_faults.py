@@ -21,11 +21,18 @@ import json
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.core import FaultConfig
 from repro.core.mechanism import GroupAsyncScheduler
 from repro.core.timing import expected_dispatch_attempts, faulty_group_completion_time
 from repro.experiments.scenario import FaultSpec, Scenario
-from repro.fl import AirFedGATrainer, FLExperiment, TiFLTrainer
+from repro.fl import (
+    AirFedGATrainer,
+    DynamicTrainer,
+    FLExperiment,
+    TiFLTrainer,
+    build_trainer,
+)
 from repro.sim import (
     AlwaysOnModel,
     BernoulliAvailability,
@@ -54,6 +61,17 @@ def _faulty_scenario(**fault_overrides):
     }
     faults.update(fault_overrides)
     return Scenario.default().with_(faults=faults)
+
+
+def _with_bernoulli(base, availability, seed=13):
+    """``base`` under a seeded Bernoulli availability model."""
+    return dataclasses.replace(
+        base,
+        population=None,  # fresh WorkerStateTable per run
+        clientstate=BernoulliAvailability(
+            num_workers=base.num_workers, seed=seed, availability=availability
+        ),
+    )
 
 
 class TestFaultConfigValidation:
@@ -206,9 +224,7 @@ class TestMidRoundDropout:
         trainer = AirFedGATrainer(quiet_experiment)
         members = trainer.groups[0]
         vectors = [trainer.global_vector + 0.01 for _ in members]
-        scaled, _ = trainer.aggregate_group(
-            0, members, vectors, 1, weight_scale=1.5
-        )
+        scaled, _ = trainer.aggregate(members, vectors, 1, weight_scale=1.5)
         assert np.all(np.isfinite(scaled))
 
     def test_tifl_accepts_weight_scale(self, quiet_experiment):
@@ -216,8 +232,8 @@ class TestMidRoundDropout:
         members = trainer.groups[0]
         vectors = [trainer.global_vector + w for w in members]
         survivors = members[:1] if len(members) > 1 else members
-        scaled, _ = trainer.aggregate_group(
-            0, survivors, vectors[: len(survivors)], 1, weight_scale=2.0
+        scaled, _ = trainer.aggregate(
+            survivors, vectors[: len(survivors)], 1, weight_scale=2.0
         )
         assert np.all(np.isfinite(scaled))
 
@@ -226,7 +242,7 @@ class TestMidRoundDropout:
         members = trainer.groups[0]
         vectors = [trainer.global_vector for _ in members]
         with pytest.raises(ValueError, match="weight_scale"):
-            trainer.aggregate_group(0, members, vectors, 1, weight_scale=0.0)
+            trainer.aggregate(members, vectors, 1, weight_scale=0.0)
 
 
 class TestQuorumEscalation:
@@ -435,18 +451,8 @@ class TestSyncFamilyFaults:
     seeded availability trajectory.
     """
 
-    def _faulty_experiment(self, base, availability=0.6, seed=13):
-        from repro.fl.base import FLExperiment  # noqa: F401  (doc pointer)
-
-        return dataclasses.replace(
-            base,
-            population=None,  # fresh WorkerStateTable per run
-            clientstate=BernoulliAvailability(
-                num_workers=base.num_workers,
-                seed=seed,
-                availability=availability,
-            ),
-        )
+    def _faulty_experiment(self, base):
+        return _with_bernoulli(base, availability=0.6)
 
     def test_fedavg_polls_availability_and_renormalizes(self, quiet_experiment):
         from repro.fl import FedAvgTrainer
@@ -517,3 +523,64 @@ class TestSyncFamilyFaults:
         # Participants' drift moved; absent workers' rows are bit-identical.
         assert np.all(trainer.drift[participants] != snapshot[participants])
         assert np.array_equal(trainer.drift[absent], snapshot[absent])
+
+
+class TestEveryMechanismSeesTheFaultModel:
+    """No registered mechanism silently ignores ``experiment.clientstate``.
+
+    The schedules poll it (synchronous: at the barrier; grouped: at
+    dispatch and completion) or refuse it at construction (FedAsync) —
+    what must never happen again is a run that reports full participation
+    and zero unavailable workers under a 50 % availability model.
+    """
+
+    ROUNDS = 6
+
+    def _faulty_experiment(self, base):
+        return _with_bernoulli(base, availability=0.5)
+
+    @pytest.mark.parametrize("mechanism", registry.names("mechanism"))
+    def test_polls_or_refuses(self, quiet_experiment, mechanism):
+        exp = self._faulty_experiment(quiet_experiment)
+        try:
+            trainer = build_trainer(mechanism, exp)
+        except ValueError as refusal:
+            assert mechanism in str(refusal)
+            return
+        with trainer:
+            history = trainer.run(max_rounds=self.ROUNDS)
+        assert history.fault_counters()["workers_unavailable"] > 0
+        rounds = [r for r in history.records if r.round_index > 0]
+        expected = (
+            [len(trainer.groups[r.group_id]) for r in rounds]
+            if hasattr(trainer, "groups")
+            else [exp.num_workers] * len(rounds)
+        )
+        assert any(
+            r.num_participants < full for r, full in zip(rounds, expected)
+        )
+
+    def test_dynamic_never_selects_an_unavailable_worker(self, quiet_experiment):
+        exp = self._faulty_experiment(quiet_experiment)
+        trainer = DynamicTrainer(exp, select_fraction=0.5)
+        all_ids = np.arange(exp.num_workers)
+        for t in range(1, self.ROUNDS + 1):
+            available = set(
+                all_ids[exp.clientstate.availability_mask(all_ids, t, 0)].tolist()
+            )
+            selected, _ = trainer.select_participants(t)
+            assert set(selected) <= available
+            # The slot budget is a fraction of the population, capped by
+            # how many workers checked in.
+            assert len(selected) == min(len(available), 4)
+
+    @pytest.mark.parametrize("mechanism", ["air_fedavg", "dynamic"])
+    def test_all_absent_round_stands_still(self, quiet_experiment, mechanism):
+        exp = _with_bernoulli(quiet_experiment, availability=0.0)
+        trainer = build_trainer(mechanism, exp)
+        initial = trainer.global_vector.copy()
+        history = trainer.run(max_rounds=3)
+        assert [r.num_participants for r in history.records] == [0, 0, 0, 0]
+        assert [r.time for r in history.records] == [0.0, 0.0, 0.0, 0.0]
+        assert history.workers_unavailable == 3 * exp.num_workers
+        assert np.array_equal(trainer.global_vector, initial)

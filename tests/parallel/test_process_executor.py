@@ -188,8 +188,7 @@ class _MidRunCrashTrainer(AirFedGATrainer):
         super().__init__(*args, **kwargs)
         self.crashed = False
 
-    def aggregate_group(self, group_id, member_ids, local_vectors, round_index,
-                        weight_scale=1.0):
+    def aggregate(self, member_ids, local_vectors, round_index, weight_scale=1.0):
         if (
             not self.crashed
             and round_index == self.CRASH_ROUND
@@ -197,9 +196,8 @@ class _MidRunCrashTrainer(AirFedGATrainer):
         ):
             self.crashed = True
             _kill_pool_workers(self._executor)
-        return super().aggregate_group(
-            group_id, member_ids, local_vectors, round_index,
-            weight_scale=weight_scale,
+        return super().aggregate(
+            member_ids, local_vectors, round_index, weight_scale=weight_scale
         )
 
 

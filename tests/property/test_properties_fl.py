@@ -44,7 +44,7 @@ class TestSurvivorRenormalization:
         """Σ(α_i · scale) over survivors == Σα over everyone, for any mask."""
         alphas, mask = data
         survivors = np.flatnonzero(mask)
-        # The trainer's formula (BaseTrainer.sync_round_participants /
+        # The trainer's formula (SynchronousTrainer.sync_round_participants /
         # the grouped event loop's degraded aggregation).
         scale = float(alphas.sum()) / float(alphas[survivors].sum())
         mass = float((alphas[survivors] * scale).sum())

@@ -93,19 +93,26 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "_BatchedDropout.forward",
         "_BatchedDropout.backward",
     },
-    # The grouped event loop: one commit per round, stacks from the pool.
+    # The schedules: one commit per round, stacks from the population pool.
+    "src/repro/fl/synchronous.py": {"SynchronousTrainer.run"},
     "src/repro/fl/grouped.py": {
         "GroupedAsyncTrainer.run",
         "GroupedAsyncTrainer._dispatch_group",
         "GroupedAsyncTrainer._base_of",
         "GroupedAsyncTrainer._commit_base",
-        "GroupedAsyncTrainer._group_stack",
         "GroupedAsyncTrainer._surviving_roster",
         "GroupedAsyncTrainer._blend_partial_work",
         "GroupedAsyncTrainer.group_compute_time",
     },
-    # The aggregation path: alpha @ A into trainer-owned buffers; and the
-    # per-round evaluation, which at eval_every=1 runs as often.
+    # The aggregation path: the two uplinks, alpha @ A into trainer-owned
+    # buffers; and the per-round evaluation, which at eval_every=1 runs as
+    # often.
+    "src/repro/fl/uplink.py": {
+        "OMAUplink.aggregate",
+        "OMAUplink.upload_time",
+        "AirCompUplink.aggregate",
+        "AirCompUplink.upload_time",
+    },
     "src/repro/fl/base.py": {
         "BaseTrainer.exact_group_update",
         "BaseTrainer.aircomp_group_update",
