@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke ci
+.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke bench-pairs ci
 
 test:            ## full tier-1 suite (tests/ + benchmarks/)
 	$(PYTHON) -m pytest -x -q
@@ -62,5 +62,11 @@ convergence-smoke: ## mechanism-family convergence smoke (the CI convergence job
 
 airbench-smoke:  ## the repo benchmark (BENCHMARK.json) at smoke sizes (the CI airbench-smoke job): all six workloads once, traced and untraced, every metric printed by name; exit 1 if an operation fails; writes results/airbench_smoke.json
 	python3 benchmarks/airbench/bench.py --smoke --output results/airbench_smoke.json
+
+WORKLOAD ?= scale_1m
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json; exit 1 on a regression
+	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
 
 ci: lint analyze test-ci bench-quick bench-xl-smoke docs-check sweep-smoke sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke  ## reproduce the full CI pipeline locally

@@ -32,6 +32,7 @@ import numpy as np
 from ..channel.aircomp import aircomp_latency
 from .config import AirFedGAConfig
 from .convergence import grouping_objective
+from .mechanism import flatten_groups
 from .timing import (
     average_round_time,
     estimated_max_staleness,
@@ -83,7 +84,11 @@ class GroupingProblem:
 
     def __post_init__(self) -> None:
         self.data_sizes = np.asarray(self.data_sizes, dtype=np.float64)
-        self.class_counts = np.asarray(self.class_counts, dtype=np.float64)
+        # Counts are exact as int64 or float64: an int64 histogram is kept (no
+        # N x K copy), narrower integers widen so that group sums cannot wrap.
+        counts = np.asarray(self.class_counts)
+        wide = np.int64 if counts.dtype.kind in "iu" else np.float64
+        self.class_counts = counts.astype(wide, copy=False)
         self.local_times = np.asarray(self.local_times, dtype=np.float64)
         n = self.data_sizes.shape[0]
         if n == 0:
@@ -92,7 +97,7 @@ class GroupingProblem:
             raise ValueError("class_counts must have one row per worker")
         if self.local_times.shape[0] != n:
             raise ValueError("local_times must have one entry per worker")
-        if np.any(self.data_sizes < 0) or np.any(self.class_counts < 0):
+        if np.any(self.data_sizes < 0) or self.class_counts.min(initial=0) < 0:
             raise ValueError("data sizes and class counts must be non-negative")
         if np.any(self.local_times <= 0):
             raise ValueError("local training times must be positive")
@@ -147,21 +152,26 @@ class GroupingResult:
     def num_groups(self) -> int:
         return len(self.groups)
 
+    def _owners(self, num_workers: Optional[int] = None) -> np.ndarray:
+        """Worker id -> group index, ``-1`` for a worker in no group."""
+        flat, starts = flatten_groups(self.groups)
+        size = int(flat.max()) + 1 if num_workers is None else num_workers
+        out = np.full(size, -1, dtype=np.int64)
+        out[flat] = np.repeat(np.arange(starts.size), np.diff(starts, append=flat.size))
+        return out
+
     def group_of(self, worker_id: int) -> int:
-        for g, members in enumerate(self.groups):
-            if worker_id in members:
-                return g
-        raise KeyError(f"worker {worker_id} is not assigned to any group")
+        owners = self._owners()
+        if not 0 <= worker_id < owners.size or owners[worker_id] < 0:
+            raise KeyError(f"worker {worker_id} is not assigned to any group")
+        return int(owners[worker_id])
 
     def membership(self, num_workers: int) -> np.ndarray:
         """Array mapping worker id -> group index."""
-        out = np.full(num_workers, -1, dtype=np.int64)
-        for g, members in enumerate(self.groups):
-            for w in members:
-                out[w] = g
-        if np.any(out < 0):
-            missing = np.flatnonzero(out < 0).tolist()
-            raise ValueError(f"workers not assigned to any group: {missing}")
+        out = self._owners(num_workers)
+        missing = np.flatnonzero(out < 0)[:10].tolist()
+        if missing:
+            raise ValueError(f"workers not assigned to any group: {missing}...")
         return out
 
 
@@ -183,10 +193,8 @@ def _evaluate_grouping(
     kept = [g for g in groups if len(g) > 0]
     if not kept:
         raise ValueError("grouping has no non-empty groups")
-    # Group j owns flat[starts[j]:starts[j] + lengths[j]].
-    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
-    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in kept])
-    starts = np.cumsum(lengths) - lengths
+    # Group j owns flat[starts[j]:starts[j + 1]].
+    flat, starts = flatten_groups(kept)
 
     # L_u (Eq. 33) is membership-independent; L_j = max_i l_i + L_u (Eq. 34).
     upload = aircomp_latency(
@@ -207,11 +215,15 @@ def _evaluate_grouping(
     total_data = float(problem.data_sizes.sum())
     betas = np.add.reduceat(sizes, zero_slots) / total_data
 
-    # Label histograms one class at a time keep the gather O(N), not
-    # O(N·K); counts are integer-valued, exact in any summation order.
-    counts = np.empty((len(kept), problem.num_classes))
-    for k, column in enumerate(problem.class_counts.T):
-        counts[:, k] = np.add.reduceat(column[flat], starts)
+    # Counts are integer-valued, exact in any summation order and dtype.
+    # Members in index order (contiguous, singleton) reduce the table as it
+    # lies; otherwise one class at a time keeps the gather O(N), not O(N·K).
+    if flat.size == problem.num_workers and np.array_equal(flat, np.arange(flat.size)):
+        counts = np.add.reduceat(problem.class_counts, starts, axis=0).astype(np.float64)
+    else:
+        counts = np.empty((len(kept), problem.num_classes))
+        for k, column in enumerate(problem.class_counts.T):
+            counts[:, k] = np.add.reduceat(column[flat], starts)
     group_size = counts.sum(axis=1, keepdims=True)
     dists = np.divide(
         counts,
@@ -438,10 +450,13 @@ def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingRe
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
     num_groups = min(num_groups, problem.num_workers)
-    chunks = np.array_split(
-        np.arange(problem.num_workers, dtype=np.int64), num_groups
-    )
-    groups: List[Sequence[int]] = [c for c in chunks if c.size > 0]
+    # np.array_split's sizes (the first ``extra`` blocks hold one more), as
+    # slices of one arange instead of one swapaxes round trip per block.
+    ids = np.arange(problem.num_workers, dtype=np.int64)
+    base, extra = divmod(problem.num_workers, num_groups)
+    steps = np.arange(num_groups + 1)
+    bounds = (steps * base + np.minimum(steps, extra)).tolist()
+    groups: List[Sequence[int]] = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
     return _evaluate_grouping(problem, groups, "contiguous")
 
 

@@ -23,11 +23,18 @@ Protocol recap (Alg. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["GroupState", "AggregationEvent", "GroupAsyncScheduler"]
+__all__ = ["GroupState", "AggregationEvent", "GroupAsyncScheduler", "flatten_groups"]
+
+
+def flatten_groups(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``groups`` back to back as one int64 array, and each one's first index."""
+    lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    return flat, np.cumsum(lengths) - lengths
 
 
 @dataclass
@@ -99,12 +106,11 @@ class GroupAsyncScheduler:
         # objects (the construction hotspot at 10k+ workers): one sorted
         # flat id array finds a repeated worker whether it sits in one
         # group or two, and doubles as the map, queried by binary search.
-        arrays = [np.asarray(members, dtype=np.int64) for members in groups]
-        sizes = [a.size for a in arrays]
-        if 0 in sizes:
+        flat, starts = flatten_groups(groups)
+        sizes = np.diff(starts, append=flat.size)
+        if not sizes.all():
             raise ValueError("a group must have at least one member")
-        flat = np.concatenate(arrays)
-        owners = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
+        owners = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]
         sorted_owners = owners[order]

@@ -324,27 +324,37 @@ class WorkerStateTable:
 
 
 class _ShardSequence(Sequence):
-    """Lazy ``Sequence[ShardView]`` over a store — O(1) memory, no copies."""
+    """Lazy ``Sequence[ShardView]`` over a store — O(1) memory, no copies.
 
-    __slots__ = ("_store",)
+    Covers every worker of ``store``, or the workers ``ids`` in that order
+    (what a slice or an id list indexes out).  Both attributes are public:
+    the batched engine reads a roster's row windows off them and gathers
+    from the store itself rather than from per-member views.
+    """
 
-    def __init__(self, store: "SharedDatasetStore") -> None:
-        self._store = store
+    __slots__ = ("store", "ids")
+
+    def __init__(self, store: "SharedDatasetStore", ids: Optional[np.ndarray] = None) -> None:
+        self.store = store
+        self.ids = ids
 
     def __len__(self) -> int:
-        return self._store.num_workers
+        return self.store.num_workers if self.ids is None else len(self.ids)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            index = np.arange(*index.indices(len(self)))
+        if isinstance(index, (list, np.ndarray)):
+            index = np.asarray(index, dtype=np.int64)
+            return _ShardSequence(self.store, index if self.ids is None else self.ids[index])
         i = int(index)
         if i < 0:
             i += len(self)
-        return self._store.shard(i)
+        return self.store.shard(i if self.ids is None else int(self.ids[i]))
 
     def __iter__(self) -> Iterator[ShardView]:
         for i in range(len(self)):
-            yield self._store.shard(i)
+            yield self[i]
 
 
 @dataclass
@@ -410,17 +420,19 @@ class SharedDatasetStore:
         return _ShardSequence(self)
 
     def class_counts(self) -> np.ndarray:
-        """Per-worker label histograms via per-class prefix sums.
-
+        """Per-worker label histograms: ``table[stops] - table[starts]`` over
+        one ``(n + 1, K)`` prefix-sum table, in cache-sized blocks of workers.
         O(K·n + N·K); correct for overlapping (replicated) windows too.
         """
-        counts = np.empty((self.num_workers, self.num_classes), dtype=np.int64)
-        labels = np.asarray(self.y)
-        for c in range(self.num_classes):
-            cum = np.concatenate(
-                ([0], np.cumsum(labels == c, dtype=np.int64))
-            )
-            counts[:, c] = cum[self.stops] - cum[self.starts]
+        labels, k = np.asarray(self.y), self.num_classes
+        table = np.zeros((labels.size + 1, k), dtype=np.int64)
+        np.cumsum(labels[:, None] == np.arange(k), axis=0, out=table[1:])
+        counts = np.empty((self.num_workers, k), dtype=np.int64)
+        lower = np.empty((4096, k), dtype=np.int64)
+        for a in range(0, self.num_workers, 4096):
+            rows = slice(a, a + 4096)
+            block = np.take(table, self.stops[rows], axis=0, out=counts[rows])
+            block -= np.take(table, self.starts[rows], axis=0, out=lower[: len(block)])
         return counts
 
     @property

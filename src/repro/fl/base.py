@@ -529,9 +529,11 @@ class BaseTrainer:
         if out is None:
             out = self._group_stack(len(ids))
         if self._engine is not None:
+            data = self._worker_data
             self._engine.run_group(
                 ids,
-                [self._worker_data[w] for w in ids],
+                # Lazy: a store-backed sub-sequence, gathered from in place.
+                [data[w] for w in ids] if isinstance(data, list) else data[ids],
                 base_vector,
                 round_index,
                 learning_rate=self.exp.learning_rate,

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..core.grouping import GroupingProblem, GroupingResult
-from ..core.mechanism import GroupAsyncScheduler
+from ..core.mechanism import GroupAsyncScheduler, flatten_groups
 from .base import BaseTrainer, FLExperiment
 from .history import TrainingHistory
 from .staleness import StalenessPolicy, resolve_staleness_policy
@@ -116,7 +116,10 @@ class GroupedAsyncTrainer(BaseTrainer):
         self._group_arrays: List[np.ndarray] = [
             np.asarray(g, dtype=np.int64) for g in self.groups
         ]
-        flat = np.concatenate(self._group_arrays)
+        # All members back to back + each group's first index, flattened
+        # once for the coverage check and the first dispatch.
+        self._segments = flatten_groups(self._group_arrays)
+        flat = self._segments[0]
         n = experiment.num_workers
         valid = flat.size == n
         if valid:
@@ -126,10 +129,9 @@ class GroupedAsyncTrainer(BaseTrainer):
                 and np.all(np.bincount(flat, minlength=n) == 1)
             )
         if not valid:
-            covered = np.sort(flat).tolist()
             raise ValueError(
                 "grouping must cover every worker exactly once; "
-                f"got coverage {covered[:10]}..."
+                f"got coverage {np.sort(flat)[:10].tolist()}..."
             )
         self.scheduler = GroupAsyncScheduler(self.groups)
         # The global-model version each group last received, as a vector.
@@ -304,6 +306,21 @@ class GroupedAsyncTrainer(BaseTrainer):
                 group_id, round_label
             )
 
+    def _dispatch_all(self) -> List[Tuple[float, int]]:
+        """The heap of every group's first local round, all starting at t = 0."""
+        if self._clientstate is not None:  # availability is polled per roster
+            queue: List[Tuple[float, int]] = []
+            for g in range(len(self.groups)):
+                self._dispatch_group(queue, g, 0.0, 1)
+            return queue
+        # Full rosters: one pass over the flat member array (same keyed latency
+        # draws; a heap of distinct tuples pops in one order however filled).
+        flat, starts = self._segments
+        self.worker_state.record_dispatch(flat)
+        ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
+        queue = list(zip(ready.tolist(), range(ready.size)))
+        heapq.heapify(queue)
+        return queue
 
     def _surviving_roster(
         self, queue: List[Tuple[float, int]], group_id: int, ready_time: float
@@ -387,9 +404,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         cs = self._clientstate
         # Priority queue of (ready_time, group_id): the moment every member
         # of the group has finished local training and sent READY.
-        queue: List[Tuple[float, int]] = []
-        for g in range(len(self.groups)):
-            self._dispatch_group(queue, g, 0.0, 1)
+        queue = self._dispatch_all()
 
         while queue and self.scheduler.current_round < max_rounds:
             # -- pop ---------------------------------------------------

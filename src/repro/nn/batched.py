@@ -841,6 +841,13 @@ class _BatchedDropout:
 
 
 # ----------------------------------------------------------------------
+#: Most bytes of member data an engine's cached rosters may own (LRU).  The
+#: rosters of a fault-free run partition the workers: one copy of the training
+#: set between them, under this unless the set is larger.  Every survivor
+#: subset under faults is one more copy; one over a shared store owns nothing.
+_ROSTER_CACHE_BYTES = 256 * 2**20
+
+
 @dataclass
 class _Roster:
     """What a ``(worker ids, batch_size, pad_to)`` call fixes for every round.
@@ -850,10 +857,11 @@ class _Roster:
     call is left with the per-round RNGs and the step loop.  ``idle`` /
     ``active`` are the roster positions without / with data; ``ids``,
     ``counts``, ``batches`` and ``offsets`` run over the active members
-    (worker id, samples, mini-batch size, first row in ``x_cat``); ``x_cat``
-    / ``y_cat`` hold their data back to back plus one all-zero row at
-    ``pad_row``, so each step gathers with a single ``np.take``; ``geo`` is
-    the sampling geometry shared by every roster with these batch sizes.
+    (worker id, samples, mini-batch size, first row in ``x``); ``x`` / ``y``
+    are what each step gathers from with a single ``np.take`` — the shared
+    store's own arrays, referenced and not copied, when the members' data
+    are row windows of one, else their private arrays back to back; ``geo``
+    is the sampling geometry shared by every roster with these batch sizes.
     """
 
     idle: List[int]
@@ -862,10 +870,10 @@ class _Roster:
     counts: List[int]
     batches: List[int]
     offsets: List[int]
-    x_cat: np.ndarray
-    y_cat: np.ndarray
-    pad_row: int
+    x: np.ndarray
+    y: np.ndarray
     geo: Dict[str, np.ndarray]
+    nbytes: int = 0  # of ``x`` and ``y`` when the roster owns them
 
 
 @dataclass
@@ -950,10 +958,12 @@ class BatchedWorkerEngine:
         # Cached sampling geometry (input buffers, padding masks, divisors),
         # keyed by the per-worker batch-size signature of a group.
         self._geometry: Dict[Tuple, Dict[str, np.ndarray]] = {}
-        # Everything else a roster fixes (see _Roster) — its members' data
-        # concatenated, with one all-zero pad row, above all — keyed by the
-        # ``(worker ids, batch_size, pad_to)`` of the call.
+        # Everything else a roster fixes (see _Roster), keyed by the
+        # ``(worker ids, batch_size, pad_to)`` of the call, in LRU order, and the
+        # bytes they own; ``(store.x, x, y)``, a shared store in the engine's dtypes.
         self._rosters: Dict[Tuple, _Roster] = {}
+        self._roster_bytes = 0
+        self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1028,14 +1038,16 @@ class BatchedWorkerEngine:
         worker ``worker_ids[k]``'s updated flat model.  Semantics match the
         scalar path exactly: per-worker batch indices are drawn from
         ``SeedSequence([seed, worker_id, round_index, 0x10CA1])`` and a
-        worker with no data returns the base vector unchanged.
+        worker with no data returns the base vector unchanged.  A lazy shard
+        sequence as ``worker_data`` (anything with ``store`` / ``ids``) is
+        gathered from in its store, not copied; other sequences once per roster.
 
         ``pad_to`` pins the padded per-worker batch dimension (normally the
         group's max batch size).  A *shard* of a ragged group padded to the
         full group's batch dimension runs the exact GEMM shapes of the
         full-group call, which is what makes multiprocess sharding
-        bit-identical to serial execution (padding rows gather the zero
-        row and contribute exact ``+0.0`` terms).
+        bit-identical to serial execution (padding rows are zeroed after
+        the gather and contribute exact ``+0.0`` terms).
 
         ``transform`` applies a per-step affine parameter correction (see
         :class:`StepTransform`); a ``(G, q)`` offset carries one row per
@@ -1080,11 +1092,13 @@ class BatchedWorkerEngine:
                 )
             return out
         key = (tuple(ids), batch_size, pad_to)
-        roster = self._rosters.get(key)
+        roster = self._rosters.pop(key, None)
         if roster is None:
-            roster = self._rosters[key] = self._build_roster(
-                ids, worker_data, batch_size, pad_to
-            )
+            roster = self._build_roster(ids, worker_data, batch_size, pad_to)
+            self._roster_bytes += roster.nbytes
+        self._rosters[key] = roster  # most recently used last
+        while self._roster_bytes > _ROSTER_CACHE_BYTES:
+            self._roster_bytes -= self._rosters.pop(next(iter(self._rosters))).nbytes
         # Workers without data keep the base model; train the rest together.
         for k in roster.idle:
             out[k] = base_vector
@@ -1104,14 +1118,14 @@ class BatchedWorkerEngine:
             for w in roster.ids
         ]
         counts_py, batches_py, offsets = roster.counts, roster.batches, roster.offsets
-        x_cat, y_cat, geo = roster.x_cat, roster.y_cat, roster.geo
-        # Padding rows (workers with fewer samples than b_max) gather the
-        # zero pad row and get zero loss gradients, so they contribute
-        # exactly nothing to the batched weight-gradient matmuls.
+        x_rows, y_rows, geo = roster.x, roster.y, roster.geo
+        # Padding rows (workers with fewer samples than b_max) gather any
+        # valid row, are zeroed and get zero loss gradients, so they
+        # contribute exactly nothing to the batched weight-gradient matmuls.
         xb, yb, gidx = geo["xb"], geo["yb"], geo["gidx"]
         ragged, row_index = geo["ragged"], geo["row_index"]
         g, b_max = gidx.shape
-        gidx.fill(roster.pad_row)
+        gidx.fill(offsets[0])
         xb_flat = xb.reshape((g * b_max,) + xb.shape[2:])
         yb_flat = yb.reshape(g * b_max)
 
@@ -1128,8 +1142,11 @@ class BatchedWorkerEngine:
                 idx = rngs[k].choice(counts_py[k], size=batches_py[k], replace=False)
                 idx += offsets[k]
                 gidx[k, : batches_py[k]] = idx
-            np.take(x_cat, gidx.reshape(-1), axis=0, out=xb_flat)
-            np.take(y_cat, gidx.reshape(-1), out=yb_flat)
+            np.take(x_rows, gidx.reshape(-1), axis=0, out=xb_flat)
+            np.take(y_rows, gidx.reshape(-1), out=yb_flat)
+            if ragged:
+                xb[geo["pad"]] = 0
+                yb[geo["pad"]] = 0
             h = xb
             for kernel in self._kernels:
                 h = kernel.forward(h)
@@ -1176,15 +1193,20 @@ class BatchedWorkerEngine:
         pad_to: Optional[int],
     ) -> _Roster:
         """Derive the round-independent part of a ``run_group`` call."""
-        active = [k for k, (x, _) in enumerate(worker_data) if x.shape[0] > 0]
-        idle = [k for k, (x, _) in enumerate(worker_data) if x.shape[0] == 0]
+        store = getattr(worker_data, "store", None)  # a lazy shard sequence?
+        if store is None:
+            counts = np.array([len(x) for x, _ in worker_data])
+        else:
+            rows = slice(None) if worker_data.ids is None else worker_data.ids
+            first = store.starts[rows]
+            counts = store.stops[rows] - first
+        active = np.flatnonzero(counts).tolist()
+        idle = np.flatnonzero(counts == 0).tolist()
         if not active:  # nobody trains: only ``idle`` is ever read
             empty = np.empty(0)
-            return _Roster(idle, active, [], [], [], [], empty, empty, 0, {})
-        xs = [worker_data[k][0] for k in active]
-        ys = [worker_data[k][1] for k in active]
+            return _Roster(idle, active, [], [], [], [], empty, empty, {})
         g = len(active)
-        counts_py = [int(x.shape[0]) for x in xs]
+        counts_py = counts[active].tolist()
         batches_py = [min(batch_size, c) for c in counts_py]
         b_max = max(batches_py)
         if pad_to is not None:
@@ -1194,20 +1216,26 @@ class BatchedWorkerEngine:
                     f"batch ({b_max})"
                 )
             b_max = pad_to
-        feat_shape = xs[0].shape[1:]
-
-        # Concatenate the group's data with one trailing all-zero pad row,
-        # so every SGD step fills the whole group's mini-batch tensor with a
-        # single np.take gather.
-        x_cat = np.concatenate(
-            [np.ascontiguousarray(x, dtype=self.dtype) for x in xs]
-            + [np.zeros((1,) + feat_shape, dtype=self.dtype)]
-        )
-        y_cat = np.concatenate(
-            [np.asarray(y, dtype=np.int64) for y in ys]
-            + [np.zeros(1, dtype=np.int64)]
-        )
-        offsets: List[int] = list(np.cumsum([0] + counts_py[:-1]))
+        # Every SGD step fills the group's mini-batch tensor with one np.take:
+        # from one concatenation of the members' private arrays, or from the
+        # shared store (in the engine's dtypes, converted once) by absolute row.
+        if store is None:
+            x_rows = np.concatenate(
+                [np.ascontiguousarray(worker_data[k][0], dtype=self.dtype) for k in active]
+            )
+            y_rows = np.concatenate(
+                [np.asarray(worker_data[k][1], dtype=np.int64) for k in active]
+            )
+            offsets = (np.cumsum(counts_py) - counts_py).tolist()
+            owned = x_rows.nbytes + y_rows.nbytes
+        else:
+            if self._store_rows is None or self._store_rows[0] is not store.x:
+                self._store_rows = (
+                    store.x, np.asarray(store.x, self.dtype), np.asarray(store.y, np.int64)
+                )
+            _, x_rows, y_rows = self._store_rows
+            offsets, owned = first[active].tolist(), 0
+        feat_shape = x_rows.shape[1:]
 
         # Sampling geometry (masks, per-worker divisors, buffers) is fully
         # determined by the per-worker batch sizes; cache it so the event
@@ -1216,17 +1244,19 @@ class BatchedWorkerEngine:
         geo = self._geometry.get(geo_key)
         if geo is None:
             batches = np.array(batches_py)
+            valid = np.arange(b_max)[None, :] < batches[:, None]
             geo = {
                 "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
                 "yb": np.zeros((g, b_max), dtype=np.int64),
                 "gidx": np.full((g, b_max), -1, dtype=np.int64),
                 "ragged": min(batches_py) != b_max,
-                "valid": np.arange(b_max)[None, :] < batches[:, None],
+                "valid": valid,
+                "pad": ~valid,
                 "row_index": np.arange(g * b_max),
                 "batch_div": batches[:, None, None].astype(np.float64),
             }
             self._geometry[geo_key] = geo
         return _Roster(
             idle, active, [ids[k] for k in active], counts_py, batches_py, offsets,
-            x_cat, y_cat, x_cat.shape[0] - 1, geo,
+            x_rows, y_rows, geo, owned,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core import (
     tier_grouping,
 )
 from repro.core.convergence import grouping_objective
-from repro.core.grouping import _evaluate_grouping
+from repro.core.grouping import GROUPING_STRATEGIES, _evaluate_grouping, contiguous_grouping
 from repro.core.timing import (
     average_round_time,
     estimated_max_staleness,
@@ -44,6 +46,76 @@ def make_problem(num_workers=20, xi=0.3, seed=0, c_max=0.0):
         c_max=c_max,
     )
     return problem, partition, latency
+
+
+RESULT_ARRAYS = ("group_times", "frequencies", "betas", "lambdas")
+
+
+@pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
+@pytest.mark.parametrize("num_workers", [12, 23])
+def test_integer_and_float_histograms_group_identically(strategy, num_workers):
+    """The histogram is kept in the dtype given; counts are exact in both."""
+    problem, partition, _ = make_problem(num_workers=num_workers, c_max=0.01)
+    counts = partition.class_counts()
+    assert counts.dtype == np.int64 and problem.class_counts is counts
+    as_float = dataclasses.replace(problem, class_counts=counts.astype(np.float64))
+    assert as_float.class_counts.dtype == np.float64
+    a = GROUPING_STRATEGIES[strategy](problem, 5, 3)
+    b = GROUPING_STRATEGIES[strategy](as_float, 5, 3)
+    assert [list(g) for g in a.groups] == [list(g) for g in b.groups]
+    assert a.objective == b.objective
+    assert a.tau_max_estimate == b.tau_max_estimate
+    assert a.upload_latency == b.upload_latency
+    for name in RESULT_ARRAYS:
+        assert getattr(a, name).dtype == np.float64
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(problem.global_distribution(), as_float.global_distribution())
+
+
+@pytest.mark.parametrize("narrow", [np.uint8, np.int16, np.int32])
+@pytest.mark.parametrize("strategy", ["contiguous", "random"])
+def test_narrow_integer_histograms_widen_before_they_are_summed(narrow, strategy):
+    """Group sums that do not fit the given integer dtype must not wrap."""
+    rng = np.random.default_rng(3)
+    counts = rng.integers(100, 200, size=(40, 4))  # a group of 20 sums past 255
+    problem = GroupingProblem(
+        data_sizes=counts.sum(axis=1),
+        class_counts=counts.astype(np.float64),  # the reference: float64 sums
+        local_times=rng.uniform(1.0, 2.0, 40),
+        model_dimension=1000,
+    )
+    if narrow is not np.uint8:
+        scale = np.iinfo(narrow).max // 200  # every entry fits, no pair of them does
+        problem = dataclasses.replace(problem, class_counts=problem.class_counts * scale)
+    narrowed = dataclasses.replace(problem, class_counts=problem.class_counts.astype(narrow))
+    assert problem.class_counts.dtype == np.float64
+    assert narrowed.class_counts.dtype == np.int64
+    assert np.array_equal(narrowed.class_counts, problem.class_counts)
+    a = GROUPING_STRATEGIES[strategy](problem, 2, 3)
+    b = GROUPING_STRATEGIES[strategy](narrowed, 2, 3)
+    assert a.objective == b.objective
+    assert np.array_equal(a.lambdas, b.lambdas)
+
+
+def test_contiguous_blocks_are_array_split_blocks():
+    for num_workers, num_groups in [(10, 3), (64, 8), (7, 7), (5, 9), (23, 1)]:
+        problem, _, _ = make_problem(num_workers=num_workers)
+        result = contiguous_grouping(problem, num_groups)
+        expected = np.array_split(np.arange(num_workers), min(num_groups, num_workers))
+        assert len(result.groups) == len(expected)
+        for got, want in zip(result.groups, expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_negative_counts_rejected_in_either_dtype():
+    for dtype in (np.int64, np.float64):
+        with pytest.raises(ValueError, match="non-negative"):
+            GroupingProblem(
+                data_sizes=np.array([1.0, 2.0]),
+                class_counts=np.array([[1, 0], [0, -1]], dtype=dtype),
+                local_times=np.array([1.0, 1.0]),
+                model_dimension=10,
+            )
 
 
 class TestGroupingProblem:
@@ -212,6 +284,27 @@ class TestGroupingResult:
         result = greedy_grouping(problem)
         with pytest.raises(ValueError):
             result.membership(7)
+
+    def test_membership_is_one_scatter_over_array_groups(self):
+        problem, _, _ = make_problem(num_workers=23)
+        for name, strategy in GROUPING_STRATEGIES.items():
+            result = strategy(problem, 4, 1)
+            expected = np.full(23, -1)
+            for g, members in enumerate(result.groups):
+                expected[list(members)] = g
+            assert np.array_equal(result.membership(23), expected), name
+            assert [result.group_of(w) for w in range(23)] == expected.tolist(), name
+        with pytest.raises(KeyError):
+            result.group_of(-1)
+
+    def test_membership_error_lists_at_most_ten_workers(self):
+        problem, _, _ = make_problem(num_workers=6)
+        result = contiguous_grouping(problem, 2)
+        with pytest.raises(ValueError) as excinfo:
+            result.membership(5000)
+        assert "[6, 7, 8, 9, 10, 11, 12, 13, 14, 15]..." in str(excinfo.value)
+        with pytest.raises(IndexError):  # a member the population does not have
+            result.membership(3)
 
     def test_lambdas_within_emd_bounds(self):
         problem, _, _ = make_problem(num_workers=20)

@@ -154,6 +154,66 @@ def test_replicated_store_aliases_dataset_and_overlaps():
         np.testing.assert_array_equal(counts[w], expected)
 
 
+def _bincount_histograms(store):
+    return np.array(
+        [
+            np.bincount(store.y[s:e], minlength=store.num_classes)
+            for s, e in zip(store.starts.tolist(), store.stops.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_class_counts_equal_per_worker_bincount_replicated(stride):
+    """More workers than one 4096-worker block, overlapping windows."""
+    dataset = _dataset(num_train=90)
+    store = SharedDatasetStore.replicated(
+        dataset, num_workers=5000, shard_size=16, stride=stride
+    )
+    counts = store.class_counts()
+    assert counts.dtype == np.int64 and counts.shape == (5000, dataset.num_classes)
+    assert np.array_equal(counts, _bincount_histograms(store))
+
+
+def test_class_counts_equal_per_worker_bincount_from_partition():
+    dataset = _dataset()
+    partition = partition_label_skew(dataset, num_workers=10, labels_per_worker=2, seed=0)
+    store = SharedDatasetStore.from_partition(dataset, partition)
+    assert np.array_equal(store.class_counts(), _bincount_histograms(store))
+
+
+def test_class_counts_zero_length_windows():
+    dataset = _dataset(num_train=30)
+    store = SharedDatasetStore(
+        x=dataset.x_train,
+        y=dataset.y_train,
+        starts=np.array([0, 5, 5, 30, 12]),
+        stops=np.array([5, 5, 30, 30, 12]),
+        num_classes=dataset.num_classes,
+    )
+    counts = store.class_counts()
+    assert np.array_equal(counts, _bincount_histograms(store))
+    assert not counts[[1, 3, 4]].any()
+
+
+def test_shard_sequence_subsets_stay_lazy_and_store_backed():
+    dataset = _dataset(num_train=40)
+    store = SharedDatasetStore.replicated(dataset, num_workers=30, shard_size=8)
+    seq = store.shards()
+    assert seq.store is store and seq.ids is None
+    picked = seq[[7, 2, 29]]
+    assert picked.store is store and picked.ids.tolist() == [7, 2, 29]
+    assert len(picked) == 3
+    for view, w in zip(picked, (7, 2, 29)):
+        assert np.array_equal(view.x, store.shard(w).x)
+        assert np.shares_memory(view.x, store.x)
+    # A slice of a subset indexes the subset, not the store.
+    assert picked[1:].ids.tolist() == [2, 29]
+    assert seq[3:6].ids.tolist() == [3, 4, 5]
+    assert np.array_equal(picked[-1].y, store.shard(29).y)
+
+
 def test_store_shard_sequence_is_lazy():
     dataset = _dataset(num_train=40)
     store = SharedDatasetStore.replicated(dataset, num_workers=30, shard_size=8)

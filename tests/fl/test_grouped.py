@@ -2,19 +2,88 @@
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.fl import AirFedGATrainer, FLExperiment
 from repro.fl.grouped import GroupedAsyncTrainer
 from repro.nn import LogisticRegressionMLP
-from repro.sim import LatencyTable
+from repro.sim import HeterogeneityModel, LatencyTable
 
 
 class TestAbstractHooks:
     def test_base_class_requires_build_groups(self, small_experiment):
         with pytest.raises(NotImplementedError):
             GroupedAsyncTrainer(small_experiment)
+
+
+class _RaggedGroups(AirFedGATrainer):
+    """Fixed groups of sizes 2, 3, 1, 2 in a scrambled member order."""
+
+    def build_groups(self):
+        return [[3, 0], [1, 4, 6], [2], [5, 7]]
+
+
+def _per_group_first_dispatch(trainer):
+    """The loop ``run`` used before the first dispatch was batched."""
+    queue = []
+    for g in range(len(trainer.groups)):
+        trainer._dispatch_group(queue, g, 0.0, 1)
+    return queue
+
+
+class TestFirstDispatch:
+    """One pass over the flat member array == one ``_dispatch_group`` per group."""
+
+    @pytest.mark.parametrize("jitter_std", [0.0, 0.3])
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_pop_order_ready_times_and_counters(
+        self, small_experiment, jitter_std, heterogeneous
+    ):
+        latency = LatencyTable(
+            num_workers=8,
+            base_time=2.0,
+            heterogeneity=HeterogeneityModel(num_workers=8, seed=5) if heterogeneous else None,
+            jitter_std=jitter_std,
+            seed=4,
+        )
+        # One experiment each: trainers of one experiment share its population.
+        batched, looped = (
+            _RaggedGroups(dataclasses.replace(small_experiment, latency=latency, population=None))
+            for _ in range(2)
+        )
+        queue_a = batched._dispatch_all()
+        queue_b = _per_group_first_dispatch(looped)
+        pops_a = [heapq.heappop(queue_a) for _ in range(4)]
+        pops_b = [heapq.heappop(queue_b) for _ in range(4)]
+        assert pops_a == pops_b  # exact floats, same order
+        if jitter_std == 0.0 and not heterogeneous:
+            # Every ready time ties: the group id breaks it.
+            assert pops_a == [(2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3)]
+        assert np.array_equal(
+            batched.worker_state.dispatches, looped.worker_state.dispatches
+        )
+        assert batched.worker_state.dispatches.tolist() == [1] * 8
+
+    def test_histories_identical_to_the_per_group_loop(self, small_experiment, monkeypatch):
+        latency = LatencyTable(num_workers=8, base_time=2.0, jitter_std=0.2, seed=4)
+        exp = dataclasses.replace(small_experiment, latency=latency, population=None)
+        batched = _RaggedGroups(exp).run(max_rounds=12)
+        monkeypatch.setattr(_RaggedGroups, "_dispatch_all", _per_group_first_dispatch)
+        looped = _RaggedGroups(exp).run(max_rounds=12)
+        assert batched.to_dict() == looped.to_dict()
+
+    def test_coverage_error_prints_ten_ids(self, small_experiment):
+        class Overlapping(AirFedGATrainer):
+            def build_groups(self):
+                return [list(range(8)), list(range(8)), [0, 1]]
+
+        with pytest.raises(ValueError, match="cover every worker exactly once") as excinfo:
+            Overlapping(small_experiment)
+        assert "[0, 0, 0, 1, 1, 1, 2, 2, 3, 3]..." in str(excinfo.value)
 
 
 class TestChannelContention:

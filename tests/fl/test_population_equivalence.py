@@ -27,6 +27,15 @@ def _assert_bit_identical(eager, lazy):
     assert json.dumps(eager, sort_keys=True) == json.dumps(lazy, sort_keys=True)
 
 
+FAULTY = {
+    "clientstate": {
+        "name": "bernoulli",
+        "params": {"availability": 0.7, "dropout_prob": 0.2},
+    },
+    "retry_backoff": 0.5,
+}
+
+
 def test_lazy_matches_eager_mlp_default():
     _assert_bit_identical(*_histories(Scenario.default()))
 
@@ -48,16 +57,7 @@ def test_lazy_matches_eager_ragged_groups():
 
 
 def test_lazy_matches_eager_with_faults_active():
-    scenario = Scenario.default().with_(
-        faults={
-            "clientstate": {
-                "name": "bernoulli",
-                "params": {"availability": 0.7, "dropout_prob": 0.2},
-            },
-            "retry_backoff": 0.5,
-        }
-    )
-    _assert_bit_identical(*_histories(scenario))
+    _assert_bit_identical(*_histories(Scenario.default().with_(faults=FAULTY)))
 
 
 def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
@@ -74,6 +74,87 @@ def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
     assert counters["dropped"] == 0  # always-on default: nobody drops
     # All pooled group stacks were returned on commit.
     assert trainer.population.stack_pool.outstanding == 0
+
+
+@pytest.mark.parametrize("materialization", ["eager", "lazy"])
+def test_roster_cache_cap_is_invisible_to_a_faulty_run(monkeypatch, materialization):
+    """Every distinct survivor subset is a roster; a cache of one byte must only cost time."""
+    from repro.fl.registry import build_trainer
+    from repro.nn import batched
+
+    scenario = Scenario.default().with_(
+        faults=FAULTY, **{"data.materialization": materialization}
+    )
+
+    def run():
+        trainer = build_trainer(scenario.mechanism.name, scenario.build_experiment())
+        engine, kept, owned = trainer._engine, [], []
+        run_group = engine.run_group
+
+        def counting(*args, **kwargs):
+            out = run_group(*args, **kwargs)
+            kept.append(len(engine._rosters))
+            owned.append(engine._roster_bytes)
+            return out
+
+        engine.run_group = counting
+        return trainer.run(max_rounds=40).to_dict(), kept, owned
+
+    default, kept, owned = run()
+    assert max(kept) > 1  # the run does visit several rosters
+    assert (max(owned) > 0) == (materialization == "eager")  # lazy rosters own nothing
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 1)
+    capped, capped_kept, owned = run()
+    assert max(owned) <= 1
+    # Eager rosters own their copy and go at once; store-backed ones all stay.
+    assert capped_kept == ([0] * len(kept) if materialization == "eager" else kept)
+    _assert_bit_identical(default, capped)
+
+
+def test_replicated_rosters_reference_the_store():
+    """4096 workers on the zero-copy store: a visited group keeps index lists, no samples."""
+    from repro import registry
+    from repro.core.config import AirFedGAConfig, GroupingConfig
+    from repro.core.population import Population
+    from repro.fl import FLExperiment
+    from repro.fl.registry import build_trainer
+
+    n = 4096
+    dataset = registry.create(
+        "dataset", "synthetic-mnist", seed=0, num_train=512, num_test=64, image_size=8
+    ).flattened()
+    latency = registry.create(
+        "latency", "uniform", num_workers=n, base_time=1.0, heterogeneity_seed=1, seed=2
+    )
+    experiment = FLExperiment(
+        dataset=dataset,
+        partition=None,
+        model_factory=lambda: registry.create(
+            "model", "lr", seed=0, input_dim=64, hidden=16, num_classes=10
+        ),
+        latency=latency,
+        channel=registry.create("channel", "static", num_workers=n, seed=3, spread=2.0),
+        config=AirFedGAConfig(grouping=GroupingConfig(xi=1.0)),
+        learning_rate=0.1,
+        local_steps=1,
+        batch_size=32,
+        eval_every=8,
+        max_eval_samples=32,
+        seed=0,
+        population=Population.replicated(dataset, num_workers=n, shard_size=64, latency=latency),
+        materialization="lazy",
+    )
+    trainer = build_trainer(
+        "air_fedga", experiment, num_groups=n // 64, grouping_strategy="contiguous"
+    )
+    history = trainer.run(max_rounds=8)
+    assert history.total_rounds == 8
+    store, rosters = trainer.population.store, trainer._engine._rosters
+    assert len(rosters) == 8  # eight groups, each a first visit
+    for roster in rosters.values():
+        assert np.shares_memory(roster.x, store.x)
+        assert np.shares_memory(roster.y, store.y)
+    assert trainer.worker_state.dispatches.sum() == n + 8 * 64
 
 
 def test_scenario_materialization_round_trips_exactly():

@@ -1,0 +1,207 @@
+"""Rosters: store-backed gathers equal concatenated ones, and the cache is bounded.
+
+A roster whose members' data are row windows of one shared store gathers
+straight from the store; a roster over private per-worker arrays gathers
+from one concatenation of them.  Both must fill ``out`` with the same bits
+(``np.array_equal`` throughout), and the roster cache must be invisible to
+results whatever its size.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.population import SharedDatasetStore
+from repro.data import make_mnist_like
+from repro.nn import BatchedWorkerEngine, LogisticRegressionMLP, MnistCNN, parameter_dtype
+from repro.nn import batched
+
+KWARGS = dict(learning_rate=0.2, local_steps=3, batch_size=16, seed=11)
+
+
+def _store(windows, features=(16,), classes=5, dtype=np.float64, seed=0, rows=64):
+    rng = np.random.default_rng(seed)
+    return SharedDatasetStore(
+        x=rng.standard_normal((rows,) + features).astype(dtype),
+        y=rng.integers(0, classes, rows),
+        starts=np.array([s for s, _ in windows]),
+        stops=np.array([e for _, e in windows]),
+        num_classes=classes,
+    )
+
+
+def _mlp(dtype="float64"):
+    with parameter_dtype(dtype):
+        return LogisticRegressionMLP(input_dim=16, hidden=12, num_classes=5, seed=0)
+
+
+def _run(model, ids, data, round_index=3, **overrides):
+    engine = BatchedWorkerEngine.try_build(model)
+    base = model.get_vector()
+    out = np.full((len(ids), engine.dimension), np.nan, dtype=base.dtype)
+    engine.run_group(ids, data, base, round_index, out=out, **{**KWARGS, **overrides})
+    return engine, out
+
+
+def _both_ways(model, store, ids, **overrides):
+    """``run_group`` over the store's lazy sequence and over plain tuples."""
+    engine, lazy = _run(model, ids, store.shards()[ids], **overrides)
+    _, plain = _run(model, ids, [tuple(store.shard(w)) for w in ids], **overrides)
+    assert np.array_equal(lazy, plain)
+    assert not np.isnan(lazy).any()
+    return engine, lazy
+
+
+def test_equal_windows_reference_the_store():
+    store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
+    engine, _ = _both_ways(_mlp(), store, [2, 0, 3])
+    (roster,) = engine._rosters.values()
+    assert roster.x is store.x and roster.y is store.y  # referenced, not copied
+    assert roster.offsets == [44, 0, 3] and not roster.geo["ragged"]
+
+
+def test_ragged_windows_zero_their_pad_rows():
+    store = _store([(0, 5), (5, 25), (20, 60), (60, 64)])
+    engine, out = _both_ways(_mlp(), store, [0, 1, 2, 3])
+    (roster,) = engine._rosters.values()
+    assert roster.geo["ragged"] and roster.batches == [5, 16, 16, 4]
+    # Pad positions of the batch tensor were zeroed after the last gather.
+    assert not roster.geo["xb"][roster.geo["pad"]].any()
+    assert not roster.geo["yb"][roster.geo["pad"]].any()
+    assert len(np.unique(out, axis=0)) == 4
+
+
+def test_empty_member_is_an_idle_row():
+    store = _store([(0, 20), (7, 7), (30, 50)])
+    model = _mlp()
+    engine, out = _both_ways(model, store, [0, 1, 2])
+    (roster,) = engine._rosters.values()
+    assert roster.idle == [1] and roster.active == [0, 2]
+    assert np.array_equal(out[1], model.get_vector())
+    # Nobody holds data: every row is the base vector, nothing is gathered.
+    _, idle = _both_ways(model, store, [1])
+    assert np.array_equal(idle[0], model.get_vector())
+
+
+def test_pad_to_pins_the_batch_dimension():
+    store = _store([(0, 5), (5, 25), (20, 60)])
+    _, padded = _both_ways(_mlp(), store, [0, 1], pad_to=16)
+    _, full = _both_ways(_mlp(), store, [0, 1, 2])
+    assert np.array_equal(padded, full[:2])
+
+
+def test_float32_engine_converts_a_float64_store_once():
+    store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
+    model = _mlp("float32")
+    engine, out = _both_ways(model, store, [0, 1])
+    assert out.dtype == np.float32
+    converted = engine._store_rows
+    assert converted[0] is store.x and converted[1].dtype == np.float32
+    base = model.get_vector()
+    engine.run_group(
+        [2, 3], store.shards()[[2, 3]], base, 4, out=np.empty_like(out), **KWARGS
+    )
+    assert engine._store_rows is converted  # once per engine, not per roster
+    assert all(r.x is converted[1] for r in engine._rosters.values())
+
+
+def test_store_over_a_reshaped_view():
+    """``Dataset.flattened()``: ``x[s:e].base`` is the image array, not ``store.x``."""
+    dataset = make_mnist_like(num_train=96, num_test=8, image_size=8, seed=2).flattened()
+    store = SharedDatasetStore.replicated(dataset, num_workers=40, shard_size=24, stride=5)
+    assert store.x.base is not None and store.shard(3).x.base is not store.x
+    with parameter_dtype("float64"):
+        model = LogisticRegressionMLP(input_dim=64, hidden=12, num_classes=10, seed=0)
+    engine, _ = _both_ways(model, store, [3, 17, 39, 8])
+    (roster,) = engine._rosters.values()
+    assert np.shares_memory(roster.x, store.x)
+
+
+def test_conv_tiles_slice_the_lazy_sequence():
+    store = _store([(k, k + 12) for k in range(0, 40, 2)], features=(1, 8, 8), classes=10)
+    model = MnistCNN(image_size=8, scale=0.15, num_classes=10, seed=0)
+    ids = list(range(store.num_workers))
+    assert len(ids) > BatchedWorkerEngine.try_build(model).group_tile
+    engine, _ = _both_ways(model, store, ids, local_steps=1)
+    assert len(engine._rosters) > 1
+    assert all(r.x is store.x for r in engine._rosters.values())
+
+
+def test_plain_tuples_are_concatenated_not_referenced():
+    store = _store([(0, 20), (10, 30)])
+    engine, _ = _run(_mlp(), [0, 1], [tuple(store.shard(w)) for w in (0, 1)])
+    (roster,) = engine._rosters.values()
+    assert not np.shares_memory(roster.x, store.x)
+    assert roster.x.shape == (40, 16) and roster.offsets == [0, 20]
+
+
+# ----------------------------------------------------------------------
+# The roster cache is least-recently-used and bounded by the bytes it owns
+# ----------------------------------------------------------------------
+def _plain(store, ids):
+    return [tuple(store.shard(w)) for w in ids]
+
+
+def test_roster_cache_evicts_the_least_recently_used(monkeypatch):
+    store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
+    pair = 2 * 20 * (16 * 8 + 8)  # two members, 20 float64 rows of 16 + a label each
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 2 * pair)
+    model = _mlp()
+    engine = BatchedWorkerEngine.try_build(model)
+    base = model.get_vector()
+
+    def visit(ids):
+        out = np.empty((len(ids), engine.dimension))
+        engine.run_group(ids, _plain(store, ids), base, 1, out=out, **KWARGS)
+        assert engine._roster_bytes == sum(r.nbytes for r in engine._rosters.values())
+        return out
+
+    first = visit([0, 1])
+    visit([2, 3])
+    assert [key[0] for key in engine._rosters] == [(0, 1), (2, 3)]
+    assert engine._roster_bytes == 2 * pair
+    visit([0, 1])  # a hit moves the roster to the recent end
+    assert [key[0] for key in engine._rosters] == [(2, 3), (0, 1)]
+    visit([1, 2])  # a third roster evicts the least recently used
+    assert [key[0] for key in engine._rosters] == [(0, 1), (1, 2)]
+    assert np.array_equal(visit([0, 1]), first)
+    assert np.array_equal(visit([2, 3]), _run(model, [2, 3], _plain(store, [2, 3]), 1)[1])
+    assert len(engine._rosters) == 2
+
+
+@pytest.mark.parametrize("cap", [0, 3000, 10000])
+def test_roster_cache_size_is_invisible_to_results(monkeypatch, cap):
+    store = _store([(0, 5), (5, 25), (20, 60), (60, 64), (8, 8)])
+    model = _mlp()
+    rosters = [[0, 1, 2], [3, 4], [2, 1], [0, 1, 2], [4], [3, 4]]
+
+    def rounds():
+        engine = BatchedWorkerEngine.try_build(model)
+        base = model.get_vector()
+        outs = []
+        for t, ids in enumerate(rosters * 2, start=1):
+            out = np.empty((len(ids), engine.dimension))
+            engine.run_group(ids, _plain(store, ids), base, t, out=out, **KWARGS)
+            outs.append(out)
+            assert engine._roster_bytes <= batched._ROSTER_CACHE_BYTES
+            assert engine._roster_bytes == sum(r.nbytes for r in engine._rosters.values())
+        return outs, len(engine._rosters)
+
+    default, kept = rounds()
+    assert kept == 4  # every distinct roster
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", cap)
+    capped, kept = rounds()
+    assert kept < 4
+    assert all(np.array_equal(a, b) for a, b in zip(default, capped))
+
+
+def test_store_backed_rosters_own_nothing_and_are_never_evicted(monkeypatch):
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 0)
+    store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
+    model = _mlp()
+    engine = BatchedWorkerEngine.try_build(model)
+    for ids in ([0, 1], [2, 3], [1, 2]):
+        out = np.empty((len(ids), engine.dimension))
+        engine.run_group(ids, store.shards()[ids], model.get_vector(), 1, out=out, **KWARGS)
+    assert len(engine._rosters) == 3 and engine._roster_bytes == 0

@@ -1,0 +1,197 @@
+#!/usr/bin/env python
+"""Alternating parent/change pairs of the repo benchmark, with the verdict.
+
+    python tools/bench_pairs.py --workload scale_1m --parent HEAD --pairs 10
+    make bench-pairs WORKLOAD=scale_1m PARENT=HEAD
+
+Mirrors how ``BENCHMARK.json`` is judged (``choosing-metrics`` §8): the
+parent commit's committed files are exported into a temporary directory,
+then each pair runs the benchmark command once in that export and once in
+this checkout — same seed within a pair, a fresh seed per pair, the side
+that runs first flipped on every other pair.  Per end-to-end metric it
+prints both medians with quartiles, the pairs the change won, and one of
+
+* ``gain`` — the change won at least nine tenths of the pairs (ties count
+  for neither side) and the medians differ by more than the distance
+  between the parent's quartiles;
+* ``regression`` — the change's median is worse than the parent's by more
+  than the bound ``BENCHMARK.json`` fixes for the metric;
+* ``unresolved`` — neither, but the parent's own quartile distance is wider
+  than that bound, so "unchanged" cannot be told from a regression (unless
+  every run of the change reads better than every run of the parent);
+* ``unchanged`` — neither, inside the bound.
+
+Raw samples go to ``results/bench_pairs_<workload>.json``.  Everything the
+script knows about the benchmark it reads from ``BENCHMARK.json``: the
+command, the run length, the metric names, directions and bounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: ``runner(side, seed) -> {metric: value}`` for ``side`` in ``SIDES``.
+Runner = Callable[[str, int], Dict[str, float]]
+SIDES = ("parent", "change")
+
+
+def export_commit(repo: Path, commit: str, target: Path) -> None:
+    """The committed files of ``commit`` under ``target``: ``git archive | tar -x``.
+
+    Touches neither the index nor ``.git`` of ``repo`` — unlike a
+    ``git worktree`` there is nothing to prune if the script is killed.
+    """
+    archive = subprocess.Popen(
+        ["git", "-C", str(repo), "archive", "--format=tar", commit], stdout=subprocess.PIPE
+    )
+    try:
+        subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise subprocess.CalledProcessError(archive.returncode, archive.args)
+
+
+def benchmark_runner(
+    spec: dict, checkouts: Dict[str, Path], workload: str, seconds: float
+) -> Runner:
+    """Runs ``spec['command']`` in a side's checkout; parses its last stdout line."""
+
+    def run(side: str, seed: int) -> Dict[str, float]:
+        command = list(spec["command"]) + [
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0",
+        ]  # fmt: skip
+        done = subprocess.run(
+            command, cwd=checkouts[side], stdout=subprocess.PIPE, text=True, check=True
+        )
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        if not result["correct"] or result["failed"]:
+            raise RuntimeError(
+                f"{side} seed {seed}: correct={result['correct']}, "
+                f"{result['failed']} of {result['attempted']} operations failed"
+            )
+        return {name: float(m["value"]) for name, m in result["metrics"].items()}
+
+    return run
+
+
+def run_pairs(
+    runner: Runner, pairs: int, first_seed: int, log: Callable[[str], None] = print
+) -> List[dict]:
+    """``pairs`` samples ``{"seed", "order", "parent": {...}, "change": {...}}``."""
+    samples = []
+    for k in range(pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        sample: dict = {"seed": first_seed + k, "order": list(order)}
+        for side in order:
+            sample[side] = runner(side, first_seed + k)
+        samples.append(sample)
+        log(f"pair {k + 1}/{pairs} seed {sample['seed']} ({order[0]} first)")
+    return samples
+
+
+def _quartiles(values: Sequence[float]) -> List[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarise(samples: List[dict], metrics: List[dict]) -> List[dict]:
+    """One row per end-to-end metric of ``BENCHMARK.json``: medians, quartiles,
+    pairs won and the verdict (see the module docstring)."""
+    rows = []
+    for metric in metrics:
+        name, sign = metric["name"], -1.0 if metric["better"] == "lower" else 1.0
+        parent = [s["parent"][name] for s in samples]
+        change = [s["change"][name] for s in samples]
+        # ``sign * value``: larger is better, whatever the metric's direction.
+        won = sum(sign * c > sign * p for p, c in zip(parent, change))
+        lost = sum(sign * c < sign * p for p, c in zip(parent, change))
+        p_lo, p_med, p_hi = _quartiles(parent)
+        c_lo, c_med, c_hi = _quartiles(change)
+        spread = p_hi - p_lo
+        better_by = sign * (c_med - p_med)
+        bound = metric["bound"] * abs(p_med)
+        disjoint = min(sign * c for c in change) > max(sign * p for p in parent)
+        if won >= 0.9 * len(samples) and better_by > spread:
+            verdict = "gain"
+        elif -better_by > bound:
+            verdict = "regression"
+        elif spread > bound and not disjoint:
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
+        rows.append(
+            {
+                "metric": name, "unit": metric.get("unit", ""),
+                "parent": [p_lo, p_med, p_hi], "change": [c_lo, c_med, c_hi],
+                "ratio": c_med / p_med if p_med else float("nan"),
+                "won": won, "lost": lost, "pairs": len(samples), "verdict": verdict,
+            }
+        )  # fmt: skip
+    return rows
+
+
+def format_rows(rows: List[dict]) -> str:
+    lines = [
+        f"{'metric':<14}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}"
+        f"{'ratio':>8}{'won':>7}  verdict"
+    ]
+    for row in rows:
+        cells = [
+            f"{med:.4g} [{lo:.4g}, {hi:.4g}]"
+            for lo, med, hi in (row["parent"], row["change"])
+        ]
+        lines.append(
+            f"{row['metric']:<14}{cells[0]:>32}{cells[1]:>32}{row['ratio']:>8.3f}"
+            f"{row['won']:>4}/{row['pairs']:<2}  {row['verdict']}"
+        )
+    return "\n".join(lines)
+
+
+def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=41)
+    parser.add_argument("--repo", type=Path, default=REPO_ROOT)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = json.loads((args.repo / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    if args.workload not in known:
+        parser.error(f"unknown workload {args.workload!r}; BENCHMARK.json has {known}")
+    seconds = spec["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        if runner is None:
+            export_commit(args.repo, args.parent, Path(scratch))
+            checkouts = {"parent": Path(scratch), "change": args.repo}
+            runner = benchmark_runner(spec, checkouts, args.workload, seconds)
+        samples = run_pairs(runner, args.pairs, args.first_seed)
+    rows = summarise(samples, spec["end_to_end"])
+    print(format_rows(rows))
+    output = args.repo / "results" / f"bench_pairs_{args.workload}.json"
+    output.parent.mkdir(parents=True, exist_ok=True)
+    record = {
+        "workload": args.workload, "parent": args.parent, "seconds": seconds,
+        "samples": samples, "summary": rows,
+    }  # fmt: skip
+    output.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"raw samples: {output}")
+    return 1 if any(row["verdict"] == "regression" for row in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
