@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke bench-pairs ci
+.PHONY: test test-fast test-ci lint analyze bench bench-quick bench-xl bench-xl-smoke docs-check sweep-smoke sweep-report sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke bench-pairs kernel-times ci
 
 test:            ## full tier-1 suite (tests/ + benchmarks/)
 	$(PYTHON) -m pytest -x -q
@@ -68,5 +68,12 @@ PARENT ?= HEAD
 PAIRS ?= 10
 bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json; exit 1 on a regression
 	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
+
+MODEL ?= mnist_cnn
+PARAMS ?= {"image_size": 8, "scale": 0.1}
+GROUP ?= 12
+BATCH ?= 32
+kernel-times:    ## forward/backward µs of every batched kernel of MODEL (a registered model name, PARAMS its kwargs as JSON) on one (GROUP, BATCH) tile, by direct calls — the per-kernel split of run_group behind docs/PERFORMANCE.md "Batched convolution kernels"; defaults are the tile fig_cnn runs
+	$(PYTHON) tools/kernel_times.py --model $(MODEL) --params '$(PARAMS)' --group $(GROUP) --batch $(BATCH)
 
 ci: lint analyze test-ci bench-quick bench-xl-smoke docs-check sweep-smoke sweep-resume-smoke chaos-smoke convergence-smoke airbench-smoke  ## reproduce the full CI pipeline locally

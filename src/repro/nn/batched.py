@@ -18,10 +18,14 @@ kernels cover :class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.ReLU`,
 im2col — the ``(N, C, H, W)`` column transform of ``nn/layers.py`` lifted to a
 ``(G, N, C, H, W)`` leading group axis and contracted as one grouped matmul
 over the ``(G, q_cols, k)`` column tensor), :class:`~repro.nn.layers.MaxPool2D`
-(grouped argmax mask) and :class:`~repro.nn.layers.Dropout` — i.e. every
-layer the paper's LR/CNN/MiniVGG workloads use.  Models containing other
-(custom) layers are reported as unsupported and the trainers fall back to
-the scalar per-worker path.
+(tie-normalised max mask over a window-major copy) and
+:class:`~repro.nn.layers.Dropout` — i.e. every layer the paper's
+LR/CNN/MiniVGG workloads use.  The data movement around the GEMMs (bias
+add and sum, col2im, the pooling passes) is laid out so that each NumPy
+pass has a long contiguous inner run; the arithmetic per element and its
+order are the scalar layers'.  Models containing other (custom) layers are
+reported as unsupported and the trainers fall back to the scalar
+per-worker path.
 
 Multiprocess support (see :mod:`repro.parallel` and ``docs/API.md``):
 :meth:`BatchedWorkerEngine.build_spec` returns a picklable
@@ -142,18 +146,15 @@ class BatchedKernel(Protocol):
 #: ``offset`` is the layer's position in the flat parameter vector.
 _KERNEL_REGISTRY: Dict[type, Callable[[Layer, int], BatchedKernel]] = {}
 
-#: Cache-blocking tile size (elements of padded gradient image per chunk)
-#: for the stride-1 col2im scatter-add: ~256 KiB of float64 keeps the
-#: chunk's gradient tile L2-resident across the kh·kw accumulation passes.
-_COL2IM_TILE = 32768
-
 #: Convolutional models run the group in sub-tiles of this many workers:
 #: image-sized activation/column buffers for a large group overflow the CPU
 #: caches and every pass streams from DRAM, so tiling is faster despite the
 #: extra dispatches (measured ~25% on the 50-worker CNN grouped round).
 #: Per-worker results are unchanged — each member's per-slice GEMM shapes
 #: and elementwise ops do not depend on how the group is split, so tiling
-#: preserves the scalar-path equivalence bit for bit.  Dense/MLP models
+#: preserves the scalar-path equivalence bit for bit (a ragged group's
+#: tile pads to its own largest batch unless ``pad_to`` pins it, so there
+#: the tile size moves the last bits, within 1e-9).  Dense/MLP models
 #: stay untiled (their per-worker buffers are small and the one-big-matmul
 #: layout is what delivers their speedup).
 _CONV_GROUP_TILE = 12
@@ -424,10 +425,13 @@ class _BatchedConv2D:
     the stacked ``(G, B, C, H, W)`` activations become one ``(G, B·oh·ow, k)``
     column tensor (built with the same stride-tricks window view, one copy),
     and the forward/weight-gradient/input-gradient contractions run as
-    batched matmuls over the group axis.  The col2im scatter-add for the
-    input gradient reuses the scalar loop structure on the fused ``(G·B)``
-    batch.  Per-slice GEMM shapes equal the scalar layer's shapes, so the
-    result matches the scalar path bit-for-bit for uniform batch sizes.
+    batched matmuls over the group axis.  The bias is added after the
+    output transpose (one value per ``oh·ow`` run) and its gradient summed
+    row by row over a ``(B·oh·ow, G·C_out)`` table; the stride-1 col2im
+    keeps the scalar loop's (i, j) order on the fused ``(G·B)`` batch with
+    the image axis innermost (:meth:`_col2im`).  Per-slice GEMM shapes equal
+    the scalar layer's shapes, so the result matches the scalar path
+    bit-for-bit for uniform batch sizes.
     """
 
     skip_input_grad = False
@@ -533,27 +537,20 @@ class _BatchedConv2D:
                 "out_mat": np.empty((g, m, self.out_channels), dtype=dtype),
                 "out": np.empty((g, b, self.out_channels, out_h, out_w), dtype=dtype),
                 "grad_mat": np.empty((g, m, self.out_channels), dtype=dtype),
-                "grad_cols": None,
-                "grad_pad": None,
             }
+            if self.has_bias:
+                geo["bias_rows"] = np.empty((m, g * self.out_channels), dtype=dtype)
             if not self.skip_input_grad:
                 geo["grad_cols"] = np.empty((g, m, self.k_cols), dtype=dtype)
-                geo["grad_pad"] = np.empty((g, b, c, h + 2 * p, w + 2 * p), dtype=dtype)
                 if s == 1:
-                    # Stride-1 col2im staging buffer: source rows padded from
-                    # ow to the full padded width wp so each kernel-position
-                    # add is one contiguous run per (image, channel) instead
-                    # of an ow-strided window.  The [ow:wp) gap columns are
-                    # zeroed once and never written, so they contribute
-                    # exact zeros.  Sized for one image chunk (cache
-                    # blocking): the 25 kernel-position adds re-walk the
-                    # chunk's gradient tile while it is cache-hot instead of
-                    # streaming the full (G·B) gradient from memory 25 times.
-                    chunk = max(1, _COL2IM_TILE // max(1, c * (h + 2 * p) * (w + 2 * p)))
-                    geo["chunk"] = chunk
-                    geo["scatter"] = np.zeros(
-                        (chunk, c, kh, kh, out_h, w + 2 * p), dtype=dtype
-                    )
+                    # Stride-1 col2im runs with the image axis innermost:
+                    # the transposed columns, the accumulator, and the
+                    # gradient it is copied to.
+                    geo["staged"] = np.empty((out_h, out_w, c, kh, kh, g * b), dtype=dtype)
+                    geo["acc"] = np.empty((h, w, c, g * b), dtype=dtype)
+                    geo["grad_in"] = np.empty((g, b, c, h, w), dtype=dtype)
+                else:
+                    geo["grad_pad"] = np.empty((g, b, c, h + 2 * p, w + 2 * p), dtype=dtype)
             self._act[shape] = geo
         return geo
 
@@ -594,13 +591,14 @@ class _BatchedConv2D:
         w_mat_t = self.weight.reshape(g, self.out_channels, self.k_cols).transpose(0, 2, 1)
         out_mat = geo["out_mat"]
         np.matmul(cols, w_mat_t, out=out_mat)
-        if self.has_bias:
-            out_mat += self.bias[:, None, :]
         out = geo["out"]
         np.copyto(
             out,
             out_mat.reshape(g, b, oh, ow, self.out_channels).transpose(0, 1, 4, 2, 3),
         )
+        if self.has_bias:
+            # After the transpose each bias value spans an oh·ow-long run.
+            out += self.bias[:, None, :, None, None]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -619,53 +617,60 @@ class _BatchedConv2D:
             out=self.grad_weight.reshape(g, co, self.k_cols),
         )
         if self.has_bias:
-            np.sum(grad_mat, axis=1, out=self.grad_bias)
+            # Row-sequential like the scalar ``grad_mat.sum(axis=0)``: the
+            # (G, C_out) sums advance together, one (b, y, x) row at a time.
+            rows = geo["bias_rows"]
+            np.copyto(rows.reshape(b, oh, ow, g, co), grad_out.transpose(1, 3, 4, 0, 2))
+            np.add.reduce(rows, axis=0, out=self.grad_bias.reshape(g * co))
         if self.skip_input_grad:
             return grad_out
         w_mat = self.weight.reshape(g, co, self.k_cols)
         grad_cols = geo["grad_cols"]
         np.matmul(grad_mat, w_mat, out=grad_cols)
-        # col2im scatter-add over the fused (G·B) batch — the same i/j loop
-        # order as the scalar ``col2im``, so the adds associate identically
-        # per cell and the accumulated gradient matches the scalar path.
+        return self._col2im(grad_cols)
+
+    def _col2im(self, grad_cols: np.ndarray) -> np.ndarray:
+        """Scatter-add the ``(G, B·oh·ow, k)`` column gradients into the input's.
+
+        The kernel positions are added in the scalar ``col2im``'s (i, j)
+        order from a zero-filled accumulator, so every cell associates its
+        contributions identically and matches the scalar path, signed zeros
+        included.
+        """
+        geo = self._geo
+        g, b, c, h, w = self._x_shape
+        oh, ow = geo["out_h"], geo["out_w"]
         kh = self.kernel_size
         s, p = self.stride, self.padding
+        if s == 1:
+            # The image axis goes innermost: one 2-D transpose stages the
+            # columns as (oh, ow, C, kh, kw, G·B), and the add of kernel
+            # position (i, j) runs over G·B contiguous elements per cell.
+            # Cells of the padding border are dropped, not summed.
+            staged, acc, grad_in = geo["staged"], geo["acc"], geo["grad_in"]
+            np.copyto(staged.reshape(-1, g * b), grad_cols.reshape(g * b, -1).T)
+            acc.fill(0.0)
+            for i in range(kh):
+                y0, y1 = max(0, p - i), min(oh, p + h - i)
+                for j in range(kh):
+                    x0, x1 = max(0, p - j), min(ow, p + w - j)
+                    if y0 < y1 and x0 < x1:
+                        acc[y0 + i - p : y1 + i - p, x0 + j - p : x1 + j - p] += staged[
+                            y0:y1, x0:x1, :, i, j
+                        ]
+            np.copyto(grad_in.reshape(g * b, c, h, w), acc.transpose(3, 2, 0, 1))
+            return grad_in
+        cols6 = grad_cols.reshape(g * b, oh, ow, c, kh, kh)
         hp, wp = h + 2 * p, w + 2 * p
         grad_pad = geo["grad_pad"]
         grad_pad.fill(0.0)
-        cols6 = grad_cols.reshape(g * b, oh, ow, c, kh, kh)
-        if s == 1:
-            # Fast path: stage the columns as zero-gap-padded rows (ow -> wp)
-            # so every kernel position (i, j) adds one contiguous
-            # ((oh-1)·wp + ow)-long run per (image, channel).  The gap cells
-            # receive exact zeros, and real cells still accumulate their
-            # contributions in the scalar (i, j) order — chunking over
-            # images only partitions the cells, never reorders one cell's
-            # adds, so the result stays identical to the scalar col2im.
-            scatter = geo["scatter"]
-            chunk = geo["chunk"]
-            gp3 = grad_pad.reshape(g * b, c, hp * wp)
-            run = (oh - 1) * wp + ow
-            for n0 in range(0, g * b, chunk):
-                n1 = min(n0 + chunk, g * b)
-                sc = scatter[: n1 - n0]
-                np.copyto(sc[..., :ow], cols6[n0:n1].transpose(0, 3, 4, 5, 1, 2))
-                tile = gp3[n0:n1].reshape((n1 - n0) * c, hp * wp)
-                sc2 = sc.reshape((n1 - n0) * c, kh * kh, oh * wp)
-                idx = 0
-                for i in range(kh):
-                    for j in range(kh):
-                        start = i * wp + j
-                        tile[:, start : start + run] += sc2[:, idx, :run]
-                        idx += 1
-        else:
-            gp4 = grad_pad.reshape(g * b, c, hp, wp)
-            cols6t = cols6.transpose(0, 3, 1, 2, 4, 5)
-            for i in range(kh):
-                i_max = i + s * oh
-                for j in range(kh):
-                    j_max = j + s * ow
-                    gp4[:, :, i:i_max:s, j:j_max:s] += cols6t[:, :, :, :, i, j]
+        gp4 = grad_pad.reshape(g * b, c, hp, wp)
+        cols6t = cols6.transpose(0, 3, 1, 2, 4, 5)
+        for i in range(kh):
+            i_max = i + s * oh
+            for j in range(kh):
+                j_max = j + s * ow
+                gp4[:, :, i:i_max:s, j:j_max:s] += cols6t[:, :, :, :, i, j]
         if p:
             return grad_pad[:, :, :, p:-p, p:-p]
         return grad_pad
@@ -675,10 +680,14 @@ class _BatchedConv2D:
 class _BatchedMaxPool2D:
     """Grouped non-overlapping max pooling with the scalar layer's tie rule.
 
-    Pooling windows come from one reshape of the ``(G, B, C, H, W)`` tensor;
-    the backward mask divides ties evenly exactly like the scalar layer
-    (``mask / counts``), so gradients match bit-for-bit.  The spatial size
-    must be divisible by ``pool_size`` — the same constraint the scalar
+    One strided copy lays the ``(G, B, C, H, W)`` input out window-major,
+    ``(p, p, G, B, C, oh, ow)``: window position ``(i, j)`` of every pooling
+    window is one contiguous slab, so the max, the tie mask, the tie counts
+    and the ``mask / counts`` normalisation are whole-slab passes over one
+    scratch buffer.  Max and the tie count are order-independent and the
+    quotients ``1 / count`` round the same way, so outputs and gradients
+    match the scalar layer bit for bit.  The spatial size must be divisible
+    by ``pool_size`` — the same constraint the scalar
     :class:`~repro.nn.layers.MaxPool2D` validates at forward time.
     """
 
@@ -698,60 +707,39 @@ class _BatchedMaxPool2D:
                 f"MaxPool2D {self.name!r}: spatial size {(h, w)} is not divisible "
                 f"by pool size {p}"
             )
+        oh, ow = h // p, w // p
         geo = self._buffers.get(x.shape)
         if geo is None:
-            oh, ow = h // p, w // p
             # analyze: allow-alloc(first-touch pooling geometry, cached per shape)
             geo = {
                 "out": np.empty((g, b, c, oh, ow), dtype=x.dtype),
-                "mask_bool": np.empty((g, b, c, oh, p, ow, p), dtype=bool),
-                "counts": np.empty((g, b, c, oh, ow), dtype=np.int64),
-                "mask": np.empty((g, b, c, oh, p, ow, p), dtype=x.dtype),
+                "counts": np.empty((g, b, c, oh, ow), dtype=x.dtype),
+                # The windows of x, then in place the tie-normalised mask.
+                "mask": np.empty((p, p, g, b, c, oh, ow), dtype=x.dtype),
                 "grad": np.empty((g, b, c, h, w), dtype=x.dtype),
             }
+            geo["grad_windows"] = _window_major(geo["grad"], p)
             self._buffers[x.shape] = geo
         self._geo = geo
-        out = geo["out"]
-        # Each window position (i, j) lives on the strided "quarter" view
-        # x[..., i::p, j::p]; p² element-wise passes replace the (slow)
-        # multi-axis reductions over a 7-D window view.  max and the integer
-        # tie count are order-independent, so the values are identical to
-        # the scalar layer's ``windows.max(axis=(3, 5))`` / ``mask / counts``.
-        np.copyto(out, x[:, :, :, 0::p, 0::p])
-        for i in range(p):
-            for j in range(p):
-                if i or j:
-                    np.maximum(out, x[:, :, :, i::p, j::p], out=out)
-        mask_bool = geo["mask_bool"]
-        counts = geo["counts"]
-        mb7 = mask_bool
-        for i in range(p):
-            for j in range(p):
-                np.equal(x[:, :, :, i::p, j::p], out, out=mb7[:, :, :, :, i, :, j])
-                if i == 0 and j == 0:
-                    np.copyto(counts, mb7[:, :, :, :, i, :, j], casting="unsafe")
-                else:
-                    counts += mb7[:, :, :, :, i, :, j]
-        # Ties share the gradient evenly — identical to the scalar layer's
-        # ``mask / counts`` normalisation.
-        mask = geo["mask"]
-        for i in range(p):
-            for j in range(p):
-                np.divide(
-                    mb7[:, :, :, :, i, :, j], counts, out=mask[:, :, :, :, i, :, j]
-                )
+        out, mask, counts = geo["out"], geo["mask"], geo["counts"]
+        np.copyto(mask, _window_major(x, p))
+        np.maximum.reduce(mask, axis=(0, 1), out=out)
+        np.equal(mask, out, out=mask)
+        # Ties share the gradient evenly — the scalar layer's ``mask / counts``.
+        np.add.reduce(mask, axis=(0, 1), out=counts)
+        np.divide(mask, counts, out=mask)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         geo = self._geo
-        grad = geo["grad"]
-        mask = geo["mask"]
-        np.multiply(
-            mask,
-            grad_out[:, :, :, :, None, :, None],
-            out=grad.reshape(mask.shape),
-        )
-        return grad
+        np.multiply(geo["mask"], grad_out, out=geo["grad_windows"])
+        return geo["grad"]
+
+
+def _window_major(x: np.ndarray, p: int) -> np.ndarray:
+    """The ``(p, p, G, B, C, H/p, W/p)`` view of a contiguous ``(G, B, C, H, W)``."""
+    g, b, c, h, w = x.shape
+    return x.reshape(g, b, c, h // p, p, w // p, p).transpose(4, 6, 0, 1, 2, 3, 5)
 
 
 @register_batched_kernel(Dropout)
@@ -846,6 +834,29 @@ class _BatchedDropout:
 #: set between them, under this unless the set is larger.  Every survivor
 #: subset under faults is one more copy; one over a shared store owns nothing.
 _ROSTER_CACHE_BYTES = 256 * 2**20
+
+
+def _worker_streams(
+    seed: int, worker_ids: Sequence[int], round_index: int
+) -> List[np.random.Generator]:
+    """One generator per worker, keyed ``[seed, worker_id, round_index, 0x10CA1]``.
+
+    ``SeedSequence`` takes a ``uint32`` array as its entropy words as is, a
+    third of the cost of coercing four Python ints; an int of 2**32 or more
+    is several words, so those keep the list form.
+    """
+    if 0 <= min(seed, round_index, min(worker_ids)) and (
+        max(seed, round_index, max(worker_ids)) < 2**32
+    ):
+        rows = np.empty((len(worker_ids), 4), dtype=np.uint32)
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = seed, worker_ids, round_index, 0x10CA1
+        return [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for row in rows
+        ]
+    return [
+        np.random.default_rng(np.random.SeedSequence([seed, w, round_index, 0x10CA1]))
+        for w in worker_ids
+    ]
 
 
 @dataclass
@@ -1111,12 +1122,7 @@ class BatchedWorkerEngine:
             transform = transform.rows(np.asarray(active))
         t_scale = transform.scale if transform is not None else 1.0
         t_offset = transform.offset if transform is not None else None
-        rngs = [
-            np.random.default_rng(
-                np.random.SeedSequence([seed, w, round_index, 0x10CA1])
-            )
-            for w in roster.ids
-        ]
+        rngs = _worker_streams(seed, roster.ids, round_index)
         counts_py, batches_py, offsets = roster.counts, roster.batches, roster.offsets
         x_rows, y_rows, geo = roster.x, roster.y, roster.geo
         # Padding rows (workers with fewer samples than b_max) gather any

@@ -274,6 +274,37 @@ class TestConvEquivalence:
             base = ref.mean(axis=0)
 
 
+    @pytest.mark.parametrize("tile", [1, 4, 5])
+    def test_ragged_tie_heavy_group_is_tile_invariant_under_pad_to(self, tile):
+        """Coarse-grid images (ties in every pooling window) in a ragged
+        group: with the batch dimension pinned by ``pad_to`` every tile runs
+        the full group's per-slice shapes, so how the group is split must
+        not change a bit — and the result stays on the scalar path."""
+        model = MnistCNN(image_size=8, scale=0.1, seed=6)
+        rng = np.random.default_rng(6)
+        ids, data = make_image_group(rng, 9, min_n=3, max_n=20)
+        data = [(np.maximum(np.round(x), 0.0), y) for x, y in data]
+        base = model.get_vector()
+        kwargs = dict(learning_rate=0.2, local_steps=2, batch_size=16, seed=11, pad_to=16)
+        outs = []
+        for group_tile in (None, tile):
+            engine = BatchedWorkerEngine.try_build(model)
+            engine._tile = group_tile
+            out = np.empty((len(ids), model.dimension))
+            engine.run_group(ids, data, base, 3, out=out, **kwargs)
+            outs.append(out)
+        np.testing.assert_array_equal(outs[0], outs[1])
+        ref = np.stack(
+            [
+                scalar_reference(
+                    model, w, x, y, base, seed=11, round_index=3, lr=0.2, steps=2, batch=16
+                )
+                for w, (x, y) in zip(ids, data)
+            ]
+        )
+        assert np.abs(outs[0] - ref).max() <= TOL
+
+
 class TestFloat32Mode:
     def test_engine_runs_in_float32(self):
         with parameter_dtype("float32"):

@@ -21,6 +21,7 @@ from repro.nn import (
     batched_layer_supported,
     register_batched_kernel,
 )
+from repro.nn import batched
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -29,6 +30,7 @@ from repro.nn.layers import (
     Layer,
     MaxPool2D,
     ReLU,
+    col2im,
 )
 
 
@@ -314,3 +316,128 @@ class TestRegistration:
             np.testing.assert_array_equal(out, ref)
         finally:
             _KERNEL_REGISTRY.pop(_Identity, None)
+
+
+# ----------------------------------------------------------------------
+# The data-movement half of the conv/pool kernels, against the scalar layers
+# ----------------------------------------------------------------------
+def _tie_heavy(rng, shape, dtype):
+    """Post-ReLU-like values on a coarse grid: zeros and repeated maxima."""
+    x = np.maximum(rng.integers(-3, 3, size=shape), 0).astype(dtype)
+    x[0, -2:] = 0.0  # what zeroed padding rows look like: all-equal windows
+    x[-1, 0] = 2.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_kernel_matches_scalar_layer_on_ties(pool, dtype):
+    rng = np.random.default_rng(pool)
+    x = _tie_heavy(rng, (3, 5, 2, 2 * pool, 3 * pool), dtype)
+    grad_out = rng.standard_normal((3, 5, 2, 2, 3)).astype(dtype)
+    kernel = batched._BatchedMaxPool2D(MaxPool2D("pool", pool), 0)
+    for _ in range(2):  # the second call runs on the cached buffers
+        out = kernel.forward(x)
+        grad = kernel.backward(grad_out)
+    assert out.dtype == grad.dtype == dtype
+    shares = set()
+    for g in range(x.shape[0]):
+        layer = MaxPool2D("pool", pool)
+        assert np.array_equal(out[g], layer.forward(x[g]))
+        mask = layer._cache[0]
+        shares.update(np.unique(mask).tolist())
+        # The scalar mask is float64 whatever the model's dtype; the kernel
+        # keeps the model's, so float32 compares against the rounded mask.
+        expected = mask.astype(dtype) * grad_out[g][:, :, :, None, :, None]
+        assert np.array_equal(grad[g], expected.reshape(x[g].shape))
+        if dtype == np.float64:
+            assert np.array_equal(grad[g], layer.backward(grad_out[g]))
+    assert {0.0, 1.0, 1.0 / 2, 1.0 / 3, 1.0 / pool**2} <= shares
+
+
+def _conv_kernel(channels, out_channels, size, padding, group, batch, rng, kernel_size=3):
+    layer = Conv2D("conv", channels, out_channels, kernel_size, rng, padding=padding)
+    kernel = batched._BatchedConv2D(layer, 0)
+    kernel.bind(group, batch, np.dtype(np.float64))
+    kernel.load(np.concatenate([layer.weight.value.ravel(), layer.bias.value.ravel()]))
+    x = rng.standard_normal((group, batch, channels, size, size))
+    return kernel, x
+
+
+# (size, padding, kernel size): the last two have kernel rows that reach no
+# input row at all (the kernel is taller than image plus one border).
+GEOMETRIES = [(s, p, 3) for s in (4, 8, 12) for p in (0, 2)] + [(2, 3, 7), (1, 2, 5)]
+
+
+@pytest.mark.parametrize("size,padding,ksize", GEOMETRIES)
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("group,batch", [(1, 1), (3, 4)])
+def test_stride1_col2im_matches_scalar_col2im(channels, size, padding, ksize, group, batch):
+    rng = np.random.default_rng(size + padding)
+    kernel, x = _conv_kernel(channels, 2, size, padding, group, batch, rng, ksize)
+    kernel.forward(x)
+    grad_cols = kernel._geo["grad_cols"]
+    # Inexact sums (the order of the adds shows), signed zeros and exact
+    # cancellations; the first image gets nothing but -0.0, which a
+    # zero-filled accumulator turns into +0.0.
+    values = np.array([0.0, -0.0, 1.5, -1.5, 0.1, rng.standard_normal()])
+    grad_cols[...] = rng.standard_normal(grad_cols.shape)
+    special = rng.random(grad_cols.shape) < 0.4
+    grad_cols[special] = rng.choice(values, size=int(special.sum()))
+    grad_cols[0, : grad_cols.shape[1] // batch] = -0.0
+    got = kernel._col2im(grad_cols)
+    expected = col2im(
+        grad_cols.reshape(-1, grad_cols.shape[-1]),
+        (group * batch, channels, size, size), (ksize, ksize), 1, padding,
+    )  # fmt: skip
+    got = got.reshape(expected.shape)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert not got[0].any() and not np.signbit(got[0]).any()
+
+
+def test_conv_bias_gradient_sums_rows_in_sequence():
+    """The bias gradient is the scalar layer's row-sequential
+    ``grad_mat.sum(axis=0)``; a pairwise sum over the same 2048 values
+    rounds differently, so this fails if the reduce axis becomes the
+    inner loop."""
+    rng = np.random.default_rng(0)
+    group, batch, co = 3, 32, 2
+    kernel, x = _conv_kernel(1, co, 8, 1, group, batch, rng)
+    kernel.skip_input_grad = True
+    kernel.forward(x)
+    grad_out = rng.standard_normal((group, batch, co, 8, 8)) * 10.0 ** rng.integers(
+        -6, 6, size=(group, batch, co, 8, 8)
+    )
+    kernel.backward(grad_out)
+    for g in range(group):
+        grad_mat = grad_out[g].transpose(0, 2, 3, 1).reshape(-1, co)
+        assert grad_mat.shape[0] >= 2048
+        sequential = grad_mat.sum(axis=0)
+        pairwise = np.ascontiguousarray(grad_mat.T).sum(axis=1)
+        assert not np.array_equal(sequential, pairwise)
+        assert np.array_equal(kernel.grad_bias[g], sequential)
+
+
+@pytest.mark.parametrize(
+    "seed,ids,round_index",
+    [
+        (11, [0, 3, 7], 5),
+        (2**32 - 1, [2**32 - 1, 0], 2**32 - 1),
+        (2**32 + 5, [1, 2], 3),  # a seed of two entropy words
+        (7, [2**32, 4], 3),
+        (7, [1, 2], 2**40),
+    ],
+)
+def test_worker_streams_equal_the_list_form(seed, ids, round_index):
+    streams = batched._worker_streams(seed, ids, round_index)
+    for worker, rng in zip(ids, streams):
+        reference = np.random.default_rng(
+            np.random.SeedSequence([seed, worker, round_index, 0x10CA1])
+        )
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_worker_streams_reject_a_negative_seed_like_the_list_form():
+    with pytest.raises(ValueError):
+        batched._worker_streams(-1, [0, 1], 3)

@@ -96,6 +96,20 @@ class TestExecutorEquivalence:
             got = ex.run_group(ids, base, round_index=3)
             assert np.array_equal(got, expected)
 
+    def test_cnn_ragged_group_bit_exact(self):
+        # Ragged sample counts: every shard pads to the group's batch
+        # dimension, so the pooling windows of the zeroed padding rows are
+        # all ties and the conv bias/col2im passes run over them too.
+        model = MnistCNN(image_size=8, scale=0.1, num_classes=10, seed=5)
+        counts = [10, 3, 16, 7, 1, 12, 20, 5, 9, 16, 2, 11, 6, 14]
+        worker_data = _make_worker_data(counts, feat_shape=(1, 8, 8), seed=4)
+        ids = list(range(len(counts)))
+        base = model.get_vector()
+        expected = _serial_reference(model, worker_data, ids, base)
+        with ProcessGroupExecutor(model, worker_data, num_processes=2, **HYPER) as ex:
+            got = ex.run_group(ids, base, round_index=3)
+            assert np.array_equal(got, expected)
+
     def test_workers_without_data_keep_base(self):
         model = LogisticRegressionMLP(input_dim=64, hidden=8, num_classes=10, seed=3)
         worker_data = _make_worker_data([12, 0, 12, 0])
