@@ -32,9 +32,9 @@ Determinism: per-worker mini-batch streams are derived from
 the experiment seed that is independent of which pool process trains the
 worker — and shards replicate the serial engine's padding/tiling geometry
 (``pad_to`` pins ragged shards to the full group's batch dimension; conv
-shards align to the engine's group tile).  Result: float64 runs are
-bit-identical to the serial event loop, tested in
-``tests/parallel/test_process_executor.py``.
+shards align to the engine's group tile).  Result: runs are
+bit-identical to the serial event loop, float32 included — the processes
+axis of ``tests/differential/test_execution_axes.py``.
 """
 
 from __future__ import annotations

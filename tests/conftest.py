@@ -8,6 +8,7 @@ minute while still exercising every code path of the library.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.channel import RayleighFading, StaticChannel
 from repro.core import AirCompConfig, AirFedGAConfig
@@ -17,6 +18,11 @@ from repro.nn import LogisticRegressionMLP, SequentialModel
 from repro.nn.layers import Layer
 from repro.sim import HeterogeneityModel, LatencyTable
 
+
+# Every property test draws the same examples on every host and every run:
+# no random seed, no example database, no wall-clock deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 NUM_WORKERS = 8
 IMAGE_SIZE = 8

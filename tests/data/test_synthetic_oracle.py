@@ -48,7 +48,11 @@ def assert_same_dataset(build, monkeypatch) -> None:
 
 @pytest.mark.parametrize("name", component_names("dataset"))
 def test_registered_dataset_default_shape(name, monkeypatch):
-    assert_same_dataset(get_component("dataset", name), monkeypatch)
+    """Default image size, channels and smoothing; equality does not depend
+    on the sample count, so 128 + 16 samples (one per class of the 100-class
+    set) stand for the default 2-3k."""
+    factory = get_component("dataset", name)
+    assert_same_dataset(lambda: factory(num_train=128, num_test=16), monkeypatch)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ The acceptance contract of the device-realism layer (ISSUE 6 /
 docs/ARCHITECTURE.md, "Fault model"):
 
 * the ``always-on`` default keeps :class:`TrainingHistory` bit-identical
-  (float64) to a run with no client-state model at all;
+  to a run with no client-state model at all (an axis of
+  ``tests/differential/test_execution_axes.py``);
 * two runs of the same scenario JSON with a seeded fault model replay
   identical fault trajectories and histories;
 * a mid-round dropout scenario completes, renormalizes survivor weights
@@ -29,12 +30,10 @@ from repro.experiments.scenario import FaultSpec, Scenario
 from repro.fl import (
     AirFedGATrainer,
     DynamicTrainer,
-    FLExperiment,
     TiFLTrainer,
     build_trainer,
 )
 from repro.sim import (
-    AlwaysOnModel,
     BernoulliAvailability,
     DropoutRejoinModel,
     PartialCompletionModel,
@@ -115,37 +114,6 @@ class TestSchedulerAbort:
         scheduler.receive_ready(0)
         with pytest.raises(RuntimeError, match="not complete"):
             scheduler.abort_group(0)
-
-
-class TestAlwaysOnBitIdentity:
-    def test_always_on_matches_no_clientstate_exactly(self, quiet_experiment):
-        plain = AirFedGATrainer(quiet_experiment)
-        history_plain = plain.run(max_rounds=8)
-        gv_plain = plain.global_vector.copy()
-
-        with_model = dataclasses.replace(
-            quiet_experiment,
-            clientstate=AlwaysOnModel(num_workers=quiet_experiment.num_workers),
-        )
-        on = AirFedGATrainer(with_model)
-        history_on = on.run(max_rounds=8)
-
-        assert np.array_equal(gv_plain, on.global_vector)
-        assert _trace(history_plain) == _trace(history_on)
-        assert all(v == 0 for v in history_on.fault_counters().values())
-
-    @pytest.mark.chaos
-    def test_always_on_bit_identical_across_engines(self):
-        # The fast path must hold under multiprocess execution too: the
-        # always-on model is normalized away before the engine choice.
-        scenario = Scenario.default().with_(faults="always-on")
-        with scenario.build() as trainer:
-            serial = trainer.run(max_rounds=6)
-        with scenario.with_(
-            parallelism={"mode": "processes", "num_processes": 2}
-        ).build() as trainer:
-            multi = trainer.run(max_rounds=6)
-        assert _trace(serial) == _trace(multi)
 
 
 class TestSeededFaultReproducibility:
@@ -467,21 +435,6 @@ class TestSyncFamilyFaults:
             0 < r.num_participants < exp.num_workers for r in rounds
         )
         assert all(np.isfinite(r.loss) for r in rounds)
-
-    def test_always_on_sync_family_bit_identical_to_plain(self, quiet_experiment):
-        from repro.fl import FedProxTrainer
-
-        plain = FedProxTrainer(quiet_experiment, mu=0.1)
-        h_plain = plain.run(max_rounds=6)
-        on_exp = dataclasses.replace(
-            quiet_experiment,
-            population=None,
-            clientstate=AlwaysOnModel(num_workers=quiet_experiment.num_workers),
-        )
-        on = FedProxTrainer(on_exp, mu=0.1)
-        h_on = on.run(max_rounds=6)
-        assert _trace(h_plain) == _trace(h_on)
-        assert np.array_equal(plain.global_vector, on.global_vector)
 
     def test_feddyn_replays_exactly_across_dropout_rejoin(self, quiet_experiment):
         from repro.fl import FedDynTrainer

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.channel import StaticChannel
-from repro.core import AirCompConfig, AirFedGAConfig, FaultConfig, ParallelismConfig
+from repro.core import AirCompConfig, AirFedGAConfig, FaultConfig
 from repro.data import make_mnist_like, partition_label_skew
 from repro.fl import FLExperiment, build_trainer
 from repro.nn import LogisticRegressionMLP
@@ -77,16 +77,6 @@ def _faulted(experiment: FLExperiment) -> FLExperiment:
             num_workers=NUM_WORKERS, seed=21, dropout_prob=0.3, rejoin_after=2
         ),
         fault=FaultConfig(quorum_fraction=0.6, max_retries=1, retry_backoff=0.5),
-    )
-
-
-def _two_processes(experiment: FLExperiment) -> FLExperiment:
-    return dataclasses.replace(
-        experiment,
-        config=dataclasses.replace(
-            experiment.config,
-            parallelism=ParallelismConfig(mode="processes", num_processes=2),
-        ),
     )
 
 
@@ -177,13 +167,6 @@ def test_faulted_pin_exercises_retry_and_skip():
     faults = GOLDEN["air_fedga_faults"]["faults"]
     assert faults["quorum_retries"] > 0 and faults["quorum_skips"] > 0
     assert faults["workers_dropped"] > 0
-
-
-def test_air_fedga_on_two_processes_matches_the_serial_pin():
-    with build_trainer("air_fedga", _two_processes(_experiment())) as trainer:
-        history = trainer.run(max_rounds=ROUNDS)
-        assert trainer.parallelism_active and trainer._executor.dispatches > 0
-    _assert_matches(history, GOLDEN["air_fedga"])
 
 
 if __name__ == "__main__":

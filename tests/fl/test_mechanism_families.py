@@ -7,9 +7,8 @@ Acceptance contract of the mechanism-families layer:
   declarative :class:`Scenario` API (hence are sweepable);
 * FedProx with ``mu = 0`` is *bit-identical* to FedAvg — the transform
   hook returns ``None`` and the untouched legacy code path runs;
-* every family produces near-identical trajectories on the batched and
-  scalar engines (same tolerance class as the existing engine-agreement
-  tests: floating-point reassociation only);
+* every family reproduces its history on the per-worker fallback, the
+  step transforms included (``tests/differential/test_execution_axes.py``);
 * FedDyn's per-worker drift state lives in the
   :class:`~repro.core.population.WorkerStateTable`, serializes through
   ``trainer.state_dict()`` as JSON-ready lists, and restores exactly;
@@ -229,41 +228,3 @@ class TestFedAsync:
         )
         with pytest.raises(ValueError, match="fault"):
             FedAsyncTrainer(exp)
-
-
-# ----------------------------------------------------------------------
-# batched == scalar across the families
-# ----------------------------------------------------------------------
-class TestEngineAgreement:
-    @pytest.mark.parametrize(
-        "name, params",
-        [
-            ("fedprox", {"mu": 0.1}),
-            ("feddyn", {"alpha_coef": 0.05}),
-            ("fedasync", {}),
-        ],
-    )
-    def test_batched_and_scalar_agree(
-        self, quiet_experiment, without_batched_kernel, name, params
-    ):
-        factories = {
-            "batched": quiet_experiment.model_factory,
-            # A kernel-less layer: the trainer takes the scalar per-worker
-            # loop, transforms applied through ``local_update``.
-            "scalar": without_batched_kernel(quiet_experiment.model_factory),
-        }
-        trainers = {}
-        for engine, factory in factories.items():
-            exp = dataclasses.replace(quiet_experiment, model_factory=factory)
-            trainer = build_trainer(name, exp, **params)
-            assert (trainer._engine is not None) == (engine == "batched")
-            trainer.run(max_rounds=5)
-            trainers[engine] = trainer
-        # Same tolerance class as the existing engine-agreement tests:
-        # only floating-point reassociation (loop vs matmul) may differ.
-        np.testing.assert_allclose(
-            trainers["batched"].global_vector,
-            trainers["scalar"].global_vector,
-            rtol=1e-9,
-            atol=1e-12,
-        )

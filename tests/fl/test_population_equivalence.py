@@ -1,10 +1,9 @@
-"""Lazy materialization must not change a single bit of training history.
+"""Lazy materialization: zero-copy shards, store-backed rosters, the spec field.
 
-The population refactor's acceptance contract: at legacy scale, switching
-``data.materialization`` from ``"eager"`` (per-worker copies, the seed's
-allocation profile) to ``"lazy"`` (zero-copy shard views into the shared
-store) leaves every float64 in :class:`TrainingHistory` unchanged — across
-models, ragged groupings and active fault injection.
+That lazy and eager histories are bit-identical — across models, ragged
+groupings, fault models and roster budgets — is one axis of
+``tests/differential/test_execution_axes.py``; this module checks what the
+histories cannot show: where the lazy trainer's data lives.
 """
 
 from __future__ import annotations
@@ -15,49 +14,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.scenario import Scenario
-
-
-def _histories(scenario):
-    eager = scenario.with_(**{"data.materialization": "eager"}).run()
-    lazy = scenario.with_(**{"data.materialization": "lazy"}).run()
-    return eager.to_dict(), lazy.to_dict()
-
-
-def _assert_bit_identical(eager, lazy):
-    assert json.dumps(eager, sort_keys=True) == json.dumps(lazy, sort_keys=True)
-
-
-FAULTY = {
-    "clientstate": {
-        "name": "bernoulli",
-        "params": {"availability": 0.7, "dropout_prob": 0.2},
-    },
-    "retry_backoff": 0.5,
-}
-
-
-def test_lazy_matches_eager_mlp_default():
-    _assert_bit_identical(*_histories(Scenario.default()))
-
-
-def test_lazy_matches_eager_cnn():
-    scenario = Scenario.default().with_(
-        model="mnist_cnn",
-        data={"flatten": False},
-        **{"model.params": {"image_size": 8, "scale": 0.15, "num_classes": 10}},
-        **{"training.max_rounds": 5},
-    )
-    _assert_bit_identical(*_histories(scenario))
-
-
-def test_lazy_matches_eager_ragged_groups():
-    # 11 workers over label-skew shards: unequal group sizes downstream.
-    scenario = Scenario.default().with_(num_workers=11)
-    _assert_bit_identical(*_histories(scenario))
-
-
-def test_lazy_matches_eager_with_faults_active():
-    _assert_bit_identical(*_histories(Scenario.default().with_(faults=FAULTY)))
 
 
 def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
@@ -74,41 +30,6 @@ def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
     assert counters["dropped"] == 0  # always-on default: nobody drops
     # All pooled group stacks were returned on commit.
     assert trainer.population.stack_pool.outstanding == 0
-
-
-@pytest.mark.parametrize("materialization", ["eager", "lazy"])
-def test_roster_cache_cap_is_invisible_to_a_faulty_run(monkeypatch, materialization):
-    """Every distinct survivor subset is a roster; a cache of one byte must only cost time."""
-    from repro.fl.registry import build_trainer
-    from repro.nn import batched
-
-    scenario = Scenario.default().with_(
-        faults=FAULTY, **{"data.materialization": materialization}
-    )
-
-    def run():
-        trainer = build_trainer(scenario.mechanism.name, scenario.build_experiment())
-        engine, kept, owned = trainer._engine, [], []
-        run_group = engine.run_group
-
-        def counting(*args, **kwargs):
-            out = run_group(*args, **kwargs)
-            kept.append(len(engine._rosters))
-            owned.append(engine._roster_bytes)
-            return out
-
-        engine.run_group = counting
-        return trainer.run(max_rounds=40).to_dict(), kept, owned
-
-    default, kept, owned = run()
-    assert max(kept) > 1  # the run does visit several rosters
-    assert (max(owned) > 0) == (materialization == "eager")  # lazy rosters own nothing
-    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 1)
-    capped, capped_kept, owned = run()
-    assert max(owned) <= 1
-    # Eager rosters own their copy and go at once; store-backed ones all stay.
-    assert capped_kept == ([0] * len(kept) if materialization == "eager" else kept)
-    _assert_bit_identical(default, capped)
 
 
 def test_replicated_rosters_reference_the_store():

@@ -1,15 +1,14 @@
 """Equivalence and regression tests for the allocation-free hot paths.
 
 Covers: vectorized exact/AirComp aggregation vs. the reference loops (at
-the channel level and through a whole trainer run), agreement of the
-batched engine with the per-worker fallback a kernel-less model takes,
-power-control caching (hit counting, budget clamping), the float32
-simulation mode and seeded end-to-end determinism.
+the channel level and through a whole trainer run), engine rosters,
+power-control caching (hit counting, budget clamping) and the float32
+simulation mode.  That the per-worker fallback of a kernel-less model, warm
+rosters and reruns reproduce a history is one axis each of
+``tests/differential/test_execution_axes.py``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -22,11 +21,10 @@ from repro.channel import (
     ideal_group_average_reference,
 )
 from repro.core import AirCompConfig, AirFedGAConfig, PowerControlCache
-from repro.data import partition_label_skew
 from repro.fl import FLExperiment
 from repro.fl.base import BaseTrainer
 from repro.fl.registry import build_trainer
-from repro.nn import LogisticRegressionMLP, MnistCNN
+from repro.nn import LogisticRegressionMLP
 
 
 # ----------------------------------------------------------------------
@@ -180,48 +178,13 @@ class TestTrainerAggregation:
         assert buffered is out
         np.testing.assert_allclose(plain, buffered, rtol=1e-12, atol=1e-12)
 
-    def test_batched_engine_accepted_for_cnn(
-        self, small_image_dataset, latency_table, static_channel
-    ):
-        """Conv2D/MaxPool2D have batched kernels, so a CNN trains on the
-        batched engine."""
-        partition = partition_label_skew(
-            small_image_dataset, num_workers=latency_table.num_workers, seed=7
-        )
-        exp = FLExperiment(
-            dataset=small_image_dataset,
-            partition=partition,
-            model_factory=lambda: MnistCNN(image_size=8, scale=0.1, seed=3),
-            latency=latency_table,
-            channel=static_channel,
-        )
-        trainer = BaseTrainer(exp)
-        assert trainer._engine is not None
-
-    def test_unsupported_layer_trains_on_the_per_worker_loop(
-        self, quiet_experiment, without_batched_kernel
-    ):
-        """A layer without a registered kernel is something the trainer
-        observes, not something a user sets: no engine, same stack shape."""
-        exp = dataclasses.replace(
-            quiet_experiment,
-            model_factory=without_batched_kernel(quiet_experiment.model_factory),
-        )
-        trainer = BaseTrainer(exp)
-        assert trainer._engine is None
-        stack = trainer.local_update_group([0, 3, 5], trainer.global_vector, 1)
-        assert stack.shape == (3, trainer.model.dimension)
-        np.testing.assert_array_equal(
-            stack[1], trainer.local_update(3, trainer.global_vector, 1)
-        )
-
 
 def _reference_aggregate(models, *args, workspace=None, sq_norms=None, **kwargs):
     """``aircomp_aggregate`` by way of the per-member reference loop."""
     return aircomp_aggregate_reference(list(models), *args, **kwargs)
 
 
-class TestEngineAgreement:
+class TestReferenceAggregator:
     def _history(self, fixtures, model_factory):
         small_dataset, small_partition, latency_table, static_channel = fixtures
         exp = FLExperiment(
@@ -241,30 +204,7 @@ class TestEngineAgreement:
             max_eval_samples=60,
             seed=11,
         )
-        trainer = build_trainer("air_fedga", exp)
-        return trainer, trainer.run(max_rounds=12)
-
-    def test_batched_and_fallback_trainers_agree(
-        self, small_dataset, small_partition, latency_table, static_channel,
-        model_factory, without_batched_kernel,
-    ):
-        """Full seeded runs on the batched engine and on the per-worker
-        fallback (a model with a kernel-less layer) give the same metrics.
-
-        Both share the production aggregator, so the only difference left
-        is the batched matmul against the per-worker one in local training.
-        Measured on this run: losses bit-equal; rtol=1e-12 leaves room for
-        another BLAS, where the old comparison through the scalar
-        aggregator needed rtol=1e-5.
-        """
-        fixtures = (small_dataset, small_partition, latency_table, static_channel)
-        batched, a = self._history(fixtures, model_factory)
-        fallback, s = self._history(fixtures, without_batched_kernel(model_factory))
-        assert batched._engine is not None and fallback._engine is None
-        assert len(a) == len(s)
-        np.testing.assert_array_equal(a.times(), s.times())
-        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-12)
-        np.testing.assert_array_equal(a.accuracies(), s.accuracies())
+        return build_trainer("air_fedga", exp).run(max_rounds=12)
 
     def test_trainer_run_agrees_with_the_reference_aggregator(
         self, small_dataset, small_partition, latency_table, static_channel,
@@ -274,33 +214,14 @@ class TestEngineAgreement:
         whose Eq. 6–10 arithmetic goes through the per-member reference
         loop differs from the production run by reassociation only."""
         fixtures = (small_dataset, small_partition, latency_table, static_channel)
-        _, plain = self._history(fixtures, model_factory)
+        plain = self._history(fixtures, model_factory)
         monkeypatch.setattr("repro.fl.base.aircomp_aggregate", _reference_aggregate)
-        _, oracle = self._history(fixtures, model_factory)
+        oracle = self._history(fixtures, model_factory)
         assert len(plain) == len(oracle)
         np.testing.assert_array_equal(plain.times(), oracle.times())
         np.testing.assert_allclose(plain.losses(), oracle.losses(), rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(plain.accuracies(), oracle.accuracies(), atol=1e-9)
         np.testing.assert_allclose(plain.energies(), oracle.energies(), rtol=1e-9)
-
-    def test_seeded_runs_deterministic_on_auto_engine(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        def run_once():
-            exp = FLExperiment(
-                dataset=small_dataset,
-                partition=small_partition,
-                model_factory=model_factory,
-                latency=latency_table,
-                channel=static_channel,
-                seed=11,
-            )
-            return build_trainer("air_fedga", exp).run(max_rounds=10)
-
-        a, b = run_once(), run_once()
-        np.testing.assert_array_equal(a.losses(), b.losses())
-        np.testing.assert_array_equal(a.accuracies(), b.accuracies())
-        np.testing.assert_array_equal(a.energies(), b.energies())
 
 
 class TestEngineRosters:
@@ -344,48 +265,6 @@ class TestEngineRosters:
                 self._run(fresh(), model, [0, 1, 2, 3], data, **kwargs),
             )
         np.testing.assert_array_equal(full[2], model.get_vector())
-
-    def test_faulty_run_replays_on_warm_rosters(
-        self, small_dataset, small_partition, latency_table, static_channel,
-        model_factory, without_batched_kernel,
-    ):
-        """Dropout-rejoin rosters (subsets of the groups) through the
-        trainer: the per-worker fallback, which keeps no rosters, agrees
-        (same aggregator on both sides: 2e-16 measured, rtol=1e-12 asserted
-        where the scalar-aggregator comparison needed 1e-5)."""
-        from repro import registry
-
-        histories = {}
-        for path, factory in (
-            ("batched", model_factory),
-            ("fallback", without_batched_kernel(model_factory)),
-        ):
-            exp = FLExperiment(
-                dataset=small_dataset,
-                partition=small_partition,
-                model_factory=factory,
-                latency=latency_table,
-                channel=static_channel,
-                config=AirFedGAConfig(
-                    aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
-                ),
-                seed=11,
-                clientstate=registry.create(
-                    "clientstate", "dropout-rejoin",
-                    num_workers=small_partition.num_workers, seed=4,
-                    dropout_prob=0.3, rejoin_after=1,
-                ),
-            )
-            trainer = build_trainer(
-                "air_fedga", exp, grouping_strategy="tier", num_groups=2
-            )
-            assert (trainer._engine is None) == (path == "fallback")
-            histories[path] = trainer.run(max_rounds=25)
-        a, s = histories["batched"], histories["fallback"]
-        assert a.workers_dropped == s.workers_dropped > 0
-        np.testing.assert_array_equal(a.times(), s.times())
-        np.testing.assert_allclose(a.losses(), s.losses(), rtol=1e-12)
-
 
 # ----------------------------------------------------------------------
 # Power-control memoization

@@ -1,12 +1,11 @@
-"""Serial-vs-multiprocess equivalence and lifecycle of ProcessGroupExecutor.
+"""Crash recovery, routing and lifecycle of ProcessGroupExecutor.
 
-The contract under test (docs/ARCHITECTURE.md, "Process-pool data flow"):
-training a group on the worker-process pool is **bit-identical in
-float64** to the serial batched engine — for MLP and CNN models, for
-1/2/4-process pools, for ragged groups (per-worker batch sizes that
-differ) and across pool crashes (the executor respawns the pool and, with
-the restart budget exhausted, falls back to an in-process run, never
-changing a result).
+That a run on the worker-process pool reproduces the serial history —
+MLP and CNN models, ragged groups, groups spanning conv tiles — is one
+axis of ``tests/differential/test_execution_axes.py``.  This module keeps
+what that harness cannot reach: pool crashes (the executor respawns the
+pool and, with the restart budget exhausted, falls back to an in-process
+run, never changing a result), routing, refusal and teardown.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ import pytest
 
 from repro.core import ParallelismConfig
 from repro.experiments.bench import bench_grouped_round_mp
-from repro.experiments.configs import cnn_mnist_config, lr_mnist_config
+from repro.experiments.configs import lr_mnist_config
 from repro.fl import AirFedGATrainer
 from repro.fl.registry import build_trainer
 from repro.nn.batched import BatchedWorkerEngine, shared_stack_view
 from repro.nn.layers import Dense, Dropout, ReLU
-from repro.nn.models import LogisticRegressionMLP, MnistCNN, SequentialModel
+from repro.nn.models import LogisticRegressionMLP, SequentialModel
 from repro.parallel import ProcessGroupExecutor, UnsupportedModelError
 
 HYPER = dict(learning_rate=0.2, local_steps=2, batch_size=16, seed=11)
@@ -51,65 +50,10 @@ def _serial_reference(model, worker_data, ids, base, round_index=3):
 
 
 # ----------------------------------------------------------------------
-# Executor-level equivalence
+# Executor rows the trainer-level harness cannot reach: workers without
+# data (no drawn partition leaves one empty) and the donated arena buffer
 # ----------------------------------------------------------------------
-class TestExecutorEquivalence:
-    @pytest.mark.parametrize("num_processes", [1, 2, 4])
-    def test_mlp_uniform_group_bit_exact(self, num_processes):
-        model = LogisticRegressionMLP(input_dim=64, hidden=8, num_classes=10, seed=3)
-        worker_data = _make_worker_data([24] * 6)
-        ids = list(range(6))
-        base = model.get_vector()
-        expected = _serial_reference(model, worker_data, ids, base)
-        with ProcessGroupExecutor(
-            model, worker_data, num_processes=num_processes, **HYPER
-        ) as ex:
-            got = ex.run_group(ids, base, round_index=3)
-            assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("num_processes", [2, 4])
-    def test_mlp_ragged_group_bit_exact(self, num_processes):
-        # Per-worker sample counts below the batch size make the padded
-        # batch geometry ragged; shards are pinned to the group's padded
-        # dimension (pad_to), so sharding must not change a single bit.
-        model = LogisticRegressionMLP(input_dim=64, hidden=8, num_classes=10, seed=3)
-        worker_data = _make_worker_data([20, 7, 3, 16, 1, 12])
-        ids = list(range(6))
-        base = model.get_vector()
-        expected = _serial_reference(model, worker_data, ids, base)
-        with ProcessGroupExecutor(
-            model, worker_data, num_processes=num_processes, **HYPER
-        ) as ex:
-            got = ex.run_group(ids, base, round_index=3)
-            assert np.array_equal(got, expected)
-
-    def test_cnn_group_spanning_conv_tiles_bit_exact(self):
-        # 14 workers > the conv group tile (12): the serial engine splits
-        # the group into tiles internally, and the executor must align its
-        # shard boundaries to those tiles to reproduce the call tree.
-        model = MnistCNN(image_size=8, scale=0.08, num_classes=10, seed=5)
-        worker_data = _make_worker_data([10] * 14, feat_shape=(1, 8, 8), seed=2)
-        ids = list(range(14))
-        base = model.get_vector()
-        expected = _serial_reference(model, worker_data, ids, base)
-        with ProcessGroupExecutor(model, worker_data, num_processes=2, **HYPER) as ex:
-            got = ex.run_group(ids, base, round_index=3)
-            assert np.array_equal(got, expected)
-
-    def test_cnn_ragged_group_bit_exact(self):
-        # Ragged sample counts: every shard pads to the group's batch
-        # dimension, so the pooling windows of the zeroed padding rows are
-        # all ties and the conv bias/col2im passes run over them too.
-        model = MnistCNN(image_size=8, scale=0.1, num_classes=10, seed=5)
-        counts = [10, 3, 16, 7, 1, 12, 20, 5, 9, 16, 2, 11, 6, 14]
-        worker_data = _make_worker_data(counts, feat_shape=(1, 8, 8), seed=4)
-        ids = list(range(len(counts)))
-        base = model.get_vector()
-        expected = _serial_reference(model, worker_data, ids, base)
-        with ProcessGroupExecutor(model, worker_data, num_processes=2, **HYPER) as ex:
-            got = ex.run_group(ids, base, round_index=3)
-            assert np.array_equal(got, expected)
-
+class TestExecutorRows:
     def test_workers_without_data_keep_base(self):
         model = LogisticRegressionMLP(input_dim=64, hidden=8, num_classes=10, seed=3)
         worker_data = _make_worker_data([12, 0, 12, 0])
@@ -310,55 +254,9 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Trainer-level equivalence (the full Air-FedGA event loop)
+# Trainer routing: what reaches the pool
 # ----------------------------------------------------------------------
-def _run_air_fedga(config_fn, parallelism, **kwargs):
-    scenario = config_fn(
-        num_workers=8, num_train=160, image_size=8, max_rounds=10, **kwargs
-    ).with_(
-        training={
-            "local_steps": 2, "batch_size": 16, "eval_every": 2, "max_eval_samples": 48
-        },
-        parallelism=parallelism,
-        **{"algorithm.grouping.xi": 1.0},
-    )
-    with scenario.build() as trainer:
-        history = trainer.run(max_rounds=5)
-        return (
-            trainer.global_vector.copy(),
-            [(r.loss, r.accuracy, r.time) for r in history.records],
-            trainer.parallelism_active,
-        )
-
-
-class TestTrainerEquivalence:
-    @pytest.mark.parametrize("num_processes", [1, 2, 4])
-    def test_air_fedga_mlp_history_bit_exact(self, num_processes):
-        gv_serial, hist_serial, _ = _run_air_fedga(
-            lr_mnist_config, ParallelismConfig(mode="none"), hidden=16
-        )
-        gv_mp, hist_mp, active = _run_air_fedga(
-            lr_mnist_config,
-            ParallelismConfig(mode="processes", num_processes=num_processes),
-            hidden=16,
-        )
-        assert active
-        assert np.array_equal(gv_serial, gv_mp)
-        assert hist_serial == hist_mp
-
-    def test_air_fedga_cnn_history_bit_exact(self):
-        gv_serial, hist_serial, _ = _run_air_fedga(
-            cnn_mnist_config, ParallelismConfig(mode="none"), scale=0.1
-        )
-        gv_mp, hist_mp, active = _run_air_fedga(
-            cnn_mnist_config,
-            ParallelismConfig(mode="processes", num_processes=2),
-            scale=0.1,
-        )
-        assert active
-        assert np.array_equal(gv_serial, gv_mp)
-        assert hist_serial == hist_mp
-
+class TestTrainerRouting:
     def test_kernel_less_model_downgrades_with_warning(
         self, small_experiment, without_batched_kernel
     ):

@@ -80,6 +80,38 @@ class TestCheckLinks:
         assert check_docs.check_links(doc) == []
 
 
+class TestCheckReferences:
+    @pytest.fixture()
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+        (tmp_path / "Makefile").write_text("test:  ## run\n\tpytest\ndocs-check:\n\ttrue\n")
+        return tmp_path
+
+    def test_resolving_paths_and_targets_pass(self, repo):
+        doc = repo / "README.md"
+        doc.write_text(
+            "`src/pkg/mod.py`, `src/pkg/`, `src/pkg/m*.py`, `src/pkg/mod.py::test_x`,\n"
+            "`src/pkg/mod.py:12`, `make test`, `make docs-check ARG=1`, `repro.x`\n"
+            "```sh\nmake test\n```\n"
+        )
+        assert check_docs.check_references(doc) == []
+
+    def test_stale_path_and_unknown_target_reported(self, repo):
+        doc = repo / "README.md"
+        doc.write_text(
+            "`src/pkg/mod` and `tests/gone.py::test_x`, then `make bench`\n"
+            "```sh\nmake test\nmake bench-xl N=1\n```\n"
+        )
+        assert check_docs.check_references(doc) == [
+            "README.md: stale path -> src/pkg/mod",
+            "README.md: stale path -> tests/gone.py",
+            "README.md: unknown make target -> make bench",
+            "README.md: unknown make target -> make bench-xl",
+        ]
+
+
 class TestRunDoctests:
     def test_file_without_examples_is_skipped(self, tmp_path):
         doc = tmp_path / "doc.md"

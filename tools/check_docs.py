@@ -7,7 +7,11 @@ Mirrored by ``make docs-check`` and the CI ``docs`` job.  Four passes:
    markdown link must point at an existing file (anchors are validated
    against the target's headings, GitHub-style slugs); external
    ``http(s)``/``mailto`` links are only syntax-checked, never fetched,
-   so the job works offline;
+   so the job works offline.  Every backticked repo path (``src/…``,
+   ``tests/…``, ``tools/…``, ``benchmarks/…``, ``docs/…``, ``examples/…``;
+   globs allowed, a ``::test`` or ``:line`` suffix ignored) must exist and
+   every ``make <target>`` must be a Makefile target, so a renamed file or
+   a retired test fails here instead of going stale;
 2. **doctest** — every file containing ``>>>`` examples is run through
    :mod:`doctest` (``python -m doctest`` semantics), so the fenced
    examples in ``docs/API.md`` and ``docs/TUTORIAL.md`` are executed
@@ -62,6 +66,12 @@ API_COVERAGE_MODULES = (
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: An inline code span (fenced blocks never match: their backticks are adjacent).
+_CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+_REPO_PATH_RE = re.compile(r"^(?:src|tests|tools|benchmarks|docs|examples)/[^\s:]*")
+_FENCED_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_MAKE_RE = re.compile(r"^\s*(?:\$\s*)?make ([A-Za-z][\w-]*)", re.MULTILINE)
+_TARGET_RE = re.compile(r"^([A-Za-z][\w-]*):", re.MULTILINE)
 
 
 def doc_files() -> List[Path]:
@@ -103,6 +113,29 @@ def check_links(path: Path) -> List[str]:
                 errors.append(
                     f"{path.relative_to(REPO_ROOT)}: missing anchor -> {target}"
                 )
+    return errors
+
+
+def check_references(path: Path) -> List[str]:
+    """Backticked repo paths must exist and ``make`` targets must be defined.
+
+    Paths are read from inline code spans; ``make`` commands from those and
+    from the lines of fenced blocks.
+    """
+    errors: List[str] = []
+    makefile = REPO_ROOT / "Makefile"
+    targets = set(_TARGET_RE.findall(makefile.read_text())) if makefile.exists() else set()
+    rel = path.relative_to(REPO_ROOT)
+    text = path.read_text(encoding="utf-8")
+    spans = _CODE_SPAN_RE.findall(text)
+    for span in spans:
+        ref = _REPO_PATH_RE.match(span)
+        if ref and not any(REPO_ROOT.glob(ref.group(0).rstrip("/"))):
+            errors.append(f"{rel}: stale path -> {ref.group(0)}")
+    commands = "\n".join(spans + _FENCED_RE.findall(text))
+    for target in _MAKE_RE.findall(commands):
+        if target not in targets:
+            errors.append(f"{rel}: unknown make target -> make {target}")
     return errors
 
 
@@ -165,7 +198,7 @@ def main() -> int:
     failures = 0
     for path in doc_files():
         rel = path.relative_to(REPO_ROOT)
-        errors = check_links(path)
+        errors = check_links(path) + check_references(path)
         for err in errors:
             print(f"LINK FAIL  {err}")
         failures += len(errors)
