@@ -24,7 +24,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import registry
@@ -184,9 +184,45 @@ def _axes(scenario, without_batched_kernel):
     return axes
 
 
-def _pin(*args):
-    """An ``@example`` of the document ``_scenario(*args)``."""
-    return example(scenario=_scenario(*args))
+#: Pinned documents, each the shape a retired hand-written pair checked; each
+#: pin runs every axis as a test of its own, so a failure names both.
+PINS = {
+    # A ragged MLP group of 9 on two processes: shards keep the group's padding.
+    "ragged_mlp": ("air_fedga", "lr", "dirichlet", "always-on", "static", 9, 1.0, "float64", 2),
+    # A ragged CNN group of 13 > the 12-wide conv tile: shards align to tiles.
+    "cnn_13": ("air_fedga", "mnist_cnn", "dirichlet", "always-on", "static", 13, 1.0, "float64", 0),
+    # Uniform batches: every axis bit-identical in float64, the fallback included.
+    "uniform_cnn": ("fedavg", "mnist_cnn", "iid", "always-on", "static", 13, 1.0, "float64", 6),
+    # Dropout-rejoin: survivor subsets of the groups are rosters of their own.
+    "rejoin": ("air_fedga", "lr", "label-skew", "dropout-rejoin", "static", 12, 0.3, "float64", 2),
+    # Step transforms (FedProx, FedDyn) and single-worker commits on the fallback.
+    "fedprox": ("fedprox", "mnist_cnn", "label-skew", "bernoulli", "static", 6, 0.3, "float64", 3),
+    "feddyn": ("feddyn", "lr", "dirichlet", "always-on", "rayleigh", 7, 0.3, "float32", 4),
+    "fedasync": ("fedasync", "lr", "iid", "always-on", "static", 5, 0.3, "float64", 5),
+    # With the pins above, every mechanism and client-state model runs, whatever the draws.
+    "dynamic":("dynamic", "mini_vgg", "iid", "lognormal", "rayleigh", 8, 0.3, "float32", 7),
+    "tifl": ("tifl", "lr", "dirichlet", "partial", "static", 10, 0.3, "float64", 8),
+    "air_fedavg": ("air_fedavg", "lr", "label-skew", "cyclic", "rayleigh", 6, 0.0, "float32", 9),
+}
+
+PIN_AXES = [(pin, axis) for pin, args in PINS.items() for axis in _axes(_scenario(*args), None)]
+_references = {}
+
+
+def _check(scenario, axis, run):
+    """``run`` (``scenario`` on ``axis``) against the reference, within ``TOLERANCE``."""
+    if scenario.name not in _references:
+        _references[scenario.name] = _run(scenario)
+    dtype = scenario.algorithm.dtype
+    exact = dtype == "float64" and scenario.partition.name == "iid"  # every batch is 8
+    rtol = 0.0 if exact else TOLERANCE[axis][dtype]
+    _assert_same_history(_references[scenario.name], run(), rtol, f"{axis}: {scenario.name}")
+
+
+@pytest.mark.parametrize(("pin", "axis"), PIN_AXES)
+def test_pinned_document_reproduces_the_reference(pin, axis, without_batched_kernel):
+    scenario = _scenario(*PINS[pin])
+    _check(scenario, axis, _axes(scenario, without_batched_kernel)[axis])
 
 
 @settings(
@@ -196,26 +232,6 @@ def _pin(*args):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(scenario=scenarios)
-# A ragged MLP group of 9 on two processes: shards keep the group's padding.
-@_pin("air_fedga", "lr", "dirichlet", "always-on", "static", 9, 1.0, "float64", 2)
-# A ragged CNN group of 13 > the 12-wide conv tile: shards align to tiles.
-@_pin("air_fedga", "mnist_cnn", "dirichlet", "always-on", "static", 13, 1.0, "float64", 0)
-# Uniform batches: every axis bit-identical in float64, the fallback included.
-@_pin("fedavg", "mnist_cnn", "iid", "always-on", "static", 13, 1.0, "float64", 6)
-# Dropout-rejoin: survivor subsets of the groups are rosters of their own.
-@_pin("air_fedga", "lr", "label-skew", "dropout-rejoin", "static", 12, 0.3, "float64", 2)
-# Step transforms (FedProx, FedDyn) and single-worker commits on the fallback.
-@_pin("fedprox", "mnist_cnn", "label-skew", "bernoulli", "static", 6, 0.3, "float64", 3)
-@_pin("feddyn", "lr", "dirichlet", "always-on", "rayleigh", 7, 0.3, "float32", 4)
-@_pin("fedasync", "lr", "iid", "always-on", "static", 5, 0.3, "float64", 5)
-# With the pins above, every mechanism and client-state model runs whatever
-# the draws are.
-@_pin("dynamic", "mini_vgg", "iid", "lognormal", "rayleigh", 8, 0.3, "float32", 7)
-@_pin("tifl", "lr", "dirichlet", "partial", "static", 10, 0.3, "float64", 8)
-@_pin("air_fedavg", "lr", "label-skew", "cyclic", "rayleigh", 6, 0.0, "float32", 9)
 def test_every_execution_axis_reproduces_the_reference(scenario, without_batched_kernel):
-    reference, dtype = _run(scenario), scenario.algorithm.dtype
-    exact = dtype == "float64" and scenario.partition.name == "iid"  # every batch is 8
     for axis, run in _axes(scenario, without_batched_kernel).items():
-        rtol = 0.0 if exact else TOLERANCE[axis][dtype]
-        _assert_same_history(reference, run(), rtol, f"{axis}: {scenario.name}")
+        _check(scenario, axis, run)
