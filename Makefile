@@ -15,11 +15,11 @@ test-ci:         ## the exact pytest invocation of the CI test matrix
 lint:            ## ruff static checks, same as the CI lint job (pip install ruff)
 	$(PYTHON) -m ruff check .
 
-analyze:         ## repo-specific invariant checkers (RNG discipline, hot-path allocation, registry/lifecycle) + the mypy strict gate (skipped locally when mypy is absent; the CI analyze job enforces it).  Writes results/analysis_findings.json
+analyze:         ## repo-specific invariant checkers (RNG discipline, hot-path allocation, registry consistency) + the mypy strict gate (skipped locally when mypy is absent; the CI analyze job enforces it).  Writes results/analysis_findings.json
 	$(PYTHON) -m tools.analysis --json results/analysis_findings.json
 	$(PYTHON) -m tools.analysis --mypy
 
-bench:           ## legacy perf harness (serial vs process pool, XL population, mechanism convergence), appends to BENCH_perf_v1.json
+bench:           ## legacy perf harness (XL population, mechanism convergence), appends to BENCH_perf_v1.json
 	$(PYTHON) -m repro.experiments bench --label perf_v1
 
 bench-quick:     ## smaller/faster perf smoke run (the CI bench-smoke job); writes BENCH_smoke.json (gitignored) so the committed BENCH_perf_v1.json trajectory stays curated
@@ -33,7 +33,7 @@ bench-xl-smoke:  ## the CI xl-smoke job: 10k-worker tier in a fresh subprocess w
 		--xl-rss-budget-mb 4096 --xl-jsonl results/bench_xl_smoke.jsonl \
 		--label xl_smoke
 
-docs-check:      ## link-check docs/*.md + README, run doctest on their fenced examples and on every src/repro docstring that has `>>>` examples, and check docs/API.md covers every repro.fl/parallel/core/registry/scenario/sweep export (the CI docs job)
+docs-check:      ## link-check docs/*.md + README, run doctest on their fenced examples and on every src/repro docstring that has `>>>` examples, and check docs/API.md covers every repro.fl/core/registry/scenario/sweep export (the CI docs job)
 	$(PYTHON) tools/check_docs.py
 
 sweep-smoke:     ## 2-point scenario grid on the synthetic dataset (the CI sweep-smoke job); streams per-run summaries to results/sweep_smoke.jsonl
@@ -66,8 +66,8 @@ airbench-smoke:  ## the repo benchmark (BENCHMARK.json) at smoke sizes (the CI a
 WORKLOAD ?= scale_1m
 PARENT ?= HEAD
 PAIRS ?= 10
-bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json; exit 1 on a regression
-	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
+bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json, and with RECORD=1 appends a compact record to the committed BENCH_pairs.json; exit 1 on a regression
+	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) $(if $(RECORD),--record)
 
 MODEL ?= mnist_cnn
 PARAMS ?= {"image_size": 8, "scale": 0.1}

@@ -8,7 +8,6 @@ __all__ = [
     "AirCompConfig",
     "GroupingConfig",
     "ConvergenceConfig",
-    "ParallelismConfig",
     "FaultConfig",
     "AirFedGAConfig",
 ]
@@ -119,57 +118,6 @@ class ConvergenceConfig:
 
 
 @dataclass
-class ParallelismConfig:
-    """Execution parallelism of the simulated local training.
-
-    ``mode="processes"`` schedules each group's intra-group training round
-    onto a persistent worker-process pool
-    (:class:`repro.parallel.ProcessGroupExecutor`): the group's members are
-    sharded across the pool, stacked parameters travel through
-    ``multiprocessing.shared_memory`` buffers (no per-round pickling) and
-    the shards reproduce the serial engine's padding/tiling geometry, so
-    results are bit-identical to the serial event loop in float64.
-
-    ``mode="none"`` (default) keeps the single-process batched engine.
-    """
-
-    #: ``"none"`` (serial, default) or ``"processes"`` (worker-process pool).
-    mode: str = "none"
-    #: Pool size; ``None`` uses ``os.cpu_count()``.  More processes than
-    #: groups members / CPU cores only adds dispatch overhead.
-    num_processes: int | None = None
-    #: ``multiprocessing`` start method: ``"fork"`` (default on Linux —
-    #: workers inherit the training data with no pickling at all),
-    #: ``"spawn"`` or ``"forkserver"`` (the model and worker data are
-    #: pickled once at pool start-up, never per round).
-    start_method: str = "fork"
-    #: Groups smaller than this run in-process (dispatch overhead would
-    #: exceed the training cost of a tiny group).
-    min_group_size: int = 2
-    #: How many times a dispatch is retried on a broken pool (the pool is
-    #: respawned between attempts) before falling back to the in-process
-    #: engine for that call.
-    max_restarts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("none", "processes"):
-            raise ValueError(
-                f"parallelism mode must be 'none' or 'processes', got {self.mode!r}"
-            )
-        if self.num_processes is not None and self.num_processes < 1:
-            raise ValueError("num_processes must be >= 1 when given")
-        if self.start_method not in ("fork", "spawn", "forkserver"):
-            raise ValueError(
-                "start_method must be 'fork', 'spawn' or 'forkserver', "
-                f"got {self.start_method!r}"
-            )
-        if self.min_group_size < 1:
-            raise ValueError("min_group_size must be >= 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-
-
-@dataclass
 class FaultConfig:
     """Group-level policy for device faults (see :mod:`repro.sim.clientstate`).
 
@@ -223,7 +171,6 @@ class AirFedGAConfig:
     aircomp: AirCompConfig = field(default_factory=AirCompConfig)
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     convergence: ConvergenceConfig = field(default_factory=ConvergenceConfig)
-    parallelism: ParallelismConfig = field(default_factory=ParallelismConfig)
     #: Floating dtype of the simulation ("float64" or "float32").  float64
     #: is the bit-exact reference mode; float32 halves the memory bandwidth
     #: of the O(q) model/aggregation hot paths for large sweeps at ~1e-7

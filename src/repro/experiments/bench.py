@@ -1,4 +1,4 @@
-"""Legacy performance harness: the three tiers airbench does not hold yet.
+"""Legacy performance harness: the two tiers airbench does not hold yet.
 
 The repo benchmark is ``benchmarks/airbench`` (``BENCHMARK.json``); its
 ``fig_mlp`` / ``fig_cnn`` workloads and ``channel.aircomp.aggregate*_us``
@@ -6,26 +6,14 @@ rows superseded this harness's grouped-round, CNN mini-run and
 aggregation-micro tiers.  What remains here until airbench has the
 corresponding workloads:
 
-1. **grouped_round_mp** — the single-process batched engine against the
-   :class:`~repro.parallel.ProcessGroupExecutor` (worker-process pool +
-   shared-memory arenas, ``config.parallelism``) on Air-FedGA grouped
-   rounds of the MLP workload at 10/50/200 workers;
-2. **grouped_round_xl** — the partition-less lazy-population round at
+1. **grouped_round_xl** — the partition-less lazy-population round at
    10k/100k workers (rounds per second, peak RSS, build time; see
    :func:`bench_grouped_round_xl`);
-3. **mechanism_convergence** — a Table-1-style convergence probe of the
+2. **mechanism_convergence** — a Table-1-style convergence probe of the
    mechanism families (FedAvg / FedProx / FedDyn / FedAsync / Air-FedGA)
    on one seeded label-skew workload: final loss/accuracy, simulated time
    and wall-clock per mechanism, so successive PRs track *convergence*
    regressions alongside the timings.
-
-The ``grouped_round_mp`` rows are annotated with ``cpu_count`` so every
-record is self-describing: a multiprocess speedup is only meaningful on a
-multi-core host (the committed run 3 was recorded on a ``cpu_count: 1``
-container and therefore measures pure dispatch overhead; run 7 is the
-2-core record — see docs/PERFORMANCE.md, "Execution modes — what was
-measured").  The tier *refuses* to run a configuration that silently
-resolved to serial execution.
 
 Results are appended to ``BENCH_<label>.json`` (earlier runs in the
 committed ``BENCH_perf_v1.json`` also carry the rows of the retired
@@ -35,7 +23,6 @@ tiers).  Run via ``make bench`` or ``python -m repro.experiments bench``.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -48,140 +35,12 @@ from ..fl.registry import build_trainer
 from .configs import lr_mnist_config
 
 __all__ = [
-    "bench_grouped_round_mp",
     "bench_grouped_round_xl",
     "bench_mechanism_convergence",
     "run_bench_suite",
     "write_bench_results",
     "main",
 ]
-
-
-def _grouped_round_scenario(catalogue_entry, num_workers: int, **model):
-    """The grouped-round timing shape of a catalogue entry (fig3/fig4 scale).
-
-    An IID partition so every worker trains the same batch geometry,
-    ξ = 1 so one grouped round aggregates the whole population, and
-    per-round evaluation effectively disabled so the timing isolates local
-    training + aggregation (evaluation costs the same in every execution
-    mode and would dilute the comparison).
-    """
-    return catalogue_entry(
-        num_workers=num_workers,
-        num_train=20 * num_workers,
-        image_size=8,
-        max_rounds=10_000,
-        **model,
-    ).with_(
-        partition="iid",
-        training={
-            "local_steps": 5,
-            "batch_size": 32,
-            "eval_every": 1_000_000,
-            "max_eval_samples": 32,
-        },
-        **{"algorithm.grouping.xi": 1.0},
-    )
-
-
-def bench_grouped_round_mp(
-    num_workers: int,
-    rounds_per_group: int = 3,
-    repeats: int = 3,
-    num_processes: Optional[int] = None,
-    parallelism: str = "processes",
-) -> Dict[str, object]:
-    """Time Air-FedGA grouped rounds: serial batched engine vs process pool.
-
-    Both variants run the MLP grouped-round scenario at the fig3
-    benchmark scale (8×8 inputs, 32 hidden units, batch 32, 5 local steps;
-    see :func:`_grouped_round_scenario`); the ``mp`` variant additionally
-    sets ``config.parallelism`` to a :class:`ProcessGroupExecutor` pool of
-    ``num_processes`` workers (default: ``os.cpu_count()``).  Serial and
-    multiprocess results are bit-identical in float64, so the measured
-    delta is pure execution overhead/parallelism.
-
-    The tier refuses to mislabel a serial run as multiprocess: requesting
-    ``parallelism="none"`` raises :class:`ValueError`, and a configuration
-    that silently falls back to serial (no batched engine, unsupported
-    model, pool failure) raises :class:`RuntimeError` instead of timing
-    the serial path under the ``mp`` label.
-    """
-    if parallelism != "processes":
-        raise ValueError(
-            "bench_grouped_round_mp times the multiprocess executor; "
-            f"parallelism={parallelism!r} would silently measure the serial "
-            "path under the 'mp' label"
-        )
-    procs = int(num_processes or os.cpu_count() or 1)
-
-    def make_config(mode: str):
-        par = (
-            {"mode": "processes", "num_processes": procs, "min_group_size": 2}
-            if mode == "mp"
-            else {"mode": "none"}
-        )
-        return _grouped_round_scenario(
-            lr_mnist_config, num_workers, hidden=32
-        ).with_(parallelism=par)
-
-    timings = {"serial": float("inf"), "mp": float("inf")}
-    num_groups = 0
-    total_rounds = 0
-    for _ in range(repeats):
-        for mode in ("serial", "mp"):
-            with make_config(mode).build() as trainer:
-                # Untimed warm-up: bind the engine's stacked buffers and —
-                # on the mp side — force the lazy ProcessPoolExecutor to
-                # actually spawn its workers, build their engines and
-                # attach the shared-memory arenas (a pool only starts on
-                # its first submit, so constructing the executor is not
-                # enough).  The warm-up dispatch writes only into the
-                # group-stack/arena buffers; trainer state is untouched.
-                trainer._release_stack(
-                    trainer.local_update_group(
-                        trainer.groups[0], trainer.global_vector, 1
-                    )
-                )
-                if mode == "mp" and not (
-                    trainer.parallelism_active
-                    and trainer._executor.dispatches > 0
-                ):
-                    # Refuse to record a run whose parallelism silently
-                    # resolved to "none" (unsupported model, pool failure,
-                    # min_group_size gating every group).
-                    raise RuntimeError(
-                        "grouped_round_mp requested multiprocess execution "
-                        "but the trainer resolved to the serial path "
-                        f"({trainer._executor_error or 'pool unavailable'}); "
-                        "refusing to record a mislabeled trajectory"
-                    )
-                num_groups = len(trainer.groups)
-                total_rounds = max(8, num_groups * rounds_per_group)
-                start = time.perf_counter()
-                trainer.run(max_rounds=total_rounds)
-                timings[mode] = min(timings[mode], time.perf_counter() - start)
-                if mode == "mp" and trainer._executor.fallbacks > 0:
-                    # A pool that broke mid-run and exhausted its restart
-                    # budget executed some rounds in-process; that timing
-                    # is not a multiprocess measurement.
-                    raise RuntimeError(
-                        f"grouped_round_mp pool fell back to in-process "
-                        f"execution {trainer._executor.fallbacks} time(s) "
-                        "during the timed run; refusing to record a "
-                        "mislabeled trajectory"
-                    )
-    per_round = {k: v / total_rounds for k, v in timings.items()}
-    return {
-        "num_workers": num_workers,
-        "num_groups": num_groups,
-        "rounds_timed": total_rounds,
-        "num_processes": procs,
-        "cpu_count": os.cpu_count(),
-        "serial_s_per_round": per_round["serial"],
-        "mp_s_per_round": per_round["mp"],
-        "speedup": per_round["serial"] / per_round["mp"],
-    }
 
 
 def _build_xl_trainer(num_workers: int, group_size: int, shard_size: int = 64):
@@ -401,29 +260,15 @@ def bench_mechanism_convergence(
 # ----------------------------------------------------------------------
 def run_bench_suite(
     quick: bool = False,
-    worker_counts: Sequence[int] = (10, 50, 200),
-    num_processes: Optional[int] = None,
     xl_worker_counts: Sequence[int] = (10_000, 100_000),
     xl_rounds: Optional[int] = None,
     xl_rss_budget_mb: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Run the three tiers and return one results record."""
+    """Run the two tiers and return one results record."""
     if quick:
-        worker_counts = tuple(w for w in worker_counts if w <= 50) or (10,)
         xl_worker_counts = tuple(w for w in xl_worker_counts if w <= 10_000) or (
             10_000,
         )
-    rounds_per_group = 1 if quick else 3
-    repeats = 1 if quick else 3
-    grouped_mp = [
-        bench_grouped_round_mp(
-            w,
-            rounds_per_group=rounds_per_group,
-            repeats=repeats,
-            num_processes=num_processes,
-        )
-        for w in worker_counts
-    ]
     grouped_xl = [
         bench_grouped_round_xl(
             w, rounds=xl_rounds, rss_budget_mb=xl_rss_budget_mb
@@ -434,7 +279,6 @@ def run_bench_suite(
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "quick": quick,
-        "grouped_round_mp": grouped_mp,
         "grouped_round_xl": grouped_xl,
         "mechanism_convergence": convergence,
     }
@@ -457,16 +301,7 @@ def write_bench_results(
 
 
 def format_bench_summary(record: Dict[str, object]) -> str:
-    lines = ["Perf benchmark summary (process pool, XL population, convergence):"]
-    for row in record.get("grouped_round_mp", []):
-        lines.append(
-            f"  grouped round (MLP, serial vs {row['num_processes']}-process pool "
-            f"on {row['cpu_count']} cores), {row['num_workers']:4d} workers "
-            f"({row['num_groups']} groups): "
-            f"{row['serial_s_per_round'] * 1e3:8.1f} ms -> "
-            f"{row['mp_s_per_round'] * 1e3:8.1f} ms  "
-            f"({row['speedup']:.2f}x)"
-        )
+    lines = ["Perf benchmark summary (XL population, convergence):"]
     for row in record.get("grouped_round_xl", []):
         lines.append(
             f"  grouped round XL (lazy population), "
@@ -496,8 +331,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments bench",
         description=(
-            "Legacy perf harness: process pool vs serial, XL population and "
-            "mechanism convergence (the repo benchmark is benchmarks/airbench)."
+            "Legacy perf harness: XL population and mechanism convergence "
+            "(the repo benchmark is benchmarks/airbench)."
         ),
     )
     parser.add_argument("--label", default="perf_v1", help="suffix of BENCH_<label>.json")
@@ -505,14 +340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick", action="store_true",
         help="smaller sizes / fewer repeats (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[10, 50, 200],
-        help="worker counts for the grouped_round_mp tier",
-    )
-    parser.add_argument(
-        "--processes", type=int, default=None,
-        help="pool size for the grouped_round_mp tier (default: cpu count)",
     )
     parser.add_argument(
         "--xl-only", action="store_true",
@@ -572,8 +399,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         record = run_bench_suite(
             quick=args.quick,
-            worker_counts=tuple(args.workers),
-            num_processes=args.processes,
             xl_worker_counts=tuple(args.xl_workers),
             xl_rounds=args.xl_rounds,
             xl_rss_budget_mb=args.xl_rss_budget_mb,

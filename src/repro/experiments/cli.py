@@ -297,12 +297,12 @@ def _command_sweep(args: argparse.Namespace) -> str:
                 int(summary["rounds"]),
                 f"{summary['final_accuracy']:.3f}",
                 "hit" if row.get("cache_hit") else "-",
-                row["parallelism_mode"],
+                "-",
             )
         )
     hits = sum(1 for row in rows if row.get("cache_hit"))
     text = format_table(
-        ["scenario", "mechanism", "rounds", "final acc", "cache", "parallelism"],
+        ["scenario", "mechanism", "rounds", "final acc", "cache", "error"],
         table_rows,
         title=(
             f"Sweep results ({len(rows)} runs, {hits} cache hit(s), "

@@ -76,7 +76,6 @@ def _overview_block(rows: Sequence[Mapping[str, Any]]) -> Tuple[List[str], List[
     attempts = sum(int(r.get("attempts", 0)) for r in rows)
     retried = sum(1 for r in succeeded if int(r.get("attempts", 0)) > 1)
     cpu_counts = sorted({r.get("cpu_count") for r in rows if r.get("cpu_count")})
-    modes = sorted({str(r.get("parallelism_mode")) for r in rows if "parallelism_mode" in r})
     table = [
         ["grid points", len(rows)],
         ["succeeded", len(succeeded)],
@@ -85,7 +84,6 @@ def _overview_block(rows: Sequence[Mapping[str, Any]]) -> Tuple[List[str], List[
         ["executions (attempts)", attempts],
         ["retried to success", retried],
         ["cpu_count", ", ".join(str(c) for c in cpu_counts) or "-"],
-        ["parallelism modes", ", ".join(modes) or "-"],
     ]
     return ["metric", "value"], table
 

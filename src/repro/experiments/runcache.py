@@ -48,7 +48,7 @@ __all__ = [
 #: Salt mixed into every :func:`spec_hash`.  Bump when the meaning of a
 #: cached row changes (summary semantics, seed discipline, …): old cache
 #: entries then simply never hit again.
-CACHE_VERSION = "sweep-cache-v4"
+CACHE_VERSION = "sweep-cache-v5"
 
 #: Row keys that describe a point's position in one particular grid, not
 #: the simulation itself; they are stripped before caching and rebuilt

@@ -3,7 +3,7 @@
 A :class:`Scenario` is a single typed document describing *everything*
 about one federated-training simulation: the dataset, its Non-IID
 partition, the wireless channel, the edge-heterogeneity timing model, the
-mechanism, the training budget and the execution parallelism.  Every
+mechanism, the training budget and the device-fault model.  Every
 component is named in the generic registry (:mod:`repro.registry`), so
 ``Scenario.from_dict(json.load(f)).build().run(...)`` fully reproduces a
 run from one JSON blob — no code edits, no hand-wired factories.
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Type
 
 from .. import registry
-from ..core.config import AirFedGAConfig, FaultConfig, ParallelismConfig
+from ..core.config import AirFedGAConfig, FaultConfig
 from ..core.population import validate_materialization
 from ..fl.base import BaseTrainer, FLExperiment
 from ..fl.history import TrainingHistory
@@ -344,12 +344,7 @@ class Scenario:
     ``algorithm``
         The :class:`~repro.core.config.AirFedGAConfig` core-algorithm
         settings (AirComp physical layer, grouping ξ, convergence
-        constants, dtype).  Its ``parallelism`` sub-config is *owned by
-        the scenario's own* ``parallelism`` *section* and normalized to
-        the default here; set parallelism on the scenario, not inside
-        ``algorithm``.
-    ``parallelism``
-        The :class:`~repro.core.config.ParallelismConfig` execution mode.
+        constants, dtype).
     ``faults``
         The device-realism layer (:class:`FaultSpec`): a client-state
         model (availability / dropout / partial work) plus the group-level
@@ -373,7 +368,6 @@ class Scenario:
     mechanism: ComponentSpec = field(default_factory=lambda: ComponentSpec("air_fedga"))
     training: TrainingSpec = field(default_factory=TrainingSpec)
     algorithm: AirFedGAConfig = field(default_factory=AirFedGAConfig)
-    parallelism: ParallelismConfig = field(default_factory=ParallelismConfig)
     faults: FaultSpec = field(default_factory=FaultSpec)
 
     # ------------------------------------------------------------------
@@ -405,10 +399,6 @@ class Scenario:
             self.algorithm = _dataclass_from_dict(
                 AirFedGAConfig, self.algorithm, "scenario.algorithm"
             )
-        if isinstance(self.parallelism, Mapping):
-            self.parallelism = _dataclass_from_dict(
-                ParallelismConfig, self.parallelism, "scenario.parallelism"
-            )
         if isinstance(self.faults, Mapping):
             self.faults = _dataclass_from_dict(FaultSpec, self.faults, "scenario.faults")
         elif isinstance(self.faults, str):
@@ -418,14 +408,6 @@ class Scenario:
             raise ValueError(
                 "scenario.faults must be a client-state name, mapping or "
                 f"FaultSpec, got {type(self.faults).__name__}"
-            )
-        # Parallelism lives in its own section; normalize the copy nested
-        # inside the algorithm config so equality and serialization have
-        # one source of truth.
-        if self.algorithm.parallelism != ParallelismConfig():
-            raise ValueError(
-                "set execution parallelism on scenario.parallelism, not inside "
-                "scenario.algorithm.parallelism (the nested copy is ignored)"
             )
         # Component names must resolve now, not at build time: a typo'd
         # spec fails at construction with did-you-mean suggestions.
@@ -524,9 +506,6 @@ class Scenario:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serializable document fully describing this scenario."""
-        algorithm = asdict(self.algorithm)
-        # Parallelism is its own top-level section (see class docstring).
-        algorithm.pop("parallelism", None)
         return {
             "name": self.name,
             "num_workers": self.num_workers,
@@ -538,8 +517,7 @@ class Scenario:
             "timing": asdict(self.timing),
             "mechanism": self.mechanism.to_dict(),
             "training": asdict(self.training),
-            "algorithm": algorithm,
-            "parallelism": asdict(self.parallelism),
+            "algorithm": asdict(self.algorithm),
             "faults": self.faults.to_dict(),
         }
 
@@ -624,14 +602,13 @@ class Scenario:
             seed=self.seed + 4,
             **self.faults.clientstate.params,
         )
-        config = replace(self.algorithm, parallelism=self.parallelism)
         return FLExperiment(
             dataset=dataset,
             partition=partition,
             model_factory=self._model_factory(),
             latency=latency,
             channel=channel,
-            config=config,
+            config=replace(self.algorithm),
             learning_rate=self.training.learning_rate,
             local_steps=self.training.local_steps,
             batch_size=self.training.batch_size,
@@ -645,12 +622,7 @@ class Scenario:
         )
 
     def build(self) -> BaseTrainer:
-        """Build the mechanism trainer, ready to ``run()``.
-
-        Trainers are context managers; prefer ``with scenario.build() as
-        trainer:`` when parallelism is enabled so pool resources are
-        released deterministically.
-        """
+        """Build the mechanism trainer, ready to ``run()``."""
         return build_trainer(
             self.mechanism.name, self.build_experiment(), **self.mechanism.params
         )

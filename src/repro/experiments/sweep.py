@@ -59,6 +59,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..nn.batched import use_one_lane
 from .runcache import (
     RunCache,
     atomic_write_json,
@@ -88,24 +89,13 @@ SWEEP_ROW_KEYS = frozenset(
 )
 
 #: Additional keys on successful rows (the documented report-tooling
-#: surface: per-run summary, device-fault counters, resolved
-#: execution mode).
-SWEEP_SUCCESS_ROW_KEYS = SWEEP_ROW_KEYS | frozenset(
-    {
-        "mechanism",
-        "parallelism_configured",
-        "parallelism_mode",
-        "summary",
-        "faults",
-    }
-)
+#: surface: per-run summary and device-fault counters).
+SWEEP_SUCCESS_ROW_KEYS = SWEEP_ROW_KEYS | frozenset({"mechanism", "summary", "faults"})
 
 #: Additional keys on rows whose point failed every attempt.  The
 #: ``spec_hash`` (inherited from :data:`SWEEP_ROW_KEYS`) is what lets a
 #: later ``--resume`` distinguish "failed, retry me" from "never started".
-SWEEP_ERROR_ROW_KEYS = SWEEP_ROW_KEYS | frozenset(
-    {"error", "traceback", "parallelism_mode"}
-)
+SWEEP_ERROR_ROW_KEYS = SWEEP_ROW_KEYS | frozenset({"error", "traceback"})
 
 
 def _find_axes(node: Mapping[str, Any], prefix: str = "") -> List[Tuple[str, List[Any]]]:
@@ -174,8 +164,7 @@ def _execute_point(
     """Run one grid point; returns its JSONL row.  Must stay module-level
     (and take only JSON-native arguments) so process pools can pickle it.
 
-    Transient failures (a pool worker OOM-killed, a flaky shared-memory
-    init, …) are retried ``retries`` times with ``retry_backoff`` seconds
+    Transient failures (a pool worker OOM-killed, …) are retried ``retries`` times with ``retry_backoff`` seconds
     of real-time backoff before the point is given up on; the emitted
     error row then carries the exception *and* its full traceback string
     so a failed sweep is debuggable from the JSONL alone.  ``attempts``
@@ -201,16 +190,7 @@ def _execute_point(
             # error row, not abort the sweep.
             scenario = Scenario.from_dict(scenario_dict)
             row["mechanism"] = scenario.mechanism.name
-            row["parallelism_configured"] = scenario.parallelism.mode
-            with scenario.build() as trainer:
-                history = trainer.run(
-                    max_rounds=scenario.training.max_rounds,
-                    max_time=scenario.training.max_time,
-                )
-                # Resolved *inside* the context: close() tears the pool down.
-                row["parallelism_mode"] = (
-                    "processes" if trainer.parallelism_active else "none"
-                )
+            history = scenario.run()
             row["summary"] = history.summary()
             row["faults"] = history.fault_counters()
             row.pop("error", None)
@@ -219,7 +199,6 @@ def _execute_point(
         except Exception as exc:  # one failed point must not sink the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["traceback"] = traceback.format_exc()
-            row["parallelism_mode"] = row.get("parallelism_mode", "none")
             if attempt < retries and retry_backoff > 0:
                 time.sleep(retry_backoff * (attempt + 1))
     return row
@@ -357,13 +336,13 @@ class SweepRunner:
         Process-pool size; ``None`` uses ``min(grid size, cpu_count)``.
     mode:
         ``"processes"`` (default) runs grid points concurrently on a
-        ``concurrent.futures.ProcessPoolExecutor``; ``"serial"`` runs
-        them in-process (useful under doctest or when the scenarios
-        themselves use ``parallelism.mode="processes"`` — avoid nesting
-        pools).
+        ``concurrent.futures.ProcessPoolExecutor`` whose workers train
+        every group on one core (the sweep already occupies the others);
+        ``"serial"`` runs them in-process, where the batched engine may
+        split a large group across the cores (useful under doctest).
     start_method:
         ``multiprocessing`` start method for the pool (``"fork"``
-        default, matching :class:`~repro.core.config.ParallelismConfig`).
+        default).
     retries:
         How many times a failed grid point is re-executed (with real-time
         backoff) before its error row — carrying the exception and the
@@ -619,7 +598,9 @@ class SweepRunner:
         workers = min(workers, len(payloads))
         try:
             context = multiprocessing.get_context(self.start_method)
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+            pool = ProcessPoolExecutor(
+                max_workers=workers, mp_context=context, initializer=use_one_lane
+            )
         except (ValueError, OSError):
             # Start method unavailable on this platform: degrade to serial
             # rather than fail the sweep.

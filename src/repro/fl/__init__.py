@@ -10,13 +10,10 @@ Public entry points (documented in ``docs/API.md``):
 * :class:`FLExperiment` — the experiment bundle every trainer consumes
   (dataset, partition, model factory, latency table, channel, config);
   local training runs on the vectorized group engine whenever every
-  model layer has a batched kernel (the per-worker loop otherwise), and
-  ``config.parallelism`` upgrades group rounds to a worker-process pool
-  (:mod:`repro.parallel`);
+  model layer has a batched kernel (the per-worker loop otherwise);
 * :class:`BaseTrainer` — shared machinery (local updates, AirComp and
   OMA aggregation, evaluation, energy accounting).  Trainers are context
-  managers: ``with build_trainer(...) as t: t.run(...)`` releases any
-  multiprocess resources deterministically;
+  managers (``with build_trainer(...) as t: t.run(...)``);
 * the axes a mechanism is assembled from — the schedules
   :class:`SynchronousTrainer` (barrier rounds), :class:`GroupedAsyncTrainer`
   (per-group commits) and :class:`FedAsyncTrainer` (per-update commits),

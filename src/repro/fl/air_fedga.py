@@ -14,12 +14,9 @@ This trainer wires together the three contributions:
   :class:`~repro.fl.grouped.GroupedAsyncTrainer` driven by the
   READY/EXECUTE protocol state machine.
 
-Because groups are independent between global commits, each group's
-intra-group training round can be executed on a worker-process pool
-(``AirFedGAConfig.parallelism``, see :mod:`repro.parallel`) without
-changing any simulated quantity — the trainer produces bit-identical
-float64 histories whether a round trains serially or sharded across
-processes.
+Within a group every member's local SGD is independent, so the batched
+engine may split a large group across the host's cores without changing
+any simulated quantity — the history is bit-identical either way.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ the grouped schedule, a *grouping* (:data:`repro.core.grouping.GROUPING_STRATEGI
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -47,7 +46,6 @@ from ..nn.batched import BatchedWorkerEngine, StepTransform
 from ..nn.models import Model
 from ..nn.optim import SGD
 from ..nn.params import parameter_dtype, unflatten_vector
-from ..parallel import ProcessGroupExecutor, UnsupportedModelError
 from ..sim.clientstate import ClientStateModel
 from ..sim.latency import LatencyTable
 from .history import RoundRecord, TrainingHistory
@@ -273,11 +271,6 @@ class BaseTrainer:
         self._pc_cache: Optional[PowerControlCache] = (
             PowerControlCache() if cfg.power_control_cache else None
         )
-        # Multiprocess group executor (config.parallelism): created lazily
-        # on the first group dispatch so trainers that never train (or run
-        # serial) spawn no pool.  See repro.parallel.ProcessGroupExecutor.
-        self._executor: Optional[ProcessGroupExecutor] = None
-        self._executor_error: Optional[str] = None
         # Fault-injection model (repro.sim.clientstate).  The always-on model
         # is normalized to None so every schedule's fast path — and therefore
         # bit-identical histories — applies whenever no fault can occur.
@@ -313,87 +306,16 @@ class BaseTrainer:
     def _release_stack(self, stack: Optional[np.ndarray]) -> None:
         """Recycle a population-pool group stack after commit.
 
-        No-op for arrays the pool does not own (executor arena views,
-        partial-work copies), so schedules may call it unconditionally.
+        No-op for arrays the pool does not own (partial-work copies), so
+        schedules may call it unconditionally.
         """
         self.population.stack_pool.release(stack)
-
-    # ------------------------------------------------------------------
-    # Multiprocess execution (config.parallelism)
-    # ------------------------------------------------------------------
-    def parallel_executor(self) -> Optional[ProcessGroupExecutor]:
-        """The process-pool group executor, or ``None`` when parallelism is
-        off, unsupported for this model, or failed to initialize.
-
-        The executor is created on first use; an unsupported model (no
-        batched engine, or active Dropout) downgrades to the serial path
-        with a :class:`RuntimeWarning` and is not retried.
-        """
-        par = self.exp.config.parallelism
-        if par.mode != "processes":
-            return None
-        if self._executor is not None and not self._executor.closed:
-            return self._executor
-        if self._executor_error is not None:
-            return None
-        if self._engine is None:
-            self._executor_error = (
-                "no batched engine (a model layer has no registered batched kernel)"
-            )
-            warnings.warn(
-                "parallelism mode 'processes' requested but the trainer has "
-                f"{self._executor_error}; running serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        try:
-            self._executor = ProcessGroupExecutor(
-                self.model,
-                self._worker_data,
-                learning_rate=self.exp.learning_rate,
-                local_steps=self.exp.local_steps,
-                batch_size=self.exp.batch_size,
-                seed=self.exp.seed,
-                num_processes=par.num_processes,
-                start_method=par.start_method,
-                max_restarts=par.max_restarts,
-            )
-        except (UnsupportedModelError, ValueError, OSError) as exc:
-            # UnsupportedModelError: no batched engine / active Dropout.
-            # ValueError/OSError: pool or shared-memory initialization
-            # failure (e.g. start_method unavailable on this platform,
-            # shm limits) — downgrade to serial rather than abort the run.
-            self._executor_error = str(exc)
-            warnings.warn(
-                f"parallelism mode 'processes' requested but unavailable; "
-                f"running serial: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        return self._executor
-
-    @property
-    def parallelism_active(self) -> bool:
-        """Whether group rounds are actually dispatched to a process pool."""
-        return self._executor is not None and not self._executor.closed
-
-    def close(self) -> None:
-        """Release multiprocess resources (worker pool, shared memory).
-
-        Idempotent; serial trainers are unaffected.  Trainers are also
-        usable as context managers (``with build_trainer(...) as t:``).
-        """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
 
     def __enter__(self) -> "BaseTrainer":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """A trainer holds nothing to release; ``with trainer:`` reads as a run's scope."""
 
     def _commit_global(self, new_global: np.ndarray) -> None:
         """Install ``new_global`` as the global model.
@@ -502,30 +424,11 @@ class BaseTrainer:
         when available (one batched matmul per layer per SGD step for the
         whole group), falling back to sequential :meth:`local_update` calls
         otherwise.  Both paths draw identical per-worker mini-batches, so
-        they agree to ~1e-9 per parameter in float64.
-
-        With ``config.parallelism.mode == "processes"`` the round is
-        dispatched to the :class:`~repro.parallel.ProcessGroupExecutor`
-        instead: members are sharded across a worker-process pool and the
-        returned stack is a view into the executor's shared-memory arena
-        (valid until the next dispatch) — bit-identical in float64 to the
-        serial engine.  Groups smaller than
-        ``parallelism.min_group_size`` stay in-process.
+        they agree to ~1e-9 per parameter in float64.  The engine splits a
+        large group across the host's cores itself, bit-identically.
         """
         ids = list(worker_ids)
         transform = self.local_step_transform(ids, base_vector, round_index)
-        par = self.exp.config.parallelism
-        # The process pool knows nothing about step transforms, so groups
-        # with an active mechanism correction always train in-process (the
-        # batched engine still vectorizes them over the group axis).
-        if (
-            transform is None
-            and par.mode == "processes"
-            and len(ids) >= par.min_group_size
-        ):
-            executor = self.parallel_executor()
-            if executor is not None:
-                return executor.run_group(ids, base_vector, round_index, out=out)
         if out is None:
             out = self._group_stack(len(ids))
         if self._engine is not None:

@@ -12,20 +12,18 @@ a virtual-time event loop on top of the
 :class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine.
 
 How a group's local-training phase executes is orthogonal to the
-schedule: on the in-process batched engine (the per-worker loop for a
-model with a kernel-less layer), or — with
-``config.parallelism.mode == "processes"`` — on a worker-process pool
-(:class:`~repro.parallel.ProcessGroupExecutor`) that shards the group
-across CPU cores through shared-memory buffers.
+schedule: on the batched engine, which splits a large group across the
+host's cores on threads of its own (the per-worker loop for a model with a
+kernel-less layer).
 
 The virtual-time event loop itself is single-threaded and strictly
 ordered, like Algorithm 1: one group at a time goes READY → EXECUTE →
 aggregate, and aggregation, power control and the channel-noise RNG
-always run in the parent process, in event order.  The produced
-:class:`~repro.fl.history.TrainingHistory` is therefore bit-identical in
-float64 between serial and multiprocess execution (see
-``docs/ARCHITECTURE.md``, "Determinism invariants", for exactly which
-operations must stay in the parent and in event order).
+always run on the calling thread, in event order.  The produced
+:class:`~repro.fl.history.TrainingHistory` is therefore bit-identical
+however many cores a group trains on (see ``docs/ARCHITECTURE.md``,
+"Determinism invariants", for exactly which operations must stay in event
+order).
 """
 
 from __future__ import annotations
@@ -375,9 +373,9 @@ class GroupedAsyncTrainer(BaseTrainer):
         """Blend stage: ``w ← base + f · (w − base)`` for partial local work.
 
         A worker with completion fraction ``f < 1`` only finished that
-        share of its local round.  Works on a copy — the stack may be a
-        view into a reused scratch buffer or the shared-memory arena —
-        and recycles the raw stack, which the copy replaces.
+        share of its local round.  Works on a copy — the stack is a
+        reused pool buffer — and recycles the raw stack, which the copy
+        replaces.
         """
         self.history.partial_updates += int(np.count_nonzero(fractions < 1.0))
         # analyze: allow-alloc(blend must not mutate the recycled stack)
@@ -393,14 +391,6 @@ class GroupedAsyncTrainer(BaseTrainer):
         self, max_rounds: int = 100, max_time: Optional[float] = None
     ) -> TrainingHistory:
         self._begin_run(max_rounds, max_time)
-        # Construct the multiprocess executor (if configured) before the
-        # event loop starts, so a model that cannot be sharded surfaces its
-        # RuntimeWarning here rather than mid-run.  Note the pool itself
-        # spawns its worker processes lazily on the first dispatch — the
-        # first round still pays that one-time cost (benchmarks that need
-        # it excluded perform an untimed warm-up dispatch, see
-        # repro.experiments.bench).  Serial configurations are a no-op.
-        self.parallel_executor()
         cs = self._clientstate
         # Priority queue of (ready_time, group_id): the moment every member
         # of the group has finished local training and sent READY.

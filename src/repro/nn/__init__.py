@@ -17,11 +17,9 @@ from .params import (
 from .batched import (
     BatchedKernel,
     BatchedWorkerEngine,
-    EngineSpec,
     batched_layer_supported,
     model_shard_safe,
     register_batched_kernel,
-    shared_stack_view,
 )
 from .layers import (
     Conv2D,
@@ -62,11 +60,9 @@ __all__ = [
     "parameter_dtype",
     "BatchedKernel",
     "BatchedWorkerEngine",
-    "EngineSpec",
     "batched_layer_supported",
     "model_shard_safe",
     "register_batched_kernel",
-    "shared_stack_view",
     "Layer",
     "Dense",
     "ReLU",

@@ -27,18 +27,15 @@ order are the scalar layers'.  Models containing other (custom) layers are
 reported as unsupported and the trainers fall back to the scalar
 per-worker path.
 
-Multiprocess support (see :mod:`repro.parallel` and ``docs/API.md``):
-:meth:`BatchedWorkerEngine.build_spec` returns a picklable
-:class:`EngineSpec` from which pool workers rebuild the engine in their
-own process; :func:`shared_stack_view` wraps externally owned memory
-(e.g. ``multiprocessing.shared_memory``) as a ``(G, q)`` output stack the
-engine writes into directly (buffer donation via ``run_group(out=...)``);
-the ``pad_to`` argument of :meth:`BatchedWorkerEngine.run_group` pins a
-shard of a ragged group to the full group's padded batch dimension so
-sharded execution reproduces the serial GEMM shapes bit for bit; and
-:func:`model_shard_safe` reports whether a model's group training may be
-split across processes at all (active Dropout may not — its mask stream
-spans the whole group).
+Lanes: a large group is split across the host's cores inside one call.
+Each *lane* owns a kernel set and its sampling geometry; lane 0 is the
+calling thread, the others come from a thread pool built once per process.
+Every tile of the serial call tree is cut into contiguous runs of members,
+one per lane, each padded to the tile's batch dimension, so every member's
+GEMM shapes — and its result — are the serial ones.  A tile is split only
+when every lane writes at least ``_LANE_MIN_WRITES`` elements per SGD step
+(NumPy releases the GIL in long passes only) and :func:`model_shard_safe`
+allows it (active Dropout does not: its mask stream spans the whole group).
 
 Numerical contract: for a given ``(seed, worker_id, round_index)`` the
 engine draws exactly the same mini-batch indices as the scalar path and
@@ -53,8 +50,11 @@ models keep the same equivalence guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,12 +64,10 @@ from .models import Model, SequentialModel
 __all__ = [
     "BatchedKernel",
     "BatchedWorkerEngine",
-    "EngineSpec",
     "StepTransform",
     "batched_layer_supported",
     "model_shard_safe",
     "register_batched_kernel",
-    "shared_stack_view",
 ]
 
 
@@ -129,10 +127,14 @@ class BatchedKernel(Protocol):
     ``sgd_step(lr)``.  Optional hooks, discovered by the engine via
     ``hasattr``: ``begin_round(batches, local_steps)`` called once per
     :meth:`BatchedWorkerEngine.run_group` and ``begin_step(step)`` called
-    before each SGD step (used by stateful kernels such as Dropout).
-    Kernels exposing a ``skip_input_grad`` attribute have it set to ``True``
-    when they are the model's first parametric layer, allowing them to skip
-    the (largest) input-gradient computation.
+    before each SGD step (used by stateful kernels such as Dropout), and
+    ``member_writes(shape, batch)`` → ``(output shape, elements)``: a
+    sample's output shape for a sample of ``shape``, and the most elements
+    one member's slice of any array the kernel writes per step occupies —
+    the size the lane gate reads; a model with a kernel lacking it trains
+    on one lane.  Kernels exposing a ``skip_input_grad`` attribute have it
+    set to ``True`` when they are the model's first parametric layer,
+    allowing them to skip the (largest) input-gradient computation.
     """
 
     param_size: int
@@ -156,8 +158,17 @@ _KERNEL_REGISTRY: Dict[type, Callable[[Layer, int], BatchedKernel]] = {}
 #: tile pads to its own largest batch unless ``pad_to`` pins it, so there
 #: the tile size moves the last bits, within 1e-9).  Dense/MLP models
 #: stay untiled (their per-worker buffers are small and the one-big-matmul
-#: layout is what delivers their speedup).
+#: layout is what delivers their speedup).  Lanes split tiles, not groups.
 _CONV_GROUP_TILE = 12
+
+#: Most lanes one call uses (the calling thread plus pool threads), and the
+#: fewest elements the largest array of one lane's SGD step must hold for a
+#: tile to be split: below it the NumPy calls are too short to release the
+#: GIL for long.  Measured on 2 cores (docs/PERFORMANCE.md, "Lanes — what was
+#: measured"): conv groups of 2–3 members (51k) ran at 0.56–0.74x of one
+#: lane, of 6 members and more (154k and up) at 1.19–1.51x.
+_MAX_LANES = 2
+_LANE_MIN_WRITES = 120_000
 
 
 def register_batched_kernel(
@@ -197,16 +208,14 @@ def batched_layer_supported(layer: object) -> bool:
 
 
 def model_shard_safe(model: object) -> bool:
-    """Whether a group may be *sharded* across independent engine instances.
+    """Whether a group may be *sharded* across independent kernel sets.
 
-    The multiprocess executor splits one group's members over several
-    worker processes, each running its own :class:`BatchedWorkerEngine`.
+    The engine's lanes split one group's members over several kernel sets.
     That is result-preserving for every built-in kernel except active
     :class:`~repro.nn.layers.Dropout`: its masks are drawn worker-major
     from one generator stream spanning the *whole* group, which a shard
-    holding only part of the group cannot replay.  Such models must train
-    in a single process (the executor refuses them and the trainer falls
-    back to the serial engine).
+    holding only part of the group cannot replay.  Such models train on
+    one lane.
     """
     layers = getattr(model, "layers", None)
     if layers is None:
@@ -214,26 +223,6 @@ def model_shard_safe(model: object) -> bool:
     return not any(
         isinstance(layer, Dropout) and layer.rate > 0.0 for layer in layers
     )
-
-
-def shared_stack_view(
-    buffer, group: int, dimension: int, dtype=np.float64, offset: int = 0
-) -> np.ndarray:
-    """Wrap externally owned memory as a ``(group, dimension)`` output stack.
-
-    This is the engine's buffer-donation entry point: the returned view is
-    writable whenever ``buffer`` is (e.g. ``multiprocessing.shared_memory
-    .SharedMemory.buf``) and is accepted directly as the ``out`` argument
-    of :meth:`BatchedWorkerEngine.run_group`, so worker processes write
-    their shard's updated models straight into the shared arena — no
-    copies, no pickling.  ``offset`` is in *elements*, letting several
-    shards view disjoint row ranges of one arena.
-    """
-    dt = np.dtype(dtype)
-    arr = np.frombuffer(
-        buffer, dtype=dt, count=group * dimension, offset=offset * dt.itemsize
-    )
-    return arr.reshape(group, dimension)
 
 
 def _has_shared_dropout_rng(model: SequentialModel) -> bool:
@@ -373,6 +362,16 @@ class _BatchedDense:
             b = flat[..., self.bias_offset : self.bias_offset + self.bias_size]
             self.bias += b
 
+    def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
+        return (self.out_features,), max(
+            self.weight_size, batch * max(self.in_features, self.out_features)
+        )
+
+
+def _elementwise_writes(shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
+    """``member_writes`` of a kernel writing one output the size of its input."""
+    return shape, batch * math.prod(shape)
+
 
 @register_batched_kernel(ReLU)
 class _BatchedReLU:
@@ -381,6 +380,8 @@ class _BatchedReLU:
     def __init__(self, layer: ReLU, offset: int) -> None:
         self._buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
         self._mask: Optional[np.ndarray] = None
+
+    member_writes = staticmethod(_elementwise_writes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bufs = self._buffers.get(x.shape)
@@ -406,6 +407,9 @@ class _BatchedFlatten:
 
     def __init__(self, layer: Flatten, offset: int) -> None:
         self._shape: Optional[Tuple[int, ...]] = None
+
+    def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
+        return (math.prod(shape),), 0  # a reshaped view
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
@@ -511,6 +515,15 @@ class _BatchedConv2D:
         if self.has_bias:
             b = flat[..., self.bias_offset : self.bias_offset + self.bias_size]
             self.bias += b
+
+    def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
+        _, h, w = shape
+        span = h + 2 * self.padding - self.kernel_size, w + 2 * self.padding - self.kernel_size
+        oh, ow = (d // self.stride + 1 for d in span)
+        rows = batch * oh * ow  # of the column tensor and the GEMM outputs
+        return (self.out_channels, oh, ow), max(
+            self.weight_size, rows * max(self.k_cols, self.out_channels)
+        )
 
     # -- geometry / buffers ----------------------------------------------
     def _buffers_for(self, shape: Tuple[int, ...], dtype: np.dtype) -> Dict[str, object]:
@@ -699,6 +712,10 @@ class _BatchedMaxPool2D:
         self._buffers: Dict[Tuple[int, ...], Dict[str, np.ndarray]] = {}
         self._geo: Optional[Dict[str, np.ndarray]] = None
 
+    def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
+        c, h, w = shape
+        return (c, h // self.pool_size, w // self.pool_size), batch * c * h * w
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         g, b, c, h, w = x.shape
         p = self.pool_size
@@ -778,6 +795,8 @@ class _BatchedDropout:
         self._mask: Optional[np.ndarray] = None
         self._out: Dict[Tuple[int, ...], np.ndarray] = {}
 
+    member_writes = staticmethod(_elementwise_writes)
+
     def begin_round(self, batches: Sequence[int], local_steps: int) -> None:
         self._batches = batches
         self._steps = local_steps
@@ -835,6 +854,37 @@ class _BatchedDropout:
 #: subset under faults is one more copy; one over a shared store owns nothing.
 _ROSTER_CACHE_BYTES = 256 * 2**20
 
+#: Process id -> this process's lane count and the thread pool serving every
+#: lane but the first.  Keyed by process id: a forked child inherits the pool
+#: object but not its threads, so each process builds its own on first use.
+_LANES: Dict[int, Tuple[int, Optional[ThreadPoolExecutor]]] = {}
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lanes() -> Tuple[int, Optional[ThreadPoolExecutor]]:
+    """This process's lane count and the pool lending the lanes after the first."""
+    pid = os.getpid()
+    if pid not in _LANES:
+        lanes = min(_MAX_LANES, _usable_cores())
+        pool = ThreadPoolExecutor(lanes - 1, thread_name_prefix="lane") if lanes > 1 else None
+        _LANES[pid] = (lanes, pool)
+    return _LANES[pid]
+
+
+def use_one_lane() -> None:
+    """Train every group of this process on the calling thread alone.
+
+    For a process whose siblings already occupy the other cores: the
+    workers of ``SweepRunner(mode="processes")`` call it when they start.
+    """
+    _LANES[os.getpid()] = (1, None)
+
 
 def _worker_streams(
     seed: int, worker_ids: Sequence[int], round_index: int
@@ -872,7 +922,9 @@ class _Roster:
     are what each step gathers from with a single ``np.take`` — the shared
     store's own arrays, referenced and not copied, when the members' data
     are row windows of one, else their private arrays back to back; ``geo``
-    is the sampling geometry shared by every roster with these batch sizes.
+    is lane 0's sampling geometry for all of them.  ``shards``, when the
+    lane gate splits the roster, are the ``(a0, a1, geo)`` runs of active
+    members lane 0, 1, … trains, each with its lane's geometry for them.
     """
 
     idle: List[int]
@@ -885,54 +937,30 @@ class _Roster:
     y: np.ndarray
     geo: Dict[str, np.ndarray]
     nbytes: int = 0  # of ``x`` and ``y`` when the roster owns them
+    shards: List[Tuple[int, int, Dict[str, np.ndarray]]] = field(default_factory=list)
 
 
-@dataclass
-class EngineSpec:
-    """A picklable recipe for rebuilding a :class:`BatchedWorkerEngine`.
+#: One lane's share of a call: a roster, its active members ``a0:a1``, the
+#: lane's geometry for them, their rows of ``out`` and their step transform.
+_Job = Tuple[
+    _Roster, int, int, Dict[str, np.ndarray], Union[slice, np.ndarray], Optional[StepTransform]
+]
 
-    The spec carries the (validated) model object itself; models are plain
-    layer lists over NumPy arrays and generators, all of which pickle.
-    With the ``fork`` start method nothing is serialized at all — the spec
-    is inherited — and with ``spawn``/``forkserver`` it is pickled exactly
-    once at pool start-up, never per round.  Build the worker-side engine
-    with :meth:`build`.
+
+class _Lane:
+    """A kernel set, the sampling geometry its steps fill, and the step loop.
+
+    The lanes of an engine share nothing they write, so each can train on a
+    thread of its own.  Lane 0 is built with the engine and the rest when a
+    roster is first split across them.
     """
 
-    model: SequentialModel
-
-    def build(self) -> "BatchedWorkerEngine":
-        """Construct the engine in the current (worker) process."""
-        return BatchedWorkerEngine(self.model)
-
-
-class BatchedWorkerEngine:
-    """Runs the local SGD of a whole worker group as batched tensor ops.
-
-    Build one per trainer with :meth:`try_build`; the engine keeps its
-    stacked parameter/activation buffers across rounds, so steady-state
-    group updates allocate almost nothing.  Layer support is determined by
-    the kernel registry (see :func:`register_batched_kernel`).
-    """
-
-    def __init__(self, model: SequentialModel) -> None:
-        self.dimension = model.dimension
-        self.dtype = (
-            model.parameters[0].value.dtype
-            if len(model.parameters)
-            else np.dtype(np.float64)
-        )
-        if _has_shared_dropout_rng(model):
-            raise ValueError(
-                "multiple Dropout layers share one random generator; the "
-                "batched kernel replays each layer's stream independently, "
-                "so shared-generator models must use the scalar path "
-                "(use BatchedWorkerEngine.try_build for a graceful fallback)"
-            )
-        self._kernels: List[BatchedKernel] = []
-        self._params: List[BatchedKernel] = []
+    def __init__(self, layers: Sequence[Layer], dimension: int, dtype: np.dtype) -> None:
+        self.dtype = dtype
+        self.kernels: List[BatchedKernel] = []
+        self.params: List[BatchedKernel] = []
         offset = 0
-        for layer in model.layers:
+        for layer in layers:
             factory = _kernel_factory(layer)
             if factory is None:
                 raise ValueError(
@@ -941,37 +969,173 @@ class BatchedWorkerEngine:
                 )
             kernel = factory(layer, offset)
             offset += kernel.param_size
-            self._kernels.append(kernel)
+            self.kernels.append(kernel)
             if kernel.param_size:
-                self._params.append(kernel)
-        if offset != self.dimension:
+                self.params.append(kernel)
+        if offset != dimension:
             raise ValueError(
                 "batched layer parameters do not cover the model vector "
-                f"({offset} of {self.dimension} entries)"
+                f"({offset} of {dimension} entries)"
             )
         # The input gradient of the network's first parametric layer is never
         # consumed (activation/reshape kernels before it carry no parameters).
-        if self._params and hasattr(self._params[0], "skip_input_grad"):
-            self._params[0].skip_input_grad = True
+        if hasattr(self.params[0], "skip_input_grad"):
+            self.params[0].skip_input_grad = True
         # Backward pass stops at the first parametric kernel: it skips its
         # input gradient, and kernels before it own no parameters, so their
         # backward methods would only consume (mis-shaped) skipped output.
-        self._first_param_index = (
-            self._kernels.index(self._params[0]) if self._params else 0
-        )
-        self._round_hooks = [k for k in self._kernels if hasattr(k, "begin_round")]
-        self._step_hooks = [k for k in self._kernels if hasattr(k, "begin_step")]
+        self.first_param_index = self.kernels.index(self.params[0])
+        self.round_hooks = [k for k in self.kernels if hasattr(k, "begin_round")]
+        self.step_hooks = [k for k in self.kernels if hasattr(k, "begin_step")]
+        # Sampling geometry (input buffers, padding masks, divisors), keyed by
+        # the per-member batch sizes, so the event loop alternating between
+        # groups never rebuilds it.
+        self._geometry: Dict[Tuple, Dict[str, np.ndarray]] = {}
+
+    def geometry(
+        self, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
+    ) -> Dict[str, np.ndarray]:
+        """The buffers and masks a run of members with these batch sizes fills."""
+        key = (b_max, tuple(batches)) + feat_shape
+        geo = self._geometry.get(key)
+        if geo is None:
+            g = len(batches)
+            sizes = np.array(batches)
+            valid = np.arange(b_max)[None, :] < sizes[:, None]
+            geo = {
+                "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
+                "yb": np.zeros((g, b_max), dtype=np.int64),
+                "gidx": np.full((g, b_max), -1, dtype=np.int64),
+                "ragged": min(batches) != b_max,
+                "valid": valid,
+                "pad": ~valid,
+                "row_index": np.arange(g * b_max),
+                "batch_div": sizes[:, None, None].astype(np.float64),
+            }
+            self._geometry[key] = geo
+        return geo
+
+    def train(
+        self,
+        jobs: List[_Job],
+        out: np.ndarray,
+        base_vector: np.ndarray,
+        round_index: int,
+        seed: int,
+        learning_rate: float,
+        local_steps: int,
+    ) -> None:
+        """Each job's members' local SGD from ``base_vector``, into their rows of ``out``."""
+        for roster, a0, a1, geo, rows, transform in jobs:
+            t_scale = transform.scale if transform is not None else 1.0
+            t_offset = transform.offset if transform is not None else None
+            rngs = _worker_streams(seed, roster.ids[a0:a1], round_index)
+            counts, batches = roster.counts[a0:a1], roster.batches[a0:a1]
+            offsets = roster.offsets[a0:a1]
+            x_rows, y_rows = roster.x, roster.y
+            # Padding rows (members with fewer samples than b_max) gather any
+            # valid row, are zeroed and get zero loss gradients, so they
+            # contribute exactly nothing to the batched weight-gradient matmuls.
+            xb, yb, gidx = geo["xb"], geo["yb"], geo["gidx"]
+            ragged, row_index = geo["ragged"], geo["row_index"]
+            g, b_max = gidx.shape
+            gidx.fill(offsets[0])
+            xb_flat = xb.reshape((g * b_max,) + xb.shape[2:])
+            yb_flat = yb.reshape(g * b_max)
+
+            for kernel in self.params:
+                kernel.bind(g, b_max, self.dtype)
+                kernel.load(base_vector)
+            for kernel in self.round_hooks:
+                kernel.begin_round(batches, local_steps)
+
+            for step in range(local_steps):
+                for kernel in self.step_hooks:
+                    kernel.begin_step(step)
+                for k in range(g):
+                    idx = rngs[k].choice(counts[k], size=batches[k], replace=False)
+                    idx += offsets[k]
+                    gidx[k, : batches[k]] = idx
+                np.take(x_rows, gidx.reshape(-1), axis=0, out=xb_flat)
+                np.take(y_rows, gidx.reshape(-1), out=yb_flat)
+                if ragged:
+                    xb[geo["pad"]] = 0
+                    yb[geo["pad"]] = 0
+                h = xb
+                for kernel in self.kernels:
+                    h = kernel.forward(h)
+                # Fused softmax cross-entropy gradient: (softmax − one-hot) / B_k
+                # per worker — exactly the scalar loss normalisation, computed
+                # in place in the logits buffer; padded rows are zeroed by the
+                # validity mask.
+                h -= h.max(axis=-1, keepdims=True)
+                np.exp(h, out=h)
+                h /= h.sum(axis=-1, keepdims=True)
+                grad = h
+                flat = grad.reshape(g * b_max, -1)
+                flat[row_index, yb.reshape(-1)] -= 1.0
+                grad /= geo["batch_div"]
+                if ragged:
+                    grad *= geo["valid"][:, :, None]
+                for kernel in reversed(self.kernels[self.first_param_index :]):
+                    grad = kernel.backward(grad)
+                # StepTransform stages (no-ops on the legacy path): gradients
+                # were computed at the pre-scale parameters above, so the step
+                # is ``w ← scale·w − lr·∇f(w) + offset`` — the same order of
+                # element-wise operations as the scalar path.
+                if t_scale != 1.0:
+                    for kernel in self.params:
+                        kernel.scale_params(t_scale)
+                for kernel in self.params:
+                    kernel.sgd_step(learning_rate)
+                if t_offset is not None:
+                    for kernel in self.params:
+                        kernel.add_offset(t_offset)
+
+            dest = out[rows]  # a view for a slice, else a copy written back
+            for kernel in self.params:
+                kernel.dump(dest)
+            if not isinstance(rows, slice):
+                out[rows] = dest
+
+
+class BatchedWorkerEngine:
+    """Runs the local SGD of a whole worker group as batched tensor ops.
+
+    Build one per trainer with :meth:`try_build`; the engine keeps its
+    stacked parameter/activation buffers across rounds, so steady-state
+    group updates allocate almost nothing.  Layer support is determined by
+    the kernel registry (see :func:`register_batched_kernel`); a group
+    large enough is split across lanes (see the module docstring).
+    """
+
+    def __init__(self, model: SequentialModel) -> None:
+        if not isinstance(model, SequentialModel):
+            raise ValueError(
+                f"batched engine requires a SequentialModel, got {type(model).__name__}"
+            )
+        if len(model.parameters) == 0:
+            raise ValueError("model has no parameters")
+        if _has_shared_dropout_rng(model):
+            raise ValueError(
+                "multiple Dropout layers share one random generator; the "
+                "batched kernel replays each layer's stream independently, "
+                "so shared-generator models must use the scalar path "
+                "(use BatchedWorkerEngine.try_build for a graceful fallback)"
+            )
+        self.dimension = model.dimension
+        self.dtype = model.parameters[0].value.dtype
+        self._layers = list(model.layers)
+        self._lanes = [_Lane(self._layers, self.dimension, self.dtype)]
+        self._shardable = model_shard_safe(model)
         self._tile: Optional[int] = (
             _CONV_GROUP_TILE
-            if any(isinstance(k, _BatchedConv2D) for k in self._kernels)
+            if any(isinstance(k, _BatchedConv2D) for k in self._lanes[0].kernels)
             else None
         )
-        # Cached sampling geometry (input buffers, padding masks, divisors),
-        # keyed by the per-worker batch-size signature of a group.
-        self._geometry: Dict[Tuple, Dict[str, np.ndarray]] = {}
-        # Everything else a roster fixes (see _Roster), keyed by the
-        # ``(worker ids, batch_size, pad_to)`` of the call, in LRU order, and the
-        # bytes they own; ``(store.x, x, y)``, a shared store in the engine's dtypes.
+        # Everything a roster fixes (see _Roster), keyed by the ``(worker ids,
+        # batch_size, pad_to)`` of a tile, in LRU order, and the bytes they own;
+        # ``(store.x, x, y)``, a shared store in the engine's dtypes.
         self._rosters: Dict[Tuple, _Roster] = {}
         self._roster_bytes = 0
         self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -979,53 +1143,13 @@ class BatchedWorkerEngine:
     # ------------------------------------------------------------------
     @classmethod
     def try_build(cls, model: Model) -> Optional["BatchedWorkerEngine"]:
-        """Build an engine for ``model``, or ``None`` if any layer lacks a
-        batched kernel (the caller then uses the scalar per-worker path).
-
-        Support conditions are defined once, in :meth:`build_spec`."""
+        """Build an engine for ``model``, or ``None`` if it has no batched
+        support (the caller then uses the scalar per-worker path): a layer
+        without a kernel, no parameters, or Dropout layers sharing a generator."""
         try:
-            spec = cls.build_spec(model)
+            return cls(model)
         except ValueError:
             return None
-        return spec.build()
-
-    @classmethod
-    def build_spec(cls, model: Model) -> EngineSpec:
-        """Validate ``model`` and return a picklable :class:`EngineSpec`.
-
-        Raises :class:`ValueError` when the model has no batched-engine
-        support (the same conditions under which :meth:`try_build` returns
-        ``None``), so callers fail fast in the parent process instead of
-        inside a pool worker.
-        """
-        if not isinstance(model, SequentialModel):
-            raise ValueError(
-                f"batched engine requires a SequentialModel, got {type(model).__name__}"
-            )
-        unsupported = [
-            layer for layer in model.layers if not batched_layer_supported(layer)
-        ]
-        if unsupported:
-            raise ValueError(
-                f"layers without a batched kernel: {unsupported!r} "
-                "(see repro.nn.batched.register_batched_kernel)"
-            )
-        if len(model.parameters) == 0:
-            raise ValueError("model has no parameters")
-        if _has_shared_dropout_rng(model):
-            raise ValueError(
-                "multiple Dropout layers share one random generator; "
-                "the batched engine cannot reproduce the scalar stream"
-            )
-        return EngineSpec(model=model)
-
-    @property
-    def group_tile(self) -> Optional[int]:
-        """Group sub-tile size used by convolutional models (``None`` when
-        the model runs untiled).  Shard planners must align shard
-        boundaries to this tile so sharded execution reproduces the serial
-        call tree (see :class:`repro.parallel.ProcessGroupExecutor`)."""
-        return self._tile
 
     # ------------------------------------------------------------------
     def run_group(
@@ -1054,11 +1178,10 @@ class BatchedWorkerEngine:
         gathered from in its store, not copied; other sequences once per roster.
 
         ``pad_to`` pins the padded per-worker batch dimension (normally the
-        group's max batch size).  A *shard* of a ragged group padded to the
-        full group's batch dimension runs the exact GEMM shapes of the
-        full-group call, which is what makes multiprocess sharding
-        bit-identical to serial execution (padding rows are zeroed after
-        the gather and contribute exact ``+0.0`` terms).
+        largest member batch of each tile); padding rows are zeroed after
+        the gather and contribute exact ``+0.0`` terms.  The lanes pin every
+        run of members they split a tile into to the tile's dimension, which
+        keeps each member's GEMM shapes — and its result — the serial ones.
 
         ``transform`` applies a per-step affine parameter correction (see
         :class:`StepTransform`); a ``(G, q)`` offset carries one row per
@@ -1080,28 +1203,53 @@ class BatchedWorkerEngine:
                 f"for {len(ids)} workers"
             )
         # Convolutional models: split large groups into cache-sized tiles
-        # (see _CONV_GROUP_TILE; per-worker results are identical).
-        if self._tile is not None and len(ids) > self._tile:
-            for k0 in range(0, len(ids), self._tile):
-                k1 = min(k0 + self._tile, len(ids))
-                self.run_group(
-                    ids[k0:k1],
-                    worker_data[k0:k1],
-                    base_vector,
-                    round_index,
-                    learning_rate=learning_rate,
-                    local_steps=local_steps,
-                    batch_size=batch_size,
-                    seed=seed,
-                    out=out[k0:k1],
-                    pad_to=pad_to,
-                    transform=(
-                        transform.rows(slice(k0, k1))
-                        if transform is not None
-                        else None
-                    ),
+        # (see _CONV_GROUP_TILE; per-worker results are identical), then
+        # each tile across the lanes the gate allows it.
+        n = len(ids)
+        tile = self._tile if self._tile is not None and n > self._tile else max(n, 1)
+        lanes, pool = _lanes()
+        work: List[List[_Job]] = [[] for _ in range(lanes)]
+        for k0 in range(0, n, tile):
+            data = worker_data if tile == n else worker_data[k0 : k0 + tile]
+            roster = self._roster(ids[k0 : k0 + tile], data, batch_size, pad_to)
+            # Workers without data keep the base model and take no SGD steps,
+            # so no correction applies to them; the rest train together.
+            for k in roster.idle:
+                out[k0 + k] = base_vector
+            if not roster.active:
+                continue
+            shards = roster.shards if len(roster.shards) <= lanes else []
+            for lane, (a0, a1, geo) in enumerate(shards or [(0, len(roster.ids), roster.geo)]):
+                rows = (
+                    np.add(roster.active[a0:a1], k0)
+                    if roster.idle
+                    else slice(k0 + a0, k0 + a1)
                 )
-            return out
+                rows_t = transform.rows(rows) if transform is not None else None
+                work[lane].append((roster, a0, a1, geo, rows, rows_t))
+        step = (out, base_vector, round_index, seed, learning_rate, local_steps)
+        futures = [
+            pool.submit(self._lanes[lane].train, jobs, *step)
+            for lane, jobs in enumerate(work)
+            if lane and jobs
+        ]
+        try:
+            self._lanes[0].train(work[0], *step)
+        finally:
+            if futures:
+                wait(futures)
+        for future in futures:
+            future.result()
+        return out
+
+    def _roster(
+        self,
+        ids: List[int],
+        worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
+        batch_size: int,
+        pad_to: Optional[int],
+    ) -> _Roster:
+        """The roster of one tile, from the LRU cache or built into it."""
         key = (tuple(ids), batch_size, pad_to)
         roster = self._rosters.pop(key, None)
         if roster is None:
@@ -1110,86 +1258,7 @@ class BatchedWorkerEngine:
         self._rosters[key] = roster  # most recently used last
         while self._roster_bytes > _ROSTER_CACHE_BYTES:
             self._roster_bytes -= self._rosters.pop(next(iter(self._rosters))).nbytes
-        # Workers without data keep the base model; train the rest together.
-        for k in roster.idle:
-            out[k] = base_vector
-        active = roster.active
-        if not active:
-            return out
-        # Restrict a per-worker offset to the active (has-data) rows: workers
-        # without data take no SGD steps, so no correction applies to them.
-        if transform is not None and roster.idle:
-            transform = transform.rows(np.asarray(active))
-        t_scale = transform.scale if transform is not None else 1.0
-        t_offset = transform.offset if transform is not None else None
-        rngs = _worker_streams(seed, roster.ids, round_index)
-        counts_py, batches_py, offsets = roster.counts, roster.batches, roster.offsets
-        x_rows, y_rows, geo = roster.x, roster.y, roster.geo
-        # Padding rows (workers with fewer samples than b_max) gather any
-        # valid row, are zeroed and get zero loss gradients, so they
-        # contribute exactly nothing to the batched weight-gradient matmuls.
-        xb, yb, gidx = geo["xb"], geo["yb"], geo["gidx"]
-        ragged, row_index = geo["ragged"], geo["row_index"]
-        g, b_max = gidx.shape
-        gidx.fill(offsets[0])
-        xb_flat = xb.reshape((g * b_max,) + xb.shape[2:])
-        yb_flat = yb.reshape(g * b_max)
-
-        for kernel in self._params:
-            kernel.bind(g, b_max, self.dtype)
-            kernel.load(base_vector)
-        for kernel in self._round_hooks:
-            kernel.begin_round(batches_py, local_steps)
-
-        for step in range(local_steps):
-            for kernel in self._step_hooks:
-                kernel.begin_step(step)
-            for k in range(g):
-                idx = rngs[k].choice(counts_py[k], size=batches_py[k], replace=False)
-                idx += offsets[k]
-                gidx[k, : batches_py[k]] = idx
-            np.take(x_rows, gidx.reshape(-1), axis=0, out=xb_flat)
-            np.take(y_rows, gidx.reshape(-1), out=yb_flat)
-            if ragged:
-                xb[geo["pad"]] = 0
-                yb[geo["pad"]] = 0
-            h = xb
-            for kernel in self._kernels:
-                h = kernel.forward(h)
-            # Fused softmax cross-entropy gradient: (softmax − one-hot) / B_k
-            # per worker — exactly the scalar loss normalisation, computed
-            # in place in the logits buffer; padded rows are zeroed by the
-            # validity mask.
-            h -= h.max(axis=-1, keepdims=True)
-            np.exp(h, out=h)
-            h /= h.sum(axis=-1, keepdims=True)
-            grad = h
-            flat = grad.reshape(g * b_max, -1)
-            flat[row_index, yb.reshape(-1)] -= 1.0
-            grad /= geo["batch_div"]
-            if ragged:
-                grad *= geo["valid"][:, :, None]
-            for kernel in reversed(self._kernels[self._first_param_index :]):
-                grad = kernel.backward(grad)
-            # StepTransform stages (no-ops on the legacy path): gradients
-            # were computed at the pre-scale parameters above, so the step
-            # is ``w ← scale·w − lr·∇f(w) + offset`` — the same order of
-            # element-wise operations as the scalar path.
-            if t_scale != 1.0:
-                for kernel in self._params:
-                    kernel.scale_params(t_scale)
-            for kernel in self._params:
-                kernel.sgd_step(learning_rate)
-            if t_offset is not None:
-                for kernel in self._params:
-                    kernel.add_offset(t_offset)
-
-        rows = out[active] if roster.idle else out
-        for kernel in self._params:
-            kernel.dump(rows)
-        if rows is not out:
-            out[active] = rows
-        return out
+        return roster
 
     def _build_roster(
         self,
@@ -1211,7 +1280,6 @@ class BatchedWorkerEngine:
         if not active:  # nobody trains: only ``idle`` is ever read
             empty = np.empty(0)
             return _Roster(idle, active, [], [], [], [], empty, empty, {})
-        g = len(active)
         counts_py = counts[active].tolist()
         batches_py = [min(batch_size, c) for c in counts_py]
         b_max = max(batches_py)
@@ -1242,27 +1310,40 @@ class BatchedWorkerEngine:
             _, x_rows, y_rows = self._store_rows
             offsets, owned = first[active].tolist(), 0
         feat_shape = x_rows.shape[1:]
-
-        # Sampling geometry (masks, per-worker divisors, buffers) is fully
-        # determined by the per-worker batch sizes; cache it so the event
-        # loop alternating between groups never rebuilds it.
-        geo_key = (b_max, tuple(batches_py)) + feat_shape
-        geo = self._geometry.get(geo_key)
-        if geo is None:
-            batches = np.array(batches_py)
-            valid = np.arange(b_max)[None, :] < batches[:, None]
-            geo = {
-                "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
-                "yb": np.zeros((g, b_max), dtype=np.int64),
-                "gidx": np.full((g, b_max), -1, dtype=np.int64),
-                "ragged": min(batches_py) != b_max,
-                "valid": valid,
-                "pad": ~valid,
-                "row_index": np.arange(g * b_max),
-                "batch_div": batches[:, None, None].astype(np.float64),
-            }
-            self._geometry[geo_key] = geo
         return _Roster(
             idle, active, [ids[k] for k in active], counts_py, batches_py, offsets,
-            x_rows, y_rows, geo, owned,
+            x_rows, y_rows, self._lanes[0].geometry(b_max, batches_py, feat_shape), owned,
+            self._shards(b_max, batches_py, feat_shape),
         )
+
+    def _shards(
+        self, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
+    ) -> List[Tuple[int, int, Dict[str, np.ndarray]]]:
+        """The lane gate: the runs of a tile's active members each lane trains.
+
+        Empty — the tile stays on lane 0 — unless the process has two lanes
+        or more, the model may be sharded, and every run's largest array per
+        SGD step (the gathered mini-batch or one a kernel writes) holds at
+        least ``_LANE_MIN_WRITES`` elements.
+        """
+        lanes = _lanes()[0]
+        if lanes < 2 or not self._shardable:
+            return []
+        per_member, shape = b_max * math.prod(feat_shape), feat_shape
+        for kernel in self._lanes[0].kernels:
+            sizer = getattr(kernel, "member_writes", None)
+            if sizer is None:
+                return []
+            shape, writes = sizer(shape, b_max)
+            per_member = max(per_member, writes)
+        fewest = max(1, -(-_LANE_MIN_WRITES // per_member))  # members per run
+        count = min(lanes, len(batches) // fewest)
+        if count < 2:
+            return []
+        while len(self._lanes) < count:
+            self._lanes.append(_Lane(self._layers, self.dimension, self.dtype))
+        bounds = [len(batches) * k // count for k in range(count + 1)]
+        return [
+            (a0, a1, self._lanes[k].geometry(b_max, batches[a0:a1], feat_shape))
+            for k, (a0, a1) in enumerate(zip(bounds, bounds[1:]))
+        ]

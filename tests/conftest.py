@@ -7,6 +7,9 @@ minute while still exercising every code path of the library.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import settings
 
@@ -14,7 +17,7 @@ from repro.channel import RayleighFading, StaticChannel
 from repro.core import AirCompConfig, AirFedGAConfig
 from repro.data import Dataset, make_mnist_like, partition_label_skew
 from repro.fl import FLExperiment
-from repro.nn import LogisticRegressionMLP, SequentialModel
+from repro.nn import LogisticRegressionMLP, SequentialModel, batched
 from repro.nn.layers import Layer
 from repro.sim import HeterogeneityModel, LatencyTable
 
@@ -119,6 +122,26 @@ def without_batched_kernel():
         )
 
     return wrap
+
+
+@pytest.fixture()
+def lanes(monkeypatch):
+    """``lanes(count, min_writes=0)``: this process trains on ``count`` lanes.
+
+    Whatever the host's cores, the batched engine then splits every tile
+    whose runs of members write ``min_writes`` elements per step or more —
+    with the default 0, every tile of two active members or more.
+    """
+    pools = []
+
+    def force(count, min_writes=0):
+        pools.append(ThreadPoolExecutor(count - 1) if count > 1 else None)
+        monkeypatch.setitem(batched._LANES, os.getpid(), (count, pools[-1]))
+        monkeypatch.setattr(batched, "_LANE_MIN_WRITES", min_writes)
+
+    yield force
+    for pool in filter(None, pools):
+        pool.shutdown()
 
 
 @pytest.fixture()

@@ -9,7 +9,6 @@ from repro.core import (
     AirFedGAConfig,
     ConvergenceConfig,
     GroupingConfig,
-    ParallelismConfig,
 )
 
 
@@ -84,35 +83,12 @@ class TestConvergenceConfig:
             ConvergenceConfig(**kwargs)
 
 
-class TestParallelismConfig:
-    def test_defaults_are_serial(self):
-        cfg = ParallelismConfig()
-        assert cfg.mode == "none"
-        assert cfg.num_processes is None
-        assert cfg.start_method == "fork"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mode": "threads"},
-            {"num_processes": 0},
-            {"start_method": "teleport"},
-            {"min_group_size": 0},
-            {"max_restarts": -1},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ParallelismConfig(**kwargs)
-
-
 class TestAirFedGAConfig:
     def test_default_composition(self):
         cfg = AirFedGAConfig()
         assert isinstance(cfg.aircomp, AirCompConfig)
         assert isinstance(cfg.grouping, GroupingConfig)
         assert isinstance(cfg.convergence, ConvergenceConfig)
-        assert isinstance(cfg.parallelism, ParallelismConfig)
 
     def test_sub_configs_are_independent_instances(self):
         a, b = AirFedGAConfig(), AirFedGAConfig()

@@ -1,13 +1,13 @@
 """One history per seed, however a round is executed.
 
 Algorithm 1 defines one training history per scenario and seed.  How the
-simulator computes a round must not change it: batched or per-worker, one
-process or a pool, eager or lazy shards, warm or evicted rosters, any conv
-tile, no client-state model or the ``always-on`` one.  One hypothesis
+simulator computes a round must not change it: batched or per-worker, on
+one lane or split across threads, eager or lazy shards, warm or evicted
+rosters, any conv tile, no client-state model or the ``always-on`` one.  One hypothesis
 strategy draws small :class:`Scenario` documents over every registered
 mechanism, partition and client-state model, three model families, both
 channels, ragged groupings and both dtypes.  Each document's reference run
-(serial, batched engine, eager shards, default roster budget) is compared
+(one lane, batched engine, eager shards, default roster budget) is compared
 leaf by leaf of ``history.to_dict()`` against every axis that applies.
 
 ``TOLERANCE`` is the whole envelope.  Every non-zero entry is
@@ -19,9 +19,12 @@ bit-identical on every axis, the fallback included.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +41,7 @@ from repro.nn import batched
 #: MLP is exact in float32), conv tile 1 4.0e-16 and 2.0e-7, tile 5 exact.
 TOLERANCE = {
     "fallback": {"float64": 1e-13, "float32": 2e-5},
-    "processes": {"float64": 0.0, "float32": 0.0},
+    "threads": {"float64": 0.0, "float32": 0.0},
     "lazy": {"float64": 0.0, "float32": 0.0},
     "roster_budget": {"float64": 0.0, "float32": 0.0},
     "tile_1": {"float64": 1e-13, "float32": 2e-5},
@@ -104,12 +107,22 @@ scenarios = st.builds(
 )
 
 
-def _run(scenario, experiment=lambda exp: exp, trainer_hook=lambda trainer: None):
-    """``scenario``'s history, its experiment and trainer edited first."""
-    exp = experiment(scenario.build_experiment())
-    with build_trainer(scenario.mechanism.name, exp, **scenario.mechanism.params) as trainer:
-        trainer_hook(trainer)
-        return trainer.run(max_rounds=scenario.training.max_rounds).to_dict()
+@contextlib.contextmanager
+def _lanes(count):
+    """This process trains on ``count`` lanes, splitting every tile it can."""
+    with ThreadPoolExecutor(1) as pool, pytest.MonkeyPatch.context() as patch:
+        patch.setitem(batched._LANES, os.getpid(), (count, pool if count > 1 else None))
+        patch.setattr(batched, "_LANE_MIN_WRITES", 0)
+        yield
+
+
+def _run(scenario, experiment=lambda exp: exp, trainer_hook=lambda trainer: None, lanes=1):
+    """``scenario``'s history on ``lanes`` lanes, its experiment and trainer edited first."""
+    with _lanes(lanes):
+        exp = experiment(scenario.build_experiment())
+        with build_trainer(scenario.mechanism.name, exp, **scenario.mechanism.params) as t:
+            trainer_hook(t)
+            return t.run(max_rounds=scenario.training.max_rounds).to_dict()
 
 
 def _leaves(node, path=""):
@@ -169,9 +182,7 @@ def _axes(scenario, without_batched_kernel):
 
     axes = {
         "fallback": lambda: _run(scenario, experiment=fallback, trainer_hook=no_engine),
-        "processes": lambda: _run(
-            scenario.with_(parallelism={"mode": "processes", "num_processes": 2})
-        ),
+        "threads": lambda: _run(scenario, lanes=2),
         "lazy": lambda: _run(scenario.with_(**{"data.materialization": "lazy"})),
         "roster_budget": roster_budget,
     }
@@ -187,9 +198,9 @@ def _axes(scenario, without_batched_kernel):
 #: Pinned documents, each the shape a retired hand-written pair checked; each
 #: pin runs every axis as a test of its own, so a failure names both.
 PINS = {
-    # A ragged MLP group of 9 on two processes: shards keep the group's padding.
+    # A ragged MLP group of 9 on two lanes: each run keeps the group's padding.
     "ragged_mlp": ("air_fedga", "lr", "dirichlet", "always-on", "static", 9, 1.0, "float64", 2),
-    # A ragged CNN group of 13 > the 12-wide conv tile: shards align to tiles.
+    # A ragged CNN group of 13 > the 12-wide conv tile: the lanes split each tile.
     "cnn_13": ("air_fedga", "mnist_cnn", "dirichlet", "always-on", "static", 13, 1.0, "float64", 0),
     # Uniform batches: every axis bit-identical in float64, the fallback included.
     "uniform_cnn": ("fedavg", "mnist_cnn", "iid", "always-on", "static", 13, 1.0, "float64", 6),

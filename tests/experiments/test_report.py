@@ -33,7 +33,6 @@ def make_rows():
             "cpu_count": 4,
             "attempts": 1,
             "cache_hit": False,
-            "parallelism_mode": "none",
             "summary": summary(0.8),
             "faults": {"workers_dropped": 2, "quorum_retries": 1},
         },
@@ -45,7 +44,6 @@ def make_rows():
             "cpu_count": 4,
             "attempts": 0,
             "cache_hit": True,
-            "parallelism_mode": "none",
             "summary": summary(0.6, time_s=50.0),
             "faults": {"workers_dropped": 1, "quorum_retries": 0},
         },
@@ -57,7 +55,6 @@ def make_rows():
             "cpu_count": 4,
             "attempts": 3,
             "cache_hit": False,
-            "parallelism_mode": "none",
             "error": "RuntimeError: flaky dependency offline",
             "traceback": "Traceback (most recent call last):\n...",
         },

@@ -89,7 +89,6 @@ class TestSpecHashInvariance:
         bare = base_spec()
         explicit = base_spec(
             faults={"clientstate": {"name": "always-on", "params": {}}},
-            parallelism={"mode": "none"},
         )
         assert spec_hash(bare) == spec_hash(explicit)
 
@@ -120,7 +119,6 @@ LEAF_MUTATIONS = [
     {"partition": {"name": "dirichlet", "params": {}}},
     {"channel": {"name": "static", "params": {}}},
     {"mechanism": {"name": "air_fedavg", "params": {}}},
-    {"parallelism": {"mode": "processes", "num_processes": 2}},
     {"faults": {"clientstate": {"name": "bernoulli", "params": {}}}},
     {"faults": {"quorum_fraction": 0.75}},
     {"faults": {"max_retries": 3}},
@@ -153,8 +151,6 @@ def success_row(hash_):
         "attempts": 1,
         "cache_hit": False,
         "mechanism": "air_fedga",
-        "parallelism_configured": "none",
-        "parallelism_mode": "none",
         "summary": {"rounds": 3.0, "final_accuracy": 0.5},
         "faults": {"workers_dropped": 0},
     }

@@ -12,7 +12,6 @@ from repro.core import (
     AirFedGAConfig,
     ConvergenceConfig,
     GroupingConfig,
-    ParallelismConfig,
 )
 from repro.experiments import (
     ComponentSpec,
@@ -166,19 +165,11 @@ class TestValidation:
         history = tiny_scenario(**{"training.max_rounds": 0}).run()
         assert [record.round_index for record in history.records] == [0]
 
-    def test_parallelism_must_live_in_its_own_section(self):
-        with pytest.raises(ValueError, match="scenario.parallelism"):
-            Scenario(
-                algorithm=AirFedGAConfig(
-                    parallelism=ParallelismConfig(mode="processes")
-                )
-            )
-
     @pytest.mark.parametrize(
         "dotted, section_type",
         [
-            ("parallelism.pipeline", ParallelismConfig),
-            ("parallelism.max_inflight", ParallelismConfig),
+            ("parallelism", Scenario),
+            ("algorithm.parallelism", AirFedGAConfig),
             ("training.engine", TrainingSpec),
             ("algorithm.aircomp.power_control_warm_start", AirCompConfig),
             ("algorithm.aircomp.power_control_cache_rel_tol", AirCompConfig),
@@ -201,15 +192,9 @@ class TestValidation:
         accepted = sorted(f.name for f in dataclasses.fields(section_type))
         assert retired not in accepted
         assert message.startswith(
-            f"scenario.{'.'.join(sections)} has unknown field(s) ['{retired}']"
+            f"{'.'.join(['scenario', *sections])} has unknown field(s) ['{retired}']"
         )
         assert message.endswith(f"(accepted: {accepted})")
-
-    def test_parallelism_section_is_applied_at_build(self):
-        s = tiny_scenario()
-        s = dataclasses.replace(s, parallelism=ParallelismConfig(min_group_size=5))
-        experiment = s.build_experiment()
-        assert experiment.config.parallelism.min_group_size == 5
 
 
 class TestBuilder:
@@ -241,6 +226,10 @@ class TestBuilder:
     def test_with_unknown_field_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'mechanism'"):
             tiny_scenario().with_(mechansim="fedavg")
+
+    def test_with_refuses_the_retired_parallelism_section(self):
+        with pytest.raises(ValueError, match="unknown scenario field 'parallelism'"):
+            tiny_scenario().with_(parallelism={"mode": "processes", "num_processes": 2})
 
     def test_with_does_not_mutate_the_original(self):
         s = tiny_scenario()

@@ -219,6 +219,20 @@ class TestFallback:
         with pytest.raises(ValueError, match="no batched kernel"):
             BatchedWorkerEngine(model)
 
+    def test_a_model_without_parameters_is_refused(self):
+        model = SequentialModel([ReLU("relu"), Flatten("flatten")])
+        assert BatchedWorkerEngine.try_build(model) is None
+        with pytest.raises(ValueError, match="no parameters"):
+            BatchedWorkerEngine(model)
+
+    def test_a_model_that_is_not_sequential_is_refused(self):
+        class _Opaque:
+            layers = [Dense("fc", 8, 3, np.random.default_rng(0))]
+
+        assert BatchedWorkerEngine.try_build(_Opaque()) is None
+        with pytest.raises(ValueError, match="requires a SequentialModel"):
+            BatchedWorkerEngine(_Opaque())
+
     def test_subclass_inherits_kernel_via_mro(self):
         class _StillReLU(ReLU):
             pass

@@ -122,7 +122,7 @@ def test_conv_tiles_slice_the_lazy_sequence():
     store = _store([(k, k + 12) for k in range(0, 40, 2)], features=(1, 8, 8), classes=10)
     model = MnistCNN(image_size=8, scale=0.15, num_classes=10, seed=0)
     ids = list(range(store.num_workers))
-    assert len(ids) > BatchedWorkerEngine.try_build(model).group_tile
+    assert len(ids) > batched._CONV_GROUP_TILE
     engine, _ = _both_ways(model, store, ids, local_steps=1)
     assert len(engine._rosters) > 1
     assert all(r.x is store.x for r in engine._rosters.values())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from tools.analysis import (
     HotPathAllocationChecker,
-    ResourceLifecycleChecker,
     RngDisciplineChecker,
     run_checkers,
 )
@@ -113,24 +112,3 @@ class TestHotPathAllocation:
             assert (REPO_ROOT / rel).exists(), rel
 
 
-class TestResourceLifecycle:
-    def test_bad_fixture_fires_every_rule(self, fixtures_dir):
-        findings = run_on(
-            ResourceLifecycleChecker(), fixtures_dir, "lifecycle_bad.py"
-        )
-        assert rules_of(findings) == ["LIFE001", "LIFE002"]
-
-    def test_good_fixture_is_silent(self, fixtures_dir):
-        assert (
-            run_on(ResourceLifecycleChecker(), fixtures_dir, "lifecycle_good.py")
-            == []
-        )
-
-    def test_real_executor_module_is_clean(self):
-        from tools.analysis.core import REPO_ROOT
-
-        findings = run_checkers(
-            [ResourceLifecycleChecker()],
-            [REPO_ROOT / "src" / "repro" / "parallel" / "executor.py"],
-        )
-        assert findings == []

@@ -73,7 +73,7 @@ class TestJsonAndListing:
         report = tmp_path / "out" / "findings.json"
         main(
             [
-                str(fixtures_dir / "lifecycle_bad.py"),
+                str(fixtures_dir / "rng_bad.py"),
                 "--no-baseline",
                 "--json",
                 str(report),
@@ -81,7 +81,7 @@ class TestJsonAndListing:
         )
         document = json.loads(report.read_text())
         rules = {f["rule"] for f in document["findings"]}
-        assert {"LIFE001", "LIFE002"} <= rules
+        assert {"RNG001", "RNG002"} <= rules
         assert all(
             {"rule", "path", "line", "message", "hint"} <= set(f)
             for f in document["findings"]
@@ -97,8 +97,6 @@ class TestJsonAndListing:
             "RNG004",
             "ALLOC001",
             "ALLOC002",
-            "LIFE001",
-            "LIFE002",
             "REG001",
             "REG002",
             "REG003",

@@ -26,7 +26,7 @@ class TestFinding:
         assert a.fingerprint == b.fingerprint
 
     def test_to_dict_round_trips_through_baseline(self):
-        f = Finding("LIFE001", "m.py", 3, "leak", hint="close it")
+        f = Finding("REG001", "m.py", 3, "undocumented", hint="document it")
         baseline = Baseline.from_findings([f])
         assert baseline.fingerprints == [f.fingerprint]
 
@@ -57,10 +57,10 @@ class TestModuleAllows:
 
     def test_allow_reason_text_is_recovered(self, tmp_path):
         path = write_module(
-            tmp_path, "m.py", "x = 1  # analyze: allow-lifecycle(fire and forget)\n"
+            tmp_path, "m.py", "x = 1  # analyze: allow-registry(test-only plug-in)\n"
         )
         module = Module(path, root=tmp_path)
-        assert module.allow_reason("lifecycle", 1) == "fire and forget"
+        assert module.allow_reason("registry", 1) == "test-only plug-in"
 
 
 class _StaticChecker(Checker):
@@ -120,7 +120,7 @@ class TestBaseline:
         assert stale == [gone.fingerprint]
 
     def test_compare_empty_baseline_everything_is_new(self):
-        f = Finding("LIFE001", "m.py", 1, "leak")
+        f = Finding("REG001", "m.py", 1, "undocumented")
         new_findings, stale = Baseline().compare([f])
         assert new_findings == [f]
         assert stale == []

@@ -119,6 +119,35 @@ class TestMain:
         assert bench_pairs.main(argv, runner=runner) == 1
         assert "regression" in capsys.readouterr().out
 
+    def test_record_appends_one_compact_record_per_run(self, repo, capsys):
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        for message in ("parent", "change"):
+            (repo / "code.txt").write_text(message)
+            subprocess.run(git + ["add", "code.txt", "BENCHMARK.json"], check=True)
+            subprocess.run(git + ["commit", "-q", "-m", message], check=True)
+        shas = [bench_pairs._rev(repo, ref) for ref in ("HEAD~1", "HEAD")]
+
+        def runner(side, seed):
+            scale = 1.0 if side == "parent" else 0.5
+            return {"run_s": scale * (1.0 + seed / 1000), "rounds_per_s": 100.0 / scale}
+
+        argv = ["--workload", "tiny", "--pairs", "4", "--parent", "HEAD~1", "--repo", str(repo)]
+        for _ in range(2):
+            assert bench_pairs.main(argv + ["--record"], runner=runner) == 0
+        bench_pairs.main(argv, runner=runner)  # without --record: nothing appended
+        assert "recorded in" in capsys.readouterr().out
+        records = json.loads((repo / "BENCH_pairs.json").read_text())["records"]
+        assert len(records) == 2
+        record = records[0]
+        assert (record["parent"], record["sha"], record["dirty"]) == (*shas, False)
+        assert (record["workload"], record["pairs"]) == ("tiny", 4)
+        assert set(record["host"]) == {"cpu_count", "affinity", "blas_threads"}
+        run_s = record["metrics"]["run_s"]
+        assert (run_s["won"], run_s["lost"], run_s["verdict"]) == (4, 0, "gain")
+        assert run_s["parent"][1] == pytest.approx(1.0425) and len(run_s["change"]) == 3
+        assert set(record["metrics"]) == {"run_s", "rounds_per_s"}
+
     def test_unknown_workload_is_refused(self, repo, capsys):
         with pytest.raises(SystemExit):
             bench_pairs.main(["--workload", "nope", "--repo", str(repo)], runner=lambda *_: {})

@@ -8,7 +8,6 @@ for the enforced rules.
 
 from .alloc import HOT_PATHS, HotPathAllocationChecker
 from .core import Baseline, Checker, Finding, Module, Project, run_checkers
-from .lifecycle import ResourceLifecycleChecker
 from .registry_rules import RegistryConsistencyChecker
 from .rng import RngDisciplineChecker
 
@@ -21,7 +20,6 @@ __all__ = [
     "run_checkers",
     "HOT_PATHS",
     "HotPathAllocationChecker",
-    "ResourceLifecycleChecker",
     "RegistryConsistencyChecker",
     "RngDisciplineChecker",
     "default_checkers",
@@ -33,6 +31,5 @@ def default_checkers() -> list:
     return [
         RngDisciplineChecker(),
         HotPathAllocationChecker(),
-        ResourceLifecycleChecker(),
         RegistryConsistencyChecker(),
     ]

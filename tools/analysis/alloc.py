@@ -72,8 +72,10 @@ ALLOCATING_CALLS: Set[str] = {
 HOT_PATHS: Dict[str, Set[str]] = {
     # Batched per-step kernels: geometry buffers bind once (in bind()/
     # _buffers_for()/first-touch branches, annotated), the steady-state
-    # forward/backward/step bodies write in place.
+    # forward/backward/step bodies write in place; so does every lane's
+    # step loop, whatever thread runs it.
     "src/repro/nn/batched.py": {
+        "_Lane.train",
         "_BatchedDense.forward",
         "_BatchedDense.backward",
         "_BatchedDense.sgd_step",

@@ -3,7 +3,7 @@
 The suite enforces *structural* invariants that the runtime tests can only
 sample: determinism (all randomness flows through keyed ``SeedSequence``
 streams), O(1) per-round allocation on the declared hot paths, registry
-consistency and shared-memory/future lifecycle discipline.  Each checker
+consistency.  Each checker
 walks the AST of one module (or inspects the imported project once) and
 emits :class:`Finding` objects — ``file:line``, a stable rule id, a
 message and a fix hint.
@@ -17,7 +17,7 @@ the enclosing statement, or on the line directly above it::
     stacked = np.asarray(vectors).copy()  # analyze: allow-alloc(copy must not mutate the arena)
 
 Each checker documents its tag (``allow-rng``, ``allow-alloc``,
-``allow-lifecycle``, ``allow-registry``).  A reasonless ``allow-...()``
+``allow-registry``).  A reasonless ``allow-...()``
 does not suppress anything.
 
 Baseline

@@ -21,7 +21,12 @@ prints both medians with quartiles, the pairs the change won, and one of
   every run of the change reads better than every run of the parent);
 * ``unchanged`` — neither, inside the bound.
 
-Raw samples go to ``results/bench_pairs_<workload>.json``.  Everything the
+Raw samples go to ``results/bench_pairs_<workload>.json``.  With
+``--record`` one compact record of the run is also appended to the
+committed trajectory ``BENCH_pairs.json``: the sha of this checkout and
+of the parent, the host (cores, affinity, BLAS threads), the workload and
+per metric the medians, quartiles, pairs won and verdict.  Record from a
+clean checkout, so that the sha names the code that ran.  Everything the
 script knows about the benchmark it reads from ``BENCHMARK.json``: the
 command, the run length, the metric names, directions and bounds.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,6 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``runner(side, seed) -> {metric: value}`` for ``side`` in ``SIDES``.
 Runner = Callable[[str, int], Dict[str, float]]
 SIDES = ("parent", "change")
+#: BLAS threads both sides run with (the benchmark command pins the same).
+BLAS_THREADS = 1
 
 
 def export_commit(repo: Path, commit: str, target: Path) -> None:
@@ -71,8 +79,10 @@ def benchmark_runner(
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0",
         ]  # fmt: skip
+        blas = {name: str(BLAS_THREADS) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         done = subprocess.run(
-            command, cwd=checkouts[side], stdout=subprocess.PIPE, text=True, check=True
+            command, cwd=checkouts[side], stdout=subprocess.PIPE, text=True, check=True,
+            env={**os.environ, **blas},
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
         if not result["correct"] or result["failed"]:
@@ -159,6 +169,35 @@ def format_rows(rows: List[dict]) -> str:
     return "\n".join(lines)
 
 
+def _rev(repo: Path, ref: str) -> str:
+    done = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", ref], stdout=subprocess.PIPE, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def trajectory_record(repo: Path, parent: str, workload: str, rows: List[dict]) -> dict:
+    """The compact ``BENCH_pairs.json`` record of one run's summary ``rows``."""
+    dirty = subprocess.run(
+        ["git", "-C", str(repo), "status", "--porcelain", "--untracked-files=no"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    ).stdout.strip()
+    affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "sha": _rev(repo, "HEAD"), "parent": _rev(repo, parent), "dirty": bool(dirty),
+        "host": {"cpu_count": os.cpu_count(), "affinity": affinity, "blas_threads": BLAS_THREADS},
+        "workload": workload, "pairs": rows[0]["pairs"],
+        "metrics": {
+            row["metric"]: {
+                "parent": [float(f"{v:.5g}") for v in row["parent"]],
+                "change": [float(f"{v:.5g}") for v in row["change"]],
+                "won": row["won"], "lost": row["lost"], "verdict": row["verdict"],
+            }
+            for row in rows
+        },
+    }  # fmt: skip
+
+
 def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -166,6 +205,9 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=41)
     parser.add_argument("--repo", type=Path, default=REPO_ROOT)
+    parser.add_argument(
+        "--record", action="store_true", help="append a compact record to BENCH_pairs.json"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -190,6 +232,12 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
     }  # fmt: skip
     output.write_text(json.dumps(record, indent=1) + "\n")
     print(f"raw samples: {output}")
+    if args.record:
+        trajectory = args.repo / "BENCH_pairs.json"
+        document = json.loads(trajectory.read_text()) if trajectory.exists() else {"records": []}
+        document["records"].append(trajectory_record(args.repo, args.parent, args.workload, rows))
+        trajectory.write_text(json.dumps(document, indent=1) + "\n")
+        print(f"recorded in {trajectory}")
     return 1 if any(row["verdict"] == "regression" for row in rows) else 0
 
 

@@ -48,7 +48,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 #: ``docs/API.md`` (the curated index of entry points).
 API_COVERAGE_MODULES = (
     "repro.fl",
-    "repro.parallel",
     "repro.core",
     "repro.core.population",
     "repro.registry",

@@ -37,23 +37,24 @@ def _median_us(call: Callable[[], object], repeats: int, clock: Callable[[], flo
 def kernel_times(model, group, batch, repeats=200, clock=time.perf_counter) -> List[dict]:
     """One ``{"kernel", "out_shape", "forward_us", "backward_us"}`` row per layer."""
     engine = BatchedWorkerEngine(model)
-    for kernel in engine._params:
+    lane = engine._lanes[0]
+    for kernel in lane.params:
         kernel.bind(group, batch, engine.dtype)
         kernel.load(model.get_vector())
-    for kernel in engine._round_hooks:
+    for kernel in lane.round_hooks:
         kernel.begin_round([batch] * group, 1)
     feat = getattr(model, "input_dim", None)
     feat = (feat,) if feat else (model.in_channels, model.image_size, model.image_size)
     rng = np.random.default_rng(0)
     h = rng.standard_normal((group, batch) + feat).astype(engine.dtype)
     rows = []
-    for layer, kernel in zip(model.layers, engine._kernels):
+    for layer, kernel in zip(model.layers, lane.kernels):
         forward_us, h = _median_us(lambda: kernel.forward(h), repeats, clock)
         name = f"{layer.name}:{type(layer).__name__}"
         rows.append({"kernel": name, "out_shape": list(h.shape), "forward_us": forward_us, "backward_us": 0.0})
     grad = rng.standard_normal(h.shape).astype(engine.dtype)
     # Like the engine, stop at the first parametric kernel (it skips its input gradient).
-    for row, kernel in reversed(list(zip(rows, engine._kernels))[engine._first_param_index :]):
+    for row, kernel in reversed(list(zip(rows, lane.kernels))[lane.first_param_index :]):
         row["backward_us"], grad = _median_us(lambda: kernel.backward(grad), repeats, clock)
     return rows
 
