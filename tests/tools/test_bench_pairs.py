@@ -133,14 +133,19 @@ class TestMain:
             return {"run_s": scale * (1.0 + seed / 1000), "rounds_per_s": 100.0 / scale}
 
         argv = ["--workload", "tiny", "--pairs", "4", "--parent", "HEAD~1", "--repo", str(repo)]
-        for _ in range(2):
-            assert bench_pairs.main(argv + ["--record"], runner=runner) == 0
+        assert bench_pairs.main(argv + ["--record"], runner=runner) == 0
+        subprocess.run(git + ["add", "BENCH_pairs.json"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "trajectory"], check=True)
+        # A second record modifies the committed trajectory: not a dirty tree.
+        assert bench_pairs.main(argv + ["--record"], runner=runner) == 0
+        (repo / "code.txt").write_text("edited after the commit")
+        assert bench_pairs.main(argv + ["--record"], runner=runner) == 0
         bench_pairs.main(argv, runner=runner)  # without --record: nothing appended
         assert "recorded in" in capsys.readouterr().out
         records = json.loads((repo / "BENCH_pairs.json").read_text())["records"]
-        assert len(records) == 2
+        assert [r["dirty"] for r in records] == [False, False, True]
         record = records[0]
-        assert (record["parent"], record["sha"], record["dirty"]) == (*shas, False)
+        assert (record["parent"], record["sha"]) == tuple(shas)
         assert (record["workload"], record["pairs"]) == ("tiny", 4)
         assert set(record["host"]) == {"cpu_count", "affinity", "blas_threads"}
         run_s = record["metrics"]["run_s"]

@@ -50,6 +50,8 @@ Runner = Callable[[str, int], Dict[str, float]]
 SIDES = ("parent", "change")
 #: BLAS threads both sides run with (the benchmark command pins the same).
 BLAS_THREADS = 1
+#: The committed trajectory ``--record`` appends to, at the repository root.
+TRAJECTORY = "BENCH_pairs.json"
 
 
 def export_commit(repo: Path, commit: str, target: Path) -> None:
@@ -178,8 +180,9 @@ def _rev(repo: Path, ref: str) -> str:
 
 def trajectory_record(repo: Path, parent: str, workload: str, rows: List[dict]) -> dict:
     """The compact ``BENCH_pairs.json`` record of one run's summary ``rows``."""
-    dirty = subprocess.run(
-        ["git", "-C", str(repo), "status", "--porcelain", "--untracked-files=no"],
+    dirty = subprocess.run(  # a change to anything but the trajectory itself
+        ["git", "-C", str(repo), "status", "--porcelain", "--untracked-files=no",
+         "--", ".", f":!{TRAJECTORY}"],
         stdout=subprocess.PIPE, text=True, check=True,
     ).stdout.strip()
     affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
@@ -233,7 +236,7 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
     output.write_text(json.dumps(record, indent=1) + "\n")
     print(f"raw samples: {output}")
     if args.record:
-        trajectory = args.repo / "BENCH_pairs.json"
+        trajectory = args.repo / TRAJECTORY
         document = json.loads(trajectory.read_text()) if trajectory.exists() else {"records": []}
         document["records"].append(trajectory_record(args.repo, args.parent, args.workload, rows))
         trajectory.write_text(json.dumps(document, indent=1) + "\n")
