@@ -922,9 +922,10 @@ class _Roster:
     are what each step gathers from with a single ``np.take`` — the shared
     store's own arrays, referenced and not copied, when the members' data
     are row windows of one, else their private arrays back to back; ``geo``
-    is lane 0's sampling geometry for all of them.  ``shards``, when the
-    lane gate splits the roster, are the ``(a0, a1, geo)`` runs of active
-    members lane 0, 1, … trains, each with its lane's geometry for them.
+    is lane 0's sampling geometry for all of them.  ``runs`` are the
+    ``(a0, a1, geo)`` runs of active members lane 0, 1, … trains, each with
+    its lane's geometry for them: one run, ``geo``, unless the lane gate
+    split the roster.
     """
 
     idle: List[int]
@@ -937,7 +938,7 @@ class _Roster:
     y: np.ndarray
     geo: Dict[str, np.ndarray]
     nbytes: int = 0  # of ``x`` and ``y`` when the roster owns them
-    shards: List[Tuple[int, int, Dict[str, np.ndarray]]] = field(default_factory=list)
+    runs: List[Tuple[int, int, Dict[str, np.ndarray]]] = field(default_factory=list)
 
 
 #: One lane's share of a call: a roster, its active members ``a0:a1``, the
@@ -1207,8 +1208,8 @@ class BatchedWorkerEngine:
         # each tile across the lanes the gate allows it.
         n = len(ids)
         tile = self._tile if self._tile is not None and n > self._tile else max(n, 1)
-        lanes, pool = _lanes()
-        work: List[List[_Job]] = [[] for _ in range(lanes)]
+        own: List[_Job] = []
+        others: Dict[int, List[_Job]] = {}  # lane -> its jobs
         for k0 in range(0, n, tile):
             data = worker_data if tile == n else worker_data[k0 : k0 + tile]
             roster = self._roster(ids[k0 : k0 + tile], data, batch_size, pad_to)
@@ -1218,23 +1219,29 @@ class BatchedWorkerEngine:
                 out[k0 + k] = base_vector
             if not roster.active:
                 continue
-            shards = roster.shards if len(roster.shards) <= lanes else []
-            for lane, (a0, a1, geo) in enumerate(shards or [(0, len(roster.ids), roster.geo)]):
+            runs = roster.runs
+            if len(runs) > 1 and len(runs) > _lanes()[0]:
+                # A forked child with fewer lanes than the parent that split.
+                runs = [(0, len(roster.ids), roster.geo)]
+            for lane, (a0, a1, geo) in enumerate(runs):
                 rows = (
                     np.add(roster.active[a0:a1], k0)
                     if roster.idle
                     else slice(k0 + a0, k0 + a1)
                 )
-                rows_t = transform.rows(rows) if transform is not None else None
-                work[lane].append((roster, a0, a1, geo, rows, rows_t))
+                rows_t = None if transform is None else transform.rows(rows)
+                job = (roster, a0, a1, geo, rows, rows_t)
+                if lane:
+                    others.setdefault(lane, []).append(job)
+                else:
+                    own.append(job)
         step = (out, base_vector, round_index, seed, learning_rate, local_steps)
         futures = [
-            pool.submit(self._lanes[lane].train, jobs, *step)
-            for lane, jobs in enumerate(work)
-            if lane and jobs
+            _lanes()[1].submit(self._lanes[lane].train, jobs, *step)
+            for lane, jobs in others.items()
         ]
         try:
-            self._lanes[0].train(work[0], *step)
+            self._lanes[0].train(own, *step)
         finally:
             if futures:
                 wait(futures)
@@ -1310,13 +1317,14 @@ class BatchedWorkerEngine:
             _, x_rows, y_rows = self._store_rows
             offsets, owned = first[active].tolist(), 0
         feat_shape = x_rows.shape[1:]
+        geo = self._lanes[0].geometry(b_max, batches_py, feat_shape)
+        runs = self._split(b_max, batches_py, feat_shape) or [(0, len(active), geo)]
         return _Roster(
             idle, active, [ids[k] for k in active], counts_py, batches_py, offsets,
-            x_rows, y_rows, self._lanes[0].geometry(b_max, batches_py, feat_shape), owned,
-            self._shards(b_max, batches_py, feat_shape),
+            x_rows, y_rows, geo, owned, runs,
         )
 
-    def _shards(
+    def _split(
         self, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
     ) -> List[Tuple[int, int, Dict[str, np.ndarray]]]:
         """The lane gate: the runs of a tile's active members each lane trains.

@@ -55,7 +55,7 @@ def _split(lanes, count, model, data, **overrides):
 
 
 def _bounds(roster):
-    return [(a0, a1) for a0, a1, _ in roster.shards]
+    return [(a0, a1) for a0, a1, _ in roster.runs]
 
 
 #: Lane count -> the runs of 12, 4 and 5 active members.
@@ -75,7 +75,7 @@ def test_a_ragged_conv_group_splits_each_of_its_tiles(lanes, count):
     assert np.array_equal(out[14], np.linspace(-0.1, 0.1, engine.dimension))
     for roster in (first, second):
         b_max = roster.geo["xb"].shape[1]  # the tile's largest batch, 8
-        assert [geo["xb"].shape[:2] for _, _, geo in roster.shards] == [
+        assert [geo["xb"].shape[:2] for _, _, geo in roster.runs] == [
             (a1 - a0, b_max) for a0, a1 in _bounds(roster)
         ]
     assert len(engine._lanes) == count
@@ -99,7 +99,7 @@ def test_per_member_transform_rows_follow_their_members(lanes, counts, count):
     data = _data(counts, (64,))
     engine, out = _split(lanes, count, model, data, transform=StepTransform(0.99, offset))
     (roster,) = engine._rosters.values()
-    assert len(roster.shards) == count
+    assert len(roster.runs) == count
     for k in range(len(counts)):
         alone = _run(engine, data, [k], transform=StepTransform(0.99, offset[k]))
         assert np.array_equal(out[k], alone[0])
@@ -109,7 +109,7 @@ def test_per_member_transform_rows_follow_their_members(lanes, counts, count):
 def test_a_caller_pad_to_pins_every_run(lanes, count):
     engine, _ = _split(lanes, count, _cnn(), _data([3, 9, 5, 12, 2]), pad_to=11)
     (roster,) = engine._rosters.values()
-    assert [geo["xb"].shape[1] for _, _, geo in roster.shards] == [11] * count
+    assert [geo["xb"].shape[1] for _, _, geo in roster.runs] == [11] * count
 
 
 @LANE_COUNTS
@@ -124,20 +124,20 @@ def test_owned_roster_bytes_stay_within_the_budget(lanes, monkeypatch, count):
         _run(engine, data, ids)
         assert engine._roster_bytes <= budget
         assert engine._roster_bytes == sum(r.nbytes for r in engine._rosters.values())
-        assert all(len(r.shards) == count for r in engine._rosters.values())
+        assert all(len(r.runs) == count for r in engine._rosters.values())
 
 
 def test_the_gate_splits_conv_groups_of_six_and_keeps_mlp_groups_whole(lanes):
     lanes(2, batched._LANE_MIN_WRITES)
     cnn = BatchedWorkerEngine.try_build(_cnn())
-    for size, runs in ((5, []), (6, [(0, 3), (3, 6)])):
+    for size, runs in ((5, [(0, 5)]), (6, [(0, 3), (3, 6)])):
         _run(cnn, _data([40] * size), batch_size=32)
         assert _bounds(next(reversed(cnn._rosters.values()))) == runs
     # fig_mlp's largest group: 40 members, 64-32-32-10, batch 32.
     mlp = BatchedWorkerEngine.try_build(LogisticRegressionMLP(64, 32, 10, seed=0))
     _run(mlp, _data([40] * 40, (64,)), batch_size=32)
     (roster,) = mlp._rosters.values()
-    assert roster.shards == []
+    assert _bounds(roster) == [(0, 40)]
 
 
 def test_more_lanes_than_cores_at_a_short_switch_interval(lanes):
@@ -169,7 +169,7 @@ def test_active_dropout_never_splits(lanes):
     )
     engine = BatchedWorkerEngine.try_build(model)
     _run(engine, _data([9] * 6, (64,)))
-    assert _bounds(*engine._rosters.values()) == [] and len(engine._lanes) == 1
+    assert _bounds(*engine._rosters.values()) == [(0, 6)] and len(engine._lanes) == 1
 
 
 class _Doubling(ReLU):
@@ -196,7 +196,7 @@ def test_a_kernel_without_member_writes_keeps_one_lane(lanes, monkeypatch):
     model = SequentialModel([Dense("fc1", 64, 16, rng), _Doubling("double"), Dense("out", 16, 10, rng)])
     engine = BatchedWorkerEngine.try_build(model)
     _run(engine, _data([9] * 6, (64,)))
-    assert _bounds(*engine._rosters.values()) == []
+    assert _bounds(*engine._rosters.values()) == [(0, 6)]
 
 
 def test_an_error_on_another_lane_reaches_the_caller(lanes, monkeypatch):
@@ -221,7 +221,7 @@ def test_lanes_share_no_buffer_they_write(lanes):
     engine = BatchedWorkerEngine.try_build(_cnn())
     _run(engine, _data([9] * 8))
     (roster,) = engine._rosters.values()
-    (_, _, geo0), (_, _, geo1) = roster.shards
+    (_, _, geo0), (_, _, geo1) = roster.runs
     assert not any(np.shares_memory(geo0[k], geo1[k]) for k in ("xb", "yb", "gidx"))
     zero, one = (lane.params for lane in engine._lanes)
     for a, b in zip(zero, one):
@@ -251,7 +251,7 @@ def test_one_lane_per_process_never_splits(lanes):
     batched.use_one_lane()
     engine = BatchedWorkerEngine.try_build(_cnn())
     _run(engine, _data([9] * 8))
-    assert _bounds(*engine._rosters.values()) == [] and len(engine._lanes) == 1
+    assert _bounds(*engine._rosters.values()) == [(0, 8)] and len(engine._lanes) == 1
 
 
 _INHERITED = {}
