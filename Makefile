@@ -66,8 +66,8 @@ airbench-smoke:  ## the repo benchmark (BENCHMARK.json) at smoke sizes (the CI a
 WORKLOAD ?= scale_1m
 PARENT ?= HEAD
 PAIRS ?= 10
-bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json, and with RECORD=1 appends a compact record to the committed BENCH_pairs.json; exit 1 on a regression
-	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) $(if $(RECORD),--record)
+bench-pairs:     ## how a gain is claimed (choosing-metrics §8): PAIRS alternating runs of the repo benchmark on WORKLOAD, the committed files of PARENT against this checkout, one seed per pair; prints medians, quartiles, pairs won and gain / regression / unresolved / unchanged per end-to-end metric; writes results/bench_pairs_<workload>.json; exit 1 on a regression (tools/bench_pairs.py --record also appends a compact record to the committed BENCH_pairs.json)
+	python3 tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
 
 MODEL ?= mnist_cnn
 PARAMS ?= {"image_size": 8, "scale": 0.1}
