@@ -508,11 +508,11 @@ class SharedDatasetStore:
 class StackPool:
     """Recycled ``(rows, dim)`` buffers for in-flight group stacks.
 
-    The grouped event loop acquires one stack per training group and
-    releases it on commit, so steady-state training reuses the same one
+    A trainer acquires one stack per training cohort and releases it once
+    the cohort has committed, so steady-state training reuses the same one
     or two buffers regardless of how many distinct group sizes exist.
-    :meth:`release` is a no-op for arrays the pool does not own (executor
-    arena views, partial-work copies), which keeps call sites simple.
+    :meth:`release` is a no-op for arrays the pool does not own, which
+    keeps call sites simple.
     """
 
     def __init__(self, max_free: int = 4) -> None:

@@ -257,7 +257,7 @@ class TrainingSpec:
         # A scenario is the only way into an experiment, so every number is
         # checked here: a NaN rate or a fractional count would otherwise
         # surface as a NaN loss or a TypeError deep inside NumPy.
-        # ``max_rounds=0`` is the "round 0 only" run, as in ``_begin_run``.
+        # ``max_rounds=0`` is the "round 0 only" run, as in ``BaseTrainer.run``.
         _require_finite(self.learning_rate, "training.learning_rate", positive=True)
         _require_int(self.local_steps, "training.local_steps", 1)
         _require_int(self.batch_size, "training.batch_size", 1)

@@ -17,8 +17,9 @@ Public entry points (documented in ``docs/API.md``):
 * the axes a mechanism is assembled from — the schedules
   :class:`SynchronousTrainer` (barrier rounds), :class:`GroupedAsyncTrainer`
   (per-group commits) and :class:`FedAsyncTrainer` (per-update commits),
-  and the uplinks :class:`OMAUplink` / :class:`AirCompUplink` mixed into
-  them;
+  whose ``schedule`` generators yield :class:`CommitRow` s, each naming
+  the :class:`Cohort` that trains for it, and the uplinks
+  :class:`OMAUplink` / :class:`AirCompUplink` mixed into them;
 * :class:`TrainingHistory` / :class:`RoundRecord` — the per-round
   trajectory every ``run()`` returns (including the device-fault
   counters);
@@ -28,7 +29,7 @@ Public entry points (documented in ``docs/API.md``):
   :func:`resolve_staleness_policy`.
 """
 
-from .base import BaseTrainer, FLExperiment
+from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .history import RoundRecord, TrainingHistory
 from .uplink import AirCompUplink, OMAUplink
 from .synchronous import SynchronousTrainer
@@ -53,6 +54,8 @@ from .registry import build_trainer
 __all__ = [
     "FLExperiment",
     "BaseTrainer",
+    "Cohort",
+    "CommitRow",
     "RoundRecord",
     "TrainingHistory",
     "OMAUplink",

@@ -10,7 +10,7 @@ This trainer wires together the three contributions:
   σ_t/η_t pair minimizing the aggregation-error term C_t under the
   per-worker energy budgets (this happens inside
   :meth:`~repro.fl.base.BaseTrainer.aircomp_group_update`);
-* **grouping-asynchronous updates** (Algorithm 1) — the event loop of
+* **grouping-asynchronous updates** (Algorithm 1) — the schedule of
   :class:`~repro.fl.grouped.GroupedAsyncTrainer` driven by the
   READY/EXECUTE protocol state machine.
 

@@ -19,13 +19,17 @@ A concrete mechanism composes these pieces along three axes, each written
 once: a *schedule* (:mod:`~repro.fl.synchronous`, :mod:`~repro.fl.grouped`,
 :mod:`~repro.fl.fedasync`), an *uplink* (:mod:`~repro.fl.uplink`) and, for
 the grouped schedule, a *grouping* (:data:`repro.core.grouping.GROUPING_STRATEGIES`).
+
+A schedule's ``schedule(max_rounds, max_time)`` generator owns its clock
+and yields one :class:`CommitRow` per global update without reading the
+model; :meth:`BaseTrainer.run`, the one loop, applies the rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +53,40 @@ from ..nn.params import parameter_dtype, unflatten_vector
 from ..sim.clientstate import ClientStateModel
 from ..sim.latency import LatencyTable
 from .history import RoundRecord, TrainingHistory
+from .staleness import StalenessPolicy
 
-__all__ = ["FLExperiment", "BaseTrainer"]
+__all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Workers trained by one batched call: from the global model that the
+    commit of round ``base_version`` made (0: the initial one), with
+    mini-batch streams keyed by round ``key``.  Compared by identity."""
+
+    ids: Sequence[int]
+    key: int
+    base_version: int
+
+
+class CommitRow(NamedTuple):
+    """One global update: when, who, and which cohort trains for it.
+
+    ``fractions`` is the share of its local round each cohort member
+    finished (``None``: all of it); ``slot`` picks the participants' rows
+    of the cohort's stack (``None``: all).  A row without a cohort is a
+    barrier round nobody checked in for: recorded, nothing commits.
+    """
+
+    round_index: int
+    time: float
+    group_id: int
+    staleness: int
+    participants: Sequence[int]
+    weight_scale: float = 1.0
+    fractions: Optional[np.ndarray] = None
+    cohort: Optional[Cohort] = None
+    slot: Optional[slice] = None
 
 
 @dataclass
@@ -196,6 +232,8 @@ class BaseTrainer:
 
     #: registry name, overridden by subclasses
     name = "base"
+    #: Damping of stale commits (:meth:`commit_update`); barrier rows are never stale.
+    _staleness_policy: Optional[StalenessPolicy] = None
 
     def __init__(self, experiment: FLExperiment) -> None:
         self.exp = experiment
@@ -257,6 +295,12 @@ class BaseTrainer:
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
+        # Global-model versions, named by the round that committed them: the
+        # live one, cohorts still to train from each, snapshots, spare buffers.
+        self._version = 0
+        self._holds: Dict[int, int] = {}
+        self._snapshots: Dict[int, np.ndarray] = {}
+        self._spare_bases: List[np.ndarray] = []
         self._air_workspace = AirCompWorkspace()
         cfg = experiment.config.aircomp
         # Calibration (see DESIGN.md): the paper's σ₀² is the total AWGN
@@ -296,19 +340,15 @@ class BaseTrainer:
         population's recycling pool.
 
         The pool bounds live scratch memory by the few in-flight stacks:
-        every schedule hands a stack back with :meth:`_release_stack` once
-        its aggregation has committed.
+        :meth:`run` hands a stack back with :meth:`_release_stack` once
+        every member of its cohort has committed.
         """
         return self.population.stack_pool.acquire(
             group_size, self.model.dimension, self.global_vector.dtype
         )
 
     def _release_stack(self, stack: Optional[np.ndarray]) -> None:
-        """Recycle a population-pool group stack after commit.
-
-        No-op for arrays the pool does not own (partial-work copies), so
-        schedules may call it unconditionally.
-        """
+        """Recycle a population-pool group stack (no-op for other arrays)."""
         self.population.stack_pool.release(stack)
 
     def __enter__(self) -> "BaseTrainer":
@@ -317,16 +357,43 @@ class BaseTrainer:
     def __exit__(self, *exc_info) -> None:
         """A trainer holds nothing to release; ``with trainer:`` reads as a run's scope."""
 
-    def _commit_global(self, new_global: np.ndarray) -> None:
-        """Install ``new_global`` as the global model.
+    # ------------------------------------------------------------------
+    # Global-model versions
+    # ------------------------------------------------------------------
+    def _hold(self, version: int, count: int = 1) -> None:
+        """A schedule dispatched ``count`` cohorts that will train from ``version``."""
+        self._holds[version] = self._holds.get(version, 0) + count
 
-        When the aggregation wrote into the trainer-owned ``_update_out``
-        buffer, the buffer is swapped with the current global vector instead
-        of copied, keeping the round allocation-free.
+    def _take_base(self, version: int) -> np.ndarray:
+        """The global model of ``version`` for one cohort about to train.
+
+        A snapshot no cohort holds any more is spare at once: its row is
+        done with it before its commit takes the next snapshot.
         """
-        if new_global is self._update_out:
-            self._update_out = self.global_vector
-        self.global_vector = new_global
+        base = self.global_vector if version == self._version else self._snapshots[version]
+        held = self._holds.pop(version, 0) - 1
+        if held > 0:
+            self._holds[version] = held
+        elif version in self._snapshots:
+            self._spare_bases.append(self._snapshots.pop(version))
+        return base
+
+    def _commit_global(self, version: int) -> None:
+        """Install the update buffer as the global model of ``version``.
+
+        The outgoing model is snapshotted if a cohort still has to train
+        from it; the buffer is swapped in, not copied (allocation-free).
+        """
+        if self._version in self._holds:
+            if self._spare_bases:
+                snapshot = self._spare_bases.pop()
+            else:
+                # analyze: allow-alloc(first snapshot; later ones reuse released buffers)
+                snapshot = np.empty_like(self.global_vector)
+            np.copyto(snapshot, self.global_vector)
+            self._snapshots[self._version] = snapshot
+        self.global_vector, self._update_out = self._update_out, self.global_vector
+        self._version = version
 
     # ------------------------------------------------------------------
     # Worker-side local update (Eq. 4/5)
@@ -758,11 +825,59 @@ class BaseTrainer:
         return tdma_round_time(self.latency_dimension, gains, self.exp.oma)
 
     # ------------------------------------------------------------------
-    def _begin_run(self, max_rounds: int, max_time: Optional[float]) -> None:
-        """Validate the stop conditions and write the round-0 record.
+    # Mechanism-family hooks of the commit sequence
+    # ------------------------------------------------------------------
+    def post_local_update(
+        self,
+        participants: Sequence[int],
+        local_vectors: np.ndarray,
+        base_vector: np.ndarray,
+        round_index: int,
+    ) -> None:
+        """Called after a cohort trained, before aggregation (default no-op).
 
-        Every ``run`` loop starts here, so they agree on the boundaries:
-        a bad argument fails before anything is evaluated (a NaN
+        FedDyn updates its per-worker drift vectors here; ``local_vectors``
+        is the stacked ``(G, q)`` result of the group update and must not
+        be modified.
+        """
+
+    def post_aggregate(
+        self, new_global: np.ndarray, participants: Sequence[int], round_index: int
+    ) -> np.ndarray:
+        """Server-side correction applied to the aggregated model.
+
+        Default is the identity; FedDyn subtracts its drift average.  May
+        modify ``new_global`` in place and must return the vector to
+        commit.
+        """
+        return new_global
+
+    def commit_update(
+        self, row: CommitRow, local_vectors: np.ndarray
+    ) -> Tuple[np.ndarray, float, Dict[str, float]]:
+        """``(u, a, info)``: the commit sets the global model to ``(1 − a)·w + a·u``.
+
+        ``u`` is the uplink's aggregate after :meth:`post_aggregate` and
+        ``a`` the staleness policy's ``s(τ)`` for a stale row, else 1.
+        """
+        update, info = self.aggregate(
+            row.participants, local_vectors, row.round_index, row.weight_scale
+        )
+        update = self.post_aggregate(update, row.participants, row.round_index)
+        policy = self._staleness_policy
+        weight = 1.0
+        if policy is not None and row.staleness > 0:
+            weight = policy.weight(row.staleness)
+        return update, weight, info
+
+    # ------------------------------------------------------------------
+    def run(
+        self, max_rounds: int = 100, max_time: Optional[float] = None
+    ) -> TrainingHistory:
+        """Run the mechanism: train, blend, aggregate, mix, commit and record
+        each row of ``self.schedule``, resumed after every commit.
+
+        A bad argument fails before anything is evaluated (a NaN
         ``max_time`` would otherwise make every comparison false and the
         run silently go to ``max_rounds``), ``max_rounds=0`` leaves the
         initial evaluation as the only record, and a trainer runs once —
@@ -788,9 +903,61 @@ class BaseTrainer:
                 f"{self.name} trainer has already run; build a new one"
             )
         self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+        # Trained cohorts whose members have not all committed: their stack
+        # and how many members are still to come.
+        trained: Dict[Cohort, List] = {}
+        for row in self.schedule(max_rounds, max_time):
+            cohort = row.cohort
+            if cohort is None:
+                # Nobody checked in: the global model and clock stand still.
+                self.record_round(
+                    row.round_index, row.time, row.staleness, row.group_id, 0
+                )
+                continue
+            entry = trained.get(cohort)
+            if entry is None:
+                # -- train (group-batched when the model supports it) ------
+                base = self._take_base(cohort.base_version)
+                stack = self.local_update_group(cohort.ids, base, cohort.key)
+                # -- blend: w ← base + f·(w − base) for partial local work -
+                if row.fractions is not None:
+                    stack -= base
+                    stack *= row.fractions.astype(stack.dtype)[:, None]
+                    stack += base
+                self.post_local_update(cohort.ids, stack, base, cohort.key)
+                entry = trained[cohort] = [stack, len(cohort.ids)]
+            stack = entry[0]
+            local_vectors = stack if row.slot is None else stack[row.slot]
 
-    def run(
-        self, max_rounds: int = 100, max_time: Optional[float] = None
-    ) -> TrainingHistory:
-        """Run the mechanism; implemented by subclasses."""
-        raise NotImplementedError
+            # -- aggregate, then the staleness mix -----------------------
+            update, weight, info = self.commit_update(row, local_vectors)
+            if weight < 1.0 or update is not self._update_out:
+                # w ← (1 − a)·w + a·u into the trainer-owned update buffer.
+                np.multiply(self.global_vector, 1.0 - weight, out=self._agg_scratch)
+                np.multiply(update, weight, out=self._update_out)
+                self._update_out += self._agg_scratch
+
+            # -- commit --------------------------------------------------
+            self._commit_global(row.round_index)
+            entry[1] -= len(row.participants)
+            if not entry[1]:
+                # Every member has committed: recycle the stack.
+                del trained[cohort]
+                self._release_stack(stack)
+            self.worker_state.record_commit(row.participants, row.staleness)
+
+            # -- record --------------------------------------------------
+            self.record_round(
+                round_index=row.round_index,
+                time=row.time,
+                staleness=row.staleness,
+                group_id=row.group_id,
+                num_participants=len(row.participants),
+                round_energy=info.get("round_energy_j", 0.0),
+                sigma=info.get("sigma", math.nan),
+                eta=info.get("eta", math.nan),
+            )
+        # Cohorts still in flight when the schedule stopped (FedAsync).
+        for stack, _ in trained.values():
+            self._release_stack(stack)
+        return self.history

@@ -16,32 +16,36 @@ There is no straggler barrier: fast workers commit often, slow workers'
 updates arrive stale and are shrunk accordingly.
 
 Group-parallel execution: workers whose updates commit back-to-back are
-re-dispatched *together* from the same new global model, so their local
-training runs as one :class:`~repro.nn.batched.BatchedWorkerEngine` call
-(the initial dispatch batches the entire population).  ``buffer_size``
-controls the cohort: the server lets that many workers finish before the
-commit burst, trading a little update freshness for larger batched
-cohorts (``1`` is pure FedAsync; larger values approximate the
-semi-asynchronous buffered variants, cf. Kou et al. in PAPERS.md).
+re-dispatched *together* from the same new global model as one
+:class:`~repro.fl.base.Cohort` (the first cohort is the entire
+population), which trains as one
+:class:`~repro.nn.batched.BatchedWorkerEngine` call when its first member
+commits.  ``buffer_size`` controls the cohort: the server lets that many
+workers finish before the commit burst, trading a little update freshness
+for larger batched cohorts (``1`` is pure FedAsync; larger values
+approximate the semi-asynchronous buffered variants, cf. Kou et al. in
+PAPERS.md).
 
 Uploads are OMA (single-worker TDMA, timed by
 :meth:`~repro.fl.uplink.OMAUplink.upload_time`) and serialize on the shared
 uplink: each commit waits for the channel to free up, exactly like the
-grouped event loop's uplink model; the per-update mix below stands in for
-the uplink's group aggregation.  Every commit is one global round in the
-history (``staleness`` records ``τ``); simulated time advances by local
-compute + queued upload latency.
+grouped schedule's uplink model.  :meth:`FedAsyncTrainer.schedule` owns the
+per-worker completion heap, the bursts and the re-dispatch;
+:meth:`FedAsyncTrainer.commit_update` hands the one staleness mix of
+:meth:`~repro.fl.base.BaseTrainer.run` the worker's own model in place of
+an uplink aggregate.  Every commit is one global round in the history
+(``staleness`` records ``τ``); simulated time advances by local compute +
+queued upload latency.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .base import FLExperiment
-from .history import TrainingHistory
+from .base import Cohort, CommitRow, FLExperiment
 from .staleness import (
     PolynomialStaleness,
     StalenessPolicy,
@@ -85,99 +89,54 @@ class FedAsyncTrainer(OMAUplink):
             )
         self.mix_weight = float(mix_weight)
         self.buffer_size = int(buffer_size)
-        #: Monotonic dispatch counter — the RNG round key for local
-        #: training, so every (worker, dispatch) draws fresh mini-batches.
-        self._dispatch_counter = 0
-        #: Completion events ``(finish_time, dispatch, position, worker)``.
-        self._heap: List[Tuple[float, int, int, int]] = []
-        #: Per in-flight worker: its trained model row and the global-model
-        #: version it was trained from.
-        self._pending: Dict[int, Tuple[np.ndarray, int]] = {}
 
     # ------------------------------------------------------------------
-    def _dispatch_cohort(
-        self, workers: List[int], start_time: float, version: int
-    ) -> None:
-        """Train a cohort from the current global model; queue completions.
+    def commit_update(
+        self, row: CommitRow, local_vectors: np.ndarray
+    ) -> Tuple[np.ndarray, float, Dict[str, float]]:
+        """The worker's own model, mixed in with ``a = mix_weight·s(τ)``."""
+        weight = self.mix_weight * self._staleness_policy.weight(row.staleness)
+        return local_vectors[0], weight, {}
 
-        One batched group call covers the whole cohort (the proximal point
-        of running FedAsync on the batched engine); each member's finish
-        time is its own sampled compute latency.
-        """
-        self._dispatch_counter += 1
-        dispatch_round = self._dispatch_counter
-        stack = self.local_update_group(
-            workers, self.global_vector, dispatch_round
-        )
-        times = self.exp.latency.sample_times(workers, dispatch_round)
-        for k, w in enumerate(workers):
-            self._pending[w] = (np.array(stack[k], copy=True), version)
-            # (dispatch_round, k) breaks finish-time ties in dispatch order.
-            heapq.heappush(
-                self._heap, (start_time + float(times[k]), dispatch_round, k, w)
-            )
-        self._release_stack(stack)
-        self.worker_state.record_dispatch(np.asarray(workers, dtype=np.int64))
-
-    # ------------------------------------------------------------------
-    def run(
-        self, max_rounds: int = 100, max_time: Optional[float] = None
-    ) -> TrainingHistory:
-        self._begin_run(max_rounds, max_time)
-        if max_rounds == 0:
-            return self.history  # before the whole population trains once
-        policy = self._staleness_policy
+    def schedule(
+        self, max_rounds: int, max_time: Optional[float] = None
+    ) -> Iterator[CommitRow]:
+        """One commit row per worker update, in completion order."""
+        #: Completion events ``(finish_time, dispatch, position, worker, cohort)``.
+        heap: List[Tuple[float, int, int, int, Cohort]] = []
         clock = 0.0
         channel_busy_until = 0.0
         commits = 0  # == the current global-model version
-        # Initial dispatch: the entire population trains as one batched
-        # cohort from the same initial model.
-        self._dispatch_cohort(list(range(self.exp.num_workers)), 0.0, commits)
-        ready: List[Tuple[float, int]] = []
-        stop = False
-        while self._heap and not stop:
-            finish_time, _, _, worker = heapq.heappop(self._heap)
-            ready.append((finish_time, worker))
-            # Let buffer_size workers finish before the commit burst (the
-            # final stragglers flush even if the buffer never fills).
-            if len(ready) < self.buffer_size and self._heap:
-                continue
-            cohort: List[int] = []
-            for local_finish, w in ready:
-                vec, pulled_version = self._pending.pop(w)
-                tau = commits - pulled_version
+        dispatches = 0  # the RNG round key of each cohort's local training
+        # Initial dispatch: the entire population, from the initial model.
+        workers = list(range(self.exp.num_workers))
+        while commits < max_rounds:
+            dispatches += 1
+            cohort = Cohort(workers, dispatches, commits)
+            self._hold(commits)
+            times = self.exp.latency.sample_times(workers, dispatches)
+            for k, w in enumerate(workers):
+                # (dispatch, k) breaks finish-time ties in dispatch order.
+                heapq.heappush(heap, (clock + float(times[k]), dispatches, k, w, cohort))
+            self.worker_state.record_dispatch(workers)
+            # Let buffer_size workers finish before the commit burst.
+            burst = [heapq.heappop(heap) for _ in range(min(self.buffer_size, len(heap)))]
+            workers = []
+            for finish_time, _, k, w, trained_in in burst:
+                tau = commits - trained_in.base_version
                 commits += 1
-                weight = self.mix_weight * policy.weight(tau)
                 # Single-worker OMA upload, serialized on the shared uplink.
-                upload_start = max(local_finish, channel_busy_until)
+                upload_start = max(finish_time, channel_busy_until)
                 channel_busy_until = upload_start + self.upload_time([w], commits)
                 clock = max(clock, channel_busy_until)
-                # w ← (1 − a)·w + a·w_k  (allocation-free, buffer swap).
-                np.multiply(
-                    self.global_vector, 1.0 - weight, out=self._agg_scratch
+                yield CommitRow(
+                    commits, clock, -1, tau, [w],
+                    cohort=trained_in, slot=slice(k, k + 1),
                 )
-                np.multiply(vec, weight, out=self._update_out)
-                self._update_out += self._agg_scratch
-                self._commit_global(self._update_out)
-                self.worker_state.record_commit(
-                    np.array([w], dtype=np.int64), tau
-                )
-                cohort.append(w)
-                self.record_round(
-                    round_index=commits,
-                    time=clock,
-                    staleness=tau,
-                    group_id=-1,
-                    num_participants=1,
-                )
+                # The burst's workers restart together from the new global
+                # model — one batched engine call for the whole cohort.
+                workers.append(w)
                 if commits >= max_rounds or (
                     max_time is not None and clock >= max_time
                 ):
-                    stop = True
-                    break
-            ready = []
-            if not stop and cohort:
-                # The burst's workers restart together from the new global
-                # model — one batched engine call for the whole cohort.
-                self._dispatch_cohort(cohort, clock, commits)
-        return self.history
+                    return

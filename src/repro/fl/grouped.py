@@ -1,4 +1,4 @@
-"""Shared event-driven loop for grouping-asynchronous mechanisms.
+"""The grouped schedule: groups commit asynchronously (Algorithm 1).
 
 Both TiFL (OMA tiers) and Air-FedGA (AirComp groups) follow the same outer
 schedule: groups train independently; whenever *all* members of a group have
@@ -7,23 +7,20 @@ immediately starts its next local round from the fresh global model.  The
 only differences are (a) how the groups are formed — the
 :meth:`GroupedAsyncTrainer.build_groups` hook — and (b) the uplink the
 group's models travel over (reliable OMA vs. noisy over-the-air), mixed in
-from :mod:`repro.fl.uplink`.  This module implements the common schedule as
-a virtual-time event loop on top of the
-:class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine.
+from :mod:`repro.fl.uplink`.
 
-How a group's local-training phase executes is orthogonal to the
-schedule: on the batched engine, which splits a large group across the
-host's cores on threads of its own (the per-worker loop for a model with a
-kernel-less layer).
-
-The virtual-time event loop itself is single-threaded and strictly
-ordered, like Algorithm 1: one group at a time goes READY → EXECUTE →
-aggregate, and aggregation, power control and the channel-noise RNG
-always run on the calling thread, in event order.  The produced
-:class:`~repro.fl.history.TrainingHistory` is therefore bit-identical
-however many cores a group trains on (see ``docs/ARCHITECTURE.md``,
-"Determinism invariants", for exactly which operations must stay in event
-order).
+:meth:`GroupedAsyncTrainer.schedule` is the policy as a generator of commit
+rows: it owns the virtual clock, the ready-time heap, the uplink occupancy
+and the fault roster (quorum retry / skip / park), drives the
+:class:`~repro.core.mechanism.GroupAsyncScheduler` protocol state machine,
+and never reads the model.  :meth:`~repro.fl.base.BaseTrainer.run` trains
+and commits each row, in event order, on the calling thread — aggregation,
+power control and the channel-noise RNG included — while the batched
+engine may split a large group's local training across the host's cores.
+The produced :class:`~repro.fl.history.TrainingHistory` is therefore
+bit-identical however many cores a group trains on (see
+``docs/ARCHITECTURE.md``, "Determinism invariants", for exactly which
+operations must stay in event order).
 """
 
 from __future__ import annotations
@@ -31,14 +28,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.grouping import GroupingProblem, GroupingResult
 from ..core.mechanism import GroupAsyncScheduler, flatten_groups
-from .base import BaseTrainer, FLExperiment
-from .history import TrainingHistory
+from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .staleness import StalenessPolicy, resolve_staleness_policy
 
 __all__ = ["GroupedAsyncTrainer"]
@@ -79,19 +75,19 @@ class GroupedAsyncTrainer(BaseTrainer):
         whose update is based on a global model ``τ`` rounds old
         contributes with weight ``s(τ)`` — ``1 / (1 + τ)**exponent`` under
         ``polynomial``.  The default ``None`` reproduces the paper's
-        Eq. (10) exactly.  The damping mix happens in the parent process
-        in event order — one of the determinism invariants
-        (``docs/ARCHITECTURE.md``, "Determinism invariants") — so it
-        composes with multiprocess execution.
+        Eq. (10) exactly.  The damping mix is the one staleness mix of
+        :meth:`~repro.fl.base.BaseTrainer.run`, in event order — one of the
+        determinism invariants (``docs/ARCHITECTURE.md``, "Determinism
+        invariants").
 
     Device faults (``experiment.clientstate`` + ``experiment.fault``) are
-    threaded through the event loop: availability is checked at group
+    threaded through the schedule: availability is checked at group
     dispatch, mid-round dropouts are checked when the group's round
     completes, survivors below the quorum abort the round (with retry /
     skip / park escalation per :class:`~repro.core.FaultConfig`), and the
     surviving members' aggregation weights are renormalized so they carry
     the full group's data mass.  With no client-state model (or the
-    ``always-on`` model) the loop takes the exact legacy code path.
+    ``always-on`` model) the schedule takes the exact legacy code path.
     """
 
     name = "grouped_async"
@@ -132,18 +128,6 @@ class GroupedAsyncTrainer(BaseTrainer):
                 f"got coverage {np.sort(flat)[:10].tolist()}..."
             )
         self.scheduler = GroupAsyncScheduler(self.groups)
-        # The global-model version each group last received, as a vector.
-        # All groups that have not committed yet share one snapshot of the
-        # initial model; a group gets a private base on its first commit —
-        # O(groups that trained) instead of O(num_groups) memory.
-        self._initial_base: np.ndarray = self.global_vector.copy()
-        self._group_base: Dict[int, np.ndarray] = {}
-        # Uplink occupancy: aggregations (AirComp bursts or OMA uploads) from
-        # different groups share the same band, so they are serialized at the
-        # parameter server.  This is what makes very small groups (ξ → 0)
-        # expensive in the paper's Fig. 8 — with many tiny groups the channel
-        # itself becomes the bottleneck.
-        self._channel_busy_until: float = 0.0
         # ------------------------------------------------------------------
         # Fault-injection state (``self._clientstate`` + FaultConfig).
         # ------------------------------------------------------------------
@@ -193,23 +177,6 @@ class GroupedAsyncTrainer(BaseTrainer):
         return [g if isinstance(g, np.ndarray) else list(g) for g in result.groups]
 
     # ------------------------------------------------------------------
-    def _base_of(self, group_id: int) -> np.ndarray:
-        """The global-model vector this group last received (Eq. 5 base)."""
-        base = self._group_base.get(group_id)
-        return base if base is not None else self._initial_base
-
-    def _commit_base(self, group_id: int) -> None:
-        """Record that the group now holds the fresh global model."""
-        base = self._group_base.get(group_id)
-        if base is None:
-            # First commit of this group: promote it from the shared
-            # initial snapshot to a private base vector.
-            # analyze: allow-alloc(one-time promotion from the shared initial base)
-            self._group_base[group_id] = self.global_vector.copy()
-        else:
-            np.copyto(base, self.global_vector)
-
-    # ------------------------------------------------------------------
     def group_compute_time(self, group_id: int, round_index: int) -> float:
         """Local-training duration of a group: its slowest member."""
         members = self._group_arrays[group_id]
@@ -234,7 +201,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         Retries are budgeted per round attempt (``fault.max_retries``); a
         skip abandons the attempt and resets the retry budget; a group that
         fails ``fault.max_consecutive_failures`` checks in a row is parked
-        (removed from the event loop) so dead groups cannot spin forever.
+        (it leaves the schedule) so dead groups cannot spin forever.
         All three outcomes are counted on the history.
         """
         self._consecutive_failures[group_id] += 1
@@ -264,7 +231,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         is recorded and enqueued (its ready time gated by its slowest
         *available* member), while a below-quorum roster escalates through
         retry (re-poll ``retry_backoff`` seconds later), skip (idle one
-        local-round window, then re-poll) or park (group leaves the loop;
+        local-round window, then re-poll) or park (group leaves the schedule;
         returns ``False``).
         """
         if self._clientstate is None:
@@ -304,30 +271,16 @@ class GroupedAsyncTrainer(BaseTrainer):
                 group_id, round_label
             )
 
-    def _dispatch_all(self) -> List[Tuple[float, int]]:
-        """The heap of every group's first local round, all starting at t = 0."""
-        if self._clientstate is not None:  # availability is polled per roster
-            queue: List[Tuple[float, int]] = []
-            for g in range(len(self.groups)):
-                self._dispatch_group(queue, g, 0.0, 1)
-            return queue
-        # Full rosters: one pass over the flat member array (same keyed latency
-        # draws; a heap of distinct tuples pops in one order however filled).
-        flat, starts = self._segments
-        self.worker_state.record_dispatch(flat)
-        ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
-        queue = list(zip(ready.tolist(), range(ready.size)))
-        heapq.heapify(queue)
-        return queue
-
     def _surviving_roster(
         self, queue: List[Tuple[float, int]], group_id: int, ready_time: float
-    ) -> Optional[Tuple[List[int], float, np.ndarray]]:
+    ) -> Optional[Tuple[List[int], float, Optional[np.ndarray]]]:
         """Roster stage under faults: who actually finished the local round.
 
         Polls the client-state model for mid-round dropouts among the
         members dispatched for this round.  At or above quorum, returns
-        ``(survivors, weight_scale, completion_fractions)``.  Below
+        ``(survivors, weight_scale, completion_fractions)`` — the fractions
+        ``None`` unless some survivor finished only part of its round
+        (those are counted as partial updates).  Below
         quorum the round is aborted without a global update (it never
         happened for staleness accounting), the failure escalates, the
         group is re-dispatched unless parked, and ``None`` is returned.
@@ -365,43 +318,45 @@ class GroupedAsyncTrainer(BaseTrainer):
         fractions = cs.completion_fractions(
             survivors, roster.round_label, roster.seq
         )
-        return survivors, weight_scale, fractions
-
-    def _blend_partial_work(
-        self, local_vectors: np.ndarray, base: np.ndarray, fractions: np.ndarray
-    ) -> np.ndarray:
-        """Blend stage: ``w ← base + f · (w − base)`` for partial local work.
-
-        A worker with completion fraction ``f < 1`` only finished that
-        share of its local round.  Works on a copy — the stack is a
-        reused pool buffer — and recycles the raw stack, which the copy
-        replaces.
-        """
-        self.history.partial_updates += int(np.count_nonzero(fractions < 1.0))
-        # analyze: allow-alloc(blend must not mutate the recycled stack)
-        stacked = np.asarray(local_vectors).copy()
-        stacked -= base
-        stacked *= fractions.astype(stacked.dtype)[:, None]
-        stacked += base
-        self._release_stack(local_vectors)
-        return stacked
+        partial = int(np.count_nonzero(fractions < 1.0))
+        self.history.partial_updates += partial
+        return survivors, weight_scale, fractions if partial else None
 
     # ------------------------------------------------------------------
-    def run(
-        self, max_rounds: int = 100, max_time: Optional[float] = None
-    ) -> TrainingHistory:
-        self._begin_run(max_rounds, max_time)
+    def schedule(
+        self, max_rounds: int, max_time: Optional[float] = None
+    ) -> Iterator[CommitRow]:
+        """Algorithm 1's commits in event order, one row per global update."""
         cs = self._clientstate
         # Priority queue of (ready_time, group_id): the moment every member
         # of the group has finished local training and sent READY.
-        queue = self._dispatch_all()
+        if cs is None:
+            # Full rosters: every group's first round from one pass over the
+            # flat member array (same keyed latency draws; a heap of
+            # distinct tuples pops in one order however filled).
+            flat, starts = self._segments
+            self.worker_state.record_dispatch(flat)
+            ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
+            queue = list(zip(ready.tolist(), range(ready.size)))
+            heapq.heapify(queue)
+        else:
+            queue = []  # availability is polled per roster
+            for g in range(len(self.groups)):
+                self._dispatch_group(queue, g, 0.0, 1)
+        # Every dispatched group trains its first round from the initial model.
+        self._hold(0, len(queue))
+        # Uplink occupancy: aggregations (AirComp bursts or OMA uploads) from
+        # different groups share the same band, so they are serialized at the
+        # parameter server.  This is what makes very small groups (ξ → 0)
+        # expensive in the paper's Fig. 8 — with many tiny groups the channel
+        # itself becomes the bottleneck.
+        channel_busy_until = 0.0
 
         while queue and self.scheduler.current_round < max_rounds:
             # -- pop ---------------------------------------------------
             ready_time, group_id = heapq.heappop(queue)
             if max_time is not None and ready_time > max_time:
-                break
-            members = self.groups[group_id]
+                return
             # Protocol: every member's READY arrives at the same simulated
             # instant (one completion event per group), so the server
             # processes them as a single O(1) group-level transition
@@ -412,7 +367,7 @@ class GroupedAsyncTrainer(BaseTrainer):
             self.scheduler.receive_group_ready(group_id)
 
             # -- roster ------------------------------------------------
-            participants = members
+            participants = self.groups[group_id]
             weight_scale = 1.0
             fractions: Optional[np.ndarray] = None
             if cs is not None:
@@ -423,70 +378,22 @@ class GroupedAsyncTrainer(BaseTrainer):
             event = self.scheduler.complete_aggregation(group_id)
             t = event.round_index
 
-            # -- train -------------------------------------------------
-            # Local updates are computed from the global version this
-            # group last received (Eq. 5); the round index seeds the batch
-            # sampling.  The whole group trains as one batched tensor pass
-            # when the model supports it (scalar per-worker fallback
-            # otherwise).
-            base = self._base_of(group_id)
-            local_vectors = self.local_update_group(participants, base, t)
-
-            # -- blend -------------------------------------------------
-            if fractions is not None and np.any(fractions < 1.0):
-                local_vectors = self._blend_partial_work(
-                    local_vectors, base, fractions
-                )
-
             # -- upload ------------------------------------------------
             # The group can only start its aggregation once the shared
             # uplink is free; with many small groups this queueing delay
             # dominates.
-            upload_start = max(ready_time, self._channel_busy_until)
-            update_time = upload_start + self.upload_time(participants, t)
-            self._channel_busy_until = update_time
+            upload_start = max(ready_time, channel_busy_until)
+            channel_busy_until = upload_start + self.upload_time(participants, t)
 
-            # -- aggregate ---------------------------------------------
-            new_global, info = self.aggregate(
-                participants, local_vectors, t, weight_scale
+            # The survivors train from the global version the group last
+            # received (Eq. 5); the round index seeds their batch sampling.
+            yield CommitRow(
+                t, channel_busy_until, group_id, event.staleness, participants,
+                weight_scale, fractions, Cohort(participants, t, event.base_version),
             )
-            if self._staleness_policy is not None and event.staleness > 0:
-                # Staleness-aware damping (extension, off by default):
-                # shrink the contribution of updates computed from old
-                # global models by the policy's s(τ).
-                weight = self._staleness_policy.weight(event.staleness)
-                if weight < 1.0:
-                    new_global = (
-                        1.0 - weight
-                    ) * self.global_vector + weight * new_global
-
-            # -- commit ------------------------------------------------
-            # Swap (not copy) the trainer-owned update buffer into place.
-            self._commit_global(new_global)
-            # The aggregation has consumed the group stack: return it to
-            # the population pool (no-op for arrays the pool does not own).
-            self._release_stack(local_vectors)
             # The group receives the fresh global model and immediately
             # starts its next local round.
-            self._commit_base(group_id)
-            if participants is members:
-                commit_ids = self._group_arrays[group_id]
-            else:
-                commit_ids = np.asarray(participants, dtype=np.int64)
-            self.worker_state.record_commit(commit_ids, event.staleness)
-            self._dispatch_group(queue, group_id, update_time, t + 1)
-
-            # -- record ------------------------------------------------
-            self.record_round(
-                round_index=t,
-                time=update_time,
-                staleness=event.staleness,
-                group_id=group_id,
-                num_participants=len(participants),
-                round_energy=info.get("round_energy_j", 0.0),
-                sigma=info.get("sigma", math.nan),
-                eta=info.get("eta", math.nan),
-            )
-            if max_time is not None and update_time >= max_time:
-                break
-        return self.history
+            if self._dispatch_group(queue, group_id, channel_busy_until, t + 1):
+                self._hold(t)
+            if max_time is not None and channel_busy_until >= max_time:
+                return

@@ -14,10 +14,12 @@ Each policy defines the same two methods —
 ``aggregate(member_ids, local_vectors, round_index, weight_scale)``
 returning ``(new_global, info)`` and ``upload_time(member_ids,
 round_index)`` in simulated seconds — and is mixed in *before* the schedule
-class: ``class TiFLTrainer(OMAUplink, GroupedAsyncTrainer)``.  Both write
-the new global model into the trainer-owned update buffer, which the
-schedule swaps into place (:meth:`BaseTrainer._commit_global`), so an
-aggregation allocates nothing.
+class: ``class TiFLTrainer(OMAUplink, GroupedAsyncTrainer)``.  The
+schedule's generator calls ``upload_time`` to time a commit row;
+:meth:`BaseTrainer.run <repro.fl.base.BaseTrainer.run>` calls ``aggregate``
+to apply it.  Both uplinks write the new global model into the
+trainer-owned update buffer, which ``run`` swaps into place
+(:meth:`BaseTrainer._commit_global`), so an aggregation allocates nothing.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ registry name      behaviour
 =================  =====================================================
 
 A model answers three questions about a worker, all evaluated by the
-grouped event loop in the parent process (see
-:class:`~repro.fl.grouped.GroupedAsyncTrainer`):
+grouped schedule generator, in event order (see
+:meth:`~repro.fl.grouped.GroupedAsyncTrainer.schedule`):
 
 * :meth:`~ClientStateModel.availability_mask` — is the worker reachable
   at group-dispatch time?  Unavailable workers sit the round out.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from repro.fl import AirFedGATrainer, FLExperiment
 from repro.fl.grouped import GroupedAsyncTrainer
 from repro.nn import LogisticRegressionMLP
-from repro.sim import HeterogeneityModel, LatencyTable
+from repro.sim import BernoulliAvailability, HeterogeneityModel, LatencyTable
 
 
 class TestAbstractHooks:
@@ -27,16 +26,27 @@ class _RaggedGroups(AirFedGATrainer):
         return [[3, 0], [1, 4, 6], [2], [5, 7]]
 
 
-def _per_group_first_dispatch(trainer):
-    """The loop ``run`` used before the first dispatch was batched."""
-    queue = []
-    for g in range(len(trainer.groups)):
-        trainer._dispatch_group(queue, g, 0.0, 1)
-    return queue
+def _per_group(experiment):
+    """Every roster polled group by group: a client-state model that finds
+    everyone available and lets everyone finish, but is not ``always-on``
+    (and a population of its own: trainers of one experiment share it)."""
+    return dataclasses.replace(
+        experiment,
+        population=None,
+        clientstate=BernoulliAvailability(num_workers=8, availability=1.0),
+    )
+
+
+def _row(r):
+    return r.round_index, r.time, r.group_id, r.staleness, list(r.participants)
+
+
+def _rows(trainer, rounds):
+    return [_row(r) for r in trainer.schedule(rounds)]
 
 
 class TestFirstDispatch:
-    """One pass over the flat member array == one ``_dispatch_group`` per group."""
+    """One pass over the flat member array == one dispatch per group."""
 
     @pytest.mark.parametrize("jitter_std", [0.0, 0.3])
     @pytest.mark.parametrize("heterogeneous", [False, True])
@@ -50,30 +60,31 @@ class TestFirstDispatch:
             jitter_std=jitter_std,
             seed=4,
         )
-        # One experiment each: trainers of one experiment share its population.
-        batched, looped = (
-            _RaggedGroups(dataclasses.replace(small_experiment, latency=latency, population=None))
-            for _ in range(2)
-        )
-        queue_a = batched._dispatch_all()
-        queue_b = _per_group_first_dispatch(looped)
-        pops_a = [heapq.heappop(queue_a) for _ in range(4)]
-        pops_b = [heapq.heappop(queue_b) for _ in range(4)]
-        assert pops_a == pops_b  # exact floats, same order
-        if jitter_std == 0.0 and not heterogeneous:
-            # Every ready time ties: the group id breaks it.
-            assert pops_a == [(2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3)]
+        exp = dataclasses.replace(small_experiment, latency=latency, population=None)
+        batched, looped = _RaggedGroups(exp), _RaggedGroups(_per_group(exp))
+        # The first row comes right after the first dispatch: nobody has
+        # been re-dispatched yet.
+        first = _row(next(batched.schedule(4)))
+        assert first == _row(next(looped.schedule(4)))  # exact floats
+        assert batched.worker_state.dispatches.tolist() == [1] * 8
         assert np.array_equal(
             batched.worker_state.dispatches, looped.worker_state.dispatches
         )
-        assert batched.worker_state.dispatches.tolist() == [1] * 8
+        rows = _rows(_RaggedGroups(exp), 12)
+        assert rows == _rows(_RaggedGroups(_per_group(exp)), 12)
+        if jitter_std == 0.0 and not heterogeneous:
+            # Every ready time ties at 2.0: the group id breaks it, and the
+            # uplink serializes the four commits one upload apart.
+            upload = batched.aircomp_upload_latency()
+            assert [r[2] for r in rows[:4]] == [0, 1, 2, 3]
+            assert rows[0][1] == 2.0 + upload
+            assert [r[1] for r in rows[1:4]] == [r[1] + upload for r in rows[:3]]
 
-    def test_histories_identical_to_the_per_group_loop(self, small_experiment, monkeypatch):
+    def test_histories_identical_to_the_per_group_loop(self, small_experiment):
         latency = LatencyTable(num_workers=8, base_time=2.0, jitter_std=0.2, seed=4)
         exp = dataclasses.replace(small_experiment, latency=latency, population=None)
         batched = _RaggedGroups(exp).run(max_rounds=12)
-        monkeypatch.setattr(_RaggedGroups, "_dispatch_all", _per_group_first_dispatch)
-        looped = _RaggedGroups(exp).run(max_rounds=12)
+        looped = _RaggedGroups(_per_group(exp)).run(max_rounds=12)
         assert batched.to_dict() == looped.to_dict()
 
     def test_coverage_error_prints_ten_ids(self, small_experiment):
@@ -133,15 +144,31 @@ class TestChannelContention:
 
 
 class TestGroupBaseModels:
-    def test_group_base_updated_only_for_participating_group(self, quiet_experiment):
+    def test_group_base_updated_only_for_participating_group(
+        self, quiet_experiment, monkeypatch
+    ):
+        # Every commit trains from the global model of the round its group
+        # last committed in (0: the initial model): t − τ − 1.
         trainer = AirFedGATrainer(quiet_experiment)
         if len(trainer.groups) < 2:
             pytest.skip("need at least two groups for this test")
-        trainer.run(max_rounds=1)
-        # Exactly one group holds the round-1 global model; the others still
-        # hold the initial model.
-        fresh = [
-            gid for gid, base in trainer._group_base.items()
-            if np.array_equal(base, trainer.global_vector)
-        ]
-        assert len(fresh) == 1
+        versions = {0: trainer.global_vector.copy()}
+        bases = {}
+        train, record = trainer.local_update_group, trainer.record_round
+
+        def spy_train(ids, base, round_index, out=None):
+            bases[round_index] = base.copy()
+            return train(ids, base, round_index, out)
+
+        def spy_record(round_index, *args, **kwargs):
+            versions[round_index] = trainer.global_vector.copy()
+            return record(round_index, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "local_update_group", spy_train)
+        monkeypatch.setattr(trainer, "record_round", spy_record)
+        history = trainer.run(max_rounds=10)
+        stale = [r for r in history.records[1:] if r.staleness > 0]
+        assert stale  # some group trained from an old version
+        for r in history.records[1:]:
+            expected = versions[r.round_index - r.staleness - 1]
+            np.testing.assert_array_equal(bases[r.round_index], expected)

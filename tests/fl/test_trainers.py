@@ -215,15 +215,15 @@ class TestAirFedGA:
         np.testing.assert_allclose(a.times(), b.times())
 
 
-#: One mechanism per hand-written ``run`` loop (fedprox/feddyn share
-#: fedavg's, tifl shares air_fedga's grouped loop — listed anyway because
-#: it used to disagree with fedavg on ``max_rounds=0``).
+#: Mechanisms over all three schedules, each once a hand-written ``run``
+#: loop of its own (tifl shares air_fedga's grouped schedule — listed
+#: anyway because its loop once disagreed with fedavg on ``max_rounds=0``).
 RUN_LOOPS = ["fedavg", "air_fedavg", "dynamic", "tifl", "air_fedga", "fedasync"]
 
 
 @pytest.mark.parametrize("mechanism", RUN_LOOPS)
 class TestRunBoundaries:
-    """``BaseTrainer._begin_run``: every loop validates and starts alike."""
+    """``BaseTrainer.run``: every schedule validates and starts alike."""
 
     def test_zero_rounds_returns_the_initial_evaluation_only(
         self, mechanism, small_experiment

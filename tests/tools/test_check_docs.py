@@ -93,7 +93,8 @@ class TestCheckReferences:
         doc = repo / "README.md"
         doc.write_text(
             "`src/pkg/mod.py`, `src/pkg/`, `src/pkg/m*.py`, `src/pkg/mod.py::test_x`,\n"
-            "`src/pkg/mod.py:12`, `make test`, `make docs-check ARG=1`, `repro.x`\n"
+            "`src/pkg/mod.py:12`, `make test`, `make docs-check ARG=1`,\n"
+            "`repro.fl.base.BaseTrainer.run`, `repro.fl`, `repro.*`\n"
             "```sh\nmake test\n```\n"
         )
         assert check_docs.check_references(doc) == []
@@ -102,11 +103,14 @@ class TestCheckReferences:
         doc = repo / "README.md"
         doc.write_text(
             "`src/pkg/mod` and `tests/gone.py::test_x`, then `make bench`\n"
+            "`repro.fl.GroupedAsyncTrainer._dispatch_all()`, `repro.gone`\n"
             "```sh\nmake test\nmake bench-xl N=1\n```\n"
         )
         assert check_docs.check_references(doc) == [
             "README.md: stale path -> src/pkg/mod",
             "README.md: stale path -> tests/gone.py",
+            "README.md: stale name -> repro.fl.GroupedAsyncTrainer._dispatch_all",
+            "README.md: stale name -> repro.gone",
             "README.md: unknown make target -> make bench",
             "README.md: unknown make target -> make bench-xl",
         ]

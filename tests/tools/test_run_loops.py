@@ -1,13 +1,14 @@
 """A mechanism is a schedule and an uplink, each written once.
 
-Under ``src/repro/fl`` there are three ``run`` loops — the barrier schedule,
-the grouped event loop and FedAsync's per-update heap — and two
-``(aggregate, upload_time)`` pairs, the OMA and the AirComp uplink.  A fourth
-loop or a third pair is how the copies drifted apart before (two of five
-barrier loops ignored the fault model), so this walks the AST of every
-module of the package and fails on a class that defines one outside those
-homes.  ``BaseTrainer.run`` is the abstract declaration: it may exist, with
-no body beyond ``raise NotImplementedError``.
+Under ``src/repro/fl`` there is one ``run`` loop, ``BaseTrainer.run``, which
+trains, aggregates, commits and records the rows a ``schedule`` generator
+yields; three classes define a ``schedule`` — the barrier, the grouped and
+FedAsync's per-update policy — and two define ``(aggregate, upload_time)``,
+the OMA and the AirComp uplink.  A second loop or a third pair is how the
+copies drifted apart before (two of five barrier loops ignored the fault
+model), so this walks the AST of every module of the package and fails on
+a class that defines one outside those homes.  Only the two event-driven
+policies keep a heap.
 """
 
 from __future__ import annotations
@@ -22,25 +23,8 @@ SCHEDULES = {"SynchronousTrainer", "GroupedAsyncTrainer", "FedAsyncTrainer"}
 UPLINKS = {"OMAUplink", "AirCompUplink"}
 
 
-def _is_abstract(function: ast.FunctionDef) -> bool:
-    """Nothing but an optional docstring and ``raise NotImplementedError``."""
-    body = list(function.body)
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        body = body[1:]
-    return (
-        len(body) == 1
-        and isinstance(body[0], ast.Raise)
-        and ast.unparse(body[0].exc).startswith("NotImplementedError")
-    )
-
-
 def definitions() -> Dict[str, Set[str]]:
-    """``method name -> classes defining it``; abstract ones as ``Class[abstract]``."""
+    """``method name -> classes defining it``."""
     found: Dict[str, Set[str]] = {}
     for path in sorted(FL.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -48,13 +32,35 @@ def definitions() -> Dict[str, Set[str]]:
                 continue
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef):
-                    owner = cls.name + ("[abstract]" if _is_abstract(node) else "")
-                    found.setdefault(node.name, set()).add(owner)
+                    found.setdefault(node.name, set()).add(cls.name)
     return found
 
 
-def test_three_run_loops():
-    assert definitions()["run"] == SCHEDULES | {"BaseTrainer[abstract]"}
+def importers(module: str) -> Set[str]:
+    """Modules of the package that import ``module``."""
+    found: Set[str] = set()
+    for path in sorted(FL.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if module in names:
+                found.add(path.name)
+    return found
+
+
+def test_one_run_loop():
+    assert definitions()["run"] == {"BaseTrainer"}
+
+
+def test_three_schedules():
+    assert definitions()["schedule"] == SCHEDULES
+
+
+def test_only_the_event_driven_policies_keep_a_heap():
+    assert importers("heapq") == {"grouped.py", "fedasync.py"}
 
 
 def test_two_uplinks():

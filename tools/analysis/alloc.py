@@ -95,16 +95,18 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "_BatchedDropout.forward",
         "_BatchedDropout.backward",
     },
-    # The schedules: one commit per round, stacks from the population pool.
-    "src/repro/fl/synchronous.py": {"SynchronousTrainer.run"},
+    # The schedules: pure timing generators, one commit row per global
+    # update; their roster and dispatch stages.
+    "src/repro/fl/synchronous.py": {"SynchronousTrainer.schedule"},
     "src/repro/fl/grouped.py": {
-        "GroupedAsyncTrainer.run",
+        "GroupedAsyncTrainer.schedule",
         "GroupedAsyncTrainer._dispatch_group",
-        "GroupedAsyncTrainer._base_of",
-        "GroupedAsyncTrainer._commit_base",
         "GroupedAsyncTrainer._surviving_roster",
-        "GroupedAsyncTrainer._blend_partial_work",
         "GroupedAsyncTrainer.group_compute_time",
+    },
+    "src/repro/fl/fedasync.py": {
+        "FedAsyncTrainer.schedule",
+        "FedAsyncTrainer.commit_update",
     },
     # The aggregation path: the two uplinks, alpha @ A into trainer-owned
     # buffers; and the per-round evaluation, which at eval_every=1 runs as
@@ -115,7 +117,15 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "AirCompUplink.aggregate",
         "AirCompUplink.upload_time",
     },
+    # ... the aggregation primitives and the evaluation under them, and the
+    # one loop applying every schedule's rows: train from a version
+    # snapshot, blend, aggregate, the staleness mix, commit (stacks from the
+    # population pool, snapshots from released buffers).
     "src/repro/fl/base.py": {
+        "BaseTrainer.run",
+        "BaseTrainer.commit_update",
+        "BaseTrainer._hold",
+        "BaseTrainer._take_base",
         "BaseTrainer.exact_group_update",
         "BaseTrainer.aircomp_group_update",
         "BaseTrainer._commit_global",

@@ -11,7 +11,9 @@ Mirrored by ``make docs-check`` and the CI ``docs`` job.  Four passes:
    ``tests/…``, ``tools/…``, ``benchmarks/…``, ``docs/…``, ``examples/…``;
    globs allowed, a ``::test`` or ``:line`` suffix ignored) must exist and
    every ``make <target>`` must be a Makefile target, so a renamed file or
-   a retired test fails here instead of going stale;
+   a retired test fails here instead of going stale, and every backticked
+   ``repro.…`` dotted name must resolve (longest importable module prefix,
+   then attribute lookups), so a renamed class or method fails too;
 2. **doctest** — every file containing ``>>>`` examples is run through
    :mod:`doctest` (``python -m doctest`` semantics), so the fenced
    examples in ``docs/API.md`` and ``docs/TUTORIAL.md`` are executed
@@ -68,6 +70,7 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 #: An inline code span (fenced blocks never match: their backticks are adjacent).
 _CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 _REPO_PATH_RE = re.compile(r"^(?:src|tests|tools|benchmarks|docs|examples)/[^\s:]*")
+_DOTTED_RE = re.compile(r"^repro(?:\.\w+)+")
 _FENCED_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _MAKE_RE = re.compile(r"^\s*(?:\$\s*)?make ([A-Za-z][\w-]*)", re.MULTILINE)
 _TARGET_RE = re.compile(r"^([A-Za-z][\w-]*):", re.MULTILINE)
@@ -115,11 +118,29 @@ def check_links(path: Path) -> List[str]:
     return errors
 
 
-def check_references(path: Path) -> List[str]:
-    """Backticked repo paths must exist and ``make`` targets must be defined.
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.C.d`` names something: import the longest module
+    prefix, then look the rest up as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(found, name):
+                return False
+            found = getattr(found, name)
+        return True
+    return False
 
-    Paths are read from inline code spans; ``make`` commands from those and
-    from the lines of fenced blocks.
+
+def check_references(path: Path) -> List[str]:
+    """Backticked repo paths and ``repro.…`` names must exist, and ``make``
+    targets must be defined.
+
+    Paths and names are read from inline code spans; ``make`` commands from
+    those and from the lines of fenced blocks.
     """
     errors: List[str] = []
     makefile = REPO_ROOT / "Makefile"
@@ -131,6 +152,9 @@ def check_references(path: Path) -> List[str]:
         ref = _REPO_PATH_RE.match(span)
         if ref and not any(REPO_ROOT.glob(ref.group(0).rstrip("/"))):
             errors.append(f"{rel}: stale path -> {ref.group(0)}")
+        name = _DOTTED_RE.match(span)
+        if name and not resolves(name.group(0)):
+            errors.append(f"{rel}: stale name -> {name.group(0)}")
     commands = "\n".join(spans + _FENCED_RE.findall(text))
     for target in _MAKE_RE.findall(commands):
         if target not in targets:
