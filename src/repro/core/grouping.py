@@ -10,12 +10,14 @@ subject to the intra-group time-similarity constraint
 
     L_j(x) − L_u − l_i ≤ ξ · Δl   for every v_i ∈ V_j.        (Eq. 36d)
 
-Two alternative strategies are provided for the baselines and ablations:
+Four alternative strategies are provided for the baselines and ablations:
 
 * :func:`tier_grouping` — TiFL-style tiers formed purely by local-training
   time quantiles (ignores data distribution),
 * :func:`random_grouping` — uniformly random assignment into a fixed number
-  of groups, and
+  of groups,
+* :func:`singleton_grouping` — every worker its own group (Table III's
+  'Original' column, the fully asynchronous limit ξ → 0), and
 * :func:`contiguous_grouping` — index-contiguous blocks as int64 arrays;
   O(N) with no per-worker Python objects, the strategy used by the XL
   (10k–1M worker) bench tiers where greedy's O(N²) evaluations are
@@ -81,14 +83,18 @@ class GroupingProblem:
     model_dimension: int
     config: AirFedGAConfig = field(default_factory=AirFedGAConfig)
     c_max: float = 0.0
+    #: Per-class totals ``Σ_i d_i^k``, in the dtype every count sum uses.
+    class_totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.data_sizes = np.asarray(self.data_sizes, dtype=np.float64)
-        # Counts are exact as int64 or float64: an int64 histogram is kept (no
-        # N x K copy), narrower integers widen so that group sums cannot wrap.
+        # Counts are exact in any integer dtype or as float64: an integer
+        # table is kept as given (no N x K copy) and summed in int64, one
+        # class column at a time, so that sums cannot wrap.
         counts = np.asarray(self.class_counts)
-        wide = np.int64 if counts.dtype.kind in "iu" else np.float64
-        self.class_counts = counts.astype(wide, copy=False)
+        if counts.dtype.kind not in "iu":
+            counts = counts.astype(np.float64, copy=False)
+        self.class_counts = counts
         self.local_times = np.asarray(self.local_times, dtype=np.float64)
         n = self.data_sizes.shape[0]
         if n == 0:
@@ -105,6 +111,8 @@ class GroupingProblem:
             raise ValueError("model_dimension must be positive")
         if self.c_max < 0:
             raise ValueError("c_max must be non-negative")
+        wide = np.float64 if counts.dtype.kind == "f" else np.int64
+        self.class_totals = np.array([column.sum(dtype=wide) for column in counts.T])
 
     # ------------------------------------------------------------------
     @property
@@ -117,11 +125,10 @@ class GroupingProblem:
 
     def global_distribution(self) -> np.ndarray:
         """λ_k over all workers (uniform if the dataset were empty)."""
-        totals = self.class_counts.sum(axis=0)
-        s = totals.sum()
+        s = self.class_totals.sum()
         if s <= 0:
             return np.full(self.num_classes, 1.0 / self.num_classes)
-        return totals / s
+        return self.class_totals / s
 
     def time_spread(self) -> float:
         """Δl = max l_i − min l_i."""
@@ -215,15 +222,15 @@ def _evaluate_grouping(
     total_data = float(problem.data_sizes.sum())
     betas = np.add.reduceat(sizes, zero_slots) / total_data
 
-    # Counts are integer-valued, exact in any summation order and dtype.
-    # Members in index order (contiguous, singleton) reduce the table as it
-    # lies; otherwise one class at a time keeps the gather O(N), not O(N·K).
-    if flat.size == problem.num_workers and np.array_equal(flat, np.arange(flat.size)):
-        counts = np.add.reduceat(problem.class_counts, starts, axis=0).astype(np.float64)
-    else:
-        counts = np.empty((len(kept), problem.num_classes))
-        for k, column in enumerate(problem.class_counts.T):
-            counts[:, k] = np.add.reduceat(column[flat], starts)
+    # Counts are integer-valued, exact in any summation order: one class at
+    # a time, summed in the totals' dtype (int64 for any integer table).
+    # Members in index order (contiguous, singleton) reduce each column as it
+    # lies; otherwise the gather is O(N) per class, never O(N·K) at once.
+    in_order = flat.size == problem.num_workers and np.array_equal(flat, np.arange(flat.size))
+    wide = problem.class_totals.dtype
+    counts = np.empty((len(kept), problem.num_classes))
+    for k, column in enumerate(problem.class_counts.T):
+        counts[:, k] = np.add.reduceat(column if in_order else column[flat], starts, dtype=wide)
     group_size = counts.sum(axis=1, keepdims=True)
     dists = np.divide(
         counts,

@@ -22,60 +22,21 @@ Protocol recap (Alg. 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-__all__ = ["GroupState", "AggregationEvent", "GroupAsyncScheduler", "flatten_groups"]
+__all__ = ["AggregationEvent", "GroupAsyncScheduler", "flatten_groups"]
 
 
 def flatten_groups(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """``groups`` back to back as one int64 array, and each one's first index."""
     lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    # "unsafe" is ``np.asarray(g, dtype=np.int64)``'s casting: an empty list
+    # reads as float64.
+    flat = np.concatenate(groups, dtype=np.int64, casting="unsafe")
     return flat, np.cumsum(lengths) - lengths
-
-
-@dataclass
-class GroupState:
-    """Per-group bookkeeping at the parameter server.
-
-    ``members`` is either a Python list (legacy strategies) or an int64
-    array (the XL-scale contiguous strategy); both index per-worker
-    arrays directly and neither is copied per round.
-    """
-
-    group_id: int
-    members: Union[List[int], np.ndarray]
-    ready_count: int = 0
-    ready_workers: set = field(default_factory=set)
-    last_received_version: int = 0   # global round index the group last pulled
-    aggregations: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.members) == 0:
-            raise ValueError("a group must have at least one member")
-        if np.unique(self.members).size != len(self.members):
-            raise ValueError("duplicate workers in group")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_complete(self) -> bool:
-        return self.ready_count >= self.size
-
-    def reset_ready(self) -> None:
-        self.ready_count = 0
-        self.ready_workers.clear()
-
-
-class _CheckedGroupState(GroupState):
-    """A :class:`GroupState` whose members the scheduler has already checked."""
-
-    def __post_init__(self) -> None:
-        pass
 
 
 @dataclass
@@ -97,6 +58,14 @@ class GroupAsyncScheduler:
     scheduler decides *what* happens — whether a group became complete,
     what the round index and staleness of the resulting aggregation are,
     and which global-model version each group currently holds.
+
+    Per group it keeps four ints in plain lists (READY count ``r_j``, held
+    version, aggregations, size) beside its members, and no state object; a
+    group holds a set of READY workers only while :meth:`receive_ready` has
+    it partway through a round.
+    ``segments`` (every member back to back, each group's first index) and
+    ``worker_ids`` (every member, ascending) are the flat arrays the
+    membership checks were run on, for callers that need them too.
     """
 
     def __init__(self, groups: Sequence[Sequence[int]]) -> None:
@@ -106,36 +75,38 @@ class GroupAsyncScheduler:
         # objects (the construction hotspot at 10k+ workers): one sorted
         # flat id array finds a repeated worker whether it sits in one
         # group or two, and doubles as the map, queried by binary search.
-        flat, starts = flatten_groups(groups)
+        flat, starts = self.segments = flatten_groups(groups)
         sizes = np.diff(starts, append=flat.size)
         if not sizes.all():
             raise ValueError("a group must have at least one member")
         owners = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
-        order = np.argsort(flat, kind="stable")
-        sorted_ids = flat[order]
-        sorted_owners = owners[order]
+        sorted_ids, sorted_owners = flat, owners
+        if not np.all(flat[1:] > flat[:-1]):  # contiguous blocks come sorted
+            order = np.argsort(flat, kind="stable")
+            sorted_ids, sorted_owners = flat[order], owners[order]
         repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
         if repeated.size:
             if np.any(sorted_owners[repeated] == sorted_owners[repeated + 1]):
                 raise ValueError("duplicate workers in group")
-            overlap = np.unique(sorted_ids[repeated]).tolist()
-            raise ValueError(f"workers assigned to multiple groups: {overlap}")
-        self._groups: List[GroupState] = [
-            _CheckedGroupState(
-                group_id=gid,
-                members=members if isinstance(members, np.ndarray) else list(members),
-            )
-            for gid, members in enumerate(groups)
-        ]
-        self._worker_ids = sorted_ids
+            overlap = np.unique(sorted_ids[repeated])[:10].tolist()
+            raise ValueError(f"workers assigned to multiple groups: {overlap}...")
+        self.worker_ids = sorted_ids
         self._worker_owners = sorted_owners
+        self._members: List[Union[List[int], np.ndarray]] = [
+            g if isinstance(g, np.ndarray) else list(g) for g in groups
+        ]
+        self._sizes: List[int] = sizes.tolist()
+        self._ready: List[int] = [0] * len(groups)
+        self._held: List[int] = [0] * len(groups)   # round the group last pulled
+        self._aggregations: List[int] = [0] * len(groups)
+        self._ready_workers: Dict[int, Set[int]] = {}
         self._round: int = 0
         self._history: List[AggregationEvent] = []
 
     # ------------------------------------------------------------------
     @property
     def num_groups(self) -> int:
-        return len(self._groups)
+        return len(self._sizes)
 
     @property
     def current_round(self) -> int:
@@ -146,19 +117,29 @@ class GroupAsyncScheduler:
     def history(self) -> List[AggregationEvent]:
         return list(self._history)
 
-    def group(self, group_id: int) -> GroupState:
-        if not 0 <= group_id < len(self._groups):
-            raise KeyError(f"unknown group {group_id}")
-        return self._groups[group_id]
-
     def group_of(self, worker_id: int) -> int:
-        i = int(np.searchsorted(self._worker_ids, worker_id))
-        if i >= self._worker_ids.size or self._worker_ids[i] != worker_id:
+        i = int(np.searchsorted(self.worker_ids, worker_id))
+        if i >= self.worker_ids.size or self.worker_ids[i] != worker_id:
             raise KeyError(f"worker {worker_id} belongs to no group")
         return int(self._worker_owners[i])
 
     def workers(self) -> List[int]:
-        return self._worker_ids.tolist()
+        return self.worker_ids.tolist()
+
+    def _check_complete(self, group_id: int, error: str) -> None:
+        """Raise unless ``group_id`` exists and all its READYs are in."""
+        if not 0 <= group_id < len(self._sizes):
+            raise KeyError(f"unknown group {group_id}")
+        if self._ready[group_id] < self._sizes[group_id]:
+            raise RuntimeError(
+                error.format(group_id)
+                + f" ({self._ready[group_id]}/{self._sizes[group_id]} READY messages)"
+            )
+
+    def _reset_ready(self, group_id: int) -> None:
+        self._ready[group_id] = 0
+        if self._ready_workers:
+            self._ready_workers.pop(group_id, None)
 
     # ------------------------------------------------------------------
     def receive_ready(self, worker_id: int) -> Optional[int]:
@@ -169,14 +150,16 @@ class GroupAsyncScheduler:
         otherwise ``None``.
         """
         gid = self.group_of(worker_id)
-        state = self._groups[gid]
-        if worker_id in state.ready_workers:
+        ready = self._ready_workers.get(gid)
+        if ready is None:
+            ready = self._ready_workers[gid] = set()
+        elif worker_id in ready:
             raise ValueError(
                 f"worker {worker_id} sent READY twice in the same group round"
             )
-        state.ready_workers.add(worker_id)
-        state.ready_count += 1
-        if state.is_complete():
+        ready.add(worker_id)
+        self._ready[gid] += 1
+        if self._ready[gid] >= self._sizes[gid]:
             return gid
         return None
 
@@ -190,13 +173,14 @@ class GroupAsyncScheduler:
         straggling partial READY state — mixing the per-worker and
         group-level APIs within one group round is an error.
         """
-        state = self.group(group_id)
-        if state.ready_count != 0:
+        if not 0 <= group_id < len(self._sizes):
+            raise KeyError(f"unknown group {group_id}")
+        if self._ready[group_id] != 0:
             raise RuntimeError(
-                f"group {group_id} already has {state.ready_count} partial "
+                f"group {group_id} already has {self._ready[group_id]} partial "
                 "READY messages; group-level READY requires a clean round"
             )
-        state.ready_count = state.size
+        self._ready[group_id] = self._sizes[group_id]
         return group_id
 
     def complete_aggregation(self, group_id: int) -> AggregationEvent:
@@ -208,30 +192,24 @@ class GroupAsyncScheduler:
         resets the READY counter and records the group as now holding the
         new global model version.
         """
-        state = self.group(group_id)
-        if not state.is_complete():
-            raise RuntimeError(
-                f"group {group_id} is not complete "
-                f"({state.ready_count}/{state.size} READY messages)"
-            )
+        self._check_complete(group_id, "group {} is not complete")
         self._round += 1
         t = self._round
-        base_version = state.last_received_version
-        staleness = max(0, t - base_version - 1)
+        base_version = self._held[group_id]
         # Array-typed groups pass through uncopied (the per-event O(size)
         # list copy matters once thousands of events accumulate).
-        members = state.members
+        members = self._members[group_id]
         event = AggregationEvent(
             round_index=t,
             group_id=group_id,
-            staleness=staleness,
+            staleness=max(0, t - base_version - 1),
             member_ids=members if isinstance(members, np.ndarray) else list(members),
             base_version=base_version,
         )
         self._history.append(event)
-        state.reset_ready()
-        state.last_received_version = t
-        state.aggregations += 1
+        self._reset_ready(group_id)
+        self._held[group_id] = t
+        self._aggregations[group_id] += 1
         return event
 
     def abort_group(self, group_id: int) -> None:
@@ -243,13 +221,8 @@ class GroupAsyncScheduler:
         group's held model version is unchanged — the aborted round never
         happened as far as staleness accounting is concerned.
         """
-        state = self.group(group_id)
-        if not state.is_complete():
-            raise RuntimeError(
-                f"cannot abort group {group_id}: it is not complete "
-                f"({state.ready_count}/{state.size} READY messages)"
-            )
-        state.reset_ready()
+        self._check_complete(group_id, "cannot abort group {}: it is not complete")
+        self._reset_ready(group_id)
 
     # ------------------------------------------------------------------
     def staleness_profile(self) -> List[int]:
@@ -263,4 +236,4 @@ class GroupAsyncScheduler:
 
     def participation_counts(self) -> List[int]:
         """Number of aggregations performed by each group."""
-        return [g.aggregations for g in self._groups]
+        return list(self._aggregations)

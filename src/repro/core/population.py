@@ -420,20 +420,24 @@ class SharedDatasetStore:
         return _ShardSequence(self)
 
     def class_counts(self) -> np.ndarray:
-        """Per-worker label histograms: ``table[stops] - table[starts]`` over
-        one ``(n + 1, K)`` prefix-sum table, in cache-sized blocks of workers.
-        O(K·n + N·K); correct for overlapping (replicated) windows too.
+        """Per-worker label histograms, ``(N, K)``: the transpose of a
+        class-major C-contiguous ``(K, N)`` int32 table.  Class ``c``'s row is
+        ``prefix[stops] - prefix[starts]`` over one ``(n + 1,)`` prefix sum of
+        ``y == c``; O(K·(n + N)), correct for overlapping (replicated) windows.
         """
         labels, k = np.asarray(self.y), self.num_classes
-        table = np.zeros((labels.size + 1, k), dtype=np.int64)
-        np.cumsum(labels[:, None] == np.arange(k), axis=0, out=table[1:])
-        counts = np.empty((self.num_workers, k), dtype=np.int64)
-        lower = np.empty((4096, k), dtype=np.int64)
-        for a in range(0, self.num_workers, 4096):
-            rows = slice(a, a + 4096)
-            block = np.take(table, self.stops[rows], axis=0, out=counts[rows])
-            block -= np.take(table, self.starts[rows], axis=0, out=lower[: len(block)])
-        return counts
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            raise ValueError("partition labels out of range for num_classes")
+        counts = np.empty((k, self.num_workers), dtype=np.int32)
+        prefix = np.zeros(labels.size + 1, dtype=np.int32)
+        lower = np.empty(self.num_workers, dtype=np.int32)
+        for c, row in enumerate(counts):
+            np.cumsum(labels == c, dtype=np.int32, out=prefix[1:])
+            # Windows lie in [0, n] (checked at construction): "clip" skips
+            # the buffered bounds check of the default "raise".
+            np.take(prefix, self.stops, out=row, mode="clip")
+            row -= np.take(prefix, self.starts, out=lower, mode="clip")
+        return counts.T
 
     @property
     def nbytes(self) -> int:

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..core.grouping import GroupingProblem, GroupingResult
-from ..core.mechanism import GroupAsyncScheduler, flatten_groups
+from ..core.mechanism import GroupAsyncScheduler
 from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .staleness import StalenessPolicy, resolve_staleness_policy
 
@@ -110,24 +110,17 @@ class GroupedAsyncTrainer(BaseTrainer):
         self._group_arrays: List[np.ndarray] = [
             np.asarray(g, dtype=np.int64) for g in self.groups
         ]
-        # All members back to back + each group's first index, flattened
-        # once for the coverage check and the first dispatch.
-        self._segments = flatten_groups(self._group_arrays)
-        flat = self._segments[0]
-        n = experiment.num_workers
-        valid = flat.size == n
-        if valid:
-            valid = bool(
-                flat.min() >= 0
-                and flat.max() < n
-                and np.all(np.bincount(flat, minlength=n) == 1)
-            )
-        if not valid:
+        # The scheduler rejects empty groups and repeated workers; its sorted
+        # ids are then distinct, so N of them from 0 to N − 1 cover every
+        # worker.  Its flat members + group starts feed the first dispatch.
+        self.scheduler = GroupAsyncScheduler(self._group_arrays)
+        self._segments = self.scheduler.segments
+        ids, n = self.scheduler.worker_ids, experiment.num_workers
+        if not (ids.size == n and ids[0] == 0 and ids[-1] == n - 1):
             raise ValueError(
                 "grouping must cover every worker exactly once; "
-                f"got coverage {np.sort(flat)[:10].tolist()}..."
+                f"got coverage {ids[:10].tolist()}..."
             )
-        self.scheduler = GroupAsyncScheduler(self.groups)
         # ------------------------------------------------------------------
         # Fault-injection state (``self._clientstate`` + FaultConfig).
         # ------------------------------------------------------------------

@@ -89,8 +89,11 @@ def test_narrow_integer_histograms_widen_before_they_are_summed(narrow, strategy
         problem = dataclasses.replace(problem, class_counts=problem.class_counts * scale)
     narrowed = dataclasses.replace(problem, class_counts=problem.class_counts.astype(narrow))
     assert problem.class_counts.dtype == np.float64
-    assert narrowed.class_counts.dtype == np.int64
+    assert narrowed.class_counts.dtype == narrow  # kept as given, no copy
+    assert narrowed.class_totals.dtype == np.int64
     assert np.array_equal(narrowed.class_counts, problem.class_counts)
+    assert np.array_equal(narrowed.class_totals, problem.class_totals)
+    assert np.array_equal(narrowed.global_distribution(), problem.global_distribution())
     a = GROUPING_STRATEGIES[strategy](problem, 2, 3)
     b = GROUPING_STRATEGIES[strategy](narrowed, 2, 3)
     assert a.objective == b.objective
@@ -423,3 +426,74 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
         problem = synthetic_problem(4, 3, seed=0)
         with pytest.raises(ValueError, match="no non-empty groups"):
             _evaluate_grouping(problem, [[], []], "probe")
+
+
+# ----------------------------------------------------------------------
+# The per-class reduction vs. the whole-table one it replaced
+# ----------------------------------------------------------------------
+def whole_table_reduction(problem, groups):
+    """``group_times``, ``betas``, ``lambdas`` and the objective as
+    ``_evaluate_grouping`` computed them with a widened copy of the table,
+    reduced whole (``reduceat(axis=0)``) when the members are in index order."""
+    cfg = problem.config
+    kept = [np.asarray(g, dtype=np.int64) for g in groups if len(g) > 0]
+    lengths = np.array([g.size for g in kept])
+    flat, starts = np.concatenate(kept), np.cumsum(lengths) - lengths
+    upload = aircomp_latency(
+        problem.model_dimension, cfg.aircomp.num_subchannels, cfg.aircomp.symbol_duration_s
+    )
+    group_times = np.maximum.reduceat(problem.local_times[flat], starts) + upload
+    zero_slots = starts + np.arange(starts.size)
+    is_member = np.ones(flat.size + starts.size, dtype=bool)
+    is_member[zero_slots] = False
+    sizes = np.zeros(is_member.size)
+    sizes[is_member] = problem.data_sizes[flat]
+    betas = np.add.reduceat(sizes, zero_slots) / float(problem.data_sizes.sum())
+    raw = problem.class_counts
+    table = raw.astype(np.int64 if raw.dtype.kind in "iu" else np.float64, copy=False)
+    if flat.size == problem.num_workers and np.array_equal(flat, np.arange(flat.size)):
+        counts = np.add.reduceat(table, starts, axis=0).astype(np.float64)
+    else:
+        counts = np.empty((len(kept), problem.num_classes))
+        for k, column in enumerate(table.T):
+            counts[:, k] = np.add.reduceat(column[flat], starts)
+    totals = table.sum(axis=0)
+    global_dist = totals / totals.sum()
+    group_size = counts.sum(axis=1, keepdims=True)
+    dists = np.divide(
+        counts, group_size, out=np.full_like(counts, 1.0 / problem.num_classes),
+        where=group_size > 0,
+    )
+    lambdas = np.abs(dists - global_dist).sum(axis=1)
+    objective = grouping_objective(
+        cfg.convergence,
+        round_time=average_round_time(group_times),
+        tau_max=max(0.0, estimated_max_staleness(group_times) - 1.0),
+        psi=participation_frequencies(group_times),
+        beta=betas,
+        lambdas=lambdas,
+        c_max=problem.c_max,
+    )
+    return group_times, betas, lambdas, float(objective)
+
+
+TABLE_LAYOUTS = {
+    "int32 class-major": lambda counts: np.ascontiguousarray(counts.T, dtype=np.int32).T,
+    "int64 C-order": lambda counts: np.ascontiguousarray(counts, dtype=np.int64),
+    "float64": lambda counts: counts.astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(TABLE_LAYOUTS))
+@pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
+def test_per_class_reduction_equals_the_whole_table_one(strategy, layout):
+    base, _, _ = make_problem(num_workers=23, c_max=0.01)
+    counts = base.class_counts.copy()
+    counts[[4, 11]] = 0  # workers with no labels at all
+    problem = dataclasses.replace(base, class_counts=TABLE_LAYOUTS[layout](counts))
+    result = GROUPING_STRATEGIES[strategy](problem, 5, 3)
+    group_times, betas, lambdas, objective = whole_table_reduction(problem, result.groups)
+    assert np.array_equal(result.group_times, group_times)
+    assert np.array_equal(result.betas, betas)
+    assert np.array_equal(result.lambdas, lambdas)
+    assert result.objective == objective

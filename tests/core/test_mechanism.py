@@ -4,25 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import GroupAsyncScheduler, GroupState
-
-
-class TestGroupState:
-    def test_requires_members(self):
-        with pytest.raises(ValueError):
-            GroupState(group_id=0, members=[])
-
-    def test_rejects_duplicate_members(self):
-        with pytest.raises(ValueError):
-            GroupState(group_id=0, members=[1, 1])
-
-    def test_complete_and_reset(self):
-        state = GroupState(group_id=0, members=[1, 2])
-        state.ready_count = 2
-        assert state.is_complete()
-        state.reset_ready()
-        assert state.ready_count == 0 and not state.is_complete()
+from repro.core import GroupAsyncScheduler
 
 
 class TestSchedulerConstruction:
@@ -34,9 +19,14 @@ class TestSchedulerConstruction:
         with pytest.raises(ValueError, match="multiple groups"):
             GroupAsyncScheduler([[0, 1], [1, 2]])
 
+    def test_overlap_error_lists_at_most_ten_workers(self):
+        with pytest.raises(ValueError) as excinfo:
+            GroupAsyncScheduler([list(range(30)), list(range(30))])
+        assert str(excinfo.value).endswith(f"{list(range(10))}...")
+
     @pytest.mark.parametrize("as_array", [False, True])
     def test_rejects_duplicate_within_one_group(self, as_array):
-        """The scheduler's flat check covers what GroupState checks per group."""
+        """One flat check finds a worker repeated inside a group too."""
         groups = [[0, 1], [2, 3, 2]]
         if as_array:
             groups = [np.array(g, dtype=np.int64) for g in groups]
@@ -49,21 +39,42 @@ class TestSchedulerConstruction:
 
     def test_group_lookup(self):
         sched = GroupAsyncScheduler([[0, 1], [2]])
-        assert isinstance(sched.group(0), GroupState)
         assert sched.num_groups == 2
         assert sched.group_of(2) == 1
-        assert sched.group(1).members == [2]
+        assert sched.receive_group_ready(1) == 1
+        assert sched.complete_aggregation(1).member_ids == [2]
 
     def test_unknown_worker_and_group(self):
         sched = GroupAsyncScheduler([[0]])
         with pytest.raises(KeyError):
             sched.group_of(5)
-        with pytest.raises(KeyError):
-            sched.group(3)
+        for transition in (
+            sched.receive_group_ready,
+            sched.complete_aggregation,
+            sched.abort_group,
+        ):
+            for group_id in (3, -1):
+                with pytest.raises(KeyError, match="unknown group"):
+                    transition(group_id)
 
     def test_workers_listing(self):
         sched = GroupAsyncScheduler([[3, 1], [0, 2]])
         assert sched.workers() == [0, 1, 2, 3]
+
+    def test_flat_arrays(self):
+        sched = GroupAsyncScheduler([[3, 1], [0], np.array([4, 2])])
+        flat, starts = sched.segments
+        assert flat.tolist() == [3, 1, 0, 4, 2] and starts.tolist() == [0, 2, 3]
+        assert sched.worker_ids.tolist() == [0, 1, 2, 3, 4]
+
+    def test_array_members_pass_through_lists_are_copied(self):
+        members = [np.array([0, 1]), [2, 3]]
+        sched = GroupAsyncScheduler(members)
+        for gid in (0, 1):
+            sched.receive_group_ready(gid)
+        first, second = (sched.complete_aggregation(g).member_ids for g in (0, 1))
+        assert first is members[0]
+        assert second == [2, 3] and second is not members[1]
 
 
 class TestProtocol:
@@ -185,3 +196,114 @@ class TestStaleness:
         sched.complete_aggregation(0)
         sched.history.clear()
         assert len(sched.history) == 1
+
+
+# ----------------------------------------------------------------------
+# The scheduler against a dict-based reference model of Algorithm 1
+# ----------------------------------------------------------------------
+class ReferenceScheduler:
+    """Algorithm 1's server bookkeeping in plain dicts, one entry per group."""
+
+    def __init__(self, groups):
+        self.members = {g: list(m) for g, m in enumerate(groups)}
+        self.owner = {w: g for g, m in self.members.items() for w in m}
+        self.count = {g: 0 for g in self.members}
+        self.ready = {g: set() for g in self.members}
+        self.held = {g: 0 for g in self.members}
+        self.round, self.events = 0, []
+
+    def receive_ready(self, worker):
+        g = self.owner[worker]
+        if worker in self.ready[g]:
+            raise ValueError("READY twice")
+        self.ready[g].add(worker)
+        self.count[g] += 1
+        return g if self.count[g] >= len(self.members[g]) else None
+
+    def receive_group_ready(self, g):
+        if self.count[g] != 0:
+            raise RuntimeError("partial READY state")
+        self.count[g] = len(self.members[g])
+        return g
+
+    def abort_group(self, g):
+        if self.count[g] < len(self.members[g]):
+            raise RuntimeError("not complete")
+        self.count[g], self.ready[g] = 0, set()
+
+    def complete_aggregation(self, g):
+        self.abort_group(g)
+        self.round += 1
+        base = self.held[g]
+        self.events.append((self.round, g, max(0, self.round - base - 1), self.members[g], base))
+        self.held[g] = self.round
+        return self.events[-1]
+
+    def participation_counts(self):
+        return [sum(e[1] == g for e in self.events) for g in self.members]
+
+
+TRANSITIONS = ("receive_ready", "receive_group_ready", "complete_aggregation", "abort_group")
+
+
+def _event_row(event):
+    return (event.round_index, event.group_id, event.staleness, list(event.member_ids),
+            event.base_version)
+
+
+def replay(sizes, seed, ops):
+    """Apply ``ops`` to both models; every outcome, error type and final state agree."""
+    ids = np.random.default_rng(seed).permutation(sum(sizes)).tolist()
+    groups = [ids[a - n:a] for n, a in zip(sizes, np.cumsum(sizes).tolist())]
+    sched, ref = GroupAsyncScheduler(groups), ReferenceScheduler(groups)
+    errors = set()
+    for name, index in ops:
+        # One id past the end of either range names an unknown worker / group.
+        arg = index % (len(ids) + 1) if name == "receive_ready" else index % (len(sizes) + 1)
+        outcomes = []
+        for model in (sched, ref):
+            try:
+                result = getattr(model, name)(arg)
+            except (KeyError, ValueError, RuntimeError) as exc:
+                outcomes.append(type(exc))
+            else:
+                if model is sched and name == "complete_aggregation":
+                    result = _event_row(result)
+                outcomes.append(result)
+        assert outcomes[0] == outcomes[1], (name, arg)
+        if isinstance(outcomes[0], type):
+            errors.add((name, outcomes[0]))
+    assert sched.current_round == ref.round
+    assert [_event_row(e) for e in sched.history] == ref.events
+    assert sched.staleness_profile() == [e[2] for e in ref.events]
+    assert sched.participation_counts() == ref.participation_counts()
+    return errors
+
+
+ERROR_PATHS = {
+    "double READY": ([2], [("receive_ready", 0), ("receive_ready", 0)], ValueError),
+    "group READY over partial state": (
+        [3], [("receive_ready", 1), ("receive_group_ready", 0)], RuntimeError),
+    "complete before ready": (
+        [2, 1], [("receive_ready", 0), ("complete_aggregation", 0)], RuntimeError),
+    "abort before ready": ([1, 2], [("abort_group", 1)], RuntimeError),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ERROR_PATHS))
+def test_error_paths_match_the_reference_model(path):
+    sizes, ops, error = ERROR_PATHS[path]
+    assert replay(sizes, 0, ops) == {(ops[-1][0], error)}
+
+
+@settings(max_examples=150)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+    ops=st.lists(st.tuples(st.sampled_from(TRANSITIONS), st.integers(0, 50)), max_size=80),
+)
+@example(sizes=[2, 1], seed=0, ops=[("receive_group_ready", 0), ("complete_aggregation", 0)] * 3
+         + [("receive_ready", 0)] * 4 + [("abort_group", 1), ("receive_group_ready", 1)])
+def test_random_sequences_match_the_reference_model(sizes, seed, ops):
+    """Transitions, staleness, participation counts and history, on any sequence."""
+    replay(sizes, seed, ops)

@@ -1,5 +1,7 @@
 """Tests for the population-scale worker state surface (repro.core.population)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core.population import (
     WorkerStateTable,
     validate_materialization,
 )
-from repro.data.partition import partition_iid, partition_label_skew
+from repro.data.partition import Partition, partition_iid, partition_label_skew
 from repro.sim.latency import build_uniform_latency
 
 
@@ -164,15 +166,16 @@ def _bincount_histograms(store):
     )
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3, 80])
 def test_class_counts_equal_per_worker_bincount_replicated(stride):
-    """More workers than one 4096-worker block, overlapping windows."""
+    """Overlapping windows; 5000 workers over 75 window starts, so starts wrap."""
     dataset = _dataset(num_train=90)
     store = SharedDatasetStore.replicated(
         dataset, num_workers=5000, shard_size=16, stride=stride
     )
     counts = store.class_counts()
-    assert counts.dtype == np.int64 and counts.shape == (5000, dataset.num_classes)
+    assert counts.dtype == np.int32 and counts.shape == (5000, dataset.num_classes)
+    assert counts.T.flags.c_contiguous  # class-major
     assert np.array_equal(counts, _bincount_histograms(store))
 
 
@@ -181,6 +184,61 @@ def test_class_counts_equal_per_worker_bincount_from_partition():
     partition = partition_label_skew(dataset, num_workers=10, labels_per_worker=2, seed=0)
     store = SharedDatasetStore.from_partition(dataset, partition)
     assert np.array_equal(store.class_counts(), _bincount_histograms(store))
+
+
+def test_class_counts_equal_per_worker_bincount_with_empty_workers():
+    dataset = _dataset()
+    order = np.random.default_rng(0).permutation(dataset.num_train)
+    empty = np.empty(0, dtype=np.int64)
+    partition = Partition(
+        [empty, order[:50], empty, order[50:51], order[51:], empty],
+        dataset.num_classes,
+        dataset.y_train,
+    )
+    store = SharedDatasetStore.from_partition(dataset, partition)
+    counts = store.class_counts()
+    assert np.array_equal(counts, _bincount_histograms(store))
+    assert np.array_equal(counts, partition.class_counts())
+    assert not counts[[0, 2, 5]].any()
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 2, 5, -1, 1], [0, 1, 2, 1, 3, 1], [-1, 1, 2, 0, 1, 1]]
+)
+def test_class_counts_reject_out_of_range_labels(labels):
+    """Worker 1 holds three samples; it must not get a histogram summing to 1."""
+    store = SharedDatasetStore(
+        x=np.zeros((6, 2)),
+        y=np.array(labels),
+        starts=np.array([0, 3]),
+        stops=np.array([3, 6]),
+        num_classes=3,
+    )
+    with pytest.raises(ValueError, match="partition labels out of range for num_classes"):
+        store.class_counts()
+
+
+def test_grouping_setup_memory_at_100k_workers():
+    """No (N, K) int64 histogram and no widening copy of it: the traced peak
+    of the label counts, the grouping problem and a contiguous grouping
+    stays below one such histogram plus one int64 id per worker."""
+    dataset = _dataset(num_train=256)
+    n, k = 100_000, dataset.num_classes
+    store = SharedDatasetStore.replicated(dataset, num_workers=n, shard_size=32)
+    sizes, times = np.full(n, 32.0), np.linspace(1.0, 2.0, n)
+    tracemalloc.start()
+    try:
+        problem = GroupingProblem(
+            data_sizes=sizes,
+            class_counts=store.class_counts(),
+            local_times=times,
+            model_dimension=100,
+        )
+        contiguous_grouping(problem, n // 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8 + n * 8
 
 
 def test_class_counts_zero_length_windows():

@@ -88,13 +88,24 @@ class TestFirstDispatch:
         assert batched.to_dict() == looped.to_dict()
 
     def test_coverage_error_prints_ten_ids(self, small_experiment):
-        class Overlapping(AirFedGATrainer):
-            def build_groups(self):
-                return [list(range(8)), list(range(8)), [0, 1]]
+        cases = [
+            # Overlap is the scheduler's check; the coverage check reads its ids.
+            ([list(range(8)), list(range(8)), [0, 1]], "multiple groups", range(8)),
+            ([list(range(8)), list(range(8, 20))], "cover every worker exactly once", range(10)),
+            ([[0, 1, 2], [3, 5, 6, 7]], "cover every worker exactly once", [0, 1, 2, 3, 5, 6, 7]),
+            # Eight distinct ids, one end right: the other end is checked too.
+            ([[0, 1, 2, 3], [4, 5, 6, 9]], "cover every worker exactly once", [0, 1, 2, 3, 4, 5, 6, 9]),
+            ([[-1, 0, 1, 2], [3, 4, 5, 7]], "cover every worker exactly once", [-1, 0, 1, 2, 3, 4, 5, 7]),
+        ]
+        for groups, error, ids in cases:
 
-        with pytest.raises(ValueError, match="cover every worker exactly once") as excinfo:
-            Overlapping(small_experiment)
-        assert "[0, 0, 0, 1, 1, 1, 2, 2, 3, 3]..." in str(excinfo.value)
+            class Miscovering(AirFedGATrainer):
+                def build_groups(self):
+                    return groups
+
+            with pytest.raises(ValueError, match=error) as excinfo:
+                Miscovering(small_experiment)
+            assert str(excinfo.value).endswith(f"{list(ids)}...")
 
 
 class TestChannelContention:

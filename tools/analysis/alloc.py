@@ -138,12 +138,16 @@ HOT_PATHS: Dict[str, Set[str]] = {
     "src/repro/nn/models.py": {"Model.evaluate"},
     # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
     "src/repro/core/power_control.py": {"PowerControlCache.solve"},
-    # Server-side protocol transitions: O(1) per event.
+    # Server-side protocol transitions and the helpers they call: O(1) per
+    # event.
     "src/repro/core/mechanism.py": {
         "GroupAsyncScheduler.receive_ready",
         "GroupAsyncScheduler.receive_group_ready",
         "GroupAsyncScheduler.complete_aggregation",
         "GroupAsyncScheduler.abort_group",
+        "GroupAsyncScheduler.group_of",
+        "GroupAsyncScheduler._check_complete",
+        "GroupAsyncScheduler._reset_ready",
     },
 }
 
