@@ -8,6 +8,14 @@ from repro.experiments import emd_comparison, lr_mnist_config, mechanism_compari
 
 
 class TestEMDComparison:
+    def test_default_table_is_pinned(self):
+        """Table III at the default scenario, exact to the last bit."""
+        assert emd_comparison() == {
+            "original": 1.800000000000001,
+            "tifl": 0.7382035375186343,
+            "air_fedga": 0.2955606466730636,
+        }
+
     def test_original_matches_paper_value(self):
         """Single-label workers over 10 balanced classes give EMD = 1.8."""
         result = emd_comparison(num_workers=20, num_tiers=4, seed=0)
