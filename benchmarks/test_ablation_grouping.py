@@ -1,8 +1,8 @@
 """Ablation E-A2: grouping strategy — data-aware greedy vs time tiers vs random.
 
-DESIGN.md calls out the grouping objective as the second design choice worth
-ablating.  All strategies run the *same* Air-FedGA aggregation mechanism and
-differ only in how the groups are formed:
+The grouping objective (P4, Algorithm 3) is a design choice worth ablating.
+All strategies run the *same* Air-FedGA aggregation mechanism and differ
+only in how the groups are formed:
 
 * ``greedy``    — the paper's Algorithm 3 (time-similar groups, near-IID
   inter-group label distributions),
@@ -13,7 +13,6 @@ differ only in how the groups are formed:
 
 from __future__ import annotations
 
-from repro.data import average_emd
 from repro.experiments import format_table
 from repro.fl import AirFedGATrainer
 from .workloads import ACCURACY_TARGETS, fig3_config
@@ -40,7 +39,7 @@ def run_ablation():
         results[strategy] = {
             "history": history,
             "num_groups": trainer.grouping_result.num_groups,
-            "emd": average_emd(experiment.partition, trainer.groups),
+            "emd": float(trainer.grouping_result.lambdas.mean()),
         }
     return results
 

@@ -27,11 +27,12 @@ from repro.core import (
     GroupingProblem,
     greedy_grouping,
     random_grouping,
+    singleton_grouping,
     solve_power_control,
     tier_grouping,
 )
 from repro.channel.aircomp import aggregation_error_term
-from repro.data import average_emd, make_mnist_like, partition_label_skew, worker_emds
+from repro.data import make_mnist_like, partition_label_skew
 from repro.experiments import format_table
 from repro.sim import HeterogeneityModel, LatencyTable
 
@@ -47,7 +48,7 @@ def grouping_demo(num_workers: int = 100, seed: int = 7) -> None:
     problem = GroupingProblem(
         data_sizes=partition.data_sizes(),
         class_counts=partition.class_counts(),
-        local_times=latency.nominal_times(),
+        local_times=latency.nominal,
         model_dimension=670_730,
         config=AirFedGAConfig(),
     )
@@ -58,13 +59,13 @@ def grouping_demo(num_workers: int = 100, seed: int = 7) -> None:
 
     rows = [
         ("original (1 worker = 1 group)", num_workers,
-         float(worker_emds(partition).mean()), float("nan")),
+         float(singleton_grouping(problem).lambdas.mean()), float("nan")),
         ("TiFL time tiers", tiers.num_groups,
-         average_emd(partition, tiers.groups), float(tiers.group_times.max())),
+         float(tiers.lambdas.mean()), float(tiers.group_times.max())),
         ("random groups", rand.num_groups,
-         average_emd(partition, rand.groups), float(rand.group_times.max())),
+         float(rand.lambdas.mean()), float(rand.group_times.max())),
         ("Air-FedGA greedy (Alg. 3)", greedy.num_groups,
-         average_emd(partition, greedy.groups), float(greedy.group_times.max())),
+         float(greedy.lambdas.mean()), float(greedy.group_times.max())),
     ]
     print(
         format_table(
@@ -75,7 +76,7 @@ def grouping_demo(num_workers: int = 100, seed: int = 7) -> None:
     )
     print()
     print("Per-group spread of local training times under Algorithm 3 (Fig. 7):")
-    times = latency.nominal_times()
+    times = latency.nominal
     for gid, members in enumerate(sorted(greedy.groups, key=lambda g: np.median(times[g]))):
         member_times = times[list(members)]
         print(

@@ -12,7 +12,7 @@ from .aircomp import (
     ideal_group_average_reference,
 )
 from .oma import OMAConfig, ofdma_round_time, tdma_round_time, worker_upload_time
-from .energy import EnergyTracker, max_sigma_for_budget, transmit_energy
+from .energy import EnergyTracker, transmit_energy
 
 __all__ = [
     "ChannelModel",
@@ -31,6 +31,5 @@ __all__ = [
     "tdma_round_time",
     "ofdma_round_time",
     "EnergyTracker",
-    "max_sigma_for_budget",
     "transmit_energy",
 ]

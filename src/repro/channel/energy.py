@@ -8,8 +8,9 @@ with ``p_i^t = d_i σ_t / h_i^t`` (Eq. 6), and imposes a per-round energy
 budget ``E_i^t ≤ Ê_i`` (constraint 36c, default 10 J in the evaluation).
 Figure 9 compares the cumulative aggregation energy of Air-FedAvg,
 Air-FedGA and Dynamic at matched accuracy levels.  This module provides the
-energy formula, the budget check that power control must respect, and a
-small accumulator used by the trainers to produce Fig. 9.
+energy formula and a small accumulator used by the trainers to produce
+Fig. 9; the budget's cap on σ_t (Eq. 46) is applied by power control
+(:mod:`repro.core.power_control`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "transmit_energy",
-    "max_sigma_for_budget",
     "EnergyTracker",
 ]
 
@@ -42,24 +42,6 @@ def transmit_energy(
     power = data_size * sigma_t / channel_gain
     vec = np.asarray(model_vector, dtype=np.float64)
     return float(power**2 * np.dot(vec.ravel(), vec.ravel()))
-
-
-def max_sigma_for_budget(
-    energy_budget: float,
-    data_size: float,
-    channel_gain: float,
-    model_norm_bound: float,
-) -> float:
-    """Largest σ_t a worker can afford: ``σ ≤ h_i √Ê_i / (d_i W_t)`` (Eq. 46)."""
-    if energy_budget <= 0:
-        raise ValueError("energy_budget must be positive")
-    if data_size <= 0:
-        raise ValueError("data_size must be positive")
-    if channel_gain <= 0:
-        raise ValueError("channel_gain must be positive")
-    if model_norm_bound <= 0:
-        raise ValueError("model_norm_bound must be positive")
-    return float(channel_gain * np.sqrt(energy_budget) / (data_size * model_norm_bound))
 
 
 @dataclass

@@ -8,7 +8,6 @@ from .config import (
     GroupingConfig,
 )
 from .timing import (
-    GroupTiming,
     average_round_time,
     estimated_max_staleness,
     expected_dispatch_attempts,
@@ -30,7 +29,6 @@ from .convergence import (
 from .power_control import (
     PowerControlCache,
     PowerControlResult,
-    feasible_sigma,
     optimal_eta,
     solve_power_control,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "ConvergenceConfig",
     "FaultConfig",
     "AirFedGAConfig",
-    "GroupTiming",
     "group_completion_time",
     "average_round_time",
     "participation_frequencies",
@@ -78,7 +75,6 @@ __all__ = [
     "PowerControlCache",
     "PowerControlResult",
     "optimal_eta",
-    "feasible_sigma",
     "solve_power_control",
     "GroupingProblem",
     "GroupingResult",

@@ -31,7 +31,6 @@ __all__ = [
     "PowerControlResult",
     "PowerControlCache",
     "optimal_eta",
-    "feasible_sigma",
     "solve_power_control",
 ]
 
@@ -84,29 +83,11 @@ def optimal_eta(
     return float((numerator / (sigma * model_bound**2)) ** 2)
 
 
-def feasible_sigma(
-    eta: float,
-    model_bound: float,
-    data_sizes: Sequence[float],
-    channel_gains: Sequence[float],
-    energy_budgets: Sequence[float],
+def _sigma_cap(
+    sizes: np.ndarray, gains: np.ndarray, model_bound: float, energy_budget: float
 ) -> float:
-    """σ minimizing C_t for a fixed η while respecting energy budgets (Eq. 47)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if model_bound <= 0:
-        raise ValueError("model_bound must be positive")
-    sizes = np.asarray(data_sizes, dtype=np.float64)
-    gains = np.asarray(channel_gains, dtype=np.float64)
-    budgets = np.asarray(energy_budgets, dtype=np.float64)
-    if not (sizes.shape == gains.shape == budgets.shape):
-        raise ValueError("data_sizes, channel_gains and energy_budgets must align")
-    if sizes.size == 0:
-        raise ValueError("at least one worker required")
-    if np.any(sizes <= 0) or np.any(gains <= 0) or np.any(budgets <= 0):
-        raise ValueError("sizes, gains and budgets must be positive")
-    caps = gains * np.sqrt(budgets) / (sizes * model_bound)
-    return float(min(np.sqrt(eta), caps.min()))
+    """``min_i h_i √Ê / (d_i W_t)``: the largest σ every worker affords (Eq. 46)."""
+    return float((gains * np.sqrt(energy_budget) / (sizes * model_bound)).min())
 
 
 def solve_power_control(
@@ -114,8 +95,6 @@ def solve_power_control(
     channel_gains: Sequence[float],
     model_bound: float,
     config: AirCompConfig,
-    energy_budgets: Sequence[float] | None = None,
-    initial_sigma: float | None = None,
 ) -> PowerControlResult:
     """Run Algorithm 2 for one round / one participating group.
 
@@ -129,13 +108,9 @@ def solve_power_control(
         ``W_t`` — an upper bound on the local model norms (the trainers pass
         the current global-model norm, which tracks it closely).
     config:
-        Physical-layer configuration (noise variance, budgets, tolerances).
-    energy_budgets:
-        Per-worker budgets ``Ê_i``; defaults to ``config.energy_budget_j``
-        for every worker.
-    initial_sigma:
-        Starting point of the alternation; defaults to the energy-budget cap
-        (the largest feasible σ).
+        Physical-layer configuration (noise variance, the per-worker budget
+        ``Ê``, tolerances).  The alternation starts from the energy-budget
+        cap, the largest feasible σ.
     """
     sizes = np.asarray(data_sizes, dtype=np.float64)
     gains = np.asarray(channel_gains, dtype=np.float64)
@@ -145,24 +120,11 @@ def solve_power_control(
         raise ValueError("data sizes and channel gains must be positive")
     if model_bound <= 0:
         raise ValueError("model_bound must be positive")
-    if energy_budgets is None:
-        budgets = np.full(sizes.shape, config.energy_budget_j)
-    else:
-        budgets = np.asarray(energy_budgets, dtype=np.float64)
-        if budgets.shape != sizes.shape:
-            raise ValueError("energy_budgets must align with data_sizes")
-        if np.any(budgets <= 0):
-            raise ValueError("energy budgets must be positive")
 
     group_size = float(sizes.sum())
     noise_var = config.noise_variance
-    caps = gains * np.sqrt(budgets) / (sizes * model_bound)
-    sigma_cap = float(caps.min())
-
-    sigma = float(initial_sigma) if initial_sigma is not None else sigma_cap
-    if sigma <= 0:
-        raise ValueError("initial sigma must be positive")
-    sigma = min(sigma, sigma_cap)
+    sigma_cap = _sigma_cap(sizes, gains, model_bound, config.energy_budget_j)
+    sigma = sigma_cap
     eta = optimal_eta(sigma, model_bound, noise_var, group_size)
 
     history: List[tuple] = []
@@ -171,8 +133,7 @@ def solve_power_control(
     for iterations in range(1, config.power_control_max_iters + 1):
         prev_sigma, prev_eta = sigma, eta
         eta = optimal_eta(sigma, model_bound, noise_var, group_size)
-        # Eq. 47: feasible_sigma(), with the cap this function already took
-        # from the arrays it already validated.
+        # Eq. 47: the unconstrained optimum √η, clipped to the cap.
         sigma = float(min(np.sqrt(eta), sigma_cap))
         c = aggregation_error_term(sigma, eta, model_bound, noise_var, group_size)
         history.append((sigma, eta, c))
@@ -252,8 +213,7 @@ class PowerControlCache:
         if cached is not None:
             self.hits += 1
             # Clamp to the exact cap for *this* round's bound (Eq. 46).
-            caps = gains * np.sqrt(config.energy_budget_j) / (sizes * model_bound)
-            sigma_cap = float(caps.min())
+            sigma_cap = _sigma_cap(sizes, gains, model_bound, config.energy_budget_j)
             if cached.sigma <= sigma_cap:
                 return cached
             # Re-pair the clamped σ with its own optimal η (Eq. 44) so the

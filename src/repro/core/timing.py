@@ -19,15 +19,11 @@ algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..channel.aircomp import aircomp_latency
-
 __all__ = [
-    "GroupTiming",
     "group_completion_time",
     "average_round_time",
     "participation_frequencies",
@@ -78,7 +74,8 @@ def estimated_max_staleness(group_times: Sequence[float]) -> float:
     With a single group this evaluates to 1 global update per group round,
     i.e. staleness ≈ 1·L_max/L_max = 1; the paper's convention has
     ``τ_max = 0`` for M = 1, so callers using the Theorem-1 exponent should
-    subtract the self-update (see :func:`GroupTiming.tau_max_estimate`).
+    subtract the self-update, as
+    :attr:`repro.core.grouping.GroupingResult.tau_max_estimate` does.
     """
     times = np.asarray(group_times, dtype=np.float64)
     if times.size == 0:
@@ -162,63 +159,3 @@ def faulty_group_completion_time(
     if not np.isfinite(attempts):
         return float("inf")
     return float(base + (attempts - 1.0) * retry_backoff)
-
-
-@dataclass
-class GroupTiming:
-    """Bundled timing quantities for a concrete grouping.
-
-    Parameters
-    ----------
-    group_local_times:
-        Per-group lists of member local-training times ``l_i``.
-    model_dimension, num_subchannels, symbol_duration:
-        Parameters of the AirComp upload latency (Eq. 33).
-    """
-
-    group_local_times: List[List[float]]
-    model_dimension: int
-    num_subchannels: int
-    symbol_duration: float
-
-    def __post_init__(self) -> None:
-        if not self.group_local_times:
-            raise ValueError("at least one group required")
-        self._upload = aircomp_latency(
-            self.model_dimension, self.num_subchannels, self.symbol_duration
-        )
-        self._group_times = np.array(
-            [
-                group_completion_time(times, self._upload)
-                for times in self.group_local_times
-            ]
-        )
-
-    @property
-    def upload_latency(self) -> float:
-        """``L_u`` (Eq. 33)."""
-        return self._upload
-
-    @property
-    def group_times(self) -> np.ndarray:
-        """``L_j`` for every group (Eq. 34)."""
-        return self._group_times.copy()
-
-    @property
-    def round_time(self) -> float:
-        """``L`` (Eq. 35)."""
-        return average_round_time(self._group_times)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """``ψ_j`` participation frequencies."""
-        return participation_frequencies(self._group_times)
-
-    def tau_max_estimate(self) -> float:
-        """Staleness estimate used in the P2 objective.
-
-        Uses Eq. (39) minus the group's own update so that a single-group
-        system has ``τ̂_max = 0`` as in Corollary 2.
-        """
-        raw = estimated_max_staleness(self._group_times)
-        return max(0.0, raw - 1.0)

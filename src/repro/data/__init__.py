@@ -1,4 +1,4 @@
-"""Dataset substrate: synthetic datasets, federated partitioning, statistics."""
+"""Dataset substrate: synthetic datasets and federated partitioning."""
 
 from .synthetic import (
     Dataset,
@@ -14,15 +14,6 @@ from .partition import (
     partition_iid,
     partition_label_skew,
 )
-from .stats import (
-    average_emd,
-    emd,
-    group_class_counts,
-    group_data_sizes,
-    group_distributions,
-    group_emds,
-    worker_emds,
-)
 
 __all__ = [
     "Dataset",
@@ -35,11 +26,4 @@ __all__ = [
     "partition_iid",
     "partition_label_skew",
     "partition_dirichlet",
-    "emd",
-    "group_class_counts",
-    "group_data_sizes",
-    "group_distributions",
-    "group_emds",
-    "average_emd",
-    "worker_emds",
 ]

@@ -7,8 +7,9 @@ standard partitioners used in the FL literature (IID and Dirichlet label
 skew) for the ablation benchmarks.
 
 A partition is represented by :class:`Partition`, mapping each worker index
-to the indices of its training samples; per-worker and per-class size
-statistics (the α_i, d_i^k quantities of Table II) are exposed directly.
+to the indices of its training samples; per-worker and per-class sizes
+(the d_i, d_i^k quantities of Table II) are exposed directly.  The
+proportions α_i are :attr:`repro.core.population.WorkerStateTable.alphas`.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ class Partition:
         """Total data size ``D``."""
         return int(self.data_sizes().sum())
 
-    def proportions(self) -> np.ndarray:
-        """Per-worker proportions ``α_i = d_i / D``."""
-        sizes = self.data_sizes().astype(np.float64)
-        total = sizes.sum()
-        if total == 0:
-            raise ValueError("partition is empty")
-        return sizes / total
-
     def class_counts(self) -> np.ndarray:
         """Matrix of per-worker per-class sample counts ``d_i^k``.
 
@@ -102,18 +95,6 @@ class Partition:
                 owners * k + assigned, minlength=n * k
             ).reshape(n, k)
         return self._class_counts
-
-    def class_distribution(self) -> np.ndarray:
-        """Per-worker label distributions ``α_i^k = d_i^k / d_i``.
-
-        Workers with no data get a uniform distribution by convention.
-        """
-        counts = self.class_counts().astype(np.float64)
-        sizes = counts.sum(axis=1, keepdims=True)
-        dist = np.full_like(counts, 1.0 / self.num_classes)
-        nonzero = sizes[:, 0] > 0
-        dist[nonzero] = counts[nonzero] / sizes[nonzero]
-        return dist
 
     def global_distribution(self) -> np.ndarray:
         """Global label distribution ``λ_k`` over all assigned samples."""

@@ -2,8 +2,8 @@
 
 Each function regenerates the data series behind one figure of the paper's
 evaluation section.  They return plain dictionaries / NumPy arrays (no
-plotting dependency); the benchmark harness prints them as text tables and
-EXPERIMENTS.md records the paper-vs-measured comparison.
+plotting dependency); the ``benchmarks/test_fig*`` drivers print them as
+text tables.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def grouping_boxplot_data(
         **{"algorithm.grouping.xi": xi, "timing.base_local_time": base_local_time}
     )
     experiment = scenario.build_experiment()
-    local_times = experiment.latency.nominal_times()
+    local_times = experiment.latency.nominal
     problem = GroupingProblem(
         data_sizes=experiment.partition.data_sizes(),
         class_counts=experiment.partition.class_counts(),

@@ -6,9 +6,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.grouping import GroupingProblem, greedy_grouping, tier_grouping
-from ..data.partition import Partition
-from ..data.stats import average_emd, worker_emds
+from ..core.grouping import (
+    GroupingProblem,
+    greedy_grouping,
+    singleton_grouping,
+    tier_grouping,
+)
 from .configs import cnn_mnist_config
 from .runner import run_comparison
 from .scenario import Scenario
@@ -27,26 +30,29 @@ def emd_comparison(
 ) -> Dict[str, float]:
     """Average group-vs-global EMD for Original / TiFL / Air-FedGA grouping.
 
-    With the paper's label-skew partition (each worker holds one class) the
-    "Original" value is ``|1/K − 1| + (K−1)·|1/K − 0| = 2(K−1)/K`` (= 1.8
-    for K = 10); TiFL's time-based tiers barely improve it, while the
-    data-aware greedy grouping drives it toward 0.
+    Each value is the mean of :attr:`GroupingResult.lambdas` (Λ_j, Eq. 11)
+    of one grouping strategy.  With the paper's label-skew partition (each
+    worker holds one class) the "Original" value is
+    ``|1/K − 1| + (K−1)·|1/K − 0| = 2(K−1)/K`` (= 1.8 for K = 10); TiFL's
+    time-based tiers barely improve it, while the data-aware greedy grouping
+    drives it toward 0.
     """
     scenario = scenario or cnn_mnist_config(seed=seed)
     scenario = scenario.with_(num_workers=num_workers)
     experiment = scenario.build_experiment()
-    partition: Partition = experiment.partition
+    partition = experiment.partition
     problem = GroupingProblem(
         data_sizes=partition.data_sizes(),
         class_counts=partition.class_counts(),
-        local_times=experiment.latency.nominal_times(),
+        local_times=experiment.latency.nominal,
         model_dimension=scenario.training.latency_model_dimension or 10_000,
         config=scenario.algorithm,
     )
-    original = float(worker_emds(partition).mean())
-    tifl = average_emd(partition, tier_grouping(problem, num_groups=num_tiers).groups)
-    airfedga = average_emd(partition, greedy_grouping(problem).groups)
-    return {"original": original, "tifl": tifl, "air_fedga": airfedga}
+    return {
+        "original": float(singleton_grouping(problem).lambdas.mean()),
+        "tifl": float(tier_grouping(problem, num_groups=num_tiers).lambdas.mean()),
+        "air_fedga": float(greedy_grouping(problem).lambdas.mean()),
+    }
 
 
 # ----------------------------------------------------------------------

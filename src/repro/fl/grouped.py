@@ -154,7 +154,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         return GroupingProblem(
             data_sizes=self.worker_state.sizes,
             class_counts=self.population.class_counts(),
-            local_times=self.exp.latency.nominal_times(),
+            local_times=self.exp.latency.nominal,
             model_dimension=self.latency_dimension,
             config=self.exp.config,
             c_max=c_max,

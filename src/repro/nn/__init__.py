@@ -8,7 +8,6 @@ SGD, and flat-vector parameter access for over-the-air aggregation.
 from .params import (
     Parameter,
     ParameterSet,
-    ParameterVector,
     default_dtype,
     flatten_parameters,
     parameter_dtype,
@@ -53,7 +52,6 @@ from .models import (
 __all__ = [
     "Parameter",
     "ParameterSet",
-    "ParameterVector",
     "flatten_parameters",
     "unflatten_vector",
     "default_dtype",

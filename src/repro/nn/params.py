@@ -10,17 +10,15 @@ contiguous 1-D ``float64`` vector (convenient for channel simulation and
 aggregation).
 
 The conversion helpers here are deliberately allocation-conscious: flattening
-writes into a single pre-allocated buffer using ``np.concatenate`` on views,
-and unflattening produces views that are reshaped copies only when strides
-require it.  Hot training loops re-use the same buffer via
-:meth:`ParameterVector.copy_into`.
+copies each block into its slice of one (optionally pre-allocated) buffer,
+and unflattening returns reshaped views of the vector.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +26,6 @@ import numpy as np
 __all__ = [
     "Parameter",
     "ParameterSet",
-    "ParameterVector",
     "flatten_parameters",
     "unflatten_vector",
     "default_dtype",
@@ -230,46 +227,6 @@ class ParameterSet:
                     f"{param.shape} vs {value.shape}"
                 )
             np.copyto(param.value, value)
-
-
-@dataclass
-class ParameterVector:
-    """A flat model vector paired with the layout needed to restore it.
-
-    This is the unit that travels through the simulated wireless channel.
-    ``data`` is always 1-D, C-contiguous ``float64`` so that AirComp
-    superposition (element-wise sums of many vectors) vectorizes cleanly.
-    """
-
-    data: np.ndarray
-    shapes: List[Tuple[int, ...]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        if data.dtype not in _SUPPORTED_DTYPES:
-            data = data.astype(np.float64)
-        self.data = np.ascontiguousarray(data).ravel()
-
-    @property
-    def dimension(self) -> int:
-        return int(self.data.size)
-
-    def norm(self) -> float:
-        """Euclidean norm of the flat vector (used for the model bound W_t)."""
-        return float(np.linalg.norm(self.data))
-
-    def copy(self) -> "ParameterVector":
-        return ParameterVector(self.data.copy(), list(self.shapes))
-
-    def copy_into(self, out: np.ndarray) -> np.ndarray:
-        """Copy the vector into a pre-allocated buffer and return it."""
-        if out.shape != self.data.shape:
-            raise ValueError(
-                f"buffer shape {out.shape} does not match vector shape "
-                f"{self.data.shape}"
-            )
-        np.copyto(out, self.data)
-        return out
 
 
 def flatten_parameters(

@@ -56,11 +56,6 @@ class HeterogeneityModel:
         """The per-worker scaling factors (copy)."""
         return self._kappa.copy()
 
-    def scale(self, worker_id: int) -> float:
-        if not 0 <= worker_id < self.num_workers:
-            raise ValueError(f"invalid worker id {worker_id}")
-        return float(self._kappa[worker_id])
-
 
 @dataclass
 class LatencyTable:
@@ -120,15 +115,6 @@ class LatencyTable:
         view.flags.writeable = False
         return view
 
-    def nominal_times(self) -> np.ndarray:
-        """The deterministic per-worker times ``l_i`` (used by Alg. 3)."""
-        return self._nominal.copy()
-
-    def spread(self) -> float:
-        """Δl = max_i l_i − min_i l_i (the scale used in constraint 36d)."""
-        times = self._nominal
-        return float(times.max() - times.min())
-
     def sample_time(self, worker_id: int, round_index: int) -> float:
         """Local-training time of one worker in one round (with jitter if set)."""
         if not 0 <= worker_id < self.num_workers:
@@ -163,15 +149,6 @@ class LatencyTable:
         return np.array(
             [self.sample_time(w, round_index) for w in ids.tolist()]
         )
-
-    def group_completion_time(
-        self, worker_ids: Union[Sequence[int], np.ndarray], round_index: int = 0
-    ) -> float:
-        """Time for a whole group to finish local training (slowest member)."""
-        ids = np.asarray(worker_ids, dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("group must contain at least one worker")
-        return float(self.sample_times(ids, round_index).max())
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel import EnergyTracker, max_sigma_for_budget, transmit_energy
+from repro.channel import EnergyTracker, transmit_energy
 
 
 class TestTransmitEnergy:
@@ -30,28 +30,6 @@ class TestTransmitEnergy:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             transmit_energy(np.ones(2), **kwargs)
-
-
-class TestMaxSigmaForBudget:
-    def test_budget_is_respected_at_the_cap(self):
-        """Transmitting at the returned σ with ||w|| = W uses exactly Ê."""
-        budget, d, h, W = 10.0, 4.0, 1.5, 2.0
-        sigma = max_sigma_for_budget(budget, d, h, W)
-        w = np.array([W, 0.0])  # a vector with norm exactly W
-        assert transmit_energy(w, d, h, sigma) == pytest.approx(budget)
-
-    def test_more_budget_allows_larger_sigma(self):
-        lo = max_sigma_for_budget(1.0, 1.0, 1.0, 1.0)
-        hi = max_sigma_for_budget(100.0, 1.0, 1.0, 1.0)
-        assert hi == pytest.approx(10 * lo)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            max_sigma_for_budget(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            max_sigma_for_budget(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            max_sigma_for_budget(1.0, 1.0, 1.0, 0.0)
 
 
 class TestEnergyTracker:

@@ -24,7 +24,7 @@ from repro.core.timing import (
     estimated_max_staleness,
     participation_frequencies,
 )
-from repro.data import average_emd, make_mnist_like, partition_label_skew
+from repro.data import make_mnist_like, partition_label_skew
 from repro.sim import HeterogeneityModel, LatencyTable
 
 
@@ -40,7 +40,7 @@ def make_problem(num_workers=20, xi=0.3, seed=0, c_max=0.0):
     problem = GroupingProblem(
         data_sizes=partition.data_sizes(),
         class_counts=partition.class_counts(),
-        local_times=latency.nominal_times(),
+        local_times=latency.nominal,
         model_dimension=100_000,
         config=config,
         c_max=c_max,
@@ -151,7 +151,7 @@ class TestGroupingProblem:
 
     def test_time_spread(self):
         problem, _, latency = make_problem()
-        times = latency.nominal_times()
+        times = latency.nominal
         assert problem.time_spread() == pytest.approx(times.max() - times.min())
 
 
@@ -187,21 +187,17 @@ class TestGreedyGrouping:
         assert few <= many
 
     def test_reduces_emd_relative_to_singletons(self):
-        problem, partition, _ = make_problem(num_workers=30)
+        problem, _, _ = make_problem(num_workers=30)
         greedy = greedy_grouping(problem)
         single = singleton_grouping(problem)
-        assert average_emd(partition, greedy.groups) < average_emd(
-            partition, single.groups
-        )
+        assert greedy.lambdas.mean() < single.lambdas.mean()
 
     def test_emd_not_worse_than_time_only_tiers(self):
         """The data-aware grouping should beat (or match) TiFL tiers (Table III)."""
-        problem, partition, _ = make_problem(num_workers=40, seed=5)
+        problem, _, _ = make_problem(num_workers=40, seed=5)
         greedy = greedy_grouping(problem)
         tiers = tier_grouping(problem, num_groups=greedy.num_groups)
-        assert average_emd(partition, greedy.groups) <= average_emd(
-            partition, tiers.groups
-        ) + 1e-9
+        assert greedy.lambdas.mean() <= tiers.lambdas.mean() + 1e-9
 
     def test_objective_is_finite(self):
         problem, _, _ = make_problem()
@@ -311,9 +307,23 @@ class TestGroupingResult:
 
     def test_lambdas_within_emd_bounds(self):
         problem, _, _ = make_problem(num_workers=20)
-        result = greedy_grouping(problem)
-        assert np.all(result.lambdas >= 0.0)
-        assert np.all(result.lambdas <= 2.0 + 1e-12)
+        for name, strategy in GROUPING_STRATEGIES.items():
+            result = strategy(problem, 4, 1)
+            assert np.all(result.lambdas >= 0.0), name
+            assert np.all(result.lambdas <= 2.0 + 1e-12), name
+
+    def test_lambda_of_one_group_is_zero(self):
+        """One group holds the global distribution: Λ = 0 (Eq. 11)."""
+        problem, _, _ = make_problem(num_workers=20)
+        assert contiguous_grouping(problem, 1).lambdas == pytest.approx([0.0])
+
+    def test_singleton_lambdas_of_one_label_workers(self):
+        """A worker holding class k alone has Λ = 2(1 − λ_k): 1.8 at K = 10 balanced."""
+        problem, _, _ = make_problem(num_workers=20)
+        lambdas = singleton_grouping(problem).lambdas
+        labels = problem.class_counts.argmax(axis=1)
+        np.testing.assert_allclose(lambdas, 2.0 * (1.0 - problem.global_distribution()[labels]))
+        assert lambdas.mean() == pytest.approx(1.8, abs=0.05)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.channel import aggregation_error_term, transmit_energy
-from repro.core import AirCompConfig, feasible_sigma, optimal_eta, solve_power_control
+from repro.core import AirCompConfig, optimal_eta, solve_power_control
 
 
 CFG = AirCompConfig(noise_variance=1e-3, energy_budget_j=10.0)
@@ -40,39 +40,6 @@ class TestOptimalEta:
             optimal_eta(1.0, 1.0, 0.1, 0.0)
 
 
-class TestFeasibleSigma:
-    def test_unconstrained_optimum_is_sqrt_eta(self):
-        sigma = feasible_sigma(
-            eta=4.0, model_bound=1.0,
-            data_sizes=[1.0], channel_gains=[100.0], energy_budgets=[1e6],
-        )
-        assert sigma == pytest.approx(2.0)
-
-    def test_energy_cap_binds(self):
-        sigma = feasible_sigma(
-            eta=100.0, model_bound=2.0,
-            data_sizes=[4.0], channel_gains=[1.0], energy_budgets=[16.0],
-        )
-        # cap = h*sqrt(E)/(d*W) = 1*4/(4*2) = 0.5 < sqrt(eta) = 10
-        assert sigma == pytest.approx(0.5)
-
-    def test_cap_is_minimum_over_workers(self):
-        sigma = feasible_sigma(
-            eta=1e6, model_bound=1.0,
-            data_sizes=[1.0, 2.0], channel_gains=[1.0, 1.0],
-            energy_budgets=[1.0, 1.0],
-        )
-        assert sigma == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            feasible_sigma(0.0, 1.0, [1.0], [1.0], [1.0])
-        with pytest.raises(ValueError):
-            feasible_sigma(1.0, 1.0, [], [], [])
-        with pytest.raises(ValueError):
-            feasible_sigma(1.0, 1.0, [1.0], [1.0, 2.0], [1.0])
-
-
 class TestSolvePowerControl:
     def _solve(self, **overrides):
         kwargs = dict(
@@ -90,7 +57,10 @@ class TestSolvePowerControl:
         assert result.iterations <= CFG.power_control_max_iters
 
     def test_sigma_respects_energy_cap(self):
+        """The cap is Eq. 46's min over workers of h_i √Ê / (d_i W_t)."""
         result = self._solve()
+        caps = np.array([0.8, 1.2, 1.0]) * np.sqrt(10.0) / (np.array([20.0, 30.0, 50.0]) * 10.0)
+        assert result.sigma_cap == pytest.approx(caps.min())
         assert result.sigma <= result.sigma_cap + 1e-12
 
     def test_energy_budget_satisfied_for_every_worker(self):
@@ -102,6 +72,9 @@ class TestSolvePowerControl:
         w[0] = 10.0  # norm exactly the model bound
         for d, h in zip(sizes, gains):
             assert transmit_energy(w, d, h, result.sigma) <= CFG.energy_budget_j + 1e-9
+        # At the cap the binding worker spends exactly its budget.
+        d, h = sizes[2], gains[2]
+        assert transmit_energy(w, d, h, result.sigma_cap) == pytest.approx(CFG.energy_budget_j)
 
     def test_error_term_not_worse_than_naive_choices(self):
         result = self._solve()
@@ -131,20 +104,7 @@ class TestSolvePowerControl:
         tight = self._solve(config=AirCompConfig(noise_variance=1e-3, energy_budget_j=1.0))
         loose = self._solve(config=AirCompConfig(noise_variance=1e-3, energy_budget_j=100.0))
         assert loose.error_term <= tight.error_term + 1e-12
-
-    def test_per_worker_budgets_override_default(self):
-        result = self._solve(energy_budgets=[1.0, 1.0, 1.0])
-        default = self._solve()
-        assert result.sigma_cap < default.sigma_cap
-
-    def test_custom_initial_sigma(self):
-        a = self._solve(initial_sigma=1e-6)
-        b = self._solve()
-        # The alternation is initial-condition dependent (Algorithm 2 takes
-        # σ_t as an input); both runs must stay feasible, and the default
-        # start at the energy cap must not be worse than a tiny start.
-        assert a.sigma <= a.sigma_cap + 1e-12
-        assert b.error_term <= a.error_term + 1e-12
+        assert loose.sigma_cap == pytest.approx(10.0 * tight.sigma_cap)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +112,4 @@ class TestSolvePowerControl:
         with pytest.raises(ValueError):
             self._solve(model_bound=0.0)
         with pytest.raises(ValueError):
-            self._solve(energy_budgets=[1.0])
-        with pytest.raises(ValueError):
-            self._solve(initial_sigma=0.0)
+            self._solve(channel_gains=[0.8, 1.2])

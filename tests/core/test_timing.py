@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    GroupTiming,
+    AirCompConfig,
+    AirFedGAConfig,
+    GroupingProblem,
     average_round_time,
     estimated_max_staleness,
     group_completion_time,
     participation_frequencies,
 )
+from repro.core.grouping import _evaluate_grouping
 
 
 class TestGroupCompletionTime:
@@ -66,7 +69,7 @@ class TestParticipationFrequencies:
 class TestEstimatedMaxStaleness:
     def test_single_group_value(self):
         # One group: tau-hat = L_max * (1/L_max) = 1 (raw value before the
-        # self-update correction in GroupTiming).
+        # self-update correction in GroupingResult).
         assert estimated_max_staleness([7.0]) == pytest.approx(1.0)
 
     def test_equal_groups(self):
@@ -80,13 +83,19 @@ class TestEstimatedMaxStaleness:
 
 
 class TestGroupTiming:
-    def _timing(self):
-        return GroupTiming(
-            group_local_times=[[2.0, 4.0], [8.0]],
+    """Eqs. 33-35 and 39 as :class:`GroupingResult` carries them."""
+
+    def _timing(self, groups=([0, 1], [2])):
+        problem = GroupingProblem(
+            data_sizes=np.ones(3),
+            class_counts=np.ones((3, 2)),
+            local_times=np.array([2.0, 4.0, 8.0]),
             model_dimension=1000,
-            num_subchannels=100,
-            symbol_duration=0.1,
+            config=AirFedGAConfig(
+                aircomp=AirCompConfig(num_subchannels=100, symbol_duration_s=0.1)
+            ),
         )
+        return _evaluate_grouping(problem, [list(g) for g in groups], "probe")
 
     def test_upload_latency_formula(self):
         assert self._timing().upload_latency == pytest.approx(1.0)
@@ -96,7 +105,7 @@ class TestGroupTiming:
 
     def test_round_time(self):
         t = self._timing()
-        assert t.round_time == pytest.approx(1.0 / (1 / 5.0 + 1 / 9.0))
+        assert average_round_time(t.group_times) == pytest.approx(1.0 / (1 / 5.0 + 1 / 9.0))
 
     def test_frequencies_match_rates(self):
         t = self._timing()
@@ -105,17 +114,11 @@ class TestGroupTiming:
         )
 
     def test_tau_max_estimate_zero_for_single_group(self):
-        timing = GroupTiming(
-            group_local_times=[[2.0, 4.0]],
-            model_dimension=1000,
-            num_subchannels=100,
-            symbol_duration=0.1,
-        )
-        assert timing.tau_max_estimate() == pytest.approx(0.0)
+        assert self._timing(groups=([0, 1],)).tau_max_estimate == pytest.approx(0.0)
 
     def test_tau_max_estimate_positive_for_multiple_groups(self):
-        assert self._timing().tau_max_estimate() > 0.0
+        assert self._timing().tau_max_estimate > 0.0
 
     def test_rejects_empty_grouping(self):
         with pytest.raises(ValueError):
-            GroupTiming([], 1000, 100, 0.1)
+            self._timing(groups=())

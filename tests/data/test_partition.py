@@ -27,34 +27,16 @@ class TestPartitionContainer:
         assert sizes.sum() == dataset.num_train
         assert part.total_size == dataset.num_train
 
-    def test_proportions_sum_to_one(self, dataset):
-        part = partition_iid(dataset, num_workers=8, seed=0)
-        assert part.proportions().sum() == pytest.approx(1.0)
-
     def test_class_counts_shape_and_total(self, dataset):
         part = partition_iid(dataset, num_workers=8, seed=0)
         counts = part.class_counts()
         assert counts.shape == (8, 10)
         assert counts.sum() == dataset.num_train
 
-    def test_class_distribution_rows_sum_to_one(self, dataset):
-        part = partition_label_skew(dataset, num_workers=10, seed=0)
-        dist = part.class_distribution()
-        np.testing.assert_allclose(dist.sum(axis=1), 1.0)
-
     def test_global_distribution_matches_label_frequencies(self, dataset):
         part = partition_iid(dataset, num_workers=5, seed=0)
         expected = np.bincount(dataset.y_train, minlength=10) / dataset.num_train
         np.testing.assert_allclose(part.global_distribution(), expected)
-
-    def test_empty_worker_gets_uniform_distribution(self, dataset):
-        part = Partition(
-            indices=[np.arange(10), np.empty(0, dtype=int)],
-            num_classes=10,
-            labels=dataset.y_train,
-        )
-        dist = part.class_distribution()
-        np.testing.assert_allclose(dist[1], 0.1)
 
     def test_validate_detects_overlap(self, dataset):
         part = Partition(
@@ -93,7 +75,7 @@ class TestIIDPartition:
     def test_label_distributions_close_to_global(self, dataset):
         part = partition_iid(dataset, num_workers=4, seed=1)
         global_dist = part.global_distribution()
-        for row in part.class_distribution():
+        for row in part.class_counts() / part.data_sizes()[:, None]:
             assert np.abs(row - global_dist).sum() < 0.4
 
     def test_rejects_zero_workers(self, dataset):
@@ -165,7 +147,8 @@ class TestDirichletPartition:
         global_dist = skewed.global_distribution()
 
         def avg_emd(part):
-            return np.abs(part.class_distribution() - global_dist).sum(axis=1).mean()
+            dist = part.class_counts() / part.data_sizes()[:, None]
+            return np.abs(dist - global_dist).sum(axis=1).mean()
 
         assert avg_emd(skewed) > avg_emd(uniform)
 

@@ -50,7 +50,7 @@ class TestBuildExperiment:
         b = tiny_scenario().build_experiment()
         np.testing.assert_array_equal(a.dataset.x_train, b.dataset.x_train)
         np.testing.assert_array_equal(
-            a.latency.nominal_times(), b.latency.nominal_times()
+            a.latency.nominal, b.latency.nominal
         )
 
 

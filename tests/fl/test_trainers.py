@@ -136,7 +136,7 @@ class TestTiFL:
 
     def test_tiers_are_time_homogeneous(self, small_experiment):
         trainer = TiFLTrainer(small_experiment, num_tiers=3)
-        times = small_experiment.latency.nominal_times()
+        times = small_experiment.latency.nominal
         maxima = [times[g].max() for g in trainer.groups]
         minima = [times[g].min() for g in trainer.groups]
         order = np.argsort(maxima)
@@ -190,7 +190,7 @@ class TestAirFedGA:
         if len(trainer.groups) < 2:
             pytest.skip("greedy grouping produced a single group on this fixture")
         history = trainer.run(max_rounds=12)
-        times = small_experiment.latency.nominal_times()
+        times = small_experiment.latency.nominal
         group_time = [times[g].max() for g in trainer.groups]
         counts = np.zeros(len(trainer.groups))
         for rec in history.records[1:]:
@@ -203,7 +203,7 @@ class TestAirFedGA:
 
     def test_max_time_respected(self, small_experiment):
         history = AirFedGATrainer(small_experiment).run(max_rounds=100, max_time=20.0)
-        assert history.total_time <= 20.0 + small_experiment.latency.nominal_times().max() + 1.0
+        assert history.total_time <= 20.0 + small_experiment.latency.nominal.max() + 1.0
         assert history.total_rounds < 100
 
     def test_deterministic_given_seed(self, quiet_experiment):

@@ -8,7 +8,6 @@ import pytest
 from repro.nn import (
     Parameter,
     ParameterSet,
-    ParameterVector,
     flatten_parameters,
     unflatten_vector,
 )
@@ -176,31 +175,6 @@ class TestParameterSet:
         state["b"] = np.zeros(3)
         with pytest.raises(ValueError, match="shape mismatch"):
             ps.load_state_dict(state)
-
-
-class TestParameterVector:
-    def test_flattens_input(self):
-        pv = ParameterVector(np.ones((2, 3)))
-        assert pv.data.shape == (6,)
-        assert pv.dimension == 6
-
-    def test_norm(self):
-        pv = ParameterVector(np.array([3.0, 4.0]))
-        assert pv.norm() == pytest.approx(5.0)
-
-    def test_copy_independent(self):
-        pv = ParameterVector(np.array([1.0, 2.0]), shapes=[(2,)])
-        cp = pv.copy()
-        cp.data[0] = 99.0
-        assert pv.data[0] == 1.0
-
-    def test_copy_into_checks_shape(self):
-        pv = ParameterVector(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            pv.copy_into(np.zeros(3))
-        buf = np.zeros(2)
-        assert pv.copy_into(buf) is buf
-        np.testing.assert_allclose(buf, [1.0, 2.0])
 
 
 class TestFlattenUnflatten:

@@ -1,4 +1,4 @@
-"""Property-based tests for dataset partitioning and EMD statistics."""
+"""Property-based tests for dataset partitioning and the group EMD Λ_j."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import GroupingProblem, contiguous_grouping
+from repro.core.grouping import _evaluate_grouping
 from repro.data import (
-    average_emd,
-    emd,
-    group_emds,
     make_mnist_like,
     partition_dirichlet,
     partition_iid,
@@ -52,43 +51,20 @@ class TestPartitionProperties:
     @settings(max_examples=40, deadline=None)
     def test_proportions_and_distributions_normalized(self, num_workers, seed):
         part = partition_label_skew(DATASET, num_workers, seed=seed)
-        assert part.proportions().sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(part.class_distribution().sum(axis=1), 1.0)
+        assert np.array_equal(part.class_counts().sum(axis=1), part.data_sizes())
         assert part.global_distribution().sum() == pytest.approx(1.0)
 
 
-distributions = st.lists(
-    st.floats(0.0, 1.0, allow_nan=False), min_size=2, max_size=12
-).filter(lambda xs: sum(xs) > 1e-6)
+def grouping_problem(part):
+    return GroupingProblem(
+        data_sizes=part.data_sizes(),
+        class_counts=part.class_counts(),
+        local_times=np.ones(part.num_workers),
+        model_dimension=1000,
+    )
 
 
 class TestEMDProperties:
-    @given(p=distributions, data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_emd_bounds_and_identity(self, p, data):
-        q = data.draw(
-            st.lists(
-                st.floats(0.0, 1.0, allow_nan=False),
-                min_size=len(p), max_size=len(p),
-            ).filter(lambda xs: sum(xs) > 1e-6)
-        )
-        value = emd(np.array(p), np.array(q))
-        assert 0.0 <= value <= 2.0 + 1e-12
-        assert emd(np.array(p), np.array(p)) == pytest.approx(0.0)
-
-    @given(p=distributions, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_emd_symmetry(self, p, data):
-        q = data.draw(
-            st.lists(
-                st.floats(0.0, 1.0, allow_nan=False),
-                min_size=len(p), max_size=len(p),
-            ).filter(lambda xs: sum(xs) > 1e-6)
-        )
-        assert emd(np.array(p), np.array(q)) == pytest.approx(
-            emd(np.array(q), np.array(p))
-        )
-
     @given(num_workers=st.integers(2, 24), seed=st.integers(0, 6), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_group_emds_within_bounds_for_random_groupings(
@@ -105,14 +81,14 @@ class TestEMDProperties:
             for gid in range(num_groups)
         ]
         groups = [g for g in groups if g]
-        values = group_emds(part, groups)
+        values = _evaluate_grouping(grouping_problem(part), groups, "probe").lambdas
         assert np.all(values >= 0.0)
         assert np.all(values <= 2.0 + 1e-12)
-        assert 0.0 <= average_emd(part, groups) <= 2.0 + 1e-12
 
     @given(num_workers=st.integers(2, 20), seed=st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_single_group_has_zero_emd(self, num_workers, seed):
         """Grouping everyone together always matches the global distribution."""
         part = partition_label_skew(DATASET, num_workers, seed=seed)
-        assert average_emd(part, [list(range(num_workers))]) == pytest.approx(0.0)
+        lambdas = contiguous_grouping(grouping_problem(part), 1).lambdas
+        assert lambdas == pytest.approx([0.0])

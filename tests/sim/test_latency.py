@@ -24,12 +24,6 @@ class TestHeterogeneityModel:
         b = HeterogeneityModel(num_workers=10, seed=3).kappa
         np.testing.assert_array_equal(a, b)
 
-    def test_scale_lookup(self):
-        model = HeterogeneityModel(num_workers=5, seed=0)
-        assert model.scale(2) == pytest.approx(model.kappa[2])
-        with pytest.raises(ValueError):
-            model.scale(9)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -46,19 +40,12 @@ class TestHeterogeneityModel:
 class TestLatencyTable:
     def test_homogeneous_without_heterogeneity_model(self):
         table = LatencyTable(num_workers=4, base_time=3.0)
-        np.testing.assert_allclose(table.nominal_times(), 3.0)
-        assert table.spread() == 0.0
+        np.testing.assert_allclose(table.nominal, 3.0)
 
     def test_times_scale_with_kappa(self):
         het = HeterogeneityModel(num_workers=6, seed=0)
         table = LatencyTable(num_workers=6, base_time=2.0, heterogeneity=het)
-        np.testing.assert_allclose(table.nominal_times(), 2.0 * het.kappa)
-
-    def test_spread_is_max_minus_min(self):
-        het = HeterogeneityModel(num_workers=20, seed=0)
-        table = LatencyTable(num_workers=20, base_time=1.0, heterogeneity=het)
-        times = table.nominal_times()
-        assert table.spread() == pytest.approx(times.max() - times.min())
+        np.testing.assert_allclose(table.nominal, 2.0 * het.kappa)
 
     def test_sample_time_without_jitter_is_nominal(self):
         het = HeterogeneityModel(num_workers=5, seed=0)
@@ -83,21 +70,6 @@ class TestLatencyTable:
         for w in range(3):
             for r in range(20):
                 assert table.sample_time(w, r) > 0
-
-    def test_group_completion_time_is_slowest_member(self):
-        het = HeterogeneityModel(num_workers=6, seed=1)
-        table = LatencyTable(num_workers=6, base_time=1.0, heterogeneity=het)
-        members = [0, 2, 4]
-        expected = max(table.nominal[w] for w in members)
-        assert table.group_completion_time(members) == pytest.approx(expected)
-        assert table.group_completion_time(
-            np.asarray(members, dtype=np.int64)
-        ) == pytest.approx(expected)
-
-    def test_group_completion_requires_members(self):
-        table = LatencyTable(num_workers=3, base_time=1.0)
-        with pytest.raises(ValueError):
-            table.group_completion_time([])
 
     def test_mismatched_heterogeneity_size_rejected(self):
         het = HeterogeneityModel(num_workers=4, seed=0)
