@@ -28,7 +28,7 @@ reported as unsupported and the trainers fall back to the scalar
 per-worker path.
 
 Lanes: a large group is split across the host's cores inside one call.
-Each *lane* owns a kernel set and its sampling geometry; lane 0 is the
+Each *lane* owns a kernel set and sampling geometries; lane 0 is the
 calling thread, the others come from a thread pool built once per process.
 Every tile of the serial call tree is cut into contiguous runs of members,
 one per lane, each padded to the tile's batch dimension, so every member's
@@ -848,10 +848,12 @@ class _BatchedDropout:
 
 
 # ----------------------------------------------------------------------
-#: Most bytes of member data an engine's cached rosters may own (LRU).  The
-#: rosters of a fault-free run partition the workers: one copy of the training
-#: set between them, under this unless the set is larger.  Every survivor
-#: subset under faults is one more copy; one over a shared store owns nothing.
+#: Most bytes an engine's cache of rosters and sampling geometries may hold,
+#: evicting the least recently used entry first.  A roster is charged its index
+#: lists (a pointer per entry) and the member data it owns: the rosters of a
+#: fault-free run partition the workers, one copy of the training set between
+#: them, and every survivor subset under faults is one more copy; a roster over
+#: a shared store owns no data.  A geometry is charged its buffers.
 _ROSTER_CACHE_BYTES = 256 * 2**20
 
 #: Process id -> this process's lane count and the thread pool serving every
@@ -925,7 +927,7 @@ class _Roster:
     is lane 0's sampling geometry for all of them.  ``runs`` are the
     ``(a0, a1, geo)`` runs of active members lane 0, 1, … trains, each with
     its lane's geometry for them: one run, ``geo``, unless the lane gate
-    split the roster.
+    split the roster.  ``nbytes`` is what the engine's cache charges it.
     """
 
     idle: List[int]
@@ -937,8 +939,32 @@ class _Roster:
     x: np.ndarray
     y: np.ndarray
     geo: Dict[str, np.ndarray]
-    nbytes: int = 0  # of ``x`` and ``y`` when the roster owns them
+    nbytes: int = 0
     runs: List[Tuple[int, int, Dict[str, np.ndarray]]] = field(default_factory=list)
+
+    def geometries(self) -> List[Dict[str, np.ndarray]]:
+        """Every sampling geometry the roster trains with (none if nobody trains)."""
+        return [self.geo] + [geo for _, _, geo in self.runs] if self.geo else []
+
+
+def _new_geometry(
+    key: Tuple, dtype: np.dtype, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
+) -> Dict[str, np.ndarray]:
+    """The buffers and masks a run of members with these batch sizes fills."""
+    g = len(batches)
+    sizes = np.array(batches)
+    valid = np.arange(b_max)[None, :] < sizes[:, None]
+    return {
+        "key": key,
+        "xb": np.zeros((g, b_max) + feat_shape, dtype=dtype),
+        "yb": np.zeros((g, b_max), dtype=np.int64),
+        "gidx": np.full((g, b_max), -1, dtype=np.int64),
+        "ragged": min(batches) != b_max,
+        "valid": valid,
+        "pad": ~valid,
+        "row_index": np.arange(g * b_max),
+        "batch_div": sizes[:, None, None].astype(np.float64),
+    }
 
 
 #: One lane's share of a call: a roster, its active members ``a0:a1``, the
@@ -949,11 +975,12 @@ _Job = Tuple[
 
 
 class _Lane:
-    """A kernel set, the sampling geometry its steps fill, and the step loop.
+    """A kernel set and the step loop.
 
-    The lanes of an engine share nothing they write, so each can train on a
-    thread of its own.  Lane 0 is built with the engine and the rest when a
-    roster is first split across them.
+    The lanes of an engine share nothing they write — each fills sampling
+    geometries of its own — so each can train on a thread of its own.  Lane
+    0 is built with the engine and the rest when a roster is first split
+    across them.
     """
 
     def __init__(self, layers: Sequence[Layer], dimension: int, dtype: np.dtype) -> None:
@@ -988,33 +1015,6 @@ class _Lane:
         self.first_param_index = self.kernels.index(self.params[0])
         self.round_hooks = [k for k in self.kernels if hasattr(k, "begin_round")]
         self.step_hooks = [k for k in self.kernels if hasattr(k, "begin_step")]
-        # Sampling geometry (input buffers, padding masks, divisors), keyed by
-        # the per-member batch sizes, so the event loop alternating between
-        # groups never rebuilds it.
-        self._geometry: Dict[Tuple, Dict[str, np.ndarray]] = {}
-
-    def geometry(
-        self, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
-    ) -> Dict[str, np.ndarray]:
-        """The buffers and masks a run of members with these batch sizes fills."""
-        key = (b_max, tuple(batches)) + feat_shape
-        geo = self._geometry.get(key)
-        if geo is None:
-            g = len(batches)
-            sizes = np.array(batches)
-            valid = np.arange(b_max)[None, :] < sizes[:, None]
-            geo = {
-                "xb": np.zeros((g, b_max) + feat_shape, dtype=self.dtype),
-                "yb": np.zeros((g, b_max), dtype=np.int64),
-                "gidx": np.full((g, b_max), -1, dtype=np.int64),
-                "ragged": min(batches) != b_max,
-                "valid": valid,
-                "pad": ~valid,
-                "row_index": np.arange(g * b_max),
-                "batch_div": sizes[:, None, None].astype(np.float64),
-            }
-            self._geometry[key] = geo
-        return geo
 
     def train(
         self,
@@ -1134,12 +1134,21 @@ class BatchedWorkerEngine:
             if any(isinstance(k, _BatchedConv2D) for k in self._lanes[0].kernels)
             else None
         )
-        # Everything a roster fixes (see _Roster), keyed by the ``(worker ids,
-        # batch_size, pad_to)`` of a tile, in LRU order, and the bytes they own;
-        # ``(store.x, x, y)``, a shared store in the engine's dtypes.
-        self._rosters: Dict[Tuple, _Roster] = {}
-        self._roster_bytes = 0
+        # One LRU cache, least recently used first, of what a roster fixes
+        # (see _Roster) under ``("roster", worker ids, batch_size, pad_to)`` of
+        # a tile, and of each lane's sampling geometries (input buffers, padding
+        # masks, divisors) under ``("geometry", lane, b_max, batches) + feature
+        # shape``, so the event loop alternating between groups never rebuilds
+        # them; each entry with its charge, and the charges' sum.
+        # ``(store.x, x, y)``: a shared store in the engine's dtypes.
+        self._cache: Dict[Tuple, Tuple[Union[_Roster, Dict[str, np.ndarray]], int]] = {}
+        self._cached_bytes = 0
         self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    @property
+    def _rosters(self) -> Dict[Tuple, _Roster]:
+        """The cached rosters by ``(worker ids, batch_size, pad_to)``, least recent first."""
+        return {key[1:]: entry for key, (entry, _) in self._cache.items() if key[0] == "roster"}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1257,15 +1266,33 @@ class BatchedWorkerEngine:
         pad_to: Optional[int],
     ) -> _Roster:
         """The roster of one tile, from the LRU cache or built into it."""
-        key = (tuple(ids), batch_size, pad_to)
-        roster = self._rosters.pop(key, None)
-        if roster is None:
+        key = ("roster", tuple(ids), batch_size, pad_to)
+        cache = self._cache
+        hit = cache.pop(key, None)
+        if hit is None:
             roster = self._build_roster(ids, worker_data, batch_size, pad_to)
-            self._roster_bytes += roster.nbytes
-        self._rosters[key] = roster  # most recently used last
-        while self._roster_bytes > _ROSTER_CACHE_BYTES:
-            self._roster_bytes -= self._rosters.pop(next(iter(self._rosters))).nbytes
-        return roster
+            hit = (roster, roster.nbytes)
+            self._cached_bytes += roster.nbytes
+        cache[key] = hit  # most recently used last
+        # Its geometries follow it, so none leaves before a roster using it.
+        for geo in hit[0].geometries():
+            cache[geo["key"]] = cache.pop(geo["key"])
+        while self._cached_bytes > _ROSTER_CACHE_BYTES:
+            self._cached_bytes -= cache.pop(next(iter(cache)))[1]
+        return hit[0]
+
+    def _geometry(
+        self, lane: int, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
+    ) -> Dict[str, np.ndarray]:
+        """Lane ``lane``'s sampling geometry for a run of these batch sizes."""
+        key = ("geometry", lane, b_max, tuple(batches)) + feat_shape
+        hit = self._cache.pop(key, None)
+        if hit is None:
+            geo = _new_geometry(key, self.dtype, b_max, batches, feat_shape)
+            hit = (geo, sum(v.nbytes for v in geo.values() if isinstance(v, np.ndarray)))
+            self._cached_bytes += hit[1]
+        self._cache[key] = hit
+        return hit[0]
 
     def _build_roster(
         self,
@@ -1284,9 +1311,11 @@ class BatchedWorkerEngine:
             counts = store.stops[rows] - first
         active = np.flatnonzero(counts).tolist()
         idle = np.flatnonzero(counts == 0).tolist()
+        # A pointer per entry of ``idle``, ``active`` and the four member lists.
+        lists = 8 * (len(idle) + 5 * len(active))
         if not active:  # nobody trains: only ``idle`` is ever read
             empty = np.empty(0)
-            return _Roster(idle, active, [], [], [], [], empty, empty, {})
+            return _Roster(idle, active, [], [], [], [], empty, empty, {}, lists)
         counts_py = counts[active].tolist()
         batches_py = [min(batch_size, c) for c in counts_py]
         b_max = max(batches_py)
@@ -1317,11 +1346,11 @@ class BatchedWorkerEngine:
             _, x_rows, y_rows = self._store_rows
             offsets, owned = first[active].tolist(), 0
         feat_shape = x_rows.shape[1:]
-        geo = self._lanes[0].geometry(b_max, batches_py, feat_shape)
+        geo = self._geometry(0, b_max, batches_py, feat_shape)
         runs = self._split(b_max, batches_py, feat_shape) or [(0, len(active), geo)]
         return _Roster(
             idle, active, [ids[k] for k in active], counts_py, batches_py, offsets,
-            x_rows, y_rows, geo, owned, runs,
+            x_rows, y_rows, geo, lists + owned, runs,
         )
 
     def _split(
@@ -1352,6 +1381,6 @@ class BatchedWorkerEngine:
             self._lanes.append(_Lane(self._layers, self.dimension, self.dtype))
         bounds = [len(batches) * k // count for k in range(count + 1)]
         return [
-            (a0, a1, self._lanes[k].geometry(b_max, batches[a0:a1], feat_shape))
+            (a0, a1, self._geometry(k, b_max, batches[a0:a1], feat_shape))
             for k, (a0, a1) in enumerate(zip(bounds, bounds[1:]))
         ]

@@ -166,7 +166,7 @@ def _axes(scenario, without_batched_kernel):
 
             def counting(*args, **kwargs):
                 out = run_group(*args, **kwargs)
-                owned.append(engine._roster_bytes)
+                owned.append(engine._cached_bytes)
                 return out
 
             engine.run_group = counting

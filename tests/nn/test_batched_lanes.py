@@ -116,14 +116,15 @@ def test_a_caller_pad_to_pins_every_run(lanes, count):
 def test_owned_roster_bytes_stay_within_the_budget(lanes, monkeypatch, count):
     data = _data([9, 6, 8, 12, 7, 10, 11, 5], (64,))
     model = LogisticRegressionMLP(input_dim=64, hidden=12, num_classes=10, seed=0)
-    budget = 2 * 64 * 8 * 33  # rows of about two four-member rosters
+    budget = 110_000  # about two four-member rosters and their geometries
     monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", budget)
     lanes(count)
     engine = BatchedWorkerEngine.try_build(model)
     for ids in ([0, 1, 2, 3], [4, 5, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7], [0, 1, 2, 3]):
         _run(engine, data, ids)
-        assert engine._roster_bytes <= budget
-        assert engine._roster_bytes == sum(r.nbytes for r in engine._rosters.values())
+        assert engine._cached_bytes <= budget
+        assert engine._cached_bytes == sum(charge for _, charge in engine._cache.values())
+        assert engine._rosters
         assert all(len(r.runs) == count for r in engine._rosters.values())
 
 

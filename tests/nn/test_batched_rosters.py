@@ -10,10 +10,15 @@ the bytes it owns.  That its size never shows in a history is an axis of
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 
 from repro.core.population import SharedDatasetStore
 from repro.data import make_mnist_like
+from repro.experiments import Scenario
+from repro.fl.registry import build_trainer
 from repro.nn import BatchedWorkerEngine, LogisticRegressionMLP, MnistCNN, parameter_dtype
 from repro.nn import batched
 
@@ -137,16 +142,21 @@ def test_plain_tuples_are_concatenated_not_referenced():
 
 
 # ----------------------------------------------------------------------
-# The roster cache is least-recently-used and bounded by the bytes it owns
+# Rosters and geometries share one least-recently-used cache bounded in bytes
 # ----------------------------------------------------------------------
 def _plain(store, ids):
     return [tuple(store.shard(w)) for w in ids]
 
 
+def _charged(engine):
+    """The cache's byte count, checked against its entries' charges."""
+    assert engine._cached_bytes == sum(charge for _, charge in engine._cache.values())
+    assert engine._cached_bytes <= batched._ROSTER_CACHE_BYTES
+    return engine._cached_bytes
+
+
 def test_roster_cache_evicts_the_least_recently_used(monkeypatch):
     store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
-    pair = 2 * 20 * (16 * 8 + 8)  # two members, 20 float64 rows of 16 + a label each
-    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 2 * pair)
     model = _mlp()
     engine = BatchedWorkerEngine.try_build(model)
     base = model.get_vector()
@@ -154,13 +164,19 @@ def test_roster_cache_evicts_the_least_recently_used(monkeypatch):
     def visit(ids):
         out = np.empty((len(ids), engine.dimension))
         engine.run_group(ids, _plain(store, ids), base, 1, out=out, **KWARGS)
-        assert engine._roster_bytes == sum(r.nbytes for r in engine._rosters.values())
+        _charged(engine)
         return out
 
     first = visit([0, 1])
     visit([2, 3])
     assert [key[0] for key in engine._rosters] == [(0, 1), (2, 3)]
-    assert engine._roster_bytes == 2 * pair
+    # Two members' 20 float64 rows of 16 and a label each, and their index
+    # lists; both rosters' batches are (16, 16), so they share one geometry.
+    pair = 2 * 20 * (16 * 8 + 8) + 8 * 5 * 2
+    assert [r.nbytes for r in engine._rosters.values()] == [pair, pair]
+    (geometry,) = [c for key, (_, c) in engine._cache.items() if key[0] == "geometry"]
+    assert engine._cached_bytes == 2 * pair + geometry
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 2 * pair + geometry)
     visit([0, 1])  # a hit moves the roster to the recent end
     assert [key[0] for key in engine._rosters] == [(2, 3), (0, 1)]
     visit([1, 2])  # a third roster evicts the least recently used
@@ -170,12 +186,66 @@ def test_roster_cache_evicts_the_least_recently_used(monkeypatch):
     assert len(engine._rosters) == 2
 
 
-def test_store_backed_rosters_own_nothing_and_are_never_evicted(monkeypatch):
-    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 0)
+def test_store_backed_rosters_own_no_data_but_are_charged_their_lists(monkeypatch):
     store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
     model = _mlp()
     engine = BatchedWorkerEngine.try_build(model)
-    for ids in ([0, 1], [2, 3], [1, 2]):
+    runs = ([0, 1], [2, 3], [1, 2])
+    for ids in runs:
         out = np.empty((len(ids), engine.dimension))
         engine.run_group(ids, store.shards()[ids], model.get_vector(), 1, out=out, **KWARGS)
-    assert len(engine._rosters) == 3 and engine._roster_bytes == 0
+    assert [r.nbytes for r in engine._rosters.values()] == [8 * 5 * 2] * 3
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", 0)
+    for ids in runs:
+        out = np.empty((len(ids), engine.dimension))
+        engine.run_group(ids, store.shards()[ids], model.get_vector(), 1, out=out, **KWARGS)
+        assert _charged(engine) == 0 and not engine._cache
+
+
+def test_geometries_follow_the_rosters_using_them(monkeypatch):
+    """A geometry leaves the cache only after every roster using it."""
+    store = _store([(0, 5), (5, 25), (20, 60), (60, 64)])
+    model = _mlp()
+    engine = BatchedWorkerEngine.try_build(model)
+    for ids in ([0, 1], [2, 3], [1, 2], [0, 1]):
+        out = np.empty((len(ids), engine.dimension))
+        engine.run_group(ids, _plain(store, ids), model.get_vector(), 1, out=out, **KWARGS)
+        keys = list(engine._cache)
+        for position, key in enumerate(keys):
+            if key[0] == "roster":
+                roster = engine._cache[key][0]
+                assert all(keys.index(g["key"]) > position for g in roster.geometries())
+    # Batches (5, 16), (16, 4) and (16, 16): three geometries, all in use.
+    assert sum(key[0] == "geometry" for key in engine._cache) == 3
+
+
+def _dynamic_history(materialization, rounds=300, watch=lambda engine: None):
+    scenario = Scenario.default().with_(
+        num_workers=40, mechanism="dynamic", **{"data.materialization": materialization}
+    )
+    experiment = scenario.build_experiment()
+    with build_trainer(scenario.mechanism.name, experiment, **scenario.mechanism.params) as t:
+        engine, run_group = t._engine, t._engine.run_group
+
+        def watched(*args, **kwargs):
+            out = run_group(*args, **kwargs)
+            watch(engine)
+            return out
+
+        engine.run_group = watched
+        return json.dumps(t.run(max_rounds=rounds).to_dict(), sort_keys=True), engine
+
+
+@pytest.mark.parametrize("materialization", ["eager", "lazy"])
+def test_a_long_dynamic_run_stays_within_a_small_budget(monkeypatch, materialization):
+    """``dynamic`` draws a new roster nearly every round; both caches stay bounded."""
+    unbounded, engine = _dynamic_history(materialization)
+    kinds = [key[0] for key in engine._cache]
+    assert kinds.count("roster") == 300 and kinds.count("geometry") > 250
+    budget = 2**20
+    monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", budget)
+    sizes = []
+    bounded, engine = _dynamic_history(materialization, watch=lambda e: sizes.append(_charged(e)))
+    assert bounded == unbounded
+    assert len(sizes) == 300 and max(sizes) <= budget
+    assert len(engine._cache) < 60
