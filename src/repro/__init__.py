@@ -9,14 +9,14 @@ groups update the global model asynchronously.  This package contains:
   (Theorem 1);
 * :mod:`repro.nn` -- a NumPy neural-network substrate (layers, models,
   losses, SGD) standing in for PyTorch;
-* :mod:`repro.data` -- synthetic datasets, federated partitioners and
-  label-distribution statistics (EMD);
+* :mod:`repro.data` -- synthetic datasets and federated partitioners;
 * :mod:`repro.channel` -- the wireless substrate: block fading, AirComp
   superposition over a noisy MAC, OMA latency models and energy accounting;
-* :mod:`repro.sim` -- a discrete-event simulator and the edge-heterogeneity
-  latency model;
-* :mod:`repro.fl` -- runnable trainers for Air-FedGA and the four baselines
-  (FedAvg, TiFL, Air-FedAvg, Dynamic);
+* :mod:`repro.sim` -- the edge-heterogeneity latency model and the
+  client-state (availability and fault) models;
+* :mod:`repro.fl` -- runnable trainers for Air-FedGA and seven other
+  mechanisms (FedAvg, TiFL, Air-FedAvg, Dynamic, FedProx, FedDyn,
+  FedAsync), each a schedule run by one training loop;
 * :mod:`repro.experiments` -- the harness reproducing every table and figure
   of the paper's evaluation section, plus the declarative
   :class:`~repro.experiments.scenario.Scenario` spec and concurrent
@@ -28,6 +28,6 @@ groups update the global model asynchronously.  This package contains:
 
 from . import channel, core, data, fl, nn, registry, sim
 
-__version__ = "1.0.0"
+__version__ = "0.6.0"
 
 __all__ = ["channel", "core", "data", "fl", "nn", "registry", "sim", "__version__"]
