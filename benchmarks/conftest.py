@@ -7,8 +7,7 @@ model) but with synthetic data, scaled-down models and reduced time budgets
 so the full suite finishes in minutes on a laptop CPU.
 
 Each experiment runs exactly once per benchmark (``benchmark.pedantic`` with
-one round); the printed tables are the reproduction artefacts recorded in
-EXPERIMENTS.md.
+one round); the printed tables are the reproduction artefacts.
 """
 
 from __future__ import annotations

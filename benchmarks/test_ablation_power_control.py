@@ -1,8 +1,8 @@
 """Ablation E-A1: the power-control algorithm (Algorithm 2) vs. naive settings.
 
-DESIGN.md calls out power control as a design choice worth ablating: the
-alternating optimization of (σ_t, η_t) minimizes the per-round aggregation
-error C_t under the energy budget.  This benchmark compares, across channel
+Power control is a design choice worth ablating: the alternating
+optimization of (σ_t, η_t) minimizes the per-round aggregation error C_t
+under the energy budget.  This benchmark compares, across channel
 realizations and group sizes:
 
 * Algorithm 2 (the paper's choice),

@@ -1,6 +1,6 @@
 """Figure 6: Loss/Accuracy vs. time for VGG-16 on ImageNet-100 (AirComp mechanisms).
 
-Substitution (see DESIGN.md): MiniVGG on a 20-class synthetic ImageNet-100
+Substitution: MiniVGG on a 20-class synthetic ImageNet-100
 stand-in.  The paper's shape — Air-FedGA converging fastest among the three
 AirComp mechanisms on the hardest workload, with overall accuracy well below
 the MNIST workloads — is what this benchmark reproduces.

@@ -1,8 +1,8 @@
 """Plain-text reporting helpers used by the benchmark harness.
 
 The paper reports results as figures; this reproduction prints the same
-series as aligned text tables so they can be diffed, logged by
-pytest-benchmark, and pasted into EXPERIMENTS.md.
+series as aligned text tables so they can be diffed and logged by
+pytest-benchmark.
 """
 
 from __future__ import annotations

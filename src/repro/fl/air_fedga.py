@@ -55,10 +55,10 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
         grouping_strategy:
             ``"greedy"`` (the paper's Algorithm 3, default), ``"tier"``,
             ``"random"``, ``"singleton"`` or ``"contiguous"``.  The
-            alternatives exist for the grouping ablation (E-A2 in
-            DESIGN.md); ``"contiguous"`` is the O(N) strategy the XL-scale
-            benchmarks use (index-contiguous int64 blocks, no per-worker
-            Python objects).
+            alternatives exist for the grouping ablation
+            (``benchmarks/test_ablation_grouping.py``); ``"contiguous"`` is
+            the O(N) strategy the XL-scale benchmarks use (index-contiguous
+            int64 blocks, no per-worker Python objects).
         num_groups:
             Group count for the ``tier``/``random``/``contiguous``
             strategies (ignored by ``greedy``/``singleton``).

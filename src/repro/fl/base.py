@@ -303,7 +303,7 @@ class BaseTrainer:
         self._spare_bases: List[np.ndarray] = []
         self._air_workspace = AirCompWorkspace()
         cfg = experiment.config.aircomp
-        # Calibration (see DESIGN.md): the paper's σ₀² is the total AWGN
+        # Calibration: the paper's σ₀² is the total AWGN
         # power of the aggregation; the q model entries are carried by q
         # symbols, so the per-entry noise variance is σ₀² / q.  We use the
         # paper-scale dimension (latency_dimension) so that the noise level,

@@ -12,7 +12,7 @@ The paper trains three model families:
 All models here are parameterized by input shape / width so that the
 benchmarks can run scaled-down versions on synthetic data in reasonable
 time while preserving the architecture family.  ``MiniVGG`` is the scaled
-stand-in for VGG-16 (see DESIGN.md, substitution table).
+stand-in for VGG-16.
 
 Every model exposes:
 

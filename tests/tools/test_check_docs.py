@@ -116,6 +116,24 @@ class TestCheckReferences:
         ]
 
 
+class TestCheckMdPointers:
+    def test_missing_document_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "API.md").write_text("# API\n")
+        (tmp_path / "ROADMAP.md").write_text("# Roadmap\n")
+        bench = tmp_path / "benchmarks" / "suite"
+        bench.mkdir(parents=True)
+        (bench / "README.md").write_text("# Suite\n")
+        (bench / "run.py").write_text(
+            '"""See README.md, API.md, docs/API.md and ROADMAP.md; not `*.md`."""\n'
+            "OUTPUT = 'report.md'\n"
+        )
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text("# see DESIGN.md, then API.md\n")
+        assert check_docs.check_md_pointers() == ["src/mod.py: missing document -> DESIGN.md"]
+
+
 class TestRunDoctests:
     def test_file_without_examples_is_skipped(self, tmp_path):
         doc = tmp_path / "doc.md"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: link integrity + executable examples + API coverage.
 
-Mirrored by ``make docs-check`` and the CI ``docs`` job.  Four passes:
+Mirrored by ``make docs-check`` and the CI ``docs`` job.  Five passes:
 
 1. **link check** (``README.md`` + ``docs/*.md``) — every relative
    markdown link must point at an existing file (anchors are validated
@@ -24,7 +24,13 @@ Mirrored by ``make docs-check`` and the CI ``docs`` job.  Four passes:
 4. **API coverage** — every symbol exported (``__all__``) from the public
    packages listed in :data:`API_COVERAGE_MODULES` must be mentioned in
    ``docs/API.md``, so a PR that adds an entry point without documenting
-   it fails CI.
+   it fails CI;
+5. **markdown pointers** — every document a source file under
+   :data:`POINTER_ROOTS` cites by name (an upper-case stem plus ``.md``,
+   the convention of every document here; ``report.md`` is an output file)
+   must exist relative to the repo root, ``docs/`` or the citing file's
+   directory, so a comment cannot send the reader to a document that is
+   gone.
 
 Exit status is non-zero on any failure; run from the repo root with
 ``PYTHONPATH=src`` (the Makefile exports it; a fallback below inserts
@@ -62,6 +68,9 @@ API_COVERAGE_MODULES = (
     "repro.fl.staleness",
 )
 
+#: Directories whose ``*.py`` files may cite markdown documents by name.
+POINTER_ROOTS = ("src", "benchmarks", "tools")
+
 #: ``[text](target)`` — excludes images' leading ``!`` only in reporting;
 #: image targets are checked like any other link.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -74,6 +83,7 @@ _DOTTED_RE = re.compile(r"^repro(?:\.\w+)+")
 _FENCED_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _MAKE_RE = re.compile(r"^\s*(?:\$\s*)?make ([A-Za-z][\w-]*)", re.MULTILINE)
 _TARGET_RE = re.compile(r"^([A-Za-z][\w-]*):", re.MULTILINE)
+_MD_NAME_RE = re.compile(r"(?<![\w./-])(?:[\w.-]+/)*[A-Z][A-Z0-9_]*\.md\b")
 
 
 def doc_files() -> List[Path]:
@@ -162,6 +172,19 @@ def check_references(path: Path) -> List[str]:
     return errors
 
 
+def check_md_pointers() -> List[str]:
+    """Markdown files named in source files must exist (see pass 5)."""
+    errors: List[str] = []
+    for root in POINTER_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            rel = path.relative_to(REPO_ROOT)
+            for name in sorted(set(_MD_NAME_RE.findall(path.read_text(encoding="utf-8")))):
+                bases = (REPO_ROOT, REPO_ROOT / "docs", path.parent)
+                if not any((base / name).is_file() for base in bases):
+                    errors.append(f"{rel}: missing document -> {name}")
+    return errors
+
+
 def run_doctests(path: Path) -> Tuple[int, int]:
     """Run the file's ``>>>`` examples; returns (failures, attempts)."""
     if ">>>" not in path.read_text(encoding="utf-8"):
@@ -238,6 +261,14 @@ def main() -> int:
             f"{'FAIL' if failed else 'ok':4s} {name}  ({attempted} docstring "
             f"example{'s' if attempted != 1 else ''}, {failed} failed)"
         )
+    pointer_errors = check_md_pointers()
+    for err in pointer_errors:
+        print(f"LINK FAIL  {err}")
+    failures += len(pointer_errors)
+    print(
+        f"{'ok' if not pointer_errors else 'FAIL':4s} .md pointers "
+        f"({', '.join(POINTER_ROOTS)}): {len(pointer_errors)} missing"
+    )
     coverage_errors = check_api_coverage(REPO_ROOT / "docs" / "API.md")
     for err in coverage_errors:
         print(f"API  FAIL  {err}")
