@@ -54,7 +54,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1266,30 +1266,36 @@ class BatchedWorkerEngine:
         pad_to: Optional[int],
     ) -> _Roster:
         """The roster of one tile, from the LRU cache or built into it."""
-        key = ("roster", tuple(ids), batch_size, pad_to)
-        cache = self._cache
-        hit = cache.pop(key, None)
-        if hit is None:
-            roster = self._build_roster(ids, worker_data, batch_size, pad_to)
-            hit = (roster, roster.nbytes)
-            self._cached_bytes += roster.nbytes
-        cache[key] = hit  # most recently used last
+        roster = self._cached(
+            ("roster", tuple(ids), batch_size, pad_to),
+            lambda: self._build_roster(ids, worker_data, batch_size, pad_to),
+            lambda built: built.nbytes,
+        )
         # Its geometries follow it, so none leaves before a roster using it.
-        for geo in hit[0].geometries():
+        cache = self._cache
+        for geo in roster.geometries():
             cache[geo["key"]] = cache.pop(geo["key"])
         while self._cached_bytes > _ROSTER_CACHE_BYTES:
             self._cached_bytes -= cache.pop(next(iter(cache)))[1]
-        return hit[0]
+        return roster
 
     def _geometry(
         self, lane: int, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
     ) -> Dict[str, np.ndarray]:
         """Lane ``lane``'s sampling geometry for a run of these batch sizes."""
         key = ("geometry", lane, b_max, tuple(batches)) + feat_shape
+        return self._cached(
+            key,
+            lambda: _new_geometry(key, self.dtype, b_max, batches, feat_shape),
+            lambda geo: sum(v.nbytes for v in geo.values() if isinstance(v, np.ndarray)),
+        )
+
+    def _cached(self, key: Tuple, build: Callable[[], Any], charge: Callable[[Any], int]) -> Any:
+        """The entry under ``key``, built and charged on a miss; now the most recent."""
         hit = self._cache.pop(key, None)
         if hit is None:
-            geo = _new_geometry(key, self.dtype, b_max, batches, feat_shape)
-            hit = (geo, sum(v.nbytes for v in geo.values() if isinstance(v, np.ndarray)))
+            entry = build()
+            hit = (entry, charge(entry))
             self._cached_bytes += hit[1]
         self._cache[key] = hit
         return hit[0]
