@@ -24,6 +24,12 @@ class TestTransmitEnergy:
         w = np.ones(3)
         assert transmit_energy(w, 1.0, 2.0, 1.0) < transmit_energy(w, 1.0, 0.5, 1.0)
 
+    def test_eq46_cap_spends_exactly_the_budget(self):
+        """At σ = h √Ê / (d W), a vector of norm W costs exactly Ê."""
+        budget, d, h, W = 10.0, 4.0, 1.5, 2.0
+        w = np.array([W, 0.0])
+        assert transmit_energy(w, d, h, h * np.sqrt(budget) / (d * W)) == pytest.approx(budget)
+
     @pytest.mark.parametrize("bad", [dict(data_size=0), dict(channel_gain=0), dict(sigma_t=0)])
     def test_invalid_arguments(self, bad):
         kwargs = dict(data_size=1.0, channel_gain=1.0, sigma_t=1.0)

@@ -327,6 +327,107 @@ class TestGroupingResult:
 
 
 # ----------------------------------------------------------------------
+# Λ_j, the group-vs-global label EMD (Eq. 11)
+# ----------------------------------------------------------------------
+def counts_problem(counts, local_times=None):
+    counts = np.asarray(counts, dtype=np.int64)
+    if local_times is None:
+        local_times = np.ones(counts.shape[0])
+    return GroupingProblem(
+        data_sizes=counts.sum(axis=1),
+        class_counts=counts,
+        local_times=local_times,
+        model_dimension=1000,
+    )
+
+
+def lambdas_of(problem, groups):
+    return _evaluate_grouping(problem, groups, "probe").lambdas
+
+
+class TestGroupLambdas:
+    def test_hand_computed_example(self):
+        # λ = (3, 1, 2) / 6; group {0, 2} holds (3, 0, 1) / 4, group {1} (0, 1, 1) / 2.
+        problem = counts_problem([[2, 0, 0], [0, 1, 1], [1, 0, 1]])
+        np.testing.assert_allclose(lambdas_of(problem, [[0, 2], [1]]), [0.5, 1.0])
+
+    def test_worker_matching_the_global_distribution_has_zero_lambda(self):
+        problem = counts_problem([[1, 1], [2, 2], [5, 5]])
+        assert np.array_equal(singleton_grouping(problem).lambdas, np.zeros(3))
+
+    def test_one_label_group_of_a_rare_class_approaches_two(self):
+        """Λ = 2(1 − λ_k) for a group holding only class k."""
+        problem = counts_problem([[1, 0], [0, 999]])
+        np.testing.assert_allclose(singleton_grouping(problem).lambdas, [1.998, 0.002])
+
+    def test_paper_example_value(self):
+        """Single-class workers over 10 balanced classes: Λ = 1.8 (Sec. VI-B3)."""
+        problem = counts_problem(5 * np.eye(10, dtype=np.int64))
+        np.testing.assert_allclose(singleton_grouping(problem).lambdas, 1.8)
+
+    def test_worker_lambdas_close_to_paper_value(self):
+        """Label-skew workers against a near-uniform global distribution."""
+        problem, _, _ = make_problem(num_workers=20, seed=3)
+        lambdas = singleton_grouping(problem).lambdas
+        assert np.all(lambdas > 1.5)
+        assert np.all(lambdas <= 2.0)
+
+    def test_scaling_counts_leaves_lambdas_unchanged(self):
+        counts = np.array([[3, 1, 0], [0, 2, 2], [1, 1, 4], [5, 0, 1]])
+        groups = [[0, 3], [1], [2]]
+        np.testing.assert_allclose(
+            lambdas_of(counts_problem(7 * counts), groups),
+            lambdas_of(counts_problem(counts), groups),
+        )
+
+    def test_permuting_classes_leaves_lambdas_unchanged(self):
+        counts = np.array([[3, 1, 0], [0, 2, 2], [1, 1, 4], [5, 0, 1]])
+        groups = [[0, 1], [2, 3]]
+        np.testing.assert_allclose(
+            lambdas_of(counts_problem(counts[:, [2, 0, 1]]), groups),
+            lambdas_of(counts_problem(counts), groups),
+        )
+
+    def test_member_order_leaves_lambdas_unchanged(self):
+        problem, _, _ = make_problem(num_workers=20)
+        groups = [chunk.tolist() for chunk in ragged_split(20, seed=2)]
+        reordered = [members[::-1] for members in reversed(groups)]
+        assert np.array_equal(
+            lambdas_of(problem, reordered), lambdas_of(problem, groups)[::-1]
+        )
+
+    def test_lambdas_do_not_depend_on_local_times(self):
+        counts = np.array([[3, 1, 0], [0, 2, 2], [1, 1, 4], [5, 0, 1]])
+        groups = [[0, 2], [1, 3]]
+        slow = counts_problem(counts, local_times=np.array([9.0, 1.0, 4.0, 2.5]))
+        assert np.array_equal(lambdas_of(slow, groups), lambdas_of(counts_problem(counts), groups))
+
+    def test_mixing_classes_lowers_the_average_lambda(self):
+        """Pairing workers of different classes lowers the average Λ."""
+        problem, _, _ = make_problem(num_workers=20, seed=3)
+        labels = problem.class_counts.argmax(axis=1)
+        order = np.argsort(labels, kind="stable")
+        same_class = [[int(order[2 * i]), int(order[2 * i + 1])] for i in range(10)]
+        cross_class = [[int(order[i]), int(order[10 + i])] for i in range(10)]
+        assert all(labels[a] == labels[b] for a, b in same_class)
+        assert all(labels[a] != labels[b] for a, b in cross_class)
+        assert lambdas_of(problem, cross_class).mean() < lambdas_of(problem, same_class).mean()
+
+    def test_betas_are_group_data_shares(self):
+        problem, partition, _ = make_problem(num_workers=20)
+        result = random_grouping(problem, num_groups=4, seed=2)
+        sizes = partition.data_sizes()
+        expected = [sizes[list(g)].sum() / sizes.sum() for g in result.groups]
+        np.testing.assert_allclose(result.betas, expected)
+
+    def test_empty_worker_gets_uniform_distribution(self):
+        problem = counts_problem([[4, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]])
+        uniform = np.full(4, 0.25)
+        expected = np.abs(uniform - problem.global_distribution()).sum()
+        assert singleton_grouping(problem).lambdas[1] == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------
 # Segment-reduced evaluation vs. the per-group loop it replaced
 # ----------------------------------------------------------------------
 def per_group_loop(problem, groups):

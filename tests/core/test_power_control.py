@@ -113,3 +113,47 @@ class TestSolvePowerControl:
             self._solve(model_bound=0.0)
         with pytest.raises(ValueError):
             self._solve(channel_gains=[0.8, 1.2])
+
+
+class TestSigmaCap:
+    """Eq. 46: σ_t ≤ min_i h_i √Ê / (d_i W_t), as power control applies it."""
+
+    @staticmethod
+    def _solve(sizes, gains, model_bound, budget, noise=1e-3):
+        config = AirCompConfig(noise_variance=noise, energy_budget_j=budget)
+        return solve_power_control(sizes, gains, model_bound, config)
+
+    def test_single_worker_cap_value(self):
+        # h √Ê / (d W) = 1 · 4 / (4 · 2) = 0.5
+        assert self._solve([4.0], [1.0], 2.0, 16.0).sigma_cap == pytest.approx(0.5)
+
+    def test_cap_is_minimum_over_workers(self):
+        result = self._solve([1.0, 2.0], [1.0, 1.0], 1.0, 1.0)
+        assert result.sigma_cap == pytest.approx(0.5)
+
+    def test_cap_binds_under_noise(self):
+        """With σ_n² > 0, √η(σ) > σ (Eq. 44), so Eq. 47 settles at the cap."""
+        for budget in (0.1, 10.0, 1e6):
+            result = self._solve([20.0, 30.0], [0.8, 1.2], 10.0, budget)
+            assert result.sigma == result.sigma_cap
+
+    def test_cap_halves_when_the_model_bound_doubles(self):
+        low = self._solve([20.0, 30.0], [0.8, 1.2], 5.0, 10.0)
+        high = self._solve([20.0, 30.0], [0.8, 1.2], 10.0, 10.0)
+        assert high.sigma_cap == pytest.approx(0.5 * low.sigma_cap)
+
+    def test_cap_scales_with_the_binding_gain(self):
+        base = self._solve([10.0], [0.5], 1.0, 4.0)
+        better = self._solve([10.0], [1.5], 1.0, 4.0)
+        assert better.sigma_cap == pytest.approx(3.0 * base.sigma_cap)
+
+    def test_cap_does_not_depend_on_noise(self):
+        quiet = self._solve([20.0, 30.0], [0.8, 1.2], 10.0, 10.0, noise=0.0)
+        loud = self._solve([20.0, 30.0], [0.8, 1.2], 10.0, 10.0, noise=1.0)
+        assert quiet.sigma_cap == loud.sigma_cap
+
+    def test_rejects_non_positive_sizes_or_gains(self):
+        with pytest.raises(ValueError):
+            self._solve([0.0, 1.0], [1.0, 1.0], 1.0, 1.0)
+        with pytest.raises(ValueError):
+            self._solve([1.0, 1.0], [1.0, -1.0], 1.0, 1.0)

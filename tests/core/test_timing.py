@@ -119,6 +119,23 @@ class TestGroupTiming:
     def test_tau_max_estimate_positive_for_multiple_groups(self):
         assert self._timing().tau_max_estimate > 0.0
 
+    def test_group_times_are_group_completion_times(self):
+        t = self._timing()
+        expected = [
+            group_completion_time([2.0, 4.0], t.upload_latency),
+            group_completion_time([8.0], t.upload_latency),
+        ]
+        assert t.group_times.tolist() == expected
+
+    def test_upload_latency_does_not_depend_on_membership(self):
+        assert self._timing(groups=([0], [1], [2])).upload_latency == self._timing().upload_latency
+
+    def test_tau_max_estimate_is_eq39_less_the_self_update(self):
+        # Eq. 39: 9 · (1/5 + 1/9) = 2.8 group updates per slowest round.
+        t = self._timing()
+        assert t.tau_max_estimate == pytest.approx(1.8)
+        assert t.tau_max_estimate == estimated_max_staleness(t.group_times) - 1.0
+
     def test_rejects_empty_grouping(self):
         with pytest.raises(ValueError):
             self._timing(groups=())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import registry
+from repro.core.population import WorkerStateTable
 from repro.data import (
     Partition,
     make_mnist_like,
@@ -26,6 +27,13 @@ class TestPartitionContainer:
         sizes = part.data_sizes()
         assert sizes.sum() == dataset.num_train
         assert part.total_size == dataset.num_train
+
+    def test_proportions_sum_to_one(self, dataset):
+        """α_i = d_i / D, held by the worker-state table built from the partition."""
+        part = partition_iid(dataset, num_workers=8, seed=0)
+        alphas = WorkerStateTable.from_partition(part).alphas
+        assert alphas.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(alphas, part.data_sizes() / part.total_size)
 
     def test_class_counts_shape_and_total(self, dataset):
         part = partition_iid(dataset, num_workers=8, seed=0)

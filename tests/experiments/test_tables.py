@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import emd_comparison, lr_mnist_config, mechanism_comparison
+from repro.core import GroupingProblem, greedy_grouping, singleton_grouping, tier_grouping
+from repro.experiments import (
+    cnn_mnist_config,
+    emd_comparison,
+    lr_mnist_config,
+    mechanism_comparison,
+)
 
 
 class TestEMDComparison:
@@ -15,6 +21,28 @@ class TestEMDComparison:
             "tifl": 0.7382035375186343,
             "air_fedga": 0.2955606466730636,
         }
+
+    @pytest.mark.parametrize(
+        "column, strategy",
+        [
+            ("original", lambda p: singleton_grouping(p)),
+            ("tifl", lambda p: tier_grouping(p, num_groups=4)),
+            ("air_fedga", lambda p: greedy_grouping(p)),
+        ],
+    )
+    def test_columns_are_mean_group_lambdas(self, column, strategy):
+        """Each column is the mean Λ_j the grouping itself reports."""
+        scenario = cnn_mnist_config(seed=0).with_(num_workers=20)
+        experiment = scenario.build_experiment()
+        problem = GroupingProblem(
+            data_sizes=experiment.partition.data_sizes(),
+            class_counts=experiment.partition.class_counts(),
+            local_times=experiment.latency.nominal,
+            model_dimension=scenario.training.latency_model_dimension or 10_000,
+            config=scenario.algorithm,
+        )
+        result = emd_comparison(num_workers=20, num_tiers=4, seed=0)
+        assert result[column] == float(strategy(problem).lambdas.mean())
 
     def test_original_matches_paper_value(self):
         """Single-label workers over 10 balanced classes give EMD = 1.8."""

@@ -92,3 +92,80 @@ class TestEMDProperties:
         part = partition_label_skew(DATASET, num_workers, seed=seed)
         lambdas = contiguous_grouping(grouping_problem(part), 1).lambdas
         assert lambdas == pytest.approx([0.0])
+
+
+def count_table(seed, num_workers, num_classes, low=0):
+    return np.random.default_rng(seed).integers(low, 20, size=(num_workers, num_classes))
+
+
+def counts_problem(counts):
+    return GroupingProblem(
+        data_sizes=counts.sum(axis=1),
+        class_counts=counts,
+        local_times=np.ones(counts.shape[0]),
+        model_dimension=1000,
+    )
+
+
+count_tables = dict(
+    seed=st.integers(0, 10_000), num_workers=st.integers(2, 12), num_classes=st.integers(2, 6)
+)
+
+
+class TestLambdaProperties:
+    @given(**count_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_lambdas_within_bounds_for_random_count_tables(self, seed, num_workers, num_classes):
+        counts = count_table(seed, num_workers, num_classes)
+        groups = np.array_split(np.arange(num_workers), 2)
+        values = _evaluate_grouping(counts_problem(counts), groups, "probe").lambdas
+        assert np.all(values >= 0.0)
+        assert np.all(values <= 2.0 + 1e-12)
+
+    @given(**count_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_singleton_lambdas_match_the_l1_formula(self, seed, num_workers, num_classes):
+        """Λ_i = Σ_k |d_i^k / d_i − λ_k|, with a uniform row for an empty worker."""
+        counts = count_table(seed, num_workers, num_classes)
+        problem = counts_problem(counts)
+        sizes = counts.sum(axis=1, keepdims=True)
+        dists = np.where(sizes > 0, counts / np.maximum(sizes, 1), 1.0 / num_classes)
+        expected = np.abs(dists - problem.global_distribution()).sum(axis=1)
+        groups = [[i] for i in range(num_workers)]
+        np.testing.assert_allclose(_evaluate_grouping(problem, groups, "probe").lambdas, expected)
+
+    @given(scale=st.integers(2, 50), **count_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_lambdas_invariant_under_count_scaling(self, scale, seed, num_workers, num_classes):
+        counts = count_table(seed, num_workers, num_classes, low=1)
+        groups = np.array_split(np.arange(num_workers), 2)
+        np.testing.assert_allclose(
+            _evaluate_grouping(counts_problem(scale * counts), groups, "probe").lambdas,
+            _evaluate_grouping(counts_problem(counts), groups, "probe").lambdas,
+        )
+
+    @given(**count_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_merged_group_lambda_at_most_the_size_weighted_mean(
+        self, seed, num_workers, num_classes
+    ):
+        """The union's distribution is a size-weighted mixture: Λ is convex in it."""
+        counts = count_table(seed, num_workers, num_classes, low=1)
+        problem = counts_problem(counts)
+        split = np.array_split(np.arange(num_workers), 2)
+        apart = _evaluate_grouping(problem, split, "probe")
+        merged = _evaluate_grouping(problem, [np.arange(num_workers)[::-1].copy()], "probe")
+        sizes = np.array([counts[g].sum() for g in split])
+        weighted = float((sizes * apart.lambdas).sum() / sizes.sum())
+        assert merged.lambdas[0] <= weighted + 1e-12
+
+    @given(**count_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_two_group_split_balances_beta_weighted_lambdas(self, seed, num_workers, num_classes):
+        """β_A (p_A − λ) = −β_B (p_B − λ) when A and B cover everyone, so β_A Λ_A = β_B Λ_B."""
+        counts = count_table(seed, num_workers, num_classes, low=1)
+        result = _evaluate_grouping(
+            counts_problem(counts), np.array_split(np.arange(num_workers), 2), "probe"
+        )
+        weighted = result.betas * result.lambdas
+        assert weighted[0] == pytest.approx(weighted[1], abs=1e-12)

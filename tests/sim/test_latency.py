@@ -24,6 +24,12 @@ class TestHeterogeneityModel:
         b = HeterogeneityModel(num_workers=10, seed=3).kappa
         np.testing.assert_array_equal(a, b)
 
+    def test_kappa_is_a_copy(self):
+        model = HeterogeneityModel(num_workers=5, seed=0)
+        kappa = model.kappa
+        kappa[2] = -1.0
+        assert model.kappa[2] > 0
+
     @pytest.mark.parametrize(
         "kwargs",
         [
