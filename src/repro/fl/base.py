@@ -28,8 +28,12 @@ model; :meth:`BaseTrainer.run`, the one loop, applies the rows.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (
+    Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -56,6 +60,15 @@ from .history import RoundRecord, TrainingHistory
 from .staleness import StalenessPolicy
 
 __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
+
+#: Most rows (members × mini-batch) one engine call gathers per SGD step when
+#: :meth:`BaseTrainer.run` trains cohorts ahead of their commits, and how many
+#: schedule rows it reads ahead.  Measured (docs/PERFORMANCE.md, "Cohorts
+#: trained ahead — what was measured"): a member's cost stops falling near 384
+#: rows, while each member costs its parameters twice over in the kernels; a
+#: 64×32 ``scale_1m`` cohort (2,048 rows) never merges.
+_MERGE_ROWS = 384
+_LOOK_AHEAD = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,18 +195,19 @@ class FLExperiment:
             raise ValueError(
                 "partition and channel model disagree on the number of workers"
             )
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.max_eval_samples < 1:
-            raise ValueError("max_eval_samples must be >= 1")
-        if self.latency_model_dimension is not None and self.latency_model_dimension <= 0:
-            raise ValueError("latency_model_dimension must be positive when given")
+        # The checks run applies to max_rounds: else NaN losses or an engine TypeError.
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (
+            isinstance(rate, (int, float, np.floating)) and math.isfinite(rate) and rate > 0
+        ):
+            raise ValueError(f"learning_rate must be a finite positive number, got {rate!r}")
+        counts = ["local_steps", "batch_size", "eval_every", "max_eval_samples"]
+        if self.latency_model_dimension is not None:
+            counts.append("latency_model_dimension")
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if (
             self.clientstate is not None
             and self.clientstate.num_workers != num_workers
@@ -292,9 +306,12 @@ class BaseTrainer:
         self._engine: Optional[BatchedWorkerEngine] = BatchedWorkerEngine.try_build(
             self.model
         )
+        self._merges = self._engine is not None and self._engine.trains_ahead
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
+        # The ``(G, q)`` output of an engine call training several cohorts.
+        self._call_out: np.ndarray = np.empty((0, dim), dtype=dtype)
         # Global-model versions, named by the round that committed them: the
         # live one, cohorts still to train from each, snapshots, spare buffers.
         self._version = 0
@@ -482,7 +499,7 @@ class BaseTrainer:
         self,
         worker_ids: Sequence[int],
         base_vector: np.ndarray,
-        round_index: int,
+        round_index: Union[int, Sequence[int]],
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Local updates of a whole group, stacked as a ``(G, q)`` matrix.
@@ -493,6 +510,9 @@ class BaseTrainer:
         otherwise.  Both paths draw identical per-worker mini-batches, so
         they agree to ~1e-9 per parameter in float64.  The engine splits a
         large group across the host's cores itself, bit-identically.
+        ``base_vector`` is ``(q,)`` or a ``(G, q)`` row per member and
+        ``round_index`` one key or a key per member: :meth:`run` trains
+        several cohorts in one call that way.
         """
         ids = list(worker_ids)
         transform = self.local_step_transform(ids, base_vector, round_index)
@@ -517,8 +537,8 @@ class BaseTrainer:
             for k, w in enumerate(ids):
                 self.local_update(
                     w,
-                    base_vector,
-                    round_index,
+                    base_vector if base_vector.ndim == 1 else base_vector[k],
+                    round_index if np.ndim(round_index) == 0 else round_index[k],
                     out=out[k],
                     transform=(
                         transform.rows(k) if transform is not None else None
@@ -903,10 +923,16 @@ class BaseTrainer:
                 f"{self.name} trainer has already run; build a new one"
             )
         self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
-        # Trained cohorts whose members have not all committed: their stack
-        # and how many members are still to come.
+        # Rows read off the schedule and not yet applied; trained cohorts
+        # whose members have not all committed: their stack and how many
+        # members are still to come.
+        rows = self.schedule(max_rounds, max_time)
+        ahead: Deque[CommitRow] = deque()
         trained: Dict[Cohort, List] = {}
-        for row in self.schedule(max_rounds, max_time):
+        while True:
+            row = ahead.popleft() if ahead else next(rows, None)
+            if row is None:
+                break
             cohort = row.cohort
             if cohort is None:
                 # Nobody checked in: the global model and clock stand still.
@@ -914,18 +940,9 @@ class BaseTrainer:
                     row.round_index, row.time, row.staleness, row.group_id, 0
                 )
                 continue
-            entry = trained.get(cohort)
-            if entry is None:
-                # -- train (group-batched when the model supports it) ------
-                base = self._take_base(cohort.base_version)
-                stack = self.local_update_group(cohort.ids, base, cohort.key)
-                # -- blend: w ← base + f·(w − base) for partial local work -
-                if row.fractions is not None:
-                    stack -= base
-                    stack *= row.fractions.astype(stack.dtype)[:, None]
-                    stack += base
-                self.post_local_update(cohort.ids, stack, base, cohort.key)
-                entry = trained[cohort] = [stack, len(cohort.ids)]
+            if cohort not in trained:
+                self._train_cohorts(row, ahead, rows, trained)
+            entry = trained[cohort]
             stack = entry[0]
             local_vectors = stack if row.slot is None else stack[row.slot]
 
@@ -961,3 +978,73 @@ class BaseTrainer:
         for stack, _ in trained.values():
             self._release_stack(stack)
         return self.history
+
+    def _train_cohorts(
+        self,
+        head: CommitRow,
+        ahead: Deque[CommitRow],
+        rows: Iterator[CommitRow],
+        trained: Dict[Cohort, List],
+    ) -> None:
+        """Train ``head``'s cohort in one engine call with every cohort of the
+        rows ahead whose base version is committed and whose members all draw
+        the head's mini-batch size, up to ``_MERGE_ROWS`` gathered rows; then
+        blend each and call its hook, in row order.  Local SGD reads only keyed
+        streams and immutable bases, so only its wall-clock moment moves."""
+        firsts = {head.cohort: head}  # each cohort's first row, in row order
+        batch = self._merge_batch(head.cohort)
+        budget = _MERGE_ROWS - batch * len(head.cohort.ids)
+        if batch and budget >= batch:
+            while len(ahead) < _LOOK_AHEAD and (row := next(rows, None)) is not None:
+                ahead.append(row)
+            for row in ahead:
+                cohort = row.cohort
+                if (
+                    cohort is None
+                    or cohort in firsts
+                    or cohort in trained
+                    or cohort.base_version > self._version
+                    or batch * len(cohort.ids) > budget
+                    or self._merge_batch(cohort) != batch
+                ):
+                    continue
+                firsts[cohort] = row
+                budget -= batch * len(cohort.ids)
+        cohorts = list(firsts)
+        bases = [self._take_base(cohort.base_version) for cohort in cohorts]
+        if len(cohorts) == 1:
+            stacks = [self.local_update_group(head.cohort.ids, bases[0], head.cohort.key)]
+        else:
+            # Each cohort's rows of the call's output start as its base (the
+            # call reads a row before writing it); its own stack keeps them.
+            spans = list(accumulate([len(cohort.ids) for cohort in cohorts], initial=0))
+            if len(self._call_out) < spans[-1]:
+                # analyze: allow-alloc(grown to the largest call, then reused)
+                self._call_out = np.empty((spans[-1], self.model.dimension), self._call_out.dtype)
+            out = self._call_out[: spans[-1]]
+            for base, k0, k1 in zip(bases, spans, spans[1:]):
+                np.copyto(out[k0:k1], base)
+            ids = [w for cohort in cohorts for w in cohort.ids]
+            keys = [cohort.key for cohort in cohorts for _ in cohort.ids]
+            self.local_update_group(ids, out, keys, out=out)
+            stacks = [self._group_stack(k1 - k0) for k0, k1 in zip(spans, spans[1:])]
+            for stack, k0, k1 in zip(stacks, spans, spans[1:]):
+                np.copyto(stack, out[k0:k1])
+        for cohort, base, stack in zip(cohorts, bases, stacks):
+            # -- blend: w ← base + f·(w − base) for partial local work -----
+            fractions = firsts[cohort].fractions
+            if fractions is not None:
+                stack -= base
+                stack *= fractions.astype(stack.dtype)[:, None]
+                stack += base
+            self.post_local_update(cohort.ids, stack, base, cohort.key)
+            trained[cohort] = [stack, len(cohort.ids)]
+
+    def _merge_batch(self, cohort: Cohort) -> int:
+        """The mini-batch size every member of ``cohort`` draws; 0 if the
+        members' sizes differ or the engine trains no cohorts together."""
+        if not self._merges:
+            return 0
+        sizes = self.worker_state.raw_sizes[cohort.ids]
+        batch = min(self.exp.batch_size, int(sizes.min()))
+        return batch if batch >= self.exp.batch_size or sizes.max() == batch else 0

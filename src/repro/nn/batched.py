@@ -121,8 +121,9 @@ class BatchedKernel(Protocol):
     * ``forward(x)`` / ``backward(grad_out)`` — stacked forward/backward.
 
     Parametric kernels (``param_size > 0``) additionally implement
-    ``bind(group, batch, dtype)`` (attach per-signature buffers),
-    ``load(base_vector)`` (broadcast the shared base parameters),
+    ``bind(group, batch, dtype)`` (attach buffers for that many members),
+    ``load(base)`` (copy the base parameters in: one shared ``(q,)`` base
+    or a ``(G, q)`` row per member),
     ``dump(out)`` (write each member's flat parameters into its row) and
     ``sgd_step(lr)``.  Optional hooks, discovered by the engine via
     ``hasattr``: ``begin_round(batches, local_steps)`` called once per
@@ -243,13 +244,33 @@ def _has_shared_dropout_rng(model: SequentialModel) -> bool:
 # ----------------------------------------------------------------------
 # Batched layer kernels.
 # ----------------------------------------------------------------------
-@register_batched_kernel(Dense)
-class _BatchedDense:
-    """``y[g] = x[g] @ W[g] + b[g]`` for all group members at once."""
+def _slab(
+    buffers: Dict[Any, np.ndarray], key: Any, shape: Tuple[int, ...], dtype: np.dtype
+) -> np.ndarray:
+    """A ``shape`` view of the flat buffer ``buffers[key]``, grown to fit.
 
-    def __init__(self, layer: Dense, offset: int) -> None:
-        self.in_features = layer.in_features
-        self.out_features = layer.out_features
+    Kernel buffers are sized by capacity and sliced, as ``StackPool.acquire``
+    does, so one buffer per name serves every group size: fault survivors and
+    merged cohorts add none.  A grown buffer starts zeroed, and with the group
+    axis leading a member's region keeps its offset whatever ``G`` is, so a
+    buffer whose border only ever holds zeros (conv padding) stays valid.
+    """
+    size = math.prod(shape)
+    flat = buffers.get(key)
+    if flat is None or flat.size < size or flat.dtype != dtype:
+        flat = buffers[key] = np.zeros(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+class _ParamKernel:
+    """The stacked parameters of a Dense or Conv2D kernel.
+
+    Member ``g``'s weight is ``weight[g]`` and its bias ``bias[g]``; in the
+    flat model vector they sit at the layer's offsets.  Buffers come from
+    :func:`_slab`, one per name whatever the group size.
+    """
+
+    def __init__(self, layer: Union[Dense, Conv2D], offset: int) -> None:
         self.has_bias = layer.bias is not None
         self.weight_shape = layer.weight.value.shape
         self.weight_offset = offset
@@ -257,49 +278,34 @@ class _BatchedDense:
         self.bias_offset = offset + self.weight_size
         self.bias_size = layer.bias.value.size if self.has_bias else 0
         self.param_size = self.weight_size + self.bias_size
-        # Stacked parameter / gradient / activation tensors, cached per
-        # (group, batch) signature so trainers alternating between groups
-        # of different sizes (the grouped-async event loop) never thrash a
-        # single buffer set — steady-state steps run entirely in-place.
-        self._buffers: Dict[Tuple[int, int], Tuple] = {}
+        self._slabs: Dict[Any, np.ndarray] = {}
+        self._bound: Optional[Tuple[int, int]] = None
         self.weight: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
         self.grad_weight: Optional[np.ndarray] = None
         self.grad_bias: Optional[np.ndarray] = None
-        self._out: Optional[np.ndarray] = None
-        self._grad_in: Optional[np.ndarray] = None
-        self._cache_x: Optional[np.ndarray] = None
 
     def bind(self, group: int, batch: int, dtype: np.dtype) -> None:
-        key = (group, batch)
-        bufs = self._buffers.get(key)
-        if bufs is None:
-            weight = np.empty((group,) + self.weight_shape, dtype=dtype)
-            grad_weight = np.empty_like(weight)
-            bias = grad_bias = None
-            if self.has_bias:
-                bias = np.empty((group, self.out_features), dtype=dtype)
-                grad_bias = np.empty_like(bias)
-            out = np.empty((group, batch, self.out_features), dtype=dtype)
-            grad_in = np.empty((group, batch, self.in_features), dtype=dtype)
-            bufs = (weight, grad_weight, bias, grad_bias, out, grad_in)
-            self._buffers[key] = bufs
-        (
-            self.weight,
-            self.grad_weight,
-            self.bias,
-            self.grad_bias,
-            self._out,
-            self._grad_in,
-        ) = bufs
-
-    def load(self, base_vector: np.ndarray) -> None:
-        """Broadcast the (shared) base parameters into every group slot."""
-        w = base_vector[self.weight_offset : self.weight_offset + self.weight_size]
-        np.copyto(self.weight, w.reshape(self.weight_shape)[None])
+        if self._bound == (group, batch):
+            return
+        self._bound = (group, batch)
+        shape = (group,) + self.weight_shape
+        self.weight = _slab(self._slabs, "weight", shape, dtype)
+        self.grad_weight = _slab(self._slabs, "grad_weight", shape, dtype)
         if self.has_bias:
-            b = base_vector[self.bias_offset : self.bias_offset + self.bias_size]
-            np.copyto(self.bias, b[None])
+            self.bias = _slab(self._slabs, "bias", (group, self.bias_size), dtype)
+            self.grad_bias = _slab(self._slabs, "grad_bias", (group, self.bias_size), dtype)
+
+    def _weights_of(self, flat: np.ndarray) -> np.ndarray:
+        """The weight slice of a ``(q,)`` or ``(G, q)`` flat vector, shaped."""
+        w = flat[..., self.weight_offset : self.weight_offset + self.weight_size]
+        return w.reshape(flat.shape[:-1] + self.weight_shape)
+
+    def load(self, base: np.ndarray) -> None:
+        """Copy the base parameters into every member's slot."""
+        np.copyto(self.weight, self._weights_of(base))
+        if self.has_bias:
+            np.copyto(self.bias, base[..., self.bias_offset : self.bias_offset + self.bias_size])
 
     def dump(self, out: np.ndarray) -> None:
         """Write each member's flattened parameters into its row of ``out``."""
@@ -309,27 +315,6 @@ class _BatchedDense:
         )
         if self.has_bias:
             out[:, self.bias_offset : self.bias_offset + self.bias_size] = self.bias
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache_x = x
-        out = self._out
-        np.matmul(x, self.weight, out=out)
-        if self.has_bias:
-            out += self.bias[:, None, :]
-        return out
-
-    #: Set on the first parametric layer of the network: nothing upstream
-    #: needs the input gradient, so its (largest) backward matmul is skipped.
-    skip_input_grad = False
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cache_x
-        np.matmul(x.transpose(0, 2, 1), grad_out, out=self.grad_weight)
-        if self.has_bias:
-            np.sum(grad_out, axis=1, out=self.grad_bias)
-        if self.skip_input_grad:
-            return grad_out
-        return np.matmul(grad_out, self.weight.transpose(0, 2, 1), out=self._grad_in)
 
     def sgd_step(self, lr: float) -> None:
         # In-place ``grad *= lr; w -= grad``: the same two floating-point
@@ -353,14 +338,52 @@ class _BatchedDense:
         ``flat`` is ``(q,)`` (shared across the group, broadcast over the
         leading axis) or ``(G, q)`` with one row per member.
         """
-        w = flat[..., self.weight_offset : self.weight_offset + self.weight_size]
-        if flat.ndim == 1:
-            self.weight += w.reshape(self.weight_shape)
-        else:
-            self.weight += w.reshape((flat.shape[0],) + self.weight_shape)
+        self.weight += self._weights_of(flat)
         if self.has_bias:
-            b = flat[..., self.bias_offset : self.bias_offset + self.bias_size]
-            self.bias += b
+            self.bias += flat[..., self.bias_offset : self.bias_offset + self.bias_size]
+
+
+@register_batched_kernel(Dense)
+class _BatchedDense(_ParamKernel):
+    """``y[g] = x[g] @ W[g] + b[g]`` for all group members at once."""
+
+    def __init__(self, layer: Dense, offset: int) -> None:
+        super().__init__(layer, offset)
+        self.in_features = layer.in_features
+        self.out_features = layer.out_features
+        self._out: Optional[np.ndarray] = None
+        self._grad_in: Optional[np.ndarray] = None
+        self._cache_x: Optional[np.ndarray] = None
+
+    def bind(self, group: int, batch: int, dtype: np.dtype) -> None:
+        if self._bound != (group, batch):
+            super().bind(group, batch, dtype)
+            self._out = _slab(self._slabs, "out", (group, batch, self.out_features), dtype)
+            if not self.skip_input_grad:
+                self._grad_in = _slab(
+                    self._slabs, "grad_in", (group, batch, self.in_features), dtype
+                )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache_x = x
+        out = self._out
+        np.matmul(x, self.weight, out=out)
+        if self.has_bias:
+            out += self.bias[:, None, :]
+        return out
+
+    #: Set on the first parametric layer of the network: nothing upstream
+    #: needs the input gradient, so its (largest) backward matmul is skipped.
+    skip_input_grad = False
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x = self._cache_x
+        np.matmul(x.transpose(0, 2, 1), grad_out, out=self.grad_weight)
+        if self.has_bias:
+            np.sum(grad_out, axis=1, out=self.grad_bias)
+        if self.skip_input_grad:
+            return grad_out
+        return np.matmul(grad_out, self.weight.transpose(0, 2, 1), out=self._grad_in)
 
     def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
         return (self.out_features,), max(
@@ -378,21 +401,18 @@ class _BatchedReLU:
     param_size = 0
 
     def __init__(self, layer: ReLU, offset: int) -> None:
-        self._buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        self._slabs: Dict[Any, np.ndarray] = {}
         self._mask: Optional[np.ndarray] = None
+        self._out: Optional[np.ndarray] = None
 
     member_writes = staticmethod(_elementwise_writes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        bufs = self._buffers.get(x.shape)
-        if bufs is None:
-            # analyze: allow-alloc(first-touch mask/out buffers, cached per shape)
-            bufs = (np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=x.dtype))
-            self._buffers[x.shape] = bufs
-        mask, out = bufs
-        self._mask = mask
-        np.greater(x, 0.0, out=mask)
-        return np.maximum(x, 0.0, out=out)
+        if self._out is None or self._out.shape != x.shape:
+            self._mask = _slab(self._slabs, "mask", x.shape, np.dtype(bool))
+            self._out = _slab(self._slabs, "out", x.shape, x.dtype)
+        np.greater(x, 0.0, out=self._mask)
+        return np.maximum(x, 0.0, out=self._out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         # In-place: grad_out is the downstream layer's scratch gradient
@@ -420,7 +440,7 @@ class _BatchedFlatten:
 
 
 @register_batched_kernel(Conv2D)
-class _BatchedConv2D:
+class _BatchedConv2D(_ParamKernel):
     """Grouped im2col convolution: one GEMM per group per direction.
 
     The scalar layer turns each worker's ``(N, C, H, W)`` input into a
@@ -441,80 +461,18 @@ class _BatchedConv2D:
     skip_input_grad = False
 
     def __init__(self, layer: Conv2D, offset: int) -> None:
+        super().__init__(layer, offset)
         self.in_channels = layer.in_channels
         self.out_channels = layer.out_channels
         self.kernel_size = layer.kernel_size
         self.stride = layer.stride
         self.padding = layer.padding
-        self.has_bias = layer.bias is not None
-        self.weight_shape = layer.weight.value.shape
-        self.weight_offset = offset
-        self.weight_size = layer.weight.value.size
-        self.bias_offset = offset + self.weight_size
-        self.bias_size = layer.bias.value.size if self.has_bias else 0
-        self.param_size = self.weight_size + self.bias_size
         self.k_cols = self.in_channels * self.kernel_size * self.kernel_size
-        self._param_buffers: Dict[int, Tuple] = {}
         # Activation-side buffers (padded input, column tensor, GEMM outputs,
         # gradient scratch) depend on the input shape, which is only known at
-        # forward time; cache per ``(G, B, C, H, W)`` signature.
-        self._act: Dict[Tuple[int, ...], Dict[str, object]] = {}
-        self.weight: Optional[np.ndarray] = None
-        self.bias: Optional[np.ndarray] = None
-        self.grad_weight: Optional[np.ndarray] = None
-        self.grad_bias: Optional[np.ndarray] = None
+        # forward time: views of the last ``(G, B, C, H, W)`` seen.
         self._geo: Optional[Dict[str, object]] = None
-
-    # -- parameter plumbing (same layout contract as _BatchedDense) ------
-    def bind(self, group: int, batch: int, dtype: np.dtype) -> None:
-        bufs = self._param_buffers.get(group)
-        if bufs is None:
-            weight = np.empty((group,) + self.weight_shape, dtype=dtype)
-            grad_weight = np.empty_like(weight)
-            bias = grad_bias = None
-            if self.has_bias:
-                bias = np.empty((group, self.out_channels), dtype=dtype)
-                grad_bias = np.empty_like(bias)
-            bufs = (weight, grad_weight, bias, grad_bias)
-            self._param_buffers[group] = bufs
-        self.weight, self.grad_weight, self.bias, self.grad_bias = bufs
-
-    def load(self, base_vector: np.ndarray) -> None:
-        w = base_vector[self.weight_offset : self.weight_offset + self.weight_size]
-        np.copyto(self.weight, w.reshape(self.weight_shape)[None])
-        if self.has_bias:
-            b = base_vector[self.bias_offset : self.bias_offset + self.bias_size]
-            np.copyto(self.bias, b[None])
-
-    def dump(self, out: np.ndarray) -> None:
-        g = self.weight.shape[0]
-        out[:, self.weight_offset : self.weight_offset + self.weight_size] = (
-            self.weight.reshape(g, self.weight_size)
-        )
-        if self.has_bias:
-            out[:, self.bias_offset : self.bias_offset + self.bias_size] = self.bias
-
-    def sgd_step(self, lr: float) -> None:
-        self.grad_weight *= lr
-        self.weight -= self.grad_weight
-        if self.has_bias:
-            self.grad_bias *= lr
-            self.bias -= self.grad_bias
-
-    def scale_params(self, scale: float) -> None:
-        self.weight *= scale
-        if self.has_bias:
-            self.bias *= scale
-
-    def add_offset(self, flat: np.ndarray) -> None:
-        w = flat[..., self.weight_offset : self.weight_offset + self.weight_size]
-        if flat.ndim == 1:
-            self.weight += w.reshape(self.weight_shape)
-        else:
-            self.weight += w.reshape((flat.shape[0],) + self.weight_shape)
-        if self.has_bias:
-            b = flat[..., self.bias_offset : self.bias_offset + self.bias_size]
-            self.bias += b
+        self._x_shape: Optional[Tuple[int, ...]] = None
 
     def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
         _, h, w = shape
@@ -527,44 +485,47 @@ class _BatchedConv2D:
 
     # -- geometry / buffers ----------------------------------------------
     def _buffers_for(self, shape: Tuple[int, ...], dtype: np.dtype) -> Dict[str, object]:
-        geo = self._act.get(shape)
-        if geo is None:
-            g, b, c, h, w = shape
-            kh = self.kernel_size
-            s, p = self.stride, self.padding
-            out_h = (h + 2 * p - kh) // s + 1
-            out_w = (w + 2 * p - kh) // s + 1
-            if out_h <= 0 or out_w <= 0:
-                raise ValueError(
-                    f"kernel {(kh, kh)} with stride {s}, padding {p} does not "
-                    f"fit input of spatial size {(h, w)}"
-                )
-            m = b * out_h * out_w
-            geo = {
-                "out_h": out_h,
-                "out_w": out_w,
-                "padded": (
-                    np.zeros((g, b, c, h + 2 * p, w + 2 * p), dtype=dtype) if p else None
-                ),
-                "cols": np.empty((g, m, self.k_cols), dtype=dtype),
-                "out_mat": np.empty((g, m, self.out_channels), dtype=dtype),
-                "out": np.empty((g, b, self.out_channels, out_h, out_w), dtype=dtype),
-                "grad_mat": np.empty((g, m, self.out_channels), dtype=dtype),
-            }
-            if self.has_bias:
-                geo["bias_rows"] = np.empty((m, g * self.out_channels), dtype=dtype)
-            if not self.skip_input_grad:
-                geo["grad_cols"] = np.empty((g, m, self.k_cols), dtype=dtype)
-                if s == 1:
-                    # Stride-1 col2im runs with the image axis innermost:
-                    # the transposed columns, the accumulator, and the
-                    # gradient it is copied to.
-                    geo["staged"] = np.empty((out_h, out_w, c, kh, kh, g * b), dtype=dtype)
-                    geo["acc"] = np.empty((h, w, c, g * b), dtype=dtype)
-                    geo["grad_in"] = np.empty((g, b, c, h, w), dtype=dtype)
-                else:
-                    geo["grad_pad"] = np.empty((g, b, c, h + 2 * p, w + 2 * p), dtype=dtype)
-            self._act[shape] = geo
+        if shape == self._x_shape:
+            return self._geo
+        g, b, c, h, w = shape
+        kh = self.kernel_size
+        s, p = self.stride, self.padding
+        out_h = (h + 2 * p - kh) // s + 1
+        out_w = (w + 2 * p - kh) // s + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ValueError(
+                f"kernel {(kh, kh)} with stride {s}, padding {p} does not "
+                f"fit input of spatial size {(h, w)}"
+            )
+        m = b * out_h * out_w
+        shapes = {
+            "cols": (g, m, self.k_cols),
+            "out_mat": (g, m, self.out_channels),
+            "out": (g, b, self.out_channels, out_h, out_w),
+            "grad_mat": (g, m, self.out_channels),
+        }
+        if self.has_bias:
+            shapes["bias_rows"] = (m, g * self.out_channels)
+        if not self.skip_input_grad:
+            shapes["grad_cols"] = (g, m, self.k_cols)
+            if s == 1:
+                # Stride-1 col2im runs with the image axis innermost: the
+                # transposed columns, the accumulator, and the gradient it
+                # is copied to.
+                shapes["staged"] = (out_h, out_w, c, kh, kh, g * b)
+                shapes["acc"] = (h, w, c, g * b)
+                shapes["grad_in"] = (g, b, c, h, w)
+            else:
+                shapes["grad_pad"] = (g, b, c, h + 2 * p, w + 2 * p)
+        geo: Dict[str, object] = {
+            name: _slab(self._slabs, name, dims, dtype) for name, dims in shapes.items()
+        }
+        # Only the interior is written, so each member shape keeps its own
+        # zero-bordered buffer.
+        padded = (g, b, c, h + 2 * p, w + 2 * p)
+        geo["padded"] = _slab(self._slabs, padded[1:], padded, dtype) if p else None
+        geo["out_h"], geo["out_w"] = out_h, out_w
+        self._geo, self._x_shape = geo, shape
         return geo
 
     # -- forward / backward ----------------------------------------------
@@ -576,8 +537,6 @@ class _BatchedConv2D:
                 f"got shape {x.shape}"
             )
         geo = self._buffers_for(x.shape, x.dtype)
-        self._geo = geo
-        self._x_shape = x.shape
         kh = self.kernel_size
         s, p = self.stride, self.padding
         oh, ow = geo["out_h"], geo["out_w"]
@@ -709,8 +668,9 @@ class _BatchedMaxPool2D:
     def __init__(self, layer: MaxPool2D, offset: int) -> None:
         self.pool_size = layer.pool_size
         self.name = layer.name
-        self._buffers: Dict[Tuple[int, ...], Dict[str, np.ndarray]] = {}
+        self._slabs: Dict[Any, np.ndarray] = {}
         self._geo: Optional[Dict[str, np.ndarray]] = None
+        self._x_shape: Optional[Tuple[int, ...]] = None
 
     def member_writes(self, shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, ...], int]:
         c, h, w = shape
@@ -725,19 +685,18 @@ class _BatchedMaxPool2D:
                 f"by pool size {p}"
             )
         oh, ow = h // p, w // p
-        geo = self._buffers.get(x.shape)
-        if geo is None:
-            # analyze: allow-alloc(first-touch pooling geometry, cached per shape)
-            geo = {
-                "out": np.empty((g, b, c, oh, ow), dtype=x.dtype),
-                "counts": np.empty((g, b, c, oh, ow), dtype=x.dtype),
+        if x.shape != self._x_shape:
+            shapes = {
+                "out": (g, b, c, oh, ow),
+                "counts": (g, b, c, oh, ow),
                 # The windows of x, then in place the tie-normalised mask.
-                "mask": np.empty((p, p, g, b, c, oh, ow), dtype=x.dtype),
-                "grad": np.empty((g, b, c, h, w), dtype=x.dtype),
+                "mask": (p, p, g, b, c, oh, ow),
+                "grad": (g, b, c, h, w),
             }
+            geo = {name: _slab(self._slabs, name, dims, x.dtype) for name, dims in shapes.items()}
             geo["grad_windows"] = _window_major(geo["grad"], p)
-            self._buffers[x.shape] = geo
-        self._geo = geo
+            self._geo, self._x_shape = geo, x.shape
+        geo = self._geo
         out, mask, counts = geo["out"], geo["mask"], geo["counts"]
         np.copyto(mask, _window_major(x, p))
         np.maximum.reduce(mask, axis=(0, 1), out=out)
@@ -787,13 +746,12 @@ class _BatchedDropout:
         self._steps = 1
         self._step = 0
         self._masks: Optional[np.ndarray] = None
-        #: Mask blocks cached per (steps, G, B, feat) signature — the masks
-        #: are redrawn every round, but into the same buffer.  Kept float64
-        #: regardless of the engine dtype: the scalar layer's
-        #: ``(rng.random(...) < keep) / keep`` mask is float64 too.
-        self._mask_bufs: Dict[Tuple[int, ...], np.ndarray] = {}
+        #: The ``(steps, G, B) + feat`` mask block and the output, by name
+        #: (:func:`_slab`): the masks are redrawn every round into the same
+        #: buffer.  Kept float64 regardless of the engine dtype: the scalar
+        #: layer's ``(rng.random(...) < keep) / keep`` mask is float64 too.
+        self._slabs: Dict[Any, np.ndarray] = {}
         self._mask: Optional[np.ndarray] = None
-        self._out: Dict[Tuple[int, ...], np.ndarray] = {}
 
     member_writes = staticmethod(_elementwise_writes)
 
@@ -815,26 +773,18 @@ class _BatchedDropout:
             g, b_max = x.shape[0], x.shape[1]
             feat = x.shape[2:]
             batches = self._batches if self._batches is not None else [b_max] * g
-            key = (self._steps, g, b_max) + feat
-            masks = self._mask_bufs.get(key)
-            if masks is None:
-                # analyze: allow-alloc(first-touch dropout masks, cached per signature)
-                masks = np.empty((self._steps, g, b_max) + feat)
-                self._mask_bufs[key] = masks
+            shape = (self._steps, g, b_max) + feat
+            masks = _slab(self._slabs, "masks", shape, np.dtype(np.float64))
             # Zero first: padded rows (b_k < b_max) must carry a zero mask,
             # and the padding pattern may differ between groups that share
-            # this buffer signature.
+            # this buffer.
             masks.fill(0.0)
             for k in range(g):
                 b_k = batches[k]
                 for s in range(self._steps):
                     masks[s, k, :b_k] = (self._rng.random((b_k,) + feat) < keep) / keep
             self._masks = masks
-        out = self._out.get(x.shape)
-        if out is None:
-            # analyze: allow-alloc(first-touch output buffer, cached per shape)
-            out = np.empty(x.shape, dtype=x.dtype)
-            self._out[x.shape] = out
+        out = _slab(self._slabs, "out", x.shape, x.dtype)
         mask = self._masks[self._step]
         self._mask = mask
         np.multiply(x, mask, out=out)
@@ -889,25 +839,27 @@ def use_one_lane() -> None:
 
 
 def _worker_streams(
-    seed: int, worker_ids: Sequence[int], round_index: int
+    seed: int, worker_ids: Sequence[int], round_index: Union[int, Sequence[int]]
 ) -> List[np.random.Generator]:
-    """One generator per worker, keyed ``[seed, worker_id, round_index, 0x10CA1]``.
+    """One generator per worker, keyed ``[seed, worker_id, round_index, 0x10CA1]``;
+    ``round_index`` is one key for every worker or a key per worker.
 
     ``SeedSequence`` takes a ``uint32`` array as its entropy words as is, a
     third of the cost of coercing four Python ints; an int of 2**32 or more
     is several words, so those keep the list form.
     """
-    if 0 <= min(seed, round_index, min(worker_ids)) and (
-        max(seed, round_index, max(worker_ids)) < 2**32
+    keys = [round_index] * len(worker_ids) if np.ndim(round_index) == 0 else round_index
+    if 0 <= min(seed, min(keys), min(worker_ids)) and (
+        max(seed, max(keys), max(worker_ids)) < 2**32
     ):
         rows = np.empty((len(worker_ids), 4), dtype=np.uint32)
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = seed, worker_ids, round_index, 0x10CA1
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = seed, worker_ids, keys, 0x10CA1
         return [
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for row in rows
         ]
     return [
-        np.random.default_rng(np.random.SeedSequence([seed, w, round_index, 0x10CA1]))
-        for w in worker_ids
+        np.random.default_rng(np.random.SeedSequence([seed, w, k, 0x10CA1]))
+        for w, k in zip(worker_ids, keys)
     ]
 
 
@@ -967,10 +919,19 @@ def _new_geometry(
     }
 
 
-#: One lane's share of a call: a roster, its active members ``a0:a1``, the
-#: lane's geometry for them, their rows of ``out`` and their step transform.
+def _nbytes(geo: Dict[str, np.ndarray]) -> int:
+    """What the engine's cache charges a geometry: its buffers."""
+    return sum(v.nbytes for v in geo.values() if isinstance(v, np.ndarray))
+
+
+#: One pass of a lane's step loop: its parts — a roster, its active members
+#: ``a0:a1`` and their round key — the lane's geometry for all of them, their
+#: rows of ``out`` and their step transform.
 _Job = Tuple[
-    _Roster, int, int, Dict[str, np.ndarray], Union[slice, np.ndarray], Optional[StepTransform]
+    List[Tuple[_Roster, int, int, int]],
+    Dict[str, np.ndarray],
+    Union[slice, np.ndarray],
+    Optional[StepTransform],
 ]
 
 
@@ -1021,32 +982,44 @@ class _Lane:
         jobs: List[_Job],
         out: np.ndarray,
         base_vector: np.ndarray,
-        round_index: int,
         seed: int,
         learning_rate: float,
         local_steps: int,
     ) -> None:
-        """Each job's members' local SGD from ``base_vector``, into their rows of ``out``."""
-        for roster, a0, a1, geo, rows, transform in jobs:
+        """Each job's members' local SGD from their base, into their rows of ``out``.
+
+        ``base_vector`` is one ``(q,)`` base or a ``(G, q)`` row per row of ``out``.
+        """
+        for parts, geo, rows, transform in jobs:
             t_scale = transform.scale if transform is not None else 1.0
             t_offset = transform.offset if transform is not None else None
-            rngs = _worker_streams(seed, roster.ids[a0:a1], round_index)
-            counts, batches = roster.counts[a0:a1], roster.batches[a0:a1]
-            offsets = roster.offsets[a0:a1]
-            x_rows, y_rows = roster.x, roster.y
-            # Padding rows (members with fewer samples than b_max) gather any
-            # valid row, are zeroed and get zero loss gradients, so they
-            # contribute exactly nothing to the batched weight-gradient matmuls.
             xb, yb, gidx = geo["xb"], geo["yb"], geo["gidx"]
             ragged, row_index = geo["ragged"], geo["row_index"]
             g, b_max = gidx.shape
-            gidx.fill(offsets[0])
             xb_flat = xb.reshape((g * b_max,) + xb.shape[2:])
             yb_flat = yb.reshape(g * b_max)
+            gidx_flat = gidx.reshape(-1)
+            # Each part's members gather from its roster's rows with one
+            # ``np.take`` per step; padding rows (members with fewer samples
+            # than b_max) gather any valid row, are zeroed and get zero loss
+            # gradients, so they contribute exactly nothing to the batched
+            # weight-gradient matmuls.
+            ids, keys, counts, batches, offsets, takes = [], [], [], [], [], []
+            for roster, a0, a1, key in parts:
+                r0 = len(ids) * b_max
+                ids += roster.ids[a0:a1]
+                keys += [key] * (a1 - a0)
+                counts += roster.counts[a0:a1]
+                batches += roster.batches[a0:a1]
+                offsets += roster.offsets[a0:a1]
+                takes.append((roster.x, roster.y, slice(r0, len(ids) * b_max)))
+                gidx_flat[r0 : len(ids) * b_max] = roster.offsets[a0]
+            rngs = _worker_streams(seed, ids, keys)
 
+            base = base_vector if base_vector.ndim == 1 else base_vector[rows]
             for kernel in self.params:
                 kernel.bind(g, b_max, self.dtype)
-                kernel.load(base_vector)
+                kernel.load(base)
             for kernel in self.round_hooks:
                 kernel.begin_round(batches, local_steps)
 
@@ -1057,8 +1030,9 @@ class _Lane:
                     idx = rngs[k].choice(counts[k], size=batches[k], replace=False)
                     idx += offsets[k]
                     gidx[k, : batches[k]] = idx
-                np.take(x_rows, gidx.reshape(-1), axis=0, out=xb_flat)
-                np.take(y_rows, gidx.reshape(-1), out=yb_flat)
+                for x_rows, y_rows, span in takes:
+                    np.take(x_rows, gidx_flat[span], axis=0, out=xb_flat[span])
+                    np.take(y_rows, gidx_flat[span], out=yb_flat[span])
                 if ragged:
                     xb[geo["pad"]] = 0
                     yb[geo["pad"]] = 0
@@ -1134,6 +1108,9 @@ class BatchedWorkerEngine:
             if any(isinstance(k, _BatchedConv2D) for k in self._lanes[0].kernels)
             else None
         )
+        #: Whether cohorts may train ahead of their commits, several in one
+        #: call: no conv tiles, and no Dropout stream to see the new order.
+        self.trains_ahead = self._tile is None and self._shardable
         # One LRU cache, least recently used first, of what a roster fixes
         # (see _Roster) under ``("roster", worker ids, batch_size, pad_to)`` of
         # a tile, and of each lane's sampling geometries (input buffers, padding
@@ -1167,7 +1144,7 @@ class BatchedWorkerEngine:
         worker_ids: Sequence[int],
         worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
         base_vector: np.ndarray,
-        round_index: int,
+        round_index: Union[int, Sequence[int]],
         *,
         learning_rate: float,
         local_steps: int,
@@ -1177,15 +1154,24 @@ class BatchedWorkerEngine:
         pad_to: Optional[int] = None,
         transform: Optional[StepTransform] = None,
     ) -> np.ndarray:
-        """Run every member's local SGD from ``base_vector``; fill ``out``.
+        """Run every member's local SGD from its base; fill ``out``.
 
         ``out`` must be a ``(len(worker_ids), q)`` array; row ``k`` receives
-        worker ``worker_ids[k]``'s updated flat model.  Semantics match the
-        scalar path exactly: per-worker batch indices are drawn from
+        worker ``worker_ids[k]``'s updated flat model.  ``base_vector`` is the
+        ``(q,)`` base of every member or a ``(G, q)`` row per member (it may
+        be ``out`` itself: each row is read before it is written), and
+        ``round_index`` one round key for all or one per member.  Semantics
+        match the scalar path exactly: per-worker batch indices are drawn from
         ``SeedSequence([seed, worker_id, round_index, 0x10CA1])`` and a
-        worker with no data returns the base vector unchanged.  A lazy shard
+        worker with no data returns its base unchanged.  A lazy shard
         sequence as ``worker_data`` (anything with ``store`` / ``ids``) is
         gathered from in its store, not copied; other sequences once per roster.
+
+        Consecutive members with one round key form a roster, cached by its
+        worker ids.  Without conv tiles, rosters whose members all draw one
+        batch size train in one pass of the step loop; every member's
+        mini-batch, padded batch and GEMM shapes are those of a call of its
+        roster alone, so is its result.
 
         ``pad_to`` pins the padded per-worker batch dimension (normally the
         largest member batch of each tile); padding rows are zeroed after
@@ -1198,53 +1184,78 @@ class BatchedWorkerEngine:
         entry of ``worker_ids``, in the same order.
         """
         ids = list(worker_ids)
-        if out.shape != (len(ids), self.dimension):
-            raise ValueError(
-                f"out has shape {out.shape}, expected {(len(ids), self.dimension)}"
-            )
+        n = len(ids)
+        if out.shape != (n, self.dimension):
+            raise ValueError(f"out has shape {out.shape}, expected {(n, self.dimension)}")
+        if base_vector.shape not in ((self.dimension,), (n, self.dimension)):
+            raise ValueError(f"base_vector has shape {base_vector.shape}, out {out.shape}")
         if (
             transform is not None
             and transform.offset is not None
             and transform.offset.ndim == 2
-            and transform.offset.shape[0] != len(ids)
+            and transform.offset.shape[0] != n
         ):
             raise ValueError(
-                f"transform offset has {transform.offset.shape[0]} rows "
-                f"for {len(ids)} workers"
+                f"transform offset has {transform.offset.shape[0]} rows for {n} workers"
             )
-        # Convolutional models: split large groups into cache-sized tiles
-        # (see _CONV_GROUP_TILE; per-worker results are identical), then
-        # each tile across the lanes the gate allows it.
-        n = len(ids)
-        tile = self._tile if self._tile is not None and n > self._tile else max(n, 1)
+        if np.ndim(round_index) == 0:
+            keys, bounds = [round_index] * n, [0, n]
+        else:
+            keys = list(round_index)
+            if len(keys) != n:
+                raise ValueError(f"{len(keys)} round keys for {n} workers")
+            bounds = [k for k in range(n) if k == 0 or keys[k] != keys[k - 1]] + [n]
+        # Members sharing a round key are one roster.  Convolutional models
+        # split a large one into cache-sized tiles (see _CONV_GROUP_TILE;
+        # per-worker results are identical), then each tile across the
+        # lanes the gate allows it.
         own: List[_Job] = []
         others: Dict[int, List[_Job]] = {}  # lane -> its jobs
-        for k0 in range(0, n, tile):
-            data = worker_data if tile == n else worker_data[k0 : k0 + tile]
-            roster = self._roster(ids[k0 : k0 + tile], data, batch_size, pad_to)
-            # Workers without data keep the base model and take no SGD steps,
-            # so no correction applies to them; the rest train together.
-            for k in roster.idle:
-                out[k0 + k] = base_vector
-            if not roster.active:
-                continue
-            runs = roster.runs
-            if len(runs) > 1 and len(runs) > _lanes()[0]:
-                # A forked child with fewer lanes than the parent that split.
-                runs = [(0, len(roster.ids), roster.geo)]
-            for lane, (a0, a1, geo) in enumerate(runs):
-                rows = (
-                    np.add(roster.active[a0:a1], k0)
-                    if roster.idle
-                    else slice(k0 + a0, k0 + a1)
-                )
-                rows_t = None if transform is None else transform.rows(rows)
-                job = (roster, a0, a1, geo, rows, rows_t)
-                if lane:
-                    others.setdefault(lane, []).append(job)
-                else:
-                    own.append(job)
-        step = (out, base_vector, round_index, seed, learning_rate, local_steps)
+        for s0, s1 in zip(bounds, bounds[1:]):
+            tile = self._tile if self._tile is not None and s1 - s0 > self._tile else s1 - s0
+            for k0 in range(s0, s1, max(tile, 1)):
+                k1 = min(k0 + tile, s1)
+                data = worker_data if k1 - k0 == n else worker_data[k0:k1]
+                roster = self._roster(ids[k0:k1], data, batch_size, pad_to)
+                # Workers without data keep the base model and take no SGD
+                # steps, so no correction applies to them; the rest train.
+                for k in roster.idle:
+                    out[k0 + k] = base_vector if base_vector.ndim == 1 else base_vector[k0 + k]
+                if not roster.active:
+                    continue
+                runs = roster.runs
+                if len(runs) > 1 and len(runs) > _lanes()[0]:
+                    # A forked child with fewer lanes than the parent that split.
+                    runs = [(0, len(roster.ids), roster.geo)]
+                for lane, (a0, a1, geo) in enumerate(runs):
+                    rows = (
+                        np.add(roster.active[a0:a1], k0)
+                        if roster.idle
+                        else slice(k0 + a0, k0 + a1)
+                    )
+                    rows_t = None if transform is None else transform.rows(rows)
+                    job = ([(roster, a0, a1, keys[k0])], geo, rows, rows_t)
+                    if lane:
+                        others.setdefault(lane, []).append(job)
+                    else:
+                        own.append(job)
+        # Untiled rosters whose members all draw one batch size train in one
+        # pass: each member's gather, GEMM shapes and result are those of a
+        # call of its own.
+        b_max = own[0][1]["gidx"].shape[1] if own else 0
+        if (
+            len(own) > 1
+            and not others
+            and self._tile is None
+            and all(
+                isinstance(rows, slice) and not geo["ragged"] and geo["gidx"].shape[1] == b_max
+                for _, geo, rows, _ in own
+            )
+            and sum(rows.stop - rows.start for _, _, rows, _ in own) == n
+        ):
+            geo = self._uniform_geometry(n, b_max, own[0][1]["xb"].shape[2:])
+            own = [([part for job in own for part in job[0]], geo, slice(0, n), transform)]
+        step = (out, base_vector, seed, learning_rate, local_steps)
         futures = [
             _lanes()[1].submit(self._lanes[lane].train, jobs, *step)
             for lane, jobs in others.items()
@@ -1275,9 +1286,13 @@ class BatchedWorkerEngine:
         cache = self._cache
         for geo in roster.geometries():
             cache[geo["key"]] = cache.pop(geo["key"])
-        while self._cached_bytes > _ROSTER_CACHE_BYTES:
-            self._cached_bytes -= cache.pop(next(iter(cache)))[1]
+        self._evict()
         return roster
+
+    def _evict(self) -> None:
+        """Drop least recently used entries until the cache fits its budget."""
+        while self._cached_bytes > _ROSTER_CACHE_BYTES:
+            self._cached_bytes -= self._cache.pop(next(iter(self._cache)))[1]
 
     def _geometry(
         self, lane: int, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
@@ -1285,10 +1300,23 @@ class BatchedWorkerEngine:
         """Lane ``lane``'s sampling geometry for a run of these batch sizes."""
         key = ("geometry", lane, b_max, tuple(batches)) + feat_shape
         return self._cached(
-            key,
-            lambda: _new_geometry(key, self.dtype, b_max, batches, feat_shape),
-            lambda geo: sum(v.nbytes for v in geo.values() if isinstance(v, np.ndarray)),
+            key, lambda: _new_geometry(key, self.dtype, b_max, batches, feat_shape), _nbytes
         )
+
+    def _uniform_geometry(
+        self, g: int, b_max: int, feat_shape: Tuple[int, ...]
+    ) -> Dict[str, np.ndarray]:
+        """Lane 0's geometry for ``g`` members of batch ``b_max``: the head of
+        one sized by capacity, so a pass of any size builds none of its own."""
+        key = ("geometry", 0, b_max, None) + feat_shape
+        if key in self._cache and len(self._cache[key][0]["gidx"]) < g:
+            self._cached_bytes -= self._cache.pop(key)[1]
+        geo = self._cached(
+            key, lambda: _new_geometry(key, self.dtype, b_max, [b_max] * g, feat_shape), _nbytes
+        )
+        self._evict()
+        head = {name: g * b_max if name == "row_index" else g for name in geo}
+        return {k: v[: head[k]] if isinstance(v, np.ndarray) else v for k, v in geo.items()}
 
     def _cached(self, key: Tuple, build: Callable[[], Any], charge: Callable[[Any], int]) -> Any:
         """The entry under ``key``, built and charged on a miss; now the most recent."""

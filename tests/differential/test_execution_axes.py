@@ -3,7 +3,9 @@
 Algorithm 1 defines one training history per scenario and seed.  How the
 simulator computes a round must not change it: batched or per-worker, on
 one lane or split across threads, eager or lazy shards, warm or evicted
-rosters, any conv tile, no client-state model or the ``always-on`` one.  One hypothesis
+rosters, any conv tile, no client-state model or the ``always-on`` one,
+cohorts trained ahead several per engine call or one per call at its own
+row.  One hypothesis
 strategy draws small :class:`Scenario` documents over every registered
 mechanism, partition and client-state model, three model families, both
 channels, ragged groupings and both dtypes.  Each document's reference run
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.experiments.scenario import Scenario
+from repro.fl import base
 from repro.fl.registry import build_trainer
 from repro.nn import batched
 
@@ -47,6 +50,7 @@ TOLERANCE = {
     "tile_1": {"float64": 1e-13, "float32": 2e-5},
     "tile_5": {"float64": 1e-13, "float32": 2e-5},
     "no_clientstate": {"float64": 0.0, "float32": 0.0},
+    "one_cohort": {"float64": 0.0, "float32": 0.0},
 }
 
 #: Model -> (dataset section, model params); every image is 8x8.
@@ -177,6 +181,12 @@ def _axes(scenario, without_batched_kernel):
         assert max(owned, default=0) <= 1, f"roster_budget: {scenario.name}"
         return history
 
+    def one_cohort():
+        """Every cohort trains in a call of its own, at its row."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "_MERGE_ROWS", 0)
+            return _run(scenario)
+
     def tile(size):
         return lambda: _run(scenario, trainer_hook=lambda t: setattr(t._engine, "_tile", size))
 
@@ -185,6 +195,7 @@ def _axes(scenario, without_batched_kernel):
         "threads": lambda: _run(scenario, lanes=2),
         "lazy": lambda: _run(scenario.with_(**{"data.materialization": "lazy"})),
         "roster_budget": roster_budget,
+        "one_cohort": one_cohort,
     }
     if scenario.model.name != "lr":
         axes["tile_1"], axes["tile_5"] = tile(1), tile(5)
@@ -214,6 +225,10 @@ PINS = {
     "dynamic":("dynamic", "mini_vgg", "iid", "lognormal", "rayleigh", 8, 0.3, "float32", 7),
     "tifl": ("tifl", "lr", "dirichlet", "partial", "static", 10, 0.3, "float64", 8),
     "air_fedavg": ("air_fedavg", "lr", "label-skew", "cyclic", "rayleigh", 6, 0.0, "float32", 9),
+    # Ragged batches, a CNN and faults: no cohort may share a call.
+    "refused": (
+        "air_fedga", "mnist_cnn", "dirichlet", "bernoulli", "static", 12, 0.0, "float64", 1
+    ),
 }
 
 PIN_AXES = [(pin, axis) for pin, args in PINS.items() for axis in _axes(_scenario(*args), None)]

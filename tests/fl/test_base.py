@@ -44,6 +44,12 @@ class TestFLExperimentValidation:
             ("eval_every", 0),
             ("max_eval_samples", 0),
             ("latency_model_dimension", 0),
+            # Each ran before: to NaN losses, or to a TypeError in the engine.
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("local_steps", 2.5),
+            ("batch_size", True),
+            ("eval_every", 1.5),
         ],
     )
     def test_hyperparameter_validation(

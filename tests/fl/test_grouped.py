@@ -168,7 +168,10 @@ class TestGroupBaseModels:
         train, record = trainer.local_update_group, trainer.record_round
 
         def spy_train(ids, base, round_index, out=None):
-            bases[round_index] = base.copy()
+            # One call may train several cohorts: a base row and key per member.
+            keys = [round_index] * len(ids) if np.ndim(round_index) == 0 else round_index
+            for key, row in zip(keys, np.broadcast_to(base, (len(ids), base.shape[-1]))):
+                bases[key] = row.copy()
             return train(ids, base, round_index, out)
 
         def spy_record(round_index, *args, **kwargs):

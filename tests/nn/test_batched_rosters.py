@@ -219,6 +219,79 @@ def test_geometries_follow_the_rosters_using_them(monkeypatch):
     assert sum(key[0] == "geometry" for key in engine._cache) == 3
 
 
+# ----------------------------------------------------------------------
+# One call over several rosters, and buffers sized by capacity
+# ----------------------------------------------------------------------
+def test_a_call_over_several_rosters_equals_a_call_per_roster():
+    """Per-member bases and round keys: the rosters of the cohorts, no other."""
+    store = _store([(k, k + 20) for k in range(0, 44, 4)])
+    model = _mlp()
+    rng = np.random.default_rng(1)
+    cohorts = [([0, 1, 2], 3), ([5, 4], 7), ([9, 6, 8], 8)]
+    bases = [model.get_vector() + 0.1 * rng.standard_normal(model.dimension) for _ in cohorts]
+    alone = []
+    for (ids, key), base in zip(cohorts, bases):
+        out = np.empty((len(ids), model.dimension))
+        engine = BatchedWorkerEngine.try_build(model)
+        alone.append(engine.run_group(ids, _plain(store, ids), base, key, out=out, **KWARGS))
+    ids = [w for members, _ in cohorts for w in members]
+    keys = [key for members, key in cohorts for _ in members]
+    out = np.concatenate([np.tile(b, (len(m), 1)) for (m, _), b in zip(cohorts, bases)])
+    engine = BatchedWorkerEngine.try_build(model)
+    engine.run_group(ids, _plain(store, ids), out, keys, out=out, **KWARGS)
+    assert np.array_equal(out, np.concatenate(alone))
+    assert [key[0] for key in engine._rosters] == [tuple(m) for m, _ in cohorts]
+    # Batches (16, 16, 16) and (16, 16); the call adds one geometry sized by capacity.
+    assert sum(key[0] == "geometry" for key in engine._cache) == 3
+
+
+def _owned(node, found=None):
+    """The arrays ``node`` holds, however deep in dicts, lists and tuples: by owner."""
+    found = {} if found is None else found
+    if isinstance(node, np.ndarray):
+        owner = node if node.base is None else node.base
+        found[id(owner)] = owner
+    elif isinstance(node, (dict, list, tuple)):
+        for item in node.values() if isinstance(node, dict) else node:
+            _owned(item, found)
+    return found
+
+
+@pytest.mark.parametrize("model", ["lr", "mnist_cnn"])
+def test_kernel_buffers_do_not_multiply_with_group_size(model):
+    """Fault survivors and merged cohorts vary ``G`` call by call; every kernel
+    holds one set of buffers per padded batch, as after a single call."""
+    params = {"lr": {"input_dim": 64, "hidden": 16}, "mnist_cnn": {"image_size": 8, "scale": 0.1}}
+    scenario = Scenario.default().with_(
+        num_workers=16,
+        data={"name": "synthetic-mnist", "flatten": model == "lr",
+              "params": {"num_train": 192, "num_test": 32, "image_size": 8}},
+        model={"name": model, "params": params[model]},
+        partition="iid",  # every batch is 8: one padded batch
+        mechanism="air_fedga",
+        training={"batch_size": 8, "max_rounds": 40, "max_eval_samples": 32},
+        faults={"clientstate": {"name": "dropout-rejoin",
+                                "params": {"dropout_prob": 0.3, "rejoin_after": 1}}},
+    )  # fmt: skip
+    experiment = scenario.build_experiment()
+    with build_trainer("air_fedga", experiment) as trainer:
+        sizes, run_group = set(), trainer._engine.run_group
+
+        def watched(worker_ids, *args, **kwargs):
+            sizes.add(len(worker_ids))
+            return run_group(worker_ids, *args, **kwargs)
+
+        trainer._engine.run_group = watched
+        trainer.run(max_rounds=40)
+    assert len(sizes) >= 4
+    single = BatchedWorkerEngine.try_build(experiment.model_factory())
+    x, y = trainer._worker_data[0]
+    single.run_group([0], [(x, y)], trainer.global_vector, 1, out=np.empty((1, single.dimension)),
+                     learning_rate=0.1, local_steps=1, batch_size=8, seed=0)  # fmt: skip
+    for kernel, reference in zip(trainer._engine._lanes[0].kernels, single._lanes[0].kernels):
+        assert len(_owned(vars(kernel))) == len(_owned(vars(reference))), type(kernel).__name__
+
+
 def _dynamic_history(materialization, rounds=300, watch=lambda engine: None):
     scenario = Scenario.default().with_(
         num_workers=40, mechanism="dynamic", **{"data.materialization": materialization}

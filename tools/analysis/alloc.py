@@ -70,26 +70,22 @@ ALLOCATING_CALLS: Set[str] = {
 #: cost model documented in docs/PERFORMANCE.md and the "Checked
 #: invariants" section of docs/ARCHITECTURE.md.
 HOT_PATHS: Dict[str, Set[str]] = {
-    # Batched per-step kernels: geometry buffers bind once (in bind()/
-    # _buffers_for()/first-touch branches, annotated), the steady-state
-    # forward/backward/step bodies write in place; so does every lane's
-    # step loop, whatever thread runs it.
+    # Batched per-step kernels: buffers come from _slab(), sized by
+    # capacity and sliced, the steady-state forward/backward/step bodies
+    # write in place; so does every lane's step loop, whatever thread runs it.
     "src/repro/nn/batched.py": {
         "_Lane.train",
+        "_ParamKernel.sgd_step",
+        "_ParamKernel.scale_params",
+        "_ParamKernel.add_offset",
         "_BatchedDense.forward",
         "_BatchedDense.backward",
-        "_BatchedDense.sgd_step",
-        "_BatchedDense.scale_params",
-        "_BatchedDense.add_offset",
         "_BatchedReLU.forward",
         "_BatchedReLU.backward",
         "_BatchedFlatten.forward",
         "_BatchedFlatten.backward",
         "_BatchedConv2D.forward",
         "_BatchedConv2D.backward",
-        "_BatchedConv2D.sgd_step",
-        "_BatchedConv2D.scale_params",
-        "_BatchedConv2D.add_offset",
         "_BatchedMaxPool2D.forward",
         "_BatchedMaxPool2D.backward",
         "_BatchedDropout.forward",
@@ -119,10 +115,13 @@ HOT_PATHS: Dict[str, Set[str]] = {
     },
     # ... the aggregation primitives and the evaluation under them, and the
     # one loop applying every schedule's rows: train from a version
-    # snapshot, blend, aggregate, the staleness mix, commit (stacks from the
-    # population pool, snapshots from released buffers).
+    # snapshot (several cohorts per call), blend, aggregate, the staleness
+    # mix, commit (stacks from the population pool, snapshots from released
+    # buffers).
     "src/repro/fl/base.py": {
         "BaseTrainer.run",
+        "BaseTrainer._train_cohorts",
+        "BaseTrainer._merge_batch",
         "BaseTrainer.commit_update",
         "BaseTrainer._hold",
         "BaseTrainer._take_base",
