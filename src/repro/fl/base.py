@@ -64,10 +64,11 @@ __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
 #: Most rows (members × mini-batch) one engine call gathers per SGD step when
 #: :meth:`BaseTrainer.run` trains cohorts ahead of their commits, and how many
 #: schedule rows it reads ahead.  Measured (docs/PERFORMANCE.md, "Cohorts
-#: trained ahead — what was measured"): a member's cost stops falling near 384
-#: rows, while each member costs its parameters twice over in the kernels; a
-#: 64×32 ``scale_1m`` cohort (2,048 rows) never merges.
-_MERGE_ROWS = 384
+#: trained ahead — what was measured"): at 192 rows a member costs 0.59 of a
+#: call of its own, at 384 0.52, but each member of a call holds its
+#: parameters twice in the kernels, so ``small_groups``' peak RSS grew 4.5 %
+#: at 384; a 64×32 ``scale_1m`` cohort (2,048 rows) never merges.
+_MERGE_ROWS = 192
 _LOOK_AHEAD = 64
 
 
