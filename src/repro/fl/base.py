@@ -511,8 +511,8 @@ class BaseTrainer:
         otherwise.  Both paths draw identical per-worker mini-batches, so
         they agree to ~1e-9 per parameter in float64.  The engine splits a
         large group across the host's cores itself, bit-identically.
-        ``base_vector`` is ``(q,)`` or a ``(G, q)`` row per member and
-        ``round_index`` one key or a key per member: :meth:`run` trains
+        On the engine, ``base_vector`` may also be a ``(G, q)`` row per
+        member and ``round_index`` a key per member: :meth:`run` trains
         several cohorts in one call that way.
         """
         ids = list(worker_ids)
@@ -538,8 +538,8 @@ class BaseTrainer:
             for k, w in enumerate(ids):
                 self.local_update(
                     w,
-                    base_vector if base_vector.ndim == 1 else base_vector[k],
-                    round_index if np.ndim(round_index) == 0 else round_index[k],
+                    base_vector,
+                    round_index,
                     out=out[k],
                     transform=(
                         transform.rows(k) if transform is not None else None
