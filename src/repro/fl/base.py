@@ -64,11 +64,12 @@ __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
 #: Most rows (members × mini-batch) one engine call gathers per SGD step when
 #: :meth:`BaseTrainer.run` trains cohorts ahead of their commits, and how many
 #: schedule rows it reads ahead.  Measured (docs/PERFORMANCE.md, "Cohorts
-#: trained ahead — what was measured"): at 192 rows a member costs 0.59 of a
-#: call of its own, at 384 0.52, but each member of a call holds its
-#: parameters twice in the kernels, so ``small_groups``' peak RSS grew 4.5 %
-#: at 384; a 64×32 ``scale_1m`` cohort (2,048 rows) never merges.
-_MERGE_ROWS = 192
+#: trained ahead — what was measured"): at 96 rows a member costs 0.63 of a
+#: call of its own, at 192 0.57, but each member of a call holds its
+#: parameters three times (kernel weights and gradients, the call's output):
+#: ``small_groups``' peak RSS grew 2.2 % at 192 and holds at 96; a 64×32
+#: ``scale_1m`` cohort (2,048 rows) never merges.
+_MERGE_ROWS = 96
 _LOOK_AHEAD = 64
 
 

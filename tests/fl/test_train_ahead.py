@@ -72,11 +72,11 @@ def _calls(**fields):
 
 
 def test_small_groups_train_in_few_calls():
-    """300 commits of 3-worker cohorts: 38 calls of at most 24 members."""
+    """300 commits of 3-worker cohorts: 75 calls of at most 12 members."""
     sizes, rounds, _ = _calls(**SMALL_GROUPS)
     assert rounds == 300 and sum(sizes) == 3 * rounds
-    assert len(sizes) <= 40  # one call per cohort would be 300
-    assert max(sizes) * 8 <= 192  # the per-call budget of gathered rows
+    assert len(sizes) <= 80  # one call per cohort would be 300
+    assert max(sizes) * 8 <= 96  # the per-call budget of gathered rows
 
 
 def test_a_ragged_cnn_trains_one_call_per_cohort():
