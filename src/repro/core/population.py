@@ -539,13 +539,22 @@ class StackPool:
         return base[:rows]
 
     def release(self, stack: Optional[np.ndarray]) -> bool:
-        """Return a stack to the pool; ``False`` when it isn't pool-owned."""
+        """Return a stack to the pool; ``False`` when it isn't pool-owned.
+
+        Raises ``ValueError`` for a view that starts past a lent buffer's
+        first row: releasing it would free rows still in use.
+        """
         if not isinstance(stack, np.ndarray):
             return False
         base = stack if stack.base is None else stack.base
-        owned = self._lent.pop(id(base), None)
+        owned = self._lent.get(id(base))
         if owned is None:
             return False
+        if stack.ctypes.data != owned.ctypes.data:
+            raise ValueError(
+                "release the stack acquire() returned, not a view into its rows"
+            )
+        del self._lent[id(base)]
         if len(self._free) < self._max_free:
             self._free.append(owned)
         return True

@@ -64,12 +64,12 @@ __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
 #: Most rows (members × mini-batch) one engine call gathers per SGD step when
 #: :meth:`BaseTrainer.run` trains cohorts ahead of their commits, and how many
 #: schedule rows it reads ahead.  Measured (docs/PERFORMANCE.md, "Cohorts
-#: trained ahead — what was measured"): at 96 rows a member costs 0.63 of a
-#: call of its own, at 192 0.57, but each member of a call holds its
-#: parameters three times (kernel weights and gradients, the call's output):
-#: ``small_groups``' peak RSS grew 2.2 % at 192 and holds at 96; a 64×32
-#: ``scale_1m`` cohort (2,048 rows) never merges.
-_MERGE_ROWS = 96
+#: trained ahead — what was measured"): a member costs 0.63 of a call of its
+#: own at 96 rows, 0.57 at 192.  The call trains into one pooled slab whose
+#: rows are its cohorts' stacks, so ``small_groups``' peak RSS holds at 192;
+#: at 384 it grows 5 % and runs no faster.  A 64×32 ``scale_1m`` cohort
+#: (2,048 rows) never merges.
+_MERGE_ROWS = 192
 _LOOK_AHEAD = 64
 
 
@@ -312,8 +312,6 @@ class BaseTrainer:
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
-        # The ``(G, q)`` output of an engine call training several cohorts.
-        self._call_out: np.ndarray = np.empty((0, dim), dtype=dtype)
         # Global-model versions, named by the round that committed them: the
         # live one, cohorts still to train from each, snapshots, spare buffers.
         self._version = 0
@@ -359,8 +357,9 @@ class BaseTrainer:
         population's recycling pool.
 
         The pool bounds live scratch memory by the few in-flight stacks:
-        :meth:`run` hands a stack back with :meth:`_release_stack` once
-        every member of its cohort has committed.
+        :meth:`run` trains each engine call into one such slab and hands it
+        back with :meth:`_release_stack` once the last member of its last
+        cohort has committed.
         """
         return self.population.stack_pool.acquire(
             group_size, self.model.dimension, self.global_vector.dtype
@@ -926,8 +925,8 @@ class BaseTrainer:
             )
         self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
         # Rows read off the schedule and not yet applied; trained cohorts
-        # whose members have not all committed: their stack and how many
-        # members are still to come.
+        # whose members have not all committed: their stack, how many
+        # members are still to come and their call's [slab, cohorts left].
         rows = self.schedule(max_rounds, max_time)
         ahead: Deque[CommitRow] = deque()
         trained: Dict[Cohort, List] = {}
@@ -960,9 +959,13 @@ class BaseTrainer:
             self._commit_global(row.round_index)
             entry[1] -= len(row.participants)
             if not entry[1]:
-                # Every member has committed: recycle the stack.
+                # Every member has committed; the slab goes back with the
+                # last of its call's cohorts.
                 del trained[cohort]
-                self._release_stack(stack)
+                slab = entry[2]
+                slab[1] -= 1
+                if not slab[1]:
+                    self._release_stack(slab[0])
             self.worker_state.record_commit(row.participants, row.staleness)
 
             # -- record --------------------------------------------------
@@ -976,9 +979,12 @@ class BaseTrainer:
                 sigma=info.get("sigma", math.nan),
                 eta=info.get("eta", math.nan),
             )
-        # Cohorts still in flight when the schedule stopped (FedAsync).
-        for stack, _ in trained.values():
-            self._release_stack(stack)
+        # Cohorts still in flight when the schedule stopped (FedAsync): each
+        # call's slab goes back once.
+        for _, _, slab in trained.values():
+            if slab[1]:
+                slab[1] = 0
+                self._release_stack(slab[0])
         return self.history
 
     def _train_cohorts(
@@ -990,8 +996,9 @@ class BaseTrainer:
     ) -> None:
         """Train ``head``'s cohort in one engine call with every cohort of the
         rows ahead whose base version is committed and whose members all draw
-        the head's mini-batch size, up to ``_MERGE_ROWS`` gathered rows; then
-        blend each and call its hook, in row order.  Local SGD reads only keyed
+        the head's mini-batch size, up to ``_MERGE_ROWS`` gathered rows, into
+        one pooled slab whose rows are the cohorts' stacks; then blend each
+        and call its hook, in row order.  Local SGD reads only keyed
         streams and immutable bases, so only its wall-clock moment moves."""
         firsts = {head.cohort: head}  # each cohort's first row, in row order
         batch = self._merge_batch(head.cohort)
@@ -1014,25 +1021,21 @@ class BaseTrainer:
                 budget -= batch * len(cohort.ids)
         cohorts = list(firsts)
         bases = [self._take_base(cohort.base_version) for cohort in cohorts]
+        spans = list(accumulate([len(cohort.ids) for cohort in cohorts], initial=0))
+        slab = self._group_stack(spans[-1])
         if len(cohorts) == 1:
-            stacks = [self.local_update_group(head.cohort.ids, bases[0], head.cohort.key)]
+            self.local_update_group(head.cohort.ids, bases[0], head.cohort.key, out=slab)
         else:
-            # Each cohort's rows of the call's output start as its base (the
-            # call reads a row before writing it); its own stack keeps them.
-            spans = list(accumulate([len(cohort.ids) for cohort in cohorts], initial=0))
-            if len(self._call_out) < spans[-1]:
-                # analyze: allow-alloc(grown to the largest call, then reused)
-                self._call_out = np.empty((spans[-1], self.model.dimension), self._call_out.dtype)
-            out = self._call_out[: spans[-1]]
+            # Each cohort's rows of the slab start as its base (the call
+            # reads a row before writing it) and stay its stack.
             for base, k0, k1 in zip(bases, spans, spans[1:]):
-                np.copyto(out[k0:k1], base)
+                np.copyto(slab[k0:k1], base)
             ids = [w for cohort in cohorts for w in cohort.ids]
             keys = [cohort.key for cohort in cohorts for _ in cohort.ids]
-            self.local_update_group(ids, out, keys, out=out)
-            stacks = [self._group_stack(k1 - k0) for k0, k1 in zip(spans, spans[1:])]
-            for stack, k0, k1 in zip(stacks, spans, spans[1:]):
-                np.copyto(stack, out[k0:k1])
-        for cohort, base, stack in zip(cohorts, bases, stacks):
+            self.local_update_group(ids, slab, keys, out=slab)
+        shared = [slab, len(cohorts)]
+        for cohort, base, k0, k1 in zip(cohorts, bases, spans, spans[1:]):
+            stack = slab[k0:k1]
             # -- blend: w ← base + f·(w − base) for partial local work -----
             fractions = firsts[cohort].fractions
             if fractions is not None:
@@ -1040,7 +1043,7 @@ class BaseTrainer:
                 stack *= fractions.astype(stack.dtype)[:, None]
                 stack += base
             self.post_local_update(cohort.ids, stack, base, cohort.key)
-            trained[cohort] = [stack, len(cohort.ids)]
+            trained[cohort] = [stack, len(cohort.ids), shared]
 
     def _merge_batch(self, cohort: Cohort) -> int:
         """The mini-batch size every member of ``cohort`` draws; 0 if the

@@ -325,6 +325,19 @@ def test_stack_pool_release_is_noop_for_foreign_arrays():
     assert pool.outstanding == 0
 
 
+def test_stack_pool_refuses_a_view_past_the_first_row():
+    """Cohorts' stacks are row views of one slab: releasing a later one
+    would free the rows of every cohort before it still in flight."""
+    pool = StackPool()
+    slab = pool.acquire(6, 3)
+    with pytest.raises(ValueError, match="view"):
+        pool.release(slab[2:4])
+    assert pool.outstanding == 1
+    assert pool.release(slab)
+    assert pool.release(slab) is False
+    assert pool.outstanding == 0
+
+
 # ----------------------------------------------------------------------
 # Population facade
 # ----------------------------------------------------------------------

@@ -72,11 +72,11 @@ def _calls(**fields):
 
 
 def test_small_groups_train_in_few_calls():
-    """300 commits of 3-worker cohorts: 75 calls of at most 12 members."""
+    """300 commits of 3-worker cohorts: 38 calls of at most 24 members."""
     sizes, rounds, _ = _calls(**SMALL_GROUPS)
     assert rounds == 300 and sum(sizes) == 3 * rounds
-    assert len(sizes) <= 80  # one call per cohort would be 300
-    assert max(sizes) * 8 <= 96  # the per-call budget of gathered rows
+    assert len(sizes) <= 40  # one call per cohort would be 300
+    assert max(sizes) * 8 <= 192  # the per-call budget of gathered rows
 
 
 def test_a_ragged_cnn_trains_one_call_per_cohort():
@@ -91,3 +91,68 @@ def test_only_cohorts_of_one_batch_size_share_a_call():
     sizes, rounds, merged = _calls(**{**RAGGED_CNN, "model": mlp, "data": data})
     assert merged and len(sizes) < rounds
     assert all(len(batches) == 1 for batches in merged)
+
+
+def _slabs(**fields):
+    """``(slabs, engine calls, pool)`` of one run, spying on the population's
+    stack pool: per acquired slab its rows, and per release of it how many
+    rows had committed from it by then."""
+    scenario = Scenario.default().with_(**fields)
+    experiment = scenario.build_experiment()
+    with build_trainer(scenario.mechanism.name, experiment, **scenario.mechanism.params) as t:
+        pool, calls = t.population.stack_pool, []
+        acquire, release = pool.acquire, pool.release
+        commit_update, run_group = t.commit_update, t._engine.run_group
+        slabs = []
+
+        def acquiring(*args):
+            slab = acquire(*args)
+            slabs.append({"slab": slab, "committed": 0, "releases": []})
+            return slab
+
+        def releasing(stack):
+            for entry in slabs:
+                if entry["slab"] is stack:
+                    entry["releases"].append(entry["committed"])
+            return release(stack)
+
+        def committing(row, local_vectors):
+            # The row's stack is a view of exactly one slab still lent out.
+            (entry,) = [
+                e for e in slabs
+                if not e["releases"] and np.shares_memory(e["slab"], local_vectors)
+            ]
+            entry["committed"] += len(row.participants)
+            return commit_update(row, local_vectors)
+
+        def counting(worker_ids, *args, **kwargs):
+            calls.append(len(worker_ids))
+            return run_group(worker_ids, *args, **kwargs)
+
+        pool.acquire, pool.release = acquiring, releasing
+        t.commit_update, t._engine.run_group = committing, counting
+        t.run(max_rounds=scenario.training.max_rounds)
+    return slabs, calls, pool
+
+
+def test_each_engine_call_trains_into_one_slab():
+    slabs, calls, pool = _slabs(**SMALL_GROUPS)
+    assert len(calls) < 300 and len(slabs) == len(calls)
+    assert [len(entry["slab"]) for entry in slabs] == calls
+
+
+def test_a_slab_goes_back_once_after_its_last_cohort_commits():
+    slabs, _, pool = _slabs(**SMALL_GROUPS)
+    assert all(entry["releases"] == [len(entry["slab"])] for entry in slabs)
+    assert pool.outstanding == 0
+
+
+def test_fedasync_hands_back_the_slabs_still_in_flight():
+    """FedAsync's schedule stops with members of several merged 3-worker
+    cohorts uncommitted: each slab goes back once, with the run."""
+    fedasync = {"name": "fedasync", "params": {"buffer_size": 3}}
+    slabs, calls, pool = _slabs(**{**SMALL_GROUPS, "mechanism": fedasync})
+    assert max(calls[1:]) > 3  # cohorts after the first one merge
+    assert all(len(entry["releases"]) == 1 for entry in slabs)
+    assert any(entry["releases"][0] < len(entry["slab"]) for entry in slabs)
+    assert pool.outstanding == 0
