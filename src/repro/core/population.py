@@ -512,9 +512,9 @@ class SharedDatasetStore:
 class StackPool:
     """Recycled ``(rows, dim)`` buffers for in-flight group stacks.
 
-    A trainer acquires one stack per training cohort and releases it once
-    the cohort has committed, so steady-state training reuses the same one
-    or two buffers regardless of how many distinct group sizes exist.
+    A trainer acquires one slab per engine call and releases it once the
+    call's last cohort has committed, so steady-state training reuses the
+    same few buffers regardless of how many distinct group sizes exist.
     :meth:`release` is a no-op for arrays the pool does not own, which
     keeps call sites simple.
     """
@@ -539,11 +539,8 @@ class StackPool:
         return base[:rows]
 
     def release(self, stack: Optional[np.ndarray]) -> bool:
-        """Return a stack to the pool; ``False`` when it isn't pool-owned.
-
-        Raises ``ValueError`` for a view that starts past a lent buffer's
-        first row: releasing it would free rows still in use.
-        """
+        """Return a stack to the pool; ``False`` when it isn't pool-owned.  A view
+        starting past a lent buffer's first row raises: it would free the whole buffer."""
         if not isinstance(stack, np.ndarray):
             return False
         base = stack if stack.base is None else stack.base
@@ -551,9 +548,7 @@ class StackPool:
         if owned is None:
             return False
         if stack.ctypes.data != owned.ctypes.data:
-            raise ValueError(
-                "release the stack acquire() returned, not a view into its rows"
-            )
+            raise ValueError("release the stack acquire() returned, not a view of its rows")
         del self._lent[id(base)]
         if len(self._free) < self._max_free:
             self._free.append(owned)

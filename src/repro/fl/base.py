@@ -67,7 +67,7 @@ __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
 #: trained ahead — what was measured"): a member costs 0.63 of a call of its
 #: own at 96 rows, 0.57 at 192.  The call trains into one pooled slab whose
 #: rows are its cohorts' stacks, so ``small_groups``' peak RSS holds at 192;
-#: at 384 it grows 5 % and runs no faster.  A 64×32 ``scale_1m`` cohort
+#: at 384 it grows 6 % and runs no faster.  A 64×32 ``scale_1m`` cohort
 #: (2,048 rows) never merges.
 _MERGE_ROWS = 192
 _LOOK_AHEAD = 64
@@ -357,17 +357,12 @@ class BaseTrainer:
         population's recycling pool.
 
         The pool bounds live scratch memory by the few in-flight stacks:
-        :meth:`run` trains each engine call into one such slab and hands it
-        back with :meth:`_release_stack` once the last member of its last
-        cohort has committed.
+        :meth:`run` trains each engine call into one and hands it back once
+        the last of the call's cohorts has committed.
         """
         return self.population.stack_pool.acquire(
             group_size, self.model.dimension, self.global_vector.dtype
         )
-
-    def _release_stack(self, stack: Optional[np.ndarray]) -> None:
-        """Recycle a population-pool group stack (no-op for other arrays)."""
-        self.population.stack_pool.release(stack)
 
     def __enter__(self) -> "BaseTrainer":
         return self
@@ -959,13 +954,11 @@ class BaseTrainer:
             self._commit_global(row.round_index)
             entry[1] -= len(row.participants)
             if not entry[1]:
-                # Every member has committed; the slab goes back with the
-                # last of its call's cohorts.
+                # Every member has committed; the slab goes with its last cohort.
                 del trained[cohort]
-                slab = entry[2]
-                slab[1] -= 1
-                if not slab[1]:
-                    self._release_stack(slab[0])
+                entry[2][1] -= 1
+                if not entry[2][1]:
+                    self.population.stack_pool.release(entry[2][0])
             self.worker_state.record_commit(row.participants, row.staleness)
 
             # -- record --------------------------------------------------
@@ -979,12 +972,9 @@ class BaseTrainer:
                 sigma=info.get("sigma", math.nan),
                 eta=info.get("eta", math.nan),
             )
-        # Cohorts still in flight when the schedule stopped (FedAsync): each
-        # call's slab goes back once.
-        for _, _, slab in trained.values():
-            if slab[1]:
-                slab[1] = 0
-                self._release_stack(slab[0])
+        # Cohorts still in flight when the schedule stopped (FedAsync): each slab once.
+        for slab in {id(entry[2]): entry[2][0] for entry in trained.values()}.values():
+            self.population.stack_pool.release(slab)
         return self.history
 
     def _train_cohorts(
@@ -996,10 +986,10 @@ class BaseTrainer:
     ) -> None:
         """Train ``head``'s cohort in one engine call with every cohort of the
         rows ahead whose base version is committed and whose members all draw
-        the head's mini-batch size, up to ``_MERGE_ROWS`` gathered rows, into
-        one pooled slab whose rows are the cohorts' stacks; then blend each
-        and call its hook, in row order.  Local SGD reads only keyed
-        streams and immutable bases, so only its wall-clock moment moves."""
+        the head's mini-batch size, up to ``_MERGE_ROWS`` gathered rows, into one
+        pooled slab whose rows are their stacks; then blend each and call its hook,
+        in row order.  Local SGD reads only keyed streams and immutable bases, so
+        only its wall-clock moment moves."""
         firsts = {head.cohort: head}  # each cohort's first row, in row order
         batch = self._merge_batch(head.cohort)
         budget = _MERGE_ROWS - batch * len(head.cohort.ids)

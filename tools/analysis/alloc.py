@@ -129,7 +129,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "BaseTrainer.aircomp_group_update",
         "BaseTrainer._commit_global",
         "BaseTrainer._group_stack",
-        "BaseTrainer._release_stack",
         "BaseTrainer.evaluate_vector",
         "BaseTrainer.record_round",
     },

@@ -6,7 +6,7 @@
 Builds the engine of a registered model, binds one tile of standard-normal
 input and calls every kernel's ``forward`` / ``backward`` directly (median of
 ``--repeats`` calls): the per-kernel split of ``run_group`` that airbench's
-README lists under "Not covered".  Retire it when ROADMAP item 2's spans exist.
+README lists under "Not covered".  Retire it when ROADMAP item 1(b)'s spans exist.
 """
 
 from __future__ import annotations
