@@ -40,6 +40,7 @@ by :mod:`repro.experiments.sweep`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -122,6 +123,12 @@ def _require_finite(value: Any, field_name: str, *, positive: bool) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _type_hints(cls: Type[Any]) -> Dict[str, Any]:
+    """``cls``'s resolved type hints, parsed once per class (read, never mutated)."""
+    return typing.get_type_hints(cls)
+
+
 def _dataclass_from_dict(
     cls: Type[Any], data: Mapping[str, Any], context: str
 ) -> Any:
@@ -142,7 +149,7 @@ def _dataclass_from_dict(
             f"{context} has unknown field(s) {unknown}{suffix} "
             f"(accepted: {sorted(field_map)})"
         )
-    types = typing.get_type_hints(cls)
+    types = _type_hints(cls)
     kwargs: Dict[str, Any] = {}
     for name, value in data.items():
         target = types.get(name)

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import (
-    Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -309,6 +309,10 @@ class BaseTrainer:
             self.model
         )
         self._merges = self._engine is not None and self._engine.trains_ahead
+        # ``run``'s sampled rounds awaiting one evaluation pass: records, vectors.
+        self._pending: Optional[List[RoundRecord]] = None
+        k = 1 if self._engine is None else self._engine.evaluation_block(self._eval_x)
+        self._eval_block = np.empty((k, dim), dtype)
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
@@ -545,10 +549,29 @@ class BaseTrainer:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate_vector(self, vector: np.ndarray) -> Tuple[float, float]:
-        """Global test (loss, accuracy) of a flat model vector."""
-        self.model.set_vector(vector)
-        return self.model.evaluate(self._eval_x, self._eval_y)
+    def evaluate_vector(self, vector: np.ndarray) -> Tuple[Any, Any]:
+        """Global test (loss, accuracy) of a flat ``(q,)`` model vector, or the
+        list of each for the rows of a ``(K, q)`` block, in one engine pass."""
+        block = vector.reshape(-1, vector.shape[-1])
+        if self._engine is not None:
+            losses, accuracies = self._engine.evaluate(block, self._eval_x, self._eval_y)
+        else:
+            losses, accuracies = [], []
+            for row in block:
+                self.model.set_vector(row)
+                loss, accuracy = self.model.evaluate(self._eval_x, self._eval_y)
+                losses.append(loss)
+                accuracies.append(accuracy)
+        return (losses[0], accuracies[0]) if vector.ndim == 1 else (losses, accuracies)
+
+    def _flush_evaluations(self) -> None:
+        """Evaluate the rounds waiting in the block and fill their records."""
+        pending = self._pending
+        if pending:
+            losses, accuracies = self.evaluate_vector(self._eval_block[: len(pending)])
+            for record, loss, accuracy in zip(pending, losses, accuracies):
+                record.loss, record.accuracy = loss, accuracy
+            pending.clear()
 
     def record_round(
         self,
@@ -562,16 +585,16 @@ class BaseTrainer:
         eta: float = float("nan"),
         force_eval: bool = False,
     ) -> Optional[RoundRecord]:
-        """Evaluate and append a history record if this round is sampled."""
+        """Append a history record if this round is sampled, evaluated at once
+        or, inside :meth:`run`, when its block of sampled rounds is."""
         self._cumulative_energy += round_energy
         if not force_eval and round_index % self.exp.eval_every != 0:
             return None
-        loss, acc = self.evaluate_vector(self.global_vector)
         record = RoundRecord(
             round_index=round_index,
             time=time,
-            loss=loss,
-            accuracy=acc,
+            loss=math.nan,
+            accuracy=math.nan,
             staleness=staleness,
             group_id=group_id,
             num_participants=num_participants,
@@ -582,6 +605,13 @@ class BaseTrainer:
             pc_cache_hits=self.pc_cache_hits,
         )
         self.history.append(record)
+        if self._pending is None:
+            record.loss, record.accuracy = self.evaluate_vector(self.global_vector)
+        else:
+            np.copyto(self._eval_block[len(self._pending)], self.global_vector)
+            self._pending.append(record)
+            if len(self._pending) == len(self._eval_block):
+                self._flush_evaluations()
         return record
 
     # ------------------------------------------------------------------
@@ -918,63 +948,68 @@ class BaseTrainer:
             raise RuntimeError(
                 f"{self.name} trainer has already run; build a new one"
             )
-        self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
-        # Rows read off the schedule and not yet applied; trained cohorts
-        # whose members have not all committed: their stack, how many
-        # members are still to come and their call's [slab, cohorts left].
-        rows = self.schedule(max_rounds, max_time)
-        ahead: Deque[CommitRow] = deque()
-        trained: Dict[Cohort, List] = {}
-        while True:
-            row = ahead.popleft() if ahead else next(rows, None)
-            if row is None:
-                break
-            cohort = row.cohort
-            if cohort is None:
-                # Nobody checked in: the global model and clock stand still.
+        self._pending = []  # the finally fills every record, also if a commit raises
+        try:
+            self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
+            # Rows read off the schedule and not yet applied; trained cohorts
+            # whose members have not all committed: their stack, how many
+            # members are still to come and their call's [slab, cohorts left].
+            rows = self.schedule(max_rounds, max_time)
+            ahead: Deque[CommitRow] = deque()
+            trained: Dict[Cohort, List] = {}
+            while True:
+                row = ahead.popleft() if ahead else next(rows, None)
+                if row is None:
+                    break
+                cohort = row.cohort
+                if cohort is None:
+                    # Nobody checked in: the global model and clock stand still.
+                    self.record_round(
+                        row.round_index, row.time, row.staleness, row.group_id, 0
+                    )
+                    continue
+                if cohort not in trained:
+                    self._train_cohorts(row, ahead, rows, trained)
+                entry = trained[cohort]
+                stack = entry[0]
+                local_vectors = stack if row.slot is None else stack[row.slot]
+
+                # -- aggregate, then the staleness mix -----------------------
+                update, weight, info = self.commit_update(row, local_vectors)
+                if weight < 1.0 or update is not self._update_out:
+                    # w ← (1 − a)·w + a·u into the trainer-owned update buffer.
+                    np.multiply(self.global_vector, 1.0 - weight, out=self._agg_scratch)
+                    np.multiply(update, weight, out=self._update_out)
+                    self._update_out += self._agg_scratch
+
+                # -- commit --------------------------------------------------
+                self._commit_global(row.round_index)
+                entry[1] -= len(row.participants)
+                if not entry[1]:
+                    # Every member has committed; the slab goes with its last cohort.
+                    del trained[cohort]
+                    entry[2][1] -= 1
+                    if not entry[2][1]:
+                        self.population.stack_pool.release(entry[2][0])
+                self.worker_state.record_commit(row.participants, row.staleness)
+
+                # -- record --------------------------------------------------
                 self.record_round(
-                    row.round_index, row.time, row.staleness, row.group_id, 0
+                    round_index=row.round_index,
+                    time=row.time,
+                    staleness=row.staleness,
+                    group_id=row.group_id,
+                    num_participants=len(row.participants),
+                    round_energy=info.get("round_energy_j", 0.0),
+                    sigma=info.get("sigma", math.nan),
+                    eta=info.get("eta", math.nan),
                 )
-                continue
-            if cohort not in trained:
-                self._train_cohorts(row, ahead, rows, trained)
-            entry = trained[cohort]
-            stack = entry[0]
-            local_vectors = stack if row.slot is None else stack[row.slot]
-
-            # -- aggregate, then the staleness mix -----------------------
-            update, weight, info = self.commit_update(row, local_vectors)
-            if weight < 1.0 or update is not self._update_out:
-                # w ← (1 − a)·w + a·u into the trainer-owned update buffer.
-                np.multiply(self.global_vector, 1.0 - weight, out=self._agg_scratch)
-                np.multiply(update, weight, out=self._update_out)
-                self._update_out += self._agg_scratch
-
-            # -- commit --------------------------------------------------
-            self._commit_global(row.round_index)
-            entry[1] -= len(row.participants)
-            if not entry[1]:
-                # Every member has committed; the slab goes with its last cohort.
-                del trained[cohort]
-                entry[2][1] -= 1
-                if not entry[2][1]:
-                    self.population.stack_pool.release(entry[2][0])
-            self.worker_state.record_commit(row.participants, row.staleness)
-
-            # -- record --------------------------------------------------
-            self.record_round(
-                round_index=row.round_index,
-                time=row.time,
-                staleness=row.staleness,
-                group_id=row.group_id,
-                num_participants=len(row.participants),
-                round_energy=info.get("round_energy_j", 0.0),
-                sigma=info.get("sigma", math.nan),
-                eta=info.get("eta", math.nan),
-            )
-        # Cohorts still in flight when the schedule stopped (FedAsync): each slab once.
-        for slab in {id(entry[2]): entry[2][0] for entry in trained.values()}.values():
-            self.population.stack_pool.release(slab)
+            # Cohorts still in flight when the schedule stopped (FedAsync): each slab once.
+            for slab in {id(entry[2]): entry[2][0] for entry in trained.values()}.values():
+                self.population.stack_pool.release(slab)
+        finally:
+            self._flush_evaluations()
+            self._pending = None
         return self.history
 
     def _train_cohorts(

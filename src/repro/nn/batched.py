@@ -806,6 +806,11 @@ class _BatchedDropout:
 #: a shared store owns no data.  A geometry is charged its buffers.
 _ROSTER_CACHE_BYTES = 256 * 2**20
 
+#: Byte budget of the largest array one :meth:`BatchedWorkerEngine.evaluate`
+#: pass writes: ``small_groups`` gets 16 snapshots a pass, a conv model 1–2
+#: (docs/PERFORMANCE.md, "Evaluation in blocks").
+_EVAL_BLOCK_BYTES = 2 * 2**20
+
 #: Process id -> this process's lane count and the thread pool serving every
 #: lane but the first.  Keyed by process id: a forked child inherits the pool
 #: object but not its threads, so each process builds its own on first use.
@@ -1120,6 +1125,7 @@ class BatchedWorkerEngine:
         # ``(store.x, x, y)``: a shared store in the engine's dtypes.
         self._cache: Dict[Tuple, Tuple[Union[_Roster, Dict[str, np.ndarray]], int]] = {}
         self._cached_bytes = 0
+        self._eval_slabs: Dict[Any, np.ndarray] = {}
         self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
@@ -1269,6 +1275,60 @@ class BatchedWorkerEngine:
             future.result()
         return out
 
+    def evaluation_block(self, x: np.ndarray, batch_size: int = 256) -> int:
+        """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth."""
+        writes = self._member_writes(min(batch_size, len(x)), x.shape[1:])
+        return max(1, _EVAL_BLOCK_BYTES // ((writes or 1) * self.dtype.itemsize))
+
+    def evaluate(
+        self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray, batch_size: int = 256
+    ) -> Tuple[List[float], List[float]]:
+        """Test ``(losses, accuracies)`` of each row of a ``(K, q)`` block: the bits
+        of :meth:`Model.evaluate`, from one forward pass of lane 0's kernels (bar
+        Dropout, the identity at inference) per batch, ``x`` broadcast over K.
+
+        The class-axis max goes column by column (max is order-free) and each
+        mean is a 1-D reduce; a row hits when its first zero shifted logit is the
+        label's, or by ``np.argmax``'s rule when its max is not finite.
+        """
+        k, n = len(vectors), len(x)
+        losses, correct = [0.0] * k, [0.0] * k
+        x, y = np.asarray(x, dtype=self.dtype), np.asarray(y)
+        lane, slabs = self._lanes[0], self._eval_slabs
+        kernels = [kern for kern in lane.kernels if not isinstance(kern, _BatchedDropout)]
+        for start in range(0, n, batch_size):
+            xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+            b = len(xb)
+            for kernel in lane.params:
+                kernel.bind(k, b, self.dtype)
+                kernel.load(vectors)
+            logits = np.broadcast_to(xb, (k,) + xb.shape)
+            for kernel in kernels:
+                logits = kernel.forward(logits)
+            classes = logits.shape[-1]
+            if yb.shape != (b,) or yb.min() < 0 or yb.max() >= classes:
+                raise ValueError("labels must be one in-range class per evaluated row")
+            top = _slab(slabs, "top", (k, b), self.dtype)
+            np.copyto(top, logits[..., 0])
+            for j in range(1, classes):
+                np.maximum(top, logits[..., j], out=top)
+            odd = ~np.isfinite(top)
+            first_odd = logits[odd].argmax(axis=-1)  # np.argmax's rule, before the shift
+            # Shifted, then exponentiated, in the last kernel's buffer, as in training.
+            logits -= top[..., None]
+            # analyze: allow-alloc(each row's label offset, one index per batch row)
+            log_p = logits.reshape(k, b * classes)[:, yb + classes * np.arange(b)]
+            zero = _slab(slabs, "zero", logits.shape, np.dtype(bool))
+            first = np.equal(logits, 0, out=zero).argmax(axis=-1)
+            first[odd] = first_odd
+            np.exp(logits, out=logits)
+            log_p -= np.log(logits.sum(axis=-1))
+            hits = np.count_nonzero(first == yb, axis=1)
+            for i in range(k):
+                losses[i] += -float(log_p[i].mean()) * b
+                correct[i] += int(hits[i]) / b * b
+        return [v / max(n, 1) for v in losses], [v / max(n, 1) for v in correct]
+
     def _roster(
         self,
         ids: List[int],
@@ -1387,6 +1447,18 @@ class BatchedWorkerEngine:
             x_rows, y_rows, geo, lists + owned, runs,
         )
 
+    def _member_writes(self, batch: int, feat_shape: Tuple[int, ...]) -> Optional[int]:
+        """The most elements one member's slice of the gathered batch or of any
+        array a kernel writes holds per step; ``None`` if a kernel cannot say."""
+        per_member, shape = batch * math.prod(feat_shape), feat_shape
+        for kernel in self._lanes[0].kernels:
+            sizer = getattr(kernel, "member_writes", None)
+            if sizer is None:
+                return None
+            shape, writes = sizer(shape, batch)
+            per_member = max(per_member, writes)
+        return per_member
+
     def _split(
         self, b_max: int, batches: List[int], feat_shape: Tuple[int, ...]
     ) -> List[Tuple[int, int, Dict[str, np.ndarray]]]:
@@ -1398,15 +1470,9 @@ class BatchedWorkerEngine:
         least ``_LANE_MIN_WRITES`` elements.
         """
         lanes = _lanes()[0]
-        if lanes < 2 or not self._shardable:
+        per_member = self._member_writes(b_max, feat_shape)
+        if lanes < 2 or not self._shardable or per_member is None:
             return []
-        per_member, shape = b_max * math.prod(feat_shape), feat_shape
-        for kernel in self._lanes[0].kernels:
-            sizer = getattr(kernel, "member_writes", None)
-            if sizer is None:
-                return []
-            shape, writes = sizer(shape, b_max)
-            per_member = max(per_member, writes)
         fewest = max(1, -(-_LANE_MIN_WRITES // per_member))  # members per run
         count = min(lanes, len(batches) // fewest)
         if count < 2:

@@ -39,7 +39,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of raw ``logits`` against integer ``labels``.
 
     The value :func:`softmax_cross_entropy` returns, without the gradient:
-    evaluation calls this every recorded round and never backpropagates.
+    :meth:`~repro.nn.models.Model.evaluate` takes it per batch.  A trainer
+    with a batched engine evaluates through the engine's forward-only pass,
+    which computes the same bits for a block of snapshots at once.
 
     Parameters
     ----------

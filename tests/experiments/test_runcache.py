@@ -10,6 +10,7 @@ changes — including the ``faults`` section and ``data.materialization``.
 from __future__ import annotations
 
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from repro.experiments.runcache import (
     grid_hash,
     spec_hash,
 )
+from repro.experiments import scenario as scenario_module
 from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import expand_grid
 
 
 def base_spec(**extra):
@@ -139,6 +142,28 @@ class TestSpecHashSensitivity:
         a, b = spec_hash(base_spec(seed=0)), spec_hash(base_spec(seed=1))
         assert grid_hash([a, b]) != grid_hash([b, a])
         assert grid_hash([a, b]) == grid_hash([a, b])
+
+    def test_grid_addresses_survive_parsing_each_class_once(self, monkeypatch):
+        """A grid with nested sections and faults resolves each dataclass's type
+        hints once, not once per nested parse, and keeps the content addresses
+        pinned before that cache existed.  Catches: hints parsed per call, or a
+        cache keyed wrongly (a class resolved with another's hints)."""
+        spec = base_spec(
+            mechanism={"name": ["fedavg", "air_fedga", "fedasync"], "params": {}},
+            faults={"clientstate": {"name": "dropout-rejoin",
+                                    "params": {"dropout_prob": 0.2, "rejoin_after": 2}}},
+            seed=[0, 1],
+        )  # fmt: skip
+        parsed, real = [], typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints", lambda cls: parsed.append(cls) or real(cls))
+        scenario_module._type_hints.cache_clear()
+        hashes = [spec_hash(point) for point in expand_grid(spec)]
+        assert parsed and len(parsed) == len(set(parsed))
+        assert grid_hash(hashes) == GRID_PIN
+
+
+#: ``grid_hash`` of the grid above, computed before type hints were cached.
+GRID_PIN = "7d2d49bde39d0ee9e5868948714ae6b68bdc7b90eeb2e76c1682c4e8640150ae"
 
 
 def success_row(hash_):

@@ -222,4 +222,6 @@ class TestLatencies:
         assert trainer.record_round(1, 1.0) is None
         assert trainer.record_round(2, 2.0) is None
         assert trainer.record_round(3, 3.0) is not None
-        assert trainer.record_round(4, 4.0, force_eval=True) is not None
+        record = trainer.record_round(4, 4.0, force_eval=True)
+        # Outside ``run`` a sampled round is evaluated at once, not deferred.
+        assert (record.loss, record.accuracy) == trainer.evaluate_vector(trainer.global_vector)

@@ -259,8 +259,9 @@ def _owned(node, found=None):
 
 @pytest.mark.parametrize("model", ["lr", "mnist_cnn"])
 def test_kernel_buffers_do_not_multiply_with_group_size(model):
-    """Fault survivors and merged cohorts vary ``G`` call by call; every kernel
-    holds one set of buffers per padded batch, as after a single call."""
+    """Fault survivors, merged cohorts and partial evaluation blocks vary ``G``
+    call by call; every kernel holds one set of buffers per padded batch, as
+    after a single training call and a single evaluation."""
     params = {"lr": {"input_dim": 64, "hidden": 16}, "mnist_cnn": {"image_size": 8, "scale": 0.1}}
     scenario = Scenario.default().with_(
         num_workers=16,
@@ -288,6 +289,7 @@ def test_kernel_buffers_do_not_multiply_with_group_size(model):
     x, y = trainer._worker_data[0]
     single.run_group([0], [(x, y)], trainer.global_vector, 1, out=np.empty((1, single.dimension)),
                      learning_rate=0.1, local_steps=1, batch_size=8, seed=0)  # fmt: skip
+    single.evaluate(trainer._eval_block, trainer._eval_x, trainer._eval_y)
     for kernel, reference in zip(trainer._engine._lanes[0].kernels, single._lanes[0].kernels):
         assert len(_owned(vars(kernel))) == len(_owned(vars(reference))), type(kernel).__name__
 

@@ -72,7 +72,8 @@ ALLOCATING_CALLS: Set[str] = {
 HOT_PATHS: Dict[str, Set[str]] = {
     # Batched per-step kernels: buffers come from _slab(), sized by
     # capacity and sliced, the steady-state forward/backward/step bodies
-    # write in place; so does every lane's step loop, whatever thread runs it.
+    # write in place; so does every lane's step loop, whatever thread runs it,
+    # and the forward-only pass evaluating a block of snapshots.
     "src/repro/nn/batched.py": {
         "_Lane.train",
         "_ParamKernel.sgd_step",
@@ -90,6 +91,7 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "_BatchedMaxPool2D.backward",
         "_BatchedDropout.forward",
         "_BatchedDropout.backward",
+        "BatchedWorkerEngine.evaluate",
     },
     # The schedules: pure timing generators, one commit row per global
     # update; their roster and dispatch stages.
@@ -131,6 +133,7 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "BaseTrainer._group_stack",
         "BaseTrainer.evaluate_vector",
         "BaseTrainer.record_round",
+        "BaseTrainer._flush_evaluations",
     },
     "src/repro/nn/params.py": {"ParameterSet.from_vector"},
     "src/repro/nn/models.py": {"Model.evaluate"},
