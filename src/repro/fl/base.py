@@ -604,10 +604,10 @@ class BaseTrainer:
             eta=eta,
             pc_cache_hits=self.pc_cache_hits,
         )
-        self.history.append(record)
         if self._pending is None:
             record.loss, record.accuracy = self.evaluate_vector(self.global_vector)
-        else:
+        self.history.append(record)
+        if self._pending is not None:
             np.copyto(self._eval_block[len(self._pending)], self.global_vector)
             self._pending.append(record)
             if len(self._pending) == len(self._eval_block):

@@ -1276,9 +1276,12 @@ class BatchedWorkerEngine:
         return out
 
     def evaluation_block(self, x: np.ndarray, batch_size: int = 256) -> int:
-        """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth."""
+        """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth,
+        or 1 if a kernel cannot size its writes."""
         writes = self._member_writes(min(batch_size, len(x)), x.shape[1:])
-        return max(1, _EVAL_BLOCK_BYTES // ((writes or 1) * self.dtype.itemsize))
+        if not writes:
+            return 1
+        return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize))
 
     def evaluate(
         self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray, batch_size: int = 256
@@ -1470,8 +1473,10 @@ class BatchedWorkerEngine:
         least ``_LANE_MIN_WRITES`` elements.
         """
         lanes = _lanes()[0]
+        if lanes < 2 or not self._shardable:
+            return []
         per_member = self._member_writes(b_max, feat_shape)
-        if lanes < 2 or not self._shardable or per_member is None:
+        if per_member is None:
             return []
         fewest = max(1, -(-_LANE_MIN_WRITES // per_member))  # members per run
         count = min(lanes, len(batches) // fewest)

@@ -198,6 +198,8 @@ def test_a_kernel_without_member_writes_keeps_one_lane(lanes, monkeypatch):
     engine = BatchedWorkerEngine.try_build(model)
     _run(engine, _data([9] * 6, (64,)))
     assert _bounds(*engine._rosters.values()) == [(0, 6)]
+    # Nor can the evaluation budget size a pass: one snapshot per pass.
+    assert engine.evaluation_block(np.zeros((256, 64))) == 1
 
 
 def test_an_error_on_another_lane_reaches_the_caller(lanes, monkeypatch):
