@@ -123,10 +123,8 @@ def _require_finite(value: Any, field_name: str, *, positive: bool) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _type_hints(cls: Type[Any]) -> Dict[str, Any]:
-    """``cls``'s resolved type hints, parsed once per class (read, never mutated)."""
-    return typing.get_type_hints(cls)
+#: A class's resolved type hints, parsed once per class (read, never mutated).
+_type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
 
 
 def _dataclass_from_dict(

@@ -27,12 +27,13 @@ model; :meth:`BaseTrainer.run`, the one loop, applies the rows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -309,10 +310,13 @@ class BaseTrainer:
             self.model
         )
         self._merges = self._engine is not None and self._engine.trains_ahead
-        # ``run``'s sampled rounds awaiting one evaluation pass: records, vectors.
-        self._pending: Optional[List[RoundRecord]] = None
-        k = 1 if self._engine is None else self._engine.evaluation_block(self._eval_x)
-        self._eval_block = np.empty((k, dim), dtype)
+        # Sampled rounds awaiting one evaluation pass (records, vectors), which
+        # waits for a full block inside ``run`` (``_deferring``); with K = 0
+        # the engine cannot evaluate and ``Model.evaluate`` takes each vector.
+        k = 0 if self._engine is None else self._engine.evaluation_block(self._eval_x)
+        self._evaluator = self._engine if k else None
+        self._pending: List[RoundRecord] = []
+        self._eval_block, self._deferring = np.empty((max(k, 1), dim), dtype), False
         self._local_sgd: Optional[SGD] = None
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
@@ -549,29 +553,30 @@ class BaseTrainer:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate_vector(self, vector: np.ndarray) -> Tuple[Any, Any]:
+    def evaluate_vector(
+        self, vector: np.ndarray
+    ) -> Union[Tuple[float, float], Tuple[List[float], List[float]]]:
         """Global test (loss, accuracy) of a flat ``(q,)`` model vector, or the
         list of each for the rows of a ``(K, q)`` block, in one engine pass."""
         block = vector.reshape(-1, vector.shape[-1])
-        if self._engine is not None:
-            losses, accuracies = self._engine.evaluate(block, self._eval_x, self._eval_y)
+        if self._evaluator is not None:
+            losses, accuracies = self._evaluator.evaluate(block, self._eval_x, self._eval_y)
         else:
-            losses, accuracies = [], []
+            pairs: List[Tuple[float, float]] = []
             for row in block:
                 self.model.set_vector(row)
-                loss, accuracy = self.model.evaluate(self._eval_x, self._eval_y)
-                losses.append(loss)
-                accuracies.append(accuracy)
+                pairs.append(self.model.evaluate(self._eval_x, self._eval_y))
+            losses, accuracies = [p[0] for p in pairs], [p[1] for p in pairs]
         return (losses[0], accuracies[0]) if vector.ndim == 1 else (losses, accuracies)
 
     def _flush_evaluations(self) -> None:
-        """Evaluate the rounds waiting in the block and fill their records."""
-        pending = self._pending
+        """Evaluate the rounds waiting in the block and fill their records; the
+        block is emptied first, so a failed evaluation leaves nothing waiting."""
+        pending, self._pending = self._pending, []
         if pending:
             losses, accuracies = self.evaluate_vector(self._eval_block[: len(pending)])
             for record, loss, accuracy in zip(pending, losses, accuracies):
                 record.loss, record.accuracy = loss, accuracy
-            pending.clear()
 
     def record_round(
         self,
@@ -604,14 +609,11 @@ class BaseTrainer:
             eta=eta,
             pc_cache_hits=self.pc_cache_hits,
         )
-        if self._pending is None:
-            record.loss, record.accuracy = self.evaluate_vector(self.global_vector)
+        np.copyto(self._eval_block[len(self._pending)], self.global_vector)
+        self._pending.append(record)
+        if not self._deferring or len(self._pending) == len(self._eval_block):
+            self._flush_evaluations()
         self.history.append(record)
-        if self._pending is not None:
-            np.copyto(self._eval_block[len(self._pending)], self.global_vector)
-            self._pending.append(record)
-            if len(self._pending) == len(self._eval_block):
-                self._flush_evaluations()
         return record
 
     # ------------------------------------------------------------------
@@ -948,7 +950,7 @@ class BaseTrainer:
             raise RuntimeError(
                 f"{self.name} trainer has already run; build a new one"
             )
-        self._pending = []  # the finally fills every record, also if a commit raises
+        self._deferring = True
         try:
             self.record_round(round_index=0, time=0.0, num_participants=0, force_eval=True)
             # Rows read off the schedule and not yet applied; trained cohorts
@@ -1007,9 +1009,14 @@ class BaseTrainer:
             # Cohorts still in flight when the schedule stopped (FedAsync): each slab once.
             for slab in {id(entry[2]): entry[2][0] for entry in trained.values()}.values():
                 self.population.stack_pool.release(slab)
-        finally:
-            self._flush_evaluations()
-            self._pending = None
+        except BaseException:
+            # Fill what was appended, never replacing the failure in flight.
+            self._deferring = False
+            with contextlib.suppress(Exception):
+                self._flush_evaluations()
+            raise
+        self._deferring = False
+        self._flush_evaluations()
         return self.history
 
     def _train_cohorts(

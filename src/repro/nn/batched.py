@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
-from .models import Model, SequentialModel
+from .models import EVAL_BATCH_SIZE, Model, SequentialModel
 
 __all__ = [
     "BatchedKernel",
@@ -119,6 +119,10 @@ class BatchedKernel(Protocol):
     * ``param_size`` — number of scalar parameters the kernel owns in the
       flat model vector (0 for activation/reshape kernels);
     * ``forward(x)`` / ``backward(grad_out)`` — stacked forward/backward.
+      :meth:`BatchedWorkerEngine.evaluate` runs ``forward`` as the layer's
+      inference forward (``training=False``) too, so the two must agree in a
+      kernel without hooks; Dropout's is skipped there, and a model with any
+      other kernel that has a hook is evaluated by :meth:`Model.evaluate`.
 
     Parametric kernels (``param_size > 0``) additionally implement
     ``bind(group, batch, dtype)`` (attach buffers for that many members),
@@ -1126,6 +1130,11 @@ class BatchedWorkerEngine:
         self._cache: Dict[Tuple, Tuple[Union[_Roster, Dict[str, np.ndarray]], int]] = {}
         self._cached_bytes = 0
         self._eval_slabs: Dict[Any, np.ndarray] = {}
+        # The evaluation pass's kernels, bar Dropout (the identity at inference);
+        # none if another kernel keeps training-time state through a hook.
+        kept = [k for k in self._lanes[0].kernels if not isinstance(k, _BatchedDropout)]
+        stateful = any(hasattr(k, "begin_round") or hasattr(k, "begin_step") for k in kept)
+        self._eval_kernels: Optional[List[Any]] = None if stateful else kept
         self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
@@ -1275,38 +1284,37 @@ class BatchedWorkerEngine:
             future.result()
         return out
 
-    def evaluation_block(self, x: np.ndarray, batch_size: int = 256) -> int:
+    def evaluation_block(self, x: np.ndarray) -> int:
         """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth,
-        or 1 if a kernel cannot size its writes."""
-        writes = self._member_writes(min(batch_size, len(x)), x.shape[1:])
-        if not writes:
-            return 1
-        return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize))
+        1 if a kernel cannot size its writes, 0 if the engine cannot evaluate."""
+        if self._eval_kernels is None:
+            return 0
+        writes = self._member_writes(min(EVAL_BATCH_SIZE, len(x)), x.shape[1:])
+        return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize)) if writes else 1
 
     def evaluate(
-        self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray, batch_size: int = 256
+        self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[List[float], List[float]]:
         """Test ``(losses, accuracies)`` of each row of a ``(K, q)`` block: the bits
         of :meth:`Model.evaluate`, from one forward pass of lane 0's kernels (bar
-        Dropout, the identity at inference) per batch, ``x`` broadcast over K.
-
-        The class-axis max goes column by column (max is order-free) and each
-        mean is a 1-D reduce; a row hits when its first zero shifted logit is the
-        label's, or by ``np.argmax``'s rule when its max is not finite.
-        """
-        k, n = len(vectors), len(x)
+        Dropout) per batch, ``x`` broadcast over K.  The class-axis max goes column
+        by column (max is order-free), each mean is a 1-D reduce; a row hits when
+        its first zero shifted logit is the label's (``np.argmax``'s rule when its
+        max is not finite)."""
+        if self._eval_kernels is None:
+            raise ValueError("a kernel keeps training-time state: use Model.evaluate")
+        k, n, step = len(vectors), len(x), EVAL_BATCH_SIZE
         losses, correct = [0.0] * k, [0.0] * k
         x, y = np.asarray(x, dtype=self.dtype), np.asarray(y)
-        lane, slabs = self._lanes[0], self._eval_slabs
-        kernels = [kern for kern in lane.kernels if not isinstance(kern, _BatchedDropout)]
-        for start in range(0, n, batch_size):
-            xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+        slabs = self._eval_slabs
+        for start in range(0, n, step):
+            xb, yb = x[start : start + step], y[start : start + step]
             b = len(xb)
-            for kernel in lane.params:
+            for kernel in self._lanes[0].params:
                 kernel.bind(k, b, self.dtype)
                 kernel.load(vectors)
             logits = np.broadcast_to(xb, (k,) + xb.shape)
-            for kernel in kernels:
+            for kernel in self._eval_kernels:
                 logits = kernel.forward(logits)
             classes = logits.shape[-1]
             if yb.shape != (b,) or yb.min() < 0 or yb.max() >= classes:

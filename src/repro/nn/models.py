@@ -51,6 +51,10 @@ __all__ = [
     "MiniVGG",
 ]
 
+#: Rows per forward pass of :meth:`Model.evaluate`; the batched engine's
+#: evaluation pass batches the same rows, which its bits depend on.
+EVAL_BATCH_SIZE = 256
+
 
 class Model:
     """Abstract interface shared by every trainable model."""
@@ -77,7 +81,9 @@ class Model:
         self.backward(grad)
         return loss
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Tuple[float, float]:
+    def evaluate(
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = EVAL_BATCH_SIZE
+    ) -> Tuple[float, float]:
         """Compute (loss, accuracy) over a dataset without touching gradients."""
         n = x.shape[0]
         if n == 0:

@@ -10,7 +10,6 @@ changes — including the ``faults`` section and ``data.materialization``.
 from __future__ import annotations
 
 import json
-import typing
 
 import pytest
 from hypothesis import given, settings
@@ -143,7 +142,7 @@ class TestSpecHashSensitivity:
         assert grid_hash([a, b]) != grid_hash([b, a])
         assert grid_hash([a, b]) == grid_hash([a, b])
 
-    def test_grid_addresses_survive_parsing_each_class_once(self, monkeypatch):
+    def test_grid_addresses_survive_parsing_each_class_once(self):
         """A grid with nested sections and faults resolves each dataclass's type
         hints once, not once per nested parse, and keeps the content addresses
         pinned before that cache existed.  Catches: hints parsed per call, or a
@@ -154,11 +153,10 @@ class TestSpecHashSensitivity:
                                     "params": {"dropout_prob": 0.2, "rejoin_after": 2}}},
             seed=[0, 1],
         )  # fmt: skip
-        parsed, real = [], typing.get_type_hints
-        monkeypatch.setattr(typing, "get_type_hints", lambda cls: parsed.append(cls) or real(cls))
         scenario_module._type_hints.cache_clear()
         hashes = [spec_hash(point) for point in expand_grid(spec)]
-        assert parsed and len(parsed) == len(set(parsed))
+        parsed = scenario_module._type_hints.cache_info()
+        assert parsed.hits and parsed.misses == parsed.currsize
         assert grid_hash(hashes) == GRID_PIN
 
 

@@ -98,6 +98,40 @@ def test_a_stopped_run_matches_a_run_of_single_evaluations(monkeypatch):
     assert blocks.to_dict() == single.to_dict()
 
 
+def test_a_failing_flush_does_not_replace_the_commit_failure(monkeypatch):
+    """The ninth commit raises, and so does the evaluation the run then makes
+    of the rounds still waiting: the commit's error reaches the caller,
+    nothing stays waiting, and a direct ``record_round`` afterwards is
+    evaluated at once.  Catches: the end flush in a plain ``finally`` (the
+    evaluation error replaces the commit's), and rounds kept waiting after a
+    failed flush."""
+    trainers = []
+
+    def broken(vector):
+        raise ValueError("evaluation failed")
+
+    def failing(trainer):
+        commit_update = trainer.commit_update
+
+        def commit(row, local_vectors):
+            if row.round_index == 9:
+                trainer.evaluate_vector = broken
+                raise RuntimeError("commit failed")
+            return commit_update(row, local_vectors)
+
+        trainer.commit_update = commit
+        trainers.append(trainer)
+
+    with pytest.raises(RuntimeError, match="commit failed"):
+        _history(monkeypatch, 7, before_run=failing)
+    (trainer,) = trainers
+    assert not trainer._pending and not trainer._deferring
+    assert [math.isnan(r.loss) for r in trainer.history.records] == [False] * 7 + [True] * 2
+    del trainer.evaluate_vector
+    record = trainer.record_round(100, trainer.history.records[-1].time, force_eval=True)
+    assert math.isfinite(record.loss) and record is trainer.history.records[-1]
+
+
 def test_evaluate_vector_takes_one_vector_or_a_block(without_batched_kernel):
     """With and without an engine: a ``(K, q)`` block gives the lists of what
     each ``(q,)`` row gives alone."""

@@ -331,6 +331,56 @@ class TestRegistration:
         finally:
             _KERNEL_REGISTRY.pop(_Identity, None)
 
+    def test_stateful_kernel_leaves_evaluation_to_model_evaluate(self, small_experiment):
+        """A registered kernel with a training hook, holding a training-time
+        shift its layer drops at inference: the engine declines to evaluate
+        and the trainer's record is :meth:`Model.evaluate`'s.  Catches: the
+        evaluation pass running every kernel but Dropout's, hooks or not."""
+
+        class _Shift(Layer):
+            def forward(self, x, training=True):
+                return x + 1.0 if training else x
+
+            def backward(self, grad_out):
+                return grad_out
+
+        @register_batched_kernel(_Shift)
+        class _BatchedShift:
+            param_size = 0
+
+            def __init__(self, layer, offset):
+                self.shift = 1.0
+
+            def begin_step(self, step):
+                self.shift = 1.0
+
+            def forward(self, x):
+                return x + self.shift
+
+            def backward(self, grad_out):
+                return grad_out
+
+        from repro.fl.base import BaseTrainer
+        from repro.nn.batched import _KERNEL_REGISTRY
+
+        try:
+            factory = small_experiment.model_factory
+            small_experiment.model_factory = lambda: SequentialModel(
+                [_Shift("shift"), *factory().layers]
+            )
+            trainer = BaseTrainer(small_experiment)
+            assert trainer._engine is not None and trainer._evaluator is None
+            x, y = trainer._eval_x, trainer._eval_y
+            assert trainer._engine.evaluation_block(x) == 0
+            with pytest.raises(ValueError, match="training-time state"):
+                trainer._engine.evaluate(trainer._eval_block, x, y)
+            record = trainer.record_round(0, 0.0, force_eval=True)
+            model = small_experiment.model_factory()
+            model.set_vector(trainer.global_vector)
+            assert (record.loss, record.accuracy) == model.evaluate(x, y)
+        finally:
+            _KERNEL_REGISTRY.pop(_Shift, None)
+
 
 # ----------------------------------------------------------------------
 # The data-movement half of the conv/pool kernels, against the scalar layers
