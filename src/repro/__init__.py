@@ -8,7 +8,7 @@ groups update the global model asynchronously.  This package contains:
   (Algorithm 2), worker grouping (Algorithm 3) and the convergence analysis
   (Theorem 1);
 * :mod:`repro.nn` -- a NumPy neural-network substrate (layers, models,
-  losses, SGD) standing in for PyTorch;
+  losses, the batched group trainer) standing in for PyTorch;
 * :mod:`repro.data` -- synthetic datasets and federated partitioners;
 * :mod:`repro.channel` -- the wireless substrate: block fading, AirComp
   superposition over a noisy MAC, OMA latency models and energy accounting;
@@ -28,6 +28,6 @@ groups update the global model asynchronously.  This package contains:
 
 from . import channel, core, data, fl, nn, registry, sim
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = ["channel", "core", "data", "fl", "nn", "registry", "sim", "__version__"]

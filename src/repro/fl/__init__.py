@@ -9,8 +9,8 @@ Public entry points (documented in ``docs/API.md``):
   ``"feddyn"`` and ``"fedasync"``;
 * :class:`FLExperiment` — the experiment bundle every trainer consumes
   (dataset, partition, model factory, latency table, channel, config);
-  local training runs on the vectorized group engine whenever every
-  model layer has a batched kernel (the per-worker loop otherwise);
+  local training runs on the vectorized group engine, so every model
+  layer needs a batched kernel;
 * :class:`BaseTrainer` — shared machinery (local updates, AirComp and
   OMA aggregation, evaluation, energy accounting).  Trainers are context
   managers (``with build_trainer(...) as t: t.run(...)``);

@@ -6,9 +6,9 @@ table (edge heterogeneity), the wireless channel model and the Air-FedGA
 configuration.  :class:`BaseTrainer` provides the operations every
 mechanism reuses:
 
-* ``local_update`` — the worker-side update of Eq. (4)/(5): load a global
-  model version, run local mini-batch SGD on the worker's own data and
-  return the new local model vector;
+* ``local_update_group`` — the worker-side update of Eq. (4)/(5) for a
+  group: from a global model version, every member's local mini-batch SGD
+  on its own data, stacked as a ``(G, q)`` matrix by the batched engine;
 * ``evaluate`` — global test loss/accuracy of a model vector;
 * ``aircomp_group_update`` — one over-the-air aggregation with power
   control (Eqs. 6-10 + Algorithm 2), returning the new global model and
@@ -53,8 +53,7 @@ from ..data.partition import Partition
 from ..data.synthetic import Dataset
 from ..nn.batched import BatchedWorkerEngine, StepTransform
 from ..nn.models import Model
-from ..nn.optim import SGD
-from ..nn.params import parameter_dtype, unflatten_vector
+from ..nn.params import parameter_dtype
 from ..sim.clientstate import ClientStateModel
 from ..sim.latency import LatencyTable
 from .history import RoundRecord, TrainingHistory
@@ -295,29 +294,21 @@ class BaseTrainer:
         self._eval_y = np.asarray(experiment.dataset.y_test[eval_idx])
         # ------------------------------------------------------------------
         # Vectorized hot-path machinery (see docs/PERFORMANCE.md):
-        # * a group-batched execution engine when every layer has a batched
-        #   kernel (Dense/ReLU/Flatten/Conv2D/MaxPool2D/Dropout — every LR,
-        #   CNN and MiniVGG workload of the paper); ``None`` for a model with
-        #   a layer that has no registered kernel, which trains through the
-        #   per-worker ``local_update`` loop instead;
+        # * the group-batched execution engine, which trains and evaluates
+        #   every model; a layer without a batched kernel fails here;
         # * trainer-owned O(q) buffers so steady-state rounds perform no
         #   model-sized allocations;
         # * a memoized power-control solver.
         # ------------------------------------------------------------------
         dim = self.model.dimension
         dtype = self.global_vector.dtype
-        self._engine: Optional[BatchedWorkerEngine] = BatchedWorkerEngine.try_build(
-            self.model
-        )
-        self._merges = self._engine is not None and self._engine.trains_ahead
+        self._engine = BatchedWorkerEngine.try_build(self.model)
+        self._merges = self._engine.trains_ahead
         # Sampled rounds awaiting one evaluation pass (records, vectors), which
-        # waits for a full block inside ``run`` (``_deferring``); with K = 0
-        # the engine cannot evaluate and ``Model.evaluate`` takes each vector.
-        k = 0 if self._engine is None else self._engine.evaluation_block(self._eval_x)
-        self._evaluator = self._engine if k else None
+        # waits for a full block inside ``run`` (``_deferring``).
+        k = self._engine.evaluation_block(self._eval_x)
         self._pending: List[RoundRecord] = []
-        self._eval_block, self._deferring = np.empty((max(k, 1), dim), dtype), False
-        self._local_sgd: Optional[SGD] = None
+        self._eval_block, self._deferring = np.empty((k, dim), dtype), False
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
         # Global-model versions, named by the round that committed them: the
@@ -430,74 +421,11 @@ class BaseTrainer:
         Mechanism families with a regularized local objective override this
         to return a :class:`~repro.nn.batched.StepTransform` — FedProx's
         proximal pull toward ``base_vector``, FedDyn's drift correction.
-        The transform is computed **once per group dispatch** (so both
-        execution paths add identical float values) and applied around
-        every SGD step on both the batched engine and the scalar fallback.
-        ``None`` (the default) is the legacy update, untouched.
+        The transform is computed **once per group dispatch** and applied
+        around every SGD step of the batched engine.  ``None`` (the default)
+        is the plain SGD update.
         """
         return None
-
-    def local_update(
-        self,
-        worker_id: int,
-        base_vector: np.ndarray,
-        round_index: int,
-        out: Optional[np.ndarray] = None,
-        transform: Optional[StepTransform] = None,
-    ) -> np.ndarray:
-        """Run the worker's local SGD starting from ``base_vector``.
-
-        Returns a flat vector (written into ``out`` when given);
-        ``base_vector`` is not modified.  The SGD object is reused across
-        calls (it is stateless at momentum 0); the batch-sampling RNG is
-        re-derived from ``(seed, worker_id, round_index)`` every call so
-        results stay deterministic and order-independent.  ``transform``
-        (a :class:`~repro.nn.batched.StepTransform` with a flat ``(q,)``
-        offset for *this* worker) applies the mechanism's per-step affine
-        correction in the same stage order as the batched engine.
-        """
-        x, y = self._worker_data[worker_id]
-        if x.shape[0] == 0:
-            # A worker with no data returns the model unchanged.
-            if out is None:
-                return base_vector.copy()
-            np.copyto(out, base_vector)
-            return out
-        self.model.set_vector(base_vector)
-        if self._local_sgd is None:
-            self._local_sgd = SGD(self.model.parameters, lr=self.exp.learning_rate)
-        optimizer = self._local_sgd
-        params = self.model.parameters
-        offset_blocks = None
-        if transform is not None and transform.offset is not None:
-            if transform.offset.ndim != 1:
-                raise ValueError(
-                    "local_update takes a per-worker (q,) transform offset; "
-                    f"got shape {transform.offset.shape}"
-                )
-            offset_blocks = unflatten_vector(transform.offset, params.shapes())
-        scale = transform.scale if transform is not None else 1.0
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.exp.seed, worker_id, round_index, 0x10CA1])
-        )
-        n = x.shape[0]
-        batch = min(self.exp.batch_size, n)
-        for _ in range(self.exp.local_steps):
-            idx = rng.choice(n, size=batch, replace=False)
-            optimizer.zero_grad()
-            self.model.loss_and_grad(x[idx], y[idx])
-            # StepTransform stages (skipped entirely on the legacy path):
-            # gradients were evaluated at the pre-scale parameters, giving
-            # ``w ← scale·w − lr·∇f(w) + offset`` — the element-wise stage
-            # order the batched engine uses, so both paths stay bit-equal.
-            if scale != 1.0:
-                for p in params:
-                    p.value *= scale
-            optimizer.step()
-            if offset_blocks is not None:
-                for p, block in zip(params, offset_blocks):
-                    p.value += block
-        return self.model.get_vector(out=out)
 
     def local_update_group(
         self,
@@ -508,47 +436,31 @@ class BaseTrainer:
     ) -> np.ndarray:
         """Local updates of a whole group, stacked as a ``(G, q)`` matrix.
 
-        Uses the vectorized :class:`~repro.nn.batched.BatchedWorkerEngine`
-        when available (one batched matmul per layer per SGD step for the
-        whole group), falling back to sequential :meth:`local_update` calls
-        otherwise.  Both paths draw identical per-worker mini-batches, so
-        they agree to ~1e-9 per parameter in float64.  The engine splits a
+        The :class:`~repro.nn.batched.BatchedWorkerEngine` runs one batched
+        matmul per layer per SGD step for the whole group, and splits a
         large group across the host's cores itself, bit-identically.
-        On the engine, ``base_vector`` may also be a ``(G, q)`` row per
-        member and ``round_index`` a key per member: :meth:`run` trains
-        several cohorts in one call that way.
+        ``base_vector`` may also be a ``(G, q)`` row per member and
+        ``round_index`` a key per member: :meth:`run` trains several
+        cohorts in one call that way.
         """
         ids = list(worker_ids)
         transform = self.local_step_transform(ids, base_vector, round_index)
         if out is None:
             out = self._group_stack(len(ids))
-        if self._engine is not None:
-            data = self._worker_data
-            self._engine.run_group(
-                ids,
-                # Lazy: a store-backed sub-sequence, gathered from in place.
-                [data[w] for w in ids] if isinstance(data, list) else data[ids],
-                base_vector,
-                round_index,
-                learning_rate=self.exp.learning_rate,
-                local_steps=self.exp.local_steps,
-                batch_size=self.exp.batch_size,
-                seed=self.exp.seed,
-                out=out,
-                transform=transform,
-            )
-        else:
-            for k, w in enumerate(ids):
-                self.local_update(
-                    w,
-                    base_vector,
-                    round_index,
-                    out=out[k],
-                    transform=(
-                        transform.rows(k) if transform is not None else None
-                    ),
-                )
-        return out
+        data = self._worker_data
+        return self._engine.run_group(
+            ids,
+            # Lazy: a store-backed sub-sequence, gathered from in place.
+            [data[w] for w in ids] if isinstance(data, list) else data[ids],
+            base_vector,
+            round_index,
+            learning_rate=self.exp.learning_rate,
+            local_steps=self.exp.local_steps,
+            batch_size=self.exp.batch_size,
+            seed=self.exp.seed,
+            out=out,
+            transform=transform,
+        )
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -559,14 +471,7 @@ class BaseTrainer:
         """Global test (loss, accuracy) of a flat ``(q,)`` model vector, or the
         list of each for the rows of a ``(K, q)`` block, in one engine pass."""
         block = vector.reshape(-1, vector.shape[-1])
-        if self._evaluator is not None:
-            losses, accuracies = self._evaluator.evaluate(block, self._eval_x, self._eval_y)
-        else:
-            pairs: List[Tuple[float, float]] = []
-            for row in block:
-                self.model.set_vector(row)
-                pairs.append(self.model.evaluate(self._eval_x, self._eval_y))
-            losses, accuracies = [p[0] for p in pairs], [p[1] for p in pairs]
+        losses, accuracies = self._engine.evaluate(block, self._eval_x, self._eval_y)
         return (losses[0], accuracies[0]) if vector.ndim == 1 else (losses, accuracies)
 
     def _flush_evaluations(self) -> None:

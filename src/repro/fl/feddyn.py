@@ -89,8 +89,7 @@ class FedDynTrainer(FedAvgTrainer):
         lam = self.alpha_coef
         lr = self.exp.learning_rate
         # One (G, q) offset per dispatch: the λ·w_t pull is shared, the
-        # h_i rows are per-worker.  Computed once here so the batched and
-        # scalar paths add bit-identical values.
+        # h_i rows are per-worker.
         offset = self.drift[list(worker_ids)]
         offset = lr * (lam * base_vector + offset)
         return StepTransform(scale=1.0 - lr * lam, offset=offset)

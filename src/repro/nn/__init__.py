@@ -2,7 +2,8 @@
 
 A minimal, dependency-free replacement for the PyTorch models the paper
 uses: layers with explicit forward/backward passes, classification losses,
-SGD, and flat-vector parameter access for over-the-air aggregation.
+flat-vector parameter access for over-the-air aggregation, and the batched
+engine that trains a whole worker group with plain SGD (Eq. 4).
 """
 
 from .params import (
@@ -17,13 +18,11 @@ from .batched import (
     BatchedKernel,
     BatchedWorkerEngine,
     batched_layer_supported,
-    model_shard_safe,
     register_batched_kernel,
 )
 from .layers import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2D,
@@ -39,7 +38,6 @@ from .losses import (
     softmax,
     softmax_cross_entropy,
 )
-from .optim import SGD, Optimizer
 from .models import (
     CifarCNN,
     LogisticRegressionMLP,
@@ -59,13 +57,11 @@ __all__ = [
     "BatchedKernel",
     "BatchedWorkerEngine",
     "batched_layer_supported",
-    "model_shard_safe",
     "register_batched_kernel",
     "Layer",
     "Dense",
     "ReLU",
     "Flatten",
-    "Dropout",
     "Conv2D",
     "MaxPool2D",
     "im2col",
@@ -76,8 +72,6 @@ __all__ = [
     "softmax_cross_entropy",
     "cross_entropy_from_probs",
     "accuracy",
-    "Optimizer",
-    "SGD",
     "Model",
     "SequentialModel",
     "LogisticRegressionMLP",

@@ -3,29 +3,26 @@
 Every member of a federated group starts its local update from the *same*
 base model vector, so the G per-worker SGD runs are structurally identical —
 only the mini-batches (and, after the first step, the diverged parameters)
-differ.  The scalar path in :meth:`repro.fl.base.BaseTrainer.local_update`
-pays the full Python/NumPy dispatch overhead G times per round; this module
-instead stacks the per-worker parameters into leading-axis tensors (Dense
-weights become ``(G, in, out)``, Conv2D weights ``(G, C_out, C_in, kh, kw)``)
-and runs **one** batched matmul per layer per SGD step for the whole group.
+differ.  This module stacks the per-worker parameters into leading-axis
+tensors (Dense weights become ``(G, in, out)``, Conv2D weights
+``(G, C_out, C_in, kh, kw)``) and runs **one** batched matmul per layer per
+SGD step for the whole group.  It is the only trainer: a trainer whose model
+has a layer without a kernel fails at construction.
 
 Kernels are composed through a registry: each supported layer type maps to a
 :class:`BatchedKernel` factory via :func:`register_batched_kernel`, and
-:meth:`BatchedWorkerEngine.try_build` succeeds exactly when every layer of a
+:class:`BatchedWorkerEngine` builds exactly when every layer of a
 :class:`~repro.nn.models.SequentialModel` has a registered kernel.  Built-in
 kernels cover :class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.ReLU`,
 :class:`~repro.nn.layers.Flatten`, :class:`~repro.nn.layers.Conv2D` (batched
 im2col — the ``(N, C, H, W)`` column transform of ``nn/layers.py`` lifted to a
 ``(G, N, C, H, W)`` leading group axis and contracted as one grouped matmul
-over the ``(G, q_cols, k)`` column tensor), :class:`~repro.nn.layers.MaxPool2D`
-(tie-normalised max mask over a window-major copy) and
-:class:`~repro.nn.layers.Dropout` — i.e. every layer the paper's
-LR/CNN/MiniVGG workloads use.  The data movement around the GEMMs (bias
-add and sum, col2im, the pooling passes) is laid out so that each NumPy
+over the ``(G, q_cols, k)`` column tensor) and :class:`~repro.nn.layers.MaxPool2D`
+(tie-normalised max mask over a window-major copy) — i.e. every layer the
+paper's LR/CNN/MiniVGG workloads use.  The data movement around the GEMMs
+(bias add and sum, col2im, the pooling passes) is laid out so that each NumPy
 pass has a long contiguous inner run; the arithmetic per element and its
-order are the scalar layers'.  Models containing other (custom) layers are
-reported as unsupported and the trainers fall back to the scalar
-per-worker path.
+order are the scalar layers'.
 
 Lanes: a large group is split across the host's cores inside one call.
 Each *lane* owns a kernel set and sampling geometries; lane 0 is the
@@ -34,18 +31,15 @@ Every tile of the serial call tree is cut into contiguous runs of members,
 one per lane, each padded to the tile's batch dimension, so every member's
 GEMM shapes — and its result — are the serial ones.  A tile is split only
 when every lane writes at least ``_LANE_MIN_WRITES`` elements per SGD step
-(NumPy releases the GIL in long passes only) and :func:`model_shard_safe`
-allows it (active Dropout does not: its mask stream spans the whole group).
+(NumPy releases the GIL in long passes only).
 
 Numerical contract: for a given ``(seed, worker_id, round_index)`` the
-engine draws exactly the same mini-batch indices as the scalar path and
-performs the same sequence of per-worker matmul/elementwise operations, so
-the stacked results match the sequential reference to ~1e-9 per parameter
-in float64 (bit-identical up to BLAS reduction-order differences; with
-uniform per-worker batch sizes the per-slice GEMM shapes equal the scalar
-shapes and the match is bit-for-bit).  Dropout kernels consume the layer's
-own random stream in the scalar path's worker-major order, so dropout
-models keep the same equivalence guarantee.
+engine draws exactly the mini-batch indices a per-worker loop over the
+scalar layers draws and performs the same sequence of per-worker
+matmul/elementwise operations, so the stacked results match that loop to
+~1e-9 per parameter in float64 (bit-identical up to BLAS reduction-order
+differences; with uniform per-worker batch sizes the per-slice GEMM shapes
+equal the scalar shapes and the match is bit-for-bit).
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 import numpy as np
 
-from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
+from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from .models import EVAL_BATCH_SIZE, Model, SequentialModel
 
 __all__ = [
@@ -66,7 +60,6 @@ __all__ = [
     "BatchedWorkerEngine",
     "StepTransform",
     "batched_layer_supported",
-    "model_shard_safe",
     "register_batched_kernel",
 ]
 
@@ -84,18 +77,16 @@ class StepTransform:
 
         ``w ← scale · w − lr · ∇f(w) + offset``
 
-    where the gradient is evaluated at the *pre-scale* parameters.  Both
-    execution paths (the batched engine and the scalar per-worker loop)
-    apply the same three element-wise stages in the same order — scale the
-    parameters, take the SGD step, add the offset — so batched and scalar
-    runs of a transformed mechanism stay bit-identical in float64, exactly
-    like the untransformed path.
+    where the gradient is evaluated at the *pre-scale* parameters.  The
+    engine applies it as three element-wise stages in this order — scale
+    the parameters, take the SGD step, add the offset — the order a
+    per-worker loop over the scalar layers takes too.
 
     ``offset`` is a flat model-vector array: ``(q,)`` when every group
     member shares the correction (FedProx: ``lr·mu·base``) or ``(G, q)``
     with one row per dispatched worker (FedDyn: ``lr·(λ·base + h_i)``).
     ``None`` offset / ``scale == 1.0`` stages are skipped entirely, and a
-    ``None`` transform is the legacy code path, untouched.
+    ``None`` transform is the plain SGD step.
     """
 
     scale: float = 1.0
@@ -119,20 +110,16 @@ class BatchedKernel(Protocol):
     * ``param_size`` — number of scalar parameters the kernel owns in the
       flat model vector (0 for activation/reshape kernels);
     * ``forward(x)`` / ``backward(grad_out)`` — stacked forward/backward.
-      :meth:`BatchedWorkerEngine.evaluate` runs ``forward`` as the layer's
-      inference forward (``training=False``) too, so the two must agree in a
-      kernel without hooks; Dropout's is skipped there, and a model with any
-      other kernel that has a hook is evaluated by :meth:`Model.evaluate`.
+      Training and :meth:`BatchedWorkerEngine.evaluate` share ``forward``:
+      its output depends on its input and the bound parameters alone, as
+      the layer's forward does with ``training`` either way.
 
     Parametric kernels (``param_size > 0``) additionally implement
     ``bind(group, batch, dtype)`` (attach buffers for that many members),
     ``load(base)`` (copy the base parameters in: one shared ``(q,)`` base
     or a ``(G, q)`` row per member),
     ``dump(out)`` (write each member's flat parameters into its row) and
-    ``sgd_step(lr)``.  Optional hooks, discovered by the engine via
-    ``hasattr``: ``begin_round(batches, local_steps)`` called once per
-    :meth:`BatchedWorkerEngine.run_group` and ``begin_step(step)`` called
-    before each SGD step (used by stateful kernels such as Dropout), and
+    ``sgd_step(lr)``.  Optional, discovered by the engine via ``hasattr``:
     ``member_writes(shape, batch)`` → ``(output shape, elements)``: a
     sample's output shape for a sample of ``shape``, and the most elements
     one member's slice of any array the kernel writes per step occupies —
@@ -210,39 +197,6 @@ def _kernel_factory(layer: object) -> Optional[Callable[[Layer, int], BatchedKer
 def batched_layer_supported(layer: object) -> bool:
     """Whether ``layer`` has a batched (leading group axis) kernel."""
     return _kernel_factory(layer) is not None
-
-
-def model_shard_safe(model: object) -> bool:
-    """Whether a group may be *sharded* across independent kernel sets.
-
-    The engine's lanes split one group's members over several kernel sets.
-    That is result-preserving for every built-in kernel except active
-    :class:`~repro.nn.layers.Dropout`: its masks are drawn worker-major
-    from one generator stream spanning the *whole* group, which a shard
-    holding only part of the group cannot replay.  Such models train on
-    one lane.
-    """
-    layers = getattr(model, "layers", None)
-    if layers is None:
-        return False
-    return not any(
-        isinstance(layer, Dropout) and layer.rate > 0.0 for layer in layers
-    )
-
-
-def _has_shared_dropout_rng(model: SequentialModel) -> bool:
-    """Whether two active Dropout layers share one random generator.
-
-    The batched Dropout kernel replays each layer's generator in the scalar
-    path's worker-major order, which only reproduces the scalar stream when
-    every Dropout layer owns its generator (see :class:`_BatchedDropout`).
-    """
-    rng_ids = [
-        id(layer._rng)
-        for layer in model.layers
-        if isinstance(layer, Dropout) and layer.rate > 0.0
-    ]
-    return len(rng_ids) != len(set(rng_ids))
 
 
 # ----------------------------------------------------------------------
@@ -722,85 +676,6 @@ def _window_major(x: np.ndarray, p: int) -> np.ndarray:
     return x.reshape(g, b, c, h // p, p, w // p, p).transpose(4, 6, 0, 1, 2, 3, 5)
 
 
-@register_batched_kernel(Dropout)
-class _BatchedDropout:
-    """Grouped inverted dropout replaying the scalar path's random stream.
-
-    The scalar path trains the group's workers sequentially, so a
-    :class:`~repro.nn.layers.Dropout` layer draws its masks worker-major:
-    all of worker k's steps before any of worker k+1's.  To stay equivalent,
-    this kernel consumes the *same* generator (``layer._rng``) in the same
-    order — on the first forward of a round it pre-draws every (worker,
-    step) mask with the scalar call's exact shapes, then replays mask
-    ``[step]`` on each batched step.  Padded rows keep an all-zero mask.
-
-    Each Dropout layer must own its generator: the per-layer pre-draw
-    reorders the stream relative to the scalar path's per-forward
-    interleaving, so two Dropout layers *sharing* one generator would
-    diverge — :meth:`BatchedWorkerEngine.try_build` detects that case and
-    falls back to the scalar path.
-    """
-
-    param_size = 0
-
-    def __init__(self, layer: Dropout, offset: int) -> None:
-        self.rate = layer.rate
-        self._rng = layer._rng
-        self._batches: Optional[Sequence[int]] = None
-        self._steps = 1
-        self._step = 0
-        self._masks: Optional[np.ndarray] = None
-        #: The ``(steps, G, B) + feat`` mask block and the output, by name
-        #: (:func:`_slab`): the masks are redrawn every round into the same
-        #: buffer.  Kept float64 regardless of the engine dtype: the scalar
-        #: layer's ``(rng.random(...) < keep) / keep`` mask is float64 too.
-        self._slabs: Dict[Any, np.ndarray] = {}
-        self._mask: Optional[np.ndarray] = None
-
-    member_writes = staticmethod(_elementwise_writes)
-
-    def begin_round(self, batches: Sequence[int], local_steps: int) -> None:
-        self._batches = batches
-        self._steps = local_steps
-        self._step = 0
-        self._masks = None
-
-    def begin_step(self, step: int) -> None:
-        self._step = step
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.rate == 0.0:
-            self._mask = None
-            return x
-        if self._masks is None:
-            keep = 1.0 - self.rate
-            g, b_max = x.shape[0], x.shape[1]
-            feat = x.shape[2:]
-            batches = self._batches if self._batches is not None else [b_max] * g
-            shape = (self._steps, g, b_max) + feat
-            masks = _slab(self._slabs, "masks", shape, np.dtype(np.float64))
-            # Zero first: padded rows (b_k < b_max) must carry a zero mask,
-            # and the padding pattern may differ between groups that share
-            # this buffer.
-            masks.fill(0.0)
-            for k in range(g):
-                b_k = batches[k]
-                for s in range(self._steps):
-                    masks[s, k, :b_k] = (self._rng.random((b_k,) + feat) < keep) / keep
-            self._masks = masks
-        out = _slab(self._slabs, "out", x.shape, x.dtype)
-        mask = self._masks[self._step]
-        self._mask = mask
-        np.multiply(x, mask, out=out)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        np.multiply(grad_out, self._mask, out=grad_out)
-        return grad_out
-
-
 # ----------------------------------------------------------------------
 #: Most bytes an engine's cache of rosters and sampling geometries may hold,
 #: evicting the least recently used entry first.  A roster is charged its index
@@ -961,9 +836,10 @@ class _Lane:
         for layer in layers:
             factory = _kernel_factory(layer)
             if factory is None:
+                kind = type(layer).__name__
                 raise ValueError(
-                    f"layer {layer!r} has no batched kernel; "
-                    "use BatchedWorkerEngine.try_build for a graceful fallback"
+                    f"layer {getattr(layer, 'name', kind)!r} ({kind}) has no batched "
+                    f"kernel; register one with @register_batched_kernel({kind})"
                 )
             kernel = factory(layer, offset)
             offset += kernel.param_size
@@ -983,8 +859,6 @@ class _Lane:
         # input gradient, and kernels before it own no parameters, so their
         # backward methods would only consume (mis-shaped) skipped output.
         self.first_param_index = self.kernels.index(self.params[0])
-        self.round_hooks = [k for k in self.kernels if hasattr(k, "begin_round")]
-        self.step_hooks = [k for k in self.kernels if hasattr(k, "begin_step")]
 
     def train(
         self,
@@ -1029,12 +903,8 @@ class _Lane:
             for kernel in self.params:
                 kernel.bind(g, b_max, self.dtype)
                 kernel.load(base)
-            for kernel in self.round_hooks:
-                kernel.begin_round(batches, local_steps)
 
-            for step in range(local_steps):
-                for kernel in self.step_hooks:
-                    kernel.begin_step(step)
+            for _ in range(local_steps):
                 for k in range(g):
                     idx = rngs[k].choice(counts[k], size=batches[k], replace=False)
                     idx += offsets[k]
@@ -1063,10 +933,9 @@ class _Lane:
                     grad *= geo["valid"][:, :, None]
                 for kernel in reversed(self.kernels[self.first_param_index :]):
                     grad = kernel.backward(grad)
-                # StepTransform stages (no-ops on the legacy path): gradients
+                # StepTransform stages (no-ops without a transform): gradients
                 # were computed at the pre-scale parameters above, so the step
-                # is ``w ← scale·w − lr·∇f(w) + offset`` — the same order of
-                # element-wise operations as the scalar path.
+                # is ``w ← scale·w − lr·∇f(w) + offset``.
                 if t_scale != 1.0:
                     for kernel in self.params:
                         kernel.scale_params(t_scale)
@@ -1086,7 +955,7 @@ class _Lane:
 class BatchedWorkerEngine:
     """Runs the local SGD of a whole worker group as batched tensor ops.
 
-    Build one per trainer with :meth:`try_build`; the engine keeps its
+    Build one per trainer; the engine keeps its
     stacked parameter/activation buffers across rounds, so steady-state
     group updates allocate almost nothing.  Layer support is determined by
     the kernel registry (see :func:`register_batched_kernel`); a group
@@ -1100,26 +969,18 @@ class BatchedWorkerEngine:
             )
         if len(model.parameters) == 0:
             raise ValueError("model has no parameters")
-        if _has_shared_dropout_rng(model):
-            raise ValueError(
-                "multiple Dropout layers share one random generator; the "
-                "batched kernel replays each layer's stream independently, "
-                "so shared-generator models must use the scalar path "
-                "(use BatchedWorkerEngine.try_build for a graceful fallback)"
-            )
         self.dimension = model.dimension
         self.dtype = model.parameters[0].value.dtype
         self._layers = list(model.layers)
         self._lanes = [_Lane(self._layers, self.dimension, self.dtype)]
-        self._shardable = model_shard_safe(model)
         self._tile: Optional[int] = (
             _CONV_GROUP_TILE
             if any(isinstance(k, _BatchedConv2D) for k in self._lanes[0].kernels)
             else None
         )
         #: Whether cohorts may train ahead of their commits, several in one
-        #: call: no conv tiles, and no Dropout stream to see the new order.
-        self.trains_ahead = self._tile is None and self._shardable
+        #: call: no conv tiles.
+        self.trains_ahead = self._tile is None
         # One LRU cache, least recently used first, of what a roster fixes
         # (see _Roster) under ``("roster", worker ids, batch_size, pad_to)`` of
         # a tile, and of each lane's sampling geometries (input buffers, padding
@@ -1130,11 +991,6 @@ class BatchedWorkerEngine:
         self._cache: Dict[Tuple, Tuple[Union[_Roster, Dict[str, np.ndarray]], int]] = {}
         self._cached_bytes = 0
         self._eval_slabs: Dict[Any, np.ndarray] = {}
-        # The evaluation pass's kernels, bar Dropout (the identity at inference);
-        # none if another kernel keeps training-time state through a hook.
-        kept = [k for k in self._lanes[0].kernels if not isinstance(k, _BatchedDropout)]
-        stateful = any(hasattr(k, "begin_round") or hasattr(k, "begin_step") for k in kept)
-        self._eval_kernels: Optional[List[Any]] = None if stateful else kept
         self._store_rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
@@ -1144,14 +1000,14 @@ class BatchedWorkerEngine:
 
     # ------------------------------------------------------------------
     @classmethod
-    def try_build(cls, model: Model) -> Optional["BatchedWorkerEngine"]:
-        """Build an engine for ``model``, or ``None`` if it has no batched
-        support (the caller then uses the scalar per-worker path): a layer
-        without a kernel, no parameters, or Dropout layers sharing a generator."""
-        try:
-            return cls(model)
-        except ValueError:
-            return None
+    def try_build(cls, model: Model) -> "BatchedWorkerEngine":
+        """The engine for ``model``, the one way a trainer trains it.
+
+        Raises the constructor's ``ValueError`` for a model it cannot train:
+        not a :class:`SequentialModel`, no parameters, or a layer without a
+        kernel (the message names the layer; see :func:`register_batched_kernel`).
+        """
+        return cls(model)
 
     # ------------------------------------------------------------------
     def run_group(
@@ -1175,8 +1031,8 @@ class BatchedWorkerEngine:
         worker ``worker_ids[k]``'s updated flat model.  ``base_vector`` is the
         ``(q,)`` base of every member or a ``(G, q)`` row per member (it may
         be ``out`` itself: each row is read before it is written), and
-        ``round_index`` one round key for all or one per member.  Semantics
-        match the scalar path exactly: per-worker batch indices are drawn from
+        ``round_index`` one round key for all or one per member.  Each
+        member's batch indices are drawn from
         ``SeedSequence([seed, worker_id, round_index, 0x10CA1])`` and a
         worker with no data returns its base unchanged.  A lazy shard
         sequence as ``worker_data`` (anything with ``store`` / ``ids``) is
@@ -1286,9 +1142,7 @@ class BatchedWorkerEngine:
 
     def evaluation_block(self, x: np.ndarray) -> int:
         """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth,
-        1 if a kernel cannot size its writes, 0 if the engine cannot evaluate."""
-        if self._eval_kernels is None:
-            return 0
+        1 if a kernel cannot size its writes."""
         writes = self._member_writes(min(EVAL_BATCH_SIZE, len(x)), x.shape[1:])
         return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize)) if writes else 1
 
@@ -1296,13 +1150,11 @@ class BatchedWorkerEngine:
         self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[List[float], List[float]]:
         """Test ``(losses, accuracies)`` of each row of a ``(K, q)`` block: the bits
-        of :meth:`Model.evaluate`, from one forward pass of lane 0's kernels (bar
-        Dropout) per batch, ``x`` broadcast over K.  The class-axis max goes column
+        of :meth:`Model.evaluate`, from one forward pass of lane 0's kernels per
+        batch, ``x`` broadcast over K.  The class-axis max goes column
         by column (max is order-free), each mean is a 1-D reduce; a row hits when
         its first zero shifted logit is the label's (``np.argmax``'s rule when its
         max is not finite)."""
-        if self._eval_kernels is None:
-            raise ValueError("a kernel keeps training-time state: use Model.evaluate")
         k, n, step = len(vectors), len(x), EVAL_BATCH_SIZE
         losses, correct = [0.0] * k, [0.0] * k
         x, y = np.asarray(x, dtype=self.dtype), np.asarray(y)
@@ -1314,7 +1166,7 @@ class BatchedWorkerEngine:
                 kernel.bind(k, b, self.dtype)
                 kernel.load(vectors)
             logits = np.broadcast_to(xb, (k,) + xb.shape)
-            for kernel in self._eval_kernels:
+            for kernel in self._lanes[0].kernels:
                 logits = kernel.forward(logits)
             classes = logits.shape[-1]
             if yb.shape != (b,) or yb.min() < 0 or yb.max() >= classes:
@@ -1476,12 +1328,12 @@ class BatchedWorkerEngine:
         """The lane gate: the runs of a tile's active members each lane trains.
 
         Empty — the tile stays on lane 0 — unless the process has two lanes
-        or more, the model may be sharded, and every run's largest array per
+        or more and every run's largest array per
         SGD step (the gathered mini-batch or one a kernel writes) holds at
         least ``_LANE_MIN_WRITES`` elements.
         """
         lanes = _lanes()[0]
-        if lanes < 2 or not self._shardable:
+        if lanes < 2:
             return []
         per_member = self._member_writes(b_max, feat_shape)
         if per_member is None:

@@ -32,7 +32,6 @@ __all__ = [
     "Dense",
     "ReLU",
     "Flatten",
-    "Dropout",
     "Conv2D",
     "MaxPool2D",
     "im2col",
@@ -188,31 +187,6 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout.  Active only when ``training=True``."""
-
-    def __init__(self, name: str, rate: float, rng: np.random.Generator) -> None:
-        super().__init__(name)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -17,8 +18,8 @@ from repro.channel import RayleighFading, StaticChannel
 from repro.core import AirCompConfig, AirFedGAConfig
 from repro.data import Dataset, make_mnist_like, partition_label_skew
 from repro.fl import FLExperiment
-from repro.nn import LogisticRegressionMLP, SequentialModel, batched
-from repro.nn.layers import Layer
+from repro.nn import LogisticRegressionMLP, batched, unflatten_vector
+from repro.nn.batched import StepTransform
 from repro.sim import HeterogeneityModel, LatencyTable
 
 
@@ -95,33 +96,61 @@ def model_factory():
     return _model_factory()
 
 
-class _NoKernelIdentity(Layer):
-    """A parameter-free pass-through layer with no registered batched kernel."""
+class ScalarEngine:
+    """The per-worker oracle of :class:`~repro.nn.BatchedWorkerEngine`.
 
-    def forward(self, x, training=True):
-        return x
+    ``run_group`` (the engine's signature) trains each member alone through
+    the scalar layers: ``Model.loss_and_grad`` on the mini-batch the engine
+    draws, then the :class:`~repro.nn.batched.StepTransform` stages around a
+    plain ``w -= lr * grad`` step.  A ``(G, q)`` base, a round key per member
+    and a ``(G, q)`` offset give each member its own row, as merged cohorts
+    do.  ``evaluate`` is ``Model.evaluate`` on each row.  Install it on a
+    trainer as ``trainer._engine`` to run a whole history on it.
+    """
 
-    def backward(self, grad_out):
-        return grad_out
+    def __init__(self, model):
+        self.model = model
+
+    def run_group(
+        self, worker_ids, worker_data, base_vector, round_index, *,
+        learning_rate, local_steps, batch_size, seed, out, pad_to=None, transform=None,
+    ):  # fmt: skip
+        params = self.model.parameters
+        keys = [round_index] * len(worker_ids) if np.ndim(round_index) == 0 else round_index
+        for k, (worker, key) in enumerate(zip(worker_ids, keys)):
+            x, y = worker_data[k]
+            # Copied in before row k of ``out`` (maybe the base itself) is written.
+            self.model.set_vector(base_vector if base_vector.ndim == 1 else base_vector[k])
+            step = transform.rows(k) if transform is not None else StepTransform()
+            offsets = None
+            if step.offset is not None:
+                offsets = unflatten_vector(step.offset, params.shapes())
+            rng = np.random.default_rng(np.random.SeedSequence([seed, worker, key, 0x10CA1]))
+            for _ in range(local_steps if len(x) else 0):
+                idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
+                self.model.zero_grad()
+                self.model.loss_and_grad(x[idx], y[idx])
+                for p in params:
+                    if step.scale != 1.0:
+                        p.value *= step.scale
+                    p.value -= learning_rate * p.grad
+                for p, block in zip(params, offsets or ()):
+                    p.value += block
+            self.model.get_vector(out=out[k])
+        return out
+
+    def evaluate(self, vectors, x, y):
+        pairs = []
+        for vector in vectors:
+            self.model.set_vector(vector)
+            pairs.append(self.model.evaluate(x, y))
+        return [loss for loss, _ in pairs], [acc for _, acc in pairs]
 
 
 @pytest.fixture()
-def without_batched_kernel():
-    """Wrap a model factory so its models have no batched engine.
-
-    The wrapped factory builds the same layers (same parameters, same
-    initial values, same function) behind a leading identity layer the
-    kernel registry does not know, so ``BatchedWorkerEngine.try_build``
-    returns ``None`` and a trainer takes the per-worker ``local_update``
-    loop — the way a user with a custom layer reaches that path.
-    """
-
-    def wrap(factory):
-        return lambda: SequentialModel(
-            [_NoKernelIdentity("no-kernel"), *factory().layers]
-        )
-
-    return wrap
+def scalar_engine():
+    """:class:`ScalarEngine`: ``scalar_engine(model)`` is the oracle over ``model``."""
+    return ScalarEngine
 
 
 @pytest.fixture()

@@ -1,22 +1,26 @@
 """One history per seed, however a round is executed.
 
 Algorithm 1 defines one training history per scenario and seed.  How the
-simulator computes a round must not change it: batched or per-worker, on
-one lane or split across threads, eager or lazy shards, warm or evicted
-rosters, any conv tile, no client-state model or the ``always-on`` one,
-cohorts trained ahead several per engine call or one per call at its own
-row.  One hypothesis
-strategy draws small :class:`Scenario` documents over every registered
-mechanism, partition and client-state model, three model families, both
-channels, ragged groupings and both dtypes.  Each document's reference run
+simulator computes a round must not change it: batched or on the per-worker
+oracle, on one lane or split across threads, eager or lazy shards, warm or
+evicted rosters, any conv tile, no client-state model or the ``always-on``
+one, cohorts trained ahead several per engine call or one per call at its
+own row.  One hypothesis strategy draws small :class:`Scenario` documents
+over every registered mechanism, partition and client-state model, three
+model families, both channels, ragged groupings and both dtypes.  Each document's reference run
 (one lane, batched engine, eager shards, default roster budget) is compared
 leaf by leaf of ``history.to_dict()`` against every axis that applies.
 
+The ``fallback`` axis runs the whole history on the test tree's
+per-worker oracle (``ScalarEngine`` of ``tests/conftest.py``): every member
+trained alone through the scalar layers, every record from
+``Model.evaluate``.
+
 ``TOLERANCE`` is the whole envelope.  Every non-zero entry is
-reassociation on a ragged group: the per-worker fallback runs the scalar
-layers' GEMM shapes, and a conv tile pads to its own largest batch.  With
-every member's mini-batch the same size (the ``iid`` draws) float64 is
-bit-identical on every axis, the fallback included.
+reassociation on a ragged group: the oracle runs the scalar layers' GEMM
+shapes, and a conv tile pads to its own largest batch.  With every
+member's mini-batch the same size (the ``iid`` draws) float64 is
+bit-identical on every axis, the oracle included.
 """
 
 from __future__ import annotations
@@ -153,14 +157,11 @@ def _assert_same_history(reference, got, rtol, where):
             assert a == b, (where, path, a, b)
 
 
-def _axes(scenario, without_batched_kernel):
+def _axes(scenario, scalar_engine):
     """Axis name -> a run of ``scenario`` on that axis."""
 
-    def fallback(exp):
-        return dataclasses.replace(exp, model_factory=without_batched_kernel(exp.model_factory))
-
-    def no_engine(trainer):
-        assert trainer._engine is None, f"fallback: {scenario.name}"
+    def oracle(trainer):
+        trainer._engine = scalar_engine(trainer.model)
 
     def roster_budget():
         owned = []
@@ -191,7 +192,7 @@ def _axes(scenario, without_batched_kernel):
         return lambda: _run(scenario, trainer_hook=lambda t: setattr(t._engine, "_tile", size))
 
     axes = {
-        "fallback": lambda: _run(scenario, experiment=fallback, trainer_hook=no_engine),
+        "fallback": lambda: _run(scenario, trainer_hook=oracle),
         "threads": lambda: _run(scenario, lanes=2),
         "lazy": lambda: _run(scenario.with_(**{"data.materialization": "lazy"})),
         "roster_budget": roster_budget,
@@ -217,7 +218,7 @@ PINS = {
     "uniform_cnn": ("fedavg", "mnist_cnn", "iid", "always-on", "static", 13, 1.0, "float64", 6),
     # Dropout-rejoin: survivor subsets of the groups are rosters of their own.
     "rejoin": ("air_fedga", "lr", "label-skew", "dropout-rejoin", "static", 12, 0.3, "float64", 2),
-    # Step transforms (FedProx, FedDyn) and single-worker commits on the fallback.
+    # Step transforms (FedProx, FedDyn) and single-worker commits on the oracle.
     "fedprox": ("fedprox", "mnist_cnn", "label-skew", "bernoulli", "static", 6, 0.3, "float64", 3),
     "feddyn": ("feddyn", "lr", "dirichlet", "always-on", "rayleigh", 7, 0.3, "float32", 4),
     "fedasync": ("fedasync", "lr", "iid", "always-on", "static", 5, 0.3, "float64", 5),
@@ -246,9 +247,9 @@ def _check(scenario, axis, run):
 
 
 @pytest.mark.parametrize(("pin", "axis"), PIN_AXES)
-def test_pinned_document_reproduces_the_reference(pin, axis, without_batched_kernel):
+def test_pinned_document_reproduces_the_reference(pin, axis, scalar_engine):
     scenario = _scenario(*PINS[pin])
-    _check(scenario, axis, _axes(scenario, without_batched_kernel)[axis])
+    _check(scenario, axis, _axes(scenario, scalar_engine)[axis])
 
 
 @settings(
@@ -258,6 +259,6 @@ def test_pinned_document_reproduces_the_reference(pin, axis, without_batched_ker
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(scenario=scenarios)
-def test_every_execution_axis_reproduces_the_reference(scenario, without_batched_kernel):
-    for axis, run in _axes(scenario, without_batched_kernel).items():
+def test_every_execution_axis_reproduces_the_reference(scenario, scalar_engine):
+    for axis, run in _axes(scenario, scalar_engine).items():
         _check(scenario, axis, run)

@@ -8,7 +8,7 @@ import pytest
 from repro.channel import StaticChannel
 from repro.fl import FLExperiment
 from repro.fl.base import BaseTrainer
-from repro.nn import LogisticRegressionMLP
+from repro.nn import Layer, LogisticRegressionMLP, SequentialModel
 from repro.sim import LatencyTable
 
 
@@ -85,33 +85,53 @@ class TestBaseTrainerSetup:
         with pytest.raises(AttributeError, match="schedule"):
             BaseTrainer(small_experiment).run()
 
+    def test_a_layer_without_a_kernel_fails_at_construction(self, small_experiment):
+        """The batched engine is the only trainer: no per-worker loop takes over."""
+
+        class _Unregistered(Layer):
+            def forward(self, x, training=True):
+                return x
+
+            def backward(self, grad_out):
+                return grad_out
+
+        factory = small_experiment.model_factory
+        small_experiment.model_factory = lambda: SequentialModel(
+            [_Unregistered("custom"), *factory().layers]
+        )
+        message = r"'custom' \(_Unregistered\).*register_batched_kernel"
+        with pytest.raises(ValueError, match=message):
+            BaseTrainer(small_experiment)
+
 
 class TestLocalUpdate:
+    """One-member groups: ``local_update_group([w], base, r)`` is worker ``w``'s update."""
+
     def test_changes_parameters(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector.copy()
-        updated = trainer.local_update(0, base, round_index=1)
+        (updated,) = trainer.local_update_group([0], base, round_index=1)
         assert not np.array_equal(updated, base)
 
     def test_does_not_modify_base_vector(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector.copy()
         snapshot = base.copy()
-        trainer.local_update(0, base, round_index=1)
+        trainer.local_update_group([0], base, round_index=1)
         np.testing.assert_array_equal(base, snapshot)
 
     def test_deterministic_given_round_and_worker(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector
-        a = trainer.local_update(2, base, round_index=5)
-        b = trainer.local_update(2, base, round_index=5)
+        a = trainer.local_update_group([2], base, round_index=5)
+        b = trainer.local_update_group([2], base, round_index=5)
         np.testing.assert_array_equal(a, b)
 
     def test_different_rounds_sample_different_batches(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector
-        a = trainer.local_update(2, base, round_index=1)
-        b = trainer.local_update(2, base, round_index=2)
+        a = trainer.local_update_group([2], base, round_index=1)
+        b = trainer.local_update_group([2], base, round_index=2)
         assert not np.array_equal(a, b)
 
     def test_reduces_local_loss(self, small_experiment):
@@ -119,7 +139,7 @@ class TestLocalUpdate:
         x, y = trainer._worker_data[0]
         trainer.model.set_vector(trainer.global_vector)
         before, _ = trainer.model.evaluate(x, y)
-        updated = trainer.local_update(0, trainer.global_vector, round_index=1)
+        (updated,) = trainer.local_update_group([0], trainer.global_vector, round_index=1)
         trainer.model.set_vector(updated)
         after, _ = trainer.model.evaluate(x, y)
         assert after < before

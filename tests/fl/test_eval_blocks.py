@@ -132,17 +132,13 @@ def test_a_failing_flush_does_not_replace_the_commit_failure(monkeypatch):
     assert math.isfinite(record.loss) and record is trainer.history.records[-1]
 
 
-def test_evaluate_vector_takes_one_vector_or_a_block(without_batched_kernel):
-    """With and without an engine: a ``(K, q)`` block gives the lists of what
-    each ``(q,)`` row gives alone."""
+def test_evaluate_vector_takes_one_vector_or_a_block():
+    """A ``(K, q)`` block gives the lists of what each ``(q,)`` row gives alone."""
     scenario = Scenario.default().with_(**SCENARIO)
-    for wrap in (lambda factory: factory, without_batched_kernel):
-        experiment = scenario.build_experiment()
-        experiment.model_factory = wrap(experiment.model_factory)
-        with build_trainer(scenario.mechanism.name, experiment, **scenario.mechanism.params) as t:
-            assert (t._engine is None) == (wrap is without_batched_kernel)
-            rng = np.random.default_rng(0)
-            block = t.global_vector + rng.standard_normal((3, t.global_vector.size))
-            rows = [t.evaluate_vector(row) for row in block]
-            assert t.evaluate_vector(block) == tuple(map(list, zip(*rows)))
-            assert all(isinstance(v, float) for v in rows[0])
+    experiment = scenario.build_experiment()
+    with build_trainer(scenario.mechanism.name, experiment, **scenario.mechanism.params) as t:
+        rng = np.random.default_rng(0)
+        block = t.global_vector + rng.standard_normal((3, t.global_vector.size))
+        rows = [t.evaluate_vector(row) for row in block]
+        assert t.evaluate_vector(block) == tuple(map(list, zip(*rows)))
+        assert all(isinstance(v, float) for v in rows[0])

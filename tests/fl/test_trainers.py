@@ -70,7 +70,10 @@ class TestFedAvg:
     def test_first_round_is_exact_weighted_average(self, quiet_experiment):
         trainer = FedAvgTrainer(quiet_experiment)
         initial = trainer.global_vector.copy()
-        locals_ = [trainer.local_update(w, initial, 1) for w in range(quiet_experiment.num_workers)]
+        locals_ = [
+            trainer.local_update_group([w], initial, 1)[0]
+            for w in range(quiet_experiment.num_workers)
+        ]
         expected = sum(a * v for a, v in zip(trainer.alphas, locals_))
         trainer.run(max_rounds=1)
         np.testing.assert_allclose(trainer.global_vector, expected)

@@ -1,8 +1,8 @@
 """Unit tests of the vectorized group-training engine.
 
-That batched group training reproduces the per-worker scalar path — MLP,
-CNN and MiniVGG models, ragged batches, groups spanning conv tiles, many
-rounds — is the fallback axis of ``tests/differential/test_execution_axes.py``.
+That batched group training reproduces the per-worker oracle — MLP, CNN
+and MiniVGG models, ragged batches, groups spanning conv tiles, many rounds
+— is the fallback axis of ``tests/differential/test_execution_axes.py``.
 Here: construction, workers without data, tied pooling windows and the
 float32 mode.
 """
@@ -17,32 +17,12 @@ from repro.nn import (
     LogisticRegressionMLP,
     MiniVGG,
     MnistCNN,
-    SGD,
     batched_layer_supported,
     parameter_dtype,
 )
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 TOL = 1e-9
-
-
-def scalar_reference(model, worker_id, x, y, base, *, seed, round_index, lr, steps, batch):
-    """The exact per-worker update of BaseTrainer.local_update."""
-    if x.shape[0] == 0:
-        return base.copy()
-    model.set_vector(base)
-    opt = SGD(model.parameters, lr=lr)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, worker_id, round_index, 0x10CA1])
-    )
-    n = x.shape[0]
-    b = min(batch, n)
-    for _ in range(steps):
-        idx = rng.choice(n, size=b, replace=False)
-        opt.zero_grad()
-        model.loss_and_grad(x[idx], y[idx])
-        opt.step()
-    return model.get_vector()
 
 
 @pytest.fixture()
@@ -90,7 +70,6 @@ class TestEngineConstruction:
         assert batched_layer_supported(Flatten("f"))
         assert batched_layer_supported(Conv2D("c", 1, 2, 3, rng))
         assert batched_layer_supported(MaxPool2D("p", 2))
-        assert batched_layer_supported(Dropout("do", 0.5, rng))
 
 
 class TestRunGroup:
@@ -127,7 +106,7 @@ class TestConvEquivalence:
     never produces."""
 
     @pytest.mark.parametrize("tile", [1, 4, 5])
-    def test_ragged_tie_heavy_group_is_tile_invariant_under_pad_to(self, tile):
+    def test_ragged_tie_heavy_group_is_tile_invariant_under_pad_to(self, tile, scalar_engine):
         """Coarse-grid images (ties in every pooling window) in a ragged
         group: with the batch dimension pinned by ``pad_to`` every tile runs
         the full group's per-slice shapes, so how the group is split must
@@ -146,13 +125,8 @@ class TestConvEquivalence:
             engine.run_group(ids, data, base, 3, out=out, **kwargs)
             outs.append(out)
         np.testing.assert_array_equal(outs[0], outs[1])
-        ref = np.stack(
-            [
-                scalar_reference(
-                    model, w, x, y, base, seed=11, round_index=3, lr=0.2, steps=2, batch=16
-                )
-                for w, (x, y) in zip(ids, data)
-            ]
+        ref = scalar_engine(model).run_group(
+            ids, data, base, 3, out=np.empty_like(outs[0]), **kwargs
         )
         assert np.abs(outs[0] - ref).max() <= TOL
 

@@ -18,8 +18,6 @@ from repro.nn import (
     MnistCNN,
     parameter_dtype,
 )
-from repro.nn.layers import Dense, Dropout, ReLU
-from repro.nn.models import SequentialModel
 
 MODELS = {
     "lr": (lambda: LogisticRegressionMLP(input_dim=64, hidden=16), (64,)),
@@ -52,15 +50,6 @@ def _data(n, features, dtype, seed=3):
     return rng.standard_normal((n,) + features).astype(dtype), rng.integers(0, 10, n)
 
 
-def _oracle(model, vectors, x, y):
-    """Each snapshot through the scalar :meth:`Model.evaluate`."""
-    pairs = []
-    for vector in vectors:
-        model.set_vector(vector)
-        pairs.append(model.evaluate(x, y))
-    return [loss for loss, _ in pairs], [acc for _, acc in pairs]
-
-
 def _bits(result):
     """Both lists as bytes: equal NaNs compare equal, -0.0 differs from 0.0."""
     return np.array(result, dtype=np.float64).tobytes()
@@ -69,20 +58,21 @@ def _bits(result):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("name", list(MODELS))
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
-def test_every_snapshot_matches_model_evaluate(name, dtype, rows):
+def test_every_snapshot_matches_model_evaluate(name, dtype, rows, scalar_engine):
     """Catches: the snapshots' means taken by one 2-D ``mean(axis=1)`` (255
     float64 rows move a bit) instead of a 1-D reduce each."""
     model, engine, vectors, features = _setup(name, dtype)
     x, y = _data(rows, features, dtype)
-    assert _bits(engine.evaluate(vectors, x, y)) == _bits(_oracle(model, vectors, x, y))
+    oracle = scalar_engine(model).evaluate(vectors, x, y)
+    assert _bits(engine.evaluate(vectors, x, y)) == _bits(oracle)
 
 
-def test_block_size_does_not_move_a_bit():
+def test_block_size_does_not_move_a_bit(scalar_engine):
     """K=1 blocks, one block of 7 and a partial block after it agree.
     Catches: kernels left bound to the larger block a smaller one follows."""
     model, engine, vectors, features = _setup("lr", "float64", snapshots=7)
     x, y = _data(600, features, "float64")
-    oracle = _oracle(model, vectors, x, y)
+    oracle = scalar_engine(model).evaluate(vectors, x, y)
     assert _bits(engine.evaluate(vectors, x, y)) == _bits(oracle)
     tail = engine.evaluate(vectors[4:], x, y)
     assert _bits(tail) == _bits([values[4:] for values in oracle])
@@ -93,7 +83,7 @@ def test_block_size_does_not_move_a_bit():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("name", list(MODELS))
-def test_all_equal_logits_hit_only_the_first_class(name, dtype):
+def test_all_equal_logits_hit_only_the_first_class(name, dtype, scalar_engine):
     """Zero inputs through the zero-initialised biases: every logit ties, so
     ``np.argmax`` says class 0 for every row.  Catches: dropping the tie check
     (a hit whenever the label's shifted logit is 0)."""
@@ -101,13 +91,13 @@ def test_all_equal_logits_hit_only_the_first_class(name, dtype):
     vectors[:] = model.get_vector()
     x, y = np.zeros((300,) + features, dtype), _data(300, features, dtype)[1]
     losses, accuracies = engine.evaluate(vectors, x, y)
-    assert _bits((losses, accuracies)) == _bits(_oracle(model, vectors, x, y))
+    assert _bits((losses, accuracies)) == _bits(scalar_engine(model).evaluate(vectors, x, y))
     assert accuracies[0] == np.count_nonzero(y == 0) / 300 < 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_non_finite_logit_rows_take_the_argmax_rule(dtype):
+def test_non_finite_logit_rows_take_the_argmax_rule(dtype, scalar_engine):
     """Output biases of +inf (two classes), NaN and -inf (all classes), and
     input rows of NaN and of overflowing values.  Catches: dropping the
     ``np.argmax`` fallback for rows whose max is not finite."""
@@ -120,20 +110,8 @@ def test_non_finite_logit_rows_take_the_argmax_rule(dtype):
     x, y = _data(300, features, dtype)
     x[5] = np.nan
     x[9] = np.finfo(dtype).max
-    assert _bits(engine.evaluate(vectors, x, y)) == _bits(_oracle(model, vectors, x, y))
-
-
-def test_dropout_is_the_identity_at_evaluation():
-    """Catches: running the Dropout kernel's training masks in the pass."""
-    rng = np.random.default_rng(0)
-    model = SequentialModel([
-        Dense("fc1", 64, 16, rng), ReLU("relu1"), Dropout("drop", 0.5, np.random.default_rng(1)),
-        Dense("out", 16, 10, rng, activationless_init=True),
-    ])  # fmt: skip
-    engine = BatchedWorkerEngine(model)
-    vectors = model.get_vector() + rng.standard_normal((3, model.dimension))
-    x, y = _data(300, (64,), "float64")
-    assert _bits(engine.evaluate(vectors, x, y)) == _bits(_oracle(model, vectors, x, y))
+    oracle = scalar_engine(model).evaluate(vectors, x, y)
+    assert _bits(engine.evaluate(vectors, x, y)) == _bits(oracle)
 
 
 def test_labels_out_of_range_fail_as_model_evaluate_does():

@@ -19,7 +19,7 @@ import pytest
 from repro import registry
 from repro.nn import BatchedWorkerEngine, LogisticRegressionMLP, MnistCNN, batched
 from repro.nn.batched import StepTransform
-from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.models import SequentialModel
 
 KWARGS = dict(learning_rate=0.2, local_steps=2, batch_size=8, seed=5)
@@ -159,18 +159,6 @@ def test_more_lanes_than_cores_at_a_short_switch_interval(lanes):
             assert np.array_equal(_run(split, data, **kw), _run(serial, data, **kw))
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_active_dropout_never_splits(lanes):
-    """Its mask stream runs worker-major through the whole group."""
-    lanes(2)
-    rng = np.random.default_rng(0)
-    model = SequentialModel(
-        [Dense("fc1", 64, 16, rng), ReLU("relu"), Dropout("drop", 0.5, rng), Dense("out", 16, 10, rng)]
-    )
-    engine = BatchedWorkerEngine.try_build(model)
-    _run(engine, _data([9] * 6, (64,)))
-    assert _bounds(*engine._rosters.values()) == [(0, 6)] and len(engine._lanes) == 1
 
 
 class _Doubling(ReLU):

@@ -1,12 +1,12 @@
 """Kernel-registry tests for the batched execution engine.
 
 Every registered layer kernel is exercised standalone: a minimal model
-containing the layer is trained one local update on both the scalar path
-and the batched engine, and the resulting parameter vectors must match
-bit for bit (uniform per-worker batch sizes, float64).  Unknown layers
-must keep the graceful ``try_build`` fallback, and third-party kernels
-registered through :func:`repro.nn.register_batched_kernel` must compose
-with the built-ins.
+containing the layer is trained one local update on both the per-worker
+oracle and the batched engine, and the resulting parameter vectors must
+match bit for bit (uniform per-worker batch sizes, float64).  A model with
+an unknown layer fails to build with a message naming it, and third-party
+kernels registered through :func:`repro.nn.register_batched_kernel` must
+compose with the built-ins.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro.nn import (
     BatchedWorkerEngine,
-    SGD,
     SequentialModel,
     batched_layer_supported,
     register_batched_kernel,
@@ -25,7 +24,6 @@ from repro.nn import batched
 from repro.nn.layers import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2D,
@@ -34,28 +32,10 @@ from repro.nn.layers import (
 )
 
 
-def scalar_reference(model, worker_id, x, y, base, *, seed, round_index, lr, steps, batch):
-    """The exact per-worker update of BaseTrainer.local_update."""
-    model.set_vector(base)
-    opt = SGD(model.parameters, lr=lr)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, worker_id, round_index, 0x10CA1])
-    )
-    n = x.shape[0]
-    b = min(batch, n)
-    for _ in range(steps):
-        idx = rng.choice(n, size=b, replace=False)
-        opt.zero_grad()
-        model.loss_and_grad(x[idx], y[idx])
-        opt.step()
-    return model.get_vector()
-
-
 # ----------------------------------------------------------------------
 # One minimal model per supported layer type.  Each entry maps the layer
 # name to (model factory, per-sample feature shape, number of classes).
-# Factories are deterministic so two builds produce identical models —
-# required for Dropout, whose kernel consumes the layer's own generator.
+# Factories are deterministic so two builds produce identical models.
 # ----------------------------------------------------------------------
 def _dense_model():
     return SequentialModel([Dense("fc", 12, 5, np.random.default_rng(0))])
@@ -111,53 +91,20 @@ def _maxpool_model():
     )
 
 
-def _dropout_model():
-    rng = np.random.default_rng(6)
-    drop_rng = np.random.default_rng(0xD0)
-    return SequentialModel(
-        [
-            Flatten("flatten"),
-            Dense("fc1", 2 * 4 * 4, 10, rng),
-            ReLU("relu"),
-            Dropout("drop", 0.4, drop_rng),
-            Dense("fc2", 10, 5, rng),
-        ]
-    )
-
-
-def _two_dropout_model():
-    # Two Dropout layers with their own generators: each layer's stream is
-    # replayed independently, which matches the scalar order exactly.
-    rng = np.random.default_rng(7)
-    return SequentialModel(
-        [
-            Flatten("flatten"),
-            Dense("fc1", 2 * 4 * 4, 12, rng),
-            Dropout("drop1", 0.25, np.random.default_rng(0xD1)),
-            ReLU("relu"),
-            Dense("fc2", 12, 8, rng),
-            Dropout("drop2", 0.5, np.random.default_rng(0xD2)),
-            Dense("fc3", 8, 5, rng),
-        ]
-    )
-
-
 LAYER_MODELS = {
     "dense": (_dense_model, (12,), 5),
-    "dropout_two_layers": (_two_dropout_model, (2, 4, 4), 5),
     "relu": (_relu_model, (12,), 5),
     "flatten": (_flatten_model, (2, 4, 4), 5),
     "conv2d": (_conv2d_model, (2, 4, 4), 5),
     "conv2d_unpadded_strided": (_conv2d_unpadded_strided_model, (2, 4, 4), 5),
     "maxpool2d": (_maxpool_model, (2, 4, 4), 5),
-    "dropout": (_dropout_model, (2, 4, 4), 5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_MODELS))
-def test_standalone_layer_forward_backward_step_bit_exact(name):
+def test_standalone_layer_forward_backward_step_bit_exact(name, scalar_engine):
     """Each supported layer's batched forward/backward/SGD-step sequence
-    reproduces the scalar path bit for bit (uniform batches, float64)."""
+    reproduces the per-worker oracle bit for bit (uniform batches, float64)."""
     factory, feat, classes = LAYER_MODELS[name]
     rng = np.random.default_rng(42)
     ids, data = [], []
@@ -170,27 +117,17 @@ def test_standalone_layer_forward_backward_step_bit_exact(name):
     bat_model = factory()
     base = ref_model.get_vector()
     np.testing.assert_array_equal(base, bat_model.get_vector())
-    ref = np.stack(
-        [
-            scalar_reference(
-                ref_model, w, x, y, base,
-                seed=9, round_index=2, lr=0.15, steps=3, batch=8,
-            )
-            for w, (x, y) in zip(ids, data)
-        ]
+    kwargs = dict(learning_rate=0.15, local_steps=3, batch_size=8, seed=9)
+    ref = scalar_engine(ref_model).run_group(
+        ids, data, base, 2, out=np.empty((len(ids), base.size)), **kwargs
     )
-    engine = BatchedWorkerEngine.try_build(bat_model)
-    assert engine is not None, f"no batched kernel for {name}"
     out = np.empty_like(ref)
-    engine.run_group(
-        ids, data, base, 2,
-        learning_rate=0.15, local_steps=3, batch_size=8, seed=9, out=out,
-    )
+    BatchedWorkerEngine.try_build(bat_model).run_group(ids, data, base, 2, out=out, **kwargs)
     np.testing.assert_array_equal(out, ref)
 
 
 # ----------------------------------------------------------------------
-# Fallback and registration behaviour
+# Unsupported models and registration behaviour
 # ----------------------------------------------------------------------
 class _UnknownActivation(Layer):
     """A layer type the registry has never seen."""
@@ -203,14 +140,18 @@ class _UnknownActivation(Layer):
 
 
 class TestFallback:
+    """There is none: a model the engine cannot train fails to build."""
+
     def test_unknown_layer_not_supported(self):
         assert not batched_layer_supported(_UnknownActivation("mystery"))
 
-    def test_try_build_returns_none_for_unknown_layer(self):
+    def test_try_build_raises_for_unknown_layer(self):
         model = SequentialModel(
             [_UnknownActivation("mystery"), Dense("fc", 8, 3, np.random.default_rng(0))]
         )
-        assert BatchedWorkerEngine.try_build(model) is None
+        message = r"'mystery' \(_UnknownActivation\).*register_batched_kernel\(_UnknownActivation\)"
+        with pytest.raises(ValueError, match=message):
+            BatchedWorkerEngine.try_build(model)
 
     def test_direct_construction_raises_for_unknown_layer(self):
         model = SequentialModel(
@@ -221,17 +162,15 @@ class TestFallback:
 
     def test_a_model_without_parameters_is_refused(self):
         model = SequentialModel([ReLU("relu"), Flatten("flatten")])
-        assert BatchedWorkerEngine.try_build(model) is None
         with pytest.raises(ValueError, match="no parameters"):
-            BatchedWorkerEngine(model)
+            BatchedWorkerEngine.try_build(model)
 
     def test_a_model_that_is_not_sequential_is_refused(self):
         class _Opaque:
             layers = [Dense("fc", 8, 3, np.random.default_rng(0))]
 
-        assert BatchedWorkerEngine.try_build(_Opaque()) is None
         with pytest.raises(ValueError, match="requires a SequentialModel"):
-            BatchedWorkerEngine(_Opaque())
+            BatchedWorkerEngine.try_build(_Opaque())
 
     def test_subclass_inherits_kernel_via_mro(self):
         class _StillReLU(ReLU):
@@ -239,40 +178,9 @@ class TestFallback:
 
         assert batched_layer_supported(_StillReLU("relu"))
 
-    def test_shared_dropout_rng_falls_back_to_scalar(self):
-        """Two Dropout layers sharing one generator cannot be replayed
-        layer-by-layer in the scalar stream order, so try_build refuses."""
-        rng = np.random.default_rng(0)
-        shared = np.random.default_rng(1)
-        model = SequentialModel(
-            [
-                Dense("fc1", 8, 8, rng),
-                Dropout("d1", 0.3, shared),
-                Dense("fc2", 8, 4, rng),
-                Dropout("d2", 0.3, shared),
-                Dense("fc3", 4, 3, rng),
-            ]
-        )
-        assert BatchedWorkerEngine.try_build(model) is None
-        with pytest.raises(ValueError, match="share one random generator"):
-            BatchedWorkerEngine(model)
-
-    def test_distinct_dropout_rngs_supported(self):
-        rng = np.random.default_rng(0)
-        model = SequentialModel(
-            [
-                Dense("fc1", 8, 8, rng),
-                Dropout("d1", 0.3, np.random.default_rng(1)),
-                Dense("fc2", 8, 4, rng),
-                Dropout("d2", 0.3, np.random.default_rng(2)),
-                Dense("fc3", 4, 3, rng),
-            ]
-        )
-        assert BatchedWorkerEngine.try_build(model) is not None
-
 
 class TestRegistration:
-    def test_registered_kernel_composes_with_builtins(self):
+    def test_registered_kernel_composes_with_builtins(self, scalar_engine):
         class _Identity(Layer):
             def forward(self, x, training=True):
                 return x
@@ -305,7 +213,6 @@ class TestRegistration:
 
             model = factory()
             engine = BatchedWorkerEngine.try_build(model)
-            assert engine is not None
             rng = np.random.default_rng(3)
             ids = [0, 1]
             data = [
@@ -313,73 +220,15 @@ class TestRegistration:
                 for _ in ids
             ]
             base = model.get_vector()
-            ref = np.stack(
-                [
-                    scalar_reference(
-                        model, w, x, y, base,
-                        seed=1, round_index=1, lr=0.1, steps=2, batch=4,
-                    )
-                    for w, (x, y) in zip(ids, data)
-                ]
+            kwargs = dict(learning_rate=0.1, local_steps=2, batch_size=4, seed=1)
+            ref = scalar_engine(model).run_group(
+                ids, data, base, 1, out=np.empty((2, base.size)), **kwargs
             )
             out = np.empty_like(ref)
-            engine.run_group(
-                ids, data, base, 1,
-                learning_rate=0.1, local_steps=2, batch_size=4, seed=1, out=out,
-            )
+            engine.run_group(ids, data, base, 1, out=out, **kwargs)
             np.testing.assert_array_equal(out, ref)
         finally:
             _KERNEL_REGISTRY.pop(_Identity, None)
-
-    def test_stateful_kernel_leaves_evaluation_to_model_evaluate(self, small_experiment):
-        """A registered kernel with a training hook, holding a training-time
-        shift its layer drops at inference: the engine declines to evaluate
-        and the trainer's record is :meth:`Model.evaluate`'s.  Catches: the
-        evaluation pass running every kernel but Dropout's, hooks or not."""
-
-        class _Shift(Layer):
-            def forward(self, x, training=True):
-                return x + 1.0 if training else x
-
-            def backward(self, grad_out):
-                return grad_out
-
-        @register_batched_kernel(_Shift)
-        class _BatchedShift:
-            param_size = 0
-
-            def __init__(self, layer, offset):
-                self.shift = 1.0
-
-            def begin_step(self, step):
-                self.shift = 1.0
-
-            def forward(self, x):
-                return x + self.shift
-
-            def backward(self, grad_out):
-                return grad_out
-
-        from repro.fl.base import BaseTrainer
-        from repro.nn.batched import _KERNEL_REGISTRY
-
-        try:
-            factory = small_experiment.model_factory
-            small_experiment.model_factory = lambda: SequentialModel(
-                [_Shift("shift"), *factory().layers]
-            )
-            trainer = BaseTrainer(small_experiment)
-            assert trainer._engine is not None and trainer._evaluator is None
-            x, y = trainer._eval_x, trainer._eval_y
-            assert trainer._engine.evaluation_block(x) == 0
-            with pytest.raises(ValueError, match="training-time state"):
-                trainer._engine.evaluate(trainer._eval_block, x, y)
-            record = trainer.record_round(0, 0.0, force_eval=True)
-            model = small_experiment.model_factory()
-            model.set_vector(trainer.global_vector)
-            assert (record.loss, record.accuracy) == model.evaluate(x, y)
-        finally:
-            _KERNEL_REGISTRY.pop(_Shift, None)
 
 
 # ----------------------------------------------------------------------

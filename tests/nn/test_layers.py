@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, col2im, im2col
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, col2im, im2col
 from repro.nn.layers import collect_parameters
 
 
@@ -137,35 +137,6 @@ class TestFlatten:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             Flatten("f").backward(np.ones((1, 4)))
-
-
-class TestDropout:
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout("d", 1.0, np.random.default_rng(0))
-
-    def test_inactive_at_eval(self):
-        layer = Dropout("d", 0.5, np.random.default_rng(0))
-        x = np.ones((4, 4))
-        np.testing.assert_allclose(layer.forward(x, training=False), x)
-
-    def test_inverted_scaling_preserves_expectation(self):
-        layer = Dropout("d", 0.5, np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_backward_applies_same_mask(self):
-        layer = Dropout("d", 0.5, np.random.default_rng(0))
-        x = np.ones((10, 10))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_allclose(grad, out)
-
-    def test_zero_rate_is_identity(self):
-        layer = Dropout("d", 0.0, np.random.default_rng(0))
-        x = np.random.default_rng(1).standard_normal((3, 3))
-        np.testing.assert_allclose(layer.forward(x, training=True), x)
 
 
 class TestIm2Col:

@@ -8,7 +8,9 @@ the OMA and the AirComp uplink.  A second loop or a third pair is how the
 copies drifted apart before (two of five barrier loops ignored the fault
 model), so this walks the AST of every module of the package and fails on
 a class that defines one outside those homes.  Only the two event-driven
-policies keep a heap.
+policies keep a heap.  Local training and evaluation have one path too, the
+batched engine: outside ``repro.nn`` no module trains or evaluates a model
+through its scalar layers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import ast
 from pathlib import Path
 from typing import Dict, Set
 
-FL = Path(__file__).resolve().parents[2] / "src" / "repro" / "fl"
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+FL = SRC / "fl"
 
 SCHEDULES = {"SynchronousTrainer", "GroupedAsyncTrainer", "FedAsyncTrainer"}
 UPLINKS = {"OMAUplink", "AirCompUplink"}
@@ -71,3 +74,28 @@ def test_two_uplinks():
 
 def test_no_per_class_aggregation_wiring():
     assert "aggregate_group" not in definitions()
+
+
+def scalar_training(path: Path):
+    """``(line, what)`` of a ``local_update`` definition, a ``loss_and_grad``
+    name, or an ``evaluate`` call on a model, in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name == "local_update":
+            yield node.lineno, "def local_update"
+        elif isinstance(node, ast.Attribute) and node.attr == "loss_and_grad":
+            yield node.lineno, "loss_and_grad"
+        elif isinstance(node, ast.Attribute) and node.attr == "evaluate":
+            receiver = node.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+            if name.lower() == "model":
+                yield node.lineno, "Model.evaluate"
+
+
+def test_one_training_path():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.parent != SRC / "nn"
+        for line, what in scalar_training(path)
+    ]
+    assert offenders == []

@@ -89,8 +89,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "_BatchedConv2D.backward",
         "_BatchedMaxPool2D.forward",
         "_BatchedMaxPool2D.backward",
-        "_BatchedDropout.forward",
-        "_BatchedDropout.backward",
         "BatchedWorkerEngine.evaluate",
     },
     # The schedules: pure timing generators, one commit row per global

@@ -41,8 +41,6 @@ def kernel_times(model, group, batch, repeats=200, clock=time.perf_counter) -> L
     for kernel in lane.params:
         kernel.bind(group, batch, engine.dtype)
         kernel.load(model.get_vector())
-    for kernel in lane.round_hooks:
-        kernel.begin_round([batch] * group, 1)
     feat = getattr(model, "input_dim", None)
     feat = (feat,) if feat else (model.in_channels, model.image_size, model.image_size)
     rng = np.random.default_rng(0)
