@@ -74,7 +74,7 @@ class Model:
         """Run a full forward/backward pass and return the mean loss.
 
         Parameter gradients are accumulated in place; callers should call
-        ``zero_grad`` (via the optimizer) between batches.
+        ``zero_grad`` between batches.
         """
         logits = self.forward(x, training=True)
         loss, grad = softmax_cross_entropy(logits, y)
