@@ -28,12 +28,6 @@ class AirCompConfig:
     symbol_duration_s: float = 1e-4
     power_control_tolerance: float = 1e-6
     power_control_max_iters: int = 200
-    #: Memoize the Algorithm-2 alternating optimization on quantized
-    #: ``(gains, sizes, model_bound)`` keys (see
-    #: :class:`repro.core.power_control.PowerControlCache`).  Cached σ is
-    #: re-clamped to the *exact* energy-budget cap of the current round, so
-    #: budgets are never violated by the quantization.
-    power_control_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.noise_variance < 0:

@@ -15,24 +15,22 @@ devices:
   zero-copy :class:`ShardView` (``np.shares_memory`` with the store is
   ``True``); nothing is allocated per worker.
 * :class:`Population` — the facade trainers talk to.  It owns the state
-  table, builds the store lazily, and exposes the two materialization
-  policies: ``"eager"`` reproduces the legacy per-worker-copy behavior
-  bit-for-bit (every worker owns fancy-indexed copies, exactly what
-  ``dataset.subset`` returned), while ``"lazy"`` hands out shard views
-  backed by the shared store.
+  table, builds the store lazily, and serves every worker's data as a
+  shard view backed by that store — the only way a trainer sees it.
 * :class:`StackPool` — stacked ``(G, q)`` tensors are materialized only
   for groups currently training and recycled on commit, so in-flight
   stacks — not ``num_workers`` — bound the working set.
 
-Bit-identity contract: at legacy scale the eager path performs exactly the
-same float64 operations as the old trainer init (``astype(np.float64)``,
-the conditional ``np.maximum(sizes, 1e-9)`` floor, ``float(sizes.sum())``
-normalization), so training histories are unchanged to the last bit.
+Bit-identity contract: :meth:`SharedDatasetStore.from_partition` shards
+equal the legacy per-worker ``dataset.subset`` copies in value, and the
+state table repeats the legacy trainer init's float64 operations
+(``astype(np.float64)``, the conditional ``np.maximum(sizes, 1e-9)``
+floor, ``float(sizes.sum())`` normalization), so training histories are
+those of the per-worker-copy simulator to the last bit.
 """
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -51,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a data<->core cycle
     from ..data.synthetic import Dataset
 
 __all__ = [
-    "MATERIALIZATIONS",
-    "validate_materialization",
     "ShardView",
     "WorkerStateTable",
     "SharedDatasetStore",
@@ -60,27 +56,11 @@ __all__ = [
     "Population",
 ]
 
-#: Valid values for the ``materialization`` knob (Scenario: ``data.materialization``).
-MATERIALIZATIONS = ("eager", "lazy")
-
-
-def validate_materialization(value: str) -> str:
-    """Validate a materialization policy name, with did-you-mean hints."""
-    if value in MATERIALIZATIONS:
-        return value
-    close = difflib.get_close_matches(str(value), MATERIALIZATIONS, n=1, cutoff=0.5)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    raise ValueError(
-        f"unknown materialization {value!r}; expected one of {list(MATERIALIZATIONS)}{hint}"
-    )
-
-
 class ShardView(NamedTuple):
     """One worker's training data as ``(x, y)``.
 
-    In lazy mode both arrays are contiguous slice views into the shared
-    store (zero-copy); in eager mode they are that worker's private
-    copies.  The class is a 2-tuple, so legacy call sites that unpack
+    Both arrays are contiguous slice views into the shared store
+    (zero-copy).  The class is a 2-tuple, so legacy call sites that unpack
     ``x, y = worker_data[i]`` or index ``worker_data[i][0]`` keep working.
     """
 
@@ -568,7 +548,7 @@ class Population:
 
     This is the surface trainers use instead of reaching into per-worker
     objects: ``population.shard(w)`` for zero-copy data access,
-    ``population.worker_data_sequence()`` for the trainer's data list,
+    ``population.worker_data_sequence()`` for the trainer's data sequence,
     ``population.stack_pool`` for recycled per-group ``(G, q)`` stacks,
     and ``population.state`` for every per-worker scalar field.
     """
@@ -580,13 +560,11 @@ class Population:
         dataset: Optional["Dataset"] = None,
         partition: Optional["Partition"] = None,
         store: Optional[SharedDatasetStore] = None,
-        materialization: str = "eager",
     ) -> None:
         self.state = state
         self.dataset = dataset
         self.partition = partition
         self._store = store
-        self.materialization = validate_materialization(materialization)
         self.stack_pool = StackPool()
         n = state.num_workers
         if partition is not None and partition.num_workers != n:
@@ -611,16 +589,10 @@ class Population:
         dataset: "Dataset",
         partition: "Partition",
         latency=None,
-        materialization: str = "eager",
     ) -> "Population":
         """Standard construction from an experiment's dataset + partition."""
         state = WorkerStateTable.from_partition(partition, latency=latency)
-        return cls(
-            state,
-            dataset=dataset,
-            partition=partition,
-            materialization=materialization,
-        )
+        return cls(state, dataset=dataset, partition=partition)
 
     @classmethod
     def replicated(
@@ -630,7 +602,6 @@ class Population:
         shard_size: int,
         latency=None,
         stride: int = 1,
-        materialization: str = "lazy",
     ) -> "Population":
         """XL-scale construction: overlapping zero-copy windows, no partition."""
         store = SharedDatasetStore.replicated(
@@ -640,12 +611,7 @@ class Population:
         state = WorkerStateTable.uniform(
             num_workers, shard_size, latencies=nominal
         )
-        return cls(
-            state,
-            dataset=dataset,
-            store=store,
-            materialization=materialization,
-        )
+        return cls(state, dataset=dataset, store=store)
 
     # -- data access ----------------------------------------------------
 
@@ -670,23 +636,9 @@ class Population:
         """Zero-copy view of one worker's rows in the shared store."""
         return self.store.shard(worker_id)
 
-    def worker_data(self, worker_id: int) -> ShardView:
-        """Worker data under the active materialization policy."""
-        if self.materialization == "eager":
-            if self.partition is not None:
-                x, y = self.dataset.subset(
-                    self.partition.worker_indices(worker_id)
-                )
-                return ShardView(x, y)
-            view = self.store.shard(worker_id)
-            return ShardView(view.x.copy(), view.y.copy())
-        return self.store.shard(worker_id)
-
     def worker_data_sequence(self) -> Sequence[ShardView]:
-        """The trainer's per-worker data: a list of copies (eager, the
-        legacy allocation profile) or a lazy view sequence (lazy, O(1))."""
-        if self.materialization == "eager":
-            return [self.worker_data(w) for w in range(self.num_workers)]
+        """The trainer's per-worker data: a lazy view sequence over the
+        store (O(1) memory, no per-worker copies)."""
         return self.store.shards()
 
     def class_counts(self) -> np.ndarray:

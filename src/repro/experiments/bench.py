@@ -94,7 +94,6 @@ def _build_xl_trainer(num_workers: int, group_size: int, shard_size: int = 64):
         max_eval_samples=32,
         seed=0,
         population=population,
-        materialization="lazy",
     )
     return build_trainer(
         "air_fedga",
@@ -132,7 +131,6 @@ def _xl_worker(num_workers: int, rounds: int, group_size: int, conn) -> None:
             "peak_rss_mb": peak_kb / 1024.0,
             "state_nbytes": int(trainer.worker_state.nbytes),
             "store_nbytes": int(trainer.population.store.nbytes),
-            "materialization": "lazy",
         }
     )
     conn.close()

@@ -8,7 +8,7 @@ JSON).  Two specs hash equal **iff** they describe the same simulation —
 dict key order, ``ComponentSpec`` shorthand vs expanded form, and the
 grid-point naming applied by :func:`~repro.experiments.sweep.sweep_points`
 are all normalized away, while changing any resolved leaf (a seed, a
-fault parameter, ``data.materialization``, …) changes the hash.
+fault parameter, a data parameter, …) changes the hash.
 
 :class:`RunCache` keys a directory of completed run summaries by that
 hash: re-launching a sweep against the same cache directory skips every
@@ -123,8 +123,7 @@ def spec_hash(spec: Any) -> str:
     * independent of dict key order and of shorthand vs expanded
       ``ComponentSpec`` forms (both canonicalize identically);
     * independent of the scenario ``name``;
-    * changes whenever any resolved leaf changes — including ``faults``
-      and ``data.materialization``;
+    * changes whenever any resolved leaf changes — including ``faults``;
     * salted with :data:`CACHE_VERSION`.
     """
     payload = json.dumps(

@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Type
 
 from .. import registry
 from ..core.config import AirFedGAConfig, FaultConfig
-from ..core.population import validate_materialization
 from ..fl.base import BaseTrainer, FLExperiment
 from ..fl.history import TrainingHistory
 from ..fl.registry import build_trainer
@@ -194,31 +193,13 @@ class ComponentSpec:
 
 @dataclass
 class DataSpec(ComponentSpec):
-    """The dataset section: a registered dataset plus data-access switches.
-
-    ``materialization`` selects how workers see their shards (see
-    :mod:`repro.core.population`): ``"eager"`` (default) keeps the legacy
-    per-worker copies and therefore bit-identical histories, ``"lazy"``
-    serves zero-copy views out of the shared dataset store — the XL-scale
-    memory mode.  Unknown values fail at construction with did-you-mean
-    suggestions.
-    """
+    """The dataset section: a registered dataset and whether to flatten it."""
 
     name: str = "synthetic-mnist"
     flatten: bool = False
-    materialization: str = "eager"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        validate_materialization(self.materialization)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "flatten": self.flatten,
-            "materialization": self.materialization,
-        }
+        return {"name": self.name, "params": dict(self.params), "flatten": self.flatten}
 
 
 @dataclass
@@ -623,7 +604,6 @@ class Scenario:
             latency_model_dimension=self.training.latency_model_dimension,
             clientstate=clientstate,
             fault=self.faults.to_fault_config(),
-            materialization=self.data.materialization,
         )
 
     def build(self) -> BaseTrainer:

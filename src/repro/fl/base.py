@@ -47,8 +47,10 @@ from ..channel.energy import EnergyTracker
 from ..channel.fading import ChannelModel
 from ..channel.oma import OMAConfig, tdma_round_time
 from ..core.config import AirFedGAConfig, FaultConfig
-from ..core.population import Population, validate_materialization
-from ..core.power_control import PowerControlCache, solve_power_control
+from ..core.population import Population
+# solve_power_control stays importable here: the benchmark's traced pass
+# wraps the name in this module.
+from ..core.power_control import PowerControlCache, solve_power_control  # noqa: F401
 from ..data.partition import Partition
 from ..data.synthetic import Dataset
 from ..nn.batched import BatchedWorkerEngine, StepTransform
@@ -163,12 +165,9 @@ class FLExperiment:
     #: :class:`repro.core.FaultConfig`.  Inert while ``clientstate`` is
     #: ``None``/always-on.
     fault: FaultConfig = field(default_factory=FaultConfig)
-    #: Worker-data materialization policy: ``"eager"`` (default) gives every
-    #: worker a private fancy-indexed copy of its samples — the legacy,
-    #: bit-identical allocation profile — while ``"lazy"`` hands out
-    #: zero-copy :class:`~repro.core.population.ShardView` slices into one
-    #: shared store (O(1) per worker; the 10k–1M scale path).
-    materialization: str = "eager"
+    #: Accepts only ``"lazy"``: every worker reads zero-copy shard views of
+    #: one shared store.  Kept for callers that still pass it.
+    materialization: str = "lazy"
     #: Pre-built :class:`~repro.core.population.Population`.  Usually left
     #: ``None`` and built on demand from ``dataset`` + ``partition``; the XL
     #: bench passes a replicated-store population directly and may then set
@@ -176,7 +175,11 @@ class FLExperiment:
     population: Optional[Population] = None
 
     def __post_init__(self) -> None:
-        validate_materialization(self.materialization)
+        if self.materialization != "lazy":
+            raise ValueError(
+                f"materialization={self.materialization!r}: the eager per-worker "
+                "copies were removed; workers always read store-backed shards"
+            )
         if self.partition is None and self.population is None:
             raise ValueError(
                 "experiment needs a partition or a pre-built population"
@@ -229,16 +232,15 @@ class FLExperiment:
     def ensure_population(self) -> Population:
         """The population facade for this experiment, built on first use.
 
-        Standard experiments derive it from ``dataset`` + ``partition``
-        under the experiment's ``materialization`` policy; XL experiments
-        pass a pre-built (e.g. replicated-store) population instead.
+        Standard experiments derive it from ``dataset`` + ``partition``;
+        XL experiments pass a pre-built (e.g. replicated-store) population
+        instead.
         """
         if self.population is None:
             self.population = Population.from_dataset(
                 self.dataset,
                 self.partition,
                 latency=self.latency,
-                materialization=self.materialization,
             )
         return self.population
 
@@ -275,9 +277,8 @@ class BaseTrainer:
             np.random.SeedSequence([experiment.seed, 0xA17])
         )
         self._cumulative_energy = 0.0
-        # Worker training data through the population: eager materializes
-        # the legacy list of per-worker copies, lazy hands out zero-copy
-        # shard views into the shared store (O(1) per worker).
+        # Worker training data: zero-copy shard views into the population's
+        # shared store (O(1) per worker).
         self._worker_data: Sequence[Tuple[np.ndarray, np.ndarray]] = (
             self.population.worker_data_sequence()
         )
@@ -328,9 +329,7 @@ class BaseTrainer:
         per_entry_noise_var = cfg.noise_variance / float(self.latency_dimension)
         self._pc_config = replace(cfg, noise_variance=per_entry_noise_var)
         self._noise_std = float(np.sqrt(per_entry_noise_var))
-        self._pc_cache: Optional[PowerControlCache] = (
-            PowerControlCache() if cfg.power_control_cache else None
-        )
+        self._pc_cache = PowerControlCache()
         # Fault-injection model (repro.sim.clientstate).  The always-on model
         # is normalized to None so every schedule's fast path — and therefore
         # bit-identical histories — applies whenever no fault can occur.
@@ -344,12 +343,12 @@ class BaseTrainer:
     # ------------------------------------------------------------------
     @property
     def pc_cache_hits(self) -> int:
-        """Cumulative power-control cache hits (0 when the cache is off)."""
-        return self._pc_cache.hits if self._pc_cache is not None else 0
+        """Cumulative power-control cache hits."""
+        return self._pc_cache.hits
 
     @property
     def pc_cache_misses(self) -> int:
-        return self._pc_cache.misses if self._pc_cache is not None else 0
+        return self._pc_cache.misses
 
     def _group_stack(self, group_size: int) -> np.ndarray:
         """A ``(G, q)`` buffer for a group's stacked local models, from the
@@ -447,11 +446,10 @@ class BaseTrainer:
         transform = self.local_step_transform(ids, base_vector, round_index)
         if out is None:
             out = self._group_stack(len(ids))
-        data = self._worker_data
         return self._engine.run_group(
             ids,
-            # Lazy: a store-backed sub-sequence, gathered from in place.
-            [data[w] for w in ids] if isinstance(data, list) else data[ids],
+            # A store-backed sub-sequence, gathered from in place.
+            self._worker_data[ids],
             base_vector,
             round_index,
             learning_rate=self.exp.learning_rate,
@@ -618,10 +616,7 @@ class BaseTrainer:
             model_bound = max(float(np.linalg.norm(v)) for v in local_vectors)
         model_bound = max(model_bound, 1e-8)
 
-        solve = (
-            self._pc_cache.solve if self._pc_cache is not None else solve_power_control
-        )
-        pc = solve(
+        pc = self._pc_cache.solve(
             data_sizes=sizes,
             channel_gains=gains,
             model_bound=model_bound,

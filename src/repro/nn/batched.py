@@ -1034,9 +1034,10 @@ class BatchedWorkerEngine:
         ``round_index`` one round key for all or one per member.  Each
         member's batch indices are drawn from
         ``SeedSequence([seed, worker_id, round_index, 0x10CA1])`` and a
-        worker with no data returns its base unchanged.  A lazy shard
-        sequence as ``worker_data`` (anything with ``store`` / ``ids``) is
-        gathered from in its store, not copied; other sequences once per roster.
+        worker with no data returns its base unchanged.  A store-backed
+        shard sequence as ``worker_data`` (anything with ``store`` / ``ids``,
+        what trainers pass) is gathered from in its store, not copied; a
+        plain list of ``(x, y)`` pairs is copied once per roster.
 
         Consecutive members with one round key form a roster, cached by its
         worker ids.  Without conv tiles, rosters whose members all draw one
@@ -1086,7 +1087,10 @@ class BatchedWorkerEngine:
             tile = self._tile if self._tile is not None and s1 - s0 > self._tile else s1 - s0
             for k0 in range(s0, s1, max(tile, 1)):
                 k1 = min(k0 + tile, s1)
-                data = worker_data if k1 - k0 == n else worker_data[k0:k1]
+                # Sliced only on a cache miss: a hit needs no tile data.
+                def data(k0=k0, k1=k1):
+                    return worker_data if k1 - k0 == n else worker_data[k0:k1]
+
                 roster = self._roster(ids[k0:k1], data, batch_size, pad_to)
                 # Workers without data keep the base model and take no SGD
                 # steps, so no correction applies to them; the rest train.
@@ -1195,14 +1199,15 @@ class BatchedWorkerEngine:
     def _roster(
         self,
         ids: List[int],
-        worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
+        worker_data: Callable[[], Sequence[Tuple[np.ndarray, np.ndarray]]],
         batch_size: int,
         pad_to: Optional[int],
     ) -> _Roster:
-        """The roster of one tile, from the LRU cache or built into it."""
+        """The roster of one tile, from the LRU cache or built into it from
+        ``worker_data()``, the tile's data (called on a miss only)."""
         roster = self._cached(
             ("roster", tuple(ids), batch_size, pad_to),
-            lambda: self._build_roster(ids, worker_data, batch_size, pad_to),
+            lambda: self._build_roster(ids, worker_data(), batch_size, pad_to),
             lambda built: built.nbytes,
         )
         # Its geometries follow it, so none leaves before a roster using it.

@@ -10,13 +10,11 @@ from repro.core.config import AirFedGAConfig
 from repro.core.grouping import GroupingProblem, contiguous_grouping
 from repro.core.mechanism import GroupAsyncScheduler
 from repro.core.population import (
-    MATERIALIZATIONS,
     Population,
     ShardView,
     SharedDatasetStore,
     StackPool,
     WorkerStateTable,
-    validate_materialization,
 )
 from repro.data.partition import Partition, partition_iid, partition_label_skew
 from repro.sim.latency import build_uniform_latency
@@ -31,21 +29,6 @@ def _dataset(num_train=200, image_size=8, seed=0):
         image_size=image_size,
         seed=seed,
     ).flattened()
-
-
-# ----------------------------------------------------------------------
-# materialization knob
-# ----------------------------------------------------------------------
-def test_validate_materialization_accepts_known_values():
-    for value in MATERIALIZATIONS:
-        assert validate_materialization(value) == value
-
-
-def test_validate_materialization_did_you_mean():
-    with pytest.raises(ValueError, match=r"did you mean 'lazy'"):
-        validate_materialization("lzay")
-    with pytest.raises(ValueError, match="unknown materialization"):
-        validate_materialization("zzz")
 
 
 # ----------------------------------------------------------------------
@@ -341,30 +324,23 @@ def test_stack_pool_refuses_a_view_past_the_first_row():
 # ----------------------------------------------------------------------
 # Population facade
 # ----------------------------------------------------------------------
-def test_population_eager_matches_legacy_copies_lazy_shares_memory():
+def test_population_shards_equal_legacy_copies_and_share_the_store():
     dataset = _dataset()
     partition = partition_label_skew(
         dataset, num_workers=10, labels_per_worker=2, seed=0
     )
-    eager = Population.from_dataset(dataset, partition, materialization="eager")
-    lazy = Population.from_dataset(dataset, partition, materialization="lazy")
+    population = Population.from_dataset(dataset, partition)
     for w in range(10):
         x_legacy, y_legacy = dataset.subset(partition.worker_indices(w))
-        ex, ey = eager.worker_data(w)
-        lx, ly = lazy.worker_data(w)
-        np.testing.assert_array_equal(ex, x_legacy)
-        np.testing.assert_array_equal(lx, x_legacy)
-        np.testing.assert_array_equal(ey, y_legacy)
-        np.testing.assert_array_equal(ly, y_legacy)
-        assert not np.shares_memory(ex, dataset.x_train)
-        assert np.shares_memory(lx, lazy.store.x)
-    # Eager sequence is a materialized list; lazy is an O(1) view sequence.
-    assert isinstance(eager.worker_data_sequence(), list)
-    lazy_seq = lazy.worker_data_sequence()
-    assert not isinstance(lazy_seq, list)
-    assert np.shares_memory(lazy_seq[3].x, lazy.store.x)
+        x, y = population.shard(w)
+        np.testing.assert_array_equal(x, x_legacy)
+        np.testing.assert_array_equal(y, y_legacy)
+        assert np.shares_memory(x, population.store.x)
+    sequence = population.worker_data_sequence()
+    assert not isinstance(sequence, list)
+    assert np.shares_memory(sequence[3].x, population.store.x)
     np.testing.assert_array_equal(
-        eager.class_counts(), lazy.class_counts()
+        partition.class_counts(), population.store.class_counts()
     )
 
 
@@ -391,7 +367,6 @@ def test_population_replicated_xl_construction_is_compact():
         dataset, num_workers=num_workers, shard_size=32
     )
     assert population.num_workers == num_workers
-    assert population.materialization == "lazy"
     # No sample copies at all; the resident footprint is the per-worker
     # scalar fields (~9 int64/float64 arrays) — well under 100 MB.
     assert population.store.x is dataset.x_train

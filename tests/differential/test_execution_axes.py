@@ -2,13 +2,12 @@
 
 Algorithm 1 defines one training history per scenario and seed.  How the
 simulator computes a round must not change it: batched or on the per-worker
-oracle, on one lane or split across threads, eager or lazy shards, warm or
-evicted rosters, any conv tile, no client-state model or the ``always-on``
-one, cohorts trained ahead several per engine call or one per call at its
-own row.  One hypothesis strategy draws small :class:`Scenario` documents
+oracle, on one lane or split across threads, warm or evicted rosters, any
+conv tile, no client-state model or the ``always-on`` one, cohorts trained
+ahead several per engine call or one per call at its own row.  One hypothesis strategy draws small :class:`Scenario` documents
 over every registered mechanism, partition and client-state model, three
 model families, both channels, ragged groupings and both dtypes.  Each document's reference run
-(one lane, batched engine, eager shards, default roster budget) is compared
+(one lane, batched engine, store-backed shards, default roster budget) is compared
 leaf by leaf of ``history.to_dict()`` against every axis that applies.
 
 The ``fallback`` axis runs the whole history on the test tree's
@@ -49,7 +48,6 @@ from repro.nn import batched
 TOLERANCE = {
     "fallback": {"float64": 1e-13, "float32": 2e-5},
     "threads": {"float64": 0.0, "float32": 0.0},
-    "lazy": {"float64": 0.0, "float32": 0.0},
     "roster_budget": {"float64": 0.0, "float32": 0.0},
     "tile_1": {"float64": 1e-13, "float32": 2e-5},
     "tile_5": {"float64": 1e-13, "float32": 2e-5},
@@ -194,7 +192,6 @@ def _axes(scenario, scalar_engine):
     axes = {
         "fallback": lambda: _run(scenario, trainer_hook=oracle),
         "threads": lambda: _run(scenario, lanes=2),
-        "lazy": lambda: _run(scenario.with_(**{"data.materialization": "lazy"})),
         "roster_budget": roster_budget,
         "one_cohort": one_cohort,
     }

@@ -173,6 +173,8 @@ class TestValidation:
             ("training.engine", TrainingSpec),
             ("algorithm.aircomp.power_control_warm_start", AirCompConfig),
             ("algorithm.aircomp.power_control_cache_rel_tol", AirCompConfig),
+            ("algorithm.aircomp.power_control_cache", AirCompConfig),
+            ("data.materialization", DataSpec),
             ("algorithm.aircomp.bandwidth_hz", AirCompConfig),
             ("algorithm.grouping.emd_weight", GroupingConfig),
             ("algorithm.convergence.model_bound_W", ConvergenceConfig),

@@ -1,14 +1,12 @@
-"""Lazy materialization: zero-copy shards, store-backed rosters, the spec field.
+"""Store-backed shards: where a trainer's data lives, and the retired knob.
 
-That lazy and eager histories are bit-identical — across models, ragged
-groupings, fault models and roster budgets — is one axis of
-``tests/differential/test_execution_axes.py``; this module checks what the
-histories cannot show: where the lazy trainer's data lives.
+Histories cannot show whether a worker's samples are copied; this module
+checks that trainers read zero-copy views of one shared store.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,14 +14,14 @@ import pytest
 from repro.experiments.scenario import Scenario
 
 
-def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
+def test_scenario_trainer_serves_zero_copy_shards_and_counts_events():
     from repro.fl.registry import build_trainer
 
-    scenario = Scenario.default().with_(**{"data.materialization": "lazy"})
+    scenario = Scenario.default()
     experiment = scenario.build_experiment()
     trainer = build_trainer(scenario.mechanism.name, experiment)
     store = trainer.population.store
-    assert np.shares_memory(trainer._worker_data[0].x, store.x)
+    assert all(np.shares_memory(x, store.x) for x, _ in trainer._worker_data)
     trainer.run(max_rounds=4)
     counters = trainer.worker_state.counters_summary()
     assert counters["dispatches"] > 0
@@ -63,7 +61,6 @@ def test_replicated_rosters_reference_the_store():
         max_eval_samples=32,
         seed=0,
         population=Population.replicated(dataset, num_workers=n, shard_size=64, latency=latency),
-        materialization="lazy",
     )
     trainer = build_trainer(
         "air_fedga", experiment, num_groups=n // 64, grouping_strategy="contiguous"
@@ -78,17 +75,8 @@ def test_replicated_rosters_reference_the_store():
     assert trainer.worker_state.dispatches.sum() == n + 8 * 64
 
 
-def test_scenario_materialization_round_trips_exactly():
-    scenario = Scenario.default().with_(**{"data.materialization": "lazy"})
-    spec = scenario.to_dict()
-    assert spec["data"]["materialization"] == "lazy"
-    restored = Scenario.from_dict(json.loads(json.dumps(spec)))
-    assert restored.to_dict() == spec
-    assert restored.data.materialization == "lazy"
-    # Default stays eager (the bit-identical path).
-    assert Scenario.default().data.materialization == "eager"
-
-
-def test_scenario_rejects_unknown_materialization_with_hint():
-    with pytest.raises(ValueError, match=r"did you mean 'lazy'"):
-        Scenario.default().with_(**{"data.materialization": "lzay"})
+def test_experiment_accepts_only_lazy_materialization():
+    experiment = Scenario.default().build_experiment()
+    assert dataclasses.replace(experiment, materialization="lazy").materialization == "lazy"
+    with pytest.raises(ValueError, match="eager per-worker copies were removed"):
+        dataclasses.replace(experiment, population=None, materialization="eager")

@@ -77,7 +77,6 @@ def test_a_million_worker_schedule_is_cheap(monkeypatch):
         population=Population.replicated(
             dataset, num_workers=n, shard_size=16, latency=latency
         ),
-        materialization="lazy",
         max_eval_samples=32,
     )
     trainer = AirFedGATrainer(

@@ -20,7 +20,7 @@ from repro.channel import (
     ideal_group_average,
     ideal_group_average_reference,
 )
-from repro.core import AirCompConfig, AirFedGAConfig, PowerControlCache
+from repro.core import AirCompConfig, AirFedGAConfig, PowerControlCache, solve_power_control
 from repro.fl import FLExperiment
 from repro.fl.base import BaseTrainer
 from repro.fl.registry import build_trainer
@@ -184,6 +184,13 @@ def _reference_aggregate(models, *args, workspace=None, sq_norms=None, **kwargs)
     return aircomp_aggregate_reference(list(models), *args, **kwargs)
 
 
+class _ExactSolver:
+    """Stands in for a trainer's power-control cache: every call solves."""
+
+    hits = misses = 0
+    solve = staticmethod(solve_power_control)
+
+
 class TestReferenceAggregator:
     def _history(self, fixtures, model_factory):
         small_dataset, small_partition, latency_table, static_channel = fixtures
@@ -193,18 +200,18 @@ class TestReferenceAggregator:
             model_factory=model_factory,
             latency=latency_table,
             channel=static_channel,
-            # The power-control cache trades ~rel_tol sigma optimality for
-            # speed; off, so nothing but the path under test differs.
-            config=AirFedGAConfig(
-                aircomp=AirCompConfig(noise_variance=1e-12, power_control_cache=False)
-            ),
+            config=AirFedGAConfig(aircomp=AirCompConfig(noise_variance=1e-12)),
             learning_rate=0.2,
             local_steps=2,
             batch_size=16,
             max_eval_samples=60,
             seed=11,
         )
-        return build_trainer("air_fedga", exp).run(max_rounds=12)
+        trainer = build_trainer("air_fedga", exp)
+        # The power-control cache trades ~rel_tol sigma optimality for
+        # speed; exact, so nothing but the path under test differs.
+        trainer._pc_cache = _ExactSolver()
+        return trainer.run(max_rounds=12)
 
     def test_trainer_run_agrees_with_the_reference_aggregator(
         self, small_dataset, small_partition, latency_table, static_channel,
@@ -308,23 +315,6 @@ class TestPowerControlCache:
         hits = [r.pc_cache_hits for r in history.records]
         assert hits == sorted(hits)  # cumulative counter never decreases
 
-    def test_cache_disabled_by_config(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        exp = FLExperiment(
-            dataset=small_dataset,
-            partition=small_partition,
-            model_factory=model_factory,
-            latency=latency_table,
-            channel=static_channel,
-            config=AirFedGAConfig(aircomp=AirCompConfig(power_control_cache=False)),
-            seed=11,
-        )
-        trainer = build_trainer("air_fedavg", exp)
-        trainer.run(max_rounds=4)
-        assert trainer.pc_cache_hits == 0
-        assert trainer._pc_cache is None
-
     def test_cache_keeps_no_state_besides_its_bounded_entries(
         self, small_dataset, small_partition, latency_table, static_channel, model_factory
     ):
@@ -387,21 +377,21 @@ class TestPowerControlCache:
     ):
         """A Rayleigh channel makes every round a cache miss, and each miss
         is an ordinary from-cap solve — so the cached run is *identical*
-        to the cache-off run."""
+        to one that solves every round."""
         histories = {}
-        for cache in (True, False):
+        for exact in (False, True):
             exp = FLExperiment(
                 dataset=small_dataset,
                 partition=small_partition,
                 model_factory=model_factory,
                 latency=latency_table,
                 channel=channel_model,
-                config=AirFedGAConfig(
-                    aircomp=AirCompConfig(power_control_cache=cache)
-                ),
                 seed=11,
             )
-            histories[cache] = build_trainer("air_fedga", exp).run(max_rounds=10)
+            trainer = build_trainer("air_fedga", exp)
+            if exact:
+                trainer._pc_cache = _ExactSolver()
+            histories[exact] = trainer.run(max_rounds=10)
         np.testing.assert_array_equal(
             histories[True].energies(), histories[False].energies()
         )
