@@ -153,6 +153,36 @@ def scalar_engine():
     return ScalarEngine
 
 
+class PrivateCopies:
+    """Every worker's shard as a private copy, served as plain ``(x, y)`` lists.
+
+    A trainer reads zero-copy views of one store; with this in its
+    ``_worker_data`` the engine takes its plain-list roster path instead,
+    the one direct callers of ``run_group`` use.
+    """
+
+    def __init__(self, shards):
+        self._copies = [(np.array(x), np.array(y)) for x, y in shards]
+
+    def __len__(self):
+        return len(self._copies)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self._copies[index]
+        return [self._copies[k] for k in index]
+
+
+@pytest.fixture()
+def eager_copies():
+    """``eager_copies(trainer)``: the trainer trains on private copies of its shards."""
+
+    def install(trainer):
+        trainer._worker_data = PrivateCopies(trainer._worker_data)
+
+    return install
+
+
 @pytest.fixture()
 def lanes(monkeypatch):
     """``lanes(count, min_writes=0)``: this process trains on ``count`` lanes.

@@ -2,13 +2,16 @@
 
 Algorithm 1 defines one training history per scenario and seed.  How the
 simulator computes a round must not change it: batched or on the per-worker
-oracle, on one lane or split across threads, warm or evicted rosters, any
-conv tile, no client-state model or the ``always-on`` one, cohorts trained
-ahead several per engine call or one per call at its own row.  One hypothesis strategy draws small :class:`Scenario` documents
-over every registered mechanism, partition and client-state model, three
-model families, both channels, ragged groupings and both dtypes.  Each document's reference run
-(one lane, batched engine, store-backed shards, default roster budget) is compared
-leaf by leaf of ``history.to_dict()`` against every axis that applies.
+oracle, on one lane or split across threads, store-backed shards or private
+per-worker copies (the ``eager`` axis), warm or evicted rosters, any conv
+tile, no client-state model or the ``always-on`` one, cohorts trained ahead
+several per engine call or one per call at its own row.  One hypothesis
+strategy draws small :class:`Scenario` documents over every registered
+mechanism, partition and client-state model, three model families, both
+channels, ragged groupings and both dtypes.  Each document's reference run
+(one lane, batched engine, store-backed shards, default roster budget) is
+compared leaf by leaf of ``history.to_dict()`` against every axis that
+applies.
 
 The ``fallback`` axis runs the whole history on the test tree's
 per-worker oracle (``ScalarEngine`` of ``tests/conftest.py``): every member
@@ -48,6 +51,7 @@ from repro.nn import batched
 TOLERANCE = {
     "fallback": {"float64": 1e-13, "float32": 2e-5},
     "threads": {"float64": 0.0, "float32": 0.0},
+    "eager": {"float64": 0.0, "float32": 0.0},
     "roster_budget": {"float64": 0.0, "float32": 0.0},
     "tile_1": {"float64": 1e-13, "float32": 2e-5},
     "tile_5": {"float64": 1e-13, "float32": 2e-5},
@@ -155,7 +159,7 @@ def _assert_same_history(reference, got, rtol, where):
             assert a == b, (where, path, a, b)
 
 
-def _axes(scenario, scalar_engine):
+def _axes(scenario, scalar_engine, eager_copies):
     """Axis name -> a run of ``scenario`` on that axis."""
 
     def oracle(trainer):
@@ -192,6 +196,7 @@ def _axes(scenario, scalar_engine):
     axes = {
         "fallback": lambda: _run(scenario, trainer_hook=oracle),
         "threads": lambda: _run(scenario, lanes=2),
+        "eager": lambda: _run(scenario, trainer_hook=eager_copies),
         "roster_budget": roster_budget,
         "one_cohort": one_cohort,
     }
@@ -229,7 +234,9 @@ PINS = {
     ),
 }
 
-PIN_AXES = [(pin, axis) for pin, args in PINS.items() for axis in _axes(_scenario(*args), None)]
+PIN_AXES = [
+    (pin, axis) for pin, args in PINS.items() for axis in _axes(_scenario(*args), None, None)
+]
 _references = {}
 
 
@@ -244,9 +251,9 @@ def _check(scenario, axis, run):
 
 
 @pytest.mark.parametrize(("pin", "axis"), PIN_AXES)
-def test_pinned_document_reproduces_the_reference(pin, axis, scalar_engine):
+def test_pinned_document_reproduces_the_reference(pin, axis, scalar_engine, eager_copies):
     scenario = _scenario(*PINS[pin])
-    _check(scenario, axis, _axes(scenario, scalar_engine)[axis])
+    _check(scenario, axis, _axes(scenario, scalar_engine, eager_copies)[axis])
 
 
 @settings(
@@ -256,6 +263,6 @@ def test_pinned_document_reproduces_the_reference(pin, axis, scalar_engine):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(scenario=scenarios)
-def test_every_execution_axis_reproduces_the_reference(scenario, scalar_engine):
-    for axis, run in _axes(scenario, scalar_engine).items():
+def test_every_execution_axis_reproduces_the_reference(scenario, scalar_engine, eager_copies):
+    for axis, run in _axes(scenario, scalar_engine, eager_copies).items():
         _check(scenario, axis, run)

@@ -111,6 +111,7 @@ LEAF_MUTATIONS = [
     {"seed": 1},
     {"num_workers": 7},
     {"data": {"name": "synthetic-mnist", "params": {"num_train": 121, "num_test": 60, "image_size": 8}, "flatten": True}},
+    {"data": {"name": "synthetic-mnist", "params": {"num_train": 120, "num_test": 60, "image_size": 8}, "flatten": False}},
     {"model": {"name": "lr", "params": {"input_dim": 64, "hidden": 9, "num_classes": 10}}},
     {"timing": {"base_local_time": 2.5}},
     {"timing": {"base_local_time": 2.0, "kappa_max": 9.0}},

@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.scenario import Scenario
 
 
-def test_scenario_trainer_serves_zero_copy_shards_and_counts_events():
+def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
     from repro.fl.registry import build_trainer
 
     scenario = Scenario.default()

@@ -315,6 +315,27 @@ class TestPowerControlCache:
         hits = [r.pc_cache_hits for r in history.records]
         assert hits == sorted(hits)  # cumulative counter never decreases
 
+    def test_cache_is_always_on(
+        self, small_dataset, small_partition, latency_table, static_channel, model_factory
+    ):
+        """No option turns the cache off; the trainer's counters read its cache."""
+        with pytest.raises(TypeError, match="power_control_cache"):
+            AirCompConfig(power_control_cache=False)
+        exp = FLExperiment(
+            dataset=small_dataset,
+            partition=small_partition,
+            model_factory=model_factory,
+            latency=latency_table,
+            channel=static_channel,
+            seed=11,
+        )
+        trainer = build_trainer("air_fedavg", exp)
+        trainer.run(max_rounds=4)
+        cache = trainer._pc_cache
+        assert isinstance(cache, PowerControlCache)
+        assert (trainer.pc_cache_hits, trainer.pc_cache_misses) == (cache.hits, cache.misses)
+        assert cache.misses > 0
+
     def test_cache_keeps_no_state_besides_its_bounded_entries(
         self, small_dataset, small_partition, latency_table, static_channel, model_factory
     ):

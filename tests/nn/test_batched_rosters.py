@@ -202,21 +202,24 @@ def test_store_backed_rosters_own_no_data_but_are_charged_their_lists(monkeypatc
         assert _charged(engine) == 0 and not engine._cache
 
 
-def test_a_roster_hit_slices_no_tile_data():
-    """A tile's shard sequence is sliced on a roster miss only."""
+@pytest.mark.parametrize("materialization", ["eager", "lazy"])
+def test_a_roster_hit_slices_no_tile_data(materialization):
+    """A tile's data, a shard sequence or a plain list, is sliced on a roster miss only."""
     store = _store([(0, 20), (10, 30), (44, 64), (3, 23)])
     model = _mlp()
     engine = BatchedWorkerEngine.try_build(model)
     slices = []
+    lazy = materialization == "lazy"
 
-    class Counting(type(store.shards())):
+    class Counting(type(store.shards()) if lazy else list):
         def __getitem__(self, index):
             slices.append(index)
             return super().__getitem__(index)
 
+    data = Counting(store) if lazy else Counting(tuple(store.shard(w)) for w in range(4))
     out = np.empty((4, engine.dimension))
     for _ in range(2):
-        engine.run_group([0, 1, 2, 3], Counting(store), out, [1, 1, 2, 2], out=out, **KWARGS)
+        engine.run_group([0, 1, 2, 3], data, out, [1, 1, 2, 2], out=out, **KWARGS)
     assert slices == [slice(0, 2), slice(2, 4)]
 
 
@@ -312,10 +315,11 @@ def test_kernel_buffers_do_not_multiply_with_group_size(model):
         assert len(_owned(vars(kernel))) == len(_owned(vars(reference))), type(kernel).__name__
 
 
-def _dynamic_history(rounds=300, watch=lambda engine: None):
+def _dynamic_history(hook, rounds=300, watch=lambda engine: None):
     scenario = Scenario.default().with_(num_workers=40, mechanism="dynamic")
     experiment = scenario.build_experiment()
     with build_trainer(scenario.mechanism.name, experiment, **scenario.mechanism.params) as t:
+        hook(t)
         engine, run_group = t._engine, t._engine.run_group
 
         def watched(*args, **kwargs):
@@ -327,15 +331,21 @@ def _dynamic_history(rounds=300, watch=lambda engine: None):
         return json.dumps(t.run(max_rounds=rounds).to_dict(), sort_keys=True), engine
 
 
-def test_a_long_dynamic_run_stays_within_a_small_budget(monkeypatch):
-    """``dynamic`` draws a new roster nearly every round; both caches stay bounded."""
-    unbounded, engine = _dynamic_history()
+@pytest.mark.parametrize("materialization", ["eager", "lazy"])
+def test_a_long_dynamic_run_stays_within_a_small_budget(
+    monkeypatch, eager_copies, materialization
+):
+    """``dynamic`` draws a new roster nearly every round; both caches stay
+    bounded, whether the rosters own copies of their members' samples or
+    gather from the store."""
+    hook = eager_copies if materialization == "eager" else lambda trainer: None
+    unbounded, engine = _dynamic_history(hook)
     kinds = [key[0] for key in engine._cache]
     assert kinds.count("roster") == 300 and kinds.count("geometry") > 250
     budget = 2**20
     monkeypatch.setattr(batched, "_ROSTER_CACHE_BYTES", budget)
     sizes = []
-    bounded, engine = _dynamic_history(watch=lambda e: sizes.append(_charged(e)))
+    bounded, engine = _dynamic_history(hook, watch=lambda e: sizes.append(_charged(e)))
     assert bounded == unbounded
     assert len(sizes) == 300 and max(sizes) <= budget
     assert len(engine._cache) < 60
