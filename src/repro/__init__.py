@@ -7,8 +7,8 @@ groups update the global model asynchronously.  This package contains:
 * :mod:`repro.core` -- the mechanism (Algorithm 1), power control
   (Algorithm 2), worker grouping (Algorithm 3) and the convergence analysis
   (Theorem 1);
-* :mod:`repro.nn` -- a NumPy neural-network substrate (layers, models,
-  losses, the batched group trainer) standing in for PyTorch;
+* :mod:`repro.nn` -- a NumPy neural-network substrate (layer and model
+  specs, the batched group trainer) standing in for PyTorch;
 * :mod:`repro.data` -- synthetic datasets and federated partitioners;
 * :mod:`repro.channel` -- the wireless substrate: block fading, AirComp
   superposition over a noisy MAC, OMA latency models and energy accounting;
@@ -28,6 +28,6 @@ groups update the global model asynchronously.  This package contains:
 
 from . import channel, core, data, fl, nn, registry, sim
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = ["channel", "core", "data", "fl", "nn", "registry", "sim", "__version__"]

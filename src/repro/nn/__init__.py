@@ -1,9 +1,12 @@
 """NumPy neural-network substrate.
 
 A minimal, dependency-free replacement for the PyTorch models the paper
-uses: layers with explicit forward/backward passes, classification losses,
-flat-vector parameter access for over-the-air aggregation, and the batched
-engine that trains a whole worker group with plain SGD (Eq. 4).
+uses: layer and model specs (shapes, hyper-parameters, initialised
+parameters), flat-vector parameter access for over-the-air aggregation,
+and the batched engine, the one path that trains a whole worker group with
+plain SGD (Eq. 4) and evaluates models.  The scalar forward/backward passes
+the engine is checked against live in the test tree
+(``tests/oracle/scalar.py``).
 """
 
 from .params import (
@@ -27,16 +30,6 @@ from .layers import (
     Layer,
     MaxPool2D,
     ReLU,
-    col2im,
-    im2col,
-)
-from .losses import (
-    accuracy,
-    cross_entropy,
-    cross_entropy_from_probs,
-    log_softmax,
-    softmax,
-    softmax_cross_entropy,
 )
 from .models import (
     CifarCNN,
@@ -64,14 +57,6 @@ __all__ = [
     "Flatten",
     "Conv2D",
     "MaxPool2D",
-    "im2col",
-    "col2im",
-    "softmax",
-    "log_softmax",
-    "cross_entropy",
-    "softmax_cross_entropy",
-    "cross_entropy_from_probs",
-    "accuracy",
     "Model",
     "SequentialModel",
     "LogisticRegressionMLP",

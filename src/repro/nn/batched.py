@@ -15,14 +15,15 @@ Kernels are composed through a registry: each supported layer type maps to a
 :class:`~repro.nn.models.SequentialModel` has a registered kernel.  Built-in
 kernels cover :class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.ReLU`,
 :class:`~repro.nn.layers.Flatten`, :class:`~repro.nn.layers.Conv2D` (batched
-im2col — the ``(N, C, H, W)`` column transform of ``nn/layers.py`` lifted to a
-``(G, N, C, H, W)`` leading group axis and contracted as one grouped matmul
-over the ``(G, q_cols, k)`` column tensor) and :class:`~repro.nn.layers.MaxPool2D`
-(tie-normalised max mask over a window-major copy) — i.e. every layer the
-paper's LR/CNN/MiniVGG workloads use.  The data movement around the GEMMs
+im2col — the ``(N, C, H, W)`` column transform of the scalar oracle in
+``tests/oracle/scalar.py`` lifted to a ``(G, N, C, H, W)`` leading group axis
+and contracted as one grouped matmul over the ``(G, q_cols, k)`` column
+tensor) and :class:`~repro.nn.layers.MaxPool2D` (tie-normalised max mask
+over a window-major copy) — i.e. every layer the paper's LR/CNN/MiniVGG
+workloads use.  The data movement around the GEMMs
 (bias add and sum, col2im, the pooling passes) is laid out so that each NumPy
 pass has a long contiguous inner run; the arithmetic per element and its
-order are the scalar layers'.
+order are the scalar oracle's.
 
 Lanes: a large group is split across the host's cores inside one call.
 Each *lane* owns a kernel set and sampling geometries; lane 0 is the
@@ -35,11 +36,11 @@ when every lane writes at least ``_LANE_MIN_WRITES`` elements per SGD step
 
 Numerical contract: for a given ``(seed, worker_id, round_index)`` the
 engine draws exactly the mini-batch indices a per-worker loop over the
-scalar layers draws and performs the same sequence of per-worker
-matmul/elementwise operations, so the stacked results match that loop to
-~1e-9 per parameter in float64 (bit-identical up to BLAS reduction-order
-differences; with uniform per-worker batch sizes the per-slice GEMM shapes
-equal the scalar shapes and the match is bit-for-bit).
+scalar layers (the test tree's ``ScalarEngine``) draws and performs the same
+sequence of per-worker matmul/elementwise operations, so the stacked results
+match that loop to ~1e-9 per parameter in float64 (bit-identical up to BLAS
+reduction-order differences; with uniform per-worker batch sizes the
+per-slice GEMM shapes equal the scalar shapes and the match is bit-for-bit).
 """
 
 from __future__ import annotations
@@ -307,6 +308,7 @@ class _BatchedDense(_ParamKernel):
 
     def __init__(self, layer: Dense, offset: int) -> None:
         super().__init__(layer, offset)
+        self.name = layer.name
         self.in_features = layer.in_features
         self.out_features = layer.out_features
         self._out: Optional[np.ndarray] = None
@@ -323,6 +325,11 @@ class _BatchedDense(_ParamKernel):
                 )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[2:] != (self.in_features,):
+            got = x.shape[2] if x.ndim == 3 else f"samples of shape {x.shape[2:]}"
+            raise ValueError(
+                f"Dense layer {self.name!r} expects {self.in_features} features, got {got}"
+            )
         self._cache_x = x
         out = self._out
         np.matmul(x, self.weight, out=out)
@@ -420,6 +427,7 @@ class _BatchedConv2D(_ParamKernel):
 
     def __init__(self, layer: Conv2D, offset: int) -> None:
         super().__init__(layer, offset)
+        self.name = layer.name
         self.in_channels = layer.in_channels
         self.out_channels = layer.out_channels
         self.kernel_size = layer.kernel_size
@@ -488,12 +496,12 @@ class _BatchedConv2D(_ParamKernel):
 
     # -- forward / backward ----------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        g, b, c, h, w = x.shape
-        if c != self.in_channels:
+        if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
-                f"batched Conv2D expects {self.in_channels} input channels, "
-                f"got shape {x.shape}"
+                f"Conv2D {self.name!r} expects {self.in_channels} input channels, "
+                f"got samples of shape {x.shape[2:]}"
             )
+        g, b, c, h, w = x.shape
         geo = self._buffers_for(x.shape, x.dtype)
         kh = self.kernel_size
         s, p = self.stride, self.padding
@@ -617,8 +625,9 @@ class _BatchedMaxPool2D:
     scratch buffer.  Max and the tie count are order-independent and the
     quotients ``1 / count`` round the same way, so outputs and gradients
     match the scalar layer bit for bit.  The spatial size must be divisible
-    by ``pool_size`` — the same constraint the scalar
-    :class:`~repro.nn.layers.MaxPool2D` validates at forward time.
+    by ``pool_size`` (see :class:`~repro.nn.layers.MaxPool2D`): ``forward``
+    raises naming the layer and the shape, in the words of the scalar
+    oracle's pooling in ``tests/oracle/scalar.py``.
     """
 
     param_size = 0
@@ -1154,11 +1163,11 @@ class BatchedWorkerEngine:
         self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[List[float], List[float]]:
         """Test ``(losses, accuracies)`` of each row of a ``(K, q)`` block: the bits
-        of :meth:`Model.evaluate`, from one forward pass of lane 0's kernels per
-        batch, ``x`` broadcast over K.  The class-axis max goes column
-        by column (max is order-free), each mean is a 1-D reduce; a row hits when
-        its first zero shifted logit is the label's (``np.argmax``'s rule when its
-        max is not finite)."""
+        of the scalar oracle's ``evaluate`` (``tests/oracle/scalar.py``), from one
+        forward pass of lane 0's kernels per batch, ``x`` broadcast over K.  The
+        class-axis max goes column by column (max is order-free), each mean is a
+        1-D reduce; a row hits when its first zero shifted logit is the label's
+        (``np.argmax``'s rule when its max is not finite)."""
         k, n, step = len(vectors), len(x), EVAL_BATCH_SIZE
         losses, correct = [0.0] * k, [0.0] * k
         x, y = np.asarray(x, dtype=self.dtype), np.asarray(y)

@@ -14,19 +14,16 @@ benchmarks can run scaled-down versions on synthetic data in reasonable
 time while preserving the architecture family.  ``MiniVGG`` is the scaled
 stand-in for VGG-16.
 
-Every model exposes:
-
-* ``forward(x, training)`` → logits,
-* ``backward(grad_logits)`` → accumulates parameter gradients,
-* ``loss_and_grad(x, y)`` → convenience fused pass,
-* ``parameters`` (a :class:`~repro.nn.params.ParameterSet`),
-* ``get_vector()`` / ``set_vector(v)`` — flattened parameter access used by
-  the channel and aggregation code.
+A model is a spec: its ordered layers and their initialised parameters,
+with flat-vector access (``get_vector()`` / ``set_vector(v)``) for the
+channel and aggregation code.  The batched engine
+(:mod:`repro.nn.batched`) trains and evaluates it; the scalar passes it is
+checked against live in the test tree (``tests/oracle/scalar.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -38,7 +35,6 @@ from .layers import (
     MaxPool2D,
     ReLU,
     collect_parameters)
-from .losses import accuracy, cross_entropy, softmax_cross_entropy
 from .params import ParameterSet
 from ..registry import register as _register
 
@@ -51,52 +47,16 @@ __all__ = [
     "MiniVGG",
 ]
 
-#: Rows per forward pass of :meth:`Model.evaluate`; the batched engine's
-#: evaluation pass batches the same rows, which its bits depend on.
+#: Rows per forward pass of ``BatchedWorkerEngine.evaluate``, whose bits
+#: depend on it.
 EVAL_BATCH_SIZE = 256
 
 
 class Model:
-    """Abstract interface shared by every trainable model."""
+    """What the engine and the aggregation code read of a trainable model:
+    its parameters, flat."""
 
     parameters: ParameterSet
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Convenience API used by the FL workers
-    # ------------------------------------------------------------------
-    def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Run a full forward/backward pass and return the mean loss.
-
-        Parameter gradients are accumulated in place; callers should call
-        ``zero_grad`` between batches.
-        """
-        logits = self.forward(x, training=True)
-        loss, grad = softmax_cross_entropy(logits, y)
-        self.backward(grad)
-        return loss
-
-    def evaluate(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int = EVAL_BATCH_SIZE
-    ) -> Tuple[float, float]:
-        """Compute (loss, accuracy) over a dataset without touching gradients."""
-        n = x.shape[0]
-        if n == 0:
-            return 0.0, 0.0
-        total_loss = 0.0
-        correct = 0.0
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            logits = self.forward(xb, training=False)
-            total_loss += cross_entropy(logits, yb) * xb.shape[0]
-            correct += accuracy(logits, yb) * xb.shape[0]
-        return total_loss / n, correct / n
 
     def get_vector(self, out: np.ndarray | None = None) -> np.ndarray:
         """Flattened copy of all parameters (the vector transmitted over MAC)."""
@@ -111,9 +71,6 @@ class Model:
         """Model dimension ``q`` (number of scalar parameters)."""
         return self.parameters.total_size
 
-    def zero_grad(self) -> None:
-        self.parameters.zero_grad()
-
 
 class SequentialModel(Model):
     """A model defined by an ordered list of layers."""
@@ -121,22 +78,6 @@ class SequentialModel(Model):
     def __init__(self, layers: Sequence[Layer]) -> None:
         self.layers: List[Layer] = list(layers)
         self.parameters = collect_parameters(self.layers)
-        # Inputs are cast to the parameter dtype so float32 simulation mode
-        # keeps the whole forward/backward pass in float32.
-        self._input_dtype = (
-            self.parameters[0].value.dtype if len(self.parameters) else np.dtype(np.float64)
-        )
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        out = np.asarray(x, dtype=self._input_dtype)
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        grad = grad_logits
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
 
 
 @_register("model", "lr")

@@ -5,9 +5,8 @@ The Air-FedGA mechanism (and AirComp aggregation in general) operates on the
 whose amplitudes encode the entries of ``w``, and the parameter server
 receives a noisy superposition of those vectors.  Every model in
 :mod:`repro.nn` therefore exposes its parameters both as a list of named
-NumPy arrays (convenient for layer-wise backpropagation) and as a single
-contiguous 1-D ``float64`` vector (convenient for channel simulation and
-aggregation).
+NumPy arrays (the layout of each layer) and as a single contiguous 1-D
+``float64`` vector (convenient for channel simulation and aggregation).
 
 The conversion helpers here are deliberately allocation-conscious: flattening
 copies each block into its slice of one (optionally pre-allocated) buffer,
@@ -68,7 +67,7 @@ def parameter_dtype(dtype: np.dtype | str):
 
 @dataclass
 class Parameter:
-    """A single trainable tensor together with its gradient accumulator.
+    """A single trainable tensor.
 
     Attributes
     ----------
@@ -76,17 +75,12 @@ class Parameter:
         Human-readable identifier, unique within a :class:`ParameterSet`
         (e.g. ``"conv1.weight"``).
     value:
-        The parameter tensor.  Always stored as ``float64`` and C-contiguous
+        The parameter tensor, stored in the default dtype and C-contiguous
         so that flattening is a cheap ``ravel`` view.
-    grad:
-        Gradient of the loss with respect to ``value``.  Allocated lazily on
-        the first backward pass and zeroed in-place afterwards to avoid
-        repeated allocation in training loops.
     """
 
     name: str
     value: np.ndarray
-    grad: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.value = np.ascontiguousarray(self.value, dtype=default_dtype())
@@ -98,22 +92,6 @@ class Parameter:
     @property
     def size(self) -> int:
         return int(self.value.size)
-
-    def ensure_grad(self) -> np.ndarray:
-        """Return the gradient buffer, allocating it (zeroed) if needed."""
-        if self.grad is None or self.grad.shape != self.value.shape:
-            self.grad = np.zeros_like(self.value)
-        return self.grad
-
-    def zero_grad(self) -> None:
-        """Zero the gradient buffer in place (no-op if never allocated)."""
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        """Add ``delta`` into the gradient buffer in place."""
-        g = self.ensure_grad()
-        np.add(g, delta, out=g)
 
 
 class ParameterSet:
@@ -181,14 +159,6 @@ class ParameterSet:
         """Flatten all parameter values into a single 1-D ``float64`` vector."""
         return flatten_parameters([p.value for p in self._params], out=out)
 
-    def grad_vector(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Flatten all gradients into a single 1-D vector (zeros if unset)."""
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.value)
-            for p in self._params
-        ]
-        return flatten_parameters(grads, out=out)
-
     def from_vector(self, vector: np.ndarray) -> None:
         """Load parameter values in place from a flat vector."""
         vector = np.asarray(vector).reshape(-1)
@@ -199,34 +169,6 @@ class ParameterSet:
             )
         for p, (offset, size, shape) in zip(self._params, self._layout):
             np.copyto(p.value, vector[offset : offset + size].reshape(shape))
-
-    def zero_grad(self) -> None:
-        for p in self._params:
-            p.zero_grad()
-
-    def copy(self) -> "ParameterSet":
-        """Deep copy of the parameter set (gradients are not copied)."""
-        return ParameterSet(
-            [Parameter(p.name, p.value.copy()) for p in self._params]
-        )
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self._params}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        missing = [n for n in self._by_name if n not in state]
-        if missing:
-            raise KeyError(f"state dict is missing parameters: {missing}")
-        for name, value in state.items():
-            if name not in self._by_name:
-                raise KeyError(f"unexpected parameter in state dict: {name!r}")
-            param = self._by_name[name]
-            if param.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: "
-                    f"{param.shape} vs {value.shape}"
-                )
-            np.copyto(param.value, value)
 
 
 def flatten_parameters(

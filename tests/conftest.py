@@ -18,9 +18,10 @@ from repro.channel import RayleighFading, StaticChannel
 from repro.core import AirCompConfig, AirFedGAConfig
 from repro.data import Dataset, make_mnist_like, partition_label_skew
 from repro.fl import FLExperiment
-from repro.nn import LogisticRegressionMLP, batched, unflatten_vector
-from repro.nn.batched import StepTransform
+from repro.nn import LogisticRegressionMLP, batched
 from repro.sim import HeterogeneityModel, LatencyTable
+
+from oracle.scalar import ScalarEngine
 
 
 # Every property test draws the same examples on every host and every run:
@@ -96,60 +97,10 @@ def model_factory():
     return _model_factory()
 
 
-class ScalarEngine:
-    """The per-worker oracle of :class:`~repro.nn.BatchedWorkerEngine`.
-
-    ``run_group`` (the engine's signature) trains each member alone through
-    the scalar layers: ``Model.loss_and_grad`` on the mini-batch the engine
-    draws, then the :class:`~repro.nn.batched.StepTransform` stages around a
-    plain ``w -= lr * grad`` step.  A ``(G, q)`` base, a round key per member
-    and a ``(G, q)`` offset give each member its own row, as merged cohorts
-    do.  ``evaluate`` is ``Model.evaluate`` on each row.  Install it on a
-    trainer as ``trainer._engine`` to run a whole history on it.
-    """
-
-    def __init__(self, model):
-        self.model = model
-
-    def run_group(
-        self, worker_ids, worker_data, base_vector, round_index, *,
-        learning_rate, local_steps, batch_size, seed, out, pad_to=None, transform=None,
-    ):  # fmt: skip
-        params = self.model.parameters
-        keys = [round_index] * len(worker_ids) if np.ndim(round_index) == 0 else round_index
-        for k, (worker, key) in enumerate(zip(worker_ids, keys)):
-            x, y = worker_data[k]
-            # Copied in before row k of ``out`` (maybe the base itself) is written.
-            self.model.set_vector(base_vector if base_vector.ndim == 1 else base_vector[k])
-            step = transform.rows(k) if transform is not None else StepTransform()
-            offsets = None
-            if step.offset is not None:
-                offsets = unflatten_vector(step.offset, params.shapes())
-            rng = np.random.default_rng(np.random.SeedSequence([seed, worker, key, 0x10CA1]))
-            for _ in range(local_steps if len(x) else 0):
-                idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
-                self.model.zero_grad()
-                self.model.loss_and_grad(x[idx], y[idx])
-                for p in params:
-                    if step.scale != 1.0:
-                        p.value *= step.scale
-                    p.value -= learning_rate * p.grad
-                for p, block in zip(params, offsets or ()):
-                    p.value += block
-            self.model.get_vector(out=out[k])
-        return out
-
-    def evaluate(self, vectors, x, y):
-        pairs = []
-        for vector in vectors:
-            self.model.set_vector(vector)
-            pairs.append(self.model.evaluate(x, y))
-        return [loss for loss, _ in pairs], [acc for _, acc in pairs]
-
-
 @pytest.fixture()
 def scalar_engine():
-    """:class:`ScalarEngine`: ``scalar_engine(model)`` is the oracle over ``model``."""
+    """``scalar_engine(model)``: the per-worker oracle over ``model``
+    (``ScalarEngine`` of ``tests/oracle/scalar.py``)."""
     return ScalarEngine
 
 

@@ -14,9 +14,9 @@ compared leaf by leaf of ``history.to_dict()`` against every axis that
 applies.
 
 The ``fallback`` axis runs the whole history on the test tree's
-per-worker oracle (``ScalarEngine`` of ``tests/conftest.py``): every member
-trained alone through the scalar layers, every record from
-``Model.evaluate``.
+per-worker oracle (``ScalarEngine`` of ``tests/oracle/scalar.py``): every
+member trained alone through the scalar layers, every record from the
+oracle's ``evaluate``.
 
 ``TOLERANCE`` is the whole envelope.  Every non-zero entry is
 reassociation on a ragged group: the oracle runs the scalar layers' GEMM

@@ -137,11 +137,11 @@ class TestLocalUpdate:
     def test_reduces_local_loss(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         x, y = trainer._worker_data[0]
-        trainer.model.set_vector(trainer.global_vector)
-        before, _ = trainer.model.evaluate(x, y)
         (updated,) = trainer.local_update_group([0], trainer.global_vector, round_index=1)
-        trainer.model.set_vector(updated)
-        after, _ = trainer.model.evaluate(x, y)
+        # The engine pass evaluate_vector takes, on the worker's own data.
+        (before, after), _ = trainer._engine.evaluate(
+            np.stack([trainer.global_vector, updated]), x, y
+        )
         assert after < before
 
 

@@ -3,8 +3,8 @@
 That batched group training reproduces the per-worker oracle — MLP, CNN
 and MiniVGG models, ragged batches, groups spanning conv tiles, many rounds
 — is the fallback axis of ``tests/differential/test_execution_axes.py``.
-Here: construction, workers without data, tied pooling windows and the
-float32 mode.
+Here: construction, workers without data, data a model cannot take, tied
+pooling windows and the float32 mode.
 """
 
 from __future__ import annotations
@@ -98,6 +98,43 @@ class TestRunGroup:
                 learning_rate=0.1, local_steps=1, batch_size=8, seed=0,
                 out=np.empty((2, mlp.dimension)),
             )
+
+
+def _cnn():
+    return MnistCNN(image_size=8, scale=0.1)
+
+
+#: ``(model factory, sample shape, message)``: data the model cannot take,
+#: and the kernel error naming the layer and both sizes.
+MISMATCHES = {
+    "lr_features": (
+        lambda: LogisticRegressionMLP(input_dim=784, hidden=8), (100,),
+        "Dense layer 'fc1' expects 784 features, got 100",
+    ),
+    "cnn_channels": (
+        _cnn, (3, 8, 8), r"Conv2D 'conv1' expects 1 input channels, got samples of shape \(3, 8"
+    ),
+    "cnn_image_size": (_cnn, (1, 12, 12), "Dense layer 'fc1' expects 20 features, got 45"),
+    "cnn_pooling": (_cnn, (1, 6, 6), r"MaxPool2D 'pool2': spatial size \(3, 3\) is not divisible"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+@pytest.mark.parametrize("path", ["run_group", "evaluate"])
+def test_a_shape_mismatch_names_the_layer(case, path):
+    factory, shape, message = MISMATCHES[case]
+    model = factory()
+    engine = BatchedWorkerEngine.try_build(model)
+    x, y = np.zeros((6,) + shape), np.zeros(6, dtype=int)
+    with pytest.raises(ValueError, match=message):
+        if path == "evaluate":
+            engine.evaluate(model.get_vector()[None], x, y)
+        else:
+            engine.run_group(
+                [0], [(x, y)], model.get_vector(), 1,
+                learning_rate=0.1, local_steps=1, batch_size=4, seed=0,
+                out=np.empty((1, model.dimension)),
+            )  # fmt: skip
 
 
 class TestConvEquivalence:

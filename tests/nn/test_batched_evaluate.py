@@ -1,7 +1,8 @@
 """Oracle tests of ``BatchedWorkerEngine.evaluate``: K snapshots in one pass.
 
 The trainer records a history through this pass, so every loss and
-accuracy must be the bits :meth:`Model.evaluate` gives for the same vector.
+accuracy must be the bits the scalar oracle's ``evaluate``
+(``tests/oracle/scalar.py``) gives for the same vector.
 Each test names one mutation of the pass it catches (each was run against
 a mutated copy of the engine).
 """
@@ -114,12 +115,12 @@ def test_non_finite_logit_rows_take_the_argmax_rule(dtype, scalar_engine):
     assert _bits(engine.evaluate(vectors, x, y)) == _bits(oracle)
 
 
-def test_labels_out_of_range_fail_as_model_evaluate_does():
+def test_labels_out_of_range_fail_as_model_evaluate_does(scalar_engine):
     model, engine, vectors, features = _setup("lr", "float64")
     x, y = _data(20, features, "float64")
     y[3] = 10
     with pytest.raises(ValueError):
-        model.evaluate(x, y)
+        scalar_engine(model).evaluate(vectors, x, y)
     with pytest.raises(ValueError, match="in-range class"):
         engine.evaluate(vectors, x, y)
 

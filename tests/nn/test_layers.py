@@ -1,12 +1,16 @@
-"""Unit tests for neural-network layers, including numerical gradient checks."""
+"""Unit tests for the layer specs and, with numerical gradient checks, for the
+scalar passes of ``tests/oracle/scalar.py`` the batched kernels are checked
+against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, col2im, im2col
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.layers import collect_parameters
+
+from oracle.scalar import col2im, im2col, scalar_layer
 
 
 RNG = np.random.default_rng(0)
@@ -30,12 +34,12 @@ def numerical_gradient(forward, x, eps=1e-6):
 
 class TestDense:
     def test_forward_shape(self):
-        layer = Dense("fc", 4, 3, np.random.default_rng(0))
+        layer = scalar_layer(Dense("fc", 4, 3, np.random.default_rng(0)))
         out = layer.forward(np.ones((5, 4)))
         assert out.shape == (5, 3)
 
     def test_forward_matches_matmul(self):
-        layer = Dense("fc", 4, 3, np.random.default_rng(0))
+        layer = scalar_layer(Dense("fc", 4, 3, np.random.default_rng(0)))
         x = np.random.default_rng(1).standard_normal((5, 4))
         expected = x @ layer.weight.value + layer.bias.value
         np.testing.assert_allclose(layer.forward(x), expected)
@@ -46,7 +50,7 @@ class TestDense:
         assert len(layer.parameters) == 1
 
     def test_input_validation(self):
-        layer = Dense("fc", 4, 3, np.random.default_rng(0))
+        layer = scalar_layer(Dense("fc", 4, 3, np.random.default_rng(0)))
         with pytest.raises(ValueError):
             layer.forward(np.ones((5, 7)))
         with pytest.raises(ValueError):
@@ -57,13 +61,13 @@ class TestDense:
             Dense("fc", 0, 3, np.random.default_rng(0))
 
     def test_backward_before_forward_raises(self):
-        layer = Dense("fc", 4, 3, np.random.default_rng(0))
+        layer = scalar_layer(Dense("fc", 4, 3, np.random.default_rng(0)))
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((5, 3)))
 
     def test_backward_input_gradient_matches_numerical(self):
         rng = np.random.default_rng(2)
-        layer = Dense("fc", 3, 2, rng)
+        layer = scalar_layer(Dense("fc", 3, 2, rng))
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
 
@@ -79,7 +83,7 @@ class TestDense:
 
     def test_backward_weight_gradient_matches_numerical(self):
         rng = np.random.default_rng(3)
-        layer = Dense("fc", 3, 2, rng)
+        layer = scalar_layer(Dense("fc", 3, 2, rng))
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
 
@@ -90,35 +94,35 @@ class TestDense:
         out = layer.forward(x)
         layer.backward(2 * (out - target))
         num = numerical_gradient(loss_of_w, layer.weight.value.copy())
-        np.testing.assert_allclose(layer.weight.grad, num, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(layer.grads[layer.weight], num, rtol=1e-5, atol=1e-7)
 
     def test_gradients_accumulate_across_calls(self):
         rng = np.random.default_rng(4)
-        layer = Dense("fc", 3, 2, rng)
+        layer = scalar_layer(Dense("fc", 3, 2, rng))
         x = np.ones((2, 3))
         layer.forward(x)
         layer.backward(np.ones((2, 2)))
-        first = layer.weight.grad.copy()
+        first = layer.grads[layer.weight].copy()
         layer.forward(x)
         layer.backward(np.ones((2, 2)))
-        np.testing.assert_allclose(layer.weight.grad, 2 * first)
+        np.testing.assert_allclose(layer.grads[layer.weight], 2 * first)
 
 
 class TestReLU:
     def test_forward_clamps_negative(self):
-        layer = ReLU("r")
+        layer = scalar_layer(ReLU("r"))
         out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0, 2.0]])
 
     def test_backward_masks_gradient(self):
-        layer = ReLU("r")
+        layer = scalar_layer(ReLU("r"))
         layer.forward(np.array([[-1.0, 3.0]]))
         grad = layer.backward(np.array([[5.0, 7.0]]))
         np.testing.assert_allclose(grad, [[0.0, 7.0]])
 
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
-            ReLU("r").backward(np.ones((1, 1)))
+            scalar_layer(ReLU("r")).backward(np.ones((1, 1)))
 
     def test_has_no_parameters(self):
         assert ReLU("r").parameters == []
@@ -126,7 +130,7 @@ class TestReLU:
 
 class TestFlatten:
     def test_roundtrip_shape(self):
-        layer = Flatten("f")
+        layer = scalar_layer(Flatten("f"))
         x = np.arange(24.0).reshape(2, 3, 2, 2)
         out = layer.forward(x)
         assert out.shape == (2, 12)
@@ -136,7 +140,7 @@ class TestFlatten:
 
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
-            Flatten("f").backward(np.ones((1, 4)))
+            scalar_layer(Flatten("f")).backward(np.ones((1, 4)))
 
 
 class TestIm2Col:
@@ -174,13 +178,13 @@ class TestIm2Col:
 
 class TestConv2D:
     def test_forward_shape(self):
-        layer = Conv2D("c", 3, 8, 3, np.random.default_rng(0), padding=1)
+        layer = scalar_layer(Conv2D("c", 3, 8, 3, np.random.default_rng(0), padding=1))
         out = layer.forward(np.zeros((2, 3, 8, 8)))
         assert out.shape == (2, 8, 8, 8)
 
     def test_forward_matches_direct_convolution(self):
         rng = np.random.default_rng(5)
-        layer = Conv2D("c", 2, 3, 3, rng, padding=0)
+        layer = scalar_layer(Conv2D("c", 2, 3, 3, rng, padding=0))
         x = rng.standard_normal((1, 2, 5, 5))
         out = layer.forward(x)
         # Direct computation at one output location.
@@ -189,7 +193,7 @@ class TestConv2D:
         assert out[0, 1, 1, 2] == pytest.approx(expected)
 
     def test_input_channel_validation(self):
-        layer = Conv2D("c", 3, 4, 3, np.random.default_rng(0))
+        layer = scalar_layer(Conv2D("c", 3, 4, 3, np.random.default_rng(0)))
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 2, 8, 8)))
 
@@ -198,13 +202,13 @@ class TestConv2D:
             Conv2D("c", 1, 1, 0, np.random.default_rng(0))
 
     def test_backward_before_forward_raises(self):
-        layer = Conv2D("c", 1, 1, 3, np.random.default_rng(0))
+        layer = scalar_layer(Conv2D("c", 1, 1, 3, np.random.default_rng(0)))
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((1, 1, 6, 6)))
 
     def test_backward_input_gradient_matches_numerical(self):
         rng = np.random.default_rng(6)
-        layer = Conv2D("c", 1, 2, 3, rng, padding=1)
+        layer = scalar_layer(Conv2D("c", 1, 2, 3, rng, padding=1))
         x = rng.standard_normal((1, 1, 4, 4))
 
         def loss_of_x(xv):
@@ -218,7 +222,7 @@ class TestConv2D:
 
     def test_backward_weight_gradient_matches_numerical(self):
         rng = np.random.default_rng(7)
-        layer = Conv2D("c", 1, 1, 3, rng, padding=0)
+        layer = scalar_layer(Conv2D("c", 1, 1, 3, rng, padding=0))
         x = rng.standard_normal((2, 1, 4, 4))
 
         def loss_of_w(wv):
@@ -231,18 +235,18 @@ class TestConv2D:
         out = layer.forward(x)
         layer.backward(2 * out)
         num = numerical_gradient(loss_of_w, layer.weight.value.copy())
-        np.testing.assert_allclose(layer.weight.grad, num, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(layer.grads[layer.weight], num, rtol=1e-4, atol=1e-6)
 
 
 class TestMaxPool2D:
     def test_forward_known_values(self):
-        layer = MaxPool2D("p", 2)
+        layer = scalar_layer(MaxPool2D("p", 2))
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = layer.forward(x)
         np.testing.assert_allclose(out[0, 0], [[5, 7], [13, 15]])
 
     def test_non_divisible_raises(self):
-        layer = MaxPool2D("p", 2)
+        layer = scalar_layer(MaxPool2D("p", 2))
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 1, 5, 5)))
 
@@ -256,7 +260,7 @@ class TestMaxPool2D:
         opaque reshape error mid-training."""
         import re
 
-        layer = MaxPool2D("pool", pool_size)
+        layer = scalar_layer(MaxPool2D("pool", pool_size))
         with pytest.raises(
             ValueError, match=re.escape(str((h, w))) + f".*pool size {pool_size}"
         ):
@@ -264,7 +268,7 @@ class TestMaxPool2D:
 
     @pytest.mark.parametrize("pool_size, h, w", [(2, 4, 4), (2, 6, 8), (3, 6, 9)])
     def test_shape_validation_accepts_divisible(self, pool_size, h, w):
-        out = MaxPool2D("pool", pool_size).forward(np.zeros((2, 3, h, w)))
+        out = scalar_layer(MaxPool2D("pool", pool_size)).forward(np.zeros((2, 3, h, w)))
         assert out.shape == (2, 3, h // pool_size, w // pool_size)
 
     def test_batched_kernel_validates_shape_identically(self):
@@ -279,7 +283,7 @@ class TestMaxPool2D:
             MaxPool2D("p", 0)
 
     def test_backward_routes_gradient_to_max(self):
-        layer = MaxPool2D("p", 2)
+        layer = scalar_layer(MaxPool2D("p", 2))
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         layer.forward(x)
         grad = layer.backward(np.ones((1, 1, 2, 2)))
@@ -288,7 +292,7 @@ class TestMaxPool2D:
         assert grad.sum() == pytest.approx(4.0)
 
     def test_backward_splits_gradient_on_ties(self):
-        layer = MaxPool2D("p", 2)
+        layer = scalar_layer(MaxPool2D("p", 2))
         x = np.ones((1, 1, 2, 2))
         layer.forward(x)
         grad = layer.backward(np.ones((1, 1, 1, 1)))
@@ -297,7 +301,7 @@ class TestMaxPool2D:
 
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
-            MaxPool2D("p", 2).backward(np.zeros((1, 1, 2, 2)))
+            scalar_layer(MaxPool2D("p", 2)).backward(np.zeros((1, 1, 2, 2)))
 
 
 class TestCollectParameters:

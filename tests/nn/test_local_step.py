@@ -3,13 +3,14 @@
 A worker's local model after ``τ`` iterations is ``w ← w − γ ∇F(w)`` applied
 ``τ`` times, with no momentum and no weight decay.  With a mini-batch at
 least as large as the shard every sample is drawn, so the step is the
-full-batch gradient step and can be computed in closed form from
-``Model.loss_and_grad``.  The tests here check the batched engine — the only
-trainer — against that closed form on each registered model family, check
+full-batch gradient step and can be computed in closed form from the
+scalar oracle's ``loss_and_grad`` (``tests/oracle/scalar.py``).  The tests
+here check the batched engine — the only trainer — against that closed
+form on each registered model family, check
 the :class:`~repro.nn.batched.StepTransform` stages FedProx and FedDyn
 train with, and check that the rows of a merged call (``(G, q)`` bases, a
 round key and an offset row per member) are the rows of calls of their own.
-They also check the per-worker oracle of ``tests/conftest.py`` on those
+They also check the per-worker oracle, ``ScalarEngine``, on those
 merged calls, since the fallback axis of the differential harness pins
 whole histories to it.
 """
@@ -21,6 +22,8 @@ import pytest
 
 from repro.nn import BatchedWorkerEngine, CifarCNN, LogisticRegressionMLP, MiniVGG, MnistCNN
 from repro.nn.batched import StepTransform
+
+from oracle.scalar import ScalarModel
 
 # One small model per registered family and the feature shape of a sample.
 FAMILIES = {
@@ -50,12 +53,12 @@ def _shards(features, members, seed=5, n=SHARD):
 
 def _gradient_step(model, w, x, y, steps=1, scale=1.0, offset=None):
     """``steps`` closed-form full-batch steps ``w ← scale·w − LR·∇F(w) + offset``."""
-    w = w.copy()
+    w, model = w.copy(), ScalarModel(model)
     for _ in range(steps):
         model.set_vector(w)
         model.zero_grad()
         model.loss_and_grad(x, y)
-        w = scale * w - LR * model.parameters.grad_vector()
+        w = scale * w - LR * model.grads.vector()
         if offset is not None:
             w += offset
     return w

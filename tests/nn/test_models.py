@@ -1,4 +1,5 @@
-"""Unit tests for the model architectures."""
+"""Unit tests for the model architectures, run through the scalar oracle of
+``tests/oracle/scalar.py``."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ from repro.nn import (
     LogisticRegressionMLP,
     MiniVGG,
     MnistCNN,
-    log_softmax,
     parameter_dtype,
 )
+
+from oracle.scalar import ScalarModel, cross_entropy, log_softmax, softmax_cross_entropy
 
 
 class TestRegistry:
@@ -38,7 +40,7 @@ class TestLogisticRegressionMLP:
 
     def test_forward_shape(self):
         model = LogisticRegressionMLP(input_dim=16, hidden=8, num_classes=4)
-        out = model.forward(np.zeros((5, 16)), training=False)
+        out = ScalarModel(model).forward(np.zeros((5, 16)), training=False)
         assert out.shape == (5, 4)
 
     def test_identical_seeds_give_identical_models(self):
@@ -61,7 +63,7 @@ class TestLogisticRegressionMLP:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 16))
         y = (x[:, 0] > 0).astype(int)
-        model = LogisticRegressionMLP(input_dim=16, hidden=8, num_classes=2, seed=0)
+        model = ScalarModel(LogisticRegressionMLP(input_dim=16, hidden=8, num_classes=2, seed=0))
         first_loss = None
         for _ in range(100):
             model.zero_grad()
@@ -69,7 +71,7 @@ class TestLogisticRegressionMLP:
             if first_loss is None:
                 first_loss = loss
             for p in model.parameters:
-                p.value -= 0.2 * p.grad
+                p.value -= 0.2 * model.grads[p]
         final_loss, acc = model.evaluate(x, y)
         assert final_loss < first_loss * 0.6
         assert acc > 0.8
@@ -78,7 +80,7 @@ class TestLogisticRegressionMLP:
 class TestMnistCNN:
     def test_forward_shape(self):
         model = MnistCNN(image_size=8, scale=0.1, seed=0)
-        out = model.forward(np.zeros((2, 1, 8, 8)), training=False)
+        out = ScalarModel(model).forward(np.zeros((2, 1, 8, 8)), training=False)
         assert out.shape == (2, 10)
 
     def test_rejects_bad_image_size(self):
@@ -91,19 +93,19 @@ class TestMnistCNN:
         assert small.dimension < big.dimension
 
     def test_backward_produces_gradients(self):
-        model = MnistCNN(image_size=8, scale=0.1, seed=0)
+        model = ScalarModel(MnistCNN(image_size=8, scale=0.1, seed=0))
         x = np.random.default_rng(0).standard_normal((4, 1, 8, 8))
         y = np.array([0, 1, 2, 3])
         model.zero_grad()
         model.loss_and_grad(x, y)
-        grads = model.parameters.grad_vector()
+        grads = model.grads.vector()
         assert np.linalg.norm(grads) > 0
 
 
 class TestCifarCNN:
     def test_forward_shape(self):
         model = CifarCNN(image_size=8, scale=0.1, seed=0)
-        out = model.forward(np.zeros((3, 3, 8, 8)), training=False)
+        out = ScalarModel(model).forward(np.zeros((3, 3, 8, 8)), training=False)
         assert out.shape == (3, 10)
 
     def test_rejects_bad_image_size(self):
@@ -115,7 +117,7 @@ class TestMiniVGG:
     def test_forward_shape(self):
         model = MiniVGG(image_size=8, num_classes=5, base_channels=2, blocks=2,
                         hidden=8, seed=0)
-        out = model.forward(np.zeros((2, 3, 8, 8)), training=False)
+        out = ScalarModel(model).forward(np.zeros((2, 3, 8, 8)), training=False)
         assert out.shape == (2, 5)
 
     def test_block_count_validation(self):
@@ -135,12 +137,12 @@ class TestMiniVGG:
 
 class TestModelEvaluate:
     def test_evaluate_on_empty_dataset(self):
-        model = LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2)
+        model = ScalarModel(LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2))
         loss, acc = model.evaluate(np.zeros((0, 4)), np.zeros(0, dtype=int))
         assert loss == 0.0 and acc == 0.0
 
     def test_evaluate_batches_cover_all_samples(self):
-        model = LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2, seed=0)
+        model = ScalarModel(LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2, seed=0))
         rng = np.random.default_rng(0)
         x = rng.standard_normal((100, 4))
         y = rng.integers(0, 2, size=100)
@@ -150,14 +152,14 @@ class TestModelEvaluate:
         assert batched_acc == pytest.approx(full_acc)
 
     def test_evaluate_does_not_change_parameters(self):
-        model = LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2, seed=0)
+        model = ScalarModel(LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=2, seed=0))
         before = model.get_vector()
         model.evaluate(np.ones((10, 4)), np.zeros(10, dtype=int))
         np.testing.assert_array_equal(model.get_vector(), before)
 
 
 def _reference_evaluate(model, x, y, batch_size=256):
-    """``Model.evaluate`` as it stood before the value-only loss: the mean
+    """``ScalarModel.evaluate`` as it stood before the value-only loss: the mean
     log-probability and the float64 mean of the matches, written out."""
     n = x.shape[0]
     total_loss = correct = 0.0
@@ -188,14 +190,13 @@ class TestEvaluateBitIdentity:
                 model = MnistCNN(image_size=8, scale=0.1, seed=1)
                 x = rng.standard_normal((n, 1, 8, 8))
         y = rng.integers(0, 10, size=n)
+        model = ScalarModel(model)
         loss, acc = model.evaluate(x, y)
         assert (loss, acc) == _reference_evaluate(model, x, y)
         assert isinstance(loss, float) and isinstance(acc, float)
 
     def test_matches_training_loss_value(self):
         """The evaluation loss is the value the training loss reports."""
-        from repro.nn import cross_entropy, softmax_cross_entropy
-
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((37, 10))
         y = rng.integers(0, 10, size=37)
@@ -203,7 +204,7 @@ class TestEvaluateBitIdentity:
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_labels_raise(self, bad):
-        model = LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=10)
+        model = ScalarModel(LogisticRegressionMLP(input_dim=4, hidden=4, num_classes=10))
         y = np.zeros(300, dtype=int)
         y[-1] = bad  # in the second batch
         with pytest.raises(ValueError, match="out of range"):

@@ -24,31 +24,6 @@ class TestParameter:
         assert p.shape == (3, 4)
         assert p.size == 12
 
-    def test_ensure_grad_allocates_zeros(self):
-        p = Parameter("w", np.ones((2, 2)))
-        g = p.ensure_grad()
-        assert g.shape == (2, 2)
-        assert np.all(g == 0.0)
-
-    def test_accumulate_grad_adds(self):
-        p = Parameter("w", np.ones((2,)))
-        p.accumulate_grad(np.array([1.0, 2.0]))
-        p.accumulate_grad(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(p.grad, [1.5, 2.5])
-
-    def test_zero_grad_in_place(self):
-        p = Parameter("w", np.ones((2,)))
-        p.accumulate_grad(np.array([1.0, 2.0]))
-        buf = p.grad
-        p.zero_grad()
-        assert p.grad is buf
-        assert np.all(p.grad == 0.0)
-
-    def test_zero_grad_noop_when_unallocated(self):
-        p = Parameter("w", np.ones((2,)))
-        p.zero_grad()  # must not raise
-        assert p.grad is None
-
 
 class TestParameterSet:
     def _make(self):
@@ -130,51 +105,6 @@ class TestParameterSet:
         np.testing.assert_array_equal(ps.to_vector(), np.arange(8.0))
         ps.from_vector(np.arange(8, dtype=np.int64).reshape(2, 4) * 2)
         np.testing.assert_array_equal(ps.to_vector(), np.arange(8.0) * 2)
-
-    def test_grad_vector_zeros_when_unset(self):
-        ps = self._make()
-        np.testing.assert_allclose(ps.grad_vector(), np.zeros(8))
-
-    def test_grad_vector_reflects_accumulated_grads(self):
-        ps = self._make()
-        ps["b"].accumulate_grad(np.array([1.0, -1.0]))
-        gv = ps.grad_vector()
-        np.testing.assert_allclose(gv[6:], [1.0, -1.0])
-        np.testing.assert_allclose(gv[:6], 0.0)
-
-    def test_copy_is_deep(self):
-        ps = self._make()
-        cp = ps.copy()
-        cp["a"].value[0, 0] = 999.0
-        assert ps["a"].value[0, 0] == 0.0
-
-    def test_state_dict_roundtrip(self):
-        ps = self._make()
-        state = ps.state_dict()
-        ps2 = self._make()
-        for v in state.values():
-            v *= 3
-        ps2.load_state_dict(state)
-        np.testing.assert_allclose(ps2["a"].value, ps["a"].value * 3)
-
-    def test_load_state_dict_missing_key(self):
-        ps = self._make()
-        with pytest.raises(KeyError, match="missing"):
-            ps.load_state_dict({"a": np.zeros((2, 3))})
-
-    def test_load_state_dict_unexpected_key(self):
-        ps = self._make()
-        state = ps.state_dict()
-        state["zzz"] = np.zeros(1)
-        with pytest.raises(KeyError, match="unexpected"):
-            ps.load_state_dict(state)
-
-    def test_load_state_dict_shape_mismatch(self):
-        ps = self._make()
-        state = ps.state_dict()
-        state["b"] = np.zeros(3)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ps.load_state_dict(state)
 
 
 class TestFlattenUnflatten:

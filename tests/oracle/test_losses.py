@@ -1,11 +1,11 @@
-"""Unit tests for softmax / cross-entropy losses and accuracy."""
+"""Unit tests for the oracle's softmax / cross-entropy losses and accuracy."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import (
+from oracle.scalar import (
     accuracy,
     cross_entropy_from_probs,
     log_softmax,

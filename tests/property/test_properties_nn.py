@@ -1,4 +1,5 @@
-"""Property-based tests for the NumPy neural-network substrate."""
+"""Property-based tests for the NumPy neural-network substrate and the
+losses of its scalar oracle (``tests/oracle/scalar.py``)."""
 
 from __future__ import annotations
 
@@ -7,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import (
-    Parameter,
-    ParameterSet,
-    accuracy,
-    flatten_parameters,
-    log_softmax,
-    softmax,
-    softmax_cross_entropy,
-    unflatten_vector,
-)
+from repro.nn import Parameter, ParameterSet, flatten_parameters, unflatten_vector
+
+from oracle.scalar import accuracy, log_softmax, softmax, softmax_cross_entropy
 
 
 finite_floats = st.floats(

@@ -10,7 +10,9 @@ model), so this walks the AST of every module of the package and fails on
 a class that defines one outside those homes.  Only the two event-driven
 policies keep a heap.  Local training and evaluation have one path too, the
 batched engine: outside ``repro.nn`` no module trains or evaluates a model
-through its scalar layers.
+through scalar passes, inside it only the kernels of ``batched.py`` define
+``forward`` / ``backward``, and no module imports a losses module (the
+scalar stack is the test tree's oracle, ``tests/oracle/scalar.py``).
 """
 
 from __future__ import annotations
@@ -91,11 +93,26 @@ def scalar_training(path: Path):
                 yield node.lineno, "Model.evaluate"
 
 
+def scalar_passes(path: Path):
+    """``(line, what)`` of a ``forward`` / ``backward`` definition or an import
+    of a ``losses`` module in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name in ("forward", "backward"):
+            yield node.lineno, f"def {node.name}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if any(name.rsplit(".", 1)[-1] == "losses" for name in names):
+                yield node.lineno, "import losses"
+
+
 def test_one_training_path():
     offenders = [
         f"{path.relative_to(SRC)}:{line}: {what}"
         for path in sorted(SRC.rglob("*.py"))
-        if path.parent != SRC / "nn"
-        for line, what in scalar_training(path)
+        for line, what in [
+            *(scalar_training(path) if path.parent != SRC / "nn" else ()),
+            *(scalar_passes(path)),
+        ]
+        if path != SRC / "nn" / "batched.py" or what == "import losses"
     ]
     assert offenders == []

@@ -134,7 +134,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "BaseTrainer._flush_evaluations",
     },
     "src/repro/nn/params.py": {"ParameterSet.from_vector"},
-    "src/repro/nn/models.py": {"Model.evaluate"},
     # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
     "src/repro/core/power_control.py": {"PowerControlCache.solve"},
     # Server-side protocol transitions and the helpers they call: O(1) per
