@@ -48,15 +48,13 @@ class _Roster:
     to start the local round, the round label the dispatch sampled its
     latency/fault draws with, and the per-group dispatch sequence number
     that makes every dispatch's RNG draws unique (retries and re-dispatches
-    of the same round label draw fresh randomness).  ``member_array`` is
-    the same roster as an int64 array, captured once at dispatch so the
-    commit path never re-converts the member list.
+    of the same round label draw fresh randomness).  ``members`` is an
+    int64 array, the form both the fault draws and the commit path take.
     """
 
-    members: List[int]
+    members: np.ndarray
     round_label: int
     seq: int
-    member_array: np.ndarray
 
 
 class GroupedAsyncTrainer(BaseTrainer):
@@ -240,16 +238,13 @@ class GroupedAsyncTrainer(BaseTrainer):
         while True:
             seq = self._next_seq(group_id)
             active_arr = self._poll_available(member_arr, round_label, seq)
-            active = active_arr.tolist()
-            if len(active) >= self._quorum(group_id):
+            if len(active_arr) >= self._quorum(group_id):
                 self._retry_counts[group_id] = 0
                 self._consecutive_failures[group_id] = 0
-                self._rosters[group_id] = _Roster(
-                    active, round_label, seq, active_arr
-                )
+                self._rosters[group_id] = _Roster(active_arr, round_label, seq)
                 self.worker_state.record_dispatch(active_arr)
                 ready = attempt_start + float(
-                    self.exp.latency.sample_times(active, round_label).max()
+                    self.exp.latency.sample_times(active_arr, round_label).max()
                 )
                 heapq.heappush(queue, (ready, group_id))
                 return True
@@ -285,10 +280,9 @@ class GroupedAsyncTrainer(BaseTrainer):
             cs.survival_mask(roster.members, roster.round_label, roster.seq),
             dtype=bool,
         )
-        roster_arr = roster.member_array
-        survivors = roster_arr[survive].tolist()
+        survivors = roster.members[survive].tolist()
         self.history.workers_dropped += len(roster.members) - len(survivors)
-        self.worker_state.record_dropped(roster_arr[~survive])
+        self.worker_state.record_dropped(roster.members[~survive])
         if len(survivors) < self._quorum(group_id):
             self.scheduler.abort_group(group_id)
             if self._register_quorum_failure(group_id) != "park":

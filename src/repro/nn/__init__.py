@@ -2,21 +2,14 @@
 
 A minimal, dependency-free replacement for the PyTorch models the paper
 uses: layer and model specs (shapes, hyper-parameters, initialised
-parameters), flat-vector parameter access for over-the-air aggregation,
-and the batched engine, the one path that trains a whole worker group with
+parameters), each model's parameters held as one flat vector for
+over-the-air aggregation, and the batched engine, the one path that trains a whole worker group with
 plain SGD (Eq. 4) and evaluates models.  The scalar forward/backward passes
 the engine is checked against live in the test tree
 (``tests/oracle/scalar.py``).
 """
 
-from .params import (
-    Parameter,
-    ParameterSet,
-    default_dtype,
-    flatten_parameters,
-    parameter_dtype,
-    unflatten_vector,
-)
+from .params import default_dtype, parameter_dtype
 from .batched import (
     BatchedKernel,
     BatchedWorkerEngine,
@@ -41,10 +34,6 @@ from .models import (
 )
 
 __all__ = [
-    "Parameter",
-    "ParameterSet",
-    "flatten_parameters",
-    "unflatten_vector",
     "default_dtype",
     "parameter_dtype",
     "BatchedKernel",

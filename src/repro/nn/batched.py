@@ -231,11 +231,11 @@ class _ParamKernel:
 
     def __init__(self, layer: Union[Dense, Conv2D], offset: int) -> None:
         self.has_bias = layer.bias is not None
-        self.weight_shape = layer.weight.value.shape
+        self.weight_shape = layer.weight.shape
         self.weight_offset = offset
-        self.weight_size = layer.weight.value.size
+        self.weight_size = layer.weight.size
         self.bias_offset = offset + self.weight_size
-        self.bias_size = layer.bias.value.size if self.has_bias else 0
+        self.bias_size = layer.bias.size if self.has_bias else 0
         self.param_size = self.weight_size + self.bias_size
         self._slabs: Dict[Any, np.ndarray] = {}
         self._bound: Optional[Tuple[int, int]] = None
@@ -976,10 +976,10 @@ class BatchedWorkerEngine:
             raise ValueError(
                 f"batched engine requires a SequentialModel, got {type(model).__name__}"
             )
-        if len(model.parameters) == 0:
+        if model.dimension == 0:
             raise ValueError("model has no parameters")
         self.dimension = model.dimension
-        self.dtype = model.parameters[0].value.dtype
+        self.dtype = model.vector.dtype
         self._layers = list(model.layers)
         self._lanes = [_Lane(self._layers, self.dimension, self.dtype)]
         self._tile: Optional[int] = (

@@ -14,11 +14,7 @@ import numpy as np
 
 __all__ = [
     "zeros",
-    "uniform",
-    "normal",
     "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
     "he_normal",
     "conv_fan",
 ]
@@ -27,25 +23,6 @@ __all__ = [
 def zeros(shape: Tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zero initialization (used for biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def uniform(
-    shape: Tuple[int, ...],
-    rng: np.random.Generator,
-    low: float = -0.05,
-    high: float = 0.05,
-) -> np.ndarray:
-    """Uniform initialization in ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(np.float64)
-
-
-def normal(
-    shape: Tuple[int, ...],
-    rng: np.random.Generator,
-    std: float = 0.05,
-) -> np.ndarray:
-    """Zero-mean Gaussian initialization with standard deviation ``std``."""
-    return (rng.standard_normal(shape) * std).astype(np.float64)
 
 
 def _dense_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -77,20 +54,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     """Glorot/Xavier uniform initialization."""
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(np.float64)
-
-
-def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He (Kaiming) uniform initialization, suited to ReLU networks."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 

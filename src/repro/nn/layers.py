@@ -9,12 +9,11 @@ the scalar passes they are checked against live in the test tree
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import initializers
-from .params import Parameter, ParameterSet
 
 __all__ = [
     "Layer",
@@ -29,24 +28,16 @@ __all__ = [
 class Layer:
     """Base class for all layers.
 
-    Sub-classes that own parameters must register them through
-    :meth:`register_parameter` so that a :class:`~repro.nn.params.ParameterSet`
-    can be assembled in a deterministic order.
+    A layer's parameters are its ``weight`` then its ``bias`` (``None`` when
+    it has none).  A model lays them out in that order in its flat vector
+    and rebinds both to views of it (see :mod:`repro.nn.models`).
     """
+
+    weight: Optional[np.ndarray] = None
+    bias: Optional[np.ndarray] = None
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._parameters: List[Parameter] = []
-
-    # ------------------------------------------------------------------
-    def register_parameter(self, suffix: str, value: np.ndarray) -> Parameter:
-        param = Parameter(f"{self.name}.{suffix}", value)
-        self._parameters.append(param)
-        return param
-
-    @property
-    def parameters(self) -> List[Parameter]:
-        return list(self._parameters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -77,7 +68,10 @@ class Dense(Layer):
     ) -> None:
         super().__init__(name)
         if in_features <= 0 or out_features <= 0:
-            raise ValueError("Dense layer dimensions must be positive")
+            raise ValueError(
+                f"Dense layer {name!r} dimensions must be positive, "
+                f"got {in_features} -> {out_features}"
+            )
         init = (
             initializers.xavier_uniform
             if activationless_init
@@ -85,14 +79,9 @@ class Dense(Layer):
         )
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = self.register_parameter(
-            "weight", init((in_features, out_features), rng)
-        )
-        self.bias: Optional[Parameter] = None
+        self.weight = init((in_features, out_features), rng)
         if bias:
-            self.bias = self.register_parameter(
-                "bias", initializers.zeros((out_features,))
-            )
+            self.bias = initializers.zeros((out_features,))
 
 
 class ReLU(Layer):
@@ -118,6 +107,11 @@ class Conv2D(Layer):
         bias: bool = True,
     ) -> None:
         super().__init__(name)
+        if in_channels <= 0 or out_channels <= 0:
+            raise ValueError(
+                f"Conv2D {name!r} channel counts must be positive, "
+                f"got {in_channels} -> {out_channels}"
+            )
         if kernel_size <= 0 or stride <= 0 or padding < 0:
             raise ValueError("invalid convolution geometry")
         self.in_channels = in_channels
@@ -125,17 +119,11 @@ class Conv2D(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.weight = self.register_parameter(
-            "weight",
-            initializers.he_normal(
-                (out_channels, in_channels, kernel_size, kernel_size), rng
-            ),
+        self.weight = initializers.he_normal(
+            (out_channels, in_channels, kernel_size, kernel_size), rng
         )
-        self.bias: Optional[Parameter] = None
         if bias:
-            self.bias = self.register_parameter(
-                "bias", initializers.zeros((out_channels,))
-            )
+            self.bias = initializers.zeros((out_channels,))
 
 
 class MaxPool2D(Layer):
@@ -160,11 +148,3 @@ class MaxPool2D(Layer):
             raise ValueError("pool_size must be positive")
         self.pool_size = pool_size
 
-
-def collect_parameters(layers: List[Layer]) -> ParameterSet:
-    """Gather parameters from an ordered list of layers into a ParameterSet."""
-    params = ParameterSet()
-    for layer in layers:
-        for p in layer.parameters:
-            params.add(p)
-    return params

@@ -14,9 +14,10 @@ benchmarks can run scaled-down versions on synthetic data in reasonable
 time while preserving the architecture family.  ``MiniVGG`` is the scaled
 stand-in for VGG-16.
 
-A model is a spec: its ordered layers and their initialised parameters,
-with flat-vector access (``get_vector()`` / ``set_vector(v)``) for the
-channel and aggregation code.  The batched engine
+A model is a spec: its ordered layers, and one flat parameter vector
+(``model.vector``) of which each layer's ``weight`` and ``bias`` are
+reshaped views, laid out in layer order, weight before bias.  The channel
+and aggregation code reads it as a copy (``get_vector()``).  The batched engine
 (:mod:`repro.nn.batched`) trains and evaluates it; the scalar passes it is
 checked against live in the test tree (``tests/oracle/scalar.py``).
 """
@@ -27,15 +28,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .layers import (
-    Conv2D,
-    Dense,
-    Flatten,
-    Layer,
-    MaxPool2D,
-    ReLU,
-    collect_parameters)
-from .params import ParameterSet
+from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
+from .params import default_dtype
 from ..registry import register as _register
 
 __all__ = [
@@ -56,28 +50,44 @@ class Model:
     """What the engine and the aggregation code read of a trainable model:
     its parameters, flat."""
 
-    parameters: ParameterSet
+    vector: np.ndarray
 
-    def get_vector(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Flattened copy of all parameters (the vector transmitted over MAC)."""
-        return self.parameters.to_vector(out=out)
-
-    def set_vector(self, vector: np.ndarray) -> None:
-        """Load all parameters from a flat vector in place."""
-        self.parameters.from_vector(vector)
+    def get_vector(self) -> np.ndarray:
+        """Copy of the flat parameter vector (the vector transmitted over MAC)."""
+        return self.vector.copy()
 
     @property
     def dimension(self) -> int:
         """Model dimension ``q`` (number of scalar parameters)."""
-        return self.parameters.total_size
+        return self.vector.size
 
 
 class SequentialModel(Model):
-    """A model defined by an ordered list of layers."""
+    """A model defined by an ordered list of layers.
+
+    Builds ``vector`` in :func:`~repro.nn.params.default_dtype` from each
+    layer's ``weight`` then ``bias``, in layer order, and rebinds those
+    arrays to reshaped views of it.
+    """
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         self.layers: List[Layer] = list(layers)
-        self.parameters = collect_parameters(self.layers)
+        owned = [
+            (layer, attr)
+            for layer in self.layers
+            for attr in ("weight", "bias")
+            if getattr(layer, attr, None) is not None
+        ]
+        self.vector = np.empty(
+            sum(getattr(layer, attr).size for layer, attr in owned), default_dtype()
+        )
+        offset = 0
+        for layer, attr in owned:
+            value = getattr(layer, attr)
+            view = self.vector[offset : offset + value.size].reshape(value.shape)
+            view[...] = value
+            setattr(layer, attr, view)
+            offset += value.size
 
 
 @_register("model", "lr")

@@ -273,7 +273,7 @@ def _conv_kernel(channels, out_channels, size, padding, group, batch, rng, kerne
     layer = Conv2D("conv", channels, out_channels, kernel_size, rng, padding=padding)
     kernel = batched._BatchedConv2D(layer, 0)
     kernel.bind(group, batch, np.dtype(np.float64))
-    kernel.load(np.concatenate([layer.weight.value.ravel(), layer.bias.value.ravel()]))
+    kernel.load(np.concatenate([layer.weight.ravel(), layer.bias.ravel()]))
     x = rng.standard_normal((group, batch, channels, size, size))
     return kernel, x
 

@@ -17,15 +17,6 @@ class TestBasicInitializers:
         assert out.shape == (3, 4)
         assert np.all(out == 0.0)
 
-    def test_uniform_range(self):
-        out = init.uniform((1000,), RNG(), low=-0.1, high=0.1)
-        assert out.min() >= -0.1 and out.max() < 0.1
-
-    def test_normal_std(self):
-        out = init.normal((20000,), RNG(), std=0.5)
-        assert abs(out.std() - 0.5) < 0.02
-        assert abs(out.mean()) < 0.02
-
     def test_determinism_with_same_seed(self):
         a = init.xavier_uniform((5, 5), np.random.default_rng(42))
         b = init.xavier_uniform((5, 5), np.random.default_rng(42))
@@ -49,9 +40,7 @@ class TestFanComputation:
 
 
 class TestScaledInitializers:
-    @pytest.mark.parametrize(
-        "fn", [init.xavier_uniform, init.xavier_normal, init.he_uniform, init.he_normal]
-    )
+    @pytest.mark.parametrize("fn", [init.xavier_uniform, init.he_normal])
     def test_shapes(self, fn):
         assert fn((6, 4), RNG()).shape == (6, 4)
         assert fn((8, 3, 3, 3), RNG()).shape == (8, 3, 3, 3)
@@ -67,12 +56,6 @@ class TestScaledInitializers:
         large_fan = init.he_normal((1000, 40), RNG())
         # Var = 2/fan_in, so the small-fan-in init must have larger spread.
         assert small_fan.std() > large_fan.std() * 3
-
-    def test_xavier_normal_std(self):
-        fan_in, fan_out = 200, 200
-        out = init.xavier_normal((fan_in, fan_out), RNG())
-        expected = np.sqrt(2.0 / (fan_in + fan_out))
-        assert abs(out.std() - expected) < 0.1 * expected
 
     def test_generic_shape_fallback(self):
         # 1-D shapes should not crash (fan_in = fan_out = size).

@@ -55,7 +55,7 @@ def _gradient_step(model, w, x, y, steps=1, scale=1.0, offset=None):
     """``steps`` closed-form full-batch steps ``w ← scale·w − LR·∇F(w) + offset``."""
     w, model = w.copy(), ScalarModel(model)
     for _ in range(steps):
-        model.set_vector(w)
+        model.model.vector[...] = w
         model.zero_grad()
         model.loss_and_grad(x, y)
         w = scale * w - LR * model.grads.vector()

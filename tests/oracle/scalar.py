@@ -14,15 +14,13 @@ member trained alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import unflatten_vector
 from repro.nn.batched import StepTransform
 from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.models import EVAL_BATCH_SIZE, SequentialModel
-from repro.nn.params import Parameter, flatten_parameters
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -139,32 +137,44 @@ def col2im(
     return padded
 
 
+def parameters_of(layers: Sequence[Layer]) -> List[np.ndarray]:
+    """The parameter arrays of ``layers`` in the model vector's layout:
+    each layer's ``weight``, then its ``bias``."""
+    return [
+        array
+        for layer in layers
+        for array in (getattr(layer, "weight", None), getattr(layer, "bias", None))
+        if array is not None
+    ]
+
+
 class Gradients:
-    """One gradient buffer per parameter, by name: allocated zeroed on the
-    first accumulation, zeroed in place afterwards."""
+    """One flat gradient buffer laid out like the parameters it is built
+    over, with a view per parameter array; zeroed in place."""
 
-    def __init__(self, parameters: Sequence[Parameter]) -> None:
-        self.parameters = list(parameters)
-        self._grads: Dict[str, np.ndarray] = {}
+    def __init__(self, parameters: Sequence[np.ndarray]) -> None:
+        dtype = np.result_type(*parameters) if parameters else np.float64
+        self._flat = np.zeros(sum(p.size for p in parameters), dtype)
+        self._views = []
+        offset = 0
+        for p in parameters:
+            self._views.append((p, self._flat[offset : offset + p.size].reshape(p.shape)))
+            offset += p.size
 
-    def __getitem__(self, param: Parameter) -> Optional[np.ndarray]:
-        return self._grads.get(param.name)
+    def __getitem__(self, param: np.ndarray) -> np.ndarray:
+        return next(view for p, view in self._views if p is param)
 
-    def accumulate(self, param: Parameter, delta: np.ndarray) -> None:
-        """Add ``delta`` into ``param``'s buffer in place."""
-        g = self._grads.get(param.name)
-        if g is None or g.shape != param.value.shape:
-            g = self._grads[param.name] = np.zeros_like(param.value)
-        np.add(g, delta, out=g)
+    def accumulate(self, param: np.ndarray, delta: np.ndarray) -> None:
+        """Add ``delta`` into ``param``'s view in place."""
+        view = self[param]
+        np.add(view, delta, out=view)
 
     def zero(self) -> None:
-        for g in self._grads.values():
-            g.fill(0.0)
+        self._flat.fill(0.0)
 
-    def vector(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """All gradients flattened in layout order (zeros where unset)."""
-        grads = [self._grads.get(p.name, np.zeros_like(p.value)) for p in self.parameters]
-        return flatten_parameters(grads, out=out)
+    def vector(self) -> np.ndarray:
+        """The flat buffer itself, in layout order."""
+        return self._flat
 
 
 class _ScalarLayer:
@@ -193,9 +203,9 @@ class ScalarDense(_ScalarLayer):
                 f"got {x.shape[1]}"
             )
         self._cache_x = x if training else None
-        out = x @ self.weight.value
+        out = x @ self.weight
         if self.bias is not None:
-            out += self.bias.value
+            out += self.bias
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -207,7 +217,7 @@ class ScalarDense(_ScalarLayer):
         self.grads.accumulate(self.weight, x.T @ grad_out)
         if self.bias is not None:
             self.grads.accumulate(self.bias, grad_out.sum(axis=0))
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.T
 
 
 class ScalarReLU(_ScalarLayer):
@@ -261,10 +271,10 @@ class ScalarConv2D(_ScalarLayer):
             )
         k = (self.kernel_size, self.kernel_size)
         cols, (out_h, out_w) = im2col(x, k, self.stride, self.padding)
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
+        w_mat = self.weight.reshape(self.out_channels, -1)
         out = cols @ w_mat.T
         if self.bias is not None:
-            out += self.bias.value
+            out += self.bias
         n = x.shape[0]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if training:
@@ -279,8 +289,8 @@ class ScalarConv2D(_ScalarLayer):
         cols, input_shape, (out_h, out_w) = self._cache
         n = input_shape[0]
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        self.grads.accumulate(self.weight, (grad_mat.T @ cols).reshape(self.weight.value.shape))
+        w_mat = self.weight.reshape(self.out_channels, -1)
+        self.grads.accumulate(self.weight, (grad_mat.T @ cols).reshape(self.weight.shape))
         if self.bias is not None:
             self.grads.accumulate(self.bias, grad_mat.sum(axis=0))
         grad_cols = grad_mat @ w_mat
@@ -336,24 +346,22 @@ def scalar_layer(layer: Layer, grads: Optional[Gradients] = None):
     it brings ``forward`` / ``backward`` with it."""
     for klass in type(layer).__mro__:
         if klass in _SCALAR_LAYERS:
-            return _SCALAR_LAYERS[klass](layer, grads or Gradients(layer.parameters))
+            return _SCALAR_LAYERS[klass](layer, grads or Gradients(parameters_of([layer])))
     return layer
 
 
 class ScalarModel:
-    """A spec model's scalar passes.  ``parameters``, ``get_vector``,
-    ``set_vector`` and ``dimension`` are the model's; gradients go to
-    ``grads``."""
+    """A spec model's scalar passes.  ``vector``, ``get_vector`` and
+    ``dimension`` are the model's; gradients go to ``grads``, laid out like
+    ``vector``."""
 
     def __init__(self, model: SequentialModel) -> None:
         self.model = model
-        self.grads = Gradients(model.parameters)
+        self.grads = Gradients(parameters_of(model.layers))
         self.layers: List = [scalar_layer(layer, self.grads) for layer in model.layers]
         # Inputs are cast to the parameter dtype so float32 simulation mode
         # keeps the whole forward/backward pass in float32.
-        self._input_dtype = (
-            model.parameters[0].value.dtype if len(model.parameters) else np.dtype(np.float64)
-        )
+        self._input_dtype = model.vector.dtype
 
     def __getattr__(self, name: str):
         return getattr(self.model, name)
@@ -417,33 +425,29 @@ class ScalarEngine:
         self, worker_ids, worker_data, base_vector, round_index, *,
         learning_rate, local_steps, batch_size, seed, out, pad_to=None, transform=None,
     ):  # fmt: skip
-        params, grads = self.model.parameters, self.model.grads
+        vector, grads = self.model.vector, self.model.grads
         keys = [round_index] * len(worker_ids) if np.ndim(round_index) == 0 else round_index
         for k, (worker, key) in enumerate(zip(worker_ids, keys)):
             x, y = worker_data[k]
             # Copied in before row k of ``out`` (maybe the base itself) is written.
-            self.model.set_vector(base_vector if base_vector.ndim == 1 else base_vector[k])
+            vector[...] = base_vector if base_vector.ndim == 1 else base_vector[k]
             step = transform.rows(k) if transform is not None else StepTransform()
-            offsets = None
-            if step.offset is not None:
-                offsets = unflatten_vector(step.offset, params.shapes())
             rng = np.random.default_rng(np.random.SeedSequence([seed, worker, key, 0x10CA1]))
             for _ in range(local_steps if len(x) else 0):
                 idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
                 self.model.zero_grad()
                 self.model.loss_and_grad(x[idx], y[idx])
-                for p in params:
-                    if step.scale != 1.0:
-                        p.value *= step.scale
-                    p.value -= learning_rate * grads[p]
-                for p, block in zip(params, offsets or ()):
-                    p.value += block
-            self.model.get_vector(out=out[k])
+                if step.scale != 1.0:
+                    vector *= step.scale
+                vector -= learning_rate * grads.vector()
+                if step.offset is not None:
+                    vector += step.offset
+            out[k] = vector
         return out
 
     def evaluate(self, vectors, x, y):
         pairs = []
         for vector in vectors:
-            self.model.set_vector(vector)
+            self.model.vector[...] = vector
             pairs.append(self.model.evaluate(x, y))
         return [loss for loss, _ in pairs], [acc for _, acc in pairs]

@@ -1,5 +1,5 @@
-"""Property-based tests for the NumPy neural-network substrate and the
-losses of its scalar oracle (``tests/oracle/scalar.py``)."""
+"""Property-based tests for the losses of the scalar oracle
+(``tests/oracle/scalar.py``)."""
 
 from __future__ import annotations
 
@@ -8,51 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Parameter, ParameterSet, flatten_parameters, unflatten_vector
-
 from oracle.scalar import accuracy, log_softmax, softmax, softmax_cross_entropy
-
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-@st.composite
-def array_shapes_and_values(draw, max_arrays=4):
-    """A list of small arrays with arbitrary shapes and finite values."""
-    n = draw(st.integers(1, max_arrays))
-    arrays = []
-    for _ in range(n):
-        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-        arr = draw(
-            hnp.arrays(dtype=np.float64, shape=shape, elements=finite_floats)
-        )
-        arrays.append(arr)
-    return arrays
-
-
-class TestFlattenRoundtrip:
-    @given(arrays=array_shapes_and_values())
-    @settings(max_examples=60, deadline=None)
-    def test_flatten_unflatten_roundtrip(self, arrays):
-        """unflatten(flatten(x)) == x for any collection of tensors."""
-        vec = flatten_parameters(arrays)
-        assert vec.ndim == 1
-        assert vec.size == sum(a.size for a in arrays)
-        blocks = unflatten_vector(vec, [a.shape for a in arrays])
-        for original, block in zip(arrays, blocks):
-            np.testing.assert_array_equal(original, block)
-
-    @given(arrays=array_shapes_and_values())
-    @settings(max_examples=30, deadline=None)
-    def test_parameter_set_roundtrip(self, arrays):
-        ps = ParameterSet(
-            [Parameter(f"p{i}", a) for i, a in enumerate(arrays)]
-        )
-        vec = ps.to_vector()
-        ps.from_vector(vec * 2.0)
-        np.testing.assert_allclose(ps.to_vector(), vec * 2.0)
 
 
 class TestSoftmaxProperties:

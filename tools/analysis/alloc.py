@@ -133,7 +133,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "BaseTrainer.record_round",
         "BaseTrainer._flush_evaluations",
     },
-    "src/repro/nn/params.py": {"ParameterSet.from_vector"},
     # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
     "src/repro/core/power_control.py": {"PowerControlCache.solve"},
     # Server-side protocol transitions and the helpers they call: O(1) per
