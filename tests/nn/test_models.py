@@ -96,6 +96,15 @@ class TestFlatVector:
         assert all(a.dtype == np.float32 for a in arrays)
         assert model.get_vector().dtype == np.float32
 
+    @pytest.mark.parametrize("family", sorted(SMALL_SHAPES))
+    def test_views_are_contiguous_and_tile_the_vector(self, family):
+        model = registry.create("model", family, seed=1, **SMALL_SHAPES[family])
+        arrays = [a for layer in model.layers for a in (layer.weight, layer.bias) if a is not None]
+        assert all(a.dtype == np.float64 and a.flags["C_CONTIGUOUS"] for a in arrays)
+        assert all(np.shares_memory(a, model.vector) for a in arrays)
+        assert sum(a.size for a in arrays) == model.dimension
+        np.testing.assert_array_equal(model.vector, np.concatenate([a.ravel() for a in arrays]))
+
 
 class TestLogisticRegressionMLP:
     def test_default_parameter_count_matches_paper_architecture(self):
@@ -118,6 +127,13 @@ class TestLogisticRegressionMLP:
         a = LogisticRegressionMLP(input_dim=16, hidden=8, seed=3)
         b = LogisticRegressionMLP(input_dim=16, hidden=8, seed=4)
         assert not np.array_equal(a.get_vector(), b.get_vector())
+
+    def test_vector_roundtrip(self):
+        model = LogisticRegressionMLP(input_dim=16, hidden=8)
+        vec = model.get_vector()
+        model.vector[:] = vec * 2.0
+        np.testing.assert_allclose(model.get_vector(), vec * 2.0)
+        np.testing.assert_allclose(model.layers[0].weight.ravel(), vec[: 16 * 8] * 2.0)
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,5 @@
-"""Property-based tests for the losses of the scalar oracle
-(``tests/oracle/scalar.py``)."""
+"""Property-based tests for a model's flat parameter vector and the losses
+of the scalar oracle (``tests/oracle/scalar.py``)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.nn import Dense, ReLU, SequentialModel
+
 from oracle.scalar import accuracy, log_softmax, softmax, softmax_cross_entropy
+
+
+@st.composite
+def dense_stacks(draw):
+    """The layers of a small ``SequentialModel``: Dense layers of arbitrary
+    widths, some without a bias, with parameterless ReLUs between them."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        layers.append(Dense(f"fc{i}", n_in, n_out, rng, bias=draw(st.booleans())))
+        layers.append(ReLU(f"relu{i}"))
+    return layers
+
+
+def _arrays(layers):
+    return [a for layer in layers for a in (layer.weight, layer.bias) if a is not None]
+
+
+class TestFlattenRoundtrip:
+    @given(layers=dense_stacks())
+    @settings(max_examples=60)
+    def test_flatten_unflatten_roundtrip(self, layers):
+        """The model's views read back exactly what each layer drew."""
+        drawn = [a.copy() for a in _arrays(layers)]
+        model = SequentialModel(layers)
+        assert model.vector.ndim == 1
+        assert model.dimension == sum(a.size for a in drawn)
+        np.testing.assert_array_equal(model.vector, np.concatenate([a.ravel() for a in drawn]))
+        for original, view in zip(drawn, _arrays(model.layers)):
+            assert view.shape == original.shape
+            np.testing.assert_array_equal(view, original)
+
+    @given(layers=dense_stacks())
+    @settings(max_examples=30)
+    def test_parameter_set_roundtrip(self, layers):
+        """Writing the vector is what every view reads afterwards."""
+        model = SequentialModel(layers)
+        vec = model.get_vector()
+        model.vector[:] = vec * 2.0
+        np.testing.assert_array_equal(model.get_vector(), vec * 2.0)
+        views = np.concatenate([a.ravel() for a in _arrays(model.layers)])
+        np.testing.assert_array_equal(views, vec * 2.0)
 
 
 class TestSoftmaxProperties:
