@@ -87,7 +87,9 @@ class WorkerStateTable:
     Derived fields reproduce the legacy trainer init exactly: ``sizes`` is
     ``raw_sizes.astype(float64)`` floored at ``1e-9`` only when some entry
     is non-positive, ``total_size = float(sizes.sum())`` and
-    ``alphas = sizes / total_size``.
+    ``alphas = sizes / total_size``.  The event-loop counters ``staleness``
+    (at the last commit), ``dispatches``, ``unavailable`` and ``dropped``
+    are int32 ``(N,)`` arrays.
     """
 
     raw_sizes: np.ndarray
@@ -123,10 +125,10 @@ class WorkerStateTable:
                 raise ValueError(
                     f"latencies shape {self.latencies.shape} != ({n},)"
                 )
-        self.staleness = np.zeros(n, dtype=np.int64)
-        self.dispatches = np.zeros(n, dtype=np.int64)
-        self.unavailable = np.zeros(n, dtype=np.int64)
-        self.dropped = np.zeros(n, dtype=np.int64)
+        self.staleness = np.zeros(n, dtype=np.int32)
+        self.dispatches = np.zeros(n, dtype=np.int32)
+        self.unavailable = np.zeros(n, dtype=np.int32)
+        self.dropped = np.zeros(n, dtype=np.int32)
         # Registered mechanism state (struct-of-arrays): name -> (N,) or
         # (N, width) array.  See register_field.
         self._fields: Dict[str, np.ndarray] = {}
@@ -401,22 +403,29 @@ class SharedDatasetStore:
 
     def class_counts(self) -> np.ndarray:
         """Per-worker label histograms, ``(N, K)``: the transpose of a
-        class-major C-contiguous ``(K, N)`` int32 table.  Class ``c``'s row is
-        ``prefix[stops] - prefix[starts]`` over one ``(n + 1,)`` prefix sum of
-        ``y == c``; O(K·(n + N)), correct for overlapping (replicated) windows.
+        class-major C-contiguous ``(K, N)`` table in the narrowest dtype that
+        holds the longest window (uint8 up to 255 rows, uint16 up to 65,535,
+        else int32).  Class ``c``'s row is ``prefix[stops] - prefix[starts]``
+        over one ``(n + 1,)`` int32 prefix sum of ``y == c``, taken in int32
+        and then cast; O(K·(n + N)), correct for overlapping (replicated)
+        windows.
         """
         labels, k = np.asarray(self.y), self.num_classes
         if labels.size and (labels.min() < 0 or labels.max() >= k):
             raise ValueError("partition labels out of range for num_classes")
-        counts = np.empty((k, self.num_workers), dtype=np.int32)
+        longest = int(self.data_sizes().max())
+        narrow = np.uint8 if longest <= 255 else np.uint16 if longest <= 65535 else np.int32
+        counts = np.empty((k, self.num_workers), dtype=narrow)
         prefix = np.zeros(labels.size + 1, dtype=np.int32)
+        upper = np.empty(self.num_workers, dtype=np.int32)
         lower = np.empty(self.num_workers, dtype=np.int32)
         for c, row in enumerate(counts):
             np.cumsum(labels == c, dtype=np.int32, out=prefix[1:])
             # Windows lie in [0, n] (checked at construction): "clip" skips
             # the buffered bounds check of the default "raise".
-            np.take(prefix, self.stops, out=row, mode="clip")
-            row -= np.take(prefix, self.starts, out=lower, mode="clip")
+            np.take(prefix, self.stops, out=upper, mode="clip")
+            np.take(prefix, self.starts, out=lower, mode="clip")
+            np.subtract(upper, lower, out=row, casting="unsafe")
         return counts.T
 
     @property

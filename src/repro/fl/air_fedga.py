@@ -61,7 +61,8 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
             int64 blocks, no per-worker Python objects).
         num_groups:
             Group count for the ``tier``/``random``/``contiguous``
-            strategies (ignored by ``greedy``/``singleton``).
+            strategies (ignored by ``greedy``/``singleton``): an integer
+            >= 1, or ``None`` for one group per ten workers.
         grouping_seed:
             Seed for the ``random`` strategy.
         staleness:
@@ -72,6 +73,14 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
         """
         if grouping_strategy not in GROUPING_STRATEGIES:
             raise ValueError(f"unknown grouping strategy {grouping_strategy!r}")
+        if num_groups is None:
+            num_groups = max(1, experiment.num_workers // 10)
+        elif (
+            isinstance(num_groups, bool)
+            or not isinstance(num_groups, (int, np.integer))
+            or num_groups < 1
+        ):
+            raise ValueError(f"num_groups must be None or an integer >= 1, got {num_groups!r}")
         self.grouping_strategy = grouping_strategy
         self.num_groups_hint = num_groups
         self.grouping_seed = grouping_seed
@@ -94,7 +103,7 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
         return self._adopt_grouping(
             strategy(
                 self.grouping_problem(c_max=pc.error_term),
-                self.num_groups_hint or max(1, self.exp.num_workers // 10),
+                self.num_groups_hint,
                 self.grouping_seed,
             )
         )

@@ -918,9 +918,11 @@ class _Lane:
                     idx = rngs[k].choice(counts[k], size=batches[k], replace=False)
                     idx += offsets[k]
                     gidx[k, : batches[k]] = idx
+                # Every index is in range by construction: "clip" skips the
+                # buffered copy of ``out`` that the default "raise" makes.
                 for x_rows, y_rows, span in takes:
-                    np.take(x_rows, gidx_flat[span], axis=0, out=xb_flat[span])
-                    np.take(y_rows, gidx_flat[span], out=yb_flat[span])
+                    np.take(x_rows, gidx_flat[span], axis=0, out=xb_flat[span], mode="clip")
+                    np.take(y_rows, gidx_flat[span], out=yb_flat[span], mode="clip")
                 if ragged:
                     xb[geo["pad"]] = 0
                     yb[geo["pad"]] = 0

@@ -590,6 +590,7 @@ def whole_table_reduction(problem, groups):
 
 TABLE_LAYOUTS = {
     "int32 class-major": lambda counts: np.ascontiguousarray(counts.T, dtype=np.int32).T,
+    "uint8 class-major": lambda counts: np.ascontiguousarray(counts.T, dtype=np.uint8).T,
     "int64 C-order": lambda counts: np.ascontiguousarray(counts, dtype=np.int64),
     "float64": lambda counts: counts.astype(np.float64),
 }

@@ -157,8 +157,28 @@ def test_class_counts_equal_per_worker_bincount_replicated(stride):
         dataset, num_workers=5000, shard_size=16, stride=stride
     )
     counts = store.class_counts()
-    assert counts.dtype == np.int32 and counts.shape == (5000, dataset.num_classes)
+    assert counts.dtype == np.uint8 and counts.shape == (5000, dataset.num_classes)
     assert counts.T.flags.c_contiguous  # class-major
+    assert np.array_equal(counts, _bincount_histograms(store))
+
+
+@pytest.mark.parametrize(
+    "longest, dtype",
+    [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.int32)],
+)
+def test_class_counts_take_the_narrowest_dtype_holding_the_longest_window(longest, dtype):
+    """Worker 0's window holds one class only, so its count is the longest window."""
+    labels = np.random.default_rng(longest).integers(0, 3, size=longest + 7)
+    labels[:longest] = 0
+    store = SharedDatasetStore(
+        x=np.zeros((labels.size, 1)),
+        y=labels,
+        starts=np.array([0, 7, 2, 4]),
+        stops=np.array([longest, longest + 7, 9, 4]),
+        num_classes=3,
+    )
+    counts = store.class_counts()
+    assert counts.dtype == dtype and counts[0, 0] == longest
     assert np.array_equal(counts, _bincount_histograms(store))
 
 

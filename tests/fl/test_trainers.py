@@ -176,6 +176,16 @@ class TestAirFedGA:
         with pytest.raises(ValueError):
             AirFedGATrainer(small_experiment, grouping_strategy="kmeans")
 
+    @pytest.mark.parametrize("num_groups", [None, 0, True, 2.5])
+    def test_num_groups_is_none_or_a_positive_integer(self, small_experiment, num_groups):
+        """``None`` is one group per ten workers (at least one); nothing is coerced."""
+        if num_groups is None:
+            trainer = AirFedGATrainer(small_experiment, grouping_strategy="tier")
+            assert trainer.grouping_result.num_groups == 1
+            return
+        with pytest.raises(ValueError, match="num_groups must be None or an integer >= 1"):
+            AirFedGATrainer(small_experiment, grouping_strategy="tier", num_groups=num_groups)
+
     def test_short_run(self, small_experiment):
         history = AirFedGATrainer(small_experiment).run(max_rounds=6)
         assert history.total_rounds == 6
