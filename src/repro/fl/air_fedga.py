@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.grouping import GROUPING_STRATEGIES
 from ..core.power_control import solve_power_control
-from .base import FLExperiment
+from .base import FLExperiment, require_count
 from .grouped import GroupedAsyncTrainer
 from .uplink import AirCompUplink
 
@@ -73,14 +73,9 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
         """
         if grouping_strategy not in GROUPING_STRATEGIES:
             raise ValueError(f"unknown grouping strategy {grouping_strategy!r}")
+        require_count("num_groups", num_groups, optional=True)
         if num_groups is None:
             num_groups = max(1, experiment.num_workers // 10)
-        elif (
-            isinstance(num_groups, bool)
-            or not isinstance(num_groups, (int, np.integer))
-            or num_groups < 1
-        ):
-            raise ValueError(f"num_groups must be None or an integer >= 1, got {num_groups!r}")
         self.grouping_strategy = grouping_strategy
         self.num_groups_hint = num_groups
         self.grouping_seed = grouping_seed

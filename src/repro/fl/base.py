@@ -75,6 +75,19 @@ _MERGE_ROWS = 192
 _LOOK_AHEAD = 64
 
 
+def require_count(name: str, value: object, *, optional: bool = False) -> None:
+    """Refuse ``value`` unless it is an integer >= 1 (``None`` too if ``optional``).
+
+    Bools and floats are refused, not coerced: ``2.5`` would truncate to 2
+    and ``True`` count as 1.
+    """
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        either = "None or " if optional else ""
+        raise ValueError(f"{name} must be {either}an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Workers trained by one batched call: from the global model that the
@@ -157,8 +170,9 @@ class FLExperiment:
     #: Device-realism model (see :mod:`repro.sim.clientstate`): decides
     #: which workers are unavailable at group-dispatch time, drop mid-round
     #: or return partial local work.  ``None`` (or the ``always-on`` model)
-    #: disables fault injection entirely — the event loop then takes the
-    #: exact legacy code path and histories stay bit-identical.
+    #: skips the fault path; a model injecting nothing gives the same history.
+    #: The skip stays: always-on through the fault path measured slower
+    #: (``scale_1m`` 0.45 → 0.92 s; docs/ARCHITECTURE.md, "Fault model").
     clientstate: Optional[ClientStateModel] = None
     #: Group-level policy for reacting to faults (quorum fraction, retry
     #: backoff, survivor-weight renormalization); see
@@ -206,13 +220,9 @@ class FLExperiment:
             isinstance(rate, (int, float, np.floating)) and math.isfinite(rate) and rate > 0
         ):
             raise ValueError(f"learning_rate must be a finite positive number, got {rate!r}")
-        counts = ["local_steps", "batch_size", "eval_every", "max_eval_samples"]
-        if self.latency_model_dimension is not None:
-            counts.append("latency_model_dimension")
-        for name in counts:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("local_steps", "batch_size", "eval_every", "max_eval_samples"):
+            require_count(name, getattr(self, name))
+        require_count("latency_model_dimension", self.latency_model_dimension, optional=True)
         if (
             self.clientstate is not None
             and self.clientstate.num_workers != num_workers

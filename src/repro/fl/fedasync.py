@@ -45,7 +45,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .base import Cohort, CommitRow, FLExperiment
+from .base import Cohort, CommitRow, FLExperiment, require_count
 from .staleness import (
     PolynomialStaleness,
     StalenessPolicy,
@@ -72,8 +72,7 @@ class FedAsyncTrainer(OMAUplink):
             raise ValueError(
                 f"mix_weight must be in (0, 1], got {mix_weight}"
             )
-        if buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
+        require_count("buffer_size", buffer_size)
         # Accepts the same staleness argument as the grouped trainer; the
         # FedAsync default is the paper's polynomial schedule s(τ) =
         # 1/(1+τ)^0.5 (pass staleness="constant" to disable damping).

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.grouping import tier_grouping
-from .base import FLExperiment
+from .base import FLExperiment, require_count
 from .grouped import GroupedAsyncTrainer
 from .uplink import OMAUplink
 
@@ -32,8 +32,7 @@ class TiFLTrainer(OMAUplink, GroupedAsyncTrainer):
         num_tiers: int = 5,
         staleness: object = None,
     ) -> None:
-        if num_tiers < 1:
-            raise ValueError("num_tiers must be >= 1")
+        require_count("num_tiers", num_tiers)
         self.num_tiers = num_tiers
         super().__init__(experiment, staleness=staleness)
 

@@ -10,12 +10,7 @@ the engine is checked against live in the test tree
 """
 
 from .params import default_dtype, parameter_dtype
-from .batched import (
-    BatchedKernel,
-    BatchedWorkerEngine,
-    batched_layer_supported,
-    register_batched_kernel,
-)
+from .batched import BatchedWorkerEngine
 from .layers import (
     Conv2D,
     Dense,
@@ -36,10 +31,7 @@ from .models import (
 __all__ = [
     "default_dtype",
     "parameter_dtype",
-    "BatchedKernel",
     "BatchedWorkerEngine",
-    "batched_layer_supported",
-    "register_batched_kernel",
     "Layer",
     "Dense",
     "ReLU",

@@ -9,18 +9,15 @@ tensors (Dense weights become ``(G, in, out)``, Conv2D weights
 SGD step for the whole group.  It is the only trainer: a trainer whose model
 has a layer without a kernel fails at construction.
 
-Kernels are composed through a registry: each supported layer type maps to a
-:class:`BatchedKernel` factory via :func:`register_batched_kernel`, and
-:class:`BatchedWorkerEngine` builds exactly when every layer of a
-:class:`~repro.nn.models.SequentialModel` has a registered kernel.  Built-in
-kernels cover :class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.ReLU`,
-:class:`~repro.nn.layers.Flatten`, :class:`~repro.nn.layers.Conv2D` (batched
-im2col — the ``(N, C, H, W)`` column transform of the scalar oracle in
-``tests/oracle/scalar.py`` lifted to a ``(G, N, C, H, W)`` leading group axis
-and contracted as one grouped matmul over the ``(G, q_cols, k)`` column
-tensor) and :class:`~repro.nn.layers.MaxPool2D` (tie-normalised max mask
-over a window-major copy) — i.e. every layer the paper's LR/CNN/MiniVGG
-workloads use.  The data movement around the GEMMs
+Each layer type the paper's LR/CNN/MiniVGG workloads use has one kernel in
+the fixed table ``_KERNELS``: :class:`~repro.nn.layers.Dense`,
+:class:`~repro.nn.layers.ReLU`, :class:`~repro.nn.layers.Flatten`,
+:class:`~repro.nn.layers.Conv2D` (batched im2col — the ``(N, C, H, W)``
+column transform of the scalar oracle in ``tests/oracle/scalar.py`` lifted
+to a ``(G, N, C, H, W)`` leading group axis and contracted as one grouped
+matmul over the ``(G, q_cols, k)`` column tensor) and
+:class:`~repro.nn.layers.MaxPool2D` (tie-normalised max mask over a
+window-major copy).  The data movement around the GEMMs
 (bias add and sum, col2im, the pooling passes) is laid out so that each NumPy
 pass has a long contiguous inner run; the arithmetic per element and its
 order are the scalar oracle's.
@@ -49,20 +46,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from .layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from .models import EVAL_BATCH_SIZE, Model, SequentialModel
 
-__all__ = [
-    "BatchedKernel",
-    "BatchedWorkerEngine",
-    "StepTransform",
-    "batched_layer_supported",
-    "register_batched_kernel",
-]
+__all__ = ["BatchedWorkerEngine", "StepTransform"]
 
 
 @dataclass(frozen=True)
@@ -100,47 +91,6 @@ class StepTransform:
         return StepTransform(scale=self.scale, offset=self.offset[index])
 
 
-class BatchedKernel(Protocol):
-    """Protocol implemented by batched (leading group axis) layer kernels.
-
-    A kernel operates on ``(G, B, ...)`` tensors where ``G`` is the group
-    size and ``B`` the (padded) per-worker mini-batch size.
-
-    Required interface:
-
-    * ``param_size`` — number of scalar parameters the kernel owns in the
-      flat model vector (0 for activation/reshape kernels);
-    * ``forward(x)`` / ``backward(grad_out)`` — stacked forward/backward.
-      Training and :meth:`BatchedWorkerEngine.evaluate` share ``forward``:
-      its output depends on its input and the bound parameters alone, as
-      the layer's forward does with ``training`` either way.
-
-    Parametric kernels (``param_size > 0``) additionally implement
-    ``bind(group, batch, dtype)`` (attach buffers for that many members),
-    ``load(base)`` (copy the base parameters in: one shared ``(q,)`` base
-    or a ``(G, q)`` row per member),
-    ``dump(out)`` (write each member's flat parameters into its row) and
-    ``sgd_step(lr)``.  Optional, discovered by the engine via ``hasattr``:
-    ``member_writes(shape, batch)`` → ``(output shape, elements)``: a
-    sample's output shape for a sample of ``shape``, and the most elements
-    one member's slice of any array the kernel writes per step occupies —
-    the size the lane gate reads; a model with a kernel lacking it trains
-    on one lane.  Kernels exposing a ``skip_input_grad`` attribute have it
-    set to ``True`` when they are the model's first parametric layer,
-    allowing them to skip the (largest) input-gradient computation.
-    """
-
-    param_size: int
-
-    def forward(self, x: np.ndarray) -> np.ndarray: ...
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray: ...
-
-
-#: Layer type -> kernel factory ``(layer, offset) -> BatchedKernel`` where
-#: ``offset`` is the layer's position in the flat parameter vector.
-_KERNEL_REGISTRY: Dict[type, Callable[[Layer, int], BatchedKernel]] = {}
-
 #: Convolutional models run the group in sub-tiles of this many workers:
 #: image-sized activation/column buffers for a large group overflow the CPU
 #: caches and every pass streams from DRAM, so tiling is faster despite the
@@ -148,10 +98,10 @@ _KERNEL_REGISTRY: Dict[type, Callable[[Layer, int], BatchedKernel]] = {}
 #: Per-worker results are unchanged — each member's per-slice GEMM shapes
 #: and elementwise ops do not depend on how the group is split, so tiling
 #: preserves the scalar-path equivalence bit for bit (a ragged group's
-#: tile pads to its own largest batch unless ``pad_to`` pins it, so there
-#: the tile size moves the last bits, within 1e-9).  Dense/MLP models
-#: stay untiled (their per-worker buffers are small and the one-big-matmul
-#: layout is what delivers their speedup).  Lanes split tiles, not groups.
+#: tile pads to its own largest batch, so there the tile size moves the
+#: last bits, within 1e-9).  Dense/MLP models stay untiled (their per-worker
+#: buffers are small and the one-big-matmul layout is what delivers their
+#: speedup).  Lanes split tiles, not groups.
 _CONV_GROUP_TILE = 12
 
 #: Most lanes one call uses (the calling thread plus pool threads), and the
@@ -162,42 +112,6 @@ _CONV_GROUP_TILE = 12
 #: lane, of 6 members and more (154k and up) at 1.19–1.51x.
 _MAX_LANES = 2
 _LANE_MIN_WRITES = 120_000
-
-
-def register_batched_kernel(
-    layer_type: type,
-) -> Callable[[Callable[[Layer, int], BatchedKernel]], Callable[[Layer, int], BatchedKernel]]:
-    """Register a :class:`BatchedKernel` factory for ``layer_type``.
-
-    Usable as a class decorator::
-
-        @register_batched_kernel(MyLayer)
-        class _BatchedMyLayer:
-            param_size = 0
-            ...
-
-    Lookup walks the layer's MRO, so subclasses inherit their base class's
-    kernel unless they register their own.
-    """
-
-    def decorator(factory: Callable[[Layer, int], BatchedKernel]):
-        _KERNEL_REGISTRY[layer_type] = factory
-        return factory
-
-    return decorator
-
-
-def _kernel_factory(layer: object) -> Optional[Callable[[Layer, int], BatchedKernel]]:
-    for klass in type(layer).__mro__:
-        factory = _KERNEL_REGISTRY.get(klass)
-        if factory is not None:
-            return factory
-    return None
-
-
-def batched_layer_supported(layer: object) -> bool:
-    """Whether ``layer`` has a batched (leading group axis) kernel."""
-    return _kernel_factory(layer) is not None
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +142,10 @@ class _ParamKernel:
     flat model vector they sit at the layer's offsets.  Buffers come from
     :func:`_slab`, one per name whatever the group size.
     """
+
+    #: Set on the first parametric layer of the network: nothing upstream
+    #: needs the input gradient, so its (largest) backward matmul is skipped.
+    skip_input_grad = False
 
     def __init__(self, layer: Union[Dense, Conv2D], offset: int) -> None:
         self.has_bias = layer.bias is not None
@@ -302,7 +220,6 @@ class _ParamKernel:
             self.bias += flat[..., self.bias_offset : self.bias_offset + self.bias_size]
 
 
-@register_batched_kernel(Dense)
 class _BatchedDense(_ParamKernel):
     """``y[g] = x[g] @ W[g] + b[g]`` for all group members at once."""
 
@@ -337,10 +254,6 @@ class _BatchedDense(_ParamKernel):
             out += self.bias[:, None, :]
         return out
 
-    #: Set on the first parametric layer of the network: nothing upstream
-    #: needs the input gradient, so its (largest) backward matmul is skipped.
-    skip_input_grad = False
-
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._cache_x
         np.matmul(x.transpose(0, 2, 1), grad_out, out=self.grad_weight)
@@ -361,7 +274,6 @@ def _elementwise_writes(shape: Tuple[int, ...], batch: int) -> Tuple[Tuple[int, 
     return shape, batch * math.prod(shape)
 
 
-@register_batched_kernel(ReLU)
 class _BatchedReLU:
     param_size = 0
 
@@ -386,7 +298,6 @@ class _BatchedReLU:
         return grad_out
 
 
-@register_batched_kernel(Flatten)
 class _BatchedFlatten:
     param_size = 0
 
@@ -404,7 +315,6 @@ class _BatchedFlatten:
         return grad_out.reshape(self._shape)
 
 
-@register_batched_kernel(Conv2D)
 class _BatchedConv2D(_ParamKernel):
     """Grouped im2col convolution: one GEMM per group per direction.
 
@@ -422,8 +332,6 @@ class _BatchedConv2D(_ParamKernel):
     the scalar layer's shapes, so the result matches the scalar path
     bit-for-bit for uniform batch sizes.
     """
-
-    skip_input_grad = False
 
     def __init__(self, layer: Conv2D, offset: int) -> None:
         super().__init__(layer, offset)
@@ -614,7 +522,6 @@ class _BatchedConv2D(_ParamKernel):
         return grad_pad
 
 
-@register_batched_kernel(MaxPool2D)
 class _BatchedMaxPool2D:
     """Grouped non-overlapping max pooling with the scalar layer's tie rule.
 
@@ -683,6 +590,25 @@ def _window_major(x: np.ndarray, p: int) -> np.ndarray:
     """The ``(p, p, G, B, C, H/p, W/p)`` view of a contiguous ``(G, B, C, H, W)``."""
     g, b, c, h, w = x.shape
     return x.reshape(g, b, c, h // p, p, w // p, p).transpose(4, 6, 0, 1, 2, 3, 5)
+
+
+_Kernel = Union[_BatchedDense, _BatchedReLU, _BatchedFlatten, _BatchedConv2D, _BatchedMaxPool2D]
+
+#: The kernel of each layer type, built as ``kernel(layer, offset)`` with
+#: ``offset`` the layer's first entry in the flat model vector; a layer takes
+#: the first entry along its MRO.  Every kernel has ``param_size``,
+#: ``forward`` / ``backward`` on ``(G, B, ...)`` stacks (training and
+#: :meth:`BatchedWorkerEngine.evaluate` share ``forward``: its output depends
+#: on its input and the bound parameters alone) and ``member_writes(shape,
+#: batch)`` → ``(output shape, elements)``: a sample's output shape, and the
+#: most elements one member's slice of any array it writes per step holds.
+_KERNELS: Dict[type, Type[_Kernel]] = {
+    Dense: _BatchedDense,
+    ReLU: _BatchedReLU,
+    Flatten: _BatchedFlatten,
+    Conv2D: _BatchedConv2D,
+    MaxPool2D: _BatchedMaxPool2D,
+}
 
 
 # ----------------------------------------------------------------------
@@ -758,7 +684,7 @@ def _worker_streams(
 
 @dataclass
 class _Roster:
-    """What a ``(worker ids, batch_size, pad_to)`` call fixes for every round.
+    """What a ``(worker ids, batch_size)`` call fixes for every round.
 
     A trainer dispatches the same few rosters thousands of times, so the
     engine derives these once per roster and a steady-state ``run_group``
@@ -839,21 +765,21 @@ class _Lane:
 
     def __init__(self, layers: Sequence[Layer], dimension: int, dtype: np.dtype) -> None:
         self.dtype = dtype
-        self.kernels: List[BatchedKernel] = []
-        self.params: List[BatchedKernel] = []
+        self.kernels: List[_Kernel] = []
+        self.params: List[_ParamKernel] = []
         offset = 0
         for layer in layers:
-            factory = _kernel_factory(layer)
-            if factory is None:
+            kernel_type = next((_KERNELS[k] for k in type(layer).__mro__ if k in _KERNELS), None)
+            if kernel_type is None:
                 kind = type(layer).__name__
                 raise ValueError(
-                    f"layer {getattr(layer, 'name', kind)!r} ({kind}) has no batched "
-                    f"kernel; register one with @register_batched_kernel({kind})"
+                    f"layer {layer.name!r} ({kind}) has no batched kernel; "
+                    f"the engine trains {', '.join(k.__name__ for k in _KERNELS)} layers"
                 )
-            kernel = factory(layer, offset)
+            kernel = kernel_type(layer, offset)
             offset += kernel.param_size
             self.kernels.append(kernel)
-            if kernel.param_size:
+            if isinstance(kernel, _ParamKernel):
                 self.params.append(kernel)
         if offset != dimension:
             raise ValueError(
@@ -862,8 +788,7 @@ class _Lane:
             )
         # The input gradient of the network's first parametric layer is never
         # consumed (activation/reshape kernels before it carry no parameters).
-        if hasattr(self.params[0], "skip_input_grad"):
-            self.params[0].skip_input_grad = True
+        self.params[0].skip_input_grad = True
         # Backward pass stops at the first parametric kernel: it skips its
         # input gradient, and kernels before it own no parameters, so their
         # backward methods would only consume (mis-shaped) skipped output.
@@ -968,9 +893,9 @@ class BatchedWorkerEngine:
 
     Build one per trainer; the engine keeps its
     stacked parameter/activation buffers across rounds, so steady-state
-    group updates allocate almost nothing.  Layer support is determined by
-    the kernel registry (see :func:`register_batched_kernel`); a group
-    large enough is split across lanes (see the module docstring).
+    group updates allocate almost nothing.  It trains the layer types of
+    ``_KERNELS``; a group large enough is split across lanes (see the
+    module docstring).
     """
 
     def __init__(self, model: SequentialModel) -> None:
@@ -993,7 +918,7 @@ class BatchedWorkerEngine:
         #: call: no conv tiles.
         self.trains_ahead = self._tile is None
         # One LRU cache, least recently used first, of what a roster fixes
-        # (see _Roster) under ``("roster", worker ids, batch_size, pad_to)`` of
+        # (see _Roster) under ``("roster", worker ids, batch_size)`` of
         # a tile, and of each lane's sampling geometries (input buffers, padding
         # masks, divisors) under ``("geometry", lane, b_max, batches) + feature
         # shape``, so the event loop alternating between groups never rebuilds
@@ -1006,7 +931,7 @@ class BatchedWorkerEngine:
 
     @property
     def _rosters(self) -> Dict[Tuple, _Roster]:
-        """The cached rosters by ``(worker ids, batch_size, pad_to)``, least recent first."""
+        """The cached rosters by ``(worker ids, batch_size)``, least recent first."""
         return {key[1:]: entry for key, (entry, _) in self._cache.items() if key[0] == "roster"}
 
     # ------------------------------------------------------------------
@@ -1016,7 +941,7 @@ class BatchedWorkerEngine:
 
         Raises the constructor's ``ValueError`` for a model it cannot train:
         not a :class:`SequentialModel`, no parameters, or a layer without a
-        kernel (the message names the layer; see :func:`register_batched_kernel`).
+        kernel (the message names the layer).
         """
         return cls(model)
 
@@ -1033,7 +958,6 @@ class BatchedWorkerEngine:
         batch_size: int,
         seed: int,
         out: np.ndarray,
-        pad_to: Optional[int] = None,
         transform: Optional[StepTransform] = None,
     ) -> np.ndarray:
         """Run every member's local SGD from its base; fill ``out``.
@@ -1056,11 +980,11 @@ class BatchedWorkerEngine:
         mini-batch, padded batch and GEMM shapes are those of a call of its
         roster alone, so is its result.
 
-        ``pad_to`` pins the padded per-worker batch dimension (normally the
-        largest member batch of each tile); padding rows are zeroed after
-        the gather and contribute exact ``+0.0`` terms.  The lanes pin every
-        run of members they split a tile into to the tile's dimension, which
-        keeps each member's GEMM shapes — and its result — the serial ones.
+        Each tile pads its members' mini-batches to its largest one; padding
+        rows are zeroed after the gather and contribute exact ``+0.0`` terms.
+        The lanes pad every run of members they split a tile into to the
+        tile's dimension, which keeps each member's GEMM shapes — and its
+        result — the serial ones.
 
         ``transform`` applies a per-step affine parameter correction (see
         :class:`StepTransform`); a ``(G, q)`` offset carries one row per
@@ -1102,7 +1026,7 @@ class BatchedWorkerEngine:
                 def data(k0=k0, k1=k1):
                     return worker_data if k1 - k0 == n else worker_data[k0:k1]
 
-                roster = self._roster(ids[k0:k1], data, batch_size, pad_to)
+                roster = self._roster(ids[k0:k1], data, batch_size)
                 # Workers without data keep the base model and take no SGD
                 # steps, so no correction applies to them; the rest train.
                 for k in roster.idle:
@@ -1156,10 +1080,9 @@ class BatchedWorkerEngine:
         return out
 
     def evaluation_block(self, x: np.ndarray) -> int:
-        """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth,
-        1 if a kernel cannot size its writes."""
+        """Snapshots per :meth:`evaluate` pass over ``x``: ``_EVAL_BLOCK_BYTES`` worth."""
         writes = self._member_writes(min(EVAL_BATCH_SIZE, len(x)), x.shape[1:])
-        return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize)) if writes else 1
+        return max(1, _EVAL_BLOCK_BYTES // (writes * self.dtype.itemsize))
 
     def evaluate(
         self, vectors: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -1212,13 +1135,12 @@ class BatchedWorkerEngine:
         ids: List[int],
         worker_data: Callable[[], Sequence[Tuple[np.ndarray, np.ndarray]]],
         batch_size: int,
-        pad_to: Optional[int],
     ) -> _Roster:
         """The roster of one tile, from the LRU cache or built into it from
         ``worker_data()``, the tile's data (called on a miss only)."""
         roster = self._cached(
-            ("roster", tuple(ids), batch_size, pad_to),
-            lambda: self._build_roster(ids, worker_data(), batch_size, pad_to),
+            ("roster", tuple(ids), batch_size),
+            lambda: self._build_roster(ids, worker_data(), batch_size),
             lambda built: built.nbytes,
         )
         # Its geometries follow it, so none leaves before a roster using it.
@@ -1272,7 +1194,6 @@ class BatchedWorkerEngine:
         ids: List[int],
         worker_data: Sequence[Tuple[np.ndarray, np.ndarray]],
         batch_size: int,
-        pad_to: Optional[int],
     ) -> _Roster:
         """Derive the round-independent part of a ``run_group`` call."""
         store = getattr(worker_data, "store", None)  # a lazy shard sequence?
@@ -1292,13 +1213,6 @@ class BatchedWorkerEngine:
         counts_py = counts[active].tolist()
         batches_py = [min(batch_size, c) for c in counts_py]
         b_max = max(batches_py)
-        if pad_to is not None:
-            if pad_to < b_max:
-                raise ValueError(
-                    f"pad_to={pad_to} is smaller than the largest member "
-                    f"batch ({b_max})"
-                )
-            b_max = pad_to
         # Every SGD step fills the group's mini-batch tensor with one np.take:
         # from one concatenation of the members' private arrays, or from the
         # shared store (in the engine's dtypes, converted once) by absolute row.
@@ -1326,15 +1240,12 @@ class BatchedWorkerEngine:
             x_rows, y_rows, geo, lists + owned, runs,
         )
 
-    def _member_writes(self, batch: int, feat_shape: Tuple[int, ...]) -> Optional[int]:
+    def _member_writes(self, batch: int, feat_shape: Tuple[int, ...]) -> int:
         """The most elements one member's slice of the gathered batch or of any
-        array a kernel writes holds per step; ``None`` if a kernel cannot say."""
+        array a kernel writes holds per step."""
         per_member, shape = batch * math.prod(feat_shape), feat_shape
         for kernel in self._lanes[0].kernels:
-            sizer = getattr(kernel, "member_writes", None)
-            if sizer is None:
-                return None
-            shape, writes = sizer(shape, batch)
+            shape, writes = kernel.member_writes(shape, batch)
             per_member = max(per_member, writes)
         return per_member
 
@@ -1352,8 +1263,6 @@ class BatchedWorkerEngine:
         if lanes < 2:
             return []
         per_member = self._member_writes(b_max, feat_shape)
-        if per_member is None:
-            return []
         fewest = max(1, -(-_LANE_MIN_WRITES // per_member))  # members per run
         count = min(lanes, len(batches) // fewest)
         if count < 2:

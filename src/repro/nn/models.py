@@ -24,7 +24,7 @@ checked against live in the test tree (``tests/oracle/scalar.py``).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,15 +117,51 @@ class LogisticRegressionMLP(SequentialModel):
         self.num_classes = num_classes
 
 
-@_register("model", "mnist_cnn")
-class MnistCNN(SequentialModel):
-    """Plain CNN for MNIST-shaped inputs (paper Section VI-A).
+class _TwoConvCNN(SequentialModel):
+    """Two 5x5 convolution + ReLU + 2x2 max-pool blocks, then Flatten, a
+    dense layer + ReLU and the output layer (paper Section VI-A).
 
-    Two 5x5 convolution layers (20, 50 channels by default) with 2x2 max
-    pooling, followed by two dense layers and a softmax output.  ``scale``
-    shrinks the channel/hidden widths proportionally so the same
-    architecture runs quickly on synthetic data.
+    ``widths`` holds the two convolutions' channels and the hidden width;
+    ``scale`` shrinks all three proportionally so the same architecture
+    runs quickly on synthetic data.
     """
+
+    widths: Tuple[int, int, int]
+
+    def __init__(
+        self, image_size: int, in_channels: int, num_classes: int, scale: float, seed: int
+    ) -> None:
+        if image_size % 4 != 0:
+            raise ValueError("image_size must be divisible by 4 for two 2x2 pools")
+        rng = np.random.default_rng(seed)
+        w1, w2, wh = self.widths
+        c1 = max(2, int(round(w1 * scale)))
+        c2 = max(2, int(round(w2 * scale)))
+        h1 = max(8, int(round(wh * scale)))
+        spatial = image_size // 4
+        layers: List[Layer] = [
+            Conv2D("conv1", in_channels, c1, 5, rng, padding=2),
+            ReLU("relu1"),
+            MaxPool2D("pool1", 2),
+            Conv2D("conv2", c1, c2, 5, rng, padding=2),
+            ReLU("relu2"),
+            MaxPool2D("pool2", 2),
+            Flatten("flatten"),
+            Dense("fc1", c2 * spatial * spatial, h1, rng),
+            ReLU("relu3"),
+            Dense("out", h1, num_classes, rng, activationless_init=True),
+        ]
+        super().__init__(layers)
+        self.image_size = image_size
+        self.in_channels = in_channels
+        self.num_classes = num_classes
+
+
+@_register("model", "mnist_cnn")
+class MnistCNN(_TwoConvCNN):
+    """Plain CNN for MNIST-shaped inputs: 20 and 50 channels, 500 hidden units."""
+
+    widths = (20, 50, 500)
 
     def __init__(
         self,
@@ -135,35 +171,15 @@ class MnistCNN(SequentialModel):
         scale: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if image_size % 4 != 0:
-            raise ValueError("image_size must be divisible by 4 for two 2x2 pools")
-        rng = np.random.default_rng(seed)
-        c1 = max(2, int(round(20 * scale)))
-        c2 = max(2, int(round(50 * scale)))
-        h1 = max(8, int(round(500 * scale)))
-        spatial = image_size // 4
-        flat = c2 * spatial * spatial
-        layers: List[Layer] = [
-            Conv2D("conv1", in_channels, c1, 5, rng, padding=2),
-            ReLU("relu1"),
-            MaxPool2D("pool1", 2),
-            Conv2D("conv2", c1, c2, 5, rng, padding=2),
-            ReLU("relu2"),
-            MaxPool2D("pool2", 2),
-            Flatten("flatten"),
-            Dense("fc1", flat, h1, rng),
-            ReLU("relu3"),
-            Dense("out", h1, num_classes, rng, activationless_init=True),
-        ]
-        super().__init__(layers)
-        self.image_size = image_size
-        self.in_channels = in_channels
-        self.num_classes = num_classes
+        super().__init__(image_size, in_channels, num_classes, scale, seed)
 
 
 @_register("model", "cifar_cnn")
-class CifarCNN(SequentialModel):
-    """Plain CNN for CIFAR-shaped inputs (3-channel colour images)."""
+class CifarCNN(_TwoConvCNN):
+    """Plain CNN for CIFAR-shaped inputs (3-channel colour images): 32 and 64
+    channels, 512 hidden units."""
+
+    widths = (32, 64, 512)
 
     def __init__(
         self,
@@ -173,30 +189,7 @@ class CifarCNN(SequentialModel):
         scale: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if image_size % 4 != 0:
-            raise ValueError("image_size must be divisible by 4 for two 2x2 pools")
-        rng = np.random.default_rng(seed)
-        c1 = max(2, int(round(32 * scale)))
-        c2 = max(2, int(round(64 * scale)))
-        h1 = max(8, int(round(512 * scale)))
-        spatial = image_size // 4
-        flat = c2 * spatial * spatial
-        layers: List[Layer] = [
-            Conv2D("conv1", in_channels, c1, 5, rng, padding=2),
-            ReLU("relu1"),
-            MaxPool2D("pool1", 2),
-            Conv2D("conv2", c1, c2, 5, rng, padding=2),
-            ReLU("relu2"),
-            MaxPool2D("pool2", 2),
-            Flatten("flatten"),
-            Dense("fc1", flat, h1, rng),
-            ReLU("relu3"),
-            Dense("out", h1, num_classes, rng, activationless_init=True),
-        ]
-        super().__init__(layers)
-        self.image_size = image_size
-        self.in_channels = in_channels
-        self.num_classes = num_classes
+        super().__init__(image_size, in_channels, num_classes, scale, seed)
 
 
 @_register("model", "mini_vgg")

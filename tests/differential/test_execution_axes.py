@@ -4,8 +4,9 @@ Algorithm 1 defines one training history per scenario and seed.  How the
 simulator computes a round must not change it: batched or on the per-worker
 oracle, on one lane or split across threads, store-backed shards or private
 per-worker copies (the ``eager`` axis), warm or evicted rosters, any conv
-tile, no client-state model or the ``always-on`` one, cohorts trained ahead
-several per engine call or one per call at its own row.  One hypothesis
+tile, the ``always-on`` fast path or the fault path under a model that injects
+nothing (the ``faultless`` axis), cohorts trained ahead several per engine
+call or one per call at its own row.  One hypothesis
 strategy draws small :class:`Scenario` documents over every registered
 mechanism, partition and client-state model, three model families, both
 channels, ragged groupings and both dtypes.  Each document's reference run
@@ -28,7 +29,6 @@ bit-identical on every axis, the oracle included.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -55,7 +55,7 @@ TOLERANCE = {
     "roster_budget": {"float64": 0.0, "float32": 0.0},
     "tile_1": {"float64": 1e-13, "float32": 2e-5},
     "tile_5": {"float64": 1e-13, "float32": 2e-5},
-    "no_clientstate": {"float64": 0.0, "float32": 0.0},
+    "faultless": {"float64": 0.0, "float32": 0.0},
     "one_cohort": {"float64": 0.0, "float32": 0.0},
 }
 
@@ -77,6 +77,12 @@ FAULTS = {
     "dropout-rejoin": {"dropout_prob": 0.3, "rejoin_after": 1},
     "lognormal": {"sigma": 1.0, "dropout_prob": 0.2},
     "partial": {"partial_prob": 0.7, "dropout_prob": 0.1},
+}
+
+#: A client-state model that injects nothing but is not flagged always-on, so
+#: the poll, roster, survival and renormalisation steps of the fault path run.
+FAULTLESS = {
+    "clientstate": {"name": "bernoulli", "params": {"availability": 1.0, "dropout_prob": 0.0}}
 }
 
 #: Mechanism params under which the step transforms act.
@@ -202,10 +208,9 @@ def _axes(scenario, scalar_engine, eager_copies):
     }
     if scenario.model.name != "lr":
         axes["tile_1"], axes["tile_5"] = tile(1), tile(5)
-    if scenario.faults.clientstate.name == "always-on":
-        axes["no_clientstate"] = lambda: _run(
-            scenario, experiment=lambda exp: dataclasses.replace(exp, clientstate=None)
-        )
+    # fedasync refuses fault models.
+    if scenario.faults.clientstate.name == "always-on" and scenario.mechanism.name != "fedasync":
+        axes["faultless"] = lambda: _run(scenario.with_(faults=FAULTLESS))
     return axes
 
 

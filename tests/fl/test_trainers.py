@@ -132,6 +132,16 @@ class TestDynamic:
             assert 1 <= rec.num_participants <= small_experiment.num_workers
 
 
+@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize(
+    ("mechanism", "name"), [("tifl", "num_tiers"), ("fedasync", "buffer_size")]
+)
+def test_a_count_parameter_is_a_positive_integer(small_experiment, mechanism, name, value):
+    """Nothing is coerced: ``2.5`` is not 2 tiers, nor ``True`` a buffer of 1."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        build_trainer(mechanism, small_experiment, **{name: value})
+
+
 class TestTiFL:
     def test_groups_cover_all_workers(self, small_experiment):
         trainer = TiFLTrainer(small_experiment, num_tiers=3)
@@ -147,8 +157,11 @@ class TestTiFL:
             assert maxima[a] <= minima[b] + 1e-9
 
     def test_invalid_tier_count(self, small_experiment):
-        with pytest.raises(ValueError):
-            TiFLTrainer(small_experiment, num_tiers=0)
+        """The class itself refuses, not only the registry; a string count
+        raises the named ValueError rather than a comparison TypeError."""
+        for bad in (0, -1, "3"):
+            with pytest.raises(ValueError, match="num_tiers must be an integer >= 1"):
+                TiFLTrainer(small_experiment, num_tiers=bad)
 
     def test_short_run_has_staleness(self, small_experiment):
         history = TiFLTrainer(small_experiment, num_tiers=3).run(max_rounds=8)

@@ -19,8 +19,6 @@ import pytest
 from repro import registry
 from repro.nn import BatchedWorkerEngine, LogisticRegressionMLP, MnistCNN, batched
 from repro.nn.batched import StepTransform
-from repro.nn.layers import Dense, ReLU
-from repro.nn.models import SequentialModel
 
 KWARGS = dict(learning_rate=0.2, local_steps=2, batch_size=8, seed=5)
 
@@ -106,13 +104,6 @@ def test_per_member_transform_rows_follow_their_members(lanes, counts, count):
 
 
 @LANE_COUNTS
-def test_a_caller_pad_to_pins_every_run(lanes, count):
-    engine, _ = _split(lanes, count, _cnn(), _data([3, 9, 5, 12, 2]), pad_to=11)
-    (roster,) = engine._rosters.values()
-    assert [geo["xb"].shape[1] for _, _, geo in roster.runs] == [11] * count
-
-
-@LANE_COUNTS
 def test_owned_roster_bytes_stay_within_the_budget(lanes, monkeypatch, count):
     data = _data([9, 6, 8, 12, 7, 10, 11, 5], (64,))
     model = LogisticRegressionMLP(input_dim=64, hidden=12, num_classes=10, seed=0)
@@ -159,35 +150,6 @@ def test_more_lanes_than_cores_at_a_short_switch_interval(lanes):
             assert np.array_equal(_run(split, data, **kw), _run(serial, data, **kw))
     finally:
         sys.setswitchinterval(interval)
-
-
-class _Doubling(ReLU):
-    """A layer whose kernel cannot size what it writes."""
-
-
-class _UnsizedKernel:
-    param_size = 0
-
-    def __init__(self, layer, offset):
-        pass
-
-    def forward(self, x):
-        return x * 2.0
-
-    def backward(self, grad_out):
-        return grad_out * 2.0
-
-
-def test_a_kernel_without_member_writes_keeps_one_lane(lanes, monkeypatch):
-    monkeypatch.setitem(batched._KERNEL_REGISTRY, _Doubling, _UnsizedKernel)
-    lanes(2)
-    rng = np.random.default_rng(0)
-    model = SequentialModel([Dense("fc1", 64, 16, rng), _Doubling("double"), Dense("out", 16, 10, rng)])
-    engine = BatchedWorkerEngine.try_build(model)
-    _run(engine, _data([9] * 6, (64,)))
-    assert _bounds(*engine._rosters.values()) == [(0, 6)]
-    # Nor can the evaluation budget size a pass: one snapshot per pass.
-    assert engine.evaluation_block(np.zeros((256, 64))) == 1
 
 
 def test_an_error_on_another_lane_reaches_the_caller(lanes, monkeypatch):

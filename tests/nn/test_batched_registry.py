@@ -1,12 +1,12 @@
-"""Kernel-registry tests for the batched execution engine.
+"""Kernel-table tests for the batched execution engine.
 
-Every registered layer kernel is exercised standalone: a minimal model
-containing the layer is trained one local update on both the per-worker
-oracle and the batched engine, and the resulting parameter vectors must
-match bit for bit (uniform per-worker batch sizes, float64).  A model with
-an unknown layer fails to build with a message naming it, and third-party
-kernels registered through :func:`repro.nn.register_batched_kernel` must
-compose with the built-ins.
+Every layer type of :mod:`repro.nn.layers` has one kernel in the engine's
+fixed table, and every kernel sizes what it writes.  Each kernel is
+exercised standalone: a minimal model containing the layer is trained one
+local update on both the per-worker oracle and the batched engine, and the
+resulting parameter vectors must match bit for bit (uniform per-worker
+batch sizes, float64).  A model with an unknown layer fails to build with a
+message naming it.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (
-    BatchedWorkerEngine,
-    SequentialModel,
-    batched_layer_supported,
-    register_batched_kernel,
-)
-from repro.nn import batched
+from repro.nn import BatchedWorkerEngine, SequentialModel, batched, layers
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -31,6 +25,27 @@ from repro.nn.layers import (
 )
 
 from oracle.scalar import col2im, scalar_layer
+
+
+def test_every_layer_type_has_a_kernel_that_sizes_its_writes():
+    """The engine has no fallback for a layer without a kernel, for a kernel
+    that cannot size its writes (the lane gate and the evaluation block read
+    ``member_writes``) or for a parametric kernel without ``skip_input_grad``."""
+    defined = {
+        cls for cls in vars(layers).values()
+        if isinstance(cls, type) and issubclass(cls, Layer) and cls is not Layer
+    }  # fmt: skip
+    assert defined == set(batched._KERNELS)
+    rng = np.random.default_rng(0)
+    instances = [
+        Dense("d", 4, 4, rng), ReLU("r"), Flatten("f"), Conv2D("c", 1, 2, 3, rng), MaxPool2D("p", 2)
+    ]  # fmt: skip
+    assert {type(layer) for layer in instances} == defined
+    for layer in instances:
+        kernel = batched._KERNELS[type(layer)](layer, 0)
+        assert callable(kernel.member_writes)
+        if layer.weight is not None:
+            assert kernel.param_size and kernel.skip_input_grad is False  # until a lane sets it
 
 
 # ----------------------------------------------------------------------
@@ -143,14 +158,11 @@ class _UnknownActivation(Layer):
 class TestFallback:
     """There is none: a model the engine cannot train fails to build."""
 
-    def test_unknown_layer_not_supported(self):
-        assert not batched_layer_supported(_UnknownActivation("mystery"))
-
     def test_try_build_raises_for_unknown_layer(self):
         model = SequentialModel(
             [_UnknownActivation("mystery"), Dense("fc", 8, 3, np.random.default_rng(0))]
         )
-        message = r"'mystery' \(_UnknownActivation\).*register_batched_kernel\(_UnknownActivation\)"
+        message = r"'mystery' \(_UnknownActivation\) has no batched kernel"
         with pytest.raises(ValueError, match=message):
             BatchedWorkerEngine.try_build(model)
 
@@ -177,59 +189,12 @@ class TestFallback:
         class _StillReLU(ReLU):
             pass
 
-        assert batched_layer_supported(_StillReLU("relu"))
-
-
-class TestRegistration:
-    def test_registered_kernel_composes_with_builtins(self, scalar_engine):
-        class _Identity(Layer):
-            def forward(self, x, training=True):
-                return x
-
-            def backward(self, grad_out):
-                return grad_out
-
-        @register_batched_kernel(_Identity)
-        class _BatchedIdentity:
-            param_size = 0
-
-            def __init__(self, layer, offset):
-                pass
-
-            def forward(self, x):
-                return x
-
-            def backward(self, grad_out):
-                return grad_out
-
-        from repro.nn.batched import _KERNEL_REGISTRY
-
-        try:
-            assert batched_layer_supported(_Identity("id"))
-
-            def factory():
-                return SequentialModel(
-                    [_Identity("id"), Dense("fc", 6, 4, np.random.default_rng(1))]
-                )
-
-            model = factory()
-            engine = BatchedWorkerEngine.try_build(model)
-            rng = np.random.default_rng(3)
-            ids = [0, 1]
-            data = [
-                (rng.standard_normal((10, 6)), rng.integers(0, 4, 10))
-                for _ in ids
-            ]
-            base = model.get_vector()
-            kwargs = dict(learning_rate=0.1, local_steps=2, batch_size=4, seed=1)
-            ref = scalar_engine(model).run_group(
-                ids, data, base, 1, out=np.empty((2, base.size)), **kwargs
-            )
-            out = np.empty_like(ref)
-            engine.run_group(ids, data, base, 1, out=out, **kwargs)
-            np.testing.assert_array_equal(out, ref)
-        finally:
-            _KERNEL_REGISTRY.pop(_Identity, None)
+        rng = np.random.default_rng(0)
+        model = SequentialModel(
+            [Dense("fc1", 8, 4, rng), _StillReLU("relu"), Dense("fc2", 4, 3, rng)]
+        )
+        lane = BatchedWorkerEngine.try_build(model)._lanes[0]
+        assert type(lane.kernels[1]) is batched._BatchedReLU
 
 
 # ----------------------------------------------------------------------

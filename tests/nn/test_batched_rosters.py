@@ -89,11 +89,12 @@ def test_empty_member_is_an_idle_row():
     assert np.array_equal(idle[0], model.get_vector())
 
 
-def test_pad_to_pins_the_batch_dimension():
+def test_a_member_trains_alike_in_rosters_of_one_batch_dimension():
+    """Member 0 (5 samples) pads to 16 beside member 1 alone or beside 1 and 2."""
     store = _store([(0, 5), (5, 25), (20, 60)])
-    _, padded = _both_ways(_mlp(), store, [0, 1], pad_to=16)
+    _, pair = _both_ways(_mlp(), store, [0, 1])
     _, full = _both_ways(_mlp(), store, [0, 1, 2])
-    assert np.array_equal(padded, full[:2])
+    assert np.array_equal(pair, full[:2])
 
 
 def test_float32_engine_converts_a_float64_store_once():

@@ -423,7 +423,7 @@ class ScalarEngine:
 
     def run_group(
         self, worker_ids, worker_data, base_vector, round_index, *,
-        learning_rate, local_steps, batch_size, seed, out, pad_to=None, transform=None,
+        learning_rate, local_steps, batch_size, seed, out, transform=None,
     ):  # fmt: skip
         vector, grads = self.model.vector, self.model.grads
         keys = [round_index] * len(worker_ids) if np.ndim(round_index) == 0 else round_index
