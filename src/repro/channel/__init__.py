@@ -11,8 +11,8 @@ from .aircomp import (
     ideal_group_average,
     ideal_group_average_reference,
 )
-from .oma import OMAConfig, ofdma_round_time, tdma_round_time, worker_upload_time
-from .energy import EnergyTracker, transmit_energy
+from .oma import OMAConfig, tdma_round_time, worker_upload_time
+from .energy import EnergyTracker
 
 __all__ = [
     "ChannelModel",
@@ -29,7 +29,5 @@ __all__ = [
     "OMAConfig",
     "worker_upload_time",
     "tdma_round_time",
-    "ofdma_round_time",
     "EnergyTracker",
-    "transmit_energy",
 ]

@@ -7,10 +7,11 @@ The paper models the per-round transmission energy of worker ``v_i`` as
 with ``p_i^t = d_i σ_t / h_i^t`` (Eq. 6), and imposes a per-round energy
 budget ``E_i^t ≤ Ê_i`` (constraint 36c, default 10 J in the evaluation).
 Figure 9 compares the cumulative aggregation energy of Air-FedAvg,
-Air-FedGA and Dynamic at matched accuracy levels.  This module provides the
-energy formula and a small accumulator used by the trainers to produce
-Fig. 9; the budget's cap on σ_t (Eq. 46) is applied by power control
-(:mod:`repro.core.power_control`).
+Air-FedGA and Dynamic at matched accuracy levels.  The energies are
+computed with the aggregate (``AirCompResult.transmit_energies`` of
+:func:`repro.channel.aircomp.aircomp_aggregate`); this module holds the
+accumulator the trainers feed them to for Fig. 9.  The budget's cap on σ_t
+(Eq. 46) is applied by power control (:mod:`repro.core.power_control`).
 """
 
 from __future__ import annotations
@@ -20,28 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-__all__ = [
-    "transmit_energy",
-    "EnergyTracker",
-]
-
-
-def transmit_energy(
-    model_vector: np.ndarray,
-    data_size: float,
-    channel_gain: float,
-    sigma_t: float,
-) -> float:
-    """Per-worker transmit energy ``||p_i w_i||²`` with ``p_i = d_i σ / h_i``."""
-    if data_size <= 0:
-        raise ValueError("data_size must be positive")
-    if channel_gain <= 0:
-        raise ValueError("channel_gain must be positive")
-    if sigma_t <= 0:
-        raise ValueError("sigma_t must be positive")
-    power = data_size * sigma_t / channel_gain
-    vec = np.asarray(model_vector, dtype=np.float64)
-    return float(power**2 * np.dot(vec.ravel(), vec.ravel()))
+__all__ = ["EnergyTracker"]
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Orthogonal multiple access (OMA) latency models.
 
 The OMA baselines (FedAvg, TiFL) upload each worker's model over orthogonal
-resources — either sequentially in time (TDMA) or over disjoint sub-carrier
-sets (OFDMA).  Either way, the aggregate upload latency of a round grows
-with the number of participating workers, in contrast to AirComp whose
-latency is independent of it (``repro.channel.aircomp.aircomp_latency``).
+resources, one after another in time (TDMA).  The aggregate upload latency
+of a round therefore grows with the number of participating workers, in
+contrast to AirComp whose latency is independent of it
+(``repro.channel.aircomp.aircomp_latency``).
 
 The latency model follows the standard formulation used by the paper's OMA
 references ([5]-[9]): each worker must deliver ``q`` model parameters of
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["OMAConfig", "worker_upload_time", "tdma_round_time", "ofdma_round_time"]
+__all__ = ["OMAConfig", "worker_upload_time", "tdma_round_time"]
 
 
 @dataclass
@@ -95,31 +95,6 @@ def tdma_round_time(
     return float(
         sum(
             worker_upload_time(model_dimension, g, config, bandwidth_share=1.0)
-            for g in gains
-        )
-    )
-
-
-def ofdma_round_time(
-    model_dimension: int,
-    channel_gains: Sequence[float],
-    config: OMAConfig,
-) -> float:
-    """Total upload time when the band is split equally across workers (OFDMA).
-
-    All workers transmit concurrently over ``1/N`` of the band each; the
-    upload phase ends when the slowest worker finishes.  Because each
-    worker's rate shrinks roughly with ``1/N``, this also degrades with the
-    number of workers.
-    """
-    gains = np.asarray(channel_gains, dtype=np.float64)
-    n = gains.size
-    if n == 0:
-        raise ValueError("at least one worker required")
-    share = 1.0 / n
-    return float(
-        max(
-            worker_upload_time(model_dimension, g, config, bandwidth_share=share)
             for g in gains
         )
     )

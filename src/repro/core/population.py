@@ -165,14 +165,6 @@ class WorkerStateTable:
     def num_workers(self) -> int:
         return int(self.raw_sizes.size)
 
-    def group_latency(self, member_ids: np.ndarray) -> float:
-        """``max_i l_i`` over a member array (Eq. 34's local term)."""
-        return float(self.latencies[member_ids].max())
-
-    def alpha_mass(self, member_ids: np.ndarray) -> float:
-        """Total aggregation weight of a member array."""
-        return float(self.alphas[member_ids].sum())
-
     # -- registered mechanism fields ------------------------------------
 
     def register_field(
@@ -187,11 +179,11 @@ class WorkerStateTable:
         Mechanisms that carry persistent per-worker optimizer state (e.g.
         FedDyn's drift vectors) store it here as one struct-of-arrays
         field — ``(N,)`` for scalars, ``(N, width)`` for per-worker
-        vectors — so the state is O(1)-addressable at population scale,
-        survives worker dropout/rejoin untouched, and serializes through
-        :meth:`state_dict`.  Registration is idempotent: re-registering
-        with the same shape and dtype returns the existing array (values
-        preserved); a mismatching spec raises :class:`ValueError`.
+        vectors — so the state is O(1)-addressable at population scale
+        and survives worker dropout/rejoin untouched.  Registration is
+        idempotent: re-registering with the same shape and dtype returns
+        the existing array (values preserved); a mismatching spec raises
+        :class:`ValueError`.
         """
         if width < 1:
             raise ValueError(f"field width must be >= 1, got {width}")
@@ -226,33 +218,6 @@ class WorkerStateTable:
 
     def field_names(self) -> List[str]:
         return sorted(self._fields)
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copies of every registered field (for checkpoint/serialization)."""
-        return {name: arr.copy() for name, arr in self._fields.items()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore registered fields from :meth:`state_dict` output.
-
-        Every key must name an already-registered field of matching shape
-        (mechanisms register their fields at construction, so loading into
-        a freshly built trainer of the same mechanism always succeeds).
-        """
-        for name, value in state.items():
-            if name not in self._fields:
-                known = sorted(self._fields)
-                raise KeyError(
-                    f"cannot load unregistered field {name!r}; "
-                    f"registered fields: {known}"
-                )
-            target = self._fields[name]
-            value = np.asarray(value, dtype=target.dtype)
-            if value.shape != target.shape:
-                raise ValueError(
-                    f"field {name!r} shape mismatch: "
-                    f"{value.shape} vs {target.shape}"
-                )
-            np.copyto(target, value)
 
     @property
     def nbytes(self) -> int:

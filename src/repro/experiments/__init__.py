@@ -17,12 +17,11 @@ from .figures import (
     AIRCOMP_MECHANISMS,
     energy_vs_accuracy,
     grouping_boxplot_data,
-    loss_accuracy_vs_time,
     scalability_sweep,
     xi_sweep,
 )
 from .tables import emd_comparison, mechanism_comparison
-from .reporting import format_float, format_mapping, format_series, format_table
+from .reporting import format_float, format_series, format_table
 from .cli import EXPERIMENTS, run_experiment
 from .bench import run_bench_suite, write_bench_results
 
@@ -50,7 +49,6 @@ __all__ = [
     "load_rows",
     "sweep_report",
     "write_report",
-    "loss_accuracy_vs_time",
     "grouping_boxplot_data",
     "xi_sweep",
     "energy_vs_accuracy",
@@ -61,7 +59,6 @@ __all__ = [
     "mechanism_comparison",
     "format_table",
     "format_series",
-    "format_mapping",
     "format_float",
     "EXPERIMENTS",
     "run_experiment",

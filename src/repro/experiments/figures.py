@@ -18,7 +18,6 @@ from .runner import run_comparison
 from .scenario import Scenario
 
 __all__ = [
-    "loss_accuracy_vs_time",
     "grouping_boxplot_data",
     "xi_sweep",
     "energy_vs_accuracy",
@@ -30,27 +29,6 @@ AIRCOMP_MECHANISMS = ("air_fedga", "air_fedavg", "dynamic")
 
 #: All five mechanisms compared in Fig. 10.
 ALL_MECHANISMS = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
-
-
-# ----------------------------------------------------------------------
-# Figures 3-6: loss / accuracy vs. time
-# ----------------------------------------------------------------------
-def loss_accuracy_vs_time(
-    scenario: Scenario,
-    mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
-) -> Dict[str, Dict[str, np.ndarray]]:
-    """Loss and accuracy traces against simulated time for each mechanism.
-
-    Returns ``{mechanism: {"time": ..., "loss": ..., "accuracy": ...}}``.
-    """
-    return {
-        name: {
-            "time": history.times(),
-            "loss": history.losses(),
-            "accuracy": history.accuracies(),
-        }
-        for name, history in run_comparison(scenario, mechanisms=mechanisms).items()
-    }
 
 
 # ----------------------------------------------------------------------

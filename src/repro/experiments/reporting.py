@@ -14,7 +14,6 @@ __all__ = [
     "format_markdown_table",
     "format_series",
     "format_float",
-    "format_mapping",
 ]
 
 
@@ -119,17 +118,4 @@ def format_series(
             for x, y in list(zip(xs, ys))[::step]
         )
         lines.append(f"{name}: {pts}")
-    return "\n".join(lines)
-
-
-def format_mapping(mapping: Mapping[str, object], title: str | None = None) -> str:
-    """Render a flat mapping as 'key: value' lines."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for key, value in mapping.items():
-        if isinstance(value, float):
-            lines.append(f"  {key}: {format_float(value)}")
-        else:
-            lines.append(f"  {key}: {value}")
     return "\n".join(lines)

@@ -48,9 +48,11 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Type
 
+import numpy as np
+
 from .. import registry
 from ..core.config import AirFedGAConfig, FaultConfig
-from ..fl.base import BaseTrainer, FLExperiment
+from ..fl.base import BaseTrainer, FLExperiment, require_count
 from ..fl.history import TrainingHistory
 from ..fl.registry import build_trainer
 
@@ -99,19 +101,15 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _require_int(value: Any, field_name: str, minimum: int) -> None:
-    """``value`` must be a true integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(
-            f"{field_name} must be an integer >= {minimum}, got {value!r}"
-        )
+def _require_finite(value: Any, field_name: str, *, positive: bool) -> Any:
+    """``value`` must be a finite real number, positive or non-negative.
 
-
-def _require_finite(value: Any, field_name: str, *, positive: bool) -> None:
-    """``value`` must be a finite real number, positive or non-negative."""
+    Returns it with a NumPy scalar turned into the Python number, so the
+    section still serialises and compares equal after a JSON round-trip.
+    """
     ok = (
         not isinstance(value, bool)
-        and isinstance(value, (int, float))
+        and isinstance(value, (int, float, np.integer, np.floating))
         and math.isfinite(value)
         and (value > 0 if positive else value >= 0)
     )
@@ -120,6 +118,7 @@ def _require_finite(value: Any, field_name: str, *, positive: bool) -> None:
         raise ValueError(
             f"{field_name} must be a finite {kind} number, got {value!r}"
         )
+    return value.item() if isinstance(value, np.generic) else value
 
 
 #: A class's resolved type hints, parsed once per class (read, never mutated).
@@ -220,10 +219,12 @@ class TimingSpec:
     jitter_std: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self.base_local_time, "timing.base_local_time", positive=True)
-        _require_finite(self.kappa_min, "timing.kappa_min", positive=True)
-        _require_finite(self.kappa_max, "timing.kappa_max", positive=True)
-        _require_finite(self.jitter_std, "timing.jitter_std", positive=False)
+        self.base_local_time = _require_finite(
+            self.base_local_time, "timing.base_local_time", positive=True
+        )
+        self.kappa_min = _require_finite(self.kappa_min, "timing.kappa_min", positive=True)
+        self.kappa_max = _require_finite(self.kappa_max, "timing.kappa_max", positive=True)
+        self.jitter_std = _require_finite(self.jitter_std, "timing.jitter_std", positive=False)
 
 
 @dataclass
@@ -244,18 +245,19 @@ class TrainingSpec:
         # checked here: a NaN rate or a fractional count would otherwise
         # surface as a NaN loss or a TypeError deep inside NumPy.
         # ``max_rounds=0`` is the "round 0 only" run, as in ``BaseTrainer.run``.
-        _require_finite(self.learning_rate, "training.learning_rate", positive=True)
-        _require_int(self.local_steps, "training.local_steps", 1)
-        _require_int(self.batch_size, "training.batch_size", 1)
-        _require_int(self.max_rounds, "training.max_rounds", 0)
+        self.learning_rate = _require_finite(
+            self.learning_rate, "training.learning_rate", positive=True
+        )
+        self.local_steps = require_count("training.local_steps", self.local_steps)
+        self.batch_size = require_count("training.batch_size", self.batch_size)
+        self.max_rounds = require_count("training.max_rounds", self.max_rounds, minimum=0)
         if self.max_time is not None:
-            _require_finite(self.max_time, "training.max_time", positive=True)
-        _require_int(self.eval_every, "training.eval_every", 1)
-        _require_int(self.max_eval_samples, "training.max_eval_samples", 1)
-        if self.latency_model_dimension is not None:
-            _require_int(
-                self.latency_model_dimension, "training.latency_model_dimension", 1
-            )
+            self.max_time = _require_finite(self.max_time, "training.max_time", positive=True)
+        self.eval_every = require_count("training.eval_every", self.eval_every)
+        self.max_eval_samples = require_count("training.max_eval_samples", self.max_eval_samples)
+        self.latency_model_dimension = require_count(
+            "training.latency_model_dimension", self.latency_model_dimension, optional=True
+        )
 
 
 @dataclass
@@ -360,8 +362,8 @@ class Scenario:
     # Validation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        _require_int(self.num_workers, "num_workers", 1)
-        _require_int(self.seed, "seed", 0)
+        self.num_workers = require_count("num_workers", self.num_workers)
+        self.seed = require_count("seed", self.seed, minimum=0)
         if isinstance(self.data, Mapping):
             self.data = _dataclass_from_dict(DataSpec, self.data, "scenario.data")
         elif isinstance(self.data, str):

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import (
     Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    overload,
 )
 
 import numpy as np
@@ -75,17 +76,33 @@ _MERGE_ROWS = 192
 _LOOK_AHEAD = 64
 
 
-def require_count(name: str, value: object, *, optional: bool = False) -> None:
-    """Refuse ``value`` unless it is an integer >= 1 (``None`` too if ``optional``).
+@overload
+def require_count(name: str, value: object, *, minimum: int = ...) -> int: ...
+@overload
+def require_count(
+    name: str, value: object, *, optional: bool, minimum: int = ...
+) -> Optional[int]: ...
+def require_count(
+    name: str, value: object, *, optional: bool = False, minimum: int = 1
+) -> Optional[int]:
+    """Refuse ``value`` unless it is an integer >= ``minimum`` (``None`` too
+    if ``optional``); return it as a Python ``int``.
 
     Bools and floats are refused, not coerced: ``2.5`` would truncate to 2
-    and ``True`` count as 1.
+    and ``True`` count as 1.  NumPy integers are accepted.
     """
     if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < minimum
+    ):
         either = "None or " if optional else ""
-        raise ValueError(f"{name} must be {either}an integer >= 1, got {value!r}")
+        raise ValueError(
+            f"{name} must be {either}an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,57 +704,13 @@ class BaseTrainer:
         ``(N, width)`` for per-worker vectors (pass ``width=q`` for
         model-sized state such as FedDyn's drift vectors).  The array lives
         in the :class:`~repro.core.population.WorkerStateTable`, so it is
-        O(1)-addressable at population scale, survives worker
-        dropout/rejoin untouched, and round-trips through
-        :meth:`state_dict`.  ``dtype`` defaults to the model dtype.
+        O(1)-addressable at population scale and survives worker
+        dropout/rejoin untouched.  ``dtype`` defaults to the model dtype.
         """
         if dtype is None:
             dtype = self.global_vector.dtype
         return self.worker_state.register_field(
             name, width=width, dtype=dtype, fill=fill
-        )
-
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the trainer's persistent state.
-
-        Carries the mechanism name, the current global model vector, and
-        every registered per-worker state field — enough to resume a
-        mechanism mid-run (pair with the :class:`TrainingHistory` for the
-        metric trace).  Restore with :meth:`load_state_dict`.
-        """
-        return {
-            "mechanism": self.name,
-            "global_vector": self.global_vector.tolist(),
-            "worker_fields": {
-                name: arr.tolist()
-                for name, arr in self.worker_state.state_dict().items()
-            },
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output into this trainer.
-
-        The snapshot must come from the same mechanism (field registration
-        happens at construction, so shapes line up exactly); the global
-        vector must match the model dimension.
-        """
-        if state.get("mechanism") != self.name:
-            raise ValueError(
-                f"state is for mechanism {state.get('mechanism')!r}, "
-                f"this trainer is {self.name!r}"
-            )
-        vector = np.asarray(
-            state["global_vector"], dtype=self.global_vector.dtype
-        )
-        if vector.shape != self.global_vector.shape:
-            raise ValueError(
-                f"global vector shape mismatch: {vector.shape} vs "
-                f"{self.global_vector.shape}"
-            )
-        np.copyto(self.global_vector, vector)
-        fields = state.get("worker_fields") or {}
-        self.worker_state.load_state_dict(
-            {name: np.asarray(value) for name, value in fields.items()}
         )
 
     # ------------------------------------------------------------------

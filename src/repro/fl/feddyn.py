@@ -28,9 +28,8 @@ the equal-shard special case).
 The drift vectors live in the
 :class:`~repro.core.population.WorkerStateTable` as one ``(N, q)``
 struct-of-arrays field (``"feddyn_drift"``): absent workers' rows survive
-dropout/rejoin faults untouched, the whole state serializes through
-``trainer.state_dict()``, and fault trajectories replay exactly under the
-keyed RNG streams.
+dropout/rejoin faults untouched, and fault trajectories replay exactly
+under the keyed RNG streams.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ class FedDynTrainer(FedAvgTrainer):
         )
         # A new trainer means fresh optimizer state even when the
         # experiment's population (and hence the registered field) is
-        # shared with an earlier trainer; checkpoints restore through
-        # load_state_dict, not through field aliasing.
+        # shared with an earlier trainer.
         self.drift.fill(0.0)
 
     # -- local objective -------------------------------------------------

@@ -193,18 +193,6 @@ class TrainingHistory:
         """The device-fault counters as a dict (all zero without faults)."""
         return {name: int(getattr(self, name)) for name in self.FAULT_COUNTERS}
 
-    def downsample(self, max_points: int = 200) -> "TrainingHistory":
-        """Return a copy keeping at most ``max_points`` evenly spaced records."""
-        if max_points < 1:
-            raise ValueError("max_points must be >= 1")
-        counters = self.fault_counters()
-        if len(self.records) <= max_points:
-            return TrainingHistory(self.mechanism, list(self.records), **counters)
-        idx = np.linspace(0, len(self.records) - 1, max_points).astype(int)
-        return TrainingHistory(
-            self.mechanism, [self.records[i] for i in idx], **counters
-        )
-
     # ------------------------------------------------------------------
     # Serialization (used by the CLI reproduction driver)
     # ------------------------------------------------------------------

@@ -404,10 +404,3 @@ class PartialCompletionModel(ClientStateModel):
         if rng.random() >= self.partial_prob:
             return 1.0
         return float(self.min_fraction + (1.0 - self.min_fraction) * rng.random())
-
-
-def model_names() -> List[str]:
-    """Registered client-state model names (see :mod:`repro.registry`)."""
-    from .. import registry
-
-    return registry.names("clientstate")

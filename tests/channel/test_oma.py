@@ -1,11 +1,11 @@
-"""Unit tests for OMA (TDMA/OFDMA) upload-latency models."""
+"""Unit tests for the OMA (TDMA) upload-latency model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.channel import OMAConfig, ofdma_round_time, tdma_round_time, worker_upload_time
+from repro.channel import OMAConfig, tdma_round_time, worker_upload_time
 
 
 CFG = OMAConfig(bandwidth_hz=1e6, transmit_power_w=1.0, noise_power_w=1e-3)
@@ -68,18 +68,6 @@ class TestRoundTimes:
         many = tdma_round_time(5000, np.ones(100), CFG)
         assert many == pytest.approx(10 * few)
 
-    def test_ofdma_is_slowest_worker_on_its_share(self):
-        gains = [1.0, 1.0]
-        expected = worker_upload_time(5000, 1.0, CFG, bandwidth_share=0.5)
-        assert ofdma_round_time(5000, gains, CFG) == pytest.approx(expected)
-
-    def test_ofdma_also_degrades_with_worker_count(self):
-        few = ofdma_round_time(5000, np.ones(4), CFG)
-        many = ofdma_round_time(5000, np.ones(40), CFG)
-        assert many > few
-
     def test_empty_worker_list_rejected(self):
         with pytest.raises(ValueError):
             tdma_round_time(5000, [], CFG)
-        with pytest.raises(ValueError):
-            ofdma_round_time(5000, [], CFG)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel import aggregation_error_term, transmit_energy
+from repro.channel import aggregation_error_term, aircomp_aggregate
 from repro.core import AirCompConfig, optimal_eta, solve_power_control
 
 
@@ -68,13 +68,16 @@ class TestSolvePowerControl:
         sizes = np.array([20.0, 30.0, 50.0])
         gains = np.array([0.8, 1.2, 1.0])
         result = self._solve()
-        w = np.zeros(4)
-        w[0] = 10.0  # norm exactly the model bound
-        for d, h in zip(sizes, gains):
-            assert transmit_energy(w, d, h, result.sigma) <= CFG.energy_budget_j + 1e-9
+        w = np.zeros((3, 4))
+        w[:, 0] = 10.0  # norm exactly the model bound
+        at_sigma, at_cap = (
+            aircomp_aggregate(w, sizes, gains, sigma_t=s, eta_t=1.0, noise_std=0.0,
+                              rng=np.random.default_rng(0)).transmit_energies
+            for s in (result.sigma, result.sigma_cap)
+        )
+        assert np.all(at_sigma <= CFG.energy_budget_j + 1e-9)
         # At the cap the binding worker spends exactly its budget.
-        d, h = sizes[2], gains[2]
-        assert transmit_energy(w, d, h, result.sigma_cap) == pytest.approx(CFG.energy_budget_j)
+        assert at_cap[2] == pytest.approx(CFG.energy_budget_j)
 
     def test_error_term_not_worse_than_naive_choices(self):
         result = self._solve()

@@ -8,7 +8,6 @@ import pytest
 from repro.experiments import (
     energy_vs_accuracy,
     grouping_boxplot_data,
-    loss_accuracy_vs_time,
     lr_mnist_config,
     scalability_sweep,
     xi_sweep,
@@ -28,20 +27,6 @@ def tiny_scenario(max_rounds=4, num_workers=6, **overrides):
         }
     )
     return scenario.with_(**overrides) if overrides else scenario
-
-
-class TestLossAccuracyVsTime:
-    def test_returns_series_for_each_mechanism(self):
-        series = loss_accuracy_vs_time(tiny_scenario(), mechanisms=("air_fedavg", "air_fedga"))
-        assert set(series) == {"air_fedavg", "air_fedga"}
-        for data in series.values():
-            assert len(data["time"]) == len(data["loss"]) == len(data["accuracy"])
-            assert np.all(np.diff(data["time"]) >= 0)
-
-    def test_accuracy_within_bounds(self):
-        series = loss_accuracy_vs_time(tiny_scenario(), mechanisms=("air_fedga",))
-        acc = series["air_fedga"]["accuracy"]
-        assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
 
 
 class TestGroupingBoxplot:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import format_float, format_mapping, format_series, format_table
+from repro.experiments import format_float, format_series, format_table
 
 
 class TestFormatFloat:
@@ -64,11 +64,3 @@ class TestFormatSeries:
         series = {"x": {"time": [1.0, 2.0], "accuracy": [0.1]}}
         with pytest.raises(ValueError):
             format_series(series)
-
-
-class TestFormatMapping:
-    def test_renders_floats_and_strings(self):
-        text = format_mapping({"acc": 0.5, "note": "ok"}, title="Summary")
-        assert "Summary" in text
-        assert "acc: 0.500" in text
-        assert "note: ok" in text

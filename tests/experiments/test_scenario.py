@@ -1,9 +1,11 @@
 """Tests for the declarative Scenario spec (repro.experiments.scenario)."""
 
 import dataclasses
+import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro import registry
@@ -19,6 +21,7 @@ from repro.experiments import (
     Scenario,
     TimingSpec,
     TrainingSpec,
+    lr_mnist_config,
 )
 from repro.fl import AirFedGATrainer, TiFLTrainer
 from repro.registry import UnknownComponentError
@@ -160,6 +163,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
             tiny_scenario(**{field: value})
         assert repr(value) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_workers", np.int64(20)), ("seed", np.int64(3)),
+         ("training.batch_size", np.int64(8)), ("training.learning_rate", np.float32(0.05))],
+        ids=["num_workers", "seed", "batch_size", "learning_rate"],
+    )
+    def test_numpy_numbers_are_stored_as_python_numbers(self, field, value):
+        """A NumPy count or rate passes the rule an ``FLExperiment`` applies,
+        and is stored as the Python number, so the JSON round-trip holds."""
+        scenario = lr_mnist_config().with_(**{field: value})
+        stored = functools.reduce(getattr, field.split("."), scenario)
+        assert type(stored) is type(value.item()) and stored == value.item()
+        assert Scenario.from_json(scenario.to_json()) == scenario
 
     def test_zero_rounds_is_the_round_zero_only_run(self):
         history = tiny_scenario(**{"training.max_rounds": 0}).run()

@@ -108,18 +108,3 @@ class TestDerivedQueries:
         for key in ("mechanism", "rounds", "total_time_s", "final_accuracy",
                     "total_energy_j", "max_staleness"):
             assert key in s
-
-    def test_downsample(self):
-        h = sample_history()
-        small = h.downsample(3)
-        assert len(small) == 3
-        assert small.records[0].round_index == 0
-        assert small.records[-1].round_index == 5
-
-    def test_downsample_no_op_when_small(self):
-        h = sample_history()
-        assert len(h.downsample(100)) == len(h)
-
-    def test_downsample_validates(self):
-        with pytest.raises(ValueError):
-            sample_history().downsample(0)

@@ -132,12 +132,13 @@ class TestDynamic:
             assert 1 <= rec.num_participants <= small_experiment.num_workers
 
 
-@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize("value", [0, 2.5, True, np.int64(0)], ids=repr)
 @pytest.mark.parametrize(
     ("mechanism", "name"), [("tifl", "num_tiers"), ("fedasync", "buffer_size")]
 )
 def test_a_count_parameter_is_a_positive_integer(small_experiment, mechanism, name, value):
-    """Nothing is coerced: ``2.5`` is not 2 tiers, nor ``True`` a buffer of 1."""
+    """Nothing is coerced: ``2.5`` is not 2 tiers, nor ``True`` a buffer of 1;
+    a NumPy integer passes the type check and is refused for its value."""
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
         build_trainer(mechanism, small_experiment, **{name: value})
 

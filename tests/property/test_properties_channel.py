@@ -12,7 +12,6 @@ from repro.channel import (
     aggregation_error_term,
     aircomp_aggregate,
     ideal_group_average,
-    transmit_energy,
 )
 
 
@@ -55,7 +54,7 @@ class TestAirCompProperties:
             noise_std=0.0, rng=np.random.default_rng(0),
         )
         for i, (w, d, h) in enumerate(zip(models, sizes, gains)):
-            expected = transmit_energy(w, d, h, sigma)
+            expected = (d * sigma / h) ** 2 * float(np.dot(w, w))  # Eq. 7
             assert result.transmit_energies[i] == pytest.approx(expected, rel=1e-9)
 
     @given(group=group_of_models(), sigma=positive, eta=positive)

@@ -22,7 +22,6 @@ from repro.sim import (
     LognormalAvailability,
     PartialCompletionModel,
 )
-from repro.sim.clientstate import model_names
 
 
 class TestBaseModel:
@@ -230,7 +229,7 @@ class TestPartialCompletion:
 
 class TestRegistry:
     def test_all_models_registered(self):
-        names = model_names()
+        names = registry.names("clientstate")
         for name in (
             "always-on", "bernoulli", "lognormal", "cyclic",
             "dropout-rejoin", "partial",

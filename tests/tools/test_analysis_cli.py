@@ -61,12 +61,6 @@ class TestBaselineMode:
         assert rc == 1
         assert "STALE" in out
 
-    def test_committed_repo_baseline_is_empty(self):
-        from tools.analysis.__main__ import DEFAULT_BASELINE
-
-        document = json.loads(DEFAULT_BASELINE.read_text())
-        assert document == {"version": 1, "findings": []}
-
 
 class TestJsonAndListing:
     def test_json_report_written(self, fixtures_dir, tmp_path):
@@ -101,6 +95,7 @@ class TestJsonAndListing:
             "REG002",
             "REG003",
             "REG004",
+            "DEAD001",
         ):
             assert rule in out
 

@@ -8,6 +8,7 @@ for the enforced rules.
 
 from .alloc import HOT_PATHS, HotPathAllocationChecker
 from .core import Baseline, Checker, Finding, Module, Project, run_checkers
+from .dead import DeadExportChecker
 from .registry_rules import RegistryConsistencyChecker
 from .rng import RngDisciplineChecker
 
@@ -18,6 +19,7 @@ __all__ = [
     "Module",
     "Project",
     "run_checkers",
+    "DeadExportChecker",
     "HOT_PATHS",
     "HotPathAllocationChecker",
     "RegistryConsistencyChecker",
@@ -32,4 +34,5 @@ def default_checkers() -> list:
         RngDisciplineChecker(),
         HotPathAllocationChecker(),
         RegistryConsistencyChecker(),
+        DeadExportChecker(),
     ]

@@ -17,7 +17,7 @@ the enclosing statement, or on the line directly above it::
     stacked = np.asarray(vectors).copy()  # analyze: allow-alloc(copy must not mutate the arena)
 
 Each checker documents its tag (``allow-rng``, ``allow-alloc``,
-``allow-registry``).  A reasonless ``allow-...()``
+``allow-registry``, ``allow-dead``).  A reasonless ``allow-...()``
 does not suppress anything.
 
 Baseline
