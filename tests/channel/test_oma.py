@@ -71,3 +71,12 @@ class TestRoundTimes:
     def test_empty_worker_list_rejected(self):
         with pytest.raises(ValueError):
             tdma_round_time(5000, [], CFG)
+
+    def test_weaker_channel_lengthens_the_round(self):
+        strong = tdma_round_time(5000, [1.0, 1.0], CFG)
+        weak = tdma_round_time(5000, [1.0, 0.2], CFG)
+        assert weak > strong
+
+    def test_nonpositive_gain_rejected(self):
+        with pytest.raises(ValueError, match="channel_gain"):
+            tdma_round_time(5000, [1.0, 0.0], CFG)

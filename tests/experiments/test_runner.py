@@ -62,6 +62,14 @@ class TestRunComparison:
             assert history.mechanism == name
             assert history.total_rounds == 3
 
+    def test_histories_are_time_ordered_with_bounded_accuracy(self):
+        histories = run_comparison(tiny_scenario(), mechanisms=("air_fedavg", "air_fedga"))
+        for history in histories.values():
+            times, losses, accs = history.times(), history.losses(), history.accuracies()
+            assert len(times) == len(losses) == len(accs) == len(history)
+            assert np.all(np.diff(times) >= 0)
+            assert np.all((accs >= 0.0) & (accs <= 1.0))
+
     def test_ignores_the_scenarios_own_mechanism(self):
         scenario = tiny_scenario(
             mechanism={"name": "tifl", "params": {"num_tiers": 2}}

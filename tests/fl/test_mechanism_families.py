@@ -150,6 +150,15 @@ class TestFedDyn:
         # Every worker participated, so every drift row moved.
         assert np.all(np.any(trainer.drift != 0.0, axis=1))
 
+    def test_independent_populations_do_not_share_drift(self, small_experiment):
+        trainer = FedDynTrainer(small_experiment, alpha_coef=0.05)
+        trainer.run(max_rounds=2)
+        fresh_exp = dataclasses.replace(small_experiment, population=None)
+        fresh = FedDynTrainer(fresh_exp, alpha_coef=0.05)
+        assert fresh.drift is not trainer.drift
+        assert np.all(fresh.drift == 0.0)
+        assert np.any(trainer.drift != 0.0)
+
     def test_differs_from_fedavg(self, small_experiment):
         h_avg = FedAvgTrainer(small_experiment).run(max_rounds=3)
         h_dyn = FedDynTrainer(small_experiment, alpha_coef=0.05).run(max_rounds=3)
