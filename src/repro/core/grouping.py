@@ -27,14 +27,13 @@ Four alternative strategies are provided for the baselines and ablations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..channel.aircomp import aircomp_latency
 from .config import AirFedGAConfig
 from .convergence import grouping_objective
-from .mechanism import flatten_groups
 from .timing import (
     average_round_time,
     estimated_max_staleness,
@@ -159,32 +158,17 @@ class GroupingResult:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    def _owners(self, num_workers: Optional[int] = None) -> np.ndarray:
-        """Worker id -> group index, ``-1`` for a worker in no group."""
-        flat, starts = flatten_groups(self.groups)
-        size = int(flat.max()) + 1 if num_workers is None else num_workers
-        out = np.full(size, -1, dtype=np.int64)
-        out[flat] = np.repeat(np.arange(starts.size), np.diff(starts, append=flat.size))
-        return out
-
-    def group_of(self, worker_id: int) -> int:
-        owners = self._owners()
-        if not 0 <= worker_id < owners.size or owners[worker_id] < 0:
-            raise KeyError(f"worker {worker_id} is not assigned to any group")
-        return int(owners[worker_id])
-
-    def membership(self, num_workers: int) -> np.ndarray:
-        """Array mapping worker id -> group index."""
-        out = self._owners(num_workers)
-        missing = np.flatnonzero(out < 0)[:10].tolist()
-        if missing:
-            raise ValueError(f"workers not assigned to any group: {missing}...")
-        return out
-
 
 # ----------------------------------------------------------------------
 # Shared evaluation of a candidate grouping
 # ----------------------------------------------------------------------
+def flatten_groups(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Non-empty ``groups`` back to back as one int64 array, and each one's
+    first index."""
+    lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    return np.concatenate(groups, dtype=np.int64), np.cumsum(lengths) - lengths
+
+
 def _evaluate_grouping(
     problem: GroupingProblem, groups: Sequence[Sequence[int]], strategy: str
 ) -> GroupingResult:

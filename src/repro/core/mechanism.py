@@ -23,20 +23,11 @@ Protocol recap (Alg. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
-__all__ = ["AggregationEvent", "GroupAsyncScheduler", "flatten_groups"]
-
-
-def flatten_groups(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """``groups`` back to back as one int64 array, and each one's first index."""
-    lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    # "unsafe" is ``np.asarray(g, dtype=np.int64)``'s casting: an empty list
-    # reads as float64.
-    flat = np.concatenate(groups, dtype=np.int64, casting="unsafe")
-    return flat, np.cumsum(lengths) - lengths
+__all__ = ["AggregationEvent", "GroupAsyncScheduler"]
 
 
 @dataclass
@@ -46,7 +37,6 @@ class AggregationEvent:
     round_index: int          # t, 1-based as in the paper
     group_id: int
     staleness: int            # τ_t
-    member_ids: Union[List[int], np.ndarray]
     base_version: int         # global model version the group trained from
 
 
@@ -59,49 +49,38 @@ class GroupAsyncScheduler:
     what the round index and staleness of the resulting aggregation are,
     and which global-model version each group currently holds.
 
-    Per group it keeps four ints in plain lists (READY count ``r_j``, held
-    version, aggregations, size) beside its members, and no state object; a
-    group holds a set of READY workers only while :meth:`receive_ready` has
-    it partway through a round.
-    ``segments`` (every member back to back, each group's first index) and
-    ``worker_ids`` (every member, ascending) are the flat arrays the
-    membership checks were run on, for callers that need them too.
+    It keeps Algorithm 1's state and no more: per group the size, the READY
+    count ``r_j`` and the held version in plain int lists, the round ``t``,
+    and the member arrays it was given.  A group holds a set of READY
+    workers only while :meth:`receive_ready` has it partway through a round.
     """
 
     def __init__(self, groups: Sequence[Sequence[int]]) -> None:
         if len(groups) == 0:
             raise ValueError("at least one group is required")
-        # Membership checks + worker->group map without per-worker Python
-        # objects (the construction hotspot at 10k+ workers): one sorted
-        # flat id array finds a repeated worker whether it sits in one
-        # group or two, and doubles as the map, queried by binary search.
-        flat, starts = self.segments = flatten_groups(groups)
-        sizes = np.diff(starts, append=flat.size)
-        if not sizes.all():
-            raise ValueError("a group must have at least one member")
-        owners = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
-        sorted_ids, sorted_owners = flat, owners
-        if not np.all(flat[1:] > flat[:-1]):  # contiguous blocks come sorted
-            order = np.argsort(flat, kind="stable")
-            sorted_ids, sorted_owners = flat[order], owners[order]
-        repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
-        if repeated.size:
-            if np.any(sorted_owners[repeated] == sorted_owners[repeated + 1]):
-                raise ValueError("duplicate workers in group")
-            overlap = np.unique(sorted_ids[repeated])[:10].tolist()
-            raise ValueError(f"workers assigned to multiple groups: {overlap}...")
-        self.worker_ids = sorted_ids
-        self._worker_owners = sorted_owners
         self._members: List[Union[List[int], np.ndarray]] = [
             g if isinstance(g, np.ndarray) else list(g) for g in groups
         ]
-        self._sizes: List[int] = sizes.tolist()
+        self._sizes: List[int] = [len(g) for g in self._members]
+        if not all(self._sizes):
+            raise ValueError("a group must have at least one member")
+        # Membership checks on one transient flat copy (no per-worker Python
+        # objects at 10k+ workers): sorted contiguous blocks are disjoint as
+        # they lie; any other order is sorted in place, where a repeated
+        # worker sits next to itself whether it repeats in one group or two.
+        flat = np.concatenate(self._members, dtype=np.int64)
+        if not np.all(flat[1:] > flat[:-1]):
+            flat.sort()
+            repeated = flat[1:][flat[1:] == flat[:-1]]
+            if repeated.size:
+                if any(np.unique(g).size < len(g) for g in self._members):
+                    raise ValueError("duplicate workers in group")
+                overlap = np.unique(repeated)[:10].tolist()
+                raise ValueError(f"workers assigned to multiple groups: {overlap}...")
         self._ready: List[int] = [0] * len(groups)
         self._held: List[int] = [0] * len(groups)   # round the group last pulled
-        self._aggregations: List[int] = [0] * len(groups)
         self._ready_workers: Dict[int, Set[int]] = {}
         self._round: int = 0
-        self._history: List[AggregationEvent] = []
 
     # ------------------------------------------------------------------
     @property
@@ -113,18 +92,16 @@ class GroupAsyncScheduler:
         """Number of global updates performed so far (``t`` in the paper)."""
         return self._round
 
-    @property
-    def history(self) -> List[AggregationEvent]:
-        return list(self._history)
-
     def group_of(self, worker_id: int) -> int:
-        i = int(np.searchsorted(self.worker_ids, worker_id))
-        if i >= self.worker_ids.size or self.worker_ids[i] != worker_id:
-            raise KeyError(f"worker {worker_id} belongs to no group")
-        return int(self._worker_owners[i])
+        """The group holding ``worker_id``, by a scan of the member arrays.
 
-    def workers(self) -> List[int]:
-        return self.worker_ids.tolist()
+        Only the per-worker READY path of :meth:`receive_ready` asks; the
+        trainers send one READY per group.
+        """
+        for gid, members in enumerate(self._members):
+            if worker_id in members:
+                return gid
+        raise KeyError(f"worker {worker_id} belongs to no group")
 
     def _check_complete(self, group_id: int, error: str) -> None:
         """Raise unless ``group_id`` exists and all its READYs are in."""
@@ -196,20 +173,14 @@ class GroupAsyncScheduler:
         self._round += 1
         t = self._round
         base_version = self._held[group_id]
-        # Array-typed groups pass through uncopied (the per-event O(size)
-        # list copy matters once thousands of events accumulate).
-        members = self._members[group_id]
         event = AggregationEvent(
             round_index=t,
             group_id=group_id,
             staleness=max(0, t - base_version - 1),
-            member_ids=members if isinstance(members, np.ndarray) else list(members),
             base_version=base_version,
         )
-        self._history.append(event)
         self._reset_ready(group_id)
         self._held[group_id] = t
-        self._aggregations[group_id] += 1
         return event
 
     def abort_group(self, group_id: int) -> None:
@@ -223,17 +194,3 @@ class GroupAsyncScheduler:
         """
         self._check_complete(group_id, "cannot abort group {}: it is not complete")
         self._reset_ready(group_id)
-
-    # ------------------------------------------------------------------
-    def staleness_profile(self) -> List[int]:
-        """Staleness of every aggregation performed so far."""
-        return [e.staleness for e in self._history]
-
-    def max_staleness(self) -> int:
-        """Observed τ_max (0 when no aggregation has happened yet)."""
-        profile = self.staleness_profile()
-        return max(profile) if profile else 0
-
-    def participation_counts(self) -> List[int]:
-        """Number of aggregations performed by each group."""
-        return list(self._aggregations)

@@ -31,7 +31,7 @@ those of the per-worker-copy simulator to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -79,7 +79,8 @@ class WorkerStateTable:
     Parameters
     ----------
     raw_sizes:
-        Integer per-worker sample counts ``d_i``.
+        Integer per-worker sample counts ``d_i``; only ``sizes`` keeps them
+        (float64 holds integer counts exactly).
     latencies:
         Nominal per-worker local-training times ``l_i`` (``NaN`` when no
         latency model is attached).
@@ -92,7 +93,7 @@ class WorkerStateTable:
     are int32 ``(N,)`` arrays.
     """
 
-    raw_sizes: np.ndarray
+    raw_sizes: InitVar[np.ndarray]
     latencies: Optional[np.ndarray] = None
     sizes: np.ndarray = field(init=False, repr=False)
     alphas: np.ndarray = field(init=False, repr=False)
@@ -104,14 +105,13 @@ class WorkerStateTable:
     unavailable: np.ndarray = field(init=False, repr=False)
     dropped: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.raw_sizes)
+    def __post_init__(self, raw_sizes: np.ndarray) -> None:
+        raw = np.asarray(raw_sizes)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("raw_sizes must be a non-empty 1-D array")
-        self.raw_sizes = raw.astype(np.int64, copy=False)
-        n = self.raw_sizes.size
+        n = raw.size
         # Exact op sequence of the legacy BaseTrainer init (bit-identity).
-        sizes = self.raw_sizes.astype(np.float64)
+        sizes = raw.astype(np.int64, copy=False).astype(np.float64)
         if np.any(sizes <= 0):
             sizes = np.maximum(sizes, 1e-9)
         self.sizes = sizes
@@ -147,23 +147,11 @@ class WorkerStateTable:
         nominal = getattr(latency, "nominal", None) if latency is not None else None
         return cls(raw_sizes=partition.data_sizes(), latencies=nominal)
 
-    @classmethod
-    def uniform(
-        cls, num_workers: int, shard_size: int, latencies: Optional[np.ndarray] = None
-    ) -> "WorkerStateTable":
-        """Equal-sized shards — the replicated-store XL construction."""
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
-        raw = np.full(num_workers, shard_size, dtype=np.int64)
-        return cls(raw_sizes=raw, latencies=latencies)
-
     # -- accessors ------------------------------------------------------
 
     @property
     def num_workers(self) -> int:
-        return int(self.raw_sizes.size)
+        return int(self.sizes.size)
 
     # -- registered mechanism fields ------------------------------------
 
@@ -213,17 +201,10 @@ class WorkerStateTable:
                 f"no registered field {name!r}; registered fields: {known}"
             ) from None
 
-    def has_field(self, name: str) -> bool:
-        return name in self._fields
-
-    def field_names(self) -> List[str]:
-        return sorted(self._fields)
-
     @property
     def nbytes(self) -> int:
         total = 0
         for arr in (
-            self.raw_sizes,
             self.sizes,
             self.alphas,
             self.latencies,
@@ -582,9 +563,7 @@ class Population:
             dataset, num_workers=num_workers, shard_size=shard_size, stride=stride
         )
         nominal = getattr(latency, "nominal", None) if latency is not None else None
-        state = WorkerStateTable.uniform(
-            num_workers, shard_size, latencies=nominal
-        )
+        state = WorkerStateTable(raw_sizes=store.data_sizes(), latencies=nominal)
         return cls(state, dataset=dataset, store=store)
 
     # -- data access ----------------------------------------------------

@@ -965,6 +965,6 @@ class BaseTrainer:
         members' sizes differ or the engine trains no cohorts together."""
         if not self._merges:
             return 0
-        sizes = self.worker_state.raw_sizes[cohort.ids]
+        sizes = self.worker_state.sizes[cohort.ids]
         batch = min(self.exp.batch_size, int(sizes.min()))
         return batch if batch >= self.exp.batch_size or sizes.max() == batch else 0

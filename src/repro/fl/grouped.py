@@ -108,16 +108,15 @@ class GroupedAsyncTrainer(BaseTrainer):
         self._group_arrays: List[np.ndarray] = [
             np.asarray(g, dtype=np.int64) for g in self.groups
         ]
-        # The scheduler rejects empty groups and repeated workers; its sorted
-        # ids are then distinct, so N of them from 0 to N − 1 cover every
-        # worker.  Its flat members + group starts feed the first dispatch.
+        # The scheduler rejects empty groups and repeated workers; the
+        # members are then distinct, so N of them from 0 to N − 1 cover
+        # every worker.
         self.scheduler = GroupAsyncScheduler(self._group_arrays)
-        self._segments = self.scheduler.segments
-        ids, n = self.scheduler.worker_ids, experiment.num_workers
-        if not (ids.size == n and ids[0] == 0 and ids[-1] == n - 1):
+        flat, n = np.concatenate(self._group_arrays), experiment.num_workers
+        if not (flat.size == n and flat.min() == 0 and flat.max() == n - 1):
             raise ValueError(
                 "grouping must cover every worker exactly once; "
-                f"got coverage {ids[:10].tolist()}..."
+                f"got coverage {np.sort(flat)[:10].tolist()}..."
             )
         # ------------------------------------------------------------------
         # Fault-injection state (``self._clientstate`` + FaultConfig).
@@ -321,9 +320,12 @@ class GroupedAsyncTrainer(BaseTrainer):
             # Full rosters: every group's first round from one pass over the
             # flat member array (same keyed latency draws; a heap of
             # distinct tuples pops in one order however filled).
-            flat, starts = self._segments
+            # analyze: allow-alloc(first dispatch only; dropped when it is queued)
+            flat = np.concatenate(self._group_arrays)
+            starts = np.cumsum([0] + [g.size for g in self._group_arrays[:-1]])
             self.worker_state.record_dispatch(flat)
             ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
+            del flat  # the generator's frame would hold it for the whole run
             queue = list(zip(ready.tolist(), range(ready.size)))
             heapq.heapify(queue)
         else:

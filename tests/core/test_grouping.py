@@ -51,6 +51,11 @@ def make_problem(num_workers=20, xi=0.3, seed=0, c_max=0.0):
 RESULT_ARRAYS = ("group_times", "frequencies", "betas", "lambdas")
 
 
+def assigned(result):
+    """Every member of ``result``'s groups, sorted: ``range(N)`` for a partition."""
+    return sorted(w for g in result.groups for w in g)
+
+
 @pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
 @pytest.mark.parametrize("num_workers", [12, 23])
 def test_integer_and_float_histograms_group_identically(strategy, num_workers):
@@ -159,8 +164,7 @@ class TestGreedyGrouping:
     def test_covers_every_worker_exactly_once(self):
         problem, _, _ = make_problem()
         result = greedy_grouping(problem)
-        assigned = sorted(w for g in result.groups for w in g)
-        assert assigned == list(range(problem.num_workers))
+        assert assigned(result) == list(range(problem.num_workers))
 
     def test_respects_time_similarity_constraint(self):
         """Every member's straggler wait stays within xi * delta_l (Eq. 36d)."""
@@ -242,7 +246,7 @@ class TestBaselineGroupings:
     def test_random_grouping_covers_all_workers(self):
         problem, _, _ = make_problem(num_workers=17)
         result = random_grouping(problem, num_groups=4, seed=3)
-        assert sorted(w for g in result.groups for w in g) == list(range(17))
+        assert assigned(result) == list(range(17))
 
     def test_random_grouping_seed_reproducible(self):
         problem, _, _ = make_problem(num_workers=17)
@@ -265,45 +269,10 @@ class TestBaselineGroupings:
 
 
 class TestGroupingResult:
-    def test_group_of_and_membership(self):
-        problem, _, _ = make_problem(num_workers=12)
-        result = greedy_grouping(problem)
-        membership = result.membership(12)
-        for w in range(12):
-            assert membership[w] == result.group_of(w)
-
-    def test_group_of_unknown_worker(self):
-        problem, _, _ = make_problem(num_workers=6)
-        result = greedy_grouping(problem)
-        with pytest.raises(KeyError):
-            result.group_of(99)
-
-    def test_membership_detects_missing_worker(self):
-        problem, _, _ = make_problem(num_workers=6)
-        result = greedy_grouping(problem)
-        with pytest.raises(ValueError):
-            result.membership(7)
-
-    def test_membership_is_one_scatter_over_array_groups(self):
+    def test_every_strategy_partitions_the_workers(self):
         problem, _, _ = make_problem(num_workers=23)
         for name, strategy in GROUPING_STRATEGIES.items():
-            result = strategy(problem, 4, 1)
-            expected = np.full(23, -1)
-            for g, members in enumerate(result.groups):
-                expected[list(members)] = g
-            assert np.array_equal(result.membership(23), expected), name
-            assert [result.group_of(w) for w in range(23)] == expected.tolist(), name
-        with pytest.raises(KeyError):
-            result.group_of(-1)
-
-    def test_membership_error_lists_at_most_ten_workers(self):
-        problem, _, _ = make_problem(num_workers=6)
-        result = contiguous_grouping(problem, 2)
-        with pytest.raises(ValueError) as excinfo:
-            result.membership(5000)
-        assert "[6, 7, 8, 9, 10, 11, 12, 13, 14, 15]..." in str(excinfo.value)
-        with pytest.raises(IndexError):  # a member the population does not have
-            result.membership(3)
+            assert assigned(strategy(problem, 4, 1)) == list(range(23)), name
 
     def test_lambdas_within_emd_bounds(self):
         problem, _, _ = make_problem(num_workers=20)

@@ -87,9 +87,15 @@ class TestFirstDispatch:
         looped = _RaggedGroups(_per_group(exp)).run(max_rounds=12)
         assert batched.to_dict() == looped.to_dict()
 
+    def test_the_schedule_drops_its_flat_members(self, small_experiment):
+        schedule = _RaggedGroups(small_experiment).schedule(4)
+        next(schedule)
+        held = schedule.gi_frame.f_locals.values()
+        assert not any(isinstance(v, np.ndarray) and v.size == 8 for v in held)
+
     def test_coverage_error_prints_ten_ids(self, small_experiment):
         cases = [
-            # Overlap is the scheduler's check; the coverage check reads its ids.
+            # Overlap is the scheduler's check; the coverage check lists sorted ids.
             ([list(range(8)), list(range(8)), [0, 1]], "multiple groups", range(8)),
             ([list(range(8)), list(range(8, 20))], "cover every worker exactly once", range(10)),
             ([[0, 1, 2], [3, 5, 6, 7]], "cover every worker exactly once", [0, 1, 2, 3, 5, 6, 7]),

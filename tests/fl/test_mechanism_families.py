@@ -140,7 +140,7 @@ class TestFedProx:
 class TestFedDyn:
     def test_drift_state_registered_and_updated(self, small_experiment):
         trainer = FedDynTrainer(small_experiment, alpha_coef=0.05)
-        assert trainer.worker_state.has_field(DRIFT_FIELD)
+        assert trainer.worker_state.field(DRIFT_FIELD) is trainer.drift
         assert trainer.drift.shape == (
             small_experiment.num_workers,
             trainer.model.dimension,

@@ -153,13 +153,15 @@ class TestSchedulerProperties:
             next_id += size
         sched = GroupAsyncScheduler(groups)
         last_participation = {g: 0 for g in range(len(groups))}
+        events = []
         for _ in range(rounds):
             gid = data.draw(st.integers(0, len(groups) - 1))
             for w in groups[gid]:
                 sched.receive_ready(w)
             event = sched.complete_aggregation(gid)
+            events.append(event)
             expected_staleness = max(0, event.round_index - last_participation[gid] - 1)
             assert event.staleness == expected_staleness
             last_participation[gid] = event.round_index
         assert sched.current_round == rounds
-        assert sum(sched.participation_counts()) == rounds
+        assert [e.round_index for e in events] == list(range(1, rounds + 1))

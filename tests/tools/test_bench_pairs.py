@@ -153,6 +153,22 @@ class TestMain:
         assert run_s["parent"][1] == pytest.approx(1.0425) and len(run_s["change"]) == 3
         assert set(record["metrics"]) == {"run_s", "rounds_per_s"}
 
+    def test_both_sides_run_from_exports(self, repo, tmp_path_factory):
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (repo / "code.txt").write_text("committed")
+        subprocess.run(git + ["add", "code.txt"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+        (repo / "code.txt").write_text("uncommitted edit")
+        sides = bench_pairs.export_sides(repo, "HEAD", tmp_path_factory.mktemp("scratch"))
+        assert (sides["change"] / "code.txt").read_text() == "uncommitted edit"
+        assert (sides["parent"] / "code.txt").read_text() == "committed"
+        assert repo not in sides.values() and sides["parent"].parent == sides["change"].parent
+        (repo / "src").mkdir()
+        (repo / "src" / "new.py").write_text("")
+        with pytest.raises(SystemExit, match="src/new.py"):
+            bench_pairs.export_sides(repo, "HEAD", tmp_path_factory.mktemp("scratch"))
+
     def test_unknown_workload_is_refused(self, repo, capsys):
         with pytest.raises(SystemExit):
             bench_pairs.main(["--workload", "nope", "--repo", str(repo)], runner=lambda *_: {})

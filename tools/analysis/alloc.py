@@ -136,7 +136,8 @@ HOT_PATHS: Dict[str, Set[str]] = {
     # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
     "src/repro/core/power_control.py": {"PowerControlCache.solve"},
     # Server-side protocol transitions and the helpers they call: O(1) per
-    # event.
+    # event.  ``receive_ready`` / ``group_of`` are Algorithm 1's per-worker
+    # READY path, which no trainer calls (they send one READY per group).
     "src/repro/core/mechanism.py": {
         "GroupAsyncScheduler.receive_ready",
         "GroupAsyncScheduler.receive_group_ready",

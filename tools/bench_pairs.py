@@ -4,11 +4,15 @@
     python tools/bench_pairs.py --workload scale_1m --parent HEAD --pairs 10
     make bench-pairs WORKLOAD=scale_1m PARENT=HEAD
 
-Mirrors how ``BENCHMARK.json`` is judged (``choosing-metrics`` §8): the
-parent commit's committed files are exported into a temporary directory,
-then each pair runs the benchmark command once in that export and once in
-this checkout — same seed within a pair, a fresh seed per pair, the side
-that runs first flipped on every other pair.  Per end-to-end metric it
+Mirrors how ``BENCHMARK.json`` is judged (``choosing-metrics`` §8): both
+sides are exported into sibling temporary directories — the parent
+commit's files, and this checkout's tree (``HEAD``, or the commit ``git
+stash create`` makes of its uncommitted edits to tracked files) — so
+nothing but the code differs between them.  Untracked files under
+``src/`` would not reach the export; the script refuses to run while
+there are any.  Each pair runs the benchmark command once in each export
+— same seed within a pair, a fresh seed per pair, the side that runs
+first flipped on every other pair.  Per end-to-end metric it
 prints both medians with quartiles, the pairs the change won, and one of
 
 * ``gain`` — the change won at least nine tenths of the pairs (ties count
@@ -69,6 +73,27 @@ def export_commit(repo: Path, commit: str, target: Path) -> None:
         archive.stdout.close()
         if archive.wait() != 0:
             raise subprocess.CalledProcessError(archive.returncode, archive.args)
+
+
+def _git(repo: Path, *args: str) -> str:
+    done = subprocess.run(
+        ["git", "-C", str(repo), *args], stdout=subprocess.PIPE, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def export_sides(repo: Path, parent: str, scratch: Path) -> Dict[str, Path]:
+    """``{"parent": ..., "change": ...}``: exports of ``parent`` and of this
+    checkout's tree, in two sibling directories under ``scratch``."""
+    untracked = _git(repo, "ls-files", "--others", "--exclude-standard", "--", "src").split()
+    if untracked:
+        raise SystemExit(f"untracked files under src/ would not run on the change side: {untracked}")
+    commits = {"parent": parent, "change": _git(repo, "stash", "create") or "HEAD"}
+    checkouts = {side: scratch / side for side in SIDES}
+    for side in SIDES:
+        checkouts[side].mkdir()
+        export_commit(repo, commits[side], checkouts[side])
+    return checkouts
 
 
 def benchmark_runner(
@@ -172,10 +197,7 @@ def format_rows(rows: List[dict]) -> str:
 
 
 def _rev(repo: Path, ref: str) -> str:
-    done = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", ref], stdout=subprocess.PIPE, text=True, check=True
-    )
-    return done.stdout.strip()
+    return _git(repo, "rev-parse", ref)
 
 
 def trajectory_record(repo: Path, parent: str, workload: str, rows: List[dict]) -> dict:
@@ -221,8 +243,7 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
     seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         if runner is None:
-            export_commit(args.repo, args.parent, Path(scratch))
-            checkouts = {"parent": Path(scratch), "change": args.repo}
+            checkouts = export_sides(args.repo, args.parent, Path(scratch))
             runner = benchmark_runner(spec, checkouts, args.workload, seconds)
         samples = run_pairs(runner, args.pairs, args.first_seed)
     rows = summarise(samples, spec["end_to_end"])
