@@ -28,6 +28,6 @@ groups update the global model asynchronously.  This package contains:
 
 from . import channel, core, data, fl, nn, registry, sim
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = ["channel", "core", "data", "fl", "nn", "registry", "sim", "__version__"]

@@ -22,7 +22,7 @@ devices:
   stacks — not ``num_workers`` — bound the working set.
 
 Bit-identity contract: :meth:`SharedDatasetStore.from_partition` shards
-equal the legacy per-worker ``dataset.subset`` copies in value, and the
+equal the legacy per-worker copies (``x_train[indices]``) in value, and the
 state table repeats the legacy trainer init's float64 operations
 (``astype(np.float64)``, the conditional ``np.maximum(sizes, 1e-9)``
 floor, ``float(sizes.sum())`` normalization), so training histories are
@@ -294,7 +294,7 @@ class SharedDatasetStore:
 
     * :meth:`from_partition` — reorder the dataset once so every worker's
       rows are contiguous (one O(n) copy total, equal in value to the
-      legacy per-worker ``dataset.subset`` copies);
+      legacy per-worker ``x_train[indices]`` copies);
     * :meth:`replicated` — alias the original dataset arrays outright and
       give workers overlapping windows (zero copies of any sample; the
       XL-scale construction).
@@ -386,7 +386,7 @@ class SharedDatasetStore:
     ) -> "SharedDatasetStore":
         """Reorder the training set so each worker's rows are contiguous.
 
-        Shard *values* equal the legacy ``dataset.subset(indices)`` copies
+        Shard *values* equal the legacy per-worker ``x_train[indices]`` copies
         exactly (same fancy index, then a contiguous slice of the result).
         """
         arrays = [

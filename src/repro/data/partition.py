@@ -104,22 +104,6 @@ class Partition:
             raise ValueError("partition is empty")
         return counts / total
 
-    def validate(self, allow_overlap: bool = False) -> None:
-        """Check structural invariants (disjointness, index bounds)."""
-        n = self.labels.shape[0]
-        seen: set[int] = set()
-        for i, ix in enumerate(self.indices):
-            if ix.size and (ix.min() < 0 or ix.max() >= n):
-                raise ValueError(f"worker {i} has out-of-range sample indices")
-            if not allow_overlap:
-                overlap = seen.intersection(ix.tolist())
-                if overlap:
-                    raise ValueError(
-                        f"worker {i} shares samples with earlier workers: "
-                        f"{sorted(overlap)[:5]}..."
-                    )
-                seen.update(ix.tolist())
-
 
 # ----------------------------------------------------------------------
 # Partition strategies

@@ -86,11 +86,6 @@ class Dataset:
             num_classes=self.num_classes,
         )
 
-    def subset(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Training subset (features, labels) selected by index array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return self.x_train[indices], self.y_train[indices]
-
 
 @dataclass
 class SyntheticImageConfig:

@@ -10,7 +10,7 @@ from .configs import (
 from .runner import run_comparison
 from .scenario import ComponentSpec, DataSpec, FaultSpec, Scenario, TimingSpec, TrainingSpec
 from .runcache import RunCache, canonical_spec, spec_hash
-from .sweep import SweepManifest, SweepRunner, expand_grid, sweep_axes, sweep_points
+from .sweep import SweepRunner, expand_grid, sweep_axes, sweep_points
 from .report import load_rows, sweep_report, write_report
 from .figures import (
     ALL_MECHANISMS,
@@ -41,7 +41,6 @@ __all__ = [
     "RunCache",
     "canonical_spec",
     "spec_hash",
-    "SweepManifest",
     "SweepRunner",
     "expand_grid",
     "sweep_axes",

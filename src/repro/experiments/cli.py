@@ -192,9 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--resume", action="store_true",
-        help="reconcile the existing manifest/JSONL/cache and execute only "
-        "missing, failed and in-flight grid points (identical seeds: the "
-        "merged results are bit-identical to an uninterrupted run)",
+        help="reuse the successful rows of the existing JSONL and execute "
+        "only missing and failed grid points (identical seeds: the merged "
+        "results are bit-identical to an uninterrupted run); refused when "
+        "a row belongs to a different grid",
     )
     sweep_p.add_argument(
         "--cache-dir", default=None,

@@ -19,11 +19,12 @@ cached — error rows always re-execute.  Entries are version-salted with
 :data:`CACHE_VERSION`, so bumping it (when row semantics change) simply
 orphans old entries instead of serving stale shapes.
 
-All cache and manifest writes go through :func:`atomic_write_json`
-(temp file + ``os.replace`` in the target directory), so a sweep killed
-mid-write can never leave a torn JSON document behind.  The appended
-JSONL stream *can* end in a torn line; :func:`read_jsonl_rows` is the one
-reader that skips it, shared by sweep resume and the report loader.
+All cache writes go through :func:`atomic_write_json` (temp file +
+``os.replace`` in the target directory), so a sweep killed mid-write can
+never leave a torn cache entry behind.  The appended JSONL stream — the
+sweep's only checkpoint — *can* end in a torn line; :func:`read_jsonl_rows`
+is the one reader that skips it, shared by sweep resume and the report
+loader.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "CACHE_VERSION",
     "RunCache",
     "atomic_write_json",
     "canonical_spec",
-    "grid_hash",
     "read_jsonl_rows",
     "spec_hash",
 ]
@@ -131,17 +131,6 @@ def spec_hash(spec: Any) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def grid_hash(point_hashes: Iterable[str]) -> str:
-    """One address for a whole expanded grid (order-sensitive).
-
-    A sweep manifest stores this so ``--resume`` can refuse to merge
-    progress from a *different* grid (edited spec file, reordered axes)
-    instead of silently mixing results.
-    """
-    payload = "\n".join(point_hashes)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

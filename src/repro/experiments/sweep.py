@@ -17,20 +17,20 @@ executes them — concurrently on a process pool (scenarios are
 independent simulations, so they parallelize perfectly) — streaming one
 JSON line per completed run to a results file.
 
-**Durability.**  Three cooperating pieces make big grids restartable:
+**Durability.**  The JSONL stream is the sweep's only checkpoint:
 
 * every row carries the point's resolved ``spec_hash``
   (:func:`~repro.experiments.runcache.spec_hash` — content address of the
   canonical resolved scenario), success and error rows alike, so later
   launches can tell *which simulation* a row belongs to;
-* a **sweep manifest** (:class:`SweepManifest`) is checkpointed atomically
-  alongside the JSONL stream: grid hash, per-point status
-  (pending/running/done/failed) and cumulative attempt counts;
-* with ``resume=True`` (CLI ``--resume``) the runner reconciles manifest +
-  JSONL + run cache and re-executes **only** missing, failed and in-flight
-  points.  Seeds live in the spec, so re-executed points are bit-identical
-  (float64) to an uninterrupted run; after a resumed run the JSONL is
-  compacted to exactly one row per grid point, in grid order.
+* with ``resume=True`` (CLI ``--resume``) the runner reuses every
+  successful row of the existing stream and re-executes **only** missing
+  and failed points.  Seeds live in the spec, so re-executed points are
+  bit-identical (float64) to an uninterrupted run; after a resumed run
+  the JSONL is compacted to exactly one row per grid point, in grid
+  order.  A row whose ``index`` lies outside the grid, or whose
+  ``spec_hash`` is not that point's, was written for a different grid,
+  and the resume is refused.
 
 An optional content-addressed **run cache**
 (:class:`~repro.experiments.runcache.RunCache`, ``cache_dir=``) shares
@@ -60,20 +60,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..nn.batched import use_one_lane
-from .runcache import (
-    RunCache,
-    atomic_write_json,
-    grid_hash,
-    read_jsonl_rows,
-    spec_hash,
-)
+from .runcache import RunCache, read_jsonl_rows, spec_hash
 from .scenario import Scenario
 
 __all__ = [
     "SWEEP_ERROR_ROW_KEYS",
     "SWEEP_ROW_KEYS",
     "SWEEP_SUCCESS_ROW_KEYS",
-    "SweepManifest",
     "SweepRunner",
     "expand_grid",
     "sweep_axes",
@@ -153,26 +146,33 @@ def expand_grid(spec: Mapping[str, Any]) -> List[Scenario]:
     return [scenario for scenario, _ in sweep_points(spec)]
 
 
+#: Seconds slept before the first retry of a failed point (scaled
+#: linearly for later attempts).
+_RETRY_BACKOFF_S = 0.5
+
+
 def _execute_point(
     index: int,
     scenario_dict: Dict[str, Any],
     overrides: Dict[str, Any],
     retries: int = 1,
-    retry_backoff: float = 0.5,
     point_hash: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one grid point; returns its JSONL row.  Must stay module-level
     (and take only JSON-native arguments) so process pools can pickle it.
 
-    Transient failures (a pool worker OOM-killed, …) are retried ``retries`` times with ``retry_backoff`` seconds
-    of real-time backoff before the point is given up on; the emitted
-    error row then carries the exception *and* its full traceback string
-    so a failed sweep is debuggable from the JSONL alone.  ``attempts``
-    records how many executions the row consumed either way, and
-    ``point_hash`` (the resolved :func:`~repro.experiments.runcache
-    .spec_hash`, computed by the parent where the spec is known valid) is
-    stamped on success **and** error rows so ``--resume`` can match rows
-    back to grid points.
+    An exception raised while building or running the point is retried
+    ``retries`` times, after :data:`_RETRY_BACKOFF_S` seconds of real-time
+    backoff, before the point is given up on; the emitted error row then
+    carries the exception *and* its full traceback string so a failed
+    sweep is debuggable from the JSONL alone.  A pool worker that dies
+    (OOM-killed, SIGKILL) raises no exception here: the pool breaks and
+    :meth:`SweepRunner.run` raises ``BrokenProcessPool``, after which
+    ``resume=True`` finishes the grid.  ``attempts`` records how many
+    executions the row consumed either way, and ``point_hash`` (the
+    resolved :func:`~repro.experiments.runcache.spec_hash`, computed by
+    the parent where the spec is known valid) is stamped on success
+    **and** error rows so ``--resume`` can match rows back to grid points.
     """
     row: Dict[str, Any] = {
         "index": index,
@@ -199,125 +199,9 @@ def _execute_point(
         except Exception as exc:  # one failed point must not sink the sweep
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["traceback"] = traceback.format_exc()
-            if attempt < retries and retry_backoff > 0:
-                time.sleep(retry_backoff * (attempt + 1))
+            if attempt < retries:
+                time.sleep(_RETRY_BACKOFF_S * (attempt + 1))
     return row
-
-
-MANIFEST_VERSION = 1
-
-
-class SweepManifest:
-    """Atomic sidecar checkpoint of a sweep's per-point progress.
-
-    Written next to the JSONL stream (``results.jsonl`` →
-    ``results.manifest.json``) and rewritten atomically
-    (:func:`~repro.experiments.runcache.atomic_write_json`) on every
-    status change, so a SIGKILL at any instant leaves either the previous
-    or the next complete manifest — never a torn one.
-
-    The document records the :func:`~repro.experiments.runcache.grid_hash`
-    of the expanded grid plus, per point: grid ``index``, display
-    ``name``, resolved ``spec_hash``, ``status`` (``pending`` /
-    ``running`` / ``done`` / ``failed``), **cumulative** ``attempts``
-    across launches, ``cache_hit`` and (for failed points) a short
-    ``error`` string.  On ``--resume`` the manifest's grid hash guards
-    against merging progress from a different grid, and its attempt
-    counts let a point that failed every retry in a previous launch be
-    distinguished from one that never started.
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        grid_hash: str,
-        points: List[Dict[str, Any]],
-    ) -> None:
-        self.path = Path(path)
-        self.grid_hash = grid_hash
-        self.points = points
-
-    @classmethod
-    def fresh(
-        cls,
-        path: str | Path,
-        grid_hash: str,
-        names: Sequence[str],
-        hashes: Sequence[str],
-    ) -> "SweepManifest":
-        """A new all-pending manifest for an expanded grid."""
-        points = [
-            {
-                "index": index,
-                "name": str(name),
-                "spec_hash": hash_,
-                "status": "pending",
-                "attempts": 0,
-                "cache_hit": False,
-            }
-            for index, (name, hash_) in enumerate(zip(names, hashes))
-        ]
-        return cls(Path(path), grid_hash, points)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepManifest":
-        """Read a manifest written by :meth:`save`; validates the version."""
-        path = Path(path)
-        document = json.loads(path.read_text())
-        if document.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported sweep manifest version {document.get('version')!r} "
-                f"in {path} (expected {MANIFEST_VERSION})"
-            )
-        points = document.get("points")
-        if not isinstance(points, list):
-            raise ValueError(f"sweep manifest {path} has no point list")
-        return cls(path, str(document.get("grid_hash", "")), points)
-
-    def to_dict(self) -> Dict[str, Any]:
-        done = sum(1 for p in self.points if p.get("status") == "done")
-        failed = sum(1 for p in self.points if p.get("status") == "failed")
-        return {
-            "version": MANIFEST_VERSION,
-            "grid_hash": self.grid_hash,
-            "total": len(self.points),
-            "done": done,
-            "failed": failed,
-            "points": self.points,
-        }
-
-    def save(self) -> Path:
-        """Atomically checkpoint the manifest to :attr:`path`."""
-        return atomic_write_json(self.path, self.to_dict())
-
-    def mark(
-        self,
-        index: int,
-        status: str,
-        attempts: Optional[int] = None,
-        cache_hit: Optional[bool] = None,
-        error: Optional[str] = None,
-        save: bool = True,
-    ) -> None:
-        """Update one point's status (and checkpoint unless ``save=False``)."""
-        point = self.points[index]
-        point["status"] = status
-        if attempts is not None:
-            point["attempts"] = int(attempts)
-        if cache_hit is not None:
-            point["cache_hit"] = bool(cache_hit)
-        if error is not None:
-            point["error"] = str(error)
-        elif status == "done":
-            point.pop("error", None)
-        if save:
-            self.save()
-
-    def attempts(self, index: int) -> int:
-        return int(self.points[index].get("attempts", 0))
-
-    def status(self, index: int) -> str:
-        return str(self.points[index].get("status", "pending"))
 
 
 class SweepRunner:
@@ -336,21 +220,16 @@ class SweepRunner:
         Process-pool size; ``None`` uses ``min(grid size, cpu_count)``.
     mode:
         ``"processes"`` (default) runs grid points concurrently on a
-        ``concurrent.futures.ProcessPoolExecutor`` whose workers train
-        every group on one core (the sweep already occupies the others);
-        ``"serial"`` runs them in-process, where the batched engine may
-        split a large group across the cores (useful under doctest).
-    start_method:
-        ``multiprocessing`` start method for the pool (``"fork"``
-        default).
+        forked ``concurrent.futures.ProcessPoolExecutor`` whose workers
+        train every group on one core (the sweep already occupies the
+        others); ``"serial"`` runs them in-process, where the batched
+        engine may split a large group across the cores (useful under
+        doctest).  A platform without ``fork`` runs the points serially.
     retries:
-        How many times a failed grid point is re-executed (with real-time
-        backoff) before its error row — carrying the exception and the
-        full traceback string — is emitted.  Default 1: one retry absorbs
-        transient infrastructure failures without masking real bugs.
-    retry_backoff:
-        Seconds slept before the first retry (scaled linearly for later
-        attempts); 0 disables the sleep.
+        How many times a point whose run raised is re-executed (with
+        real-time backoff) before its error row — carrying the exception
+        and the full traceback string — is emitted.  Default 1.  A killed
+        pool worker is not retried: ``run`` raises ``BrokenProcessPool``.
     cache_dir:
         Root of a content-addressed :class:`~repro.experiments.runcache
         .RunCache`.  Points whose resolved spec hash is already cached
@@ -358,17 +237,12 @@ class SweepRunner:
         every newly successful point is written back to the cache.
         ``None`` (default) disables caching.
     resume:
-        Reconcile an interrupted sweep instead of restarting it: reuse
-        every successful row of the existing JSONL whose ``spec_hash``
-        matches the grid, then execute only the missing / failed /
-        in-flight points (identical seeds ⇒ bit-identical float64
-        summaries).  Requires ``output``; refuses (``ValueError``) when
-        the existing manifest's grid hash does not match this spec.  With
-        nothing to reconcile (first launch) it behaves like a fresh run.
-    manifest:
-        Path of the sweep manifest; default ``output`` with the suffix
-        replaced by ``.manifest.json`` (``None`` only when ``output`` is
-        ``None``, which disables manifest checkpointing).
+        Continue an interrupted sweep instead of restarting it: reuse
+        every successful row of the existing JSONL, then execute only the
+        missing and failed points (identical seeds ⇒ bit-identical
+        float64 summaries).  Requires ``output``; refuses (``ValueError``)
+        when a row of the existing JSONL belongs to a different grid.
+        With no JSONL yet (first launch) it behaves like a fresh run.
     """
 
     def __init__(
@@ -377,26 +251,16 @@ class SweepRunner:
         output: str | Path | None = None,
         max_workers: Optional[int] = None,
         mode: str = "processes",
-        start_method: str = "fork",
         retries: int = 1,
-        retry_backoff: float = 0.5,
         cache_dir: str | Path | None = None,
         resume: bool = False,
-        manifest: str | Path | None = None,
     ) -> None:
         if mode not in ("processes", "serial"):
             raise ValueError(f"mode must be 'processes' or 'serial', got {mode!r}")
-        if start_method not in ("fork", "spawn", "forkserver"):
-            raise ValueError(
-                "start_method must be 'fork', 'spawn' or 'forkserver', "
-                f"got {start_method!r}"
-            )
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1 when given")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         if isinstance(spec, Mapping):
             self.points = sweep_points(spec)
         else:
@@ -408,106 +272,55 @@ class SweepRunner:
             raise ValueError("resume=True requires an output path to reconcile")
         self.max_workers = max_workers
         self.mode = mode
-        self.start_method = start_method
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.resume = resume
-        if manifest is not None:
-            self.manifest_path: Optional[Path] = Path(manifest)
-        elif self.output is not None:
-            self.manifest_path = self.output.with_suffix(".manifest.json")
-        else:
-            self.manifest_path = None
         #: Resolved content address of every grid point, in grid order.
         self.point_hashes = [spec_hash(scenario) for scenario, _ in self.points]
-        #: Content address of the whole expanded grid.
-        self.grid_hash = grid_hash(self.point_hashes)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    # ------------------------------------------------------------------
-    # Resume reconciliation
-    # ------------------------------------------------------------------
-    def _reconcile(self) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, int]]:
-        """Merge manifest + JSONL into (reusable rows, prior attempt counts).
+    def _reconcile(self) -> Dict[int, Dict[str, Any]]:
+        """The successful rows of the existing JSONL, by grid index.
 
-        The JSONL stream is the ground truth for *completed* work: a row
-        is reused iff it carries a ``summary`` and its ``spec_hash``
-        matches the grid point at its index (rows from older schema
-        versions or foreign grids are ignored and re-executed).  The
-        manifest contributes cumulative attempt counts and the grid-hash
-        guard; error rows contribute their attempt counts, which is how a
-        point that failed every retry is distinguished from one that
-        never started.
+        Every row must belong to this grid: its ``index`` inside it and
+        its ``spec_hash`` that point's.  Any other row was written for a
+        different grid (an edited spec, reordered axes), and mixing its
+        results in would be silent corruption, so the resume is refused
+        naming the row.  Error rows are not reused: their points run again.
         """
         reused: Dict[int, Dict[str, Any]] = {}
-        prior_attempts: Dict[int, int] = {}
-        if self.manifest_path is not None and self.manifest_path.exists():
-            previous = SweepManifest.load(self.manifest_path)
-            if previous.grid_hash and previous.grid_hash != self.grid_hash:
+        assert self.output is not None
+        if not self.output.exists():
+            return reused
+        for number, row in enumerate(read_jsonl_rows(self.output), start=1):
+            index = row.get("index")
+            in_grid = isinstance(index, int) and 0 <= index < len(self.points)
+            if not in_grid or row.get("spec_hash") != self.point_hashes[index]:
                 raise ValueError(
-                    f"cannot resume: manifest {self.manifest_path} was written "
-                    f"for a different grid (grid hash {previous.grid_hash[:12]}… "
-                    f"≠ {self.grid_hash[:12]}…); the spec or its expansion "
-                    "changed — start a fresh output instead"
+                    f"cannot resume: row {number} of {self.output} (index "
+                    f"{index!r}, scenario {row.get('scenario')!r}) was written "
+                    "for a different grid; the spec or its expansion changed "
+                    "— start a fresh output instead"
                 )
-            for point in previous.points:
-                index = point.get("index")
-                if isinstance(index, int) and 0 <= index < len(self.points):
-                    prior_attempts[index] = int(point.get("attempts", 0))
-        if self.output is not None and self.output.exists():
-            for row in read_jsonl_rows(self.output):
-                index = row.get("index")
-                if not isinstance(index, int) or not 0 <= index < len(self.points):
-                    continue
-                if row.get("spec_hash") != self.point_hashes[index]:
-                    continue
-                if "summary" in row and "error" not in row:
-                    reused[index] = row
-                else:
-                    prior_attempts[index] = max(
-                        prior_attempts.get(index, 0), int(row.get("attempts", 0))
-                    )
-        return reused, prior_attempts
+            if "summary" in row and "error" not in row:
+                reused[index] = row
+        return reused
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self) -> List[Dict[str, Any]]:
         """Execute every grid point; returns the rows ordered by grid index."""
         cache = RunCache(self.cache_dir) if self.cache_dir is not None else None
-        reused: Dict[int, Dict[str, Any]] = {}
-        prior_attempts: Dict[int, int] = {}
-        if self.resume:
-            reused, prior_attempts = self._reconcile()
-
-        manifest: Optional[SweepManifest] = None
-        if self.manifest_path is not None:
-            manifest = SweepManifest.fresh(
-                self.manifest_path,
-                self.grid_hash,
-                [scenario.name for scenario, _ in self.points],
-                self.point_hashes,
-            )
-            for index, attempts in prior_attempts.items():
-                manifest.points[index]["attempts"] = attempts
-            for index, row in reused.items():
-                manifest.mark(
-                    index,
-                    "done",
-                    attempts=max(prior_attempts.get(index, 0), row.get("attempts", 0)),
-                    cache_hit=bool(row.get("cache_hit")),
-                    save=False,
-                )
-            manifest.save()
-
+        reused = self._reconcile() if self.resume else {}
         appending = bool(self.resume and self.output is not None and self.output.exists())
         handle = None
         if self.output is not None:
             self.output.parent.mkdir(parents=True, exist_ok=True)
             handle = self.output.open("a" if appending else "w")
+            if appending and not self.output.read_text().endswith("\n"):
+                # End the torn last line a killed launch left, or the first
+                # row appended here would be unreadable until compaction.
+                handle.write("\n")
         rows: List[Dict[str, Any]] = list(reused.values())
 
         def emit(row: Dict[str, Any]) -> None:
@@ -517,16 +330,6 @@ class SweepRunner:
                 handle.flush()
             if cache is not None and "summary" in row and not row.get("cache_hit"):
                 cache.put(row["spec_hash"], row)
-            if manifest is not None:
-                failed = "error" in row
-                manifest.mark(
-                    row["index"],
-                    "failed" if failed else "done",
-                    attempts=prior_attempts.get(row["index"], 0)
-                    + int(row.get("attempts", 0)),
-                    cache_hit=bool(row.get("cache_hit")),
-                    error=row.get("error"),
-                )
 
         payloads = []
         for index, (scenario, overrides) in enumerate(self.points):
@@ -549,27 +352,14 @@ class SweepRunner:
                     )
                     continue
             payloads.append(
-                (
-                    index,
-                    scenario.to_dict(),
-                    overrides,
-                    self.retries,
-                    self.retry_backoff,
-                    point_hash,
-                )
+                (index, scenario.to_dict(), overrides, self.retries, point_hash)
             )
 
         try:
             if self.mode == "serial" or len(payloads) == 1:
                 for payload in payloads:
-                    if manifest is not None:
-                        manifest.mark(payload[0], "running")
                     emit(_execute_point(*payload))
             elif payloads:
-                if manifest is not None:
-                    for payload in payloads:
-                        manifest.mark(payload[0], "running", save=False)
-                    manifest.save()
                 self._run_pool(payloads, emit)
         finally:
             if handle is not None:
@@ -597,13 +387,13 @@ class SweepRunner:
         workers = self.max_workers or min(len(payloads), os.cpu_count() or 1)
         workers = min(workers, len(payloads))
         try:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=context, initializer=use_one_lane
             )
         except (ValueError, OSError):
-            # Start method unavailable on this platform: degrade to serial
-            # rather than fail the sweep.
+            # No fork on this platform: degrade to serial rather than fail
+            # the sweep.
             for payload in payloads:
                 emit(_execute_point(*payload))
             return

@@ -19,6 +19,8 @@ from repro.core.population import (
 from repro.data.partition import Partition, partition_iid, partition_label_skew
 from repro.sim.latency import build_uniform_latency
 
+from oracle.data import legacy_subset
+
 
 def _dataset(num_train=200, image_size=8, seed=0):
     return registry.create(
@@ -99,7 +101,7 @@ def test_from_partition_shards_match_legacy_subset_and_are_views():
     )
     store = SharedDatasetStore.from_partition(dataset, partition)
     for w in range(partition.num_workers):
-        x_legacy, y_legacy = dataset.subset(partition.worker_indices(w))
+        x_legacy, y_legacy = legacy_subset(dataset, partition.worker_indices(w))
         shard = store.shard(w)
         np.testing.assert_array_equal(shard.x, x_legacy)
         np.testing.assert_array_equal(shard.y, y_legacy)
@@ -344,7 +346,7 @@ def test_population_shards_equal_legacy_copies_and_share_the_store():
     )
     population = Population.from_dataset(dataset, partition)
     for w in range(10):
-        x_legacy, y_legacy = dataset.subset(partition.worker_indices(w))
+        x_legacy, y_legacy = legacy_subset(dataset, partition.worker_indices(w))
         x, y = population.shard(w)
         np.testing.assert_array_equal(x, x_legacy)
         np.testing.assert_array_equal(y, y_legacy)

