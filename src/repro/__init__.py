@@ -11,7 +11,8 @@ groups update the global model asynchronously.  This package contains:
   specs, the batched group trainer) standing in for PyTorch;
 * :mod:`repro.data` -- synthetic datasets and federated partitioners;
 * :mod:`repro.channel` -- the wireless substrate: block fading, AirComp
-  superposition over a noisy MAC, OMA latency models and energy accounting;
+  superposition over a noisy MAC with its Eq. (7) transmit energies, and
+  OMA latency models;
 * :mod:`repro.sim` -- the edge-heterogeneity latency model and the
   client-state (availability and fault) models;
 * :mod:`repro.fl` -- runnable trainers for Air-FedGA and seven other

@@ -1,4 +1,4 @@
-"""Wireless channel substrate: fading gains, AirComp MAC, OMA latency, energy."""
+"""Wireless channel substrate: fading gains, AirComp MAC, OMA latency."""
 
 from .fading import ChannelModel, RayleighFading, StaticChannel
 from .aircomp import (
@@ -12,7 +12,6 @@ from .aircomp import (
     ideal_group_average_reference,
 )
 from .oma import OMAConfig, tdma_round_time, worker_upload_time
-from .energy import EnergyTracker
 
 __all__ = [
     "ChannelModel",
@@ -29,5 +28,4 @@ __all__ = [
     "OMAConfig",
     "worker_upload_time",
     "tdma_round_time",
-    "EnergyTracker",
 ]

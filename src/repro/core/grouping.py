@@ -18,16 +18,18 @@ Four alternative strategies are provided for the baselines and ablations:
   of groups,
 * :func:`singleton_grouping` — every worker its own group (Table III's
   'Original' column, the fully asynchronous limit ξ → 0), and
-* :func:`contiguous_grouping` — index-contiguous blocks as int64 arrays;
-  O(N) with no per-worker Python objects, the strategy used by the XL
-  (10k–1M worker) bench tiers where greedy's O(N²) evaluations are
-  unaffordable.
+* :func:`contiguous_grouping` — index-contiguous blocks; O(N) with no
+  per-worker Python objects, the strategy used by the XL (10k–1M worker)
+  bench tiers where greedy's O(N²) evaluations are unaffordable.
+
+Every strategy returns its groups in one form: int64 member arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,13 +140,12 @@ class GroupingProblem:
 class GroupingResult:
     """A concrete grouping plus the quantities needed downstream.
 
-    ``groups`` entries are Python lists for the legacy strategies and
-    int64 arrays for :func:`contiguous_grouping` (both index cleanly into
-    per-worker arrays; the array form avoids per-worker Python objects at
-    XL scale).
+    ``groups`` are the non-empty groups as int64 member arrays, back-to-back
+    views of one array: they index per-worker arrays directly, with no
+    per-worker Python objects at XL scale.
     """
 
-    groups: List[Sequence[int]]
+    groups: List[np.ndarray]
     objective: float
     group_times: np.ndarray
     frequencies: np.ndarray
@@ -162,30 +163,28 @@ class GroupingResult:
 # ----------------------------------------------------------------------
 # Shared evaluation of a candidate grouping
 # ----------------------------------------------------------------------
-def flatten_groups(groups: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Non-empty ``groups`` back to back as one int64 array, and each one's
-    first index."""
-    lengths = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    return np.concatenate(groups, dtype=np.int64), np.cumsum(lengths) - lengths
-
-
 def _evaluate_grouping(
     problem: GroupingProblem, groups: Sequence[Sequence[int]], strategy: str
 ) -> GroupingResult:
-    """Score one candidate grouping.
+    """Score one candidate grouping; its groups become int64 arrays.
 
     Per-group quantities are segment reductions over one flat int64 member
     array (``np.maximum.reduceat`` / ``np.add.reduceat``) — no Python loop
     over groups or members.  The float64 results match the per-group
     ``max``/``sum`` reductions exactly, so objectives and greedy decisions
-    are bit-identical.
+    are bit-identical.  The result's groups are views of that array: the
+    caller's lists or arrays are neither kept nor modified.
     """
     cfg = problem.config
     kept = [g for g in groups if len(g) > 0]
     if not kept:
         raise ValueError("grouping has no non-empty groups")
-    # Group j owns flat[starts[j]:starts[j + 1]].
-    flat, starts = flatten_groups(kept)
+    # Group j owns flat[firsts[j]:ends[j]], the view the result keeps.
+    ends = list(accumulate(map(len, kept)))
+    firsts = [0, *ends[:-1]]
+    flat = np.concatenate(kept, dtype=np.int64)
+    members = [flat[a:b] for a, b in zip(firsts, ends)]
+    starts = np.array(firsts)
 
     # L_u (Eq. 33) is membership-independent; L_j = max_i l_i + L_u (Eq. 34).
     upload = aircomp_latency(
@@ -235,13 +234,8 @@ def _evaluate_grouping(
         lambdas=lambdas,
         c_max=problem.c_max,
     )
-    # Preserve the caller's group representation: lists stay (copied)
-    # lists; int64 arrays pass through without a per-member conversion.
-    group_out: List[Sequence[int]] = [
-        g if isinstance(g, np.ndarray) else list(g) for g in kept
-    ]
     return GroupingResult(
-        groups=group_out,
+        groups=members,
         objective=float(objective),
         group_times=group_times,
         frequencies=psi,
@@ -312,7 +306,8 @@ def greedy_grouping(problem: GroupingProblem) -> GroupingResult:
                 trial_members = [worker]
             if not _constraint_satisfied(problem, trial_members, upload_latency):
                 continue
-            trial_groups = [list(g) for g in groups]
+            # A shallow copy: the evaluation copies the members it keeps.
+            trial_groups = list(groups)
             if j < len(groups):
                 trial_groups[j] = trial_members
             else:
@@ -372,8 +367,8 @@ def _refine_grouping(
                 trial_members = current[target] + [worker]
                 if not _constraint_satisfied(problem, trial_members, upload_latency):
                     continue
-                trial = [list(g) for g in current]
-                trial[source] = [w for w in trial[source] if w != worker]
+                trial = list(current)
+                trial[source] = [w for w in current[source] if w != worker]
                 trial[target] = trial_members
                 trial_groups = [g for g in trial if g]
                 objective = _evaluate_grouping(problem, trial_groups, "greedy").objective
@@ -397,8 +392,7 @@ def _split_grouping(
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
     chunks = np.array_split(order, min(num_groups, problem.num_workers))
-    groups = [chunk.astype(int).tolist() for chunk in chunks if chunk.size > 0]
-    return _evaluate_grouping(problem, groups, strategy)
+    return _evaluate_grouping(problem, chunks, strategy)
 
 
 def tier_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
@@ -429,7 +423,7 @@ def singleton_grouping(problem: GroupingProblem) -> GroupingResult:
 
 
 def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
-    """Index-contiguous blocks of workers, returned as int64 arrays.
+    """Index-contiguous blocks of workers.
 
     The only strategy whose cost is O(N) in both time and Python objects:
     no per-worker lists, no candidate evaluations.  Combined with the
@@ -447,7 +441,7 @@ def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingRe
     base, extra = divmod(problem.num_workers, num_groups)
     steps = np.arange(num_groups + 1)
     bounds = (steps * base + np.minimum(steps, extra)).tolist()
-    groups: List[Sequence[int]] = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+    groups = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
     return _evaluate_grouping(problem, groups, "contiguous")
 
 

@@ -23,7 +23,7 @@ Protocol recap (Alg. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class GroupAsyncScheduler:
     def __init__(self, groups: Sequence[Sequence[int]]) -> None:
         if len(groups) == 0:
             raise ValueError("at least one group is required")
-        self._members: List[Union[List[int], np.ndarray]] = [
-            g if isinstance(g, np.ndarray) else list(g) for g in groups
-        ]
+        self._members: List[Sequence[int]] = list(groups)
         self._sizes: List[int] = [len(g) for g in self._members]
         if not all(self._sizes):
             raise ValueError("a group must have at least one member")

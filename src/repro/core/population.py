@@ -87,8 +87,9 @@ class WorkerStateTable:
 
     Derived fields reproduce the legacy trainer init exactly: ``sizes`` is
     ``raw_sizes.astype(float64)`` floored at ``1e-9`` only when some entry
-    is non-positive, ``total_size = float(sizes.sum())`` and
-    ``alphas = sizes / total_size``.  The event-loop counters ``staleness``
+    is non-positive and ``total_size = float(sizes.sum())``; the weights
+    ``α_i = sizes[i] / total_size`` of Eqs. (8)/(10) are computed where they
+    are read, for the workers read.  The event-loop counters ``staleness``
     (at the last commit), ``dispatches``, ``unavailable`` and ``dropped``
     are int32 ``(N,)`` arrays.
     """
@@ -96,7 +97,6 @@ class WorkerStateTable:
     raw_sizes: InitVar[np.ndarray]
     latencies: Optional[np.ndarray] = None
     sizes: np.ndarray = field(init=False, repr=False)
-    alphas: np.ndarray = field(init=False, repr=False)
     total_size: float = field(init=False, default=0.0)
     gains: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     gains_round: int = field(init=False, default=-1)
@@ -116,7 +116,6 @@ class WorkerStateTable:
             sizes = np.maximum(sizes, 1e-9)
         self.sizes = sizes
         self.total_size = float(sizes.sum())
-        self.alphas = sizes / self.total_size
         if self.latencies is None:
             self.latencies = np.full(n, np.nan, dtype=np.float64)
         else:
@@ -206,7 +205,6 @@ class WorkerStateTable:
         total = 0
         for arr in (
             self.sizes,
-            self.alphas,
             self.latencies,
             self.staleness,
             self.dispatches,

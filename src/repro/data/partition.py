@@ -9,7 +9,9 @@ skew) for the ablation benchmarks.
 A partition is represented by :class:`Partition`, mapping each worker index
 to the indices of its training samples; per-worker and per-class sizes
 (the d_i, d_i^k quantities of Table II) are exposed directly.  The
-proportions α_i are :attr:`repro.core.population.WorkerStateTable.alphas`.
+proportions α_i = d_i / D are computed from
+:attr:`repro.core.population.WorkerStateTable.sizes` where a trainer
+aggregates.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ Usage::
     python -m repro.experiments run table3
     python -m repro.experiments compare lr_mnist --mechanisms air_fedga air_fedavg
 
-``run`` executes the benchmark-scale version of one paper artefact (the same
-configurations used by ``benchmarks/``) and writes the resulting series to
-JSON (plus per-mechanism CSVs for the figure experiments) so they can be
-plotted externally.  ``compare`` runs an ad-hoc mechanism comparison on one
-of the four registered workloads.
+``run`` executes a reduced-scale version of one paper artefact and writes
+the resulting series to JSON so they can be plotted externally.  Its
+figures run the :mod:`repro.experiments.configs` catalogue under a
+simulated-time budget, not the scenarios of ``benchmarks/workloads.py``
+that ``benchmarks/`` checks: fig3–fig6, fig8–fig10 and table1 differ in
+workers, image size, model width, learning rate, local steps and budget;
+fig7 and table3 agree.  ``compare`` runs an ad-hoc mechanism comparison on
+one of the four registered workloads.
 """
 
 from __future__ import annotations
@@ -142,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments and workloads")
 
-    run_p = sub.add_parser("run", help="run one experiment (fig3..fig10, table1, table3)")
+    run_p = sub.add_parser(
+        "run",
+        help="run one experiment (fig3..fig10, table1, table3) on the "
+        "repro.experiments.configs catalogue; not the benchmarks/ scenarios",
+    )
     run_p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_p.add_argument("--output", "-o", default=None, help="directory for JSON results")
     run_p.add_argument(

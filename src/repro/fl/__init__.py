@@ -12,8 +12,10 @@ Public entry points (documented in ``docs/API.md``):
   local training runs on the vectorized group engine, so every model
   layer needs a batched kernel;
 * :class:`BaseTrainer` — shared machinery (local updates, AirComp and
-  OMA aggregation, evaluation, energy accounting).  Trainers are context
-  managers (``with build_trainer(...) as t: t.run(...)``);
+  OMA aggregation weighted by α_i = d_i / D from the data sizes,
+  evaluation, each round's transmit energy on its history record).
+  Trainers are context managers (``with build_trainer(...) as t:
+  t.run(...)``);
 * the axes a mechanism is assembled from — the schedules
   :class:`SynchronousTrainer` (barrier rounds), :class:`GroupedAsyncTrainer`
   (per-group commits) and :class:`FedAsyncTrainer` (per-update commits),

@@ -82,7 +82,7 @@ class AirFedGATrainer(AirCompUplink, GroupedAsyncTrainer):
         super().__init__(experiment, staleness=staleness)
 
     # ------------------------------------------------------------------
-    def build_groups(self) -> List[List[int]]:
+    def build_groups(self) -> List[np.ndarray]:
         # Estimate the power-control error term once, on a representative
         # round, so the grouping objective accounts for the channel noise
         # floor (the paper determines σ*, η* before solving P4) — with the

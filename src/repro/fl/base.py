@@ -12,7 +12,7 @@ mechanism reuses:
 * ``evaluate`` — global test loss/accuracy of a model vector;
 * ``aircomp_group_update`` — one over-the-air aggregation with power
   control (Eqs. 6-10 + Algorithm 2), returning the new global model and
-  the per-worker transmit energies;
+  the round's Eq. (7) transmit energy;
 * ``exact_group_update`` — the error-free OMA counterpart (Eq. 8).
 
 A concrete mechanism composes these pieces along three axes, each written
@@ -44,7 +44,6 @@ from ..channel.aircomp import (
     aircomp_aggregate,
     aircomp_latency,
 )
-from ..channel.energy import EnergyTracker
 from ..channel.fading import ChannelModel
 from ..channel.oma import OMAConfig, tdma_round_time
 from ..core.config import AirFedGAConfig, FaultConfig
@@ -288,21 +287,20 @@ class BaseTrainer:
             self.model: Model = experiment.model_factory()
         self.global_vector: np.ndarray = self.model.get_vector()
         # Struct-of-arrays population surface (repro.core.population): data
-        # sizes, α weights, latencies, staleness and availability counters
-        # live in one WorkerStateTable — no per-worker Python objects.  The
-        # table reproduces the legacy size/alpha computation bit-for-bit
-        # (workers with no data get a negligible 1e-9 weight so the α_i
-        # normalisation stays well defined).
+        # sizes, latencies, staleness and availability counters live in one
+        # WorkerStateTable — no per-worker Python objects.  Workers with no
+        # data get a negligible 1e-9 size so the weights α_i = d_i / D, which
+        # each aggregation computes for its participants, stay well defined.
         self.population: Population = experiment.ensure_population()
         self.worker_state = self.population.state
         self.data_sizes: np.ndarray = self.worker_state.sizes
         self.total_data: float = self.worker_state.total_size
-        self.alphas: np.ndarray = self.worker_state.alphas
         self.history = TrainingHistory(mechanism=self.name)
-        self.energy = EnergyTracker(num_workers=experiment.num_workers)
         self._noise_rng = np.random.default_rng(
             np.random.SeedSequence([experiment.seed, 0xA17])
         )
+        # The run's Eq. (7) transmit energy so far: the history's records are
+        # the one energy account (``round_energy_j``, ``cumulative_energy_j``).
         self._cumulative_energy = 0.0
         # Worker training data: zero-copy shard views into the population's
         # shared store (O(1) per worker).
@@ -574,7 +572,7 @@ class BaseTrainer:
             raise ValueError("member_ids and local_vectors length mismatch")
         if weight_scale <= 0:
             raise ValueError(f"weight_scale must be positive, got {weight_scale}")
-        alphas = self.alphas[member_ids]
+        alphas = self.data_sizes[member_ids] / self.total_data
         if weight_scale != 1.0:
             alphas = alphas * weight_scale
         stacked = local_vectors
@@ -603,8 +601,9 @@ class BaseTrainer:
     ) -> Tuple[np.ndarray, Dict[str, float]]:
         """One over-the-air aggregation with power control (Eqs. 6-10).
 
-        Returns the new global vector and a dict with the σ/η used, the
-        per-round transmit energy and the aggregation error diagnostics.
+        Returns the new global vector and a dict with the σ/η used
+        (``sigma``, ``eta``) and the round's Eq. (7) transmit energy summed
+        over the participants (``round_energy_j``): what the record keeps.
         ``local_vectors`` may be a stacked ``(G, q)`` array; pass ``out`` to
         receive the new global model in a caller-owned buffer.
         ``weight_scale`` multiplies the participants' effective data sizes
@@ -663,7 +662,7 @@ class BaseTrainer:
             sq_norms=sq_norms,
         )
         # Eq. (10): mix the received estimate with the previous global model.
-        beta = float(self.alphas[index].sum())
+        beta = float((self.data_sizes[index] / self.total_data).sum())
         if weight_scale != 1.0:
             beta = min(1.0, beta * weight_scale)
         if out is None:
@@ -675,16 +674,10 @@ class BaseTrainer:
             np.add(result.estimate, self._agg_scratch, out=out)
             new_global = out
 
-        round_energy = float(result.transmit_energies.sum())
-        self.energy.record_round(member_ids, result.transmit_energies)
         info = {
             "sigma": pc.sigma,
             "eta": pc.eta,
-            "round_energy_j": round_energy,
-            "beta": beta,
-            "noise_norm": result.noise_norm,
-            "power_control_iterations": float(pc.iterations),
-            "pc_cache_hits": float(self.pc_cache_hits),
+            "round_energy_j": float(result.transmit_energies.sum()),
         }
         return new_global, info
 

@@ -110,7 +110,7 @@ class FedDynTrainer(FedAvgTrainer):
     ) -> np.ndarray:
         # w ← w − (1/λ)·Σ_j α_j·h_j over the whole population (α sums to 1).
         np.dot(
-            self.alphas.astype(self.drift.dtype, copy=False),
+            (self.data_sizes / self.total_data).astype(self.drift.dtype, copy=False),
             self.drift,
             out=self._agg_scratch,
         )

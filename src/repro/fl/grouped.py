@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,20 +99,20 @@ class GroupedAsyncTrainer(BaseTrainer):
             staleness
         )
         super().__init__(experiment)
-        self.groups: List[List[int]] = self.build_groups()
+        # Int64 member arrays, one per group: every per-round touchpoint
+        # (latency sampling, worker-state counters, α masses, the commit
+        # rows' participants) indexes with these.  A strategy's groups
+        # already are; a hook returning lists is converted here, once.
+        self.groups: List[np.ndarray] = [
+            np.asarray(g, dtype=np.int64) for g in self.build_groups()
+        ]
         if not self.groups:
             raise ValueError("grouping produced no groups")
-        # Int64 member arrays, cached once per group: every per-round
-        # touchpoint (latency sampling, worker-state counters, alpha
-        # masses) indexes with these instead of Python int lists.
-        self._group_arrays: List[np.ndarray] = [
-            np.asarray(g, dtype=np.int64) for g in self.groups
-        ]
         # The scheduler rejects empty groups and repeated workers; the
         # members are then distinct, so N of them from 0 to N − 1 cover
         # every worker.
-        self.scheduler = GroupAsyncScheduler(self._group_arrays)
-        flat, n = np.concatenate(self._group_arrays), experiment.num_workers
+        self.scheduler = GroupAsyncScheduler(self.groups)
+        flat, n = np.concatenate(self.groups), experiment.num_workers
         if not (flat.size == n and flat.min() == 0 and flat.max() == n - 1):
             raise ValueError(
                 "grouping must cover every worker exactly once; "
@@ -136,8 +136,8 @@ class GroupedAsyncTrainer(BaseTrainer):
     # ------------------------------------------------------------------
     # Grouping: the hook the concrete mechanisms specialize
     # ------------------------------------------------------------------
-    def build_groups(self) -> List[List[int]]:
-        """Return the list of worker-id lists forming the groups."""
+    def build_groups(self) -> Sequence[Sequence[int]]:
+        """Return the groups' worker ids (int64 arrays or int lists)."""
         raise NotImplementedError
 
     def grouping_problem(self, c_max: float = 0.0) -> GroupingProblem:
@@ -157,20 +157,15 @@ class GroupedAsyncTrainer(BaseTrainer):
             c_max=c_max,
         )
 
-    def _adopt_grouping(self, result: GroupingResult) -> List[List[int]]:
-        """Keep ``result`` for diagnostics; return its groups for the loop.
-
-        Array-typed groups (the contiguous strategy) pass through uncopied;
-        the other strategies' groups become plain int lists.
-        """
+    def _adopt_grouping(self, result: GroupingResult) -> List[np.ndarray]:
+        """Keep ``result`` for diagnostics; return its groups for the loop."""
         self.grouping_result = result
-        return [g if isinstance(g, np.ndarray) else list(g) for g in result.groups]
+        return result.groups
 
     # ------------------------------------------------------------------
     def group_compute_time(self, group_id: int, round_index: int) -> float:
         """Local-training duration of a group: its slowest member."""
-        members = self._group_arrays[group_id]
-        return float(self.exp.latency.sample_times(members, round_index).max())
+        return float(self.exp.latency.sample_times(self.groups[group_id], round_index).max())
 
     # ------------------------------------------------------------------
     # Fault-injection helpers (experiment.clientstate + experiment.fault)
@@ -225,13 +220,13 @@ class GroupedAsyncTrainer(BaseTrainer):
         returns ``False``).
         """
         if self._clientstate is None:
-            self.worker_state.record_dispatch(self._group_arrays[group_id])
+            self.worker_state.record_dispatch(self.groups[group_id])
             heapq.heappush(
                 queue,
                 (start_time + self.group_compute_time(group_id, round_label), group_id),
             )
             return True
-        member_arr = self._group_arrays[group_id]
+        member_arr = self.groups[group_id]
         fault = self.exp.fault
         attempt_start = start_time
         while True:
@@ -260,7 +255,7 @@ class GroupedAsyncTrainer(BaseTrainer):
 
     def _surviving_roster(
         self, queue: List[Tuple[float, int]], group_id: int, ready_time: float
-    ) -> Optional[Tuple[List[int], float, Optional[np.ndarray]]]:
+    ) -> Optional[Tuple[np.ndarray, float, Optional[np.ndarray]]]:
         """Roster stage under faults: who actually finished the local round.
 
         Polls the client-state model for mid-round dropouts among the
@@ -279,7 +274,7 @@ class GroupedAsyncTrainer(BaseTrainer):
             cs.survival_mask(roster.members, roster.round_label, roster.seq),
             dtype=bool,
         )
-        survivors = roster.members[survive].tolist()
+        survivors = roster.members[survive]
         self.history.workers_dropped += len(roster.members) - len(survivors)
         self.worker_state.record_dropped(roster.members[~survive])
         if len(survivors) < self._quorum(group_id):
@@ -298,8 +293,9 @@ class GroupedAsyncTrainer(BaseTrainer):
         if self.exp.fault.renormalize_survivors and len(survivors) < len(members):
             # Survivors carry the full group's data mass:
             # Σα_members / Σα_survivors.
+            sizes, total = self.data_sizes, self.total_data
             weight_scale = float(
-                self.alphas[members].sum() / self.alphas[survivors].sum()
+                (sizes[members] / total).sum() / (sizes[survivors] / total).sum()
             )
         fractions = cs.completion_fractions(
             survivors, roster.round_label, roster.seq
@@ -321,8 +317,8 @@ class GroupedAsyncTrainer(BaseTrainer):
             # flat member array (same keyed latency draws; a heap of
             # distinct tuples pops in one order however filled).
             # analyze: allow-alloc(first dispatch only; dropped when it is queued)
-            flat = np.concatenate(self._group_arrays)
-            starts = np.cumsum([0] + [g.size for g in self._group_arrays[:-1]])
+            flat = np.concatenate(self.groups)
+            starts = np.cumsum([0] + [g.size for g in self.groups[:-1]])
             self.worker_state.record_dispatch(flat)
             ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
             del flat  # the generator's frame would hold it for the whole run

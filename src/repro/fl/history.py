@@ -128,11 +128,12 @@ class TrainingHistory:
         return float(accs.max()) if accs.size else 0.0
 
     def average_round_time(self) -> float:
-        """Mean simulated duration of one global update.
+        """Mean simulated duration of one global update, up to the last record.
 
-        Uses the round index of the last record (the number of global
-        updates performed), not the number of *recorded* evaluations, so the
-        value is independent of ``eval_every``.
+        The last record's time over its round index.  Like ``total_rounds``,
+        ``total_time`` and ``total_energy`` it reads the last *recorded*
+        round: rounds after the last sampled one are not counted, so the
+        value depends on ``eval_every`` unless the run's last round is sampled.
         """
         if not self.records or self.records[-1].round_index == 0:
             return 0.0

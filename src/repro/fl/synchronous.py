@@ -75,8 +75,8 @@ class SynchronousTrainer(BaseTrainer):
             self.exp.fault.renormalize_survivors
             and 0 < participants.size < all_ids.size
         ):
-            weight_scale = float(self.alphas.sum()) / float(
-                self.alphas[participants].sum()
+            weight_scale = float((self.data_sizes / self.total_data).sum()) / float(
+                (self.data_sizes[participants] / self.total_data).sum()
             )
         return participants.tolist(), weight_scale
 

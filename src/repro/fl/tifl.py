@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..core.grouping import tier_grouping
 from .base import FLExperiment, require_count
 from .grouped import GroupedAsyncTrainer
@@ -37,7 +39,7 @@ class TiFLTrainer(OMAUplink, GroupedAsyncTrainer):
         super().__init__(experiment, staleness=staleness)
 
     # ------------------------------------------------------------------
-    def build_groups(self) -> List[List[int]]:
+    def build_groups(self) -> List[np.ndarray]:
         return self._adopt_grouping(
             tier_grouping(self.grouping_problem(), num_groups=self.num_tiers)
         )

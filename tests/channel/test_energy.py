@@ -1,12 +1,13 @@
 """Unit tests for transmit energy: Eq. 7 as the trainers spend it
-(``aircomp_aggregate(...).transmit_energies``) and its accounting."""
+(``aircomp_aggregate(...).transmit_energies``).  The run's account of it is
+the history's energy columns (``tests/fl/test_base.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.channel import EnergyTracker, aircomp_aggregate
+from repro.channel import aircomp_aggregate
 
 
 def _energies(models, sizes, gains, sigma):
@@ -45,44 +46,3 @@ class TestTransmitEnergy:
         args = {"data_size": 1.0, "channel_gain": 1.0, "sigma_t": 1.0, **bad}
         with pytest.raises(ValueError, match="positive"):
             _energies(np.ones(2), [args["data_size"]], [args["channel_gain"]], args["sigma_t"])
-
-
-class TestEnergyTracker:
-    def test_accumulates_per_worker_and_total(self):
-        tracker = EnergyTracker(num_workers=3)
-        tracker.record_round([0, 2], [1.5, 2.5])
-        tracker.record_round([0], [1.0])
-        assert tracker.per_worker[0] == pytest.approx(2.5)
-        assert tracker.per_worker[1] == 0.0
-        assert tracker.total == pytest.approx(5.0)
-        assert tracker.per_round == [4.0, 1.0]
-
-    def test_record_returns_round_total(self):
-        tracker = EnergyTracker(num_workers=2)
-        assert tracker.record_round([0, 1], [1.0, 2.0]) == pytest.approx(3.0)
-
-    def test_summary_keys(self):
-        tracker = EnergyTracker(num_workers=2)
-        tracker.record_round([0], [4.0])
-        s = tracker.summary()
-        assert s["total_energy_j"] == pytest.approx(4.0)
-        assert s["rounds_recorded"] == 1.0
-
-    def test_invalid_worker_id(self):
-        tracker = EnergyTracker(num_workers=2)
-        with pytest.raises(ValueError):
-            tracker.record_round([5], [1.0])
-
-    def test_negative_energy_rejected(self):
-        tracker = EnergyTracker(num_workers=2)
-        with pytest.raises(ValueError):
-            tracker.record_round([0], [-1.0])
-
-    def test_length_mismatch_rejected(self):
-        tracker = EnergyTracker(num_workers=2)
-        with pytest.raises(ValueError):
-            tracker.record_round([0, 1], [1.0])
-
-    def test_requires_at_least_one_worker(self):
-        with pytest.raises(ValueError):
-            EnergyTracker(num_workers=0)

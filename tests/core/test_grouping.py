@@ -473,13 +473,16 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
         problem = synthetic_problem(60, num_classes, seed=num_classes, empty_workers=(3, 17))
         groups = [chunk.tolist() for chunk in ragged_split(60, seed=1)]
         result = self.check(problem, groups)
-        assert all(isinstance(g, list) for g in result.groups)
+        assert all(isinstance(g, np.ndarray) and g.dtype == np.int64 for g in result.groups)
+        assert [g.tolist() for g in result.groups] == [g for g in groups if g]
 
-    def test_int64_array_groups_pass_through(self):
+    def test_int64_array_groups_come_back_equal(self):
         problem = synthetic_problem(64, 10, seed=5, empty_workers=(0,))
         groups = np.array_split(np.arange(64, dtype=np.int64), 8)
         result = self.check(problem, groups)
-        assert all(a is b for a, b in zip(result.groups, groups))
+        assert len(result.groups) == len(groups)
+        for got, given in zip(result.groups, groups):
+            assert got.dtype == np.int64 and np.array_equal(got, given)
 
     def test_ragged_mixed_groups_with_singletons_and_empties(self):
         problem = synthetic_problem(40, 10, seed=9, empty_workers=(5, 6, 7))

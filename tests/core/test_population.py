@@ -45,7 +45,6 @@ def test_state_table_sizes_bit_identical_to_legacy_ops():
     assert table.sizes.dtype == np.float64
     np.testing.assert_array_equal(table.sizes, legacy)
     assert table.total_size == float(legacy.sum())
-    np.testing.assert_array_equal(table.alphas, legacy / float(legacy.sum()))
 
 
 def test_state_table_floors_nonpositive_sizes():
@@ -394,8 +393,8 @@ def test_population_replicated_xl_construction_is_compact():
 def test_replicated_state_keeps_one_size_array():
     population = Population.replicated(_dataset(num_train=256), num_workers=50, shard_size=32)
     np.testing.assert_array_equal(population.state.sizes, population.store.data_sizes())
-    # sizes, alphas, latencies in float64, four int32 counters.
-    assert population.state.nbytes == 50 * (3 * 8 + 4 * 4)
+    # sizes and latencies in float64, four int32 counters.
+    assert population.state.nbytes == 50 * (2 * 8 + 4 * 4)
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,10 @@ class TestPartitionContainer:
         assert part.total_size == dataset.num_train
 
     def test_proportions_sum_to_one(self, dataset):
-        """α_i = d_i / D, held by the worker-state table built from the partition."""
+        """α_i = d_i / D, from the worker-state table built from the partition."""
         part = partition_iid(dataset, num_workers=8, seed=0)
-        alphas = WorkerStateTable.from_partition(part).alphas
+        table = WorkerStateTable.from_partition(part)
+        alphas = table.sizes / table.total_size
         assert alphas.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(alphas, part.data_sizes() / part.total_size)
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.fl.base
 from repro.channel import StaticChannel
-from repro.fl import FLExperiment
+from repro.fl import FLExperiment, build_trainer
 from repro.fl.base import BaseTrainer
 from repro.nn import Layer, LogisticRegressionMLP, SequentialModel
 from repro.sim import LatencyTable
@@ -73,7 +76,7 @@ class TestFLExperimentValidation:
 class TestBaseTrainerSetup:
     def test_alphas_sum_to_one(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
-        assert trainer.alphas.sum() == pytest.approx(1.0)
+        assert (trainer.data_sizes / trainer.total_data).sum() == pytest.approx(1.0)
 
     def test_global_vector_matches_factory_model(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
@@ -152,7 +155,8 @@ class TestExactGroupUpdate:
             trainer.global_vector + (i + 1.0) for i in range(quiet_experiment.num_workers)
         ]
         result = trainer.exact_group_update(range(quiet_experiment.num_workers), vectors)
-        expected = sum(a * v for a, v in zip(trainer.alphas, vectors))
+        alphas = trainer.data_sizes / trainer.total_data
+        expected = sum(a * v for a, v in zip(alphas, vectors))
         np.testing.assert_allclose(result, expected)
 
     def test_partial_group_keeps_rest_of_global(self, quiet_experiment):
@@ -160,13 +164,27 @@ class TestExactGroupUpdate:
         members = [0, 1]
         vectors = [trainer.global_vector * 0.0, trainer.global_vector * 0.0]
         result = trainer.exact_group_update(members, vectors)
-        beta = trainer.alphas[members].sum()
+        beta = (trainer.data_sizes[members] / trainer.total_data).sum()
         np.testing.assert_allclose(result, (1 - beta) * trainer.global_vector)
 
     def test_length_mismatch_rejected(self, quiet_experiment):
         trainer = BaseTrainer(quiet_experiment)
         with pytest.raises(ValueError):
             trainer.exact_group_update([0, 1], [trainer.global_vector])
+
+
+def _capture_transmit_energies(monkeypatch):
+    """Each ``aircomp_aggregate`` call's per-worker Eq. (7) energies, in
+    call order, from a wrapper installed where the trainers look it up."""
+    aggregate, spent = repro.fl.base.aircomp_aggregate, []
+
+    def capture(*args, **kwargs):
+        result = aggregate(*args, **kwargs)
+        spent.append(result.transmit_energies.copy())
+        return result
+
+    monkeypatch.setattr(repro.fl.base, "aircomp_aggregate", capture)
+    return spent
 
 
 class TestAirCompGroupUpdate:
@@ -180,23 +198,42 @@ class TestAirCompGroupUpdate:
         np.testing.assert_allclose(ota, exact, rtol=1e-3, atol=1e-5)
         assert info["round_energy_j"] >= 0
 
-    def test_energy_budget_respected(self, small_experiment):
+    def test_info_is_what_a_record_keeps(self, small_experiment):
+        trainer = BaseTrainer(small_experiment)
+        vectors = [trainer.global_vector for _ in range(2)]
+        _, info = trainer.aircomp_group_update([0, 1], vectors, round_index=1)
+        assert set(info) == {"sigma", "eta", "round_energy_j"}
+
+    def test_energy_budget_respected(self, small_experiment, monkeypatch):
+        spent = _capture_transmit_energies(monkeypatch)
         trainer = BaseTrainer(small_experiment)
         members = [0, 1, 2]
         vectors = [trainer.global_vector for _ in members]
-        _, info = trainer.aircomp_group_update(members, vectors, round_index=1)
+        trainer.aircomp_group_update(members, vectors, round_index=1)
         budget = small_experiment.config.aircomp.energy_budget_j
-        per_worker = trainer.energy.per_worker[members]
+        (per_worker,) = spent
+        assert per_worker.shape == (len(members),)
         assert np.all(per_worker <= budget + 1e-6)
 
-    def test_energy_accumulates_in_tracker(self, small_experiment):
-        trainer = BaseTrainer(small_experiment)
-        members = [0, 1]
-        vectors = [trainer.global_vector for _ in members]
-        trainer.aircomp_group_update(members, vectors, round_index=1)
-        trainer.aircomp_group_update(members, vectors, round_index=2)
-        assert len(trainer.energy.per_round) == 2
-        assert trainer.energy.total > 0
+    @pytest.mark.parametrize("mechanism", ["air_fedga", "air_fedavg", "dynamic"])
+    def test_records_account_every_aggregations_energy(
+        self, small_experiment, monkeypatch, mechanism
+    ):
+        """The history is the energy record: at ``eval_every=1`` each commit's
+        ``round_energy_j`` is its aggregation's Eq. (7) sum, and the last
+        ``cumulative_energy_j`` is the run's total."""
+        spent = _capture_transmit_energies(monkeypatch)
+        experiment = dataclasses.replace(small_experiment, eval_every=1)
+        history = build_trainer(mechanism, experiment).run(max_rounds=6)
+        committed = [r for r in history.records if r.num_participants]
+        assert len(committed) == len(spent) > 0
+        assert [r.round_energy_j for r in committed] == [
+            float(e.sum()) for e in spent
+        ]
+        idle = [r.round_energy_j for r in history.records if not r.num_participants]
+        assert idle == [0.0] * len(idle)
+        total = sum(float(e.sum()) for e in spent)
+        assert history.records[-1].cumulative_energy_j == pytest.approx(total, rel=1e-12)
 
     def test_empty_group_rejected(self, small_experiment):
         trainer = BaseTrainer(small_experiment)

@@ -168,9 +168,8 @@ class TestMidRoundDropout:
         trainer = AirFedGATrainer(quiet_experiment, grouping_strategy="tier", num_groups=1)
         members = trainer.groups[0]
         survivors = members[:-2]
-        scale = float(
-            trainer.alphas[members].sum() / trainer.alphas[survivors].sum()
-        )
+        alphas = trainer.data_sizes / trainer.total_data
+        scale = float(alphas[members].sum() / alphas[survivors].sum())
         assert scale > 1.0
         base = trainer.global_vector.copy()
         vectors = [base + (w + 1.0) for w in survivors]

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.grouping import GROUPING_STRATEGIES
 from repro.fl import AirFedGATrainer, FLExperiment
 from repro.fl.grouped import GroupedAsyncTrainer
 from repro.nn import LogisticRegressionMLP
@@ -112,6 +113,27 @@ class TestFirstDispatch:
             with pytest.raises(ValueError, match=error) as excinfo:
                 Miscovering(small_experiment)
             assert str(excinfo.value).endswith(f"{list(ids)}...")
+
+
+class TestGroupsAreInt64Arrays:
+    """A grouping has one form from the strategy to the commit rows."""
+
+    @pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
+    def test_strategy_trainer_and_scheduler_share_the_arrays(self, small_experiment, strategy):
+        trainer = AirFedGATrainer(small_experiment, grouping_strategy=strategy, num_groups=3)
+        groups = trainer.grouping_result.groups
+        assert all(isinstance(g, np.ndarray) and g.dtype == np.int64 for g in groups)
+        assert len(trainer.groups) == len(trainer.scheduler._members) == len(groups)
+        assert all(a is b for a, b in zip(trainer.groups, groups))
+        assert all(a is b for a, b in zip(trainer.scheduler._members, trainer.groups))
+
+    def test_a_hooks_lists_become_the_rows_arrays(self, small_experiment):
+        trainer = _RaggedGroups(small_experiment)
+        assert [g.tolist() for g in trainer.groups] == _RaggedGroups.build_groups(trainer)
+        assert all(g.dtype == np.int64 for g in trainer.groups)
+        row = next(trainer.schedule(1))
+        assert row.participants is trainer.groups[row.group_id]
+        assert row.cohort.ids is row.participants
 
 
 class TestChannelContention:

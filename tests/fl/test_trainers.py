@@ -74,7 +74,8 @@ class TestFedAvg:
             trainer.local_update_group([w], initial, 1)[0]
             for w in range(quiet_experiment.num_workers)
         ]
-        expected = sum(a * v for a, v in zip(trainer.alphas, locals_))
+        alphas = trainer.data_sizes / trainer.total_data
+        expected = sum(a * v for a, v in zip(alphas, locals_))
         trainer.run(max_rounds=1)
         np.testing.assert_allclose(trainer.global_vector, expected)
 

@@ -148,7 +148,7 @@ class TestTrainerAggregation:
             for _ in members
         ]
         result = trainer.exact_group_update(members, vectors)
-        alphas = trainer.alphas[members]
+        alphas = trainer.data_sizes[members] / trainer.total_data
         reference = (1.0 - alphas.sum()) * trainer.global_vector
         for a, vec in zip(alphas, vectors):
             reference = reference + a * vec
