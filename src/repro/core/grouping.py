@@ -18,15 +18,17 @@ Four alternative strategies are provided for the baselines and ablations:
   of groups,
 * :func:`singleton_grouping` — every worker its own group (Table III's
   'Original' column, the fully asynchronous limit ξ → 0), and
-* :func:`contiguous_grouping` — index-contiguous blocks; O(N) with no
-  per-worker Python objects, the strategy used by the XL (10k–1M worker)
-  bench tiers where greedy's O(N²) evaluations are unaffordable.
+* :func:`contiguous_grouping` — index-contiguous blocks, for 1M workers,
+  where greedy's O(N²) evaluations are unaffordable.
 
-Every strategy returns its groups in one form: int64 member arrays.
+Every strategy returns its groups as int64 views of one member array:
+tier, random, singleton and contiguous of their own order array (an
+argsort, a permutation, an ``arange``), scored in bounded scratch memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
@@ -131,6 +133,11 @@ class GroupingProblem:
             return np.full(self.num_classes, 1.0 / self.num_classes)
         return self.class_totals / s
 
+    def upload_latency(self) -> float:
+        """L_u (Eq. 33): the AirComp upload time, the same for every group."""
+        air = self.config.aircomp
+        return aircomp_latency(self.model_dimension, air.num_subchannels, air.symbol_duration_s)
+
     def time_spread(self) -> float:
         """Δl = max l_i − min l_i."""
         return float(self.local_times.max() - self.local_times.min())
@@ -166,54 +173,62 @@ class GroupingResult:
 def _evaluate_grouping(
     problem: GroupingProblem, groups: Sequence[Sequence[int]], strategy: str
 ) -> GroupingResult:
-    """Score one candidate grouping; its groups become int64 arrays.
-
-    Per-group quantities are segment reductions over one flat int64 member
-    array (``np.maximum.reduceat`` / ``np.add.reduceat``) — no Python loop
-    over groups or members.  The float64 results match the per-group
-    ``max``/``sum`` reductions exactly, so objectives and greedy decisions
-    are bit-identical.  The result's groups are views of that array: the
-    caller's lists or arrays are neither kept nor modified.
-    """
-    cfg = problem.config
+    """Score a grouping given as member lists or arrays (empty ones dropped);
+    the result's groups are views of one int64 copy of them."""
     kept = [g for g in groups if len(g) > 0]
     if not kept:
         raise ValueError("grouping has no non-empty groups")
-    # Group j owns flat[firsts[j]:ends[j]], the view the result keeps.
-    ends = list(accumulate(map(len, kept)))
-    firsts = [0, *ends[:-1]]
-    flat = np.concatenate(kept, dtype=np.int64)
-    members = [flat[a:b] for a, b in zip(firsts, ends)]
-    starts = np.array(firsts)
+    bounds = np.array([0, *accumulate(map(len, kept))])
+    return _score(problem, np.concatenate(kept, dtype=np.int64), bounds, strategy)
 
-    # L_u (Eq. 33) is membership-independent; L_j = max_i l_i + L_u (Eq. 34).
-    upload = aircomp_latency(
-        problem.model_dimension,
-        cfg.aircomp.num_subchannels,
-        cfg.aircomp.symbol_duration_s,
-    )
-    group_times = np.maximum.reduceat(problem.local_times[flat], starts) + upload
 
-    # ``ndarray.sum`` is 0 + pairwise(all members) while ``reduceat`` is
-    # first + pairwise(rest): a leading zero per segment makes the two the
-    # same float (sizes carry a 1e-9 floor, so the order can matter).
-    zero_slots = starts + np.arange(starts.size)
-    is_member = np.ones(flat.size + starts.size, dtype=bool)
-    is_member[zero_slots] = False
-    sizes = np.zeros(is_member.size)
-    sizes[is_member] = problem.data_sizes[flat]
+#: Most members one block of :func:`_score` gathers (a larger group is a
+#: block of its own): scoring's scratch is a few MB at any worker count.
+_BLOCK_MEMBERS = 1 << 16
+
+
+def _score(
+    problem: GroupingProblem, order: np.ndarray, bounds: np.ndarray, strategy: str
+) -> GroupingResult:
+    """Score the grouping whose group j is ``order[bounds[j]:bounds[j + 1]]``.
+
+    Per-group quantities are segment reductions (``np.maximum.reduceat`` /
+    ``np.add.reduceat``) over blocks of whole groups, at most
+    ``_BLOCK_MEMBERS`` members each.  Each segment reduces on its own, so the
+    float64 results match the per-group ``max``/``sum`` reductions exactly:
+    objectives and greedy decisions are bit-identical.  The result's groups
+    are views of ``order``.
+    """
+    num_groups = bounds.size - 1
+    upload = problem.upload_latency()  # L_j = max_i l_i + L_u (Eq. 34)
     total_data = float(problem.data_sizes.sum())
-    betas = np.add.reduceat(sizes, zero_slots) / total_data
-
-    # Counts are integer-valued, exact in any summation order: one class at
-    # a time, summed in the totals' dtype (int64 for any integer table).
-    # Members in index order (contiguous, singleton) reduce each column as it
-    # lies; otherwise the gather is O(N) per class, never O(N·K) at once.
-    in_order = flat.size == problem.num_workers and np.array_equal(flat, np.arange(flat.size))
     wide = problem.class_totals.dtype
-    counts = np.empty((len(kept), problem.num_classes))
-    for k, column in enumerate(problem.class_counts.T):
-        counts[:, k] = np.add.reduceat(column if in_order else column[flat], starts, dtype=wide)
+    group_times, betas = np.empty(num_groups), np.empty(num_groups)
+    counts = np.empty((num_groups, problem.num_classes))
+    cuts, lo = bounds.tolist(), 0
+    while lo < num_groups:
+        # Groups lo..hi-1 are the block: as many as fit, at least one.
+        hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
+        ids = order[cuts[lo] : cuts[hi]]
+        starts = bounds[lo:hi] - cuts[lo]
+        group_times[lo:hi] = np.maximum.reduceat(problem.local_times[ids], starts) + upload
+        # ``ndarray.sum`` is 0 + pairwise(all members) while ``reduceat`` is
+        # first + pairwise(rest): a leading zero per segment makes the two
+        # the same float (sizes carry a 1e-9 floor, so the order can matter).
+        zero_slots = starts + np.arange(hi - lo)
+        is_member = np.ones(ids.size + hi - lo, dtype=bool)
+        is_member[zero_slots] = False
+        sizes = np.zeros(is_member.size)
+        sizes[is_member] = problem.data_sizes[ids]
+        betas[lo:hi] = np.add.reduceat(sizes, zero_slots) / total_data
+        # Counts are integer-valued, exact in any summation order: one class
+        # at a time, summed in the totals' dtype (int64 for any integer
+        # table).  A block of consecutive ids reduces each column as it lies.
+        in_order = ids[-1] - ids[0] == ids.size - 1 and np.all(ids[1:] > ids[:-1])
+        rows = slice(ids[0], ids[-1] + 1) if in_order else ids
+        for k, column in enumerate(problem.class_counts.T):
+            counts[lo:hi, k] = np.add.reduceat(column[rows], starts, dtype=wide)
+        lo = hi
     group_size = counts.sum(axis=1, keepdims=True)
     dists = np.divide(
         counts,
@@ -226,7 +241,7 @@ def _evaluate_grouping(
     psi = participation_frequencies(group_times)
     tau = max(0.0, estimated_max_staleness(group_times) - 1.0)
     objective = grouping_objective(
-        cfg.convergence,
+        problem.config.convergence,
         round_time=average_round_time(group_times),
         tau_max=tau,
         psi=psi,
@@ -235,7 +250,7 @@ def _evaluate_grouping(
         c_max=problem.c_max,
     )
     return GroupingResult(
-        groups=members,
+        groups=[order[a:b] for a, b in zip(cuts, cuts[1:])],
         objective=float(objective),
         group_times=group_times,
         frequencies=psi,
@@ -285,13 +300,7 @@ def greedy_grouping(problem: GroupingProblem) -> GroupingResult:
         order = np.arange(problem.num_workers)
 
     groups: List[List[int]] = []
-    # Upload latency is the same for every grouping (Eq. 33 does not depend
-    # on group membership), so compute it once for the constraint check.
-    upload_latency = aircomp_latency(
-        problem.model_dimension,
-        problem.config.aircomp.num_subchannels,
-        problem.config.aircomp.symbol_duration_s,
-    )
+    upload_latency = problem.upload_latency()
 
     for worker in order:
         worker = int(worker)
@@ -388,11 +397,14 @@ def _refine_grouping(
 def _split_grouping(
     problem: GroupingProblem, order: np.ndarray, num_groups: int, strategy: str
 ) -> GroupingResult:
-    """``order`` cut into ``num_groups`` near-equal consecutive blocks."""
+    """``order`` cut as ``np.array_split`` cuts it: ``num_groups`` consecutive
+    blocks, the first ``N mod num_groups`` of them one member longer."""
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
-    chunks = np.array_split(order, min(num_groups, problem.num_workers))
-    return _evaluate_grouping(problem, chunks, strategy)
+    num_groups = min(num_groups, problem.num_workers)
+    base, extra = divmod(problem.num_workers, num_groups)
+    steps = np.arange(num_groups + 1)
+    return _score(problem, order, steps * base + np.minimum(steps, extra), strategy)
 
 
 def tier_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
@@ -418,31 +430,20 @@ def singleton_grouping(problem: GroupingProblem) -> GroupingResult:
 
     This is also the fully-asynchronous limit ξ → 0 discussed around Fig. 8.
     """
-    groups = [[i] for i in range(problem.num_workers)]
-    return _evaluate_grouping(problem, groups, "singleton")
+    n = problem.num_workers
+    return _split_grouping(problem, np.arange(n, dtype=np.int64), n, "singleton")
 
 
 def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
     """Index-contiguous blocks of workers.
 
-    The only strategy whose cost is O(N) in both time and Python objects:
-    no per-worker lists, no candidate evaluations.  Combined with the
-    replicated shared-dataset store this is what the ``grouped_round_xl``
-    bench tiers use at 10k–1M workers; at those scales greedy's O(N²)
-    objective evaluations are unaffordable and tier/random still build
-    O(N) Python lists.
+    No candidate evaluations and no per-worker Python objects: the groups
+    are views of one ``arange``.  The ``scale_1m`` benchmark workload groups
+    its 1M workers this way; greedy's O(N²) objective evaluations are
+    unaffordable at that scale.
     """
-    if num_groups < 1:
-        raise ValueError("num_groups must be >= 1")
-    num_groups = min(num_groups, problem.num_workers)
-    # np.array_split's sizes (the first ``extra`` blocks hold one more), as
-    # slices of one arange instead of one swapaxes round trip per block.
-    ids = np.arange(problem.num_workers, dtype=np.int64)
-    base, extra = divmod(problem.num_workers, num_groups)
-    steps = np.arange(num_groups + 1)
-    bounds = (steps * base + np.minimum(steps, extra)).tolist()
-    groups = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
-    return _evaluate_grouping(problem, groups, "contiguous")
+    order = np.arange(problem.num_workers, dtype=np.int64)
+    return _split_grouping(problem, order, num_groups, "contiguous")
 
 
 #: Every strategy by name, behind one signature ``(problem, num_groups,
@@ -453,7 +454,5 @@ GROUPING_STRATEGIES: Dict[str, Callable[[GroupingProblem, int, int], GroupingRes
     "tier": lambda problem, num_groups, seed: tier_grouping(problem, num_groups),
     "random": random_grouping,
     "singleton": lambda problem, num_groups, seed: singleton_grouping(problem),
-    "contiguous": lambda problem, num_groups, seed: contiguous_grouping(
-        problem, num_groups
-    ),
+    "contiguous": lambda problem, num_groups, seed: contiguous_grouping(problem, num_groups),
 }

@@ -18,6 +18,7 @@ from repro.core import (
     tier_grouping,
 )
 from repro.core.convergence import grouping_objective
+from repro.core import grouping
 from repro.core.grouping import GROUPING_STRATEGIES, _evaluate_grouping, contiguous_grouping
 from repro.core.timing import (
     average_round_time,
@@ -449,6 +450,16 @@ def ragged_split(num_workers, seed):
     return np.split(order, cuts)
 
 
+@pytest.fixture(params=[grouping._BLOCK_MEMBERS, 3, 7], ids=lambda size: f"block{size}")
+def block_members(request, monkeypatch):
+    """The scoring's block size: the default, and two small ones under which
+    blocks end between groups, a group outgrows a block, and blocks of
+    consecutive ids and gathered blocks alternate in one grouping."""
+    monkeypatch.setattr(grouping, "_BLOCK_MEMBERS", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("block_members")
 class TestEvaluateGroupingMatchesPerGroupLoop:
     def check(self, problem, groups):
         result = _evaluate_grouping(problem, groups, "probe")
@@ -504,6 +515,12 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
     def test_real_partition(self):
         problem, _, _ = make_problem(num_workers=20, c_max=0.02)
         self.check(problem, [chunk.tolist() for chunk in ragged_split(20, seed=4)])
+
+    def test_consecutive_and_gathered_blocks_mix(self):
+        problem = synthetic_problem(30, 10, seed=7, empty_workers=(9,))
+        groups = [[0, 1, 2], [3, 4], [29, 8], [5, 6, 7], list(range(9, 29))]
+        result = self.check(problem, groups)
+        assert [g.tolist() for g in result.groups] == groups
 
     def test_no_non_empty_group(self):
         problem = synthetic_problem(4, 3, seed=0)
@@ -568,6 +585,7 @@ TABLE_LAYOUTS = {
 }
 
 
+@pytest.mark.usefixtures("block_members")
 @pytest.mark.parametrize("layout", sorted(TABLE_LAYOUTS))
 @pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
 def test_per_class_reduction_equals_the_whole_table_one(strategy, layout):

@@ -7,7 +7,7 @@ import pytest
 
 from repro import registry
 from repro.core.config import AirFedGAConfig
-from repro.core.grouping import GroupingProblem, contiguous_grouping
+from repro.core.grouping import GroupingProblem, contiguous_grouping, tier_grouping
 from repro.core.mechanism import GroupAsyncScheduler
 from repro.core.population import (
     Population,
@@ -215,14 +215,19 @@ def test_class_counts_reject_out_of_range_labels(labels):
         store.class_counts()
 
 
-def test_grouping_setup_memory_at_100k_workers():
+@pytest.mark.parametrize(
+    "strategy", [contiguous_grouping, tier_grouping], ids=["contiguous", "tier"]
+)
+def test_grouping_setup_memory_at_400k_workers(strategy):
     """No (N, K) int64 histogram and no widening copy of it: the traced peak
-    of the label counts, the grouping problem and a contiguous grouping
-    stays below one such histogram plus one int64 id per worker."""
+    of the label counts, the grouping problem and a grouping stays below one
+    such histogram plus one int64 id per worker.  Scoring the grouping
+    gathers one block of members at a time, so its scratch (the peak minus
+    what is live once the result exists) stays below one int64 per worker."""
     dataset = _dataset(num_train=256)
-    n, k = 100_000, dataset.num_classes
+    n, k = 400_000, dataset.num_classes
     store = SharedDatasetStore.replicated(dataset, num_workers=n, shard_size=32)
-    sizes, times = np.full(n, 32.0), np.linspace(1.0, 2.0, n)
+    sizes, times = np.full(n, 32.0), np.random.default_rng(0).uniform(1.0, 2.0, n)
     tracemalloc.start()
     try:
         problem = GroupingProblem(
@@ -231,11 +236,15 @@ def test_grouping_setup_memory_at_100k_workers():
             local_times=times,
             model_dimension=100,
         )
-        contiguous_grouping(problem, n // 64)
-        peak = tracemalloc.get_traced_memory()[1]
+        problem_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = strategy(problem, n // 64)
+        live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * k * 8 + n * 8
+    assert result.num_groups == n // 64
+    assert max(problem_peak, peak) < n * k * 8 + n * 8
+    assert peak - live < n * 8
 
 
 def test_class_counts_zero_length_windows():

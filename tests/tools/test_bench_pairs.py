@@ -144,6 +144,7 @@ class TestMain:
         assert "recorded in" in capsys.readouterr().out
         records = json.loads((repo / "BENCH_pairs.json").read_text())["records"]
         assert [r["dirty"] for r in records] == [False, False, True]
+        assert [r["aa"] for r in records] == [False, False, False]
         record = records[0]
         assert (record["parent"], record["sha"]) == tuple(shas)
         assert (record["workload"], record["pairs"]) == ("tiny", 4)
@@ -152,6 +153,28 @@ class TestMain:
         assert (run_s["won"], run_s["lost"], run_s["verdict"]) == (4, 0, "gain")
         assert run_s["parent"][1] == pytest.approx(1.0425) and len(run_s["change"]) == 3
         assert set(record["metrics"]) == {"run_s", "rounds_per_s"}
+
+    def test_a_record_of_one_tree_on_both_sides_is_marked_aa(self, repo, capsys):
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        for message in ("parent", "change"):
+            (repo / "code.txt").write_text(message)
+            subprocess.run(git + ["add", "code.txt", "BENCHMARK.json"], check=True)
+            subprocess.run(git + ["commit", "-q", "-m", message], check=True)
+
+        def runner(side, seed):
+            return {"run_s": 1.0 + seed / 1000, "rounds_per_s": 100.0}
+
+        argv = ["--workload", "tiny", "--pairs", "2", "--repo", str(repo), "--record"]
+        for parent in ("HEAD", "HEAD~1"):
+            assert bench_pairs.main(argv + ["--parent", parent], runner=runner) == 0
+        # An uncommitted edit runs on the change side only.
+        (repo / "code.txt").write_text("edited after the commit")
+        assert bench_pairs.main(argv + ["--parent", "HEAD"], runner=runner) == 0
+        records = json.loads((repo / "BENCH_pairs.json").read_text())["records"]
+        aa_dirty = [(r["aa"], r["dirty"]) for r in records]
+        assert aa_dirty == [(True, False), (False, False), (False, True)]
+        capsys.readouterr()
 
     def test_both_sides_run_from_exports(self, repo, tmp_path_factory):
         git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]

@@ -30,7 +30,10 @@ Raw samples go to ``results/bench_pairs_<workload>.json``.  With
 committed trajectory ``BENCH_pairs.json``: the sha of this checkout and
 of the parent, the host (cores, affinity, BLAS threads), the workload and
 per metric the medians, quartiles, pairs won and verdict.  Record from a
-clean checkout, so that the sha names the code that ran.  Everything the
+clean checkout, so that the sha names the code that ran.  A record whose
+two sides ran the same files (``--parent HEAD`` from a clean checkout) is
+marked ``"aa": true``: an A/A run, which measures the noise floor of the
+verdicts rather than a change.  Everything the
 script knows about the benchmark it reads from ``BENCHMARK.json``: the
 command, the run length, the metric names, directions and bounds.
 """
@@ -207,9 +210,11 @@ def trajectory_record(repo: Path, parent: str, workload: str, rows: List[dict]) 
          "--", ".", f":!{TRAJECTORY}"],
         stdout=subprocess.PIPE, text=True, check=True,
     ).stdout.strip()
+    # The change side is HEAD's tree when nothing but the trajectory is dirty.
+    aa = not dirty and _rev(repo, f"{parent}^{{tree}}") == _rev(repo, "HEAD^{tree}")
     affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     return {
-        "sha": _rev(repo, "HEAD"), "parent": _rev(repo, parent), "dirty": bool(dirty),
+        "sha": _rev(repo, "HEAD"), "parent": _rev(repo, parent), "dirty": bool(dirty), "aa": aa,
         "host": {"cpu_count": os.cpu_count(), "affinity": affinity, "blas_threads": BLAS_THREADS},
         "workload": workload, "pairs": rows[0]["pairs"],
         "metrics": {
