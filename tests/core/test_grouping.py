@@ -17,8 +17,8 @@ from repro.core import (
     singleton_grouping,
     tier_grouping,
 )
-from repro.core.convergence import grouping_objective
 from repro.core import grouping
+from repro.core.convergence import grouping_objective
 from repro.core.grouping import GROUPING_STRATEGIES, _evaluate_grouping, contiguous_grouping
 from repro.core.timing import (
     average_round_time,
@@ -515,12 +515,6 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
     def test_real_partition(self):
         problem, _, _ = make_problem(num_workers=20, c_max=0.02)
         self.check(problem, [chunk.tolist() for chunk in ragged_split(20, seed=4)])
-
-    def test_consecutive_and_gathered_blocks_mix(self):
-        problem = synthetic_problem(30, 10, seed=7, empty_workers=(9,))
-        groups = [[0, 1, 2], [3, 4], [29, 8], [5, 6, 7], list(range(9, 29))]
-        result = self.check(problem, groups)
-        assert [g.tolist() for g in result.groups] == groups
 
     def test_no_non_empty_group(self):
         problem = synthetic_problem(4, 3, seed=0)
