@@ -1,8 +1,9 @@
 """Ablation E-A1: the power-control algorithm (Algorithm 2) vs. naive settings.
 
-Power control is a design choice worth ablating: the alternating
-optimization of (σ_t, η_t) minimizes the per-round aggregation error C_t
-under the energy budget.  This benchmark compares, across channel
+Power control is a design choice worth ablating: Algorithm 2's choice of
+(σ_t, η_t) — σ_t at the energy cap, η_t by Eq. (44) — minimizes the
+per-round aggregation error C_t under the energy budget.  This benchmark
+compares, across channel
 realizations and group sizes:
 
 * Algorithm 2 (the paper's choice),

@@ -7,8 +7,8 @@ compare its average earth-mover distance (EMD) and estimated training time
 against TiFL-style time tiers and random groups (Table III / Fig. 7).
 
 Part 2 — Power control (Algorithm 2): for one group and one fading
-realization, run the alternating optimization of the power scaling factor
-σ_t and denoising factor η_t, and show how the aggregation error term C_t
+realization, solve for the power scaling factor σ_t (the energy cap) and
+the denoising factor η_t, and show how the aggregation error term C_t
 shrinks relative to naive choices, and how it responds to the energy budget.
 
 Run with::
@@ -110,8 +110,6 @@ def power_control_demo(seed: int = 11) -> None:
 
     print()
     print("Part 2 - power control (Algorithm 2) for one group / one round")
-    print(f"  converged in {result.iterations} iterations "
-          f"(converged={result.converged})")
     print(f"  sigma* = {result.sigma:.6f}   (energy cap {result.sigma_cap:.6f})")
     print(f"  eta*   = {result.eta:.6e}")
     print(f"  error term C_t with Algorithm 2 : {result.error_term:.6e}")

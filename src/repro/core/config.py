@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -26,22 +27,16 @@ class AirCompConfig:
     energy_budget_j: float = 10.0
     num_subchannels: int = 64
     symbol_duration_s: float = 1e-4
-    power_control_tolerance: float = 1e-6
-    power_control_max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
-        if self.energy_budget_j <= 0:
-            raise ValueError("energy_budget_j must be positive")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be finite and non-negative")
+        if not 0 < self.energy_budget_j < math.inf:
+            raise ValueError("energy_budget_j must be finite and positive")
         if self.num_subchannels <= 0:
             raise ValueError("num_subchannels must be positive")
-        if self.symbol_duration_s <= 0:
-            raise ValueError("symbol_duration_s must be positive")
-        if self.power_control_tolerance <= 0:
-            raise ValueError("power_control_tolerance must be positive")
-        if self.power_control_max_iters < 1:
-            raise ValueError("power_control_max_iters must be >= 1")
+        if not 0 < self.symbol_duration_s < math.inf:
+            raise ValueError("symbol_duration_s must be finite and positive")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Power control via alternating optimization (Algorithm 2).
+"""Power control for one aggregation (Algorithm 2) as one closed-form step.
 
 Problem P3 of the paper: choose the power scaling factor σ_t (common to the
 participating group) and the denoising factor η_t (at the parameter server)
@@ -7,20 +7,30 @@ to minimize the per-round aggregation-error term
     C_t = (σ_t / √η_t − 1)² W_t²  +  σ₀² / (D_{j_t}² η_t)        (Eq. 30)
 
 subject to the per-worker energy budgets ``E_i^t ≤ Ê_i`` which translate to
-``σ_t ≤ h_i √Ê_i / (d_i W_t)`` for every participating worker (Eq. 46).
+``σ_t ≤ σ_cap = min_i h_i √Ê_i / (d_i W_t)`` (Eq. 46).
 
-Algorithm 2 alternates two closed-form updates until convergence:
+Algorithm 2 alternates two closed-form updates:
 
 * given σ_t, the optimal denoising factor is
-  ``η_t = [(σ_t² W_t² + σ₀²/D_j²) / (σ_t W_t²)]²``           (Eq. 44)
+  ``η_t = [(σ_t² W_t² + n) / (σ_t W_t²)]²``,  n = σ₀²/D_j²   (Eq. 44)
 * given η_t, the optimal feasible scaling factor is
-  ``σ_t = min( √η_t , min_i h_i √Ê_i / (d_i W_t) )``          (Eq. 47)
+  ``σ_t = min( √η_t , σ_cap )``                               (Eq. 47)
+
+The alternation has nothing to alternate.  Putting Eq. (44) into Eq. (30)
+gives ``C*(σ) = n W² / (σ² W² + n)``, which falls strictly as σ grows, so
+the optimum is the cap: σ* = σ_cap and η* = η(σ_cap).  From σ = σ_cap,
+Eq. (44) gives ``√η = σ + n / (σ W²) ≥ σ``, so Eq. (47) returns the cap and
+the paper's loop stops after its first step.  :func:`solve_power_control`
+is that step: η from the cap, then Eq. (47) once.  It keeps Eq. (47)'s
+``min`` rather than returning σ_cap itself: with σ₀² = 0 (or a noise term
+below one ULP of σ), √η can round one ULP below σ_cap, and the ``min`` keeps
+σ, η and C_t bit for bit those of the loop (``tests/oracle/power_control.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -37,34 +47,28 @@ __all__ = [
 
 @dataclass
 class PowerControlResult:
-    """Outcome of the alternating optimization for one round.
+    """Outcome of Algorithm 2 for one round.
 
     Attributes
     ----------
     sigma:
-        Converged power scaling factor σ_t*.
+        Power scaling factor σ_t*.
     eta:
-        Converged denoising factor η_t*.
+        Denoising factor η_t*.
     error_term:
         The minimized C_t value.
     iterations:
-        Number of alternating iterations performed.
-    converged:
-        Whether the relative-change stopping criterion was met before the
-        iteration cap.
+        Always 1: the one step of Eq. (44) and Eq. (47).  It stays while the
+        benchmark harness tags its ``solve_power_control`` spans with it.
     sigma_cap:
         The energy-budget upper bound on σ_t (min over workers of Eq. 46).
-    history:
-        Per-iteration (σ, η, C) triples for diagnostics and tests.
     """
 
     sigma: float
     eta: float
     error_term: float
     iterations: int
-    converged: bool
     sigma_cap: float
-    history: List[tuple]
 
 
 def optimal_eta(
@@ -108,15 +112,14 @@ def solve_power_control(
         ``W_t`` — an upper bound on the local model norms (the trainers pass
         the current global-model norm, which tracks it closely).
     config:
-        Physical-layer configuration (noise variance, the per-worker budget
-        ``Ê``, tolerances).  The alternation starts from the energy-budget
-        cap, the largest feasible σ.
+        Physical-layer configuration: the noise variance and the
+        per-worker budget ``Ê``.
     """
     sizes = np.asarray(data_sizes, dtype=np.float64)
     gains = np.asarray(channel_gains, dtype=np.float64)
     if sizes.shape != gains.shape or sizes.size == 0:
         raise ValueError("data_sizes and channel_gains must be non-empty and aligned")
-    if np.any(sizes <= 0) or np.any(gains <= 0):
+    if not np.all(sizes > 0) or not np.all(gains > 0):
         raise ValueError("data sizes and channel gains must be positive")
     if model_bound <= 0:
         raise ValueError("model_bound must be positive")
@@ -124,34 +127,16 @@ def solve_power_control(
     group_size = float(sizes.sum())
     noise_var = config.noise_variance
     sigma_cap = _sigma_cap(sizes, gains, model_bound, config.energy_budget_j)
-    sigma = sigma_cap
-    eta = optimal_eta(sigma, model_bound, noise_var, group_size)
-
-    history: List[tuple] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.power_control_max_iters + 1):
-        prev_sigma, prev_eta = sigma, eta
-        eta = optimal_eta(sigma, model_bound, noise_var, group_size)
-        # Eq. 47: the unconstrained optimum √η, clipped to the cap.
-        sigma = float(min(np.sqrt(eta), sigma_cap))
-        c = aggregation_error_term(sigma, eta, model_bound, noise_var, group_size)
-        history.append((sigma, eta, c))
-        rel_sigma = abs(sigma - prev_sigma) / max(abs(sigma), 1e-300)
-        rel_eta = abs(eta - prev_eta) / max(abs(eta), 1e-300)
-        if rel_sigma <= config.power_control_tolerance and rel_eta <= config.power_control_tolerance:
-            converged = True
-            break
-
+    eta = optimal_eta(sigma_cap, model_bound, noise_var, group_size)
+    # Eq. 47: the unconstrained optimum √η, clipped to the cap.
+    sigma = float(min(np.sqrt(eta), sigma_cap))
     error = aggregation_error_term(sigma, eta, model_bound, noise_var, group_size)
     return PowerControlResult(
-        sigma=float(sigma),
-        eta=float(eta),
+        sigma=sigma,
+        eta=eta,
         error_term=float(error),
-        iterations=iterations,
-        converged=converged,
+        iterations=1,
         sigma_cap=sigma_cap,
-        history=history,
     )
 
 
@@ -162,9 +147,8 @@ class PowerControlCache:
     under static channels and stable bounds, where successive rounds of the
     same group pose *identical* (or near-identical) P3 instances: the
     solution is looked up on a quantized ``(gains, sizes, model_bound)``
-    key.  A miss always runs the paper's from-cap Algorithm 2 — the
-    alternation can converge to a different fixed point from a different
-    start, so the cache never seeds it with an earlier σ.
+    key.  A miss solves the current inputs afresh: the optimum is the
+    current cap, so an earlier σ has nothing to offer it.
 
     The model bound is quantized to ``rel_tol`` relative precision when
     forming keys (a hit may therefore reuse a (σ, η) pair solved for a

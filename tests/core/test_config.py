@@ -25,8 +25,12 @@ class TestAirCompConfig:
             {"energy_budget_j": 0.0},
             {"num_subchannels": 0},
             {"symbol_duration_s": 0.0},
-            {"power_control_tolerance": 0.0},
-            {"power_control_max_iters": 0},
+            {"noise_variance": float("nan")},
+            {"noise_variance": float("inf")},
+            {"energy_budget_j": float("nan")},
+            {"energy_budget_j": float("inf")},
+            {"symbol_duration_s": float("nan")},
+            {"symbol_duration_s": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

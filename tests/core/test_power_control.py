@@ -51,11 +51,6 @@ class TestSolvePowerControl:
         kwargs.update(overrides)
         return solve_power_control(**kwargs)
 
-    def test_converges(self):
-        result = self._solve()
-        assert result.converged
-        assert result.iterations <= CFG.power_control_max_iters
-
     def test_sigma_respects_energy_cap(self):
         """The cap is Eq. 46's min over workers of h_i √Ê / (d_i W_t)."""
         result = self._solve()
@@ -90,11 +85,6 @@ class TestSolvePowerControl:
         group = 100.0
         eta_expected = optimal_eta(result.sigma, 10.0, CFG.noise_variance, group)
         assert result.eta == pytest.approx(eta_expected, rel=1e-4)
-
-    def test_alternation_monotonically_improves(self):
-        result = self._solve()
-        errors = [h[2] for h in result.history]
-        assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
     def test_zero_noise_gives_zero_error(self):
         cfg = AirCompConfig(noise_variance=0.0)
@@ -160,3 +150,12 @@ class TestSigmaCap:
             self._solve([0.0, 1.0], [1.0, 1.0], 1.0, 1.0)
         with pytest.raises(ValueError):
             self._solve([1.0, 1.0], [1.0, -1.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "sizes, gains",
+        [([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.nan])],
+        ids=["nan_size", "nan_gain"],
+    )
+    def test_rejects_nan_sizes_or_gains(self, sizes, gains):
+        with pytest.raises(ValueError, match="must be positive"):
+            self._solve(sizes, gains, 1.0, 1.0)

@@ -191,6 +191,8 @@ class TestValidation:
             ("algorithm.aircomp.power_control_warm_start", AirCompConfig),
             ("algorithm.aircomp.power_control_cache_rel_tol", AirCompConfig),
             ("algorithm.aircomp.power_control_cache", AirCompConfig),
+            ("algorithm.aircomp.power_control_tolerance", AirCompConfig),
+            ("algorithm.aircomp.power_control_max_iters", AirCompConfig),
             ("data.materialization", DataSpec),
             ("algorithm.aircomp.bandwidth_hz", AirCompConfig),
             ("algorithm.grouping.emd_weight", GroupingConfig),
