@@ -4,23 +4,16 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.experiments import (
-    AIRCOMP_MECHANISMS,
-    Scenario,
-    format_series,
-    format_table,
-    run_comparison,
-)
+from repro.experiments import Scenario, format_series, format_table, run_comparison
 from repro.fl.history import TrainingHistory
 
-__all__ = ["run_and_report_figure", "AIRCOMP_MECHANISMS"]
+__all__ = ["run_and_report_figure"]
 
 
 def run_and_report_figure(
     scenario: Scenario,
     title: str,
     accuracy_targets: Sequence[float],
-    mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
 ) -> Dict[str, TrainingHistory]:
     """Run the mechanism comparison behind one loss/accuracy figure and print it.
 
@@ -28,7 +21,7 @@ def run_and_report_figure(
     qualitative shape (Air-FedGA reaches the targets no later than the
     baselines within the shared time budget).
     """
-    histories = run_comparison(scenario, mechanisms=mechanisms)
+    histories = run_comparison(scenario)
 
     series = {
         name: {"time": h.times(), "loss": h.losses(), "accuracy": h.accuracies()}

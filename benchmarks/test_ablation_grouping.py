@@ -13,9 +13,8 @@ only in how the groups are formed:
 
 from __future__ import annotations
 
-from repro.experiments import format_table
+from repro.experiments import ACCURACY_TARGETS, fig3_config, format_table
 from repro.fl import AirFedGATrainer
-from .workloads import ACCURACY_TARGETS, fig3_config
 
 
 STRATEGIES = ("greedy", "tier", "random", "singleton")

@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.channel import RayleighFading, aggregation_error_term
 from repro.core import AirCompConfig, solve_power_control
-from repro.experiments import format_table
-from .workloads import fig3_config
+from repro.experiments import fig3_config, format_table
 
 
 def error_term_study(num_rounds: int = 20, num_workers: int = 12, seed: int = 0):

@@ -1,12 +1,17 @@
-"""The figure/table catalogue as data: pins, round-trips, airbench agreement.
+"""The figure/table catalogue as data: pins, CLI agreement, airbench agreement.
 
 ``catalogue_pins.json`` was recorded at commit ``16250bb`` through the
 hand-wired ``runner.build_experiment`` path (the second seed ladder), just
 before that path was deleted: SHA-256 digests of ``history.to_dict()`` (plus the
 scalar summaries) for the four figure workloads under the three AirComp
-mechanisms and for ``lr_mnist`` under the five Fig. 10 mechanisms, all at a
-short ``max_time``.  The Scenario-built catalogue must keep reproducing
-them — that is the check that ``fig3_config()`` still means what it meant.
+mechanisms and for ``lr_mnist_config()`` under the five Fig. 10 mechanisms,
+all at a short ``max_time``.  The Scenario-built catalogue must keep
+reproducing them — that is the check that ``fig3_config()`` still means what
+it meant.  The case ``fig10_lr_mnist`` is a digest of ``lr_mnist_config()``,
+the catalogue's base MLP scenario, not of ``FIGURES["fig10"]``.
+
+``python -m repro.experiments run NAME`` must call NAME's driver exactly as
+``benchmarks/test_NAME*`` does: same scenario document, same arguments.
 
 A digest only matches on a host whose BLAS rounds like the recording
 host's; elsewhere the summaries are compared at ``rtol=1e-9`` (the golden
@@ -20,6 +25,8 @@ After an *intended* trajectory change, regenerate with::
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
 from pathlib import Path
 from typing import Any, Dict, Mapping, Sequence, Tuple
@@ -29,36 +36,29 @@ import pytest
 from repro.experiments import (
     AIRCOMP_MECHANISMS,
     ALL_MECHANISMS,
+    FIGURES,
     Scenario,
     lr_mnist_config,
     run_comparison,
+    run_experiment,
 )
+from repro.experiments.cli import EXPERIMENTS
 from repro.fl.history import TrainingHistory
 
-from .workloads import fig3_config, fig4_config, fig5_config, fig6_config
+from . import figure_utils
 
 HERE = Path(__file__).parent
 PINS_PATH = HERE / "catalogue_pins.json"
 PINS = json.loads(PINS_PATH.read_text())
 AIRBENCH_WORKLOADS = json.loads((HERE / "airbench" / "workloads.json").read_text())
 
-FIGURE_WORKLOADS = {
-    "fig3": fig3_config,
-    "fig4": fig4_config,
-    "fig5": fig5_config,
-    "fig6": fig6_config,
-}
-
-
 def pinned_cases(max_time: float) -> Dict[str, Tuple[Scenario, Sequence[str]]]:
+    budget = {"training.max_time": max_time}
     cases: Dict[str, Tuple[Scenario, Sequence[str]]] = {
-        name: (make(max_time=max_time), AIRCOMP_MECHANISMS)
-        for name, make in FIGURE_WORKLOADS.items()
+        name: (FIGURES[name]().with_(**budget), AIRCOMP_MECHANISMS)
+        for name in ("fig3", "fig4", "fig5", "fig6")
     }
-    cases["fig10_lr_mnist"] = (
-        lr_mnist_config().with_(**{"training.max_time": max_time}),
-        ALL_MECHANISMS,
-    )
+    cases["fig10_lr_mnist"] = (lr_mnist_config().with_(**budget), ALL_MECHANISMS)
     return cases
 
 
@@ -81,10 +81,57 @@ def test_catalogue_reproduces_the_pinned_histories(case):
         )
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURE_WORKLOADS))
-def test_figure_workloads_round_trip_through_json(figure):
-    scenario = FIGURE_WORKLOADS[figure]()
-    assert Scenario.from_dict(json.loads(scenario.to_json())) == scenario
+class _Called(Exception):
+    """Raised by an intercepted driver: the call, instead of the run."""
+
+    def __init__(self, driver, args, kwargs):
+        bound = inspect.signature(driver).bind(*args, **kwargs)
+        bound.apply_defaults()
+        self.arguments = dict(bound.arguments)
+
+
+def _intercepted(driver):
+    def record(*args, **kwargs):
+        raise _Called(driver, args, kwargs)
+
+    return record
+
+
+class _OneShot:
+    """The ``benchmark`` fixture's ``pedantic``, without the timing."""
+
+    @staticmethod
+    def pedantic(fn, args=(), kwargs=None, rounds=1, iterations=1):
+        return fn(*args, **(kwargs or {}))
+
+
+def _documents(arguments):
+    return {
+        name: value.to_dict() if isinstance(value, Scenario) else value
+        for name, value in arguments.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_cli_calls_the_driver_as_the_figure_check_does(name, monkeypatch):
+    """``run_experiment(name)`` and ``benchmarks/test_<name>_*`` hand the
+    same driver the same scenario and the same arguments (defaults bound);
+    the driver is intercepted, not run."""
+    driver, key = EXPERIMENTS[name]
+    monkeypatch.setitem(EXPERIMENTS, name, (_intercepted(driver), key))
+    with pytest.raises(_Called) as cli:
+        run_experiment(name)
+
+    (path,) = HERE.glob(f"test_{name}_*.py")
+    module = importlib.import_module(f"benchmarks.{path.stem}")
+    patched = [m for m in (module, figure_utils) if hasattr(m, driver.__name__)]
+    assert patched, f"{path.name} does not call {driver.__name__}"
+    for where in patched:
+        monkeypatch.setattr(where, driver.__name__, _intercepted(driver))
+    with pytest.raises(_Called) as check:
+        getattr(module, path.stem)(_OneShot())
+
+    assert _documents(cli.value.arguments) == _documents(check.value.arguments)
 
 
 def _disagreements(ours: Mapping[str, Any], theirs: Mapping[str, Any], path: str = ""):
@@ -106,7 +153,7 @@ def test_figure_workloads_agree_with_the_frozen_airbench_documents(
     """The repo benchmark's ``fig_mlp``/``fig_cnn`` are Fig. 3/4 by
     construction; this keeps the figure drivers and the frozen benchmark
     from drifting apart (read-only — airbench is never edited from here)."""
-    ours = FIGURE_WORKLOADS[figure]().to_dict()
+    ours = FIGURES[figure]().to_dict()
     theirs = dict(AIRBENCH_WORKLOADS[airbench_name]["scenario"])
     del ours["name"], theirs["name"]  # labels, not settings
     assert list(_disagreements(ours, theirs)) == []

@@ -13,43 +13,33 @@ Paper result (CNN on MNIST, N from 20 to 100):
 
 from __future__ import annotations
 
-from repro.experiments import ALL_MECHANISMS, format_table, scalability_sweep
-from .workloads import fig3_config
-
-
-WORKER_COUNTS = (10, 20, 40)
-TARGET = 0.5
-
-
-def run_sweep():
-    base = fig3_config(num_workers=WORKER_COUNTS[0], max_time=1500.0)
-    return scalability_sweep(
-        base,
-        worker_counts=WORKER_COUNTS,
-        mechanisms=ALL_MECHANISMS,
-        accuracy_target=TARGET,
-    )
+from repro.experiments import ACCURACY_TARGETS, FIGURES, format_table, scalability_sweep
 
 
 def test_fig10_scalability(benchmark):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    scenario = FIGURES["fig10"]()
+    target = ACCURACY_TARGETS[scenario.name][0]
+    results = benchmark.pedantic(
+        scalability_sweep, args=(scenario,), rounds=1, iterations=1
+    )
+    worker_counts = sorted(results["fedavg"])
 
     print("\n=== Fig. 10 (left) — average single-round time (s) vs N ===")
     rows = [
-        tuple([name] + [results[name][n]["avg_round_time"] for n in WORKER_COUNTS])
-        for name in ALL_MECHANISMS
+        tuple([name] + [results[name][n]["avg_round_time"] for n in worker_counts])
+        for name in results
     ]
-    print(format_table(["mechanism"] + [f"N={n}" for n in WORKER_COUNTS], rows, precision=2))
+    print(format_table(["mechanism"] + [f"N={n}" for n in worker_counts], rows, precision=2))
 
     print("\n=== Fig. 10 (right) — time to reach "
-          f"{int(TARGET*100)}% accuracy (s) vs N ===")
+          f"{int(target*100)}% accuracy (s) vs N ===")
     rows = [
-        tuple([name] + [results[name][n]["time_to_target"] for n in WORKER_COUNTS])
-        for name in ALL_MECHANISMS
+        tuple([name] + [results[name][n]["time_to_target"] for n in worker_counts])
+        for name in results
     ]
-    print(format_table(["mechanism"] + [f"N={n}" for n in WORKER_COUNTS], rows, precision=1))
+    print(format_table(["mechanism"] + [f"N={n}" for n in worker_counts], rows, precision=1))
 
-    small, large = WORKER_COUNTS[0], WORKER_COUNTS[-1]
+    small, large = worker_counts[0], worker_counts[-1]
 
     # FedAvg's single-round time grows with N (sequential OMA uploads).
     assert (

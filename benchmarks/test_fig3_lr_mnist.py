@@ -8,13 +8,14 @@ check the same ordering on the synthetic MNIST stand-in.
 
 from __future__ import annotations
 
+from repro.experiments import ACCURACY_TARGETS, FIGURES
+
 from .figure_utils import assert_air_fedga_competitive, run_and_report_figure
-from .workloads import ACCURACY_TARGETS, fig3_config
 
 
 def test_fig3_lr_mnist(benchmark):
-    scenario = fig3_config()
-    targets = ACCURACY_TARGETS["lr_mnist"]
+    scenario = FIGURES["fig3"]()
+    targets = ACCURACY_TARGETS[scenario.name]
 
     histories = benchmark.pedantic(
         run_and_report_figure,

@@ -7,13 +7,14 @@ selection ignores the data distribution.
 
 from __future__ import annotations
 
+from repro.experiments import ACCURACY_TARGETS, FIGURES
+
 from .figure_utils import assert_air_fedga_competitive, run_and_report_figure
-from .workloads import ACCURACY_TARGETS, fig4_config
 
 
 def test_fig4_cnn_mnist(benchmark):
-    scenario = fig4_config()
-    targets = ACCURACY_TARGETS["cnn_mnist"]
+    scenario = FIGURES["fig4"]()
+    targets = ACCURACY_TARGETS[scenario.name]
 
     histories = benchmark.pedantic(
         run_and_report_figure,

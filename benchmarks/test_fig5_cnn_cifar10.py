@@ -7,13 +7,14 @@ then Air-FedAvg, then Dynamic.
 
 from __future__ import annotations
 
+from repro.experiments import ACCURACY_TARGETS, FIGURES
+
 from .figure_utils import assert_air_fedga_competitive, run_and_report_figure
-from .workloads import ACCURACY_TARGETS, fig5_config
 
 
 def test_fig5_cnn_cifar10(benchmark):
-    scenario = fig5_config()
-    targets = ACCURACY_TARGETS["cnn_cifar10"]
+    scenario = FIGURES["fig5"]()
+    targets = ACCURACY_TARGETS[scenario.name]
 
     histories = benchmark.pedantic(
         run_and_report_figure,

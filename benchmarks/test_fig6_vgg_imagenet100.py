@@ -8,13 +8,14 @@ the MNIST workloads — is what this benchmark reproduces.
 
 from __future__ import annotations
 
+from repro.experiments import ACCURACY_TARGETS, FIGURES
+
 from .figure_utils import assert_air_fedga_competitive, run_and_report_figure
-from .workloads import ACCURACY_TARGETS, fig6_config
 
 
 def test_fig6_vgg_imagenet100(benchmark):
-    scenario = fig6_config()
-    targets = ACCURACY_TARGETS["vgg_imagenet100"]
+    scenario = FIGURES["fig6"]()
+    targets = ACCURACY_TARGETS[scenario.name]
 
     histories = benchmark.pedantic(
         run_and_report_figure,

@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import format_table, grouping_boxplot_data
-
-
-NUM_WORKERS = 100
-XI = 0.3
-
-
-def generate():
-    return grouping_boxplot_data(num_workers=NUM_WORKERS, xi=XI, seed=0)
+from repro.experiments import FIGURES, format_table, grouping_boxplot_data
 
 
 def test_fig7_grouping_boxplot(benchmark):
-    data = benchmark.pedantic(generate, rounds=1, iterations=1)
+    scenario = FIGURES["fig7"]()
+    xi = scenario.algorithm.grouping.xi
+    data = benchmark.pedantic(
+        grouping_boxplot_data, args=(scenario,), rounds=1, iterations=1
+    )
 
     rows = []
     for group, times in sorted(data.items()):
@@ -39,7 +35,10 @@ def test_fig7_grouping_boxplot(benchmark):
                 float(arr.max()),
             )
         )
-    print("\n=== Fig. 7 — grouping of 100 heterogeneous workers (xi = 0.3) ===")
+    print(
+        f"\n=== Fig. 7 — grouping of {scenario.num_workers} heterogeneous "
+        f"workers (xi = {xi}) ==="
+    )
     print(
         format_table(
             ["group", "workers", "min (s)", "q25 (s)", "median (s)", "q75 (s)", "max (s)"],
@@ -49,12 +48,12 @@ def test_fig7_grouping_boxplot(benchmark):
     )
 
     # Every worker is grouped exactly once.
-    assert sum(len(v) for v in data.values()) == NUM_WORKERS
+    assert sum(len(v) for v in data.values()) == scenario.num_workers
 
     # The intra-group time-similarity constraint (36d): each group's spread is
     # bounded by xi * (global spread).
     all_times = np.concatenate([np.asarray(v) for v in data.values()])
-    slack = XI * (all_times.max() - all_times.min())
+    slack = xi * (all_times.max() - all_times.min())
     for times in data.values():
         arr = np.asarray(times)
         assert arr.max() - arr.min() <= slack + 1e-9

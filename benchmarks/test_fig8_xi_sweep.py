@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments import format_table, xi_sweep
-from .workloads import ACCURACY_TARGETS, fig3_config
-
-
-XI_VALUES = (0.0, 0.3, 1.0)
-
-
-def run_sweep():
-    scenario = fig3_config(num_workers=30, max_time=2000.0)
-    targets = ACCURACY_TARGETS["lr_mnist"]
-    return xi_sweep(scenario, xi_values=XI_VALUES, accuracy_targets=targets), targets
+from repro.experiments import ACCURACY_TARGETS, FIGURES, format_table, xi_sweep
 
 
 def test_fig8_xi_sweep(benchmark):
-    results, targets = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    scenario = FIGURES["fig8"]()
+    targets = ACCURACY_TARGETS[scenario.name]
+    results = benchmark.pedantic(xi_sweep, args=(scenario,), rounds=1, iterations=1)
 
     rows = []
-    for xi in XI_VALUES:
+    for xi in results:
         entry = results[xi]
         rows.append(
             (

@@ -10,18 +10,15 @@ CIFAR-10.
 
 from __future__ import annotations
 
-from repro.experiments import energy_vs_accuracy, format_table
-from .workloads import ACCURACY_TARGETS, fig4_config
-
-
-def run_energy():
-    scenario = fig4_config(num_workers=30, max_time=2200.0)
-    targets = ACCURACY_TARGETS["cnn_mnist"]
-    return energy_vs_accuracy(scenario, accuracy_targets=targets), targets
+from repro.experiments import ACCURACY_TARGETS, FIGURES, energy_vs_accuracy, format_table
 
 
 def test_fig9_energy(benchmark):
-    results, targets = benchmark.pedantic(run_energy, rounds=1, iterations=1)
+    scenario = FIGURES["fig9"]()
+    targets = ACCURACY_TARGETS[scenario.name]
+    results = benchmark.pedantic(
+        energy_vs_accuracy, args=(scenario,), rounds=1, iterations=1
+    )
 
     rows = []
     for name, entry in results.items():

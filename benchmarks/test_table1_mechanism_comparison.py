@@ -16,23 +16,16 @@ the measured quantities that back those ratings:
 
 from __future__ import annotations
 
-from repro.experiments import format_table, mechanism_comparison
-from .workloads import fig3_config
-
-
-MECHANISMS = ("fedavg", "air_fedavg", "dynamic", "tifl", "air_fedga")
-
-
-def run_probe():
-    scenario = fig3_config(num_workers=24, max_time=1200.0)
-    return mechanism_comparison(scenario, mechanisms=MECHANISMS, max_rounds=400)
+from repro.experiments import FIGURES, format_table, mechanism_comparison
 
 
 def test_table1_mechanism_comparison(benchmark):
-    results = benchmark.pedantic(run_probe, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        mechanism_comparison, args=(FIGURES["table1"](),), rounds=1, iterations=1
+    )
 
     rows = []
-    for name in MECHANISMS:
+    for name in results:
         entry = results[name]
         rows.append(
             (

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import emd_comparison, format_table
-
-
-def run_table3():
-    return emd_comparison(num_workers=100, num_tiers=10, seed=0)
+from repro.experiments import FIGURES, emd_comparison, format_table
 
 
 def test_table3_emd(benchmark):
-    result = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        emd_comparison, args=(FIGURES["table3"](),), rounds=1, iterations=1
+    )
 
     print("\n=== Table III — average EMD across groups ===")
     print(

@@ -362,10 +362,10 @@ def aircomp_latency(
     number of participating workers.  That independence is exactly what
     gives AirComp its scalability advantage in Fig. 10.
     """
-    if model_dimension <= 0:
+    if not model_dimension > 0:
         raise ValueError("model_dimension must be positive")
-    if num_subchannels <= 0:
+    if not num_subchannels > 0:
         raise ValueError("num_subchannels must be positive")
-    if symbol_duration <= 0:
+    if not symbol_duration > 0:
         raise ValueError("symbol_duration must be positive")
     return float(np.ceil(model_dimension / num_subchannels) * symbol_duration)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional, overload
+
+import numpy as np
 
 __all__ = [
     "AirCompConfig",
@@ -12,6 +15,35 @@ __all__ = [
     "FaultConfig",
     "AirFedGAConfig",
 ]
+
+
+@overload
+def require_count(name: str, value: object, *, minimum: int = ...) -> int: ...
+@overload
+def require_count(
+    name: str, value: object, *, optional: bool, minimum: int = ...
+) -> Optional[int]: ...
+def require_count(
+    name: str, value: object, *, optional: bool = False, minimum: int = 1
+) -> Optional[int]:
+    """Refuse ``value`` unless it is an integer >= ``minimum`` (``None`` too
+    if ``optional``); return it as a Python ``int``.
+
+    Bools and floats are refused, not coerced: ``2.5`` would truncate to 2
+    and ``True`` count as 1.  NumPy integers are accepted.
+    """
+    if optional and value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < minimum
+    ):
+        either = "None or " if optional else ""
+        raise ValueError(
+            f"{name} must be {either}an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass
@@ -33,8 +65,7 @@ class AirCompConfig:
             raise ValueError("noise_variance must be finite and non-negative")
         if not 0 < self.energy_budget_j < math.inf:
             raise ValueError("energy_budget_j must be finite and positive")
-        if self.num_subchannels <= 0:
-            raise ValueError("num_subchannels must be positive")
+        self.num_subchannels = require_count("num_subchannels", self.num_subchannels)
         if not 0 < self.symbol_duration_s < math.inf:
             raise ValueError("symbol_duration_s must be finite and positive")
 
@@ -57,12 +88,10 @@ class GroupingConfig:
     refine_passes: int = 3
 
     def __post_init__(self) -> None:
-        if self.xi < 0:
+        if not self.xi >= 0:
             raise ValueError("xi must be non-negative")
-        if self.tie_break_seed < 0:
-            raise ValueError("tie_break_seed must be non-negative")
-        if self.refine_passes < 0:
-            raise ValueError("refine_passes must be non-negative")
+        self.tie_break_seed = require_count("tie_break_seed", self.tie_break_seed, minimum=0)
+        self.refine_passes = require_count("refine_passes", self.refine_passes, minimum=0)
 
 
 @dataclass
@@ -84,9 +113,9 @@ class ConvergenceConfig:
     target_epsilon: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.smoothness_L <= 0:
+        if not self.smoothness_L > 0:
             raise ValueError("smoothness_L must be positive")
-        if self.strong_convexity_mu < 0:
+        if not self.strong_convexity_mu >= 0:
             raise ValueError("strong_convexity_mu must be non-negative")
         if self.strong_convexity_mu > self.smoothness_L:
             raise ValueError("mu cannot exceed L")
@@ -98,11 +127,11 @@ class ConvergenceConfig:
                 f"Theorem 1 requires 1/(2L) < gamma < 1/L, i.e. gamma in "
                 f"({lo}, {hi}); got {self.learning_rate_gamma}"
             )
-        if self.gradient_bound_G <= 0:
+        if not self.gradient_bound_G > 0:
             raise ValueError("gradient_bound_G must be positive")
-        if self.initial_gap <= 0:
+        if not self.initial_gap > 0:
             raise ValueError("initial_gap must be positive")
-        if self.target_epsilon <= 0:
+        if not self.target_epsilon > 0:
             raise ValueError("target_epsilon must be positive")
 
 
@@ -145,12 +174,12 @@ class FaultConfig:
             raise ValueError(
                 f"quorum_fraction must be in (0, 1], got {self.quorum_fraction}"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff <= 0:
+        self.max_retries = require_count("max_retries", self.max_retries, minimum=0)
+        if not self.retry_backoff > 0:
             raise ValueError("retry_backoff must be positive")
-        if self.max_consecutive_failures < 1:
-            raise ValueError("max_consecutive_failures must be >= 1")
+        self.max_consecutive_failures = require_count(
+            "max_consecutive_failures", self.max_consecutive_failures
+        )
 
 
 @dataclass

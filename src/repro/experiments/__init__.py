@@ -1,9 +1,14 @@
 """Experiment harness reproducing the paper's tables and figures."""
 
 from .configs import (
-    EXPERIMENT_CONFIGS,
+    ACCURACY_TARGETS,
+    FIGURES,
     cnn_cifar10_config,
     cnn_mnist_config,
+    fig3_config,
+    fig4_config,
+    fig5_config,
+    fig6_config,
     lr_mnist_config,
     vgg_imagenet100_config,
 )
@@ -26,11 +31,16 @@ from .cli import EXPERIMENTS, run_experiment
 from .bench import run_bench_suite, write_bench_results
 
 __all__ = [
-    "EXPERIMENT_CONFIGS",
+    "ACCURACY_TARGETS",
+    "FIGURES",
     "lr_mnist_config",
     "cnn_mnist_config",
     "cnn_cifar10_config",
     "vgg_imagenet100_config",
+    "fig3_config",
+    "fig4_config",
+    "fig5_config",
+    "fig6_config",
     "run_comparison",
     "Scenario",
     "ComponentSpec",

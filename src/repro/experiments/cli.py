@@ -5,16 +5,13 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments run fig3 --output results/fig3
     python -m repro.experiments run table3
-    python -m repro.experiments compare lr_mnist --mechanisms air_fedga air_fedavg
+    python -m repro.experiments compare fig3 --mechanisms air_fedga air_fedavg
 
-``run`` executes a reduced-scale version of one paper artefact and writes
-the resulting series to JSON so they can be plotted externally.  Its
-figures run the :mod:`repro.experiments.configs` catalogue under a
-simulated-time budget, not the scenarios of ``benchmarks/workloads.py``
-that ``benchmarks/`` checks: fig3–fig6, fig8–fig10 and table1 differ in
-workers, image size, model width, learning rate, local steps and budget;
-fig7 and table3 agree.  ``compare`` runs an ad-hoc mechanism comparison on
-one of the four registered workloads.
+``run NAME`` calls NAME's driver on ``FIGURES[NAME]()`` from
+:mod:`repro.experiments.configs`, the scenario ``benchmarks/test_NAME``
+checks, and writes the resulting series to JSON so they can be plotted
+externally.  ``compare`` runs an ad-hoc mechanism comparison on the same
+catalogue's scenarios.
 """
 
 from __future__ import annotations
@@ -23,15 +20,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import registry
-from .configs import EXPERIMENT_CONFIGS
+from ..fl.history import TrainingHistory
+from .configs import FIGURES
 from .figures import (
     AIRCOMP_MECHANISMS,
-    ALL_MECHANISMS,
     energy_vs_accuracy,
     grouping_boxplot_data,
     scalability_sweep,
@@ -46,7 +43,7 @@ __all__ = ["EXPERIMENTS", "main", "run_experiment"]
 
 
 def _jsonable(obj):
-    """Recursively convert NumPy scalars/arrays so json.dumps accepts them."""
+    """Recursively convert NumPy values and histories so json.dumps accepts them."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -55,77 +52,55 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, TrainingHistory):
+        return {
+            "time": obj.times().tolist(),
+            "loss": obj.losses().tolist(),
+            "accuracy": obj.accuracies().tolist(),
+            "summary": obj.summary(),
+        }
     return obj
 
 
-# ----------------------------------------------------------------------
-# Experiment dispatch table
-# ----------------------------------------------------------------------
-def _budgeted(scenario: Scenario, max_time: float) -> Scenario:
-    """The catalogue scenario with a simulated-time budget in seconds."""
-    return scenario.with_(**{"training.max_time": max_time})
-
-
-def _figure_comparison(config_name: str, mechanisms: Sequence[str]):
-    def run(scale: float = 1.0) -> Dict[str, object]:
-        scenario = _budgeted(EXPERIMENT_CONFIGS[config_name](), 1500.0 * scale)
-        return {
-            name: {
-                "time": history.times().tolist(),
-                "loss": history.losses().tolist(),
-                "accuracy": history.accuracies().tolist(),
-                "summary": history.summary(),
-            }
-            for name, history in run_comparison(scenario, mechanisms=mechanisms).items()
-        }
-
-    return run
-
-
-EXPERIMENTS: Dict[str, Callable[..., Dict[str, object]]] = {
-    "fig3": _figure_comparison("lr_mnist", AIRCOMP_MECHANISMS),
-    "fig4": _figure_comparison("cnn_mnist", AIRCOMP_MECHANISMS),
-    "fig5": _figure_comparison("cnn_cifar10", AIRCOMP_MECHANISMS),
-    "fig6": _figure_comparison("vgg_imagenet100", AIRCOMP_MECHANISMS),
-    "fig7": lambda scale=1.0: {
-        "groups": grouping_boxplot_data(num_workers=int(100 * min(scale, 1.0)) or 20)
-    },
-    "fig8": lambda scale=1.0: {
-        "xi_sweep": xi_sweep(
-            _budgeted(EXPERIMENT_CONFIGS["lr_mnist"](), 1500.0 * scale),
-            xi_values=(0.0, 0.3, 1.0),
-        )
-    },
-    "fig9": lambda scale=1.0: {
-        "energy": energy_vs_accuracy(
-            _budgeted(EXPERIMENT_CONFIGS["cnn_mnist"](), 1500.0 * scale)
-        )
-    },
-    "fig10": lambda scale=1.0: {
-        "scalability": scalability_sweep(
-            _budgeted(EXPERIMENT_CONFIGS["lr_mnist"](), 1000.0 * scale),
-            worker_counts=(10, 20, 40),
-            mechanisms=ALL_MECHANISMS,
-        )
-    },
-    "table1": lambda scale=1.0: {"mechanisms": mechanism_comparison()},
-    "table3": lambda scale=1.0: {"emd": emd_comparison()},
+#: Artefact name -> (driver run on ``FIGURES[name]()``, key its result is
+#: written under; ``None``: the driver's mapping is the document itself).
+EXPERIMENTS: Dict[str, Tuple[Callable[[Scenario], Any], Optional[str]]] = {
+    "fig3": (run_comparison, None),
+    "fig4": (run_comparison, None),
+    "fig5": (run_comparison, None),
+    "fig6": (run_comparison, None),
+    "fig7": (grouping_boxplot_data, "groups"),
+    "fig8": (xi_sweep, "xi_sweep"),
+    "fig9": (energy_vs_accuracy, "energy"),
+    "fig10": (scalability_sweep, "scalability"),
+    "table1": (mechanism_comparison, "mechanisms"),
+    "table3": (emd_comparison, "emd"),
 }
 
 
 def run_experiment(
     name: str, output: Optional[str] = None, scale: float = 1.0
 ) -> Dict[str, object]:
-    """Run one registered experiment and optionally persist its results."""
+    """Run one catalogue artefact and optionally persist its results.
+
+    ``scale`` multiplies the scenario's simulated-time budget
+    (``training.max_time``) and nothing else.
+    """
     try:
-        fn = EXPERIMENTS[name]
+        driver, key = EXPERIMENTS[name]
     except KeyError as exc:
         raise KeyError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         ) from exc
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
-    results = _jsonable(fn(scale=scale))
+    scenario = FIGURES[name]()
+    if scenario.training.max_time is not None:
+        scenario = scenario.with_(
+            **{"training.max_time": scenario.training.max_time * scale}
+        )
+    result = _jsonable(driver(scenario))
+    results = result if key is None else {key: result}
     if output is not None:
         out_dir = Path(output)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,12 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments and workloads")
+    sub.add_parser("list", help="list the experiments and their scenarios")
 
     run_p = sub.add_parser(
         "run",
-        help="run one experiment (fig3..fig10, table1, table3) on the "
-        "repro.experiments.configs catalogue; not the benchmarks/ scenarios",
+        help="run one experiment (fig3..fig10, table1, table3) on its "
+        "repro.experiments.configs.FIGURES scenario",
     )
     run_p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_p.add_argument("--output", "-o", default=None, help="directory for JSON results")
@@ -157,15 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="time-budget multiplier (>1 runs longer, closer to the paper scale)",
     )
 
-    cmp_p = sub.add_parser("compare", help="compare mechanisms on one workload")
-    cmp_p.add_argument("workload", choices=sorted(EXPERIMENT_CONFIGS))
+    cmp_p = sub.add_parser(
+        "compare", help="compare mechanisms on one experiment's scenario"
+    )
+    cmp_p.add_argument("experiment", choices=sorted(FIGURES))
     cmp_p.add_argument(
         "--mechanisms", nargs="+", default=list(AIRCOMP_MECHANISMS),
         # Any registered mechanism is comparable, including the FedProx /
         # FedDyn / FedAsync families beyond the paper's five figures.
         choices=registry.names("mechanism"),
     )
-    cmp_p.add_argument("--max-time", type=float, default=1500.0)
+    cmp_p.add_argument(
+        "--max-time", type=float, default=None,
+        help="simulated-time budget in seconds (default: the scenario's)",
+    )
     cmp_p.add_argument("--workers", type=int, default=None)
     cmp_p.add_argument("--output", "-o", default=None)
 
@@ -235,17 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list() -> str:
-    lines = ["Experiments (run):"]
-    for name in sorted(EXPERIMENTS):
-        lines.append(f"  {name}")
-    lines.append("Workloads (compare):")
-    for name in sorted(EXPERIMENT_CONFIGS):
-        lines.append(f"  {name}")
+    lines = ["Experiments (run, compare):"]
+    for name in sorted(FIGURES):
+        scenario = FIGURES[name]()
+        budget = scenario.training.max_time
+        lines.append(
+            f"  {name:7s} {scenario.name}, {scenario.num_workers} workers"
+            + (f", {budget:g} s" if budget is not None else "")
+        )
     return "\n".join(lines)
 
 
 def _command_compare(args: argparse.Namespace) -> str:
-    scenario = _budgeted(EXPERIMENT_CONFIGS[args.workload](), args.max_time)
+    scenario = FIGURES[args.experiment]()
+    if args.max_time is not None:
+        scenario = scenario.with_(**{"training.max_time": args.max_time})
     if args.workers is not None:
         scenario = scenario.with_(num_workers=args.workers)
     rows = []
@@ -262,12 +246,15 @@ def _command_compare(args: argparse.Namespace) -> str:
         if args.output:
             out_dir = Path(args.output)
             out_dir.mkdir(parents=True, exist_ok=True)
-            history.save_json(out_dir / f"{args.workload}_{name}.json")
-            history.save_csv(out_dir / f"{args.workload}_{name}.csv")
+            history.save_json(out_dir / f"{args.experiment}_{name}.json")
+            history.save_csv(out_dir / f"{args.experiment}_{name}.csv")
     return format_table(
         ["mechanism", "rounds", "avg round (s)", "final acc", "energy (J)"],
         rows,
-        title=f"Comparison on {args.workload} ({scenario.num_workers} workers)",
+        title=(
+            f"Comparison on {args.experiment}: {scenario.name} "
+            f"({scenario.num_workers} workers)"
+        ),
     )
 
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.grouping import GroupingProblem, greedy_grouping
-from .configs import cnn_mnist_config
+from .configs import ACCURACY_TARGETS
 from .runner import run_comparison
 from .scenario import Scenario
 
@@ -31,32 +31,29 @@ AIRCOMP_MECHANISMS = ("air_fedga", "air_fedavg", "dynamic")
 ALL_MECHANISMS = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
 
 
-# ----------------------------------------------------------------------
-# Figure 7: grouping of heterogeneous workers at ξ = 0.3
-# ----------------------------------------------------------------------
-def grouping_boxplot_data(
-    num_workers: int = 100,
-    xi: float = 0.3,
-    base_local_time: float = 6.0,
-    seed: int = 0,
-) -> Dict[int, List[float]]:
-    """Per-group lists of member local-training times (the Fig. 7 box plot).
-
-    Uses the paper's population: ``num_workers`` workers with κ ~ U[1, 10]
-    and one label each, grouped by Algorithm 3 at the given ξ.
-    """
-    scenario = cnn_mnist_config(num_workers=num_workers, seed=seed).with_(
-        **{"algorithm.grouping.xi": xi, "timing.base_local_time": base_local_time}
-    )
+def grouping_problem(scenario: Scenario) -> GroupingProblem:
+    """Algorithm 3's inputs for ``scenario``'s workers, built without training."""
     experiment = scenario.build_experiment()
-    local_times = experiment.latency.nominal
-    problem = GroupingProblem(
+    return GroupingProblem(
         data_sizes=experiment.partition.data_sizes(),
         class_counts=experiment.partition.class_counts(),
-        local_times=local_times,
+        local_times=experiment.latency.nominal,
         model_dimension=scenario.training.latency_model_dimension or 10_000,
         config=scenario.algorithm,
     )
+
+
+# ----------------------------------------------------------------------
+# Figure 7: grouping of heterogeneous workers at ξ = 0.3
+# ----------------------------------------------------------------------
+def grouping_boxplot_data(scenario: Scenario) -> Dict[int, List[float]]:
+    """Per-group lists of member local-training times (the Fig. 7 box plot).
+
+    ``scenario``'s workers (the paper's: κ ~ U[1, 10], one label each) are
+    grouped by Algorithm 3 at its ``algorithm.grouping.xi``.
+    """
+    problem = grouping_problem(scenario)
+    local_times = problem.local_times
     result = greedy_grouping(problem)
     data: Dict[int, List[float]] = {}
     # Order groups by their median member time so the box plot reads
@@ -75,8 +72,8 @@ def grouping_boxplot_data(
 # ----------------------------------------------------------------------
 def xi_sweep(
     scenario: Scenario,
-    xi_values: Sequence[float] = (0.0, 0.3, 0.6, 1.0),
-    accuracy_targets: Sequence[float] = (0.5, 0.6, 0.7),
+    xi_values: Sequence[float] = (0.0, 0.3, 1.0),
+    accuracy_targets: Sequence[float] = ACCURACY_TARGETS["lr_mnist"],
 ) -> Dict[float, Dict[float, Optional[float]]]:
     """Time to reach each accuracy target as a function of the grouping slack ξ.
 
@@ -105,7 +102,7 @@ def xi_sweep(
 # ----------------------------------------------------------------------
 def energy_vs_accuracy(
     scenario: Scenario,
-    accuracy_targets: Sequence[float] = (0.4, 0.5, 0.6),
+    accuracy_targets: Sequence[float] = ACCURACY_TARGETS["cnn_mnist"],
     mechanisms: Sequence[str] = AIRCOMP_MECHANISMS,
 ) -> Dict[str, Dict[float, Optional[float]]]:
     """Cumulative transmit energy when each accuracy target is first reached."""
@@ -124,8 +121,7 @@ def scalability_sweep(
     base_scenario: Scenario,
     worker_counts: Sequence[int] = (10, 20, 40),
     mechanisms: Sequence[str] = ALL_MECHANISMS,
-    accuracy_target: float = 0.5,
-    max_rounds: Optional[int] = None,
+    accuracy_target: float = ACCURACY_TARGETS["lr_mnist"][0],
 ) -> Dict[str, Dict[int, Dict[str, Optional[float]]]]:
     """Average single-round time and total training time vs. worker count.
 
@@ -139,8 +135,6 @@ def scalability_sweep(
         if n < 2:
             raise ValueError("worker counts must be >= 2")
         scenario = base_scenario.with_(num_workers=n)
-        if max_rounds is not None:
-            scenario = scenario.with_(**{"training.max_rounds": max_rounds})
         for name, history in run_comparison(scenario, mechanisms=mechanisms).items():
             results[name][n] = {
                 "avg_round_time": history.average_round_time(),

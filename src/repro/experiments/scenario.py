@@ -51,8 +51,8 @@ from typing import Any, Callable, Dict, Mapping, Optional, Type
 import numpy as np
 
 from .. import registry
-from ..core.config import AirFedGAConfig, FaultConfig
-from ..fl.base import BaseTrainer, FLExperiment, require_count
+from ..core.config import AirFedGAConfig, FaultConfig, require_count
+from ..fl.base import BaseTrainer, FLExperiment
 from ..fl.history import TrainingHistory
 from ..fl.registry import build_trainer
 

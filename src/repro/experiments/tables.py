@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ..core.grouping import (
-    GroupingProblem,
-    greedy_grouping,
-    singleton_grouping,
-    tier_grouping,
-)
-from .configs import cnn_mnist_config
+from ..core.grouping import greedy_grouping, singleton_grouping, tier_grouping
+from .figures import grouping_problem
 from .runner import run_comparison
 from .scenario import Scenario
 
@@ -22,32 +17,17 @@ __all__ = ["emd_comparison", "mechanism_comparison"]
 # ----------------------------------------------------------------------
 # Table III: average EMD under different grouping methods
 # ----------------------------------------------------------------------
-def emd_comparison(
-    num_workers: int = 100,
-    num_tiers: int = 10,
-    seed: int = 0,
-    scenario: Optional[Scenario] = None,
-) -> Dict[str, float]:
+def emd_comparison(scenario: Scenario, num_tiers: int = 10) -> Dict[str, float]:
     """Average group-vs-global EMD for Original / TiFL / Air-FedGA grouping.
 
     Each value is the mean of :attr:`GroupingResult.lambdas` (Λ_j, Eq. 11)
-    of one grouping strategy.  With the paper's label-skew partition (each
-    worker holds one class) the "Original" value is
+    of one grouping strategy over ``scenario``'s workers.  With the paper's
+    label-skew partition (each worker holds one class) the "Original" value is
     ``|1/K − 1| + (K−1)·|1/K − 0| = 2(K−1)/K`` (= 1.8 for K = 10); TiFL's
     time-based tiers barely improve it, while the data-aware greedy grouping
     drives it toward 0.
     """
-    scenario = scenario or cnn_mnist_config(seed=seed)
-    scenario = scenario.with_(num_workers=num_workers)
-    experiment = scenario.build_experiment()
-    partition = experiment.partition
-    problem = GroupingProblem(
-        data_sizes=partition.data_sizes(),
-        class_counts=partition.class_counts(),
-        local_times=experiment.latency.nominal,
-        model_dimension=scenario.training.latency_model_dimension or 10_000,
-        config=scenario.algorithm,
-    )
+    problem = grouping_problem(scenario)
     return {
         "original": float(singleton_grouping(problem).lambdas.mean()),
         "tifl": float(tier_grouping(problem, num_groups=num_tiers).lambdas.mean()),
@@ -59,15 +39,13 @@ def emd_comparison(
 # Table I: qualitative mechanism comparison, backed by measurements
 # ----------------------------------------------------------------------
 def mechanism_comparison(
-    scenario: Optional[Scenario] = None,
+    scenario: Scenario,
     mechanisms: Sequence[str] = ("fedavg", "air_fedavg", "dynamic", "tifl", "air_fedga"),
-    max_rounds: int = 15,
 ) -> Dict[str, Dict[str, float]]:
     """Measured characteristics backing the qualitative claims of Table I.
 
-    Each mechanism runs a ``max_rounds`` probe on ``scenario`` (default:
-    CNN-MNIST, 16 workers) and on the same scenario with half the workers
-    (at least 8), and reports:
+    Each mechanism runs ``scenario`` as a probe, and the same scenario with
+    half the workers (at least 8), and reports:
 
     * ``avg_round_time_s`` / ``total_time_s`` — simulated time per round and
       for the whole probe (communication consumption proxy),
@@ -79,11 +57,9 @@ def mechanism_comparison(
       participants (0 for the synchronous mechanisms),
     * ``total_energy_j`` — cumulative transmit energy of the probe.
     """
-    scenario = scenario or cnn_mnist_config(num_workers=16)
-    big = scenario.with_(**{"training.max_rounds": max_rounds})
-    small = big.with_(num_workers=max(8, scenario.num_workers // 2))
+    small = scenario.with_(num_workers=max(8, scenario.num_workers // 2))
 
-    run_big = run_comparison(big, mechanisms=mechanisms)
+    run_big = run_comparison(scenario, mechanisms=mechanisms)
     run_small = run_comparison(small, mechanisms=mechanisms)
 
     out: Dict[str, Dict[str, float]] = {}

@@ -25,9 +25,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.config import require_count
 from ..core.grouping import GROUPING_STRATEGIES
 from ..core.power_control import solve_power_control
-from .base import FLExperiment, require_count
+from .base import FLExperiment
 from .grouped import GroupedAsyncTrainer
 from .uplink import AirCompUplink
 

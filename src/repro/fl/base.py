@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import (
     Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
-    overload,
 )
 
 import numpy as np
@@ -46,7 +45,7 @@ from ..channel.aircomp import (
 )
 from ..channel.fading import ChannelModel
 from ..channel.oma import OMAConfig, tdma_round_time
-from ..core.config import AirFedGAConfig, FaultConfig
+from ..core.config import AirFedGAConfig, FaultConfig, require_count
 from ..core.population import Population
 # solve_power_control stays importable here: the benchmark's traced pass
 # wraps the name in this module.
@@ -73,35 +72,6 @@ __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
 #: (2,048 rows) never merges.
 _MERGE_ROWS = 192
 _LOOK_AHEAD = 64
-
-
-@overload
-def require_count(name: str, value: object, *, minimum: int = ...) -> int: ...
-@overload
-def require_count(
-    name: str, value: object, *, optional: bool, minimum: int = ...
-) -> Optional[int]: ...
-def require_count(
-    name: str, value: object, *, optional: bool = False, minimum: int = 1
-) -> Optional[int]:
-    """Refuse ``value`` unless it is an integer >= ``minimum`` (``None`` too
-    if ``optional``); return it as a Python ``int``.
-
-    Bools and floats are refused, not coerced: ``2.5`` would truncate to 2
-    and ``True`` count as 1.  NumPy integers are accepted.
-    """
-    if optional and value is None:
-        return None
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < minimum
-    ):
-        either = "None or " if optional else ""
-        raise ValueError(
-            f"{name} must be {either}an integer >= {minimum}, got {value!r}"
-        )
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

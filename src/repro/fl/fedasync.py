@@ -45,7 +45,8 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .base import Cohort, CommitRow, FLExperiment, require_count
+from ..core.config import require_count
+from .base import Cohort, CommitRow, FLExperiment
 from .staleness import (
     PolynomialStaleness,
     StalenessPolicy,

@@ -15,8 +15,9 @@ from typing import List
 
 import numpy as np
 
+from ..core.config import require_count
 from ..core.grouping import tier_grouping
-from .base import FLExperiment, require_count
+from .base import FLExperiment
 from .grouped import GroupedAsyncTrainer
 from .uplink import OMAUplink
 

@@ -185,3 +185,5 @@ class TestAirCompLatency:
             aircomp_latency(10, 0, 1.0)
         with pytest.raises(ValueError):
             aircomp_latency(10, 1, 0.0)
+        with pytest.raises(ValueError):
+            aircomp_latency(100, float("nan"), 1e-4)

@@ -31,6 +31,8 @@ class TestAirCompConfig:
             {"energy_budget_j": float("inf")},
             {"symbol_duration_s": float("nan")},
             {"symbol_duration_s": float("inf")},
+            {"num_subchannels": float("nan")},
+            {"num_subchannels": 2.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -47,7 +49,12 @@ class TestGroupingConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"xi": -0.1}, {"tie_break_seed": -1}],
+        [
+            {"xi": -0.1},
+            {"tie_break_seed": -1},
+            {"xi": float("nan")},
+            {"refine_passes": float("nan")},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -80,6 +87,10 @@ class TestConvergenceConfig:
             {"gradient_bound_G": 0.0},
             {"initial_gap": 0.0},
             {"target_epsilon": 0.0},
+            {"gradient_bound_G": float("nan")},
+            {"initial_gap": float("nan")},
+            {"target_epsilon": float("nan")},
+            {"strong_convexity_mu": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, FIGURES, run_experiment
 from repro.experiments.cli import build_parser, main
 
 
@@ -15,6 +15,7 @@ class TestRegistry:
         expected = {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
                     "table1", "table3"}
         assert set(EXPERIMENTS) == expected
+        assert set(FIGURES) == expected
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -32,17 +33,22 @@ class TestRunExperiment:
         written = json.loads((tmp_path / "table3.json").read_text())
         assert written["emd"]["original"] == pytest.approx(1.8, abs=0.05)
 
-    def test_fig7_runs_small_scale(self):
-        results = run_experiment("fig7", scale=0.2)
-        groups = results["groups"]
-        assert sum(len(v) for v in groups.values()) == 20
+    def test_fig7_groups_the_catalogue_workers(self):
+        groups = run_experiment("fig7")["groups"]
+        assert sum(len(v) for v in groups.values()) == FIGURES["fig7"]().num_workers == 100
+
+    def test_every_experiment_writes_its_json_at_a_small_budget(self, tmp_path):
+        for name in sorted(EXPERIMENTS):
+            results = run_experiment(name, output=str(tmp_path), scale=0.05)
+            written = json.loads((tmp_path / f"{name}.json").read_text())
+            assert written.keys() == results.keys() and written
 
 
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig3" in out and "lr_mnist" in out
+        assert "fig3" in out and "lr_mnist, 40 workers, 2500 s" in out
 
     def test_run_requires_known_experiment(self):
         parser = build_parser()
@@ -50,9 +56,10 @@ class TestParser:
             parser.parse_args(["run", "fig99"])
 
     def test_compare_parser_defaults(self):
-        args = build_parser().parse_args(["compare", "lr_mnist"])
-        assert args.workload == "lr_mnist"
+        args = build_parser().parse_args(["compare", "fig3"])
+        assert args.experiment == "fig3"
         assert "air_fedga" in args.mechanisms
+        assert args.max_time is None  # the catalogue's budget
 
     def test_run_table3_via_main(self, tmp_path, capsys):
         assert main(["run", "table3", "--output", str(tmp_path)]) == 0
@@ -61,7 +68,7 @@ class TestParser:
     def test_compare_via_main_writes_histories(self, tmp_path, capsys):
         code = main(
             [
-                "compare", "lr_mnist",
+                "compare", "fig3",
                 "--mechanisms", "air_fedavg",
                 "--max-time", "50",
                 "--workers", "6",
@@ -70,6 +77,6 @@ class TestParser:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "air_fedavg" in out
-        assert (tmp_path / "lr_mnist_air_fedavg.json").exists()
-        assert (tmp_path / "lr_mnist_air_fedavg.csv").exists()
+        assert "air_fedavg" in out and "lr_mnist (6 workers)" in out
+        assert (tmp_path / "fig3_air_fedavg.json").exists()
+        assert (tmp_path / "fig3_air_fedavg.csv").exists()

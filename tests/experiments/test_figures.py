@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    FIGURES,
     energy_vs_accuracy,
     grouping_boxplot_data,
     lr_mnist_config,
@@ -29,19 +30,26 @@ def tiny_scenario(max_rounds=4, num_workers=6, **overrides):
     return scenario.with_(**overrides) if overrides else scenario
 
 
+def boxplot_scenario(num_workers, xi, seed):
+    """Fig. 7's scenario with fewer workers, another ξ and another seed."""
+    return FIGURES["fig7"]().with_(
+        num_workers=num_workers, seed=seed, **{"algorithm.grouping.xi": xi}
+    )
+
+
 class TestGroupingBoxplot:
     def test_groups_cover_all_workers(self):
-        data = grouping_boxplot_data(num_workers=12, xi=0.3, seed=0)
+        data = grouping_boxplot_data(boxplot_scenario(12, xi=0.3, seed=0))
         total = sum(len(v) for v in data.values())
         assert total == 12
 
     def test_groups_ordered_by_median_time(self):
-        data = grouping_boxplot_data(num_workers=12, xi=0.3, seed=0)
+        data = grouping_boxplot_data(boxplot_scenario(12, xi=0.3, seed=0))
         medians = [np.median(v) for _, v in sorted(data.items())]
         assert all(a <= b + 1e-9 for a, b in zip(medians, medians[1:]))
 
     def test_all_times_positive(self):
-        data = grouping_boxplot_data(num_workers=10, xi=0.5, seed=1)
+        data = grouping_boxplot_data(boxplot_scenario(10, xi=0.5, seed=1))
         assert all(t > 0 for v in data.values() for t in v)
 
 
@@ -106,7 +114,6 @@ class TestScalabilitySweep:
             worker_counts=(4, 8),
             mechanisms=("fedavg", "air_fedga"),
             accuracy_target=0.2,
-            max_rounds=2,
         )
         assert set(results) == {"fedavg", "air_fedga"}
         assert set(results["fedavg"]) == {4, 8}

@@ -85,6 +85,10 @@ class TestFaultConfigValidation:
             FaultConfig(max_retries=-1)
         with pytest.raises(ValueError, match="retry_backoff"):
             FaultConfig(retry_backoff=0.0)
+        with pytest.raises(ValueError, match="retry_backoff"):
+            FaultConfig(retry_backoff=float("nan"))
+        with pytest.raises(ValueError, match="max_retries"):
+            FaultConfig(max_retries=float("nan"))
         with pytest.raises(ValueError, match="max_consecutive_failures"):
             FaultConfig(max_consecutive_failures=0)
 

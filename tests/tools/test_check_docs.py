@@ -116,6 +116,19 @@ class TestCheckReferences:
         ]
 
 
+class TestDocFiles:
+    def test_skill_notes_are_checked_like_the_docs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        skill = tmp_path / ".claude" / "skills" / "verify" / "SKILL.md"
+        skill.parent.mkdir(parents=True)
+        skill.write_text("`benchmarks/gone.py`\n")
+        (tmp_path / "README.md").write_text("# Readme\n")
+        assert check_docs.doc_files() == [tmp_path / "README.md", skill]
+        assert check_docs.check_references(skill) == [
+            ".claude/skills/verify/SKILL.md: stale path -> benchmarks/gone.py"
+        ]
+
+
 class TestCheckMdPointers:
     def test_missing_document_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)

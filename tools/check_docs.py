@@ -3,7 +3,8 @@
 
 Mirrored by ``make docs-check`` and the CI ``docs`` job.  Five passes:
 
-1. **link check** (``README.md`` + ``docs/*.md``) — every relative
+1. **link check** (``README.md``, ``docs/*.md`` and the
+   ``.claude/skills/*/SKILL.md`` notes) — every relative
    markdown link must point at an existing file (anchors are validated
    against the target's headings, GitHub-style slugs); external
    ``http(s)``/``mailto`` links are only syntax-checked, never fetched,
@@ -89,6 +90,7 @@ _MD_NAME_RE = re.compile(r"(?<![\w./-])(?:[\w.-]+/)*[A-Z][A-Z0-9_]*\.md\b")
 def doc_files() -> List[Path]:
     files = [REPO_ROOT / "README.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    files.extend(sorted((REPO_ROOT / ".claude" / "skills").glob("*/SKILL.md")))
     return [f for f in files if f.exists()]
 
 
