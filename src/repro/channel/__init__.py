@@ -8,8 +8,6 @@ from .aircomp import (
     aircomp_aggregate_reference,
     aircomp_latency,
     aggregation_error_term,
-    ideal_group_average,
-    ideal_group_average_reference,
 )
 from .oma import OMAConfig, tdma_round_time, worker_upload_time
 
@@ -21,8 +19,6 @@ __all__ = [
     "AirCompWorkspace",
     "aircomp_aggregate",
     "aircomp_aggregate_reference",
-    "ideal_group_average",
-    "ideal_group_average_reference",
     "aggregation_error_term",
     "aircomp_latency",
     "OMAConfig",

@@ -27,8 +27,6 @@ __all__ = [
     "AirCompWorkspace",
     "aircomp_aggregate",
     "aircomp_aggregate_reference",
-    "ideal_group_average",
-    "ideal_group_average_reference",
     "aggregation_error_term",
     "aircomp_latency",
 ]
@@ -40,25 +38,16 @@ class AirCompResult:
 
     Attributes
     ----------
-    received:
-        The raw received signal ``y_t`` (superposed analog waveform + noise).
     estimate:
         The server-side estimate of the weighted group model,
-        ``y_t / (D_j √η_t)`` — i.e. the noisy version of
-        ``Σ_i (d_i / D_j) w_i``.
-    transmit_powers:
-        Per-worker power scaling ``p_i = d_i σ / h_i`` actually used.
+        ``y_t / (D_j √η_t)`` for the received signal ``y_t`` (Eq. 9) — i.e.
+        the noisy version of ``Σ_i (d_i / D_j) w_i``.
     transmit_energies:
         Per-worker transmit energy ``E_i = ||p_i w_i||²`` (Eq. 7).
-    noise_norm:
-        Euclidean norm of the injected AWGN vector (diagnostics).
     """
 
-    received: np.ndarray
     estimate: np.ndarray
-    transmit_powers: np.ndarray
     transmit_energies: np.ndarray
-    noise_norm: float
 
 
 class AirCompWorkspace:
@@ -67,90 +56,23 @@ class AirCompWorkspace:
     A trainer owns one workspace and passes it to every
     :func:`aircomp_aggregate` call, so steady-state rounds perform zero
     model-sized allocations.  The buffers are lazily (re)sized on first use
-    or when the model dimension / dtype changes.  The arrays stored in the
-    returned :class:`AirCompResult` are views of these buffers: they are
-    only valid until the next aggregation using the same workspace.
+    or when the model dimension / dtype changes.  The returned
+    :attr:`AirCompResult.estimate` is a view of ``estimate``: it is only
+    valid until the next aggregation using the same workspace.
     """
 
     def __init__(self) -> None:
-        self.received: np.ndarray | None = None
         self.estimate: np.ndarray | None = None
         self.noise: np.ndarray | None = None
 
     def bind(self, dim: int, dtype: np.dtype) -> None:
         if (
-            self.received is None
-            or self.received.shape != (dim,)
-            or self.received.dtype != dtype
+            self.estimate is None
+            or self.estimate.shape != (dim,)
+            or self.estimate.dtype != dtype
         ):
-            self.received = np.empty(dim, dtype=dtype)
             self.estimate = np.empty(dim, dtype=dtype)
-            self.noise = np.zeros(dim, dtype=dtype)
-
-
-def _stack_models(models: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack per-worker flat vectors into a C-contiguous ``(G, q)`` matrix.
-
-    Accepts either an already-stacked 2-D array (the trainers' hot path —
-    no copy) or any sequence of equal-length 1-D vectors.
-    """
-    if isinstance(models, np.ndarray) and models.ndim == 2:
-        stacked = models
-    else:
-        rows = [np.asarray(m).ravel() for m in models]
-        dim = rows[0].size
-        if any(r.size != dim for r in rows):
-            raise ValueError("all model vectors must have the same dimension")
-        stacked = np.stack(rows)
-    if stacked.dtype not in (np.float32, np.float64):
-        stacked = stacked.astype(np.float64)
-    return np.ascontiguousarray(stacked)
-
-
-def ideal_group_average(
-    models: Sequence[np.ndarray],
-    data_sizes: Sequence[float],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Error-free data-weighted average of the group's local models.
-
-    This is ``w_t^j = Σ_i (d_i / D_j) w_i`` (Eq. 15), the quantity AirComp
-    approximates.  Used as the ground truth in tests and for the "error-free"
-    ablation.  Vectorized as a single weighted matmul; pass ``out`` to reuse
-    a caller-owned buffer.
-    """
-    if len(models) == 0:
-        raise ValueError("at least one model is required")
-    if len(models) != len(data_sizes):
-        raise ValueError("models and data_sizes length mismatch")
-    sizes = np.asarray(data_sizes, dtype=np.float64)
-    if np.any(sizes <= 0):
-        raise ValueError("data sizes must be positive")
-    stacked = _stack_models(models)
-    weights = (sizes / sizes.sum()).astype(stacked.dtype)
-    if out is None:
-        return weights @ stacked
-    np.dot(weights, stacked, out=out)
-    return out
-
-
-def ideal_group_average_reference(
-    models: Sequence[np.ndarray], data_sizes: Sequence[float]
-) -> np.ndarray:
-    """The seed's per-member accumulation loop, kept as the equivalence and
-    benchmark baseline for :func:`ideal_group_average`."""
-    if len(models) == 0:
-        raise ValueError("at least one model is required")
-    if len(models) != len(data_sizes):
-        raise ValueError("models and data_sizes length mismatch")
-    sizes = np.asarray(data_sizes, dtype=np.float64)
-    if np.any(sizes <= 0):
-        raise ValueError("data sizes must be positive")
-    total = sizes.sum()
-    acc = np.zeros_like(np.asarray(models[0], dtype=np.float64))
-    for w, d in zip(models, sizes):
-        acc += (d / total) * np.asarray(w, dtype=np.float64)
-    return acc
+            self.noise = np.empty(dim, dtype=dtype)
 
 
 def _validate_aggregate_args(
@@ -176,7 +98,7 @@ def _validate_aggregate_args(
 
 
 def aircomp_aggregate(
-    models: Sequence[np.ndarray],
+    models: np.ndarray,
     data_sizes: Sequence[float],
     channel_gains: Sequence[float],
     sigma_t: float,
@@ -198,9 +120,8 @@ def aircomp_aggregate(
     Parameters
     ----------
     models:
-        Flat local model vectors ``w_i^t`` of the participating workers —
-        either a sequence of 1-D vectors or an already stacked ``(G, q)``
-        array (no copy in that case).
+        The participating workers' flat local models ``w_i^t``, stacked as
+        a 2-D float32 or float64 ``(G, q)`` array (read in place).
     data_sizes:
         Per-worker data sizes ``d_i``.
     channel_gains:
@@ -219,8 +140,8 @@ def aircomp_aggregate(
         paper's Eq. (10) normalisation before the β_j re-scaling.
     workspace:
         Optional :class:`AirCompWorkspace` of caller-owned buffers; when
-        given, no O(q) arrays are allocated and the result's ``received`` /
-        ``estimate`` are views valid until the workspace is reused.
+        given, no O(q) arrays are allocated and the result's ``estimate``
+        is a view valid until the workspace is reused.
     sq_norms:
         Optional float64 ``||w_i||²`` per worker, for a caller that already
         took the row-wise squared norms of ``models`` (the trainers do, for
@@ -229,28 +150,33 @@ def aircomp_aggregate(
     Returns
     -------
     AirCompResult
-        The received signal, the normalized estimate and per-worker energy.
+        The normalized estimate and the per-worker energies.
     """
+    if not (
+        isinstance(models, np.ndarray)
+        and models.ndim == 2
+        and models.dtype in (np.float32, np.float64)
+    ):
+        raise ValueError("models must be a 2-D float32 or float64 (G, q) array")
     sizes, gains = _validate_aggregate_args(
         models, data_sizes, channel_gains, sigma_t, eta_t, noise_std
     )
-    stacked = _stack_models(models)
-    dim = stacked.shape[1]
-    dtype = stacked.dtype
+    dim = models.shape[1]
+    dtype = models.dtype
 
     if workspace is None:
         workspace = AirCompWorkspace()
     workspace.bind(dim, dtype)
-    received, estimate, noise = workspace.received, workspace.estimate, workspace.noise
+    estimate, noise = workspace.estimate, workspace.noise
 
     powers = sizes * sigma_t / gains  # Eq. (6)
     # Pre-equalization cancels h_i: the channel applies h_i, the worker
     # transmits p_i * w_i, and the PS receives Σ h_i p_i w_i = Σ d_i σ w_i.
     weights = (sizes * sigma_t).astype(dtype)
-    np.dot(weights, stacked, out=received)
+    np.dot(weights, models, out=estimate)
     # Eq. (7): E_i = ||p_i w_i||² = p_i² ||w_i||², via one row-wise sumsq.
     if sq_norms is None:
-        sq_norms = np.einsum("ij,ij->i", stacked, stacked, dtype=np.float64)
+        sq_norms = np.einsum("ij,ij->i", models, models, dtype=np.float64)
     elif sq_norms.shape != sizes.shape:
         raise ValueError("sq_norms must hold one entry per worker")
     energies = powers**2 * sq_norms
@@ -258,24 +184,15 @@ def aircomp_aggregate(
     if noise_std > 0:
         rng.standard_normal(dim, dtype=dtype, out=noise)
         noise *= dtype.type(noise_std)
-        received += noise
-        noise_norm = float(np.linalg.norm(noise))
-    else:
-        noise.fill(0.0)
-        noise_norm = 0.0
+        estimate += noise
 
     denom = float(total_data_size) if total_data_size is not None else float(sizes.sum())
     if denom <= 0:
         raise ValueError("total data size must be positive")
-    np.divide(received, denom * np.sqrt(eta_t), out=estimate)
+    # The received signal y_t (Eq. 9) becomes the estimate in place.
+    np.divide(estimate, denom * np.sqrt(eta_t), out=estimate)
 
-    return AirCompResult(
-        received=received,
-        estimate=estimate,
-        transmit_powers=powers,
-        transmit_energies=np.asarray(energies, dtype=np.float64),
-        noise_norm=noise_norm,
-    )
+    return AirCompResult(estimate=estimate, transmit_energies=energies)
 
 
 def aircomp_aggregate_reference(
@@ -305,22 +222,15 @@ def aircomp_aggregate_reference(
         received += sizes[i] * sigma_t * vec
         energies[i] = float(np.sum((powers[i] * vec) ** 2))  # Eq. (7)
 
-    noise = np.zeros(dim, dtype=np.float64)
     if noise_std > 0:
-        noise = rng.standard_normal(dim) * noise_std
-        received = received + noise
+        received = received + rng.standard_normal(dim) * noise_std
 
     denom = float(total_data_size) if total_data_size is not None else float(sizes.sum())
     if denom <= 0:
         raise ValueError("total data size must be positive")
-    estimate = received / (denom * np.sqrt(eta_t))
-
     return AirCompResult(
-        received=received,
-        estimate=estimate,
-        transmit_powers=powers,
+        estimate=received / (denom * np.sqrt(eta_t)),
         transmit_energies=energies,
-        noise_norm=float(np.linalg.norm(noise)),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -43,22 +44,27 @@ __all__ = ["EXPERIMENTS", "main", "run_experiment"]
 
 
 def _jsonable(obj):
-    """Recursively convert NumPy values and histories so json.dumps accepts them."""
+    """Recursively convert NumPy values and histories to what strict JSON
+    holds: a non-finite float (e.g. a ratio with no time to divide) becomes ``None``."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.integer):
         return obj.item()
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, TrainingHistory):
-        return {
-            "time": obj.times().tolist(),
-            "loss": obj.losses().tolist(),
-            "accuracy": obj.accuracies().tolist(),
-            "summary": obj.summary(),
-        }
+        return _jsonable(
+            {
+                "time": obj.times(),
+                "loss": obj.losses(),
+                "accuracy": obj.accuracies(),
+                "summary": obj.summary(),
+            }
+        )
     return obj
 
 
@@ -104,7 +110,7 @@ def run_experiment(
     if output is not None:
         out_dir = Path(output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{name}.json").write_text(json.dumps(results, indent=2))
+        (out_dir / f"{name}.json").write_text(json.dumps(results, indent=2, allow_nan=False))
     return results
 
 

@@ -426,21 +426,19 @@ class BaseTrainer:
         worker_ids: Sequence[int],
         base_vector: np.ndarray,
         round_index: Union[int, Sequence[int]],
-        out: Optional[np.ndarray] = None,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Local updates of a whole group, stacked as a ``(G, q)`` matrix.
+        """Local updates of a whole group, written into the ``(G, q)`` ``out``.
 
         The :class:`~repro.nn.batched.BatchedWorkerEngine` runs one batched
         matmul per layer per SGD step for the whole group, and splits a
         large group across the host's cores itself, bit-identically.
         ``base_vector`` may also be a ``(G, q)`` row per member and
         ``round_index`` a key per member: :meth:`run` trains several
-        cohorts in one call that way.
+        cohorts in one call that way, into one slab of its stack pool.
         """
         ids = list(worker_ids)
         transform = self.local_step_transform(ids, base_vector, round_index)
-        if out is None:
-            out = self._group_stack(len(ids))
         return self._engine.run_group(
             ids,
             # A store-backed sub-sequence, gathered from in place.
@@ -520,20 +518,18 @@ class BaseTrainer:
     def exact_group_update(
         self,
         member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
-        out: Optional[np.ndarray] = None,
+        local_vectors: np.ndarray,
         weight_scale: float = 1.0,
     ) -> np.ndarray:
-        """Error-free OMA aggregation (Eq. 8).
+        """Error-free OMA aggregation (Eq. 8) into the trainer's update buffer.
 
         ``w_t = (1 − Σ α_i) w_{t−1} + Σ α_i w_i`` over the participating
         workers; with all workers participating this is exactly FedAvg.
 
         The weighted sum is one ``α @ A`` matmul over the stacked ``(G, q)``
-        local-model matrix; pass ``out`` (the trainers pass their own
-        ``_update_out`` buffer) to make the call allocation-free.
-        ``local_vectors`` may be a sequence of flat vectors or an already
-        stacked 2-D array.  ``weight_scale`` multiplies the participants'
+        local-model matrix, written into ``_update_out`` (allocation-free;
+        the returned array is that buffer, valid until the next
+        aggregation).  ``weight_scale`` multiplies the participants'
         ``α_i`` — the fault layer passes ``Σα_members / Σα_survivors`` so
         mid-round survivors carry the full group's data mass.
         """
@@ -545,41 +541,30 @@ class BaseTrainer:
         alphas = self.data_sizes[member_ids] / self.total_data
         if weight_scale != 1.0:
             alphas = alphas * weight_scale
-        stacked = local_vectors
-        if not (isinstance(stacked, np.ndarray) and stacked.ndim == 2):
-            # analyze: allow-alloc(fallback for list input; hot path passes a 2-D stack)
-            stacked = np.stack([np.asarray(v).ravel() for v in local_vectors])
-        if stacked.dtype not in (np.float32, np.float64):
-            stacked = stacked.astype(np.float64)
-        if out is None:
-            # analyze: allow-alloc(convenience path; hot callers pass a reused out=)
-            out = np.empty_like(self.global_vector)
-        # (1 − β) w_{t−1} goes into the scratch buffer *before* the matmul so
-        # that ``out`` may alias the current global vector.
+        out = self._update_out
         np.multiply(self.global_vector, 1.0 - alphas.sum(), out=self._agg_scratch)
-        np.dot(alphas.astype(stacked.dtype, copy=False), stacked, out=out)
+        np.dot(alphas.astype(local_vectors.dtype, copy=False), local_vectors, out=out)
         out += self._agg_scratch
         return out
 
     def aircomp_group_update(
         self,
         member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
+        local_vectors: np.ndarray,
         round_index: int,
-        out: Optional[np.ndarray] = None,
         weight_scale: float = 1.0,
     ) -> Tuple[np.ndarray, Dict[str, float]]:
         """One over-the-air aggregation with power control (Eqs. 6-10).
 
-        Returns the new global vector and a dict with the σ/η used
-        (``sigma``, ``eta``) and the round's Eq. (7) transmit energy summed
-        over the participants (``round_energy_j``): what the record keeps.
-        ``local_vectors`` may be a stacked ``(G, q)`` array; pass ``out`` to
-        receive the new global model in a caller-owned buffer.
-        ``weight_scale`` multiplies the participants' effective data sizes
-        (and thus their ``α_i`` and the Eq.-10 mixing mass β) — the fault
-        layer passes ``Σα_members / Σα_survivors`` so a degraded group's
-        survivors carry the full group's data mass over the air.
+        Returns the new global vector, written into the trainer's update
+        buffer as :meth:`exact_group_update` does, and a dict with the σ/η
+        used (``sigma``, ``eta``) and the round's Eq. (7) transmit energy
+        summed over the participants (``round_energy_j``): what the record
+        keeps.  ``local_vectors`` is the stacked ``(G, q)`` local-model
+        matrix.  ``weight_scale`` multiplies the participants' effective
+        data sizes (and thus their ``α_i`` and the Eq.-10 mixing mass β) —
+        the fault layer passes ``Σα_members / Σα_survivors`` so a degraded
+        group's survivors carry the full group's data mass over the air.
         """
         member_ids = list(member_ids)
         if len(member_ids) == 0:
@@ -600,17 +585,10 @@ class BaseTrainer:
 
         # Model-norm bound W_t: use the largest local-model norm this round,
         # which is exactly what Assumption 4 bounds.  The row-wise squared
-        # norms are also the ||w_i||² of the Eq. 7 energies, so a stacked
-        # group hands them on to the aggregation instead of summing twice.
-        sq_norms = None
-        if isinstance(local_vectors, np.ndarray) and local_vectors.ndim == 2:
-            sq_norms = np.einsum(
-                "ij,ij->i", local_vectors, local_vectors, dtype=np.float64
-            )
-            model_bound = float(np.sqrt(sq_norms.max()))
-        else:
-            model_bound = max(float(np.linalg.norm(v)) for v in local_vectors)
-        model_bound = max(model_bound, 1e-8)
+        # norms are also the ||w_i||² of the Eq. 7 energies, so they are
+        # handed on to the aggregation instead of summed twice.
+        sq_norms = np.einsum("ij,ij->i", local_vectors, local_vectors, dtype=np.float64)
+        model_bound = max(float(np.sqrt(sq_norms.max())), 1e-8)
 
         pc = self._pc_cache.solve(
             data_sizes=sizes,
@@ -635,21 +613,15 @@ class BaseTrainer:
         beta = float((self.data_sizes[index] / self.total_data).sum())
         if weight_scale != 1.0:
             beta = min(1.0, beta * weight_scale)
-        if out is None:
-            new_global = (1.0 - beta) * self.global_vector + result.estimate
-        else:
-            # Scratch-first ordering keeps this correct even if ``out``
-            # aliases the current global vector.
-            np.multiply(self.global_vector, 1.0 - beta, out=self._agg_scratch)
-            np.add(result.estimate, self._agg_scratch, out=out)
-            new_global = out
+        np.multiply(self.global_vector, 1.0 - beta, out=self._agg_scratch)
+        np.add(result.estimate, self._agg_scratch, out=self._update_out)
 
         info = {
             "sigma": pc.sigma,
             "eta": pc.eta,
             "round_energy_j": float(result.transmit_energies.sum()),
         }
-        return new_global, info
+        return self._update_out, info
 
     # ------------------------------------------------------------------
     # Persistent per-worker mechanism state

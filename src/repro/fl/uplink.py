@@ -39,7 +39,7 @@ class OMAUplink(BaseTrainer):
     def aggregate(
         self,
         member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
+        local_vectors: np.ndarray,
         round_index: int,
         weight_scale: float = 1.0,
     ) -> Tuple[np.ndarray, Dict[str, float]]:
@@ -50,10 +50,7 @@ class OMAUplink(BaseTrainer):
         did report carry the data mass of those that did not (see
         ``FaultConfig.renormalize_survivors``).
         """
-        new_global = self.exact_group_update(
-            member_ids, local_vectors, out=self._update_out, weight_scale=weight_scale
-        )
-        return new_global, {}
+        return self.exact_group_update(member_ids, local_vectors, weight_scale=weight_scale), {}
 
     def upload_time(self, member_ids: Sequence[int], round_index: int) -> float:
         """Members upload one after another over the shared band."""
@@ -66,7 +63,7 @@ class AirCompUplink(BaseTrainer):
     def aggregate(
         self,
         member_ids: Sequence[int],
-        local_vectors: Sequence[np.ndarray],
+        local_vectors: np.ndarray,
         round_index: int,
         weight_scale: float = 1.0,
     ) -> Tuple[np.ndarray, Dict[str, float]]:
@@ -76,11 +73,7 @@ class AirCompUplink(BaseTrainer):
         ``weight_scale`` is as for :meth:`OMAUplink.aggregate`.
         """
         return self.aircomp_group_update(
-            member_ids,
-            local_vectors,
-            round_index,
-            out=self._update_out,
-            weight_scale=weight_scale,
+            member_ids, local_vectors, round_index, weight_scale=weight_scale
         )
 
     def upload_time(self, member_ids: Sequence[int], round_index: int) -> float:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle.aggregation import ideal_group_average
 from repro.channel import (
     aircomp_aggregate,
     aircomp_latency,
     aggregation_error_term,
-    ideal_group_average,
 )
 
 
@@ -42,7 +42,7 @@ class TestIdealGroupAverage:
 class TestAirCompAggregate:
     def test_noiseless_matched_factors_recover_weighted_sum(self):
         """With z = 0 and σ = √η the estimate equals Σ d_i w_i / D exactly."""
-        models = [np.array([1.0, 2.0]), np.array([3.0, -1.0])]
+        models = np.array([[1.0, 2.0], [3.0, -1.0]])
         sizes = [10.0, 30.0]
         gains = [0.5, 2.0]
         result = aircomp_aggregate(
@@ -53,7 +53,7 @@ class TestAirCompAggregate:
         np.testing.assert_allclose(result.estimate, expected)
 
     def test_global_normalization_scales_by_group_share(self):
-        models = [np.ones(3)]
+        models = np.ones((1, 3))
         result = aircomp_aggregate(
             models, [20.0], [1.0], sigma_t=1.0, eta_t=1.0, noise_std=0.0,
             rng=RNG(), total_data_size=100.0,
@@ -62,48 +62,50 @@ class TestAirCompAggregate:
         np.testing.assert_allclose(result.estimate, 0.2)
 
     def test_received_signal_is_superposition(self):
-        models = [np.array([1.0]), np.array([2.0])]
+        """With η = 1 and D = 1 the estimate is the raw received signal."""
+        models = np.array([[1.0], [2.0]])
         result = aircomp_aggregate(
-            models, [5.0, 10.0], [1.0, 1.0], sigma_t=3.0, eta_t=9.0,
-            noise_std=0.0, rng=RNG(),
+            models, [5.0, 10.0], [1.0, 1.0], sigma_t=3.0, eta_t=1.0,
+            noise_std=0.0, rng=RNG(), total_data_size=1.0,
         )
-        np.testing.assert_allclose(result.received, [5 * 3 * 1 + 10 * 3 * 2])
+        np.testing.assert_allclose(result.estimate, [5 * 3 * 1 + 10 * 3 * 2])
 
     def test_transmit_power_follows_inverse_channel(self):
+        """Unit-norm models spend p_i² with p_i = d_i σ / h_i (Eq. 6)."""
         result = aircomp_aggregate(
-            [np.ones(2), np.ones(2)], [4.0, 4.0], [0.5, 2.0], sigma_t=1.0,
+            np.full((2, 4), 0.5), [4.0, 4.0], [0.5, 2.0], sigma_t=1.0,
             eta_t=1.0, noise_std=0.0, rng=RNG(),
         )
-        np.testing.assert_allclose(result.transmit_powers, [8.0, 2.0])
+        np.testing.assert_allclose(result.transmit_energies, [8.0**2, 2.0**2])
 
     def test_energy_matches_eq7(self):
         w = np.array([1.0, 2.0, 2.0])
         result = aircomp_aggregate(
-            [w], [3.0], [1.5], sigma_t=2.0, eta_t=4.0, noise_std=0.0, rng=RNG(),
+            w[None], [3.0], [1.5], sigma_t=2.0, eta_t=4.0, noise_std=0.0, rng=RNG(),
         )
         power = 3.0 * 2.0 / 1.5
         np.testing.assert_allclose(result.transmit_energies, [power**2 * 9.0])
 
     def test_noise_perturbs_estimate(self):
-        models = [np.zeros(1000)]
+        models = np.zeros((1, 1000))
         result = aircomp_aggregate(
             models, [1.0], [1.0], sigma_t=1.0, eta_t=1.0, noise_std=0.5,
             rng=RNG(),
         )
-        assert result.noise_norm > 0
         assert np.abs(result.estimate).mean() > 0
 
     def test_noise_statistics(self):
         """The injected noise has (approximately) the requested std."""
-        models = [np.zeros(20000)]
+        models = np.zeros((1, 20000))
         result = aircomp_aggregate(
             models, [1.0], [1.0], sigma_t=1.0, eta_t=1.0, noise_std=0.3,
             rng=RNG(),
         )
-        assert abs(result.received.std() - 0.3) < 0.01
+        # η = 1 and D = 1: the estimate is the received signal, here all noise.
+        assert abs(result.estimate.std() - 0.3) < 0.01
 
     def test_denoising_factor_scales_estimate(self):
-        models = [np.ones(4)]
+        models = np.ones((1, 4))
         small_eta = aircomp_aggregate(
             models, [2.0], [1.0], sigma_t=1.0, eta_t=0.25, noise_std=0.0, rng=RNG()
         )
@@ -120,11 +122,13 @@ class TestAirCompAggregate:
     )
     def test_invalid_factors(self, kwargs):
         with pytest.raises(ValueError):
-            aircomp_aggregate([np.ones(2)], [1.0], [1.0], rng=RNG(), **kwargs)
+            aircomp_aggregate(np.ones((1, 2)), [1.0], [1.0], rng=RNG(), **kwargs)
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
-            aircomp_aggregate([], [], [], sigma_t=1, eta_t=1, noise_std=0, rng=RNG())
+            aircomp_aggregate(
+                np.empty((0, 2)), [], [], sigma_t=1, eta_t=1, noise_std=0, rng=RNG()
+            )
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -133,10 +137,21 @@ class TestAirCompAggregate:
                 sigma_t=1, eta_t=1, noise_std=0, rng=RNG(),
             )
 
+    @pytest.mark.parametrize(
+        "models",
+        [[np.ones(2)], np.ones(2), np.ones((1, 1, 2)), np.ones((1, 2), dtype=np.int64)],
+        ids=["list", "1-d", "3-d", "int64"],
+    )
+    def test_refuses_anything_but_a_2d_float_array(self, models):
+        with pytest.raises(ValueError, match="2-D float32 or float64"):
+            aircomp_aggregate(
+                models, [1.0], [1.0], sigma_t=1, eta_t=1, noise_std=0, rng=RNG()
+            )
+
     def test_rejects_nonpositive_gains(self):
         with pytest.raises(ValueError):
             aircomp_aggregate(
-                [np.ones(2)], [1.0], [0.0], sigma_t=1, eta_t=1, noise_std=0, rng=RNG()
+                np.ones((1, 2)), [1.0], [0.0], sigma_t=1, eta_t=1, noise_std=0, rng=RNG()
             )
 
 

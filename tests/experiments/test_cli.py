@@ -10,6 +10,11 @@ from repro.experiments import EXPERIMENTS, FIGURES, run_experiment
 from repro.experiments.cli import build_parser, main
 
 
+def _refuse_non_json_constant(token):
+    """``json.loads`` hook for ``NaN`` / ``Infinity``, which strict JSON lacks."""
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestRegistry:
     def test_every_paper_artifact_registered(self):
         expected = {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
@@ -40,7 +45,10 @@ class TestRunExperiment:
     def test_every_experiment_writes_its_json_at_a_small_budget(self, tmp_path):
         for name in sorted(EXPERIMENTS):
             results = run_experiment(name, output=str(tmp_path), scale=0.05)
-            written = json.loads((tmp_path / f"{name}.json").read_text())
+            written = json.loads(
+                (tmp_path / f"{name}.json").read_text(),
+                parse_constant=_refuse_non_json_constant,
+            )
             assert written.keys() == results.keys() and written
 
 

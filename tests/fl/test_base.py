@@ -107,40 +107,47 @@ class TestBaseTrainerSetup:
             BaseTrainer(small_experiment)
 
 
+def local_update(trainer, worker, base, round_index):
+    """Worker ``worker``'s update: a one-member ``local_update_group``."""
+    out = np.empty((1, trainer.model.dimension), dtype=trainer.global_vector.dtype)
+    (updated,) = trainer.local_update_group([worker], base, round_index, out=out)
+    return updated
+
+
 class TestLocalUpdate:
-    """One-member groups: ``local_update_group([w], base, r)`` is worker ``w``'s update."""
+    """One-member groups: ``local_update_group([w], base, r, out)`` is worker ``w``'s update."""
 
     def test_changes_parameters(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector.copy()
-        (updated,) = trainer.local_update_group([0], base, round_index=1)
+        updated = local_update(trainer, 0, base, round_index=1)
         assert not np.array_equal(updated, base)
 
     def test_does_not_modify_base_vector(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector.copy()
         snapshot = base.copy()
-        trainer.local_update_group([0], base, round_index=1)
+        local_update(trainer, 0, base, round_index=1)
         np.testing.assert_array_equal(base, snapshot)
 
     def test_deterministic_given_round_and_worker(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector
-        a = trainer.local_update_group([2], base, round_index=5)
-        b = trainer.local_update_group([2], base, round_index=5)
+        a = local_update(trainer, 2, base, round_index=5)
+        b = local_update(trainer, 2, base, round_index=5)
         np.testing.assert_array_equal(a, b)
 
     def test_different_rounds_sample_different_batches(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         base = trainer.global_vector
-        a = trainer.local_update_group([2], base, round_index=1)
-        b = trainer.local_update_group([2], base, round_index=2)
+        a = local_update(trainer, 2, base, round_index=1)
+        b = local_update(trainer, 2, base, round_index=2)
         assert not np.array_equal(a, b)
 
     def test_reduces_local_loss(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         x, y = trainer._worker_data[0]
-        (updated,) = trainer.local_update_group([0], trainer.global_vector, round_index=1)
+        updated = local_update(trainer, 0, trainer.global_vector, round_index=1)
         # The engine pass evaluate_vector takes, on the worker's own data.
         (before, after), _ = trainer._engine.evaluate(
             np.stack([trainer.global_vector, updated]), x, y
@@ -151,9 +158,9 @@ class TestLocalUpdate:
 class TestExactGroupUpdate:
     def test_all_workers_is_weighted_average(self, quiet_experiment):
         trainer = BaseTrainer(quiet_experiment)
-        vectors = [
+        vectors = np.stack([
             trainer.global_vector + (i + 1.0) for i in range(quiet_experiment.num_workers)
-        ]
+        ])
         result = trainer.exact_group_update(range(quiet_experiment.num_workers), vectors)
         alphas = trainer.data_sizes / trainer.total_data
         expected = sum(a * v for a, v in zip(alphas, vectors))
@@ -162,7 +169,7 @@ class TestExactGroupUpdate:
     def test_partial_group_keeps_rest_of_global(self, quiet_experiment):
         trainer = BaseTrainer(quiet_experiment)
         members = [0, 1]
-        vectors = [trainer.global_vector * 0.0, trainer.global_vector * 0.0]
+        vectors = np.zeros((2, trainer.model.dimension))
         result = trainer.exact_group_update(members, vectors)
         beta = (trainer.data_sizes[members] / trainer.total_data).sum()
         np.testing.assert_allclose(result, (1 - beta) * trainer.global_vector)
@@ -170,7 +177,7 @@ class TestExactGroupUpdate:
     def test_length_mismatch_rejected(self, quiet_experiment):
         trainer = BaseTrainer(quiet_experiment)
         with pytest.raises(ValueError):
-            trainer.exact_group_update([0, 1], [trainer.global_vector])
+            trainer.exact_group_update([0, 1], trainer.global_vector[None])
 
 
 def _capture_transmit_energies(monkeypatch):
@@ -192,15 +199,16 @@ class TestAirCompGroupUpdate:
         """With negligible noise the OTA update converges to the ideal Eq. (8)."""
         trainer = BaseTrainer(quiet_experiment)
         members = list(range(quiet_experiment.num_workers))
-        vectors = [trainer.global_vector + 0.01 * (i + 1) for i in members]
-        exact = trainer.exact_group_update(members, vectors)
+        vectors = np.stack([trainer.global_vector + 0.01 * (i + 1) for i in members])
+        # Both write the trainer's update buffer: keep the first result.
+        exact = trainer.exact_group_update(members, vectors).copy()
         ota, info = trainer.aircomp_group_update(members, vectors, round_index=1)
         np.testing.assert_allclose(ota, exact, rtol=1e-3, atol=1e-5)
         assert info["round_energy_j"] >= 0
 
     def test_info_is_what_a_record_keeps(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
-        vectors = [trainer.global_vector for _ in range(2)]
+        vectors = np.stack([trainer.global_vector for _ in range(2)])
         _, info = trainer.aircomp_group_update([0, 1], vectors, round_index=1)
         assert set(info) == {"sigma", "eta", "round_energy_j"}
 
@@ -208,7 +216,7 @@ class TestAirCompGroupUpdate:
         spent = _capture_transmit_energies(monkeypatch)
         trainer = BaseTrainer(small_experiment)
         members = [0, 1, 2]
-        vectors = [trainer.global_vector for _ in members]
+        vectors = np.stack([trainer.global_vector for _ in members])
         trainer.aircomp_group_update(members, vectors, round_index=1)
         budget = small_experiment.config.aircomp.energy_budget_j
         (per_worker,) = spent
@@ -238,7 +246,9 @@ class TestAirCompGroupUpdate:
     def test_empty_group_rejected(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
         with pytest.raises(ValueError):
-            trainer.aircomp_group_update([], [], round_index=1)
+            trainer.aircomp_group_update(
+                [], np.empty((0, trainer.model.dimension)), round_index=1
+            )
 
 
 class TestLatencies:

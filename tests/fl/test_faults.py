@@ -176,7 +176,7 @@ class TestMidRoundDropout:
         scale = float(alphas[members].sum() / alphas[survivors].sum())
         assert scale > 1.0
         base = trainer.global_vector.copy()
-        vectors = [base + (w + 1.0) for w in survivors]
+        vectors = np.stack([base + (w + 1.0) for w in survivors])
         plain = trainer.exact_group_update(survivors, vectors).copy()
         scaled = trainer.exact_group_update(survivors, vectors, weight_scale=scale)
         assert np.linalg.norm(scaled - base) == pytest.approx(
@@ -186,7 +186,7 @@ class TestMidRoundDropout:
     def test_weight_scale_one_is_bitwise_neutral(self, quiet_experiment):
         trainer = AirFedGATrainer(quiet_experiment)
         members = trainer.groups[0]
-        vectors = [trainer.global_vector + w for w in members]
+        vectors = np.stack([trainer.global_vector + w for w in members])
         a = trainer.exact_group_update(members, vectors).copy()
         b = trainer.exact_group_update(members, vectors, weight_scale=1.0)
         assert np.array_equal(a, b)
@@ -194,14 +194,14 @@ class TestMidRoundDropout:
     def test_aircomp_update_accepts_weight_scale(self, quiet_experiment):
         trainer = AirFedGATrainer(quiet_experiment)
         members = trainer.groups[0]
-        vectors = [trainer.global_vector + 0.01 for _ in members]
+        vectors = np.stack([trainer.global_vector + 0.01 for _ in members])
         scaled, _ = trainer.aggregate(members, vectors, 1, weight_scale=1.5)
         assert np.all(np.isfinite(scaled))
 
     def test_tifl_accepts_weight_scale(self, quiet_experiment):
         trainer = TiFLTrainer(quiet_experiment, num_tiers=2)
         members = trainer.groups[0]
-        vectors = [trainer.global_vector + w for w in members]
+        vectors = np.stack([trainer.global_vector + w for w in members])
         survivors = members[:1] if len(members) > 1 else members
         scaled, _ = trainer.aggregate(
             survivors, vectors[: len(survivors)], 1, weight_scale=2.0
@@ -211,7 +211,7 @@ class TestMidRoundDropout:
     def test_invalid_weight_scale_rejected(self, quiet_experiment):
         trainer = AirFedGATrainer(quiet_experiment)
         members = trainer.groups[0]
-        vectors = [trainer.global_vector for _ in members]
+        vectors = np.stack([trainer.global_vector for _ in members])
         with pytest.raises(ValueError, match="weight_scale"):
             trainer.aggregate(members, vectors, 1, weight_scale=0.0)
 

@@ -123,8 +123,8 @@ class TestFedProx:
         plain = FedAvgTrainer(quiet_experiment)
         prox = FedProxTrainer(quiet_experiment, mu=4.9)  # lr=0.2 -> lr*mu<1
         base = plain.global_vector.copy()
-        (free,) = plain.local_update_group([0], base, 1)
-        (pulled,) = prox.local_update_group([0], base, 1)
+        (free,) = plain.local_update_group([0], base, 1, out=np.empty((1, base.size)))
+        (pulled,) = prox.local_update_group([0], base, 1, out=np.empty((1, base.size)))
         assert np.linalg.norm(pulled - base) < np.linalg.norm(free - base)
 
     def test_param_validation(self, small_experiment):

@@ -71,7 +71,7 @@ class TestFedAvg:
         trainer = FedAvgTrainer(quiet_experiment)
         initial = trainer.global_vector.copy()
         locals_ = [
-            trainer.local_update_group([w], initial, 1)[0]
+            trainer.local_update_group([w], initial, 1, out=np.empty((1, initial.size)))[0]
             for w in range(quiet_experiment.num_workers)
         ]
         alphas = trainer.data_sizes / trainer.total_data

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.channel import (
-    aggregation_error_term,
-    aircomp_aggregate,
-    ideal_group_average,
-)
+from oracle.aggregation import ideal_group_average
+from repro.channel import aggregation_error_term, aircomp_aggregate
 
 
 positive = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -39,7 +36,7 @@ class TestAirCompProperties:
         """With z=0 and σ=√η, over-the-air aggregation equals the ideal average."""
         models, sizes, gains = group
         result = aircomp_aggregate(
-            models, sizes, gains, sigma_t=sigma, eta_t=sigma**2,
+            np.stack(models), sizes, gains, sigma_t=sigma, eta_t=sigma**2,
             noise_std=0.0, rng=np.random.default_rng(0),
         )
         expected = ideal_group_average(models, sizes)
@@ -50,7 +47,7 @@ class TestAirCompProperties:
     def test_energies_match_closed_form(self, group, sigma, eta):
         models, sizes, gains = group
         result = aircomp_aggregate(
-            models, sizes, gains, sigma_t=sigma, eta_t=eta,
+            np.stack(models), sizes, gains, sigma_t=sigma, eta_t=eta,
             noise_std=0.0, rng=np.random.default_rng(0),
         )
         for i, (w, d, h) in enumerate(zip(models, sizes, gains)):
@@ -60,15 +57,16 @@ class TestAirCompProperties:
     @given(group=group_of_models(), sigma=positive, eta=positive)
     @settings(max_examples=60, deadline=None)
     def test_received_signal_linear_in_models(self, group, sigma, eta):
-        """Doubling every local model doubles the noiseless received signal."""
+        """Doubling every local model doubles the noiseless received signal
+        (read as the estimate, the received signal over D √η)."""
         models, sizes, gains = group
         kwargs = dict(
             data_sizes=sizes, channel_gains=gains, sigma_t=sigma, eta_t=eta,
             noise_std=0.0, rng=np.random.default_rng(0),
         )
-        once = aircomp_aggregate(models, **kwargs)
-        twice = aircomp_aggregate([2 * m for m in models], **kwargs)
-        np.testing.assert_allclose(twice.received, 2 * once.received, rtol=1e-9, atol=1e-12)
+        once = aircomp_aggregate(np.stack(models), **kwargs).estimate
+        twice = aircomp_aggregate(2 * np.stack(models), **kwargs).estimate
+        np.testing.assert_allclose(twice, 2 * once, rtol=1e-9, atol=1e-12)
 
     @given(
         sigma=positive, eta=positive, bound=positive,
