@@ -151,6 +151,24 @@ class TestGroupingProblem:
                 model_dimension=0,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["data_sizes", "class_counts", "local_times", "c_max"])
+    def test_non_finite_input_is_refused(self, field, value):
+        """NaN and inf fail at the boundary, not as an inf objective, all
+        singletons or a ``psi must sum to 1`` from inside the objective."""
+        fields = dict(
+            data_sizes=np.array([3.0, 4.0]),
+            class_counts=np.array([[1.0, 2.0], [4.0, 0.0]]),
+            local_times=np.array([1.0, 2.0]),
+            model_dimension=10,
+        )
+        if field == "c_max":
+            fields[field] = value
+        else:
+            fields[field].flat[0] = value
+        with pytest.raises(ValueError, match="non-negative|positive|finite"):
+            GroupingProblem(**fields)
+
     def test_global_distribution_sums_to_one(self):
         problem, _, _ = make_problem()
         assert problem.global_distribution().sum() == pytest.approx(1.0)
