@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,18 +107,20 @@ class GroupingProblem:
             raise ValueError("class_counts must have one row per worker")
         if self.local_times.shape[0] != n:
             raise ValueError("local_times must have one entry per worker")
-        # ``not x >= 0`` refuses NaN too; inf and NaN would reach the objective.
-        if not (np.all(self.data_sizes >= 0) and counts.min(initial=0) >= 0):
+        # NaN and inf would reach the objective.  min and max propagate NaN,
+        # so each test fails on it; an integer table holds no NaN or inf.
+        sizes, times = self.data_sizes, self.local_times
+        if not (sizes.min() >= 0 and counts.min(initial=0) >= 0):
             raise ValueError("data sizes and class counts must be non-negative")
-        if not np.all(self.local_times > 0):
+        if not times.min() > 0:
             raise ValueError("local training times must be positive")
-        finite = (self.data_sizes, counts.max(initial=0), self.local_times, self.c_max)
-        if not all(np.all(np.isfinite(x)) for x in finite):
-            raise ValueError("data sizes, class counts, local times and c_max must be finite")
+        finite = sizes.max() < np.inf and times.max() < np.inf
+        if not finite or counts.dtype.kind == "f" and not counts.max(initial=0) < np.inf:
+            raise ValueError("data sizes, class counts and local times must be finite")
         if self.model_dimension <= 0:
             raise ValueError("model_dimension must be positive")
-        if not self.c_max >= 0:
-            raise ValueError("c_max must be non-negative")
+        if not 0 <= self.c_max < np.inf:
+            raise ValueError("c_max must be finite and non-negative")
         wide = np.float64 if counts.dtype.kind == "f" else np.int64
         self.class_totals = np.array([column.sum(dtype=wide) for column in counts.T])
 
@@ -327,7 +329,7 @@ class _Groups:
         self.state = np.zeros((n + 1, 5 + problem.num_classes))
         self.state[:, 0], self.state[:, 3] = -np.inf, np.inf
 
-    def rows(self, workers: np.ndarray, groups: np.ndarray, leaving: bool = False) -> np.ndarray:
+    def rows(self, workers, groups: np.ndarray, leaving: bool = False) -> Tuple[np.ndarray, ...]:
         """The rows of ``groups[i]`` joined (left) by ``workers[i]``, with
         (36d) met or not; a leaver's L_j and fastest time are the caller's."""
         rows, t = self.state[groups], self.problem.local_times[workers]  # workers: ids or one id
@@ -394,10 +396,10 @@ class _Groups:
                 workers, groups = visit.repeat(width), np.tile(np.arange(width), visit.size)
                 (join, ok), sources = self.rows(workers, groups), self.group_of[workers]
                 sizes = np.array([len(m) for m in self.members])[sources]
-                pick, start = np.flatnonzero(ok & (groups != sources) & (sizes > 1)), visit[-1] + 1
-                if pick.size == 0:
+                sel, start = np.flatnonzero(ok & (groups != sources) & (sizes > 1)), visit[-1] + 1
+                if sel.size == 0:
                     continue
-                workers, sources, targets, join = (a[pick] for a in (workers, sources, groups, join))
+                workers, sources, targets, join = (x[sel] for x in (workers, sources, groups, join))
                 leave = self.rows(workers, sources, leaving=True)[0]
                 # Only the slowest member's leaving changes the source's L_j.
                 times = self.problem.local_times
