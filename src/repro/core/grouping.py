@@ -384,7 +384,7 @@ class _Groups:
         gains).  A pass that moves nobody is the last of ``refine_passes`` (0:
         the paper's one pass).  Until a move the rows stand still, so a chunk
         of workers (about 4096 candidate-by-group cells) is scored at once."""
-        n, width = self.problem.num_workers, len(self.members) - 1
+        n, width, times = self.problem.num_workers, len(self.members) - 1, self.problem.local_times
         if width < 2:
             return
         current = np.ascontiguousarray(self.state[:width, :3].T)[:, None]
@@ -402,7 +402,6 @@ class _Groups:
                 workers, sources, targets, join = (x[sel] for x in (workers, sources, groups, join))
                 leave = self.rows(workers, sources, leaving=True)[0]
                 # Only the slowest member's leaving changes the source's L_j.
-                times = self.problem.local_times
                 for i in np.flatnonzero(times[workers] + self.upload == leave[:, 0]):
                     rest = [m for m in self.members[sources[i]] if m != workers[i]]
                     leave[i, 0] = times[rest].max() + self.upload
