@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +114,10 @@ class GroupingProblem:
             raise ValueError("data sizes and class counts must be non-negative")
         if not times.min() > 0:
             raise ValueError("local training times must be positive")
-        finite = sizes.max() < np.inf and times.max() < np.inf
+        largest = sizes.max()
+        if not largest > 0:  # every β_j would be 0 / 0
+            raise ValueError("data sizes must not all be zero")
+        finite = largest < np.inf and times.max() < np.inf
         if not finite or counts.dtype.kind == "f" and not counts.max(initial=0) < np.inf:
             raise ValueError("data sizes, class counts and local times must be finite")
         if self.model_dimension <= 0:
@@ -189,9 +192,27 @@ def _evaluate_grouping(
     return _score(problem, np.concatenate(kept, dtype=np.int64), bounds, strategy)
 
 
-#: Most members one block of :func:`_score` gathers (a larger group is a
-#: block of its own): scoring's scratch is a few MB at any worker count.
+#: Most members one block of whole groups holds (a larger group is a block
+#: of its own): a pass over every member keeps a few MB of scratch at any
+#: worker count.
 _BLOCK_MEMBERS = 1 << 16
+
+
+def member_blocks(groups: Sequence[Sequence[int]]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """``(lo, members, starts)`` per block of whole groups (as many as fit, at
+    least one): groups ``lo`` on as one int64 array, and where each begins in
+    it.  The walk of every pass over all members, so none copies more."""
+    cuts, lo = [0, *accumulate(map(len, groups))], 0
+    while lo < len(groups):
+        hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
+        yield lo, np.concatenate(groups[lo:hi], dtype=np.int64), np.subtract(cuts[lo:hi], cuts[lo])
+        lo = hi
+
+
+def member_range(groups: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """The smallest and the largest member of ``groups``, block by block."""
+    ends = [(int(block.min()), int(block.max())) for _, block, _ in member_blocks(groups)]
+    return min(low for low, _ in ends), max(high for _, high in ends)
 
 
 def _score(
@@ -206,19 +227,15 @@ def _score(
     objectives and greedy decisions are bit-identical.  The result's groups
     are views of ``order``.
     """
-    num_groups = bounds.size - 1
+    cuts = bounds.tolist()
+    groups = [order[a:b] for a, b in zip(cuts, cuts[1:])]
     upload = problem.upload_latency()  # L_j = max_i l_i + L_u (Eq. 34)
-    group_times, sums = np.empty(num_groups), np.empty(num_groups)
-    counts = np.empty((num_groups, problem.num_classes))
-    cuts, lo = bounds.tolist(), 0
-    while lo < num_groups:
-        # Groups lo..hi-1 are the block: as many as fit, at least one.
-        hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
-        ids = order[cuts[lo] : cuts[hi]]
-        starts = bounds[lo:hi] - cuts[lo]
+    group_times, sums = np.empty(len(groups)), np.empty(len(groups))
+    counts = np.empty((len(groups), problem.num_classes))
+    for lo, ids, starts in member_blocks(groups):
+        hi = lo + starts.size
         group_times[lo:hi] = np.maximum.reduceat(problem.local_times[ids], starts) + upload
         sums[lo:hi], counts[lo:hi] = _segment_sums(problem, ids, starts)
-        lo = hi
     betas = sums / float(problem.data_sizes.sum())
     lambdas = _lambdas(counts, problem.global_distribution())
     psi = participation_frequencies(group_times)
@@ -233,7 +250,7 @@ def _score(
         c_max=problem.c_max,
     )
     return GroupingResult(
-        groups=[order[a:b] for a, b in zip(cuts, cuts[1:])],
+        groups=groups,
         objective=float(objective),
         group_times=group_times,
         frequencies=psi,

@@ -27,6 +27,8 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from .grouping import member_blocks, member_range
+
 __all__ = ["AggregationEvent", "GroupAsyncScheduler"]
 
 
@@ -62,23 +64,35 @@ class GroupAsyncScheduler:
         self._sizes: List[int] = [len(g) for g in self._members]
         if not all(self._sizes):
             raise ValueError("a group must have at least one member")
-        # Membership checks on one transient flat copy (no per-worker Python
-        # objects at 10k+ workers): sorted contiguous blocks are disjoint as
-        # they lie; any other order is sorted in place, where a repeated
-        # worker sits next to itself whether it repeats in one group or two.
-        flat = np.concatenate(self._members, dtype=np.int64)
-        if not np.all(flat[1:] > flat[:-1]):
-            flat.sort()
-            repeated = flat[1:][flat[1:] == flat[:-1]]
-            if repeated.size:
-                if any(np.unique(g).size < len(g) for g in self._members):
-                    raise ValueError("duplicate workers in group")
-                overlap = np.unique(repeated)[:10].tolist()
-                raise ValueError(f"workers assigned to multiple groups: {overlap}...")
+        # Membership checks block by block (no flat copy, no per-worker
+        # Python objects at 10k+ workers): ascending members, each block
+        # above the last, are disjoint as they lie.  Any other order marks
+        # every member in a bool mask over the id range, where a worker
+        # repeated in one group or in two leaves fewer marks than members.
+        last = -np.inf
+        for _, block, _ in member_blocks(self._members):
+            if not (last < block[0] and np.all(block[1:] > block[:-1])):
+                self._check_disjoint()
+                break
+            last = block[-1]
         self._ready: List[int] = [0] * len(groups)
         self._held: List[int] = [0] * len(groups)   # round the group last pulled
         self._ready_workers: Dict[int, Set[int]] = {}
         self._round: int = 0
+
+    def _check_disjoint(self) -> None:
+        low, high = member_range(self._members)
+        seen = np.zeros(high - low + 1, dtype=bool)
+        for _, block, _ in member_blocks(self._members):
+            seen[block - low] = True
+        if np.count_nonzero(seen) == sum(self._sizes):
+            return
+        if any(np.unique(g).size < len(g) for g in self._members):
+            raise ValueError("duplicate workers in group")
+        # Raising: a sorted flat copy names the repeated workers.
+        flat = np.sort(np.concatenate(self._members, dtype=np.int64))
+        overlap = np.unique(flat[1:][flat[1:] == flat[:-1]])[:10].tolist()
+        raise ValueError(f"workers assigned to multiple groups: {overlap}...")
 
     # ------------------------------------------------------------------
     @property

@@ -87,7 +87,9 @@ class WorkerStateTable:
 
     Derived fields reproduce the legacy trainer init exactly: ``sizes`` is
     ``raw_sizes.astype(float64)`` floored at ``1e-9`` only when some entry
-    is non-positive and ``total_size = float(sizes.sum())``; the weights
+    is non-positive, served as a read-only view (zero-stride, one float,
+    when ``raw_sizes`` is: the replicated layout's), and
+    ``total_size = float(sizes.sum())``; the weights
     ``α_i = sizes[i] / total_size`` of Eqs. (8)/(10) are computed where they
     are read, for the workers read.  The event-loop counters ``staleness``
     (at the last commit), ``dispatches``, ``unavailable`` and ``dropped``
@@ -110,12 +112,14 @@ class WorkerStateTable:
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("raw_sizes must be a non-empty 1-D array")
         n = raw.size
-        # Exact op sequence of the legacy BaseTrainer init (bit-identity).
-        sizes = raw.astype(np.int64, copy=False).astype(np.float64)
+        # Exact op sequence of the legacy BaseTrainer init (bit-identity), on
+        # the distinct entries: a zero-stride input converts its one entry.
+        distinct = raw[:1] if raw.strides == (0,) else raw
+        sizes = distinct.astype(np.int64, copy=False).astype(np.float64)
         if np.any(sizes <= 0):
             sizes = np.maximum(sizes, 1e-9)
-        self.sizes = sizes
-        self.total_size = float(sizes.sum())
+        self.sizes = np.broadcast_to(sizes, (n,))
+        self.total_size = float(self.sizes.sum())
         if self.latencies is None:
             self.latencies = np.full(n, np.nan, dtype=np.float64)
         else:
@@ -202,22 +206,14 @@ class WorkerStateTable:
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        for arr in (
-            self.sizes,
-            self.latencies,
-            self.staleness,
-            self.dispatches,
-            self.unavailable,
-            self.dropped,
-        ):
-            if arr is not None:
-                total += arr.nbytes
-        if self.gains is not None:
-            total += self.gains.nbytes
-        for arr in self._fields.values():
-            total += arr.nbytes
-        return total
+        """Resident bytes: what each array's buffer spans (one entry along a
+        zero-stride axis), not ``size * itemsize``."""
+        arrays = (self.sizes, self.latencies, self.staleness, self.dispatches,
+                  self.unavailable, self.dropped, self.gains, *self._fields.values())
+        return sum(
+            a.itemsize + sum((d - 1) * abs(k) for d, k in zip(a.shape, a.strides))
+            for a in arrays if a is not None and a.size
+        )
 
     # -- event-loop recorders (all O(group size), vectorized writes) ----
 
@@ -561,7 +557,8 @@ class Population:
             dataset, num_workers=num_workers, shard_size=shard_size, stride=stride
         )
         nominal = getattr(latency, "nominal", None) if latency is not None else None
-        state = WorkerStateTable(raw_sizes=store.data_sizes(), latencies=nominal)
+        sizes = np.broadcast_to(np.int64(shard_size), (num_workers,))
+        state = WorkerStateTable(raw_sizes=sizes, latencies=nominal)
         return cls(state, dataset=dataset, store=store)
 
     # -- data access ----------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.grouping import GroupingProblem, GroupingResult
+from ..core.grouping import GroupingProblem, GroupingResult, member_blocks, member_range
 from ..core.mechanism import GroupAsyncScheduler
 from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .staleness import StalenessPolicy, resolve_staleness_policy
@@ -112,11 +112,11 @@ class GroupedAsyncTrainer(BaseTrainer):
         # members are then distinct, so N of them from 0 to N − 1 cover
         # every worker.
         self.scheduler = GroupAsyncScheduler(self.groups)
-        flat, n = np.concatenate(self.groups), experiment.num_workers
-        if not (flat.size == n and flat.min() == 0 and flat.max() == n - 1):
+        n = experiment.num_workers
+        if not (sum(map(len, self.groups)) == n and member_range(self.groups) == (0, n - 1)):
+            coverage = np.sort(np.concatenate(self.groups))[:10].tolist()
             raise ValueError(
-                "grouping must cover every worker exactly once; "
-                f"got coverage {np.sort(flat)[:10].tolist()}..."
+                f"grouping must cover every worker exactly once; got coverage {coverage}..."
             )
         # ------------------------------------------------------------------
         # Fault-injection state (``self._clientstate`` + FaultConfig).
@@ -304,6 +304,18 @@ class GroupedAsyncTrainer(BaseTrainer):
         self.history.partial_updates += partial
         return survivors, weight_scale, fractions if partial else None
 
+    def _first_dispatch(self) -> List[Tuple[float, int]]:
+        """Every group's first round with its full roster: the keyed draws of
+        a dispatch per group, taken per block of groups.  A heap of distinct
+        ``(ready, group)`` tuples pops in one order however it was filled."""
+        queue: List[Tuple[float, int]] = []
+        for lo, members, starts in member_blocks(self.groups):
+            self.worker_state.record_dispatch(members)
+            ready = np.maximum.reduceat(self.exp.latency.sample_times(members, 1), starts)
+            queue += zip(ready.tolist(), range(lo, lo + starts.size))
+        heapq.heapify(queue)
+        return queue
+
     # ------------------------------------------------------------------
     def schedule(
         self, max_rounds: int, max_time: Optional[float] = None
@@ -313,17 +325,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         # Priority queue of (ready_time, group_id): the moment every member
         # of the group has finished local training and sent READY.
         if cs is None:
-            # Full rosters: every group's first round from one pass over the
-            # flat member array (same keyed latency draws; a heap of
-            # distinct tuples pops in one order however filled).
-            # analyze: allow-alloc(first dispatch only; dropped when it is queued)
-            flat = np.concatenate(self.groups)
-            starts = np.cumsum([0] + [g.size for g in self.groups[:-1]])
-            self.worker_state.record_dispatch(flat)
-            ready = np.maximum.reduceat(self.exp.latency.sample_times(flat, 1), starts)
-            del flat  # the generator's frame would hold it for the whole run
-            queue = list(zip(ready.tolist(), range(ready.size)))
-            heapq.heapify(queue)
+            queue = self._first_dispatch()
         else:
             queue = []  # availability is polled per roster
             for g in range(len(self.groups)):

@@ -14,7 +14,7 @@ longer simulated rounds, as they would on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -37,7 +37,6 @@ class HeterogeneityModel:
     kappa_min: float = 1.0
     kappa_max: float = 10.0
     seed: int = 0
-    _kappa: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -46,15 +45,14 @@ class HeterogeneityModel:
             raise ValueError("kappa_min must be positive")
         if self.kappa_max < self.kappa_min:
             raise ValueError("kappa_max must be >= kappa_min")
-        rng = np.random.default_rng(self.seed)
-        self._kappa = rng.uniform(
-            self.kappa_min, self.kappa_max, size=self.num_workers
-        )
 
     @property
     def kappa(self) -> np.ndarray:
-        """The per-worker scaling factors (copy)."""
-        return self._kappa.copy()
+        """The per-worker scaling factors, drawn from ``seed`` on each read:
+        a fresh array, the same floats every time, that the model does not
+        hold."""
+        rng = np.random.default_rng(self.seed)
+        return rng.uniform(self.kappa_min, self.kappa_max, size=self.num_workers)
 
 
 @dataclass
@@ -93,14 +91,14 @@ class LatencyTable:
             and self.heterogeneity.num_workers != self.num_workers
         ):
             raise ValueError("heterogeneity model has a different worker count")
-        # κ_i · l̂_i is deterministic: compute it once.  The per-call copies
-        # of the κ array used to make per-round group time computations
-        # O(N²); every read below goes through this cache instead.
+        # κ_i · l̂_i is deterministic: compute it once, scaling the fresh κ
+        # draw in place, and read it from here (per-call κ draws would make
+        # per-round group times O(N²)).
         if self.heterogeneity is None:
-            kappa = np.ones(self.num_workers)
+            self._nominal = np.ones(self.num_workers)
         else:
-            kappa = self.heterogeneity.kappa
-        self._nominal = kappa * self.base_time
+            self._nominal = self.heterogeneity.kappa
+        self._nominal *= self.base_time
 
     # ------------------------------------------------------------------
     @property

@@ -169,6 +169,18 @@ class TestGroupingProblem:
         with pytest.raises(ValueError, match="non-negative|positive|finite"):
             GroupingProblem(**fields)
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_all_zero_sizes_are_refused(self, workers):
+        """Zero sizes everywhere make every β_j 0 / 0: refused with a message,
+        not as a divide warning, NaN betas and all singletons."""
+        with pytest.raises(ValueError, match="must not all be zero"):
+            GroupingProblem(
+                data_sizes=np.zeros(workers),
+                class_counts=np.zeros((workers, 3), dtype=np.int64),
+                local_times=np.linspace(1.0, 2.0, workers),
+                model_dimension=10,
+            )
+
     def test_global_distribution_sums_to_one(self):
         problem, _, _ = make_problem()
         assert problem.global_distribution().sum() == pytest.approx(1.0)

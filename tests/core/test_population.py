@@ -402,8 +402,19 @@ def test_population_replicated_xl_construction_is_compact():
 def test_replicated_state_keeps_one_size_array():
     population = Population.replicated(_dataset(num_train=256), num_workers=50, shard_size=32)
     np.testing.assert_array_equal(population.state.sizes, population.store.data_sizes())
-    # sizes and latencies in float64, four int32 counters.
-    assert population.state.nbytes == 50 * (2 * 8 + 4 * 4)
+    # Resident bytes: one float64 size (a zero-stride view), float64
+    # latencies, four int32 counters.
+    assert population.state.sizes.strides == (0,)
+    assert population.state.nbytes == 8 + 50 * (8 + 4 * 4)
+
+
+def test_replicated_sizes_refuse_an_in_place_write():
+    sizes = Population.replicated(_dataset(num_train=256), num_workers=50, shard_size=32).state.sizes
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sizes *= 2.0
+    assert sizes.tolist() == [32.0] * 50
 
 
 # ----------------------------------------------------------------------

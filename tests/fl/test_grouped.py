@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 
+from repro.channel import StaticChannel
+from repro.core import grouping
 from repro.core.grouping import GROUPING_STRATEGIES
+from repro.core.mechanism import GroupAsyncScheduler
+from repro.core.population import Population
+from repro.data import make_mnist_like
 from repro.fl import AirFedGATrainer, FLExperiment
 from repro.fl.grouped import GroupedAsyncTrainer
 from repro.nn import LogisticRegressionMLP
@@ -113,6 +119,81 @@ class TestFirstDispatch:
             with pytest.raises(ValueError, match=error) as excinfo:
                 Miscovering(small_experiment)
             assert str(excinfo.value).endswith(f"{list(ids)}...")
+
+
+def _forty_workers():
+    """40 workers on a replicated store of their own, jittered heterogeneous times."""
+    n = 40
+    dataset = make_mnist_like(num_train=128, num_test=32, image_size=8, seed=1).flattened()
+    latency = LatencyTable(
+        num_workers=n, base_time=2.0, heterogeneity=HeterogeneityModel(num_workers=n, seed=5),
+        jitter_std=0.3, seed=4,
+    )  # fmt: skip
+    return FLExperiment(
+        dataset=dataset,
+        partition=None,
+        model_factory=lambda: LogisticRegressionMLP(input_dim=64, hidden=8, seed=3),
+        latency=latency,
+        channel=StaticChannel(num_workers=n, seed=4),
+        population=Population.replicated(dataset, num_workers=n, shard_size=16, latency=latency),
+        max_eval_samples=32,
+    )
+
+
+def _fixed(groups):
+    class Fixed(AirFedGATrainer):
+        def build_groups(self):
+            return groups
+
+    return Fixed
+
+
+class TestBlockEdges:
+    """Blocks of at most 5 members: the 40-worker passes over all members
+    (first dispatch, membership check, cover check) cross many block edges."""
+
+    # Scrambled members, ragged sizes; the 7-member group is a block alone.
+    GROUPS = [[3, 0, 9], [1, 4], [12, 6, 2, 7, 5, 8, 10], [11], [13, 15, 14, 16],
+              [39, 17, 20, 18], [19, 21, 22, 23, 24, 25], [26, 30, 27],
+              [28, 29, 31, 32, 33], [34, 35], [36, 37, 38]]  # fmt: skip
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(grouping, "_BLOCK_MEMBERS", 5)
+
+    def test_first_dispatch_equals_one_dispatch_per_group(self):
+        blocked, looped = (_fixed(self.GROUPS)(_forty_workers()) for _ in range(2))
+        assert len(list(grouping.member_blocks(blocked.groups))) == 8
+        queue, reference = blocked._first_dispatch(), []
+        for g in range(len(looped.groups)):
+            looped._dispatch_group(reference, g, 0.0, 1)
+        pops = [heapq.heappop(queue) for _ in range(len(queue))]
+        assert pops == [heapq.heappop(reference) for _ in range(len(reference))]  # exact floats
+        assert len({t for t, _ in pops}) == len(pops) and pops != sorted(pops, key=lambda p: p[1])
+        assert blocked.worker_state.dispatches.tolist() == [1] * 40
+        assert np.array_equal(blocked.worker_state.dispatches, looped.worker_state.dispatches)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_an_overlap_across_a_block_edge_is_refused(self, ascending):
+        # Worker 4 ends the first block and opens the second.
+        groups = [[0, 1, 2, 3, 4], [4, 5, 6], [7, 8]]
+        if not ascending:
+            groups = [g[::-1] for g in groups]
+        with pytest.raises(ValueError, match=r"multiple groups: \[4\]"):
+            GroupAsyncScheduler(groups)
+        # Worker 16 closes one block of the trainer's groups and opens the next.
+        with pytest.raises(ValueError, match=r"multiple groups: \[16\]"):
+            _fixed([*self.GROUPS[:5], [16, *self.GROUPS[5]], *self.GROUPS[6:]])(_forty_workers())
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_a_gap_across_a_block_edge_is_refused(self, ascending):
+        # Worker 5 is missing where the first block ends; 40 takes its place.
+        groups = [list(range(0, 5)), list(range(6, 11)), list(range(11, 41))]
+        if not ascending:
+            groups = [g[::-1] for g in groups]
+        GroupAsyncScheduler(groups)  # disjoint: the scheduler has no quarrel
+        with pytest.raises(ValueError, match=r"exactly once; got coverage \[0, 1, 2, 3, 4, 6,"):
+            _fixed(groups)(_forty_workers())
 
 
 class TestGroupsAreInt64Arrays:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AirFedGAConfig, ConvergenceConfig, GroupingConfig, GroupingProblem
@@ -68,6 +68,7 @@ def problems(draw):
         sizes = np.maximum(sizes, 1e-9)
     elif sizes_kind == "fractional":
         sizes = rng.uniform(0.1, 50.0, size=n)
+    assume(sizes.max() > 0)  # all-zero sizes are refused (test_all_zero_sizes_are_refused)
     table = draw(st.sampled_from(["int64", "int32", "float64", "shares"]))
     if table == "shares":
         # Fractional counts: a worker's size split evenly over its classes.

@@ -192,6 +192,43 @@ class TestMain:
         with pytest.raises(SystemExit, match="src/new.py"):
             bench_pairs.export_sides(repo, "HEAD", tmp_path_factory.mktemp("scratch"))
 
+    def test_a_shift_inside_the_recorded_aa_floor_is_not_a_gain(self, repo, capsys):
+        def aa(workload, flag, change):
+            medians = {"parent": [0.9, 1.0, 1.1], "change": [0.9 * change, change, 1.1 * change]}
+            metrics = {"run_s": {**medians, "won": 5, "lost": 5, "verdict": "unchanged"}}
+            return {"workload": workload, "aa": flag, "metrics": metrics}
+
+        # The floor is the largest shift of the workload's A/A records only.
+        records = [aa("tiny", True, 0.90), aa("tiny", True, 1.04), aa("tiny", False, 0.5),
+                   aa("other", True, 0.5)]  # fmt: skip
+        (repo / "BENCH_pairs.json").write_text(json.dumps({"records": records}))
+        assert bench_pairs.aa_shifts(repo / "BENCH_pairs.json", "tiny") == {
+            "run_s": pytest.approx(0.10)
+        }
+
+        def runs(scale):
+            def runner(side, seed):
+                return {"run_s": (scale if side == "change" else 1.0) * (1.0 + seed / 1000),
+                        "rounds_per_s": 100.0}  # fmt: skip
+
+            return runner
+
+        argv = ["--workload", "tiny", "--pairs", "10", "--repo", str(repo)]
+        summary = repo / "results" / "bench_pairs_tiny.json"
+        # 10 of 10 pairs won, by more than the parent's spread, inside the floor.
+        assert bench_pairs.main(argv, runner=runs(0.93)) == 0
+        run_s, rate = json.loads(summary.read_text())["summary"]
+        assert (run_s["won"], run_s["verdict"]) == (10, "unchanged")
+        assert run_s["aa_shift"] == pytest.approx(0.1)
+        assert rate["aa_shift"] is None
+        table = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[-2:] for row in table if row[0] == "run_s"] == [["10.0%", "unchanged"]]
+        assert [row[-2:] for row in table if row[0] == "rounds_per_s"] == [["-", "unchanged"]]
+        # Past the floor, the same pairs are a gain.
+        assert bench_pairs.main(argv, runner=runs(0.85)) == 0
+        assert json.loads(summary.read_text())["summary"][0]["verdict"] == "gain"
+        capsys.readouterr()
+
     def test_unknown_workload_is_refused(self, repo, capsys):
         with pytest.raises(SystemExit):
             bench_pairs.main(["--workload", "nope", "--repo", str(repo)], runner=lambda *_: {})

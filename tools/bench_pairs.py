@@ -17,7 +17,8 @@ prints both medians with quartiles, the pairs the change won, and one of
 
 * ``gain`` — the change won at least nine tenths of the pairs (ties count
   for neither side) and the medians differ by more than the distance
-  between the parent's quartiles;
+  between the parent's quartiles and by more than the workload's A/A
+  shift (below);
 * ``regression`` — the change's median is worse than the parent's by more
   than the bound ``BENCHMARK.json`` fixes for the metric;
 * ``unresolved`` — neither, but the parent's own quartile distance is wider
@@ -33,7 +34,10 @@ per metric the medians, quartiles, pairs won and verdict.  Record from a
 clean checkout, so that the sha names the code that ran.  A record whose
 two sides ran the same files (``--parent HEAD`` from a clean checkout) is
 marked ``"aa": true``: an A/A run, which measures the noise floor of the
-verdicts rather than a change.  Everything the
+verdicts rather than a change.  A metric's A/A shift is the largest
+``|change median / parent median − 1|`` of the workload's A/A records in
+the trajectory (none recorded: no floor); it is printed beside the
+verdict.  Everything the
 script knows about the benchmark it reads from ``BENCHMARK.json``: the
 command, the run length, the metric names, directions and bounds.
 """
@@ -146,12 +150,29 @@ def _quartiles(values: Sequence[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarise(samples: List[dict], metrics: List[dict]) -> List[dict]:
+def aa_shifts(trajectory: Path, workload: str) -> Dict[str, float]:
+    """Per metric, the largest relative median shift the A/A records of
+    ``workload`` in ``trajectory`` read: the floor a gain must clear."""
+    records = json.loads(trajectory.read_text())["records"] if trajectory.exists() else []
+    shifts: Dict[str, float] = {}
+    for record in records:
+        if record.get("aa") and record["workload"] == workload:
+            for name, m in record["metrics"].items():
+                shift = abs(m["change"][1] / m["parent"][1] - 1.0)
+                shifts[name] = max(shifts.get(name, 0.0), shift)
+    return shifts
+
+
+def summarise(
+    samples: List[dict], metrics: List[dict], aa: Optional[Dict[str, float]] = None
+) -> List[dict]:
     """One row per end-to-end metric of ``BENCHMARK.json``: medians, quartiles,
-    pairs won and the verdict (see the module docstring)."""
+    pairs won, the A/A shift ``aa`` records for it and the verdict (see the
+    module docstring)."""
     rows = []
     for metric in metrics:
         name, sign = metric["name"], -1.0 if metric["better"] == "lower" else 1.0
+        floor = (aa or {}).get(name)
         parent = [s["parent"][name] for s in samples]
         change = [s["change"][name] for s in samples]
         # ``sign * value``: larger is better, whatever the metric's direction.
@@ -163,7 +184,7 @@ def summarise(samples: List[dict], metrics: List[dict]) -> List[dict]:
         better_by = sign * (c_med - p_med)
         bound = metric["bound"] * abs(p_med)
         disjoint = min(sign * c for c in change) > max(sign * p for p in parent)
-        if won >= 0.9 * len(samples) and better_by > spread:
+        if won >= 0.9 * len(samples) and better_by > max(spread, (floor or 0.0) * abs(p_med)):
             verdict = "gain"
         elif -better_by > bound:
             verdict = "regression"
@@ -176,7 +197,8 @@ def summarise(samples: List[dict], metrics: List[dict]) -> List[dict]:
                 "metric": name, "unit": metric.get("unit", ""),
                 "parent": [p_lo, p_med, p_hi], "change": [c_lo, c_med, c_hi],
                 "ratio": c_med / p_med if p_med else float("nan"),
-                "won": won, "lost": lost, "pairs": len(samples), "verdict": verdict,
+                "won": won, "lost": lost, "pairs": len(samples), "aa_shift": floor,
+                "verdict": verdict,
             }
         )  # fmt: skip
     return rows
@@ -185,16 +207,17 @@ def summarise(samples: List[dict], metrics: List[dict]) -> List[dict]:
 def format_rows(rows: List[dict]) -> str:
     lines = [
         f"{'metric':<14}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}"
-        f"{'ratio':>8}{'won':>7}  verdict"
+        f"{'ratio':>8}{'won':>7}{'A/A':>8}  verdict"
     ]
     for row in rows:
         cells = [
             f"{med:.4g} [{lo:.4g}, {hi:.4g}]"
             for lo, med, hi in (row["parent"], row["change"])
         ]
+        floor = "-" if row["aa_shift"] is None else f"{row['aa_shift']:.1%}"
         lines.append(
             f"{row['metric']:<14}{cells[0]:>32}{cells[1]:>32}{row['ratio']:>8.3f}"
-            f"{row['won']:>4}/{row['pairs']:<2}  {row['verdict']}"
+            f"{row['won']:>4}/{row['pairs']:<2}{floor:>8}  {row['verdict']}"
         )
     return "\n".join(lines)
 
@@ -251,7 +274,8 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
             checkouts = export_sides(args.repo, args.parent, Path(scratch))
             runner = benchmark_runner(spec, checkouts, args.workload, seconds)
         samples = run_pairs(runner, args.pairs, args.first_seed)
-    rows = summarise(samples, spec["end_to_end"])
+    trajectory = args.repo / TRAJECTORY
+    rows = summarise(samples, spec["end_to_end"], aa_shifts(trajectory, args.workload))
     print(format_rows(rows))
     output = args.repo / "results" / f"bench_pairs_{args.workload}.json"
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -262,7 +286,6 @@ def main(argv: Optional[Sequence[str]] = None, runner: Optional[Runner] = None) 
     output.write_text(json.dumps(record, indent=1) + "\n")
     print(f"raw samples: {output}")
     if args.record:
-        trajectory = args.repo / TRAJECTORY
         document = json.loads(trajectory.read_text()) if trajectory.exists() else {"records": []}
         document["records"].append(trajectory_record(args.repo, args.parent, args.workload, rows))
         trajectory.write_text(json.dumps(document, indent=1) + "\n")
