@@ -200,8 +200,9 @@ _BLOCK_MEMBERS = 1 << 16
 
 def member_blocks(groups: Sequence[Sequence[int]]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """``(lo, members, starts)`` per block of whole groups (as many as fit, at
-    least one): groups ``lo`` on as one int64 array, and where each begins in
-    it.  The walk of every pass over all members, so none copies more."""
+    least one): the members of groups ``lo`` on as one int64 array, and where
+    each group begins in it.  Every pass over all members walks these, so
+    none copies more than one block."""
     cuts, lo = [0, *accumulate(map(len, groups))], 0
     while lo < len(groups):
         hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
