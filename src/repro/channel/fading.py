@@ -46,6 +46,15 @@ class ChannelModel:
         raise NotImplementedError
 
 
+def _log_uniform_gains(rng: np.random.Generator, mean_gain: float, spread: float, n: int):
+    """``mean_gain · exp(U(−ln spread, ln spread))`` per worker, in place on the draw."""
+    log_spread = np.log(spread)
+    gains = rng.uniform(-log_spread, log_spread, size=n)
+    np.exp(gains, out=gains)
+    gains *= mean_gain
+    return gains
+
+
 @_register("channel", "rayleigh")
 @dataclass
 class RayleighFading(ChannelModel):
@@ -77,16 +86,9 @@ class RayleighFading(ChannelModel):
             raise ValueError("mean_gain must be positive")
         if self.pathloss_spread < 1.0:
             raise ValueError("pathloss_spread must be >= 1")
-        rng = np.random.default_rng(self.seed)
-        log_spread = np.log(self.pathloss_spread)
-        self._avg_gain = self.mean_gain * np.exp(
-            rng.uniform(-log_spread, log_spread, size=self.num_workers)
+        self._avg_gain = _log_uniform_gains(
+            np.random.default_rng(self.seed), self.mean_gain, self.pathloss_spread, self.num_workers
         )
-
-    @property
-    def average_gains(self) -> np.ndarray:
-        """Per-worker long-term average gains (path loss component)."""
-        return self._avg_gain.copy()
 
     def gains(self, round_index: int) -> np.ndarray:
         if round_index < 0:
@@ -123,13 +125,11 @@ class StaticChannel(ChannelModel):
             raise ValueError("mean_gain must be positive")
         if self.spread < 1.0:
             raise ValueError("spread must be >= 1")
-        rng = np.random.default_rng(self.seed)
         if self.spread == 1.0:
             self._gains = np.full(self.num_workers, self.mean_gain)
         else:
-            log_spread = np.log(self.spread)
-            self._gains = self.mean_gain * np.exp(
-                rng.uniform(-log_spread, log_spread, size=self.num_workers)
+            self._gains = _log_uniform_gains(
+                np.random.default_rng(self.seed), self.mean_gain, self.spread, self.num_workers
             )
         # Handed out as is by gains(): an O(N) copy per round is the largest
         # single cost of a round at 1M workers.

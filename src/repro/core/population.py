@@ -1,17 +1,13 @@
 """Population-scale worker state: struct-of-arrays tables + lazy shard views.
 
-The simulation historically materialized one Python object and one private
-dataset copy per worker, which walls the bench at a few hundred workers.
-This module is the deliberate accessor surface that replaces those
-per-worker touchpoints so the core scales to millions of simulated
-devices:
+The accessor surface that holds no Python object and no dataset copy per
+worker, so the core scales to millions of simulated devices:
 
 * :class:`WorkerStateTable` — one NumPy array per per-worker field (data
-  sizes, aggregation weights, nominal latencies, staleness, availability
-  counters, last channel gains).  No per-worker Python objects; the whole
-  table for 1M workers is a few hundred megabytes at float64.
+  sizes, nominal latencies, staleness, availability counters, last channel
+  gains); one value repeated for every worker is one zero-stride entry.
 * :class:`SharedDatasetStore` — a single ``(x, y)`` sample store plus
-  ``starts``/``stops`` offset arrays.  ``store.shard(w)`` returns a
+  per-worker ``starts``/``sizes`` row windows.  ``store.shard(w)`` returns a
   zero-copy :class:`ShardView` (``np.shares_memory`` with the store is
   ``True``); nothing is allocated per worker.
 * :class:`Population` — the facade trainers talk to.  It owns the state
@@ -31,6 +27,7 @@ those of the per-worker-copy simulator to the last bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -56,6 +53,21 @@ __all__ = [
     "Population",
 ]
 
+#: Workers per pass of a walk over every store window (bounds its scratch).
+_BLOCK = 1 << 16
+
+
+def _index_dtype(rows: int) -> type:  # the narrowest exact row index into ``rows`` rows
+    return np.int32 if rows < 2**31 else np.int64
+
+
+def _resident_bytes(a: np.ndarray) -> int:
+    """The bytes ``a``'s buffer spans: one entry along a zero-stride axis."""
+    if not a.size:
+        return 0
+    return a.itemsize + sum((d - 1) * abs(k) for d, k in zip(a.shape, a.strides))
+
+
 class ShardView(NamedTuple):
     """One worker's training data as ``(x, y)``.
 
@@ -66,10 +78,6 @@ class ShardView(NamedTuple):
 
     x: np.ndarray
     y: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.x.shape[0])
 
 
 @dataclass
@@ -210,10 +218,7 @@ class WorkerStateTable:
         zero-stride axis), not ``size * itemsize``."""
         arrays = (self.sizes, self.latencies, self.staleness, self.dispatches,
                   self.unavailable, self.dropped, self.gains, *self._fields.values())
-        return sum(
-            a.itemsize + sum((d - 1) * abs(k) for d, k in zip(a.shape, a.strides))
-            for a in arrays if a is not None and a.size
-        )
+        return sum(_resident_bytes(a) for a in arrays if a is not None)
 
     # -- event-loop recorders (all O(group size), vectorized writes) ----
 
@@ -281,10 +286,11 @@ class _ShardSequence(Sequence):
 
 @dataclass
 class SharedDatasetStore:
-    """One shared ``(x, y)`` sample store with per-worker offset windows.
+    """One shared ``(x, y)`` sample store with per-worker row windows.
 
-    Worker ``w`` owns rows ``starts[w]:stops[w]``; :meth:`shard` returns
-    contiguous slice views, never copies.  Two layouts are supported:
+    Worker ``w`` owns rows ``starts[w] : starts[w] + sizes[w]`` (int32 starts
+    below 2³¹ rows; int64 sizes, a zero-stride view kept as one entry);
+    :meth:`shard` returns contiguous slice views, never copies.  Two layouts:
 
     * :meth:`from_partition` — reorder the dataset once so every worker's
       rows are contiguous (one O(n) copy total, equal in value to the
@@ -297,44 +303,42 @@ class SharedDatasetStore:
     x: np.ndarray
     y: np.ndarray
     starts: np.ndarray
-    stops: np.ndarray
+    sizes: np.ndarray
     num_classes: int
     copied: bool = True
 
     def __post_init__(self) -> None:
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.stops = np.asarray(self.stops, dtype=np.int64)
-        if self.starts.shape != self.stops.shape or self.starts.ndim != 1:
-            raise ValueError("starts/stops must be matching 1-D arrays")
-        if self.starts.size == 0:
+        starts, sizes = np.asarray(self.starts), np.asarray(self.sizes)
+        kinds = {starts.dtype.kind, sizes.dtype.kind}
+        if starts.shape != sizes.shape or starts.ndim != 1 or not kinds <= {"i", "u"}:
+            raise ValueError("starts/sizes must be matching 1-D integer arrays")
+        if starts.size == 0:
             raise ValueError("store must describe at least one worker")
         if len(self.x) != len(self.y):
             raise ValueError("x and y row counts differ")
         n = len(self.x)
-        if self.starts.size and (
-            self.starts.min() < 0
-            or np.any(self.stops < self.starts)
-            or self.stops.max() > n
-        ):
+        last_row = max(  # max(starts + sizes), one block of workers at a time
+            np.add(starts[i : i + _BLOCK], sizes[i : i + _BLOCK], dtype=np.int64).max()
+            for i in range(0, starts.size, _BLOCK)
+        )
+        if starts.min() < 0 or sizes.min() < 0 or last_row > n:
             raise ValueError("offset windows out of bounds")
+        self.starts = starts.astype(_index_dtype(n), copy=False)
+        self.sizes = sizes.astype(np.int64, copy=False)
 
     @property
     def num_workers(self) -> int:
         return int(self.starts.size)
 
-    @property
-    def num_samples(self) -> int:
-        return int(len(self.x))
-
     def data_sizes(self) -> np.ndarray:
-        return self.stops - self.starts
+        return self.sizes
 
     def shard(self, worker_id: int) -> ShardView:
         """Zero-copy ``(x, y)`` slice views for one worker."""
         if not 0 <= worker_id < self.num_workers:
             raise ValueError(f"invalid worker id {worker_id}")
-        s = self.starts[worker_id]
-        e = self.stops[worker_id]
+        s = int(self.starts[worker_id])
+        e = s + int(self.sizes[worker_id])
         return ShardView(self.x[s:e], self.y[s:e])
 
     def shards(self) -> _ShardSequence:
@@ -345,34 +349,33 @@ class SharedDatasetStore:
         """Per-worker label histograms, ``(N, K)``: the transpose of a
         class-major C-contiguous ``(K, N)`` table in the narrowest dtype that
         holds the longest window (uint8 up to 255 rows, uint16 up to 65,535,
-        else int32).  Class ``c``'s row is ``prefix[stops] - prefix[starts]``
-        over one ``(n + 1,)`` int32 prefix sum of ``y == c``, taken in int32
-        and then cast; O(K·(n + N)), correct for overlapping (replicated)
-        windows.
+        else int32).  Class ``c``'s row is ``prefix[starts + sizes] -
+        prefix[starts]`` over one ``(n + 1,)`` int32 prefix sum of ``y == c``,
+        taken in int32 for one block of workers at a time and then cast;
+        O(K·(n + N)), correct for overlapping (replicated) windows.
         """
         labels, k = np.asarray(self.y), self.num_classes
         if labels.size and (labels.min() < 0 or labels.max() >= k):
             raise ValueError("partition labels out of range for num_classes")
-        longest = int(self.data_sizes().max())
+        longest = int(self.sizes.max())
         narrow = np.uint8 if longest <= 255 else np.uint16 if longest <= 65535 else np.int32
         counts = np.empty((k, self.num_workers), dtype=narrow)
         prefix = np.zeros(labels.size + 1, dtype=np.int32)
-        upper = np.empty(self.num_workers, dtype=np.int32)
-        lower = np.empty(self.num_workers, dtype=np.int32)
         for c, row in enumerate(counts):
             np.cumsum(labels == c, dtype=np.int32, out=prefix[1:])
-            # Windows lie in [0, n] (checked at construction): "clip" skips
-            # the buffered bounds check of the default "raise".
-            np.take(prefix, self.stops, out=upper, mode="clip")
-            np.take(prefix, self.starts, out=lower, mode="clip")
-            np.subtract(upper, lower, out=row, casting="unsafe")
+            for i in range(0, self.num_workers, _BLOCK):
+                lower = self.starts[i : i + _BLOCK]
+                # Windows lie in [0, n] (checked at construction): "clip"
+                # skips the buffered bounds check of the default "raise".
+                upper = prefix.take(lower + self.sizes[i : i + _BLOCK], mode="clip")
+                np.subtract(upper, prefix.take(lower, mode="clip"), out=row[i : i + _BLOCK],
+                            casting="unsafe")
         return counts.T
 
     @property
     def nbytes(self) -> int:
-        return (
-            self.x.nbytes + self.y.nbytes + self.starts.nbytes + self.stops.nbytes
-        )
+        """Resident bytes, as :attr:`WorkerStateTable.nbytes` counts them."""
+        return sum(map(_resident_bytes, (self.x, self.y, self.starts, self.sizes)))
 
     @classmethod
     def from_partition(
@@ -383,21 +386,14 @@ class SharedDatasetStore:
         Shard *values* equal the legacy per-worker ``x_train[indices]`` copies
         exactly (same fancy index, then a contiguous slice of the result).
         """
-        arrays = [
-            partition.worker_indices(w) for w in range(partition.num_workers)
-        ]
+        arrays = [partition.worker_indices(w) for w in range(partition.num_workers)]
         sizes = np.array([a.size for a in arrays], dtype=np.int64)
-        if sizes.sum() > 0:
-            perm = np.concatenate([a for a in arrays if a.size])
-        else:
-            perm = np.empty(0, dtype=np.int64)
-        offsets = np.zeros(partition.num_workers + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        perm = np.concatenate([np.empty(0, dtype=np.int64)] + [a for a in arrays if a.size])
         return cls(
             x=dataset.x_train[perm],
             y=dataset.y_train[perm],
-            starts=offsets[:-1],
-            stops=offsets[1:],
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
             num_classes=dataset.num_classes,
             copied=True,
         )
@@ -427,12 +423,18 @@ class SharedDatasetStore:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         window = n - shard_size + 1
-        starts = (np.arange(num_workers, dtype=np.int64) * stride) % window
+        # (w·stride) mod window repeats every window / gcd(stride, window)
+        # workers: one O(n) cycle, copied row by row into the narrow starts.
+        cycle = np.arange(window // math.gcd(stride, window), dtype=np.int64) * stride % window
+        starts = np.empty(num_workers, dtype=_index_dtype(n))
+        whole = num_workers - num_workers % cycle.size
+        starts[:whole].reshape(-1, cycle.size)[:] = cycle
+        starts[whole:] = cycle[: num_workers - whole]
         return cls(
             x=dataset.x_train,
             y=dataset.y_train,
             starts=starts,
-            stops=starts + shard_size,
+            sizes=np.broadcast_to(np.int64(shard_size), (num_workers,)),
             num_classes=dataset.num_classes,
             copied=False,
         )
@@ -482,14 +484,6 @@ class StackPool:
         if len(self._free) < self._max_free:
             self._free.append(owned)
         return True
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._lent)
-
-    @property
-    def free_buffers(self) -> int:
-        return len(self._free)
 
 
 class Population:
@@ -557,8 +551,7 @@ class Population:
             dataset, num_workers=num_workers, shard_size=shard_size, stride=stride
         )
         nominal = getattr(latency, "nominal", None) if latency is not None else None
-        sizes = np.broadcast_to(np.int64(shard_size), (num_workers,))
-        state = WorkerStateTable(raw_sizes=sizes, latencies=nominal)
+        state = WorkerStateTable(raw_sizes=store.sizes, latencies=nominal)
         return cls(state, dataset=dataset, store=store)
 
     # -- data access ----------------------------------------------------

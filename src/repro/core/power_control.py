@@ -87,11 +87,18 @@ def optimal_eta(
     return float((numerator / (sigma * model_bound**2)) ** 2)
 
 
+_BLOCK = 1 << 16  # workers per slice of _sigma_cap's min (bounds its scratch)
+
+
 def _sigma_cap(
     sizes: np.ndarray, gains: np.ndarray, model_bound: float, energy_budget: float
 ) -> float:
-    """``min_i h_i √Ê / (d_i W_t)``: the largest σ every worker affords (Eq. 46)."""
-    return float((gains * np.sqrt(energy_budget) / (sizes * model_bound)).min())
+    """``min_i h_i √Ê / (d_i W_t)``: the largest σ every worker affords (Eq. 46),
+    over slices of ``_BLOCK`` workers; each term keeps its operation order."""
+    return float(np.min([
+        (gains[i : i + _BLOCK] * np.sqrt(energy_budget) / (sizes[i : i + _BLOCK] * model_bound))
+        .min() for i in range(0, sizes.size, _BLOCK)
+    ]))  # fmt: skip
 
 
 def solve_power_control(
@@ -119,7 +126,7 @@ def solve_power_control(
     gains = np.asarray(channel_gains, dtype=np.float64)
     if sizes.shape != gains.shape or sizes.size == 0:
         raise ValueError("data_sizes and channel_gains must be non-empty and aligned")
-    if not np.all(sizes > 0) or not np.all(gains > 0):
+    if not (sizes.min() > 0 and gains.min() > 0):
         raise ValueError("data sizes and channel gains must be positive")
     if model_bound <= 0:
         raise ValueError("model_bound must be positive")

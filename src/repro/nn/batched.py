@@ -1202,7 +1202,7 @@ class BatchedWorkerEngine:
         else:
             rows = slice(None) if worker_data.ids is None else worker_data.ids
             first = store.starts[rows]
-            counts = store.stops[rows] - first
+            counts = store.sizes[rows]
         active = np.flatnonzero(counts).tolist()
         idle = np.flatnonzero(counts == 0).tolist()
         # A pointer per entry of ``idle``, ``active`` and the four member lists.

@@ -41,7 +41,7 @@ class TestRayleighFading:
 
     def test_pathloss_spread_bounds_average_gains(self):
         ch = RayleighFading(num_workers=100, mean_gain=1.0, pathloss_spread=3.0, seed=0)
-        avg = ch.average_gains
+        avg = ch._avg_gain
         assert np.all(avg >= 1.0 / 3.0 - 1e-12)
         assert np.all(avg <= 3.0 + 1e-12)
 
@@ -83,6 +83,16 @@ class TestStaticChannel:
     def test_unit_spread_gives_equal_gains(self):
         ch = StaticChannel(num_workers=6, mean_gain=2.0, spread=1.0, seed=0)
         np.testing.assert_allclose(ch.gains(0), 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("mean_gain", [1.0, 0.37, 3])
+    def test_spread_gains_are_the_one_expression_bit_for_bit(self, seed, mean_gain):
+        """The in-place draw equals ``mean_gain * np.exp(draw)``."""
+        ch = StaticChannel(num_workers=257, mean_gain=mean_gain, spread=5.0, seed=seed)
+        log_spread = np.log(5.0)
+        draw = np.random.default_rng(seed).uniform(-log_spread, log_spread, size=257)
+        assert np.array_equal(ch.gains(0), mean_gain * np.exp(draw))
+        assert ch.gains(0).dtype == np.float64
 
     def test_spread_creates_heterogeneous_gains(self):
         ch = StaticChannel(num_workers=50, mean_gain=1.0, spread=4.0, seed=0)

@@ -122,13 +122,13 @@ def test_replicated_store_aliases_dataset_and_overlaps():
     np.testing.assert_array_equal(store.data_sizes(), np.full(200, 16))
     shard = store.shard(7)
     assert isinstance(shard, ShardView)
-    assert shard.num_samples == 16
+    assert len(shard.x) == 16
     assert np.shares_memory(shard.x, dataset.x_train)
     # Class counts stay correct for overlapping windows (brute force check).
     counts = store.class_counts()
     for w in (0, 3, 199):
         expected = np.bincount(
-            store.y[store.starts[w]:store.stops[w]], minlength=dataset.num_classes
+            store.y[store.starts[w]:store.starts[w] + store.sizes[w]], minlength=dataset.num_classes
         )
         np.testing.assert_array_equal(counts[w], expected)
 
@@ -136,8 +136,8 @@ def test_replicated_store_aliases_dataset_and_overlaps():
 def _bincount_histograms(store):
     return np.array(
         [
-            np.bincount(store.y[s:e], minlength=store.num_classes)
-            for s, e in zip(store.starts.tolist(), store.stops.tolist())
+            np.bincount(store.y[s:s + d], minlength=store.num_classes)
+            for s, d in zip(store.starts.tolist(), store.sizes.tolist())
         ],
         dtype=np.int64,
     )
@@ -168,7 +168,7 @@ def test_class_counts_take_the_narrowest_dtype_holding_the_longest_window(longes
         x=np.zeros((labels.size, 1)),
         y=labels,
         starts=np.array([0, 7, 2, 4]),
-        stops=np.array([longest, longest + 7, 9, 4]),
+        sizes=np.array([longest, longest, 7, 0]),
         num_classes=3,
     )
     counts = store.class_counts()
@@ -208,7 +208,7 @@ def test_class_counts_reject_out_of_range_labels(labels):
         x=np.zeros((6, 2)),
         y=np.array(labels),
         starts=np.array([0, 3]),
-        stops=np.array([3, 6]),
+        sizes=np.array([3, 3]),
         num_classes=3,
     )
     with pytest.raises(ValueError, match="partition labels out of range for num_classes"):
@@ -253,7 +253,7 @@ def test_class_counts_zero_length_windows():
         x=dataset.x_train,
         y=dataset.y_train,
         starts=np.array([0, 5, 5, 30, 12]),
-        stops=np.array([5, 5, 30, 30, 12]),
+        sizes=np.array([5, 0, 25, 0, 0]),
         num_classes=dataset.num_classes,
     )
     counts = store.class_counts()
@@ -298,12 +298,76 @@ def test_store_validates_windows():
             x=dataset.x_train,
             y=dataset.y_train,
             starts=np.array([0]),
-            stops=np.array([999]),
+            sizes=np.array([999]),
             num_classes=10,
         )
     store = SharedDatasetStore.replicated(dataset, num_workers=4, shard_size=5)
     with pytest.raises(ValueError, match="invalid worker id"):
         store.shard(4)
+
+
+def test_replicated_store_holds_one_int32_start_per_worker():
+    """Window bytes: an int32 start per worker and one int64 size (a
+    read-only zero-stride view, the one the state table reads)."""
+    population = Population.replicated(_dataset(num_train=256), num_workers=1000, shard_size=32)
+    store = population.store
+    assert store.starts.dtype == np.int32
+    assert store.sizes.strides == (0,) and store.sizes.tolist() == [32] * 1000
+    assert store.nbytes - store.x.nbytes - store.y.nbytes <= 4 * 1000 + 8
+    assert store.data_sizes() is store.sizes
+    with pytest.raises(ValueError, match="read-only"):
+        store.sizes[3] = 1
+    np.testing.assert_array_equal(population.state.sizes, store.sizes)
+
+
+def test_replicated_store_is_built_in_blocks():
+    """The starts are the one O(N) allocation of a replicated store: its
+    traced peak stays below 1.5 int32 per worker at 1M workers."""
+    dataset = _dataset(num_train=256)
+    tracemalloc.start()
+    try:
+        store = SharedDatasetStore.replicated(dataset, num_workers=1_000_000, shard_size=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.starts[-1] == 999_999 % 225
+    assert peak < 6 * 1_000_000
+
+
+def test_store_nbytes_counts_resident_bytes():
+    dataset = _dataset(num_train=60)
+    partition = partition_label_skew(dataset, num_workers=6, labels_per_worker=2, seed=0)
+    store = SharedDatasetStore.from_partition(dataset, partition)
+    assert store.starts.dtype == np.int32 and store.sizes.dtype == np.int64
+    assert store.nbytes == store.x.nbytes + store.y.nbytes + 6 * (4 + 8)
+
+
+@pytest.mark.parametrize("block", [3, 7])
+def test_window_walks_cross_block_edges(monkeypatch, block):
+    """Starts, bounds check and class counts are walked in blocks of workers."""
+    from repro.core import population
+
+    dataset = _dataset(num_train=90)
+    expected = SharedDatasetStore.replicated(dataset, num_workers=40, shard_size=16, stride=7)
+    monkeypatch.setattr(population, "_BLOCK", block)
+    store = SharedDatasetStore.replicated(dataset, num_workers=40, shard_size=16, stride=7)
+    assert np.array_equal(store.starts, expected.starts)
+    assert np.array_equal(store.class_counts(), _bincount_histograms(store))
+    starts, sizes = np.zeros(20, dtype=np.int64), np.ones(20, dtype=np.int64)
+    sizes[-1] = 91  # only the last block's window runs past the rows
+    with pytest.raises(ValueError, match="out of bounds"):
+        SharedDatasetStore(dataset.x_train, dataset.y_train, starts, sizes, 10)
+
+
+@pytest.mark.parametrize(
+    "starts, sizes",
+    [([0.0, 1.0], [1, 1]), ([0, 1], [1.0, 1.0]), ([-1, 0], [1, 1]), ([0, 1], [1, -1])],
+    ids=["float-starts", "float-sizes", "negative-start", "negative-size"],
+)
+def test_store_refuses_bad_windows(starts, sizes):
+    with pytest.raises(ValueError):
+        SharedDatasetStore(np.zeros((4, 1)), np.zeros(4, dtype=np.int64),
+                           np.array(starts), np.array(sizes), num_classes=1)
 
 
 # ----------------------------------------------------------------------
@@ -313,13 +377,13 @@ def test_stack_pool_recycles_buffers():
     pool = StackPool()
     a = pool.acquire(5, 3)
     assert a.shape == (5, 3)
-    assert pool.outstanding == 1
+    assert len(pool._lent) == 1
     assert pool.release(a)
-    assert pool.outstanding == 0
-    assert pool.free_buffers == 1
+    assert len(pool._lent) == 0
+    assert len(pool._free) == 1
     b = pool.acquire(4, 3)  # best-fit reuse of the freed 5x3 base
     assert b.shape == (4, 3)
-    assert pool.free_buffers == 0
+    assert len(pool._free) == 0
     assert pool.release(b)
 
 
@@ -328,7 +392,7 @@ def test_stack_pool_release_is_noop_for_foreign_arrays():
     foreign = np.zeros((2, 2))
     assert pool.release(foreign) is False
     assert pool.release(None) is False
-    assert pool.outstanding == 0
+    assert len(pool._lent) == 0
 
 
 def test_stack_pool_refuses_a_view_past_the_first_row():
@@ -338,10 +402,10 @@ def test_stack_pool_refuses_a_view_past_the_first_row():
     slab = pool.acquire(6, 3)
     with pytest.raises(ValueError, match="view"):
         pool.release(slab[2:4])
-    assert pool.outstanding == 1
+    assert len(pool._lent) == 1
     assert pool.release(slab)
     assert pool.release(slab) is False
-    assert pool.outstanding == 0
+    assert len(pool._lent) == 0
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +459,7 @@ def test_population_replicated_xl_construction_is_compact():
     assert population.store.x is dataset.x_train
     assert population.nbytes < 100 * 1024 * 1024
     shard = population.shard(num_workers - 1)
-    assert shard.num_samples == 32
+    assert len(shard.x) == 32
     assert np.shares_memory(shard.x, dataset.x_train)
 
 

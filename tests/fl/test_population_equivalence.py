@@ -28,7 +28,7 @@ def test_lazy_trainer_serves_zero_copy_shards_and_counts_events():
     assert counters["dispatches"] > 0
     assert counters["dropped"] == 0  # always-on default: nobody drops
     # All pooled group stacks were returned on commit.
-    assert trainer.population.stack_pool.outstanding == 0
+    assert not trainer.population.stack_pool._lent
 
 
 def _replicated_air_fedga(n):

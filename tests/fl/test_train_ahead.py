@@ -144,7 +144,7 @@ def test_each_engine_call_trains_into_one_slab():
 def test_a_slab_goes_back_once_after_its_last_cohort_commits():
     slabs, _, pool = _slabs(**SMALL_GROUPS)
     assert all(entry["releases"] == [len(entry["slab"])] for entry in slabs)
-    assert pool.outstanding == 0
+    assert not pool._lent
 
 
 def test_fedasync_hands_back_the_slabs_still_in_flight():
@@ -155,4 +155,4 @@ def test_fedasync_hands_back_the_slabs_still_in_flight():
     assert max(calls[1:]) > 3  # cohorts after the first one merge
     assert all(len(entry["releases"]) == 1 for entry in slabs)
     assert any(entry["releases"][0] < len(entry["slab"]) for entry in slabs)
-    assert pool.outstanding == 0
+    assert not pool._lent

@@ -31,7 +31,7 @@ def _store(windows, features=(16,), classes=5, dtype=np.float64, seed=0, rows=64
         x=rng.standard_normal((rows,) + features).astype(dtype),
         y=rng.integers(0, classes, rows),
         starts=np.array([s for s, _ in windows]),
-        stops=np.array([e for _, e in windows]),
+        sizes=np.array([e - s for s, e in windows]),
         num_classes=classes,
     )
 

@@ -21,6 +21,14 @@ from repro.core.config import AirCompConfig
 from repro.core.power_control import optimal_eta
 
 
+def sigma_cap_one_pass(
+    sizes: np.ndarray, gains: np.ndarray, model_bound: float, energy_budget: float
+) -> float:
+    """Eq. (46) over all workers in one expression: the reference of the
+    blocked :func:`repro.core.power_control._sigma_cap`."""
+    return float((gains * np.sqrt(energy_budget) / (sizes * model_bound)).min())
+
+
 @dataclass
 class Alternation:
     """Where the alternation stopped, and the (σ, η, C) of every step."""
@@ -48,9 +56,7 @@ def alternate(
     gains = np.asarray(channel_gains, dtype=np.float64)
     group_size = float(sizes.sum())
     noise_var = config.noise_variance
-    sigma_cap = float(
-        (gains * np.sqrt(config.energy_budget_j) / (sizes * model_bound)).min()
-    )
+    sigma_cap = sigma_cap_one_pass(sizes, gains, model_bound, config.energy_budget_j)
     sigma = sigma_cap if sigma_start is None else min(sigma_start, sigma_cap)
     eta = optimal_eta(sigma, model_bound, noise_var, group_size)
 

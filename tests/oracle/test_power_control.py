@@ -8,14 +8,16 @@ is zero or below one ULP of σ and √η rounds below the cap.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import AirCompConfig, solve_power_control
+from repro.core import AirCompConfig, power_control, solve_power_control
 
-from oracle.power_control import alternate
+from oracle.power_control import alternate, sigma_cap_one_pass
 
 
 def _log_uniform(low: float, high: float) -> st.SearchStrategy[float]:
@@ -73,6 +75,41 @@ def test_the_examples_round_below_the_cap(instance):
     """Pins what the two ``@example`` cases are there for."""
     reference = alternate(*instance)
     assert reference.sigma < reference.sigma_cap
+
+
+@pytest.mark.parametrize("block", [3, 7, power_control._BLOCK])
+@settings(max_examples=200)
+@given(instance=instances(), uniform=st.booleans())
+# The smallest term lies in the last of three blocks of three.
+@example(instance=([5.0] * 9, [1.0] * 8 + [0.5], 1.0, AirCompConfig()), uniform=True)
+def test_blocked_sigma_cap_is_the_one_pass_min_bit_for_bit(block, instance, uniform):
+    """Eq. (46) over slices of ``block`` workers equals the one-pass min, also
+    over a zero-stride size vector (a replicated population's)."""
+    sizes, gains, model_bound, config = instance
+    sizes, gains = np.asarray(sizes), np.asarray(gains)
+    if uniform:
+        sizes = np.broadcast_to(sizes[:1], sizes.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(power_control, "_BLOCK", block)
+        blocked = power_control._sigma_cap(sizes, gains, model_bound, config.energy_budget_j)
+    one_pass = sigma_cap_one_pass(sizes, gains, model_bound, config.energy_budget_j)
+    assert blocked.hex() == one_pass.hex()
+
+
+def test_the_estimate_over_every_worker_allocates_one_block():
+    """The trainer's estimate runs over all N workers: its scratch is a few
+    blocks of the cap's terms, not three O(N) float64 arrays."""
+    n, config = 300_000, AirCompConfig()
+    sizes = np.broadcast_to(np.float64(32.0), (n,))
+    gains = np.random.default_rng(0).uniform(0.5, 2.0, n)
+    tracemalloc.start()
+    try:
+        result = solve_power_control(sizes, gains, 3.0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.sigma_cap == sigma_cap_one_pass(sizes, gains, 3.0, config.energy_budget_j)
+    assert peak < 4 * 8 * power_control._BLOCK
 
 
 class TestAlternation:

@@ -148,7 +148,10 @@ class TestMain:
         record = records[0]
         assert (record["parent"], record["sha"]) == tuple(shas)
         assert (record["workload"], record["pairs"]) == ("tiny", 4)
-        assert set(record["host"]) == {"cpu_count", "affinity", "blas_threads"}
+        assert set(record["host"]) == {
+            "cpu_count", "affinity", "blas_threads", "openblas_core", "openblas_config"
+        }
+        assert record["host"]["openblas_core"] == bench_pairs.openblas_kernel()["openblas_core"]
         run_s = record["metrics"]["run_s"]
         assert (run_s["won"], run_s["lost"], run_s["verdict"]) == (4, 0, "gain")
         assert run_s["parent"][1] == pytest.approx(1.0425) and len(run_s["change"]) == 3
@@ -267,6 +270,18 @@ class TestBenchmarkRunner:
         runner = bench_pairs.benchmark_runner({"command": ["x"]}, {"parent": tmp_path}, "w", 1)
         with pytest.raises(RuntimeError, match="1 of 7 operations failed"):
             runner("parent", 0)
+
+
+def test_the_host_names_numpys_openblas_kernel():
+    kernel = bench_pairs.openblas_kernel()
+    assert set(kernel) == {"openblas_core", "openblas_config"}
+    assert all(isinstance(value, str) and value for value in kernel.values())
+
+
+def test_a_library_without_the_symbols_reads_unknown():
+    assert bench_pairs.openblas_kernel(object()) == {
+        "openblas_core": "unknown", "openblas_config": "unknown"
+    }
 
 
 def test_export_commit_extracts_the_committed_files_only(tmp_path):

@@ -1,7 +1,9 @@
-"""``tools/phase_memory.py``'s nested spans and stage wrappers, on small allocations."""
+"""``tools/phase_memory.py``'s nested spans, resident columns and stage wrappers,
+on small allocations."""
 
 from __future__ import annotations
 
+import mmap
 import tracemalloc
 import types
 
@@ -17,7 +19,7 @@ def _traced(body):
         body(spans)
     finally:
         tracemalloc.stop()
-    return {name: (depth, live, peak) for depth, name, live, peak in spans.rows}
+    return {name: (depth, *columns) for depth, name, *columns in spans.rows}
 
 
 def test_a_stage_peak_stays_in_its_phase_peak():
@@ -32,10 +34,30 @@ def test_a_stage_peak_stays_in_its_phase_peak():
 
     rows = _traced(body)
     assert list(rows) == ["phase", "stage", "later stage"]
-    assert [depth for depth, _, _ in rows.values()] == [0, 1, 1]
+    assert [depth for depth, *_ in rows.values()] == [0, 1, 1]
     assert rows["stage"][2] - rows["stage"][1] > 7.9e6
     assert rows["phase"][2] >= rows["stage"][2]
     assert rows["later stage"][1] - rows["stage"][1] > 0.79e6
+
+
+def test_each_span_reads_the_resident_mib_after_it():
+    """VmRSS and VmHWM in MiB: 40 MiB of fresh pages held through a span show
+    in both (an anonymous map, so no freed heap memory can serve them)."""
+    size, held = 40 << 20, []
+
+    def body(spans):
+        with spans.span("phase"):
+            held.append(mmap.mmap(-1, size))
+            for offset in range(0, size, mmap.PAGESIZE):
+                held[0][offset] = 1
+
+    rss, hwm = phase_memory.resident_mib()
+    try:
+        ((_, _, _, rss_after, hwm_after),) = _traced(body).values()
+    finally:
+        held[0].close()
+    assert 0 < rss <= hwm
+    assert rss_after >= rss + 38 and hwm_after >= rss_after
 
 
 def test_staged_wraps_calls_and_first_rows_then_puts_them_back():

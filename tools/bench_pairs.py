@@ -29,7 +29,8 @@ prints both medians with quartiles, the pairs the change won, and one of
 Raw samples go to ``results/bench_pairs_<workload>.json``.  With
 ``--record`` one compact record of the run is also appended to the
 committed trajectory ``BENCH_pairs.json``: the sha of this checkout and
-of the parent, the host (cores, affinity, BLAS threads), the workload and
+of the parent, the host (cores, affinity, BLAS threads, the OpenBLAS core
+and config string NumPy loads), the workload and
 per metric the medians, quartiles, pairs won and verdict.  Record from a
 clean checkout, so that the sha names the code that ran.  A record whose
 two sides ran the same files (``--parent HEAD`` from a clean checkout) is
@@ -45,6 +46,7 @@ command, the run length, the metric names, directions and bounds.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import statistics
@@ -222,6 +224,39 @@ def format_rows(rows: List[dict]) -> str:
     return "\n".join(lines)
 
 
+#: Where NumPy's bundled OpenBLAS answers what it runs: the core its
+#: ``DYNAMIC_ARCH`` dispatch picked (bit-identity holds per core) and its
+#: build config.  ``scipy_openblas64`` prefixes and suffixes the names.
+OPENBLAS_QUERIES = {
+    "openblas_core": ("scipy_openblas_get_corename64_", "openblas_get_corename"),
+    "openblas_config": ("scipy_openblas_get_config64_", "openblas_get_config"),
+}
+
+
+def openblas_kernel(library: Optional[object] = None) -> Dict[str, str]:
+    """What :data:`OPENBLAS_QUERIES` read from ``library`` (default: NumPy's
+    core extension, whose symbol lookup reaches the OpenBLAS it links);
+    ``"unknown"`` where no symbol answers."""
+    if library is None:
+        try:
+            import numpy
+
+            core = getattr(numpy, "_core", None) or numpy.core
+            library = ctypes.CDLL(core._multiarray_umath.__file__)
+        except (ImportError, AttributeError, OSError):
+            library = object()
+    found = {}
+    for key, symbols in OPENBLAS_QUERIES.items():
+        found[key] = "unknown"
+        for symbol in symbols:
+            query = getattr(library, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_char_p
+                found[key] = (query() or b"unknown").decode().strip()
+                break
+    return found
+
+
 def _rev(repo: Path, ref: str) -> str:
     return _git(repo, "rev-parse", ref)
 
@@ -238,7 +273,10 @@ def trajectory_record(repo: Path, parent: str, workload: str, rows: List[dict]) 
     affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     return {
         "sha": _rev(repo, "HEAD"), "parent": _rev(repo, parent), "dirty": bool(dirty), "aa": aa,
-        "host": {"cpu_count": os.cpu_count(), "affinity": affinity, "blas_threads": BLAS_THREADS},
+        "host": {
+            "cpu_count": os.cpu_count(), "affinity": affinity, "blas_threads": BLAS_THREADS,
+            **openblas_kernel(),
+        },
         "workload": workload, "pairs": rows[0]["pairs"],
         "metrics": {
             row["metric"]: {

@@ -1,10 +1,15 @@
-"""Traced memory of each phase of a replicated benchmark workload.
+"""Traced and resident memory of each phase of a replicated benchmark workload.
 
 Builds the workload the way ``benchmarks/airbench/adapter.py`` does —
 dataset, latency, channel, population, trainer, run — under
 ``tracemalloc`` and prints, per phase, the bytes live after it and the
 peak traced while it ran (both in MB of Python-visible allocations, so
 NumPy buffers count at full size whether or not their pages were touched).
+Beside them stand the process's ``VmRSS`` after the phase and its
+``VmHWM`` (the resident high-water mark so far), read from
+``/proc/self/status`` in MiB, the unit of the benchmark's ``peak_rss_mb``:
+the resident figures also hold what the allocator keeps of freed buffers,
+and ``tracemalloc``'s own bookkeeping.
 The trainer build and the run are split further into the stages listed in
 ``STAGES``, printed indented under their phase: each stage's callable is
 wrapped from outside for the pass and put back afterwards, as
@@ -50,8 +55,25 @@ STAGES: List[Tuple[str, Optional[str], Optional[str], str]] = [
 ]
 
 
+def resident_mib() -> Tuple[float, float]:
+    """``VmRSS`` and ``VmHWM`` of this process in MiB (NaN without ``/proc``)."""
+    fields = {}
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                key, _, value = line.partition(":")
+                fields[key] = value
+    except OSError:
+        pass
+    return tuple(  # type: ignore[return-value]
+        int(fields[key].split()[0]) / 1024 if key in fields else float("nan")
+        for key in ("VmRSS", "VmHWM")
+    )
+
+
 class TracedSpans:
-    """Bytes live after and peak traced during nested spans.
+    """Bytes live after and peak traced during nested spans, and the
+    resident MiB after each.
 
     ``tracemalloc`` keeps one peak; each span start and end folds it into
     the running peak of every open span before resetting it, so a stage's
@@ -59,7 +81,8 @@ class TracedSpans:
     """
 
     def __init__(self) -> None:
-        #: ``[depth, name, live after, peak during]`` in start order.
+        #: ``[depth, name, live after, peak during, VmRSS after, VmHWM after]``
+        #: in start order.
         self.rows: List[list] = []
         self._open: List[int] = []
 
@@ -71,7 +94,7 @@ class TracedSpans:
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
         self._fold()
-        row = [len(self._open), name, 0, 0]
+        row = [len(self._open), name, 0, 0, 0.0, 0.0]
         self.rows.append(row)
         self._open.append(0)
         try:
@@ -80,6 +103,7 @@ class TracedSpans:
             self._fold()
             row[3] = self._open.pop()
             row[2] = tracemalloc.get_traced_memory()[0]
+            row[4:] = resident_mib()
 
 
 def _stage(spans: TracedSpans, name: str, func: Any) -> Any:
@@ -181,10 +205,13 @@ def main(argv=None) -> None:
                     built[name] = phase()
     finally:
         tracemalloc.stop()
-    print(f"{args.workload} (seed {seed}): traced MB")
-    print(f"{'phase / stage':<26} {'live after':>10} {'peak':>8}")
-    for depth, name, live, peak in spans.rows:
-        print(f"{'  ' * depth + name:<26} {live / 1e6:>10.1f} {peak / 1e6:>8.1f}")
+    print(f"{args.workload} (seed {seed}): traced MB, resident MiB")
+    print(f"{'phase / stage':<26} {'live after':>10} {'peak':>8} {'VmRSS':>8} {'VmHWM':>8}")
+    for depth, name, live, peak, rss, hwm in spans.rows:
+        print(
+            f"{'  ' * depth + name:<26} {live / 1e6:>10.1f} {peak / 1e6:>8.1f}"
+            f" {rss:>8.1f} {hwm:>8.1f}"
+        )
 
 if __name__ == "__main__":
     main()
