@@ -1,21 +1,24 @@
 """The figure/table catalogue as data: pins, CLI agreement, airbench agreement.
 
-``catalogue_pins.json`` was recorded at commit ``16250bb`` through the
-hand-wired ``runner.build_experiment`` path (the second seed ladder), just
-before that path was deleted: SHA-256 digests of ``history.to_dict()`` (plus the
-scalar summaries) for the four figure workloads under the three AirComp
+``catalogue_pins.json`` holds SHA-256 digests of ``history.to_dict()`` (plus
+the scalar summaries) for the four figure workloads under the three AirComp
 mechanisms and for ``lr_mnist_config()`` under the five Fig. 10 mechanisms,
-all at a short ``max_time``.  The Scenario-built catalogue must keep
-reproducing them — that is the check that ``fig3_config()`` still means what
-it meant.  The case ``fig10_lr_mnist`` is a digest of ``lr_mnist_config()``,
+all at a short ``max_time``.  They were first recorded at commit ``16250bb``
+through the hand-wired ``runner.build_experiment`` path, just before that
+path was deleted, and re-recorded once when the history became one row per
+commit and power control took the vector-scale noise term (0.20.0).  The
+Scenario-built catalogue must keep reproducing them — that is the check that
+``fig3_config()`` still means what it meant.  The case ``fig10_lr_mnist`` is a digest of ``lr_mnist_config()``,
 the catalogue's base MLP scenario, not of ``FIGURES["fig10"]``.
 
 ``python -m repro.experiments run NAME`` must call NAME's driver exactly as
 ``benchmarks/test_NAME*`` does: same scenario document, same arguments.
 
-A digest only matches on a host whose BLAS rounds like the recording
-host's; elsewhere the summaries are compared at ``rtol=1e-9`` (the golden
-trajectories' tolerance) instead.
+The pins name the OpenBLAS kernel they were recorded on
+(``tools.bench_pairs.openblas_kernel``): bit-identity holds per BLAS kernel,
+not per host.  On that kernel every digest must match; on any other the
+summaries are compared at ``rtol=1e-9`` (the golden trajectories'
+tolerance) instead, and the test prints the kernel it ran on.
 
 After an *intended* trajectory change, regenerate with::
 
@@ -44,6 +47,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import EXPERIMENTS
 from repro.fl.history import TrainingHistory
+from tools.bench_pairs import openblas_kernel
 
 from . import figure_utils
 
@@ -51,6 +55,7 @@ HERE = Path(__file__).parent
 PINS_PATH = HERE / "catalogue_pins.json"
 PINS = json.loads(PINS_PATH.read_text())
 AIRBENCH_WORKLOADS = json.loads((HERE / "airbench" / "workloads.json").read_text())
+KERNEL = openblas_kernel()
 
 def pinned_cases(max_time: float) -> Dict[str, Tuple[Scenario, Sequence[str]]]:
     budget = {"training.max_time": max_time}
@@ -72,13 +77,19 @@ def test_catalogue_reproduces_the_pinned_histories(case):
     scenario, mechanisms = pinned_cases(PINS["max_time"])[case]
     pinned = PINS["cases"][case]
     assert sorted(pinned) == sorted(mechanisms)
+    recording_kernel = KERNEL == PINS["kernel"]
+    if not recording_kernel:
+        print(f"kernel {KERNEL}, pins recorded on {PINS['kernel']}: comparing summaries")
     for name, history in run_comparison(scenario, mechanisms=mechanisms).items():
         ours = pin_of(history)
-        if ours["sha256"] == pinned[name]["sha256"]:
-            continue
-        assert ours["summary"] == pytest.approx(pinned[name]["summary"], rel=1e-9), (
-            f"{case}/{name} no longer reproduces its pinned history"
-        )
+        if recording_kernel:
+            assert ours["sha256"] == pinned[name]["sha256"], (
+                f"{case}/{name} is no longer bit-identical to its pin on {KERNEL}"
+            )
+        else:
+            assert ours["summary"] == pytest.approx(pinned[name]["summary"], rel=1e-9), (
+                f"{case}/{name} no longer reproduces its pinned history (kernel {KERNEL})"
+            )
 
 
 class _Called(Exception):
@@ -168,5 +179,6 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
         }
         for case, (scenario, mechanisms) in pinned_cases(max_time).items()
     }
-    PINS_PATH.write_text(json.dumps({"max_time": max_time, "cases": cases}, indent=1) + "\n")
+    document = {"max_time": max_time, "kernel": KERNEL, "cases": cases}
+    PINS_PATH.write_text(json.dumps(document, indent=1) + "\n")
     print(f"wrote {PINS_PATH}")

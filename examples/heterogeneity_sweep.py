@@ -15,6 +15,8 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments import format_table, lr_mnist_config
 
 
@@ -33,7 +35,8 @@ def xi_sweep_demo() -> None:
     rows = []
     for xi in (0.0, 0.2, 0.4, 0.8):
         history = base.with_(**{"algorithm.grouping.xi": xi}).run()
-        groups = len({r.group_id for r in history.records if r.group_id >= 0})
+        group_ids = history.column("group_id")
+        groups = np.unique(group_ids[group_ids >= 0]).size
         rows.append(
             (
                 xi,

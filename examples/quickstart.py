@@ -17,6 +17,7 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.channel import RayleighFading
 from repro.core import AirFedGAConfig
@@ -73,10 +74,10 @@ def main() -> None:
     history = trainer.run(max_rounds=200, max_time=1500.0)
 
     # 5. Report.
-    rows = [
-        (r.round_index, r.time, r.loss, r.accuracy, r.staleness)
-        for r in history.records[:: max(1, len(history.records) // 12)]
-    ]
+    sampled = np.flatnonzero(history.column("sampled"))
+    sampled = sampled[:: max(1, sampled.size // 12)]
+    columns = ("round_index", "time", "loss", "accuracy", "staleness")
+    rows = list(zip(*(history.column(name)[sampled].tolist() for name in columns)))
     print()
     print(
         format_table(

@@ -29,6 +29,6 @@ groups update the global model asynchronously.  This package contains:
 
 from . import channel, core, data, fl, nn, registry, sim
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = ["channel", "core", "data", "fl", "nn", "registry", "sim", "__version__"]

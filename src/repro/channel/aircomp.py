@@ -245,9 +245,14 @@ def aggregation_error_term(
 
     ``C_t = (σ_t/√η_t − 1)² W_t² + σ₀² / (D_{j_t}² η_t)``
 
-    where ``W_t`` bounds the local model norms and ``σ₀²`` is the AWGN
-    variance.  Minimizing this over (σ_t, η_t) is the power-control problem
-    P3 that Algorithm 2 solves.
+    where ``W_t`` bounds the local model norms and ``σ₀²`` (``noise_var``) is
+    the AWGN power summed over the vector's entries: q times the per-entry
+    variance of :func:`aircomp_aggregate`'s ``noise_std`` for a ``q``-entry
+    model.  ``C_t`` is then the expected ``‖y/(D√η) − Σ (d_i/D) w_i‖²`` of the
+    whole vector; equal, not only a bound, when every ``w_i`` is one vector
+    of norm ``W_t``.
+    Minimizing this over (σ_t, η_t) is the power-control problem P3 that
+    Algorithm 2 solves.
     """
     if sigma_t <= 0 or eta_t <= 0:
         raise ValueError("sigma_t and eta_t must be positive")

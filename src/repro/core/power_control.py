@@ -29,8 +29,8 @@ below one ULP of σ), √η can round one ULP below σ_cap, and the ``min`` keep
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -148,40 +148,17 @@ def solve_power_control(
 
 
 class PowerControlCache:
-    """Memoization wrapper around :func:`solve_power_control`.
+    """Counts the solves of :func:`solve_power_control`; it memoises nothing.
 
-    Re-running Algorithm 2 from scratch at every aggregation is wasteful
-    under static channels and stable bounds, where successive rounds of the
-    same group pose *identical* (or near-identical) P3 instances: the
-    solution is looked up on a quantized ``(gains, sizes, model_bound)``
-    key.  A miss solves the current inputs afresh: the optimum is the
-    current cap, so an earlier σ has nothing to offer it.
-
-    The model bound is quantized to ``rel_tol`` relative precision when
-    forming keys (a hit may therefore reuse a (σ, η) pair solved for a
-    bound up to that relative distance away); gains and data sizes are
-    hashed exactly.  On a hit the cached σ is clamped to the *exact*
-    energy-budget cap of the current inputs (Eq. 46), so the quantization
-    can never cause a budget violation.
+    Every aggregation solves its own inputs: a quantised key would hand a
+    round the σ and η of another bound, and the closed form costs what a key
+    costs.  ``hits`` stays 0; the class and its counters stay only while the
+    benchmark harness reads them (ROADMAP item 5).
     """
 
-    def __init__(self, rel_tol: float = 1e-3, max_entries: int = 4096) -> None:
-        if rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.rel_tol = rel_tol
-        self._log_step = np.log1p(rel_tol)
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._cache: Dict[Tuple, PowerControlResult] = {}
-
-    # ------------------------------------------------------------------
-    def _quantize_bound(self, model_bound: float) -> float:
-        """Snap the bound onto a relative grid of spacing ``rel_tol``."""
-        step = self._log_step
-        return float(np.exp(np.round(np.log(model_bound) / step) * step))
 
     def solve(
         self,
@@ -190,47 +167,6 @@ class PowerControlCache:
         model_bound: float,
         config: AirCompConfig,
     ) -> PowerControlResult:
-        """Cached equivalent of :func:`solve_power_control`."""
-        sizes = np.ascontiguousarray(data_sizes, dtype=np.float64)
-        gains = np.ascontiguousarray(channel_gains, dtype=np.float64)
-        key = (
-            sizes.tobytes(),
-            gains.tobytes(),
-            self._quantize_bound(model_bound),
-            config.noise_variance,
-            config.energy_budget_j,
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            # Clamp to the exact cap for *this* round's bound (Eq. 46).
-            sigma_cap = _sigma_cap(sizes, gains, model_bound, config.energy_budget_j)
-            if cached.sigma <= sigma_cap:
-                return cached
-            # Re-pair the clamped σ with its own optimal η (Eq. 44) so the
-            # denoising scale stays consistent with the transmitted power.
-            group_size = float(sizes.sum())
-            eta = optimal_eta(sigma_cap, model_bound, config.noise_variance, group_size)
-            error = aggregation_error_term(
-                sigma_cap, eta, model_bound, config.noise_variance, group_size
-            )
-            return replace(
-                cached,
-                sigma=sigma_cap,
-                eta=eta,
-                error_term=error,
-                sigma_cap=sigma_cap,
-            )
+        """:func:`solve_power_control`, counted as a miss."""
         self.misses += 1
-        result = solve_power_control(
-            data_sizes=sizes,
-            channel_gains=gains,
-            model_bound=model_bound,
-            config=config,
-        )
-        if len(self._cache) >= self.max_entries:
-            # Simple wholesale reset: the cache is an optimization, not a
-            # correctness structure, and resets are rare at this size.
-            self._cache.clear()
-        self._cache[key] = result
-        return result
+        return solve_power_control(data_sizes, channel_gains, model_bound, config)

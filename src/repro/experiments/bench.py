@@ -235,9 +235,7 @@ def bench_mechanism_convergence(
         history = trainer.run(max_rounds=max_rounds)
         wall = time.perf_counter() - start
         losses = [v for v in history.losses() if np.isfinite(v)]
-        staleness = [
-            r.staleness for r in history.records if r.num_participants > 0
-        ]
+        staleness = history.column("staleness")[history.column("num_participants") > 0]
         rows.append(
             {
                 "mechanism": name,
@@ -249,7 +247,7 @@ def bench_mechanism_convergence(
                 "final_accuracy": float(history.final_accuracy),
                 "sim_time_s": float(history.total_time),
                 "wall_s": wall,
-                "mean_staleness": float(np.mean(staleness)) if staleness else 0.0,
+                "mean_staleness": float(np.mean(staleness)) if staleness.size else 0.0,
             }
         )
     return rows

@@ -91,9 +91,8 @@ def xi_sweep(
         }
         results[xi]["_final_accuracy"] = history.final_accuracy
         results[xi]["_total_time"] = history.total_time
-        results[xi]["_num_groups"] = float(
-            len({r.group_id for r in history.records if r.group_id >= 0}) or 1
-        )
+        groups = history.column("group_id")
+        results[xi]["_num_groups"] = float(np.unique(groups[groups >= 0]).size or 1)
     return results
 
 

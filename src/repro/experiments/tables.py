@@ -53,7 +53,7 @@ def mechanism_comparison(
     * ``round_time_ratio_when_doubling_workers`` — average round time at the
       full worker count over that at half of it (scalability proxy; ≤ 1 is
       good, ``nan`` if the half-size probe recorded no time),
-    * ``mean_staleness`` — mean recorded staleness over the rounds that had
+    * ``mean_staleness`` — mean staleness over the commits that had
       participants (0 for the synchronous mechanisms),
     * ``total_energy_j`` — cumulative transmit energy of the probe.
     """
@@ -67,11 +67,7 @@ def mechanism_comparison(
         hist_big = run_big[name]
         avg_round_big = hist_big.average_round_time()
         avg_round_small = run_small[name].average_round_time()
-        staleness = [
-            float(record.staleness)
-            for record in hist_big.records
-            if record.num_participants > 0
-        ]
+        staleness = hist_big.column("staleness")[hist_big.column("num_participants") > 0]
         out[name] = {
             "avg_round_time_s": avg_round_big,
             "total_time_s": hist_big.total_time,
@@ -79,7 +75,7 @@ def mechanism_comparison(
             "round_time_ratio_when_doubling_workers": (
                 avg_round_big / avg_round_small if avg_round_small > 0 else float("nan")
             ),
-            "mean_staleness": float(np.mean(staleness)) if staleness else 0.0,
+            "mean_staleness": float(np.mean(staleness)) if staleness.size else 0.0,
             "total_energy_j": hist_big.total_energy,
         }
     return out

@@ -13,7 +13,7 @@ Public entry points (documented in ``docs/API.md``):
   layer needs a batched kernel;
 * :class:`BaseTrainer` — shared machinery (local updates, AirComp and
   OMA aggregation weighted by α_i = d_i / D from the data sizes,
-  evaluation, each round's transmit energy on its history record).
+  evaluation, each round's transmit energy on its history row).
   Trainers are context managers (``with build_trainer(...) as t:
   t.run(...)``);
 * the axes a mechanism is assembled from — the schedules
@@ -22,9 +22,8 @@ Public entry points (documented in ``docs/API.md``):
   whose ``schedule`` generators yield :class:`CommitRow` s, each naming
   the :class:`Cohort` that trains for it, and the uplinks
   :class:`OMAUplink` / :class:`AirCompUplink` mixed into them;
-* :class:`TrainingHistory` / :class:`RoundRecord` — the per-round
-  trajectory every ``run()`` returns (including the device-fault
-  counters);
+* :class:`TrainingHistory` — the commit log every ``run()`` returns,
+  one row per global update (including the device-fault counters);
 * :class:`StalenessPolicy` and its ``constant`` / ``polynomial`` /
   ``hinge`` implementations — staleness-aware aggregation schedules
   (registry kind ``"staleness"``), coerced from names/mappings by
@@ -32,7 +31,7 @@ Public entry points (documented in ``docs/API.md``):
 """
 
 from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
-from .history import RoundRecord, TrainingHistory
+from .history import TrainingHistory
 from .uplink import AirCompUplink, OMAUplink
 from .synchronous import SynchronousTrainer
 from .fedavg import FedAvgTrainer
@@ -58,7 +57,6 @@ __all__ = [
     "BaseTrainer",
     "Cohort",
     "CommitRow",
-    "RoundRecord",
     "TrainingHistory",
     "OMAUplink",
     "AirCompUplink",

@@ -57,7 +57,7 @@ from ..nn.models import Model
 from ..nn.params import parameter_dtype
 from ..sim.clientstate import ClientStateModel
 from ..sim.latency import LatencyTable
-from .history import RoundRecord, TrainingHistory
+from .history import TrainingHistory
 from .staleness import StalenessPolicy
 
 __all__ = ["FLExperiment", "BaseTrainer", "Cohort", "CommitRow"]
@@ -269,9 +269,6 @@ class BaseTrainer:
         self._noise_rng = np.random.default_rng(
             np.random.SeedSequence([experiment.seed, 0xA17])
         )
-        # The run's Eq. (7) transmit energy so far: the history's records are
-        # the one energy account (``round_energy_j``, ``cumulative_energy_j``).
-        self._cumulative_energy = 0.0
         # Worker training data: zero-copy shard views into the population's
         # shared store (O(1) per worker).
         self._worker_data: Sequence[Tuple[np.ndarray, np.ndarray]] = (
@@ -293,17 +290,16 @@ class BaseTrainer:
         # * the group-batched execution engine, which trains and evaluates
         #   every model; a layer without a batched kernel fails here;
         # * trainer-owned O(q) buffers so steady-state rounds perform no
-        #   model-sized allocations;
-        # * a memoized power-control solver.
+        #   model-sized allocations.
         # ------------------------------------------------------------------
         dim = self.model.dimension
         dtype = self.global_vector.dtype
         self._engine = BatchedWorkerEngine.try_build(self.model)
         self._merges = self._engine.trains_ahead
-        # Sampled rounds awaiting one evaluation pass (records, vectors), which
-        # waits for a full block inside ``run`` (``_deferring``).
+        # Sampled rounds awaiting one evaluation pass (history rows, vectors),
+        # which waits for a full block inside ``run`` (``_deferring``).
         k = self._engine.evaluation_block(self._eval_x)
-        self._pending: List[RoundRecord] = []
+        self._pending: List[int] = []
         self._eval_block, self._deferring = np.empty((k, dim), dtype), False
         self._update_out: np.ndarray = np.empty(dim, dtype=dtype)
         self._agg_scratch: np.ndarray = np.empty(dim, dtype=dtype)
@@ -315,14 +311,14 @@ class BaseTrainer:
         self._spare_bases: List[np.ndarray] = []
         self._air_workspace = AirCompWorkspace()
         cfg = experiment.config.aircomp
-        # Calibration: the paper's σ₀² is the total AWGN
-        # power of the aggregation; the q model entries are carried by q
-        # symbols, so the per-entry noise variance is σ₀² / q.  We use the
-        # paper-scale dimension (latency_dimension) so that the noise level,
-        # the upload latency and the energy model all describe the same
-        # full-size upload.  Neither changes during a run.
+        # Calibration: the paper's σ₀² is the total AWGN power of a full-size
+        # upload of L = latency_dimension symbols (the dimension the upload
+        # latency and the energy model use), so each entry carries σ₀² / L.
+        # The trained vector has q = model.dimension entries, and Eq. (30)'s
+        # error is that whole vector's: power control (here and in Air-FedGA's
+        # grouping estimate) sees q·σ₀²/L.  Neither changes during a run.
         per_entry_noise_var = cfg.noise_variance / float(self.latency_dimension)
-        self._pc_config = replace(cfg, noise_variance=per_entry_noise_var)
+        self._pc_config = replace(cfg, noise_variance=dim * per_entry_noise_var)
         self._noise_std = float(np.sqrt(per_entry_noise_var))
         self._pc_cache = PowerControlCache()
         # Fault-injection model (repro.sim.clientstate).  The always-on model
@@ -338,7 +334,7 @@ class BaseTrainer:
     # ------------------------------------------------------------------
     @property
     def pc_cache_hits(self) -> int:
-        """Cumulative power-control cache hits."""
+        """Always 0: power control is solved on every aggregation."""
         return self._pc_cache.hits
 
     @property
@@ -466,13 +462,12 @@ class BaseTrainer:
         return (losses[0], accuracies[0]) if vector.ndim == 1 else (losses, accuracies)
 
     def _flush_evaluations(self) -> None:
-        """Evaluate the rounds waiting in the block and fill their records; the
-        block is emptied first, so a failed evaluation leaves nothing waiting."""
+        """Evaluate the rounds waiting in the block and fill their history rows;
+        the block is emptied first, so a failed evaluation leaves nothing waiting."""
         pending, self._pending = self._pending, []
         if pending:
             losses, accuracies = self.evaluate_vector(self._eval_block[: len(pending)])
-            for record, loss, accuracy in zip(pending, losses, accuracies):
-                record.loss, record.accuracy = loss, accuracy
+            self.history.fill(pending, losses, accuracies)
 
     def record_round(
         self,
@@ -485,32 +480,20 @@ class BaseTrainer:
         sigma: float = float("nan"),
         eta: float = float("nan"),
         force_eval: bool = False,
-    ) -> Optional[RoundRecord]:
-        """Append a history record if this round is sampled, evaluated at once
-        or, inside :meth:`run`, when its block of sampled rounds is."""
-        self._cumulative_energy += round_energy
-        if not force_eval and round_index % self.exp.eval_every != 0:
-            return None
-        record = RoundRecord(
-            round_index=round_index,
-            time=time,
-            loss=math.nan,
-            accuracy=math.nan,
-            staleness=staleness,
-            group_id=group_id,
-            num_participants=num_participants,
-            round_energy_j=round_energy,
-            cumulative_energy_j=self._cumulative_energy,
-            sigma=sigma,
-            eta=eta,
-            pc_cache_hits=self.pc_cache_hits,
+    ) -> int:
+        """Append this commit's history row and return its index.  A sampled
+        row is evaluated at once or, inside :meth:`run`, when its block is."""
+        sampled = force_eval or round_index % self.exp.eval_every == 0
+        row = self.history.append(
+            round_index, time, staleness, group_id, num_participants, round_energy,
+            sigma, eta, sampled,
         )
-        np.copyto(self._eval_block[len(self._pending)], self.global_vector)
-        self._pending.append(record)
-        if not self._deferring or len(self._pending) == len(self._eval_block):
-            self._flush_evaluations()
-        self.history.append(record)
-        return record
+        if sampled:
+            np.copyto(self._eval_block[len(self._pending)], self.global_vector)
+            self._pending.append(row)
+            if not self._deferring or len(self._pending) == len(self._eval_block):
+                self._flush_evaluations()
+        return row
 
     # ------------------------------------------------------------------
     # Aggregation primitives
@@ -746,7 +729,7 @@ class BaseTrainer:
         A bad argument fails before anything is evaluated (a NaN
         ``max_time`` would otherwise make every comparison false and the
         run silently go to ``max_rounds``), ``max_rounds=0`` leaves the
-        initial evaluation as the only record, and a trainer runs once —
+        initial evaluation as the only row, and a trainer runs once —
         its clock, scheduler and history are not rewound.
         """
         if (
@@ -764,7 +747,7 @@ class BaseTrainer:
                 "max_time must be a finite non-negative number of simulated "
                 f"seconds (or None), got {max_time!r}"
             )
-        if self.history.records:
+        if len(self.history):
             raise RuntimeError(
                 f"{self.name} trainer has already run; build a new one"
             )

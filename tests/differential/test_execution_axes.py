@@ -34,6 +34,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -271,3 +272,35 @@ def test_pinned_document_reproduces_the_reference(pin, axis, scalar_engine, eage
 def test_every_execution_axis_reproduces_the_reference(scenario, scalar_engine, eager_copies):
     for axis, run in _axes(scenario, scalar_engine, eager_copies).items():
         _check(scenario, axis, run)
+
+
+#: A history's commit columns and the :class:`~repro.fl.base.CommitRow` field each lists.
+COMMIT_COLUMNS = {
+    "round_index": lambda row: row.round_index,
+    "time": lambda row: row.time,
+    "group_id": lambda row: row.group_id,
+    "staleness": lambda row: row.staleness,
+    "num_participants": lambda row: len(row.participants),
+}
+
+
+@settings(
+    max_examples=8,
+    derandomize=True,
+    deadline=None,
+)
+@given(scenario=scenarios)
+def test_every_column_lists_the_rows_of_the_schedule(scenario):
+    """The history is the commit log: after the initial row, one row per row
+    of ``trainer.schedule(n)`` of a fresh trainer, sampled or not."""
+    scenario = scenario.with_(**{"training.eval_every": 3})
+    rounds = scenario.training.max_rounds
+    with scenario.build() as trainer:
+        history = trainer.run(max_rounds=rounds)
+    with scenario.build() as listed:
+        rows = list(listed.schedule(rounds))
+    for name, field in COMMIT_COLUMNS.items():
+        assert history.column(name)[1:].tolist() == [field(row) for row in rows], name
+    sampled = history.column("sampled")
+    assert sampled.tolist() == [t % 3 == 0 for t in history.column("round_index")]
+    assert np.isnan(history.column("loss")[~sampled]).all()

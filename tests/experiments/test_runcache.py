@@ -158,7 +158,7 @@ class TestSpecHashSensitivity:
 
 #: SHA-256 of the grid's newline-joined point hashes, computed with the
 #: type-hint cache bypassed.
-GRID_PIN = "a326463848205d75193db213a4817da070d6dbf9215536f07c9231cee829b70a"
+GRID_PIN = "326d8dd3bdc06fe7f7ad8ba2f10da14d8b505441ff33acb3aaadb11b4bc47ad6"
 
 
 def success_row(hash_):

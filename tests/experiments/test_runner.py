@@ -83,4 +83,4 @@ class TestRunComparison:
             mechanisms=("dynamic",),
             trainer_kwargs={"dynamic": {"select_fraction": 1.0}},
         )
-        assert histories["dynamic"].records[-1].num_participants == 6
+        assert histories["dynamic"].column("num_participants")[-1] == 6

@@ -180,7 +180,7 @@ class TestValidation:
 
     def test_zero_rounds_is_the_round_zero_only_run(self):
         history = tiny_scenario(**{"training.max_rounds": 0}).run()
-        assert [record.round_index for record in history.records] == [0]
+        assert history.column("round_index").tolist() == [0]
 
     @pytest.mark.parametrize(
         "dotted, section_type",

@@ -229,19 +229,16 @@ class TestAirCompGroupUpdate:
     ):
         """The history is the energy record: at ``eval_every=1`` each commit's
         ``round_energy_j`` is its aggregation's Eq. (7) sum, and the last
-        ``cumulative_energy_j`` is the run's total."""
+        cumulative energy is the run's total."""
         spent = _capture_transmit_energies(monkeypatch)
         experiment = dataclasses.replace(small_experiment, eval_every=1)
         history = build_trainer(mechanism, experiment).run(max_rounds=6)
-        committed = [r for r in history.records if r.num_participants]
-        assert len(committed) == len(spent) > 0
-        assert [r.round_energy_j for r in committed] == [
-            float(e.sum()) for e in spent
-        ]
-        idle = [r.round_energy_j for r in history.records if not r.num_participants]
-        assert idle == [0.0] * len(idle)
+        energy = history.column("round_energy_j")
+        committed = history.column("num_participants") > 0
+        assert energy[committed].tolist() == [float(e.sum()) for e in spent]
+        assert len(spent) > 0 and (energy[~committed] == 0.0).all()
         total = sum(float(e.sum()) for e in spent)
-        assert history.records[-1].cumulative_energy_j == pytest.approx(total, rel=1e-12)
+        assert history.total_energy == pytest.approx(total, rel=1e-12)
 
     def test_empty_group_rejected(self, small_experiment):
         trainer = BaseTrainer(small_experiment)
@@ -286,9 +283,11 @@ class TestLatencies:
             max_eval_samples=40,
         )
         trainer = BaseTrainer(exp)
-        assert trainer.record_round(1, 1.0) is None
-        assert trainer.record_round(2, 2.0) is None
-        assert trainer.record_round(3, 3.0) is not None
-        record = trainer.record_round(4, 4.0, force_eval=True)
+        assert [trainer.record_round(t, float(t)) for t in (1, 2, 3)] == [0, 1, 2]
+        row = trainer.record_round(4, 4.0, force_eval=True)
+        history = trainer.history
+        assert history.column("sampled").tolist() == [False, False, True, True]
+        assert np.isnan(history.column("loss")[:2]).all()
         # Outside ``run`` a sampled round is evaluated at once, not deferred.
-        assert (record.loss, record.accuracy) == trainer.evaluate_vector(trainer.global_vector)
+        evaluated = (history.column("loss")[row], history.column("accuracy")[row])
+        assert evaluated == trainer.evaluate_vector(trainer.global_vector)

@@ -1,10 +1,10 @@
-"""Sampled rounds are evaluated a block at a time, and every record is filled.
+"""Sampled rounds are evaluated a block at a time, and every sampled row is filled.
 
-``BaseTrainer.run`` appends each sampled round's record at once and copies
-its global vector into a block; one ``evaluate_vector`` call fills the
-block's records when it is full and when the run ends, however it ends.
-Nothing may read a record before then, and nothing after it may find a
-placeholder.
+``BaseTrainer.run`` appends each commit's history row at once and copies a
+sampled round's global vector into a block; one ``evaluate_vector`` call
+fills the block's rows when it is full and when the run ends, however it
+ends.  Nothing may read a row's evaluation before then, and nothing after it
+may find a placeholder.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _history(monkeypatch, snapshots, fields=SCENARIO, rounds=40, before_run=None
 
 
 def _filled(history):
-    return all(math.isfinite(r.loss) and math.isfinite(r.accuracy) for r in history.records)
+    return np.isfinite(history.losses()).all() and np.isfinite(history.accuracies()).all()
 
 
 @pytest.mark.parametrize(
@@ -59,23 +59,23 @@ def _filled(history):
     ids=["grouped", "no-rounds", "fedasync"],
 )
 def test_no_record_keeps_a_placeholder(monkeypatch, fields, rounds):
-    """41 records in blocks of 7 (the last partial), the initial record alone,
+    """41 rows in blocks of 7 (the last partial), the initial row alone,
     and FedAsync stopping with cohorts in flight.  Catches: no flush at the
     end of the run."""
     history = _history(monkeypatch, 7, fields, rounds)
-    assert len(history.records) == rounds + 1 and _filled(history)
+    assert len(history.losses()) == rounds + 1 and _filled(history)
 
 
 def test_blocks_give_the_records_of_one_evaluation_per_round(monkeypatch):
-    """Catches: a record filled from another row of its block."""
+    """Catches: a history row filled from another row of its block."""
     one, seven = _history(monkeypatch, 1), _history(monkeypatch, 7)
     assert one.to_dict() == seven.to_dict()
-    assert len({r.loss for r in seven.records}) > 20
+    assert len(set(seven.losses().tolist())) > 20
 
 
 def test_a_stopped_run_matches_a_run_of_single_evaluations(monkeypatch):
     """The ninth commit raises in a run with blocks of 7 and in one with
-    blocks of 1: both keep the same nine records, all filled.  Catches: a
+    blocks of 1: both keep the same nine rows, all filled.  Catches: a
     flush that is not in a ``finally``."""
     histories = []
 
@@ -94,7 +94,7 @@ def test_a_stopped_run_matches_a_run_of_single_evaluations(monkeypatch):
         with pytest.raises(RuntimeError, match="commit failed"):
             _history(monkeypatch, snapshots, before_run=failing)
     blocks, single = histories
-    assert len(blocks.records) == 9 and _filled(blocks)
+    assert len(blocks.losses()) == 9 and _filled(blocks)
     assert blocks.to_dict() == single.to_dict()
 
 
@@ -126,10 +126,11 @@ def test_a_failing_flush_does_not_replace_the_commit_failure(monkeypatch):
         _history(monkeypatch, 7, before_run=failing)
     (trainer,) = trainers
     assert not trainer._pending and not trainer._deferring
-    assert [math.isnan(r.loss) for r in trainer.history.records] == [False] * 7 + [True] * 2
+    history = trainer.history
+    assert np.isnan(history.losses()).tolist() == [False] * 7 + [True] * 2
     del trainer.evaluate_vector
-    record = trainer.record_round(100, trainer.history.records[-1].time, force_eval=True)
-    assert math.isfinite(record.loss) and record is trainer.history.records[-1]
+    row = trainer.record_round(100, history.total_time, force_eval=True)
+    assert row == len(history) - 1 and math.isfinite(history.column("loss")[row])
 
 
 def test_evaluate_vector_takes_one_vector_or_a_block():

@@ -41,12 +41,8 @@ from repro.sim import (
 
 
 def _trace(history):
-    """Every simulated per-round quantity the determinism contract covers."""
-    return [
-        (r.round_index, r.time, r.loss, r.accuracy, r.staleness, r.group_id,
-         r.num_participants, r.round_energy_j, r.sigma, r.eta)
-        for r in history.records
-    ]
+    """Every simulated per-commit quantity the determinism contract covers."""
+    return history.to_dict()["columns"]
 
 
 def _faulty_scenario(**fault_overrides):
@@ -154,15 +150,13 @@ class TestMidRoundDropout:
         assert faults["workers_unavailable"] > 0
         assert faults["workers_dropped"] > 0
         # The run still made training progress.
-        rounds = [r for r in history.records if r.round_index > 0]
-        assert len(rounds) >= 8
-        assert all(np.isfinite(r.loss) for r in rounds)
+        assert len(history) >= 9
+        assert np.isfinite(history.losses()).all()
         # Degraded aggregations really excluded workers: at least one
         # committed round had fewer participants than its group's size.
-        assert any(
-            0 < r.num_participants < len(trainer.groups[r.group_id])
-            for r in rounds
-        )
+        participants = history.column("num_participants")[1:]
+        sizes = [len(trainer.groups[g]) for g in history.column("group_id")[1:]]
+        assert ((participants > 0) & (participants < sizes)).any()
 
     def test_survivor_weights_renormalized(self, quiet_experiment):
         # Unit-level check of the renormalization contract: scaling the
@@ -236,8 +230,8 @@ class TestQuorumEscalation:
         assert faults["quorum_retries"] > 0
         assert faults["quorum_skips"] > 0
         assert faults["workers_unavailable"] > 0
-        # No aggregation ever happened: only the t=0 evaluation record.
-        assert [r.round_index for r in history.records] == [0]
+        # No aggregation ever happened: only the t=0 evaluation row.
+        assert history.column("round_index").tolist() == [0]
 
     def test_retries_consume_backoff_time(self, quiet_experiment):
         # availability=0.5 with a full-group quorum forces re-polls; the
@@ -254,8 +248,8 @@ class TestQuorumEscalation:
         faults = history.fault_counters()
         assert faults["quorum_retries"] + faults["quorum_skips"] > 0
         # At least one round was delayed by a visible backoff window.
-        times = [r.time for r in history.records if r.round_index > 0]
-        assert times and max(times) >= 100.0
+        times = history.column("time")[1:]
+        assert times.size and times.max() >= 100.0
 
     def test_successful_round_resets_escalation_counters(self):
         with _faulty_scenario().build() as trainer:
@@ -290,9 +284,7 @@ class TestPartialCompletion:
         assert faults["groups_parked"] == 0
         # Partial work changes the models (losses) but not the schedule:
         # everyone stays available, so round times are bitwise equal.
-        assert [r.time for r in history_partial.records] == [
-            r.time for r in history_plain.records
-        ]
+        np.testing.assert_array_equal(history_partial.column("time"), history_plain.column("time"))
         assert not np.array_equal(plain.global_vector, partial.global_vector)
 
     def test_partial_blend_shrinks_progress_toward_base(self, quiet_experiment):
@@ -335,8 +327,7 @@ class TestDropoutRejoin:
         assert faults["workers_dropped"] > 0
         # Dropped workers sat out later dispatches.
         assert faults["workers_unavailable"] > 0
-        rounds = [r for r in history.records if r.round_index > 0]
-        assert rounds and all(np.isfinite(r.loss) for r in rounds)
+        assert len(history) > 1 and np.isfinite(history.losses()).all()
 
 
 class TestHistoryCounters:
@@ -433,11 +424,9 @@ class TestSyncFamilyFaults:
         history = trainer.run(max_rounds=10)
         faults = history.fault_counters()
         assert faults["workers_unavailable"] > 0
-        rounds = [r for r in history.records if r.round_index > 0]
-        assert any(
-            0 < r.num_participants < exp.num_workers for r in rounds
-        )
-        assert all(np.isfinite(r.loss) for r in rounds)
+        participants = history.column("num_participants")[1:]
+        assert ((participants > 0) & (participants < exp.num_workers)).any()
+        assert np.isfinite(history.losses()).all()
 
     def test_feddyn_replays_exactly_across_dropout_rejoin(self, quiet_experiment):
         from repro.fl import FedDynTrainer
@@ -506,15 +495,13 @@ class TestEveryMechanismSeesTheFaultModel:
         with trainer:
             history = trainer.run(max_rounds=self.ROUNDS)
         assert history.fault_counters()["workers_unavailable"] > 0
-        rounds = [r for r in history.records if r.round_index > 0]
+        participants = history.column("num_participants")[1:]
         expected = (
-            [len(trainer.groups[r.group_id]) for r in rounds]
+            [len(trainer.groups[g]) for g in history.column("group_id")[1:]]
             if hasattr(trainer, "groups")
-            else [exp.num_workers] * len(rounds)
+            else exp.num_workers
         )
-        assert any(
-            r.num_participants < full for r, full in zip(rounds, expected)
-        )
+        assert (participants < expected).any()
 
     def test_dynamic_never_selects_an_unavailable_worker(self, quiet_experiment):
         exp = self._faulty_experiment(quiet_experiment)
@@ -536,7 +523,7 @@ class TestEveryMechanismSeesTheFaultModel:
         trainer = build_trainer(mechanism, exp)
         initial = trainer.global_vector.copy()
         history = trainer.run(max_rounds=3)
-        assert [r.num_participants for r in history.records] == [0, 0, 0, 0]
-        assert [r.time for r in history.records] == [0.0, 0.0, 0.0, 0.0]
+        assert history.column("num_participants").tolist() == [0, 0, 0, 0]
+        assert history.column("time").tolist() == [0.0, 0.0, 0.0, 0.0]
         assert history.workers_unavailable == 3 * exp.num_workers
         assert np.array_equal(trainer.global_vector, initial)

@@ -36,11 +36,7 @@ from repro.sim import BernoulliAvailability
 
 
 def _trace(history):
-    return [
-        (r.round_index, r.time, r.loss, r.accuracy, r.staleness,
-         r.num_participants)
-        for r in history.records
-    ]
+    return history.to_dict()["columns"]
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +81,7 @@ class TestRegistryPlumbing:
             history = trainer.run(max_rounds=3)
         assert history.mechanism == name
         assert history.total_rounds == 3
-        assert all(np.isfinite(r.loss) for r in history.records)
+        assert np.isfinite(history.losses()).all()
 
     def test_scenario_rejects_bad_family_param_eagerly(self):
         from repro.experiments.scenario import Scenario
@@ -177,13 +173,11 @@ class TestFedDyn:
 class TestFedAsync:
     def test_commits_record_staleness_and_increasing_clock(self, small_experiment):
         history = FedAsyncTrainer(small_experiment).run(max_rounds=12)
-        rounds = [r for r in history.records if r.round_index > 0]
-        assert len(rounds) == 12
-        assert all(r.num_participants == 1 for r in rounds)
+        assert len(history) == 13
+        assert (history.column("num_participants")[1:] == 1).all()
         # Slow workers' updates arrive stale once the model has advanced.
-        assert max(r.staleness for r in rounds) > 0
-        times = [r.time for r in rounds]
-        assert all(b > a for a, b in zip(times, times[1:]))
+        assert history.max_staleness() > 0
+        assert (np.diff(history.column("time")[1:]) > 0).all()
 
     def test_staleness_damping_changes_trajectory(self, small_experiment):
         damped = FedAsyncTrainer(small_experiment).run(max_rounds=8)

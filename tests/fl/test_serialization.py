@@ -2,31 +2,25 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.fl import AirFedGATrainer, RoundRecord, TrainingHistory, TiFLTrainer
+from repro.fl import AirFedGATrainer, TiFLTrainer, TrainingHistory, build_trainer
 
 
 def make_history(n=5):
     h = TrainingHistory("air_fedga")
     for i in range(n):
-        h.append(
-            RoundRecord(
-                round_index=i,
-                time=float(3 * i),
-                loss=2.0 - 0.1 * i,
-                accuracy=0.1 * i,
-                staleness=i % 2,
-                group_id=i % 3,
-                num_participants=4,
-                round_energy_j=1.5,
-                cumulative_energy_j=1.5 * (i + 1),
-                sigma=0.01,
-                eta=1e-4,
-            )
-        )
+        h.append(i, float(3 * i), staleness=i % 2, group_id=i % 3, num_participants=4,
+                 round_energy_j=1.5, sigma=0.01, eta=1e-4, sampled=i != 3,
+                 loss=2.0 - 0.1 * i, accuracy=0.1 * i)  # fmt: skip
     return h
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 class TestHistorySerialization:
@@ -57,7 +51,24 @@ class TestHistorySerialization:
         assert path.exists()
         restored = TrainingHistory.load_json(path)
         np.testing.assert_allclose(restored.losses(), h.losses())
-        assert restored.records[2].group_id == h.records[2].group_id
+        assert restored.column("group_id")[2] == h.column("group_id")[2]
+
+    def test_json_is_strict_and_reads_null_back_as_nan(self, tmp_path, small_experiment):
+        """A FedAvg history has no σ or η, and an unsampled row no loss:
+        strict JSON writes them as ``null``, read back as NaN."""
+        small_experiment.eval_every = 2
+        h = build_trainer("fedavg", small_experiment).run(max_rounds=3)
+        text = h.save_json(tmp_path / "fedavg.json").read_text()
+        data = json.loads(text, parse_constant=_refuse_constant)
+        assert data["columns"]["sigma"][-1] is None and data["columns"]["loss"][1] is None
+        restored = TrainingHistory.load_json(tmp_path / "fedavg.json")
+        assert np.isnan(restored.column("eta")).all()
+        np.testing.assert_array_equal(restored.column("loss"), h.column("loss"))
+        assert restored.to_dict() == h.to_dict()
+
+    def test_from_dict_refuses_the_sampled_records_schema(self):
+        with pytest.raises(ValueError, match="records.*0.20.0.*one row per commit"):
+            TrainingHistory.from_dict({"mechanism": "fedavg", "records": []})
 
     def test_summary_embedded_in_dict(self):
         data = make_history().to_dict()
@@ -67,7 +78,7 @@ class TestHistorySerialization:
         h = make_history()
         path = h.save_csv(tmp_path / "history.csv")
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(h) + 1  # header + one row per record
+        assert len(lines) == len(h) + 1  # header + one row per commit
         assert lines[0].startswith("round_index,time,loss,accuracy")
 
 

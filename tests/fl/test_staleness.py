@@ -129,8 +129,9 @@ class TestTrainerIntegration:
     def _run(self, experiment, **kwargs):
         trainer = AirFedGATrainer(experiment, **kwargs)
         history = trainer.run(max_rounds=8)
+        columns = history.to_dict()["columns"]
         return trainer.global_vector.copy(), [
-            (r.round_index, r.time, r.loss, r.staleness) for r in history.records
+            columns[name] for name in ("round_index", "time", "loss", "staleness")
         ]
 
     def test_mapping_and_instance_policy_bit_identical(self, quiet_experiment):

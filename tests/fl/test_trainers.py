@@ -57,7 +57,7 @@ class TestFedAvg:
 
     def test_all_workers_participate(self, small_experiment):
         history = FedAvgTrainer(small_experiment).run(max_rounds=2)
-        assert history.records[-1].num_participants == small_experiment.num_workers
+        assert history.column("num_participants")[-1] == small_experiment.num_workers
 
     def test_no_transmit_energy_for_oma(self, small_experiment):
         history = FedAvgTrainer(small_experiment).run(max_rounds=2)
@@ -88,10 +88,10 @@ class TestAirFedAvg:
 
     def test_records_energy_and_power_control(self, small_experiment):
         history = AirFedAvgTrainer(small_experiment).run(max_rounds=2)
-        last = history.records[-1]
-        assert last.round_energy_j > 0
-        assert np.isfinite(last.sigma) and last.sigma > 0
-        assert np.isfinite(last.eta) and last.eta > 0
+        assert history.column("round_energy_j")[-1] > 0
+        for name in ("sigma", "eta"):
+            value = history.column(name)[-1]
+            assert np.isfinite(value) and value > 0
 
     def test_round_time_shorter_than_fedavg(self, small_experiment, quiet_experiment):
         """AirComp upload is one symbol burst; OMA uploads are sequential."""
@@ -129,8 +129,8 @@ class TestDynamic:
     def test_short_run_participants_bounded(self, small_experiment):
         trainer = DynamicTrainer(small_experiment, select_fraction=0.3)
         history = trainer.run(max_rounds=3)
-        for rec in history.records[1:]:
-            assert 1 <= rec.num_participants <= small_experiment.num_workers
+        participants = history.column("num_participants")[1:]
+        assert participants.min() >= 1 and participants.max() <= small_experiment.num_workers
 
 
 @pytest.mark.parametrize("value", [0, 2.5, True, np.int64(0)], ids=repr)
@@ -209,7 +209,7 @@ class TestAirFedGA:
     def test_records_energy_and_group_ids(self, small_experiment):
         trainer = AirFedGATrainer(small_experiment)
         history = trainer.run(max_rounds=6)
-        group_ids = {r.group_id for r in history.records if r.round_index > 0}
+        group_ids = set(history.column("group_id")[1:].tolist())
         assert group_ids.issubset(set(range(len(trainer.groups))))
         assert history.total_energy > 0
 
@@ -220,9 +220,7 @@ class TestAirFedGA:
         history = trainer.run(max_rounds=12)
         times = small_experiment.latency.nominal
         group_time = [times[g].max() for g in trainer.groups]
-        counts = np.zeros(len(trainer.groups))
-        for rec in history.records[1:]:
-            counts[rec.group_id] += 1
+        counts = np.bincount(history.column("group_id")[1:], minlength=len(trainer.groups))
         assert counts[np.argmin(group_time)] >= counts[np.argmax(group_time)]
 
     def test_max_rounds_respected(self, small_experiment):
@@ -257,7 +255,7 @@ class TestRunBoundaries:
         self, mechanism, small_experiment
     ):
         history = build_trainer(mechanism, small_experiment).run(max_rounds=0)
-        assert [r.round_index for r in history.records] == [0]
+        assert history.column("round_index").tolist() == [0]
         assert history.total_time == 0.0
 
     @pytest.mark.parametrize("bad", [-1, 2.5])

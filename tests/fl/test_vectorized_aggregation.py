@@ -192,13 +192,6 @@ def _reference_aggregate(models, *args, workspace=None, sq_norms=None, **kwargs)
     return aircomp_aggregate_reference(list(models), *args, **kwargs)
 
 
-class _ExactSolver:
-    """Stands in for a trainer's power-control cache: every call solves."""
-
-    hits = misses = 0
-    solve = staticmethod(solve_power_control)
-
-
 class TestReferenceAggregator:
     def _history(self, fixtures, model_factory):
         small_dataset, small_partition, latency_table, static_channel = fixtures
@@ -215,11 +208,7 @@ class TestReferenceAggregator:
             max_eval_samples=60,
             seed=11,
         )
-        trainer = build_trainer("air_fedga", exp)
-        # The power-control cache trades ~rel_tol sigma optimality for
-        # speed; exact, so nothing but the path under test differs.
-        trainer._pc_cache = _ExactSolver()
-        return trainer.run(max_rounds=12)
+        return build_trainer("air_fedga", exp).run(max_rounds=12)
 
     def test_trainer_run_agrees_with_the_reference_aggregator(
         self, small_dataset, small_partition, latency_table, static_channel,
@@ -282,12 +271,14 @@ class TestEngineRosters:
         np.testing.assert_array_equal(full[2], model.get_vector())
 
 # ----------------------------------------------------------------------
-# Power-control memoization
+# Power control without a memo
 # ----------------------------------------------------------------------
 class TestPowerControlCache:
-    def test_cache_hits_on_repeated_aggregation(
+    def test_every_aggregation_solves_its_own_inputs(
         self, small_dataset, small_partition, latency_table, static_channel, model_factory
     ):
+        """Three identical aggregations solve three times, and each returns
+        the closed form of its inputs."""
         exp = FLExperiment(
             dataset=small_dataset,
             partition=small_partition,
@@ -299,36 +290,25 @@ class TestPowerControlCache:
         trainer = build_trainer("air_fedavg", exp)
         members = [0, 1, 2]
         vectors = np.stack([trainer.global_vector for _ in members])
-        # Identical (gains, sizes, bound) instances: first solves, rest hit.
-        trainer.aircomp_group_update(members, vectors, round_index=1)
-        trainer.aircomp_group_update(members, vectors, round_index=1)
-        trainer.aircomp_group_update(members, vectors, round_index=1)
-        assert trainer.pc_cache_hits == 2
-        assert trainer.pc_cache_misses == 1
-
-    def test_cache_hits_surface_in_round_records(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        exp = FLExperiment(
-            dataset=small_dataset,
-            partition=small_partition,
-            model_factory=model_factory,
-            latency=latency_table,
-            channel=static_channel,
-            seed=11,
+        expected = solve_power_control(
+            trainer.data_sizes[members],
+            static_channel.gains(1)[members],
+            float(np.sqrt(np.einsum("ij,ij->i", vectors, vectors).max())),
+            trainer._pc_config,
         )
-        trainer = build_trainer("air_fedavg", exp)
-        history = trainer.run(max_rounds=6)
-        assert history.records[-1].pc_cache_hits == trainer.pc_cache_hits
-        hits = [r.pc_cache_hits for r in history.records]
-        assert hits == sorted(hits)  # cumulative counter never decreases
+        for _ in range(3):
+            _, info = trainer.aircomp_group_update(members, vectors, round_index=1)
+            assert (info["sigma"], info["eta"]) == (expected.sigma, expected.eta)
+        assert (trainer.pc_cache_hits, trainer.pc_cache_misses) == (0, 3)
 
     def test_cache_is_always_on(
         self, small_dataset, small_partition, latency_table, static_channel, model_factory
     ):
-        """No option turns the cache off; the trainer's counters read its cache."""
+        """No option turns the counting solver off; the trainer's counters read it."""
         with pytest.raises(TypeError, match="power_control_cache"):
             AirCompConfig(power_control_cache=False)
+        with pytest.raises(TypeError):
+            PowerControlCache(rel_tol=1e-3)
         exp = FLExperiment(
             dataset=small_dataset,
             partition=small_partition,
@@ -340,93 +320,9 @@ class TestPowerControlCache:
         trainer = build_trainer("air_fedavg", exp)
         trainer.run(max_rounds=4)
         cache = trainer._pc_cache
-        assert isinstance(cache, PowerControlCache)
-        assert (trainer.pc_cache_hits, trainer.pc_cache_misses) == (cache.hits, cache.misses)
+        assert isinstance(cache, PowerControlCache) and not vars(cache).keys() - {"hits", "misses"}
+        assert (trainer.pc_cache_hits, trainer.pc_cache_misses) == (0, cache.misses)
         assert cache.misses > 0
-
-    def test_cache_keeps_no_state_besides_its_bounded_entries(
-        self, small_dataset, small_partition, latency_table, static_channel, model_factory
-    ):
-        """200 faulty rounds (a new survivor roster is a new key): whatever
-        the cache holds afterwards is in ``_cache``, which the
-        ``max_entries`` reset bounds — no per-group side table."""
-        from repro import registry
-
-        exp = FLExperiment(
-            dataset=small_dataset,
-            partition=small_partition,
-            model_factory=model_factory,
-            latency=latency_table,
-            channel=static_channel,
-            eval_every=50,
-            seed=11,
-            clientstate=registry.create(
-                "clientstate", "dropout-rejoin",
-                num_workers=small_partition.num_workers, seed=4,
-                dropout_prob=0.3, rejoin_after=1,
-            ),
-        )
-        trainer = build_trainer("air_fedga", exp)
-        cache = trainer._pc_cache
-        cache.max_entries = 8
-        history = trainer.run(max_rounds=200)
-        assert history.workers_dropped > 0
-        assert cache.misses > cache.max_entries  # the reset has happened
-        containers = {
-            name for name, value in vars(cache).items()
-            if isinstance(value, (dict, list, set, tuple))
-        }
-        assert containers == {"_cache"}
-        assert len(cache._cache) <= cache.max_entries
-
-    def test_hit_clamps_sigma_to_exact_cap(self):
-        rel_tol = 1e-2
-        cache = PowerControlCache(rel_tol=rel_tol)
-        rng = np.random.default_rng(0)
-        sizes = rng.uniform(10, 40, 5)
-        gains = rng.uniform(0.5, 2.0, 5)
-        cfg = AirCompConfig(noise_variance=1e-5)
-        # Pick two bounds deterministically inside the same quantization
-        # cell: the cell centre +/- a quarter of the grid step.
-        step = np.log1p(rel_tol)
-        centre = float(np.exp(np.round(np.log(10.0) / step) * step))
-        low = centre * float(np.exp(-step / 4))
-        high = centre * float(np.exp(step / 4))
-        first = cache.solve(sizes, gains, low, cfg)
-        # The larger bound hits the same key but tightens the energy cap;
-        # the cached sigma must be clamped to stay feasible.
-        second = cache.solve(sizes, gains, high, cfg)
-        assert cache.hits == 1
-        caps = gains * np.sqrt(cfg.energy_budget_j) / (sizes * high)
-        assert second.sigma <= caps.min() + 1e-15
-        assert first.sigma >= second.sigma
-
-    def test_cache_preserves_behaviour_on_fading_channel(
-        self, small_dataset, small_partition, latency_table, channel_model, model_factory
-    ):
-        """A Rayleigh channel makes every round a cache miss, and each miss
-        is an ordinary from-cap solve — so the cached run is *identical*
-        to one that solves every round."""
-        histories = {}
-        for exact in (False, True):
-            exp = FLExperiment(
-                dataset=small_dataset,
-                partition=small_partition,
-                model_factory=model_factory,
-                latency=latency_table,
-                channel=channel_model,
-                seed=11,
-            )
-            trainer = build_trainer("air_fedga", exp)
-            if exact:
-                trainer._pc_cache = _ExactSolver()
-            histories[exact] = trainer.run(max_rounds=10)
-        np.testing.assert_array_equal(
-            histories[True].energies(), histories[False].energies()
-        )
-        np.testing.assert_array_equal(
-            histories[True].losses(), histories[False].losses()
-        )
 
     def test_distinct_inputs_miss(self):
         cache = PowerControlCache()

@@ -57,7 +57,7 @@ class TestLearningHappens:
         trainer = build_trainer("air_fedga", build_exp())
         history = trainer.run(max_rounds=120, max_time=800.0)
         assert history.best_accuracy() > 0.5
-        assert history.final_loss < history.records[0].loss
+        assert history.final_loss < history.losses()[0]
 
     def test_air_fedavg_learns(self):
         trainer = build_trainer("air_fedavg", build_exp())
