@@ -8,8 +8,9 @@ through the hand-wired ``runner.build_experiment`` path, just before that
 path was deleted, and re-recorded once when the history became one row per
 commit and power control took the vector-scale noise term (0.20.0).  The
 Scenario-built catalogue must keep reproducing them — that is the check that
-``fig3_config()`` still means what it meant.  The case ``fig10_lr_mnist`` is a digest of ``lr_mnist_config()``,
-the catalogue's base MLP scenario, not of ``FIGURES["fig10"]``.
+``fig3_config()`` still means what it meant.  The case ``fig10_lr_mnist`` is
+a digest of ``lr_mnist_config()``, the catalogue's base MLP scenario, not of
+``FIGURES["fig10"]``.
 
 ``python -m repro.experiments run NAME`` must call NAME's driver exactly as
 ``benchmarks/test_NAME*`` does: same scenario document, same arguments.

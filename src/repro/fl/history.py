@@ -110,7 +110,9 @@ class TrainingHistory:
         self._rows = n + 1
         return n
 
-    def fill(self, rows: Sequence[int], losses: Sequence[float], accuracies: Sequence[float]) -> None:
+    def fill(
+        self, rows: Sequence[int], losses: Sequence[float], accuracies: Sequence[float]
+    ) -> None:
         """Write the evaluations of sampled ``rows``."""
         self._columns["loss"][rows] = losses
         self._columns["accuracy"][rows] = accuracies

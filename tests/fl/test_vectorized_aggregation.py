@@ -192,6 +192,13 @@ def _reference_aggregate(models, *args, workspace=None, sq_norms=None, **kwargs)
     return aircomp_aggregate_reference(list(models), *args, **kwargs)
 
 
+class _DirectSolver:
+    """Stands in for a trainer's counting solver: calls the solver itself."""
+
+    hits = misses = 0
+    solve = staticmethod(solve_power_control)
+
+
 class TestReferenceAggregator:
     def _history(self, fixtures, model_factory):
         small_dataset, small_partition, latency_table, static_channel = fixtures
@@ -323,6 +330,27 @@ class TestPowerControlCache:
         assert isinstance(cache, PowerControlCache) and not vars(cache).keys() - {"hits", "misses"}
         assert (trainer.pc_cache_hits, trainer.pc_cache_misses) == (0, cache.misses)
         assert cache.misses > 0
+
+    def test_cache_preserves_behaviour_on_fading_channel(
+        self, small_dataset, small_partition, latency_table, channel_model, model_factory
+    ):
+        """The counting solver is transparent: a run through it is identical
+        to one that calls :func:`solve_power_control` directly."""
+        histories = {}
+        for direct in (False, True):
+            exp = FLExperiment(
+                dataset=small_dataset,
+                partition=small_partition,
+                model_factory=model_factory,
+                latency=latency_table,
+                channel=channel_model,
+                seed=11,
+            )
+            trainer = build_trainer("air_fedga", exp)
+            if direct:
+                trainer._pc_cache = _DirectSolver()
+            histories[direct] = trainer.run(max_rounds=10)
+        assert histories[True].to_dict() == histories[False].to_dict()
 
     def test_distinct_inputs_miss(self):
         cache = PowerControlCache()
