@@ -5,8 +5,12 @@ the scalar summaries) for the four figure workloads under the three AirComp
 mechanisms and for ``lr_mnist_config()`` under the five Fig. 10 mechanisms,
 all at a short ``max_time``.  They were first recorded at commit ``16250bb``
 through the hand-wired ``runner.build_experiment`` path, just before that
-path was deleted, and re-recorded once when the history became one row per
-commit and power control took the vector-scale noise term (0.20.0).  The
+path was deleted, re-recorded once when the history became one row per
+commit and power control took the vector-scale noise term (0.20.0), and
+once for the barrier mechanisms alone when they became one group of the
+grouped schedule (0.21.0; ``time`` moves by ULPs, ``group_id`` reads 0, and
+a round whose members finish training after ``max_time`` is no longer
+committed).  The
 Scenario-built catalogue must keep reproducing them — that is the check that
 ``fig3_config()`` still means what it meant.  The case ``fig10_lr_mnist`` is
 a digest of ``lr_mnist_config()``, the catalogue's base MLP scenario, not of

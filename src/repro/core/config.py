@@ -141,14 +141,16 @@ class FaultConfig:
 
     The client-state model decides *which* workers are unavailable, drop
     mid-round or return partial work; this config decides what the grouped
-    event loop does about it.  A group round proceeds only while at least
-    ``ceil(quorum_fraction · group_size)`` members (always at least one)
-    are present; below quorum the round is retried with a virtual-time
-    backoff up to ``max_retries`` times, after which it is recorded as a
-    quorum *skip* and the group simply starts its next local round.  A
-    group that fails ``max_consecutive_failures`` quorum checks in a row
-    is parked — removed from the event loop — so a fully dead group cannot
-    spin the simulation forever.
+    event loop — every mechanism but FedAsync, the barrier baselines as
+    one group of every worker — does about it.  A group round proceeds
+    only while at least ``ceil(quorum_fraction · roster_size)`` of the
+    members its dispatch selected (the group, or Dynamic's selection;
+    always at least one) are present; below quorum the round is retried
+    with a virtual-time backoff up to ``max_retries`` times, after which
+    it is recorded as a quorum *skip* and the group simply starts its next
+    local round.  A group that fails ``max_consecutive_failures`` quorum
+    checks in a row is parked — removed from the event loop — so a fully
+    dead group cannot spin the simulation forever.
     """
 
     #: Minimum fraction of the group that must be present for a round to
@@ -161,7 +163,8 @@ class FaultConfig:
     #: Simulated seconds added before a retried dispatch.
     retry_backoff: float = 1.0
     #: Scale the surviving members' aggregation weights so they carry the
-    #: full group's data mass (``Σα_members / Σα_survivors``); off, the
+    #: data mass of the members the dispatch selected
+    #: (``Σα_members / Σα_survivors``); off, the
     #: lost mass falls back onto the previous global model via Eq. (10).
     renormalize_survivors: bool = True
     #: Park a group (drop it from the event loop) after this many

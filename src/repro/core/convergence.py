@@ -170,10 +170,6 @@ class ConvergenceBound:
             raise ValueError("rounds must be non-negative")
         return float(self.rho**rounds * self.initial_gap + self.delta)
 
-    def rounds_to_reach(self, epsilon: float) -> float:
-        """Smallest T with bound ≤ ε (``inf`` if δ ≥ ε)."""
-        return rounds_to_epsilon(self.rho, self.delta, self.initial_gap, epsilon)
-
 
 def theorem1_bound(
     config: ConvergenceConfig,

@@ -202,16 +202,6 @@ class WorkerStateTable:
         self._fields[name] = arr
         return arr
 
-    def field(self, name: str) -> np.ndarray:
-        """The registered state array for ``name`` (KeyError if absent)."""
-        try:
-            return self._fields[name]
-        except KeyError:
-            known = sorted(self._fields)
-            raise KeyError(
-                f"no registered field {name!r}; registered fields: {known}"
-            ) from None
-
     @property
     def nbytes(self) -> int:
         """Resident bytes: what each array's buffer spans (one entry along a

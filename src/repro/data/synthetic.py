@@ -71,10 +71,6 @@ class Dataset:
     def num_test(self) -> int:
         return int(self.x_test.shape[0])
 
-    @property
-    def sample_shape(self) -> Tuple[int, ...]:
-        return tuple(self.x_train.shape[1:])
-
     def flattened(self) -> "Dataset":
         """Return a copy with samples flattened to vectors (for MLP models)."""
         return Dataset(

@@ -17,10 +17,11 @@ Public entry points (documented in ``docs/API.md``):
   Trainers are context managers (``with build_trainer(...) as t:
   t.run(...)``);
 * the axes a mechanism is assembled from — the schedules
-  :class:`SynchronousTrainer` (barrier rounds), :class:`GroupedAsyncTrainer`
-  (per-group commits) and :class:`FedAsyncTrainer` (per-update commits),
-  whose ``schedule`` generators yield :class:`CommitRow` s, each naming
-  the :class:`Cohort` that trains for it, and the uplinks
+  :class:`GroupedAsyncTrainer` (per-group commits; its default one group
+  of every worker is the barrier round of FedAvg, FedProx, FedDyn,
+  Air-FedAvg and Dynamic) and :class:`FedAsyncTrainer` (per-update
+  commits), whose ``schedule`` generators yield :class:`CommitRow` s, each
+  naming the :class:`Cohort` that trains for it, and the uplinks
   :class:`OMAUplink` / :class:`AirCompUplink` mixed into them;
 * :class:`TrainingHistory` — the commit log every ``run()`` returns,
   one row per global update (including the device-fault counters);
@@ -33,7 +34,6 @@ Public entry points (documented in ``docs/API.md``):
 from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .history import TrainingHistory
 from .uplink import AirCompUplink, OMAUplink
-from .synchronous import SynchronousTrainer
 from .fedavg import FedAvgTrainer
 from .fedprox import FedProxTrainer
 from .feddyn import FedDynTrainer
@@ -60,7 +60,6 @@ __all__ = [
     "TrainingHistory",
     "OMAUplink",
     "AirCompUplink",
-    "SynchronousTrainer",
     "FedAvgTrainer",
     "FedProxTrainer",
     "FedDynTrainer",

@@ -7,20 +7,26 @@ AirComp symbol time ``L_u`` regardless of the number of workers, so the
 single-round time is dominated by the *slowest* worker's local training
 (straggler problem remains, which is what Air-FedGA improves on).
 
-The mechanism is nothing but the barrier schedule
-(:class:`~repro.fl.synchronous.SynchronousTrainer`) over the over-the-air
+The mechanism is Air-FedGA with ``M = 1`` (Corollary 2): the grouped
+schedule with its default one group of every worker
+(:class:`~repro.fl.grouped.GroupedAsyncTrainer`) over the over-the-air
 uplink (:class:`~repro.fl.uplink.AirCompUplink`).
 """
 
 from __future__ import annotations
 
-from .synchronous import SynchronousTrainer
+from .base import FLExperiment
+from .grouped import GroupedAsyncTrainer
 from .uplink import AirCompUplink
 
 __all__ = ["AirFedAvgTrainer"]
 
 
-class AirFedAvgTrainer(AirCompUplink, SynchronousTrainer):
+class AirFedAvgTrainer(AirCompUplink, GroupedAsyncTrainer):
     """Synchronous over-the-air federated averaging over all workers."""
 
     name = "air_fedavg"
+
+    def __init__(self, experiment: FLExperiment) -> None:
+        # One group's rows are never stale: no staleness policy to take.
+        super().__init__(experiment)

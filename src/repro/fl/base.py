@@ -16,9 +16,10 @@ mechanism reuses:
 * ``exact_group_update`` — the error-free OMA counterpart (Eq. 8).
 
 A concrete mechanism composes these pieces along three axes, each written
-once: a *schedule* (:mod:`~repro.fl.synchronous`, :mod:`~repro.fl.grouped`,
-:mod:`~repro.fl.fedasync`), an *uplink* (:mod:`~repro.fl.uplink`) and, for
-the grouped schedule, a *grouping* (:data:`repro.core.grouping.GROUPING_STRATEGIES`).
+once: a *schedule* (:mod:`~repro.fl.grouped`, :mod:`~repro.fl.fedasync`),
+an *uplink* (:mod:`~repro.fl.uplink`) and, for the grouped schedule, a
+*grouping* (:data:`repro.core.grouping.GROUPING_STRATEGIES`, or one group of
+every worker: the barrier round).
 
 A schedule's ``schedule(max_rounds, max_time)`` generator owns its clock
 and yields one :class:`CommitRow` per global update without reading the
@@ -90,8 +91,7 @@ class CommitRow(NamedTuple):
 
     ``fractions`` is the share of its local round each cohort member
     finished (``None``: all of it); ``slot`` picks the participants' rows
-    of the cohort's stack (``None``: all).  A row without a cohort is a
-    barrier round nobody checked in for: recorded, nothing commits.
+    of the cohort's stack (``None``: all).
     """
 
     round_index: int
@@ -99,9 +99,9 @@ class CommitRow(NamedTuple):
     group_id: int
     staleness: int
     participants: Sequence[int]
+    cohort: Cohort
     weight_scale: float = 1.0
     fractions: Optional[np.ndarray] = None
-    cohort: Optional[Cohort] = None
     slot: Optional[slice] = None
 
 
@@ -246,7 +246,7 @@ class BaseTrainer:
 
     #: registry name, overridden by subclasses
     name = "base"
-    #: Damping of stale commits (:meth:`commit_update`); barrier rows are never stale.
+    #: Damping of stale commits (:meth:`commit_update`); one group's rows are never stale.
     _staleness_policy: Optional[StalenessPolicy] = None
 
     def __init__(self, experiment: FLExperiment) -> None:
@@ -765,12 +765,6 @@ class BaseTrainer:
                 if row is None:
                     break
                 cohort = row.cohort
-                if cohort is None:
-                    # Nobody checked in: the global model and clock stand still.
-                    self.record_round(
-                        row.round_index, row.time, row.staleness, row.group_id, 0
-                    )
-                    continue
                 if cohort not in trained:
                     self._train_cohorts(row, ahead, rows, trained)
                 entry = trained[cohort]
@@ -842,8 +836,7 @@ class BaseTrainer:
             for row in ahead:
                 cohort = row.cohort
                 if (
-                    cohort is None
-                    or cohort in firsts
+                    cohort in firsts
                     or cohort in trained
                     or cohort.base_version > self._version
                     or batch * len(cohort.ids) > budget

@@ -8,22 +8,28 @@ saves energy per round, but because the subset is chosen without regard to
 the data distribution it injects participation bias under Non-IID data,
 which is why the paper's Figs. 3-6 show noisier curves and slower
 convergence for Dynamic than for Air-FedGA.
+
+The schedule is the grouped one with its default one group of every worker;
+the selection is its dispatch hook
+(:meth:`~repro.fl.grouped.GroupedAsyncTrainer.dispatch_roster`), so the fault
+layer polls, drops and renormalises the selected workers as it does any
+group's roster.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from .base import FLExperiment
-from .synchronous import SynchronousTrainer
+from .grouped import GroupedAsyncTrainer
 from .uplink import AirCompUplink
 
 __all__ = ["DynamicTrainer"]
 
 
-class DynamicTrainer(AirCompUplink, SynchronousTrainer):
+class DynamicTrainer(AirCompUplink, GroupedAsyncTrainer):
     """Synchronous AirComp FL with channel/energy-aware worker selection."""
 
     name = "dynamic"
@@ -56,38 +62,30 @@ class DynamicTrainer(AirCompUplink, SynchronousTrainer):
         )
 
     # ------------------------------------------------------------------
-    def select_workers(
-        self, round_index: int, candidates: Optional[Sequence[int]] = None
-    ) -> List[int]:
+    def select_workers(self, round_index: int) -> List[int]:
         """Channel/energy-aware selection with a small exploration component.
 
         Score: ``h_i² / d_i`` — a worker with a strong channel and little
         data to weight needs the least transmit energy for the same received
         SNR (see Eq. 6/7), which is the quantity dynamic scheduling trades
-        off against its energy budget.  ``candidates`` (ascending worker
-        ids; default: everyone) are the workers the server may schedule;
-        the number of slots is a fraction of the population, capped by how
-        many candidates there are.
+        off against its energy budget.  The number of slots is a fraction
+        of the population; the ids come back ascending.
         """
         n = self.exp.num_workers
-        pool = np.arange(n) if candidates is None else np.asarray(candidates, dtype=int)
-        k = min(pool.size, max(1, int(round(self.select_fraction * n))))
-        gains = self.exp.channel.gains(round_index)
-        score = gains[pool] ** 2 / self.data_sizes[pool]
+        k = max(1, int(round(self.select_fraction * n)))
+        score = self.exp.channel.gains(round_index) ** 2 / self.data_sizes
         n_explore = int(round(self.exploration * k))
         n_greedy = k - n_explore
-        ranked = pool[np.argsort(-score, kind="stable")]
-        selected = list(ranked[:n_greedy])
+        selected = list(np.argsort(-score, kind="stable")[:n_greedy])
         if n_explore > 0:
-            remaining = np.setdiff1d(pool, np.array(selected, dtype=int))
+            remaining = np.setdiff1d(np.arange(n), np.array(selected, dtype=int))
             extra = self._select_rng.choice(
                 remaining, size=min(n_explore, remaining.size), replace=False
             )
             selected.extend(int(e) for e in extra)
         return sorted(int(s) for s in selected)
 
-    def select_participants(self, round_index: int) -> Tuple[List[int], float]:
-        """Rank the workers the availability poll found; absent ones are
-        never scheduled."""
-        available, weight_scale = self.sync_round_participants(round_index)
-        return self.select_workers(round_index, available), weight_scale
+    def dispatch_roster(self, group_id: int, round_index: int) -> np.ndarray:
+        """The workers :meth:`select_workers` schedules for ``round_index``;
+        the availability poll then drops the absent ones."""
+        return np.asarray(self.select_workers(round_index), dtype=np.int64)

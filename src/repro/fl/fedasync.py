@@ -85,7 +85,7 @@ class FedAsyncTrainer(OMAUplink):
         if self._clientstate is not None:
             raise ValueError(
                 "fedasync does not support client-state fault models yet; "
-                "use a synchronous or grouped mechanism for fault scenarios"
+                "use any other mechanism for fault scenarios"
             )
         self.mix_weight = float(mix_weight)
         self.buffer_size = int(buffer_size)
@@ -130,8 +130,7 @@ class FedAsyncTrainer(OMAUplink):
                 channel_busy_until = upload_start + self.upload_time([w], commits)
                 clock = max(clock, channel_busy_until)
                 yield CommitRow(
-                    commits, clock, -1, tau, [w],
-                    cohort=trained_in, slot=slice(k, k + 1),
+                    commits, clock, -1, tau, [w], trained_in, slot=slice(k, k + 1)
                 )
                 # The burst's workers restart together from the new global
                 # model — one batched engine call for the whole cohort.

@@ -9,21 +9,26 @@ data-weighted average.  Two properties matter for the comparison:
 * the upload phase takes time proportional to the number of workers, so the
   single-round time grows with N (left plot of Fig. 10).
 
-The mechanism is nothing but the barrier schedule
-(:class:`~repro.fl.synchronous.SynchronousTrainer`) over the reliable
-uplink (:class:`~repro.fl.uplink.OMAUplink`); FedProx and FedDyn subclass
-it and fill in the schedule's family hooks.
+The mechanism is nothing but the grouped schedule with its default one
+group of every worker (:class:`~repro.fl.grouped.GroupedAsyncTrainer`) over
+the reliable uplink (:class:`~repro.fl.uplink.OMAUplink`); FedProx and
+FedDyn subclass it and fill in the trainer's local-objective hooks.
 """
 
 from __future__ import annotations
 
-from .synchronous import SynchronousTrainer
+from .base import FLExperiment
+from .grouped import GroupedAsyncTrainer
 from .uplink import OMAUplink
 
 __all__ = ["FedAvgTrainer"]
 
 
-class FedAvgTrainer(OMAUplink, SynchronousTrainer):
+class FedAvgTrainer(OMAUplink, GroupedAsyncTrainer):
     """Synchronous OMA federated averaging over all workers."""
 
     name = "fedavg"
+
+    def __init__(self, experiment: FLExperiment) -> None:
+        # One group's rows are never stale: no staleness policy to take.
+        super().__init__(experiment)

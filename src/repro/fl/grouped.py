@@ -1,13 +1,16 @@
 """The grouped schedule: groups commit asynchronously (Algorithm 1).
 
-Both TiFL (OMA tiers) and Air-FedGA (AirComp groups) follow the same outer
-schedule: groups train independently; whenever *all* members of a group have
-finished local training, that group alone performs a global update and
-immediately starts its next local round from the fresh global model.  The
-only differences are (a) how the groups are formed — the
-:meth:`GroupedAsyncTrainer.build_groups` hook — and (b) the uplink the
-group's models travel over (reliable OMA vs. noisy over-the-air), mixed in
-from :mod:`repro.fl.uplink`.
+Every mechanism but FedAsync follows this schedule: groups train
+independently; whenever *all* members of a group have finished local
+training, that group alone performs a global update and immediately starts
+its next local round from the fresh global model.  The mechanisms differ in
+(a) how the groups are formed — the :meth:`GroupedAsyncTrainer.build_groups`
+hook, whose default is one group of every worker: the barrier round of
+FedAvg, FedProx, FedDyn and Air-FedAvg (the ``M = 1`` case of Corollary 2);
+(b) who of a group trains in a round — the
+:meth:`GroupedAsyncTrainer.dispatch_roster` hook, the group itself unless
+Dynamic selects; and (c) the uplink the models travel over (reliable OMA
+vs. noisy over-the-air), mixed in from :mod:`repro.fl.uplink`.
 
 :meth:`GroupedAsyncTrainer.schedule` is the policy as a generator of commit
 rows: it owns the virtual clock, the ready-time heap, the uplink occupancy
@@ -44,11 +47,12 @@ __all__ = ["GroupedAsyncTrainer"]
 class _Roster:
     """The fault layer's record of one group dispatch.
 
-    Captured when the group is (re-)enqueued: which members were available
-    to start the local round, the round label the dispatch sampled its
-    latency/fault draws with, and the per-group dispatch sequence number
-    that makes every dispatch's RNG draws unique (retries and re-dispatches
-    of the same round label draw fresh randomness).  ``members`` is an
+    Captured when the group is (re-)enqueued: which members of the
+    dispatch roster were available to start the local round, the round
+    label the dispatch sampled its latency/fault draws with, and the
+    per-group dispatch sequence number that makes every dispatch's RNG
+    draws unique (retries and re-dispatches of the same round label draw
+    fresh randomness).  ``members`` is an
     int64 array, the form both the fault draws and the commit path take.
     """
 
@@ -58,7 +62,8 @@ class _Roster:
 
 
 class GroupedAsyncTrainer(BaseTrainer):
-    """Base class for group-asynchronous mechanisms (TiFL, Air-FedGA).
+    """Base class for every mechanism but FedAsync: one group of every
+    worker unless :meth:`build_groups` says otherwise.
 
     Parameters
     ----------
@@ -84,8 +89,9 @@ class GroupedAsyncTrainer(BaseTrainer):
     completes, survivors below the quorum abort the round (with retry /
     skip / park escalation per :class:`~repro.core.FaultConfig`), and the
     surviving members' aggregation weights are renormalized so they carry
-    the full group's data mass.  With no client-state model (or the
-    ``always-on`` model) the schedule takes the exact legacy code path.
+    the data mass of the roster :meth:`dispatch_roster` returned.  With no
+    client-state model (or the ``always-on`` model) the schedule takes the
+    exact legacy code path.
     """
 
     name = "grouped_async"
@@ -121,6 +127,9 @@ class GroupedAsyncTrainer(BaseTrainer):
         # ------------------------------------------------------------------
         # Fault-injection state (``self._clientstate`` + FaultConfig).
         # ------------------------------------------------------------------
+        #: What :meth:`dispatch_roster` returned for each group's current
+        #: dispatch, before the availability poll.
+        self._dispatched: List[np.ndarray] = list(self.groups)
         #: Last dispatch roster per group (only populated while faults are on).
         self._rosters: Dict[int, _Roster] = {}
         #: Per-group monotonic dispatch counter: every availability /
@@ -137,8 +146,17 @@ class GroupedAsyncTrainer(BaseTrainer):
     # Grouping: the hook the concrete mechanisms specialize
     # ------------------------------------------------------------------
     def build_groups(self) -> Sequence[Sequence[int]]:
-        """Return the groups' worker ids (int64 arrays or int lists)."""
-        raise NotImplementedError
+        """Return the groups' worker ids (int64 arrays or int lists).
+
+        Default: one group of every worker, the barrier round.
+        """
+        return [np.arange(self.exp.num_workers, dtype=np.int64)]
+
+    def dispatch_roster(self, group_id: int, round_index: int) -> np.ndarray:
+        """The members a dispatch of ``group_id`` for ``round_index`` trains,
+        before the availability poll.  Read on every dispatch, the first
+        included; the default is the whole group."""
+        return self.groups[group_id]
 
     def grouping_problem(self, c_max: float = 0.0) -> GroupingProblem:
         """The grouping decision's inputs, read off this trainer's population.
@@ -164,15 +182,17 @@ class GroupedAsyncTrainer(BaseTrainer):
 
     # ------------------------------------------------------------------
     def group_compute_time(self, group_id: int, round_index: int) -> float:
-        """Local-training duration of a group: its slowest member."""
-        return float(self.exp.latency.sample_times(self.groups[group_id], round_index).max())
+        """Local-training duration of a group's dispatch roster: its slowest member."""
+        return float(
+            self.exp.latency.sample_times(self._dispatched[group_id], round_index).max()
+        )
 
     # ------------------------------------------------------------------
     # Fault-injection helpers (experiment.clientstate + experiment.fault)
     # ------------------------------------------------------------------
     def _quorum(self, group_id: int) -> int:
-        """``max(1, ceil(quorum_fraction · group_size))`` for one group."""
-        size = len(self.groups[group_id])
+        """``max(1, ceil(quorum_fraction · roster_size))`` for one group's dispatch."""
+        size = len(self._dispatched[group_id])
         return max(1, math.ceil(self.exp.fault.quorum_fraction * size))
 
     def _next_seq(self, group_id: int) -> int:
@@ -210,23 +230,24 @@ class GroupedAsyncTrainer(BaseTrainer):
     ) -> bool:
         """(Re-)enqueue a group's next local round, applying availability faults.
 
-        Without a client-state model this reduces exactly to the legacy
-        ``heappush((start + compute_time, g))``.  With one, the model is
-        polled for each member's availability; a roster at or above quorum
+        The round trains :meth:`dispatch_roster`'s members.  Without a
+        client-state model this is ``heappush((start + compute_time, g))``.
+        With one, the model is polled for each member's availability; a
+        roster at or above quorum
         is recorded and enqueued (its ready time gated by its slowest
         *available* member), while a below-quorum roster escalates through
         retry (re-poll ``retry_backoff`` seconds later), skip (idle one
         local-round window, then re-poll) or park (group leaves the schedule;
         returns ``False``).
         """
+        member_arr = self._dispatched[group_id] = self.dispatch_roster(group_id, round_label)
         if self._clientstate is None:
-            self.worker_state.record_dispatch(self.groups[group_id])
+            self.worker_state.record_dispatch(member_arr)
             heapq.heappush(
                 queue,
                 (start_time + self.group_compute_time(group_id, round_label), group_id),
             )
             return True
-        member_arr = self.groups[group_id]
         fault = self.exp.fault
         attempt_start = start_time
         while True:
@@ -268,7 +289,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         group is re-dispatched unless parked, and ``None`` is returned.
         """
         cs = self._clientstate
-        members = self.groups[group_id]
+        members = self._dispatched[group_id]
         roster = self._rosters[group_id]
         survive = np.asarray(
             cs.survival_mask(roster.members, roster.round_label, roster.seq),
@@ -291,7 +312,7 @@ class GroupedAsyncTrainer(BaseTrainer):
         self._consecutive_failures[group_id] = 0
         weight_scale = 1.0
         if self.exp.fault.renormalize_survivors and len(survivors) < len(members):
-            # Survivors carry the full group's data mass:
+            # Survivors carry the data mass of the roster dispatched:
             # Σα_members / Σα_survivors.
             sizes, total = self.data_sizes, self.total_data
             weight_scale = float(
@@ -309,7 +330,8 @@ class GroupedAsyncTrainer(BaseTrainer):
         a dispatch per group, taken per block of groups.  A heap of distinct
         ``(ready, group)`` tuples pops in one order however it was filled."""
         queue: List[Tuple[float, int]] = []
-        for lo, members, starts in member_blocks(self.groups):
+        self._dispatched = [self.dispatch_roster(g, 1) for g in range(len(self.groups))]
+        for lo, members, starts in member_blocks(self._dispatched):
             self.worker_state.record_dispatch(members)
             ready = np.maximum.reduceat(self.exp.latency.sample_times(members, 1), starts)
             queue += zip(ready.tolist(), range(lo, lo + starts.size))
@@ -354,7 +376,7 @@ class GroupedAsyncTrainer(BaseTrainer):
             self.scheduler.receive_group_ready(group_id)
 
             # -- roster ------------------------------------------------
-            participants = self.groups[group_id]
+            participants = self._dispatched[group_id]
             weight_scale = 1.0
             fractions: Optional[np.ndarray] = None
             if cs is not None:
@@ -376,7 +398,7 @@ class GroupedAsyncTrainer(BaseTrainer):
             # received (Eq. 5); the round index seeds their batch sampling.
             yield CommitRow(
                 t, channel_busy_until, group_id, event.staleness, participants,
-                weight_scale, fractions, Cohort(participants, t, event.base_version),
+                Cohort(participants, t, event.base_version), weight_scale, fractions,
             )
             # The group receives the fresh global model and immediately
             # starts its next local round.

@@ -27,7 +27,7 @@ __all__ = ["COLUMNS", "TrainingHistory"]
 COLUMNS = {
     "round_index": np.int64,
     "time": np.float64,              # simulated wall-clock time of the update
-    "group_id": np.int64,            # which group aggregated (-1 for sync)
+    "group_id": np.int64,            # which group aggregated (-1: FedAsync or the initial row)
     "staleness": np.int64,           # τ_t of the aggregating group
     "num_participants": np.int64,    # workers in this aggregation
     "round_energy_j": np.float64,    # transmit energy spent in this round
@@ -142,9 +142,6 @@ class TrainingHistory:
 
     def accuracies(self) -> np.ndarray:
         return self._columns["accuracy"][self._sampled()]
-
-    def stalenesses(self) -> np.ndarray:
-        return self._columns["staleness"][self._sampled()]
 
     def energies(self) -> np.ndarray:
         return self.cumulative_energy()[self._sampled()]

@@ -1,7 +1,6 @@
 """The two uplinks a mechanism can upload over, each written once.
 
 A mechanism is a *schedule* (when a set of workers commits:
-:class:`~repro.fl.synchronous.SynchronousTrainer`,
 :class:`~repro.fl.grouped.GroupedAsyncTrainer`,
 :class:`~repro.fl.fedasync.FedAsyncTrainer`) combined with an *uplink*
 (how that set's models reach the server).  The uplink is the split Cao et

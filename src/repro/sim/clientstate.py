@@ -266,11 +266,6 @@ class LognormalAvailability(ClientStateModel):
         ).lognormal(mean=0.0, sigma=self.sigma, size=self.num_workers)
         self._probs = np.clip(rates / rates.max(), self.floor, 1.0)
 
-    @property
-    def availability_probs(self) -> np.ndarray:
-        """The fixed per-worker availability probabilities (copy)."""
-        return self._probs.copy()
-
     def available(self, worker_id: int, round_index: int, sequence: int) -> bool:
         self._check_worker(worker_id)
         rng = self._rng(worker_id, round_index, sequence, _TAG_AVAILABLE)

@@ -134,7 +134,7 @@ class TestConvergenceBound:
 
     def test_rounds_to_reach_consistency(self):
         bound = ConvergenceBound(rho=0.9, delta=0.01, initial_gap=1.0)
-        t = bound.rounds_to_reach(0.1)
+        t = rounds_to_epsilon(bound.rho, bound.delta, bound.initial_gap, 0.1)
         assert bound.evaluate(int(np.ceil(t))) <= 0.1 + 1e-9
 
     def test_negative_rounds_rejected(self):

@@ -551,7 +551,6 @@ def test_register_field_shapes_fill_and_idempotency():
     again = table.register_field("drift", width=5)
     assert again is vector
     assert np.all(again[2] == 7.0)
-    assert table.field("drift") is vector
 
 
 def test_register_field_rejects_mismatched_respec():
@@ -563,13 +562,6 @@ def test_register_field_rejects_mismatched_respec():
         table.register_field("drift", width=3, dtype=np.float32)
     with pytest.raises(ValueError, match="width"):
         table.register_field("bad", width=0)
-
-
-def test_field_lookup_error_lists_known_fields():
-    table = WorkerStateTable(np.full(4, 4))
-    table.register_field("drift", width=2)
-    with pytest.raises(KeyError, match="drift"):
-        table.field("momentum")
 
 
 def test_registered_fields_count_toward_nbytes():

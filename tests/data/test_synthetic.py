@@ -34,7 +34,7 @@ class TestDatasetContainer:
         ds = make_mnist_like(num_train=50, num_test=10, image_size=8, seed=0)
         assert ds.num_train == 50
         assert ds.num_test == 10
-        assert ds.sample_shape == (1, 8, 8)
+        assert ds.x_train.shape[1:] == (1, 8, 8)
 
     def test_flattened(self):
         ds = make_mnist_like(num_train=20, num_test=5, image_size=8, seed=0)
@@ -89,7 +89,7 @@ class TestSyntheticGeneration:
 
     def test_cifar_like_has_three_channels(self):
         ds = make_cifar10_like(num_train=20, num_test=5, image_size=8, seed=0)
-        assert ds.sample_shape == (3, 8, 8)
+        assert ds.x_train.shape[1:] == (3, 8, 8)
 
     def test_cifar_harder_than_mnist(self):
         """CIFAR-like uses more noise, so prototype classification is harder."""

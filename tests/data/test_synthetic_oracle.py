@@ -116,7 +116,7 @@ class TestFailAtTheBoundary:
 
     def test_smallest_accepted_size(self):
         ds = synthetic.make_mnist_like(num_train=50, num_test=10, image_size=7)
-        assert ds.sample_shape == (1, 7, 7)
+        assert ds.x_train.shape[1:] == (1, 7, 7)
 
     def test_negative_num_test(self):
         with pytest.raises(ValueError, match="num_test"):

@@ -50,7 +50,7 @@ class TestConfigConstruction:
 
     def test_cnn_cifar10_uses_three_channels(self):
         exp = cnn_cifar10_config(num_workers=5, num_train=60, image_size=8).build_experiment()
-        assert exp.dataset.sample_shape[0] == 3
+        assert exp.dataset.x_train.shape[1] == 3
 
     def test_vgg_config_class_count(self):
         exp = vgg_imagenet100_config(

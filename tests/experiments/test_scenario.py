@@ -278,6 +278,6 @@ class TestBuildAndRun:
 
     def test_flatten_respected(self):
         exp = tiny_scenario().build_experiment()
-        assert exp.dataset.sample_shape == (64,)
+        assert exp.dataset.x_train.shape[1:] == (64,)
         exp_img = tiny_scenario(data={"flatten": False}).build_experiment()
-        assert exp_img.dataset.sample_shape == (1, 8, 8)
+        assert exp_img.dataset.x_train.shape[1:] == (1, 8, 8)

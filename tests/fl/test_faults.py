@@ -403,18 +403,42 @@ class TestTimingHelpers:
         assert degraded > plain
 
 
-class TestSyncFamilyFaults:
-    """Availability faults on the synchronous FedAvg-family round loop.
+#: The mechanisms whose one group of every worker is the barrier round.
+BARRIER = ["fedavg", "fedprox", "feddyn", "air_fedavg", "dynamic"]
 
-    The mechanism-families layer extends fault polling to the synchronous
-    trainers: absent workers sit the round out, survivors are renormalized
-    per ``FaultConfig``, and persistent per-worker mechanism state (FedDyn
-    drift) both survives absence untouched and replays exactly under the
-    seeded availability trajectory.
+
+class TestBarrierMechanismFaults:
+    """The barrier mechanisms on the one fault layer of the grouped schedule.
+
+    Their one group of every worker is polled at dispatch, loses workers
+    mid-round, returns partial work and escalates below quorum like any
+    group: survivors are renormalized per ``FaultConfig``, and persistent
+    per-worker mechanism state (FedDyn drift) both survives absence
+    untouched and replays exactly under the seeded availability trajectory.
     """
 
     def _faulty_experiment(self, base):
         return _with_bernoulli(base, availability=0.6)
+
+    @pytest.mark.parametrize("mechanism", BARRIER)
+    def test_loses_workers_mid_round_and_returns_partial_work(
+        self, quiet_experiment, mechanism
+    ):
+        def run(clientstate):
+            exp = dataclasses.replace(
+                quiet_experiment,
+                population=None,
+                clientstate=clientstate,
+                fault=FaultConfig(quorum_fraction=0.3, retry_backoff=0.5),
+            )
+            with build_trainer(mechanism, exp) as trainer:
+                return trainer.run(max_rounds=6)
+
+        n = quiet_experiment.num_workers
+        rejoin = run(DropoutRejoinModel(num_workers=n, seed=6, dropout_prob=0.3, rejoin_after=2))
+        partial = run(PartialCompletionModel(num_workers=n, seed=17, partial_prob=0.5))
+        assert rejoin.workers_dropped > 0
+        assert partial.partial_updates > 0
 
     def test_fedavg_polls_availability_and_renormalizes(self, quiet_experiment):
         from repro.fl import FedAvgTrainer
@@ -473,8 +497,8 @@ class TestSyncFamilyFaults:
 class TestEveryMechanismSeesTheFaultModel:
     """No registered mechanism silently ignores ``experiment.clientstate``.
 
-    The schedules poll it (synchronous: at the barrier; grouped: at
-    dispatch and completion) or refuse it at construction (FedAsync) —
+    The grouped schedule polls it (at dispatch and completion) or the
+    mechanism refuses it at construction (FedAsync) —
     what must never happen again is a run that reports full participation
     and zero unavailable workers under a 50 % availability model.
     """
@@ -503,27 +527,37 @@ class TestEveryMechanismSeesTheFaultModel:
         )
         assert (participants < expected).any()
 
-    def test_dynamic_never_selects_an_unavailable_worker(self, quiet_experiment):
+    def test_dynamic_never_trains_an_unavailable_worker(self, quiet_experiment):
         exp = self._faulty_experiment(quiet_experiment)
         trainer = DynamicTrainer(exp, select_fraction=0.5)
-        all_ids = np.arange(exp.num_workers)
-        for t in range(1, self.ROUNDS + 1):
-            available = set(
-                all_ids[exp.clientstate.availability_mask(all_ids, t, 0)].tolist()
-            )
-            selected, _ = trainer.select_participants(t)
-            assert set(selected) <= available
-            # The slot budget is a fraction of the population, capped by
-            # how many workers checked in.
-            assert len(selected) == min(len(available), 4)
+        polls = []
+        poll = trainer._poll_available
+
+        def spy(member_ids, round_label, seq):
+            available = poll(member_ids, round_label, seq)
+            polls.append((round_label, member_ids, available))
+            return available
+
+        trainer._poll_available = spy
+        for row in trainer.schedule(self.ROUNDS):
+            # The roster's poll is the last one before its commit.
+            round_label, selected, available = polls[-1]
+            assert round_label == row.round_index
+            assert len(selected) == 4  # half the population
+            assert set(row.cohort.ids) == set(row.participants) <= set(available.tolist())
+        assert any(len(available) < len(selected) for _, selected, available in polls)
 
     @pytest.mark.parametrize("mechanism", ["air_fedavg", "dynamic"])
-    def test_all_absent_round_stands_still(self, quiet_experiment, mechanism):
+    def test_all_absent_group_parks_and_the_model_stands_still(
+        self, quiet_experiment, mechanism
+    ):
         exp = _with_bernoulli(quiet_experiment, availability=0.0)
         trainer = build_trainer(mechanism, exp)
         initial = trainer.global_vector.copy()
         history = trainer.run(max_rounds=3)
-        assert history.column("num_participants").tolist() == [0, 0, 0, 0]
-        assert history.column("time").tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert history.workers_unavailable == 3 * exp.num_workers
+        assert len(history) == 1  # the initial row only
+        assert history.groups_parked == 1
+        escalations = history.quorum_retries + history.quorum_skips + history.groups_parked
+        assert escalations == exp.fault.max_consecutive_failures
+        assert history.workers_unavailable > 0
         assert np.array_equal(trainer.global_vector, initial)

@@ -15,20 +15,33 @@ three ``run`` loops became one consumer of per-policy schedule generators,
 so they hold the fault polls, the blend, the grouped staleness mix and
 FedAsync's bursts fixed across that rewrite.
 
-Tolerances are tight-but-not-bitwise (``rtol=1e-9``): bit-exactness
-would couple the pins to the host BLAS's reduction order, while 1e-9
-still catches any real change to the training math — a changed RNG
-stream, step rule, aggregation weight or noise model shifts these
-sequences by orders of magnitude more.
+The ``fedavg``, ``air_fedavg``, ``dynamic_faults`` and ``feddyn_faults``
+pins were re-recorded when the barrier mechanisms became one group of the
+grouped schedule (0.21.0): the clock adds compute and upload in the grouped
+order (``time`` moves by ULPs), and the barrier's fault layer became the
+grouped one (mid-round dropout, partial work, quorum escalation).
 
-Regenerate after an *intended* trajectory change with::
+The pins name the OpenBLAS kernel and NumPy version they were recorded on
+(``GOLDEN_KERNEL``): bit-identity holds per BLAS kernel, not per host.  On
+that kernel every pinned float must match exactly; on any other they are
+compared at ``rtol=1e-9`` and the test prints the kernel it ran on —
+bit-exactness there would couple the pins to another BLAS's reduction
+order, while 1e-9 still catches any real change to the training math (a
+changed RNG stream, step rule, aggregation weight or noise model shifts
+these sequences by orders of magnitude more).
+
+Regenerate after an *intended* trajectory change with (it rewrites the
+block between the ``GOLDEN_BEGIN`` / ``GOLDEN_END`` markers)::
 
     PYTHONPATH=src python tests/fl/test_golden_trajectories.py
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +57,7 @@ from repro.sim import (
     LatencyTable,
     PartialCompletionModel,
 )
+from tools.bench_pairs import openblas_kernel
 
 NUM_WORKERS = 8
 ROUNDS = 10
@@ -130,33 +144,35 @@ def _run(case: str):
 COLUMNS = {"loss": "losses", "accuracy": "accuracies", "time": "times"}
 
 
-def _assert_matches(history, pin) -> None:
+#: The BLAS kernel and NumPy version this host runs, in ``GOLDEN_KERNEL``'s form.
+KERNEL = {**openblas_kernel(), "numpy": np.__version__}
+
+
+def _assert_matches(history, pin, exact: bool) -> None:
     assert len(history) == ROUNDS + 1
     for key, expected in pin.items():
+        got = getattr(history, COLUMNS[key])() if key != "faults" else None
         if key == "faults":
             assert history.fault_counters() == expected
-            continue
-        np.testing.assert_allclose(
-            getattr(history, COLUMNS[key])(),
-            expected,
-            rtol=1e-9,
-            atol=1e-12,
-            err_msg=key,
-        )
+        elif exact:
+            assert got.tolist() == expected, key
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12, err_msg=key)
 
 
 # Pinned (loss, accuracy, simulated time) sequences: initial evaluation + 10 rounds.
 # GOLDEN_BEGIN (generated by running this module as a script)
+GOLDEN_KERNEL = {'openblas_core': 'SkylakeX', 'openblas_config': 'OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64', 'numpy': '2.4.6'}
 GOLDEN = {
     'fedavg': {
         'loss': [2.586633094774735, 2.325271187777454, 2.151886679558763, 2.0112863283342155, 1.9012600514448013, 1.7992656379217502, 1.6947375107737987, 1.6320622106225309, 1.5583447193954532, 1.4885003629146325, 1.4203732498304218],
         'accuracy': [0.15, 0.2, 0.3, 0.31666666666666665, 0.36666666666666664, 0.38333333333333336, 0.45, 0.45, 0.43333333333333335, 0.55, 0.5333333333333333],
-        'time': [0.0, 16.58099816506074, 33.16199633012148, 49.742994495182224, 66.32399266024296, 82.90499082530371, 99.48598899036446, 116.06698715542521, 132.64798532048596, 149.2289834855467, 165.80998165060745],
+        'time': [0.0, 16.58099816506074, 33.16199633012148, 49.742994495182224, 66.32399266024296, 82.9049908253037, 99.48598899036445, 116.0669871554252, 132.64798532048593, 149.22898348554665, 165.80998165060737],
     },
     'air_fedavg': {
-        'loss': [2.586633094774735, 2.3252711425118084, 2.151886637434649, 2.0112862688793434, 1.901260001386973, 1.7992655777121702, 1.6947374538488957, 1.6320621799684851, 1.558344711634127, 1.4885003155830179, 1.4203731917316385],
+        'loss': [2.586633094774735, 2.325271142511805, 2.151886637434902, 2.0112862688812303, 1.9012600013902727, 1.7992655777145348, 1.694737453849647, 1.6320621799708876, 1.558344711636146, 1.4885003155858736, 1.4203731917307472],
         'accuracy': [0.15, 0.2, 0.3, 0.31666666666666665, 0.36666666666666664, 0.38333333333333336, 0.45, 0.45, 0.43333333333333335, 0.55, 0.5333333333333333],
-        'time': [0.0, 16.545334215256887, 33.09066843051377, 49.63600264577066, 66.18133686102755, 82.72667107628443, 99.27200529154132, 115.8173395067982, 132.3626737220551, 148.908007937312, 165.4533421525689],
+        'time': [0.0, 16.545334215256887, 33.09066843051377, 49.63600264577066, 66.18133686102755, 82.72667107628442, 99.27200529154129, 115.81733950679816, 132.36267372205504, 148.9080079373119, 165.45334215256878],
     },
     'tifl': {
         'loss': [2.586633094774735, 2.534840206964402, 2.516566430771174, 2.4336999337410257, 2.447248317440363, 2.3757034675665176, 2.390513271151226, 2.4097816508650025, 2.356882175558454, 2.386070594157205, 2.329074627102615],
@@ -164,12 +180,12 @@ GOLDEN = {
         'time': [0.0, 2.9802686303207793, 5.9605372606415585, 8.910155841590292, 8.940805890962338, 11.28537608620952, 11.921074521283117, 14.901343151603896, 16.494810621142324, 16.547692208982365, 17.820311683180584],
     },
     'air_fedga': {
-        'loss': [2.586633094774735, 2.534840188686562, 2.516566417239992, 2.5154724423754926, 2.400409097064346, 2.3596050280300096, 2.3865711496283026, 2.405626664621942, 2.3817801134892695, 2.385748730812746, 2.290992112189101],
+        'loss': [2.586633094774735, 2.534840188686552, 2.516566417239973, 2.515472442375463, 2.4004090970643284, 2.359605028029989, 2.386571149628273, 2.4056266646219013, 2.3817801134892354, 2.3857487308127023, 2.290992112187575],
         'accuracy': [0.15, 0.11666666666666667, 0.11666666666666667, 0.1, 0.11666666666666667, 0.13333333333333333, 0.1, 0.16666666666666666, 0.18333333333333332, 0.18333333333333332, 0.18333333333333332],
         'time': [0.0, 2.973152642869816, 5.946305285739632, 8.919457928609447, 9.354917697559975, 11.278260098758556, 11.892610571479262, 14.865763214349077, 16.545334215256887, 17.838915857218893, 18.709835395119953],
     },
     'air_fedga_faults': {
-        'loss': [2.586633094774735, 2.465195703272018, 2.4433319140030436, 2.426661031965206, 2.4314085983849107, 2.3803367631597974, 2.40324526754288, 2.432468116474659, 2.475957756425295, 2.3237753806298644, 2.3476498005923503],
+        'loss': [2.586633094774735, 2.465195703272009, 2.4433319140030303, 2.4266610319638455, 2.4314085983837597, 2.3803367631597117, 2.4032452675432956, 2.4324681164731143, 2.4759577564229844, 2.3237753806307295, 2.347649800593339],
         'accuracy': [0.15, 0.15, 0.13333333333333333, 0.11666666666666667, 0.11666666666666667, 0.11666666666666667, 0.15, 0.18333333333333332, 0.2, 0.18333333333333332, 0.23333333333333334],
         'time': [0.0, 9.354917697559975, 17.85616321434908, 28.27082114295853, 31.243973785828345, 35.32998029627567, 41.6586317144378, 44.63178435730762, 47.60493700017744, 47.81551064437923, 51.13120264577066],
         'faults': {'workers_unavailable': 22, 'workers_dropped': 11, 'partial_updates': 0, 'quorum_retries': 18, 'quorum_skips': 9, 'groups_parked': 0},
@@ -180,14 +196,16 @@ GOLDEN = {
         'time': [0.0, 2.819711483969495, 2.9755106365952977, 5.63942296793899, 5.951021273190595, 7.149182835312031, 8.459134451908485, 8.90539784786481, 8.926531909785894, 9.357275691285457, 11.27884593587798],
     },
     'dynamic_faults': {
-        'loss': [2.586633094774735, 2.5334331106566896, 2.5010467140079102, 2.4837095229077573, 2.4864053384399782, 2.501312201460061, 2.5287018504009766, 2.5644037865857245, 2.6110087570439453, 2.665301351308516, 2.72135219663629],
+        'loss': [2.586633094774735, 2.533433110656682, 2.5010467140078982, 2.4837095229077377, 2.4864053384399516, 2.5013122014600238, 2.528701850400926, 2.5644037865856597, 2.61100875704386, 2.665301351308409, 2.7213521966361602],
         'accuracy': [0.15, 0.13333333333333333, 0.13333333333333333, 0.1, 0.11666666666666667, 0.16666666666666666, 0.15, 0.16666666666666666, 0.16666666666666666, 0.15, 0.15],
-        'time': [0.0, 7.1468248415865485, 14.293649683173097, 21.440474524759644, 28.587299366346194, 35.734124207932744, 42.880949049519295, 50.027773891105845, 57.174598732692395, 64.32142357427894, 71.46824841586549],
+        'time': [0.0, 22.935674524759648, 30.082499366346198, 53.018173891105846, 75.95384841586548, 83.10067325745203, 90.24749809903858, 128.97202230697135, 136.1188471485579, 143.26567199014445, 150.412496831731],
+        'faults': {'workers_unavailable': 12, 'workers_dropped': 6, 'partial_updates': 0, 'quorum_retries': 10, 'quorum_skips': 5, 'groups_parked': 0},
     },
     'feddyn_faults': {
-        'loss': [2.586633094774735, 2.1186166283154253, 1.7757637418609171, 1.5340577622201246, 1.2144664079266103, 1.2014964718719852, 2.0279138293880004, 1.9504870401393644, 1.0508441541895928, 1.3449724072790523, 1.0954054261565986],
-        'accuracy': [0.15, 0.26666666666666666, 0.4, 0.43333333333333335, 0.6333333333333333, 0.55, 0.6333333333333333, 0.55, 0.65, 0.65, 0.6333333333333333],
-        'time': [0.0, 16.58099816506074, 33.16199633012148, 49.742994495182224, 66.32399266024296, 82.90499082530371, 99.48598899036446, 116.06698715542521, 132.64798532048596, 149.2289834855467, 165.80998165060745],
+        'loss': [2.586633094774735, 2.1186166283154253, 1.8950250452373139, 2.145157274652291, 1.8310074270431065, 1.8676251457587398, 2.3323046891034696, 1.5883888320029513, 1.5408861707612416, 1.82775634800156, 1.9028068336215955],
+        'accuracy': [0.15, 0.26666666666666666, 0.38333333333333336, 0.38333333333333336, 0.4166666666666667, 0.45, 0.5666666666666667, 0.5166666666666667, 0.5833333333333334, 0.5833333333333334, 0.6],
+        'time': [0.0, 120.33860345660203, 136.9148436279373, 153.48632580554707, 187.09598420468822, 203.6627083885725, 254.82005899669602, 305.4726516110941, 321.9960101945893, 338.50985279063354, 457.2331770841045],
+        'faults': {'workers_unavailable': 75, 'workers_dropped': 38, 'partial_updates': 0, 'quorum_retries': 14, 'quorum_skips': 7, 'groups_parked': 0},
     },
     'tifl_faults': {
         'loss': [2.586633094774735, 2.5537075340527995, 2.5113786698289635, 2.430501065383218, 2.4215075910826616, 2.4228143298313842, 2.3593488166884797, 2.3604413002635884, 2.368752575143641, 2.390076717964202, 2.3977283971232883],
@@ -196,13 +214,13 @@ GOLDEN = {
         'faults': {'workers_unavailable': 24, 'workers_dropped': 12, 'partial_updates': 0, 'quorum_retries': 22, 'quorum_skips': 11, 'groups_parked': 0},
     },
     'air_fedga_partial': {
-        'loss': [2.586633094774735, 2.530776151365119, 2.5110611162890857, 2.513678731977277, 2.426812256882441, 2.4062316707824163, 2.4234865392077913, 2.4359740750328753, 2.4028165428424106, 2.4089590889146506, 2.342009215514895],
+        'loss': [2.586633094774735, 2.5307761513651092, 2.511061116289066, 2.5136787319772482, 2.4268122568824224, 2.4062316707823905, 2.4234865392077567, 2.4359740750328314, 2.4028165428423733, 2.4089590889146053, 2.342009215514865],
         'accuracy': [0.15, 0.13333333333333333, 0.1, 0.1, 0.11666666666666667, 0.11666666666666667, 0.1, 0.13333333333333333, 0.18333333333333332, 0.16666666666666666, 0.18333333333333332],
         'time': [0.0, 2.973152642869816, 5.946305285739632, 8.919457928609447, 9.354917697559975, 11.278260098758556, 11.892610571479262, 14.865763214349077, 16.545334215256887, 17.838915857218893, 18.709835395119953],
         'faults': {'workers_unavailable': 0, 'workers_dropped': 0, 'partial_updates': 10, 'quorum_retries': 0, 'quorum_skips': 0, 'groups_parked': 0},
     },
     'air_fedga_polynomial': {
-        'loss': [2.586633094774735, 2.534840188686562, 2.516566417239992, 2.5154724423754926, 2.4544246982135447, 2.4297719992431754, 2.443136360761795, 2.4643025926934095, 2.434222788810208, 2.454863249257997, 2.4068531742744517],
+        'loss': [2.586633094774735, 2.534840188686552, 2.516566417239973, 2.515472442375463, 2.454424698213522, 2.4297719992431523, 2.4431363607617644, 2.464302592693367, 2.4342227888101697, 2.4548632492579485, 2.4068531742744113],
         'accuracy': [0.15, 0.11666666666666667, 0.11666666666666667, 0.1, 0.1, 0.11666666666666667, 0.1, 0.18333333333333332, 0.15, 0.18333333333333332, 0.18333333333333332],
         'time': [0.0, 2.973152642869816, 5.946305285739632, 8.919457928609447, 9.354917697559975, 11.278260098758556, 11.892610571479262, 14.865763214349077, 16.545334215256887, 17.838915857218893, 18.709835395119953],
     },
@@ -219,7 +237,19 @@ GOLDEN = {
 def test_golden_trajectory(case):
     if not GOLDEN:
         pytest.fail("golden pins missing; regenerate via the module docstring")
-    _assert_matches(_run(case), GOLDEN[case])
+    exact = KERNEL == GOLDEN_KERNEL
+    if not exact:
+        print(f"kernel {KERNEL}, goldens recorded on {GOLDEN_KERNEL}: comparing at rtol=1e-9")
+    _assert_matches(_run(case), GOLDEN[case], exact)
+
+
+def test_one_ulp_off_fails_on_the_recording_kernel():
+    if KERNEL != GOLDEN_KERNEL:
+        pytest.skip(f"kernel {KERNEL}: the goldens compare at rtol=1e-9 here")
+    pin = copy.deepcopy(GOLDEN["air_fedga"])
+    pin["loss"][-1] = float(np.nextafter(pin["loss"][-1], np.inf))
+    with pytest.raises(AssertionError):
+        _assert_matches(_run("air_fedga"), pin, exact=True)
 
 
 def test_faulted_pin_exercises_retry_and_skip():
@@ -233,12 +263,25 @@ def test_partial_pin_exercises_the_blend():
 
 
 if __name__ == "__main__":
+    lines = [f"GOLDEN_KERNEL = {KERNEL!r}", "GOLDEN = {"]
     for name in CASES:
         history = _run(name)
-        print(f"    {name!r}: {{")
+        lines.append(f"    {name!r}: {{")
         for key, accessor in COLUMNS.items():
             values = getattr(history, accessor)()
-            print(f"        {key!r}: " + repr([float(v) for v in values]) + ",")
+            lines.append(f"        {key!r}: " + repr([float(v) for v in values]) + ",")
         if any(history.fault_counters().values()):
-            print(f"        'faults': {history.fault_counters()!r},")
-        print("    },")
+            lines.append(f"        'faults': {history.fault_counters()!r},")
+        lines.append("    },")
+    lines.append("}")
+    path = Path(__file__)
+    block = "# GOLDEN_BEGIN (generated by running this module as a script)\n"
+    text = re.sub(
+        r"# GOLDEN_BEGIN.*?\n(.*?)# GOLDEN_END",
+        lambda _: block + "\n".join(lines) + "\n# GOLDEN_END",
+        path.read_text(),
+        count=1,
+        flags=re.S,
+    )
+    path.write_text(text)
+    print(f"wrote {path}")

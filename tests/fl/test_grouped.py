@@ -20,10 +20,12 @@ from repro.nn import LogisticRegressionMLP
 from repro.sim import BernoulliAvailability, HeterogeneityModel, LatencyTable
 
 
-class TestAbstractHooks:
-    def test_base_class_requires_build_groups(self, small_experiment):
-        with pytest.raises(NotImplementedError):
-            GroupedAsyncTrainer(small_experiment)
+class TestDefaultHooks:
+    def test_base_class_is_one_group_of_every_worker(self, small_experiment):
+        trainer = GroupedAsyncTrainer(small_experiment)
+        (group,) = trainer.groups
+        assert group.tolist() == list(range(small_experiment.num_workers))
+        assert trainer.dispatch_roster(0, 1) is group
 
 
 class _RaggedGroups(AirFedGATrainer):

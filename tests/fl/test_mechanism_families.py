@@ -136,7 +136,10 @@ class TestFedProx:
 class TestFedDyn:
     def test_drift_state_registered_and_updated(self, small_experiment):
         trainer = FedDynTrainer(small_experiment, alpha_coef=0.05)
-        assert trainer.worker_state.field(DRIFT_FIELD) is trainer.drift
+        registered = trainer.worker_state.register_field(
+            DRIFT_FIELD, width=trainer.model.dimension, dtype=trainer.drift.dtype
+        )
+        assert registered is trainer.drift
         assert trainer.drift.shape == (
             small_experiment.num_workers,
             trainer.model.dimension,

@@ -20,7 +20,7 @@ from oracle.aggregation import ideal_group_average, ideal_group_average_referenc
 from repro.channel import AirCompWorkspace, aircomp_aggregate, aircomp_aggregate_reference
 from repro.core import AirCompConfig, AirFedGAConfig, PowerControlCache, solve_power_control
 from repro.fl import FLExperiment
-from repro.fl.base import BaseTrainer, CommitRow
+from repro.fl.base import BaseTrainer, Cohort, CommitRow
 from repro.fl.uplink import AirCompUplink, OMAUplink
 from repro.fl.registry import build_trainer
 from repro.nn import LogisticRegressionMLP
@@ -174,7 +174,8 @@ class TestTrainerAggregation:
         rng = np.random.default_rng(0)
         local_vectors = trainer.global_vector + rng.standard_normal((3, q))
         row = CommitRow(
-            round_index=1, time=1.0, group_id=0, staleness=0, participants=[0, 1, 2]
+            round_index=1, time=1.0, group_id=0, staleness=0, participants=[0, 1, 2],
+            cohort=Cohort([0, 1, 2], 1, 0),
         )
         trainer.commit_update(row, local_vectors)
         tracemalloc.start()

@@ -1,7 +1,7 @@
 """Fixture self-tests of ``DEAD001`` (``tools/analysis/dead.py``) on a
 miniature repository written to ``tmp_path``: ``src/repro/exports.py``
-defines the names, ``tools/`` and ``examples/`` read some, and ``tests/``
-reads one that nothing else does."""
+defines the names and a class's members, ``tools/`` and ``examples/`` read
+some, and ``tests/`` reads one that nothing else does."""
 
 from __future__ import annotations
 
@@ -27,10 +27,26 @@ class NeverInstantiated: pass
 def read_only_by_tests(): return 7
 def imported_only(): return 8
 def kept_on_purpose(): return 4  # analyze: allow-dead(a reasoned keep)
+class Members:
+    def called_by_a_tool(self): return self.read_within_src
+    @property
+    def read_within_src(self): return 1
+    def never_called(self): return 2
+    @property
+    def never_read_property(self): return 3
+    @staticmethod
+    def never_called_static(): return 4
+    def _private(self): return 5
+    @functools.lru_cache(maxsize=None)
+    def reached_through_its_decorator(self): return 6
+    def kept_on_purpose_too(self): return 7  # analyze: allow-dead(a reasoned keep)
 '''
 TREE = {
     "src/repro/exports.py": EXPORTS,
-    "tools/use.py": "from repro.exports import called_by_a_tool, imported_only\ncalled_by_a_tool()",
+    "tools/use.py": (
+        "from repro.exports import Members, called_by_a_tool, imported_only\n"
+        "called_by_a_tool()\nMembers().called_by_a_tool()"
+    ),
     "examples/run.py": "import repro.exports as exports\nexports.ReadAsAnAttribute()",
     "tests/test_exports.py": "from repro.exports import read_only_by_tests\nread_only_by_tests()",
 }
@@ -53,10 +69,12 @@ def dead_names(tree, path="src/repro"):
 def test_names_nothing_outside_tests_reads_fire(tree):
     """Imports, ``__all__``, tests and a reasonless allow keep nothing alive;
     reads in src/, tools/ and examples/, a decorator, a leading underscore
-    and a reasoned allow do."""
+    and a reasoned allow do — for module-level names and for a class's
+    methods and properties alike."""
     assert dead_names(tree) == [
-        "NeverInstantiated", "imported_only", "never_read",
-        "read_only_by_tests", "reasonless_allow",
+        "Members.never_called", "Members.never_called_static",
+        "Members.never_read_property", "NeverInstantiated", "imported_only",
+        "never_read", "read_only_by_tests", "reasonless_allow",
     ]
 
 
@@ -68,6 +86,8 @@ def test_the_baseline_holds_only_the_deliberate_keeps():
     entries = json.loads(DEFAULT_BASELINE.read_text())["findings"]
     assert {e["rule"] for e in entries} == {"DEAD001"}
     assert sorted(e["message"].split()[0] for e in entries) == [
+        "GroupAsyncScheduler.receive_ready", "Scenario.from_json", "Scenario.to_json",
+        "TrainingHistory.load_json", "TrainingHistory.rounds_to_accuracy",
         "aircomp_aggregate_reference", "expand_grid", "faulty_group_completion_time",
-        "lemma1_bound_sequence", "theorem1_bound",
+        "lemma1_bound_sequence", "rounds_to_epsilon", "theorem1_bound",
     ]

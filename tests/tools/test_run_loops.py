@@ -2,12 +2,14 @@
 
 Under ``src/repro/fl`` there is one ``run`` loop, ``BaseTrainer.run``, which
 trains, aggregates, commits and records the rows a ``schedule`` generator
-yields; three classes define a ``schedule`` — the barrier, the grouped and
-FedAsync's per-update policy — and two define ``(aggregate, upload_time)``,
-the OMA and the AirComp uplink.  A second loop or a third pair is how the
+yields; two classes define a ``schedule`` — the grouped policy, whose one
+group of every worker is the barrier round, and FedAsync's per-update
+policy — and two define ``(aggregate, upload_time)``, the OMA and the
+AirComp uplink.  A second loop, a third schedule or a third pair is how the
 copies drifted apart before (two of five barrier loops ignored the fault
-model), so this walks the AST of every module of the package and fails on
-a class that defines one outside those homes.  Only the two event-driven
+model, and a barrier schedule of its own never lost a worker mid-round), so
+this walks the AST of every module of the package and fails on a class that
+defines one outside those homes.  Only the two event-driven
 policies keep a heap.  Local training and evaluation have one path too, the
 batched engine: outside ``repro.nn`` no module trains or evaluates a model
 through scalar passes, inside it only the kernels of ``batched.py`` define
@@ -24,7 +26,7 @@ from typing import Dict, Set
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 FL = SRC / "fl"
 
-SCHEDULES = {"SynchronousTrainer", "GroupedAsyncTrainer", "FedAsyncTrainer"}
+SCHEDULES = {"GroupedAsyncTrainer", "FedAsyncTrainer"}
 UPLINKS = {"OMAUplink", "AirCompUplink"}
 
 
@@ -60,7 +62,7 @@ def test_one_run_loop():
     assert definitions()["run"] == {"BaseTrainer"}
 
 
-def test_three_schedules():
+def test_two_schedules():
     assert definitions()["schedule"] == SCHEDULES
 
 

@@ -93,7 +93,6 @@ HOT_PATHS: Dict[str, Set[str]] = {
     },
     # The schedules: pure timing generators, one commit row per global
     # update; their roster and dispatch stages.
-    "src/repro/fl/synchronous.py": {"SynchronousTrainer.schedule"},
     "src/repro/fl/grouped.py": {
         "GroupedAsyncTrainer.schedule",
         "GroupedAsyncTrainer._dispatch_group",
@@ -133,7 +132,7 @@ HOT_PATHS: Dict[str, Set[str]] = {
         "BaseTrainer.record_round",
         "BaseTrainer._flush_evaluations",
     },
-    # One lookup per aggregation; Algorithm 2 itself runs only on a miss.
+    # One closed-form Algorithm 2 solve per aggregation.
     "src/repro/core/power_control.py": {"PowerControlCache.solve"},
     # Server-side protocol transitions and the helpers they call: O(1) per
     # event.  ``receive_ready`` / ``group_of`` are Algorithm 1's per-worker
