@@ -52,8 +52,8 @@ class _Roster:
     label the dispatch sampled its latency/fault draws with, and the
     per-group dispatch sequence number that makes every dispatch's RNG
     draws unique (retries and re-dispatches of the same round label draw
-    fresh randomness).  ``members`` is an
-    int64 array, the form both the fault draws and the commit path take.
+    fresh randomness).  ``members`` is an int64 array, the form both the
+    fault draws and the commit path take.
     """
 
     members: np.ndarray
@@ -124,12 +124,12 @@ class GroupedAsyncTrainer(BaseTrainer):
             raise ValueError(
                 f"grouping must cover every worker exactly once; got coverage {coverage}..."
             )
-        # ------------------------------------------------------------------
-        # Fault-injection state (``self._clientstate`` + FaultConfig).
-        # ------------------------------------------------------------------
         #: What :meth:`dispatch_roster` returned for each group's current
         #: dispatch, before the availability poll.
         self._dispatched: List[np.ndarray] = list(self.groups)
+        # ------------------------------------------------------------------
+        # Fault-injection state (``self._clientstate`` + FaultConfig).
+        # ------------------------------------------------------------------
         #: Last dispatch roster per group (only populated while faults are on).
         self._rosters: Dict[int, _Roster] = {}
         #: Per-group monotonic dispatch counter: every availability /
@@ -233,12 +233,11 @@ class GroupedAsyncTrainer(BaseTrainer):
         The round trains :meth:`dispatch_roster`'s members.  Without a
         client-state model this is ``heappush((start + compute_time, g))``.
         With one, the model is polled for each member's availability; a
-        roster at or above quorum
-        is recorded and enqueued (its ready time gated by its slowest
-        *available* member), while a below-quorum roster escalates through
-        retry (re-poll ``retry_backoff`` seconds later), skip (idle one
-        local-round window, then re-poll) or park (group leaves the schedule;
-        returns ``False``).
+        roster at or above quorum is recorded and enqueued (its ready time
+        gated by its slowest *available* member), while a below-quorum
+        roster escalates through retry (re-poll ``retry_backoff`` seconds
+        later), skip (idle one local-round window, then re-poll) or park
+        (group leaves the schedule; returns ``False``).
         """
         member_arr = self._dispatched[group_id] = self.dispatch_roster(group_id, round_label)
         if self._clientstate is None:

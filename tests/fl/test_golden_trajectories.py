@@ -19,7 +19,11 @@ The ``fedavg``, ``air_fedavg``, ``dynamic_faults`` and ``feddyn_faults``
 pins were re-recorded when the barrier mechanisms became one group of the
 grouped schedule (0.21.0): the clock adds compute and upload in the grouped
 order (``time`` moves by ULPs), and the barrier's fault layer became the
-grouped one (mid-round dropout, partial work, quorum escalation).
+grouped one (mid-round dropout, partial work, quorum escalation).  The
+other AirComp pins' loss digits were rewritten then too, with the exact
+values the commit before that change produced: since 0.20.0's noise term
+they had matched only within 1.9e-12, and the recording kernel now
+compares exactly.  Their histories did not change.
 
 The pins name the OpenBLAS kernel and NumPy version they were recorded on
 (``GOLDEN_KERNEL``): bit-identity holds per BLAS kernel, not per host.  On
@@ -151,10 +155,11 @@ KERNEL = {**openblas_kernel(), "numpy": np.__version__}
 def _assert_matches(history, pin, exact: bool) -> None:
     assert len(history) == ROUNDS + 1
     for key, expected in pin.items():
-        got = getattr(history, COLUMNS[key])() if key != "faults" else None
         if key == "faults":
             assert history.fault_counters() == expected
-        elif exact:
+            continue
+        got = getattr(history, COLUMNS[key])()
+        if exact:
             assert got.tolist() == expected, key
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12, err_msg=key)
