@@ -98,14 +98,16 @@ class RayleighFading(ChannelModel):
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, round_index, 0x5EED])
         )
-        # |CN(0,1)| is Rayleigh(scale=1/sqrt(2)); normalize to unit mean.
+        # |CN(0,1)| is Rayleigh(scale=1/sqrt(2)); normalize to unit mean, step
+        # by step in the two draw buffers (no O(N) temporary).
         real = rng.standard_normal(self.num_workers)
         imag = rng.standard_normal(self.num_workers)
-        rayleigh = np.sqrt(real**2 + imag**2) / np.sqrt(np.pi / 2.0)
-        gains = self._avg_gain * rayleigh
+        np.add(np.square(real, out=real), np.square(imag, out=imag), out=real)
+        np.divide(np.sqrt(real, out=real), np.sqrt(np.pi / 2.0), out=real)
+        np.multiply(self._avg_gain, real, out=real)
         # Guard against pathologically deep fades that would blow up the
         # transmit power p_i = d_i σ / h_i in the simulation.
-        return np.maximum(gains, 1e-3 * self._avg_gain)
+        return np.maximum(real, np.multiply(1e-3, self._avg_gain, out=imag), out=real)
 
 
 @_register("channel", "static")

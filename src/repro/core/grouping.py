@@ -21,9 +21,9 @@ Four alternative strategies are provided for the baselines and ablations:
 * :func:`contiguous_grouping` — index-contiguous blocks, for 1M workers,
   where greedy's ~0.1 ms per worker would add up to minutes.
 
-Every strategy returns its groups as int64 views of one member array:
-tier, random, singleton and contiguous of their own order array (an
-argsort, a permutation, an ``arange``), scored in bounded scratch memory.
+Every strategy returns its groups as int32 (below 2³¹ workers) views of one
+member array: tier, random, singleton and contiguous of their own order
+array (an argsort, a permutation, an ``arange``), scored in bounded memory.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from ..channel.aircomp import aircomp_latency
 from .config import AirFedGAConfig
 from .convergence import grouping_objective
+from .population import ClassCountView, _index_dtype
 from .timing import (
     average_round_time,
     estimated_max_staleness,
@@ -66,7 +67,8 @@ class GroupingProblem:
     data_sizes:
         Per-worker data sizes ``d_i``.
     class_counts:
-        Per-worker per-class counts ``d_i^k`` (shape workers x classes).
+        Per-worker per-class counts ``d_i^k`` (shape workers x classes), or
+        a store's :class:`~repro.core.population.ClassCountView`.
     local_times:
         Per-worker local-training times ``l_i`` (Section V-A, estimated from
         historical measurements; here from the latency table).
@@ -94,8 +96,10 @@ class GroupingProblem:
         self.data_sizes = np.asarray(self.data_sizes, dtype=np.float64)
         # Counts are exact in any integer dtype or as float64: an integer
         # table is kept as given (no N x K copy) and summed in int64, one
-        # class column at a time, so that sums cannot wrap.
-        counts = np.asarray(self.class_counts)
+        # class column at a time, so that sums cannot wrap.  A store's view
+        # holds non-negative integers by construction and sums itself.
+        view = isinstance(self.class_counts, ClassCountView)
+        counts = self.class_counts if view else np.asarray(self.class_counts)
         if counts.dtype.kind not in "iu":
             counts = counts.astype(np.float64, copy=False)
         self.class_counts = counts
@@ -110,7 +114,7 @@ class GroupingProblem:
         # NaN and inf would reach the objective.  min and max propagate NaN,
         # so each test fails on it; an integer table holds no NaN or inf.
         sizes, times = self.data_sizes, self.local_times
-        if not (sizes.min() >= 0 and counts.min(initial=0) >= 0):
+        if not (sizes.min() >= 0 and (view or counts.min(initial=0) >= 0)):
             raise ValueError("data sizes and class counts must be non-negative")
         if not times.min() > 0:
             raise ValueError("local training times must be positive")
@@ -125,7 +129,9 @@ class GroupingProblem:
         if not 0 <= self.c_max < np.inf:
             raise ValueError("c_max must be finite and non-negative")
         wide = np.float64 if counts.dtype.kind == "f" else np.int64
-        self.class_totals = np.array([column.sum(dtype=wide) for column in counts.T])
+        self.class_totals = (
+            counts.totals() if view else np.array([col.sum(dtype=wide) for col in counts.T])
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -157,9 +163,9 @@ class GroupingProblem:
 class GroupingResult:
     """A concrete grouping plus the quantities needed downstream.
 
-    ``groups`` are the non-empty groups as int64 member arrays, back-to-back
-    views of one array: they index per-worker arrays directly, with no
-    per-worker Python objects at XL scale.
+    ``groups`` are the non-empty groups as int32 (below 2³¹ workers) member
+    arrays, back-to-back views of one array: they index per-worker arrays
+    directly, with no per-worker Python objects at XL scale.
     """
 
     groups: List[np.ndarray]
@@ -184,12 +190,12 @@ def _evaluate_grouping(
     problem: GroupingProblem, groups: Sequence[Sequence[int]], strategy: str
 ) -> GroupingResult:
     """Score a grouping given as member lists or arrays (empty ones dropped);
-    the result's groups are views of one int64 copy of them."""
+    the result's groups are views of one int32 copy of them."""
     kept = [g for g in groups if len(g) > 0]
     if not kept:
         raise ValueError("grouping has no non-empty groups")
-    bounds = np.array([0, *accumulate(map(len, kept))])
-    return _score(problem, np.concatenate(kept, dtype=np.int64), bounds, strategy)
+    bounds, dtype = np.array([0, *accumulate(map(len, kept))]), _index_dtype(problem.num_workers)
+    return _score(problem, np.concatenate(kept, dtype=dtype), bounds, strategy)
 
 
 #: Most members one block of whole groups holds (a larger group is a block
@@ -198,16 +204,23 @@ def _evaluate_grouping(
 _BLOCK_MEMBERS = 1 << 16
 
 
+def _blocks(cuts: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(lo, hi)`` per block of groups ``lo:hi``, group j at ``cuts[j]:cuts[j + 1]``."""
+    lo = 0
+    while lo < len(cuts) - 1:
+        hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def member_blocks(groups: Sequence[Sequence[int]]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """``(lo, members, starts)`` per block of whole groups (as many as fit, at
     least one): the members of groups ``lo`` on as one int64 array, and where
     each group begins in it.  Every pass over all members walks these, so
     none copies more than one block."""
-    cuts, lo = [0, *accumulate(map(len, groups))], 0
-    while lo < len(groups):
-        hi = max(lo + 1, bisect_right(cuts, cuts[lo] + _BLOCK_MEMBERS) - 1)
+    cuts = [0, *accumulate(map(len, groups))]
+    for lo, hi in _blocks(cuts):
         yield lo, np.concatenate(groups[lo:hi], dtype=np.int64), np.subtract(cuts[lo:hi], cuts[lo])
-        lo = hi
 
 
 def member_range(groups: Sequence[Sequence[int]]) -> Tuple[int, int]:
@@ -223,20 +236,23 @@ def _score(
 
     Per-group quantities are segment reductions (``np.maximum.reduceat`` /
     ``np.add.reduceat``) over blocks of whole groups, at most
-    ``_BLOCK_MEMBERS`` members each.  Each segment reduces on its own, so the
-    float64 results match the per-group ``max``/``sum`` reductions exactly:
-    objectives and greedy decisions are bit-identical.  The result's groups
-    are views of ``order``.
+    ``_BLOCK_MEMBERS`` members each, slices of ``order``.  Each segment
+    reduces on its own, so the float64 results match the per-group
+    ``max``/``sum`` reductions exactly: objectives and greedy decisions are
+    bit-identical.  The result's groups are views of ``order``.
     """
     cuts = bounds.tolist()
     groups = [order[a:b] for a, b in zip(cuts, cuts[1:])]
     upload = problem.upload_latency()  # L_j = max_i l_i + L_u (Eq. 34)
     group_times, sums = np.empty(len(groups)), np.empty(len(groups))
     counts = np.empty((len(groups), problem.num_classes))
-    for lo, ids, starts in member_blocks(groups):
-        hi = lo + starts.size
-        group_times[lo:hi] = np.maximum.reduceat(problem.local_times[ids], starts) + upload
-        sums[lo:hi], counts[lo:hi] = _segment_sums(problem, ids, starts)
+    for lo, hi in _blocks(cuts):
+        ids, starts = order[cuts[lo] : cuts[hi]], bounds[lo:hi] - cuts[lo]
+        # A run of consecutive ids reads every per-worker array as a slice.
+        in_order = ids[-1] - ids[0] == ids.size - 1 and np.all(ids[1:] > ids[:-1])
+        rows = slice(int(ids[0]), int(ids[-1]) + 1) if in_order else ids
+        group_times[lo:hi] = np.maximum.reduceat(problem.local_times[rows], starts) + upload
+        sums[lo:hi], counts[lo:hi] = _segment_sums(problem, rows, starts)
     betas = sums / float(problem.data_sizes.sum())
     lambdas = _lambdas(counts, problem.global_distribution())
     psi = participation_frequencies(group_times)
@@ -263,25 +279,23 @@ def _score(
     )
 
 
-def _segment_sums(problem: GroupingProblem, ids: np.ndarray, starts: np.ndarray):
-    """Size sums and class-count rows of the segments of ``ids`` that begin at
-    ``starts``, each segment reduced on its own."""
+def _segment_sums(problem: GroupingProblem, rows, starts: np.ndarray):
+    """Size sums and class-count rows of the segments of workers ``rows`` (ids
+    or a slice) that begin at ``starts``, each segment reduced on its own."""
+    # Counts: one class column at a time, summed in the totals' dtype (int64
+    # for any integer table).
+    counts = np.empty((starts.size, problem.num_classes))
+    for k, column in enumerate(problem.class_counts[rows].T):
+        counts[:, k] = np.add.reduceat(column, starts, dtype=problem.class_totals.dtype)
     # ``ndarray.sum`` is 0 + pairwise(all members) while ``reduceat`` is
     # first + pairwise(rest): a leading zero per segment makes the two
     # the same float (sizes carry a 1e-9 floor, so the order can matter).
+    members = problem.data_sizes[rows]
     zero_slots = starts + np.arange(starts.size)
-    is_member = np.ones(ids.size + starts.size, dtype=bool)
+    is_member = np.ones(members.size + starts.size, dtype=bool)
     is_member[zero_slots] = False
     sizes = np.zeros(is_member.size)
-    sizes[is_member] = problem.data_sizes[ids]
-    # Counts: one class at a time, summed in the totals' dtype (int64 for
-    # any integer table).  A run of consecutive ids reduces each column as
-    # it lies.
-    in_order = ids[-1] - ids[0] == ids.size - 1 and np.all(ids[1:] > ids[:-1])
-    rows = slice(ids[0], ids[-1] + 1) if in_order else ids
-    counts = np.empty((starts.size, problem.num_classes))
-    for k, column in enumerate(problem.class_counts.T):
-        counts[:, k] = np.add.reduceat(column[rows], starts, dtype=problem.class_totals.dtype)
+    sizes[is_member] = members
     return np.add.reduceat(sizes, zero_slots), counts
 
 
@@ -340,8 +354,8 @@ class _Groups:
         self.problem, self.upload = problem, problem.upload_latency()
         self.limit = problem.config.grouping.xi * problem.time_spread() + 1e-12
         self.total, self.global_dist = float(sizes.sum()), problem.global_distribution()
-        integral = all(np.array_equal(x, np.floor(x)) for x in (sizes, counts))
-        self.exact = integral and max(self.total, float(problem.class_totals.sum())) < 2**53
+        integral = (a.dtype.kind in "iu" or np.array_equal(a, np.floor(a)) for a in (sizes, counts))
+        self.exact = all(integral) and max(self.total, float(problem.class_totals.sum())) < 2**53
         self.members: List[List[int]] = [[]]
         self.group_of = np.zeros(n, dtype=np.int64)
         self.state = np.zeros((n + 1, 5 + problem.num_classes))
@@ -477,9 +491,11 @@ def _split_grouping(
     problem: GroupingProblem, order: np.ndarray, num_groups: int, strategy: str
 ) -> GroupingResult:
     """``order`` cut as ``np.array_split`` cuts it: ``num_groups`` consecutive
-    blocks, the first ``N mod num_groups`` of them one member longer."""
+    blocks, the first ``N mod num_groups`` of them one member longer.  An
+    int64 order is cast to the index dtype (and freed) before scoring."""
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
+    order = order.astype(_index_dtype(problem.num_workers), copy=False)
     num_groups = min(num_groups, problem.num_workers)
     base, extra = divmod(problem.num_workers, num_groups)
     steps = np.arange(num_groups + 1)
@@ -492,16 +508,15 @@ def tier_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
     This only looks at timing, not at the label distribution, which is why
     its average EMD stays high in Table III.
     """
-    order = np.argsort(problem.local_times, kind="stable")
-    return _split_grouping(problem, order, num_groups, "tier")
+    return _split_grouping(problem, problem.local_times.argsort(kind="stable"), num_groups, "tier")
 
 
 def random_grouping(
     problem: GroupingProblem, num_groups: int, seed: int = 0
 ) -> GroupingResult:
     """Uniformly random assignment into ``num_groups`` groups (ablation)."""
-    order = np.random.default_rng(seed).permutation(problem.num_workers)
-    return _split_grouping(problem, order, num_groups, "random")
+    rng = np.random.default_rng(seed)
+    return _split_grouping(problem, rng.permutation(problem.num_workers), num_groups, "random")
 
 
 def singleton_grouping(problem: GroupingProblem) -> GroupingResult:
@@ -510,7 +525,7 @@ def singleton_grouping(problem: GroupingProblem) -> GroupingResult:
     This is also the fully-asynchronous limit ξ → 0 discussed around Fig. 8.
     """
     n = problem.num_workers
-    return _split_grouping(problem, np.arange(n, dtype=np.int64), n, "singleton")
+    return _split_grouping(problem, np.arange(n, dtype=_index_dtype(n)), n, "singleton")
 
 
 def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingResult:
@@ -520,7 +535,7 @@ def contiguous_grouping(problem: GroupingProblem, num_groups: int) -> GroupingRe
     are views of one ``arange``.  The ``scale_1m`` benchmark workload groups
     its 1M workers this way; greedy's ~0.1 ms per worker is minutes there.
     """
-    order = np.arange(problem.num_workers, dtype=np.int64)
+    order = np.arange(problem.num_workers, dtype=_index_dtype(problem.num_workers))
     return _split_grouping(problem, order, num_groups, "contiguous")
 
 

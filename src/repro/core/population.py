@@ -10,6 +10,8 @@ worker, so the core scales to millions of simulated devices:
   per-worker ``starts``/``sizes`` row windows.  ``store.shard(w)`` returns a
   zero-copy :class:`ShardView` (``np.shares_memory`` with the store is
   ``True``); nothing is allocated per worker.
+* :class:`ClassCountView` — the store's per-worker label histograms, served
+  block by block from one per-class prefix sum, never as an ``(N, K)`` table.
 * :class:`Population` — the facade trainers talk to.  It owns the state
   table, builds the store lazily, and serves every worker's data as a
   shard view backed by that store — the only way a trainer sees it.
@@ -49,6 +51,7 @@ __all__ = [
     "ShardView",
     "WorkerStateTable",
     "SharedDatasetStore",
+    "ClassCountView",
     "StackPool",
     "Population",
 ]
@@ -109,7 +112,6 @@ class WorkerStateTable:
     sizes: np.ndarray = field(init=False, repr=False)
     total_size: float = field(init=False, default=0.0)
     gains: Optional[np.ndarray] = field(init=False, default=None, repr=False)
-    gains_round: int = field(init=False, default=-1)
     staleness: np.ndarray = field(init=False, repr=False)
     dispatches: np.ndarray = field(init=False, repr=False)
     unavailable: np.ndarray = field(init=False, repr=False)
@@ -215,7 +217,6 @@ class WorkerStateTable:
     def record_gains(self, round_index: int, gains: np.ndarray) -> None:
         """Reference (not copy) the most recent full-population gain draw."""
         self.gains = gains
-        self.gains_round = int(round_index)
 
     def record_dispatch(self, member_ids: np.ndarray) -> None:
         self.dispatches[member_ids] += 1
@@ -320,9 +321,6 @@ class SharedDatasetStore:
     def num_workers(self) -> int:
         return int(self.starts.size)
 
-    def data_sizes(self) -> np.ndarray:
-        return self.sizes
-
     def shard(self, worker_id: int) -> ShardView:
         """Zero-copy ``(x, y)`` slice views for one worker."""
         if not 0 <= worker_id < self.num_workers:
@@ -334,33 +332,6 @@ class SharedDatasetStore:
     def shards(self) -> _ShardSequence:
         """Lazy sequence of all shard views (no per-worker allocation)."""
         return _ShardSequence(self)
-
-    def class_counts(self) -> np.ndarray:
-        """Per-worker label histograms, ``(N, K)``: the transpose of a
-        class-major C-contiguous ``(K, N)`` table in the narrowest dtype that
-        holds the longest window (uint8 up to 255 rows, uint16 up to 65,535,
-        else int32).  Class ``c``'s row is ``prefix[starts + sizes] -
-        prefix[starts]`` over one ``(n + 1,)`` int32 prefix sum of ``y == c``,
-        taken in int32 for one block of workers at a time and then cast;
-        O(K·(n + N)), correct for overlapping (replicated) windows.
-        """
-        labels, k = np.asarray(self.y), self.num_classes
-        if labels.size and (labels.min() < 0 or labels.max() >= k):
-            raise ValueError("partition labels out of range for num_classes")
-        longest = int(self.sizes.max())
-        narrow = np.uint8 if longest <= 255 else np.uint16 if longest <= 65535 else np.int32
-        counts = np.empty((k, self.num_workers), dtype=narrow)
-        prefix = np.zeros(labels.size + 1, dtype=np.int32)
-        for c, row in enumerate(counts):
-            np.cumsum(labels == c, dtype=np.int32, out=prefix[1:])
-            for i in range(0, self.num_workers, _BLOCK):
-                lower = self.starts[i : i + _BLOCK]
-                # Windows lie in [0, n] (checked at construction): "clip"
-                # skips the buffered bounds check of the default "raise".
-                upper = prefix.take(lower + self.sizes[i : i + _BLOCK], mode="clip")
-                np.subtract(upper, prefix.take(lower, mode="clip"), out=row[i : i + _BLOCK],
-                            casting="unsafe")
-        return counts.T
 
     @property
     def nbytes(self) -> int:
@@ -428,6 +399,51 @@ class SharedDatasetStore:
             num_classes=dataset.num_classes,
             copied=False,
         )
+
+
+class ClassCountView:
+    """A store's per-worker label histograms ``d_i^k``, shape ``(N, K)``,
+    served from one class-major prefix sum and never held as a table.
+
+    ``prefix[c, r]`` counts label ``c`` in rows ``[0, r)``, so worker ``w``'s
+    count of ``c`` is ``prefix[c, starts[w] + sizes[w]] - prefix[c, starts[w]]``:
+    non-negative, since the labels are range-checked here and every window
+    lies in ``[0, n]``.  ``view[rows]`` (an id, an id array or a slice)
+    returns those rows' counts, :meth:`totals` sums every window in one pass
+    and ``np.asarray`` materialises the table.
+    """
+
+    def __init__(self, store: SharedDatasetStore) -> None:
+        labels, k = np.asarray(store.y), store.num_classes
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            raise ValueError("partition labels out of range for num_classes")
+        self.starts, self.sizes, self.shape = store.starts, store.sizes, (store.num_workers, k)
+        self.prefix = np.zeros((k, labels.size + 1), dtype=_index_dtype(labels.size))
+        self.dtype = self.prefix.dtype
+        np.cumsum(labels == np.arange(k)[:, None], axis=1, dtype=self.dtype, out=self.prefix[:, 1:])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        lower = np.asarray(self.starts[rows], dtype=np.intp)
+        upper = (lower + self.sizes[rows]).ravel()
+        block = np.empty((self.shape[1], lower.size), self.dtype)  # class-major
+        for prefix, counts in zip(self.prefix, block):
+            # Windows lie in [0, n]: "clip" skips the buffered bounds check.
+            prefix.take(upper, out=counts, mode="clip")
+            counts -= prefix.take(lower.ravel(), mode="clip")
+        return block.T.reshape(*lower.shape, -1)
+
+    def totals(self) -> np.ndarray:
+        """Per-class sums, int64 ``(K,)``: the prefix dotted with how many
+        windows end minus start at each row, a block of workers at a time."""
+        net = np.zeros(self.prefix.shape[1], dtype=np.int64)
+        for i in range(0, self.shape[0], _BLOCK):
+            lower = self.starts[i : i + _BLOCK]
+            net += np.bincount(lower + self.sizes[i : i + _BLOCK], minlength=net.size)
+            net -= np.bincount(lower, minlength=net.size)
+        return self.prefix @ net
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
 
 
 class StackPool:
@@ -572,11 +588,11 @@ class Population:
         store (O(1) memory, no per-worker copies)."""
         return self.store.shards()
 
-    def class_counts(self) -> np.ndarray:
-        """Per-worker label histograms (partition-cached when available)."""
+    def class_counts(self):
+        """Per-worker label histograms (partition-cached, else a store view)."""
         if self.partition is not None:
             return self.partition.class_counts()
-        return self.store.class_counts()
+        return ClassCountView(self.store)
 
     @property
     def nbytes(self) -> int:

@@ -47,8 +47,10 @@ class DynamicTrainer(AirCompUplink, GroupedAsyncTrainer):
             Fraction of workers scheduled each round (at least one).
         exploration:
             Fraction of the selected slots filled uniformly at random instead
-            of by the channel/energy score, mimicking the scheduler's
-            fairness term so no worker starves completely.
+            of by the channel/energy score (``round(exploration · k)`` of the
+            ``k``), mimicking the scheduler's fairness term.  None explores
+            when ``exploration · k < 0.5`` (8 workers at the defaults), and on
+            a ``static`` channel the same ``k`` workers then always train.
         """
         super().__init__(experiment)
         if not 0.0 < select_fraction <= 1.0:

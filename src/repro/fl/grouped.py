@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.grouping import GroupingProblem, GroupingResult, member_blocks, member_range
 from ..core.mechanism import GroupAsyncScheduler
+from ..core.population import _index_dtype
 from .base import BaseTrainer, Cohort, CommitRow, FLExperiment
 from .staleness import StalenessPolicy, resolve_staleness_policy
 
@@ -52,7 +53,7 @@ class _Roster:
     label the dispatch sampled its latency/fault draws with, and the
     per-group dispatch sequence number that makes every dispatch's RNG
     draws unique (retries and re-dispatches of the same round label draw
-    fresh randomness).  ``members`` is an int64 array, the form both the
+    fresh randomness).  ``members`` is an integer array, the form both the
     fault draws and the commit path take.
     """
 
@@ -105,12 +106,13 @@ class GroupedAsyncTrainer(BaseTrainer):
             staleness
         )
         super().__init__(experiment)
-        # Int64 member arrays, one per group: every per-round touchpoint
+        # Integer member arrays, one per group: every per-round touchpoint
         # (latency sampling, worker-state counters, α masses, the commit
         # rows' participants) indexes with these.  A strategy's groups
-        # already are; a hook returning lists is converted here, once.
+        # already are and are kept as given; a hook's lists become int64.
         self.groups: List[np.ndarray] = [
-            np.asarray(g, dtype=np.int64) for g in self.build_groups()
+            g if isinstance(g, np.ndarray) and g.dtype.kind in "iu" else np.asarray(g, np.int64)
+            for g in self.build_groups()
         ]
         if not self.groups:
             raise ValueError("grouping produced no groups")
@@ -146,11 +148,11 @@ class GroupedAsyncTrainer(BaseTrainer):
     # Grouping: the hook the concrete mechanisms specialize
     # ------------------------------------------------------------------
     def build_groups(self) -> Sequence[Sequence[int]]:
-        """Return the groups' worker ids (int64 arrays or int lists).
+        """Return the groups' worker ids (integer arrays or int lists).
 
         Default: one group of every worker, the barrier round.
         """
-        return [np.arange(self.exp.num_workers, dtype=np.int64)]
+        return [np.arange(self.exp.num_workers, dtype=_index_dtype(self.exp.num_workers))]
 
     def dispatch_roster(self, group_id: int, round_index: int) -> np.ndarray:
         """The members a dispatch of ``group_id`` for ``round_index`` trains,

@@ -152,10 +152,10 @@ class ClientStateModel:
     # ------------------------------------------------------------------
     @staticmethod
     def _worker_list(worker_ids: Union[Sequence[int], np.ndarray]) -> List[int]:
-        """Normalize a member list or int64 member array to Python ints.
+        """Normalize a member list or integer member array to Python ints.
 
-        The grouped event loop passes the population layer's cached int64
-        group arrays; converting once up front keeps every per-worker seed
+        The grouped event loop passes the grouping's integer member
+        arrays; converting once up front keeps every per-worker seed
         stream keyed by plain ints regardless of the caller's container.
         """
         return np.asarray(worker_ids, dtype=np.int64).tolist()

@@ -133,7 +133,7 @@ class LatencyTable:
 
         Identical values to calling :meth:`sample_time` per worker (the
         jittered path uses the same per-worker seeded draw).  Accepts an
-        int64 member array and bounds-checks it without a Python loop —
+        integer member array and bounds-checks it without a Python loop —
         the per-dispatch hot path of the XL event loop.
         """
         ids = np.asarray(worker_ids, dtype=np.int64)

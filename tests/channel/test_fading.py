@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import registry
 from repro.channel import RayleighFading, StaticChannel
+
+from oracle.channel import rayleigh_gains
 
 
 class TestRayleighFading:
@@ -48,6 +52,28 @@ class TestRayleighFading:
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
             RayleighFading(num_workers=4, seed=0).gains(-1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_gains_are_the_one_expression_bit_for_bit(self, seed):
+        ch = RayleighFading(num_workers=5000, mean_gain=0.7, pathloss_spread=3.0, seed=seed)
+        for round_index in (0, 1, 2, 9):
+            assert ch.gains(round_index).tobytes() == rayleigh_gains(ch, round_index).tobytes()
+
+    def test_a_draw_at_a_million_workers_holds_its_two_buffers(self):
+        """One call peaks below 2.5 float64 arrays of N traced (the two draw
+        buffers, one of them returned); the deep-fade floor is hit and equals
+        the expression's."""
+        n = 1_000_000
+        ch = RayleighFading(num_workers=n, seed=0)
+        tracemalloc.start()
+        try:
+            gains = ch.gains(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
+        assert np.any(gains == 1e-3 * ch._avg_gain)
+        assert gains.tobytes() == rayleigh_gains(ch, 3).tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.core import grouping
 from repro.core.convergence import grouping_objective
 from repro.core.grouping import GROUPING_STRATEGIES, _evaluate_grouping, contiguous_grouping
+from repro.core.population import ClassCountView, SharedDatasetStore
 from repro.core.timing import (
     average_round_time,
     estimated_max_staleness,
@@ -27,6 +28,8 @@ from repro.core.timing import (
 )
 from repro.data import make_mnist_like, partition_label_skew
 from repro.sim import HeterogeneityModel, LatencyTable
+
+from oracle.population import class_count_table
 
 
 def make_problem(num_workers=20, xi=0.3, seed=0, c_max=0.0):
@@ -113,7 +116,7 @@ def test_contiguous_blocks_are_array_split_blocks():
         expected = np.array_split(np.arange(num_workers), min(num_groups, num_workers))
         assert len(result.groups) == len(expected)
         for got, want in zip(result.groups, expected):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def test_negative_counts_rejected_in_either_dtype():
@@ -514,7 +517,7 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
         problem = synthetic_problem(60, num_classes, seed=num_classes, empty_workers=(3, 17))
         groups = [chunk.tolist() for chunk in ragged_split(60, seed=1)]
         result = self.check(problem, groups)
-        assert all(isinstance(g, np.ndarray) and g.dtype == np.int64 for g in result.groups)
+        assert all(isinstance(g, np.ndarray) and g.dtype == np.int32 for g in result.groups)
         assert [g.tolist() for g in result.groups] == [g for g in groups if g]
 
     def test_int64_array_groups_come_back_equal(self):
@@ -523,7 +526,7 @@ class TestEvaluateGroupingMatchesPerGroupLoop:
         result = self.check(problem, groups)
         assert len(result.groups) == len(groups)
         for got, given in zip(result.groups, groups):
-            assert got.dtype == np.int64 and np.array_equal(got, given)
+            assert got.dtype == np.int32 and np.array_equal(got, given)
 
     def test_ragged_mixed_groups_with_singletons_and_empties(self):
         problem = synthetic_problem(40, 10, seed=9, empty_workers=(5, 6, 7))
@@ -623,3 +626,34 @@ def test_per_class_reduction_equals_the_whole_table_one(strategy, layout):
     assert np.array_equal(result.betas, betas)
     assert np.array_equal(result.lambdas, lambdas)
     assert result.objective == objective
+
+
+@pytest.mark.usefixtures("block_members")
+@pytest.mark.parametrize(
+    "strategy, num_workers", [("contiguous", 500), ("tier", 500), ("random", 500), ("greedy", 40)]
+)
+def test_grouping_through_the_view_equals_the_table(strategy, num_workers):
+    """A replicated store's problem groups the same through the store's
+    class-count view as through the table the view replaced, bit for bit."""
+    dataset = make_mnist_like(num_train=120, num_test=10, image_size=8, seed=2)
+    store = SharedDatasetStore.replicated(dataset, num_workers, shard_size=9, stride=5)
+    latency = LatencyTable(
+        num_workers=num_workers,
+        base_time=2.0,
+        heterogeneity=HeterogeneityModel(num_workers=num_workers, seed=3),
+    )
+    problem = GroupingProblem(
+        data_sizes=np.full(num_workers, 9.0),
+        class_counts=ClassCountView(store),
+        local_times=latency.nominal,
+        model_dimension=100_000,
+        config=AirFedGAConfig(grouping=GroupingConfig(xi=0.3)),
+        c_max=0.01,
+    )
+    table = dataclasses.replace(problem, class_counts=class_count_table(store))
+    assert np.array_equal(problem.class_totals, table.class_totals)
+    got, want = (GROUPING_STRATEGIES[strategy](p, 7, 3) for p in (problem, table))
+    assert [g.tolist() for g in got.groups] == [g.tolist() for g in want.groups]
+    for name in ("group_times", "betas", "lambdas"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert repr(got.objective) == repr(want.objective)

@@ -4,12 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import registry
 from repro.core.config import AirFedGAConfig
+from repro.core import grouping
 from repro.core.grouping import GroupingProblem, contiguous_grouping, tier_grouping
 from repro.core.mechanism import GroupAsyncScheduler
 from repro.core.population import (
+    ClassCountView,
     Population,
     ShardView,
     SharedDatasetStore,
@@ -20,6 +24,7 @@ from repro.data.partition import Partition, partition_iid, partition_label_skew
 from repro.sim.latency import build_uniform_latency
 
 from oracle.data import legacy_subset
+from oracle.population import class_count_table
 
 
 def _dataset(num_train=200, image_size=8, seed=0):
@@ -107,8 +112,8 @@ def test_from_partition_shards_match_legacy_subset_and_are_views():
         # Zero-copy: slice views into the one shared store.
         assert np.shares_memory(shard.x, store.x)
         assert np.shares_memory(shard.y, store.y)
-    np.testing.assert_array_equal(store.data_sizes(), partition.data_sizes())
-    np.testing.assert_array_equal(store.class_counts(), partition.class_counts())
+    np.testing.assert_array_equal(store.sizes, partition.data_sizes())
+    np.testing.assert_array_equal(ClassCountView(store), partition.class_counts())
 
 
 def test_replicated_store_aliases_dataset_and_overlaps():
@@ -119,13 +124,13 @@ def test_replicated_store_aliases_dataset_and_overlaps():
     assert store.x is dataset.x_train  # zero sample copies
     assert not store.copied
     assert store.num_workers == 200
-    np.testing.assert_array_equal(store.data_sizes(), np.full(200, 16))
+    np.testing.assert_array_equal(store.sizes, np.full(200, 16))
     shard = store.shard(7)
     assert isinstance(shard, ShardView)
     assert len(shard.x) == 16
     assert np.shares_memory(shard.x, dataset.x_train)
     # Class counts stay correct for overlapping windows (brute force check).
-    counts = store.class_counts()
+    counts = ClassCountView(store)
     for w in (0, 3, 199):
         expected = np.bincount(
             store.y[store.starts[w]:store.starts[w] + store.sizes[w]], minlength=dataset.num_classes
@@ -145,23 +150,36 @@ def _bincount_histograms(store):
 
 @pytest.mark.parametrize("stride", [1, 3, 80])
 def test_class_counts_equal_per_worker_bincount_replicated(stride):
-    """Overlapping windows; 5000 workers over 75 window starts, so starts wrap."""
+    """Overlapping windows; 5000 workers over 75 window starts, so starts wrap.
+    A population with no partition serves its counts as the store's view."""
     dataset = _dataset(num_train=90)
-    store = SharedDatasetStore.replicated(
-        dataset, num_workers=5000, shard_size=16, stride=stride
-    )
-    counts = store.class_counts()
-    assert counts.dtype == np.uint8 and counts.shape == (5000, dataset.num_classes)
-    assert counts.T.flags.c_contiguous  # class-major
-    assert np.array_equal(counts, _bincount_histograms(store))
+    population = Population.replicated(dataset, num_workers=5000, shard_size=16, stride=stride)
+    store, counts = population.store, population.class_counts()
+    assert isinstance(counts, ClassCountView) and counts.dtype == np.int32
+    assert counts.shape == (5000, dataset.num_classes)
+    table = np.asarray(counts)
+    assert table.shape == counts.shape and table.dtype == np.int32
+    assert np.array_equal(table, _bincount_histograms(store))
+    assert np.array_equal(table, class_count_table(store))
+    assert counts.totals().dtype == np.int64
+    assert np.array_equal(counts.totals(), table.sum(axis=0))
 
 
-@pytest.mark.parametrize(
-    "longest, dtype",
-    [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.int32)],
-)
-def test_class_counts_take_the_narrowest_dtype_holding_the_longest_window(longest, dtype):
-    """Worker 0's window holds one class only, so its count is the longest window."""
+def test_class_count_view_indexes_like_the_table():
+    """An id, an id array or a slice of rows, as the table's rows."""
+    dataset = _dataset(num_train=90)
+    store = SharedDatasetStore.replicated(dataset, num_workers=300, shard_size=16, stride=7)
+    counts, table = ClassCountView(store), class_count_table(store).astype(np.int64)
+    ids = np.array([299, 0, 17, 17, 5], dtype=np.int32)
+    for key in (3, -1, ids, slice(10, 90), slice(None), slice(290, 400)):
+        assert np.array_equal(counts[key], table[key]), key
+        assert np.shape(counts[key]) == np.shape(table[key]), key
+
+
+@pytest.mark.parametrize("longest", [255, 256, 65_535, 65_536])
+def test_class_counts_hold_the_longest_window(longest):
+    """Worker 0's window holds one class only, so its count is the longest
+    window, past what uint8 and uint16 hold."""
     labels = np.random.default_rng(longest).integers(0, 3, size=longest + 7)
     labels[:longest] = 0
     store = SharedDatasetStore(
@@ -171,16 +189,38 @@ def test_class_counts_take_the_narrowest_dtype_holding_the_longest_window(longes
         sizes=np.array([longest, longest, 7, 0]),
         num_classes=3,
     )
-    counts = store.class_counts()
-    assert counts.dtype == dtype and counts[0, 0] == longest
+    counts = ClassCountView(store)
+    assert counts[0][0] == longest
     assert np.array_equal(counts, _bincount_histograms(store))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    windows=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=30),
+)
+def test_class_count_view_counts_are_non_negative(labels, windows):
+    """Any windows in range, empty ones included: every count is a
+    non-negative window histogram, and the totals are their column sums."""
+    n = len(labels)
+    starts = [min(s, n) for s, _ in windows]
+    sizes = [min(d, n - s) for s, (_, d) in zip(starts, windows)]
+    store = SharedDatasetStore(
+        x=np.zeros((n, 1)), y=np.array(labels), starts=np.array(starts),
+        sizes=np.array(sizes), num_classes=5,
+    )
+    counts = ClassCountView(store)
+    table = np.asarray(counts)
+    assert table.min() >= 0
+    assert np.array_equal(table, _bincount_histograms(store))
+    assert np.array_equal(counts.totals(), table.sum(axis=0))
 
 
 def test_class_counts_equal_per_worker_bincount_from_partition():
     dataset = _dataset()
     partition = partition_label_skew(dataset, num_workers=10, labels_per_worker=2, seed=0)
     store = SharedDatasetStore.from_partition(dataset, partition)
-    assert np.array_equal(store.class_counts(), _bincount_histograms(store))
+    assert np.array_equal(ClassCountView(store), _bincount_histograms(store))
 
 
 def test_class_counts_equal_per_worker_bincount_with_empty_workers():
@@ -193,7 +233,7 @@ def test_class_counts_equal_per_worker_bincount_with_empty_workers():
         dataset.y_train,
     )
     store = SharedDatasetStore.from_partition(dataset, partition)
-    counts = store.class_counts()
+    counts = ClassCountView(store)
     assert np.array_equal(counts, _bincount_histograms(store))
     assert np.array_equal(counts, partition.class_counts())
     assert not counts[[0, 2, 5]].any()
@@ -203,7 +243,8 @@ def test_class_counts_equal_per_worker_bincount_with_empty_workers():
     "labels", [[0, 1, 2, 5, -1, 1], [0, 1, 2, 1, 3, 1], [-1, 1, 2, 0, 1, 1]]
 )
 def test_class_counts_reject_out_of_range_labels(labels):
-    """Worker 1 holds three samples; it must not get a histogram summing to 1."""
+    """Worker 1 holds three samples; it must not get a histogram summing to 1.
+    The view checks the labels before it builds its prefix sum."""
     store = SharedDatasetStore(
         x=np.zeros((6, 2)),
         y=np.array(labels),
@@ -212,18 +253,22 @@ def test_class_counts_reject_out_of_range_labels(labels):
         num_classes=3,
     )
     with pytest.raises(ValueError, match="partition labels out of range for num_classes"):
-        store.class_counts()
+        ClassCountView(store)
 
 
 @pytest.mark.parametrize(
     "strategy", [contiguous_grouping, tier_grouping], ids=["contiguous", "tier"]
 )
 def test_grouping_setup_memory_at_400k_workers(strategy):
-    """No (N, K) int64 histogram and no widening copy of it: the traced peak
-    of the label counts, the grouping problem and a grouping stays below one
-    such histogram plus one int64 id per worker.  Scoring the grouping
-    gathers one block of members at a time, so its scratch (the peak minus
-    what is live once the result exists) stays below one int64 per worker."""
+    """No (N, K) label table and no int64 member order: the traced peak of
+    the label counts, the grouping problem and a grouping stays below one
+    int32 id per worker plus one block of scratch, k + 2 eight-byte words
+    per member of a block (its class counts, window starts and ends: 6.3 MB
+    here; a uint8 table alone is 4 MB and an int64 order 3.2 MB).  The
+    problem's class totals take one pass over the windows, a block of int64
+    window starts and ends at a time."""
+    from repro.core import population
+
     dataset = _dataset(num_train=256)
     n, k = 400_000, dataset.num_classes
     store = SharedDatasetStore.replicated(dataset, num_workers=n, shard_size=32)
@@ -232,19 +277,20 @@ def test_grouping_setup_memory_at_400k_workers(strategy):
     try:
         problem = GroupingProblem(
             data_sizes=sizes,
-            class_counts=store.class_counts(),
+            class_counts=ClassCountView(store),
             local_times=times,
             model_dimension=100,
         )
         problem_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         result = strategy(problem, n // 64)
-        live, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.num_groups == n // 64
-    assert max(problem_peak, peak) < n * k * 8 + n * 8
-    assert peak - live < n * 8
+    assert all(g.dtype == np.int32 for g in result.groups)
+    assert problem_peak < population._BLOCK * 16
+    assert peak < n * 4 + grouping._BLOCK_MEMBERS * 8 * (k + 2)
 
 
 def test_class_counts_zero_length_windows():
@@ -256,7 +302,7 @@ def test_class_counts_zero_length_windows():
         sizes=np.array([5, 0, 25, 0, 0]),
         num_classes=dataset.num_classes,
     )
-    counts = store.class_counts()
+    counts = ClassCountView(store)
     assert np.array_equal(counts, _bincount_histograms(store))
     assert not counts[[1, 3, 4]].any()
 
@@ -314,7 +360,6 @@ def test_replicated_store_holds_one_int32_start_per_worker():
     assert store.starts.dtype == np.int32
     assert store.sizes.strides == (0,) and store.sizes.tolist() == [32] * 1000
     assert store.nbytes - store.x.nbytes - store.y.nbytes <= 4 * 1000 + 8
-    assert store.data_sizes() is store.sizes
     with pytest.raises(ValueError, match="read-only"):
         store.sizes[3] = 1
     np.testing.assert_array_equal(population.state.sizes, store.sizes)
@@ -352,7 +397,9 @@ def test_window_walks_cross_block_edges(monkeypatch, block):
     monkeypatch.setattr(population, "_BLOCK", block)
     store = SharedDatasetStore.replicated(dataset, num_workers=40, shard_size=16, stride=7)
     assert np.array_equal(store.starts, expected.starts)
-    assert np.array_equal(store.class_counts(), _bincount_histograms(store))
+    counts = ClassCountView(store)
+    assert np.array_equal(counts, _bincount_histograms(store))
+    assert np.array_equal(counts.totals(), _bincount_histograms(store).sum(axis=0))
     starts, sizes = np.zeros(20, dtype=np.int64), np.ones(20, dtype=np.int64)
     sizes[-1] = 91  # only the last block's window runs past the rows
     with pytest.raises(ValueError, match="out of bounds"):
@@ -427,7 +474,7 @@ def test_population_shards_equal_legacy_copies_and_share_the_store():
     assert not isinstance(sequence, list)
     assert np.shares_memory(sequence[3].x, population.store.x)
     np.testing.assert_array_equal(
-        partition.class_counts(), population.store.class_counts()
+        partition.class_counts(), ClassCountView(population.store)
     )
 
 
@@ -465,7 +512,7 @@ def test_population_replicated_xl_construction_is_compact():
 
 def test_replicated_state_keeps_one_size_array():
     population = Population.replicated(_dataset(num_train=256), num_workers=50, shard_size=32)
-    np.testing.assert_array_equal(population.state.sizes, population.store.data_sizes())
+    np.testing.assert_array_equal(population.state.sizes, population.store.sizes)
     # Resident bytes: one float64 size (a zero-stride view), float64
     # latencies, four int32 counters.
     assert population.state.sizes.strides == (0,)

@@ -2,8 +2,9 @@
 
 The execution axes ask whether every way of computing a document gives one
 history; these ask whether that history is the right one.  Air-FedAvg is
-Air-FedGA with ``M = 1`` (Corollary 2), and FedProx, TiFL and the staleness
-policies each reduce to a simpler mechanism at one parameter value.  Each
+Air-FedGA with ``M = 1`` (Corollary 2), noiseless Air-FedAvg learns as
+FedAvg, and FedProx, TiFL and the staleness policies each reduce to a
+simpler mechanism at one parameter value.  Each
 relation runs both documents and compares their histories column by column
 and counter by counter: bit for bit, except where docs/ARCHITECTURE.md
 ("Schedules, uplinks, groupings") states a tolerance and its cause.  Each
@@ -35,6 +36,24 @@ def test_one_group_air_fedga_is_air_fedavg(scenario):
     another order)."""
     one_group = _history(scenario, "air_fedga", grouping_strategy="contiguous", num_groups=1)
     assert one_group == _history(scenario, "air_fedavg")
+
+
+def test_noiseless_air_fedavg_learns_as_fedavg():
+    """With σ₀² = 0 on a ``static`` channel, Eq. (44) gives √η = σ, so the
+    AirComp estimate Σ σ d_i w_i / (D √η) is FedAvg's Σ d_i w_i / D up to
+    rounding: loss within ``rtol=1e-14`` (2.4e-16 measured) and accuracy
+    exact on every sampled round.  Time and energy differ by design (the
+    uplinks differ).  Catches: the estimate dropping its ``1/√η``
+    (``aircomp_aggregate`` dividing by ``D`` alone)."""
+    noiseless = DEFAULT.with_(
+        **{"channel.name": "static", "algorithm.aircomp.noise_variance": 0.0}
+    )
+    air = _history(noiseless, "air_fedavg")["columns"]
+    fedavg = _history(noiseless, "fedavg")["columns"]
+    for name in ("round_index", "sampled", "accuracy"):
+        assert air[name] == fedavg[name], name
+    assert all(air["sampled"])
+    np.testing.assert_allclose(air["loss"], fedavg["loss"], rtol=1e-14)
 
 
 def test_fedprox_without_the_proximal_term_is_fedavg():

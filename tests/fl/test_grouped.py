@@ -198,14 +198,15 @@ class TestBlockEdges:
             _fixed(groups)(_forty_workers())
 
 
-class TestGroupsAreInt64Arrays:
-    """A grouping has one form from the strategy to the commit rows."""
+class TestGroupsAreIndexArrays:
+    """A grouping has one form from the strategy to the commit rows: int32
+    member arrays below 2³¹ workers, kept as given."""
 
     @pytest.mark.parametrize("strategy", sorted(GROUPING_STRATEGIES))
     def test_strategy_trainer_and_scheduler_share_the_arrays(self, small_experiment, strategy):
         trainer = AirFedGATrainer(small_experiment, grouping_strategy=strategy, num_groups=3)
         groups = trainer.grouping_result.groups
-        assert all(isinstance(g, np.ndarray) and g.dtype == np.int64 for g in groups)
+        assert all(isinstance(g, np.ndarray) and g.dtype == np.int32 for g in groups)
         assert len(trainer.groups) == len(trainer.scheduler._members) == len(groups)
         assert all(a is b for a, b in zip(trainer.groups, groups))
         assert all(a is b for a, b in zip(trainer.scheduler._members, trainer.groups))

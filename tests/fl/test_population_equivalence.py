@@ -82,12 +82,14 @@ def test_replicated_rosters_reference_the_store():
 
 
 def test_replicated_build_holds_few_bytes_per_worker():
-    """The grouping's class table is uint8, the counters int32 and no
-    member map outlives the build (8·N B units).
+    """The grouping reads a view of the store's labels (no class table),
+    the members and the counters are int32 and no member map outlives the
+    build (8·N B units).
 
     The state table keeps one size array, the scheduler none: the trainer
-    holds 3.4 units after the build (5.5 with the scheduler's flat and
-    owner arrays and the int64 sizes), and the build peaks at 8.0.
+    holds 1.9 units after the build and the build peaks at 4.6, most of it
+    one block of grouping scratch (2.4 and 5.0 with a uint8 class table and
+    int64 members).
     """
     n = 200_000
     build = _replicated_air_fedga(n)
@@ -97,9 +99,9 @@ def test_replicated_build_holds_few_bytes_per_worker():
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live / (8 * n) < 4.0
-    assert peak / (8 * n) < 8.5
-    assert trainer.population.store.class_counts().dtype == np.uint8
+    assert live / (8 * n) < 2.2
+    assert peak / (8 * n) < 6.0
+    assert all(g.dtype == np.int32 for g in trainer.groups)
     state = trainer.worker_state
     counters = (state.staleness, state.dispatches, state.unavailable, state.dropped)
     assert all(c.dtype == np.int32 for c in counters)

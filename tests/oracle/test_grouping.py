@@ -100,7 +100,7 @@ def problems(draw):
 
 def assert_same_grouping(got, want):
     assert [g.tolist() for g in got.groups] == [g.tolist() for g in want.groups]
-    assert all(g.dtype == np.int64 for g in got.groups)
+    assert all(g.dtype == np.int32 for g in got.groups)
     for name in ("group_times", "frequencies", "betas", "lambdas"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     for name in ("objective", "tau_max_estimate", "upload_latency"):

@@ -77,3 +77,24 @@ def test_staged_wraps_calls_and_first_rows_then_puts_them_back():
 
     assert list(_traced(body)) == ["work", "table", "first row"]
     assert (owner.work, owner.rows, table["a"]) == originals
+
+
+def test_passes_print_one_resident_row_per_pass(monkeypatch, capsys):
+    """``--passes 2`` on ``scale_1m`` at its smoke size (4096 workers): the
+    first pass's phase table, then VmRSS and VmHWM after each pass."""
+    from benchmarks.airbench import measure
+
+    monkeypatch.setattr(phase_memory, "load_workload", lambda name: measure.load_workload(name, True))
+    phase_memory.main(["--workload", "scale_1m", "--passes", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("") + 1 :]
+    assert [line.split()[0] for line in lines[2:13]] == [
+        "dataset", "latency", "channel", "population", "trainer", "power-control",
+        "grouping", "grouping", "scheduler", "run", "first",
+    ]
+    assert table[0].split() == ["pass", "VmRSS", "VmHWM"]
+    rows = [line.split() for line in table[1:]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    for _, rss, hwm in rows:
+        assert 0 < float(rss) <= float(hwm)
+    assert float(rows[0][2]) <= float(rows[1][2])  # the high-water mark never falls

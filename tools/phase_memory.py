@@ -17,6 +17,13 @@ wrapped from outside for the pass and put back afterwards, as
 
     python3 tools/phase_memory.py --workload scale_1m --seed 0
 
+``--passes N`` repeats the whole build-and-run pass N times in one process,
+as the benchmark repeats a workload, and then prints ``VmRSS`` and ``VmHWM``
+after each pass, once what it built is dropped: what the allocator keeps of
+one pass's freed buffers shows as resident memory between passes and as a
+high-water mark that still grows on the later ones.  The phase table is the
+first pass's.
+
 Run it with ``PYTHONPATH=<other checkout>/src`` to compare two trees.
 """
 
@@ -151,15 +158,10 @@ def staged(spans: TracedSpans, stages: Sequence[tuple]) -> Iterator[None]:
             put(key, func)
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="scale_1m")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    doc = load_workload(args.workload)
-    if doc["kind"] != "replicated":
-        parser.error(f"{args.workload} is not a replicated workload")
-    n, seed, training = int(doc["num_workers"]), args.seed, doc["training"]
+def run_pass(doc: dict, seed: int) -> TracedSpans:
+    """One build-and-run pass of the replicated workload ``doc``, its phases
+    and stages traced; everything it built is dropped on return."""
+    n, training = int(doc["num_workers"]), doc["training"]
     mechanism = doc["mechanisms"][0]
     model, model_params = doc["model"]["name"], doc["model"]["params"]
     built = {}
@@ -205,13 +207,33 @@ def main(argv=None) -> None:
                     built[name] = phase()
     finally:
         tracemalloc.stop()
-    print(f"{args.workload} (seed {seed}): traced MB, resident MiB")
+    return spans
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="scale_1m")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=1, help="build-and-run passes (default 1)")
+    args = parser.parse_args(argv)
+    doc = load_workload(args.workload)
+    if doc["kind"] != "replicated":
+        parser.error(f"{args.workload} is not a replicated workload")
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    # Each pass's spans, and VmRSS / VmHWM once what it built is dropped.
+    passes = [(run_pass(doc, args.seed), resident_mib()) for _ in range(args.passes)]
+    print(f"{args.workload} (seed {args.seed}): traced MB, resident MiB")
     print(f"{'phase / stage':<26} {'live after':>10} {'peak':>8} {'VmRSS':>8} {'VmHWM':>8}")
-    for depth, name, live, peak, rss, hwm in spans.rows:
+    for depth, name, live, peak, rss, hwm in passes[0][0].rows:
         print(
             f"{'  ' * depth + name:<26} {live / 1e6:>10.1f} {peak / 1e6:>8.1f}"
             f" {rss:>8.1f} {hwm:>8.1f}"
         )
+    if args.passes > 1:
+        print(f"\n{'pass':<26} {'VmRSS':>8} {'VmHWM':>8}")
+        for number, (_, (rss, hwm)) in enumerate(passes, 1):
+            print(f"{number:<26} {rss:>8.1f} {hwm:>8.1f}")
 
 if __name__ == "__main__":
     main()
