@@ -593,11 +593,3 @@ class Population:
         if self.partition is not None:
             return self.partition.class_counts()
         return ClassCountView(self.store)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the state table plus any *copied* store."""
-        total = self.state.nbytes
-        if self._store is not None and self._store.copied:
-            total += self._store.nbytes
-        return total

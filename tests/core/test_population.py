@@ -504,7 +504,7 @@ def test_population_replicated_xl_construction_is_compact():
     # No sample copies at all; the resident footprint is the per-worker
     # scalar fields (~9 int64/float64 arrays) — well under 100 MB.
     assert population.store.x is dataset.x_train
-    assert population.nbytes < 100 * 1024 * 1024
+    assert population.state.nbytes < 100 * 1024 * 1024
     shard = population.shard(num_workers - 1)
     assert len(shard.x) == 32
     assert np.shares_memory(shard.x, dataset.x_train)
