@@ -17,7 +17,6 @@ from .timing import (
 )
 from .convergence import (
     ConvergenceBound,
-    grouping_objective,
     lemma1_bound_sequence,
     lemma1_decay,
     lemma1_residual,
@@ -70,7 +69,6 @@ __all__ = [
     "theorem1_delta",
     "theorem1_bound",
     "rounds_to_epsilon",
-    "grouping_objective",
     "ConvergenceBound",
     "PowerControlCache",
     "PowerControlResult",

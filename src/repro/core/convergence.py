@@ -1,14 +1,11 @@
 """Convergence analysis of Air-FedGA (Lemma 1, Theorem 1, Corollaries 1-2).
 
-The theoretical quantities are used in two ways:
-
-1. As *predictions* — the unit and property tests verify the inequality
-   structure (e.g. the Lemma-1 contraction, monotonicity of ρ in τ_max and
-   of δ in the EMD values Λ_j).
-2. As the *objective* of the optimization problems P2/P4 — the greedy
-   grouping algorithm (Alg. 3) evaluates
-   ``L(x) · (1 + τ̂_max) · log_B A`` to compare candidate groupings, and the
-   power-control algorithm (Alg. 2) minimizes the per-round error term C_t.
+The unit and property tests verify the inequality structure of these
+quantities (the Lemma-1 contraction, monotonicity of ρ in τ_max and of δ in
+the EMD values Λ_j).  The P4 objective ``L(x) · (1 + τ̂_max) · log_B A``
+(Eq. 48) built from ρ's base and δ is evaluated in one place, on rows of
+group quantities: :func:`repro.core.grouping._objectives`, which scores
+every grouping Algorithm 3 compares and every strategy's result.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "theorem1_delta",
     "theorem1_bound",
     "rounds_to_epsilon",
-    "grouping_objective",
     "ConvergenceBound",
 ]
 
@@ -205,57 +201,3 @@ def rounds_to_epsilon(
         return 0.0
     return float(math.log(a) / math.log(rho))
 
-
-def grouping_objective(
-    config: ConvergenceConfig,
-    round_time: float,
-    tau_max: float,
-    psi: Sequence[float],
-    beta: Sequence[float],
-    lambdas: Sequence[float],
-    c_max: float,
-) -> float:
-    """The P2/P4 objective ``L · (1 + τ̂_max) · log_B A``.
-
-    ``A = (ε − δ) / (F(w0) − F(w*))`` and ``B`` is the un-exponentiated
-    contraction base.
-
-    Practical surrogate for the infeasible regime: under strong label skew
-    the residual δ can exceed the target ε for *every* candidate grouping,
-    which would make the theoretical round count infinite and leave the
-    greedy search with no gradient to follow.  In that regime we clamp
-    ``A`` to a small floor and multiply by a penalty growing with
-    ``(δ − ε)/ε`` so that candidates are still ranked by round time,
-    staleness *and* data-distribution skew — the same trade-off the exact
-    objective expresses when it is finite.  The feasible branch is the
-    paper's objective verbatim.
-    """
-    if round_time <= 0:
-        raise ValueError("round_time must be positive")
-    if tau_max < 0:
-        raise ValueError("tau_max must be non-negative")
-    mu, gamma, L = (
-        config.strong_convexity_mu,
-        config.learning_rate_gamma,
-        config.smoothness_L,
-    )
-    wb = _weighted_beta(psi, beta)
-    b = 1.0 - (2.0 * mu * gamma - mu / L) * wb
-    if not (0.0 < b < 1.0):
-        return float("inf")
-    delta = theorem1_delta(config, psi, beta, lambdas, c_max)
-    eps = config.target_epsilon
-    a_floor = 1e-3
-    if delta < eps:
-        a = (eps - delta) / config.initial_gap
-        if a >= 1.0:
-            # Already converged according to the bound: any grouping is
-            # equally good; fall back to minimizing round time alone.
-            return round_time
-        a = max(a, a_floor)
-        penalty = 1.0
-    else:
-        a = a_floor
-        penalty = 1.0 + (delta - eps) / eps
-    rounds = math.log(a) / math.log(b)  # = log_B A > 0
-    return float(round_time * (1.0 + tau_max) * rounds * penalty)

@@ -38,13 +38,8 @@ import numpy as np
 
 from ..channel.aircomp import aircomp_latency
 from .config import AirFedGAConfig
-from .convergence import grouping_objective
 from .population import ClassCountView, _index_dtype
-from .timing import (
-    average_round_time,
-    estimated_max_staleness,
-    participation_frequencies,
-)
+from .timing import estimated_max_staleness, participation_frequencies
 
 __all__ = [
     "GroupingProblem",
@@ -257,18 +252,10 @@ def _score(
     lambdas = _lambdas(counts, problem.global_distribution())
     psi = participation_frequencies(group_times)
     tau = max(0.0, estimated_max_staleness(group_times) - 1.0)
-    objective = grouping_objective(
-        problem.config.convergence,
-        round_time=average_round_time(group_times),
-        tau_max=tau,
-        psi=psi,
-        beta=betas,
-        lambdas=lambdas,
-        c_max=problem.c_max,
-    )
+    (objective,) = _objectives(problem, group_times[None], betas[None], lambdas[None])
     return GroupingResult(
         groups=groups,
-        objective=float(objective),
+        objective=objective,
         group_times=group_times,
         frequencies=psi,
         betas=betas,
@@ -308,11 +295,16 @@ def _lambdas(counts: np.ndarray, global_dist: np.ndarray) -> np.ndarray:
 
 
 def _objectives(problem: GroupingProblem, times, betas, lambdas) -> List[float]:
-    """:func:`grouping_objective` of each row's grouping (rows of L_j, β_j,
-    Λ_j) as :func:`_score` computes it, bit for bit: ``sum(axis=1)`` of a
-    C-contiguous row is its 1-D pairwise sum, stacked ``np.matmul`` of two
-    vectors is ``np.dot``'s BLAS dot (``einsum`` and ``(ψ·β).sum`` round
-    otherwise), and ``np.log`` is not always ``math.log``."""
+    """The P4 objective ``L · (1 + τ̂_max) · log_B A`` (Eq. 48) of each row's
+    grouping, rows of L_j, β_j and Λ_j: the one objective, read by every
+    greedy placement and, on one row, by :func:`_score`.
+
+    ``A = (ε − δ) / (F(w0) − F(w*))``, δ is Theorem 1's residual and ``B``
+    its un-exponentiated contraction base (``inf`` outside (0, 1)).  When
+    δ ≥ ε, as under strong label skew for every grouping, the round count
+    is infinite; ``A`` is then clamped to 1e-3 and the value multiplied by
+    ``1 + (δ − ε)/ε``, so candidates stay ranked by round time, staleness
+    and skew.  A row's value does not depend on the rows beside it."""
     c = problem.config.convergence
     mu, gamma, L = c.strong_convexity_mu, c.learning_rate_gamma, c.smoothness_L
     eps = c.target_epsilon

@@ -296,7 +296,6 @@ class SharedDatasetStore:
     starts: np.ndarray
     sizes: np.ndarray
     num_classes: int
-    copied: bool = True
 
     def __post_init__(self) -> None:
         starts, sizes = np.asarray(self.starts), np.asarray(self.sizes)
@@ -356,7 +355,6 @@ class SharedDatasetStore:
             starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
             num_classes=dataset.num_classes,
-            copied=True,
         )
 
     @classmethod
@@ -397,7 +395,6 @@ class SharedDatasetStore:
             starts=starts,
             sizes=np.broadcast_to(np.int64(shard_size), (num_workers,)),
             num_classes=dataset.num_classes,
-            copied=False,
         )
 
 

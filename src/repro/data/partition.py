@@ -98,14 +98,6 @@ class Partition:
             ).reshape(n, k)
         return self._class_counts
 
-    def global_distribution(self) -> np.ndarray:
-        """Global label distribution ``λ_k`` over all assigned samples."""
-        counts = self.class_counts().sum(axis=0).astype(np.float64)
-        total = counts.sum()
-        if total == 0:
-            raise ValueError("partition is empty")
-        return counts / total
-
 
 # ----------------------------------------------------------------------
 # Partition strategies

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.grouping import GroupingProblem, greedy_grouping
 from .configs import ACCURACY_TARGETS
 from .runner import run_comparison
 from .scenario import Scenario
@@ -31,30 +30,19 @@ AIRCOMP_MECHANISMS = ("air_fedga", "air_fedavg", "dynamic")
 ALL_MECHANISMS = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
 
 
-def grouping_problem(scenario: Scenario) -> GroupingProblem:
-    """Algorithm 3's inputs for ``scenario``'s workers, built without training."""
-    experiment = scenario.build_experiment()
-    return GroupingProblem(
-        data_sizes=experiment.partition.data_sizes(),
-        class_counts=experiment.partition.class_counts(),
-        local_times=experiment.latency.nominal,
-        model_dimension=scenario.training.latency_model_dimension or 10_000,
-        config=scenario.algorithm,
-    )
-
-
 # ----------------------------------------------------------------------
 # Figure 7: grouping of heterogeneous workers at ξ = 0.3
 # ----------------------------------------------------------------------
 def grouping_boxplot_data(scenario: Scenario) -> Dict[int, List[float]]:
     """Per-group lists of member local-training times (the Fig. 7 box plot).
 
-    ``scenario``'s workers (the paper's: κ ~ U[1, 10], one label each) are
-    grouped by Algorithm 3 at its ``algorithm.grouping.xi``.
+    The groups are those the scenario's trainer forms when built (its
+    ``grouping_result``): for the catalogue's ``air_fedga``, Algorithm 3 over
+    the paper's workers (κ ~ U[1, 10], one label each) at
+    ``algorithm.grouping.xi``.
     """
-    problem = grouping_problem(scenario)
-    local_times = problem.local_times
-    result = greedy_grouping(problem)
+    trainer = scenario.build()
+    local_times, result = trainer.exp.latency.nominal, trainer.grouping_result
     data: Dict[int, List[float]] = {}
     # Order groups by their median member time so the box plot reads
     # left-to-right like the paper's Fig. 7.

@@ -6,8 +6,6 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..core.grouping import greedy_grouping, singleton_grouping, tier_grouping
-from .figures import grouping_problem
 from .runner import run_comparison
 from .scenario import Scenario
 
@@ -25,13 +23,22 @@ def emd_comparison(scenario: Scenario, num_tiers: int = 10) -> Dict[str, float]:
     label-skew partition (each worker holds one class) the "Original" value is
     ``|1/K − 1| + (K−1)·|1/K − 0| = 2(K−1)/K`` (= 1.8 for K = 10); TiFL's
     time-based tiers barely improve it, while the data-aware greedy grouping
-    drives it toward 0.
+    drives it toward 0.  Each column's grouping is the one its trainer
+    forms when built: ``air_fedga`` with the ``singleton`` strategy,
+    ``tifl`` with ``num_tiers`` tiers, and ``air_fedga``.
     """
-    problem = grouping_problem(scenario)
+    columns = {
+        "original": ("air_fedga", {"grouping_strategy": "singleton"}),
+        "tifl": ("tifl", {"num_tiers": num_tiers}),
+        "air_fedga": ("air_fedga", {}),
+    }
     return {
-        "original": float(singleton_grouping(problem).lambdas.mean()),
-        "tifl": float(tier_grouping(problem, num_groups=num_tiers).lambdas.mean()),
-        "air_fedga": float(greedy_grouping(problem).lambdas.mean()),
+        column: float(
+            scenario.with_(mechanism={"name": name, "params": params})
+            .build()
+            .grouping_result.lambdas.mean()
+        )
+        for column, (name, params) in columns.items()
     }
 
 

@@ -516,7 +516,6 @@ class BaseTrainer:
         ``α_i`` — the fault layer passes ``Σα_members / Σα_survivors`` so
         mid-round survivors carry the full group's data mass.
         """
-        member_ids = list(member_ids)
         if len(member_ids) != len(local_vectors):
             raise ValueError("member_ids and local_vectors length mismatch")
         if weight_scale <= 0:
@@ -549,7 +548,6 @@ class BaseTrainer:
         the fault layer passes ``Σα_members / Σα_survivors`` so a degraded
         group's survivors carry the full group's data mass over the air.
         """
-        member_ids = list(member_ids)
         if len(member_ids) == 0:
             raise ValueError("at least one participant required")
         if len(member_ids) != len(local_vectors):
@@ -560,9 +558,8 @@ class BaseTrainer:
         # Reference (not copy) the freshest full-population draw in the
         # state table so diagnostics read gains without a second draw.
         self.worker_state.record_gains(round_index, gains_all)
-        index = np.asarray(member_ids, dtype=np.intp)
-        gains = gains_all[index]
-        sizes = self.data_sizes[index]
+        gains = gains_all[member_ids]
+        sizes = self.data_sizes[member_ids]
         if weight_scale != 1.0:
             sizes = sizes * weight_scale
 
@@ -593,7 +590,7 @@ class BaseTrainer:
             sq_norms=sq_norms,
         )
         # Eq. (10): mix the received estimate with the previous global model.
-        beta = float((self.data_sizes[index] / self.total_data).sum())
+        beta = float((self.data_sizes[member_ids] / self.total_data).sum())
         if weight_scale != 1.0:
             beta = min(1.0, beta * weight_scale)
         np.multiply(self.global_vector, 1.0 - beta, out=self._agg_scratch)
@@ -670,7 +667,7 @@ class BaseTrainer:
 
     def oma_upload_latency(self, member_ids: Sequence[int], round_index: int) -> float:
         """TDMA upload time for the given workers (grows with their number)."""
-        gains = self.exp.channel.gains(round_index)[list(member_ids)]
+        gains = self.exp.channel.gains(round_index)[member_ids]
         return tdma_round_time(self.latency_dimension, gains, self.exp.oma)
 
     # ------------------------------------------------------------------

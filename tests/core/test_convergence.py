@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AirFedGAConfig,
     ConvergenceBound,
     ConvergenceConfig,
-    grouping_objective,
+    GroupingProblem,
     lemma1_bound_sequence,
     lemma1_decay,
     lemma1_residual,
@@ -17,6 +18,7 @@ from repro.core import (
     theorem1_delta,
     theorem1_rho,
 )
+from repro.core.grouping import _objectives
 
 
 CFG = ConvergenceConfig()
@@ -166,42 +168,52 @@ class TestRoundsToEpsilon:
             rounds_to_epsilon(0.5, -0.1, 1.0, 0.1)
 
 
+def objective(times, betas=BETA, lambdas=(0.0, 0.0), c_max=0.0):
+    """The P4 objective of one grouping's rows of L_j, β_j and Λ_j."""
+    problem = GroupingProblem(
+        data_sizes=np.ones(1),
+        class_counts=np.ones((1, 1)),
+        local_times=np.ones(1),
+        model_dimension=1,
+        config=AirFedGAConfig(convergence=CFG),
+        c_max=c_max,
+    )
+    (value,) = _objectives(problem, *(np.array([row], dtype=float) for row in (times, betas, lambdas)))
+    return value
+
+
 class TestGroupingObjective:
+    """Two groups of 10 s each: round time 5 s, τ̂_max = 1, ψ = (0.5, 0.5)."""
+
     def test_positive_and_finite_in_feasible_regime(self):
-        obj = grouping_objective(
-            CFG, round_time=5.0, tau_max=1.0, psi=PSI, beta=BETA,
-            lambdas=[0.0, 0.0], c_max=0.0,
-        )
+        obj = objective([10.0, 10.0])
         assert np.isfinite(obj) and obj > 0
 
     def test_scales_with_round_time(self):
-        kwargs = dict(tau_max=1.0, psi=PSI, beta=BETA, lambdas=[0.0, 0.0], c_max=0.0)
-        assert grouping_objective(CFG, round_time=10.0, **kwargs) == pytest.approx(
-            2 * grouping_objective(CFG, round_time=5.0, **kwargs)
-        )
+        assert objective([20.0, 20.0]) == pytest.approx(2 * objective([10.0, 10.0]))
 
     def test_penalizes_staleness(self):
-        kwargs = dict(round_time=5.0, psi=PSI, beta=BETA, lambdas=[0.0, 0.0], c_max=0.0)
-        assert grouping_objective(CFG, tau_max=4.0, **kwargs) > grouping_objective(
-            CFG, tau_max=0.0, **kwargs
-        )
+        """(6 s, 30 s) keeps the 5 s round time and Σ ψ_j β_j at equal β_j,
+        and raises τ̂_max from 1 to 5."""
+        betas = (0.5, 0.5)
+        assert objective([6.0, 30.0], betas) == pytest.approx(3 * objective([10.0, 10.0], betas))
 
     def test_penalizes_non_iid_groups(self):
-        kwargs = dict(round_time=5.0, tau_max=1.0, psi=PSI, beta=BETA, c_max=0.0)
-        iid = grouping_objective(CFG, lambdas=[0.0, 0.0], **kwargs)
-        skewed = grouping_objective(CFG, lambdas=[1.8, 1.8], **kwargs)
+        iid = objective([10.0, 10.0], lambdas=[0.0, 0.0])
+        skewed = objective([10.0, 10.0], lambdas=[1.8, 1.8])
         assert skewed > iid
 
     def test_penalizes_non_iid_even_when_bound_is_vacuous(self):
         """In the surrogate regime (delta >= epsilon) ordering by EMD is preserved."""
-        kwargs = dict(round_time=5.0, tau_max=1.0, psi=PSI, beta=BETA, c_max=0.0)
-        mild = grouping_objective(CFG, lambdas=[0.8, 0.8], **kwargs)
-        severe = grouping_objective(CFG, lambdas=[1.8, 1.8], **kwargs)
+        mild = objective([10.0, 10.0], lambdas=[0.8, 0.8])
+        severe = objective([10.0, 10.0], lambdas=[1.8, 1.8])
         assert np.isfinite(mild) and np.isfinite(severe)
         assert severe > mild
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            grouping_objective(CFG, 0.0, 1.0, PSI, BETA, LAMBDAS, 0.0)
-        with pytest.raises(ValueError):
-            grouping_objective(CFG, 1.0, -1.0, PSI, BETA, LAMBDAS, 0.0)
+        """The objective is reached through a ``GroupingProblem``, which refuses
+        a non-positive local time and a negative ``c_max``."""
+        with pytest.raises(ValueError, match="positive"):
+            GroupingProblem(np.ones(2), np.ones((2, 1)), np.array([1.0, 0.0]), 1)
+        with pytest.raises(ValueError, match="c_max"):
+            GroupingProblem(np.ones(2), np.ones((2, 1)), np.ones(2), 1, c_max=-1.0)

@@ -18,7 +18,6 @@ from repro.core import (
     tier_grouping,
 )
 from repro.core import grouping
-from repro.core.convergence import grouping_objective
 from repro.core.grouping import GROUPING_STRATEGIES, _evaluate_grouping, contiguous_grouping
 from repro.core.population import ClassCountView, SharedDatasetStore
 from repro.core.timing import (
@@ -29,6 +28,7 @@ from repro.core.timing import (
 from repro.data import make_mnist_like, partition_label_skew
 from repro.sim import HeterogeneityModel, LatencyTable
 
+from oracle.convergence import grouping_objective
 from oracle.population import class_count_table
 
 

@@ -122,7 +122,6 @@ def test_replicated_store_aliases_dataset_and_overlaps():
         dataset, num_workers=200, shard_size=16, stride=3
     )
     assert store.x is dataset.x_train  # zero sample copies
-    assert not store.copied
     assert store.num_workers == 200
     np.testing.assert_array_equal(store.sizes, np.full(200, 16))
     shard = store.shard(7)

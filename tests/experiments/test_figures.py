@@ -52,6 +52,15 @@ class TestGroupingBoxplot:
         data = grouping_boxplot_data(boxplot_scenario(10, xi=0.5, seed=1))
         assert all(t > 0 for v in data.values() for t in v)
 
+    def test_groups_are_the_trainers_grouping(self):
+        """Each box is one group of the grouping ``scenario.build()`` forms,
+        its members' nominal local times in member order."""
+        scenario = FIGURES["fig7"]()
+        trainer = scenario.build()
+        times = trainer.exp.latency.nominal
+        want = sorted(times[group].tolist() for group in trainer.grouping_result.groups)
+        assert sorted(grouping_boxplot_data(scenario).values()) == want
+
 
 class TestXiSweep:
     def test_returns_entry_per_xi(self):

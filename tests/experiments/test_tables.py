@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GroupingProblem, greedy_grouping, singleton_grouping, tier_grouping
 from repro.experiments import (
     FIGURES,
     cnn_mnist_config,
@@ -24,26 +23,20 @@ class TestEMDComparison:
         }
 
     @pytest.mark.parametrize(
-        "column, strategy",
+        "column, build",
         [
-            ("original", lambda p: singleton_grouping(p)),
-            ("tifl", lambda p: tier_grouping(p, num_groups=4)),
-            ("air_fedga", lambda p: greedy_grouping(p)),
+            ("original", lambda s: s.with_(**{"mechanism.params.grouping_strategy": "singleton"})),
+            ("tifl", lambda s: s.with_(mechanism="tifl", **{"mechanism.params.num_tiers": 4})),
+            ("air_fedga", lambda s: s),
         ],
     )
-    def test_columns_are_mean_group_lambdas(self, column, strategy):
-        """Each column is the mean Λ_j the grouping itself reports."""
+    def test_columns_are_mean_group_lambdas(self, column, build):
+        """Each column is the mean Λ_j of the grouping its trainer forms."""
         scenario = cnn_mnist_config(seed=0).with_(num_workers=20)
-        experiment = scenario.build_experiment()
-        problem = GroupingProblem(
-            data_sizes=experiment.partition.data_sizes(),
-            class_counts=experiment.partition.class_counts(),
-            local_times=experiment.latency.nominal,
-            model_dimension=scenario.training.latency_model_dimension or 10_000,
-            config=scenario.algorithm,
-        )
+        assert scenario.mechanism.name == "air_fedga"
+        grouping = build(scenario).build().grouping_result
         result = emd_comparison(scenario, num_tiers=4)
-        assert result[column] == float(strategy(problem).lambdas.mean())
+        assert result[column] == float(grouping.lambdas.mean())
 
     def test_original_matches_paper_value(self):
         """Single-label workers over 10 balanced classes give EMD = 1.8."""

@@ -1,20 +1,49 @@
 """Algorithm 3 as it was first coded: the reference of the incremental search.
 
 :func:`greedy_grouping` tries each candidate placement of a worker by
-re-scoring the whole trial grouping with ``_evaluate_grouping``, and
+re-scoring the whole trial grouping with ``_evaluate_grouping`` and the
+scalar objective of :mod:`oracle.convergence` (:func:`_evaluate`), and
 :func:`_refine_grouping` does the same for each relocation it tries.
 :func:`repro.core.grouping.greedy_grouping` scores the same placements from
-per-group running state; ``tests/property/test_grouping_oracle.py`` checks
+per-group running state; ``tests/oracle/test_grouping.py`` checks
 that the two return the same grouping and the same floats, bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.grouping import GroupingProblem, GroupingResult, _evaluate_grouping
+from repro.core.timing import average_round_time
+from repro.experiments.scenario import Scenario
+
+from oracle.convergence import grouping_objective
+
+
+def grouping_problem(scenario: Scenario) -> GroupingProblem:
+    """Algorithm 3's inputs for ``scenario``'s workers, as its trainer builds
+    them, with data sizes of their own (the trainer's are read-only)."""
+    problem = scenario.build().grouping_problem()
+    return dataclasses.replace(problem, data_sizes=problem.data_sizes.copy())
+
+
+def _evaluate(problem: GroupingProblem, groups: Sequence[Sequence[int]]) -> GroupingResult:
+    """``_evaluate_grouping``'s result with its objective from the scalar
+    oracle, so the loop's objective does not come from ``_objectives``."""
+    result = _evaluate_grouping(problem, groups, "greedy")
+    objective = grouping_objective(
+        problem.config.convergence,
+        round_time=average_round_time(result.group_times),
+        tau_max=result.tau_max_estimate,
+        psi=result.frequencies,
+        beta=result.betas,
+        lambdas=result.lambdas,
+        c_max=problem.c_max,
+    )
+    return dataclasses.replace(result, objective=objective)
 
 
 def _constraint_satisfied(
@@ -76,7 +105,7 @@ def greedy_grouping(problem: GroupingProblem) -> GroupingResult:
                 trial_groups[j] = trial_members
             else:
                 trial_groups.append(trial_members)
-            result = _evaluate_grouping(problem, trial_groups, "greedy")
+            result = _evaluate(problem, trial_groups)
             if result.objective < best_objective - 1e-15:
                 best_objective = result.objective
                 best_index = j
@@ -91,7 +120,7 @@ def greedy_grouping(problem: GroupingProblem) -> GroupingResult:
             groups[best_index].append(worker)
 
     groups = _refine_grouping(problem, groups, upload_latency)
-    return _evaluate_grouping(problem, groups, "greedy")
+    return _evaluate(problem, groups)
 
 
 def _refine_grouping(
@@ -116,7 +145,7 @@ def _refine_grouping(
     if passes <= 0 or len(groups) < 2:
         return groups
     current = [list(g) for g in groups]
-    best = _evaluate_grouping(problem, current, "greedy").objective
+    best = _evaluate(problem, current).objective
     for _ in range(passes):
         improved = False
         for worker in range(problem.num_workers):
@@ -135,7 +164,7 @@ def _refine_grouping(
                 trial[source] = [w for w in current[source] if w != worker]
                 trial[target] = trial_members
                 trial_groups = [g for g in trial if g]
-                objective = _evaluate_grouping(problem, trial_groups, "greedy").objective
+                objective = _evaluate(problem, trial_groups).objective
                 if objective < best - 1e-12:
                     current = trial_groups
                     best = objective

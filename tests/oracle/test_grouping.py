@@ -24,16 +24,16 @@ from hypothesis import strategies as st
 
 from repro.core import AirFedGAConfig, ConvergenceConfig, GroupingConfig, GroupingProblem
 from repro.core import grouping
-from repro.core.convergence import grouping_objective, theorem1_delta
+from repro.core.convergence import theorem1_delta
 from repro.core.timing import (
     average_round_time,
     estimated_max_staleness,
     participation_frequencies,
 )
-from repro.experiments.figures import grouping_problem
 from repro.experiments.scenario import Scenario
 
-from oracle.grouping import greedy_grouping as oracle_greedy_grouping
+from oracle.convergence import grouping_objective
+from oracle.grouping import greedy_grouping as oracle_greedy_grouping, grouping_problem
 
 #: Convergence constants that reach each branch of ``grouping_objective``:
 #: b ∉ (0, 1) (inf), δ ≥ ε (penalised), δ < ε with A < 1, and A ≥ 1 (the
