@@ -36,12 +36,12 @@ ALL_MECHANISMS = ("fedavg", "tifl", "air_fedavg", "dynamic", "air_fedga")
 def grouping_boxplot_data(scenario: Scenario) -> Dict[int, List[float]]:
     """Per-group lists of member local-training times (the Fig. 7 box plot).
 
-    The groups are those the scenario's trainer forms when built (its
-    ``grouping_result``): for the catalogue's ``air_fedga``, Algorithm 3 over
-    the paper's workers (κ ~ U[1, 10], one label each) at
-    ``algorithm.grouping.xi``.
+    The groups are the ``grouping_result`` of ``scenario``'s workers under
+    an ``air_fedga`` trainer with its default (greedy) strategy: Algorithm 3
+    over the paper's workers (κ ~ U[1, 10], one label each) at
+    ``algorithm.grouping.xi``, whatever mechanism ``scenario`` names.
     """
-    trainer = scenario.build()
+    trainer = scenario.with_(mechanism="air_fedga").build()
     local_times, result = trainer.exp.latency.nominal, trainer.grouping_result
     data: Dict[int, List[float]] = {}
     # Order groups by their median member time so the box plot reads

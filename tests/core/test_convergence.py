@@ -178,7 +178,8 @@ def objective(times, betas=BETA, lambdas=(0.0, 0.0), c_max=0.0):
         config=AirFedGAConfig(convergence=CFG),
         c_max=c_max,
     )
-    (value,) = _objectives(problem, *(np.array([row], dtype=float) for row in (times, betas, lambdas)))
+    rows = (np.array([row], dtype=float) for row in (times, betas, lambdas))
+    (value,) = _objectives(problem, *rows)
     return value
 
 

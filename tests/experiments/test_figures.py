@@ -54,12 +54,15 @@ class TestGroupingBoxplot:
 
     def test_groups_are_the_trainers_grouping(self):
         """Each box is one group of the grouping ``scenario.build()`` forms,
-        its members' nominal local times in member order."""
+        its members' nominal local times in member order; another mechanism
+        in the scenario plots the same ``air_fedga`` grouping."""
         scenario = FIGURES["fig7"]()
         trainer = scenario.build()
         times = trainer.exp.latency.nominal
         want = sorted(times[group].tolist() for group in trainer.grouping_result.groups)
         assert sorted(grouping_boxplot_data(scenario).values()) == want
+        fedavg = scenario.with_(mechanism="fedavg")
+        assert sorted(grouping_boxplot_data(fedavg).values()) == want
 
 
 class TestXiSweep:
